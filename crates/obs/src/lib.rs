@@ -113,6 +113,16 @@ pub fn observe(name: &'static str, bounds: &'static [u64], v: u64) {
     GLOBAL.observe(name, bounds, v);
 }
 
+/// Observe into a labeled histogram on the global recorder.
+pub fn observe_labeled(
+    name: &'static str,
+    labels: &[(&'static str, &str)],
+    bounds: &'static [u64],
+    v: u64,
+) {
+    GLOBAL.observe_labeled(name, labels, bounds, v);
+}
+
 /// Observe into a quantile sketch on the global recorder.
 #[inline]
 pub fn sketch_observe(name: &'static str, v: u64) {

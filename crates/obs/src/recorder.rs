@@ -262,6 +262,25 @@ impl Recorder {
         if !self.is_enabled() {
             return;
         }
+        self.observe_key(MetricKey::plain(name), bounds, v);
+    }
+
+    /// Observe `v` into a labeled fixed-bucket histogram. Every label
+    /// set of one metric must pass the same `bounds`.
+    pub fn observe_labeled(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        bounds: &'static [u64],
+        v: u64,
+    ) {
+        if !self.is_enabled() {
+            return;
+        }
+        self.observe_key(MetricKey::labeled(name, labels), bounds, v);
+    }
+
+    fn observe_key(&self, key: MetricKey, bounds: &'static [u64], v: u64) {
         let tid = self.tid();
         let mut st = self
             .shard(tid)
@@ -269,7 +288,7 @@ impl Recorder {
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         st.histograms
-            .entry(MetricKey::plain(name))
+            .entry(key)
             .or_insert_with(|| Histogram::new(bounds))
             .observe(v);
     }

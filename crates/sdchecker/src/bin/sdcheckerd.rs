@@ -74,7 +74,7 @@ use obs::{GaugeRegistry, HttpServer, Request, Response, PROMETHEUS_CONTENT_TYPE}
 use sdchecker::checkpoint::{self, CfgFingerprint, CheckpointStore, SaveInputs};
 use sdchecker::{
     default_rules, AlertEngine, DirTailer, IncrementalAnalyzer, IncrementalConfig, Outcome,
-    RetiredApp, Transition,
+    RetiredApp, TailLag, Transition,
 };
 
 const USAGE: &str = "usage: sdcheckerd <watch-dir> [--listen ADDR] [--port-file PATH] \
@@ -88,6 +88,30 @@ const ALERT_EVAL_MS: u64 = 1_000;
 
 /// Per-poll duration histogram bounds, ms.
 const POLL_DURATION_BOUNDS: &[u64] = &[1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000];
+
+/// Splits a loop iteration into `sdcheckerd_poll_phase_ms{phase}`: each
+/// [`PhaseClock::mark`] charges the time since the previous boundary to
+/// the phase that just ended.
+struct PhaseClock {
+    boundary: Instant,
+}
+
+impl PhaseClock {
+    fn mark(&mut self, phase: &'static str) {
+        let ms = self.boundary.elapsed().as_millis() as u64;
+        obs::observe_labeled(
+            "sdcheckerd_poll_phase_ms",
+            &[("phase", phase)],
+            POLL_DURATION_BOUNDS,
+            ms,
+        );
+        // Advance by the whole milliseconds charged, not to "now": the
+        // sub-millisecond remainder carries into the next phase, so the
+        // phases of an iteration sum to its `sdcheckerd_poll_duration_ms`
+        // and a short phase is not always rounded down to nothing.
+        self.boundary += Duration::from_millis(ms);
+    }
+}
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
@@ -221,7 +245,7 @@ fn describe_daemon_metrics() {
     );
     obs::describe(
         "sdcheckerd_tail_lag_bytes",
-        "Bytes on disk not yet consumed into records",
+        "Bytes the last poll saw on disk but did not turn into records",
     );
     obs::describe(
         "sdcheckerd_tail_lag_ms",
@@ -237,7 +261,12 @@ fn describe_daemon_metrics() {
     );
     obs::describe(
         "sdcheckerd_poll_duration_ms",
-        "Wall-clock duration of each tail poll (read + ingest + drain), ms",
+        "Wall-clock duration of each loop iteration (every phase, no sleep), ms",
+    );
+    obs::describe(
+        "sdcheckerd_poll_phase_ms",
+        "Wall-clock duration of each loop iteration by phase \
+         (tail, ingest, retire, alerts, publish, checkpoint), ms",
     );
     obs::describe(
         "sdcheckerd_http_requests_total",
@@ -262,6 +291,14 @@ fn describe_daemon_metrics() {
     obs::describe(
         "sd_tail_files_removed_total",
         "Tracked log files that vanished from disk and were dropped",
+    );
+    obs::describe(
+        "sd_tail_read_errors_total",
+        "Grown log files a poll could not open or read (skipped, retried next poll)",
+    );
+    obs::describe(
+        "sd_tail_fs_ops_total",
+        "Filesystem calls made by the tailer, by op (stat, listing, open)",
     );
     obs::describe(
         "sd_checkpoint_writes_total",
@@ -416,15 +453,15 @@ fn handle(req: &Request, shared: &Shared, gauges: &GaugeRegistry) -> Response {
 /// Publish the current pipeline state for the HTTP thread.
 fn refresh(
     shared: &Shared,
+    lag: &TailLag,
     tailer: &DirTailer,
     analyzer: &IncrementalAnalyzer,
     polls: u64,
     records: u64,
     ready: bool,
 ) {
-    let lag = tailer.lag();
     let stats = tailer.stats();
-    let report = analyzer.live_report_json(Some((&lag, &stats)));
+    let report = analyzer.live_report_json(Some((lag, &stats)));
     *shared.report.lock().unwrap_or_else(|e| e.into_inner()) = report;
     let h = Health {
         ready,
@@ -1040,8 +1077,8 @@ fn main() -> ExitCode {
     // Deltas are measured against the (possibly restored) stats so a
     // resumed run's process-local counters start at zero, not at the
     // whole lineage's totals.
-    let mut read_bytes_prev: u64 = tailer.stats().read_bytes;
-    let mut removed_prev: u64 = tailer.stats().removed_files;
+    let mut stats_prev = tailer.stats();
+    let mut ops_prev = tailer.ops();
     let mut late_prev: u64 = analyzer.late_events();
     let mut exemplar_gen: u64 = analyzer.exemplars().generation();
     let ckpt_interval = Duration::from_millis(checkpoint_interval_ms);
@@ -1056,6 +1093,9 @@ fn main() -> ExitCode {
         polls += 1;
         obs::count("sdcheckerd_polls_total", 1);
         let poll_started = Instant::now();
+        let mut phase = PhaseClock {
+            boundary: poll_started,
+        };
         let batch = match tailer.poll() {
             Ok(b) => b,
             Err(e) => {
@@ -1066,6 +1106,30 @@ fn main() -> ExitCode {
                 Vec::new()
             }
         };
+        let stats = tailer.stats();
+        obs::count(
+            "sdcheckerd_read_bytes_total",
+            stats.read_bytes.saturating_sub(stats_prev.read_bytes),
+        );
+        obs::count(
+            "sd_tail_files_removed_total",
+            stats.removed_files.saturating_sub(stats_prev.removed_files),
+        );
+        stats_prev = stats;
+        let ops = tailer.ops();
+        for (op, now, prev) in [
+            ("stat", ops.stats, ops_prev.stats),
+            ("listing", ops.listings, ops_prev.listings),
+            ("open", ops.opens, ops_prev.opens),
+        ] {
+            obs::count_labeled("sd_tail_fs_ops_total", &[("op", op)], now - prev);
+        }
+        obs::count(
+            "sd_tail_read_errors_total",
+            ops.read_errors - ops_prev.read_errors,
+        );
+        ops_prev = ops;
+        phase.mark("tail");
         let n = batch.len() as u64;
         records += n;
         obs::count("sdcheckerd_records_total", n);
@@ -1076,17 +1140,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        let stats = tailer.stats();
-        obs::count(
-            "sdcheckerd_read_bytes_total",
-            stats.read_bytes.saturating_sub(read_bytes_prev),
-        );
-        read_bytes_prev = stats.read_bytes;
-        obs::count(
-            "sd_tail_files_removed_total",
-            stats.removed_files.saturating_sub(removed_prev),
-        );
-        removed_prev = stats.removed_files;
+        phase.mark("ingest");
         let retired = analyzer.drain_ready();
         note_retirements(&retired, quiet);
         record_retirements(&retired, &mut engine, &mut wide_file);
@@ -1101,19 +1155,25 @@ fn main() -> ExitCode {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner()) = Instant::now();
         }
+        phase.mark("retire");
+        // One lag figure per iteration: the alert engine and every
+        // published surface see the same number.
+        let lag = tailer.lag();
         if let Some(e) = engine.as_mut() {
-            e.set_live_lag(tailer.lag().bytes);
+            e.set_live_lag(lag.bytes);
             if let Some(w) = analyzer.watermark() {
                 let transitions = e.advance(w);
                 note_transitions(&transitions, quiet);
             }
             publish_alerts(&shared, e);
         }
+        phase.mark("alerts");
         if analyzer.exemplars().generation() != exemplar_gen {
             exemplar_gen = analyzer.exemplars().generation();
             publish_exemplars(&shared, &analyzer);
         }
-        refresh(&shared, &tailer, &analyzer, polls, records, true);
+        refresh(&shared, &lag, &tailer, &analyzer, polls, records, true);
+        phase.mark("publish");
         // Crash safety: push every wide line written this tick out of
         // process buffers, then (if due) checkpoint the state that
         // accounts for exactly those bytes.
@@ -1136,6 +1196,7 @@ fn main() -> ExitCode {
                 last_ckpt_save = Some(Instant::now());
             }
         }
+        phase.mark("checkpoint");
         obs::observe(
             "sdcheckerd_poll_duration_ms",
             POLL_DURATION_BOUNDS,
@@ -1197,7 +1258,15 @@ fn main() -> ExitCode {
     if analyzer.exemplars().generation() != exemplar_gen {
         publish_exemplars(&shared, &analyzer);
     }
-    refresh(&shared, &tailer, &analyzer, polls, records, true);
+    refresh(
+        &shared,
+        &tailer.lag(),
+        &tailer,
+        &analyzer,
+        polls,
+        records,
+        true,
+    );
     if let Some(p) = &alerts_out {
         if let Some(e) = &engine {
             if let Err(err) = write_atomic(p, e.alerts_json().as_bytes()) {

@@ -90,7 +90,7 @@ pub use nodes::{per_node, slow_nodes, NodeStats};
 pub use pattern::Pat;
 pub use report::{cdf_table, full_report, ratio_summary_table, report_json, summary_table, Table};
 pub use stats::{percentile, Cdf, Summary};
-pub use tail::{DirTailer, SourceLag, TailLag, TailStats};
+pub use tail::{DirTailer, SourceLag, TailLag, TailOps, TailStats};
 pub use throughput::{allocation_throughput, Throughput};
 pub use timeline::{ascii_gantt, timeline, timeline_csv, TimelineEntry};
 pub use validate::{validate_all, validate_graph, Anomaly, AnomalyKind};

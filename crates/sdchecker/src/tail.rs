@@ -15,10 +15,21 @@
 //!   mid-UTF-8-sequence — multi-byte encodings never contain a `\n`
 //!   byte, so byte-level splitting is decode-safe) never produces a
 //!   corrupt record;
-//! * **rescan discovery** — every poll re-walks the directory, so
-//!   sources that appear later (new apps, new nodes) are picked up in
-//!   sorted-relative-path order, the same enumeration order batch
-//!   ingest pins.
+//! * the **size the last poll saw on disk** — lag is answered from it,
+//!   so asking how far behind the tail is costs no I/O.
+//!
+//! New sources (new apps, new nodes) are found by **directory-table
+//! discovery**: the tailer remembers every directory it knows with the
+//! mtime its last listing saw, stats each one per poll, and re-lists
+//! only those that are new, whose mtime moved, or whose mtime is too
+//! young to trust (`MTIME_SETTLE`, 2 s). Tracked files are kept in
+//! sorted-relative-path order, the same enumeration order batch ingest
+//! pins.
+//!
+//! The cost model, counted by [`TailOps`]: a poll over `F` tracked files
+//! in `D` known directories performs `F + D` `stat`s, one listing per
+//! new/changed/young directory, and one open per file that grew —
+//! nothing else per file.
 //!
 //! Lines are parsed with the same [`logmodel::parse_line`] and the same
 //! lossy UTF-8 decoding as batch ingest; a file that shrinks (rotation,
@@ -31,6 +42,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, SystemTime};
 
 use logmodel::{parse_line, Epoch, LogRecord, LogSource, TsMs};
 
@@ -53,13 +65,34 @@ pub struct TailStats {
     pub removed_files: u64,
 }
 
-/// Live lag of the tail against the directory, sampled at call time.
+/// Filesystem calls a tailer has made since it was created, plus the
+/// reads among them that failed. Process-local: never checkpointed, so a
+/// resumed daemon counts from zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TailOps {
+    /// `stat` calls: one per tracked file and per known directory each
+    /// poll, plus one per symlink met in a listing and per directory
+    /// adopted.
+    pub stats: u64,
+    /// Directory listings (`read_dir`).
+    pub listings: u64,
+    /// File opens: one per file that grew, plus the `epoch.txt` probe
+    /// until the epoch resolves.
+    pub opens: u64,
+    /// Opens or reads of a grown file that failed; the file was skipped
+    /// with its offset untouched.
+    pub read_errors: u64,
+}
+
+/// Lag of the tail against the directory as of the last poll.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TailLag {
     /// Tracked log files.
     pub sources: u64,
-    /// Bytes on disk not yet consumed into records (including held-back
-    /// partial lines).
+    /// Bytes the last poll saw on disk but did not turn into records:
+    /// held-back partial lines, short reads, and files it could not
+    /// read. Bytes appended since that poll are not counted — the next
+    /// poll reads them.
     pub bytes: u64,
     /// Largest per-source log-time lag: how far the quietest source's
     /// last record trails the global watermark, in ms.
@@ -71,7 +104,7 @@ pub struct TailLag {
 pub struct SourceLag {
     /// Relative path under the watch directory.
     pub rel: String,
-    /// Bytes on disk not yet consumed into records.
+    /// Bytes the last poll saw on disk but did not turn into records.
     pub bytes: u64,
     /// Log-time lag behind the global watermark, in ms.
     pub ms: u64,
@@ -116,6 +149,87 @@ struct FileTail {
     partial: Vec<u8>,
     /// Timestamp of the last record this file produced.
     last_ts: Option<TsMs>,
+    /// File size the last poll's `stat` saw (`offset` before any poll).
+    disk_len: u64,
+}
+
+impl FileTail {
+    /// A file not read yet (or, with `offset`/`partial`/`last_ts` set,
+    /// restored from a checkpoint).
+    fn new(source: LogSource, path: PathBuf) -> FileTail {
+        FileTail {
+            source,
+            path,
+            offset: 0,
+            partial: Vec::new(),
+            last_ts: None,
+            disk_len: 0,
+        }
+    }
+
+    /// Bytes the last poll saw on disk that are not records yet.
+    fn behind_bytes(&self) -> u64 {
+        self.disk_len.saturating_sub(self.offset) + self.partial.len() as u64
+    }
+
+    /// How far this source's last record trails `watermark`, in ms.
+    fn behind_ms(&self, watermark: u64) -> u64 {
+        watermark.saturating_sub(self.last_ts.map_or(watermark, |t| t.0))
+    }
+}
+
+/// How old a directory's mtime must be before a listing taken under it
+/// is trusted to be complete.
+///
+/// A listing is only known to hold every create that moved the mtime
+/// *before* the `stat` preceding it. A create landing after the listing
+/// but in the same timestamp granule leaves the mtime where it was and
+/// would never be noticed, so a directory is re-listed every poll until
+/// one listing has started at least this long after its mtime — by then
+/// the granule that mtime names is over, and any later create moves it.
+///
+/// Failure modes. Age is the local wall clock minus the mtime, so a
+/// file server whose clock runs more than this behind ours makes young
+/// directories look old; one running ahead only costs extra listings
+/// (an mtime in the future is young). A filesystem whose directory
+/// timestamps are coarser than this (FAT's 2 s is the limit), or which
+/// does not move a directory's mtime on create or rename-in at all, is
+/// affected the same way. In each case a file created in the granule of
+/// the last listing of an already-known directory stays hidden until
+/// that directory's mtime next moves; files in new directories, and
+/// appends to tracked files, are never affected. Attribute caching (NFS
+/// `acdirmax`) only delays discovery.
+const MTIME_SETTLE: Duration = Duration::from_secs(2);
+
+/// What the tailer remembers about a known directory.
+#[derive(Debug, Default)]
+struct DirState {
+    /// mtime from the `stat` preceding the last listing; `None` before
+    /// the first listing, after a failed one, or without platform
+    /// support — all of which mean "list again".
+    mtime: Option<SystemTime>,
+    /// Whether a listing has started [`MTIME_SETTLE`] after `mtime`.
+    settled: bool,
+}
+
+impl DirState {
+    /// Record the mtime this poll's `stat` saw; whether the directory
+    /// must be listed this poll.
+    fn needs_listing(&mut self, mtime: Option<SystemTime>, now: SystemTime) -> bool {
+        if mtime != self.mtime {
+            *self = DirState {
+                mtime,
+                settled: false,
+            };
+        }
+        if self.settled {
+            return false;
+        }
+        self.settled = mtime
+            .and_then(|m| now.duration_since(m).ok())
+            .is_some_and(|age| age >= MTIME_SETTLE);
+        true
+    }
 }
 
 /// An incremental reader over a corpus directory that is being appended
@@ -127,7 +241,12 @@ pub struct DirTailer {
     /// [`Epoch::default_run`] otherwise — the same fallback as batch.
     epoch: Option<Epoch>,
     files: BTreeMap<String, FileTail>,
+    /// Every directory under (and including) `dir` the tailer knows.
+    /// Not checkpointed: a restored tailer starts with the root alone
+    /// and its first poll is a full walk.
+    dirs: BTreeMap<PathBuf, DirState>,
     stats: TailStats,
+    ops: TailOps,
     watermark: Option<TsMs>,
 }
 
@@ -142,13 +261,21 @@ impl DirTailer {
                 format!("watch directory {} does not exist", dir.display()),
             ));
         }
-        Ok(DirTailer {
+        Ok(DirTailer::over(dir, BTreeMap::new()))
+    }
+
+    /// A tailer over `dir` tracking `files`, knowing no directory but
+    /// the root yet.
+    fn over(dir: &Path, files: BTreeMap<String, FileTail>) -> DirTailer {
+        DirTailer {
             dir: dir.to_path_buf(),
             epoch: None,
-            files: BTreeMap::new(),
+            files,
+            dirs: BTreeMap::from([(dir.to_path_buf(), DirState::default())]),
             stats: TailStats::default(),
+            ops: TailOps::default(),
             watermark: None,
-        })
+        }
     }
 
     /// The corpus epoch: read from `epoch.txt` once available, the
@@ -162,14 +289,27 @@ impl DirTailer {
         self.stats
     }
 
+    /// Filesystem calls made so far by this process's tailer.
+    pub fn ops(&self) -> TailOps {
+        self.ops
+    }
+
     /// The newest record timestamp seen across all sources.
     pub fn watermark(&self) -> Option<TsMs> {
         self.watermark
     }
 
-    /// Rescan the directory and read everything appended since the last
+    /// Look for new sources and read everything appended since the last
     /// poll. Returns the new complete-line records in per-file order
     /// (files in sorted relative-path order, records in file order).
+    ///
+    /// Only a failure of the watch directory itself (or a malformed
+    /// `epoch.txt`) is an error, and it is reported before any file is
+    /// read. A file that cannot be opened or read is skipped — its
+    /// offset stays put, so its bytes show up as lag and are retried
+    /// next poll — and counted in [`TailOps::read_errors`]; the sweep
+    /// goes on, because records already drained from earlier files
+    /// cannot be handed back.
     pub fn poll(&mut self) -> io::Result<Vec<(LogSource, LogRecord)>> {
         self.stats.polls += 1;
         self.resolve_epoch()?;
@@ -178,13 +318,14 @@ impl DirTailer {
         let mut out = Vec::new();
         let mut removed: Vec<String> = Vec::new();
         for (rel, tail) in self.files.iter_mut() {
+            self.ops.stats += 1;
             let meta = match fs::metadata(&tail.path) {
                 Ok(meta) => meta,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {
                     // The file is gone. Holding its stale offset forever
                     // would poison a future file at the same path (its
                     // fresh bytes would read as a shrink-reset at best);
-                    // drop the entry — rescan re-adopts the path from
+                    // drop the entry — discovery re-adopts the path from
                     // offset 0 if it ever reappears. Any held-back
                     // partial line vanished with the file.
                     removed.push(rel.clone());
@@ -195,6 +336,7 @@ impl DirTailer {
                 Err(_) => continue,
             };
             let len = meta.len();
+            tail.disk_len = len;
             if len < tail.offset {
                 // Truncated or replaced: start over from the top.
                 tail.offset = 0;
@@ -204,14 +346,22 @@ impl DirTailer {
             if len == tail.offset {
                 continue;
             }
-            let mut f = fs::File::open(&tail.path)?;
-            f.seek(SeekFrom::Start(tail.offset))?;
-            let mut fresh = Vec::with_capacity((len - tail.offset) as usize);
-            let n = f.take(len - tail.offset).read_to_end(&mut fresh)? as u64;
-            tail.offset += n;
-            self.stats.read_bytes += n;
-            tail.partial.extend_from_slice(&fresh);
-            drain_complete_lines(&epoch, tail, &mut self.stats, &mut self.watermark, &mut out);
+            self.ops.opens += 1;
+            match read_range(&tail.path, tail.offset, len) {
+                Ok(fresh) => {
+                    tail.offset += fresh.len() as u64;
+                    self.stats.read_bytes += fresh.len() as u64;
+                    tail.partial.extend_from_slice(&fresh);
+                    drain_complete_lines(
+                        &epoch,
+                        tail,
+                        &mut self.stats,
+                        &mut self.watermark,
+                        &mut out,
+                    );
+                }
+                Err(_) => self.ops.read_errors += 1,
+            }
         }
         for rel in removed {
             self.files.remove(&rel);
@@ -244,31 +394,31 @@ impl DirTailer {
         out
     }
 
-    /// Current lag against the directory (fresh `stat` per file).
+    /// Lag as of the last poll, from the sizes that poll's `stat`s saw:
+    /// no I/O, no allocation.
     pub fn lag(&self) -> TailLag {
-        let mut lag = TailLag::default();
-        for s in self.source_lags() {
-            lag.sources += 1;
-            lag.bytes += s.bytes;
-            lag.max_ms = lag.max_ms.max(s.ms);
+        let watermark = self.watermark.map_or(0, |w| w.0);
+        let mut lag = TailLag {
+            sources: self.files.len() as u64,
+            ..TailLag::default()
+        };
+        for tail in self.files.values() {
+            lag.bytes += tail.behind_bytes();
+            lag.max_ms = lag.max_ms.max(tail.behind_ms(watermark));
         }
         lag
     }
 
-    /// Per-source lag, in sorted relative-path order.
+    /// Per-source lag as of the last poll, in sorted relative-path
+    /// order. No I/O.
     pub fn source_lags(&self) -> Vec<SourceLag> {
         let watermark = self.watermark.map_or(0, |w| w.0);
         self.files
             .iter()
-            .map(|(rel, tail)| {
-                let disk = fs::metadata(&tail.path).map_or(tail.offset, |m| m.len());
-                let behind = disk.saturating_sub(tail.offset) + tail.partial.len() as u64;
-                let ms = watermark.saturating_sub(tail.last_ts.map_or(watermark, |t| t.0));
-                SourceLag {
-                    rel: rel.clone(),
-                    bytes: behind,
-                    ms,
-                }
+            .map(|(rel, tail)| SourceLag {
+                rel: rel.clone(),
+                bytes: tail.behind_bytes(),
+                ms: tail.behind_ms(watermark),
             })
             .collect()
     }
@@ -306,24 +456,20 @@ impl DirTailer {
             let Some(source) = LogSource::from_rel_path(&f.rel) else {
                 return Err(format!("snapshot names unrecognized source {:?}", f.rel));
             };
-            let path = dir.join(&f.rel);
-            files.insert(
-                f.rel,
-                FileTail {
-                    source,
-                    path,
-                    offset: f.offset,
-                    partial: f.partial,
-                    last_ts: f.last_ts,
-                },
-            );
+            let tail = FileTail {
+                offset: f.offset,
+                partial: f.partial,
+                last_ts: f.last_ts,
+                disk_len: f.offset,
+                ..FileTail::new(source, dir.join(&f.rel))
+            };
+            files.insert(f.rel, tail);
         }
         Ok(DirTailer {
-            dir: dir.to_path_buf(),
             epoch: snap.epoch_unix_ms.map(|unix_ms| Epoch { unix_ms }),
-            files,
             stats: snap.stats,
             watermark: snap.watermark,
+            ..DirTailer::over(dir, files)
         })
     }
 
@@ -333,6 +479,7 @@ impl DirTailer {
         if self.epoch.is_some() {
             return Ok(());
         }
+        self.ops.opens += 1;
         match fs::read_to_string(self.dir.join("epoch.txt")) {
             Ok(s) => {
                 let unix_ms = s.trim().parse().map_err(|e| {
@@ -345,43 +492,105 @@ impl DirTailer {
         }
     }
 
-    /// Walk the directory and start tracking any new log files.
+    /// Stat every known directory, list the ones whose listing cannot
+    /// be trusted any more (see [`MTIME_SETTLE`]) plus whatever new
+    /// directories those listings turn up, and start tracking any new
+    /// log files. A directory that vanished leaves the table; only the
+    /// watch directory's own failure is an error.
     fn discover(&mut self) -> io::Result<()> {
-        let mut stack = vec![self.dir.clone()];
-        while let Some(d) = stack.pop() {
-            for entry in fs::read_dir(&d)? {
-                let entry = entry?;
-                let path = entry.path();
-                if path.is_dir() {
-                    stack.push(path);
-                    continue;
+        let now = SystemTime::now();
+        let mut to_list: Vec<PathBuf> = Vec::new();
+        let mut gone: Vec<PathBuf> = Vec::new();
+        for (path, state) in self.dirs.iter_mut() {
+            self.ops.stats += 1;
+            match fs::metadata(path) {
+                Ok(meta) => {
+                    if state.needs_listing(meta.modified().ok(), now) {
+                        to_list.push(path.clone());
+                    }
                 }
-                let rel = path
-                    .strip_prefix(&self.dir)
-                    .map_err(|e| io::Error::other(e.to_string()))?
-                    .to_string_lossy()
-                    .into_owned();
-                if self.files.contains_key(&rel) {
-                    continue;
-                }
-                let Some(source) = LogSource::from_rel_path(&rel) else {
-                    continue; // epoch.txt, stray files
-                };
-                self.files.insert(
-                    rel,
-                    FileTail {
-                        source,
-                        path,
-                        offset: 0,
-                        partial: Vec::new(),
-                        last_ts: None,
-                    },
-                );
+                Err(e) if *path == self.dir => return Err(e),
+                Err(_) => gone.push(path.clone()),
             }
         }
-        self.stats.files = self.files.len() as u64;
+        for path in gone {
+            self.dirs.remove(&path);
+        }
+        while let Some(d) = to_list.pop() {
+            match self.list(&d, now, &mut to_list) {
+                Ok(()) => {}
+                Err(e) if d == self.dir => return Err(e),
+                // Removed since its parent's listing, or unreadable:
+                // forget what was seen so the next poll tries again (and
+                // drops it if it is gone).
+                Err(_) => {
+                    self.dirs.insert(d, DirState::default());
+                }
+            }
+        }
         Ok(())
     }
+
+    /// List one directory: adopt new log files, and queue subdirectories
+    /// not in the table yet onto `to_list`.
+    fn list(&mut self, d: &Path, now: SystemTime, to_list: &mut Vec<PathBuf>) -> io::Result<()> {
+        self.ops.listings += 1;
+        for entry in fs::read_dir(d)? {
+            let entry = entry?;
+            let path = entry.path();
+            // The entry's own type comes with the listing; only a
+            // symlink (an app directory living on another volume) needs
+            // a stat to learn what it points at.
+            let mut file_type = entry.file_type()?;
+            if file_type.is_symlink() {
+                self.ops.stats += 1;
+                match fs::metadata(&path) {
+                    Ok(meta) => file_type = meta.file_type(),
+                    Err(_) => continue, // dangling
+                }
+            }
+            if file_type.is_dir() {
+                if self.dirs.contains_key(&path) {
+                    continue;
+                }
+                // The mtime to remember is the one from before the
+                // listing, so a create racing the listing moves it. (A
+                // fresh state always needs listing; the call records
+                // the mtime and whether this listing settles it.)
+                self.ops.stats += 1;
+                if let Ok(meta) = fs::metadata(&path) {
+                    let mut state = DirState::default();
+                    state.needs_listing(meta.modified().ok(), now);
+                    self.dirs.insert(path.clone(), state);
+                    to_list.push(path);
+                }
+                continue;
+            }
+            let rel = path
+                .strip_prefix(&self.dir)
+                .map_err(|e| io::Error::other(e.to_string()))?
+                .to_string_lossy()
+                .into_owned();
+            if self.files.contains_key(&rel) {
+                continue;
+            }
+            let Some(source) = LogSource::from_rel_path(&rel) else {
+                continue; // epoch.txt, stray files
+            };
+            self.files.insert(rel, FileTail::new(source, path));
+        }
+        Ok(())
+    }
+}
+
+/// Read bytes `offset..len` of the file at `path` (fewer if it shrank
+/// meanwhile).
+fn read_range(path: &Path, offset: u64, len: u64) -> io::Result<Vec<u8>> {
+    let mut f = fs::File::open(path)?;
+    f.seek(SeekFrom::Start(offset))?;
+    let mut fresh = Vec::with_capacity((len - offset) as usize);
+    f.take(len - offset).read_to_end(&mut fresh)?;
+    Ok(fresh)
 }
 
 /// Split `tail.partial` at its last newline: complete lines become
@@ -689,5 +898,246 @@ mod tests {
         assert_eq!(nm.ms, 0);
         assert_eq!(t.lag().max_ms, 2_500);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    const APP1: &str = "apps/application_1521018000000_0001";
+    const APP2: &str = "apps/application_1521018000000_0002";
+    const APP3: &str = "apps/application_1521018000000_0003";
+
+    fn line(ms: u32, msg: &str) -> String {
+        format!(
+            "2018-03-14 09:00:{:02},{:03} INFO  X: {msg}\n",
+            ms / 1000,
+            ms % 1000
+        )
+    }
+
+    fn append(path: &Path, text: &str) {
+        let mut f = fs::OpenOptions::new().append(true).open(path).unwrap();
+        f.write_all(text.as_bytes()).unwrap();
+    }
+
+    fn messages(recs: &[(LogSource, LogRecord)]) -> Vec<&str> {
+        recs.iter().map(|(_, r)| r.message.as_str()).collect()
+    }
+
+    /// The watch directory with an RM log, an NM log and one driver log
+    /// in each of `apps`: F = 2 + apps.len(), D = 2 + apps.len().
+    fn small_cluster(name: &str, apps: &[&str]) -> PathBuf {
+        let dir = tmp(name);
+        let _ = fs::remove_dir_all(&dir);
+        write_epoch(&dir);
+        fs::write(dir.join("resourcemanager.log"), line(100, "rm")).unwrap();
+        fs::write(dir.join("nodemanager-node01.log"), line(200, "nm")).unwrap();
+        for app in apps {
+            fs::create_dir_all(dir.join(app)).unwrap();
+            fs::write(dir.join(app).join("driver.log"), line(300, "drv")).unwrap();
+        }
+        dir
+    }
+
+    /// Poll until every known directory's listing is trusted.
+    fn settle(t: &mut DirTailer) {
+        std::thread::sleep(MTIME_SETTLE + Duration::from_millis(100));
+        t.poll().unwrap();
+        assert!(t.dirs.values().all(|d| d.settled));
+    }
+
+    /// One tracked log becomes a directory between two polls — it opens,
+    /// but reading it fails — while the other grows. Whichever of the
+    /// two is swept first, the healthy file's records arrive exactly
+    /// once and the broken one's unread bytes stay visible as lag.
+    #[test]
+    fn unreadable_file_is_skipped_and_the_rest_arrive_exactly_once() {
+        let logs = ["nodemanager-node01.log", "resourcemanager.log"];
+        for (broken, healthy) in [(logs[1], logs[0]), (logs[0], logs[1])] {
+            let dir = small_cluster("readerr", &[]);
+            let mut t = DirTailer::new(&dir).unwrap();
+            assert_eq!(t.poll().unwrap().len(), 2);
+
+            fs::remove_file(dir.join(broken)).unwrap();
+            fs::create_dir(dir.join(broken)).unwrap();
+            for i in 0..8 {
+                fs::write(dir.join(broken).join(format!("filler{i}")), b"").unwrap();
+            }
+            append(&dir.join(healthy), &line(400, "fresh"));
+            let recs = t.poll().unwrap();
+            assert_eq!(messages(&recs), ["fresh"], "{broken} broken");
+            assert_eq!(t.ops().read_errors, 1);
+            let lags = t.source_lags();
+            let lag = lags.iter().find(|l| l.rel == broken).unwrap();
+            assert!(lag.bytes > 0, "unread bytes stay visible as lag");
+            assert_eq!(t.lag().bytes, lag.bytes);
+
+            // Still unreadable: counted again, nothing delivered twice.
+            assert!(t.poll().unwrap().is_empty());
+            assert_eq!(t.ops().read_errors, 2);
+            assert_eq!(t.stats().parsed_lines, 3);
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn removed_app_directory_is_dropped_and_readopted_from_zero() {
+        let dir = small_cluster("rmdir", &[APP1, APP2]);
+        let mut t = DirTailer::new(&dir).unwrap();
+        assert_eq!(t.poll().unwrap().len(), 4);
+        assert_eq!(t.dirs.len(), 4);
+
+        fs::remove_dir_all(dir.join(APP1)).unwrap();
+        assert!(t.poll().unwrap().is_empty());
+        assert_eq!(t.stats().removed_files, 1);
+        assert_eq!(t.stats().files, 3);
+        assert_eq!(t.dirs.len(), 3, "the vanished directory left the table");
+
+        fs::create_dir_all(dir.join(APP1)).unwrap();
+        fs::write(dir.join(APP1).join("driver.log"), line(900, "reborn")).unwrap();
+        assert_eq!(messages(&t.poll().unwrap()), ["reborn"]);
+        assert_eq!(t.stats().files, 4);
+        assert_eq!(t.stats().resets, 0, "re-adoption is not a shrink reset");
+
+        // Losing the watch directory itself is the one discovery error.
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(t.poll().is_err());
+    }
+
+    /// The race itself cannot be scheduled from outside, so provoke it:
+    /// one thread creates and removes an app directory as fast as it
+    /// can while this one polls. A directory that vanishes between its
+    /// parent's listing and the descent must not fail the poll.
+    #[test]
+    fn poll_survives_directories_vanishing_under_it() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let dir = small_cluster("churn", &[APP1, APP2]);
+        let victim = dir.join(APP3);
+        let stop = AtomicBool::new(false);
+        let mut t = DirTailer::new(&dir).unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    fs::create_dir_all(&victim).unwrap();
+                    let _ = fs::write(victim.join("driver.log"), b"");
+                    let _ = fs::remove_dir_all(&victim);
+                }
+            });
+            let polled: Vec<io::Result<usize>> =
+                (0..3_000).map(|_| t.poll().map(|r| r.len())).collect();
+            stop.store(true, Ordering::SeqCst);
+            for (i, p) in polled.iter().enumerate() {
+                assert!(p.is_ok(), "poll {i} failed: {p:?}");
+            }
+        });
+        let _ = fs::remove_dir_all(&victim);
+        t.poll().unwrap();
+        t.poll().unwrap();
+        assert_eq!(t.stats().files, 4, "the survivors are still tracked");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// This module's cost contract, as counts.
+    #[test]
+    fn settled_directories_cost_one_stat_each_and_relist_only_on_change() {
+        let dir = small_cluster("ops", &[APP1, APP2, APP3]);
+        let (files, dirs) = (5, 5);
+        let mut t = DirTailer::new(&dir).unwrap();
+        assert_eq!(t.poll().unwrap().len(), files);
+        assert_eq!(t.dirs.len(), dirs);
+        settle(&mut t);
+
+        // Idle: one stat per file and per directory, nothing else.
+        let before = t.ops();
+        assert!(t.poll().unwrap().is_empty());
+        let idle = t.ops();
+        assert_eq!(idle.stats - before.stats, (files + dirs) as u64);
+        assert_eq!(idle.listings, before.listings);
+        assert_eq!(idle.opens, before.opens);
+        assert_eq!((t.lag().sources, t.lag().bytes), (files as u64, 0));
+        assert_eq!(t.source_lags().len(), files);
+        assert_eq!(t.ops(), idle, "lag is answered from memory");
+
+        // One append: one open on top of the same sweep.
+        append(&dir.join(APP2).join("driver.log"), &line(1_000, "more"));
+        assert_eq!(messages(&t.poll().unwrap()), ["more"]);
+        let grown = t.ops();
+        assert_eq!(grown.stats - idle.stats, (files + dirs) as u64);
+        assert_eq!(grown.listings, idle.listings);
+        assert_eq!(grown.opens - idle.opens, 1);
+
+        // A new file in a long-settled directory: its mtime moved, so
+        // the next poll lists that one directory and finds it.
+        let cid = "container_1521018000000_0001_01_000002";
+        let exec = dir.join(APP1).join(format!("executor_{cid}.log"));
+        fs::write(&exec, line(1_100, "exec")).unwrap();
+        assert_eq!(messages(&t.poll().unwrap()), ["exec"]);
+        assert_eq!(t.ops().listings - grown.listings, 1);
+
+        // A file renamed in from outside the watch directory.
+        let outside = tmp("ops_outside");
+        fs::write(&outside, line(1_200, "moved")).unwrap();
+        let cid = "container_1521018000000_0002_01_000002";
+        fs::rename(&outside, dir.join(APP2).join(format!("executor_{cid}.log"))).unwrap();
+        assert_eq!(messages(&t.poll().unwrap()), ["moved"]);
+
+        // A new nested directory under the settled `apps/`.
+        let app4 = dir.join("apps/application_1521018000000_0004");
+        fs::create_dir(&app4).unwrap();
+        fs::write(app4.join("driver.log"), line(1_300, "late app")).unwrap();
+        assert_eq!(messages(&t.poll().unwrap()), ["late app"]);
+        assert_eq!(t.stats().files as usize, files + 3);
+        assert_eq!(t.dirs.len(), dirs + 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A create in the same timestamp granule as the listing before it
+    /// leaves the directory's mtime where it was; the young-mtime rule
+    /// must still find the file.
+    #[test]
+    fn file_created_right_after_a_poll_is_found_within_two_polls() {
+        let dir = small_cluster("tight", &[]);
+        let mut t = DirTailer::new(&dir).unwrap();
+        t.poll().unwrap();
+        for i in 2..1_002u32 {
+            let rel = LogSource::NodeManager(logmodel::NodeId(i)).rel_path();
+            fs::write(dir.join(&rel), b"").unwrap();
+            t.poll().unwrap();
+            if !t.files.contains_key(&rel) {
+                t.poll().unwrap();
+            }
+            assert!(t.files.contains_key(&rel), "{rel} missed after two polls");
+        }
+        assert_eq!(t.stats().files, 1_002);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn symlinked_app_directory_is_followed() {
+        let dir = small_cluster("symlink", &[APP1]);
+        let elsewhere = tmp("symlink_target");
+        let _ = fs::remove_dir_all(&elsewhere);
+        fs::create_dir_all(&elsewhere).unwrap();
+        fs::write(elsewhere.join("driver.log"), line(400, "linked")).unwrap();
+        let mut t = DirTailer::new(&dir).unwrap();
+        assert_eq!(t.poll().unwrap().len(), 3);
+
+        std::os::unix::fs::symlink(&elsewhere, dir.join(APP2)).unwrap();
+        std::os::unix::fs::symlink(dir.join("nowhere"), dir.join(APP3)).unwrap();
+        let recs = t.poll().unwrap();
+        assert_eq!(messages(&recs), ["linked"]);
+        assert!(matches!(recs[0].0, LogSource::Driver(_)));
+        assert_eq!(t.dirs.len(), 4, "the dangling link is not a directory");
+
+        // Creates inside the link's target are seen through its mtime.
+        settle(&mut t);
+        let cid = "container_1521018000000_0002_01_000002";
+        fs::write(
+            elsewhere.join(format!("executor_{cid}.log")),
+            line(500, "linked exec"),
+        )
+        .unwrap();
+        assert_eq!(messages(&t.poll().unwrap()), ["linked exec"]);
+        assert_eq!(t.stats().removed_files, 0);
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&elsewhere).unwrap();
     }
 }

@@ -282,12 +282,39 @@ fn serves_alerts_exemplars_and_wide_events() {
     for family in [
         "process_uptime_seconds",
         "sdcheckerd_poll_duration_ms",
+        "sdcheckerd_poll_phase_ms",
         "sdcheckerd_http_requests_total",
         "sdcheckerd_exemplar_apps",
         "sd_alert_firing",
+        "sd_tail_fs_ops_total",
+        "sd_tail_read_errors_total",
     ] {
         assert!(text.contains(&format!("# HELP {family} ")), "{family}");
     }
+    // Every loop iteration is split into the same six phases, and the
+    // tailer's filesystem work is exposed as counts.
+    for phase in [
+        "tail",
+        "ingest",
+        "retire",
+        "alerts",
+        "publish",
+        "checkpoint",
+    ] {
+        assert!(
+            text.contains(&format!(
+                "sdcheckerd_poll_phase_ms_count{{phase=\"{phase}\"}}"
+            )),
+            "{phase}: {text}"
+        );
+    }
+    for op in ["stat", "listing", "open"] {
+        assert!(
+            text.contains(&format!("sd_tail_fs_ops_total{{op=\"{op}\"}}")),
+            "{op}: {text}"
+        );
+    }
+    assert!(text.contains("sd_tail_read_errors_total 0"), "{text}");
     assert!(
         text.contains("sd_alert_firing{rule=\"total_p99_slo\"}"),
         "{text}"

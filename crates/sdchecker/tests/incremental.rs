@@ -192,12 +192,36 @@ fn tailed_ingest_matches_batch_for_any_append_chunking() {
     let mut exemplar_gold: Option<String> = None;
     let mut alerts_gold: Option<Vec<String>> = None;
 
-    for trial in 0u64..5 {
+    // No log file exists when a trial starts: each source is created by
+    // its first append. Even trials lay out the app directories first
+    // and let the tailer list them until it trusts those listings (one
+    // shared wait), so their sources appear inside directories the
+    // tailer has stopped re-listing and only a moved mtime reveals
+    // them; odd trials start from a bare root, so the directories are
+    // new as well.
+    let mut tailers: Vec<(PathBuf, DirTailer)> = (0u64..5)
+        .map(|trial| {
+            let dir = tmp(&format!("stream_{trial}"));
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join("epoch.txt"), format!("{}\n", logs.epoch().unix_ms)).unwrap();
+            if trial % 2 == 0 {
+                for src in logs.sources() {
+                    fs::create_dir_all(dir.join(src.rel_path()).parent().unwrap()).unwrap();
+                }
+            }
+            let mut tailer = DirTailer::new(&dir).unwrap();
+            assert!(tailer.poll().unwrap().is_empty());
+            (dir, tailer)
+        })
+        .collect();
+    std::thread::sleep(std::time::Duration::from_millis(2_100));
+    for (_, tailer) in &mut tailers {
+        assert!(tailer.poll().unwrap().is_empty());
+    }
+
+    for (trial, (dir, mut tailer)) in (0u64..).zip(tailers) {
         let mut rng = SimRng::new(0xD1CE + trial);
-        let dir = tmp(&format!("stream_{trial}"));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("epoch.txt"), format!("{}\n", logs.epoch().unix_ms)).unwrap();
 
         // Full byte blob per source file; the RM log (sorted last) loses
         // its final newline so `flush_partial` gets exercised.
@@ -211,12 +235,7 @@ fn tailed_ingest_matches_batch_for_any_append_chunking() {
                 (dir.join(src.rel_path()), bytes, 0)
             })
             .collect();
-        for (path, _, _) in &blobs {
-            fs::create_dir_all(path.parent().unwrap()).unwrap();
-            fs::write(path, b"").unwrap();
-        }
 
-        let mut tailer = DirTailer::new(&dir).unwrap();
         // Huge settle window: arrival order is adversarial here (a whole
         // file can land before another starts), so apps must only retire
         // at finish(), once all evidence is in.
@@ -250,7 +269,12 @@ fn tailed_ingest_matches_batch_for_any_append_chunking() {
             let pick = pending[rng.below(pending.len() as u64) as usize];
             let (path, bytes, pos) = &mut blobs[pick];
             let n = (1 + rng.below(19) as usize).min(bytes.len() - *pos);
-            let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            let mut f = fs::OpenOptions::new()
+                .append(true)
+                .create(true)
+                .open(&path)
+                .unwrap();
             f.write_all(&bytes[*pos..*pos + n]).unwrap();
             *pos += n;
             if rng.below(4) == 0 {
