@@ -47,7 +47,6 @@
 //! ```
 
 pub mod export;
-pub mod gauges;
 pub mod http;
 pub mod json;
 pub mod metrics;
@@ -55,7 +54,6 @@ pub mod recorder;
 pub mod sketch;
 
 pub use export::{chrome_trace, describe, metrics_json, prometheus_text, TraceEvents};
-pub use gauges::GaugeRegistry;
 pub use http::{HttpServer, Request, Response, PROMETHEUS_CONTENT_TYPE};
 pub use metrics::{Histogram, MetricKey, Snapshot, SpanRecord};
 pub use recorder::{Recorder, SpanGuard};

@@ -69,13 +69,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use logmodel::TsMs;
-use obs::{GaugeRegistry, HttpServer, Request, Response, PROMETHEUS_CONTENT_TYPE};
+use logmodel::{LogRecord, LogSource, TsMs};
+use obs::{HttpServer, MetricKey, Request, Response, PROMETHEUS_CONTENT_TYPE};
 use sdchecker::checkpoint::{self, CfgFingerprint, CheckpointStore, SaveInputs};
 use sdchecker::{
     default_rules, AlertEngine, DirTailer, IncrementalAnalyzer, IncrementalConfig, Outcome,
     RetiredApp, TailLag, Transition,
 };
+
+/// The `/alerts` document of a daemon started with `--no-alerts`.
+const NO_ALERTS: &str =
+    "{\"schema\": \"sdcheckerd-alerts-v1\", \"rules\": [], \"transitions\": []}\n";
 
 const USAGE: &str = "usage: sdcheckerd <watch-dir> [--listen ADDR] [--port-file PATH] \
 [--poll-ms N] [--settle-ms N] [--idle-timeout-ms N] [--exemplar-slots N] [--slo-ms N] \
@@ -132,8 +136,8 @@ fn install_signal_handlers() {
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
 
-/// Health state the poll loop publishes and the HTTP thread reads.
-#[derive(Debug, Default, Clone)]
+/// Pipeline figures behind `/healthz`, `/readyz` and the daemon gauges.
+#[derive(Debug, Clone)]
 struct Health {
     ready: bool,
     polls: u64,
@@ -143,71 +147,80 @@ struct Health {
     truncated: u64,
     complete: u64,
     late_events: u64,
-    sources: u64,
-    lag_bytes: u64,
-    lag_ms: u64,
+    lag: TailLag,
     events_buffered: u64,
     watermark_ms: Option<u64>,
     exemplar_apps: u64,
     exemplar_events: u64,
 }
 
-/// Checkpoint status the poll loop publishes for `/checkpointz` and the
-/// `sd_checkpoint_*` gauges.
+/// Checkpoint status behind `/checkpointz` and the `sd_checkpoint_*`
+/// gauges.
 #[derive(Debug, Default, Clone)]
 struct CkptStatus {
     enabled: bool,
     dir: String,
     interval_ms: u64,
-    /// Whether this process restored state from a checkpoint.
-    resumed: bool,
-    /// Which generation was restored (`current` / `previous`), if any.
-    generation: Option<String>,
+    /// Which generation this process restored (`current` / `previous`),
+    /// if it resumed from a checkpoint at all.
+    generation: Option<&'static str>,
     writes_total: u64,
     recoveries_total: u64,
     /// Size of the newest checkpoint this lineage knows about, bytes.
     bytes: u64,
+    /// Wall-clock instant of the last successful checkpoint write.
+    written: Option<Instant>,
+}
+
+/// The rendered exemplar reservoir. Rebuilt only when the reservoir
+/// generation changes, and shared between consecutive [`Published`]
+/// snapshots until then.
+struct ExemplarViews {
+    generation: u64,
+    /// The `/exemplars` index (schema `sdcheckerd-exemplars-v1`).
+    index: String,
+    /// Perfetto trace of every promoted app, by application id.
+    traces: BTreeMap<String, String>,
+}
+
+/// Everything the HTTP thread serves, as of one publish point of the
+/// poll loop. Immutable once built: a request loads one `Published` and
+/// answers from it alone, so every figure in a response (and every
+/// gauge of a scrape) belongs to the same poll.
+#[derive(Clone)]
+struct Published {
+    /// The `/report.json` document (schema `sdcheckerd-report-v1`).
+    report: String,
+    health: Health,
+    /// Last wall-clock instant a poll made progress (read records or
+    /// retired an app) — the watchdog `/healthz` ages against.
+    last_progress: Instant,
+    /// The `/alerts` document (schema `sdcheckerd-alerts-v1`).
+    alerts: String,
+    /// `(rule, firing?)` behind the `sd_alert_firing{rule}` gauges.
+    firing: Vec<(String, bool)>,
+    exemplars: Arc<ExemplarViews>,
+    ckpt: CkptStatus,
 }
 
 struct Shared {
-    report: Mutex<String>,
-    health: Mutex<Health>,
-    /// Last wall-clock instant a poll made progress (read records or
-    /// retired an app) — the watchdog `/healthz` ages against.
-    last_progress: Mutex<Instant>,
+    /// The current snapshot. The lock is held only to clone or replace
+    /// the `Arc`, never while anything is rendered or served.
+    published: Mutex<Arc<Published>>,
     started: Instant,
-    /// Rendered `/alerts` document (schema `sdcheckerd-alerts-v1`).
-    alerts: Mutex<String>,
-    /// Per-rule firing flags for the `sd_alert_firing{rule}` gauges.
-    firing: Mutex<BTreeMap<String, bool>>,
-    /// Rendered `/exemplars` index (schema `sdcheckerd-exemplars-v1`).
-    exemplars: Mutex<String>,
-    /// Pre-rendered Perfetto traces of every promoted app, rebuilt when
-    /// the reservoir generation changes.
-    exemplar_traces: Mutex<BTreeMap<String, String>>,
-    /// Crash-only checkpoint status (`/checkpointz`).
-    ckpt: Mutex<CkptStatus>,
-    /// Wall-clock instant of the last successful checkpoint write.
-    ckpt_written: Mutex<Option<Instant>>,
 }
 
 impl Shared {
-    fn health(&self) -> Health {
-        self.health
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+    fn load(&self) -> Arc<Published> {
+        Arc::clone(&self.published.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
-    fn ckpt(&self) -> CkptStatus {
-        self.ckpt.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    fn ckpt_age_ms(&self) -> Option<u64> {
-        self.ckpt_written
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .map(|t| t.elapsed().as_millis() as u64)
+    fn store(&self, next: Published) {
+        // The previous snapshot is dropped after the guard, not under it.
+        let _previous = std::mem::replace(
+            &mut *self.published.lock().unwrap_or_else(|e| e.into_inner()),
+            Arc::new(next),
+        );
     }
 }
 
@@ -337,8 +350,10 @@ fn metric_path(path: &str) -> &'static str {
     }
 }
 
-fn healthz_json(h: &Health, progress_age_ms: u64, uptime_ms: u64) -> String {
+fn healthz_json(p: &Published, uptime_ms: u64) -> String {
+    let h = &p.health;
     let status = if h.ready { "ok" } else { "starting" };
+    let progress_age_ms = p.last_progress.elapsed().as_millis();
     format!(
         "{{\"status\": \"{status}\", \"ready\": {}, \"uptime_ms\": {uptime_ms}, \
          \"polls\": {}, \"records\": {}, \"in_flight\": {}, \"retired\": {}, \
@@ -354,93 +369,97 @@ fn healthz_json(h: &Health, progress_age_ms: u64, uptime_ms: u64) -> String {
         h.complete,
         h.late_events,
         h.events_buffered,
-        h.sources,
-        h.lag_bytes,
-        h.lag_ms,
-        h.watermark_ms
-            .map(|w| w.to_string())
-            .unwrap_or_else(|| "null".into()),
+        h.lag.sources,
+        h.lag.bytes,
+        h.lag.max_ms,
+        h.watermark_ms.map_or("null".to_string(), |w| w.to_string()),
     )
 }
 
-fn handle(req: &Request, shared: &Shared, gauges: &GaugeRegistry) -> Response {
+fn checkpointz_json(c: &CkptStatus) -> String {
+    let quoted = |s: &str| format!("\"{}\"", obs::json::escape(s));
+    format!(
+        "{{\"schema\": \"sdcheckerd-checkpoint-v1\", \"enabled\": {}, \
+         \"dir\": {}, \"interval_ms\": {}, \"resumed\": {}, \
+         \"generation\": {}, \"writes_total\": {}, \"recoveries_total\": {}, \
+         \"bytes\": {}, \"age_ms\": {}}}\n",
+        c.enabled,
+        quoted(&c.dir),
+        c.interval_ms,
+        c.generation.is_some(),
+        c.generation.map_or("null".to_string(), quoted),
+        c.writes_total,
+        c.recoveries_total,
+        c.bytes,
+        c.written
+            .map_or("null".to_string(), |t| t.elapsed().as_millis().to_string()),
+    )
+}
+
+/// Write the daemon's gauges into a metrics snapshot, all from one
+/// [`Published`].
+fn write_gauges(gauges: &mut BTreeMap<MetricKey, f64>, p: &Published, uptime: Duration) {
+    let h = &p.health;
+    let uptime = uptime.as_secs_f64();
+    for (name, v) in [
+        ("sdcheckerd_apps_in_flight", h.in_flight as f64),
+        ("sdcheckerd_events_buffered", h.events_buffered as f64),
+        ("sdcheckerd_tail_sources", h.lag.sources as f64),
+        ("sdcheckerd_tail_lag_bytes", h.lag.bytes as f64),
+        ("sdcheckerd_tail_lag_ms", h.lag.max_ms as f64),
+        ("sdcheckerd_uptime_seconds", uptime),
+        ("process_uptime_seconds", uptime),
+        ("sdcheckerd_exemplar_apps", h.exemplar_apps as f64),
+        ("sdcheckerd_exemplar_events", h.exemplar_events as f64),
+    ] {
+        gauges.insert(MetricKey::plain(name), v);
+    }
+    if p.ckpt.enabled {
+        let age_ms = p.ckpt.written.map_or(0, |t| t.elapsed().as_millis());
+        gauges.insert(MetricKey::plain("sd_checkpoint_age_ms"), age_ms as f64);
+        gauges.insert(MetricKey::plain("sd_checkpoint_bytes"), p.ckpt.bytes as f64);
+    }
+    for (rule, firing) in &p.firing {
+        gauges.insert(
+            MetricKey::labeled("sd_alert_firing", &[("rule", rule)]),
+            if *firing { 1.0 } else { 0.0 },
+        );
+    }
+}
+
+fn handle(req: &Request, shared: &Shared) -> Response {
     obs::count_labeled(
         "sdcheckerd_http_requests_total",
         &[("path", metric_path(&req.path))],
         1,
     );
+    let p = shared.load();
     match req.path.as_str() {
         "/metrics" => {
             let mut snap = obs::global().snapshot();
-            gauges.sample_into(&mut snap);
+            write_gauges(&mut snap.gauges, &p, shared.started.elapsed());
             Response::ok(PROMETHEUS_CONTENT_TYPE, obs::prometheus_text(&snap))
         }
-        "/report.json" => {
-            let report = shared.report.lock().unwrap_or_else(|e| e.into_inner());
-            Response::json(report.clone())
-        }
-        "/alerts" => {
-            let alerts = shared.alerts.lock().unwrap_or_else(|e| e.into_inner());
-            Response::json(alerts.clone())
-        }
-        "/exemplars" => {
-            let ex = shared.exemplars.lock().unwrap_or_else(|e| e.into_inner());
-            Response::json(ex.clone())
-        }
-        p if p.starts_with("/exemplars/") && p.ends_with("/trace.json") => {
-            let app = &p["/exemplars/".len()..p.len() - "/trace.json".len()];
-            let traces = shared
-                .exemplar_traces
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            match traces.get(app) {
+        "/report.json" => Response::json(p.report.clone()),
+        "/alerts" => Response::json(p.alerts.clone()),
+        "/exemplars" => Response::json(p.exemplars.index.clone()),
+        path if path.starts_with("/exemplars/") && path.ends_with("/trace.json") => {
+            let app = &path["/exemplars/".len()..path.len() - "/trace.json".len()];
+            match p.exemplars.traces.get(app) {
                 Some(t) => Response::json(t.clone()),
                 None => Response::not_found(),
             }
         }
-        "/checkpointz" => {
-            let c = shared.ckpt();
-            let age = shared.ckpt_age_ms();
-            Response::json(format!(
-                "{{\"schema\": \"sdcheckerd-checkpoint-v1\", \"enabled\": {}, \
-                 \"dir\": {:?}, \"interval_ms\": {}, \"resumed\": {}, \
-                 \"generation\": {}, \"writes_total\": {}, \"recoveries_total\": {}, \
-                 \"bytes\": {}, \"age_ms\": {}}}\n",
-                c.enabled,
-                c.dir,
-                c.interval_ms,
-                c.resumed,
-                c.generation
-                    .as_ref()
-                    .map_or("null".to_string(), |g| format!("{g:?}")),
-                c.writes_total,
-                c.recoveries_total,
-                c.bytes,
-                age.map_or("null".to_string(), |a| a.to_string()),
-            ))
-        }
+        "/checkpointz" => Response::json(checkpointz_json(&p.ckpt)),
         "/healthz" => {
-            let h = shared.health();
-            let age = shared
-                .last_progress
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .elapsed()
-                .as_millis() as u64;
-            let uptime = shared.started.elapsed().as_millis() as u64;
-            Response::json(healthz_json(&h, age, uptime))
+            let uptime_ms = shared.started.elapsed().as_millis() as u64;
+            Response::json(healthz_json(&p, uptime_ms))
         }
-        "/readyz" => {
-            if shared.health().ready {
-                Response::json("{\"ready\": true}\n")
-            } else {
-                Response {
-                    status: 503,
-                    content_type: "application/json".to_string(),
-                    body: b"{\"ready\": false}\n".to_vec(),
-                }
-            }
-        }
+        "/readyz" if p.health.ready => Response::json("{\"ready\": true}\n"),
+        "/readyz" => Response {
+            status: 503,
+            ..Response::json("{\"ready\": false}\n")
+        },
         "/buildinfo" => Response::json(format!(
             "{{\"name\": \"sdcheckerd\", \"version\": \"{}\", \
              \"report_schema\": \"sdcheckerd-report-v1\"}}\n",
@@ -450,37 +469,120 @@ fn handle(req: &Request, shared: &Shared, gauges: &GaugeRegistry) -> Response {
     }
 }
 
-/// Publish the current pipeline state for the HTTP thread.
-fn refresh(
-    shared: &Shared,
-    lag: &TailLag,
-    tailer: &DirTailer,
-    analyzer: &IncrementalAnalyzer,
+/// What the poll loop owns: the pipeline it drives and the figures it
+/// publishes about itself.
+struct PollLoop {
+    tailer: DirTailer,
+    analyzer: IncrementalAnalyzer,
+    engine: Option<AlertEngine>,
     polls: u64,
     records: u64,
-    ready: bool,
-) {
-    let stats = tailer.stats();
-    let report = analyzer.live_report_json(Some((lag, &stats)));
-    *shared.report.lock().unwrap_or_else(|e| e.into_inner()) = report;
-    let h = Health {
-        ready,
-        polls,
-        records,
-        in_flight: analyzer.in_flight() as u64,
-        retired: analyzer.retired(),
-        truncated: analyzer.truncated(),
-        complete: analyzer.complete(),
-        late_events: analyzer.late_events(),
-        sources: lag.sources,
-        lag_bytes: lag.bytes,
-        lag_ms: lag.max_ms,
-        events_buffered: analyzer.events_buffered() as u64,
-        watermark_ms: analyzer.watermark().map(|w| w.0),
-        exemplar_apps: analyzer.exemplars().promoted_apps() as u64,
-        exemplar_events: analyzer.exemplars().events_retained() as u64,
-    };
-    *shared.health.lock().unwrap_or_else(|e| e.into_inner()) = h;
+    last_progress: Instant,
+    ckpt: CkptStatus,
+}
+
+impl PollLoop {
+    /// Ingest a batch of tailed records, telling the alert engine about
+    /// the anomalous ones.
+    fn ingest(&mut self, batch: &[(LogSource, LogRecord)]) {
+        self.records += batch.len() as u64;
+        obs::count("sdcheckerd_records_total", batch.len() as u64);
+        for (src, rec) in batch {
+            if self.analyzer.ingest(*src, rec) == Outcome::Anomalous {
+                if let Some(e) = self.engine.as_mut() {
+                    e.observe_anomalous(rec.ts);
+                }
+            }
+        }
+    }
+
+    /// Build the snapshot the HTTP thread serves next — the only place
+    /// pipeline state is rendered for it. `prev` lends its exemplar
+    /// views, which are re-rendered only when the reservoir changed.
+    fn publish(&self, prev: Option<&Published>, lag: &TailLag, ready: bool) -> Published {
+        let analyzer = &self.analyzer;
+        let ex = analyzer.exemplars();
+        let exemplars = match prev {
+            Some(p) if p.exemplars.generation == ex.generation() => Arc::clone(&p.exemplars),
+            _ => Arc::new(ExemplarViews {
+                generation: ex.generation(),
+                index: ex.index_json(),
+                traces: ex
+                    .iter()
+                    .filter_map(|p| Some((p.app.to_string(), ex.trace_json(p.app)?)))
+                    .collect(),
+            }),
+        };
+        Published {
+            report: analyzer.live_report_json(Some((lag, &self.tailer.stats()))),
+            health: Health {
+                ready,
+                polls: self.polls,
+                records: self.records,
+                in_flight: analyzer.in_flight() as u64,
+                retired: analyzer.retired(),
+                truncated: analyzer.truncated(),
+                complete: analyzer.complete(),
+                late_events: analyzer.late_events(),
+                lag: *lag,
+                events_buffered: analyzer.events_buffered() as u64,
+                watermark_ms: analyzer.watermark().map(|w| w.0),
+                exemplar_apps: ex.promoted_apps() as u64,
+                exemplar_events: ex.events_retained() as u64,
+            },
+            last_progress: self.last_progress,
+            alerts: self
+                .engine
+                .as_ref()
+                .map_or_else(|| NO_ALERTS.to_string(), AlertEngine::alerts_json),
+            firing: self
+                .engine
+                .iter()
+                .flat_map(AlertEngine::firing)
+                .map(|(rule, firing)| (rule.to_string(), firing))
+                .collect(),
+            exemplars,
+            ckpt: self.ckpt.clone(),
+        }
+    }
+
+    /// Serialize the full daemon state into the checkpoint store. A
+    /// failed save is loud but non-fatal — the previous generation is
+    /// still on disk. A successful one re-publishes the current snapshot
+    /// with only its checkpoint status replaced; nothing is re-rendered.
+    fn save_checkpoint(
+        &mut self,
+        store: &CheckpointStore,
+        shared: &Shared,
+        fingerprint: &CfgFingerprint,
+        wide_bytes: u64,
+    ) {
+        let next = self.ckpt.writes_total + 1;
+        match checkpoint::save(
+            store,
+            &SaveInputs {
+                tailer: &self.tailer,
+                analyzer: &self.analyzer,
+                engine: self.engine.as_ref(),
+                fingerprint,
+                wide_bytes,
+                writes_total: next,
+                recoveries: self.ckpt.recoveries_total,
+            },
+        ) {
+            Ok(bytes) => {
+                obs::count("sd_checkpoint_writes_total", 1);
+                self.ckpt.writes_total = next;
+                self.ckpt.bytes = bytes;
+                self.ckpt.written = Some(Instant::now());
+                shared.store(Published {
+                    ckpt: self.ckpt.clone(),
+                    ..(*shared.load()).clone()
+                });
+            }
+            Err(e) => eprintln!("sdcheckerd: checkpoint save failed: {e}"),
+        }
+    }
 }
 
 fn note_retirements(retired: &[RetiredApp], quiet: bool) {
@@ -614,51 +716,6 @@ fn record_retirements(
     }
 }
 
-/// Serialize the full daemon state into the checkpoint store and
-/// publish the outcome. A failed save is loud but non-fatal — the
-/// previous generation is still on disk.
-#[allow(clippy::too_many_arguments)]
-fn save_checkpoint(
-    store: &CheckpointStore,
-    shared: &Shared,
-    tailer: &DirTailer,
-    analyzer: &IncrementalAnalyzer,
-    engine: Option<&AlertEngine>,
-    fingerprint: &CfgFingerprint,
-    wide_bytes: u64,
-    writes_total: &mut u64,
-    recoveries: u64,
-) {
-    let next = *writes_total + 1;
-    match checkpoint::save(
-        store,
-        &SaveInputs {
-            tailer,
-            analyzer,
-            engine,
-            fingerprint,
-            wide_bytes,
-            writes_total: next,
-            recoveries,
-        },
-    ) {
-        Ok(bytes) => {
-            *writes_total = next;
-            obs::count("sd_checkpoint_writes_total", 1);
-            {
-                let mut c = shared.ckpt.lock().unwrap_or_else(|e| e.into_inner());
-                c.writes_total = next;
-                c.bytes = bytes;
-            }
-            *shared
-                .ckpt_written
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()) = Some(Instant::now());
-        }
-        Err(e) => eprintln!("sdcheckerd: checkpoint save failed: {e}"),
-    }
-}
-
 /// Log and count alert transitions.
 fn note_transitions(transitions: &[Transition], quiet: bool) {
     obs::count(
@@ -679,30 +736,16 @@ fn note_transitions(transitions: &[Transition], quiet: bool) {
     }
 }
 
-/// Publish the `/alerts` document and per-rule firing flags.
-fn publish_alerts(shared: &Shared, engine: &AlertEngine) {
-    *shared.alerts.lock().unwrap_or_else(|e| e.into_inner()) = engine.alerts_json();
-    let mut map = shared.firing.lock().unwrap_or_else(|e| e.into_inner());
-    for (name, f) in engine.firing() {
-        map.insert(name.to_string(), f);
+/// The configuration a checkpoint is only valid under.
+fn fingerprint(cfg: &IncrementalConfig, alerts: bool, slo_ms: u64) -> CfgFingerprint {
+    CfgFingerprint {
+        settle_ms: cfg.settle_ms,
+        idle_timeout_ms: cfg.idle_timeout_ms,
+        exemplar_slots: cfg.exemplar_slots as u64,
+        alerts,
+        slo_ms,
+        eval_interval_ms: ALERT_EVAL_MS,
     }
-}
-
-/// Re-render the `/exemplars` index and per-app traces. Called only when
-/// the reservoir generation changes, so steady state does no rebuild work.
-fn publish_exemplars(shared: &Shared, analyzer: &IncrementalAnalyzer) {
-    let ex = analyzer.exemplars();
-    let mut traces = BTreeMap::new();
-    for p in ex.iter() {
-        if let Some(t) = ex.trace_json(p.app) {
-            traces.insert(p.app.to_string(), t);
-        }
-    }
-    *shared.exemplars.lock().unwrap_or_else(|e| e.into_inner()) = ex.index_json();
-    *shared
-        .exemplar_traces
-        .lock()
-        .unwrap_or_else(|e| e.into_inner()) = traces;
 }
 
 fn main() -> ExitCode {
@@ -861,31 +904,12 @@ fn main() -> ExitCode {
     describe_daemon_metrics();
     install_signal_handlers();
 
-    let mut tailer = match DirTailer::new(&dir) {
+    let tailer = match DirTailer::new(&dir) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("cannot tail {}: {e}", dir.display());
             return ExitCode::FAILURE;
         }
-    };
-    let mut analyzer = IncrementalAnalyzer::new(cfg);
-    let mut engine = if no_alerts {
-        None
-    } else {
-        Some(AlertEngine::new(default_rules(slo_ms), ALERT_EVAL_MS))
-    };
-
-    // Crash-only checkpointing: open the store, and (unless --no-resume)
-    // restore the newest intact generation before anything is published
-    // or written, so every surface reflects the restored state from the
-    // first request on.
-    let fingerprint = CfgFingerprint {
-        settle_ms: cfg.settle_ms,
-        idle_timeout_ms: cfg.idle_timeout_ms,
-        exemplar_slots: cfg.exemplar_slots as u64,
-        alerts: engine.is_some(),
-        slo_ms,
-        eval_interval_ms: ALERT_EVAL_MS,
     };
     let ckpt_store = match &checkpoint_dir {
         Some(p) => match CheckpointStore::open(p) {
@@ -897,38 +921,56 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    let mut recoveries: u64 = 0;
-    let mut ckpt_writes: u64 = 0;
-    let mut ckpt_bytes: u64 = 0;
+    let mut lp = PollLoop {
+        tailer,
+        analyzer: IncrementalAnalyzer::new(cfg),
+        engine: (!no_alerts).then(|| AlertEngine::new(default_rules(slo_ms), ALERT_EVAL_MS)),
+        polls: 0,
+        records: 0,
+        last_progress: Instant::now(),
+        ckpt: CkptStatus {
+            enabled: ckpt_store.is_some(),
+            dir: checkpoint_dir
+                .as_ref()
+                .map(|p| p.display().to_string())
+                .unwrap_or_default(),
+            interval_ms: checkpoint_interval_ms,
+            ..CkptStatus::default()
+        },
+    };
+
+    // Crash-only checkpointing: unless --no-resume, restore the newest
+    // intact generation before anything is published or written, so
+    // every surface reflects the restored state from the first request
+    // on.
+    let fingerprint = fingerprint(&cfg, lp.engine.is_some(), slo_ms);
     let mut wide_resume_bytes: Option<u64> = None;
-    let mut resumed_generation: Option<&'static str> = None;
     if let Some(store) = &ckpt_store {
         if resume_flag.unwrap_or(true) {
-            let (restored, warnings) = checkpoint::load(store, &dir, &fingerprint, engine.as_mut());
+            let (restored, warnings) =
+                checkpoint::load(store, &dir, &fingerprint, lp.engine.as_mut());
             for w in &warnings {
                 eprintln!("sdcheckerd: {w}");
             }
             if let Some(r) = restored {
-                recoveries = r.recoveries + 1;
-                ckpt_writes = r.writes_total;
-                ckpt_bytes = r.bytes;
+                lp.ckpt.recoveries_total = r.recoveries + 1;
+                lp.ckpt.writes_total = r.writes_total;
+                lp.ckpt.bytes = r.bytes;
+                lp.ckpt.generation = Some(r.generation);
                 wide_resume_bytes = Some(r.wide_bytes);
-                resumed_generation = Some(r.generation);
-                tailer = r.tailer;
-                analyzer = r.analyzer;
+                lp.tailer = r.tailer;
+                lp.analyzer = r.analyzer;
                 if !quiet {
                     eprintln!(
                         "sdcheckerd: resumed from {} checkpoint ({} bytes, {} prior \
-                         writes, restart #{recoveries})",
-                        r.generation, r.bytes, r.writes_total,
+                         writes, restart #{})",
+                        r.generation, r.bytes, r.writes_total, lp.ckpt.recoveries_total,
                     );
                 }
             }
         }
-    }
-    if ckpt_store.is_some() {
-        obs::count("sd_checkpoint_recoveries_total", recoveries);
-        obs::count("sd_checkpoint_writes_total", ckpt_writes);
+        obs::count("sd_checkpoint_recoveries_total", lp.ckpt.recoveries_total);
+        obs::count("sd_checkpoint_writes_total", lp.ckpt.writes_total);
     }
 
     let mut wide_file = match &wide_events_out {
@@ -970,117 +1012,25 @@ fn main() -> ExitCode {
         );
     }
 
-    let initial_alerts = engine.as_ref().map_or_else(
-        || "{\"schema\": \"sdcheckerd-alerts-v1\", \"rules\": [], \"transitions\": []}\n".into(),
-        |e| e.alerts_json(),
-    );
-    let initial_firing: BTreeMap<String, bool> = engine
-        .as_ref()
-        .map(|e| e.firing().map(|(n, f)| (n.to_string(), f)).collect())
-        .unwrap_or_default();
-    let rule_names: Vec<String> = initial_firing.keys().cloned().collect();
+    // The first snapshot is the restored (or empty) pipeline itself, not
+    // yet ready: a resumed daemon serves what it knew when it was killed
+    // while its first poll works through the backlog.
     let shared = Arc::new(Shared {
-        report: Mutex::new("{\"schema\": \"sdcheckerd-report-v1\"}\n".to_string()),
-        health: Mutex::new(Health::default()),
-        last_progress: Mutex::new(Instant::now()),
+        published: Mutex::new(Arc::new(lp.publish(None, &lp.tailer.lag(), false))),
         started: Instant::now(),
-        alerts: Mutex::new(initial_alerts),
-        firing: Mutex::new(initial_firing),
-        exemplars: Mutex::new(analyzer.exemplars().index_json()),
-        exemplar_traces: Mutex::new(BTreeMap::new()),
-        ckpt: Mutex::new(CkptStatus {
-            enabled: ckpt_store.is_some(),
-            dir: checkpoint_dir
-                .as_ref()
-                .map(|p| p.display().to_string())
-                .unwrap_or_default(),
-            interval_ms: checkpoint_interval_ms,
-            resumed: resumed_generation.is_some(),
-            generation: resumed_generation.map(str::to_string),
-            writes_total: ckpt_writes,
-            recoveries_total: recoveries,
-            bytes: ckpt_bytes,
-        }),
-        ckpt_written: Mutex::new(None),
     });
-    if resumed_generation.is_some() {
-        // The exemplar traces start empty; rebuild them from the
-        // restored reservoir so /exemplars/<app>/trace.json works
-        // before the next reservoir change.
-        publish_exemplars(&shared, &analyzer);
-    }
-    let gauges = Arc::new(GaugeRegistry::new());
-    {
-        let s = Arc::clone(&shared);
-        gauges.register("sdcheckerd_apps_in_flight", move || {
-            s.health().in_flight as f64
-        });
-        let s = Arc::clone(&shared);
-        gauges.register("sdcheckerd_events_buffered", move || {
-            s.health().events_buffered as f64
-        });
-        let s = Arc::clone(&shared);
-        gauges.register("sdcheckerd_tail_sources", move || s.health().sources as f64);
-        let s = Arc::clone(&shared);
-        gauges.register("sdcheckerd_tail_lag_bytes", move || {
-            s.health().lag_bytes as f64
-        });
-        let s = Arc::clone(&shared);
-        gauges.register("sdcheckerd_tail_lag_ms", move || s.health().lag_ms as f64);
-        let s = Arc::clone(&shared);
-        gauges.register("sdcheckerd_uptime_seconds", move || {
-            s.started.elapsed().as_secs_f64()
-        });
-        let s = Arc::clone(&shared);
-        gauges.register("process_uptime_seconds", move || {
-            s.started.elapsed().as_secs_f64()
-        });
-        let s = Arc::clone(&shared);
-        gauges.register("sdcheckerd_exemplar_apps", move || {
-            s.health().exemplar_apps as f64
-        });
-        let s = Arc::clone(&shared);
-        gauges.register("sdcheckerd_exemplar_events", move || {
-            s.health().exemplar_events as f64
-        });
-        if ckpt_store.is_some() {
-            let s = Arc::clone(&shared);
-            gauges.register("sd_checkpoint_age_ms", move || {
-                s.ckpt_age_ms().map_or(0.0, |a| a as f64)
-            });
-            let s = Arc::clone(&shared);
-            gauges.register("sd_checkpoint_bytes", move || s.ckpt().bytes as f64);
-        }
-        for name in &rule_names {
-            let s = Arc::clone(&shared);
-            let rule = name.clone();
-            gauges.register_labeled("sd_alert_firing", &[("rule", name)], move || {
-                let map = s.firing.lock().unwrap_or_else(|e| e.into_inner());
-                if map.get(&rule).copied().unwrap_or(false) {
-                    1.0
-                } else {
-                    0.0
-                }
-            });
-        }
-    }
-
     let http_thread = {
         let shared = Arc::clone(&shared);
-        let gauges = Arc::clone(&gauges);
-        std::thread::spawn(move || server.serve(&SHUTDOWN, |req| handle(req, &shared, &gauges)))
+        std::thread::spawn(move || server.serve(&SHUTDOWN, |req| handle(req, &shared)))
     };
 
     let deadline = run_for_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut polls: u64 = 0;
-    let mut records: u64 = 0;
     // Deltas are measured against the (possibly restored) stats so a
     // resumed run's process-local counters start at zero, not at the
     // whole lineage's totals.
-    let mut stats_prev = tailer.stats();
-    let mut ops_prev = tailer.ops();
-    let mut late_prev: u64 = analyzer.late_events();
-    let mut exemplar_gen: u64 = analyzer.exemplars().generation();
+    let mut stats_prev = lp.tailer.stats();
+    let mut ops_prev = lp.tailer.ops();
+    let mut late_prev: u64 = lp.analyzer.late_events();
     let ckpt_interval = Duration::from_millis(checkpoint_interval_ms);
     let mut last_ckpt_save: Option<Instant> = None;
     while !SHUTDOWN.load(Ordering::SeqCst) {
@@ -1090,13 +1040,13 @@ fn main() -> ExitCode {
                 break;
             }
         }
-        polls += 1;
+        lp.polls += 1;
         obs::count("sdcheckerd_polls_total", 1);
         let poll_started = Instant::now();
         let mut phase = PhaseClock {
             boundary: poll_started,
         };
-        let batch = match tailer.poll() {
+        let batch = match lp.tailer.poll() {
             Ok(b) => b,
             Err(e) => {
                 obs::count("sdcheckerd_poll_errors_total", 1);
@@ -1106,7 +1056,7 @@ fn main() -> ExitCode {
                 Vec::new()
             }
         };
-        let stats = tailer.stats();
+        let stats = lp.tailer.stats();
         obs::count(
             "sdcheckerd_read_bytes_total",
             stats.read_bytes.saturating_sub(stats_prev.read_bytes),
@@ -1116,7 +1066,7 @@ fn main() -> ExitCode {
             stats.removed_files.saturating_sub(stats_prev.removed_files),
         );
         stats_prev = stats;
-        let ops = tailer.ops();
+        let ops = lp.tailer.ops();
         for (op, now, prev) in [
             ("stat", ops.stats, ops_prev.stats),
             ("listing", ops.listings, ops_prev.listings),
@@ -1130,49 +1080,35 @@ fn main() -> ExitCode {
         );
         ops_prev = ops;
         phase.mark("tail");
-        let n = batch.len() as u64;
-        records += n;
-        obs::count("sdcheckerd_records_total", n);
-        for (src, rec) in &batch {
-            if analyzer.ingest(*src, rec) == Outcome::Anomalous {
-                if let Some(e) = engine.as_mut() {
-                    e.observe_anomalous(rec.ts);
-                }
-            }
-        }
+        lp.ingest(&batch);
         phase.mark("ingest");
-        let retired = analyzer.drain_ready();
+        let retired = lp.analyzer.drain_ready();
         note_retirements(&retired, quiet);
-        record_retirements(&retired, &mut engine, &mut wide_file);
+        record_retirements(&retired, &mut lp.engine, &mut wide_file);
         obs::count(
             "sdcheckerd_late_events_total",
-            analyzer.late_events().saturating_sub(late_prev),
+            lp.analyzer.late_events().saturating_sub(late_prev),
         );
-        late_prev = analyzer.late_events();
-        if n > 0 || !retired.is_empty() {
-            *shared
-                .last_progress
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()) = Instant::now();
+        late_prev = lp.analyzer.late_events();
+        if !batch.is_empty() || !retired.is_empty() {
+            lp.last_progress = Instant::now();
         }
         phase.mark("retire");
         // One lag figure per iteration: the alert engine and every
         // published surface see the same number.
-        let lag = tailer.lag();
-        if let Some(e) = engine.as_mut() {
+        let lag = lp.tailer.lag();
+        if let Some(e) = lp.engine.as_mut() {
             e.set_live_lag(lag.bytes);
-            if let Some(w) = analyzer.watermark() {
+            if let Some(w) = lp.analyzer.watermark() {
                 let transitions = e.advance(w);
                 note_transitions(&transitions, quiet);
             }
-            publish_alerts(&shared, e);
         }
         phase.mark("alerts");
-        if analyzer.exemplars().generation() != exemplar_gen {
-            exemplar_gen = analyzer.exemplars().generation();
-            publish_exemplars(&shared, &analyzer);
-        }
-        refresh(&shared, &lag, &tailer, &analyzer, polls, records, true);
+        // The one publish point. It sits before the wide-events flush
+        // and the checkpoint write so that what a poll ingested is
+        // visible without waiting on either.
+        shared.store(lp.publish(Some(&shared.load()), &lag, true));
         phase.mark("publish");
         // Crash safety: push every wide line written this tick out of
         // process buffers, then (if due) checkpoint the state that
@@ -1182,17 +1118,8 @@ fn main() -> ExitCode {
         }
         if let Some(store) = &ckpt_store {
             if last_ckpt_save.is_none_or(|t| t.elapsed() >= ckpt_interval) {
-                save_checkpoint(
-                    store,
-                    &shared,
-                    &tailer,
-                    &analyzer,
-                    engine.as_ref(),
-                    &fingerprint,
-                    wide_file.as_ref().map_or(0, |w| w.bytes),
-                    &mut ckpt_writes,
-                    recoveries,
-                );
+                let wide_bytes = wide_file.as_ref().map_or(0, |w| w.bytes);
+                lp.save_checkpoint(store, &shared, &fingerprint, wide_bytes);
                 last_ckpt_save = Some(Instant::now());
             }
         }
@@ -1215,36 +1142,20 @@ fn main() -> ExitCode {
     // held-back partial lines become final records (batch parity for a
     // stream whose last line lacks a newline), and every in-flight app
     // retires.
-    if let Ok(batch) = tailer.poll() {
-        records += batch.len() as u64;
-        obs::count("sdcheckerd_records_total", batch.len() as u64);
-        for (src, rec) in &batch {
-            if analyzer.ingest(*src, rec) == Outcome::Anomalous {
-                if let Some(e) = engine.as_mut() {
-                    e.observe_anomalous(rec.ts);
-                }
-            }
-        }
+    if let Ok(batch) = lp.tailer.poll() {
+        lp.ingest(&batch);
     }
-    let tail_end = tailer.flush_partial();
-    records += tail_end.len() as u64;
-    obs::count("sdcheckerd_records_total", tail_end.len() as u64);
-    for (src, rec) in &tail_end {
-        if analyzer.ingest(*src, rec) == Outcome::Anomalous {
-            if let Some(e) = engine.as_mut() {
-                e.observe_anomalous(rec.ts);
-            }
-        }
-    }
-    let retired = analyzer.finish();
+    let tail_end = lp.tailer.flush_partial();
+    lp.ingest(&tail_end);
+    let retired = lp.analyzer.finish();
     note_retirements(&retired, quiet);
-    record_retirements(&retired, &mut engine, &mut wide_file);
-    if let Some(e) = engine.as_mut() {
+    record_retirements(&retired, &mut lp.engine, &mut wide_file);
+    if let Some(e) = lp.engine.as_mut() {
         // Evaluate one interval past the final watermark so the samples
         // stamped by finish() get a tick, then resolve whatever is left
         // open — the transition log always ends at rest.
         let end = TsMs(
-            analyzer
+            lp.analyzer
                 .watermark()
                 .map_or(0, |w| w.0)
                 .saturating_add(ALERT_EVAL_MS),
@@ -1253,22 +1164,10 @@ fn main() -> ExitCode {
         let mut transitions = e.advance(end);
         transitions.extend(e.close_out(end));
         note_transitions(&transitions, quiet);
-        publish_alerts(&shared, e);
     }
-    if analyzer.exemplars().generation() != exemplar_gen {
-        publish_exemplars(&shared, &analyzer);
-    }
-    refresh(
-        &shared,
-        &tailer.lag(),
-        &tailer,
-        &analyzer,
-        polls,
-        records,
-        true,
-    );
+    shared.store(lp.publish(Some(&shared.load()), &lp.tailer.lag(), true));
     if let Some(p) = &alerts_out {
-        if let Some(e) = &engine {
+        if let Some(e) = &lp.engine {
             if let Err(err) = write_atomic(p, e.alerts_json().as_bytes()) {
                 eprintln!("cannot write alerts file {}: {err}", p.display());
                 return ExitCode::FAILURE;
@@ -1284,25 +1183,11 @@ fn main() -> ExitCode {
     if let Some(store) = &ckpt_store {
         // Final checkpoint: the drained, at-rest state. A restart from
         // here has nothing to replay and re-serves the same surfaces.
-        save_checkpoint(
-            store,
-            &shared,
-            &tailer,
-            &analyzer,
-            engine.as_ref(),
-            &fingerprint,
-            wide_file.as_ref().map_or(0, |w| w.bytes),
-            &mut ckpt_writes,
-            recoveries,
-        );
+        let wide_bytes = wide_file.as_ref().map_or(0, |w| w.bytes);
+        lp.save_checkpoint(store, &shared, &fingerprint, wide_bytes);
     }
     if let Some(p) = &final_report {
-        let report = shared
-            .report
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        if let Err(e) = write_atomic(p, report.as_bytes()) {
+        if let Err(e) = write_atomic(p, shared.load().report.as_bytes()) {
             eprintln!("cannot write final report {}: {e}", p.display());
             return ExitCode::FAILURE;
         }
@@ -1316,12 +1201,87 @@ fn main() -> ExitCode {
         eprintln!(
             "sdcheckerd: {} polls, {} records, {} apps retired ({} truncated), \
              {} in flight at shutdown",
-            polls,
-            records,
-            analyzer.retired(),
-            analyzer.truncated(),
-            analyzer.in_flight(),
+            lp.polls,
+            lp.records,
+            lp.analyzer.retired(),
+            lp.analyzer.truncated(),
+            lp.analyzer.in_flight(),
         );
     }
     ExitCode::SUCCESS
+}
+
+// The integration tests' corpus builder, shared with the unit tests below.
+#[path = "../../tests/common/mod.rs"]
+#[cfg(test)]
+mod common;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn checkpointz_is_json_whatever_the_directory_is_called() {
+        let dir = "ckpt \"a\\b\u{1}";
+        let status = CkptStatus {
+            enabled: true,
+            dir: dir.to_string(),
+            generation: Some("current"),
+            written: Some(Instant::now()),
+            ..CkptStatus::default()
+        };
+        let doc = obs::json::parse(&checkpointz_json(&status)).expect("valid JSON");
+        assert_eq!(doc.get("dir").unwrap().as_str(), Some(dir));
+        assert_eq!(doc.get("generation").unwrap().as_str(), Some("current"));
+        assert!(doc.get("age_ms").unwrap().as_f64().is_some());
+    }
+
+    #[test]
+    fn first_snapshot_of_a_resumed_daemon_is_the_restored_state() {
+        let dir = std::env::temp_dir().join(format!("sdcheckerd_unit_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut logs = logmodel::LogStore::new(logmodel::Epoch::default_run());
+        common::populate_faulty_fleet(&mut logs);
+        logs.write_dir(&dir.join("logs")).unwrap();
+
+        let cfg = IncrementalConfig::default();
+        let fingerprint = fingerprint(&cfg, false, 0);
+        let mut killed = PollLoop {
+            tailer: DirTailer::new(&dir.join("logs")).unwrap(),
+            analyzer: IncrementalAnalyzer::new(cfg),
+            engine: None,
+            polls: 0,
+            records: 0,
+            last_progress: Instant::now(),
+            ckpt: CkptStatus::default(),
+        };
+        let batch = killed.tailer.poll().unwrap();
+        killed.ingest(&batch);
+        assert_eq!(killed.analyzer.finish().len(), 3);
+        let store = CheckpointStore::open(&dir.join("ckpt")).unwrap();
+        let shared = Shared {
+            published: Mutex::new(Arc::new(killed.publish(None, &killed.tailer.lag(), true))),
+            started: Instant::now(),
+        };
+        killed.save_checkpoint(&store, &shared, &fingerprint, 0);
+        assert_eq!(shared.load().ckpt.writes_total, 1);
+
+        let (restored, warnings) = checkpoint::load(&store, &dir.join("logs"), &fingerprint, None);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        let restored = restored.expect("intact checkpoint");
+        let resumed = PollLoop {
+            tailer: restored.tailer,
+            analyzer: restored.analyzer,
+            ..killed
+        };
+        let first = resumed.publish(None, &resumed.tailer.lag(), false);
+        assert!(!first.health.ready, "not ready before the first poll");
+        assert_eq!(first.health.retired, 3);
+        let report = obs::json::parse(&first.report).unwrap();
+        let fleet = report.get("fleet").unwrap();
+        assert_eq!(fleet.get("retired").unwrap().as_f64(), Some(3.0));
+        assert!(!first.exemplars.traces.is_empty());
+        assert_eq!(first.exemplars.traces, shared.load().exemplars.traces);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -89,6 +89,28 @@ fn spawn_daemon(dir: &std::path::Path, extra: &[&str]) -> (Daemon, String) {
     (daemon, addr)
 }
 
+/// Every gauge family `/metrics` writes from the published snapshot,
+/// whatever the flags.
+const GAUGE_FAMILIES: [&str; 9] = [
+    "sdcheckerd_apps_in_flight",
+    "sdcheckerd_events_buffered",
+    "sdcheckerd_tail_sources",
+    "sdcheckerd_tail_lag_bytes",
+    "sdcheckerd_tail_lag_ms",
+    "sdcheckerd_uptime_seconds",
+    "process_uptime_seconds",
+    "sdcheckerd_exemplar_apps",
+    "sdcheckerd_exemplar_events",
+];
+
+/// Whether a `/metrics` body carries a sample line of `family`.
+fn has_series(text: &str, family: &str) -> bool {
+    text.lines().any(|l| {
+        l.strip_prefix(family)
+            .is_some_and(|rest| rest.starts_with(' ') || rest.starts_with('{'))
+    })
+}
+
 #[test]
 fn serves_live_endpoints_and_retires_apps() {
     let dir = tmp("endpoints");
@@ -105,6 +127,7 @@ fn serves_live_endpoints_and_retires_apps() {
             "0",
             "--idle-timeout-ms",
             "0",
+            "--no-alerts",
             "--final-report",
             final_report.to_str().unwrap(),
         ],
@@ -161,6 +184,19 @@ fn serves_live_endpoints_and_retires_apps() {
     }
     assert!(text.contains("sdcheckerd_apps_retired_total 2"), "{text}");
     assert!(text.contains("parse_lines_total{"), "{text}");
+    // The whole gauge surface, and nothing from the features that are
+    // off: no checkpoint directory, no alert rules.
+    for family in GAUGE_FAMILIES {
+        assert!(has_series(&text, family), "{family}: {text}");
+    }
+    assert!(text.contains("sdcheckerd_apps_in_flight 1\n"), "{text}");
+    for family in [
+        "sd_checkpoint_age_ms",
+        "sd_checkpoint_bytes",
+        "sd_alert_firing",
+    ] {
+        assert!(!has_series(&text, family), "{family}: {text}");
+    }
 
     // Live report: the daemon schema, with fleet and tail sections.
     let (status, _, body) = http_get(&addr, "/report.json");
@@ -217,6 +253,8 @@ fn serves_alerts_exemplars_and_wide_events() {
 
     let wide_out = dir.join("events.jsonl");
     let alerts_out = dir.join("alerts.json");
+    let ckpt_dir = tmp("tailsurface_ckpt");
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
     let (mut daemon, addr) = spawn_daemon(
         &dir,
         &[
@@ -226,6 +264,8 @@ fn serves_alerts_exemplars_and_wide_events() {
             "0",
             "--slo-ms",
             "1",
+            "--checkpoint-dir",
+            ckpt_dir.to_str().unwrap(),
             "--wide-events-out",
             wide_out.to_str().unwrap(),
             "--alerts-out",
@@ -323,6 +363,20 @@ fn serves_alerts_exemplars_and_wide_events() {
         text.contains("sdcheckerd_http_requests_total{path=\"/alerts\"}"),
         "{text}"
     );
+    // The whole gauge surface again, now with a series per alert rule
+    // and the two checkpoint gauges.
+    for family in GAUGE_FAMILIES {
+        assert!(has_series(&text, family), "{family}: {text}");
+    }
+    for rule in ["total_p99_slo", "total_burn_rate", "tail_lag"] {
+        assert!(
+            text.contains(&format!("sd_alert_firing{{rule=\"{rule}\"}}")),
+            "{rule}: {text}"
+        );
+    }
+    for family in ["sd_checkpoint_age_ms", "sd_checkpoint_bytes"] {
+        assert!(has_series(&text, family), "{family}: {text}");
+    }
 
     // SIGTERM: the wide-events file ends with one line per retired app,
     // and the alerts file records a closed-out engine.
@@ -354,6 +408,7 @@ fn serves_alerts_exemplars_and_wide_events() {
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&ckpt_dir).unwrap();
 }
 
 #[test]

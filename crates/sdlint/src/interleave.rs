@@ -21,9 +21,11 @@
 //!   retirement of every item under every schedule (the property that
 //!   makes the k-way merge's input-order restoration deterministic).
 //! * [`DaemonModel`] — the `sdcheckerd` square: poll loop publishing a
-//!   two-word report under the report lock, HTTP thread snapshotting it
-//!   under the same lock, checkpoint writer sampling progress, and a
-//!   SIGTERM arriving at every possible point. Checked: HTTP snapshots
+//!   two-word report under the `sdcheckerd.published` lock (the one
+//!   mutex around the daemon's `Arc<Published>`), HTTP thread
+//!   snapshotting it under the same lock, a checkpoint step sampling
+//!   progress under it, and a SIGTERM arriving at every possible
+//!   point. Checked: HTTP snapshots
 //!   are never torn and never go backwards, the checkpoint never runs
 //!   ahead of processing, and shutdown *always* drains to a final
 //!   report equal to everything processed.
@@ -499,16 +501,21 @@ impl Model for ParMergeModel {
 // Model 3: daemon poll ↔ HTTP ↔ checkpoint ↔ SIGTERM square.
 // ---------------------------------------------------------------------------
 
-/// `sdcheckerd` abstraction. Four threads:
+/// `sdcheckerd` abstraction. The `D_LOCK` word stands for
+/// `sdcheckerd.published` (see [`crate::locks::LOCKS`]), the daemon's
+/// only lock: the poll loop replaces the `Arc<Published>` under it and
+/// every HTTP handler clones that `Arc` under it, so the two report
+/// words model two fields of one `Published`. Four model threads:
 ///
 /// * poll loop — processes up to `batches` batches, publishing a
-///   two-word report (`rep_a`, `rep_b`) under the report lock after
-///   each, then on shutdown drains: publishes the final report and sets
-///   `drained`;
+///   two-word report (`rep_a`, `rep_b`) under the lock after each, then
+///   on shutdown drains: publishes the final report and sets `drained`;
 /// * HTTP — takes the lock and snapshots both report words `reads`
 ///   times, asserting the pair is consistent and never regresses;
-/// * checkpoint writer — samples progress under the lock `writes`
-///   times;
+/// * checkpoint — samples progress under the lock `writes` times. In
+///   the daemon the save runs on the poll loop itself (after the
+///   publish, re-publishing only the checkpoint status); modelling it
+///   as a thread of its own explores a superset of those schedules;
 /// * SIGTERM — flips the shutdown flag at an arbitrary point.
 pub struct DaemonModel {
     batches: u64,
@@ -673,7 +680,7 @@ impl Model for DaemonModel {
                 }
                 _ => {}
             },
-            // Checkpoint writer.
+            // Checkpoint step.
             2 => match st[D_CKPT_PC] {
                 0 if st[D_WRITES] < self.writes && st[D_LOCK] == 0 => {
                     let mut n = st.to_vec();

@@ -13,9 +13,9 @@
 //! *acquired-while-held* graph: lexically observed nestings (a guard
 //! `let`-bound in a block with another lock acquired before the block
 //! closes, or two acquisitions in one statement) plus declared
-//! callback edges the text cannot see (e.g. the gauge registry holding
-//! its entries lock while sampling closures that take the daemon's
-//! `Shared` locks). Observed lexical edges must be declared and
+//! callback edges the text cannot see (a lock held while calling a
+//! stored closure that takes another; none exists today, so
+//! [`HELD_EDGES`] is empty). Observed lexical edges must be declared and
 //! declared lexical edges must be observed; the union of all edges must
 //! be acyclic — a cycle is the textbook ABBA deadlock and fails the
 //! build before it can ever hang a daemon.
@@ -146,16 +146,6 @@ pub const LOCKS: &[LockSpec] = &[
         poison: PoisonPolicy::Recover,
     },
     LockSpec {
-        name: "obs.gauges.entries",
-        file: "crates/obs/src/gauges.rs",
-        kind: LockKind::Mutex,
-        decl_pattern: "entries: Mutex",
-        decl_sites: 1,
-        acquire_pattern: ".entries.lock(",
-        guards: "the late-bound gauge closures sampled at scrape time",
-        poison: PoisonPolicy::Recover,
-    },
-    LockSpec {
         name: "logmodel.par.queue",
         file: "crates/logmodel/src/par.rs",
         kind: LockKind::Mutex,
@@ -186,127 +176,23 @@ pub const LOCKS: &[LockSpec] = &[
         poison: PoisonPolicy::Propagate,
     },
     LockSpec {
-        name: "sdcheckerd.report",
+        name: "sdcheckerd.published",
         file: "crates/sdchecker/src/bin/sdcheckerd.rs",
         kind: LockKind::Mutex,
-        decl_pattern: "report: Mutex",
+        decl_pattern: "published: Mutex",
         decl_sites: 2,
-        acquire_pattern: ".report.lock(",
-        guards: "the rendered /report.json document (poll loop writes, HTTP reads)",
-        poison: PoisonPolicy::Recover,
-    },
-    LockSpec {
-        name: "sdcheckerd.health",
-        file: "crates/sdchecker/src/bin/sdcheckerd.rs",
-        kind: LockKind::Mutex,
-        decl_pattern: "health: Mutex",
-        decl_sites: 2,
-        acquire_pattern: ".health.lock(",
-        guards: "the Health struct behind /healthz and the daemon gauges",
-        poison: PoisonPolicy::Recover,
-    },
-    LockSpec {
-        name: "sdcheckerd.last_progress",
-        file: "crates/sdchecker/src/bin/sdcheckerd.rs",
-        kind: LockKind::Mutex,
-        decl_pattern: "last_progress: Mutex",
-        decl_sites: 2,
-        acquire_pattern: ".last_progress.lock(",
-        guards: "the watchdog Instant /healthz ages against",
-        poison: PoisonPolicy::Recover,
-    },
-    LockSpec {
-        name: "sdcheckerd.alerts",
-        file: "crates/sdchecker/src/bin/sdcheckerd.rs",
-        kind: LockKind::Mutex,
-        decl_pattern: "alerts: Mutex",
-        decl_sites: 2,
-        acquire_pattern: ".alerts.lock(",
-        guards: "the rendered /alerts document",
-        poison: PoisonPolicy::Recover,
-    },
-    LockSpec {
-        name: "sdcheckerd.firing",
-        file: "crates/sdchecker/src/bin/sdcheckerd.rs",
-        kind: LockKind::Mutex,
-        decl_pattern: "firing: Mutex",
-        decl_sites: 2,
-        acquire_pattern: ".firing.lock(",
-        guards: "per-rule firing flags behind the sd_alert_firing gauges",
-        poison: PoisonPolicy::Recover,
-    },
-    LockSpec {
-        name: "sdcheckerd.exemplars",
-        file: "crates/sdchecker/src/bin/sdcheckerd.rs",
-        kind: LockKind::Mutex,
-        decl_pattern: "exemplars: Mutex",
-        decl_sites: 2,
-        acquire_pattern: ".exemplars.lock(",
-        guards: "the rendered /exemplars index document",
-        poison: PoisonPolicy::Recover,
-    },
-    LockSpec {
-        name: "sdcheckerd.exemplar_traces",
-        file: "crates/sdchecker/src/bin/sdcheckerd.rs",
-        kind: LockKind::Mutex,
-        decl_pattern: "exemplar_traces: Mutex",
-        decl_sites: 2,
-        acquire_pattern: ".exemplar_traces.lock(",
-        guards: "pre-rendered per-app Perfetto traces behind /exemplars/<app>",
-        poison: PoisonPolicy::Recover,
-    },
-    LockSpec {
-        name: "sdcheckerd.ckpt",
-        file: "crates/sdchecker/src/bin/sdcheckerd.rs",
-        kind: LockKind::Mutex,
-        decl_pattern: "ckpt: Mutex",
-        decl_sites: 2,
-        acquire_pattern: ".ckpt.lock(",
-        guards: "checkpoint status behind /checkpointz and sd_checkpoint_* gauges",
-        poison: PoisonPolicy::Recover,
-    },
-    LockSpec {
-        name: "sdcheckerd.ckpt_written",
-        file: "crates/sdchecker/src/bin/sdcheckerd.rs",
-        kind: LockKind::Mutex,
-        decl_pattern: "ckpt_written: Mutex",
-        decl_sites: 2,
-        acquire_pattern: ".ckpt_written.lock(",
-        guards: "the Instant of the last successful checkpoint write",
+        acquire_pattern: ".published.lock(",
+        guards: "the Arc of the current Published snapshot every endpoint serves \
+                 (poll loop replaces it, HTTP clones it; nothing runs under it)",
         poison: PoisonPolicy::Recover,
     },
 ];
 
 /// The declared acquired-while-held graph. Lexical edges are verified
 /// against the scan; callback edges cross closure boundaries (the
-/// interleave models cover their runtime behavior).
-pub const HELD_EDGES: &[HeldEdge] = &[
-    HeldEdge {
-        holder: "obs.gauges.entries",
-        acquired: "sdcheckerd.health",
-        kind: EdgeKind::Callback,
-        why: "sample_into holds the entries lock while daemon gauge closures \
-              call Shared::health()",
-    },
-    HeldEdge {
-        holder: "obs.gauges.entries",
-        acquired: "sdcheckerd.firing",
-        kind: EdgeKind::Callback,
-        why: "the sd_alert_firing closures read the firing map during sampling",
-    },
-    HeldEdge {
-        holder: "obs.gauges.entries",
-        acquired: "sdcheckerd.ckpt",
-        kind: EdgeKind::Callback,
-        why: "the sd_checkpoint_bytes closure calls Shared::ckpt() during sampling",
-    },
-    HeldEdge {
-        holder: "obs.gauges.entries",
-        acquired: "sdcheckerd.ckpt_written",
-        kind: EdgeKind::Callback,
-        why: "the sd_checkpoint_age_ms closure calls Shared::ckpt_age_ms() during sampling",
-    },
-];
+/// interleave models cover their runtime behavior). Empty today: no
+/// lock in the workspace is acquired while another is held.
+pub const HELD_EDGES: &[HeldEdge] = &[];
 
 /// One deliberate poison-propagation budget entry (two-way ratchet,
 /// like the panic allowlist).

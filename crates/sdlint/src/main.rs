@@ -1,7 +1,7 @@
-//! CLI entry point: run every checker, print per-checker runtime and
-//! the interleaving explorer's state counts (so CI logs show where
-//! lint time goes and whether a model edit exploded the state space),
-//! and exit nonzero on any finding.
+//! CLI entry point: run every checker, print per-checker runtime, the
+//! lock table's size and the interleaving explorer's state counts (so
+//! CI logs show where lint time goes and whether a model edit exploded
+//! the state space), and exit nonzero on any finding.
 
 fn main() {
     let root = sdlint::default_repo_root();
@@ -12,6 +12,11 @@ fn main() {
             t.name, t.millis, t.findings
         );
     }
+    println!(
+        "sdlint: lock table {} lock(s), {} held edge(s)",
+        sdlint::locks::LOCKS.len(),
+        sdlint::locks::HELD_EDGES.len(),
+    );
     for s in &report.interleave {
         println!(
             "sdlint: interleave model {:<22} {} states, {} transitions, \
