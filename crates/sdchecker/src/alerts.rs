@@ -34,8 +34,10 @@ use std::fmt::Write as _;
 use logmodel::TsMs;
 use obs::json::{escape, fmt_f64};
 
+use crate::checkpoint::CkptError;
 use crate::decompose::{AppDelays, APP_COMPONENTS};
 use crate::stats::percentile;
+use crate::wire::{corrupt, wire_struct, Dec, Decode, Enc, Encode};
 
 /// Schema tag of the `/alerts` document.
 pub const ALERTS_SCHEMA: &str = "sdcheckerd-alerts-v1";
@@ -135,6 +137,27 @@ impl AlertState {
     }
 }
 
+impl Encode for AlertState {
+    fn encode(&self, e: &mut Enc) {
+        e.u8(match self {
+            AlertState::Inactive => 0,
+            AlertState::Pending => 1,
+            AlertState::Firing => 2,
+        });
+    }
+}
+
+impl Decode for AlertState {
+    fn decode(d: &mut Dec<'_>) -> Result<AlertState, CkptError> {
+        match d.u8()? {
+            0 => Ok(AlertState::Inactive),
+            1 => Ok(AlertState::Pending),
+            2 => Ok(AlertState::Firing),
+            v => Err(corrupt(format!("invalid alert-state discriminant {v}"))),
+        }
+    }
+}
+
 /// One state change of one rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Transition {
@@ -163,6 +186,14 @@ impl Transition {
     }
 }
 
+wire_struct!(Transition {
+    at,
+    rule,
+    from,
+    to,
+    value,
+});
+
 #[derive(Debug)]
 struct RuleRuntime {
     state: AlertState,
@@ -172,33 +203,11 @@ struct RuleRuntime {
     last_value: Option<f64>,
 }
 
-/// Plain serializable image of an [`AlertEngine`]'s mutable state, for
-/// checkpointing. The rule *table* is not serialized — it is daemon
-/// configuration; the snapshot names the rules it was taken over and
-/// [`AlertEngine::apply_snapshot`] refuses a mismatch. The live tailer
-/// lag is wall-clock state and deliberately excluded.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct EngineSnapshot {
-    /// Evaluation cadence the snapshot was taken under.
-    pub eval_interval_ms: u64,
-    /// Rule names, in table order.
-    pub rule_names: Vec<String>,
-    /// Per-rule `(state, pending_since, last_value)`, in table order.
-    pub runtime: Vec<(AlertState, Option<TsMs>, Option<f64>)>,
-    /// Last evaluated tick index.
-    pub last_tick: Option<u64>,
-    /// Retirement samples, oldest first; each row in
-    /// [`APP_COMPONENTS`] order.
-    pub samples: Vec<(TsMs, Vec<Option<u64>>)>,
-    /// Anomalous-line timestamps, oldest first.
-    pub anomalous: Vec<TsMs>,
-    /// Oldest data instant ever observed.
-    pub earliest_data: Option<TsMs>,
-    /// The bounded transition log, oldest first.
-    pub transitions: Vec<Transition>,
-    /// Transitions ever recorded.
-    pub transitions_total: u64,
-}
+wire_struct!(RuleRuntime {
+    state,
+    pending_since,
+    last_value,
+});
 
 /// The rule evaluator. Feed it retirements and anomalous lines as they
 /// happen, then [`AlertEngine::advance`] to the new watermark after
@@ -546,79 +555,44 @@ impl AlertEngine {
         }
     }
 
-    /// Capture the engine's mutable state for a checkpoint (the rule
-    /// table itself is configuration, not state).
-    pub(crate) fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            eval_interval_ms: self.eval_interval_ms,
-            rule_names: self.rules.iter().map(|r| r.name.clone()).collect(),
-            runtime: self
-                .runtime
-                .iter()
-                .map(|rt| (rt.state, rt.pending_since, rt.last_value))
-                .collect(),
-            last_tick: self.last_tick,
-            samples: self
-                .samples
-                .iter()
-                .map(|(ts, row)| (*ts, row.to_vec()))
-                .collect(),
-            anomalous: self.anomalous.iter().copied().collect(),
-            earliest_data: self.earliest_data,
-            transitions: self.transitions.iter().cloned().collect(),
-            transitions_total: self.transitions_total,
+    /// Restore checkpointed lifecycle state into this engine.
+    /// All-or-nothing: the rest of the payload is decoded and checked
+    /// (same cadence, same rule table, sample rows of the right width,
+    /// nothing left over) before any field is touched, so a rejected
+    /// checkpoint leaves the engine exactly as it was — which is what
+    /// lets recovery fall back to an older generation. `live_lag_bytes`
+    /// is untouched (wall-clock state).
+    pub(crate) fn restore(&mut self, mut d: Dec<'_>) -> Result<(), CkptError> {
+        let (eval_interval_ms, rule_names): (u64, Vec<String>) = d.get()?;
+        if eval_interval_ms != self.eval_interval_ms {
+            return Err(corrupt(format!(
+                "checkpoint eval interval {eval_interval_ms} ms, engine {} ms",
+                self.eval_interval_ms
+            )));
         }
-    }
-
-    /// Restore a checkpointed snapshot into this engine. All-or-nothing:
-    /// every validation (matching cadence, matching rule table, sample
-    /// rows of the right width) happens before any mutation, so a
-    /// rejected snapshot leaves the engine exactly as it was — which is
-    /// what lets checkpoint recovery fall back to an older generation.
-    /// `live_lag_bytes` is untouched (wall-clock state).
-    pub(crate) fn apply_snapshot(&mut self, snap: EngineSnapshot) -> Result<(), String> {
-        if snap.eval_interval_ms != self.eval_interval_ms {
-            return Err(format!(
-                "snapshot eval interval {} ms, engine {} ms",
-                snap.eval_interval_ms, self.eval_interval_ms
-            ));
+        if !rule_names.iter().eq(self.rules.iter().map(|r| &r.name)) {
+            return Err(corrupt(format!(
+                "checkpoint rules {rule_names:?} do not match the engine's"
+            )));
         }
-        let names: Vec<String> = self.rules.iter().map(|r| r.name.clone()).collect();
-        if snap.rule_names != names {
-            return Err(format!(
-                "snapshot rules {:?} do not match engine rules {:?}",
-                snap.rule_names, names
-            ));
-        }
-        if snap.runtime.len() != self.rules.len() {
-            return Err(format!(
-                "snapshot has {} rule runtimes, engine {} rules",
-                snap.runtime.len(),
+        let runtime: Vec<RuleRuntime> = d.get()?;
+        if runtime.len() != self.rules.len() {
+            return Err(corrupt(format!(
+                "checkpoint has {} rule runtimes, engine {} rules",
+                runtime.len(),
                 self.rules.len()
-            ));
+            )));
         }
-        let mut samples = VecDeque::with_capacity(snap.samples.len());
-        for (ts, row) in snap.samples {
-            let row: [Option<u64>; APP_COMPONENTS.len()] = row
-                .try_into()
-                .map_err(|r: Vec<Option<u64>>| format!("sample row of width {}", r.len()))?;
-            samples.push_back((ts, row));
-        }
-        self.runtime = snap
-            .runtime
-            .into_iter()
-            .map(|(state, pending_since, last_value)| RuleRuntime {
-                state,
-                pending_since,
-                last_value,
-            })
-            .collect();
-        self.last_tick = snap.last_tick;
+        let (last_tick, samples, anomalous) = d.get()?;
+        let (earliest_data, transitions, transitions_total) = d.get()?;
+        d.finish()?;
+        self.runtime = runtime;
+        self.last_tick = last_tick;
         self.samples = samples;
-        self.anomalous = snap.anomalous.into();
-        self.earliest_data = snap.earliest_data;
-        self.transitions = snap.transitions.into();
-        self.transitions_total = snap.transitions_total;
+        self.anomalous = anomalous;
+        self.earliest_data = earliest_data;
+        self.transitions = transitions;
+        self.transitions_total = transitions_total;
         Ok(())
     }
 
@@ -701,6 +675,30 @@ impl AlertEngine {
         }
         out.push_str("\n  ]\n}\n");
         out
+    }
+}
+
+/// The engine's checkpoint is its mutable state. The rule *table* is
+/// daemon configuration and is not serialized; the names it was saved
+/// over are, so [`AlertEngine::restore`] can refuse a different table.
+impl Encode for AlertEngine {
+    fn encode(&self, e: &mut Enc) {
+        let AlertEngine {
+            rules,
+            runtime,
+            eval_interval_ms,
+            last_tick,
+            samples,
+            anomalous,
+            earliest_data,
+            live_lag_bytes: _, // wall-clock state, set again by the first poll
+            transitions,
+            transitions_total,
+        } = self;
+        eval_interval_ms.encode(e);
+        e.seq(rules.iter().map(|r| &r.name));
+        (runtime, last_tick, samples, anomalous).encode(e);
+        (earliest_data, transitions, transitions_total).encode(e);
     }
 }
 

@@ -385,148 +385,156 @@ pub fn analyze_dir_with(dir: &Path, par: Parallelism) -> io::Result<Analysis> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use logmodel::{Epoch, LogSource, TsMs};
+    use logmodel::{Epoch, LogSource, NodeId, TsMs};
 
-    /// Assemble a miniature but complete two-app log corpus by hand and
-    /// run the full pipeline on it.
+    /// Append one complete application — SUBMITTED → … → first task →
+    /// unregister, with known delays (total 10.9 s) — to `s`, its clock
+    /// starting at `base`.
+    fn push_one_app(s: &mut LogStore, seq: u32, base: u64) {
+        let a = ApplicationId::new(s.epoch().unix_ms, seq);
+        let am = a.attempt(1).container(1);
+        let ex = a.attempt(1).container(2);
+        let rm = LogSource::ResourceManager;
+        s.info(
+            rm,
+            TsMs(base + 100),
+            "RMAppImpl",
+            format!("{a} State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED"),
+        );
+        s.info(
+            rm,
+            TsMs(base + 120),
+            "RMAppImpl",
+            format!("{a} State change from SUBMITTED to ACCEPTED on event = APP_ACCEPTED"),
+        );
+        s.info(
+            rm,
+            TsMs(base + 150),
+            "RMContainerImpl",
+            format!("{am} Container Transitioned from NEW to ALLOCATED"),
+        );
+        s.info(
+            rm,
+            TsMs(base + 151),
+            "RMContainerImpl",
+            format!("{am} Container Transitioned from ALLOCATED to ACQUIRED"),
+        );
+        let nm = LogSource::NodeManager(NodeId(1));
+        s.info(
+            nm,
+            TsMs(base + 160),
+            "ContainerImpl",
+            format!("Container {am} transitioned from NEW to LOCALIZING"),
+        );
+        s.info(
+            nm,
+            TsMs(base + 700),
+            "ContainerImpl",
+            format!("Container {am} transitioned from LOCALIZING to SCHEDULED"),
+        );
+        s.info(
+            nm,
+            TsMs(base + 705),
+            "ContainerImpl",
+            format!("Container {am} transitioned from SCHEDULED to RUNNING"),
+        );
+        let drv = LogSource::Driver(a);
+        s.info(
+            drv,
+            TsMs(base + 1400),
+            "ApplicationMaster",
+            format!("Starting ApplicationMaster for tpch-q{seq:02}"),
+        );
+        s.info(
+            drv,
+            TsMs(base + 4400),
+            "ApplicationMaster",
+            "Registered with ResourceManager as attempt",
+        );
+        s.info(
+            rm,
+            TsMs(base + 4400),
+            "RMAppImpl",
+            format!("{a} State change from ACCEPTED to RUNNING on event = ATTEMPT_REGISTERED"),
+        );
+        s.info(
+            drv,
+            TsMs(base + 4401),
+            "YarnAllocator",
+            "START_ALLO Requesting 1 executor containers",
+        );
+        s.info(
+            rm,
+            TsMs(base + 4500),
+            "RMContainerImpl",
+            format!("{ex} Container Transitioned from NEW to ALLOCATED"),
+        );
+        s.info(
+            rm,
+            TsMs(base + 5400),
+            "RMContainerImpl",
+            format!("{ex} Container Transitioned from ALLOCATED to ACQUIRED"),
+        );
+        s.info(
+            drv,
+            TsMs(base + 5400),
+            "YarnAllocator",
+            "END_ALLO All 1 requested executor containers allocated",
+        );
+        s.info(
+            nm,
+            TsMs(base + 5420),
+            "ContainerImpl",
+            format!("Container {ex} transitioned from NEW to LOCALIZING"),
+        );
+        s.info(
+            nm,
+            TsMs(base + 5920),
+            "ContainerImpl",
+            format!("Container {ex} transitioned from LOCALIZING to SCHEDULED"),
+        );
+        s.info(
+            nm,
+            TsMs(base + 5925),
+            "ContainerImpl",
+            format!("Container {ex} transitioned from SCHEDULED to RUNNING"),
+        );
+        let exl = LogSource::Executor(ex);
+        s.info(
+            exl,
+            TsMs(base + 6625),
+            "CoarseGrainedExecutorBackend",
+            "Started executor",
+        );
+        s.info(
+            exl,
+            TsMs(base + 11_000),
+            "Executor",
+            "Got assigned task 0 in stage 0.0 (TID 0)",
+        );
+        s.info(
+            rm,
+            TsMs(base + 40_100),
+            "RMAppImpl",
+            format!(
+                "{a} State change from RUNNING to FINAL_SAVING on event = ATTEMPT_UNREGISTERED"
+            ),
+        );
+    }
+
+    /// A complete one-app corpus, shared with the incremental tests.
+    pub(crate) fn one_app_corpus(seq: u32, base: u64) -> LogStore {
+        let mut s = LogStore::new(Epoch::default_run());
+        push_one_app(&mut s, seq, base);
+        s
+    }
+
+    /// A miniature but complete two-app corpus, a minute apart.
     fn mini_corpus() -> LogStore {
-        let epoch = Epoch::default_run();
-        let mut s = LogStore::new(epoch);
-        let cts = epoch.unix_ms;
-        for seq in 1..=2u32 {
-            let a = ApplicationId::new(cts, seq);
-            let base = (seq as u64 - 1) * 60_000;
-            let am = a.attempt(1).container(1);
-            let ex = a.attempt(1).container(2);
-            let rm = LogSource::ResourceManager;
-            s.info(
-                rm,
-                TsMs(base + 100),
-                "RMAppImpl",
-                format!("{a} State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED"),
-            );
-            s.info(
-                rm,
-                TsMs(base + 120),
-                "RMAppImpl",
-                format!("{a} State change from SUBMITTED to ACCEPTED on event = APP_ACCEPTED"),
-            );
-            s.info(
-                rm,
-                TsMs(base + 150),
-                "RMContainerImpl",
-                format!("{am} Container Transitioned from NEW to ALLOCATED"),
-            );
-            s.info(
-                rm,
-                TsMs(base + 151),
-                "RMContainerImpl",
-                format!("{am} Container Transitioned from ALLOCATED to ACQUIRED"),
-            );
-            let nm = LogSource::NodeManager(logmodel::NodeId(seq));
-            s.info(
-                nm,
-                TsMs(base + 160),
-                "ContainerImpl",
-                format!("Container {am} transitioned from NEW to LOCALIZING"),
-            );
-            s.info(
-                nm,
-                TsMs(base + 700),
-                "ContainerImpl",
-                format!("Container {am} transitioned from LOCALIZING to SCHEDULED"),
-            );
-            s.info(
-                nm,
-                TsMs(base + 705),
-                "ContainerImpl",
-                format!("Container {am} transitioned from SCHEDULED to RUNNING"),
-            );
-            let drv = LogSource::Driver(a);
-            s.info(
-                drv,
-                TsMs(base + 1400),
-                "ApplicationMaster",
-                format!("Starting ApplicationMaster for tpch-q{seq:02}"),
-            );
-            s.info(
-                drv,
-                TsMs(base + 4400),
-                "ApplicationMaster",
-                "Registered with ResourceManager as attempt",
-            );
-            s.info(
-                rm,
-                TsMs(base + 4400),
-                "RMAppImpl",
-                format!("{a} State change from ACCEPTED to RUNNING on event = ATTEMPT_REGISTERED"),
-            );
-            s.info(
-                drv,
-                TsMs(base + 4401),
-                "YarnAllocator",
-                "START_ALLO Requesting 1 executor containers",
-            );
-            s.info(
-                rm,
-                TsMs(base + 4500),
-                "RMContainerImpl",
-                format!("{ex} Container Transitioned from NEW to ALLOCATED"),
-            );
-            s.info(
-                rm,
-                TsMs(base + 5400),
-                "RMContainerImpl",
-                format!("{ex} Container Transitioned from ALLOCATED to ACQUIRED"),
-            );
-            s.info(
-                drv,
-                TsMs(base + 5400),
-                "YarnAllocator",
-                "END_ALLO All 1 requested executor containers allocated",
-            );
-            s.info(
-                nm,
-                TsMs(base + 5420),
-                "ContainerImpl",
-                format!("Container {ex} transitioned from NEW to LOCALIZING"),
-            );
-            s.info(
-                nm,
-                TsMs(base + 5920),
-                "ContainerImpl",
-                format!("Container {ex} transitioned from LOCALIZING to SCHEDULED"),
-            );
-            s.info(
-                nm,
-                TsMs(base + 5925),
-                "ContainerImpl",
-                format!("Container {ex} transitioned from SCHEDULED to RUNNING"),
-            );
-            let exl = LogSource::Executor(ex);
-            s.info(
-                exl,
-                TsMs(base + 6625),
-                "CoarseGrainedExecutorBackend",
-                "Started executor",
-            );
-            s.info(
-                exl,
-                TsMs(base + 11_000),
-                "Executor",
-                "Got assigned task 0 in stage 0.0 (TID 0)",
-            );
-            s.info(
-                rm,
-                TsMs(base + 40_100),
-                "RMAppImpl",
-                format!(
-                    "{a} State change from RUNNING to FINAL_SAVING on event = ATTEMPT_UNREGISTERED"
-                ),
-            );
-        }
+        let mut s = one_app_corpus(1, 0);
+        push_one_app(&mut s, 2, 60_000);
         s
     }
 

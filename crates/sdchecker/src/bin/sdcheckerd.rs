@@ -318,6 +318,10 @@ fn describe_daemon_metrics() {
         "Checkpoints written by this daemon lineage (survives restarts)",
     );
     obs::describe(
+        "sd_checkpoint_write_errors_total",
+        "Checkpoint saves that failed (the previous generations stay on disk)",
+    );
+    obs::describe(
         "sd_checkpoint_recoveries_total",
         "Restarts this daemon lineage has survived via checkpoint restore",
     );
@@ -547,9 +551,10 @@ impl PollLoop {
     }
 
     /// Serialize the full daemon state into the checkpoint store. A
-    /// failed save is loud but non-fatal — the previous generation is
-    /// still on disk. A successful one re-publishes the current snapshot
-    /// with only its checkpoint status replaced; nothing is re-rendered.
+    /// failed save is loud, counted (`sd_checkpoint_write_errors_total`)
+    /// and non-fatal — the previous generation is still on disk. A
+    /// successful one re-publishes the current snapshot with only its
+    /// checkpoint status replaced; nothing is re-rendered.
     fn save_checkpoint(
         &mut self,
         store: &CheckpointStore,
@@ -580,7 +585,10 @@ impl PollLoop {
                     ..(*shared.load()).clone()
                 });
             }
-            Err(e) => eprintln!("sdcheckerd: checkpoint save failed: {e}"),
+            Err(e) => {
+                obs::count("sd_checkpoint_write_errors_total", 1);
+                eprintln!("sdcheckerd: checkpoint save failed: {e}");
+            }
         }
     }
 }
@@ -1236,17 +1244,18 @@ mod tests {
         assert!(doc.get("age_ms").unwrap().as_f64().is_some());
     }
 
-    #[test]
-    fn first_snapshot_of_a_resumed_daemon_is_the_restored_state() {
-        let dir = std::env::temp_dir().join(format!("sdcheckerd_unit_{}", std::process::id()));
+    /// The faulty fleet written to `<tmp>/logs` and polled once by a
+    /// default-configured loop without alerts; plus that configuration's
+    /// fingerprint.
+    fn polled_fleet(name: &str) -> (PathBuf, PollLoop, CfgFingerprint) {
+        let dir = std::env::temp_dir().join(format!("sdcheckerd_{name}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut logs = logmodel::LogStore::new(logmodel::Epoch::default_run());
         common::populate_faulty_fleet(&mut logs);
         logs.write_dir(&dir.join("logs")).unwrap();
 
         let cfg = IncrementalConfig::default();
-        let fingerprint = fingerprint(&cfg, false, 0);
-        let mut killed = PollLoop {
+        let mut lp = PollLoop {
             tailer: DirTailer::new(&dir.join("logs")).unwrap(),
             analyzer: IncrementalAnalyzer::new(cfg),
             engine: None,
@@ -1255,8 +1264,14 @@ mod tests {
             last_progress: Instant::now(),
             ckpt: CkptStatus::default(),
         };
-        let batch = killed.tailer.poll().unwrap();
-        killed.ingest(&batch);
+        let batch = lp.tailer.poll().unwrap();
+        lp.ingest(&batch);
+        (dir, lp, fingerprint(&cfg, false, 0))
+    }
+
+    #[test]
+    fn first_snapshot_of_a_resumed_daemon_is_the_restored_state() {
+        let (dir, mut killed, fingerprint) = polled_fleet("unit");
         assert_eq!(killed.analyzer.finish().len(), 3);
         let store = CheckpointStore::open(&dir.join("ckpt")).unwrap();
         let shared = Shared {
@@ -1282,6 +1297,48 @@ mod tests {
         assert_eq!(fleet.get("retired").unwrap().as_f64(), Some(3.0));
         assert!(!first.exemplars.traces.is_empty());
         assert_eq!(first.exemplars.traces, shared.load().exemplars.traces);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_save_is_counted_and_costs_no_generation() {
+        let (dir, mut lp, fingerprint) = polled_fleet("enospc");
+        let store = CheckpointStore::open(&dir.join("ckpt")).unwrap();
+        let shared = Shared {
+            published: Mutex::new(Arc::new(lp.publish(None, &lp.tailer.lag(), true))),
+            started: Instant::now(),
+        };
+        let load = |store| checkpoint::load(store, &dir.join("logs"), &fingerprint, None);
+        let errors = || {
+            obs::global()
+                .snapshot()
+                .counter("sd_checkpoint_write_errors_total")
+        };
+        obs::enable();
+        lp.save_checkpoint(&store, &shared, &fingerprint, 10);
+        lp.save_checkpoint(&store, &shared, &fingerprint, 20);
+        assert_eq!((lp.ckpt.writes_total, errors()), (2, 0));
+
+        // The scratch name is taken by a directory: the write fails the
+        // way a full disk fails it, before either generation is touched.
+        let tmp = store.current_path().with_file_name("checkpoint-v1.tmp");
+        std::fs::create_dir(&tmp).unwrap();
+        lp.save_checkpoint(&store, &shared, &fingerprint, 30);
+        assert_eq!((lp.ckpt.writes_total, errors()), (2, 1));
+        assert_eq!(shared.load().ckpt.writes_total, 2);
+        let (current, warnings) = load(&store);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(current.expect("current survives").wide_bytes, 20);
+        std::fs::remove_file(store.current_path()).unwrap();
+        let (previous, _) = load(&store);
+        let previous = previous.expect("previous survives");
+        assert_eq!((previous.generation, previous.wide_bytes), ("previous", 10));
+
+        // Space comes back: the next save goes through.
+        std::fs::remove_dir(&tmp).unwrap();
+        lp.save_checkpoint(&store, &shared, &fingerprint, 40);
+        assert_eq!((lp.ckpt.writes_total, errors()), (3, 1));
+        assert_eq!(load(&store).0.expect("new current").wide_bytes, 40);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

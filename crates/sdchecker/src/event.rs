@@ -2,7 +2,10 @@
 //! lines, corresponding to Table I of the paper (plus the terminal states
 //! needed for job-runtime and bug analysis).
 
-use logmodel::{ApplicationId, ContainerId, LogSource, NodeId, TsMs};
+use logmodel::{AppAttemptId, ApplicationId, ContainerId, LogSource, NodeId, TsMs};
+
+use crate::checkpoint::CkptError;
+use crate::wire::{corrupt, wire_struct, Dec, Decode, Enc, Encode};
 
 /// The identified scheduling-event kinds. Numbers in the doc comments are
 /// the paper's Table-I log-message numbers.
@@ -137,6 +140,43 @@ impl EventKind {
         })
     }
 
+    /// The kind's number in a checkpoint: its position in [`Self::ALL`],
+    /// spelled out so that a new variant does not compile until it is
+    /// given one (appended — the numbers below are `checkpoint-v1`).
+    fn wire_id(self) -> u8 {
+        use EventKind::*;
+        match self {
+            AppSubmitted => 0,
+            AppAccepted => 1,
+            AttemptRegistered => 2,
+            AppUnregistered => 3,
+            AppFinished => 4,
+            AppFailed => 5,
+            AppKilled => 6,
+            ContainerAllocated => 7,
+            ContainerAcquired => 8,
+            ContainerRmRunning => 9,
+            ContainerCompleted => 10,
+            ContainerLocalizing => 11,
+            ContainerScheduled => 12,
+            ContainerNmRunning => 13,
+            ContainerDone => 14,
+            DriverFirstLog => 15,
+            DriverRegistered => 16,
+            StartAllo => 17,
+            EndAllo => 18,
+            ExecutorFirstLog => 19,
+            TaskAssigned => 20,
+        }
+    }
+
+    /// Whether this kind ends an application's life (the retirement
+    /// anchor of the incremental pipeline).
+    pub(crate) fn is_terminal(self) -> bool {
+        use EventKind::*;
+        matches!(self, AppUnregistered | AppFinished | AppFailed | AppKilled)
+    }
+
     /// Whether the event comes from cluster-scheduler (YARN) logs, as
     /// opposed to application (Spark) logs.
     pub fn is_cluster_side(self) -> bool {
@@ -171,9 +211,115 @@ pub struct SchedEvent {
     pub source: LogSource,
 }
 
+// Checkpoint layouts (`checkpoint-v1`; see `crate::wire` for the
+// rules). The logmodel id types are laid out here, beside the event that
+// carries all of them.
+
+impl Encode for EventKind {
+    fn encode(&self, e: &mut Enc) {
+        e.u8(self.wire_id());
+    }
+}
+
+impl Decode for EventKind {
+    fn decode(d: &mut Dec<'_>) -> Result<EventKind, CkptError> {
+        let id = d.u8()?;
+        EventKind::ALL
+            .get(usize::from(id))
+            .copied()
+            .ok_or_else(|| corrupt(format!("invalid event-kind discriminant {id}")))
+    }
+}
+
+impl Encode for TsMs {
+    fn encode(&self, e: &mut Enc) {
+        let TsMs(ms) = self;
+        ms.encode(e);
+    }
+}
+
+impl Decode for TsMs {
+    fn decode(d: &mut Dec<'_>) -> Result<TsMs, CkptError> {
+        Ok(TsMs(d.get()?))
+    }
+}
+
+impl Encode for NodeId {
+    fn encode(&self, e: &mut Enc) {
+        let NodeId(n) = self;
+        n.encode(e);
+    }
+}
+
+impl Decode for NodeId {
+    fn decode(d: &mut Dec<'_>) -> Result<NodeId, CkptError> {
+        Ok(NodeId(d.get()?))
+    }
+}
+
+wire_struct!(ApplicationId { cluster_ts, seq });
+
+impl Encode for ContainerId {
+    fn encode(&self, e: &mut Enc) {
+        let ContainerId {
+            attempt: AppAttemptId { app, attempt },
+            seq,
+        } = self;
+        (app, attempt, seq).encode(e);
+    }
+}
+
+impl Decode for ContainerId {
+    fn decode(d: &mut Dec<'_>) -> Result<ContainerId, CkptError> {
+        let (app, attempt, seq) = d.get()?;
+        Ok(ContainerId {
+            attempt: AppAttemptId { app, attempt },
+            seq,
+        })
+    }
+}
+
+/// A source travels as its relative path — the one spelling that both
+/// the tailer's file table and the corpus layout already agree on.
+impl Encode for LogSource {
+    fn encode(&self, e: &mut Enc) {
+        self.rel_path().encode(e);
+    }
+}
+
+impl Decode for LogSource {
+    fn decode(d: &mut Dec<'_>) -> Result<LogSource, CkptError> {
+        let rel: String = d.get()?;
+        LogSource::from_rel_path(&rel).ok_or_else(|| corrupt(format!("unknown log source {rel:?}")))
+    }
+}
+
+wire_struct!(SchedEvent {
+    ts,
+    kind,
+    app,
+    container,
+    node,
+    source,
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The discriminant is exhaustive by construction (`wire_id` is a
+    /// `match`); this pins its values to the `ALL` positions that
+    /// `checkpoint-v1` files already hold, and the way back.
+    #[test]
+    fn wire_discriminants_are_the_all_positions_and_round_trip() {
+        for (i, k) in EventKind::ALL.into_iter().enumerate() {
+            let bytes = Enc::payload(&k);
+            assert_eq!(bytes, [i as u8], "{k:?}");
+            assert_eq!(Dec::new(&bytes).get::<EventKind>().unwrap(), k);
+        }
+        let past = [EventKind::ALL.len() as u8];
+        assert!(Dec::new(&past).get::<EventKind>().is_err());
+    }
 
     #[test]
     fn table1_numbers_cover_paper() {

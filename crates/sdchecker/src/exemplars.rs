@@ -27,11 +27,14 @@ use logmodel::{ApplicationId, TsMs};
 use obs::export::TraceEvents;
 use obs::json::escape;
 
+use crate::analyze::analyze_app_events;
 use crate::apptrace::app_trace_into;
-use crate::critical::CriticalPath;
+use crate::checkpoint::CkptError;
+use crate::critical::{critical_path, CriticalPath};
 use crate::decompose::{AppDelays, APP_COMPONENTS};
 use crate::event::SchedEvent;
 use crate::graph::build_graphs;
+use crate::wire::{corrupt, Dec, Decode, Enc, Encode};
 
 /// Schema tag of the `/exemplars` index document.
 pub const EXEMPLARS_SCHEMA: &str = "sdcheckerd-exemplars-v1";
@@ -58,35 +61,41 @@ pub struct PromotedApp {
     pub retire_ms: TsMs,
 }
 
-/// Plain serializable image of a [`TailExemplars`] reservoir, for
-/// checkpointing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ExemplarsSnapshot {
-    /// Configured slot count the snapshot was taken under.
-    pub k: u64,
-    /// Change counter at snapshot time.
-    pub generation: u64,
-    /// Per-component rankings, in [`APP_COMPONENTS`] order.
-    pub tops: Vec<Vec<(u64, ApplicationId)>>,
-    /// Promoted apps' primary evidence, ascending app id.
-    pub promoted: Vec<PromotedSnapshot>,
+/// A promoted app's checkpoint is its primary evidence only. The
+/// analysis is recomputed from the events on restore — the per-app unit
+/// is deterministic, so recompute-over-serialize shrinks the checkpoint
+/// and cannot drift from the code that would have produced it.
+impl Encode for PromotedApp {
+    fn encode(&self, e: &mut Enc) {
+        let PromotedApp {
+            app,
+            name,
+            delays: _,   // recomputed from `events`
+            critical: _, // recomputed from `events`
+            events,
+            forced,
+            retire_ms,
+        } = self;
+        (app, name, events).encode(e);
+        (forced, retire_ms).encode(e);
+    }
 }
 
-/// One promoted app's entry in an [`ExemplarsSnapshot`]: the evidence
-/// that cannot be recomputed. Delays and critical path are derived from
-/// `events` on restore.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PromotedSnapshot {
-    /// The application.
-    pub app: ApplicationId,
-    /// Mined display name, if seen.
-    pub name: Option<String>,
-    /// The app's extracted events, sorted `(ts, source)`.
-    pub events: Vec<SchedEvent>,
-    /// Idle-timeout retirement.
-    pub forced: bool,
-    /// Logical retirement instant (log time).
-    pub retire_ms: TsMs,
+impl Decode for PromotedApp {
+    fn decode(d: &mut Dec<'_>) -> Result<PromotedApp, CkptError> {
+        let (app, name, events): (_, _, Vec<SchedEvent>) = d.get()?;
+        let (forced, retire_ms) = d.get()?;
+        let (graph, delays, _) = analyze_app_events(app, &events);
+        Ok(PromotedApp {
+            app,
+            name,
+            delays,
+            critical: critical_path(&graph),
+            events,
+            forced,
+            retire_ms,
+        })
+    }
 }
 
 /// Bounded top-K reservoir of worst apps per delay component. See the
@@ -288,71 +297,29 @@ impl TailExemplars {
         out
     }
 
-    /// Capture the reservoir for a checkpoint. Promoted apps keep only
-    /// their primary evidence (events, name, retirement facts); the
-    /// derived analysis (delays, critical path) is recomputed on restore
-    /// rather than serialized — the per-app analysis unit is
-    /// deterministic, so recompute-over-serialize shrinks the checkpoint
-    /// and cannot drift from the code that would have produced it.
-    pub(crate) fn snapshot(&self) -> ExemplarsSnapshot {
-        ExemplarsSnapshot {
-            k: self.k as u64,
-            generation: self.generation,
-            tops: self.tops.clone(),
-            promoted: self
-                .promoted
-                .values()
-                .map(|p| PromotedSnapshot {
-                    app: p.app,
-                    name: p.name.clone(),
-                    events: p.events.clone(),
-                    forced: p.forced,
-                    retire_ms: p.retire_ms,
-                })
-                .collect(),
+    /// Rebuild a reservoir from its checkpoint. `k` is the configured
+    /// slot count; state saved under a different one is rejected.
+    pub(crate) fn decode(d: &mut Dec<'_>, k: usize) -> Result<TailExemplars, CkptError> {
+        let (saved_k, generation): (u64, u64) = d.get()?;
+        if saved_k != k as u64 {
+            return Err(corrupt(format!(
+                "checkpoint has {saved_k} exemplar slots, configured {k}"
+            )));
         }
-    }
-
-    /// Rebuild a reservoir from a checkpointed snapshot, recomputing
-    /// each promoted app's decomposition and critical path from its
-    /// retained events. `k` is the configured slot count; a snapshot
-    /// taken under a different configuration is rejected.
-    pub(crate) fn from_snapshot(
-        k: usize,
-        snap: ExemplarsSnapshot,
-    ) -> Result<TailExemplars, String> {
-        if snap.k != k as u64 {
-            return Err(format!("snapshot has {} slots, configured {}", snap.k, k));
-        }
-        if snap.tops.len() != APP_COMPONENTS.len() {
-            return Err(format!(
-                "snapshot has {} component rankings, expected {}",
-                snap.tops.len(),
+        let tops: Vec<Vec<(u64, ApplicationId)>> = d.get()?;
+        if tops.len() != APP_COMPONENTS.len() {
+            return Err(corrupt(format!(
+                "checkpoint has {} component rankings, expected {}",
+                tops.len(),
                 APP_COMPONENTS.len()
-            ));
+            )));
         }
-        let mut promoted = BTreeMap::new();
-        for p in snap.promoted {
-            let (graph, delays, _) = crate::analyze::analyze_app_events(p.app, &p.events);
-            let critical = crate::critical::critical_path(&graph);
-            promoted.insert(
-                p.app,
-                PromotedApp {
-                    app: p.app,
-                    name: p.name,
-                    delays,
-                    critical,
-                    events: p.events,
-                    forced: p.forced,
-                    retire_ms: p.retire_ms,
-                },
-            );
-        }
+        let promoted: Vec<PromotedApp> = d.get()?;
         Ok(TailExemplars {
             k,
-            tops: snap.tops,
-            promoted,
-            generation: snap.generation,
+            tops,
+            promoted: promoted.into_iter().map(|p| (p.app, p)).collect(),
+            generation,
         })
     }
 
@@ -366,6 +333,20 @@ impl TailExemplars {
         let mut t = TraceEvents::new();
         app_trace_into(&mut t, g, app.seq as u64, p.name.as_deref());
         Some(t.finish())
+    }
+}
+
+impl Encode for TailExemplars {
+    fn encode(&self, e: &mut Enc) {
+        let TailExemplars {
+            k,
+            tops,
+            promoted,
+            generation,
+        } = self;
+        (k, generation, tops).encode(e);
+        // Keyed by the app id each entry already leads with.
+        e.seq(promoted.values());
     }
 }
 

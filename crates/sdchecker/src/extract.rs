@@ -12,8 +12,10 @@ use std::collections::BTreeMap;
 
 use logmodel::{scan_ids, ApplicationId, ContainerId, LogRecord, LogSource, NodeId, Parallelism};
 
+use crate::checkpoint::CkptError;
 use crate::event::{EventKind, SchedEvent};
 use crate::pattern::Pat;
+use crate::wire::{corrupt, wire_struct, Dec, Decode, Enc, Encode};
 
 /// The full RMApp state alphabet (hadoop `RMAppState`). Transitions into
 /// any of these that carry no Table-I meaning (e.g. NEW → NEW_SAVING) are
@@ -119,6 +121,13 @@ impl CoverageCounts {
     }
 }
 
+wire_struct!(CoverageCounts {
+    matched,
+    unmatched,
+    anomalous,
+    ignored,
+});
+
 /// Coverage granularity: the four log families of the corpus layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SourceKind {
@@ -168,6 +177,30 @@ impl SourceKind {
     /// no such signal, so only RM/NM coverage gates delay trust.
     pub fn is_scheduling_relevant(self) -> bool {
         matches!(self, SourceKind::ResourceManager | SourceKind::NodeManager)
+    }
+}
+
+/// The family's number in a checkpoint is its position in
+/// [`SourceKind::ALL`], spelled out so that a new variant does not
+/// compile until it is given one.
+impl Encode for SourceKind {
+    fn encode(&self, e: &mut Enc) {
+        e.u8(match self {
+            SourceKind::ResourceManager => 0,
+            SourceKind::NodeManager => 1,
+            SourceKind::Driver => 2,
+            SourceKind::Executor => 3,
+        });
+    }
+}
+
+impl Decode for SourceKind {
+    fn decode(d: &mut Dec<'_>) -> Result<SourceKind, CkptError> {
+        let id = d.u8()?;
+        SourceKind::ALL
+            .get(usize::from(id))
+            .copied()
+            .ok_or_else(|| corrupt(format!("invalid source-kind discriminant {id}")))
     }
 }
 
@@ -264,6 +297,11 @@ impl ParseCoverage {
     }
 }
 
+wire_struct!(ParseCoverage {
+    per_source,
+    unmatched_examples,
+});
+
 /// Incremental extraction position within one log stream.
 ///
 /// The only cross-record state extraction needs is *whether the stream
@@ -290,18 +328,10 @@ impl StreamCursor {
     pub fn source(&self) -> LogSource {
         self.source
     }
-
-    /// Whether the stream has produced a record yet (the only
-    /// cross-record state; checkpoints persist it).
-    pub(crate) fn seen_first(&self) -> bool {
-        self.seen_first
-    }
-
-    /// Rebuild a cursor mid-stream from checkpointed state.
-    pub(crate) fn resume(source: LogSource, seen_first: bool) -> StreamCursor {
-        StreamCursor { source, seen_first }
-    }
 }
+
+// The checkpoint persists `seen_first`, the only cross-record state.
+wire_struct!(StreamCursor { source, seen_first });
 
 /// Compiled rule set for all Table-I messages.
 pub struct Extractor {
@@ -1174,6 +1204,17 @@ mod tests {
             let (_, c2) = extract_all_cov_with(&store, Parallelism::new(threads));
             assert_eq!(c2, cov, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn source_kind_wire_discriminants_are_the_all_positions_and_round_trip() {
+        for (i, k) in SourceKind::ALL.into_iter().enumerate() {
+            let bytes = Enc::payload(&k);
+            assert_eq!(bytes, [i as u8], "{k:?}");
+            assert_eq!(Dec::new(&bytes).get::<SourceKind>().unwrap(), k);
+        }
+        let past = [SourceKind::ALL.len() as u8];
+        assert!(Dec::new(&past).get::<SourceKind>().is_err());
     }
 
     #[test]

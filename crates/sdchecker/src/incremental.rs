@@ -41,14 +41,16 @@ use logmodel::{ApplicationId, LogRecord, LogSource, TsMs};
 use obs::QuantileSketch;
 
 use crate::analyze::{analyze_app_events, stream_one_delay_sketches};
+use crate::checkpoint::CkptError;
 use crate::critical::{critical_path, SEGMENT_COMPONENTS};
 use crate::decompose::{AppDelays, AppOutcome, APP_COMPONENTS, CONTAINER_COMPONENTS};
-use crate::event::{EventKind, SchedEvent};
-use crate::exemplars::{ExemplarsSnapshot, PromotedApp, TailExemplars};
+use crate::event::SchedEvent;
+use crate::exemplars::{PromotedApp, TailExemplars};
 use crate::extract::{CoverageCounts, Extractor, Outcome, ParseCoverage, SourceKind, StreamCursor};
 use crate::pattern::Pat;
 use crate::tail::{TailLag, TailStats};
 use crate::wide::{wide_event_line, WideEventInput};
+use crate::wire::{corrupt, Dec, Decode, Enc, Encode};
 
 /// Retirement policy for the incremental pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -85,6 +87,41 @@ struct AppState {
     terminal_ts: Option<TsMs>,
     /// Latest event timestamp (idle detection).
     last_event_ts: Option<TsMs>,
+}
+
+impl AppState {
+    /// Buffer one event, folding it into the retirement anchors.
+    fn push(&mut self, ev: SchedEvent) {
+        if ev.kind.is_terminal() {
+            self.terminal_ts = Some(self.terminal_ts.map_or(ev.ts, |t| t.max(ev.ts)));
+        }
+        self.last_event_ts = Some(self.last_event_ts.map_or(ev.ts, |t| t.max(ev.ts)));
+        self.events.push(ev);
+    }
+}
+
+/// An in-flight app's checkpoint is its events, verbatim and in ingest
+/// order (so the retirement-time stable sort reproduces exactly); the
+/// anchors are re-folded from them on restore.
+impl Encode for AppState {
+    fn encode(&self, e: &mut Enc) {
+        let AppState {
+            events,
+            terminal_ts: _,   // max-fold over `events`
+            last_event_ts: _, // max-fold over `events`
+        } = self;
+        events.encode(e);
+    }
+}
+
+impl Decode for AppState {
+    fn decode(d: &mut Dec<'_>) -> Result<AppState, CkptError> {
+        let mut state = AppState::default();
+        for ev in d.get::<Vec<SchedEvent>>()? {
+            state.push(ev);
+        }
+        Ok(state)
+    }
 }
 
 /// A retired application: the per-app analysis the batch pipeline would
@@ -156,77 +193,98 @@ impl FleetAgg {
     }
 }
 
-/// Plain serializable image of an [`IncrementalAnalyzer`], for
-/// checkpointing. Everything here is primary state: per-app event
-/// buffers are kept verbatim (in ingest order, so the retirement-time
-/// stable sort reproduces exactly), while anything derivable — terminal
-/// and last-event timestamps, promoted-app analyses — is recomputed on
-/// restore.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct AnalyzerSnapshot {
-    /// Per-stream cursor state: `(source, seen_first)`.
-    pub cursors: Vec<(LogSource, bool)>,
-    /// Per-family coverage tallies.
-    pub coverage: Vec<(SourceKind, CoverageCounts)>,
-    /// Per-family first unmatched example.
-    pub unmatched_examples: Vec<(SourceKind, String)>,
-    /// In-flight apps' buffered events, ascending app id, events in
-    /// ingest order.
-    pub apps: Vec<(ApplicationId, Vec<SchedEvent>)>,
-    /// Mined display names of in-flight apps.
-    pub names: Vec<(ApplicationId, String)>,
-    /// Every app retired so far (exactly-once accounting).
-    pub retired_ids: Vec<ApplicationId>,
-    /// Events that arrived after their app retired.
-    pub late_events: u64,
-    /// Newest record timestamp ingested.
-    pub watermark: Option<TsMs>,
-    /// Fleet aggregates.
-    pub fleet: FleetSnapshot,
-    /// Tail-exemplar reservoir.
-    pub exemplars: ExemplarsSnapshot,
+/// A map keyed by `&'static str` travels with plain-string keys.
+/// Decoding interns each against `table` and rejects anything else, so
+/// a damaged checkpoint cannot forge a key.
+fn decode_interned<V: Decode>(
+    d: &mut Dec<'_>,
+    what: &str,
+    table: &[&'static str],
+) -> Result<BTreeMap<&'static str, V>, CkptError> {
+    d.get::<Vec<(String, V)>>()?
+        .into_iter()
+        .map(|(name, v)| match table.iter().find(|k| **k == name) {
+            Some(key) => Ok((*key, v)),
+            None => Err(corrupt(format!("unknown {what} {name:?}"))),
+        })
+        .collect()
 }
 
-/// Serializable image of the fleet aggregates. Outcome and blame keys
-/// are plain strings here; restore interns them against the static
-/// [`AppOutcome`] / [`SEGMENT_COMPONENTS`] tables and rejects unknown
-/// names as corruption.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct FleetSnapshot {
-    pub retired: u64,
-    pub complete: u64,
-    pub forced: u64,
-    pub outcomes: Vec<(String, u64)>,
-    pub retried_apps: u64,
-    pub wasted_ms_total: u64,
-    pub unused_containers: u64,
-    pub events_total: u64,
-    /// One serialized [`QuantileSketch`] per [`APP_COMPONENTS`] entry.
-    pub app_sketches: Vec<Vec<u8>>,
-    /// One serialized [`QuantileSketch`] per [`CONTAINER_COMPONENTS`]
-    /// entry.
-    pub container_sketches: Vec<Vec<u8>>,
-    /// Critical-path blame: `(component, count, sum_ms, sum_pct)`.
-    pub blame: Vec<(String, u64, u64, f64)>,
+/// The sketches travel as `obs::sketch`'s own versioned blob, opaque to
+/// this format.
+impl Encode for QuantileSketch {
+    fn encode(&self, e: &mut Enc) {
+        e.bytes(&self.to_bytes());
+    }
 }
 
-/// Look an outcome label up in the static [`AppOutcome`] table, so a
-/// deserialized key regains its `&'static str` identity.
-fn intern_outcome(label: &str) -> Option<&'static str> {
-    [
-        AppOutcome::Completed,
-        AppOutcome::Failed,
-        AppOutcome::Killed,
-        AppOutcome::Truncated,
-    ]
-    .iter()
-    .map(|o| o.label())
-    .find(|l| *l == label)
+impl Decode for QuantileSketch {
+    fn decode(d: &mut Dec<'_>) -> Result<QuantileSketch, CkptError> {
+        QuantileSketch::from_bytes(d.bytes()?).map_err(|e| corrupt(e.to_string()))
+    }
 }
 
-/// Look a blame key up in the static segment-component table.
-fn intern_component(name: &str) -> Option<&'static str> {
-    SEGMENT_COMPONENTS.iter().copied().find(|c| *c == name)
+impl Encode for FleetAgg {
+    fn encode(&self, e: &mut Enc) {
+        let FleetAgg {
+            retired,
+            complete,
+            forced,
+            outcomes,
+            retried_apps,
+            wasted_ms_total,
+            unused_containers,
+            events_total,
+            app_sketches,
+            container_sketches,
+            blame,
+        } = self;
+        (retired, complete, forced, outcomes).encode(e);
+        (retried_apps, wasted_ms_total).encode(e);
+        (unused_containers, events_total).encode(e);
+        (app_sketches, container_sketches, blame).encode(e);
+    }
+}
+
+impl Decode for FleetAgg {
+    fn decode(d: &mut Dec<'_>) -> Result<FleetAgg, CkptError> {
+        let (retired, complete, forced) = d.get()?;
+        let outcome_labels = [
+            AppOutcome::Completed,
+            AppOutcome::Failed,
+            AppOutcome::Killed,
+            AppOutcome::Truncated,
+        ]
+        .map(AppOutcome::label);
+        let outcomes = decode_interned(d, "outcome label", &outcome_labels)?;
+        let (retried_apps, wasted_ms_total, unused_containers, events_total) = d.get()?;
+        let (app_sketches, container_sketches): (Vec<_>, Vec<_>) = d.get()?;
+        if app_sketches.len() != APP_COMPONENTS.len()
+            || container_sketches.len() != CONTAINER_COMPONENTS.len()
+        {
+            return Err(corrupt(format!(
+                "checkpoint has {}/{} sketches, expected {}/{}",
+                app_sketches.len(),
+                container_sketches.len(),
+                APP_COMPONENTS.len(),
+                CONTAINER_COMPONENTS.len()
+            )));
+        }
+        let blame = decode_interned(d, "blame component", &SEGMENT_COMPONENTS)?;
+        Ok(FleetAgg {
+            retired,
+            complete,
+            forced,
+            outcomes,
+            retried_apps,
+            wasted_ms_total,
+            unused_containers,
+            events_total,
+            app_sketches,
+            container_sketches,
+            blame,
+        })
+    }
 }
 
 /// The incremental ingest → extract → analyze pipeline. See the module
@@ -322,18 +380,7 @@ impl IncrementalAnalyzer {
                 self.late_events += 1;
                 continue;
             }
-            let state = self.apps.entry(ev.app).or_default();
-            if matches!(
-                ev.kind,
-                EventKind::AppUnregistered
-                    | EventKind::AppFinished
-                    | EventKind::AppFailed
-                    | EventKind::AppKilled
-            ) {
-                state.terminal_ts = Some(state.terminal_ts.map_or(ev.ts, |t| t.max(ev.ts)));
-            }
-            state.last_event_ts = Some(state.last_event_ts.map_or(ev.ts, |t| t.max(ev.ts)));
-            state.events.push(ev);
+            self.apps.entry(ev.app).or_default().push(ev);
         }
         outcome
     }
@@ -552,149 +599,28 @@ impl IncrementalAnalyzer {
         &self.exemplars
     }
 
-    /// Capture the full pipeline state for a checkpoint.
-    pub(crate) fn snapshot(&self) -> AnalyzerSnapshot {
-        let f = &self.fleet;
-        AnalyzerSnapshot {
-            cursors: self
-                .cursors
-                .iter()
-                .map(|(src, cur)| (*src, cur.seen_first()))
-                .collect(),
-            coverage: self.cov.iter().collect(),
-            unmatched_examples: SourceKind::ALL
-                .iter()
-                .filter_map(|k| self.cov.unmatched_example(*k).map(|m| (*k, m.to_string())))
-                .collect(),
-            apps: self
-                .apps
-                .iter()
-                .map(|(app, state)| (*app, state.events.clone()))
-                .collect(),
-            names: self
-                .names
-                .iter()
-                .map(|(app, name)| (*app, name.clone()))
-                .collect(),
-            retired_ids: self.retired_ids.iter().copied().collect(),
-            late_events: self.late_events,
-            watermark: self.watermark,
-            fleet: FleetSnapshot {
-                retired: f.retired,
-                complete: f.complete,
-                forced: f.forced,
-                outcomes: f
-                    .outcomes
-                    .iter()
-                    .map(|(label, n)| (label.to_string(), *n))
-                    .collect(),
-                retried_apps: f.retried_apps,
-                wasted_ms_total: f.wasted_ms_total,
-                unused_containers: f.unused_containers,
-                events_total: f.events_total,
-                app_sketches: f.app_sketches.iter().map(|s| s.to_bytes()).collect(),
-                container_sketches: f.container_sketches.iter().map(|s| s.to_bytes()).collect(),
-                blame: f
-                    .blame
-                    .iter()
-                    .map(|(c, (n, ms, pct))| (c.to_string(), *n, *ms, *pct))
-                    .collect(),
-            },
-            exemplars: self.exemplars.snapshot(),
-        }
-    }
-
-    /// Rebuild a pipeline from a checkpointed snapshot under `cfg` (the
-    /// snapshot must have been taken under an equivalent configuration —
-    /// the checkpoint layer fingerprints that). Derived per-app state
-    /// (terminal/last-event timestamps) is recomputed by replaying the
-    /// same max-folds ingest performs; unknown outcome or blame names
-    /// are rejected so `&'static str` interning cannot be forged by a
-    /// corrupt checkpoint.
-    pub(crate) fn from_snapshot(
+    /// Rebuild a pipeline from its checkpoint under `cfg` (which must be
+    /// the configuration it was saved under — the checkpoint layer
+    /// fingerprints that).
+    pub(crate) fn decode(
+        d: &mut Dec<'_>,
         cfg: IncrementalConfig,
-        snap: AnalyzerSnapshot,
-    ) -> Result<IncrementalAnalyzer, String> {
-        let mut cursors = BTreeMap::new();
-        for (src, seen_first) in snap.cursors {
-            cursors.insert(src, StreamCursor::resume(src, seen_first));
-        }
-        let mut cov = ParseCoverage::default();
-        for (kind, counts) in snap.coverage {
-            cov.record(kind, counts);
-        }
-        for (kind, msg) in snap.unmatched_examples {
-            cov.note_unmatched_example(kind, msg);
-        }
-        let mut apps = BTreeMap::new();
-        for (app, events) in snap.apps {
-            let mut state = AppState::default();
-            for ev in &events {
-                if matches!(
-                    ev.kind,
-                    EventKind::AppUnregistered
-                        | EventKind::AppFinished
-                        | EventKind::AppFailed
-                        | EventKind::AppKilled
-                ) {
-                    state.terminal_ts = Some(state.terminal_ts.map_or(ev.ts, |t| t.max(ev.ts)));
-                }
-                state.last_event_ts = Some(state.last_event_ts.map_or(ev.ts, |t| t.max(ev.ts)));
-            }
-            state.events = events;
-            apps.insert(app, state);
-        }
-        let fs = snap.fleet;
-        let mut fleet = FleetAgg::new();
-        fleet.retired = fs.retired;
-        fleet.complete = fs.complete;
-        fleet.forced = fs.forced;
-        for (label, n) in fs.outcomes {
-            let interned =
-                intern_outcome(&label).ok_or_else(|| format!("unknown outcome label {label:?}"))?;
-            fleet.outcomes.insert(interned, n);
-        }
-        fleet.retried_apps = fs.retried_apps;
-        fleet.wasted_ms_total = fs.wasted_ms_total;
-        fleet.unused_containers = fs.unused_containers;
-        fleet.events_total = fs.events_total;
-        if fs.app_sketches.len() != fleet.app_sketches.len()
-            || fs.container_sketches.len() != fleet.container_sketches.len()
-        {
-            return Err(format!(
-                "snapshot has {}/{} sketches, expected {}/{}",
-                fs.app_sketches.len(),
-                fs.container_sketches.len(),
-                fleet.app_sketches.len(),
-                fleet.container_sketches.len()
-            ));
-        }
-        for (i, bytes) in fs.app_sketches.iter().enumerate() {
-            fleet.app_sketches[i] = QuantileSketch::from_bytes(bytes).map_err(|e| e.to_string())?;
-        }
-        for (i, bytes) in fs.container_sketches.iter().enumerate() {
-            fleet.container_sketches[i] =
-                QuantileSketch::from_bytes(bytes).map_err(|e| e.to_string())?;
-        }
-        for (component, n, ms, pct) in fs.blame {
-            let interned = intern_component(&component)
-                .ok_or_else(|| format!("unknown blame component {component:?}"))?;
-            fleet.blame.insert(interned, (n, ms, pct));
-        }
-        let exemplars = TailExemplars::from_snapshot(cfg.exemplar_slots, snap.exemplars)?;
+    ) -> Result<IncrementalAnalyzer, CkptError> {
+        let cursors: Vec<StreamCursor> = d.get()?;
+        let (cov, apps, names, retired_ids) = d.get()?;
+        let (late_events, watermark, fleet) = d.get()?;
+        let exemplars = TailExemplars::decode(d, cfg.exemplar_slots)?;
         Ok(IncrementalAnalyzer {
-            ex: Extractor::new(),
-            spark_name: Pat::new_static(crate::schema::SPARK_APP_NAME_TEMPLATE),
-            cfg,
-            cursors,
+            cursors: cursors.into_iter().map(|c| (c.source(), c)).collect(),
             cov,
             apps,
-            names: snap.names.into_iter().collect(),
-            retired_ids: snap.retired_ids.into_iter().collect(),
-            late_events: snap.late_events,
-            watermark: snap.watermark,
+            names,
+            retired_ids,
+            late_events,
+            watermark,
             fleet,
             exemplars,
+            ..IncrementalAnalyzer::new(cfg)
         })
     }
 
@@ -822,148 +748,35 @@ impl IncrementalAnalyzer {
     }
 }
 
+impl Encode for IncrementalAnalyzer {
+    fn encode(&self, e: &mut Enc) {
+        let IncrementalAnalyzer {
+            ex: _,         // compiled from the static rule table
+            spark_name: _, // compiled from a static template
+            cfg: _,        // configuration, fingerprinted in `meta`
+            cursors,
+            cov,
+            apps,
+            names,
+            retired_ids,
+            late_events,
+            watermark,
+            fleet,
+            exemplars,
+        } = self;
+        // Each cursor leads with the source it is keyed by.
+        e.seq(cursors.values());
+        (cov, apps, names, retired_ids).encode(e);
+        (late_events, watermark, fleet, exemplars).encode(e);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyze::analyze_store;
-    use logmodel::{Epoch, LogStore, NodeId};
-
-    /// A complete one-app corpus (the same event chain the analyze tests
-    /// use): SUBMITTED → … → first task → unregister.
-    fn one_app_corpus(seq: u32, base: u64) -> LogStore {
-        let epoch = Epoch::default_run();
-        let mut s = LogStore::new(epoch);
-        let a = ApplicationId::new(epoch.unix_ms, seq);
-        let am = a.attempt(1).container(1);
-        let ex = a.attempt(1).container(2);
-        let rm = LogSource::ResourceManager;
-        s.info(
-            rm,
-            TsMs(base + 100),
-            "RMAppImpl",
-            format!("{a} State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED"),
-        );
-        s.info(
-            rm,
-            TsMs(base + 120),
-            "RMAppImpl",
-            format!("{a} State change from SUBMITTED to ACCEPTED on event = APP_ACCEPTED"),
-        );
-        s.info(
-            rm,
-            TsMs(base + 150),
-            "RMContainerImpl",
-            format!("{am} Container Transitioned from NEW to ALLOCATED"),
-        );
-        s.info(
-            rm,
-            TsMs(base + 151),
-            "RMContainerImpl",
-            format!("{am} Container Transitioned from ALLOCATED to ACQUIRED"),
-        );
-        let nm = LogSource::NodeManager(NodeId(1));
-        s.info(
-            nm,
-            TsMs(base + 160),
-            "ContainerImpl",
-            format!("Container {am} transitioned from NEW to LOCALIZING"),
-        );
-        s.info(
-            nm,
-            TsMs(base + 700),
-            "ContainerImpl",
-            format!("Container {am} transitioned from LOCALIZING to SCHEDULED"),
-        );
-        s.info(
-            nm,
-            TsMs(base + 705),
-            "ContainerImpl",
-            format!("Container {am} transitioned from SCHEDULED to RUNNING"),
-        );
-        let drv = LogSource::Driver(a);
-        s.info(
-            drv,
-            TsMs(base + 1400),
-            "ApplicationMaster",
-            format!("Starting ApplicationMaster for tpch-q{seq:02}"),
-        );
-        s.info(
-            drv,
-            TsMs(base + 4400),
-            "ApplicationMaster",
-            "Registered with ResourceManager as attempt",
-        );
-        s.info(
-            rm,
-            TsMs(base + 4400),
-            "RMAppImpl",
-            format!("{a} State change from ACCEPTED to RUNNING on event = ATTEMPT_REGISTERED"),
-        );
-        s.info(
-            drv,
-            TsMs(base + 4401),
-            "YarnAllocator",
-            "START_ALLO Requesting 1 executor containers",
-        );
-        s.info(
-            rm,
-            TsMs(base + 4500),
-            "RMContainerImpl",
-            format!("{ex} Container Transitioned from NEW to ALLOCATED"),
-        );
-        s.info(
-            rm,
-            TsMs(base + 5400),
-            "RMContainerImpl",
-            format!("{ex} Container Transitioned from ALLOCATED to ACQUIRED"),
-        );
-        s.info(
-            drv,
-            TsMs(base + 5400),
-            "YarnAllocator",
-            "END_ALLO All 1 requested executor containers allocated",
-        );
-        s.info(
-            nm,
-            TsMs(base + 5420),
-            "ContainerImpl",
-            format!("Container {ex} transitioned from NEW to LOCALIZING"),
-        );
-        s.info(
-            nm,
-            TsMs(base + 5920),
-            "ContainerImpl",
-            format!("Container {ex} transitioned from LOCALIZING to SCHEDULED"),
-        );
-        s.info(
-            nm,
-            TsMs(base + 5925),
-            "ContainerImpl",
-            format!("Container {ex} transitioned from SCHEDULED to RUNNING"),
-        );
-        let exl = LogSource::Executor(ex);
-        s.info(
-            exl,
-            TsMs(base + 6625),
-            "CoarseGrainedExecutorBackend",
-            "Started executor",
-        );
-        s.info(
-            exl,
-            TsMs(base + 11_000),
-            "Executor",
-            "Got assigned task 0 in stage 0.0 (TID 0)",
-        );
-        s.info(
-            rm,
-            TsMs(base + 40_100),
-            "RMAppImpl",
-            format!(
-                "{a} State change from RUNNING to FINAL_SAVING on event = ATTEMPT_UNREGISTERED"
-            ),
-        );
-        s
-    }
+    use crate::analyze::tests::one_app_corpus;
+    use logmodel::Epoch;
 
     fn assert_delays_eq(a: &AppDelays, b: &AppDelays) {
         for (name, f) in APP_COMPONENTS.iter() {

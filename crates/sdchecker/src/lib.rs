@@ -63,6 +63,7 @@ pub mod throughput;
 pub mod timeline;
 pub mod validate;
 pub mod wide;
+pub(crate) mod wire;
 
 pub use alerts::{default_rules, AlertEngine, AlertRule, AlertState, RuleKind, Transition};
 pub use analyze::{

@@ -46,6 +46,9 @@ use std::time::{Duration, SystemTime};
 
 use logmodel::{parse_line, Epoch, LogRecord, LogSource, TsMs};
 
+use crate::checkpoint::CkptError;
+use crate::wire::{corrupt, wire_struct, Dec, Enc, Encode};
+
 /// Cumulative tailing statistics across all polls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TailStats {
@@ -64,6 +67,16 @@ pub struct TailStats {
     /// Tracked files that vanished from disk and were dropped.
     pub removed_files: u64,
 }
+
+wire_struct!(TailStats {
+    polls,
+    files,
+    read_bytes,
+    parsed_lines,
+    skipped_lines,
+    resets,
+    removed_files,
+});
 
 /// Filesystem calls a tailer has made since it was created, plus the
 /// reads among them that failed. Process-local: never checkpointed, so a
@@ -110,34 +123,6 @@ pub struct SourceLag {
     pub ms: u64,
 }
 
-/// Plain serializable image of a [`DirTailer`], for checkpointing. Holds
-/// everything the tailer cannot rediscover from the directory itself:
-/// how far each file has been consumed and what partial line is pending.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct TailSnapshot {
-    /// Resolved epoch, if any (`None` when `epoch.txt` never appeared).
-    pub epoch_unix_ms: Option<u64>,
-    /// Newest record timestamp seen.
-    pub watermark: Option<TsMs>,
-    /// Cumulative statistics.
-    pub stats: TailStats,
-    /// Per-file read state, in sorted relative-path order.
-    pub files: Vec<FileSnapshot>,
-}
-
-/// One file's entry in a [`TailSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct FileSnapshot {
-    /// Relative path under the watch directory.
-    pub rel: String,
-    /// Bytes consumed so far.
-    pub offset: u64,
-    /// Held-back partial-line bytes.
-    pub partial: Vec<u8>,
-    /// Timestamp of the last record this file produced.
-    pub last_ts: Option<TsMs>,
-}
-
 /// Per-file tail state.
 #[derive(Debug)]
 struct FileTail {
@@ -175,6 +160,26 @@ impl FileTail {
     /// How far this source's last record trails `watermark`, in ms.
     fn behind_ms(&self, watermark: u64) -> u64 {
         watermark.saturating_sub(self.last_ts.map_or(watermark, |t| t.0))
+    }
+}
+
+/// A file's checkpoint is what the directory cannot tell a restarted
+/// tailer: how far it was consumed, the partial line pending, and its
+/// last timestamp. The relative path it is keyed by travels in front of
+/// it; [`DirTailer::decode`] is the reader.
+impl Encode for FileTail {
+    fn encode(&self, e: &mut Enc) {
+        let FileTail {
+            source: _, // named by the relative path
+            path: _,   // watch directory + relative path
+            offset,
+            partial,
+            last_ts,
+            disk_len: _, // relearned by the first poll's stat
+        } = self;
+        offset.encode(e);
+        e.bytes(partial);
+        last_ts.encode(e);
     }
 }
 
@@ -423,52 +428,41 @@ impl DirTailer {
             .collect()
     }
 
-    /// Capture the full tail state for a checkpoint.
-    pub(crate) fn snapshot(&self) -> TailSnapshot {
-        TailSnapshot {
-            epoch_unix_ms: self.epoch.map(|e| e.unix_ms),
-            watermark: self.watermark,
-            stats: self.stats,
-            files: self
-                .files
-                .iter()
-                .map(|(rel, tail)| FileSnapshot {
-                    rel: rel.clone(),
-                    offset: tail.offset,
-                    partial: tail.partial.clone(),
-                    last_ts: tail.last_ts,
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuild a tailer over `dir` from a checkpointed snapshot. The
-    /// next poll reads only bytes past the restored offsets. Errors (a
-    /// missing directory, a relative path no [`LogSource`] claims) are
-    /// reported as strings so checkpoint recovery can fall back to a
-    /// cold start instead of crashing.
-    pub(crate) fn from_snapshot(dir: &Path, snap: TailSnapshot) -> Result<DirTailer, String> {
+    /// Rebuild a tailer over `dir` from its checkpoint. The next poll
+    /// reads only bytes past the restored offsets. A missing directory
+    /// or a relative path no [`LogSource`] claims is `Corrupt`, so
+    /// recovery falls back to an older generation or a cold start.
+    pub(crate) fn decode(d: &mut Dec<'_>, dir: &Path) -> Result<DirTailer, CkptError> {
         if !dir.is_dir() {
-            return Err(format!("watch directory {} does not exist", dir.display()));
+            return Err(corrupt(format!(
+                "watch directory {} does not exist",
+                dir.display()
+            )));
         }
+        let epoch: Option<u64> = d.get()?;
+        let watermark = d.get()?;
+        let stats = d.get()?;
         let mut files = BTreeMap::new();
-        for f in snap.files {
-            let Some(source) = LogSource::from_rel_path(&f.rel) else {
-                return Err(format!("snapshot names unrecognized source {:?}", f.rel));
-            };
+        for _ in 0..d.get::<usize>()? {
+            let rel: String = d.get()?;
+            let source = LogSource::from_rel_path(&rel)
+                .ok_or_else(|| corrupt(format!("checkpoint names unrecognized source {rel:?}")))?;
+            let offset = d.get()?;
+            let partial = d.bytes()?.to_vec();
+            let last_ts = d.get()?;
             let tail = FileTail {
-                offset: f.offset,
-                partial: f.partial,
-                last_ts: f.last_ts,
-                disk_len: f.offset,
-                ..FileTail::new(source, dir.join(&f.rel))
+                offset,
+                partial,
+                last_ts,
+                disk_len: offset,
+                ..FileTail::new(source, dir.join(&rel))
             };
-            files.insert(f.rel, tail);
+            files.insert(rel, tail);
         }
         Ok(DirTailer {
-            epoch: snap.epoch_unix_ms.map(|unix_ms| Epoch { unix_ms }),
-            stats: snap.stats,
-            watermark: snap.watermark,
+            epoch: epoch.map(|unix_ms| Epoch { unix_ms }),
+            stats,
+            watermark,
             ..DirTailer::over(dir, files)
         })
     }
@@ -580,6 +574,22 @@ impl DirTailer {
             self.files.insert(rel, FileTail::new(source, path));
         }
         Ok(())
+    }
+}
+
+impl Encode for DirTailer {
+    fn encode(&self, e: &mut Enc) {
+        let DirTailer {
+            dir: _, // configuration: the restarted daemon is told again
+            epoch,
+            files,
+            dirs: _, // rediscovered: a restored tailer's first poll is a full walk
+            stats,
+            ops: _, // process-local by definition
+            watermark,
+        } = self;
+        let epoch_unix_ms = epoch.map(|Epoch { unix_ms }| unix_ms);
+        (epoch_unix_ms, watermark, stats, files).encode(e);
     }
 }
 
@@ -838,11 +848,13 @@ mod tests {
         let mut t = DirTailer::new(&dir).unwrap();
         assert_eq!(t.poll().unwrap().len(), 1);
 
-        let snap = t.snapshot();
-        assert_eq!(snap.files.len(), 1);
-        assert!(!snap.files[0].partial.is_empty(), "mid-line state captured");
-        let mut restored = DirTailer::from_snapshot(&dir, snap.clone()).unwrap();
-        assert_eq!(restored.snapshot(), snap, "round-trip is lossless");
+        let bytes = Enc::payload(&t);
+        let mut d = Dec::new(&bytes);
+        let mut restored = DirTailer::decode(&mut d, &dir).unwrap();
+        d.finish().unwrap();
+        assert!(Enc::payload(&restored) == bytes, "round-trip is lossless");
+        assert_eq!(restored.source_lags().len(), 1);
+        assert!(restored.lag().bytes > 0, "mid-line state captured");
         assert_eq!(restored.watermark(), t.watermark());
         assert_eq!(restored.stats(), t.stats());
 
@@ -855,15 +867,12 @@ mod tests {
         assert_eq!(recs[0].1.message, "two");
         assert_eq!(restored.stats().parsed_lines, 2);
 
-        // A snapshot naming an unknown source degrades to an error.
-        let mut bad = restored.snapshot();
-        bad.files.push(FileSnapshot {
-            rel: "what/is/this.bin".into(),
-            offset: 3,
-            partial: Vec::new(),
-            last_ts: None,
-        });
-        assert!(DirTailer::from_snapshot(&dir, bad).is_err());
+        // A checkpoint naming an unknown source degrades to an error,
+        // and so does one for a directory that is not there.
+        let stray = ("what/is/this.bin", 3u64, "", None::<TsMs>);
+        let bad = Enc::payload(&(None::<u64>, None::<TsMs>, t.stats(), [stray]));
+        assert!(DirTailer::decode(&mut Dec::new(&bad), &dir).is_err());
+        assert!(DirTailer::decode(&mut Dec::new(&bytes), &tmp("snapshot/gone")).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 
