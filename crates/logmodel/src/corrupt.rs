@@ -142,7 +142,11 @@ fn collect_logs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 
 /// Apply the configured operations to one file's bytes. Pure — the RNG is
 /// the only state — so unit tests can pin exact outputs.
-fn corrupt_bytes(bytes: &[u8], rng: &mut Rng64, cfg: &CorruptConfig) -> (Vec<u8>, CorruptReport) {
+pub(crate) fn corrupt_bytes(
+    bytes: &[u8],
+    rng: &mut Rng64,
+    cfg: &CorruptConfig,
+) -> (Vec<u8>, CorruptReport) {
     let mut report = CorruptReport::default();
     let mut lines: Vec<Vec<u8>> = bytes.split(|&b| b == b'\n').map(|l| l.to_vec()).collect();
     // split leaves one empty trailing element for a newline-terminated

@@ -15,7 +15,9 @@
 //! we only need fixed-offset wall-clock rendering of an epoch plus a
 //! millisecond offset.
 
-use crate::record::{Level, LogRecord};
+use std::borrow::Cow;
+
+use crate::record::{Level, LogRecord, RecordRef};
 use crate::TsMs;
 
 /// A wall-clock anchor for a run: log line timestamps are
@@ -92,13 +94,18 @@ pub fn format_timestamp(epoch: &Epoch, ts: TsMs) -> String {
     format_unix_ms(epoch.instant(ts))
 }
 
+/// The value of a run of ASCII digits; `None` if any byte is anything
+/// else (a sign, a space, a non-ASCII byte).
+fn digits(b: &[u8]) -> Option<u64> {
+    b.iter().try_fold(0u64, |v, c| {
+        c.is_ascii_digit().then(|| v * 10 + u64::from(c - b'0'))
+    })
+}
+
 /// Parse `YYYY-MM-DD HH:MM:SS,mmm` to a Unix-ms instant.
 pub fn parse_timestamp(s: &str) -> Option<u64> {
     // Fixed-width format: positions are stable.
-    if s.len() != 23 {
-        return None;
-    }
-    let b = s.as_bytes();
+    let b: &[u8; 23] = s.as_bytes().try_into().ok()?;
     if b[4] != b'-'
         || b[7] != b'-'
         || b[10] != b' '
@@ -108,14 +115,13 @@ pub fn parse_timestamp(s: &str) -> Option<u64> {
     {
         return None;
     }
-    let num = |lo: usize, hi: usize| -> Option<u64> { s.get(lo..hi)?.parse().ok() };
-    let y = num(0, 4)? as i64;
-    let mo = num(5, 7)? as u32;
-    let d = num(8, 10)? as u32;
-    let h = num(11, 13)?;
-    let mi = num(14, 16)?;
-    let sec = num(17, 19)?;
-    let ms = num(20, 23)?;
+    let y = digits(&b[0..4])? as i64;
+    let mo = digits(&b[5..7])? as u32;
+    let d = digits(&b[8..10])? as u32;
+    let h = digits(&b[11..13])?;
+    let mi = digits(&b[14..16])?;
+    let sec = digits(&b[17..19])?;
+    let ms = digits(&b[20..23])?;
     if !(1..=12).contains(&mo) || !(1..=31).contains(&d) || h > 23 || mi > 59 || sec > 59 {
         return None;
     }
@@ -137,10 +143,23 @@ pub fn format_line(epoch: &Epoch, rec: &LogRecord) -> String {
     )
 }
 
-/// Parse a log line back to a [`LogRecord`]. Returns `None` for lines that
-/// do not match the format (SDchecker skips them — real logs contain stack
-/// traces and banners too).
-pub fn parse_line(epoch: &Epoch, line: &str) -> Option<LogRecord> {
+/// `bytes` as text, lossily: borrowed when they are valid UTF-8, else a
+/// copy with each invalid sequence replaced by U+FFFD. The answer is
+/// `String::from_utf8_lossy`'s, which is only asked once the bytes are
+/// known to be damaged: it validates a byte at a time, `str::from_utf8`
+/// a word of ASCII at a time.
+pub fn decode_lossy(bytes: &[u8]) -> Cow<'_, str> {
+    match std::str::from_utf8(bytes) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(bytes),
+    }
+}
+
+/// Parse a log line into a record borrowing its class and message from
+/// `line`. Returns `None` for lines that do not match the format
+/// (SDchecker skips them — real logs contain stack traces and banners
+/// too).
+pub fn parse_line_ref<'a>(epoch: &Epoch, line: &'a str) -> Option<RecordRef<'a>> {
     let line = line.trim_end();
     if line.len() < 25 {
         return None;
@@ -149,11 +168,20 @@ pub fn parse_line(epoch: &Epoch, line: &str) -> Option<LogRecord> {
     let unix_ms = parse_timestamp(ts_str)?;
     let ts = epoch.offset_of(unix_ms)?;
     let rest = line.get(24..)?; // skip the space after the timestamp
-    let mut parts = rest.splitn(2, ' ');
-    let level = Level::parse(parts.next()?)?;
-    let after_level = parts.next()?.trim_start();
-    let (class, message) = after_level.split_once(": ")?;
-    Some(LogRecord::new(ts, level, class, message))
+    let (level, after_level) = rest.split_once(' ')?;
+    let level = Level::parse(level)?;
+    let (class, message) = after_level.trim_start().split_once(": ")?;
+    Some(RecordRef {
+        ts,
+        level,
+        class,
+        message,
+    })
+}
+
+/// [`parse_line_ref`], owned.
+pub fn parse_line(epoch: &Epoch, line: &str) -> Option<LogRecord> {
+    parse_line_ref(epoch, line).map(|r| r.to_record())
 }
 
 #[cfg(test)]
@@ -204,6 +232,155 @@ mod tests {
         assert_eq!(parse_timestamp("18-03-14 09:00:00,000"), None);
         assert_eq!(parse_timestamp("2018-13-14 09:00:00,000"), None);
         assert_eq!(parse_timestamp(""), None);
+        // A sign is not a digit (`str::parse::<u64>` takes a leading `+`).
+        assert_eq!(parse_timestamp("2018-03-14 09:00:+9,000"), None);
+        assert_eq!(parse_timestamp("+018-03-14 09:00:09,000"), None);
+    }
+
+    /// The parser as it was before the borrowed one: `str::parse` per
+    /// timestamp field, owned fields. Kept as the oracle.
+    fn reference_parse_timestamp(s: &str) -> Option<u64> {
+        if s.len() != 23 {
+            return None;
+        }
+        let b = s.as_bytes();
+        if b[4] != b'-'
+            || b[7] != b'-'
+            || b[10] != b' '
+            || b[13] != b':'
+            || b[16] != b':'
+            || b[19] != b','
+        {
+            return None;
+        }
+        let num = |lo: usize, hi: usize| -> Option<u64> { s.get(lo..hi)?.parse().ok() };
+        let y = num(0, 4)? as i64;
+        let mo = num(5, 7)? as u32;
+        let d = num(8, 10)? as u32;
+        let h = num(11, 13)?;
+        let mi = num(14, 16)?;
+        let sec = num(17, 19)?;
+        let ms = num(20, 23)?;
+        if !(1..=12).contains(&mo) || !(1..=31).contains(&d) || h > 23 || mi > 59 || sec > 59 {
+            return None;
+        }
+        let days = days_from_civil(y, mo, d);
+        if days < 0 {
+            return None;
+        }
+        Some(days as u64 * 86_400_000 + h * 3_600_000 + mi * 60_000 + sec * 1000 + ms)
+    }
+
+    fn reference_parse_line(epoch: &Epoch, line: &str) -> Option<LogRecord> {
+        let line = line.trim_end();
+        if line.len() < 25 {
+            return None;
+        }
+        let ts_str = line.get(0..23)?;
+        let unix_ms = reference_parse_timestamp(ts_str)?;
+        let ts = epoch.offset_of(unix_ms)?;
+        let rest = line.get(24..)?;
+        let mut parts = rest.splitn(2, ' ');
+        let level = Level::parse(parts.next()?)?;
+        let after_level = parts.next()?.trim_start();
+        let (class, message) = after_level.split_once(": ")?;
+        Some(LogRecord::new(ts, level, class, message))
+    }
+
+    /// Seeded lines, their `corrupt` mutations (clipped, garbled,
+    /// duplicated, swapped, truncated — decoded lossily, as ingest does)
+    /// and digit-for-sign swaps: the borrowed parser and the oracle agree
+    /// on every one, except that a `+` inside the timestamp is no longer
+    /// read as a digit.
+    #[test]
+    fn borrowed_parser_agrees_with_the_str_parse_oracle() {
+        use crate::corrupt::{corrupt_bytes, CorruptConfig, Rng64};
+        let e = Epoch::default_run();
+        let mut rng = Rng64::new(0x5EED);
+        let levels = [Level::Debug, Level::Info, Level::Warn, Level::Error];
+        let classes = [
+            "RMAppImpl",
+            "ContainerImpl",
+            "X",
+            "a.b.C",
+            "r\u{e9}sum\u{e9}",
+        ];
+        let messages = [
+            "application_1521018000000_0001 State change from NEW to SUBMITTED on event = START",
+            "m",
+            "colons: inside: the message",
+            "trailing whitespace \t ",
+            "multi-byte \u{2713} text",
+            "",
+        ];
+        let mut clean = String::new();
+        for _ in 0..400 {
+            let rec = LogRecord::new(
+                TsMs(rng.next_u64() % (40 * 86_400_000)),
+                levels[rng.below(levels.len())],
+                classes[rng.below(classes.len())],
+                messages[rng.below(messages.len())],
+            );
+            clean.push_str(&format_line(&e, &rec));
+            clean.push_str(if rng.chance(0.2) { "\r\n" } else { "\n" });
+        }
+        clean.push_str("    at java.lang.Thread.run(Thread.java:748)\n");
+        clean.push_str("2018-03-14 08:59:59,999 INFO  C: before the epoch\n");
+        clean.push_str("2018-03-14 09:00:00,000\u{e9}INFO  C: wide separator\n");
+        clean.push_str("2018-03-14 09:00:00,000 TRACE C: unknown level\n");
+        clean.push_str("2018-03-14 09:00:00,000 INFO  no separator\n");
+
+        let mut lines: Vec<String> = clean.lines().map(str::to_string).collect();
+        for _ in 0..19 {
+            let (damaged, _) = corrupt_bytes(clean.as_bytes(), &mut rng, &CorruptConfig::severe());
+            lines.extend(decode_lossy(&damaged).lines().map(str::to_string));
+        }
+        // A sign where a digit was, in any timestamp field.
+        let signed: Vec<String> = lines
+            .iter()
+            .filter(|l| l.is_char_boundary(23) && l.len() > 23)
+            .take(400)
+            .map(|l| {
+                let at = [0, 5, 8, 11, 14, 17, 20][rng.below(7)];
+                format!("{}+{}", &l[..at], &l[at + 1..])
+            })
+            .collect();
+        lines.extend(signed);
+
+        let (mut parsed, mut signs) = (0, 0);
+        for line in &lines {
+            let got = parse_line(&e, line);
+            let want = reference_parse_line(&e, line);
+            if got != want {
+                assert_eq!(got, None, "{line:?}");
+                assert!(line[..23].contains('+'), "{line:?}");
+                signs += 1;
+            }
+            parsed += usize::from(got.is_some());
+        }
+        assert!(
+            parsed > 2_000,
+            "only {parsed} of {} lines parse",
+            lines.len()
+        );
+        assert!(signs > 100, "only {signs} signed timestamps were accepted");
+    }
+
+    #[test]
+    fn decode_lossy_borrows_valid_text_and_replaces_the_rest() {
+        assert!(matches!(
+            decode_lossy("r\u{e9}sum\u{e9}".as_bytes()),
+            Cow::Borrowed(_)
+        ));
+        for damaged in [
+            &b"ab\xffcd"[..],
+            b"cut \xe2\x9c",
+            b"\xe2\x9c\nnext",
+            b"\xc3",
+        ] {
+            assert_eq!(decode_lossy(damaged), String::from_utf8_lossy(damaged));
+            assert!(decode_lossy(damaged).contains('\u{fffd}'));
+        }
     }
 
     #[test]

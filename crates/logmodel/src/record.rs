@@ -147,6 +147,39 @@ impl LogRecord {
             message: message.into(),
         }
     }
+
+    /// This record, borrowed.
+    pub fn as_ref(&self) -> RecordRef<'_> {
+        RecordRef {
+            ts: self.ts,
+            level: self.level,
+            class: &self.class,
+            message: &self.message,
+        }
+    }
+}
+
+/// A [`LogRecord`] whose text borrows from the buffer the line was read
+/// into (or from an owned record): what the parser produces and the
+/// extraction rules consume, so a line that matches no rule costs no
+/// allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// Milliseconds since the run's epoch.
+    pub ts: TsMs,
+    /// Severity.
+    pub level: Level,
+    /// The log4j logger name's final component (e.g. `RMAppImpl`).
+    pub class: &'a str,
+    /// Free-form message text (IDs embedded).
+    pub message: &'a str,
+}
+
+impl RecordRef<'_> {
+    /// An owned copy.
+    pub fn to_record(&self) -> LogRecord {
+        LogRecord::new(self.ts, self.level, self.class, self.message)
+    }
 }
 
 #[cfg(test)]
@@ -161,6 +194,14 @@ mod tests {
             assert_eq!(Level::parse(l.as_str()), Some(l));
         }
         assert_eq!(Level::parse("TRACE"), None);
+    }
+
+    #[test]
+    fn borrowed_record_round_trips() {
+        let rec = LogRecord::new(TsMs(7), Level::Warn, "RMAppImpl", "a: b");
+        let borrowed = rec.as_ref();
+        assert_eq!((borrowed.class, borrowed.message), ("RMAppImpl", "a: b"));
+        assert_eq!(borrowed.to_record(), rec);
     }
 
     #[test]

@@ -10,9 +10,9 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use crate::format::{format_line, parse_line, Epoch};
+use crate::format::{decode_lossy, format_line, parse_line_ref, Epoch};
 use crate::par::{self, Parallelism};
-use crate::record::{Level, LogRecord, LogSource};
+use crate::record::{Level, LogRecord, LogSource, RecordRef};
 use crate::TsMs;
 
 /// Histogram bucket bounds for lines-per-log-file during ingest.
@@ -116,98 +116,20 @@ impl LogStore {
         Self::read_dir_with(dir, Parallelism::ONE)
     }
 
-    /// [`LogStore::read_dir`] with one parse task per log file spread over
-    /// `par` worker threads. The result is identical for every thread
-    /// count: files are enumerated and merged in sorted-relative-path
-    /// order, and each source's records are stably re-sorted by timestamp
-    /// afterwards (rotated segments `x.log.1` merge into the same source).
+    /// [`LogStore::read_dir`] over `par` worker threads: [`scan_dir`] with
+    /// a visitor that keeps an owned copy of every record. The result is
+    /// identical for every thread count.
     pub fn read_dir_with(dir: &Path, par: Parallelism) -> io::Result<LogStore> {
-        let _span = obs::span("ingest").arg("dir", dir.display());
-        let epoch = match fs::read_to_string(dir.join("epoch.txt")) {
-            Ok(s) => Epoch {
-                unix_ms: s.trim().parse().map_err(|e| {
-                    io::Error::new(io::ErrorKind::InvalidData, format!("bad epoch.txt: {e}"))
-                })?,
-            },
-            Err(_) => Epoch::default_run(),
-        };
-        // Enumerate log files first (cheap), then parse them in parallel
-        // (the expensive part). Sorting by relative path pins the merge
-        // order so the store's contents never depend on directory
-        // iteration order or worker scheduling.
-        let mut files: Vec<(LogSource, String, PathBuf)> = Vec::new();
-        let mut stack = vec![dir.to_path_buf()];
-        while let Some(d) = stack.pop() {
-            for entry in fs::read_dir(&d)? {
-                let entry = entry?;
-                let path = entry.path();
-                if path.is_dir() {
-                    stack.push(path);
-                    continue;
-                }
-                let rel = path
-                    .strip_prefix(dir)
-                    .map_err(|e| io::Error::other(e.to_string()))?
-                    .to_string_lossy()
-                    .into_owned();
-                let Some(src) = LogSource::from_rel_path(&rel) else {
-                    continue; // epoch.txt, stray files
-                };
-                files.push((src, rel, path));
-            }
-        }
-        files.sort_by(|a, b| a.1.cmp(&b.1));
-
-        obs::count("ingest_files_total", files.len() as u64);
-        let parsed: Vec<io::Result<(LogSource, Vec<LogRecord>)>> =
-            par::map(par, files, |(src, rel, path)| {
-                let span = obs::span("ingest_file").arg("file", &rel);
-                // Lossy decode: damaged collections carry garbage bytes
-                // (bit rot, partially-overwritten blocks), and a hard
-                // UTF-8 error here would reject the whole corpus over one
-                // bad sector. Replacement characters make the affected
-                // line unparseable, so it is skipped like any other
-                // malformed line.
-                let text = String::from_utf8_lossy(&fs::read(&path)?).into_owned();
-                let mut lines = 0u64;
-                let recs: Vec<LogRecord> = text
-                    .lines()
-                    .inspect(|_| lines += 1)
-                    .filter_map(|line| parse_line(&epoch, line))
-                    .collect();
-                if span.is_active() {
-                    let parsed = recs.len() as u64;
-                    obs::count_labeled("ingest_lines_total", &[("status", "parsed")], parsed);
-                    obs::count_labeled(
-                        "ingest_lines_total",
-                        &[("status", "skipped")],
-                        lines - parsed,
-                    );
-                    obs::observe("ingest_file_lines", LINES_PER_FILE_BOUNDS, lines);
-                }
-                Ok((src, recs))
-            });
-
+        let (epoch, sources) = scan_dir(dir, par, |src, recs| {
+            let owned: Vec<LogRecord> = recs.iter().map(RecordRef::to_record).collect();
+            (src, owned)
+        })?;
         let mut store = LogStore::new(epoch);
-        for result in parsed {
-            let (src, recs) = result?;
-            for rec in recs {
-                store.push(src, rec);
-            }
-        }
-        // Rotated segments (`x.log.1`) merge into the same source but may
-        // arrive in arbitrary file order; restore time order so
-        // first-record semantics (driver/executor FIRST_LOG) hold.
-        for recs in store.sources_mut() {
-            recs.sort_by_key(|r| r.ts);
+        for (src, recs) in sources {
+            store.total += recs.len();
+            store.sources.insert(src, recs);
         }
         Ok(store)
-    }
-
-    /// Mutable access to every source's record vector (internal; used to
-    /// restore time order after merging rotated segments).
-    fn sources_mut(&mut self) -> impl Iterator<Item = &mut Vec<LogRecord>> {
-        self.sources.values_mut()
     }
 
     /// Every record of every source, globally ordered by timestamp (ties
@@ -224,6 +146,154 @@ impl LogStore {
         all.sort_by_key(|(src, r)| (r.ts, *src));
         all
     }
+}
+
+/// Bytes per record assumed when a source's record vector is sized from
+/// its file sizes. The corpora at hand average 110–135 bytes a line; a
+/// low guess costs one doubling.
+const BYTES_PER_RECORD_HINT: usize = 128;
+
+/// Read a corpus directory one source at a time, handing each source's
+/// records — borrowed from the bytes just read — to `visit`.
+///
+/// Every file under `dir` whose relative path names a [`LogSource`] is
+/// read (symlinked directories are followed, dangling links ignored;
+/// `epoch.txt` anchors the timestamps, [`Epoch::default_run`] without
+/// it). Rotated segments (`x.log.1`) belong to their base file's source.
+/// Per source, the segments are read in relative-path order, decoded
+/// lossily (valid UTF-8 is not copied), parsed with [`parse_line_ref`],
+/// and — only when the result is out of time order, as when segment
+/// order on disk disagrees with time — stable-sorted by timestamp, so
+/// first-record semantics (driver/executor FIRST_LOG) hold. Unparseable
+/// lines are skipped, as the real tool must tolerate stack traces and
+/// banners; a source left with no record is not visited.
+///
+/// Sources are dispatched over `par` in [`LogSource`] order — the
+/// ResourceManager log, usually the largest, first — and the visitor's
+/// results come back in that order, so the outcome is the same for every
+/// thread count. At most `par.threads()` sources' bytes are in memory at
+/// a time.
+pub fn scan_dir<R, F>(dir: &Path, par: Parallelism, visit: F) -> io::Result<(Epoch, Vec<R>)>
+where
+    R: Send,
+    F: Fn(LogSource, &[RecordRef<'_>]) -> R + Sync,
+{
+    let _span = obs::span("ingest").arg("dir", dir.display());
+    let epoch = match fs::read_to_string(dir.join("epoch.txt")) {
+        Ok(s) => Epoch {
+            unix_ms: s.trim().parse().map_err(|e| {
+                io::Error::new(io::ErrorKind::InvalidData, format!("bad epoch.txt: {e}"))
+            })?,
+        },
+        Err(_) => Epoch::default_run(),
+    };
+    // Enumerate log files first (cheap), then read them in parallel (the
+    // expensive part). Sorting by relative path pins the order of a
+    // source's segments, so nothing depends on directory iteration order
+    // or worker scheduling.
+    let mut files: Vec<(String, LogSource, PathBuf)> = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in fs::read_dir(&d)? {
+            let entry = entry?;
+            let path = entry.path();
+            // The entry's own type comes with the listing; only a
+            // symlink (an app directory living on another volume) needs
+            // a stat to learn what it points at.
+            let mut file_type = entry.file_type()?;
+            if file_type.is_symlink() {
+                match fs::metadata(&path) {
+                    Ok(meta) => file_type = meta.file_type(),
+                    Err(_) => continue, // dangling
+                }
+            }
+            if file_type.is_dir() {
+                stack.push(path);
+                continue;
+            }
+            let rel = path
+                .strip_prefix(dir)
+                .map_err(|e| io::Error::other(e.to_string()))?
+                .to_string_lossy()
+                .into_owned();
+            let Some(src) = LogSource::from_rel_path(&rel) else {
+                continue; // epoch.txt, stray files
+            };
+            files.push((rel, src, path));
+        }
+    }
+    files.sort_by(|a, b| a.0.cmp(&b.0));
+    obs::count("ingest_files_total", files.len() as u64);
+    let mut sources: BTreeMap<LogSource, Vec<(String, PathBuf)>> = BTreeMap::new();
+    for (rel, src, path) in files {
+        sources.entry(src).or_default().push((rel, path));
+    }
+
+    let visited = par::map(par, sources.into_iter().collect(), |(src, segments)| {
+        scan_source(&epoch, src, &segments, Vec::new(), true, &visit)
+    });
+    let mut out = Vec::with_capacity(visited.len());
+    for result in visited {
+        out.extend(result?);
+    }
+    Ok((epoch, out))
+}
+
+/// Read the first of `segments`, parse it onto `recs`, and go on to the
+/// rest; past the last, put the records in time order (`in_order` says
+/// whether they already are) and visit them. A call per segment rather
+/// than a loop because each segment's records borrow from its buffer,
+/// and every buffer has to stay alive — here, on the stack — until the
+/// source has been visited.
+fn scan_source<'a, R>(
+    epoch: &Epoch,
+    src: LogSource,
+    segments: &[(String, PathBuf)],
+    recs: Vec<RecordRef<'a>>,
+    mut in_order: bool,
+    visit: &impl Fn(LogSource, &[RecordRef<'_>]) -> R,
+) -> io::Result<Option<R>> {
+    // From here on the records only need to live as long as this frame.
+    let mut recs: Vec<RecordRef<'_>> = recs;
+    let Some(((rel, path), rest)) = segments.split_first() else {
+        if recs.is_empty() {
+            return Ok(None);
+        }
+        if !in_order {
+            recs.sort_by_key(|r| r.ts);
+        }
+        return Ok(Some(visit(src, &recs)));
+    };
+    let span = obs::span("ingest_file").arg("file", rel);
+    let bytes = fs::read(path)?;
+    // Lossy decode: damaged collections carry garbage bytes (bit rot,
+    // partially-overwritten blocks), and a hard UTF-8 error here would
+    // reject the whole corpus over one bad sector. Replacement
+    // characters make the affected line unparseable, so it is skipped
+    // like any other malformed line.
+    let text = decode_lossy(&bytes);
+    recs.reserve(text.len() / BYTES_PER_RECORD_HINT);
+    let before = recs.len();
+    let mut lines = 0u64;
+    for line in text.lines() {
+        lines += 1;
+        if let Some(r) = parse_line_ref(epoch, line) {
+            in_order &= recs.last().is_none_or(|prev| prev.ts <= r.ts);
+            recs.push(r);
+        }
+    }
+    if span.is_active() {
+        let parsed = (recs.len() - before) as u64;
+        obs::count_labeled("ingest_lines_total", &[("status", "parsed")], parsed);
+        obs::count_labeled(
+            "ingest_lines_total",
+            &[("status", "skipped")],
+            lines - parsed,
+        );
+        obs::observe("ingest_file_lines", LINES_PER_FILE_BOUNDS, lines);
+    }
+    drop(span);
+    scan_source(epoch, src, rest, recs, in_order, visit)
 }
 
 #[cfg(test)]
@@ -320,6 +390,115 @@ mod tests {
         assert_eq!(recs[0].message, "older");
         assert_eq!(recs[1].message, "newer");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What `scan_dir` visits, as `(source, [(ts, message)])`.
+    fn scanned(dir: &Path, par: Parallelism) -> Vec<(LogSource, Vec<(u64, String)>)> {
+        let visit = |src, recs: &[RecordRef<'_>]| {
+            let seen = recs.iter().map(|r| (r.ts.0, r.message.to_string()));
+            (src, seen.collect())
+        };
+        scan_dir(dir, par, visit).unwrap().1
+    }
+
+    #[test]
+    fn scan_visits_sources_in_order_each_in_time_order() {
+        let dir = std::env::temp_dir().join(format!("logstore_scan_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let app = "apps/application_1521018000000_0001";
+        fs::create_dir_all(dir.join(app)).unwrap();
+        let line = |ms: u64, msg: &str| format!("2018-03-14 09:00:00,{ms:03} INFO  X: {msg}\n");
+        // Out of order inside one file; ties keep file order.
+        fs::write(
+            dir.join("nodemanager-node01.log"),
+            [line(30, "c"), line(10, "a"), line(30, "d"), line(20, "b")].concat(),
+        )
+        .unwrap();
+        // Segment order on disk (`.log` before `.log.1`, `.log.10` before
+        // `.log.2`) disagrees with time.
+        fs::write(dir.join("resourcemanager.log"), line(400, "newest")).unwrap();
+        fs::write(dir.join("resourcemanager.log.1"), line(300, "newer")).unwrap();
+        fs::write(dir.join("resourcemanager.log.2"), line(200, "older")).unwrap();
+        fs::write(dir.join("resourcemanager.log.10"), line(100, "oldest")).unwrap();
+        // No line parses, nothing at all, no trailing newline.
+        fs::write(dir.join("nodemanager-node02.log"), "junk\n\tat frame\n").unwrap();
+        fs::write(dir.join("nodemanager-node03.log"), "").unwrap();
+        fs::write(dir.join(app).join("driver.log"), line(5, "drv").trim_end()).unwrap();
+
+        let msgs = |m: &[(u64, &str)]| -> Vec<(u64, String)> {
+            m.iter().map(|(t, s)| (*t, s.to_string())).collect()
+        };
+        let want = vec![
+            (
+                LogSource::ResourceManager,
+                msgs(&[
+                    (100, "oldest"),
+                    (200, "older"),
+                    (300, "newer"),
+                    (400, "newest"),
+                ]),
+            ),
+            (
+                LogSource::NodeManager(NodeId(1)),
+                msgs(&[(10, "a"), (20, "b"), (30, "c"), (30, "d")]),
+            ),
+            (
+                LogSource::Driver(ApplicationId::new(1_521_018_000_000, 1)),
+                msgs(&[(5, "drv")]),
+            ),
+        ];
+        for threads in [1, 2, 4] {
+            assert_eq!(scanned(&dir, Parallelism::new(threads)), want, "{threads}");
+        }
+        // The store is that visit, kept.
+        let store = LogStore::read_dir(&dir).unwrap();
+        assert_eq!(store.total_records(), 9);
+        assert_eq!(store.sources().count(), 3, "no source without a record");
+        for (src, recs) in want {
+            let kept = store.records(src).iter();
+            let kept: Vec<_> = kept.map(|r| (r.ts.0, r.message.clone())).collect();
+            assert_eq!(kept, recs, "{src:?}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn symlinked_directories_are_followed_and_dangling_links_ignored() {
+        use std::os::unix::fs::symlink;
+        let dir = std::env::temp_dir().join(format!("logstore_link_{}", std::process::id()));
+        let elsewhere = std::env::temp_dir().join(format!("logstore_far_{}", std::process::id()));
+        for d in [&dir, &elsewhere] {
+            let _ = fs::remove_dir_all(d);
+            fs::create_dir_all(d).unwrap();
+        }
+        let line = "2018-03-14 09:00:00,001 INFO  X: linked\n";
+        fs::write(elsewhere.join("driver.log"), line).unwrap();
+        fs::write(elsewhere.join("rm"), line).unwrap();
+        fs::create_dir_all(dir.join("apps")).unwrap();
+        // An app directory on another volume, a log that is itself a
+        // link, and two links to nothing — one of them named like a log,
+        // which a walk that took every non-directory for a file would
+        // try, and fail, to read.
+        symlink(&elsewhere, dir.join("apps/application_1521018000000_0001")).unwrap();
+        symlink(elsewhere.join("rm"), dir.join("resourcemanager.log")).unwrap();
+        symlink(
+            dir.join("nowhere"),
+            dir.join("apps/application_1521018000000_0002"),
+        )
+        .unwrap();
+        symlink(dir.join("nowhere"), dir.join("nodemanager-node01.log")).unwrap();
+
+        let seen = scanned(&dir, Parallelism::ONE);
+        let sources: Vec<LogSource> = seen.iter().map(|(src, _)| *src).collect();
+        let app = ApplicationId::new(1_521_018_000_000, 1);
+        assert_eq!(
+            sources,
+            [LogSource::ResourceManager, LogSource::Driver(app)]
+        );
+        assert!(seen.iter().all(|(_, recs)| recs[0].1 == "linked"));
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&elsewhere).unwrap();
     }
 
     #[test]

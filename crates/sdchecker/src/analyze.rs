@@ -5,12 +5,12 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use logmodel::{par, ApplicationId, LogStore, Parallelism, TsMs};
+use logmodel::{par, scan_dir, ApplicationId, LogStore, Parallelism, TsMs};
 
 use crate::bugs::{find_unused_containers, UnusedContainer};
 use crate::decompose::{decompose, AppDelays, AppOutcome};
 use crate::event::SchedEvent;
-use crate::extract::{extract_all_cov_with, extract_app_names_with, ParseCoverage};
+use crate::extract::{extract_store, merge_scans, Extracted, Extractor, ParseCoverage};
 use crate::graph::{build_graphs, SchedulingGraph};
 use crate::throughput::{allocation_throughput, Throughput};
 
@@ -154,12 +154,18 @@ pub fn analyze_store(store: &LogStore) -> Analysis {
 /// sequential code path on the calling thread.
 pub fn analyze_store_with(store: &LogStore, par: Parallelism) -> Analysis {
     let _span = obs::span("analyze");
-    let watermark = store
-        .sources()
-        .flat_map(|s| store.records(s).iter().map(|r| r.ts))
-        .max();
-    let (events, coverage) = extract_all_cov_with(store, par);
-    let app_names = extract_app_names_with(store, par);
+    analyze_extracted(extract_store(store, par), par)
+}
+
+/// The pipeline from the merged event list on: graphs, delays and bug
+/// scan per application. Where directory and in-memory analysis join.
+fn analyze_extracted(extracted: Extracted, par: Parallelism) -> Analysis {
+    let Extracted {
+        events,
+        coverage,
+        app_names,
+        watermark,
+    } = extracted;
     if par.is_sequential() {
         let graphs = {
             let _s = obs::span("graph_build");
@@ -376,12 +382,19 @@ pub fn analyze_dir(dir: &Path) -> io::Result<Analysis> {
     analyze_dir_with(dir, Parallelism::ONE)
 }
 
-/// [`analyze_dir`] with `par` worker threads: directory ingest parses one
-/// log file per task, then the in-memory analysis fans out per stream and
-/// per application. Identical output for every thread count.
+/// [`analyze_dir`] with `par` worker threads: each log stream is
+/// extracted from the bytes it was read from, as a [`scan_dir`] visitor —
+/// no record outlives its file's buffer, and at most `par.threads()`
+/// streams' bytes are in memory at a time — then the analysis fans out
+/// per application. Identical output for every thread count, and to
+/// [`analyze_store_with`] over [`LogStore::read_dir_with`].
 pub fn analyze_dir_with(dir: &Path, par: Parallelism) -> io::Result<Analysis> {
-    let store = LogStore::read_dir_with(dir, par)?;
-    Ok(analyze_store_with(&store, par))
+    let ex = Extractor::new();
+    let (_epoch, scans) = scan_dir(dir, par, |src, records| {
+        ex.scan_stream(src, records.iter().copied())
+    })?;
+    let _span = obs::span("analyze");
+    Ok(analyze_extracted(merge_scans(scans), par))
 }
 
 #[cfg(test)]

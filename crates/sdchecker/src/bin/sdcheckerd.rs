@@ -69,7 +69,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use logmodel::{LogRecord, LogSource, TsMs};
+use logmodel::{LogSource, RecordRef, TsMs};
 use obs::{HttpServer, MetricKey, Request, Response, PROMETHEUS_CONTENT_TYPE};
 use sdchecker::checkpoint::{self, CfgFingerprint, CheckpointStore, SaveInputs};
 use sdchecker::{
@@ -102,7 +102,12 @@ struct PhaseClock {
 
 impl PhaseClock {
     fn mark(&mut self, phase: &'static str) {
-        let ms = self.boundary.elapsed().as_millis() as u64;
+        self.mark_until(phase, Instant::now());
+    }
+
+    /// [`PhaseClock::mark`] for a phase that ended at `until`.
+    fn mark_until(&mut self, phase: &'static str, until: Instant) {
+        let ms = until.saturating_duration_since(self.boundary).as_millis() as u64;
         obs::observe_labeled(
             "sdcheckerd_poll_phase_ms",
             &[("phase", phase)],
@@ -485,19 +490,63 @@ struct PollLoop {
     ckpt: CkptStatus,
 }
 
-impl PollLoop {
-    /// Ingest a batch of tailed records, telling the alert engine about
-    /// the anomalous ones.
-    fn ingest(&mut self, batch: &[(LogSource, LogRecord)]) {
-        self.records += batch.len() as u64;
-        obs::count("sdcheckerd_records_total", batch.len() as u64);
-        for (src, rec) in batch {
-            if self.analyzer.ingest(*src, rec) == Outcome::Anomalous {
-                if let Some(e) = self.engine.as_mut() {
-                    e.observe_anomalous(rec.ts);
+/// What one tail sweep fed the analyzer, and how much of the sweep's
+/// time the feeding took.
+#[derive(Default)]
+struct Swept {
+    records: u64,
+    ingest: Duration,
+}
+
+/// The tailer visitor that ingests each file's records as they are
+/// parsed, telling the alert engine about the anomalous ones. Timed per
+/// visit — once per file that grew, never per record.
+fn ingest_into<'a>(
+    analyzer: &'a mut IncrementalAnalyzer,
+    engine: &'a mut Option<AlertEngine>,
+    swept: &'a mut Swept,
+) -> impl FnMut(LogSource, &[RecordRef<'_>]) + 'a {
+    move |source, recs| {
+        let started = Instant::now();
+        swept.records += recs.len() as u64;
+        analyzer.ingest_records(source, recs, |ts, outcome| {
+            if outcome == Outcome::Anomalous {
+                if let Some(e) = engine.as_mut() {
+                    e.observe_anomalous(ts);
                 }
             }
-        }
+        });
+        swept.ingest += started.elapsed();
+    }
+}
+
+impl PollLoop {
+    /// Poll the tail, ingesting what it read.
+    fn poll(&mut self) -> std::io::Result<Swept> {
+        let mut swept = Swept::default();
+        let polled = self.tailer.poll_into(ingest_into(
+            &mut self.analyzer,
+            &mut self.engine,
+            &mut swept,
+        ));
+        self.note_records(&swept);
+        polled.map(|()| swept)
+    }
+
+    /// Ingest the tail's held-back partial lines as final records.
+    fn flush_partial(&mut self) {
+        let mut swept = Swept::default();
+        self.tailer.flush_partial_into(ingest_into(
+            &mut self.analyzer,
+            &mut self.engine,
+            &mut swept,
+        ));
+        self.note_records(&swept);
+    }
+
+    fn note_records(&mut self, swept: &Swept) {
+        self.records += swept.records;
+        obs::count("sdcheckerd_records_total", swept.records);
     }
 
     /// Build the snapshot the HTTP thread serves next — the only place
@@ -1054,16 +1103,13 @@ fn main() -> ExitCode {
         let mut phase = PhaseClock {
             boundary: poll_started,
         };
-        let batch = match lp.tailer.poll() {
-            Ok(b) => b,
-            Err(e) => {
-                obs::count("sdcheckerd_poll_errors_total", 1);
-                if !quiet {
-                    eprintln!("poll error: {e}");
-                }
-                Vec::new()
+        let swept = lp.poll().unwrap_or_else(|e| {
+            obs::count("sdcheckerd_poll_errors_total", 1);
+            if !quiet {
+                eprintln!("poll error: {e}");
             }
-        };
+            Swept::default()
+        });
         let stats = lp.tailer.stats();
         obs::count(
             "sdcheckerd_read_bytes_total",
@@ -1087,8 +1133,10 @@ fn main() -> ExitCode {
             ops.read_errors - ops_prev.read_errors,
         );
         ops_prev = ops;
-        phase.mark("tail");
-        lp.ingest(&batch);
+        // Ingest ran inside the sweep, file by file; charge the phases as
+        // if all the tailing had come first.
+        let now = Instant::now();
+        phase.mark_until("tail", now.checked_sub(swept.ingest).unwrap_or(now));
         phase.mark("ingest");
         let retired = lp.analyzer.drain_ready();
         note_retirements(&retired, quiet);
@@ -1098,7 +1146,7 @@ fn main() -> ExitCode {
             lp.analyzer.late_events().saturating_sub(late_prev),
         );
         late_prev = lp.analyzer.late_events();
-        if !batch.is_empty() || !retired.is_empty() {
+        if swept.records > 0 || !retired.is_empty() {
             lp.last_progress = Instant::now();
         }
         phase.mark("retire");
@@ -1150,11 +1198,8 @@ fn main() -> ExitCode {
     // held-back partial lines become final records (batch parity for a
     // stream whose last line lacks a newline), and every in-flight app
     // retires.
-    if let Ok(batch) = lp.tailer.poll() {
-        lp.ingest(&batch);
-    }
-    let tail_end = lp.tailer.flush_partial();
-    lp.ingest(&tail_end);
+    let _ = lp.poll();
+    lp.flush_partial();
     let retired = lp.analyzer.finish();
     note_retirements(&retired, quiet);
     record_retirements(&retired, &mut lp.engine, &mut wide_file);
@@ -1264,8 +1309,7 @@ mod tests {
             last_progress: Instant::now(),
             ckpt: CkptStatus::default(),
         };
-        let batch = lp.tailer.poll().unwrap();
-        lp.ingest(&batch);
+        lp.poll().unwrap();
         (dir, lp, fingerprint(&cfg, false, 0))
     }
 

@@ -10,7 +10,9 @@
 
 use std::collections::BTreeMap;
 
-use logmodel::{scan_ids, ApplicationId, ContainerId, LogRecord, LogSource, NodeId, Parallelism};
+use logmodel::{
+    scan_ids, ApplicationId, ContainerId, LogRecord, LogSource, NodeId, Parallelism, RecordRef,
+};
 
 use crate::checkpoint::CkptError;
 use crate::event::{EventKind, SchedEvent};
@@ -338,6 +340,7 @@ pub struct Extractor {
     rm_app: Pat,
     rm_container: Pat,
     nm_container: Pat,
+    spark_name: Pat,
 }
 
 impl Default for Extractor {
@@ -354,6 +357,7 @@ impl Extractor {
             rm_app: Pat::new_static(crate::schema::RM_APP_TEMPLATE),
             rm_container: Pat::new_static(crate::schema::RM_CONTAINER_TEMPLATE),
             nm_container: Pat::new_static(crate::schema::NM_CONTAINER_TEMPLATE),
+            spark_name: Pat::new_static(crate::schema::SPARK_APP_NAME_TEMPLATE),
         }
     }
 
@@ -382,18 +386,66 @@ impl Extractor {
         source: LogSource,
         records: &[LogRecord],
     ) -> (Vec<SchedEvent>, CoverageCounts, Option<String>) {
-        let mut out = Vec::new();
-        let mut cov = CoverageCounts::default();
-        let mut example = None;
+        let scan = self.scan(source, records.iter().map(LogRecord::as_ref));
+        (scan.events, scan.cov, scan.example)
+    }
+
+    /// One pass over one stream's records, in order: everything the
+    /// analysis wants from them, so that nothing needs the records
+    /// afterwards.
+    fn scan<'a>(
+        &self,
+        source: LogSource,
+        records: impl Iterator<Item = RecordRef<'a>>,
+    ) -> StreamScan {
+        let mut scan = StreamScan {
+            source,
+            events: Vec::new(),
+            cov: CoverageCounts::default(),
+            example: None,
+            name: None,
+            max_ts: None,
+        };
         let mut cursor = StreamCursor::new(source);
+        let is_driver = matches!(source, LogSource::Driver(_));
         for r in records {
-            let outcome = self.extract_record(&mut cursor, r, &mut out);
-            if outcome == Outcome::Unmatched && example.is_none() {
-                example = Some(r.message.clone());
+            let outcome = self.extract_record(&mut cursor, &r, &mut scan.events);
+            if outcome == Outcome::Unmatched && scan.example.is_none() {
+                scan.example = Some(r.message.to_string());
             }
-            cov.tally(outcome);
+            scan.cov.tally(outcome);
+            if is_driver && scan.name.is_none() {
+                scan.name = self.app_name(r.message).map(str::to_string);
+            }
+            scan.max_ts = scan.max_ts.max(Some(r.ts));
         }
-        (out, cov, example)
+        scan
+    }
+
+    /// [`Extractor::scan`] as the batch pipelines run it: under an
+    /// `extract_stream` span, the events stable-sorted by timestamp (a
+    /// no-op for the time-ordered streams directory ingest guarantees),
+    /// the stream's counters flushed when recording is on.
+    pub(crate) fn scan_stream<'a>(
+        &self,
+        source: LogSource,
+        records: impl Iterator<Item = RecordRef<'a>>,
+    ) -> StreamScan {
+        let span = obs::span("extract_stream").arg("source", source.rel_path());
+        let mut scan = self.scan(source, records);
+        if !scan.events.windows(2).all(|w| w[0].ts <= w[1].ts) {
+            scan.events.sort_by_key(|e| e.ts);
+        }
+        if span.is_active() {
+            flush_stream_metrics(source, &scan.events, scan.cov);
+        }
+        scan
+    }
+
+    /// The application name a Spark driver banner line carries, if
+    /// `message` is one.
+    pub(crate) fn app_name<'t>(&self, message: &'t str) -> Option<&'t str> {
+        self.spark_name.match_array::<1>(message).map(|[name]| name)
     }
 
     /// Extract one record at the cursor's position, appending any events
@@ -405,7 +457,7 @@ impl Extractor {
     pub fn extract_record(
         &self,
         cursor: &mut StreamCursor,
-        r: &LogRecord,
+        r: &RecordRef<'_>,
         out: &mut Vec<SchedEvent>,
     ) -> Outcome {
         let is_first = !cursor.seen_first;
@@ -418,26 +470,24 @@ impl Extractor {
         }
     }
 
-    fn extract_rm(&self, r: &LogRecord, out: &mut Vec<SchedEvent>) -> Outcome {
-        match r.class.as_str() {
+    fn extract_rm(&self, r: &RecordRef<'_>, out: &mut Vec<SchedEvent>) -> Outcome {
+        match r.class {
             "RMAppImpl" => {
-                let Some(caps) = self.rm_app.match_str(&r.message) else {
+                let Some([id, _from, to, event]) = self.rm_app.match_array(r.message) else {
                     return Outcome::Ignored;
                 };
-                let Ok(app) = caps[0].parse::<ApplicationId>() else {
+                let Ok(app) = id.parse::<ApplicationId>() else {
                     return Outcome::Anomalous;
                 };
-                let kind = match caps[2] {
+                let kind = match to {
                     "SUBMITTED" => EventKind::AppSubmitted,
                     "ACCEPTED" => EventKind::AppAccepted,
-                    "RUNNING" if caps[3] == "ATTEMPT_REGISTERED" => EventKind::AttemptRegistered,
+                    "RUNNING" if event == "ATTEMPT_REGISTERED" => EventKind::AttemptRegistered,
                     // FINAL_SAVING marks completion only on a clean AM
                     // unregister; the same state is entered on
                     // ATTEMPT_FAILED/KILL, which must not look like a
                     // finished job.
-                    "FINAL_SAVING" if caps[3] == "ATTEMPT_UNREGISTERED" => {
-                        EventKind::AppUnregistered
-                    }
+                    "FINAL_SAVING" if event == "ATTEMPT_UNREGISTERED" => EventKind::AppUnregistered,
                     "FINISHED" => EventKind::AppFinished,
                     "FAILED" => EventKind::AppFailed,
                     "KILLED" => EventKind::AppKilled,
@@ -457,13 +507,13 @@ impl Extractor {
                 Outcome::Matched
             }
             "RMContainerImpl" => {
-                let Some(caps) = self.rm_container.match_str(&r.message) else {
+                let Some([id, _from, to]) = self.rm_container.match_array(r.message) else {
                     return Outcome::Ignored;
                 };
-                let Ok(cid) = caps[0].parse::<ContainerId>() else {
+                let Ok(cid) = id.parse::<ContainerId>() else {
                     return Outcome::Anomalous;
                 };
-                let kind = match caps[2] {
+                let kind = match to {
                     "ALLOCATED" => EventKind::ContainerAllocated,
                     "ACQUIRED" => EventKind::ContainerAcquired,
                     "RUNNING" => EventKind::ContainerRmRunning,
@@ -485,17 +535,17 @@ impl Extractor {
         }
     }
 
-    fn extract_nm(&self, node: NodeId, r: &LogRecord, out: &mut Vec<SchedEvent>) -> Outcome {
+    fn extract_nm(&self, node: NodeId, r: &RecordRef<'_>, out: &mut Vec<SchedEvent>) -> Outcome {
         if r.class != "ContainerImpl" {
             return Outcome::Ignored;
         }
-        let Some(caps) = self.nm_container.match_str(&r.message) else {
+        let Some([id, _from, to]) = self.nm_container.match_array(r.message) else {
             return Outcome::Ignored;
         };
-        let Ok(cid) = caps[0].parse::<ContainerId>() else {
+        let Ok(cid) = id.parse::<ContainerId>() else {
             return Outcome::Anomalous;
         };
-        let kind = match caps[2] {
+        let kind = match to {
             "LOCALIZING" => EventKind::ContainerLocalizing,
             "SCHEDULED" => EventKind::ContainerScheduled,
             "RUNNING" => EventKind::ContainerNmRunning,
@@ -518,7 +568,7 @@ impl Extractor {
         &self,
         app: ApplicationId,
         is_first: bool,
-        r: &LogRecord,
+        r: &RecordRef<'_>,
         out: &mut Vec<SchedEvent>,
     ) -> Outcome {
         let src = LogSource::Driver(app);
@@ -563,7 +613,7 @@ impl Extractor {
         &self,
         cid: ContainerId,
         is_first: bool,
-        r: &LogRecord,
+        r: &RecordRef<'_>,
         out: &mut Vec<SchedEvent>,
     ) -> Outcome {
         let src = LogSource::Executor(cid);
@@ -623,29 +673,73 @@ pub fn extract_all_cov_with(
     store: &logmodel::LogStore,
     par: Parallelism,
 ) -> (Vec<SchedEvent>, ParseCoverage) {
+    let extracted = extract_store(store, par);
+    (extracted.events, extracted.coverage)
+}
+
+/// What one pass over one stream's records yields.
+pub(crate) struct StreamScan {
+    source: LogSource,
+    /// The stream's events: in record order from [`Extractor::scan`],
+    /// time-sorted from [`Extractor::scan_stream`].
+    events: Vec<SchedEvent>,
+    cov: CoverageCounts,
+    /// The first unmatched message, if any.
+    example: Option<String>,
+    /// The application name of the first Spark banner line (driver
+    /// streams only).
+    name: Option<String>,
+    /// The newest record timestamp.
+    max_ts: Option<logmodel::TsMs>,
+}
+
+/// Everything extraction hands the per-application analysis.
+pub(crate) struct Extracted {
+    /// All events, time-sorted (ties keep stream order).
+    pub(crate) events: Vec<SchedEvent>,
+    pub(crate) coverage: ParseCoverage,
+    pub(crate) app_names: BTreeMap<ApplicationId, String>,
+    /// The newest record timestamp of the corpus.
+    pub(crate) watermark: Option<logmodel::TsMs>,
+}
+
+/// Scan every stream of `store` over `par` worker threads and merge the
+/// results, under the `extract` span.
+pub(crate) fn extract_store(store: &logmodel::LogStore, par: Parallelism) -> Extracted {
     let _span = obs::span("extract");
     let ex = Extractor::new();
     let sources: Vec<LogSource> = store.sources().collect();
-    type StreamScan = (SourceKind, Vec<SchedEvent>, CoverageCounts, Option<String>);
-    let per_stream: Vec<StreamScan> = logmodel::par::map(par, sources, |src| {
-        let span = obs::span("extract_stream").arg("source", src.rel_path());
-        let (mut evs, cov, example) = ex.extract_stream_scan(src, store.records(src));
-        evs.sort_by_key(|e| e.ts); // stable; no-op on time-ordered streams
-        if span.is_active() {
-            flush_stream_metrics(src, &evs, cov);
-        }
-        (SourceKind::of(src), evs, cov, example)
-    });
+    merge_scans(logmodel::par::map(par, sources, |src| {
+        ex.scan_stream(src, store.records(src).iter().map(LogRecord::as_ref))
+    }))
+}
+
+/// Fold per-stream scans, given in [`LogSource`] order, into one
+/// corpus-wide result: the event vectors k-way merged, the rest summed
+/// or keyed.
+pub(crate) fn merge_scans(scans: Vec<StreamScan>) -> Extracted {
     let mut coverage = ParseCoverage::default();
-    let mut streams = Vec::with_capacity(per_stream.len());
-    for (kind, evs, cov, example) in per_stream {
-        coverage.record(kind, cov);
-        if let Some(msg) = example {
+    let mut app_names = BTreeMap::new();
+    let mut watermark = None;
+    let mut streams = Vec::with_capacity(scans.len());
+    for scan in scans {
+        let kind = SourceKind::of(scan.source);
+        coverage.record(kind, scan.cov);
+        if let Some(msg) = scan.example {
             coverage.note_unmatched_example(kind, msg);
         }
-        streams.push(evs);
+        if let (LogSource::Driver(app), Some(name)) = (scan.source, scan.name) {
+            app_names.insert(app, name);
+        }
+        watermark = watermark.max(scan.max_ts);
+        streams.push(scan.events);
     }
-    (merge_sorted_streams(streams), coverage)
+    Extracted {
+        events: merge_sorted_streams(streams),
+        coverage,
+        app_names,
+        watermark,
+    }
 }
 
 /// Flush one stream's extraction counters into the global recorder
@@ -750,7 +844,7 @@ pub fn extract_app_names_with(
     par: Parallelism,
 ) -> std::collections::BTreeMap<ApplicationId, String> {
     let _span = obs::span("extract_app_names");
-    let spark = Pat::new_static(crate::schema::SPARK_APP_NAME_TEMPLATE);
+    let ex = Extractor::new();
     let drivers: Vec<ApplicationId> = store
         .sources()
         .filter_map(|src| match src {
@@ -759,11 +853,10 @@ pub fn extract_app_names_with(
         })
         .collect();
     let named: Vec<Option<(ApplicationId, String)>> = logmodel::par::map(par, drivers, |app| {
-        store.records(LogSource::Driver(app)).iter().find_map(|r| {
-            spark
-                .match_str(&r.message)
-                .map(|caps| (app, caps[0].to_string()))
-        })
+        store
+            .records(LogSource::Driver(app))
+            .iter()
+            .find_map(|r| Some((app, ex.app_name(&r.message)?.to_string())))
     });
     named.into_iter().flatten().collect()
 }
@@ -1268,7 +1361,7 @@ mod tests {
             let mut evs = Vec::new();
             let mut cov = CoverageCounts::default();
             for r in &records {
-                cov.tally(ex.extract_record(&mut cursor, r, &mut evs));
+                cov.tally(ex.extract_record(&mut cursor, &r.as_ref(), &mut evs));
             }
             assert_eq!(evs, batch_evs, "source {src:?}");
             assert_eq!(cov, batch_cov, "source {src:?}");

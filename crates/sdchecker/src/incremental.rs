@@ -6,11 +6,11 @@
 //! that — its input never ends. [`IncrementalAnalyzer`] restructures the
 //! same pipeline around per-application lifecycle:
 //!
-//! 1. **Ingest** — records are fed one at a time (in per-stream order,
-//!    which the tailing reader guarantees) through
-//!    [`Extractor::extract_record`] with a [`StreamCursor`] per stream,
-//!    so extraction is exactly what a whole-stream batch scan produces.
-//!    Events are bucketed by owning application.
+//! 1. **Ingest** — records are fed a stream's run at a time (in
+//!    per-stream order, which the tailing reader guarantees), each
+//!    through [`Extractor::extract_record`] with a [`StreamCursor`] per
+//!    stream, so extraction is exactly what a whole-stream batch scan
+//!    produces. Events are bucketed by owning application.
 //! 2. **Retire** — once an application shows terminal evidence
 //!    (unregistered / finished / failed / killed) and the record
 //!    watermark has advanced `settle_ms` past it — long enough for the
@@ -37,7 +37,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use logmodel::{ApplicationId, LogRecord, LogSource, TsMs};
+use logmodel::{ApplicationId, LogRecord, LogSource, RecordRef, TsMs};
 use obs::QuantileSketch;
 
 use crate::analyze::{analyze_app_events, stream_one_delay_sketches};
@@ -47,7 +47,6 @@ use crate::decompose::{AppDelays, AppOutcome, APP_COMPONENTS, CONTAINER_COMPONEN
 use crate::event::SchedEvent;
 use crate::exemplars::{PromotedApp, TailExemplars};
 use crate::extract::{CoverageCounts, Extractor, Outcome, ParseCoverage, SourceKind, StreamCursor};
-use crate::pattern::Pat;
 use crate::tail::{TailLag, TailStats};
 use crate::wide::{wide_event_line, WideEventInput};
 use crate::wire::{corrupt, Dec, Decode, Enc, Encode};
@@ -291,7 +290,6 @@ impl Decode for FleetAgg {
 /// docs for the lifecycle.
 pub struct IncrementalAnalyzer {
     ex: Extractor,
-    spark_name: Pat,
     cfg: IncrementalConfig,
     cursors: BTreeMap<LogSource, StreamCursor>,
     cov: ParseCoverage,
@@ -302,6 +300,8 @@ pub struct IncrementalAnalyzer {
     watermark: Option<TsMs>,
     fleet: FleetAgg,
     exemplars: TailExemplars,
+    /// The events of the record being ingested; empty between records.
+    scratch: Vec<SchedEvent>,
 }
 
 impl Default for IncrementalAnalyzer {
@@ -315,7 +315,6 @@ impl IncrementalAnalyzer {
     pub fn new(cfg: IncrementalConfig) -> IncrementalAnalyzer {
         IncrementalAnalyzer {
             ex: Extractor::new(),
-            spark_name: Pat::new_static(crate::schema::SPARK_APP_NAME_TEMPLATE),
             cfg,
             cursors: BTreeMap::new(),
             cov: ParseCoverage::default(),
@@ -326,63 +325,97 @@ impl IncrementalAnalyzer {
             watermark: None,
             fleet: FleetAgg::new(),
             exemplars: TailExemplars::new(cfg.exemplar_slots),
+            scratch: Vec::new(),
         }
     }
 
-    /// Consume one record. Records must arrive in order *within* each
-    /// stream (any interleaving across streams is fine) — the contract
-    /// [`crate::tail::DirTailer::poll`] provides. Returns the parse
-    /// outcome so callers can react per record (the daemon feeds
-    /// `Anomalous` into its corrupt-line alert rule).
+    /// Consume one record: [`IncrementalAnalyzer::ingest_records`] over a
+    /// slice of one, returning its parse outcome.
     pub fn ingest(&mut self, source: LogSource, r: &LogRecord) -> Outcome {
+        let mut outcome = Outcome::Ignored;
+        self.ingest_records(source, &[r.as_ref()], |_, o| outcome = o);
+        outcome
+    }
+
+    /// Consume a run of one stream's records. Records must arrive in
+    /// order *within* each stream (any interleaving across streams is
+    /// fine) — the contract [`crate::tail::DirTailer::poll_into`]
+    /// provides. `each` is told every record's timestamp and parse
+    /// outcome, in order, so callers can react per record (the daemon
+    /// feeds `Anomalous` into its corrupt-line alert rule).
+    pub fn ingest_records(
+        &mut self,
+        source: LogSource,
+        records: &[RecordRef<'_>],
+        mut each: impl FnMut(TsMs, Outcome),
+    ) {
+        if records.is_empty() {
+            return;
+        }
         let cursor = self
             .cursors
             .entry(source)
             .or_insert_with(|| StreamCursor::new(source));
-        let mut events = Vec::new();
-        let outcome = self.ex.extract_record(cursor, r, &mut events);
         let kind = SourceKind::of(source);
-        let mut one = CoverageCounts::default();
-        one.tally(outcome);
-        self.cov.record(kind, one);
-        if outcome == Outcome::Unmatched {
-            self.cov.note_unmatched_example(kind, r.message.clone());
-        }
-        self.watermark = Some(self.watermark.map_or(r.ts, |w| w.max(r.ts)));
-        if obs::enabled() {
-            let status = match outcome {
-                Outcome::Matched => "matched",
-                Outcome::Unmatched => "unmatched",
-                Outcome::Anomalous => "anomalous",
-                Outcome::Ignored => "ignored",
-            };
-            obs::count_labeled(
-                "parse_lines_total",
-                &[("source", kind.name()), ("status", status)],
-                1,
-            );
-            for ev in &events {
-                obs::count_labeled("extract_events_total", &[("kind", ev.kind.name())], 1);
+        // Retirement happens between calls, so whether this driver
+        // stream still owes its application a name can only change
+        // here.
+        let mut unnamed = match source {
+            LogSource::Driver(app)
+                if !self.names.contains_key(&app) && !self.retired_ids.contains(&app) =>
+            {
+                Some(app)
             }
+            _ => None,
+        };
+        let recording = obs::enabled();
+        let mut cov = CoverageCounts::default();
+        for r in records {
+            let outcome = self.ex.extract_record(cursor, r, &mut self.scratch);
+            cov.tally(outcome);
+            if outcome == Outcome::Unmatched && self.cov.unmatched_example(kind).is_none() {
+                self.cov.note_unmatched_example(kind, r.message.to_string());
+            }
+            self.watermark = self.watermark.max(Some(r.ts));
+            if let Some(app) = unnamed {
+                if let Some(name) = self.ex.app_name(r.message) {
+                    self.names.insert(app, name.to_string());
+                    unnamed = None;
+                }
+            }
+            for ev in self.scratch.drain(..) {
+                if recording {
+                    obs::count_labeled("extract_events_total", &[("kind", ev.kind.name())], 1);
+                }
+                if self.retired_ids.contains(&ev.app) {
+                    // Evidence arrived after the app retired (settle window
+                    // too short, or a very late stream). Counted, not
+                    // re-analyzed: retirement is final.
+                    self.late_events += 1;
+                    continue;
+                }
+                self.apps.entry(ev.app).or_default().push(ev);
+            }
+            each(r.ts, outcome);
         }
-        if let LogSource::Driver(app) = source {
-            if !self.names.contains_key(&app) && !self.retired_ids.contains(&app) {
-                if let Some(caps) = self.spark_name.match_str(&r.message) {
-                    self.names.insert(app, caps[0].to_string());
+        self.cov.record(kind, cov);
+        if recording {
+            for (status, n) in [
+                ("matched", cov.matched),
+                ("unmatched", cov.unmatched),
+                ("anomalous", cov.anomalous),
+                ("ignored", cov.ignored),
+            ] {
+                // A series appears with its first line, as it always has.
+                if n > 0 {
+                    obs::count_labeled(
+                        "parse_lines_total",
+                        &[("source", kind.name()), ("status", status)],
+                        n,
+                    );
                 }
             }
         }
-        for ev in events {
-            if self.retired_ids.contains(&ev.app) {
-                // Evidence arrived after the app retired (settle window
-                // too short, or a very late stream). Counted, not
-                // re-analyzed: retirement is final.
-                self.late_events += 1;
-                continue;
-            }
-            self.apps.entry(ev.app).or_default().push(ev);
-        }
-        outcome
     }
 
     /// Retire every application whose evidence is complete (terminal
@@ -751,9 +784,8 @@ impl IncrementalAnalyzer {
 impl Encode for IncrementalAnalyzer {
     fn encode(&self, e: &mut Enc) {
         let IncrementalAnalyzer {
-            ex: _,         // compiled from the static rule table
-            spark_name: _, // compiled from a static template
-            cfg: _,        // configuration, fingerprinted in `meta`
+            ex: _,  // compiled from the static rule table
+            cfg: _, // configuration, fingerprinted in `meta`
             cursors,
             cov,
             apps,
@@ -763,6 +795,7 @@ impl Encode for IncrementalAnalyzer {
             watermark,
             fleet,
             exemplars,
+            scratch: _, // empty between records
         } = self;
         // Each cursor leads with the source it is keyed by.
         e.seq(cursors.values());
@@ -811,6 +844,87 @@ mod tests {
         assert_eq!(inc.coverage(), &batch.coverage);
         assert_eq!(inc.complete(), 1);
         assert_eq!(inc.truncated(), 0);
+    }
+
+    /// Feeding a stream in slices is feeding it record by record: same
+    /// outcomes in the same order, and the same state to the last
+    /// checkpoint byte — late-event counts, names and the first unmatched
+    /// example included.
+    #[test]
+    fn slices_ingest_exactly_as_single_records() {
+        let mut store = one_app_corpus(1, 0);
+        let a = ApplicationId::new(store.epoch().unix_ms, 1);
+        let rm = LogSource::ResourceManager;
+        for (ts, msg) in [
+            (
+                40_200,
+                format!("{a} State change from RUNNING to ZOMBIE on event = X"),
+            ),
+            (
+                40_300,
+                format!("{a} State change from RUNNING to GHOST on event = X"),
+            ),
+            (
+                40_400,
+                "bad_id State change from NEW to SUBMITTED on event = START".into(),
+            ),
+            (
+                90_000,
+                format!("{a} State change from SUBMITTED to ACCEPTED on event = LATE"),
+            ),
+        ] {
+            store.info(rm, TsMs(ts), "RMAppImpl", msg);
+        }
+        let cfg = IncrementalConfig {
+            settle_ms: 0,
+            idle_timeout_ms: 0,
+            exemplar_slots: 3,
+        };
+        let (mut single, mut sliced) =
+            (IncrementalAnalyzer::new(cfg), IncrementalAnalyzer::new(cfg));
+        let mut single_outcomes = Vec::new();
+        let mut sliced_outcomes = Vec::new();
+        let sources: Vec<LogSource> = store.sources().collect();
+        // Two rounds with a retirement between them, so the second
+        // round's RM records are late.
+        for round in 0..2 {
+            for &src in &sources {
+                let recs = store.records(src);
+                let half = recs.len() / 2;
+                let recs = if round == 0 {
+                    &recs[..half]
+                } else {
+                    &recs[half..]
+                };
+                for r in recs {
+                    single_outcomes.push((r.ts, single.ingest(src, r)));
+                }
+                let refs: Vec<RecordRef<'_>> = recs.iter().map(LogRecord::as_ref).collect();
+                for chunk in refs.chunks(3) {
+                    sliced.ingest_records(src, chunk, |ts, o| sliced_outcomes.push((ts, o)));
+                }
+                sliced.ingest_records(src, &[], |_, _| panic!("nothing to report"));
+            }
+            assert_eq!(single_outcomes, sliced_outcomes);
+            assert!(
+                Enc::payload(&single) == Enc::payload(&sliced),
+                "round {round}"
+            );
+            if round == 0 {
+                // Everything seen so far retires, whatever it is missing.
+                assert_eq!(single.finish().len(), sliced.finish().len());
+            }
+        }
+        assert!(single.late_events() > 0);
+        assert_eq!(
+            sliced
+                .coverage()
+                .unmatched_example(SourceKind::ResourceManager),
+            Some(format!("{a} State change from RUNNING to ZOMBIE on event = X").as_str())
+        );
+        assert!(single_outcomes
+            .iter()
+            .any(|(_, o)| *o == Outcome::Anomalous));
     }
 
     #[test]

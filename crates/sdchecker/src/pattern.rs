@@ -116,49 +116,74 @@ impl Pat {
         inner + usize::from(self.leading_capture) + usize::from(self.trailing_capture)
     }
 
-    /// Match `text` against the pattern. Returns the captured substrings
-    /// (in order) or `None`. Matching is anchored at both ends.
-    pub fn match_str<'t>(&self, text: &'t str) -> Option<Vec<&'t str>> {
-        let mut caps = Vec::with_capacity(self.captures());
-        let mut rest = text;
-
-        if self.segments.is_empty() {
-            // Pattern was only "{}" (or empty).
-            return if self.leading_capture || self.trailing_capture {
-                Some(vec![text])
-            } else if text.is_empty() {
-                Some(vec![])
-            } else {
-                None
-            };
+    /// Match `text` against the pattern, writing the captured substrings
+    /// (in order) into `caps`. Matching is anchored at both ends. `false`
+    /// on a mismatch, and when `caps` is not [`Pat::captures`] long.
+    fn match_into<'t>(&self, text: &'t str, caps: &mut [&'t str]) -> bool {
+        if caps.len() != self.captures() {
+            return false;
         }
+        let Some((first, middle)) = self.segments.split_first() else {
+            // Pattern was only "{}" (or empty).
+            return match caps {
+                [whole] => {
+                    *whole = text;
+                    true
+                }
+                _ => text.is_empty(),
+            };
+        };
+        let mut rest = text;
+        let mut n = 0;
 
         // First segment: anchored unless a leading capture exists.
-        let first = &self.segments[0];
         if self.leading_capture {
-            let pos = rest.find(first.as_str())?;
-            caps.push(&rest[..pos]);
+            let Some(pos) = rest.find(first.as_str()) else {
+                return false;
+            };
+            caps[n] = &rest[..pos];
+            n += 1;
             rest = &rest[pos + first.len()..];
         } else {
-            rest = rest.strip_prefix(first.as_str())?;
+            match rest.strip_prefix(first.as_str()) {
+                Some(after) => rest = after,
+                None => return false,
+            }
         }
 
         // Middle segments: each consumes one capture (non-greedy).
-        for seg in &self.segments[1..] {
-            let pos = rest.find(seg.as_str())?;
-            caps.push(&rest[..pos]);
+        for seg in middle {
+            let Some(pos) = rest.find(seg.as_str()) else {
+                return false;
+            };
+            caps[n] = &rest[..pos];
+            n += 1;
             rest = &rest[pos + seg.len()..];
         }
 
         // Tail: either a trailing capture or exact end.
         if self.trailing_capture {
-            caps.push(rest);
-            Some(caps)
-        } else if rest.is_empty() {
-            Some(caps)
+            caps[n] = rest;
+            true
         } else {
-            None
+            rest.is_empty()
         }
+    }
+
+    /// Match `text` against a pattern of exactly `N` captures, without
+    /// allocating: the captured substrings in order, or `None` on a
+    /// mismatch (a pattern with another number of captures never
+    /// matches).
+    pub fn match_array<'t, const N: usize>(&self, text: &'t str) -> Option<[&'t str; N]> {
+        let mut caps = [""; N];
+        self.match_into(text, &mut caps).then_some(caps)
+    }
+
+    /// Match `text` against the pattern. Returns the captured substrings
+    /// (in order) or `None`. Matching is anchored at both ends.
+    pub fn match_str<'t>(&self, text: &'t str) -> Option<Vec<&'t str>> {
+        let mut caps = vec![""; self.captures()];
+        self.match_into(text, &mut caps).then_some(caps)
     }
 
     /// Whether `text` matches (ignoring captures).
@@ -218,6 +243,48 @@ mod tests {
                 "APP_ACCEPTED"
             ]
         );
+    }
+
+    #[test]
+    fn array_match_is_the_vec_match_at_the_pattern_arity_only() {
+        for (pattern, text) in [
+            (
+                "{} State change from {} to {} on event = {}",
+                "a State change from B to C on event = D",
+            ),
+            (
+                "{} State change from {} to {} on event = {}",
+                "a State change from B to C",
+            ),
+            (
+                "Container {} transitioned from {} to {}",
+                "Container c transitioned from NEW to DONE",
+            ),
+            (
+                "Starting ApplicationMaster for {}",
+                "Starting ApplicationMaster for q1",
+            ),
+            ("Starting ApplicationMaster for {}", "Started"),
+            ("{}", "anything"),
+            ("exact", "exact"),
+            ("", ""),
+        ] {
+            let p = Pat::new(pattern).unwrap();
+            let want = p.match_str(text);
+            let arity = p.captures();
+            let as_vec = |caps: Option<&[&'static str]>| caps.map(<[_]>::to_vec);
+            let got = [
+                as_vec(p.match_array::<0>(text).as_ref().map(|c| &c[..])),
+                as_vec(p.match_array::<1>(text).as_ref().map(|c| &c[..])),
+                as_vec(p.match_array::<2>(text).as_ref().map(|c| &c[..])),
+                as_vec(p.match_array::<3>(text).as_ref().map(|c| &c[..])),
+                as_vec(p.match_array::<4>(text).as_ref().map(|c| &c[..])),
+            ];
+            for (n, got) in got.into_iter().enumerate() {
+                let want = if n == arity { want.clone() } else { None };
+                assert_eq!(got, want, "{pattern:?} on {text:?} into {n}");
+            }
+        }
     }
 
     #[test]

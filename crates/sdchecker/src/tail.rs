@@ -1,8 +1,8 @@
 //! Tailing log ingestion: offset-tracking readers over a growing corpus
 //! directory.
 //!
-//! Batch ingestion ([`logmodel::LogStore::read_dir_with`]) reads a
-//! finished corpus once. A live cluster never finishes: log files grow
+//! Batch ingestion ([`logmodel::scan_dir`]) reads a finished corpus
+//! once. A live cluster never finishes: log files grow
 //! while the analyzer watches, new application directories appear as
 //! jobs are submitted, and a writer may be mid-line when a poll happens.
 //! [`DirTailer`] handles all of that with three pieces of per-file
@@ -31,12 +31,14 @@
 //! new/changed/young directory, and one open per file that grew —
 //! nothing else per file.
 //!
-//! Lines are parsed with the same [`logmodel::parse_line`] and the same
-//! lossy UTF-8 decoding as batch ingest; a file that shrinks (rotation,
-//! truncation) resets its offset and is re-read. The net guarantee,
-//! pinned by the incremental property test: replaying a tailed corpus
-//! in *any* append chunking yields exactly the records batch ingest
-//! reads from the finished directory.
+//! Lines are parsed with the same [`logmodel::parse_line_ref`] and the
+//! same lossy UTF-8 decoding as batch ingest, in place: the records a
+//! poll hands its visitor borrow from the bytes it just read, one file
+//! at a time, and only an unterminated remainder is copied. A file that
+//! shrinks (rotation, truncation) resets its offset and is re-read. The
+//! net guarantee, pinned by the incremental property test: replaying a
+//! tailed corpus in *any* append chunking yields exactly the records
+//! batch ingest reads from the finished directory.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -44,7 +46,7 @@ use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
-use logmodel::{parse_line, Epoch, LogRecord, LogSource, TsMs};
+use logmodel::{decode_lossy, parse_line_ref, Epoch, LogRecord, LogSource, RecordRef, TsMs};
 
 use crate::checkpoint::CkptError;
 use crate::wire::{corrupt, wire_struct, Dec, Enc, Encode};
@@ -305,22 +307,26 @@ impl DirTailer {
     }
 
     /// Look for new sources and read everything appended since the last
-    /// poll. Returns the new complete-line records in per-file order
-    /// (files in sorted relative-path order, records in file order).
+    /// poll. Each file that grew by at least one complete, parseable line
+    /// is handed to `visit` once — files in sorted relative-path order,
+    /// records in file order — with records that borrow from the bytes
+    /// just read: only one file's fresh bytes are in memory at a time.
     ///
     /// Only a failure of the watch directory itself (or a malformed
     /// `epoch.txt`) is an error, and it is reported before any file is
     /// read. A file that cannot be opened or read is skipped — its
     /// offset stays put, so its bytes show up as lag and are retried
     /// next poll — and counted in [`TailOps::read_errors`]; the sweep
-    /// goes on, because records already drained from earlier files
-    /// cannot be handed back.
-    pub fn poll(&mut self) -> io::Result<Vec<(LogSource, LogRecord)>> {
+    /// goes on, because records already handed to `visit` cannot be
+    /// taken back.
+    pub fn poll_into(
+        &mut self,
+        mut visit: impl FnMut(LogSource, &[RecordRef<'_>]),
+    ) -> io::Result<()> {
         self.stats.polls += 1;
         self.resolve_epoch()?;
         self.discover()?;
         let epoch = self.epoch();
-        let mut out = Vec::new();
         let mut removed: Vec<String> = Vec::new();
         for (rel, tail) in self.files.iter_mut() {
             self.ops.stats += 1;
@@ -356,14 +362,12 @@ impl DirTailer {
                 Ok(fresh) => {
                     tail.offset += fresh.len() as u64;
                     self.stats.read_bytes += fresh.len() as u64;
-                    tail.partial.extend_from_slice(&fresh);
-                    drain_complete_lines(
-                        &epoch,
-                        tail,
-                        &mut self.stats,
-                        &mut self.watermark,
-                        &mut out,
-                    );
+                    let mut sink = RecordSink {
+                        epoch,
+                        stats: &mut self.stats,
+                        watermark: &mut self.watermark,
+                    };
+                    tail.take_complete_lines(&fresh, &mut sink, &mut visit);
                 }
                 Err(_) => self.ops.read_errors += 1,
             }
@@ -373,29 +377,46 @@ impl DirTailer {
             self.stats.removed_files += 1;
         }
         self.stats.files = self.files.len() as u64;
+        Ok(())
+    }
+
+    /// [`DirTailer::poll_into`], collecting an owned copy of every new
+    /// record.
+    pub fn poll(&mut self) -> io::Result<Vec<(LogSource, LogRecord)>> {
+        let mut out = Vec::new();
+        self.poll_into(collect_into(&mut out))?;
         Ok(out)
     }
 
     /// Treat any held-back partial bytes as final lines (a finished
     /// stream's last line may lack a trailing newline, which batch
-    /// ingest accepts). Call once at shutdown, after the final poll.
-    pub fn flush_partial(&mut self) -> Vec<(LogSource, LogRecord)> {
-        let epoch = self.epoch();
-        let mut out = Vec::new();
+    /// ingest accepts), handing each one that parses to `visit`. Call
+    /// once at shutdown, after the final poll.
+    pub fn flush_partial_into(&mut self, mut visit: impl FnMut(LogSource, &[RecordRef<'_>])) {
+        let mut sink = RecordSink {
+            epoch: self.epoch(),
+            stats: &mut self.stats,
+            watermark: &mut self.watermark,
+        };
         for tail in self.files.values_mut() {
             if tail.partial.is_empty() {
                 continue;
             }
             let bytes = std::mem::take(&mut tail.partial);
-            emit_line(
-                &epoch,
-                tail,
-                &bytes,
-                &mut self.stats,
-                &mut self.watermark,
-                &mut out,
-            );
+            let line = decode_lossy(&bytes);
+            let mut recs = Vec::new();
+            sink.parse(&line, &mut tail.last_ts, &mut recs);
+            if !recs.is_empty() {
+                visit(tail.source, &recs);
+            }
         }
+    }
+
+    /// [`DirTailer::flush_partial_into`], collecting an owned copy of
+    /// every record.
+    pub fn flush_partial(&mut self) -> Vec<(LogSource, LogRecord)> {
+        let mut out = Vec::new();
+        self.flush_partial_into(collect_into(&mut out));
         out
     }
 
@@ -603,51 +624,85 @@ fn read_range(path: &Path, offset: u64, len: u64) -> io::Result<Vec<u8>> {
     Ok(fresh)
 }
 
-/// Split `tail.partial` at its last newline: complete lines become
-/// records, the remainder stays buffered.
-fn drain_complete_lines(
-    epoch: &Epoch,
-    tail: &mut FileTail,
-    stats: &mut TailStats,
-    watermark: &mut Option<TsMs>,
+/// A visitor that appends an owned copy of every record to `out`.
+fn collect_into(
     out: &mut Vec<(LogSource, LogRecord)>,
-) {
-    let Some(last_nl) = tail.partial.iter().rposition(|b| *b == b'\n') else {
-        return;
-    };
-    let rest = tail.partial.split_off(last_nl + 1);
-    let complete = std::mem::replace(&mut tail.partial, rest);
-    for line in complete.split(|b| *b == b'\n') {
-        if line.is_empty() {
-            continue; // the trailing empty slice after the final newline
+) -> impl FnMut(LogSource, &[RecordRef<'_>]) + '_ {
+    |source, recs| out.extend(recs.iter().map(|r| (source, r.to_record())))
+}
+
+/// Where parsed lines are accounted: the tailer's line counters and
+/// watermark, under the corpus epoch.
+struct RecordSink<'t> {
+    epoch: Epoch,
+    stats: &'t mut TailStats,
+    watermark: &'t mut Option<TsMs>,
+}
+
+impl RecordSink<'_> {
+    /// Parse one complete line, mirroring batch ingest (`\r` tolerated,
+    /// unparseable lines counted and skipped): a record goes onto `recs`
+    /// and into the file's `last_ts`.
+    fn parse<'a>(
+        &mut self,
+        line: &'a str,
+        last_ts: &mut Option<TsMs>,
+        recs: &mut Vec<RecordRef<'a>>,
+    ) {
+        match parse_line_ref(&self.epoch, line) {
+            Some(rec) => {
+                self.stats.parsed_lines += 1;
+                *last_ts = Some(rec.ts);
+                *self.watermark = (*self.watermark).max(Some(rec.ts));
+                recs.push(rec);
+            }
+            None => self.stats.skipped_lines += 1,
         }
-        emit_line(epoch, tail, line, stats, watermark, out);
     }
 }
 
-/// Decode and parse one complete line, mirroring batch ingest: lossy
-/// UTF-8, `\r` tolerated, unparseable lines counted and skipped.
-fn emit_line(
-    epoch: &Epoch,
-    tail: &mut FileTail,
-    line: &[u8],
-    stats: &mut TailStats,
-    watermark: &mut Option<TsMs>,
-    out: &mut Vec<(LogSource, LogRecord)>,
-) {
-    let line = match line.last() {
-        Some(b'\r') => &line[..line.len() - 1],
-        _ => line,
-    };
-    let text = String::from_utf8_lossy(line);
-    match parse_line(epoch, &text) {
-        Some(rec) => {
-            stats.parsed_lines += 1;
-            tail.last_ts = Some(rec.ts);
-            *watermark = Some(watermark.map_or(rec.ts, |w| w.max(rec.ts)));
-            out.push((tail.source, rec));
+impl FileTail {
+    /// Turn the complete lines of `partial` + `fresh` into records and
+    /// hand them to `visit`; whatever follows the last newline stays
+    /// buffered. The records borrow from `fresh` — all but the line the
+    /// previous polls left unterminated, which is completed in `partial`
+    /// and borrows from there — and are decoded as batch ingest decodes
+    /// them: lossy UTF-8, valid bytes not copied. (A line boundary is
+    /// never inside a multi-byte sequence, so decoding the run of lines
+    /// at once is decoding each of them.)
+    fn take_complete_lines(
+        &mut self,
+        fresh: &[u8],
+        sink: &mut RecordSink<'_>,
+        visit: &mut impl FnMut(LogSource, &[RecordRef<'_>]),
+    ) {
+        let Some(last_nl) = fresh.iter().rposition(|b| *b == b'\n') else {
+            self.partial.extend_from_slice(fresh);
+            return;
+        };
+        let (mut complete, rest) = fresh.split_at(last_nl + 1);
+        if !self.partial.is_empty() {
+            let first_nl = complete.iter().position(|b| *b == b'\n').unwrap_or(last_nl);
+            self.partial.extend_from_slice(&complete[..first_nl]);
+            complete = &complete[first_nl + 1..];
         }
-        None => stats.skipped_lines += 1,
+        let head = decode_lossy(&self.partial);
+        let body = decode_lossy(complete);
+        let mut recs = Vec::new();
+        for line in std::iter::once(&*head).chain(body.split('\n')) {
+            // No pending line, or the trailing empty slice after the
+            // final newline.
+            if !line.is_empty() {
+                sink.parse(line, &mut self.last_ts, &mut recs);
+            }
+        }
+        if !recs.is_empty() {
+            visit(self.source, &recs);
+        }
+        drop(recs);
+        drop(head);
+        self.partial.clear();
+        self.partial.extend_from_slice(rest);
     }
 }
 
@@ -774,6 +829,87 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].1.message, "r\u{00e9}sum\u{00e9} \u{2713}");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One file appended in pieces that end inside a line, between the
+    /// `\r` and `\n` of a CRLF, inside a multi-byte character, on a
+    /// newline, and inside a blank line: the polls together give the
+    /// records — and the line counts — of one poll over the whole file,
+    /// each file's records arrive in one visit per poll, and after every
+    /// poll `partial` holds exactly the bytes after the last newline.
+    #[test]
+    fn split_appends_give_the_whole_file_poll_and_buffer_only_the_remainder() {
+        let text = "2018-03-14 09:00:00,100 INFO  X: one\r\n\
+                    junk that does not parse\n\
+                    2018-03-14 09:00:00,200 INFO  X: r\u{e9}sum\u{e9} \u{2713}\n\
+                    \r\n\n\
+                    2018-03-14 09:00:00,300 INFO  X: three\n\
+                    2018-03-14 09:00:00,400 INFO  X: four\n\
+                    2018-03-14 09:00:00,500 INFO  X: unterminated";
+        let bytes = text.as_bytes();
+        let cut = |needle: &str, off: usize| text.find(needle).unwrap() + off;
+        let cuts = [
+            cut("one", 2),        // inside a line
+            cut("\r\n", 1),       // between CR and LF
+            cut("\u{e9}", 1),     // inside a two-byte character
+            cut("\u{2713}", 2),   // inside a three-byte character
+            cut("\u{2713}\n", 4), // right after a newline
+            cut("\r\n\n", 2),     // between two blank lines
+            cut("three", 0),      // leaves two whole lines for one read
+            bytes.len(),
+        ];
+
+        let whole_dir = tmp("split_whole");
+        let _ = fs::remove_dir_all(&whole_dir);
+        write_epoch(&whole_dir);
+        fs::write(whole_dir.join("resourcemanager.log"), bytes).unwrap();
+        let mut whole = DirTailer::new(&whole_dir).unwrap();
+        let mut want = whole.poll().unwrap();
+        assert_eq!(messages(&want).len(), 4);
+
+        let dir = tmp("split");
+        let _ = fs::remove_dir_all(&dir);
+        write_epoch(&dir);
+        let rm = dir.join("resourcemanager.log");
+        fs::write(&rm, b"").unwrap();
+        let mut t = DirTailer::new(&dir).unwrap();
+        let mut got: Vec<(LogSource, LogRecord)> = Vec::new();
+        let mut written = 0;
+        for cut in cuts {
+            let mut f = fs::OpenOptions::new().append(true).open(&rm).unwrap();
+            f.write_all(&bytes[written..cut]).unwrap();
+            drop(f);
+            written = cut;
+            let mut visits = 0;
+            t.poll_into(|src, recs| {
+                visits += 1;
+                assert!(!recs.is_empty());
+                got.extend(recs.iter().map(|r| (src, r.to_record())));
+            })
+            .unwrap();
+            assert!(visits <= 1, "one visit per file that grew");
+            let remainder = match bytes[..cut].iter().rposition(|b| *b == b'\n') {
+                Some(nl) => &bytes[nl + 1..cut],
+                None => &bytes[..cut],
+            };
+            assert_eq!(
+                t.files["resourcemanager.log"].partial, remainder,
+                "after {cut}"
+            );
+            assert_eq!(t.lag().bytes, remainder.len() as u64);
+        }
+        assert_eq!(got, want);
+        assert_eq!(t.stats().parsed_lines, whole.stats().parsed_lines);
+        assert_eq!(t.stats().skipped_lines, whole.stats().skipped_lines);
+        assert_eq!(t.stats().skipped_lines, 2, "the junk line and the lone CR");
+
+        got.extend(t.flush_partial());
+        want.extend(whole.flush_partial());
+        assert_eq!(got, want);
+        assert_eq!(messages(&got).last(), Some(&"unterminated"));
+        assert!(t.files["resourcemanager.log"].partial.is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&whole_dir).unwrap();
     }
 
     #[test]

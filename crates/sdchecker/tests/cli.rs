@@ -513,7 +513,17 @@ fn chrome_trace_is_structurally_valid() {
         let dur = e.get("dur").unwrap().as_f64().unwrap() as u64;
         spans.push((tid, name, ts, ts + dur));
     }
-    for stage in ["ingest", "extract", "analyze", "graph_build", "decompose"] {
+    // Directory analysis extracts each stream from the bytes it was read
+    // from, so there is no corpus-wide `extract` stage: `extract_stream`
+    // runs per source inside `ingest`, after that source's `ingest_file`s.
+    for stage in [
+        "ingest",
+        "ingest_file",
+        "extract_stream",
+        "analyze",
+        "graph_build",
+        "decompose",
+    ] {
         assert!(
             spans.iter().any(|(_, n, _, _)| n == stage),
             "missing {stage} span; have: {:?}",
@@ -538,14 +548,26 @@ fn chrome_trace_is_structurally_valid() {
             );
         }
     }
-    // The extract stage must sit inside the analyze span on its thread.
-    let analyze = spans.iter().find(|(_, n, _, _)| n == "analyze").unwrap();
-    let extract = spans.iter().find(|(_, n, _, _)| n == "extract").unwrap();
-    assert_eq!(analyze.0, extract.0, "analyze/extract on different threads");
-    assert!(
-        analyze.2 <= extract.2 && extract.3 <= analyze.3,
-        "extract span not nested inside analyze"
-    );
+    // Reading and extraction sit inside the ingest span on its thread,
+    // the per-application stages inside analyze, which follows it.
+    let find = |name: &str| spans.iter().find(|(_, n, _, _)| n == name).unwrap();
+    let (ingest, analyze) = (find("ingest"), find("analyze"));
+    assert!(ingest.3 <= analyze.2, "analyze starts before ingest ends");
+    for (outer, inner) in [
+        (ingest, "ingest_file"),
+        (ingest, "extract_stream"),
+        (analyze, "graph_build"),
+        (analyze, "decompose"),
+    ] {
+        for span in spans.iter().filter(|(_, n, _, _)| n == inner) {
+            assert_eq!(outer.0, span.0, "{}/{inner} on different threads", outer.1);
+            assert!(
+                outer.2 <= span.2 && span.3 <= outer.3,
+                "{inner} span not nested inside {}",
+                outer.1
+            );
+        }
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

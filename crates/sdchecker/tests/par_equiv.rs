@@ -207,3 +207,89 @@ fn parallel_dir_analysis_equals_sequential() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The three documents the CLI writes.
+fn rendered(an: &Analysis) -> [String; 3] {
+    [
+        sdchecker::report_json(an),
+        sdchecker::full_report(an),
+        sdchecker::wide_events_for_analysis(an),
+    ]
+}
+
+/// Directory analysis extracts each stream from the bytes it was read
+/// from and never builds a store; on layouts the happy path never sees
+/// it must still be exactly the store's analysis, for every thread count.
+#[test]
+fn dir_analysis_equals_store_analysis_on_hostile_layouts() {
+    use std::fs;
+    for case in 0..6u64 {
+        let mut rng = SimRng::new(0xBAD_D15C ^ case);
+        let store = random_corpus(&mut rng);
+        let dir =
+            std::env::temp_dir().join(format!("sdchecker_hostile_{case}_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        store.write_dir(&dir).unwrap();
+
+        // Rotated segments whose order on disk disagrees with time: the
+        // RM log's newest third stays in `.log`, the oldest goes to
+        // `.log.10` (sorted *before* `.log.2`), the middle to `.log.2`.
+        let rm = dir.join("resourcemanager.log");
+        let text = fs::read_to_string(&rm).unwrap();
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        let third = lines.len() / 3;
+        fs::write(dir.join("resourcemanager.log.10"), lines[..third].concat()).unwrap();
+        fs::write(
+            dir.join("resourcemanager.log.2"),
+            lines[third..2 * third].concat(),
+        )
+        .unwrap();
+        fs::write(&rm, lines[2 * third..].concat()).unwrap();
+
+        let mut nodes = store.sources().filter_map(|s| match s {
+            LogSource::NodeManager(_) => Some(dir.join(s.rel_path())),
+            _ => None,
+        });
+        // Out-of-order timestamps inside one file (random_corpus draws
+        // them unsorted already; reversing makes sure), no trailing
+        // newline, and CRLF endings.
+        if let Some(nm) = nodes.next() {
+            let text = fs::read_to_string(&nm).unwrap();
+            let reversed: Vec<&str> = text.lines().rev().collect();
+            fs::write(&nm, reversed.join("\r\n")).unwrap();
+        }
+        // Invalid UTF-8 inside a line (the line is lost, its neighbours
+        // are not), a truncated multi-byte sequence before a newline,
+        // and blank lines.
+        if let Some(nm) = nodes.next() {
+            let mut bytes = fs::read(&nm).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] = 0xFF;
+            bytes.extend_from_slice(b"\n\ntrailing junk \xE2\x9C\n");
+            fs::write(&nm, bytes).unwrap();
+        }
+        // An empty file, and one in which nothing parses: neither is a
+        // stream.
+        fs::write(dir.join("nodemanager-node98.log"), b"").unwrap();
+        fs::write(dir.join("nodemanager-node99.log"), b"no timestamp here\n").unwrap();
+
+        let mut gold: Option<[String; 3]> = None;
+        for threads in [1, 2, 4] {
+            let par = Parallelism::new(threads);
+            let from_dir = sdchecker::analyze_dir_with(&dir, par).unwrap();
+            let read = LogStore::read_dir_with(&dir, par).unwrap();
+            let from_store = analyze_store_with(&read, par);
+            let label = format!("case {case}, threads {threads}");
+            assert_same(&from_store, &from_dir, &label);
+            assert_eq!(from_store.coverage, from_dir.coverage, "{label}");
+            assert_eq!(rendered(&from_store), rendered(&from_dir), "{label}");
+            let gold = gold.get_or_insert_with(|| rendered(&from_dir));
+            assert_eq!(
+                gold,
+                &rendered(&from_dir),
+                "{label}: differs from one thread"
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}

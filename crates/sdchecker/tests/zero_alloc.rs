@@ -1,0 +1,217 @@
+//! Allocations are counted, not hoped for.
+//!
+//! The hot path's claim is that a log line which yields no event costs
+//! no allocation between the bytes it was read into and the verdict on
+//! it, and that a directory analysis allocates per file and per event,
+//! not per line. This binary installs a counting allocator (it is its
+//! own process, so nothing else is affected) and holds both to a number.
+//! Counts are per thread, so the harness running tests side by side
+//! does not disturb them.
+
+mod common;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+use logmodel::{parse_line_ref, Epoch, LogSource, LogStore, NodeId, Parallelism};
+use sdchecker::{analyze_dir_with, EventKind, Extractor, Outcome, StreamCursor};
+
+thread_local! {
+    /// Calls to `alloc`, `alloc_zeroed` and `realloc` this thread made
+    /// since it started counting; `None` while it is not.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn note_alloc() {
+    // A thread past its teardown has no counter left to bump.
+    let _ = ALLOCS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+}
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` with the caller's own
+// arguments and returns its result unchanged; the counter is a
+// const-initialised thread-local without a destructor, so touching it
+// never allocates and never touches the memory being managed.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Run `f` and return how many allocations this thread made inside it.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCS.with(|n| n.set(Some(0)));
+    let out = f();
+    let n = ALLOCS.with(|n| n.replace(None));
+    (out, n.expect("counting was on"))
+}
+
+const STACK_TRACE: &str =
+    "\tat org.apache.hadoop.yarn.server.resourcemanager.ResourceManager.main(ResourceManager.java:1240)";
+const OUT_OF_VOCABULARY: &str = "2018-03-14 09:00:00,004 INFO  ParentQueue: assignedContainer \
+     queue=root usedCapacity=0.715 absoluteUsedCapacity=0.328 used=<memory:2850111, vCores:630>";
+const OTHER_SHAPE_RM: &str = "2018-03-14 09:00:00,004 INFO  RMAppImpl: Storing application \
+     with id application_1521018000000_0069";
+const OTHER_SHAPE_NM: &str = "2018-03-14 09:00:00,004 INFO  ContainerImpl: Cleaning up \
+     container container_1521018000000_0001_01_000002";
+
+#[test]
+fn a_line_costs_no_allocation_from_bytes_to_verdict() {
+    let epoch = Epoch::default_run();
+    let ex = Extractor::new();
+    let rm = LogSource::ResourceManager;
+    let nm = LogSource::NodeManager(NodeId(1));
+    let app = "application_1521018000000_0001";
+    let cid = "container_1521018000000_0001_01_000002";
+    let rm_app = format!(
+        "2018-03-14 09:00:00,100 INFO  RMAppImpl: {app} State change from NEW_SAVING to \
+         SUBMITTED on event = APP_NEW_SAVED"
+    );
+    let rm_container = format!(
+        "2018-03-14 09:00:00,150 INFO  RMContainerImpl: {cid} Container Transitioned from NEW \
+         to ALLOCATED"
+    );
+    let nm_container = format!(
+        "2018-03-14 09:00:00,160 INFO  ContainerImpl: Container {cid} transitioned from NEW \
+         to LOCALIZING\r"
+    );
+    let benign = format!(
+        "2018-03-14 09:00:00,090 INFO  RMAppImpl: {app} State change from NEW to NEW_SAVING \
+         on event = START"
+    );
+    // (stream, line, verdict, event)
+    let cases: [(LogSource, &str, Option<Outcome>, Option<EventKind>); 9] = [
+        (rm, STACK_TRACE, None, None),
+        (rm, "", None, None),
+        (rm, OUT_OF_VOCABULARY, Some(Outcome::Ignored), None),
+        (rm, OTHER_SHAPE_RM, Some(Outcome::Ignored), None),
+        (nm, OTHER_SHAPE_NM, Some(Outcome::Ignored), None),
+        (rm, &benign, Some(Outcome::Matched), None),
+        (
+            rm,
+            &rm_app,
+            Some(Outcome::Matched),
+            Some(EventKind::AppSubmitted),
+        ),
+        (
+            rm,
+            &rm_container,
+            Some(Outcome::Matched),
+            Some(EventKind::ContainerAllocated),
+        ),
+        (
+            nm,
+            &nm_container,
+            Some(Outcome::Matched),
+            Some(EventKind::ContainerLocalizing),
+        ),
+    ];
+    let mut out = Vec::with_capacity(cases.len());
+    for (source, line, verdict, event) in cases {
+        let mut cursor = StreamCursor::new(source);
+        let before = out.len();
+        let (got, allocs) = allocations(|| {
+            let record = parse_line_ref(&epoch, line)?;
+            Some(ex.extract_record(&mut cursor, &record, &mut out))
+        });
+        assert_eq!(got, verdict, "{line:?}");
+        assert_eq!(out[before..].first().map(|e| e.kind), event, "{line:?}");
+        assert_eq!(allocs, 0, "{line:?}");
+    }
+}
+
+/// The faulty fleet on disk with `noise` lines that yield nothing — a
+/// stack-trace line, a record of no rule's class, a record of a rule's
+/// class but another shape — after every real line. Returns the
+/// directory and how many log files it holds.
+fn noisy_fleet(name: &str, noise: usize) -> (PathBuf, usize) {
+    let dir =
+        std::env::temp_dir().join(format!("sdchecker_zeroalloc_{name}_{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let mut store = LogStore::new(Epoch::default_run());
+    common::populate_faulty_fleet(&mut store);
+    store.write_dir(&dir).unwrap();
+    let mut files = 0;
+    for source in store.sources() {
+        let other_shape = match source {
+            LogSource::NodeManager(_) => OTHER_SHAPE_NM,
+            _ => OTHER_SHAPE_RM,
+        };
+        let mut text = String::new();
+        for line in store.render_source(source).lines() {
+            text.push_str(line);
+            text.push('\n');
+            // Noise records carry the stamp of the line they follow, so
+            // the stream stays in time order.
+            let stamp = &line[..23];
+            for i in 0..noise {
+                match i % 3 {
+                    0 => text.push_str(STACK_TRACE),
+                    1 => text.extend([stamp, &OUT_OF_VOCABULARY[23..]]),
+                    _ => text.extend([stamp, &other_shape[23..]]),
+                }
+                text.push('\n');
+            }
+        }
+        fs::write(dir.join(source.rel_path()), text).unwrap();
+        files += 1;
+    }
+    (dir, files)
+}
+
+/// Allocations of one sequential directory analysis, checked to repeat
+/// exactly; with the number of events it found.
+fn analysis_allocations(dir: &Path) -> (usize, u64) {
+    let run = || {
+        analyze_dir_with(dir, Parallelism::ONE)
+            .unwrap()
+            .events
+            .len()
+    };
+    let (events, first) = allocations(run);
+    let (_, second) = allocations(run);
+    assert_eq!(first, second, "allocation counts must repeat exactly");
+    (events, first)
+}
+
+#[test]
+fn directory_analysis_allocates_per_file_and_event_not_per_line() {
+    let (sparse_dir, files) = noisy_fleet("x1", 1);
+    let (dense_dir, _) = noisy_fleet("x10", 10);
+    let (sparse_events, sparse) = analysis_allocations(&sparse_dir);
+    let (dense_events, dense) = analysis_allocations(&dense_dir);
+    assert_eq!(sparse_events, dense_events);
+    assert!(
+        sparse_events > 30,
+        "the fleet yields events: {sparse_events}"
+    );
+    // Ten times the lines may cost each file's record vector one more
+    // doubling, and nothing else.
+    assert!(
+        dense.abs_diff(sparse) <= files as u64,
+        "{sparse} allocations at 1 noise line per line, {dense} at 10, over {files} files"
+    );
+    fs::remove_dir_all(&sparse_dir).unwrap();
+    fs::remove_dir_all(&dense_dir).unwrap();
+}
