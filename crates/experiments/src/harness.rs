@@ -89,7 +89,7 @@ pub fn run_scenario(
     let kinds: Vec<&'static str> = arrivals.iter().map(|(_, s)| s.kind.tag()).collect();
     let (logs, summaries) = simulate(cfg, seed, arrivals, horizon);
     // The parallel pipeline is byte-identical to the sequential one (see
-    // sdchecker's k-way merge), so experiments can always use it.
+    // sdchecker's stream merge), so experiments can always use it.
     let analysis = analyze_store_with(&logs, Parallelism::auto());
     ScenarioResult {
         analysis,

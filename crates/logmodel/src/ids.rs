@@ -40,6 +40,12 @@ fn err(kind: &'static str, input: &str) -> IdParseError {
     }
 }
 
+/// Write `v` in decimal, zero-padded to at least `width` digits: the
+/// digit writer under every id's one spelling.
+fn write_dec(w: &mut impl fmt::Write, v: u64, width: usize) -> fmt::Result {
+    w.write_str(obs::json::decimal(&mut [0; 20], v, width))
+}
+
 /// A YARN application id: `application_<clusterTs>_<seq>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ApplicationId {
@@ -59,11 +65,20 @@ impl ApplicationId {
     pub fn attempt(self, attempt: u32) -> AppAttemptId {
         AppAttemptId { app: self, attempt }
     }
+
+    /// Write the id's text (what `Display` prints) straight into `w` —
+    /// a `String` being appended to, or a formatter.
+    pub fn write_to(self, w: &mut impl fmt::Write) -> fmt::Result {
+        w.write_str("application_")?;
+        write_dec(w, self.cluster_ts, 1)?;
+        w.write_str("_")?;
+        write_dec(w, u64::from(self.seq), 4)
+    }
 }
 
 impl fmt::Display for ApplicationId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "application_{}_{:04}", self.cluster_ts, self.seq)
+        self.write_to(f)
     }
 }
 
@@ -155,15 +170,23 @@ impl ContainerId {
     pub fn app(self) -> ApplicationId {
         self.attempt.app
     }
+
+    /// Write the id's text (what `Display` prints) straight into `w`.
+    pub fn write_to(self, w: &mut impl fmt::Write) -> fmt::Result {
+        w.write_str("container_")?;
+        write_dec(w, self.attempt.app.cluster_ts, 1)?;
+        w.write_str("_")?;
+        write_dec(w, u64::from(self.attempt.app.seq), 4)?;
+        w.write_str("_")?;
+        write_dec(w, u64::from(self.attempt.attempt), 2)?;
+        w.write_str("_")?;
+        write_dec(w, self.seq, 6)
+    }
 }
 
 impl fmt::Display for ContainerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "container_{}_{:04}_{:02}_{:06}",
-            self.attempt.app.cluster_ts, self.attempt.app.seq, self.attempt.attempt, self.seq
-        )
+        self.write_to(f)
     }
 }
 
@@ -207,11 +230,19 @@ impl NodeId {
     pub fn host(self) -> String {
         format!("node{:02}.cluster.local", self.0)
     }
+
+    /// Write the id's text (what `Display` prints) straight into `w`.
+    pub fn write_to(self, w: &mut impl fmt::Write) -> fmt::Result {
+        w.write_str("node")?;
+        write_dec(w, u64::from(self.0), 2)?;
+        w.write_str(".cluster.local:")?;
+        write_dec(w, u64::from(Self::PORT), 1)
+    }
 }
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "node{:02}.cluster.local:{}", self.0, Self::PORT)
+        self.write_to(f)
     }
 }
 
@@ -340,6 +371,54 @@ mod tests {
             "node12.cluster.local".parse::<NodeId>().unwrap(),
             NodeId(12)
         );
+    }
+
+    /// The ids' `Display` bodies as they were before they delegated to
+    /// `write_to`: the slow oracle for the digit writer.
+    fn reference(app: ApplicationId, cid: ContainerId, node: NodeId) -> [String; 3] {
+        [
+            format!("application_{}_{:04}", app.cluster_ts, app.seq),
+            format!(
+                "container_{}_{:04}_{:02}_{:06}",
+                cid.attempt.app.cluster_ts, cid.attempt.app.seq, cid.attempt.attempt, cid.seq
+            ),
+            format!("node{:02}.cluster.local:{}", node.0, NodeId::PORT),
+        ]
+    }
+
+    #[test]
+    fn write_to_matches_the_format_reference_at_every_width() {
+        // Each field at its narrowest, at its padding width, one digit
+        // past it, and at the type's maximum.
+        let cluster = [0, 7, TS, u64::MAX];
+        let seqs = [0, 1, 9_999, 10_000, u32::MAX];
+        let attempts = [0, 9, 99, 100, u32::MAX];
+        let containers = [0, 1, 999_999, 1_000_000, u64::MAX];
+        for (i, &cluster_ts) in cluster.iter().enumerate() {
+            for &seq in &seqs {
+                for &attempt in &attempts {
+                    for &cseq in &containers {
+                        let app = ApplicationId::new(cluster_ts, seq);
+                        let cid = app.attempt(attempt).container(cseq);
+                        let node = NodeId(seqs[i] ^ attempt);
+                        let want = reference(app, cid, node);
+                        assert_eq!(app.to_string(), want[0]);
+                        assert_eq!(cid.to_string(), want[1]);
+                        assert_eq!(node.to_string(), want[2]);
+                        // Appending, and inside a wider format string.
+                        let mut out = String::from(">");
+                        app.write_to(&mut out).unwrap();
+                        cid.write_to(&mut out).unwrap();
+                        node.write_to(&mut out).unwrap();
+                        assert_eq!(out, format!(">{}{}{}", want[0], want[1], want[2]));
+                        assert_eq!(
+                            format!("[{app:>50}|{cid}|{node}]"),
+                            format!("[{}|{}|{}]", want[0], want[1], want[2])
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

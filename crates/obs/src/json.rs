@@ -2,33 +2,87 @@
 //! recursive-descent parser so tests (and downstream tools) can validate
 //! exporter output without external dependencies.
 
+/// Append `s` escaped for embedding inside JSON double quotes. Runs of
+/// bytes that need no escaping are copied whole, so a clean string is
+/// one `push_str`.
+pub fn push_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    // Every escaped byte is ASCII, so `clean` and `i` always fall on
+    // character boundaries and multi-byte text passes through in runs.
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+    }
+    out.push_str(&s[clean..]);
+}
+
 /// Escape a string for embedding inside JSON double quotes.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    push_escaped(&mut out, s);
     out
 }
 
-/// Render an `f64` deterministically: integers without a fraction render
-/// as integers, everything else uses Rust's shortest-roundtrip `{:?}`.
-pub fn fmt_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9.0e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:?}")
+/// The decimal digits of `v` in `buf`, zero-padded on the left to at
+/// least `min_digits` (at most the buffer's 20). The one digit loop
+/// under [`push_u64`] and the fixed-width fields of `logmodel`'s ids.
+pub fn decimal(buf: &mut [u8; 20], mut v: u64, min_digits: usize) -> &str {
+    buf.fill(b'0');
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
+    let start = i.min(buf.len().saturating_sub(min_digits));
+    // ASCII digits only, so the conversion cannot fail.
+    std::str::from_utf8(&buf[start..]).unwrap_or_default()
+}
+
+/// Append `v` in decimal.
+pub fn push_u64(out: &mut String, v: u64) {
+    out.push_str(decimal(&mut [0; 20], v, 1));
+}
+
+/// Append an `f64` deterministically: integers without a fraction render
+/// as integers, everything else uses Rust's shortest-roundtrip `{:?}`.
+pub fn push_f64(out: &mut String, v: f64) {
+    use std::fmt::Write as _;
+    if v.fract() == 0.0 && v.abs() < 9.0e15 {
+        let int = v as i64;
+        if int < 0 {
+            out.push('-');
+        }
+        push_u64(out, int.unsigned_abs());
+    } else {
+        let _ = write!(out, "{v:?}");
+    }
+}
+
+/// Render an `f64` deterministically (see [`push_f64`]).
+pub fn fmt_f64(v: f64) -> String {
+    let mut out = String::new();
+    push_f64(&mut out, v);
+    out
 }
 
 /// A parsed JSON value.
@@ -285,6 +339,130 @@ mod tests {
         assert_eq!(fmt_f64(-2.0), "-2");
         assert_eq!(fmt_f64(0.5), "0.5");
         assert_eq!(fmt_f64(1.25), "1.25");
+    }
+
+    /// `escape` as it was before it became a wrapper over
+    /// [`push_escaped`]: the slow oracle.
+    fn escape_reference(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// `fmt_f64` as it was before it became a wrapper over [`push_f64`].
+    fn fmt_f64_reference(v: f64) -> String {
+        if v.fract() == 0.0 && v.abs() < 9.0e15 {
+            format!("{}", v as i64)
+        } else {
+            format!("{v:?}")
+        }
+    }
+
+    /// SplitMix64: a seeded stream for the oracle comparisons.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn push_escaped_matches_the_reference_on_hostile_strings() {
+        let alphabet = [
+            "a", "Z", " ", "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1}", "\u{8}", "\u{c}",
+            "\u{1f}", "\u{7f}", "é", "ü", "→", "日本", "🦀", "/", "'", "{", "}",
+        ];
+        let mut state = 18;
+        for case in 0..2_000 {
+            let len = next(&mut state) % 24;
+            let s: String = (0..len)
+                .map(|_| alphabet[(next(&mut state) % alphabet.len() as u64) as usize])
+                .collect();
+            let want = escape_reference(&s);
+            assert_eq!(escape(&s), want, "case {case}: {s:?}");
+            // Appending leaves what was already there alone.
+            let mut out = String::from("\"k\": \"");
+            push_escaped(&mut out, &s);
+            assert_eq!(out, format!("\"k\": \"{want}"), "case {case}: {s:?}");
+            let doc = format!("\"{want}\"");
+            assert_eq!(parse(&doc).unwrap().as_str(), Some(s.as_str()), "{doc}");
+        }
+    }
+
+    #[test]
+    fn push_f64_matches_the_reference() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.1,
+            -0.1,
+            12.3,
+            99.95,
+            1e-7,
+            8.999_999_999_999_999e15,
+            9.0e15,
+            -9.0e15,
+            9.007_199_254_740_993e15,
+            1e21,
+            -1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            i64::MAX as f64,
+            i64::MIN as f64,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut state = 18;
+        for _ in 0..2_000 {
+            let r = next(&mut state);
+            // Tenths (what blame percentages are), integers of every
+            // width, and arbitrary bit patterns.
+            values.push((r % 100_000) as f64 / 10.0);
+            values.push((r >> (r % 64)) as f64);
+            values.push(-((r >> (r % 64)) as f64));
+            values.push(f64::from_bits(next(&mut state)));
+        }
+        for v in values {
+            let want = fmt_f64_reference(v);
+            assert_eq!(fmt_f64(v), want, "{v:?}");
+            let mut out = String::from("x");
+            push_f64(&mut out, v);
+            assert_eq!(out, format!("x{want}"), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn decimal_pads_without_ever_truncating() {
+        let mut state = 18;
+        let mut values = vec![0, 1, 9, 10, 99, 100, 9_999, 10_000, u64::MAX];
+        values.extend((0..500).map(|_| next(&mut state) >> (next(&mut state) % 64)));
+        for v in values {
+            let mut out = String::new();
+            push_u64(&mut out, v);
+            assert_eq!(out, v.to_string());
+            let mut buf = [0; 20];
+            assert_eq!(decimal(&mut buf, v, 2), format!("{v:02}"));
+            assert_eq!(decimal(&mut buf, v, 4), format!("{v:04}"));
+            assert_eq!(decimal(&mut buf, v, 6), format!("{v:06}"));
+            assert_eq!(decimal(&mut buf, v, 64), format!("{v:020}"));
+        }
     }
 
     #[test]

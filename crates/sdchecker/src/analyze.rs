@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use logmodel::{par, scan_dir, ApplicationId, LogStore, Parallelism, TsMs};
+use logmodel::{scan_dir, ApplicationId, LogStore, Parallelism, TsMs};
 
 use crate::bugs::{find_unused_containers, UnusedContainer};
 use crate::decompose::{decompose, AppDelays, AppOutcome};
@@ -93,10 +93,10 @@ impl Analysis {
     /// Group complete delay records by mined application name (per-query
     /// breakdowns for a TPC-H trace). Unnamed applications group under
     /// `"(unnamed)"`.
-    pub fn by_name(&self) -> BTreeMap<String, Vec<&AppDelays>> {
-        let mut out: BTreeMap<String, Vec<&AppDelays>> = BTreeMap::new();
+    pub fn by_name(&self) -> BTreeMap<&str, Vec<&AppDelays>> {
+        let mut out: BTreeMap<&str, Vec<&AppDelays>> = BTreeMap::new();
         for d in self.complete_delays() {
-            let name = self.name_of(d.app).unwrap_or("(unnamed)").to_string();
+            let name = self.name_of(d.app).unwrap_or("(unnamed)");
             out.entry(name).or_default().push(d);
         }
         out
@@ -146,74 +146,40 @@ pub fn analyze_store(store: &LogStore) -> Analysis {
 
 /// Run the pipeline over an in-memory store with `par` worker threads.
 ///
-/// Parallel at two granularities: extraction shards one `Extractor` pass
-/// per log stream (merged deterministically — see
-/// [`crate::extract::extract_all_with`]), and graph construction, delay
-/// decomposition, and bug finding run one task per application. The result
-/// is identical for every thread count; `Parallelism::ONE` runs the exact
-/// sequential code path on the calling thread.
+/// Extraction shards one `Extractor` pass per log stream (merged
+/// deterministically — see [`crate::extract::extract_all_with`]); graph
+/// construction, delay decomposition, and bug finding then run as one
+/// sequential pass over the applications. The result is identical for
+/// every thread count.
 pub fn analyze_store_with(store: &LogStore, par: Parallelism) -> Analysis {
     let _span = obs::span("analyze");
-    analyze_extracted(extract_store(store, par), par)
+    analyze_extracted(extract_store(store, par))
 }
 
 /// The pipeline from the merged event list on: graphs, delays and bug
 /// scan per application. Where directory and in-memory analysis join.
-fn analyze_extracted(extracted: Extracted, par: Parallelism) -> Analysis {
+/// One sequential pass whatever the thread count: the whole stage is a
+/// few milliseconds per thousand applications, less than it costs to
+/// partition the events for a fan-out.
+fn analyze_extracted(extracted: Extracted) -> Analysis {
     let Extracted {
         events,
         coverage,
         app_names,
         watermark,
     } = extracted;
-    if par.is_sequential() {
-        let graphs = {
-            let _s = obs::span("graph_build");
-            build_graphs(&events)
-        };
-        let delays: Vec<AppDelays> = {
-            let _s = obs::span("decompose");
-            graphs.values().map(decompose).collect()
-        };
-        let unused_containers: Vec<UnusedContainer> = {
-            let _s = obs::span("bug_detect");
-            graphs.values().flat_map(find_unused_containers).collect()
-        };
-        flush_analysis_metrics(graphs.len(), unused_containers.len());
-        flush_failure_metrics(&delays);
-        stream_delay_sketches(&delays);
-        return Analysis {
-            events,
-            graphs,
-            delays,
-            unused_containers,
-            app_names,
-            coverage,
-            watermark,
-        };
-    }
-    // Partition the (globally sorted) events by owning application; each
-    // application's graph, decomposition, and bug scan are independent, so
-    // they fan out one task per application. BTreeMap partitioning keeps
-    // applications in ascending-id order, matching the sequential path's
-    // graph-map iteration order.
-    let mut by_app: BTreeMap<ApplicationId, Vec<SchedEvent>> = BTreeMap::new();
-    for ev in &events {
-        by_app.entry(ev.app).or_default().push(ev.clone());
-    }
-    let per_app = par::map(par, by_app.into_iter().collect(), |(app, evs)| {
-        let _span = obs::span("analyze_app").arg("app", app);
-        let (graph, delays, unused) = analyze_app_events(app, &evs);
-        (app, graph, delays, unused)
-    });
-    let mut graphs = BTreeMap::new();
-    let mut delays = Vec::with_capacity(per_app.len());
-    let mut unused_containers = Vec::new();
-    for (app, graph, d, unused) in per_app {
-        graphs.insert(app, graph);
-        delays.push(d);
-        unused_containers.extend(unused);
-    }
+    let graphs = {
+        let _s = obs::span("graph_build");
+        build_graphs(&events)
+    };
+    let delays: Vec<AppDelays> = {
+        let _s = obs::span("decompose");
+        graphs.values().map(decompose).collect()
+    };
+    let unused_containers: Vec<UnusedContainer> = {
+        let _s = obs::span("bug_detect");
+        graphs.values().flat_map(find_unused_containers).collect()
+    };
     flush_analysis_metrics(graphs.len(), unused_containers.len());
     flush_failure_metrics(&delays);
     stream_delay_sketches(&delays);
@@ -230,9 +196,9 @@ fn analyze_extracted(extracted: Extracted, par: Parallelism) -> Analysis {
 
 /// Analyze one application from its (time-sorted) event slice: build
 /// the scheduling graph, decompose delays, and scan for unused
-/// containers. This is the per-app unit both the parallel batch path
-/// and the incremental (tailing) pipeline retire applications through,
-/// which is what keeps their per-app results identical.
+/// containers. This is the unit the incremental (tailing) pipeline
+/// retires applications through: the same three functions the batch
+/// pass runs, which is what keeps their per-app results identical.
 pub fn analyze_app_events(
     app: ApplicationId,
     events: &[SchedEvent],
@@ -385,16 +351,16 @@ pub fn analyze_dir(dir: &Path) -> io::Result<Analysis> {
 /// [`analyze_dir`] with `par` worker threads: each log stream is
 /// extracted from the bytes it was read from, as a [`scan_dir`] visitor —
 /// no record outlives its file's buffer, and at most `par.threads()`
-/// streams' bytes are in memory at a time — then the analysis fans out
-/// per application. Identical output for every thread count, and to
-/// [`analyze_store_with`] over [`LogStore::read_dir_with`].
+/// streams' bytes are in memory at a time — then one sequential pass
+/// analyzes the applications. Identical output for every thread count,
+/// and to [`analyze_store_with`] over [`LogStore::read_dir_with`].
 pub fn analyze_dir_with(dir: &Path, par: Parallelism) -> io::Result<Analysis> {
     let ex = Extractor::new();
     let (_epoch, scans) = scan_dir(dir, par, |src, records| {
         ex.scan_stream(src, records.iter().copied())
     })?;
     let _span = obs::span("analyze");
-    Ok(analyze_extracted(merge_scans(scans), par))
+    Ok(analyze_extracted(merge_scans(scans)))
 }
 
 #[cfg(test)]

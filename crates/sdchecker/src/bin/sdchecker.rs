@@ -13,11 +13,12 @@
 //! logs (the layout `logmodel::LogStore::write_dir` produces, mirroring a
 //! cluster log collection).
 
+use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use logmodel::ApplicationId;
-use sdchecker::{analyze_dir_with, full_report, Parallelism, Table};
+use sdchecker::{analyze_dir_with, Parallelism, Report, Table};
 
 const USAGE: &str = "usage: sdchecker <log-dir> [--threads N] [--csv <out.csv>] \
 [--dot <application-id> <out.dot>] [--timeline <application-id>] \
@@ -28,6 +29,27 @@ const USAGE: &str = "usage: sdchecker <log-dir> [--threads N] [--csv <out.csv>] 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
     ExitCode::from(2)
+}
+
+/// Standard output that a closed pipe ends quietly: after `sdchecker
+/// <dir> | head` has read enough, the rest of the text is dropped, the
+/// requested files are still written and the run still succeeds. Any
+/// other write error is the caller's to report.
+struct Stdout(Option<io::StdoutLock<'static>>);
+
+impl Stdout {
+    fn write(&mut self, text: &str) -> io::Result<()> {
+        let Some(out) = &mut self.0 else {
+            return Ok(());
+        };
+        match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.0 = None;
+                Ok(())
+            }
+            other => other,
+        }
+    }
 }
 
 fn main() -> ExitCode {
@@ -179,7 +201,14 @@ fn main() -> ExitCode {
         }
     };
 
-    print!("{}", full_report(&analysis));
+    // One pass over the applications feeds stdout, `--report-json` and
+    // `--wide-events-out`.
+    let report = Report::new(&analysis);
+    let mut stdout = Stdout(Some(io::stdout().lock()));
+    if let Err(e) = stdout.write(&report.text()) {
+        eprintln!("failed to write to stdout: {e}");
+        return ExitCode::FAILURE;
+    }
 
     if let Some(path) = csv_out {
         let mut t = Table::new(&[
@@ -225,8 +254,10 @@ fn main() -> ExitCode {
             eprintln!("application {app} not found in logs");
             return ExitCode::FAILURE;
         };
-        println!();
-        print!("{}", sdchecker::ascii_gantt(g, 100));
+        if let Err(e) = stdout.write(&format!("\n{}", sdchecker::ascii_gantt(g, 100))) {
+            eprintln!("failed to write to stdout: {e}");
+            return ExitCode::FAILURE;
+        }
     }
 
     if let Some((app, path)) = dot_req {
@@ -257,7 +288,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &wide_events_out {
-        if let Err(e) = std::fs::write(path, sdchecker::wide_events_for_analysis(&analysis)) {
+        if let Err(e) = std::fs::write(path, report.wide_events()) {
             eprintln!("failed to write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
@@ -271,7 +302,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &report_json_out {
-        if let Err(e) = std::fs::write(path, sdchecker::report_json(&analysis)) {
+        if let Err(e) = std::fs::write(path, report.json()) {
             eprintln!("failed to write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }

@@ -19,7 +19,7 @@
 use logmodel::{ApplicationId, TsMs};
 
 use crate::event::EventKind;
-use crate::graph::SchedulingGraph;
+use crate::graph::{ContainerTrack, SchedulingGraph};
 use crate::report::Table;
 
 /// One tile of the critical path: `component` blames the interval
@@ -114,48 +114,47 @@ pub(crate) const SEGMENT_COMPONENTS: [&str; 14] = [
 ];
 
 /// The milestone chain from submission to the first user task, in causal
-/// order. Returns `(component, entity, timestamp)` triples; a `None`
-/// timestamp means the milestone left no log evidence.
-fn milestones(g: &SchedulingGraph) -> Vec<(&'static str, String, Option<TsMs>)> {
+/// order, as `(component, entity, timestamp)` triples; a `None`
+/// timestamp means the milestone left no log evidence. `am` is the final
+/// attempt's AM container, `crit` the critical executor — the worker
+/// whose first `TaskAssigned` is the application's first task — each
+/// with the entity name its milestones are blamed on.
+fn milestones<'n>(
+    g: &SchedulingGraph,
+    (am, am_name): (Option<&ContainerTrack>, &'n str),
+    (crit, crit_name): (&ContainerTrack, &'n str),
+) -> [(&'static str, &'n str, Option<TsMs>); 13] {
     use EventKind::*;
-    let am = g.am_container();
-    let am_entity = || {
-        am.map(|c| c.cid.to_string())
-            .unwrap_or_else(|| "app".to_string())
-    };
-    // The critical executor: the worker whose first TaskAssigned is the
-    // application's first task (ties broken by container id, matching the
-    // `min` in decompose).
-    let crit = g
-        .worker_containers()
-        .filter_map(|c| c.first(TaskAssigned).map(|t| (t, c)))
-        .min_by_key(|(t, c)| (*t, c.cid))
-        .map(|(_, c)| c);
-    let crit_entity = || {
-        crit.map(|c| c.cid.to_string())
-            .unwrap_or_else(|| "app".to_string())
-    };
     let am_first = |kind| am.and_then(|c| c.first(kind));
-    let crit_first = |kind| crit.and_then(|c| c.first(kind));
-    vec![
-        ("admission", "app".to_string(), g.first(AppAccepted)),
-        ("am_allocation", am_entity(), am_first(ContainerAllocated)),
-        ("am_acquisition", am_entity(), am_first(ContainerAcquired)),
-        ("am_dispatch", am_entity(), am_first(ContainerLocalizing)),
-        ("am_localization", am_entity(), am_first(ContainerScheduled)),
-        ("am_launching", am_entity(), g.first(DriverFirstLog)),
-        ("driver_init", "app".to_string(), g.first(DriverRegistered)),
-        ("allocation", crit_entity(), crit_first(ContainerAllocated)),
-        ("acquisition", crit_entity(), crit_first(ContainerAcquired)),
-        ("dispatch", crit_entity(), crit_first(ContainerLocalizing)),
-        (
-            "localization",
-            crit_entity(),
-            crit_first(ContainerScheduled),
-        ),
-        ("launching", crit_entity(), crit_first(ExecutorFirstLog)),
-        ("executor_idle", crit_entity(), crit_first(TaskAssigned)),
+    let crit_first = |kind| crit.first(kind);
+    [
+        ("admission", "app", g.first(AppAccepted)),
+        ("am_allocation", am_name, am_first(ContainerAllocated)),
+        ("am_acquisition", am_name, am_first(ContainerAcquired)),
+        ("am_dispatch", am_name, am_first(ContainerLocalizing)),
+        ("am_localization", am_name, am_first(ContainerScheduled)),
+        ("am_launching", am_name, g.first(DriverFirstLog)),
+        ("driver_init", "app", g.first(DriverRegistered)),
+        ("allocation", crit_name, crit_first(ContainerAllocated)),
+        ("acquisition", crit_name, crit_first(ContainerAcquired)),
+        ("dispatch", crit_name, crit_first(ContainerLocalizing)),
+        ("localization", crit_name, crit_first(ContainerScheduled)),
+        ("launching", crit_name, crit_first(ExecutorFirstLog)),
+        ("executor_idle", crit_name, crit_first(TaskAssigned)),
     ]
+}
+
+/// The entity name of a container's milestones: its id, or `app` when
+/// the container left no evidence. Built once per path, in one
+/// allocation; segments take copies.
+fn entity_name(track: Option<&ContainerTrack>) -> String {
+    let Some(track) = track else {
+        return "app".to_string();
+    };
+    // `container_<13>_<4>_<2>_<6>` is 38 bytes; wider ids grow.
+    let mut name = String::with_capacity(40);
+    let _ = track.cid.write_to(&mut name);
+    name
 }
 
 /// Extract the critical path of one application's scheduling graph, or
@@ -170,18 +169,23 @@ fn milestones(g: &SchedulingGraph) -> Vec<(&'static str, String, Option<TsMs>)> 
 /// * every segment endpoint is a timestamp of a real graph event.
 pub fn critical_path(g: &SchedulingGraph) -> Option<CriticalPath> {
     let submitted = g.first(EventKind::AppSubmitted)?;
-    let first_task = g
+    // The critical executor (ties broken by container id, matching the
+    // `min` in decompose).
+    let (first_task, crit) = g
         .worker_containers()
-        .filter_map(|c| c.first(EventKind::TaskAssigned))
-        .min()?;
+        .filter_map(|c| c.first(EventKind::TaskAssigned).map(|t| (t, c)))
+        .min_by_key(|(t, c)| (*t, c.cid))?;
     // Corrupt or clock-skewed evidence can place the first task before
     // submission; no causal chain exists through such a graph.
     if first_task < submitted {
         return None;
     }
-    let mut segments = Vec::new();
+    let am = g.am_container();
+    let (am_name, crit_name) = (entity_name(am), entity_name(Some(crit)));
+    let chain = milestones(g, (am, &am_name), (crit, &crit_name));
+    let mut segments = Vec::with_capacity(chain.len());
     let mut last = submitted;
-    for (component, entity, at) in milestones(g) {
+    for (component, entity, at) in chain {
         let Some(at) = at else { continue };
         // Out-of-order milestones (clock skew across sources, or a
         // milestone logged before the previous one resolved) cannot be
@@ -192,7 +196,7 @@ pub fn critical_path(g: &SchedulingGraph) -> Option<CriticalPath> {
         }
         segments.push(CriticalSegment {
             component,
-            entity,
+            entity: entity.to_string(),
             from: last,
             to: at,
         });

@@ -170,6 +170,11 @@ impl EventKind {
         }
     }
 
+    /// The kind's position in [`Self::ALL`].
+    pub(crate) fn index(self) -> usize {
+        usize::from(self.wire_id())
+    }
+
     /// Whether this kind ends an application's life (the retirement
     /// anchor of the incremental pipeline).
     pub(crate) fn is_terminal(self) -> bool {

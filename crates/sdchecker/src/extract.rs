@@ -423,9 +423,8 @@ impl Extractor {
     }
 
     /// [`Extractor::scan`] as the batch pipelines run it: under an
-    /// `extract_stream` span, the events stable-sorted by timestamp (a
-    /// no-op for the time-ordered streams directory ingest guarantees),
-    /// the stream's counters flushed when recording is on.
+    /// `extract_stream` span, the stream's counters flushed when
+    /// recording is on. Events stay in record order; the merge sorts.
     pub(crate) fn scan_stream<'a>(
         &self,
         source: LogSource,
@@ -433,9 +432,9 @@ impl Extractor {
     ) -> StreamScan {
         let span = obs::span("extract_stream").arg("source", source.rel_path());
         let mut scan = self.scan(source, records);
-        if !scan.events.windows(2).all(|w| w[0].ts <= w[1].ts) {
-            scan.events.sort_by_key(|e| e.ts);
-        }
+        // Every stream's events wait for the merge, which holds them and
+        // their merged copy at once: they wait without growth slack.
+        scan.events.shrink_to_fit();
         if span.is_active() {
             flush_stream_metrics(source, &scan.events, scan.cov);
         }
@@ -658,17 +657,16 @@ pub fn extract_all_with(store: &logmodel::LogStore, par: Parallelism) -> Vec<Sch
 }
 
 /// [`extract_all_with`] plus corpus-wide parse coverage: one `Extractor`
-/// pass per log stream, then a k-way binary-heap merge of the per-stream
-/// (time-sorted) event vectors.
+/// pass per log stream, then one merge of the per-stream event vectors.
 ///
-/// Determinism guarantee: output is identical for every thread count. Each
-/// stream's events are (a) stable-sorted by timestamp (a no-op for the
-/// time-ordered streams the store guarantees) and (b) merged with
-/// timestamp ties broken by stream index, FIFO within a stream — exactly
-/// the order concatenating streams in store order and stable-sorting by
-/// timestamp would produce. With `Parallelism::ONE` the per-stream passes
-/// run sequentially on the calling thread. Coverage tallies are sums, so
-/// they are thread-count-independent too.
+/// Determinism guarantee: output is identical for every thread count. The
+/// merge orders events by timestamp, ties by stream index, then by
+/// position within the stream — exactly the order concatenating streams
+/// in store order and stable-sorting by timestamp would produce — and
+/// stream index and position do not depend on which thread scanned the
+/// stream. With `Parallelism::ONE` the per-stream passes run sequentially
+/// on the calling thread. Coverage tallies are sums, so they are
+/// thread-count-independent too.
 pub fn extract_all_cov_with(
     store: &logmodel::LogStore,
     par: Parallelism,
@@ -680,8 +678,7 @@ pub fn extract_all_cov_with(
 /// What one pass over one stream's records yields.
 pub(crate) struct StreamScan {
     source: LogSource,
-    /// The stream's events: in record order from [`Extractor::scan`],
-    /// time-sorted from [`Extractor::scan_stream`].
+    /// The stream's events, in record order.
     events: Vec<SchedEvent>,
     cov: CoverageCounts,
     /// The first unmatched message, if any.
@@ -715,8 +712,8 @@ pub(crate) fn extract_store(store: &logmodel::LogStore, par: Parallelism) -> Ext
 }
 
 /// Fold per-stream scans, given in [`LogSource`] order, into one
-/// corpus-wide result: the event vectors k-way merged, the rest summed
-/// or keyed.
+/// corpus-wide result: the event vectors merged by timestamp, the rest
+/// summed or keyed.
 pub(crate) fn merge_scans(scans: Vec<StreamScan>) -> Extracted {
     let mut coverage = ParseCoverage::default();
     let mut app_names = BTreeMap::new();
@@ -782,41 +779,23 @@ fn flush_stream_metrics(src: LogSource, evs: &[SchedEvent], cov: CoverageCounts)
     );
 }
 
-/// K-way merge of per-stream time-sorted event vectors, with timestamp
-/// ties broken by stream index (FIFO within a stream). Equivalent to
-/// concatenating the streams in index order and stable-sorting by
+/// Merge per-stream event vectors into one time-sorted list, timestamp
+/// ties broken by stream index, then by position within the stream:
+/// exactly the streams concatenated in index order and stable-sorted by
 /// timestamp.
+///
+/// What is sorted is one 16-byte `(timestamp, &event)` key per event,
+/// pushed in concatenation order, so a key's place in the vector *is* its
+/// `(stream index, position)` and the stable sort keeps it among equal
+/// timestamps; each 120-byte event is then copied once, straight to its
+/// final slot. Streams need not be time-sorted themselves, and input
+/// already in order costs one linear pass.
 fn merge_sorted_streams(streams: Vec<Vec<SchedEvent>>) -> Vec<SchedEvent> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
     let total: usize = streams.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut iters: Vec<std::vec::IntoIter<SchedEvent>> =
-        streams.into_iter().map(Vec::into_iter).collect();
-    // At most one entry per stream is in the heap, so the `(ts, stream)`
-    // key is unique and pop order is fully determined.
-    let mut heap: BinaryHeap<Reverse<(logmodel::TsMs, usize)>> = BinaryHeap::new();
-    let mut heads: Vec<Option<SchedEvent>> = Vec::with_capacity(iters.len());
-    for (i, it) in iters.iter_mut().enumerate() {
-        let head = it.next();
-        if let Some(ev) = &head {
-            heap.push(Reverse((ev.ts, i)));
-        }
-        heads.push(head);
-    }
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let Some(ev) = heads[i].take() else {
-            debug_assert!(false, "heap entry without a head");
-            continue;
-        };
-        out.push(ev);
-        heads[i] = iters[i].next();
-        if let Some(next) = &heads[i] {
-            heap.push(Reverse((next.ts, i)));
-        }
-    }
-    out
+    let mut keys: Vec<(logmodel::TsMs, &SchedEvent)> = Vec::with_capacity(total);
+    keys.extend(streams.iter().flatten().map(|ev| (ev.ts, ev)));
+    keys.sort_by_key(|&(ts, _)| ts);
+    keys.into_iter().map(|(_, ev)| ev.clone()).collect()
 }
 
 /// Fallback grouping helper for messages whose shape is unknown: find any
@@ -1366,6 +1345,123 @@ mod tests {
             assert_eq!(evs, batch_evs, "source {src:?}");
             assert_eq!(cov, batch_cov, "source {src:?}");
         }
+    }
+
+    /// The k-way binary-heap merge `merge_sorted_streams` was before it
+    /// sorted keys: the slow oracle. Needs every stream time-sorted.
+    fn heap_merge_reference(streams: Vec<Vec<SchedEvent>>) -> Vec<SchedEvent> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let total: usize = streams.iter().map(Vec::len).sum();
+        let mut out = Vec::with_capacity(total);
+        let mut iters: Vec<std::vec::IntoIter<SchedEvent>> =
+            streams.into_iter().map(Vec::into_iter).collect();
+        // At most one entry per stream is in the heap, so the `(ts, stream)`
+        // key is unique and pop order is fully determined.
+        let mut heap: BinaryHeap<Reverse<(TsMs, usize)>> = BinaryHeap::new();
+        let mut heads: Vec<Option<SchedEvent>> = Vec::with_capacity(iters.len());
+        for (i, it) in iters.iter_mut().enumerate() {
+            let head = it.next();
+            if let Some(ev) = &head {
+                heap.push(Reverse((ev.ts, i)));
+            }
+            heads.push(head);
+        }
+        while let Some(Reverse((_, i))) = heap.pop() {
+            out.push(heads[i].take().expect("heap entry has a head"));
+            heads[i] = iters[i].next();
+            if let Some(next) = &heads[i] {
+                heap.push(Reverse((next.ts, i)));
+            }
+        }
+        out
+    }
+
+    /// Seeded stream sets; every event is tagged with its stream and
+    /// position (as the application id), so any reordering among equal
+    /// timestamps shows.
+    fn seeded_streams(
+        rng: &mut simkit::SimRng,
+        lens: &[usize],
+        ts_span: u64,
+        sorted: bool,
+    ) -> Vec<Vec<SchedEvent>> {
+        lens.iter()
+            .enumerate()
+            .map(|(s, &len)| {
+                let mut ts: Vec<u64> = (0..len).map(|_| rng.below(ts_span)).collect();
+                if sorted {
+                    ts.sort_unstable();
+                }
+                ts.into_iter()
+                    .enumerate()
+                    .map(|(p, t)| SchedEvent {
+                        ts: TsMs(t),
+                        kind: EventKind::ALL[(s + p) % EventKind::ALL.len()],
+                        app: ApplicationId::new(s as u64, p as u32),
+                        container: None,
+                        node: None,
+                        source: LogSource::ResourceManager,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn key_merge_matches_the_heap_merge() {
+        let mut rng = simkit::SimRng::new(18);
+        let mut shapes: Vec<(Vec<usize>, u64)> = vec![
+            (vec![], 10),                   // no streams
+            (vec![0, 0, 0], 10),            // only empty streams
+            (vec![40], 10),                 // a single stream
+            (vec![0, 25, 0, 0, 25, 0], 1),  // every timestamp ties
+            (vec![3, 500, 2, 0, 4, 1], 50), // one stream holds most events
+            (vec![1; 300], 7),              // many one-event streams
+        ];
+        for _ in 0..40 {
+            let n = rng.index(12);
+            let lens = (0..n).map(|_| rng.index(30)).collect();
+            // Spans from "all ties" to "almost none".
+            shapes.push((lens, 1 + rng.below(200)));
+        }
+        for (lens, span) in shapes {
+            let sorted = seeded_streams(&mut rng, &lens, span, true);
+            assert_eq!(
+                merge_sorted_streams(sorted.clone()),
+                heap_merge_reference(sorted),
+                "sorted streams {lens:?}, span {span}"
+            );
+            // Streams out of time order: the heap needed each one
+            // stable-sorted first (what `scan_stream` used to do); the
+            // key merge takes them as they are.
+            let raw = seeded_streams(&mut rng, &lens, span, false);
+            let mut presorted = raw.clone();
+            for stream in &mut presorted {
+                stream.sort_by_key(|e| e.ts);
+            }
+            assert_eq!(
+                merge_sorted_streams(raw),
+                heap_merge_reference(presorted),
+                "unsorted streams {lens:?}, span {span}"
+            );
+        }
+    }
+
+    #[test]
+    fn already_ordered_streams_merge_to_their_concatenation() {
+        let mut rng = simkit::SimRng::new(18);
+        let mut streams = seeded_streams(&mut rng, &[5, 0, 9, 1], 1_000, true);
+        let mut base = 0;
+        for stream in &mut streams {
+            for ev in stream.iter_mut() {
+                ev.ts = TsMs(ev.ts.0 + base);
+            }
+            base += 1_000;
+        }
+        let concatenation: Vec<SchedEvent> = streams.iter().flatten().cloned().collect();
+        assert_eq!(merge_sorted_streams(streams), concatenation);
     }
 
     #[test]

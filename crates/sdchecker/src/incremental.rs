@@ -16,9 +16,9 @@
 //!    watermark has advanced `settle_ms` past it — long enough for the
 //!    cross-stream stragglers of that app (executor task lines, NM DONE
 //!    transitions) to land — its events are stable-sorted by
-//!    `(ts, source)` and pushed through the same per-application unit
-//!    the parallel batch path uses ([`analyze_app_events`]). That sort
-//!    reproduces the batch k-way merge order within one application, so
+//!    `(ts, source)` and pushed through [`analyze_app_events`], the
+//!    same three steps the batch pass runs per application. That sort
+//!    reproduces the batch merge order within one application, so
 //!    a retired app's delays are **identical** to what a batch run over
 //!    the finished corpus computes. An idle timeout (measured in *log
 //!    time* against the watermark, so it is deterministic under replay)
@@ -484,11 +484,10 @@ impl IncrementalAnalyzer {
     fn retire(&mut self, app: ApplicationId, forced: bool, retire_ms: TsMs) -> RetiredApp {
         let mut state = self.apps.remove(&app).unwrap_or_default();
         self.retired_ids.insert(app);
-        // Stable sort by (ts, source) reproduces the batch k-way merge
-        // order within one application: the merge emits by timestamp with
-        // ties broken by stream index, streams are enumerated in
-        // `LogSource` order, and the per-stream event order survives the
-        // stable sort.
+        // Stable sort by (ts, source) reproduces the batch merge order
+        // within one application: the merge emits by timestamp with ties
+        // broken by stream index, streams are enumerated in `LogSource`
+        // order, and the per-stream event order survives the stable sort.
         state.events.sort_by_key(|e| (e.ts, e.source));
         let (graph, delays, unused) = analyze_app_events(app, &state.events);
         let critical = critical_path(&graph);

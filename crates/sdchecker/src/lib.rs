@@ -89,7 +89,9 @@ pub use incremental::{IncrementalAnalyzer, IncrementalConfig, RetiredApp};
 pub use logmodel::Parallelism;
 pub use nodes::{per_node, slow_nodes, NodeStats};
 pub use pattern::Pat;
-pub use report::{cdf_table, full_report, ratio_summary_table, report_json, summary_table, Table};
+pub use report::{
+    cdf_table, full_report, ratio_summary_table, report_json, summary_table, Report, Table,
+};
 pub use stats::{percentile, Cdf, Summary};
 pub use tail::{DirTailer, SourceLag, TailLag, TailOps, TailStats};
 pub use throughput::{allocation_throughput, Throughput};

@@ -1,11 +1,19 @@
 //! Text/CSV rendering of analysis results: summary tables, CDF quantile
 //! tables, and the full per-corpus report the CLI prints.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use logmodel::{ApplicationId, TsMs};
+use obs::json::{push_escaped, push_u64};
+
 use crate::analyze::Analysis;
+use crate::critical::{critical_path, CriticalPath};
 use crate::decompose::{AppDelays, AppOutcome};
 use crate::stats::{Cdf, Summary};
+use crate::wide::{
+    push_container, push_opt_str, push_opt_u64, push_tenths, push_wide_event, WideEventInput,
+};
 
 /// A simple fixed-width text table builder.
 #[derive(Debug, Default)]
@@ -175,80 +183,82 @@ pub fn cdf_table(samples: &[(&str, Vec<u64>)], quantiles: &[f64]) -> Table {
 /// Applications carrying hard failure evidence: a failed/killed terminal
 /// state, a retried AM, or wasted delay inside dead attempts. Truncated
 /// apps are excluded — an incomplete capture is not a failure.
-fn failing_apps(an: &Analysis) -> Vec<&AppDelays> {
-    an.delays
-        .iter()
-        .filter(|d| {
-            matches!(d.outcome, AppOutcome::Failed | AppOutcome::Killed)
-                || d.attempts > 1
-                || d.wasted_ms > 0
-        })
-        .collect()
+fn failing_apps(an: &Analysis) -> impl Iterator<Item = &AppDelays> {
+    an.delays.iter().filter(|d| {
+        matches!(d.outcome, AppOutcome::Failed | AppOutcome::Killed)
+            || d.attempts > 1
+            || d.wasted_ms > 0
+    })
 }
 
-/// The full text report the `sdchecker` CLI prints for a corpus.
-pub fn full_report(an: &Analysis) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "SDchecker analysis");
-    let _ = writeln!(out, "==================");
-    let _ = writeln!(
-        out,
-        "applications: {} ({} with complete scheduling-delay evidence)",
-        an.graphs.len(),
-        an.complete_delays().count()
-    );
-    let _ = writeln!(out, "events extracted: {}", an.events.len());
-    let _ = writeln!(out);
+/// One application's facts, computed once for all three documents.
+struct AppFacts<'a> {
+    delays: &'a AppDelays,
+    name: Option<&'a str>,
+    critical: Option<CriticalPath>,
+    unused_containers: usize,
+    /// Extracted events, and the newest of their timestamps, read off
+    /// the graph's tracks.
+    events: usize,
+    last_event: Option<TsMs>,
+}
 
-    let app_samples: Vec<(&str, Vec<u64>)> = vec![
-        ("job runtime", an.component_ms(|d| d.job_runtime_ms)),
-        ("total sched delay", an.component_ms(|d| d.total_ms)),
-        ("am delay", an.component_ms(|d| d.am_ms)),
-        ("in-application", an.component_ms(|d| d.in_app_ms)),
-        ("out-application", an.component_ms(|d| d.out_app_ms)),
-        ("driver delay", an.component_ms(|d| d.driver_ms)),
-        ("executor delay", an.component_ms(|d| d.executor_ms)),
-        ("alloc delay", an.component_ms(|d| d.alloc_ms)),
-        ("Cf delay", an.component_ms(|d| d.cf_ms)),
-        ("Cl delay", an.component_ms(|d| d.cl_ms)),
-    ];
-    let _ = writeln!(out, "Per-application delays (seconds)");
-    out.push_str(&summary_table(&app_samples).render());
-    let _ = writeln!(out);
+/// The per-application pass behind the text report, `report-v1` and the
+/// batch `wide-events-v1` file: a borrowed view over an [`Analysis`] that
+/// walks its applications once — critical path, display name, unused
+/// containers, event count — so that rendering two or three documents
+/// costs one pass, not one per document. [`full_report`],
+/// [`report_json`] and [`crate::wide_events_for_analysis`] each build one
+/// and render from it; a caller that wants several documents builds it
+/// itself. It lives only as long as the rendering does.
+pub struct Report<'a> {
+    an: &'a Analysis,
+    /// In `Analysis::delays` (= ascending application-id) order.
+    apps: Vec<AppFacts<'a>>,
+}
 
-    let cont_samples: Vec<(&str, Vec<u64>)> = vec![
-        (
-            "acquisition",
-            an.container_component_ms(true, |c| c.acquisition_ms),
-        ),
-        (
-            "localization",
-            an.container_component_ms(false, |c| c.localization_ms),
-        ),
-        (
-            "launching",
-            an.container_component_ms(false, |c| c.launching_ms),
-        ),
-        (
-            "nm queue",
-            an.container_component_ms(false, |c| c.nm_queue_ms),
-        ),
-    ];
-    let _ = writeln!(out, "Per-container delays (seconds)");
-    out.push_str(&summary_table(&cont_samples).render());
-    let _ = writeln!(out);
+impl<'a> Report<'a> {
+    /// Walk the analysis once.
+    pub fn new(an: &'a Analysis) -> Report<'a> {
+        let mut unused: BTreeMap<ApplicationId, usize> = BTreeMap::new();
+        for u in &an.unused_containers {
+            *unused.entry(u.app).or_insert(0) += 1;
+        }
+        debug_assert_eq!(an.graphs.len(), an.delays.len());
+        let apps = an
+            .graphs
+            .values()
+            .zip(&an.delays)
+            .map(|(g, d)| {
+                debug_assert_eq!(g.app, d.app, "delays mirror the graph map's order");
+                let tracks =
+                    std::iter::once(&g.app_events).chain(g.containers.values().map(|c| &c.events));
+                let (events, last_event) = tracks.fold((0, None), |(n, last), track| {
+                    let newest = track.iter().map(|(_, ts)| *ts).max();
+                    (n + track.len(), last.max(newest))
+                });
+                AppFacts {
+                    delays: d,
+                    name: an.name_of(d.app),
+                    critical: critical_path(g),
+                    unused_containers: unused.get(&d.app).copied().unwrap_or(0),
+                    events,
+                    last_event,
+                }
+            })
+            .collect();
+        Report { an, apps }
+    }
 
-    // Critical-path blame: which component chain owns the
-    // submitted→first-task interval, aggregated, then one exemplar path.
-    let paths: Vec<crate::critical::CriticalPath> = an
-        .graphs
-        .values()
-        .filter_map(crate::critical::critical_path)
-        .collect();
-    if !paths.is_empty() {
-        let mut agg: std::collections::BTreeMap<&'static str, (u64, u64, f64)> =
-            std::collections::BTreeMap::new();
-        for p in &paths {
+    fn paths(&self) -> impl Iterator<Item = &CriticalPath> {
+        self.apps.iter().filter_map(|a| a.critical.as_ref())
+    }
+
+    /// Critical-path blame per component: `(segments, total ms, total
+    /// blame %)`.
+    fn blame(&self) -> BTreeMap<&'static str, (u64, u64, f64)> {
+        let mut agg = BTreeMap::new();
+        for p in self.paths() {
             for seg in &p.segments {
                 let e = agg.entry(seg.component).or_insert((0, 0, 0.0));
                 e.0 += 1;
@@ -256,360 +266,423 @@ pub fn full_report(an: &Analysis) -> String {
                 e.2 += p.blame_pct(seg);
             }
         }
-        let mut rows: Vec<_> = agg.into_iter().collect();
-        rows.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then(a.0.cmp(b.0)));
-        let mut t = Table::new(&["component", "apps", "mean_ms", "mean_blame"]);
-        for (component, (n, sum_ms, sum_pct)) in rows {
-            t.row(vec![
-                component.to_string(),
-                n.to_string(),
-                format!("{:.0}", sum_ms as f64 / n as f64),
-                format!("{:.1}%", sum_pct / n as f64),
+        agg
+    }
+
+    /// The full text report the `sdchecker` CLI prints for a corpus.
+    pub fn text(&self) -> String {
+        let an = self.an;
+        let mut out = String::new();
+        let _ = writeln!(out, "SDchecker analysis");
+        let _ = writeln!(out, "==================");
+        let _ = writeln!(
+            out,
+            "applications: {} ({} with complete scheduling-delay evidence)",
+            an.graphs.len(),
+            an.complete_delays().count()
+        );
+        let _ = writeln!(out, "events extracted: {}", an.events.len());
+        let _ = writeln!(out);
+
+        let app_samples: Vec<(&str, Vec<u64>)> = vec![
+            ("job runtime", an.component_ms(|d| d.job_runtime_ms)),
+            ("total sched delay", an.component_ms(|d| d.total_ms)),
+            ("am delay", an.component_ms(|d| d.am_ms)),
+            ("in-application", an.component_ms(|d| d.in_app_ms)),
+            ("out-application", an.component_ms(|d| d.out_app_ms)),
+            ("driver delay", an.component_ms(|d| d.driver_ms)),
+            ("executor delay", an.component_ms(|d| d.executor_ms)),
+            ("alloc delay", an.component_ms(|d| d.alloc_ms)),
+            ("Cf delay", an.component_ms(|d| d.cf_ms)),
+            ("Cl delay", an.component_ms(|d| d.cl_ms)),
+        ];
+        let _ = writeln!(out, "Per-application delays (seconds)");
+        out.push_str(&summary_table(&app_samples).render());
+        let _ = writeln!(out);
+
+        let cont_samples: Vec<(&str, Vec<u64>)> = vec![
+            (
+                "acquisition",
+                an.container_component_ms(true, |c| c.acquisition_ms),
+            ),
+            (
+                "localization",
+                an.container_component_ms(false, |c| c.localization_ms),
+            ),
+            (
+                "launching",
+                an.container_component_ms(false, |c| c.launching_ms),
+            ),
+            (
+                "nm queue",
+                an.container_component_ms(false, |c| c.nm_queue_ms),
+            ),
+        ];
+        let _ = writeln!(out, "Per-container delays (seconds)");
+        out.push_str(&summary_table(&cont_samples).render());
+        let _ = writeln!(out);
+
+        // Critical-path blame: which component chain owns the
+        // submitted→first-task interval, aggregated, then one exemplar path.
+        let mut by_total: Vec<&CriticalPath> = self.paths().collect();
+        if !by_total.is_empty() {
+            let mut rows: Vec<_> = self.blame().into_iter().collect();
+            rows.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then(a.0.cmp(b.0)));
+            let mut t = Table::new(&["component", "apps", "mean_ms", "mean_blame"]);
+            for (component, (n, sum_ms, sum_pct)) in rows {
+                t.row(vec![
+                    component.to_string(),
+                    n.to_string(),
+                    format!("{:.0}", sum_ms as f64 / n as f64),
+                    format!("{:.1}%", sum_pct / n as f64),
+                ]);
+            }
+            let _ = writeln!(
+                out,
+                "Critical-path blame across {} applications (share of submitted→first-task)",
+                by_total.len()
+            );
+            out.push_str(&t.render());
+            let _ = writeln!(out);
+
+            // The median-total application's full path, as the exemplar.
+            by_total.sort_by_key(|p| (p.total_ms, p.app));
+            let median = by_total[by_total.len() / 2];
+            let _ = writeln!(
+                out,
+                "Critical path — {} (median total, {} s)",
+                median.app,
+                secs(median.total_ms as f64 / 1000.0)
+            );
+            out.push_str(&median.render());
+            let _ = writeln!(out);
+        }
+
+        // Per-workload breakdown when driver banners carry names.
+        let by_name = an.by_name();
+        if by_name.len() > 1 {
+            let mut t = Table::new(&[
+                "workload",
+                "n",
+                "total p50",
+                "total p95",
+                "in p50",
+                "out p50",
             ]);
+            for (name, group) in &by_name {
+                let totals: Vec<u64> = group.iter().filter_map(|d| d.total_ms).collect();
+                let ins: Vec<u64> = group.iter().filter_map(|d| d.in_app_ms).collect();
+                let outs: Vec<u64> = group.iter().filter_map(|d| d.out_app_ms).collect();
+                let (Some(ts), Some(is_), Some(os)) = (
+                    Summary::from_ms(&totals),
+                    Summary::from_ms(&ins),
+                    Summary::from_ms(&outs),
+                ) else {
+                    continue;
+                };
+                t.row(vec![
+                    name.to_string(),
+                    ts.n.to_string(),
+                    secs(ts.p50),
+                    secs(ts.p95),
+                    secs(is_.p50),
+                    secs(os.p50),
+                ]);
+            }
+            let _ = writeln!(out, "Per-workload scheduling delays (seconds)");
+            out.push_str(&t.render());
+            let _ = writeln!(out);
         }
-        let _ = writeln!(
-            out,
-            "Critical-path blame across {} applications (share of submitted→first-task)",
-            paths.len()
-        );
-        out.push_str(&t.render());
-        let _ = writeln!(out);
 
-        // The median-total application's full path, as the exemplar.
-        let mut by_total: Vec<&crate::critical::CriticalPath> = paths.iter().collect();
-        by_total.sort_by_key(|p| (p.total_ms, p.app));
-        let median = by_total[by_total.len() / 2];
+        let t = an.allocation_throughput(1000);
         let _ = writeln!(
             out,
-            "Critical path — {} (median total, {} s)",
-            median.app,
-            secs(median.total_ms as f64 / 1000.0)
+            "Container allocation throughput: {} total, {:.0}/s mean, {:.0}/s peak (1s window)",
+            t.total, t.mean_per_sec, t.peak_per_sec
         );
-        out.push_str(&median.render());
-        let _ = writeln!(out);
-    }
 
-    // Per-workload breakdown when driver banners carry names.
-    let by_name = an.by_name();
-    if by_name.len() > 1 {
-        let mut t = Table::new(&[
-            "workload",
-            "n",
-            "total p50",
-            "total p95",
-            "in p50",
-            "out p50",
-        ]);
-        for (name, group) in &by_name {
-            let totals: Vec<u64> = group.iter().filter_map(|d| d.total_ms).collect();
-            let ins: Vec<u64> = group.iter().filter_map(|d| d.in_app_ms).collect();
-            let outs: Vec<u64> = group.iter().filter_map(|d| d.out_app_ms).collect();
-            let (Some(ts), Some(is_), Some(os)) = (
-                Summary::from_ms(&totals),
-                Summary::from_ms(&ins),
-                Summary::from_ms(&outs),
-            ) else {
-                continue;
-            };
-            t.row(vec![
-                name.clone(),
-                ts.n.to_string(),
-                secs(ts.p50),
-                secs(ts.p95),
-                secs(is_.p50),
-                secs(os.p50),
-            ]);
-        }
-        let _ = writeln!(out, "Per-workload scheduling delays (seconds)");
-        out.push_str(&t.render());
-        let _ = writeln!(out);
-    }
-
-    let t = an.allocation_throughput(1000);
-    let _ = writeln!(
-        out,
-        "Container allocation throughput: {} total, {:.0}/s mean, {:.0}/s peak (1s window)",
-        t.total, t.mean_per_sec, t.peak_per_sec
-    );
-
-    let anomalies = crate::validate::validate_all(an.graphs.values());
-    if anomalies.is_empty() {
-        let _ = writeln!(
-            out,
-            "Corpus validation: clean (no ordering/duplicate/missing anomalies)."
-        );
-    } else {
-        let _ = writeln!(
-            out,
-            "Corpus validation: {} anomalies — timestamps may be untrustworthy:",
-            anomalies.len()
-        );
-        for a in anomalies.iter().take(20) {
-            let _ = writeln!(out, "  {:?}", a);
-        }
-        if anomalies.len() > 20 {
-            let _ = writeln!(out, "  ... and {} more", anomalies.len() - 20);
-        }
-    }
-    // Failure summary, only when the corpus carries hard failure
-    // evidence — a fault-free corpus renders byte-identically to builds
-    // that predate fault awareness.
-    if an.has_failures() {
-        let counts = an.outcome_counts();
-        let failed = counts.get(&AppOutcome::Failed).copied().unwrap_or(0);
-        let killed = counts.get(&AppOutcome::Killed).copied().unwrap_or(0);
-        let _ = writeln!(
-            out,
-            "Failures: {} failed, {} killed, {} retried AMs, {} s wasted in dead attempts",
-            failed,
-            killed,
-            an.retried_apps().count(),
-            secs(an.total_wasted_ms() as f64 / 1000.0)
-        );
-        for d in failing_apps(an) {
+        let anomalies = crate::validate::validate_all(an.graphs.values());
+        if anomalies.is_empty() {
             let _ = writeln!(
                 out,
-                "  {} outcome={} attempts={} wasted={} s",
-                d.app,
-                d.outcome.label(),
-                d.attempts,
-                secs(d.wasted_ms as f64 / 1000.0)
+                "Corpus validation: clean (no ordering/duplicate/missing anomalies)."
             );
-        }
-        let anomalous = an.coverage.total().anomalous;
-        if anomalous > 0 {
+        } else {
             let _ = writeln!(
                 out,
-                "  {anomalous} transition-shaped lines with corrupt ids (events lost to log damage)"
+                "Corpus validation: {} anomalies — timestamps may be untrustworthy:",
+                anomalies.len()
             );
+            for a in anomalies.iter().take(20) {
+                let _ = writeln!(out, "  {:?}", a);
+            }
+            if anomalies.len() > 20 {
+                let _ = writeln!(out, "  ... and {} more", anomalies.len() - 20);
+            }
         }
-    }
-    if an.unused_containers.is_empty() {
-        let _ = writeln!(out, "Bug check: no allocated-but-never-used containers.");
-    } else {
-        let _ = writeln!(
-            out,
-            "Bug check: {} allocated-but-never-used containers (SPARK-21562 signature):",
-            an.unused_containers.len()
-        );
-        for u in &an.unused_containers {
+        // Failure summary, only when the corpus carries hard failure
+        // evidence — a fault-free corpus renders byte-identically to builds
+        // that predate fault awareness.
+        if an.has_failures() {
+            let counts = an.outcome_counts();
+            let failed = counts.get(&AppOutcome::Failed).copied().unwrap_or(0);
+            let killed = counts.get(&AppOutcome::Killed).copied().unwrap_or(0);
             let _ = writeln!(
                 out,
-                "  {} (acquired: {}, reached NM: {})",
-                u.cid, u.acquired, u.reached_nm
+                "Failures: {} failed, {} killed, {} retried AMs, {} s wasted in dead attempts",
+                failed,
+                killed,
+                an.retried_apps().count(),
+                secs(an.total_wasted_ms() as f64 / 1000.0)
             );
+            for d in failing_apps(an) {
+                let _ = writeln!(
+                    out,
+                    "  {} outcome={} attempts={} wasted={} s",
+                    d.app,
+                    d.outcome.label(),
+                    d.attempts,
+                    secs(d.wasted_ms as f64 / 1000.0)
+                );
+            }
+            let anomalous = an.coverage.total().anomalous;
+            if anomalous > 0 {
+                let _ = writeln!(
+                    out,
+                    "  {anomalous} transition-shaped lines with corrupt ids (events lost to log damage)"
+                );
+            }
         }
-    }
-    let _ = writeln!(out, "{}", an.coverage.summary_line());
-    for w in crate::validate::coverage_warnings(&an.coverage) {
-        let _ = writeln!(out, "  {w}");
-    }
-    out
-}
-
-/// The machine-readable analysis report: per-application decomposition,
-/// critical path, and fleet-level component sketches, as one JSON
-/// document. Byte-stable for a given corpus — map keys follow fixed
-/// orders and floats render via `fmt_f64` — so the golden-file test can
-/// pin the exact bytes. The back-end of every binary's `--report-json`.
-pub fn report_json(an: &Analysis) -> String {
-    use crate::decompose::{APP_COMPONENTS, CONTAINER_COMPONENTS};
-    use obs::export::sketch_json;
-    use obs::json::{escape, fmt_f64};
-    use obs::QuantileSketch;
-
-    let opt_u = |v: Option<u64>| v.map(|x| x.to_string()).unwrap_or_else(|| "null".into());
-    let opt_s = |v: Option<&str>| {
-        v.map(|s| format!("\"{}\"", escape(s)))
-            .unwrap_or_else(|| "null".into())
-    };
-
-    let mut out = String::from("{\n  \"schema\": \"sdchecker-report-v1\",\n  \"applications\": [");
-    for (i, g) in an.graphs.values().enumerate() {
-        if i > 0 {
-            out.push(',');
+        if an.unused_containers.is_empty() {
+            let _ = writeln!(out, "Bug check: no allocated-but-never-used containers.");
+        } else {
+            let _ = writeln!(
+                out,
+                "Bug check: {} allocated-but-never-used containers (SPARK-21562 signature):",
+                an.unused_containers.len()
+            );
+            for u in &an.unused_containers {
+                let _ = writeln!(
+                    out,
+                    "  {} (acquired: {}, reached NM: {})",
+                    u.cid, u.acquired, u.reached_nm
+                );
+            }
         }
-        let _ = write!(out, "\n    {{\n      \"app\": \"{}\",", g.app);
-        let _ = write!(out, "\n      \"name\": {},", opt_s(an.name_of(g.app)));
-        out.push_str("\n      \"delays\": {");
-        if let Some(d) = an.delays_of(g.app) {
+        let _ = writeln!(out, "{}", an.coverage.summary_line());
+        for w in crate::validate::coverage_warnings(&an.coverage) {
+            let _ = writeln!(out, "  {w}");
+        }
+        out
+    }
+
+    /// The machine-readable analysis report: per-application
+    /// decomposition, critical path, and fleet-level component sketches,
+    /// as one JSON document. Byte-stable for a given corpus — map keys
+    /// follow fixed orders and floats render via `push_f64` — so the
+    /// golden-file test can pin the exact bytes.
+    pub fn json(&self) -> String {
+        use crate::decompose::{APP_COMPONENTS, CONTAINER_COMPONENTS};
+        use obs::export::sketch_json;
+        use obs::QuantileSketch;
+
+        let an = self.an;
+        let mut out =
+            String::from("{\n  \"schema\": \"sdchecker-report-v1\",\n  \"applications\": [");
+        for (i, a) in self.apps.iter().enumerate() {
+            let d = a.delays;
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("\n    {\n      \"app\": \"");
+            let _ = d.app.write_to(&mut out);
+            out.push_str("\",\n      \"name\": ");
+            push_opt_str(&mut out, a.name);
+            out.push_str(",\n      \"delays\": {");
             for (j, (name, f)) in APP_COMPONENTS.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "\"{name}_ms\": {}", opt_u(f(d)));
+                out.push('"');
+                out.push_str(name);
+                out.push_str("_ms\": ");
+                push_opt_u64(&mut out, f(d));
             }
             out.push_str("},\n      \"containers\": [");
             for (j, c) in d.containers.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(
-                    out,
-                    "\n        {{\"cid\": \"{}\", \"is_am\": {}, \"node\": {}",
-                    c.cid,
-                    c.is_am,
-                    opt_s(c.node.map(|n| n.to_string()).as_deref()),
-                );
-                for (name, f) in CONTAINER_COMPONENTS.iter() {
-                    let _ = write!(out, ", \"{name}_ms\": {}", opt_u(f(c)));
-                }
-                out.push('}');
+                out.push_str("\n        ");
+                push_container(&mut out, c);
             }
             out.push_str("\n      ],");
-        } else {
-            out.push_str("},\n      \"containers\": [],");
-        }
-        match crate::critical::critical_path(g) {
-            Some(p) => {
-                let _ = write!(
-                    out,
-                    "\n      \"critical_path\": {{\"total_ms\": {}, \"segments\": [",
-                    p.total_ms
-                );
-                for (j, seg) in p.segments.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
+            match &a.critical {
+                Some(p) => {
+                    out.push_str("\n      \"critical_path\": {\"total_ms\": ");
+                    push_u64(&mut out, p.total_ms);
+                    out.push_str(", \"segments\": [");
+                    for (j, seg) in p.segments.iter().enumerate() {
+                        if j > 0 {
+                            out.push(',');
+                        }
+                        out.push_str("\n        {\"component\": \"");
+                        out.push_str(seg.component);
+                        out.push_str("\", \"entity\": \"");
+                        push_escaped(&mut out, &seg.entity);
+                        out.push_str("\", \"from_ms\": ");
+                        push_u64(&mut out, seg.from.0);
+                        out.push_str(", \"to_ms\": ");
+                        push_u64(&mut out, seg.to.0);
+                        out.push_str(", \"dur_ms\": ");
+                        push_u64(&mut out, seg.dur_ms());
+                        out.push_str(", \"blame_pct\": ");
+                        push_tenths(&mut out, p.blame_pct(seg));
+                        out.push('}');
                     }
-                    let _ = write!(
-                        out,
-                        "\n        {{\"component\": \"{}\", \"entity\": \"{}\", \
-                         \"from_ms\": {}, \"to_ms\": {}, \"dur_ms\": {}, \"blame_pct\": {}}}",
-                        seg.component,
-                        escape(&seg.entity),
-                        seg.from.0,
-                        seg.to.0,
-                        seg.dur_ms(),
-                        fmt_f64((p.blame_pct(seg) * 10.0).round() / 10.0),
-                    );
+                    out.push_str("\n      ]}\n    }");
                 }
-                out.push_str("\n      ]}\n    }");
-            }
-            None => out.push_str("\n      \"critical_path\": null\n    }"),
-        }
-    }
-    out.push_str("\n  ],\n  \"fleet\": {");
-    let _ = write!(
-        out,
-        "\n    \"applications\": {},\n    \"complete\": {},",
-        an.graphs.len(),
-        an.complete_delays().count()
-    );
-    out.push_str("\n    \"app_components_ms\": {");
-    for (j, (name, f)) in APP_COMPONENTS.iter().enumerate() {
-        if j > 0 {
-            out.push(',');
-        }
-        let mut s = QuantileSketch::new();
-        for d in &an.delays {
-            if let Some(v) = f(d) {
-                s.observe(v);
+                None => out.push_str("\n      \"critical_path\": null\n    }"),
             }
         }
-        let rendered = if s.count() == 0 {
-            "null".to_string()
-        } else {
-            sketch_json(&s)
-        };
-        let _ = write!(out, "\n      \"{name}\": {rendered}");
-    }
-    out.push_str("\n    },\n    \"container_components_ms\": {");
-    for (j, (name, f)) in CONTAINER_COMPONENTS.iter().enumerate() {
-        if j > 0 {
-            out.push(',');
-        }
-        let mut s = QuantileSketch::new();
-        for c in an.delays.iter().flat_map(|d| d.containers.iter()) {
-            if let Some(v) = f(c) {
-                s.observe(v);
-            }
-        }
-        let rendered = if s.count() == 0 {
-            "null".to_string()
-        } else {
-            sketch_json(&s)
-        };
-        let _ = write!(out, "\n      \"{name}\": {rendered}");
-    }
-    out.push_str("\n    },\n    \"critical_blame\": {");
-    let mut agg: std::collections::BTreeMap<&'static str, (u64, u64, f64)> =
-        std::collections::BTreeMap::new();
-    for g in an.graphs.values() {
-        if let Some(p) = crate::critical::critical_path(g) {
-            for seg in &p.segments {
-                let e = agg.entry(seg.component).or_insert((0, 0, 0.0));
-                e.0 += 1;
-                e.1 += seg.dur_ms();
-                e.2 += p.blame_pct(seg);
-            }
-        }
-    }
-    for (j, (component, (n, sum_ms, sum_pct))) in agg.iter().enumerate() {
-        if j > 0 {
-            out.push(',');
-        }
+        out.push_str("\n  ],\n  \"fleet\": {");
         let _ = write!(
             out,
-            "\n      \"{component}\": {{\"count\": {n}, \"mean_ms\": {}, \"mean_pct\": {}}}",
-            fmt_f64((*sum_ms as f64 / *n as f64 * 10.0).round() / 10.0),
-            fmt_f64((sum_pct / *n as f64 * 10.0).round() / 10.0),
+            "\n    \"applications\": {},\n    \"complete\": {},",
+            an.graphs.len(),
+            an.complete_delays().count()
         );
-    }
-    out.push_str("\n    }\n  },");
-    // The failures section exists only when the corpus carries hard
-    // failure evidence (failed/killed apps, AM retries, wasted delay, or
-    // corrupt-id lines); a fault-free corpus keeps the exact pre-fault
-    // document bytes. Truncated apps alone do not create the section.
-    if an.has_failures() {
-        let counts = an.outcome_counts();
-        let failed = counts.get(&AppOutcome::Failed).copied().unwrap_or(0);
-        let killed = counts.get(&AppOutcome::Killed).copied().unwrap_or(0);
-        let _ = write!(
-            out,
-            "\n  \"failures\": {{\n    \"failed\": {failed},\n    \"killed\": {killed},\
-             \n    \"retried_apps\": {},\n    \"wasted_ms_total\": {},\
-             \n    \"anomalous_lines\": {},\n    \"apps\": [",
-            an.retried_apps().count(),
-            an.total_wasted_ms(),
-            an.coverage.total().anomalous,
-        );
-        for (j, d) in failing_apps(an).iter().enumerate() {
+        let push_sketch = |out: &mut String, j: usize, name: &str, s: &QuantileSketch| {
+            if j > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\n      \"{name}\": ");
+            if s.count() == 0 {
+                out.push_str("null");
+            } else {
+                out.push_str(&sketch_json(s));
+            }
+        };
+        out.push_str("\n    \"app_components_ms\": {");
+        for (j, (name, f)) in APP_COMPONENTS.iter().enumerate() {
+            let mut s = QuantileSketch::new();
+            an.delays.iter().filter_map(f).for_each(|v| s.observe(v));
+            push_sketch(&mut out, j, name, &s);
+        }
+        out.push_str("\n    },\n    \"container_components_ms\": {");
+        for (j, (name, f)) in CONTAINER_COMPONENTS.iter().enumerate() {
+            let mut s = QuantileSketch::new();
+            let containers = an.delays.iter().flat_map(|d| d.containers.iter());
+            containers.filter_map(f).for_each(|v| s.observe(v));
+            push_sketch(&mut out, j, name, &s);
+        }
+        out.push_str("\n    },\n    \"critical_blame\": {");
+        for (j, (component, (n, sum_ms, sum_pct))) in self.blame().into_iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
             let _ = write!(
                 out,
-                "\n      {{\"app\": \"{}\", \"outcome\": \"{}\", \"attempts\": {}, \
-                 \"wasted_ms\": {}}}",
-                d.app,
-                d.outcome.label(),
-                d.attempts,
-                d.wasted_ms,
+                "\n      \"{component}\": {{\"count\": {n}, \"mean_ms\": "
             );
+            push_tenths(&mut out, sum_ms as f64 / n as f64);
+            out.push_str(", \"mean_pct\": ");
+            push_tenths(&mut out, sum_pct / n as f64);
+            out.push('}');
         }
-        out.push_str("\n    ]\n  },");
+        out.push_str("\n    }\n  },");
+        // The failures section exists only when the corpus carries hard
+        // failure evidence (failed/killed apps, AM retries, wasted delay, or
+        // corrupt-id lines); a fault-free corpus keeps the exact pre-fault
+        // document bytes. Truncated apps alone do not create the section.
+        if an.has_failures() {
+            let counts = an.outcome_counts();
+            let failed = counts.get(&AppOutcome::Failed).copied().unwrap_or(0);
+            let killed = counts.get(&AppOutcome::Killed).copied().unwrap_or(0);
+            let _ = write!(
+                out,
+                "\n  \"failures\": {{\n    \"failed\": {failed},\n    \"killed\": {killed},\
+                 \n    \"retried_apps\": {},\n    \"wasted_ms_total\": {},\
+                 \n    \"anomalous_lines\": {},\n    \"apps\": [",
+                an.retried_apps().count(),
+                an.total_wasted_ms(),
+                an.coverage.total().anomalous,
+            );
+            for (j, d) in failing_apps(an).enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                let _ = write!(
+                    out,
+                    "\n      {{\"app\": \"{}\", \"outcome\": \"{}\", \"attempts\": {}, \
+                     \"wasted_ms\": {}}}",
+                    d.app,
+                    d.outcome.label(),
+                    d.attempts,
+                    d.wasted_ms,
+                );
+            }
+            out.push_str("\n    ]\n  },");
+        }
+        out.push_str("\n  \"coverage\": {");
+        for (j, (kind, c)) in an.coverage.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            // The anomalous count appears only when nonzero so undamaged
+            // sources keep their historical key set.
+            let _ = write!(
+                out,
+                "\n    \"{}\": {{\"matched\": {}, \"unmatched\": {}, ",
+                kind.name(),
+                c.matched,
+                c.unmatched,
+            );
+            if c.anomalous > 0 {
+                let _ = write!(out, "\"anomalous\": {}, ", c.anomalous);
+            }
+            let _ = write!(out, "\"ignored\": {}}}", c.ignored);
+        }
+        out.push_str("\n  }\n}\n");
+        out
     }
-    out.push_str("\n  \"coverage\": {");
-    for (j, (kind, c)) in an.coverage.iter().enumerate() {
-        if j > 0 {
-            out.push(',');
+
+    /// The whole corpus as `wide-events-v1` lines (newline-terminated,
+    /// one per application, ascending application id), every app retired
+    /// at the corpus watermark.
+    pub fn wide_events(&self) -> String {
+        let retire_ms = self.an.watermark.unwrap_or(TsMs::ZERO);
+        let mut out = String::new();
+        for a in &self.apps {
+            push_wide_event(
+                &mut out,
+                &WideEventInput {
+                    app: a.delays.app,
+                    name: a.name,
+                    delays: a.delays,
+                    critical: a.critical.as_ref(),
+                    unused_containers: a.unused_containers,
+                    events: a.events,
+                    forced: false,
+                    retire_ms,
+                    last_event_ms: a.last_event,
+                },
+            );
+            out.push('\n');
         }
-        // The anomalous count appears only when nonzero so undamaged
-        // sources keep their historical key set.
-        let _ = write!(
-            out,
-            "\n    \"{}\": {{\"matched\": {}, \"unmatched\": {}, ",
-            kind.name(),
-            c.matched,
-            c.unmatched,
-        );
-        if c.anomalous > 0 {
-            let _ = write!(out, "\"anomalous\": {}, ", c.anomalous);
-        }
-        let _ = write!(out, "\"ignored\": {}}}", c.ignored);
+        out
     }
-    out.push_str("\n  }\n}\n");
-    out
+}
+
+/// The full text report the `sdchecker` CLI prints for a corpus.
+pub fn full_report(an: &Analysis) -> String {
+    Report::new(an).text()
+}
+
+/// The machine-readable `report-v1` document (see [`Report::json`]).
+/// The back-end of every binary's `--report-json`.
+pub fn report_json(an: &Analysis) -> String {
+    Report::new(an).json()
 }
 
 #[cfg(test)]

@@ -145,20 +145,21 @@ fn check_duplicates(
     retried: bool,
     out: &mut Vec<Anomaly>,
 ) {
-    // BTreeMap: anomalies feed the report writer, so iteration order
-    // must be deterministic (the sdlint determinism lint denies hash
-    // maps on this path). The explicit Debug-name sort below is kept so
-    // the emitted order stays what the goldens were built against.
-    let mut counts: std::collections::BTreeMap<EventKind, usize> =
-        std::collections::BTreeMap::new();
+    // Counted into an array indexed by the kind's position in
+    // `EventKind::ALL` (no map per entity: a clean corpus allocates
+    // nothing here). Duplicates are emitted in Debug-name order —
+    // `EventKind::name` is the Debug name — which is the order the
+    // goldens were built against.
+    let mut counts = [0usize; EventKind::ALL.len()];
     for (k, _) in events {
-        *counts.entry(*k).or_default() += 1;
+        counts[k.index()] += 1;
     }
-    let mut dups: Vec<(EventKind, usize)> = counts
+    let mut dups: Vec<(EventKind, usize)> = EventKind::ALL
         .into_iter()
+        .zip(counts)
         .filter(|(k, c)| *c > 1 && !may_repeat(*k) && !(retried && may_repeat_on_retry(*k)))
         .collect();
-    dups.sort_by_key(|(k, _)| format!("{k:?}"));
+    dups.sort_by_key(|(k, _)| k.name());
     for (kind, count) in dups {
         out.push(Anomaly {
             app,
@@ -353,6 +354,43 @@ mod tests {
                 }
             )),
             "{anomalies:?}"
+        );
+    }
+
+    #[test]
+    fn duplicates_are_emitted_in_debug_name_order() {
+        let a = ApplicationId::new(CTS, 1);
+        let c = a.attempt(1).container(2);
+        use EventKind::*;
+        // Declaration (`ALL`) order would be Allocated, Acquired,
+        // Localizing, Done; the goldens hold Debug-name order.
+        let mut evs = Vec::new();
+        for (ts, kind) in [
+            (1, ContainerAllocated),
+            (2, ContainerAcquired),
+            (3, ContainerLocalizing),
+            (4, ContainerDone),
+        ] {
+            evs.push(ev(ts, kind, a, Some(c)));
+            evs.push(ev(ts, kind, a, Some(c)));
+        }
+        evs.push(ev(9, TaskAssigned, a, Some(c)));
+        evs.push(ev(9, TaskAssigned, a, Some(c)));
+        let kinds: Vec<EventKind> = validate_graph(&graph(evs))
+            .into_iter()
+            .filter_map(|x| match x.kind {
+                AnomalyKind::DuplicateEvent { kind, count: 2 } => Some(kind),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                ContainerAcquired,
+                ContainerAllocated,
+                ContainerDone,
+                ContainerLocalizing
+            ]
         );
     }
 

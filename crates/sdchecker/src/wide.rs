@@ -7,7 +7,7 @@
 //! the full delay decomposition, per-container breakdown, critical-path
 //! blame, outcome, attempts, wasted time, and the retirement lag. The
 //! line is **canonical**: key order is fixed, floats render through
-//! [`obs::json::fmt_f64`], and the retirement instant is *logical* (log
+//! [`obs::json::push_f64`], and the retirement instant is *logical* (log
 //! time, not wall time), so the same corpus produces byte-identical
 //! lines at any poll cadence, append chunking, or `--threads` setting —
 //! and a daemon run whose apps drain at `finish()` matches batch
@@ -34,15 +34,12 @@
 //! | `containers`        | array         | per-container component breakdown |
 //! | `blame`             | object\|null  | critical path: dominant, segments, pct |
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
 use logmodel::{ApplicationId, TsMs};
-use obs::json::{escape, fmt_f64};
+use obs::json::{push_escaped, push_f64, push_u64};
 
 use crate::analyze::Analysis;
-use crate::critical::{critical_path, CriticalPath};
-use crate::decompose::{AppDelays, APP_COMPONENTS, CONTAINER_COMPONENTS};
+use crate::critical::CriticalPath;
+use crate::decompose::{AppDelays, ContainerDelays, APP_COMPONENTS, CONTAINER_COMPONENTS};
 
 /// Schema tag stamped on every wide-event line.
 pub const WIDE_EVENTS_SCHEMA: &str = "wide-events-v1";
@@ -72,97 +69,156 @@ pub struct WideEventInput<'a> {
     pub last_event_ms: Option<TsMs>,
 }
 
-fn opt_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |n| n.to_string())
+// The appending forms below are what `report-v1` and `wide-events-v1`
+// are written with: every value goes straight into the document through
+// the `obs::json` push primitives and the ids' `write_to`, never through
+// a `String` of its own.
+
+/// Append `v`, or `null`.
+pub(crate) fn push_opt_u64(out: &mut String, v: Option<u64>) {
+    match v {
+        Some(n) => push_u64(out, n),
+        None => out.push_str("null"),
+    }
 }
 
-fn opt_ts(v: Option<TsMs>) -> String {
-    opt_u64(v.map(|t| t.0))
+/// Append `s` quoted and escaped, or `null`.
+pub(crate) fn push_opt_str(out: &mut String, s: Option<&str>) {
+    match s {
+        Some(s) => {
+            out.push('"');
+            push_escaped(out, s);
+            out.push('"');
+        }
+        None => out.push_str("null"),
+    }
 }
 
-fn pct1(v: f64) -> String {
-    fmt_f64((v * 10.0).round() / 10.0)
+fn push_bool(out: &mut String, v: bool) {
+    out.push_str(if v { "true" } else { "false" });
 }
 
-/// Render one canonical `wide-events-v1` line (no trailing newline).
-pub fn wide_event_line(w: &WideEventInput<'_>) -> String {
+/// Append `v` rounded to one decimal.
+pub(crate) fn push_tenths(out: &mut String, v: f64) {
+    push_f64(out, (v * 10.0).round() / 10.0);
+}
+
+/// Append one container's object — the same bytes in both schemas.
+pub(crate) fn push_container(out: &mut String, c: &ContainerDelays) {
+    out.push_str("{\"cid\": \"");
+    let _ = c.cid.write_to(out);
+    out.push_str("\", \"is_am\": ");
+    push_bool(out, c.is_am);
+    out.push_str(", \"node\": ");
+    match c.node {
+        Some(n) => {
+            out.push('"');
+            let _ = n.write_to(out);
+            out.push('"');
+        }
+        None => out.push_str("null"),
+    }
+    for (name, acc) in CONTAINER_COMPONENTS.iter() {
+        out.push_str(", \"");
+        out.push_str(name);
+        out.push_str("_ms\": ");
+        push_opt_u64(out, acc(c));
+    }
+    out.push('}');
+}
+
+/// Append one canonical `wide-events-v1` line (no trailing newline).
+pub(crate) fn push_wide_event(out: &mut String, w: &WideEventInput<'_>) {
     let d = w.delays;
-    let mut out = String::with_capacity(512);
-    let _ = write!(
-        out,
-        "{{\"schema\": \"{WIDE_EVENTS_SCHEMA}\", \"app\": \"{}\", \"name\": {}, \
-         \"outcome\": \"{}\", \"forced\": {}, \"attempts\": {}, \"wasted_ms\": {}, \
-         \"unused_containers\": {}, \"events\": {}, \"submitted_ms\": {}, \
-         \"first_task_ms\": {}, \"retire_ms\": {}, \"lag_ms\": {}",
-        w.app,
-        w.name
-            .map_or_else(|| "null".to_string(), |n| format!("\"{}\"", escape(n))),
-        d.outcome.label(),
-        w.forced,
-        d.attempts,
-        d.wasted_ms,
-        w.unused_containers,
-        w.events,
-        opt_ts(d.submitted),
-        opt_ts(d.first_task),
-        w.retire_ms.0,
-        w.last_event_ms.map_or(0, |t| w.retire_ms.since(t)),
-    );
+    let start = out.len();
+    out.push_str("{\"schema\": \"");
+    out.push_str(WIDE_EVENTS_SCHEMA);
+    out.push_str("\", \"app\": \"");
+    let _ = w.app.write_to(out);
+    out.push_str("\", \"name\": ");
+    push_opt_str(out, w.name);
+    out.push_str(", \"outcome\": \"");
+    out.push_str(d.outcome.label());
+    out.push_str("\", \"forced\": ");
+    push_bool(out, w.forced);
+    out.push_str(", \"attempts\": ");
+    push_u64(out, u64::from(d.attempts));
+    out.push_str(", \"wasted_ms\": ");
+    push_u64(out, d.wasted_ms);
+    out.push_str(", \"unused_containers\": ");
+    push_u64(out, w.unused_containers as u64);
+    out.push_str(", \"events\": ");
+    push_u64(out, w.events as u64);
+    out.push_str(", \"submitted_ms\": ");
+    push_opt_u64(out, d.submitted.map(|t| t.0));
+    out.push_str(", \"first_task_ms\": ");
+    push_opt_u64(out, d.first_task.map(|t| t.0));
+    out.push_str(", \"retire_ms\": ");
+    push_u64(out, w.retire_ms.0);
+    out.push_str(", \"lag_ms\": ");
+    push_u64(out, w.last_event_ms.map_or(0, |t| w.retire_ms.since(t)));
     out.push_str(", \"components\": {");
     for (j, (name, acc)) in APP_COMPONENTS.iter().enumerate() {
         if j > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "\"{name}\": {}", opt_u64(acc(d)));
+        out.push('"');
+        out.push_str(name);
+        out.push_str("\": ");
+        push_opt_u64(out, acc(d));
     }
     out.push_str("}, \"containers\": [");
     for (j, c) in d.containers.iter().enumerate() {
         if j > 0 {
             out.push_str(", ");
         }
-        let _ = write!(
-            out,
-            "{{\"cid\": \"{}\", \"is_am\": {}, \"node\": {}",
-            c.cid,
-            c.is_am,
-            c.node
-                .map_or_else(|| "null".to_string(), |n| format!("\"{n}\"")),
-        );
-        for (name, acc) in CONTAINER_COMPONENTS.iter() {
-            let _ = write!(out, ", \"{name}_ms\": {}", opt_u64(acc(c)));
-        }
-        out.push('}');
+        push_container(out, c);
     }
     out.push_str("], \"blame\": ");
     match w.critical {
         Some(p) => {
-            let dominant = p.dominant();
-            let _ = write!(
-                out,
-                "{{\"dominant\": {}, \"dominant_pct\": {}, \"total_ms\": {}, \"segments\": [",
-                dominant.map_or_else(|| "null".to_string(), |s| format!("\"{}\"", s.component)),
-                dominant.map_or_else(|| "null".to_string(), |s| pct1(p.blame_pct(s))),
-                p.total_ms,
-            );
+            out.push_str("{\"dominant\": ");
+            match p.dominant() {
+                Some(s) => {
+                    out.push('"');
+                    out.push_str(s.component);
+                    out.push_str("\", \"dominant_pct\": ");
+                    push_tenths(out, p.blame_pct(s));
+                }
+                None => out.push_str("null, \"dominant_pct\": null"),
+            }
+            out.push_str(", \"total_ms\": ");
+            push_u64(out, p.total_ms);
+            out.push_str(", \"segments\": [");
             for (j, seg) in p.segments.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(
-                    out,
-                    "{{\"component\": \"{}\", \"entity\": \"{}\", \"dur_ms\": {}, \"pct\": {}}}",
-                    seg.component,
-                    escape(&seg.entity),
-                    seg.dur_ms(),
-                    pct1(p.blame_pct(seg)),
-                );
+                out.push_str("{\"component\": \"");
+                out.push_str(seg.component);
+                out.push_str("\", \"entity\": \"");
+                push_escaped(out, &seg.entity);
+                out.push_str("\", \"dur_ms\": ");
+                push_u64(out, seg.dur_ms());
+                out.push_str(", \"pct\": ");
+                push_tenths(out, p.blame_pct(seg));
+                out.push('}');
             }
             out.push_str("]}");
         }
         None => out.push_str("null"),
     }
     out.push('}');
-    debug_assert!(!out.contains('\n'), "wide event must be a single line");
+    debug_assert!(
+        !out[start..].contains('\n'),
+        "wide event must be a single line"
+    );
+}
+
+/// Render one canonical `wide-events-v1` line (no trailing newline).
+pub fn wide_event_line(w: &WideEventInput<'_>) -> String {
+    let mut out = String::with_capacity(512);
+    push_wide_event(&mut out, w);
     out
 }
 
@@ -173,39 +229,7 @@ pub fn wide_event_line(w: &WideEventInput<'_>) -> String {
 /// output is byte-equal to the daemon's `--wide-events-out` file for the
 /// same (settled) corpus.
 pub fn wide_events_for_analysis(an: &Analysis) -> String {
-    let retire_ms = an.watermark.unwrap_or(TsMs::ZERO);
-    // One pass over the (time-sorted) events: per-app count and newest
-    // timestamp.
-    let mut per_app: BTreeMap<ApplicationId, (usize, TsMs)> = BTreeMap::new();
-    for ev in &an.events {
-        let e = per_app.entry(ev.app).or_insert((0, ev.ts));
-        e.0 += 1;
-        e.1 = e.1.max(ev.ts);
-    }
-    let mut unused: BTreeMap<ApplicationId, usize> = BTreeMap::new();
-    for u in &an.unused_containers {
-        *unused.entry(u.app).or_insert(0) += 1;
-    }
-    let mut out = String::new();
-    for d in &an.delays {
-        let critical = an.graphs.get(&d.app).and_then(critical_path);
-        let (events, last) = per_app
-            .get(&d.app)
-            .map_or((0, None), |&(n, ts)| (n, Some(ts)));
-        out.push_str(&wide_event_line(&WideEventInput {
-            app: d.app,
-            name: an.name_of(d.app),
-            delays: d,
-            critical: critical.as_ref(),
-            unused_containers: unused.get(&d.app).copied().unwrap_or(0),
-            events,
-            forced: false,
-            retire_ms,
-            last_event_ms: last,
-        }));
-        out.push('\n');
-    }
-    out
+    crate::report::Report::new(an).wide_events()
 }
 
 #[cfg(test)]

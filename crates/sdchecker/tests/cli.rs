@@ -2,7 +2,7 @@
 //! log corpus (the tool's real-world entry point).
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use logmodel::{ApplicationId, Epoch, LogSource, LogStore, NodeId, TsMs};
 
@@ -650,6 +650,45 @@ fn quiet_suppresses_info_lines() {
         String::from_utf8_lossy(&quiet.stderr)
     );
     assert_eq!(loud.stdout, quiet.stdout, "--quiet must not change stdout");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `sdchecker <dir> | head -0`: a reader that goes away costs the rest
+/// of stdout and nothing else — no panic, exit 0, every requested file
+/// written as if nobody had been listening at all.
+#[test]
+fn closed_stdout_pipe_still_writes_the_requested_files() {
+    let dir = tmp("epipe");
+    let _ = std::fs::remove_dir_all(&dir);
+    let app = write_two_app_corpus(&dir);
+    let (calm, piped) = (dir.join("calm.json"), dir.join("piped.json"));
+    let undisturbed = bin()
+        .arg(&dir)
+        .args(["--quiet", "--report-json", calm.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(undisturbed.status.success());
+
+    let mut child = bin()
+        .arg(&dir)
+        .args(["--quiet", "--report-json", piped.to_str().unwrap()])
+        .args(["--timeline", &app.to_string()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // The read end closes while the child is still starting up, long
+    // before it has a report to print.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_eq!(
+        std::fs::read(&piped).unwrap(),
+        std::fs::read(&calm).unwrap(),
+        "--report-json under a closed pipe"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

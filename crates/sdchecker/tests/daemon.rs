@@ -316,9 +316,16 @@ fn serves_alerts_exemplars_and_wide_events() {
     let (status, _, _) = http_get(&addr, "/exemplars/application_0_9999/trace.json");
     assert_eq!(status, 404);
 
-    // Daemon self-metrics and alert gauges on /metrics.
-    let (_, _, body) = http_get(&addr, "/metrics");
-    let text = String::from_utf8(body).unwrap();
+    // Daemon self-metrics and alert gauges on /metrics. The retirements
+    // above are published mid-iteration; the iteration's duration and its
+    // checkpoint phase are recorded when it ends, after the first
+    // checkpoint is on disk, which a slow fsync can put after this point.
+    let text = wait_for("the first poll iteration to be recorded", || {
+        let (_, _, body) = http_get(&addr, "/metrics");
+        let text = String::from_utf8(body).unwrap();
+        text.contains("# HELP sdcheckerd_poll_duration_ms ")
+            .then_some(text)
+    });
     for family in [
         "process_uptime_seconds",
         "sdcheckerd_poll_duration_ms",

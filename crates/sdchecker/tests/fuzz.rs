@@ -8,10 +8,11 @@
 mod common;
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use logmodel::{corrupt_dir, CorruptConfig, Epoch, LogStore};
+use logmodel::{corrupt_dir, CorruptConfig, Epoch, LogSource, LogStore, TsMs};
+use sdchecker::{analyze_dir, full_report, report_json, wide_events_for_analysis, Report};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_sdchecker"))
@@ -29,10 +30,37 @@ fn write_fleet(dir: &PathBuf) {
     s.write_dir(dir).unwrap();
 }
 
+/// In-process: one [`Report`] renders exactly what the three wrapper
+/// functions render, in any order, and both JSON documents parse —
+/// whatever the corpus holds. Returns the parsed `report-v1` document.
+fn check_documents(dir: &Path, label: &str) -> obs::json::Json {
+    let an = analyze_dir(dir).unwrap();
+    let report = Report::new(&an);
+    let wide = report.wide_events();
+    let json = report.json();
+    assert_eq!(report.text(), full_report(&an), "[{label}] text report");
+    assert_eq!(json, report_json(&an), "[{label}] report-v1");
+    assert_eq!(
+        wide,
+        wide_events_for_analysis(&an),
+        "[{label}] wide-events-v1"
+    );
+    assert_eq!(wide.lines().count(), an.delays.len(), "[{label}]");
+    for line in wide.lines() {
+        let doc = obs::json::parse(line)
+            .unwrap_or_else(|e| panic!("[{label}] wide event must be valid JSON: {e}\n{line}"));
+        let app = doc.get("app").and_then(|a| a.as_str()).unwrap();
+        let name = an.name_of(app.parse().unwrap());
+        assert_eq!(doc.get("name").and_then(|n| n.as_str()), name, "[{label}]");
+    }
+    obs::json::parse(&json).unwrap_or_else(|e| panic!("[{label}] report must be valid JSON: {e}"))
+}
+
 /// Run the binary over `dir` and enforce the contract: clean exit, valid
 /// JSON report, unique app ids, fleet count consistent with the app list,
 /// and failure counters that never exceed the population.
 fn check_contract(dir: &PathBuf, label: &str) {
+    check_documents(dir, label);
     let report = dir.join("report.json");
     let out = bin()
         .arg(dir)
@@ -129,4 +157,56 @@ fn corrupted_corpora_never_panic_severe_profile() {
         check_contract(&dir, &format!("severe seed {seed} ({report:?})"));
         fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Driver banners are free text: application names with quotes,
+/// backslashes, control characters and multi-byte text must come back
+/// out of both JSON documents exactly as they went in.
+#[test]
+fn hostile_application_names_round_trip_through_both_documents() {
+    let names = [
+        "q \"7\" \\ end",
+        "tab\there \u{1}\u{1f} bell",
+        "\"}], \"injected\": [{\"",
+        "\\\\\"\\n not a newline",
+        "múlti-býte → 日本語 🦀",
+        "\u{7f} del and trailing backslash \\",
+    ];
+    let dir = tmp("hostile");
+    let _ = fs::remove_dir_all(&dir);
+    let mut s = LogStore::new(Epoch::default_run());
+    common::populate_faulty_fleet(&mut s);
+    let cts = Epoch::default_run().unix_ms;
+    for (i, name) in names.iter().enumerate() {
+        let app = logmodel::ApplicationId::new(cts, 10 + i as u32);
+        let ts = 300_000 + 1_000 * i as u64;
+        s.info(
+            LogSource::ResourceManager,
+            TsMs(ts),
+            "RMAppImpl",
+            format!("{app} State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED"),
+        );
+        s.info(
+            LogSource::Driver(app),
+            TsMs(ts + 500),
+            "ApplicationMaster",
+            format!("Starting ApplicationMaster for {name}"),
+        );
+    }
+    s.write_dir(&dir).unwrap();
+    let doc = check_documents(&dir, "hostile names");
+    let reported: Vec<&str> = doc
+        .get("applications")
+        .and_then(|a| a.as_arr())
+        .unwrap()
+        .iter()
+        .filter_map(|a| a.get("name").and_then(|n| n.as_str()))
+        .collect();
+    for name in names {
+        assert!(
+            reported.contains(&name),
+            "{name:?} missing from {reported:?}"
+        );
+    }
+    fs::remove_dir_all(&dir).unwrap();
 }

@@ -20,7 +20,7 @@ fn random_corpus(rng: &mut SimRng) -> LogStore {
     for seq in 1..=napps {
         let a = ApplicationId::new(cts, seq);
         // Coarse timestamps so ties across apps and streams are common —
-        // the case the k-way merge tie-break must get right.
+        // the case the merge's tie-break must get right.
         let base = rng.below(50) * 100;
         let t = |rng: &mut SimRng, lo: u64, hi: u64| TsMs(base + rng.range(lo, hi) / 10 * 10);
         s.info(

@@ -16,7 +16,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use logmodel::{parse_line_ref, Epoch, LogSource, LogStore, NodeId, Parallelism};
-use sdchecker::{analyze_dir_with, EventKind, Extractor, Outcome, StreamCursor};
+use sdchecker::{
+    analyze_dir_with, analyze_store, critical_path, full_report, report_json,
+    wide_events_for_analysis, Analysis, EventKind, Extractor, Outcome, Report, StreamCursor,
+};
 
 thread_local! {
     /// Calls to `alloc`, `alloc_zeroed` and `realloc` this thread made
@@ -180,19 +183,23 @@ fn noisy_fleet(name: &str, noise: usize) -> (PathBuf, usize) {
     (dir, files)
 }
 
-/// Allocations of one sequential directory analysis, checked to repeat
-/// exactly; with the number of events it found.
+/// Allocations of `f`, checked to repeat exactly.
+fn repeatable_allocations<R>(f: impl Fn() -> R) -> (R, u64) {
+    let (out, first) = allocations(&f);
+    let (_, second) = allocations(&f);
+    assert_eq!(first, second, "allocation counts must repeat exactly");
+    (out, first)
+}
+
+/// Allocations of one sequential directory analysis, with the number of
+/// events it found.
 fn analysis_allocations(dir: &Path) -> (usize, u64) {
-    let run = || {
+    repeatable_allocations(|| {
         analyze_dir_with(dir, Parallelism::ONE)
             .unwrap()
             .events
             .len()
-    };
-    let (events, first) = allocations(run);
-    let (_, second) = allocations(run);
-    assert_eq!(first, second, "allocation counts must repeat exactly");
-    (events, first)
+    })
 }
 
 #[test]
@@ -214,4 +221,72 @@ fn directory_analysis_allocates_per_file_and_event_not_per_line() {
     );
     fs::remove_dir_all(&sparse_dir).unwrap();
     fs::remove_dir_all(&dense_dir).unwrap();
+}
+
+/// `copies` replicas of the faulty fleet (three applications each, one of
+/// them with a full thirteen-segment critical path), analyzed.
+fn fleet_analysis(copies: u32) -> Analysis {
+    let mut store = LogStore::new(Epoch::default_run());
+    for k in 0..copies {
+        common::populate_faulty_fleet_at(&mut store, k);
+    }
+    analyze_store(&store)
+}
+
+#[test]
+fn a_critical_path_allocates_its_segments_and_two_entity_names() {
+    let an = fleet_analysis(2);
+    let mut longest = 0;
+    for g in an.graphs.values() {
+        let (path, allocs) = repeatable_allocations(|| critical_path(g));
+        match path {
+            // The segment vector, the AM's and the critical executor's
+            // names built once each, and one copy of a name per segment.
+            Some(p) => {
+                assert_eq!(allocs, 3 + p.segments.len() as u64, "{}", g.app);
+                assert!(allocs <= 16, "{allocs} allocations for {}", g.app);
+                longest = longest.max(p.segments.len());
+            }
+            // No path is decided before anything is built.
+            None => assert_eq!(allocs, 0, "{}", g.app),
+        }
+    }
+    assert_eq!(longest, 13, "the fleet holds a full chain");
+}
+
+#[test]
+fn three_documents_cost_a_bounded_number_of_allocations_per_application() {
+    let one_report = |an: &Analysis| {
+        let report = Report::new(an);
+        report.text().len() + report.json().len() + report.wide_events().len()
+    };
+    let three_wrappers = |an: &Analysis| {
+        full_report(an).len() + report_json(an).len() + wide_events_for_analysis(an).len()
+    };
+    // Per application means per *extra* application: the difference
+    // between two fleet sizes leaves out what a report costs however
+    // small the corpus is (its tables, its sketches).
+    let (small, large) = (fleet_analysis(10), fleet_analysis(50));
+    let extra_apps = (large.delays.len() - small.delays.len()) as u64;
+    let extra_paths = extra_apps / 3;
+    assert_eq!((extra_apps, extra_paths), (120, 40));
+    let extra_allocations = |render: &dyn Fn(&Analysis) -> usize| {
+        let (small_bytes, small_allocs) = repeatable_allocations(|| render(&small));
+        let (large_bytes, large_allocs) = repeatable_allocations(|| render(&large));
+        assert!(large_bytes > 4 * small_bytes);
+        large_allocs - small_allocs
+    };
+    // An application that reached its first task pays for its critical
+    // path once (16 here, see above); beyond that all three documents
+    // together may cost an application two allocations — not one per
+    // field, which would be hundreds.
+    let shared = extra_allocations(&one_report);
+    assert!(
+        shared <= extra_paths * 16 + extra_apps * 2,
+        "{shared} allocations for {extra_apps} more applications"
+    );
+    // Each wrapper builds its own `Report`: two more critical-path
+    // passes and nothing else.
+    let separate = extra_allocations(&three_wrappers);
+    assert_eq!(separate, shared + 2 * extra_paths * 16);
 }
