@@ -50,7 +50,7 @@ fn main() -> ExitCode {
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
+        let _ = sdchecker::write_stdout(&format!("{USAGE}\n"));
         return ExitCode::SUCCESS;
     }
     let mut i = 0;

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use logmodel::{format_line, LogSource, LogStore};
 
-use sdchecker::{analyze_store, ascii_gantt, full_report};
+use sdchecker::{analyze_store, ascii_gantt, write_stdout, Report};
 use simkit::Millis;
 use sparksim::{profiles, simulate};
 use workloads::{map_jobs, merge, shifted, tpch_stream, TraceParams};
@@ -323,7 +323,7 @@ fn stream_logs(logs: &LogStore, dir: &Path, rate: f64, flush_every: u64) -> io::
 
 fn main() -> ExitCode {
     if std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
+        let _ = write_stdout(&format!("{USAGE}\n"));
         return ExitCode::SUCCESS;
     }
     let o = match parse_args() {
@@ -455,8 +455,9 @@ fn main() -> ExitCode {
     }
 
     let analysis = analyze_store(&logs);
-    print!("{}", full_report(&analysis));
-
+    // One pass over the applications feeds stdout and `--report-json`.
+    let report = Report::new(&analysis);
+    let mut text = report.text();
     if o.timeline {
         // Show the median-total application's timeline (the Fig 10 view).
         let mut complete: Vec<_> = analysis
@@ -467,10 +468,14 @@ fn main() -> ExitCode {
         complete.sort_by_key(|d| d.total_ms);
         if let Some(mid) = complete.get(complete.len() / 2) {
             if let Some(g) = analysis.graphs.get(&mid.app) {
-                println!();
-                print!("{}", ascii_gantt(g, 100));
+                text.push('\n');
+                text.push_str(&ascii_gantt(g, 100));
             }
         }
+    }
+    if let Err(e) = write_stdout(&text) {
+        eprintln!("failed to write to stdout: {e}");
+        return ExitCode::FAILURE;
     }
 
     if let Some(p) = &o.app_trace_out {
@@ -486,7 +491,7 @@ fn main() -> ExitCode {
         }
     }
     if let Some(p) = &o.report_json_out {
-        if let Err(e) = std::fs::write(p, sdchecker::report_json(&analysis)) {
+        if let Err(e) = std::fs::write(p, report.json()) {
             eprintln!("failed to write {}: {e}", p.display());
             return ExitCode::FAILURE;
         }

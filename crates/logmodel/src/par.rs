@@ -1,8 +1,11 @@
 //! A minimal scoped worker pool for the offline analysis pipeline.
 //!
-//! SDchecker's workload is embarrassingly parallel at two granularities —
-//! per log stream and per application — so all we need is a deterministic
-//! ordered `map` over a work list. This module provides exactly that on
+//! SDchecker's front half is embarrassingly parallel per log stream —
+//! reading, parsing and extracting one source needs nothing from another
+//! — so all we need is a deterministic ordered `map` over a work list.
+//! (The per-application fan-out that once ran on it too is gone: the
+//! whole per-application stage costs less than partitioning its input.)
+//! This module provides exactly that on
 //! `std::thread::scope` (no external dependencies): results come back in
 //! input order regardless of which worker ran which item, and
 //! `Parallelism::ONE` runs the plain sequential loop on the calling thread

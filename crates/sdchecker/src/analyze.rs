@@ -8,9 +8,10 @@ use std::path::Path;
 use logmodel::{scan_dir, ApplicationId, LogStore, Parallelism, TsMs};
 
 use crate::bugs::{find_unused_containers, UnusedContainer};
-use crate::decompose::{decompose, AppDelays, AppOutcome};
+use crate::decompose::{decompose, AppDelays};
 use crate::event::SchedEvent;
 use crate::extract::{extract_store, merge_scans, Extracted, Extractor, ParseCoverage};
+use crate::fleet::record_app_metrics;
 use crate::graph::{build_graphs, SchedulingGraph};
 use crate::throughput::{allocation_throughput, Throughput};
 
@@ -25,7 +26,9 @@ pub struct Analysis {
     /// application-id) order. [`Analysis::delays_of`] relies on this
     /// ordering for its binary search.
     pub delays: Vec<AppDelays>,
-    /// Allocated-but-never-used containers across all applications.
+    /// Allocated-but-never-used containers across all applications,
+    /// grouped by application in `delays` order — the per-application
+    /// counts are read off it in one walk.
     pub unused_containers: Vec<UnusedContainer>,
     /// Application display names mined from driver banners (e.g. the
     /// TPC-H query label), where available.
@@ -102,40 +105,16 @@ impl Analysis {
         out
     }
 
-    /// How many applications ended in each terminal outcome. Every
-    /// application in the corpus lands in exactly one bucket, so the
-    /// counts sum to `delays.len()` — the conservation property the
-    /// corruption fuzz harness checks.
-    pub fn outcome_counts(&self) -> BTreeMap<AppOutcome, u64> {
-        let mut out = BTreeMap::new();
-        for d in &self.delays {
-            *out.entry(d.outcome).or_insert(0) += 1;
-        }
-        out
-    }
-
-    /// Applications whose AM was retried at least once.
-    pub fn retried_apps(&self) -> impl Iterator<Item = &AppDelays> {
-        self.delays.iter().filter(|d| d.attempts > 1)
-    }
-
-    /// Total wall-clock time burned inside failed AM attempts across the
-    /// corpus, in ms.
-    pub fn total_wasted_ms(&self) -> u64 {
-        self.delays.iter().map(|d| d.wasted_ms).sum()
-    }
-
-    /// Whether the corpus shows any hard failure evidence: a failed or
-    /// killed application, a retried AM, wasted delay in dead attempts,
-    /// or transition-shaped lines with corrupt ids. Truncated apps alone
-    /// do not count — a log capture that simply stops early is not a
-    /// cluster failure.
-    pub fn has_failures(&self) -> bool {
-        self.delays.iter().any(|d| {
-            matches!(d.outcome, AppOutcome::Failed | AppOutcome::Killed)
-                || d.attempts > 1
-                || d.wasted_ms > 0
-        }) || self.coverage.total().anomalous > 0
+    /// Each application's unused-container count, in `delays` order.
+    pub(crate) fn unused_per_app(&self) -> impl Iterator<Item = usize> + '_ {
+        debug_assert!(self
+            .unused_containers
+            .windows(2)
+            .all(|w| w[0].app <= w[1].app));
+        let mut rest = self.unused_containers.iter().peekable();
+        self.delays
+            .iter()
+            .map(move |d| std::iter::from_fn(|| rest.next_if(|u| u.app == d.app)).count())
     }
 }
 
@@ -180,10 +159,7 @@ fn analyze_extracted(extracted: Extracted) -> Analysis {
         let _s = obs::span("bug_detect");
         graphs.values().flat_map(find_unused_containers).collect()
     };
-    flush_analysis_metrics(graphs.len(), unused_containers.len());
-    flush_failure_metrics(&delays);
-    stream_delay_sketches(&delays);
-    Analysis {
+    let an = Analysis {
         events,
         graphs,
         delays,
@@ -191,7 +167,11 @@ fn analyze_extracted(extracted: Extracted) -> Analysis {
         app_names,
         coverage,
         watermark,
+    };
+    for (d, unused) in an.delays.iter().zip(an.unused_per_app()) {
+        record_app_metrics(d, unused);
     }
+    an
 }
 
 /// Analyze one application from its (time-sorted) event slice: build
@@ -213,78 +193,6 @@ pub fn analyze_app_events(
     let delays = decompose(&graph);
     let unused = find_unused_containers(&graph);
     (graph, delays, unused)
-}
-
-/// Corpus-level analysis counters (no-ops when recording is disabled;
-/// both are pure functions of the corpus, so exports stay deterministic).
-fn flush_analysis_metrics(apps: usize, unused: usize) {
-    if obs::enabled() {
-        obs::count("analyze_apps_total", apps as u64);
-        obs::count("unused_containers_total", unused as u64);
-    }
-}
-
-/// Failure-side counters. Each series is emitted only when nonzero so a
-/// fault-free corpus exports byte-identical metrics to builds that predate
-/// fault awareness. Truncated apps deliberately get no series: a log
-/// capture that stops early is routine (the golden corpora contain one),
-/// not failure evidence.
-fn flush_failure_metrics(delays: &[AppDelays]) {
-    if !obs::enabled() {
-        return;
-    }
-    let mut by_outcome: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for d in delays {
-        if matches!(d.outcome, AppOutcome::Failed | AppOutcome::Killed) {
-            *by_outcome.entry(d.outcome.label()).or_insert(0) += 1;
-        }
-    }
-    for (label, n) in by_outcome {
-        obs::count_labeled("analyze_app_outcomes_total", &[("outcome", label)], n);
-    }
-    let retried = delays.iter().filter(|d| d.attempts > 1).count() as u64;
-    if retried > 0 {
-        obs::count("analyze_retried_apps_total", retried);
-    }
-    let wasted: u64 = delays.iter().map(|d| d.wasted_ms).sum();
-    if wasted > 0 {
-        obs::count("analyze_wasted_delay_ms_total", wasted);
-    }
-}
-
-/// Stream every decomposed delay component into the global quantile
-/// sketches (`app_delay_ms{component=…}` / `container_delay_ms{…}`).
-/// This is how `run_experiments` aggregates fleet percentiles across an
-/// unbounded number of applications without retaining raw samples: the
-/// sketch merge is order-independent, so the exported quantiles are
-/// identical for every thread count. A no-op when recording is disabled.
-fn stream_delay_sketches(delays: &[AppDelays]) {
-    if !obs::enabled() {
-        return;
-    }
-    for d in delays {
-        stream_one_delay_sketches(d);
-    }
-}
-
-/// Stream one application's delay components into the global sketches.
-/// The incremental pipeline calls this at retirement time, so a live
-/// `/metrics` scrape sees the same `app_delay_ms`/`container_delay_ms`
-/// summaries a batch run would export at end-of-run.
-pub(crate) fn stream_one_delay_sketches(d: &AppDelays) {
-    use crate::decompose::{APP_COMPONENTS, CONTAINER_COMPONENTS};
-    for (name, f) in APP_COMPONENTS.iter() {
-        if let Some(v) = f(d) {
-            obs::sketch_observe_labeled("app_delay_ms", &[("component", name)], v);
-        }
-    }
-    for c in &d.containers {
-        for (name, f) in CONTAINER_COMPONENTS.iter() {
-            if let Some(v) = f(c) {
-                obs::sketch_observe_labeled("container_delay_ms", &[("component", name)], v);
-            }
-        }
-    }
 }
 
 /// Register `# HELP` strings for every metric family the pipeline can
@@ -602,12 +510,13 @@ pub(crate) mod tests {
 
     #[test]
     fn outcome_accounting_conserves_every_app() {
+        use crate::decompose::AppOutcome;
         let an = analyze_store(&mini_corpus());
-        let counts = an.outcome_counts();
-        assert_eq!(counts.values().sum::<u64>(), an.delays.len() as u64);
-        assert_eq!(counts.get(&AppOutcome::Completed), Some(&2));
-        assert_eq!(an.retried_apps().count(), 0);
-        assert_eq!(an.total_wasted_ms(), 0);
-        assert!(!an.has_failures());
+        let report = crate::Report::new(&an);
+        let f = &report.fleet;
+        assert_eq!(f.outcomes.values().sum::<u64>(), an.delays.len() as u64);
+        assert_eq!(f.outcome(AppOutcome::Completed), 2);
+        assert_eq!((f.retired, f.complete), (2, 2));
+        assert_eq!((f.retried_apps, f.wasted_ms_total), (0, 0));
     }
 }

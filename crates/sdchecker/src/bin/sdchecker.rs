@@ -13,12 +13,11 @@
 //! logs (the layout `logmodel::LogStore::write_dir` produces, mirroring a
 //! cluster log collection).
 
-use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use logmodel::ApplicationId;
-use sdchecker::{analyze_dir_with, Parallelism, Report, Table};
+use sdchecker::{analyze_dir_with, write_stdout, Parallelism, Report, Table};
 
 const USAGE: &str = "usage: sdchecker <log-dir> [--threads N] [--csv <out.csv>] \
 [--dot <application-id> <out.dot>] [--timeline <application-id>] \
@@ -31,31 +30,10 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Standard output that a closed pipe ends quietly: after `sdchecker
-/// <dir> | head` has read enough, the rest of the text is dropped, the
-/// requested files are still written and the run still succeeds. Any
-/// other write error is the caller's to report.
-struct Stdout(Option<io::StdoutLock<'static>>);
-
-impl Stdout {
-    fn write(&mut self, text: &str) -> io::Result<()> {
-        let Some(out) = &mut self.0 else {
-            return Ok(());
-        };
-        match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
-            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
-                self.0 = None;
-                Ok(())
-            }
-            other => other,
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
+        let _ = write_stdout(&format!("{USAGE}\n"));
         return ExitCode::SUCCESS;
     }
     let Some(dir) = args.first() else {
@@ -204,8 +182,7 @@ fn main() -> ExitCode {
     // One pass over the applications feeds stdout, `--report-json` and
     // `--wide-events-out`.
     let report = Report::new(&analysis);
-    let mut stdout = Stdout(Some(io::stdout().lock()));
-    if let Err(e) = stdout.write(&report.text()) {
+    if let Err(e) = write_stdout(&report.text()) {
         eprintln!("failed to write to stdout: {e}");
         return ExitCode::FAILURE;
     }
@@ -254,7 +231,7 @@ fn main() -> ExitCode {
             eprintln!("application {app} not found in logs");
             return ExitCode::FAILURE;
         };
-        if let Err(e) = stdout.write(&format!("\n{}", sdchecker::ascii_gantt(g, 100))) {
+        if let Err(e) = write_stdout(&format!("\n{}", sdchecker::ascii_gantt(g, 100))) {
             eprintln!("failed to write to stdout: {e}");
             return ExitCode::FAILURE;
         }

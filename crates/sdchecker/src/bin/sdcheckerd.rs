@@ -77,10 +77,6 @@ use sdchecker::{
     RetiredApp, TailLag, Transition,
 };
 
-/// The `/alerts` document of a daemon started with `--no-alerts`.
-const NO_ALERTS: &str =
-    "{\"schema\": \"sdcheckerd-alerts-v1\", \"rules\": [], \"transitions\": []}\n";
-
 const USAGE: &str = "usage: sdcheckerd <watch-dir> [--listen ADDR] [--port-file PATH] \
 [--poll-ms N] [--settle-ms N] [--idle-timeout-ms N] [--exemplar-slots N] [--slo-ms N] \
 [--no-alerts] [--alerts-out PATH] [--wide-events-out PATH] [--final-report PATH] \
@@ -484,6 +480,9 @@ struct PollLoop {
     tailer: DirTailer,
     analyzer: IncrementalAnalyzer,
     engine: Option<AlertEngine>,
+    /// What `/alerts` serves without an engine (`--no-alerts`): the
+    /// document of an engine with an empty rule table.
+    no_alerts: String,
     polls: u64,
     records: u64,
     last_progress: Instant,
@@ -587,7 +586,7 @@ impl PollLoop {
             alerts: self
                 .engine
                 .as_ref()
-                .map_or_else(|| NO_ALERTS.to_string(), AlertEngine::alerts_json),
+                .map_or_else(|| self.no_alerts.clone(), AlertEngine::alerts_json),
             firing: self
                 .engine
                 .iter()
@@ -808,7 +807,7 @@ fn fingerprint(cfg: &IncrementalConfig, alerts: bool, slo_ms: u64) -> CfgFingerp
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
+        let _ = sdchecker::write_stdout(&format!("{USAGE}\n"));
         return ExitCode::SUCCESS;
     }
     let Some(dir) = args.first() else {
@@ -982,6 +981,7 @@ fn main() -> ExitCode {
         tailer,
         analyzer: IncrementalAnalyzer::new(cfg),
         engine: (!no_alerts).then(|| AlertEngine::new(default_rules(slo_ms), ALERT_EVAL_MS)),
+        no_alerts: AlertEngine::new(Vec::new(), ALERT_EVAL_MS).alerts_json(),
         polls: 0,
         records: 0,
         last_progress: Instant::now(),
@@ -1064,7 +1064,8 @@ fn main() -> ExitCode {
     if !quiet {
         eprintln!(
             "sdcheckerd: watching {} — listening on http://{addr} \
-             (/metrics /report.json /healthz /readyz /buildinfo)",
+             (/metrics /report.json /alerts /exemplars /exemplars/<app>/trace.json \
+             /healthz /checkpointz /readyz /buildinfo)",
             dir.display()
         );
     }
@@ -1304,6 +1305,7 @@ mod tests {
             tailer: DirTailer::new(&dir.join("logs")).unwrap(),
             analyzer: IncrementalAnalyzer::new(cfg),
             engine: None,
+            no_alerts: String::new(),
             polls: 0,
             records: 0,
             last_progress: Instant::now(),

@@ -226,17 +226,8 @@ impl TailExemplars {
                 p.retire_ms.0,
                 p.events.len(),
             );
-            out.push_str(", \"components\": {");
-            for (j, (name, acc)) in APP_COMPONENTS.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "\"{name}\": {}",
-                    acc(&p.delays).map_or_else(|| "null".to_string(), |v| v.to_string())
-                );
-            }
+            out.push_str(", \"components\": ");
+            crate::wide::push_components(&mut out, &p.delays, "");
             // Per-source extents: where (and when) this app's evidence
             // lives in the corpus, for whoever wants the raw lines.
             let mut sources: BTreeMap<String, (usize, TsMs, TsMs)> = BTreeMap::new();
@@ -248,7 +239,7 @@ impl TailExemplars {
                 e.1 = e.1.min(ev.ts);
                 e.2 = e.2.max(ev.ts);
             }
-            out.push_str("}, \"sources\": {");
+            out.push_str(", \"sources\": {");
             for (j, (path, (n, first, last))) in sources.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");

@@ -1,10 +1,11 @@
 //! Incremental analysis: consume records as they arrive, retire
 //! applications as their evidence completes.
 //!
-//! The batch pipeline holds a whole corpus in memory, extracts every
-//! event, and analyzes at end-of-run. An always-on service cannot do
-//! that — its input never ends. [`IncrementalAnalyzer`] restructures the
-//! same pipeline around per-application lifecycle:
+//! The batch pipeline reads a finished corpus a source at a time, keeps
+//! every extracted event until the merge, and analyzes at end-of-run. An
+//! always-on service cannot do that — its input never ends.
+//! [`IncrementalAnalyzer`] restructures the same pipeline around
+//! per-application lifecycle:
 //!
 //! 1. **Ingest** — records are fed a stream's run at a time (in
 //!    per-stream order, which the tailing reader guarantees), each
@@ -24,32 +25,33 @@
 //!    time* against the watermark, so it is deterministic under replay)
 //!    force-retires stragglers whose streams simply stop, classifying
 //!    them `Truncated` exactly as batch does for a cut-off corpus.
-//! 3. **Aggregate** — retirement folds the app into fleet-level
-//!    [`QuantileSketch`]es, outcome counts, and critical-path blame,
-//!    then *drops the raw events*: memory is bounded by the number of
-//!    in-flight applications, not the length of the run.
+//! 3. **Aggregate** — retirement adds the app to the fleet fold
+//!    ([`crate::fleet`]: component sketches, outcome counts,
+//!    critical-path blame — the fold a batch [`crate::Report`] runs over
+//!    a whole corpus), then *drops the raw events*: memory is bounded by
+//!    the number of in-flight applications, not the length of the run.
 //!
-//! [`IncrementalAnalyzer::live_report_json`] renders the current fleet
-//! state in the same shape as the batch report's `fleet` section, so a
-//! dashboard scraping the daemon mid-run reads the same numbers a batch
-//! report over the same (finished) corpus would show.
+//! [`IncrementalAnalyzer::live_report_json`] writes the fleet's
+//! component sketches, blame and coverage with the batch report's own
+//! writers, so a dashboard scraping the daemon reads the bytes a batch
+//! report over the same (finished) corpus would show — apart from the
+//! exemplars only the live sketches keep.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use logmodel::{ApplicationId, LogRecord, LogSource, RecordRef, TsMs};
-use obs::QuantileSketch;
 
-use crate::analyze::{analyze_app_events, stream_one_delay_sketches};
+use crate::analyze::analyze_app_events;
 use crate::checkpoint::CkptError;
-use crate::critical::{critical_path, SEGMENT_COMPONENTS};
-use crate::decompose::{AppDelays, AppOutcome, APP_COMPONENTS, CONTAINER_COMPONENTS};
+use crate::decompose::{AppDelays, AppOutcome};
 use crate::event::SchedEvent;
 use crate::exemplars::{PromotedApp, TailExemplars};
 use crate::extract::{CoverageCounts, Extractor, Outcome, ParseCoverage, SourceKind, StreamCursor};
+use crate::fleet::{push_coverage, record_app_metrics, AppFacts, FleetAgg};
 use crate::tail::{TailLag, TailStats};
-use crate::wide::{wide_event_line, WideEventInput};
-use crate::wire::{corrupt, Dec, Decode, Enc, Encode};
+use crate::wide::push_wide_event;
+use crate::wire::{Dec, Decode, Enc, Encode};
 
 /// Retirement policy for the incremental pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -150,142 +152,6 @@ pub struct RetiredApp {
     pub wide_event: String,
 }
 
-/// Fleet-level aggregates over retired applications. Bounded state: one
-/// sketch per delay component plus a handful of counters, regardless of
-/// how many applications have passed through.
-#[derive(Debug)]
-struct FleetAgg {
-    retired: u64,
-    complete: u64,
-    forced: u64,
-    outcomes: BTreeMap<&'static str, u64>,
-    retried_apps: u64,
-    wasted_ms_total: u64,
-    unused_containers: u64,
-    events_total: u64,
-    app_sketches: Vec<QuantileSketch>,
-    container_sketches: Vec<QuantileSketch>,
-    blame: BTreeMap<&'static str, (u64, u64, f64)>,
-}
-
-impl FleetAgg {
-    fn new() -> FleetAgg {
-        FleetAgg {
-            retired: 0,
-            complete: 0,
-            forced: 0,
-            outcomes: BTreeMap::new(),
-            retried_apps: 0,
-            wasted_ms_total: 0,
-            unused_containers: 0,
-            events_total: 0,
-            app_sketches: APP_COMPONENTS
-                .iter()
-                .map(|_| QuantileSketch::new())
-                .collect(),
-            container_sketches: CONTAINER_COMPONENTS
-                .iter()
-                .map(|_| QuantileSketch::new())
-                .collect(),
-            blame: BTreeMap::new(),
-        }
-    }
-}
-
-/// A map keyed by `&'static str` travels with plain-string keys.
-/// Decoding interns each against `table` and rejects anything else, so
-/// a damaged checkpoint cannot forge a key.
-fn decode_interned<V: Decode>(
-    d: &mut Dec<'_>,
-    what: &str,
-    table: &[&'static str],
-) -> Result<BTreeMap<&'static str, V>, CkptError> {
-    d.get::<Vec<(String, V)>>()?
-        .into_iter()
-        .map(|(name, v)| match table.iter().find(|k| **k == name) {
-            Some(key) => Ok((*key, v)),
-            None => Err(corrupt(format!("unknown {what} {name:?}"))),
-        })
-        .collect()
-}
-
-/// The sketches travel as `obs::sketch`'s own versioned blob, opaque to
-/// this format.
-impl Encode for QuantileSketch {
-    fn encode(&self, e: &mut Enc) {
-        e.bytes(&self.to_bytes());
-    }
-}
-
-impl Decode for QuantileSketch {
-    fn decode(d: &mut Dec<'_>) -> Result<QuantileSketch, CkptError> {
-        QuantileSketch::from_bytes(d.bytes()?).map_err(|e| corrupt(e.to_string()))
-    }
-}
-
-impl Encode for FleetAgg {
-    fn encode(&self, e: &mut Enc) {
-        let FleetAgg {
-            retired,
-            complete,
-            forced,
-            outcomes,
-            retried_apps,
-            wasted_ms_total,
-            unused_containers,
-            events_total,
-            app_sketches,
-            container_sketches,
-            blame,
-        } = self;
-        (retired, complete, forced, outcomes).encode(e);
-        (retried_apps, wasted_ms_total).encode(e);
-        (unused_containers, events_total).encode(e);
-        (app_sketches, container_sketches, blame).encode(e);
-    }
-}
-
-impl Decode for FleetAgg {
-    fn decode(d: &mut Dec<'_>) -> Result<FleetAgg, CkptError> {
-        let (retired, complete, forced) = d.get()?;
-        let outcome_labels = [
-            AppOutcome::Completed,
-            AppOutcome::Failed,
-            AppOutcome::Killed,
-            AppOutcome::Truncated,
-        ]
-        .map(AppOutcome::label);
-        let outcomes = decode_interned(d, "outcome label", &outcome_labels)?;
-        let (retried_apps, wasted_ms_total, unused_containers, events_total) = d.get()?;
-        let (app_sketches, container_sketches): (Vec<_>, Vec<_>) = d.get()?;
-        if app_sketches.len() != APP_COMPONENTS.len()
-            || container_sketches.len() != CONTAINER_COMPONENTS.len()
-        {
-            return Err(corrupt(format!(
-                "checkpoint has {}/{} sketches, expected {}/{}",
-                app_sketches.len(),
-                container_sketches.len(),
-                APP_COMPONENTS.len(),
-                CONTAINER_COMPONENTS.len()
-            )));
-        }
-        let blame = decode_interned(d, "blame component", &SEGMENT_COMPONENTS)?;
-        Ok(FleetAgg {
-            retired,
-            complete,
-            forced,
-            outcomes,
-            retried_apps,
-            wasted_ms_total,
-            unused_containers,
-            events_total,
-            app_sketches,
-            container_sketches,
-            blame,
-        })
-    }
-}
-
 /// The incremental ingest → extract → analyze pipeline. See the module
 /// docs for the lifecycle.
 pub struct IncrementalAnalyzer {
@@ -323,7 +189,7 @@ impl IncrementalAnalyzer {
             retired_ids: BTreeSet::new(),
             late_events: 0,
             watermark: None,
-            fleet: FleetAgg::new(),
+            fleet: FleetAgg::new(true),
             exemplars: TailExemplars::new(cfg.exemplar_slots),
             scratch: Vec::new(),
         }
@@ -490,74 +356,12 @@ impl IncrementalAnalyzer {
         // order, and the per-stream event order survives the stable sort.
         state.events.sort_by_key(|e| (e.ts, e.source));
         let (graph, delays, unused) = analyze_app_events(app, &state.events);
-        let critical = critical_path(&graph);
         let name = self.names.remove(&app);
-        let app_label = app.to_string();
-        let f = &mut self.fleet;
-        f.retired += 1;
-        if forced {
-            f.forced += 1;
-        }
-        if delays.total_ms.is_some() {
-            f.complete += 1;
-        }
-        *f.outcomes.entry(delays.outcome.label()).or_insert(0) += 1;
-        if delays.attempts > 1 {
-            f.retried_apps += 1;
-        }
-        f.wasted_ms_total += delays.wasted_ms;
-        f.unused_containers += unused.len() as u64;
-        f.events_total += state.events.len() as u64;
-        for (i, (_, acc)) in APP_COMPONENTS.iter().enumerate() {
-            if let Some(v) = acc(&delays) {
-                f.app_sketches[i].observe_exemplar(v, &app_label);
-            }
-        }
-        for c in &delays.containers {
-            let cid_label = c.cid.to_string();
-            for (i, (_, acc)) in CONTAINER_COMPONENTS.iter().enumerate() {
-                if let Some(v) = acc(c) {
-                    f.container_sketches[i].observe_exemplar(v, &cid_label);
-                }
-            }
-        }
-        if let Some(p) = &critical {
-            for seg in &p.segments {
-                let e = f.blame.entry(seg.component).or_insert((0, 0, 0.0));
-                e.0 += 1;
-                e.1 += seg.dur_ms();
-                e.2 += p.blame_pct(seg);
-            }
-        }
-        if obs::enabled() {
-            obs::count("analyze_apps_total", 1);
-            obs::count("unused_containers_total", unused.len() as u64);
-            if matches!(delays.outcome, AppOutcome::Failed | AppOutcome::Killed) {
-                obs::count_labeled(
-                    "analyze_app_outcomes_total",
-                    &[("outcome", delays.outcome.label())],
-                    1,
-                );
-            }
-            if delays.attempts > 1 {
-                obs::count("analyze_retried_apps_total", 1);
-            }
-            if delays.wasted_ms > 0 {
-                obs::count("analyze_wasted_delay_ms_total", delays.wasted_ms);
-            }
-            stream_one_delay_sketches(&delays);
-        }
-        let wide_event = wide_event_line(&WideEventInput {
-            app,
-            name: name.as_deref(),
-            delays: &delays,
-            critical: critical.as_ref(),
-            unused_containers: unused.len(),
-            events: state.events.len(),
-            forced,
-            retire_ms,
-            last_event_ms: state.last_event_ts,
-        });
+        let facts = AppFacts::new(&graph, &delays, name.as_deref(), unused.len());
+        self.fleet.add(&facts, forced);
+        record_app_metrics(&delays, unused.len());
+        let mut wide_event = String::with_capacity(512);
+        push_wide_event(&mut wide_event, &facts, forced, retire_ms);
         // Offer the app to the tail reservoir: if it ranks, its events
         // survive retirement (promoted for on-demand traces); otherwise
         // they are dropped here, as ever.
@@ -565,7 +369,7 @@ impl IncrementalAnalyzer {
             app,
             name: name.clone(),
             delays: delays.clone(),
-            critical,
+            critical: facts.critical,
             events: state.events,
             forced,
             retire_ms,
@@ -593,11 +397,7 @@ impl IncrementalAnalyzer {
 
     /// Retired applications that classified as `Truncated`.
     pub fn truncated(&self) -> u64 {
-        self.fleet
-            .outcomes
-            .get(AppOutcome::Truncated.label())
-            .copied()
-            .unwrap_or(0)
+        self.fleet.outcome(AppOutcome::Truncated)
     }
 
     /// Retired applications with a complete total-delay measurement.
@@ -657,14 +457,11 @@ impl IncrementalAnalyzer {
     }
 
     /// The current fleet snapshot as one JSON document (schema
-    /// `sdcheckerd-report-v1`). Mirrors the batch report's `fleet` and
-    /// `coverage` sections — same component names, same sketch summary
-    /// shape, same blame aggregation — plus live-only state: in-flight
-    /// counts, outcome tallies, and (when provided) tailing lag.
+    /// `sdcheckerd-report-v1`). Its component sketches, blame and
+    /// `coverage` section are written by the batch report's writers;
+    /// around them sits live-only state: in-flight counts, outcome
+    /// tallies, and (when provided) tailing lag.
     pub fn live_report_json(&self, tail: Option<(&TailLag, &TailStats)>) -> String {
-        use obs::export::sketch_json;
-        use obs::json::fmt_f64;
-
         let f = &self.fleet;
         let mut out = String::from("{\n  \"schema\": \"sdcheckerd-report-v1\",\n  \"fleet\": {");
         let _ = write!(
@@ -692,62 +489,10 @@ impl IncrementalAnalyzer {
              \n    \"unused_containers\": {},\n    \"events_analyzed\": {},",
             f.retried_apps, f.wasted_ms_total, f.unused_containers, f.events_total,
         );
-        out.push_str("\n    \"app_components_ms\": {");
-        for (j, (name, _)) in APP_COMPONENTS.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let s = &f.app_sketches[j];
-            let rendered = if s.count() == 0 {
-                "null".to_string()
-            } else {
-                sketch_json(s)
-            };
-            let _ = write!(out, "\n      \"{name}\": {rendered}");
-        }
-        out.push_str("\n    },\n    \"container_components_ms\": {");
-        for (j, (name, _)) in CONTAINER_COMPONENTS.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let s = &f.container_sketches[j];
-            let rendered = if s.count() == 0 {
-                "null".to_string()
-            } else {
-                sketch_json(s)
-            };
-            let _ = write!(out, "\n      \"{name}\": {rendered}");
-        }
-        out.push_str("\n    },\n    \"critical_blame\": {");
-        for (j, (component, (n, sum_ms, sum_pct))) in f.blame.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n      \"{component}\": {{\"count\": {n}, \"mean_ms\": {}, \"mean_pct\": {}}}",
-                fmt_f64((*sum_ms as f64 / *n as f64 * 10.0).round() / 10.0),
-                fmt_f64((sum_pct / *n as f64 * 10.0).round() / 10.0),
-            );
-        }
-        out.push_str("\n    }\n  },\n  \"coverage\": {");
-        for (j, (kind, c)) in self.cov.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"matched\": {}, \"unmatched\": {}, ",
-                kind.name(),
-                c.matched,
-                c.unmatched,
-            );
-            if c.anomalous > 0 {
-                let _ = write!(out, "\"anomalous\": {}, ", c.anomalous);
-            }
-            let _ = write!(out, "\"ignored\": {}}}", c.ignored);
-        }
+        f.push_sections(&mut out);
         out.push_str("\n  },");
+        push_coverage(&mut out, &self.cov);
+        out.push(',');
         let _ = write!(
             out,
             "\n  \"watermark_ms\": {},",
@@ -808,6 +553,7 @@ mod tests {
     use super::*;
     use crate::analyze::analyze_store;
     use crate::analyze::tests::one_app_corpus;
+    use crate::decompose::APP_COMPONENTS;
     use logmodel::Epoch;
 
     fn assert_delays_eq(a: &AppDelays, b: &AppDelays) {

@@ -51,6 +51,7 @@ pub mod decompose;
 pub mod event;
 pub mod exemplars;
 pub mod extract;
+pub(crate) mod fleet;
 pub mod graph;
 pub mod incremental;
 pub mod nodes;
@@ -90,11 +91,12 @@ pub use logmodel::Parallelism;
 pub use nodes::{per_node, slow_nodes, NodeStats};
 pub use pattern::Pat;
 pub use report::{
-    cdf_table, full_report, ratio_summary_table, report_json, summary_table, Report, Table,
+    cdf_table, full_report, ratio_summary_table, report_json, summary_table, write_stdout, Report,
+    Table,
 };
 pub use stats::{percentile, Cdf, Summary};
 pub use tail::{DirTailer, SourceLag, TailLag, TailOps, TailStats};
 pub use throughput::{allocation_throughput, Throughput};
 pub use timeline::{ascii_gantt, timeline, timeline_csv, TimelineEntry};
 pub use validate::{validate_all, validate_graph, Anomaly, AnomalyKind};
-pub use wide::{wide_event_line, wide_events_for_analysis, WideEventInput, WIDE_EVENTS_SCHEMA};
+pub use wide::{wide_events_for_analysis, WIDE_EVENTS_SCHEMA};

@@ -1,19 +1,31 @@
 //! Text/CSV rendering of analysis results: summary tables, CDF quantile
-//! tables, and the full per-corpus report the CLI prints.
+//! tables, the full per-corpus report the CLI prints, and the standard
+//! output the binaries print it to.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io::{self, Write as _};
 
-use logmodel::{ApplicationId, TsMs};
+use logmodel::TsMs;
 use obs::json::{push_escaped, push_u64};
 
 use crate::analyze::Analysis;
-use crate::critical::{critical_path, CriticalPath};
+use crate::critical::CriticalPath;
 use crate::decompose::{AppDelays, AppOutcome};
+use crate::fleet::{push_coverage, AppFacts, FleetAgg};
 use crate::stats::{Cdf, Summary};
-use crate::wide::{
-    push_container, push_opt_str, push_opt_u64, push_tenths, push_wide_event, WideEventInput,
-};
+use crate::wide::{push_components, push_container, push_opt_str, push_tenths, push_wide_event};
+
+/// Write and flush `text` to standard output, which a closed pipe ends
+/// quietly: after `sdchecker <dir> | head` has read enough, the rest of
+/// the text is dropped, the requested files are still written and the
+/// run still succeeds. Any other write error is the caller's to report.
+pub fn write_stdout(text: &str) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        other => other,
+    }
+}
 
 /// A simple fixed-width text table builder.
 #[derive(Debug, Default)]
@@ -180,33 +192,11 @@ pub fn cdf_table(samples: &[(&str, Vec<u64>)], quantiles: &[f64]) -> Table {
     t
 }
 
-/// Applications carrying hard failure evidence: a failed/killed terminal
-/// state, a retried AM, or wasted delay inside dead attempts. Truncated
-/// apps are excluded — an incomplete capture is not a failure.
-fn failing_apps(an: &Analysis) -> impl Iterator<Item = &AppDelays> {
-    an.delays.iter().filter(|d| {
-        matches!(d.outcome, AppOutcome::Failed | AppOutcome::Killed)
-            || d.attempts > 1
-            || d.wasted_ms > 0
-    })
-}
-
-/// One application's facts, computed once for all three documents.
-struct AppFacts<'a> {
-    delays: &'a AppDelays,
-    name: Option<&'a str>,
-    critical: Option<CriticalPath>,
-    unused_containers: usize,
-    /// Extracted events, and the newest of their timestamps, read off
-    /// the graph's tracks.
-    events: usize,
-    last_event: Option<TsMs>,
-}
-
 /// The per-application pass behind the text report, `report-v1` and the
 /// batch `wide-events-v1` file: a borrowed view over an [`Analysis`] that
-/// walks its applications once — critical path, display name, unused
-/// containers, event count — so that rendering two or three documents
+/// walks its applications once — each one's [`AppFacts`] (critical path,
+/// display name, unused containers, event count), folded into one
+/// [`FleetAgg`] as it goes — so that rendering two or three documents
 /// costs one pass, not one per document. [`full_report`],
 /// [`report_json`] and [`crate::wide_events_for_analysis`] each build one
 /// and render from it; a caller that wants several documents builds it
@@ -215,58 +205,47 @@ pub struct Report<'a> {
     an: &'a Analysis,
     /// In `Analysis::delays` (= ascending application-id) order.
     apps: Vec<AppFacts<'a>>,
+    /// Every application of `apps`, added in that order.
+    pub(crate) fleet: FleetAgg,
 }
 
 impl<'a> Report<'a> {
     /// Walk the analysis once.
     pub fn new(an: &'a Analysis) -> Report<'a> {
-        let mut unused: BTreeMap<ApplicationId, usize> = BTreeMap::new();
-        for u in &an.unused_containers {
-            *unused.entry(u.app).or_insert(0) += 1;
-        }
         debug_assert_eq!(an.graphs.len(), an.delays.len());
+        let mut fleet = FleetAgg::new(false);
         let apps = an
             .graphs
             .values()
             .zip(&an.delays)
-            .map(|(g, d)| {
-                debug_assert_eq!(g.app, d.app, "delays mirror the graph map's order");
-                let tracks =
-                    std::iter::once(&g.app_events).chain(g.containers.values().map(|c| &c.events));
-                let (events, last_event) = tracks.fold((0, None), |(n, last), track| {
-                    let newest = track.iter().map(|(_, ts)| *ts).max();
-                    (n + track.len(), last.max(newest))
-                });
-                AppFacts {
-                    delays: d,
-                    name: an.name_of(d.app),
-                    critical: critical_path(g),
-                    unused_containers: unused.get(&d.app).copied().unwrap_or(0),
-                    events,
-                    last_event,
-                }
+            .zip(an.unused_per_app())
+            .map(|((g, d), unused)| {
+                let facts = AppFacts::new(g, d, an.name_of(d.app), unused);
+                fleet.add(&facts, false);
+                facts
             })
             .collect();
-        Report { an, apps }
+        Report { an, apps, fleet }
     }
 
-    fn paths(&self) -> impl Iterator<Item = &CriticalPath> {
-        self.apps.iter().filter_map(|a| a.critical.as_ref())
+    /// Applications carrying hard failure evidence: a failed/killed
+    /// terminal state, a retried AM, or wasted delay inside dead attempts.
+    /// Truncated apps are excluded — an incomplete capture is not a
+    /// failure.
+    fn failing_apps(&self) -> impl Iterator<Item = &AppDelays> {
+        self.apps.iter().map(|a| a.delays).filter(|d| {
+            matches!(d.outcome, AppOutcome::Failed | AppOutcome::Killed)
+                || d.attempts > 1
+                || d.wasted_ms > 0
+        })
     }
 
-    /// Critical-path blame per component: `(segments, total ms, total
-    /// blame %)`.
-    fn blame(&self) -> BTreeMap<&'static str, (u64, u64, f64)> {
-        let mut agg = BTreeMap::new();
-        for p in self.paths() {
-            for seg in &p.segments {
-                let e = agg.entry(seg.component).or_insert((0, 0, 0.0));
-                e.0 += 1;
-                e.1 += seg.dur_ms();
-                e.2 += p.blame_pct(seg);
-            }
-        }
-        agg
+    /// Whether the corpus shows any hard failure evidence: a failing
+    /// application or transition-shaped lines with corrupt ids. Truncated
+    /// apps alone do not count — a log capture that simply stops early is
+    /// not a cluster failure.
+    fn has_failures(&self) -> bool {
+        self.failing_apps().next().is_some() || self.an.coverage.total().anomalous > 0
     }
 
     /// The full text report the `sdchecker` CLI prints for a corpus.
@@ -278,8 +257,7 @@ impl<'a> Report<'a> {
         let _ = writeln!(
             out,
             "applications: {} ({} with complete scheduling-delay evidence)",
-            an.graphs.len(),
-            an.complete_delays().count()
+            self.fleet.retired, self.fleet.complete
         );
         let _ = writeln!(out, "events extracted: {}", an.events.len());
         let _ = writeln!(out);
@@ -324,12 +302,13 @@ impl<'a> Report<'a> {
 
         // Critical-path blame: which component chain owns the
         // submitted→first-task interval, aggregated, then one exemplar path.
-        let mut by_total: Vec<&CriticalPath> = self.paths().collect();
+        let paths = self.apps.iter().filter_map(|a| a.critical.as_ref());
+        let mut by_total: Vec<&CriticalPath> = paths.collect();
         if !by_total.is_empty() {
-            let mut rows: Vec<_> = self.blame().into_iter().collect();
+            let mut rows: Vec<_> = self.fleet.blame.iter().collect();
             rows.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then(a.0.cmp(b.0)));
             let mut t = Table::new(&["component", "apps", "mean_ms", "mean_blame"]);
-            for (component, (n, sum_ms, sum_pct)) in rows {
+            for (component, &(n, sum_ms, sum_pct)) in rows {
                 t.row(vec![
                     component.to_string(),
                     n.to_string(),
@@ -423,19 +402,17 @@ impl<'a> Report<'a> {
         // Failure summary, only when the corpus carries hard failure
         // evidence — a fault-free corpus renders byte-identically to builds
         // that predate fault awareness.
-        if an.has_failures() {
-            let counts = an.outcome_counts();
-            let failed = counts.get(&AppOutcome::Failed).copied().unwrap_or(0);
-            let killed = counts.get(&AppOutcome::Killed).copied().unwrap_or(0);
+        if self.has_failures() {
+            let f = &self.fleet;
             let _ = writeln!(
                 out,
                 "Failures: {} failed, {} killed, {} retried AMs, {} s wasted in dead attempts",
-                failed,
-                killed,
-                an.retried_apps().count(),
-                secs(an.total_wasted_ms() as f64 / 1000.0)
+                f.outcome(AppOutcome::Failed),
+                f.outcome(AppOutcome::Killed),
+                f.retried_apps,
+                secs(f.wasted_ms_total as f64 / 1000.0)
             );
-            for d in failing_apps(an) {
+            for d in self.failing_apps() {
                 let _ = writeln!(
                     out,
                     "  {} outcome={} attempts={} wasted={} s",
@@ -482,11 +459,7 @@ impl<'a> Report<'a> {
     /// follow fixed orders and floats render via `push_f64` — so the
     /// golden-file test can pin the exact bytes.
     pub fn json(&self) -> String {
-        use crate::decompose::{APP_COMPONENTS, CONTAINER_COMPONENTS};
-        use obs::export::sketch_json;
-        use obs::QuantileSketch;
-
-        let an = self.an;
+        let f = &self.fleet;
         let mut out =
             String::from("{\n  \"schema\": \"sdchecker-report-v1\",\n  \"applications\": [");
         for (i, a) in self.apps.iter().enumerate() {
@@ -498,17 +471,9 @@ impl<'a> Report<'a> {
             let _ = d.app.write_to(&mut out);
             out.push_str("\",\n      \"name\": ");
             push_opt_str(&mut out, a.name);
-            out.push_str(",\n      \"delays\": {");
-            for (j, (name, f)) in APP_COMPONENTS.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push('"');
-                out.push_str(name);
-                out.push_str("_ms\": ");
-                push_opt_u64(&mut out, f(d));
-            }
-            out.push_str("},\n      \"containers\": [");
+            out.push_str(",\n      \"delays\": ");
+            push_components(&mut out, d, "_ms");
+            out.push_str(",\n      \"containers\": [");
             for (j, c) in d.containers.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
@@ -549,66 +514,27 @@ impl<'a> Report<'a> {
         let _ = write!(
             out,
             "\n    \"applications\": {},\n    \"complete\": {},",
-            an.graphs.len(),
-            an.complete_delays().count()
+            f.retired, f.complete
         );
-        let push_sketch = |out: &mut String, j: usize, name: &str, s: &QuantileSketch| {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n      \"{name}\": ");
-            if s.count() == 0 {
-                out.push_str("null");
-            } else {
-                out.push_str(&sketch_json(s));
-            }
-        };
-        out.push_str("\n    \"app_components_ms\": {");
-        for (j, (name, f)) in APP_COMPONENTS.iter().enumerate() {
-            let mut s = QuantileSketch::new();
-            an.delays.iter().filter_map(f).for_each(|v| s.observe(v));
-            push_sketch(&mut out, j, name, &s);
-        }
-        out.push_str("\n    },\n    \"container_components_ms\": {");
-        for (j, (name, f)) in CONTAINER_COMPONENTS.iter().enumerate() {
-            let mut s = QuantileSketch::new();
-            let containers = an.delays.iter().flat_map(|d| d.containers.iter());
-            containers.filter_map(f).for_each(|v| s.observe(v));
-            push_sketch(&mut out, j, name, &s);
-        }
-        out.push_str("\n    },\n    \"critical_blame\": {");
-        for (j, (component, (n, sum_ms, sum_pct))) in self.blame().into_iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n      \"{component}\": {{\"count\": {n}, \"mean_ms\": "
-            );
-            push_tenths(&mut out, sum_ms as f64 / n as f64);
-            out.push_str(", \"mean_pct\": ");
-            push_tenths(&mut out, sum_pct / n as f64);
-            out.push('}');
-        }
-        out.push_str("\n    }\n  },");
+        f.push_sections(&mut out);
+        out.push_str("\n  },");
         // The failures section exists only when the corpus carries hard
         // failure evidence (failed/killed apps, AM retries, wasted delay, or
         // corrupt-id lines); a fault-free corpus keeps the exact pre-fault
         // document bytes. Truncated apps alone do not create the section.
-        if an.has_failures() {
-            let counts = an.outcome_counts();
-            let failed = counts.get(&AppOutcome::Failed).copied().unwrap_or(0);
-            let killed = counts.get(&AppOutcome::Killed).copied().unwrap_or(0);
+        if self.has_failures() {
             let _ = write!(
                 out,
-                "\n  \"failures\": {{\n    \"failed\": {failed},\n    \"killed\": {killed},\
+                "\n  \"failures\": {{\n    \"failed\": {},\n    \"killed\": {},\
                  \n    \"retried_apps\": {},\n    \"wasted_ms_total\": {},\
                  \n    \"anomalous_lines\": {},\n    \"apps\": [",
-                an.retried_apps().count(),
-                an.total_wasted_ms(),
-                an.coverage.total().anomalous,
+                f.outcome(AppOutcome::Failed),
+                f.outcome(AppOutcome::Killed),
+                f.retried_apps,
+                f.wasted_ms_total,
+                self.an.coverage.total().anomalous,
             );
-            for (j, d) in failing_apps(an).enumerate() {
+            for (j, d) in self.failing_apps().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
@@ -624,26 +550,8 @@ impl<'a> Report<'a> {
             }
             out.push_str("\n    ]\n  },");
         }
-        out.push_str("\n  \"coverage\": {");
-        for (j, (kind, c)) in an.coverage.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            // The anomalous count appears only when nonzero so undamaged
-            // sources keep their historical key set.
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"matched\": {}, \"unmatched\": {}, ",
-                kind.name(),
-                c.matched,
-                c.unmatched,
-            );
-            if c.anomalous > 0 {
-                let _ = write!(out, "\"anomalous\": {}, ", c.anomalous);
-            }
-            let _ = write!(out, "\"ignored\": {}}}", c.ignored);
-        }
-        out.push_str("\n  }\n}\n");
+        push_coverage(&mut out, &self.an.coverage);
+        out.push_str("\n}\n");
         out
     }
 
@@ -654,20 +562,7 @@ impl<'a> Report<'a> {
         let retire_ms = self.an.watermark.unwrap_or(TsMs::ZERO);
         let mut out = String::new();
         for a in &self.apps {
-            push_wide_event(
-                &mut out,
-                &WideEventInput {
-                    app: a.delays.app,
-                    name: a.name,
-                    delays: a.delays,
-                    critical: a.critical.as_ref(),
-                    unused_containers: a.unused_containers,
-                    events: a.events,
-                    forced: false,
-                    retire_ms,
-                    last_event_ms: a.last_event,
-                },
-            );
+            push_wide_event(&mut out, a, false, retire_ms);
             out.push('\n');
         }
         out
@@ -750,7 +645,7 @@ mod tests {
             ),
         );
         let an = crate::analyze_store(&clean);
-        assert!(!an.has_failures());
+        assert!(!Report::new(&an).has_failures());
         assert!(!report_json(&an).contains("\"failures\""));
         assert!(!full_report(&an).contains("Failures:"));
 
@@ -770,7 +665,7 @@ mod tests {
             format!("{b} State change from FINAL_SAVING to FAILED on event = APP_UPDATE_SAVED"),
         );
         let an = crate::analyze_store(&broken);
-        assert!(an.has_failures());
+        assert!(Report::new(&an).has_failures());
         let json = report_json(&an);
         assert!(json.contains("\"failures\""), "{json}");
         assert!(json.contains("\"failed\": 1"), "{json}");
@@ -793,7 +688,7 @@ mod tests {
         );
         let an = crate::analyze_store(&s);
         assert_eq!(an.delays[0].outcome, AppOutcome::Truncated);
-        assert!(!an.has_failures());
+        assert!(!Report::new(&an).has_failures());
         assert!(!report_json(&an).contains("\"failures\""));
     }
 

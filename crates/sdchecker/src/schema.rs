@@ -1,10 +1,14 @@
 //! The parser side of the emitter↔parser contract: every extraction
 //! rule of [`crate::extract`], reified as an introspectable table.
 //!
-//! The [`Extractor`](crate::extract::Extractor) compiles its `Pat`s from
-//! this table, so the table *is* the rule set — and `sdlint` cross-checks
-//! it against the emitter tables (`yarnsim::schema`, `sparksim::schema`)
-//! to prove every emitted shape lands on exactly one rule.
+//! The [`Extractor`](crate::extract::Extractor) compiles its `Pat`s and
+//! takes its prefixes from this table; its class gates and its dispatch
+//! by log family are code of its own. `sdlint` cross-checks the table
+//! against the emitter tables (`yarnsim::schema`, `sparksim::schema`) to
+//! prove every emitted shape lands on exactly one rule, and one of its
+//! tests pushes every emitted template through the running pipeline and
+//! requires it to fire exactly where [`PatternSpec::matches`] says — so
+//! the table `sdlint` checks is the rule set that runs, gates included.
 
 use logmodel::schema::{template_affinity, Family};
 

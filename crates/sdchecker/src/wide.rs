@@ -34,40 +34,15 @@
 //! | `containers`        | array         | per-container component breakdown |
 //! | `blame`             | object\|null  | critical path: dominant, segments, pct |
 
-use logmodel::{ApplicationId, TsMs};
+use logmodel::TsMs;
 use obs::json::{push_escaped, push_f64, push_u64};
 
 use crate::analyze::Analysis;
-use crate::critical::CriticalPath;
 use crate::decompose::{AppDelays, ContainerDelays, APP_COMPONENTS, CONTAINER_COMPONENTS};
+use crate::fleet::AppFacts;
 
 /// Schema tag stamped on every wide-event line.
 pub const WIDE_EVENTS_SCHEMA: &str = "wide-events-v1";
-
-/// Everything one wide-event line is rendered from. Borrowed: the
-/// incremental pipeline builds the line at retirement, before the app's
-/// buffered state is dropped.
-#[derive(Debug)]
-pub struct WideEventInput<'a> {
-    /// The retiring application.
-    pub app: ApplicationId,
-    /// Mined display name, if a driver banner was seen.
-    pub name: Option<&'a str>,
-    /// Full delay decomposition.
-    pub delays: &'a AppDelays,
-    /// Critical path, when the app reached its first task.
-    pub critical: Option<&'a CriticalPath>,
-    /// Allocated-but-never-used container count.
-    pub unused_containers: usize,
-    /// Extracted events analyzed.
-    pub events: usize,
-    /// Idle-timeout retirement (no terminal evidence).
-    pub forced: bool,
-    /// Logical retirement instant (log time).
-    pub retire_ms: TsMs,
-    /// The app's newest event timestamp.
-    pub last_event_ms: Option<TsMs>,
-}
 
 // The appending forms below are what `report-v1` and `wide-events-v1`
 // are written with: every value goes straight into the document through
@@ -127,20 +102,41 @@ pub(crate) fn push_container(out: &mut String, c: &ContainerDelays) {
     out.push('}');
 }
 
-/// Append one canonical `wide-events-v1` line (no trailing newline).
-pub(crate) fn push_wide_event(out: &mut String, w: &WideEventInput<'_>) {
+/// Append the object of all ten `APP_COMPONENTS`, ms or null, keyed by
+/// component name plus `key_suffix`: a wide event's and an `/exemplars`
+/// entry's `components` (no suffix), a `report-v1` application's `delays`
+/// (`_ms`).
+pub(crate) fn push_components(out: &mut String, d: &AppDelays, key_suffix: &str) {
+    out.push('{');
+    for (j, (name, acc)) in APP_COMPONENTS.iter().enumerate() {
+        if j > 0 {
+            out.push_str(", ");
+        }
+        out.push('"');
+        out.push_str(name);
+        out.push_str(key_suffix);
+        out.push_str("\": ");
+        push_opt_u64(out, acc(d));
+    }
+    out.push('}');
+}
+
+/// Append one canonical `wide-events-v1` line (no trailing newline) for
+/// an application retired at `retire_ms` (log time) — `forced` when the
+/// idle timeout, not terminal evidence, retired it.
+pub(crate) fn push_wide_event(out: &mut String, w: &AppFacts<'_>, forced: bool, retire_ms: TsMs) {
     let d = w.delays;
     let start = out.len();
     out.push_str("{\"schema\": \"");
     out.push_str(WIDE_EVENTS_SCHEMA);
     out.push_str("\", \"app\": \"");
-    let _ = w.app.write_to(out);
+    let _ = d.app.write_to(out);
     out.push_str("\", \"name\": ");
     push_opt_str(out, w.name);
     out.push_str(", \"outcome\": \"");
     out.push_str(d.outcome.label());
     out.push_str("\", \"forced\": ");
-    push_bool(out, w.forced);
+    push_bool(out, forced);
     out.push_str(", \"attempts\": ");
     push_u64(out, u64::from(d.attempts));
     out.push_str(", \"wasted_ms\": ");
@@ -154,20 +150,12 @@ pub(crate) fn push_wide_event(out: &mut String, w: &WideEventInput<'_>) {
     out.push_str(", \"first_task_ms\": ");
     push_opt_u64(out, d.first_task.map(|t| t.0));
     out.push_str(", \"retire_ms\": ");
-    push_u64(out, w.retire_ms.0);
+    push_u64(out, retire_ms.0);
     out.push_str(", \"lag_ms\": ");
-    push_u64(out, w.last_event_ms.map_or(0, |t| w.retire_ms.since(t)));
-    out.push_str(", \"components\": {");
-    for (j, (name, acc)) in APP_COMPONENTS.iter().enumerate() {
-        if j > 0 {
-            out.push_str(", ");
-        }
-        out.push('"');
-        out.push_str(name);
-        out.push_str("\": ");
-        push_opt_u64(out, acc(d));
-    }
-    out.push_str("}, \"containers\": [");
+    push_u64(out, w.last_event.map_or(0, |t| retire_ms.since(t)));
+    out.push_str(", \"components\": ");
+    push_components(out, d, "");
+    out.push_str(", \"containers\": [");
     for (j, c) in d.containers.iter().enumerate() {
         if j > 0 {
             out.push_str(", ");
@@ -175,7 +163,7 @@ pub(crate) fn push_wide_event(out: &mut String, w: &WideEventInput<'_>) {
         push_container(out, c);
     }
     out.push_str("], \"blame\": ");
-    match w.critical {
+    match &w.critical {
         Some(p) => {
             out.push_str("{\"dominant\": ");
             match p.dominant() {
@@ -215,13 +203,6 @@ pub(crate) fn push_wide_event(out: &mut String, w: &WideEventInput<'_>) {
     );
 }
 
-/// Render one canonical `wide-events-v1` line (no trailing newline).
-pub fn wide_event_line(w: &WideEventInput<'_>) -> String {
-    let mut out = String::with_capacity(512);
-    push_wide_event(&mut out, w);
-    out
-}
-
 /// Render the whole corpus as wide-event lines (newline-terminated, one
 /// per application, ascending application id). The retirement instant
 /// for every app is the corpus watermark — exactly what a tailed run
@@ -237,7 +218,7 @@ mod tests {
     use super::*;
     use crate::analyze::analyze_store;
     use crate::decompose::AppOutcome;
-    use logmodel::{Epoch, LogSource, LogStore, NodeId};
+    use logmodel::{ApplicationId, Epoch, LogSource, LogStore, NodeId};
 
     fn corpus() -> LogStore {
         let epoch = Epoch::default_run();
@@ -305,17 +286,16 @@ mod tests {
         // An event-free app decomposes to the all-null truncated record.
         let (_, delays, _) = crate::analyze::analyze_app_events(app, &[]);
         assert_eq!(delays.outcome, AppOutcome::Truncated);
-        let line = wide_event_line(&WideEventInput {
-            app,
-            name: Some("q \"7\"\\x\nnewline"),
+        let facts = AppFacts {
             delays: &delays,
+            name: Some("q \"7\"\\x\nnewline"),
             critical: None,
             unused_containers: 0,
             events: 1,
-            forced: true,
-            retire_ms: TsMs(10),
-            last_event_ms: Some(TsMs(4)),
-        });
+            last_event: Some(TsMs(4)),
+        };
+        let mut line = String::new();
+        push_wide_event(&mut line, &facts, true, TsMs(10));
         assert!(!line.contains('\n'), "{line}");
         let doc = obs::json::parse(&line).expect("parses");
         assert_eq!(

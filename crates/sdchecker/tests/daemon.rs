@@ -212,6 +212,25 @@ fn serves_live_endpoints_and_retires_apps() {
     let tail = doc.get("tail").unwrap();
     assert!(tail.get("parsed_lines").unwrap().as_f64().unwrap() > 0.0);
 
+    // Without rules `/alerts` is still the alerts document: the same
+    // members an alerting daemon serves, over an empty rule table.
+    let (status, _, body) = http_get(&addr, "/alerts");
+    assert_eq!(status, 200);
+    let doc = obs::json::parse(&String::from_utf8_lossy(&body)).expect("/alerts parses");
+    let alerting = sdchecker::AlertEngine::new(sdchecker::default_rules(60_000), 1_000);
+    let alerting = obs::json::parse(&alerting.alerts_json()).unwrap();
+    let keys = |doc: &obs::json::Json| match doc {
+        obs::json::Json::Obj(members) => members.iter().map(|(k, _)| k.clone()).collect(),
+        other => panic!("not an object: {other:?}"),
+    };
+    let (served, expected): (Vec<String>, Vec<String>) = (keys(&doc), keys(&alerting));
+    assert_eq!(served, expected);
+    assert_eq!(
+        doc.get("rules"),
+        Some(&obs::json::Json::Obj(Vec::new())),
+        "rules is an object, empty"
+    );
+
     let (status, _, body) = http_get(&addr, "/buildinfo");
     assert_eq!(status, 200);
     let doc = obs::json::parse(&String::from_utf8_lossy(&body)).unwrap();

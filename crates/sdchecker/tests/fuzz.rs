@@ -12,7 +12,10 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use logmodel::{corrupt_dir, CorruptConfig, Epoch, LogSource, LogStore, TsMs};
-use sdchecker::{analyze_dir, full_report, report_json, wide_events_for_analysis, Report};
+use sdchecker::{
+    analyze_dir, full_report, report_json, wide_events_for_analysis, IncrementalAnalyzer,
+    IncrementalConfig, Report,
+};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_sdchecker"))
@@ -161,7 +164,8 @@ fn corrupted_corpora_never_panic_severe_profile() {
 
 /// Driver banners are free text: application names with quotes,
 /// backslashes, control characters and multi-byte text must come back
-/// out of both JSON documents exactly as they went in.
+/// out of both batch JSON documents, and out of the daemon's, exactly as
+/// they went in.
 #[test]
 fn hostile_application_names_round_trip_through_both_documents() {
     let names = [
@@ -192,6 +196,13 @@ fn hostile_application_names_round_trip_through_both_documents() {
             "ApplicationMaster",
             format!("Starting ApplicationMaster for {name}"),
         );
+        // A driver delay, so the application ranks among the exemplars.
+        s.info(
+            LogSource::Driver(app),
+            TsMs(ts + 900),
+            "ApplicationMaster",
+            "Registered with ResourceManager as attempt",
+        );
     }
     s.write_dir(&dir).unwrap();
     let doc = check_documents(&dir, "hostile names");
@@ -206,6 +217,35 @@ fn hostile_application_names_round_trip_through_both_documents() {
         assert!(
             reported.contains(&name),
             "{name:?} missing from {reported:?}"
+        );
+    }
+
+    // The daemon's side, over the same corpus. Its live report names no
+    // application (sketch exemplars are labelled by id), so parsing is
+    // the whole check; the exemplar index names every promoted one.
+    let mut inc = IncrementalAnalyzer::new(IncrementalConfig {
+        exemplar_slots: names.len() + 3,
+        ..IncrementalConfig::default()
+    });
+    for (source, record) in s.records_by_time() {
+        inc.ingest(source, record);
+    }
+    inc.finish();
+    obs::json::parse(&inc.live_report_json(None)).expect("live report must be valid JSON");
+    let index =
+        obs::json::parse(&inc.exemplars().index_json()).expect("exemplar index must be valid JSON");
+    let promoted: Vec<&str> = inc
+        .exemplars()
+        .iter()
+        .filter_map(|p| {
+            let detail = index.get("apps")?.get(&p.app.to_string())?;
+            detail.get("name")?.as_str()
+        })
+        .collect();
+    for name in names {
+        assert!(
+            promoted.contains(&name),
+            "{name:?} missing from {promoted:?}"
         );
     }
     fs::remove_dir_all(&dir).unwrap();

@@ -12,6 +12,7 @@ use std::io::Write;
 use std::path::PathBuf;
 
 use logmodel::{ApplicationId, Epoch, LogRecord, LogSource, LogStore, NodeId, Parallelism, TsMs};
+use obs::json::Json;
 use sdchecker::{
     analyze_dir_with, analyze_store_with, report_json, wide_events_for_analysis, AlertEngine,
     AlertRule, DirTailer, IncrementalAnalyzer, IncrementalConfig, RuleKind,
@@ -179,6 +180,37 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("sdchecker_inctest_{name}_{}", std::process::id()))
 }
 
+/// What `report-v1` and `sdcheckerd-report-v1` both say about a fleet:
+/// the component sketches — less their `exemplars`, which only the live
+/// document keeps — the blame, the coverage and the two counts.
+fn shared_sections(report: &str) -> Json {
+    fn without_exemplars(v: &Json) -> Json {
+        match v {
+            Json::Obj(members) => Json::Obj(
+                members
+                    .iter()
+                    .filter(|(k, _)| k != "exemplars")
+                    .map(|(k, v)| (k.clone(), without_exemplars(v)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+    let doc = obs::json::parse(report).unwrap();
+    let fleet = doc.get("fleet").unwrap();
+    let mut shared = vec![doc.get("coverage").unwrap().clone()];
+    for key in [
+        "app_components_ms",
+        "container_components_ms",
+        "critical_blame",
+        "applications",
+        "complete",
+    ] {
+        shared.push(without_exemplars(fleet.get(key).unwrap()));
+    }
+    Json::Arr(shared)
+}
+
 #[test]
 fn tailed_ingest_matches_batch_for_any_append_chunking() {
     let logs = corpus();
@@ -323,6 +355,11 @@ fn tailed_ingest_matches_batch_for_any_append_chunking() {
             );
         }
         assert_eq!(inc.coverage(), &batch.coverage, "trial {trial}");
+        assert_eq!(
+            shared_sections(&inc.live_report_json(None)),
+            shared_sections(&gold),
+            "trial {trial}: live fleet sections diverged from the batch report's"
+        );
 
         // (c) The wide-event lines are byte-identical to what batch
         // analysis emits over the finished corpus — same canonical

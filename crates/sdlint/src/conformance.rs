@@ -166,4 +166,57 @@ mod tests {
         );
         assert!(findings.is_empty(), "{findings:#?}");
     }
+
+    /// The table this checker verifies is the rule set that runs. The
+    /// extractor compiles its shapes from `PATTERNS`, but its class gates
+    /// and family dispatch are code of their own, tied to the table only
+    /// through the emitters — which a rule without an emitter
+    /// (`external_only`) does not have. So hold the two together
+    /// directly: every emitted template, logged under its own class as
+    /// the *second* record of a stream of its own family (positional
+    /// rules stay out of it), is classified by the running pipeline — or,
+    /// for the banner that name mining consumes, yields a name — exactly
+    /// when a shape-based rule of the table matches it.
+    #[test]
+    fn the_running_extractor_fires_exactly_where_the_table_does() {
+        use logmodel::schema::Family;
+        use logmodel::{ApplicationId, Epoch, Level, LogRecord, LogSource, NodeId, TsMs};
+        use sdchecker::{IncrementalAnalyzer, Outcome};
+
+        let app = ApplicationId::new(Epoch::default_run().unix_ms, 1);
+        let record = |ts, class: &str, message: &str| {
+            LogRecord::new(TsMs(ts), Level::Info, class, message.to_string())
+        };
+        let templates = crate::all_emitted_templates();
+        let mut fired = 0;
+        for t in &templates {
+            let source = match t.family {
+                Family::ResourceManager => LogSource::ResourceManager,
+                Family::NodeManager => LogSource::NodeManager(NodeId(1)),
+                Family::Driver => LogSource::Driver(app),
+                Family::Executor => LogSource::Executor(app.attempt(1).container(2)),
+            };
+            let sample = t.sample();
+            let mut pipeline = IncrementalAnalyzer::default();
+            pipeline.ingest(source, &record(1, "Filler", "the stream's first record"));
+            let outcome = pipeline.ingest(source, &record(2, t.class, &sample));
+            let named = pipeline.finish().iter().any(|r| r.name.is_some());
+            let by_table = sdchecker::schema::patterns()
+                .iter()
+                .any(|p| p.is_shape_based() && p.matches(t.family, t.class, &sample));
+            assert_eq!(
+                outcome != Outcome::Ignored || named,
+                by_table,
+                "template `{}`: {sample:?} under {} came out {outcome:?}",
+                t.name,
+                t.class,
+            );
+            fired += usize::from(by_table);
+        }
+        assert!(
+            0 < fired && fired < templates.len(),
+            "both sides exercised: {fired} of {} templates fire a rule",
+            templates.len()
+        );
+    }
 }

@@ -41,7 +41,6 @@ pub const OUTPUT_PREFIXES: &[&str] = &[
     "crates/obs/src/",
     "crates/logmodel/src/",
     "crates/experiments/src/",
-    "crates/bench/src/",
     "crates/sdlint/src/",
 ];
 
