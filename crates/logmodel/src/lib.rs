@@ -35,7 +35,7 @@ pub use ids::{
 };
 pub use par::Parallelism;
 pub use record::{Level, LogRecord, LogSource, RecordRef};
-pub use store::{scan_dir, LogStore};
+pub use store::{scan_dir, LogStore, BYTES_PER_RECORD_HINT};
 
 /// Millisecond time offset from the run's epoch. Mirrors `simkit::Millis`
 /// but is redeclared here so sdchecker does not need to depend on the

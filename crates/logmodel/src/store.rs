@@ -148,10 +148,10 @@ impl LogStore {
     }
 }
 
-/// Bytes per record assumed when a source's record vector is sized from
-/// its file sizes. The corpora at hand average 110–135 bytes a line; a
-/// low guess costs one doubling.
-const BYTES_PER_RECORD_HINT: usize = 128;
+/// Bytes per record assumed when a record vector is sized from the bytes
+/// about to be parsed into it. The corpora at hand average 110–135 bytes
+/// a line; a low guess costs one doubling.
+pub const BYTES_PER_RECORD_HINT: usize = 128;
 
 /// Read a corpus directory one source at a time, handing each source's
 /// records — borrowed from the bytes just read — to `visit`.

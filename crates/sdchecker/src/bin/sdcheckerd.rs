@@ -69,12 +69,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use logmodel::{LogSource, RecordRef, TsMs};
+use logmodel::{ApplicationId, LogSource, RecordRef, TsMs};
 use obs::{HttpServer, MetricKey, Request, Response, PROMETHEUS_CONTENT_TYPE};
 use sdchecker::checkpoint::{self, CfgFingerprint, CheckpointStore, SaveInputs};
 use sdchecker::{
     default_rules, AlertEngine, DirTailer, IncrementalAnalyzer, IncrementalConfig, Outcome,
-    RetiredApp, TailLag, Transition,
+    RetiredApp, TailLag, TailSink, Transition,
 };
 
 const USAGE: &str = "usage: sdcheckerd <watch-dir> [--listen ADDR] [--port-file PATH] \
@@ -259,7 +259,8 @@ fn describe_daemon_metrics() {
     );
     obs::describe(
         "sdcheckerd_tail_lag_bytes",
-        "Bytes the last poll saw on disk but did not turn into records",
+        "Bytes each file's last look saw on disk but did not turn into records \
+         (files of applications not in flight are looked at once per sweep rotation, not every poll)",
     );
     obs::describe(
         "sdcheckerd_tail_lag_ms",
@@ -497,49 +498,70 @@ struct Swept {
     ingest: Duration,
 }
 
-/// The tailer visitor that ingests each file's records as they are
-/// parsed, telling the alert engine about the anomalous ones. Timed per
-/// visit — once per file that grew, never per record.
-fn ingest_into<'a>(
+/// Where the tailer's records go: into the analyzer as each file is
+/// parsed, the anomalous ones also to the alert engine. Timed per file
+/// that grew, never per record.
+struct Ingest<'a> {
     analyzer: &'a mut IncrementalAnalyzer,
     engine: &'a mut Option<AlertEngine>,
-    swept: &'a mut Swept,
-) -> impl FnMut(LogSource, &[RecordRef<'_>]) + 'a {
-    move |source, recs| {
+    swept: Swept,
+}
+
+impl<'a> Ingest<'a> {
+    fn new(analyzer: &'a mut IncrementalAnalyzer, engine: &'a mut Option<AlertEngine>) -> Self {
+        Ingest {
+            analyzer,
+            engine,
+            swept: Swept::default(),
+        }
+    }
+}
+
+impl TailSink for Ingest<'_> {
+    /// An application the analyzer is buffering can still change what it
+    /// retires as; one it has retired, or never heard of, can wait for
+    /// its turn.
+    fn is_live(&self, app: ApplicationId) -> bool {
+        self.analyzer.is_in_flight(app)
+    }
+
+    fn records(&mut self, source: LogSource, recs: &[RecordRef<'_>]) {
         let started = Instant::now();
-        swept.records += recs.len() as u64;
-        analyzer.ingest_records(source, recs, |ts, outcome| {
+        self.swept.records += recs.len() as u64;
+        let engine = &mut *self.engine;
+        self.analyzer.ingest_records(source, recs, |ts, outcome| {
             if outcome == Outcome::Anomalous {
                 if let Some(e) = engine.as_mut() {
                     e.observe_anomalous(ts);
                 }
             }
         });
-        swept.ingest += started.elapsed();
+        self.swept.ingest += started.elapsed();
     }
 }
 
 impl PollLoop {
-    /// Poll the tail, ingesting what it read.
+    /// Poll the tail, ingesting what it read: the analyzer's in-flight
+    /// set says which applications' files are looked at every time.
     fn poll(&mut self) -> std::io::Result<Swept> {
-        let mut swept = Swept::default();
-        let polled = self.tailer.poll_into(ingest_into(
-            &mut self.analyzer,
-            &mut self.engine,
-            &mut swept,
-        ));
+        let mut ingest = Ingest::new(&mut self.analyzer, &mut self.engine);
+        let polled = self.tailer.poll_with(&mut ingest);
+        let swept = ingest.swept;
         self.note_records(&swept);
         polled.map(|()| swept)
     }
 
-    /// Ingest the tail's held-back partial lines as final records.
-    fn flush_partial(&mut self) {
-        let mut swept = Swept::default();
-        self.tailer.flush_partial_into(ingest_into(
-            &mut self.analyzer,
-            &mut self.engine,
-            &mut swept,
-        ));
+    /// The shutdown drain: one look at every file, then the tail's
+    /// held-back partial lines as final records — what a batch run over
+    /// the directory as it stands would read.
+    fn drain(&mut self) {
+        let mut ingest = Ingest::new(&mut self.analyzer, &mut self.engine);
+        let _ = self
+            .tailer
+            .poll_into(|source, recs| ingest.records(source, recs));
+        self.tailer
+            .flush_partial_into(|source, recs| ingest.records(source, recs));
+        let swept = ingest.swept;
         self.note_records(&swept);
     }
 
@@ -1199,8 +1221,7 @@ fn main() -> ExitCode {
     // held-back partial lines become final records (batch parity for a
     // stream whose last line lacks a newline), and every in-flight app
     // retires.
-    let _ = lp.poll();
-    lp.flush_partial();
+    lp.drain();
     let retired = lp.analyzer.finish();
     note_retirements(&retired, quiet);
     record_retirements(&retired, &mut lp.engine, &mut wide_file);

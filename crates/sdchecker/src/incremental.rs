@@ -390,6 +390,13 @@ impl IncrementalAnalyzer {
         self.apps.len()
     }
 
+    /// Whether `app` is buffered: some record has named it and it has not
+    /// retired. These are the applications whose next line can still
+    /// change an answer.
+    pub fn is_in_flight(&self, app: ApplicationId) -> bool {
+        self.apps.contains_key(&app)
+    }
+
     /// Applications retired so far.
     pub fn retired(&self) -> u64 {
         self.fleet.retired

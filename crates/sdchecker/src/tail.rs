@@ -15,21 +15,46 @@
 //!   mid-UTF-8-sequence — multi-byte encodings never contain a `\n`
 //!   byte, so byte-level splitting is decode-safe) never produces a
 //!   corrupt record;
-//! * the **size the last poll saw on disk** — lag is answered from it,
+//! * the **size its last look saw on disk** — lag is answered from it,
 //!   so asking how far behind the tail is costs no I/O.
 //!
 //! New sources (new apps, new nodes) are found by **directory-table
 //! discovery**: the tailer remembers every directory it knows with the
-//! mtime its last listing saw, stats each one per poll, and re-lists
-//! only those that are new, whose mtime moved, or whose mtime is too
-//! young to trust (`MTIME_SETTLE`, 2 s). Tracked files are kept in
-//! sorted-relative-path order, the same enumeration order batch ingest
-//! pins.
+//! mtime its last listing saw, and re-lists only those that are new,
+//! whose mtime moved, or whose mtime is too young to trust
+//! (`MTIME_SETTLE`, 2 s).
 //!
-//! The cost model, counted by [`TailOps`]: a poll over `F` tracked files
-//! in `D` known directories performs `F + D` `stat`s, one listing per
-//! new/changed/young directory, and one open per file that grew —
-//! nothing else per file.
+//! **What a poll reads, and in what order.** Files and directories are
+//! grouped by the application that owns them (`apps/<id>/…`); whatever
+//! no application owns — the ResourceManager and NodeManager logs, the
+//! watch root, `apps/` — is the cluster group. A poll looks at
+//!
+//! 1. the cluster group, **first**;
+//! 2. every group holding something no poll has looked at yet (just
+//!    discovered, or just restored from a checkpoint) or a directory
+//!    whose mtime has not settled;
+//! 3. every application the [`TailSink`] calls live — asked when the
+//!    sweep reaches it, so after this poll's cluster records were fed;
+//! 4. one `COLD_ROTATION`-th of the rest, an application's turn fixed
+//!    by its sequence number, so nothing starves and no poll is a spike;
+//!
+//! applications in id order, each group's files in sorted relative-path
+//! order. Cluster logs come first because they are what *names* an
+//! application: a reader that passed an application's file and then
+//! meets the ResourceManager line that retires it would let the
+//! watermark run ahead of a straggler appended in between. Cluster
+//! first, every application line written before the newest cluster line
+//! read is read in the same poll. An application nobody has named yet
+//! (or that has retired) costs nothing but its turn: a line in one of
+//! its files waits at most `COLD_ROTATION` polls, and is never lost.
+//! [`DirTailer::poll_into`] is the same sweep with every application
+//! live — what a batch-parity drain at shutdown wants.
+//!
+//! The cost model, counted by [`TailOps`]: a poll performs one `stat`
+//! per file and per directory it looks at (cluster, live, unsettled,
+//! and the rest ÷ `COLD_ROTATION`), one listing per new/changed/young
+//! directory among them, and one open per file that grew; nothing else
+//! per file, and nothing at all per file it does not look at.
 //!
 //! Lines are parsed with the same [`logmodel::parse_line_ref`] and the
 //! same lossy UTF-8 decoding as batch ingest, in place: the records a
@@ -43,10 +68,14 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom};
+use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
-use logmodel::{decode_lossy, parse_line_ref, Epoch, LogRecord, LogSource, RecordRef, TsMs};
+use logmodel::{
+    decode_lossy, parse_line_ref, ApplicationId, Epoch, LogRecord, LogSource, RecordRef, TsMs,
+    BYTES_PER_RECORD_HINT,
+};
 
 use crate::checkpoint::CkptError;
 use crate::wire::{corrupt, wire_struct, Dec, Enc, Encode};
@@ -85,9 +114,8 @@ wire_struct!(TailStats {
 /// resumed daemon counts from zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TailOps {
-    /// `stat` calls: one per tracked file and per known directory each
-    /// poll, plus one per symlink met in a listing and per directory
-    /// adopted.
+    /// `stat` calls: one per file and per directory a poll looks at,
+    /// plus one per symlink met in a listing and per directory adopted.
     pub stats: u64,
     /// Directory listings (`read_dir`).
     pub listings: u64,
@@ -99,15 +127,17 @@ pub struct TailOps {
     pub read_errors: u64,
 }
 
-/// Lag of the tail against the directory as of the last poll.
+/// Lag of the tail against the directory as of each file's last look:
+/// the last poll for the cluster logs and the files of live
+/// applications, at most [`COLD_ROTATION`] polls ago for any other.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TailLag {
     /// Tracked log files.
     pub sources: u64,
-    /// Bytes the last poll saw on disk but did not turn into records:
-    /// held-back partial lines, short reads, and files it could not
-    /// read. Bytes appended since that poll are not counted — the next
-    /// poll reads them.
+    /// Bytes each file's last look saw on disk but did not turn into
+    /// records: held-back partial lines, short reads, and files that
+    /// could not be read. Bytes appended since that look are not
+    /// counted — the next look reads them.
     pub bytes: u64,
     /// Largest per-source log-time lag: how far the quietest source's
     /// last record trails the global watermark, in ms.
@@ -119,7 +149,8 @@ pub struct TailLag {
 pub struct SourceLag {
     /// Relative path under the watch directory.
     pub rel: String,
-    /// Bytes the last poll saw on disk but did not turn into records.
+    /// Bytes this file's last look saw on disk but did not turn into
+    /// records (see [`TailLag::bytes`]).
     pub bytes: u64,
     /// Log-time lag behind the global watermark, in ms.
     pub ms: u64,
@@ -136,7 +167,7 @@ struct FileTail {
     partial: Vec<u8>,
     /// Timestamp of the last record this file produced.
     last_ts: Option<TsMs>,
-    /// File size the last poll's `stat` saw (`offset` before any poll).
+    /// File size the last look's `stat` saw (`offset` before any).
     disk_len: u64,
 }
 
@@ -154,7 +185,7 @@ impl FileTail {
         }
     }
 
-    /// Bytes the last poll saw on disk that are not records yet.
+    /// Bytes the last look saw on disk that are not records yet.
     fn behind_bytes(&self) -> u64 {
         self.disk_len.saturating_sub(self.offset) + self.partial.len() as u64
     }
@@ -177,7 +208,7 @@ impl Encode for FileTail {
             offset,
             partial,
             last_ts,
-            disk_len: _, // relearned by the first poll's stat
+            disk_len: _, // relearned by the first look's stat
         } = self;
         offset.encode(e);
         e.bytes(partial);
@@ -239,6 +270,79 @@ impl DirState {
     }
 }
 
+/// How many polls share one look at everything that is neither cluster,
+/// new, unsettled nor live: an application's files and directories are
+/// looked at when its sequence number's remainder comes up. Larger
+/// means cheaper polls and a longer wait — at most this many polls —
+/// for a line of an application no cluster log has named yet, or that
+/// has already retired.
+pub const COLD_ROTATION: u64 = 8;
+
+/// The application a directory under the watch root belongs to
+/// (`apps/<id>` and everything below it); `None` for the root, `apps/`
+/// itself and anything else.
+fn dir_owner(root: &Path, dir: &Path) -> Option<ApplicationId> {
+    let mut below = dir.strip_prefix(root).ok()?.components();
+    if below.next()?.as_os_str() != "apps" {
+        return None;
+    }
+    below.next()?.as_os_str().to_str()?.parse().ok()
+}
+
+/// The application whose events a source's lines carry; `None` for the
+/// cluster logs.
+fn source_owner(source: LogSource) -> Option<ApplicationId> {
+    match source {
+        LogSource::ResourceManager | LogSource::NodeManager(_) => None,
+        LogSource::Driver(app) => Some(app),
+        LogSource::Executor(container) => Some(container.app()),
+    }
+}
+
+/// What a sweep feeds, and what tells it where records are expected.
+pub trait TailSink {
+    /// Whether `app` may still get records that matter: a live
+    /// application's files and directories are looked at on every poll,
+    /// everything else's once per rotation. Asked once per application
+    /// per poll, after the cluster logs' new records were fed.
+    fn is_live(&self, app: ApplicationId) -> bool;
+
+    /// One file's new records, in file order, borrowed from the bytes
+    /// just read. Never empty.
+    fn records(&mut self, source: LogSource, recs: &[RecordRef<'_>]);
+}
+
+/// The sink behind [`DirTailer::poll_into`]: every application is live,
+/// so every poll looks at everything.
+struct Everything<F>(F);
+
+impl<F: FnMut(LogSource, &[RecordRef<'_>])> TailSink for Everything<F> {
+    fn is_live(&self, _app: ApplicationId) -> bool {
+        true
+    }
+
+    fn records(&mut self, source: LogSource, recs: &[RecordRef<'_>]) {
+        (self.0)(source, recs)
+    }
+}
+
+/// The files and directories of one owner — an application, or `None`
+/// for the cluster — which a poll looks at together or not at all.
+#[derive(Debug, Default)]
+struct Group {
+    /// Tracked files with their relative paths, sorted by them. (A
+    /// vector: an application has a handful, and two thousand maps of
+    /// five are mostly empty nodes.)
+    files: Vec<(String, FileTail)>,
+    /// Known directories, sorted. Not checkpointed: a restored tailer
+    /// starts with the root alone and its first poll is a full walk.
+    dirs: Vec<(PathBuf, DirState)>,
+    /// Whether the next poll must look here whatever the sink says:
+    /// something was adopted (or restored) since the last look, or a
+    /// directory's listing is not trusted yet.
+    due: bool,
+}
+
 /// An incremental reader over a corpus directory that is being appended
 /// to. See the module docs for the model.
 #[derive(Debug)]
@@ -247,11 +351,9 @@ pub struct DirTailer {
     /// Resolved once: from `epoch.txt` when present at first need,
     /// [`Epoch::default_run`] otherwise — the same fallback as batch.
     epoch: Option<Epoch>,
-    files: BTreeMap<String, FileTail>,
-    /// Every directory under (and including) `dir` the tailer knows.
-    /// Not checkpointed: a restored tailer starts with the root alone
-    /// and its first poll is a full walk.
-    dirs: BTreeMap<PathBuf, DirState>,
+    /// Everything tracked, by owner. `None`, the cluster group, sorts
+    /// first and always holds the watch root.
+    groups: BTreeMap<Option<ApplicationId>, Group>,
     stats: TailStats,
     ops: TailOps,
     watermark: Option<TsMs>,
@@ -268,21 +370,22 @@ impl DirTailer {
                 format!("watch directory {} does not exist", dir.display()),
             ));
         }
-        Ok(DirTailer::over(dir, BTreeMap::new()))
+        Ok(DirTailer::over(dir))
     }
 
-    /// A tailer over `dir` tracking `files`, knowing no directory but
+    /// A tailer over `dir` tracking nothing and knowing no directory but
     /// the root yet.
-    fn over(dir: &Path, files: BTreeMap<String, FileTail>) -> DirTailer {
-        DirTailer {
+    fn over(dir: &Path) -> DirTailer {
+        let mut tailer = DirTailer {
             dir: dir.to_path_buf(),
             epoch: None,
-            files,
-            dirs: BTreeMap::from([(dir.to_path_buf(), DirState::default())]),
+            groups: BTreeMap::new(),
             stats: TailStats::default(),
             ops: TailOps::default(),
             watermark: None,
-        }
+        };
+        tailer.adopt_dir(dir.to_path_buf(), DirState::default());
+        tailer
     }
 
     /// The corpus epoch: read from `epoch.txt` once available, the
@@ -306,29 +409,116 @@ impl DirTailer {
         self.watermark
     }
 
-    /// Look for new sources and read everything appended since the last
-    /// poll. Each file that grew by at least one complete, parseable line
-    /// is handed to `visit` once — files in sorted relative-path order,
-    /// records in file order — with records that borrow from the bytes
-    /// just read: only one file's fresh bytes are in memory at a time.
+    /// Look for new sources and read what was appended — to the cluster
+    /// logs, to whatever is new or unsettled, to the files of every
+    /// application `sink` calls live, and to this poll's share of the
+    /// rest (see the module docs for the order). Each file that grew by
+    /// at least one complete, parseable line is handed to `sink` once,
+    /// with records that borrow from the bytes just read: only one
+    /// file's fresh bytes are in memory at a time.
     ///
     /// Only a failure of the watch directory itself (or a malformed
     /// `epoch.txt`) is an error, and it is reported before any file is
     /// read. A file that cannot be opened or read is skipped — its
     /// offset stays put, so its bytes show up as lag and are retried
-    /// next poll — and counted in [`TailOps::read_errors`]; the sweep
-    /// goes on, because records already handed to `visit` cannot be
-    /// taken back.
-    pub fn poll_into(
-        &mut self,
-        mut visit: impl FnMut(LogSource, &[RecordRef<'_>]),
-    ) -> io::Result<()> {
+    /// the next time it is looked at — and counted in
+    /// [`TailOps::read_errors`]; the sweep goes on, because records
+    /// already handed to `sink` cannot be taken back.
+    pub fn poll_with(&mut self, sink: &mut impl TailSink) -> io::Result<()> {
         self.stats.polls += 1;
         self.resolve_epoch()?;
-        self.discover()?;
+        let now = SystemTime::now();
+        let turn = self.stats.polls % COLD_ROTATION;
+        // A cursor, not an iterator: a listing adopts what it finds into
+        // whichever group owns it, later ones included.
+        let mut at = None;
+        loop {
+            self.look(at, now, sink)?;
+            let later = (Bound::Excluded(at), Bound::Unbounded);
+            let next = self.groups.range(later).find_map(|(owner, group)| {
+                let app = (*owner)?;
+                let wanted =
+                    group.due || u64::from(app.seq) % COLD_ROTATION == turn || sink.is_live(app);
+                wanted.then_some(app)
+            });
+            match next {
+                Some(app) => at = Some(app),
+                None => break,
+            }
+        }
+        self.stats.files = self.groups.values().map(|g| g.files.len() as u64).sum();
+        Ok(())
+    }
+
+    /// [`DirTailer::poll_with`] with every application live: one look
+    /// at every tracked file and known directory, each grown file's
+    /// records handed to `visit` — cluster logs first, then
+    /// applications in id order.
+    pub fn poll_into(&mut self, visit: impl FnMut(LogSource, &[RecordRef<'_>])) -> io::Result<()> {
+        self.poll_with(&mut Everything(visit))
+    }
+
+    /// [`DirTailer::poll_into`], collecting an owned copy of every new
+    /// record.
+    pub fn poll(&mut self) -> io::Result<Vec<(LogSource, LogRecord)>> {
+        let mut out = Vec::new();
+        self.poll_into(collect_into(&mut out))?;
+        Ok(out)
+    }
+
+    /// One look at `owner`'s group: stat its directories, list the ones
+    /// whose listing cannot be trusted any more (see [`MTIME_SETTLE`])
+    /// plus whatever new directories those listings turn up, then stat
+    /// its files — the new ones included — and read the ones that grew.
+    /// A directory that vanished leaves the table, a file that vanished
+    /// stops being tracked; only the watch directory's own failure is an
+    /// error.
+    fn look(
+        &mut self,
+        owner: Option<ApplicationId>,
+        now: SystemTime,
+        sink: &mut impl TailSink,
+    ) -> io::Result<()> {
+        let Some(group) = self.groups.get_mut(&owner) else {
+            return Ok(());
+        };
+        let mut to_list: Vec<PathBuf> = Vec::new();
+        let mut root_error = None;
+        group.dirs.retain_mut(|(path, state)| {
+            self.ops.stats += 1;
+            match fs::metadata(&*path) {
+                Ok(meta) => {
+                    if state.needs_listing(meta.modified().ok(), now) {
+                        to_list.push(path.clone());
+                    }
+                    true
+                }
+                Err(e) if *path == self.dir => {
+                    root_error = Some(e);
+                    true
+                }
+                Err(_) => false,
+            }
+        });
+        if let Some(e) = root_error {
+            return Err(e);
+        }
+        while let Some(d) = to_list.pop() {
+            match self.list(&d, now, &mut to_list) {
+                Ok(()) => {}
+                Err(e) if d == self.dir => return Err(e),
+                // Removed since its parent's listing, or unreadable:
+                // forget what was seen so the next poll tries again (and
+                // drops it if it is gone).
+                Err(_) => self.adopt_dir(d, DirState::default()),
+            }
+        }
+
         let epoch = self.epoch();
-        let mut removed: Vec<String> = Vec::new();
-        for (rel, tail) in self.files.iter_mut() {
+        let Some(group) = self.groups.get_mut(&owner) else {
+            return Ok(());
+        };
+        group.files.retain_mut(|(_, tail)| {
             self.ops.stats += 1;
             let meta = match fs::metadata(&tail.path) {
                 Ok(meta) => meta,
@@ -339,12 +529,12 @@ impl DirTailer {
                     // drop the entry — discovery re-adopts the path from
                     // offset 0 if it ever reappears. Any held-back
                     // partial line vanished with the file.
-                    removed.push(rel.clone());
-                    continue;
+                    self.stats.removed_files += 1;
+                    return false;
                 }
                 // Transient stat errors (permissions flapping) keep the
                 // state; partial evidence beats a hard stop.
-                Err(_) => continue,
+                Err(_) => return true,
             };
             let len = meta.len();
             tail.disk_len = len;
@@ -355,37 +545,29 @@ impl DirTailer {
                 self.stats.resets += 1;
             }
             if len == tail.offset {
-                continue;
+                return true;
             }
             self.ops.opens += 1;
             match read_range(&tail.path, tail.offset, len) {
                 Ok(fresh) => {
                     tail.offset += fresh.len() as u64;
                     self.stats.read_bytes += fresh.len() as u64;
-                    let mut sink = RecordSink {
+                    let mut parsed = RecordSink {
                         epoch,
                         stats: &mut self.stats,
                         watermark: &mut self.watermark,
                     };
-                    tail.take_complete_lines(&fresh, &mut sink, &mut visit);
+                    tail.take_complete_lines(&fresh, &mut parsed, sink);
                 }
                 Err(_) => self.ops.read_errors += 1,
             }
+            true
+        });
+        group.due = group.dirs.iter().any(|(_, d)| !d.settled);
+        if group.files.is_empty() && group.dirs.is_empty() {
+            self.groups.remove(&owner);
         }
-        for rel in removed {
-            self.files.remove(&rel);
-            self.stats.removed_files += 1;
-        }
-        self.stats.files = self.files.len() as u64;
         Ok(())
-    }
-
-    /// [`DirTailer::poll_into`], collecting an owned copy of every new
-    /// record.
-    pub fn poll(&mut self) -> io::Result<Vec<(LogSource, LogRecord)>> {
-        let mut out = Vec::new();
-        self.poll_into(collect_into(&mut out))?;
-        Ok(out)
     }
 
     /// Treat any held-back partial bytes as final lines (a finished
@@ -398,7 +580,7 @@ impl DirTailer {
             stats: &mut self.stats,
             watermark: &mut self.watermark,
         };
-        for tail in self.files.values_mut() {
+        for (_, tail) in self.groups.values_mut().flat_map(|g| &mut g.files) {
             if tail.partial.is_empty() {
                 continue;
             }
@@ -420,27 +602,36 @@ impl DirTailer {
         out
     }
 
-    /// Lag as of the last poll, from the sizes that poll's `stat`s saw:
-    /// no I/O, no allocation.
+    /// Every tracked file with its relative path, in sorted
+    /// relative-path order — the enumeration order batch ingest pins.
+    fn files(&self) -> Vec<&(String, FileTail)> {
+        let mut files: Vec<_> = self.groups.values().flat_map(|g| &g.files).collect();
+        files.sort_by_key(|(rel, _)| rel);
+        files
+    }
+
+    /// Lag as of each file's last look, from the size that look's
+    /// `stat` saw: no I/O, no allocation. The cluster logs and the files
+    /// of live applications were looked at by the last poll; any other
+    /// file within the last [`COLD_ROTATION`] polls, so bytes appended to
+    /// it since are counted — once — from the poll that reaches it.
     pub fn lag(&self) -> TailLag {
         let watermark = self.watermark.map_or(0, |w| w.0);
-        let mut lag = TailLag {
-            sources: self.files.len() as u64,
-            ..TailLag::default()
-        };
-        for tail in self.files.values() {
+        let mut lag = TailLag::default();
+        for (_, tail) in self.groups.values().flat_map(|g| &g.files) {
+            lag.sources += 1;
             lag.bytes += tail.behind_bytes();
             lag.max_ms = lag.max_ms.max(tail.behind_ms(watermark));
         }
         lag
     }
 
-    /// Per-source lag as of the last poll, in sorted relative-path
-    /// order. No I/O.
+    /// Per-source lag as of each file's last look (see
+    /// [`DirTailer::lag`]), in sorted relative-path order. No I/O.
     pub fn source_lags(&self) -> Vec<SourceLag> {
         let watermark = self.watermark.map_or(0, |w| w.0);
-        self.files
-            .iter()
+        self.files()
+            .into_iter()
             .map(|(rel, tail)| SourceLag {
                 rel: rel.clone(),
                 bytes: tail.behind_bytes(),
@@ -450,9 +641,10 @@ impl DirTailer {
     }
 
     /// Rebuild a tailer over `dir` from its checkpoint. The next poll
-    /// reads only bytes past the restored offsets. A missing directory
-    /// or a relative path no [`LogSource`] claims is `Corrupt`, so
-    /// recovery falls back to an older generation or a cold start.
+    /// looks at every restored file and reads only bytes past the
+    /// restored offsets. A missing directory or a relative path no
+    /// [`LogSource`] claims is `Corrupt`, so recovery falls back to an
+    /// older generation or a cold start.
     pub(crate) fn decode(d: &mut Dec<'_>, dir: &Path) -> Result<DirTailer, CkptError> {
         if !dir.is_dir() {
             return Err(corrupt(format!(
@@ -463,7 +655,12 @@ impl DirTailer {
         let epoch: Option<u64> = d.get()?;
         let watermark = d.get()?;
         let stats = d.get()?;
-        let mut files = BTreeMap::new();
+        let mut tailer = DirTailer {
+            epoch: epoch.map(|unix_ms| Epoch { unix_ms }),
+            stats,
+            watermark,
+            ..DirTailer::over(dir)
+        };
         for _ in 0..d.get::<usize>()? {
             let rel: String = d.get()?;
             let source = LogSource::from_rel_path(&rel)
@@ -478,14 +675,9 @@ impl DirTailer {
                 disk_len: offset,
                 ..FileTail::new(source, dir.join(&rel))
             };
-            files.insert(rel, tail);
+            tailer.adopt_file(rel, tail);
         }
-        Ok(DirTailer {
-            epoch: epoch.map(|unix_ms| Epoch { unix_ms }),
-            stats,
-            watermark,
-            ..DirTailer::over(dir, files)
-        })
+        Ok(tailer)
     }
 
     /// Load `epoch.txt` once it exists (the simulator writes it before
@@ -507,43 +699,32 @@ impl DirTailer {
         }
     }
 
-    /// Stat every known directory, list the ones whose listing cannot
-    /// be trusted any more (see [`MTIME_SETTLE`]) plus whatever new
-    /// directories those listings turn up, and start tracking any new
-    /// log files. A directory that vanished leaves the table; only the
-    /// watch directory's own failure is an error.
-    fn discover(&mut self) -> io::Result<()> {
-        let now = SystemTime::now();
-        let mut to_list: Vec<PathBuf> = Vec::new();
-        let mut gone: Vec<PathBuf> = Vec::new();
-        for (path, state) in self.dirs.iter_mut() {
-            self.ops.stats += 1;
-            match fs::metadata(path) {
-                Ok(meta) => {
-                    if state.needs_listing(meta.modified().ok(), now) {
-                        to_list.push(path.clone());
-                    }
-                }
-                Err(e) if *path == self.dir => return Err(e),
-                Err(_) => gone.push(path.clone()),
-            }
+    /// Start tracking `tail` under `rel`, unless that path is tracked
+    /// already; its owner's group is due.
+    fn adopt_file(&mut self, rel: String, tail: FileTail) {
+        let group = self.groups.entry(source_owner(tail.source)).or_default();
+        if let Err(at) = group.files.binary_search_by(|(r, _)| r.cmp(&rel)) {
+            group.files.insert(at, (rel, tail));
+            group.due = true;
         }
-        for path in gone {
-            self.dirs.remove(&path);
+    }
+
+    /// Remember the directory `path` as `state`, whatever was known of
+    /// it; its owner's group is due.
+    fn adopt_dir(&mut self, path: PathBuf, state: DirState) {
+        let group = self.groups.entry(dir_owner(&self.dir, &path)).or_default();
+        match group.dirs.binary_search_by(|(p, _)| p.cmp(&path)) {
+            Ok(at) => group.dirs[at].1 = state,
+            Err(at) => group.dirs.insert(at, (path, state)),
         }
-        while let Some(d) = to_list.pop() {
-            match self.list(&d, now, &mut to_list) {
-                Ok(()) => {}
-                Err(e) if d == self.dir => return Err(e),
-                // Removed since its parent's listing, or unreadable:
-                // forget what was seen so the next poll tries again (and
-                // drops it if it is gone).
-                Err(_) => {
-                    self.dirs.insert(d, DirState::default());
-                }
-            }
-        }
-        Ok(())
+        group.due = true;
+    }
+
+    /// Whether the directory `path` is in the table.
+    fn knows_dir(&self, path: &Path) -> bool {
+        self.groups
+            .get(&dir_owner(&self.dir, path))
+            .is_some_and(|g| g.dirs.iter().any(|(p, _)| p == path))
     }
 
     /// List one directory: adopt new log files, and queue subdirectories
@@ -565,7 +746,7 @@ impl DirTailer {
                 }
             }
             if file_type.is_dir() {
-                if self.dirs.contains_key(&path) {
+                if self.knows_dir(&path) {
                     continue;
                 }
                 // The mtime to remember is the one from before the
@@ -576,7 +757,7 @@ impl DirTailer {
                 if let Ok(meta) = fs::metadata(&path) {
                     let mut state = DirState::default();
                     state.needs_listing(meta.modified().ok(), now);
-                    self.dirs.insert(path.clone(), state);
+                    self.adopt_dir(path.clone(), state);
                     to_list.push(path);
                 }
                 continue;
@@ -586,13 +767,10 @@ impl DirTailer {
                 .map_err(|e| io::Error::other(e.to_string()))?
                 .to_string_lossy()
                 .into_owned();
-            if self.files.contains_key(&rel) {
-                continue;
-            }
             let Some(source) = LogSource::from_rel_path(&rel) else {
                 continue; // epoch.txt, stray files
             };
-            self.files.insert(rel, FileTail::new(source, path));
+            self.adopt_file(rel, FileTail::new(source, path));
         }
         Ok(())
     }
@@ -603,14 +781,14 @@ impl Encode for DirTailer {
         let DirTailer {
             dir: _, // configuration: the restarted daemon is told again
             epoch,
-            files,
-            dirs: _, // rediscovered: a restored tailer's first poll is a full walk
+            groups: _, // its files go out below as the one map they are on disk
             stats,
             ops: _, // process-local by definition
             watermark,
         } = self;
         let epoch_unix_ms = epoch.map(|Epoch { unix_ms }| unix_ms);
-        (epoch_unix_ms, watermark, stats, files).encode(e);
+        (epoch_unix_ms, watermark, stats).encode(e);
+        e.seq(self.files());
     }
 }
 
@@ -663,7 +841,7 @@ impl RecordSink<'_> {
 
 impl FileTail {
     /// Turn the complete lines of `partial` + `fresh` into records and
-    /// hand them to `visit`; whatever follows the last newline stays
+    /// hand them to `sink`; whatever follows the last newline stays
     /// buffered. The records borrow from `fresh` — all but the line the
     /// previous polls left unterminated, which is completed in `partial`
     /// and borrows from there — and are decoded as batch ingest decodes
@@ -673,8 +851,8 @@ impl FileTail {
     fn take_complete_lines(
         &mut self,
         fresh: &[u8],
-        sink: &mut RecordSink<'_>,
-        visit: &mut impl FnMut(LogSource, &[RecordRef<'_>]),
+        parsed: &mut RecordSink<'_>,
+        sink: &mut impl TailSink,
     ) {
         let Some(last_nl) = fresh.iter().rposition(|b| *b == b'\n') else {
             self.partial.extend_from_slice(fresh);
@@ -688,16 +866,18 @@ impl FileTail {
         }
         let head = decode_lossy(&self.partial);
         let body = decode_lossy(complete);
-        let mut recs = Vec::new();
+        // Sized as batch ingest sizes a source's records: a backlog
+        // drain's cluster log is one read of ~10^5 lines.
+        let mut recs = Vec::with_capacity(body.len() / BYTES_PER_RECORD_HINT + 1);
         for line in std::iter::once(&*head).chain(body.split('\n')) {
             // No pending line, or the trailing empty slice after the
             // final newline.
             if !line.is_empty() {
-                sink.parse(line, &mut self.last_ts, &mut recs);
+                parsed.parse(line, &mut self.last_ts, &mut recs);
             }
         }
         if !recs.is_empty() {
-            visit(self.source, &recs);
+            sink.records(self.source, &recs);
         }
         drop(recs);
         drop(head);
@@ -713,6 +893,20 @@ mod tests {
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("sdtail_{name}_{}", std::process::id()))
+    }
+
+    /// The tail state of the file tracked under `rel`.
+    fn tail<'t>(t: &'t DirTailer, rel: &str) -> Option<&'t FileTail> {
+        let files = t.files();
+        files.iter().find(|(r, _)| r == rel).map(|(_, tail)| tail)
+    }
+
+    /// Every directory in the table.
+    fn dirs(t: &DirTailer) -> Vec<&DirState> {
+        t.groups
+            .values()
+            .flat_map(|g| g.dirs.iter().map(|(_, d)| d))
+            .collect()
     }
 
     fn write_epoch(dir: &Path) {
@@ -893,7 +1087,8 @@ mod tests {
                 None => &bytes[..cut],
             };
             assert_eq!(
-                t.files["resourcemanager.log"].partial, remainder,
+                tail(&t, "resourcemanager.log").unwrap().partial,
+                remainder,
                 "after {cut}"
             );
             assert_eq!(t.lag().bytes, remainder.len() as u64);
@@ -907,7 +1102,7 @@ mod tests {
         want.extend(whole.flush_partial());
         assert_eq!(got, want);
         assert_eq!(messages(&got).last(), Some(&"unterminated"));
-        assert!(t.files["resourcemanager.log"].partial.is_empty());
+        assert!(tail(&t, "resourcemanager.log").unwrap().partial.is_empty());
         fs::remove_dir_all(&dir).unwrap();
         fs::remove_dir_all(&whole_dir).unwrap();
     }
@@ -1085,7 +1280,7 @@ mod tests {
     fn settle(t: &mut DirTailer) {
         std::thread::sleep(MTIME_SETTLE + Duration::from_millis(100));
         t.poll().unwrap();
-        assert!(t.dirs.values().all(|d| d.settled));
+        assert!(dirs(t).iter().all(|d| d.settled));
     }
 
     /// One tracked log becomes a directory between two polls — it opens,
@@ -1127,13 +1322,13 @@ mod tests {
         let dir = small_cluster("rmdir", &[APP1, APP2]);
         let mut t = DirTailer::new(&dir).unwrap();
         assert_eq!(t.poll().unwrap().len(), 4);
-        assert_eq!(t.dirs.len(), 4);
+        assert_eq!(dirs(&t).len(), 4);
 
         fs::remove_dir_all(dir.join(APP1)).unwrap();
         assert!(t.poll().unwrap().is_empty());
         assert_eq!(t.stats().removed_files, 1);
         assert_eq!(t.stats().files, 3);
-        assert_eq!(t.dirs.len(), 3, "the vanished directory left the table");
+        assert_eq!(dirs(&t).len(), 3, "the vanished directory left the table");
 
         fs::create_dir_all(dir.join(APP1)).unwrap();
         fs::write(dir.join(APP1).join("driver.log"), line(900, "reborn")).unwrap();
@@ -1183,17 +1378,17 @@ mod tests {
     #[test]
     fn settled_directories_cost_one_stat_each_and_relist_only_on_change() {
         let dir = small_cluster("ops", &[APP1, APP2, APP3]);
-        let (files, dirs) = (5, 5);
+        let (files, dir_count) = (5, 5);
         let mut t = DirTailer::new(&dir).unwrap();
         assert_eq!(t.poll().unwrap().len(), files);
-        assert_eq!(t.dirs.len(), dirs);
+        assert_eq!(dirs(&t).len(), dir_count);
         settle(&mut t);
 
         // Idle: one stat per file and per directory, nothing else.
         let before = t.ops();
         assert!(t.poll().unwrap().is_empty());
         let idle = t.ops();
-        assert_eq!(idle.stats - before.stats, (files + dirs) as u64);
+        assert_eq!(idle.stats - before.stats, (files + dir_count) as u64);
         assert_eq!(idle.listings, before.listings);
         assert_eq!(idle.opens, before.opens);
         assert_eq!((t.lag().sources, t.lag().bytes), (files as u64, 0));
@@ -1204,7 +1399,7 @@ mod tests {
         append(&dir.join(APP2).join("driver.log"), &line(1_000, "more"));
         assert_eq!(messages(&t.poll().unwrap()), ["more"]);
         let grown = t.ops();
-        assert_eq!(grown.stats - idle.stats, (files + dirs) as u64);
+        assert_eq!(grown.stats - idle.stats, (files + dir_count) as u64);
         assert_eq!(grown.listings, idle.listings);
         assert_eq!(grown.opens - idle.opens, 1);
 
@@ -1229,7 +1424,207 @@ mod tests {
         fs::write(app4.join("driver.log"), line(1_300, "late app")).unwrap();
         assert_eq!(messages(&t.poll().unwrap()), ["late app"]);
         assert_eq!(t.stats().files as usize, files + 3);
-        assert_eq!(t.dirs.len(), dirs + 1);
+        assert_eq!(dirs(&t).len(), dir_count + 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A sink that calls the applications in `live` live and keeps an
+    /// owned copy of every record.
+    #[derive(Default)]
+    struct Only {
+        live: Vec<ApplicationId>,
+        got: Vec<(LogSource, LogRecord)>,
+    }
+
+    impl TailSink for Only {
+        fn is_live(&self, app: ApplicationId) -> bool {
+            self.live.contains(&app)
+        }
+
+        fn records(&mut self, source: LogSource, recs: &[RecordRef<'_>]) {
+            assert!(!recs.is_empty());
+            self.got
+                .extend(recs.iter().map(|r| (source, r.to_record())));
+        }
+    }
+
+    impl Only {
+        /// One poll of `t` into this sink; the messages it delivered.
+        fn poll(&mut self, t: &mut DirTailer) -> Vec<String> {
+            let before = self.got.len();
+            t.poll_with(self).unwrap();
+            let new = &self.got[before..];
+            new.iter().map(|(_, r)| r.message.clone()).collect()
+        }
+    }
+
+    fn app(n: u32) -> ApplicationId {
+        ApplicationId::new(Epoch::default_run().unix_ms, n)
+    }
+
+    fn app_dir(n: u32) -> String {
+        format!("apps/{}", app(n))
+    }
+
+    fn executor_log(n: u32, container: u64) -> String {
+        LogSource::Executor(app(n).attempt(1).container(container)).rel_path()
+    }
+
+    /// The cost contract of the live-set sweep, as counts: with 40
+    /// application directories of which 2 are live, an idle poll costs
+    /// one `stat` per cluster file, per always-hot directory (the root,
+    /// `apps/`), per file and directory of a live application, and per
+    /// file and directory of the applications whose turn it is — and
+    /// [`COLD_ROTATION`] consecutive polls between them look at
+    /// everything, also while files come and go.
+    #[test]
+    fn idle_poll_costs_cluster_plus_live_plus_the_cold_share() {
+        let apps: Vec<String> = (1..=40).map(app_dir).collect();
+        let apps: Vec<&str> = apps.iter().map(String::as_str).collect();
+        let dir = small_cluster("liveset", &apps);
+        let mut t = DirTailer::new(&dir).unwrap();
+        assert_eq!(t.poll().unwrap().len(), 42);
+        settle(&mut t);
+        let mut sink = Only {
+            live: vec![app(7), app(26)],
+            ..Only::default()
+        };
+
+        let (cluster_files, hot_dirs, live) = (2, 2, 2 * 2);
+        let mut looked_at = 0;
+        for _ in 0..COLD_ROTATION {
+            let before = t.ops();
+            assert!(sink.poll(&mut t).is_empty());
+            let turn = (t.stats().polls % COLD_ROTATION) as u32;
+            let cold = (1..=40)
+                .filter(|n| n % COLD_ROTATION as u32 == turn && *n != 7 && *n != 26)
+                .count() as u64;
+            let idle = t.ops();
+            assert_eq!(
+                idle.stats - before.stats,
+                cluster_files + hot_dirs + live + 2 * cold,
+                "turn {turn}"
+            );
+            assert_eq!((idle.listings, idle.opens), (before.listings, before.opens));
+            looked_at += 2 * cold;
+        }
+        assert_eq!(
+            looked_at,
+            2 * 38,
+            "a rotation reaches every cold application"
+        );
+        assert_eq!((t.lag().sources, t.lag().bytes), (42, 0));
+
+        // Every file grows, every application directory gets a new file,
+        // one application loses its log: one rotation later all of it is
+        // known, each line once. Meanwhile — between those polls — more
+        // files come and go; they are settled one rotation after that.
+        for n in 1..=40 {
+            append(
+                &dir.join(app_dir(n)).join("driver.log"),
+                &line(1_000, "more"),
+            );
+            fs::write(dir.join(executor_log(n, 2)), line(1_100, "exec")).unwrap();
+        }
+        fs::remove_file(dir.join(app_dir(40)).join("driver.log")).unwrap();
+        let mut seen: Vec<String> = Vec::new();
+        for i in 0..COLD_ROTATION as u32 {
+            fs::write(dir.join(executor_log(10 + i, 3)), line(1_200, "late exec")).unwrap();
+            fs::remove_file(dir.join(executor_log(30 - i, 2))).ok();
+            seen.extend(sink.poll(&mut t));
+        }
+        let count = |seen: &[String], msg: &str| seen.iter().filter(|m| *m == msg).count();
+        assert_eq!(count(&seen, "more"), 39);
+        assert!(t.stats().removed_files >= 1, "the lost log was noticed");
+        for n in (1..=22).chain(31..=40) {
+            assert!(tail(&t, &executor_log(n, 2)).is_some(), "application {n}");
+        }
+        for _ in 0..COLD_ROTATION {
+            seen.extend(sink.poll(&mut t));
+        }
+        assert_eq!(count(&seen, "more"), 39);
+        assert_eq!(count(&seen, "late exec"), COLD_ROTATION as usize);
+        // An executor log removed before its application's turn was
+        // never read; none was read twice.
+        assert!((32..=40).contains(&count(&seen, "exec")), "{seen:?}");
+        for n in 23..=30 {
+            assert!(tail(&t, &executor_log(n, 2)).is_none(), "application {n}");
+        }
+        assert_eq!(t.stats().files, 2 + 39 + 32 + 8);
+        assert_eq!(t.lag().bytes, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Lag is as old as each file's last look: bytes appended to a file
+    /// of an application nobody calls live are lag within one rotation,
+    /// stay that — counted once — however often the file is looked at
+    /// again, and turn into one record when the line completes.
+    #[test]
+    fn bytes_appended_to_a_cold_file_are_lag_then_records_within_one_rotation() {
+        let dir = small_cluster("coldlag", &[&app_dir(3), &app_dir(4)]);
+        let mut t = DirTailer::new(&dir).unwrap();
+        assert_eq!(t.poll().unwrap().len(), 4);
+        settle(&mut t);
+        let mut sink = Only::default();
+
+        let cold = dir.join(app_dir(3)).join("driver.log");
+        let pending = line(900, "cold");
+        let (head, rest) = pending.split_at(30);
+        append(&cold, head);
+        let lags: Vec<u64> = (0..2 * COLD_ROTATION)
+            .map(|_| {
+                assert!(sink.poll(&mut t).is_empty());
+                t.lag().bytes
+            })
+            .collect();
+        let seen_at = lags.iter().position(|b| *b > 0).expect("lag shows");
+        assert!(seen_at < COLD_ROTATION as usize);
+        assert!(
+            lags[seen_at..].iter().all(|b| *b == head.len() as u64),
+            "{lags:?}"
+        );
+        let rel = format!("{}/driver.log", app_dir(3));
+        let per_source = t.source_lags();
+        let own = per_source.iter().find(|l| l.rel == rel).unwrap();
+        assert_eq!(own.bytes, head.len() as u64);
+
+        append(&cold, rest);
+        let polled: Vec<Vec<String>> = (0..2 * COLD_ROTATION).map(|_| sink.poll(&mut t)).collect();
+        let read_at = polled.iter().position(|p| !p.is_empty()).expect("read");
+        assert!(read_at < COLD_ROTATION as usize);
+        assert_eq!(polled.concat(), ["cold"], "once");
+        assert_eq!(t.lag().bytes, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A restored tailer has looked at nothing: its first poll reads
+    /// what was appended while it was down, cold files included, and
+    /// the rotation takes over from the second.
+    #[test]
+    fn restored_tailer_first_poll_looks_at_every_file() {
+        let dir = small_cluster("restored", &[&app_dir(3), &app_dir(4)]);
+        let mut t = DirTailer::new(&dir).unwrap();
+        assert_eq!(t.poll().unwrap().len(), 4);
+        settle(&mut t);
+        let bytes = Enc::payload(&t);
+        for n in [3, 4] {
+            append(
+                &dir.join(app_dir(n)).join("driver.log"),
+                &line(900, "while down"),
+            );
+        }
+        let mut restored = DirTailer::decode(&mut Dec::new(&bytes), &dir).unwrap();
+        let mut sink = Only::default();
+        assert_eq!(sink.poll(&mut restored), ["while down", "while down"]);
+
+        let idle = restored.ops();
+        assert!(sink.poll(&mut restored).is_empty());
+        let turn = restored.stats().polls % COLD_ROTATION;
+        let cold = [3, 4]
+            .iter()
+            .filter(|n| **n % COLD_ROTATION == turn)
+            .count();
+        assert_eq!(restored.ops().stats - idle.stats, 2 + 2 + 2 * cold as u64);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1245,10 +1640,10 @@ mod tests {
             let rel = LogSource::NodeManager(logmodel::NodeId(i)).rel_path();
             fs::write(dir.join(&rel), b"").unwrap();
             t.poll().unwrap();
-            if !t.files.contains_key(&rel) {
+            if tail(&t, &rel).is_none() {
                 t.poll().unwrap();
             }
-            assert!(t.files.contains_key(&rel), "{rel} missed after two polls");
+            assert!(tail(&t, &rel).is_some(), "{rel} missed after two polls");
         }
         assert_eq!(t.stats().files, 1_002);
         fs::remove_dir_all(&dir).unwrap();
@@ -1270,7 +1665,7 @@ mod tests {
         let recs = t.poll().unwrap();
         assert_eq!(messages(&recs), ["linked"]);
         assert!(matches!(recs[0].0, LogSource::Driver(_)));
-        assert_eq!(t.dirs.len(), 4, "the dangling link is not a directory");
+        assert_eq!(dirs(&t).len(), 4, "the dangling link is not a directory");
 
         // Creates inside the link's target are seen through its mtime.
         settle(&mut t);

@@ -89,6 +89,21 @@ fn spawn_daemon(dir: &std::path::Path, extra: &[&str]) -> (Daemon, String) {
     (daemon, addr)
 }
 
+/// Append one more task line — one event — to the log of `app`'s first
+/// executor (container 2 of attempt 1).
+#[cfg(unix)]
+fn append_task_line(dir: &std::path::Path, app: logmodel::ApplicationId) {
+    let executor = logmodel::LogSource::Executor(app.attempt(1).container(2));
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join(executor.rel_path()))
+        .unwrap();
+    f.write_all(
+        b"2018-03-14 09:00:12,000 INFO  Executor: Got assigned task 1 in stage 0.0 (TID 1)\n",
+    )
+    .unwrap();
+}
+
 /// Every gauge family `/metrics` writes from the published snapshot,
 /// whatever the flags.
 const GAUGE_FAMILIES: [&str; 9] = [
@@ -116,7 +131,7 @@ fn serves_live_endpoints_and_retires_apps() {
     let dir = tmp("endpoints");
     let _ = std::fs::remove_dir_all(&dir);
     let mut logs = LogStore::new(Epoch::default_run());
-    common::populate_faulty_fleet(&mut logs);
+    let (clean, _, _) = common::populate_faulty_fleet(&mut logs);
     logs.write_dir(&dir).unwrap();
 
     let final_report = dir.join("final.json");
@@ -240,9 +255,13 @@ fn serves_live_endpoints_and_retires_apps() {
     assert_eq!(status, 404);
 
     // SIGTERM: clean exit, everything in flight force-retired, final
-    // report flushed to disk.
+    // report flushed to disk. A line written to a retired application's
+    // log right before the signal — a file the polls only look at on its
+    // turn — is still read by the shutdown drain, which looks at
+    // everything: it is in the report as a late event.
     #[cfg(unix)]
     {
+        append_task_line(&dir, clean);
         let pid = daemon.0.id().to_string();
         assert!(Command::new("kill")
             .args(["-TERM", &pid])
@@ -256,6 +275,7 @@ fn serves_live_endpoints_and_retires_apps() {
         let fleet = doc.get("fleet").unwrap();
         assert_eq!(fleet.get("retired").unwrap().as_f64(), Some(3.0));
         assert_eq!(fleet.get("in_flight").unwrap().as_f64(), Some(0.0));
+        assert_eq!(fleet.get("late_events").unwrap().as_f64(), Some(1.0));
         let outcomes = fleet.get("outcomes").unwrap();
         assert_eq!(outcomes.get("truncated").unwrap().as_f64(), Some(1.0));
     }
@@ -267,7 +287,7 @@ fn serves_alerts_exemplars_and_wide_events() {
     let dir = tmp("tailsurface");
     let _ = std::fs::remove_dir_all(&dir);
     let mut logs = LogStore::new(Epoch::default_run());
-    common::populate_faulty_fleet(&mut logs);
+    let (clean, _, _) = common::populate_faulty_fleet(&mut logs);
     logs.write_dir(&dir).unwrap();
 
     let wide_out = dir.join("events.jsonl");
@@ -432,6 +452,35 @@ fn serves_alerts_exemplars_and_wide_events() {
             !alerts.contains("\"state\": \"firing\""),
             "close_out must resolve every rule: {alerts}"
         );
+
+        // While the daemon is down a retired application's log grows.
+        // The restarted daemon has looked at nothing yet, so its first
+        // poll — the only one it gets to make here — looks at every
+        // restored file, this one included, whoever's turn it is.
+        append_task_line(&dir, clean);
+        std::fs::remove_file(dir.join("port.txt")).unwrap();
+        let (_resumed, addr) = spawn_daemon(
+            &dir,
+            &[
+                "--settle-ms",
+                "0",
+                "--idle-timeout-ms",
+                "0",
+                "--slo-ms",
+                "1",
+                "--checkpoint-dir",
+                ckpt_dir.to_str().unwrap(),
+                "--poll-ms",
+                "60000",
+            ],
+        );
+        let health = wait_for("the resumed daemon's first poll", || {
+            let (_, _, body) = http_get(&addr, "/healthz");
+            let doc = obs::json::parse(&String::from_utf8_lossy(&body)).unwrap();
+            (doc.get("polls").unwrap().as_f64() == Some(1.0)).then_some(doc)
+        });
+        assert_eq!(health.get("retired").unwrap().as_f64(), Some(3.0));
+        assert_eq!(health.get("late_events").unwrap().as_f64(), Some(1.0));
     }
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&ckpt_dir).unwrap();

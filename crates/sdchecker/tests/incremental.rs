@@ -9,13 +9,16 @@
 
 use std::fs;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use logmodel::{ApplicationId, Epoch, LogRecord, LogSource, LogStore, NodeId, Parallelism, TsMs};
+use logmodel::{
+    ApplicationId, Epoch, LogRecord, LogSource, LogStore, NodeId, Parallelism, RecordRef, TsMs,
+};
 use obs::json::Json;
 use sdchecker::{
     analyze_dir_with, analyze_store_with, report_json, wide_events_for_analysis, AlertEngine,
-    AlertRule, DirTailer, IncrementalAnalyzer, IncrementalConfig, RuleKind,
+    AlertRule, DirTailer, IncrementalAnalyzer, IncrementalConfig, RuleKind, TailSink,
+    COLD_ROTATION,
 };
 use simkit::SimRng;
 
@@ -211,6 +214,61 @@ fn shared_sections(report: &str) -> Json {
     Json::Arr(shared)
 }
 
+/// The analyzer as the tailer's sink, wired as `sdcheckerd` wires it —
+/// an application is live while it is buffered — and keeping every
+/// record for a batch re-analysis.
+struct Feed {
+    inc: IncrementalAnalyzer,
+    rebuilt: LogStore,
+}
+
+impl Feed {
+    fn new(settle_ms: u64, epoch: Epoch) -> Feed {
+        Feed {
+            inc: IncrementalAnalyzer::new(IncrementalConfig {
+                settle_ms,
+                idle_timeout_ms: 0,
+                exemplar_slots: 3,
+            }),
+            rebuilt: LogStore::new(epoch),
+        }
+    }
+
+    fn take(&mut self, recs: Vec<(LogSource, LogRecord)>) {
+        for (src, rec) in recs {
+            self.inc.ingest(src, &rec);
+            self.rebuilt.push(src, rec);
+        }
+    }
+}
+
+impl TailSink for Feed {
+    fn is_live(&self, app: ApplicationId) -> bool {
+        self.inc.is_in_flight(app)
+    }
+
+    fn records(&mut self, source: LogSource, recs: &[RecordRef<'_>]) {
+        self.take(recs.iter().map(|r| (source, r.to_record())).collect());
+    }
+}
+
+/// Append `bytes` to the file at `path`, creating it and its directory
+/// as needed.
+fn append(path: &Path, bytes: &[u8]) {
+    fs::create_dir_all(path.parent().unwrap()).unwrap();
+    let mut f = fs::OpenOptions::new()
+        .append(true)
+        .create(true)
+        .open(path)
+        .unwrap();
+    f.write_all(bytes).unwrap();
+}
+
+/// Trials 0–4 poll with every application live (`DirTailer::poll`);
+/// trials 5–9 replay the same five chunkings through the live-set sweep
+/// with the analyzer as sink — files of applications no record has named
+/// yet wait for their turn — and end, as the daemon does, on one full
+/// poll.
 #[test]
 fn tailed_ingest_matches_batch_for_any_append_chunking() {
     let logs = corpus();
@@ -231,7 +289,7 @@ fn tailed_ingest_matches_batch_for_any_append_chunking() {
     // tailer has stopped re-listing and only a moved mtime reveals
     // them; odd trials start from a bare root, so the directories are
     // new as well.
-    let mut tailers: Vec<(PathBuf, DirTailer)> = (0u64..5)
+    let mut tailers: Vec<(PathBuf, DirTailer)> = (0u64..10)
         .map(|trial| {
             let dir = tmp(&format!("stream_{trial}"));
             let _ = fs::remove_dir_all(&dir);
@@ -253,7 +311,8 @@ fn tailed_ingest_matches_batch_for_any_append_chunking() {
     }
 
     for (trial, (dir, mut tailer)) in (0u64..).zip(tailers) {
-        let mut rng = SimRng::new(0xD1CE + trial);
+        let mut rng = SimRng::new(0xD1CE + trial % 5);
+        let live_set = trial >= 5;
 
         // Full byte blob per source file; the RM log (sorted last) loses
         // its final newline so `flush_partial` gets exercised.
@@ -271,20 +330,7 @@ fn tailed_ingest_matches_batch_for_any_append_chunking() {
         // Huge settle window: arrival order is adversarial here (a whole
         // file can land before another starts), so apps must only retire
         // at finish(), once all evidence is in.
-        let mut inc = IncrementalAnalyzer::new(IncrementalConfig {
-            settle_ms: u64::MAX,
-            idle_timeout_ms: 0,
-            exemplar_slots: 3,
-        });
-        let mut rebuilt = LogStore::new(*logs.epoch());
-        let feed = |recs: Vec<(LogSource, LogRecord)>,
-                    rebuilt: &mut LogStore,
-                    inc: &mut IncrementalAnalyzer| {
-            for (src, rec) in recs {
-                inc.ingest(src, &rec);
-                rebuilt.push(src, rec);
-            }
-        };
+        let mut feed = Feed::new(u64::MAX, *logs.epoch());
 
         // Append 1..=19-byte chunks to randomly chosen files, polling
         // the tailer at random points in between.
@@ -301,21 +347,23 @@ fn tailed_ingest_matches_batch_for_any_append_chunking() {
             let pick = pending[rng.below(pending.len() as u64) as usize];
             let (path, bytes, pos) = &mut blobs[pick];
             let n = (1 + rng.below(19) as usize).min(bytes.len() - *pos);
-            fs::create_dir_all(path.parent().unwrap()).unwrap();
-            let mut f = fs::OpenOptions::new()
-                .append(true)
-                .create(true)
-                .open(&path)
-                .unwrap();
-            f.write_all(&bytes[*pos..*pos + n]).unwrap();
+            append(path, &bytes[*pos..*pos + n]);
             *pos += n;
             if rng.below(4) == 0 {
-                feed(tailer.poll().unwrap(), &mut rebuilt, &mut inc);
-                assert!(inc.drain_ready().is_empty(), "nothing may retire early");
+                if live_set {
+                    tailer.poll_with(&mut feed).unwrap();
+                } else {
+                    feed.take(tailer.poll().unwrap());
+                }
+                assert!(
+                    feed.inc.drain_ready().is_empty(),
+                    "nothing may retire early"
+                );
             }
         }
-        feed(tailer.poll().unwrap(), &mut rebuilt, &mut inc);
-        feed(tailer.flush_partial(), &mut rebuilt, &mut inc);
+        feed.take(tailer.poll().unwrap());
+        feed.take(tailer.flush_partial());
+        let Feed { mut inc, rebuilt } = feed;
 
         // (a) No append pattern may lose, duplicate, or garble a line:
         // the rebuilt store's report is byte-identical to batch.
@@ -535,4 +583,235 @@ fn copytruncate_and_mid_utf8_chunks_keep_exemplar_traces_batch_identical() {
     }
     fs::remove_dir_all(&dir).unwrap();
     fs::remove_dir_all(&batch_dir).unwrap();
+}
+
+/// A directory holding every source of `logs` as an empty file, polled
+/// until the tailer trusts its listings: from here on a file is looked
+/// at only when it belongs to the cluster, to a live application, or
+/// its application's turn comes up.
+fn cold_layout(name: &str, logs: &LogStore) -> (PathBuf, DirTailer) {
+    let dir = tmp(name);
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join("epoch.txt"), format!("{}\n", logs.epoch().unix_ms)).unwrap();
+    for src in logs.sources() {
+        append(&dir.join(src.rel_path()), b"");
+    }
+    let mut tailer = DirTailer::new(&dir).unwrap();
+    assert!(tailer.poll().unwrap().is_empty());
+    std::thread::sleep(std::time::Duration::from_millis(2_100));
+    assert!(tailer.poll().unwrap().is_empty());
+    (dir, tailer)
+}
+
+/// The decompositions batch analysis computes over `dir` as it stands.
+fn batch_delays(dir: &Path) -> String {
+    let batch = analyze_dir_with(dir, Parallelism::ONE).unwrap();
+    format!("{:?}", batch.delays.iter().collect::<Vec<_>>())
+}
+
+fn delays_of(retired: &mut [sdchecker::RetiredApp]) -> String {
+    retired.sort_by_key(|r| r.app);
+    format!(
+        "{:?}",
+        retired.iter().map(|r| &r.delays).collect::<Vec<_>>()
+    )
+}
+
+/// Two layouts in which the cluster logs say nothing in time, driven by
+/// live-set polls alone — no full poll at the end. Liveness only decides
+/// *when* a file is looked at: whatever it misses costs at most one
+/// rotation, never a line.
+#[test]
+fn live_set_sweep_loses_nothing_when_no_cluster_log_names_an_application() {
+    let full = corpus();
+
+    // (1) Application logs only: no cluster log ever names the two
+    // applications, so their files are read on their turns until their
+    // own first events put them in flight.
+    let mut apps_only = LogStore::new(*full.epoch());
+    for src in full.sources().filter(|s| !s.is_cluster_log()) {
+        for rec in full.records(src) {
+            apps_only.push(src, rec.clone());
+        }
+    }
+    let (dir, mut tailer) = cold_layout("apps_only", &apps_only);
+    let mut feed = Feed::new(u64::MAX, *full.epoch());
+    let texts: Vec<(PathBuf, String)> = apps_only
+        .sources()
+        .map(|src| (dir.join(src.rel_path()), apps_only.render_source(src)))
+        .collect();
+    for (path, text) in &texts {
+        let first = text.find('\n').unwrap() + 1;
+        append(path, &text.as_bytes()[..first]);
+    }
+    for _ in 0..COLD_ROTATION {
+        tailer.poll_with(&mut feed).unwrap();
+    }
+    assert_eq!(
+        tailer.stats().parsed_lines as usize,
+        texts.len(),
+        "every first line within one rotation, once"
+    );
+    for (path, text) in &texts {
+        let first = text.find('\n').unwrap() + 1;
+        append(path, &text.as_bytes()[first..]);
+    }
+    for _ in 0..COLD_ROTATION {
+        tailer.poll_with(&mut feed).unwrap();
+    }
+    assert_eq!(
+        tailer.stats().parsed_lines as usize,
+        apps_only.total_records()
+    );
+    assert_eq!(tailer.lag().bytes, 0);
+    assert_eq!(
+        report_json(&analyze_store_with(&feed.rebuilt, Parallelism::ONE)),
+        report_json(&analyze_dir_with(&dir, Parallelism::ONE).unwrap()),
+    );
+    assert_eq!(delays_of(&mut feed.inc.finish()), batch_delays(&dir));
+    assert_eq!(feed.inc.late_events(), 0);
+    fs::remove_dir_all(&dir).unwrap();
+
+    // (2) The ResourceManager log appended only at the end, together
+    // with the last line of every application file, after those files
+    // went cold: the one poll that reads the terminal events — and, the
+    // settle window being zero, retires both applications on them —
+    // must first have read what the applications themselves wrote.
+    let (dir, mut tailer) = cold_layout("rm_last", &full);
+    let mut feed = Feed::new(0, *full.epoch());
+    let rm = LogSource::ResourceManager;
+    let mut last_lines: Vec<(PathBuf, String)> = Vec::new();
+    for src in full.sources().filter(|s| *s != rm) {
+        let text = full.render_source(src);
+        let path = dir.join(src.rel_path());
+        if src.is_cluster_log() {
+            append(&path, text.as_bytes());
+        } else {
+            let cut = text.trim_end().rfind('\n').unwrap() + 1;
+            append(&path, &text.as_bytes()[..cut]);
+            last_lines.push((path, text[cut..].to_string()));
+        }
+    }
+    tailer.poll_with(&mut feed).unwrap();
+    assert_eq!(
+        tailer.stats().parsed_lines as usize,
+        full.total_records() - full.records(rm).len() - last_lines.len(),
+        "the NodeManager logs name both applications, so the poll that read them read their files"
+    );
+    assert!(feed.inc.drain_ready().is_empty(), "no terminal event yet");
+    for (path, line) in &last_lines {
+        append(path, line.as_bytes());
+    }
+    append(&dir.join(rm.rel_path()), full.render_source(rm).as_bytes());
+    tailer.poll_with(&mut feed).unwrap();
+    let mut retired = feed.inc.drain_ready();
+    assert_eq!(retired.len(), 2);
+    assert_eq!(delays_of(&mut retired), batch_delays(&dir));
+    assert_eq!(tailer.stats().parsed_lines as usize, full.total_records());
+    for _ in 0..COLD_ROTATION {
+        tailer.poll_with(&mut feed).unwrap();
+    }
+    assert_eq!(feed.inc.late_events(), 0);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A sink that writes while it is fed: on NodeManager records it appends
+/// what is `pending` — one more line to an executor log and, to the
+/// ResourceManager log, a line past the application's settle window.
+struct Straggling {
+    feed: Feed,
+    pending: Vec<(PathBuf, String)>,
+}
+
+impl TailSink for Straggling {
+    fn is_live(&self, app: ApplicationId) -> bool {
+        self.feed.is_live(app)
+    }
+
+    fn records(&mut self, source: LogSource, recs: &[RecordRef<'_>]) {
+        if matches!(source, LogSource::NodeManager(_)) {
+            for (path, line) in self.pending.drain(..) {
+                append(&path, line.as_bytes());
+            }
+        }
+        self.feed.records(source, recs);
+    }
+}
+
+/// The straggler hazard. An executor line is written after the poll's
+/// sweep has started but before the ResourceManager line that lets the
+/// watermark pass the application's settle window. A poll reads the
+/// cluster logs first and asks about liveness afterwards, so the
+/// executor file is read *after* that ResourceManager line, in the same
+/// poll: the application retires with the line in its delays and no
+/// late event.
+///
+/// With files read in sorted path order (`apps/…` before
+/// `nodemanager-*` before `resourcemanager.log`, as before ISSUE 20)
+/// the same script reads the ResourceManager line in the poll that had
+/// already passed the executor file: the application retired without
+/// the line, and the next poll counted it as a late event.
+#[test]
+fn line_written_before_the_newest_cluster_line_is_read_in_the_same_poll() {
+    let mut logs = LogStore::new(Epoch::default_run());
+    populate_app(&mut logs, 1, 2, 0, None);
+    let settle_ms = 500;
+    let (dir, mut tailer) = cold_layout("straggler", &logs);
+
+    // Poll 1: everything but the executor's task line and the last
+    // NodeManager line.
+    let mut pending = Vec::new();
+    let mut nm_last = None;
+    for src in logs.sources() {
+        let text = logs.render_source(src);
+        let path = dir.join(src.rel_path());
+        let cut = match src {
+            LogSource::Executor(_) | LogSource::NodeManager(_) => {
+                text.trim_end().rfind('\n').unwrap() + 1
+            }
+            _ => text.len(),
+        };
+        append(&path, &text.as_bytes()[..cut]);
+        match src {
+            LogSource::Executor(_) => pending.push((path, text[cut..].to_string())),
+            LogSource::NodeManager(_) => nm_last = Some((path, text[cut..].to_string())),
+            _ => {}
+        }
+    }
+    assert!(pending[0].1.contains("Got assigned task"));
+    pending.push((
+        dir.join(LogSource::ResourceManager.rel_path()),
+        format!(
+            "2018-03-14 09:00:{:02},{:03} INFO  CapacityScheduler: tick\n",
+            40,
+            100 + settle_ms
+        ),
+    ));
+    let mut sink = Straggling {
+        feed: Feed::new(settle_ms, *logs.epoch()),
+        pending: Vec::new(),
+    };
+    tailer.poll_with(&mut sink).unwrap();
+    assert!(sink.feed.inc.drain_ready().is_empty());
+
+    // Poll 2: the NodeManager line arrives; being fed it, the sink
+    // writes the straggler and the line that ends the settle window.
+    sink.pending = pending;
+    let (nm_path, nm_line) = nm_last.unwrap();
+    append(&nm_path, nm_line.as_bytes());
+    tailer.poll_with(&mut sink).unwrap();
+    assert!(sink.pending.is_empty());
+    let mut retired = sink.feed.inc.drain_ready();
+    assert_eq!(retired.len(), 1);
+    assert_eq!(delays_of(&mut retired), batch_delays(&dir));
+    for _ in 0..COLD_ROTATION {
+        tailer.poll_with(&mut sink).unwrap();
+    }
+    assert_eq!(sink.feed.inc.late_events(), 0);
+    assert_eq!(
+        tailer.stats().parsed_lines as usize,
+        logs.total_records() + 1
+    );
+    fs::remove_dir_all(&dir).unwrap();
 }
