@@ -281,28 +281,12 @@ pub fn corpus_app_trace(an: &Analysis) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::SchedEvent;
+    use crate::event::tests::ev as mk;
     use crate::graph::build_graphs;
-    use logmodel::{ApplicationId, ContainerId, LogSource};
+    use logmodel::ApplicationId;
     use obs::json;
 
     const CTS: u64 = 1_521_018_000_000;
-
-    fn mk(
-        ts: u64,
-        kind: EventKind,
-        app: ApplicationId,
-        container: Option<ContainerId>,
-    ) -> SchedEvent {
-        SchedEvent {
-            ts: TsMs(ts),
-            kind,
-            app,
-            container,
-            node: None,
-            source: LogSource::ResourceManager,
-        }
-    }
 
     fn full_graph() -> SchedulingGraph {
         use EventKind::*;

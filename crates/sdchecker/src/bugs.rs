@@ -49,22 +49,10 @@ pub fn find_unused_containers(g: &SchedulingGraph) -> Vec<UnusedContainer> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::SchedEvent;
+    use crate::event::tests::ev;
     use crate::graph::build_graphs;
-    use logmodel::{LogSource, TsMs};
 
     const CTS: u64 = 1_521_018_000_000;
-
-    fn ev(ts: u64, kind: EventKind, app: ApplicationId, c: Option<ContainerId>) -> SchedEvent {
-        SchedEvent {
-            ts: TsMs(ts),
-            kind,
-            app,
-            container: c,
-            node: None,
-            source: LogSource::ResourceManager,
-        }
-    }
 
     #[test]
     fn detects_allocated_never_used() {

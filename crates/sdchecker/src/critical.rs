@@ -223,27 +223,11 @@ pub fn critical_path(g: &SchedulingGraph) -> Option<CriticalPath> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::SchedEvent;
+    use crate::event::tests::ev as mk;
     use crate::graph::build_graphs;
-    use logmodel::{ApplicationId, ContainerId, LogSource};
+    use logmodel::ApplicationId;
 
     const CTS: u64 = 1_521_018_000_000;
-
-    fn mk(
-        ts: u64,
-        kind: EventKind,
-        app: ApplicationId,
-        container: Option<ContainerId>,
-    ) -> SchedEvent {
-        SchedEvent {
-            ts: TsMs(ts),
-            kind,
-            app,
-            container,
-            node: None,
-            source: LogSource::ResourceManager,
-        }
-    }
 
     /// The same full timeline as `decompose`'s tests: every milestone
     /// observed, delays known exactly.

@@ -278,9 +278,8 @@ pub fn decompose(g: &SchedulingGraph) -> AppDelays {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::SchedEvent;
+    use crate::event::tests::ev;
     use crate::graph::build_graphs;
-    use logmodel::LogSource;
 
     const CTS: u64 = 1_521_018_000_000;
 
@@ -291,14 +290,7 @@ mod tests {
         let am = a.attempt(1).container(1);
         let e1 = a.attempt(1).container(2);
         let e2 = a.attempt(1).container(3);
-        let mk = |ts: u64, kind, container: Option<ContainerId>| SchedEvent {
-            ts: TsMs(ts),
-            kind,
-            app: a,
-            container,
-            node: None,
-            source: LogSource::ResourceManager,
-        };
+        let mk = |ts: u64, kind, container: Option<ContainerId>| ev(ts, kind, a, container);
         use EventKind::*;
         let evs = vec![
             mk(1_000, AppSubmitted, None),
@@ -374,14 +366,7 @@ mod tests {
         // Only the RM app chain, no containers: every container-derived
         // delay must be None rather than panicking or zero.
         let a = ApplicationId::new(CTS, 9);
-        let evs = vec![SchedEvent {
-            ts: TsMs(5),
-            kind: EventKind::AppSubmitted,
-            app: a,
-            container: None,
-            node: None,
-            source: LogSource::ResourceManager,
-        }];
+        let evs = vec![ev(5, EventKind::AppSubmitted, a, None)];
         let g = build_graphs(&evs).remove(&a).unwrap();
         let d = decompose(&g);
         assert_eq!(d.submitted, Some(TsMs(5)));
@@ -403,14 +388,7 @@ mod tests {
         assert_eq!(d.wasted_ms, 0);
 
         let a = ApplicationId::new(CTS, 9);
-        let mk = |ts: u64, kind| SchedEvent {
-            ts: TsMs(ts),
-            kind,
-            app: a,
-            container: None,
-            node: None,
-            source: LogSource::ResourceManager,
-        };
+        let mk = |ts: u64, kind| ev(ts, kind, a, None);
         let failed = build_graphs(&[mk(1, EventKind::AppSubmitted), mk(2, EventKind::AppFailed)])
             .remove(&a)
             .unwrap();
@@ -431,14 +409,7 @@ mod tests {
         let am1 = a.attempt(1).container(1);
         let am2 = a.attempt(2).container(1);
         let e2 = a.attempt(2).container(2);
-        let mk = |ts: u64, kind, container: Option<ContainerId>| SchedEvent {
-            ts: TsMs(ts),
-            kind,
-            app: a,
-            container,
-            node: None,
-            source: LogSource::ResourceManager,
-        };
+        let mk = |ts: u64, kind, container: Option<ContainerId>| ev(ts, kind, a, container);
         use EventKind::*;
         let evs = vec![
             mk(1_000, AppSubmitted, None),

@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use logmodel::{ApplicationId, TsMs};
+use logmodel::{ApplicationId, LogSource, TsMs};
 use obs::export::TraceEvents;
 use obs::json::escape;
 
@@ -229,16 +229,20 @@ impl TailExemplars {
             out.push_str(", \"components\": ");
             crate::wide::push_components(&mut out, &p.delays, "");
             // Per-source extents: where (and when) this app's evidence
-            // lives in the corpus, for whoever wants the raw lines.
-            let mut sources: BTreeMap<String, (usize, TsMs, TsMs)> = BTreeMap::new();
+            // lives in the corpus, for whoever wants the raw lines. One
+            // path per distinct source, listed in path order.
+            let mut extents: BTreeMap<LogSource, (usize, TsMs, TsMs)> = BTreeMap::new();
             for ev in &p.events {
-                let e = sources
-                    .entry(ev.source.rel_path())
-                    .or_insert((0, ev.ts, ev.ts));
+                let e = extents.entry(ev.source()).or_insert((0, ev.ts, ev.ts));
                 e.0 += 1;
                 e.1 = e.1.min(ev.ts);
                 e.2 = e.2.max(ev.ts);
             }
+            let mut sources: Vec<(String, (usize, TsMs, TsMs))> = extents
+                .into_iter()
+                .map(|(source, extent)| (source.rel_path(), extent))
+                .collect();
+            sources.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             out.push_str(", \"sources\": {");
             for (j, (path, (n, first, last))) in sources.iter().enumerate() {
                 if j > 0 {

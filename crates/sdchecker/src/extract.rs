@@ -495,14 +495,7 @@ impl Extractor {
                     s if RM_APP_STATES.contains(&s) => return Outcome::Matched,
                     _ => return Outcome::Unmatched,
                 };
-                out.push(SchedEvent {
-                    ts: r.ts,
-                    kind,
-                    app,
-                    container: None,
-                    node: None,
-                    source: LogSource::ResourceManager,
-                });
+                out.push(SchedEvent::app_scoped(r.ts, kind, app));
                 Outcome::Matched
             }
             "RMContainerImpl" => {
@@ -520,14 +513,7 @@ impl Extractor {
                     s if RM_CONTAINER_STATES.contains(&s) => return Outcome::Matched,
                     _ => return Outcome::Unmatched,
                 };
-                out.push(SchedEvent {
-                    ts: r.ts,
-                    kind,
-                    app: cid.app(),
-                    container: Some(cid),
-                    node: None,
-                    source: LogSource::ResourceManager,
-                });
+                out.push(SchedEvent::container_scoped(r.ts, kind, cid));
                 Outcome::Matched
             }
             _ => Outcome::Ignored,
@@ -552,14 +538,7 @@ impl Extractor {
             s if NM_CONTAINER_STATES.contains(&s) => return Outcome::Matched,
             _ => return Outcome::Unmatched,
         };
-        out.push(SchedEvent {
-            ts: r.ts,
-            kind,
-            app: cid.app(),
-            container: Some(cid),
-            node: Some(node),
-            source: LogSource::NodeManager(node),
-        });
+        out.push(SchedEvent::node_manager(r.ts, kind, cid, node));
         Outcome::Matched
     }
 
@@ -570,16 +549,8 @@ impl Extractor {
         r: &RecordRef<'_>,
         out: &mut Vec<SchedEvent>,
     ) -> Outcome {
-        let src = LogSource::Driver(app);
         if is_first {
-            out.push(SchedEvent {
-                ts: r.ts,
-                kind: EventKind::DriverFirstLog,
-                app,
-                container: None,
-                node: None,
-                source: src,
-            });
+            out.push(SchedEvent::app_scoped(r.ts, EventKind::DriverFirstLog, app));
         }
         let kind = if r
             .message
@@ -597,14 +568,7 @@ impl Extractor {
                 Outcome::Ignored
             };
         };
-        out.push(SchedEvent {
-            ts: r.ts,
-            kind,
-            app,
-            container: None,
-            node: None,
-            source: src,
-        });
+        out.push(SchedEvent::app_scoped(r.ts, kind, app));
         Outcome::Matched
     }
 
@@ -615,26 +579,19 @@ impl Extractor {
         r: &RecordRef<'_>,
         out: &mut Vec<SchedEvent>,
     ) -> Outcome {
-        let src = LogSource::Executor(cid);
         if is_first {
-            out.push(SchedEvent {
-                ts: r.ts,
-                kind: EventKind::ExecutorFirstLog,
-                app: cid.app(),
-                container: Some(cid),
-                node: None,
-                source: src,
-            });
+            out.push(SchedEvent::container_scoped(
+                r.ts,
+                EventKind::ExecutorFirstLog,
+                cid,
+            ));
         }
         if r.message.starts_with(crate::schema::TASK_ASSIGNED_PREFIX) {
-            out.push(SchedEvent {
-                ts: r.ts,
-                kind: EventKind::TaskAssigned,
-                app: cid.app(),
-                container: Some(cid),
-                node: None,
-                source: src,
-            });
+            out.push(SchedEvent::container_scoped(
+                r.ts,
+                EventKind::TaskAssigned,
+                cid,
+            ));
             Outcome::Matched
         } else if is_first {
             Outcome::Matched
@@ -787,7 +744,7 @@ fn flush_stream_metrics(src: LogSource, evs: &[SchedEvent], cov: CoverageCounts)
 /// What is sorted is one 16-byte `(timestamp, &event)` key per event,
 /// pushed in concatenation order, so a key's place in the vector *is* its
 /// `(stream index, position)` and the stable sort keeps it among equal
-/// timestamps; each 120-byte event is then copied once, straight to its
+/// timestamps; each 48-byte event is then copied once, straight to its
 /// final slot. Streams need not be time-sorted themselves, and input
 /// already in order costs one linear pass.
 fn merge_sorted_streams(streams: Vec<Vec<SchedEvent>>) -> Vec<SchedEvent> {
@@ -795,7 +752,7 @@ fn merge_sorted_streams(streams: Vec<Vec<SchedEvent>>) -> Vec<SchedEvent> {
     let mut keys: Vec<(logmodel::TsMs, &SchedEvent)> = Vec::with_capacity(total);
     keys.extend(streams.iter().flatten().map(|ev| (ev.ts, ev)));
     keys.sort_by_key(|&(ts, _)| ts);
-    keys.into_iter().map(|(_, ev)| ev.clone()).collect()
+    keys.into_iter().map(|(_, ev)| *ev).collect()
 }
 
 /// Fallback grouping helper for messages whose shape is unknown: find any
@@ -923,7 +880,7 @@ mod tests {
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].kind, EventKind::ContainerAllocated);
         assert_eq!(evs[1].kind, EventKind::ContainerAcquired);
-        assert_eq!(evs[0].container, Some(cid));
+        assert_eq!(evs[0].container(), Some(cid));
     }
 
     #[test]
@@ -950,7 +907,7 @@ mod tests {
         ];
         let evs = ex.extract_stream(LogSource::NodeManager(node), &records);
         assert_eq!(evs.len(), 3);
-        assert!(evs.iter().all(|e| e.node == Some(node)));
+        assert!(evs.iter().all(|e| e.node() == Some(node)));
         assert_eq!(evs[1].kind, EventKind::ContainerScheduled);
     }
 
@@ -1396,13 +1353,12 @@ mod tests {
                 }
                 ts.into_iter()
                     .enumerate()
-                    .map(|(p, t)| SchedEvent {
-                        ts: TsMs(t),
-                        kind: EventKind::ALL[(s + p) % EventKind::ALL.len()],
-                        app: ApplicationId::new(s as u64, p as u32),
-                        container: None,
-                        node: None,
-                        source: LogSource::ResourceManager,
+                    .map(|(p, t)| {
+                        SchedEvent::app_scoped(
+                            TsMs(t),
+                            EventKind::AppSubmitted,
+                            ApplicationId::new(s as u64, p as u32),
+                        )
                     })
                     .collect()
             })
@@ -1460,7 +1416,7 @@ mod tests {
             }
             base += 1_000;
         }
-        let concatenation: Vec<SchedEvent> = streams.iter().flatten().cloned().collect();
+        let concatenation: Vec<SchedEvent> = streams.iter().flatten().copied().collect();
         assert_eq!(merge_sorted_streams(streams), concatenation);
     }
 

@@ -185,7 +185,7 @@ pub fn build_graphs(events: &[SchedEvent]) -> BTreeMap<ApplicationId, Scheduling
             app_events: Vec::new(),
             containers: BTreeMap::new(),
         });
-        match ev.container {
+        match ev.container() {
             Some(cid) => {
                 let track = g.containers.entry(cid).or_insert_with(|| ContainerTrack {
                     cid,
@@ -193,7 +193,7 @@ pub fn build_graphs(events: &[SchedEvent]) -> BTreeMap<ApplicationId, Scheduling
                     events: Vec::new(),
                 });
                 if track.node.is_none() {
-                    track.node = ev.node;
+                    track.node = ev.node();
                 }
                 track.events.push((ev.kind, ev.ts));
             }
@@ -215,25 +215,9 @@ pub fn build_graphs(events: &[SchedEvent]) -> BTreeMap<ApplicationId, Scheduling
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logmodel::LogSource;
+    use crate::event::tests::ev;
 
     const CTS: u64 = 1_521_018_000_000;
-
-    fn ev(
-        ts: u64,
-        kind: EventKind,
-        app: ApplicationId,
-        container: Option<ContainerId>,
-    ) -> SchedEvent {
-        SchedEvent {
-            ts: TsMs(ts),
-            kind,
-            app,
-            container,
-            node: container.map(|_| NodeId(3)),
-            source: LogSource::ResourceManager,
-        }
-    }
 
     fn sample_events() -> (ApplicationId, Vec<SchedEvent>) {
         let a = ApplicationId::new(CTS, 1);
@@ -250,6 +234,7 @@ mod tests {
             ev(4100, EventKind::ContainerAllocated, a, Some(e1)),
             ev(4200, EventKind::ContainerAllocated, a, Some(e2)),
             ev(5100, EventKind::ContainerAcquired, a, Some(e1)),
+            SchedEvent::node_manager(TsMs(5200), EventKind::ContainerLocalizing, e1, NodeId(3)),
             ev(7000, EventKind::ExecutorFirstLog, a, Some(e1)),
             ev(7900, EventKind::ExecutorFirstLog, a, Some(e2)),
             ev(9500, EventKind::TaskAssigned, a, Some(e1)),

@@ -354,7 +354,7 @@ impl IncrementalAnalyzer {
         // within one application: the merge emits by timestamp with ties
         // broken by stream index, streams are enumerated in `LogSource`
         // order, and the per-stream event order survives the stable sort.
-        state.events.sort_by_key(|e| (e.ts, e.source));
+        state.events.sort_by_key(|e| (e.ts, e.source()));
         let (graph, delays, unused) = analyze_app_events(app, &state.events);
         let name = self.names.remove(&app);
         let facts = AppFacts::new(&graph, &delays, name.as_deref(), unused.len());

@@ -60,18 +60,11 @@ pub fn allocation_throughput(events: &[SchedEvent], window_ms: u64) -> Throughpu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logmodel::{ApplicationId, LogSource};
+    use logmodel::ApplicationId;
 
     fn alloc_at(ts: u64) -> SchedEvent {
-        let app = ApplicationId::new(1, 1);
-        SchedEvent {
-            ts: TsMs(ts),
-            kind: EventKind::ContainerAllocated,
-            app,
-            container: Some(app.attempt(1).container(ts)),
-            node: None,
-            source: LogSource::ResourceManager,
-        }
+        let cid = ApplicationId::new(1, 1).attempt(1).container(ts);
+        SchedEvent::container_scoped(TsMs(ts), EventKind::ContainerAllocated, cid)
     }
 
     #[test]
@@ -105,14 +98,11 @@ mod tests {
     fn other_events_ignored() {
         let app = ApplicationId::new(1, 1);
         let mut evs = vec![alloc_at(0), alloc_at(10)];
-        evs.push(SchedEvent {
-            ts: TsMs(5),
-            kind: EventKind::AppSubmitted,
+        evs.push(SchedEvent::app_scoped(
+            TsMs(5),
+            EventKind::AppSubmitted,
             app,
-            container: None,
-            node: None,
-            source: LogSource::ResourceManager,
-        });
+        ));
         let t = allocation_throughput(&evs, 1000);
         assert_eq!(t.total, 2);
     }

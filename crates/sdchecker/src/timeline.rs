@@ -201,9 +201,9 @@ pub fn ascii_gantt(g: &SchedulingGraph, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::SchedEvent;
+    use crate::event::tests::ev;
     use crate::graph::build_graphs;
-    use logmodel::{ApplicationId, ContainerId, LogSource};
+    use logmodel::{ApplicationId, ContainerId};
 
     const CTS: u64 = 1_521_018_000_000;
 
@@ -211,14 +211,7 @@ mod tests {
         let a = ApplicationId::new(CTS, 1);
         let am = a.attempt(1).container(1);
         let e1 = a.attempt(1).container(2);
-        let mk = |ts: u64, kind, c: Option<ContainerId>| SchedEvent {
-            ts: TsMs(ts),
-            kind,
-            app: a,
-            container: c,
-            node: None,
-            source: LogSource::ResourceManager,
-        };
+        let mk = |ts: u64, kind, c: Option<ContainerId>| ev(ts, kind, a, c);
         use EventKind::*;
         build_graphs(&[
             mk(0, AppSubmitted, None),
@@ -297,16 +290,9 @@ mod tests {
     #[test]
     fn gantt_handles_empty_and_taskless_graphs() {
         let a = ApplicationId::new(CTS, 2);
-        let g = build_graphs(&[SchedEvent {
-            ts: TsMs(5),
-            kind: EventKind::AppSubmitted,
-            app: a,
-            container: None,
-            node: None,
-            source: LogSource::ResourceManager,
-        }])
-        .remove(&a)
-        .unwrap();
+        let g = build_graphs(&[ev(5, EventKind::AppSubmitted, a, None)])
+            .remove(&a)
+            .unwrap();
         let art = ascii_gantt(&g, 40);
         assert!(art.contains("5 ms") || art.contains("1 ms"), "{art}");
     }

@@ -256,22 +256,12 @@ pub fn coverage_warnings(cov: &ParseCoverage) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::tests::ev;
     use crate::event::SchedEvent;
     use crate::graph::build_graphs;
     use logmodel::{LogSource, TsMs};
 
     const CTS: u64 = 1_521_018_000_000;
-
-    fn ev(ts: u64, kind: EventKind, app: ApplicationId, c: Option<ContainerId>) -> SchedEvent {
-        SchedEvent {
-            ts: TsMs(ts),
-            kind,
-            app,
-            container: c,
-            node: None,
-            source: LogSource::ResourceManager,
-        }
-    }
 
     fn graph(evs: Vec<SchedEvent>) -> SchedulingGraph {
         let app = evs[0].app;

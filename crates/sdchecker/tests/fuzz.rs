@@ -13,8 +13,8 @@ use std::process::Command;
 
 use logmodel::{corrupt_dir, CorruptConfig, Epoch, LogSource, LogStore, TsMs};
 use sdchecker::{
-    analyze_dir, full_report, report_json, wide_events_for_analysis, IncrementalAnalyzer,
-    IncrementalConfig, Report,
+    analyze_dir, full_report, report_json, wide_events_for_analysis, Extractor,
+    IncrementalAnalyzer, IncrementalConfig, Report,
 };
 
 fn bin() -> Command {
@@ -159,6 +159,52 @@ fn corrupted_corpora_never_panic_severe_profile() {
         );
         check_contract(&dir, &format!("severe seed {seed} ({report:?})"));
         fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Every event extracted from a stream derives that stream as its
+/// `source()`, the stream's node as its `node()`, and a container of its
+/// own application — exactly what `SchedEvent` stored as fields before
+/// it derived them — on the checked-in damaged corpus and on the fleet
+/// under every seeded damage profile above.
+#[test]
+fn every_event_derives_the_stream_it_was_extracted_from() {
+    let ex = Extractor::new();
+    let check = |dir: &Path, label: &str| {
+        let store = LogStore::read_dir(dir).unwrap();
+        let mut events = 0;
+        for source in store.sources() {
+            let node = match source {
+                LogSource::NodeManager(n) => Some(n),
+                _ => None,
+            };
+            for ev in ex.extract_stream(source, store.records(source)) {
+                assert_eq!(ev.source(), source, "[{label}] {ev:?}");
+                assert_eq!(ev.node(), node, "[{label}] {ev:?}");
+                if let Some(cid) = ev.container() {
+                    assert_eq!(cid.app(), ev.app, "[{label}] {ev:?}");
+                }
+                events += 1;
+            }
+        }
+        assert!(events > 0, "[{label}] the corpus yields events");
+    };
+    check(
+        &PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus"),
+        "tests/corpus",
+    );
+    let profiles = [
+        ([7u64, 21, 99, 1234, 31337], CorruptConfig::default()),
+        ([3, 58, 777, 9001, 123_456_789], CorruptConfig::severe()),
+    ];
+    for (seeds, cfg) in profiles {
+        for seed in seeds {
+            let dir = tmp(&format!("src{seed}"));
+            write_fleet(&dir);
+            corrupt_dir(&dir, seed, &cfg).unwrap();
+            check(&dir, &format!("seed {seed}"));
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }
 

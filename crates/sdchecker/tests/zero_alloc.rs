@@ -1,12 +1,14 @@
-//! Allocations are counted, not hoped for.
+//! Allocations are counted, not hoped for — and so is memory.
 //!
 //! The hot path's claim is that a log line which yields no event costs
 //! no allocation between the bytes it was read into and the verdict on
 //! it, and that a directory analysis allocates per file and per event,
 //! not per line. This binary installs a counting allocator (it is its
-//! own process, so nothing else is affected) and holds both to a number.
-//! Counts are per thread, so the harness running tests side by side
-//! does not disturb them.
+//! own process, so nothing else is affected) and holds both to a number;
+//! the same allocator tracks live bytes and their high-water mark, which
+//! holds a directory analysis's peak heap to a figure per event. Counts
+//! are per thread, so the harness running tests side by side does not
+//! disturb them.
 
 mod common;
 
@@ -25,6 +27,9 @@ thread_local! {
     /// Calls to `alloc`, `alloc_zeroed` and `realloc` this thread made
     /// since it started counting; `None` while it is not.
     static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+    /// Bytes this thread has allocated minus bytes it has freed since
+    /// the mark was last reset, and the high-water mark of that sum.
+    static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
 }
 
 fn note_alloc() {
@@ -32,29 +37,41 @@ fn note_alloc() {
     let _ = ALLOCS.try_with(|n| n.set(n.get().map(|n| n + 1)));
 }
 
+fn note_live(grown: usize, freed: usize) {
+    let _ = LIVE.try_with(|c| {
+        let (live, peak) = c.get();
+        let live = live + grown as i64 - freed as i64;
+        c.set((live, peak.max(live)));
+    });
+}
+
 struct Counting;
 
 // SAFETY: every method forwards to `System` with the caller's own
-// arguments and returns its result unchanged; the counter is a
-// const-initialised thread-local without a destructor, so touching it
-// never allocates and never touches the memory being managed.
+// arguments and returns its result unchanged; the counters are
+// const-initialised thread-locals without a destructor, so touching
+// them never allocates and never touches the memory being managed.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_alloc();
+        note_live(layout.size(), 0);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note_alloc();
+        note_live(layout.size(), 0);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_live(0, layout.size());
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note_alloc();
+        note_live(new_size, layout.size());
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -68,6 +85,15 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let out = f();
     let n = ALLOCS.with(|n| n.replace(None));
     (out, n.expect("counting was on"))
+}
+
+/// Run `f` and return the most heap this thread held at once inside it,
+/// above what it held on entry.
+fn peak_live_bytes<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    LIVE.with(|c| c.set((0, 0)));
+    let out = f();
+    let (_, peak) = LIVE.with(Cell::get);
+    (out, peak as u64)
 }
 
 const STACK_TRACE: &str =
@@ -144,13 +170,26 @@ fn a_line_costs_no_allocation_from_bytes_to_verdict() {
     }
 }
 
+/// The length [`noisy_fleet`] pads its directory's path to.
+const CORPUS_PATH_LEN: usize = 160;
+
 /// The faulty fleet on disk with `noise` lines that yield nothing — a
 /// stack-trace line, a record of no rule's class, a record of a rule's
 /// class but another shape — after every real line. Returns the
-/// directory and how many log files it holds.
+/// directory and how many log files it holds. The directory's path is
+/// padded to [`CORPUS_PATH_LEN`] bytes, so the file listing an analysis
+/// holds costs the same wherever the temp dir is.
 fn noisy_fleet(name: &str, noise: usize) -> (PathBuf, usize) {
-    let dir =
-        std::env::temp_dir().join(format!("sdchecker_zeroalloc_{name}_{}", std::process::id()));
+    let mut path = std::env::temp_dir()
+        .join(format!(
+            "sdchecker_zeroalloc_{name}_{}_",
+            std::process::id()
+        ))
+        .into_os_string();
+    while path.len() < CORPUS_PATH_LEN {
+        path.push("x");
+    }
+    let dir = PathBuf::from(path);
     let _ = fs::remove_dir_all(&dir);
     let mut store = LogStore::new(Epoch::default_run());
     common::populate_faulty_fleet(&mut store);
@@ -289,4 +328,31 @@ fn three_documents_cost_a_bounded_number_of_allocations_per_application() {
     // passes and nothing else.
     let separate = extra_allocations(&three_wrappers);
     assert_eq!(separate, shared + 2 * extra_paths * 16);
+}
+
+/// The most heap a sequential directory analysis of the noisy fleet may
+/// hold at once, per event it finds. Measured: 427.15 (17 086 bytes for
+/// 40 events) with the 48-byte `SchedEvent`; 484.75 (19 390 bytes) with
+/// the 120-byte one before it. Eight more bytes per event measure
+/// 433.55, so a field added to `SchedEvent` fails here until this figure
+/// is raised on purpose — every byte of the event is priced.
+const PEAK_LIVE_BYTES_PER_EVENT: f64 = 430.0;
+
+#[test]
+fn directory_analysis_peak_live_heap_is_priced_per_event() {
+    let (dir, _) = noisy_fleet("peak", 1);
+    let (events, peak) = peak_live_bytes(|| {
+        analyze_dir_with(&dir, Parallelism::ONE)
+            .unwrap()
+            .events
+            .len()
+    });
+    assert_eq!(events, 40, "the fleet's event count");
+    let per_event = peak as f64 / events as f64;
+    assert!(
+        per_event <= PEAK_LIVE_BYTES_PER_EVENT,
+        "{peak} bytes live at the peak for {events} events: {per_event:.2} per event, \
+         budget {PEAK_LIVE_BYTES_PER_EVENT}"
+    );
+    fs::remove_dir_all(&dir).unwrap();
 }
