@@ -4,6 +4,12 @@
 //! them to the model together with a [`Ctx`] through which the model
 //! schedules follow-up events and draws randomness, then merges newly
 //! scheduled events back into the queue.
+//!
+//! A model may also say which of its events are *background* (they only
+//! re-arm themselves once nothing else is going on) and when it is
+//! *quiescent*. The engine keeps a count of queued foreground events, and
+//! [`Engine::run_until`] stops as soon as that count is zero and the model
+//! is quiescent, instead of idling on to its horizon.
 
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
@@ -22,6 +28,24 @@ pub trait Model {
     /// may keep the default.
     fn event_label(_ev: &Self::Event) -> &'static str {
         "event"
+    }
+
+    /// Whether `ev` is *background*: an event that, once the model is
+    /// [`quiescent`](Model::quiescent), changes nothing but re-arms itself
+    /// (a periodic heartbeat with nothing to hand out). The engine counts
+    /// the queued events that are not background. It must be a function
+    /// of the event alone, so that the count taken at push and the one
+    /// given back at pop agree. Default: every event is foreground.
+    fn is_background(_ev: &Self::Event) -> bool {
+        false
+    }
+
+    /// Whether, with only background events left in the queue, the model
+    /// can no longer change: no record, no output, no draw from the RNG.
+    /// [`Engine::run_until`] stops at the first such moment. Default:
+    /// never, so a model that does not opt in runs to its horizon.
+    fn quiescent(&self) -> bool {
+        false
     }
 }
 
@@ -88,6 +112,8 @@ pub struct Engine<M: Model> {
     rng: SimRng,
     now: Millis,
     processed: u64,
+    /// Queued events that are not [`Model::is_background`].
+    foreground: u64,
     recorder: &'static obs::Recorder,
     stats: EngineStats,
 }
@@ -101,6 +127,7 @@ impl<M: Model> Engine<M> {
             rng: SimRng::new(seed),
             now: Millis::ZERO,
             processed: 0,
+            foreground: 0,
             recorder: obs::global(),
             stats: EngineStats::new(),
         }
@@ -145,7 +172,14 @@ impl<M: Model> Engine<M> {
 
     /// Schedule an event at an absolute time before/while running.
     pub fn schedule_at(&mut self, at: Millis, ev: M::Event) {
-        self.queue.push(at.max(self.now), ev);
+        self.push(at.max(self.now), ev);
+    }
+
+    /// The one way into the queue, so the foreground count sees every
+    /// event.
+    fn push(&mut self, at: Millis, ev: M::Event) {
+        self.foreground += u64::from(!M::is_background(&ev));
+        self.queue.push(at, ev);
     }
 
     /// Process a single event. Returns `false` when the queue is empty.
@@ -154,6 +188,7 @@ impl<M: Model> Engine<M> {
         let Some((at, ev)) = self.queue.pop() else {
             return false;
         };
+        self.foreground -= u64::from(!M::is_background(&ev));
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
         if recording {
@@ -169,7 +204,7 @@ impl<M: Model> Engine<M> {
         };
         self.model.handle(ev, &mut ctx);
         for (t, e) in ctx.pending {
-            self.queue.push(t, e);
+            self.push(t, e);
         }
         if recording {
             self.stats.queue_hwm = self.stats.queue_hwm.max(self.queue.len() as u64);
@@ -212,12 +247,18 @@ impl<M: Model> Engine<M> {
         self.flush_stats();
     }
 
-    /// Run until the queue empties or the clock passes `horizon`
-    /// (events strictly after `horizon` are left unprocessed).
+    /// Run until the queue empties, the clock passes `horizon` (events
+    /// strictly after `horizon` are left unprocessed), or the model goes
+    /// quiet: every queued event is [background](Model::is_background) and
+    /// the model is [quiescent](Model::quiescent). From that moment on
+    /// each event only re-arms itself, so running on to `horizon` could
+    /// add nothing; `now()` is then the time of the last event that
+    /// changed something. The horizon stays the safety net for models
+    /// that never go quiet.
     pub fn run_until(&mut self, horizon: Millis) {
         let _span = self.recorder.span("sim_run").arg("horizon_ms", horizon.0);
         while let Some(t) = self.queue.peek_time() {
-            if t > horizon {
+            if t > horizon || (self.foreground == 0 && self.model.quiescent()) {
                 break;
             }
             self.step();
@@ -226,7 +267,9 @@ impl<M: Model> Engine<M> {
     }
 
     /// Run at most `limit` further events; returns how many were processed.
-    /// A guard against accidental non-terminating models in tests.
+    /// A guard against accidental non-terminating models in tests. It
+    /// ignores quiescence, so it can step a model past the point where
+    /// `run_until` stops.
     pub fn run_capped(&mut self, limit: u64) -> u64 {
         let mut n = 0;
         while n < limit && self.step() {
@@ -304,6 +347,61 @@ mod tests {
         assert_eq!(e.now(), Millis(10));
         e.run_to_completion();
         assert_eq!(e.model().seen.len(), 11);
+    }
+
+    #[test]
+    fn run_until_stops_once_only_background_events_remain() {
+        // A heartbeat re-arms forever; three one-shot jobs are the work.
+        struct Beat {
+            beats: u32,
+            jobs_left: u32,
+            always_quiet: bool,
+        }
+        enum BEv {
+            Beat,
+            Job,
+        }
+        impl Model for Beat {
+            type Event = BEv;
+            fn handle(&mut self, ev: BEv, ctx: &mut Ctx<BEv>) {
+                match ev {
+                    BEv::Beat => {
+                        self.beats += 1;
+                        ctx.schedule_in(Millis(10), BEv::Beat);
+                    }
+                    BEv::Job => self.jobs_left -= 1,
+                }
+            }
+            fn is_background(ev: &BEv) -> bool {
+                matches!(ev, BEv::Beat)
+            }
+            fn quiescent(&self) -> bool {
+                self.always_quiet || self.jobs_left == 0
+            }
+        }
+        // A model that calls itself quiescent throughout still runs every
+        // queued foreground event: the engine's count gates the stop.
+        for always_quiet in [false, true] {
+            let mut e = Engine::new(
+                Beat {
+                    beats: 0,
+                    jobs_left: 3,
+                    always_quiet,
+                },
+                0,
+            );
+            e.schedule_at(Millis(0), BEv::Beat);
+            for t in [5, 25, 47] {
+                e.schedule_at(Millis(t), BEv::Job);
+            }
+            e.run_until(Millis::from_mins(60));
+            assert_eq!(e.model().jobs_left, 0);
+            assert_eq!(e.now(), Millis(47), "stops at the last job");
+            assert_eq!(e.model().beats, 5, "beats at 0, 10, 20, 30, 40");
+            // Stepping on by hand ignores quiescence.
+            assert_eq!(e.run_capped(3), 3);
+            assert_eq!(e.model().beats, 8);
+        }
     }
 
     #[test]

@@ -17,11 +17,18 @@
 //! The resource does not own the event queue. Instead every mutation bumps a
 //! generation counter; the owning model asks [`PsResource::next_completion`]
 //! for the earliest finish time, schedules a tick event carrying the
-//! generation, and on tick calls [`PsResource::on_tick`]. Stale ticks
-//! (generation mismatch) are ignored — any mutation since has already
-//! scheduled a fresher tick. Between mutations rates are constant, so
-//! completions computed in closed form are exact (up to the deliberate
-//! ceil-to-millisecond quantization).
+//! generation, and on tick calls [`PsResource::on_tick`]. Between mutations
+//! rates are constant, so completions computed in closed form are exact (up
+//! to the deliberate ceil-to-millisecond quantization).
+//!
+//! **The tick invariant.** The owner re-arms after every mutation
+//! (`add_flow`, `cancel`) and after every fresh tick. So while a resource
+//! has work, the queue holds a tick carrying its current generation. A
+//! stale tick (generation mismatch) makes `on_tick` return `None`, and the
+//! owner must then schedule *nothing*. Re-arming from a stale tick would
+//! only queue a duplicate of that live tick: same time, same generation,
+//! queued later, so it fires after the live one and finds nothing to do.
+//! Such duplicates multiply with every mutation and change no outcome.
 
 use std::collections::BTreeMap;
 
@@ -182,12 +189,14 @@ impl PsResource {
     }
 
     /// Process a tick scheduled with generation `gen` at time `now`.
-    /// Returns the flows that completed (empty for stale ticks). Completion
-    /// removes flows and bumps the generation when anything finished, so the
-    /// caller should query `next_completion` again afterwards.
-    pub fn on_tick(&mut self, now: Millis, gen: ResourceGen) -> Vec<FlowId> {
+    /// Returns `None` for a stale tick, which changes nothing and must not
+    /// be re-armed (see the module docs). Otherwise returns the flows that
+    /// completed, possibly none. Completion removes flows and bumps the
+    /// generation when anything finished, and the caller re-arms from
+    /// `next_completion`.
+    pub fn on_tick(&mut self, now: Millis, gen: ResourceGen) -> Option<Vec<FlowId>> {
         if gen != self.gen() {
-            return Vec::new();
+            return None;
         }
         self.advance_to(now.as_f64());
         let done = std::mem::take(&mut self.finished);
@@ -197,7 +206,7 @@ impl PsResource {
             }
             self.gen += 1;
         }
-        done
+        Some(done)
     }
 
     /// Apply progress at current rates over `[self.last, now_ms]`.
@@ -291,7 +300,7 @@ mod tests {
         let mut now = start;
         while let Some((at, gen)) = res.next_completion(now) {
             now = at;
-            for id in res.on_tick(now, gen) {
+            for id in res.on_tick(now, gen).expect("a just-armed tick is fresh") {
                 out.push((id, now));
             }
         }
@@ -374,7 +383,7 @@ mod tests {
         assert_eq!(at, Millis(50));
         let b = res.add_flow(Millis(20), 30.0, 1.0, 2.0);
         // The original tick is now stale.
-        assert_eq!(res.on_tick(Millis(50), gen), Vec::<FlowId>::new());
+        assert_eq!(res.on_tick(Millis(50), gen), None);
         let done = drain(&mut res, Millis(20));
         assert!(done.contains(&(b, Millis(50))), "{done:?}");
         assert!(done.contains(&(a, Millis(65))), "{done:?}");
@@ -396,7 +405,7 @@ mod tests {
         let a = res.add_flow(Millis(5), 0.0, 1.0, 1.0);
         let (at, gen) = res.next_completion(Millis(5)).unwrap();
         assert_eq!(at, Millis(5));
-        assert_eq!(res.on_tick(at, gen), vec![a]);
+        assert_eq!(res.on_tick(at, gen), Some(vec![a]));
     }
 
     #[test]
@@ -405,7 +414,10 @@ mod tests {
         res.add_flow(Millis(0), 10.0, 1.0, 1.0);
         let (_, gen) = res.next_completion(Millis(0)).unwrap();
         res.add_flow(Millis(1), 10.0, 1.0, 1.0); // bumps gen
-        assert!(res.on_tick(Millis(10), gen).is_empty());
+        let live = res.next_completion(Millis(1));
+        assert_eq!(res.on_tick(Millis(10), gen), None);
+        // Nothing moved: the live tick is still the one to arm.
+        assert_eq!(res.next_completion(Millis(10)), live);
     }
 
     #[test]

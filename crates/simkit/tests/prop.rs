@@ -15,7 +15,7 @@ fn drain(res: &mut PsResource, start: Millis) -> Vec<(u64, Millis)> {
     while let Some((at, gen)) = res.next_completion(now) {
         assert!(at >= now, "completion in the past");
         now = at;
-        for id in res.on_tick(now, gen) {
+        for id in res.on_tick(now, gen).expect("a just-armed tick is fresh") {
             out.push((id.0, now));
         }
         guard += 1;

@@ -61,6 +61,26 @@ impl World {
         }
     }
 
+    /// An engine over a fresh world on `cfg`, with the cluster started and
+    /// `arrivals` queued, ready to run: what [`simulate`] runs.
+    pub fn engine(
+        cfg: ClusterConfig,
+        seed: u64,
+        arrivals: Vec<(Millis, JobSpec)>,
+    ) -> Engine<World> {
+        let mut world = World::new(cfg, seed);
+        let mut start_out = Out::new();
+        world.cluster.start(&mut start_out);
+        let mut engine = Engine::new(world, seed ^ 0x5157_u64);
+        for (t, e) in start_out.events {
+            engine.schedule_at(t, Ev::Cluster(e));
+        }
+        for (at, spec) in arrivals {
+            engine.schedule_at(at, Ev::Submit(Box::new(spec)));
+        }
+        engine
+    }
+
     /// Jobs submitted so far.
     pub fn jobs_submitted(&self) -> u64 {
         self.jobs_submitted
@@ -158,32 +178,50 @@ impl Model for World {
 
     fn event_label(ev: &Ev) -> &'static str {
         match ev {
-            Ev::Cluster(_) => "cluster",
+            Ev::Cluster(c) => match c {
+                ClusterEvent::NmHeartbeat(_) => "nm_heartbeat",
+                ClusterEvent::AmHeartbeat(_) => "am_heartbeat",
+                ClusterEvent::CpuTick(..) => "cpu_tick",
+                ClusterEvent::IoTick(..) => "io_tick",
+                ClusterEvent::StoreTick(..) => "store_tick",
+                ClusterEvent::RmAppSaved(_) => "rm_app_saved",
+                ClusterEvent::RmAppAccepted(_) => "rm_app_accepted",
+                ClusterEvent::OppAllocate { .. } => "opp_allocate",
+                ClusterEvent::NmStartContainer(_) => "nm_start_container",
+                ClusterEvent::NmHandoff(_) => "nm_handoff",
+                ClusterEvent::RmAppFinalSaved(_) => "rm_app_final_saved",
+                ClusterEvent::NodeLost(_) => "node_lost",
+            },
             Ev::Submit(_) => "submit",
             Ev::Run(_) => "run",
         }
     }
+
+    /// With the backlog empty an NM heartbeat assigns nothing, draws
+    /// nothing, writes nothing and only re-arms itself.
+    fn is_background(ev: &Ev) -> bool {
+        matches!(ev, Ev::Cluster(ClusterEvent::NmHeartbeat(_)))
+    }
+
+    /// Nothing is waiting for a heartbeat to place it. Every other source
+    /// of change (an arrival, a running AM's heartbeat, a resource tick,
+    /// a scripted fault) is a queued foreground event.
+    fn quiescent(&self) -> bool {
+        self.cluster.backlog_len() == 0
+    }
 }
 
-/// Convenience runner: build a world, schedule `arrivals`, and run to
-/// completion (bounded by `horizon` as a safety net). Returns the log
-/// corpus and the completed-job summaries.
+/// Convenience runner: build a world, schedule `arrivals`, and run until
+/// the cluster goes quiet (only idle NodeManager heartbeats left), with
+/// `horizon` as a safety net. Returns the log corpus and the
+/// completed-job summaries.
 pub fn simulate(
     cfg: ClusterConfig,
     seed: u64,
     arrivals: Vec<(Millis, JobSpec)>,
     horizon: Millis,
 ) -> (LogStore, Vec<JobSummary>) {
-    let mut world = World::new(cfg, seed);
-    let mut start_out = Out::new();
-    world.cluster.start(&mut start_out);
-    let mut engine = Engine::new(world, seed ^ 0x5157_u64);
-    for (t, e) in start_out.events {
-        engine.schedule_at(t, Ev::Cluster(e));
-    }
-    for (at, spec) in arrivals {
-        engine.schedule_at(at, Ev::Submit(Box::new(spec)));
-    }
+    let mut engine = World::engine(cfg, seed, arrivals);
     engine.run_until(horizon);
     let world = engine.into_model();
     (world.logs, world.summaries)

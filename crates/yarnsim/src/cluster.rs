@@ -819,12 +819,18 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Dispatch a cluster event.
+    ///
+    /// A resource tick whose generation is stale returns at once: the
+    /// mutation that outdated it already armed the live tick, so it has
+    /// nothing to collect and nothing to re-arm (`simkit::ps`).
     pub fn handle(&mut self, now: Millis, ev: ClusterEvent, logs: &mut LogStore, out: &mut Out) {
         match ev {
             ClusterEvent::NmHeartbeat(node) => self.on_nm_heartbeat(now, node, logs, out),
             ClusterEvent::AmHeartbeat(app) => self.on_am_heartbeat(now, app, logs, out),
             ClusterEvent::CpuTick(node, gen) => {
-                let done = self.node_mut(node).cpu.on_tick(now, gen);
+                let Some(done) = self.node_mut(node).cpu.on_tick(now, gen) else {
+                    return;
+                };
                 for flow in done {
                     if let Some(p) = self.cpu_flows.remove(&(node.0, flow.0)) {
                         self.on_flow_done(now, node, p, logs, out);
@@ -833,7 +839,9 @@ impl Cluster {
                 self.resched_cpu(node, now, out);
             }
             ClusterEvent::IoTick(node, gen) => {
-                let done = self.node_mut(node).io.on_tick(now, gen);
+                let Some(done) = self.node_mut(node).io.on_tick(now, gen) else {
+                    return;
+                };
                 for flow in done {
                     if let Some(p) = self.io_flows.remove(&(node.0, flow.0)) {
                         self.on_flow_done(now, node, p, logs, out);
@@ -842,9 +850,9 @@ impl Cluster {
                 self.resched_io(node, now, out);
             }
             ClusterEvent::StoreTick(node, gen) => {
-                let done = match self.node_mut(node).local_store.as_mut() {
-                    Some(store) => store.on_tick(now, gen),
-                    None => Vec::new(),
+                let store = self.node_mut(node).local_store.as_mut();
+                let Some(done) = store.and_then(|s| s.on_tick(now, gen)) else {
+                    return;
                 };
                 for flow in done {
                     if let Some(p) = self.store_flows.remove(&(node.0, flow.0)) {

@@ -1,0 +1,148 @@
+//! The simulator stops when the cluster does, and stopping there is exact.
+//!
+//! `Engine::run_until` ends a `World` run once only idle NodeManager
+//! heartbeats are queued and the scheduler backlog is empty. These tests
+//! run fixed scenarios to that point, then keep stepping the same engine
+//! by hand (`run_capped` ignores quiescence) and check that not one log
+//! record or job summary appears. A counted bound on the events of a fixed
+//! stream catches a simulator that idles to its horizon again or re-arms
+//! stale resource ticks.
+
+use simkit::{Engine, Millis, SimRng};
+use sparksim::{profiles, JobSpec, World};
+use workloads::{merge, shifted, tpch_stream, TraceParams};
+use yarnsim::{ClusterConfig, FaultConfig};
+
+/// The safety net `simulate`'s callers pass.
+const HORIZON: Millis = Millis(24 * 60 * 60 * 1000);
+
+/// Events stepped past the stop.
+const OVERRUN: u64 = 100_000;
+
+fn tpch(n: usize, seed: u64) -> Vec<(Millis, JobSpec)> {
+    tpch_stream(
+        n,
+        2048.0,
+        4,
+        &TraceParams::moderate(),
+        &mut SimRng::new(seed),
+    )
+}
+
+/// Everything a run leaves behind: every rendered log line, and per job
+/// its app, label, kind, submit and finish times, and outcome.
+fn snapshot(engine: &Engine<World>) -> (Vec<String>, Vec<String>) {
+    let world = engine.model();
+    let lines = world.logs.iter_lines().map(|(_, l)| l).collect();
+    let jobs = world
+        .summaries
+        .iter()
+        .map(|s| {
+            format!(
+                "{} {} {} {} {} {}",
+                s.app, s.label, s.kind, s.submitted_at, s.finished_at, s.failed
+            )
+        })
+        .collect();
+    (lines, jobs)
+}
+
+/// Run to the stop, then `OVERRUN` events further, and assert nothing
+/// was added. Returns when the run stopped, and the world.
+fn stop_is_exact(
+    cfg: ClusterConfig,
+    seed: u64,
+    arrivals: Vec<(Millis, JobSpec)>,
+) -> (Millis, World) {
+    let jobs = arrivals.len();
+    let mut engine = World::engine(cfg, seed, arrivals);
+    engine.run_until(HORIZON);
+    let stopped_at = engine.now();
+    assert!(stopped_at < HORIZON, "the run idled to its horizon");
+    assert_eq!(engine.model().jobs_submitted(), jobs as u64);
+    let before = snapshot(&engine);
+    assert!(!before.0.is_empty());
+
+    assert_eq!(engine.run_capped(OVERRUN), OVERRUN, "heartbeats go on");
+    assert!(engine.now() > stopped_at);
+    let after = snapshot(&engine);
+    assert_eq!(before.0.len(), after.0.len(), "a record after the stop");
+    assert_eq!(before, after);
+    (stopped_at, engine.into_model())
+}
+
+#[test]
+fn tpch_stream_stops_exactly() {
+    // A MapReduce job alone on the cluster after the stream: between its
+    // stages it waits on nothing but its AM's heartbeat, which must count
+    // as foreground work.
+    let (_, world) = stop_is_exact(
+        ClusterConfig::default(),
+        3,
+        merge(vec![
+            tpch(12, 3),
+            vec![(Millis(1_000_000), profiles::mr_wordcount(1024.0))],
+        ]),
+    );
+    assert_eq!(world.summaries.len(), 13);
+}
+
+#[test]
+fn fault_injected_run_stops_exactly() {
+    // Launch and localization failures, a node lost mid-run, another lost
+    // after the last job (a queued fault is foreground work), and an AM
+    // attempt scripted to fail so application 2 retries.
+    let cfg = ClusterConfig {
+        faults: FaultConfig {
+            launch_failure_rate: 0.1,
+            localization_failure_rate: 0.05,
+            node_loss: vec![(Millis(60_000), 3), (Millis(2_000_000), 7)],
+            scripted_am_failures: vec![(2, 1)],
+            fault_seed: 7,
+            ..FaultConfig::default()
+        },
+        ..ClusterConfig::default()
+    };
+    let (stopped_at, world) = stop_is_exact(cfg, 5, tpch(12, 5));
+    assert_eq!(stopped_at, Millis(2_000_000), "the late node loss ran");
+    assert_eq!(world.summaries.len(), 12);
+    let faults = world.cluster.fault_counts();
+    assert_eq!(faults.nodes_lost, 2);
+    assert!(faults.am_retries >= 1, "{faults:?}");
+    assert!(
+        faults.launch_failures + faults.localization_failures > 0,
+        "{faults:?}"
+    );
+}
+
+#[test]
+fn opportunistic_run_with_dfsio_writers_stops_exactly() {
+    let arrivals = merge(vec![
+        vec![(Millis::ZERO, profiles::dfsio(20, 2.0))],
+        shifted(tpch(8, 9), Millis(20_000)),
+    ]);
+    let cfg = ClusterConfig::default().with_opportunistic();
+    let (_, world) = stop_is_exact(cfg, 9, arrivals);
+    assert_eq!(world.summaries.len(), 9);
+}
+
+/// Engine events for the benchmark corpus's TPC-H stream at 50
+/// applications, seed 1, counted when this bound was set: 11 722 of them
+/// NM heartbeats, 6 809 resource ticks. Before the simulator stopped at
+/// quiescence and dropped stale resource ticks, the same run took
+/// 2 192 505 events, most of them NM heartbeats idling on to the 24 h
+/// horizon and duplicate ticks re-armed from stale ones.
+const EVENTS_50_APPS: u64 = 21_419;
+
+#[test]
+fn fifty_app_stream_stays_within_its_event_count() {
+    let mut engine = World::engine(ClusterConfig::default(), 1, tpch(50, 1));
+    engine.run_until(HORIZON);
+    assert_eq!(engine.model().summaries.len(), 50);
+    let events = engine.processed();
+    assert!(
+        events <= EVENTS_50_APPS,
+        "{events} engine events for 50 apps, bound {EVENTS_50_APPS}: \
+         is the run idling to its horizon, or re-arming stale ticks?"
+    );
+}
