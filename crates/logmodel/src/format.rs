@@ -77,8 +77,14 @@ fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
     era * 146_097 + doe as i64 - 719_468
 }
 
-/// Render a Unix-ms instant as `YYYY-MM-DD HH:MM:SS,mmm`.
-pub fn format_unix_ms(unix_ms: u64) -> String {
+/// Bytes of a rendered timestamp (years 0 to 9999).
+const TIMESTAMP_LEN: usize = 23;
+
+/// Append a Unix-ms instant as `YYYY-MM-DD HH:MM:SS,mmm`, digit by digit:
+/// the one writer under [`format_unix_ms`], [`format_timestamp`] and
+/// [`format_line`]. A year past 9999 does not fit four digits and keeps
+/// `format!`'s spelling.
+fn push_unix_ms(out: &mut String, unix_ms: u64) {
     let days = (unix_ms / 86_400_000) as i64;
     let in_day = unix_ms % 86_400_000;
     let (y, mo, d) = civil_from_days(days);
@@ -86,7 +92,36 @@ pub fn format_unix_ms(unix_ms: u64) -> String {
     let s = (in_day / 1000) % 60;
     let mi = (in_day / 60_000) % 60;
     let h = in_day / 3_600_000;
-    format!("{y:04}-{mo:02}-{d:02} {h:02}:{mi:02}:{s:02},{ms:03}")
+    if !(0..=9999).contains(&y) {
+        use std::fmt::Write as _;
+        let _ = write!(out, "{y:04}-{mo:02}-{d:02} {h:02}:{mi:02}:{s:02},{ms:03}");
+        return;
+    }
+    let mut text = *b"0000-00-00 00:00:00,000";
+    put_digits(&mut text[0..4], y as u64);
+    put_digits(&mut text[5..7], u64::from(mo));
+    put_digits(&mut text[8..10], u64::from(d));
+    put_digits(&mut text[11..13], h);
+    put_digits(&mut text[14..16], mi);
+    put_digits(&mut text[17..19], s);
+    put_digits(&mut text[20..23], ms);
+    // ASCII digits and separators only, so the conversion cannot fail.
+    out.push_str(std::str::from_utf8(&text).unwrap_or_default());
+}
+
+/// Fill `field` with the low decimal digits of `v`, zero-padded.
+fn put_digits(field: &mut [u8], mut v: u64) {
+    for digit in field.iter_mut().rev() {
+        *digit = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+}
+
+/// Render a Unix-ms instant as `YYYY-MM-DD HH:MM:SS,mmm`.
+pub fn format_unix_ms(unix_ms: u64) -> String {
+    let mut out = String::with_capacity(TIMESTAMP_LEN);
+    push_unix_ms(&mut out, unix_ms);
+    out
 }
 
 /// Render a record timestamp under `epoch`.
@@ -132,15 +167,24 @@ pub fn parse_timestamp(s: &str) -> Option<u64> {
     Some(days as u64 * 86_400_000 + h * 3_600_000 + mi * 60_000 + sec * 1000 + ms)
 }
 
-/// Render a full log line.
+/// Render a full log line, `<timestamp> <level padded to 5> <class>:
+/// <message>`, in one allocation of exactly its length.
 pub fn format_line(epoch: &Epoch, rec: &LogRecord) -> String {
-    format!(
-        "{} {:<5} {}: {}",
-        format_timestamp(epoch, rec.ts),
-        rec.level,
-        rec.class,
-        rec.message
-    )
+    let level = rec.level.as_str();
+    let pad = 5usize.saturating_sub(level.len());
+    let len = TIMESTAMP_LEN + 1 + level.len() + pad + 1 + rec.class.len() + 2 + rec.message.len();
+    let mut out = String::with_capacity(len);
+    push_unix_ms(&mut out, epoch.instant(rec.ts));
+    out.push(' ');
+    out.push_str(level);
+    for _ in 0..pad {
+        out.push(' ');
+    }
+    out.push(' ');
+    out.push_str(&rec.class);
+    out.push_str(": ");
+    out.push_str(&rec.message);
+    out
 }
 
 /// `bytes` as text, lossily: borrowed when they are valid UTF-8, else a

@@ -75,9 +75,28 @@ pub struct MsgTemplate {
 }
 
 impl MsgTemplate {
+    /// Byte offsets of the template's `{}` holes, left to right: where
+    /// `split("{}")` would cut, found by a byte scan instead of a
+    /// substring searcher built per call.
+    fn hole_offsets(&self) -> impl Iterator<Item = usize> + '_ {
+        let b = self.template.as_bytes();
+        let mut i = 0;
+        std::iter::from_fn(move || {
+            while i + 1 < b.len() {
+                let at = i;
+                i += 1;
+                if b[at] == b'{' && b[at + 1] == b'}' {
+                    i += 1;
+                    return Some(at);
+                }
+            }
+            None
+        })
+    }
+
     /// Number of `{}` holes in the template.
     pub fn holes(&self) -> usize {
-        self.template.split("{}").count() - 1
+        self.hole_offsets().count()
     }
 
     /// Render the template with concrete values, one per hole.
@@ -96,15 +115,17 @@ impl MsgTemplate {
         );
         let mut out = String::with_capacity(self.template.len() + 16 * args.len());
         let mut args = args.iter();
-        for (i, part) in self.template.split("{}").enumerate() {
-            if i > 0 {
-                if let Some(a) = args.next() {
-                    use fmt::Write as _;
-                    let _ = write!(out, "{a}");
-                }
+        let mut from = 0;
+        for at in self.hole_offsets() {
+            // `{` and `}` are ASCII, so both cuts are char boundaries.
+            out.push_str(&self.template[from..at]);
+            if let Some(a) = args.next() {
+                use fmt::Write as _;
+                let _ = write!(out, "{a}");
             }
-            out.push_str(part);
+            from = at + 2;
         }
+        out.push_str(&self.template[from..]);
         out
     }
 

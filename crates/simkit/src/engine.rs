@@ -54,7 +54,7 @@ pub trait Model {
 pub struct Ctx<'a, E> {
     now: Millis,
     rng: &'a mut SimRng,
-    pending: Vec<(Millis, E)>,
+    pending: &'a mut Vec<(Millis, E)>,
 }
 
 impl<'a, E> Ctx<'a, E> {
@@ -114,6 +114,9 @@ pub struct Engine<M: Model> {
     processed: u64,
     /// Queued events that are not [`Model::is_background`].
     foreground: u64,
+    /// What the handler of the current step scheduled; drained into the
+    /// queue after it returns and kept, so a step allocates nothing.
+    pending: Vec<(Millis, M::Event)>,
     recorder: &'static obs::Recorder,
     stats: EngineStats,
 }
@@ -128,6 +131,7 @@ impl<M: Model> Engine<M> {
             now: Millis::ZERO,
             processed: 0,
             foreground: 0,
+            pending: Vec::new(),
             recorder: obs::global(),
             stats: EngineStats::new(),
         }
@@ -197,15 +201,17 @@ impl<M: Model> Engine<M> {
             }
             *self.stats.per_kind.entry(M::event_label(&ev)).or_insert(0) += 1;
         }
+        let mut pending = std::mem::take(&mut self.pending);
         let mut ctx = Ctx {
             now: self.now,
             rng: &mut self.rng,
-            pending: Vec::new(),
+            pending: &mut pending,
         };
         self.model.handle(ev, &mut ctx);
-        for (t, e) in ctx.pending {
+        for (t, e) in pending.drain(..) {
             self.push(t, e);
         }
+        self.pending = pending;
         if recording {
             self.stats.queue_hwm = self.stats.queue_hwm.max(self.queue.len() as u64);
         }

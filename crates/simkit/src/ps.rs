@@ -66,6 +66,15 @@ pub struct PsResource {
     /// Lifetime accounting for utilization reporting.
     work_done: f64,
     busy_ms: f64,
+    /// What [`PsResource::compute_rates`] leaves behind, kept so a rate
+    /// computation allocates nothing: each flow's rate by its position
+    /// in `flows`, and every `(id, rate)` in the order water-filling
+    /// settled it.
+    rate_at: Vec<f64>,
+    settled: Vec<(u64, f64)>,
+    /// The flows not yet settled during a computation, `(position, id,
+    /// weight, cap)`.
+    unsettled: Vec<(usize, u64, f64, f64)>,
 }
 
 impl PsResource {
@@ -81,6 +90,9 @@ impl PsResource {
             finished: Vec::new(),
             work_done: 0.0,
             busy_ms: 0.0,
+            rate_at: Vec::new(),
+            settled: Vec::new(),
+            unsettled: Vec::new(),
         }
     }
 
@@ -162,18 +174,14 @@ impl PsResource {
     /// The earliest upcoming completion: `(time, generation)`. The time is
     /// rounded *up* to a whole millisecond so the tick never fires early.
     /// `None` when no unfinished flows remain and nothing awaits collection.
-    pub fn next_completion(&self, now: Millis) -> Option<(Millis, ResourceGen)> {
+    /// It changes no flow: `&mut` is for the rate buffers only.
+    pub fn next_completion(&mut self, now: Millis) -> Option<(Millis, ResourceGen)> {
         if !self.finished.is_empty() {
             return Some((now.max(Millis::from_f64_ceil(self.last)), self.gen()));
         }
-        let rates = self.current_rates();
+        self.compute_rates();
         let mut best: Option<f64> = None;
-        for (id, f) in &self.flows {
-            let rate = rates
-                .iter()
-                .find(|(rid, _)| rid == id)
-                .map(|(_, r)| *r)
-                .unwrap_or(0.0);
+        for (f, &rate) in self.flows.values().zip(&self.rate_at) {
             if rate <= 0.0 {
                 continue;
             }
@@ -219,8 +227,8 @@ impl PsResource {
         if active {
             self.busy_ms += dt;
         }
-        let rates = self.current_rates();
-        for (id, rate) in rates {
+        self.compute_rates();
+        for &(id, rate) in &self.settled {
             if let Some(f) = self.flows.get_mut(&id) {
                 let done = (rate * dt).min(f.remaining);
                 f.remaining -= done;
@@ -242,35 +250,45 @@ impl PsResource {
     /// Iteratively: give every unfixed flow a share proportional to its
     /// weight; any flow whose share exceeds its cap is fixed at the cap and
     /// the leftover capacity is redistributed. Terminates in at most
-    /// `n` rounds.
-    fn current_rates(&self) -> Vec<(u64, f64)> {
-        let mut out: Vec<(u64, f64)> = Vec::with_capacity(self.flows.len());
-        let mut unfixed: Vec<(u64, f64, f64)> = Vec::new(); // (id, weight, cap)
-        for (id, f) in &self.flows {
+    /// `n` rounds. The result lands in `rate_at` (by position in `flows`)
+    /// and `settled` (in settling order, which fixes the order flows
+    /// progress and finish in `advance_to`).
+    fn compute_rates(&mut self) {
+        let (rate_at, settled, unsettled) =
+            (&mut self.rate_at, &mut self.settled, &mut self.unsettled);
+        rate_at.clear();
+        rate_at.resize(self.flows.len(), 0.0);
+        settled.clear();
+        unsettled.clear();
+        for (pos, (id, f)) in self.flows.iter().enumerate() {
             if f.remaining > EPS {
-                unfixed.push((*id, f.weight, f.cap));
+                unsettled.push((pos, *id, f.weight, f.cap));
             } else {
-                out.push((*id, 0.0));
+                settled.push((*id, 0.0));
             }
         }
+        let mut settle = |pos: usize, id: u64, rate: f64| {
+            rate_at[pos] = rate;
+            settled.push((id, rate));
+        };
         let mut cap_left = self.capacity;
         loop {
-            if unfixed.is_empty() || cap_left <= 0.0 {
-                for (id, _, _) in &unfixed {
-                    out.push((*id, 0.0));
+            if unsettled.is_empty() || cap_left <= 0.0 {
+                for &(pos, id, _, _) in unsettled.iter() {
+                    settle(pos, id, 0.0);
                 }
                 break;
             }
-            let wsum: f64 = unfixed.iter().map(|(_, w, _)| w).sum();
+            let wsum: f64 = unsettled.iter().map(|&(_, _, w, _)| w).sum();
             let mut fixed_any = false;
             let mut i = 0;
-            while i < unfixed.len() {
-                let (id, w, cap) = unfixed[i];
+            while i < unsettled.len() {
+                let (pos, id, w, cap) = unsettled[i];
                 let share = cap_left * w / wsum;
                 if cap <= share + 1e-12 {
-                    out.push((id, cap));
+                    settle(pos, id, cap);
                     cap_left -= cap;
-                    unfixed.swap_remove(i);
+                    unsettled.swap_remove(i);
                     fixed_any = true;
                 } else {
                     i += 1;
@@ -278,13 +296,12 @@ impl PsResource {
             }
             if !fixed_any {
                 // No caps bind: everyone gets their proportional share.
-                for (id, w, _) in &unfixed {
-                    out.push((*id, cap_left.max(0.0) * w / wsum));
+                for &(pos, id, w, _) in unsettled.iter() {
+                    settle(pos, id, cap_left.max(0.0) * w / wsum);
                 }
                 break;
             }
         }
-        out
     }
 }
 

@@ -44,6 +44,14 @@ pub struct World {
     jobs_submitted: u64,
     /// Completed jobs, in completion order.
     pub summaries: Vec<JobSummary>,
+    /// Per-event buffers, drained by every `handle` and kept so an event
+    /// allocates none: the cluster's effects, the notices of the cascade
+    /// round being delivered, the run events to schedule, and the apps
+    /// whose runs were called back.
+    out: Out,
+    notices: Vec<AppNotice>,
+    later: Vec<(Millis, RunEvent)>,
+    touched: Vec<ApplicationId>,
 }
 
 impl World {
@@ -58,6 +66,10 @@ impl World {
             rng_sub: root.fork_named("apps"),
             jobs_submitted: 0,
             summaries: Vec::new(),
+            out: Out::new(),
+            notices: Vec::new(),
+            later: Vec::new(),
+            touched: Vec::new(),
         }
     }
 
@@ -91,7 +103,7 @@ impl World {
         self.runs.len()
     }
 
-    fn do_submit(&mut self, now: Millis, spec: JobSpec, out: &mut Out) {
+    fn do_submit(&mut self, now: Millis, spec: JobSpec) {
         self.jobs_submitted += 1;
         let mut rng = self.rng_sub.fork(self.jobs_submitted);
         let submission = match spec.framework {
@@ -100,7 +112,7 @@ impl World {
         };
         let app = self
             .cluster
-            .submit_application(now, submission, &mut self.logs, out);
+            .submit_application(now, submission, &mut self.logs, &mut self.out);
         self.runs.insert(app, Run::new(spec, app, now, rng));
     }
 
@@ -121,37 +133,37 @@ impl Model for World {
 
     fn handle(&mut self, ev: Ev, ctx: &mut Ctx<Ev>) {
         let now = ctx.now();
-        let mut out = Out::new();
-        let mut later: Vec<(Millis, RunEvent)> = Vec::new();
         match ev {
-            Ev::Cluster(cev) => self.cluster.handle(now, cev, &mut self.logs, &mut out),
-            Ev::Submit(spec) => self.do_submit(now, *spec, &mut out),
+            Ev::Cluster(cev) => self.cluster.handle(now, cev, &mut self.logs, &mut self.out),
+            Ev::Submit(spec) => self.do_submit(now, *spec),
             Ev::Run(rev) => {
                 let RunEvent::ExecutorRegistered { app, .. } = rev;
                 if let Some(run) = self.runs.get_mut(&app) {
+                    self.touched.push(app);
                     let mut wx = Wx {
                         now,
                         cluster: &mut self.cluster,
                         logs: &mut self.logs,
-                        out: &mut out,
-                        later: &mut later,
+                        out: &mut self.out,
+                        later: &mut self.later,
                     };
                     run.on_run_event(rev, &mut wx);
                 }
             }
         }
         // Drain the notice cascade at this timestamp.
-        while !out.notices.is_empty() {
-            let notices = std::mem::take(&mut out.notices);
-            for n in notices {
+        while !self.out.notices.is_empty() {
+            std::mem::swap(&mut self.out.notices, &mut self.notices);
+            for n in self.notices.drain(..) {
                 let app = Self::notice_app(&n);
                 if let Some(run) = self.runs.get_mut(&app) {
+                    self.touched.push(app);
                     let mut wx = Wx {
                         now,
                         cluster: &mut self.cluster,
                         logs: &mut self.logs,
-                        out: &mut out,
-                        later: &mut later,
+                        out: &mut self.out,
+                        later: &mut self.later,
                     };
                     run.on_notice(n, &mut wx);
                 }
@@ -159,19 +171,21 @@ impl Model for World {
                 // completions after teardown) are dropped.
             }
         }
-        // Sweep finished runs into summaries.
-        let summaries = &mut self.summaries;
-        self.runs.retain(|_, r| match r.summary() {
-            Some(s) => {
-                summaries.push(s);
-                false
+        // Sweep finished runs into summaries, in app order. A run only
+        // finishes inside one of its own callbacks, so the runs called
+        // back this event are the only ones that can have finished.
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        for app in self.touched.drain(..) {
+            if let Some(s) = self.runs.get(&app).and_then(Run::summary) {
+                self.runs.remove(&app);
+                self.summaries.push(s);
             }
-            None => true,
-        });
-        for (t, e) in out.events {
+        }
+        for (t, e) in self.out.events.drain(..) {
             ctx.schedule_at(t, Ev::Cluster(e));
         }
-        for (t, e) in later {
+        for (t, e) in self.later.drain(..) {
             ctx.schedule_at(t, Ev::Run(e));
         }
     }

@@ -220,6 +220,14 @@ impl Cluster {
         &mut self.nodes[id.0 as usize]
     }
 
+    /// Every container `app` was ever granted, all attempts, in id order.
+    /// `ContainerId` sorts as (app, attempt, seq), so they are one key
+    /// range of `containers`, found without visiting anyone else's.
+    fn containers_of(&self, app: ApplicationId) -> impl Iterator<Item = &ContainerInfo> {
+        let all = app.attempt(0).container(0)..=app.attempt(u32::MAX).container(u64::MAX);
+        self.containers.range(all).map(|(_, c)| c)
+    }
+
     fn sample(&mut self, d: &Dist) -> Millis {
         d.sample_ms(&mut self.rng_lat)
     }
@@ -497,9 +505,8 @@ impl Cluster {
         self.cancel_pending(app, u32::MAX);
         // Tear down any containers still holding resources.
         let cids: Vec<ContainerId> = self
-            .containers
-            .values()
-            .filter(|c| c.app == app && c.rm_state.get() != RmContainerState::Completed)
+            .containers_of(app)
+            .filter(|c| c.rm_state.get() != RmContainerState::Completed)
             .map(|c| c.id)
             .collect();
         for cid in cids {
@@ -711,9 +718,8 @@ impl Cluster {
     ) {
         self.cancel_pending(app, u32::MAX);
         let victims: Vec<ContainerId> = self
-            .containers
-            .values()
-            .filter(|c| c.app == app && !c.rm_state.get().is_terminal())
+            .containers_of(app)
+            .filter(|c| !c.rm_state.get().is_terminal())
             .map(|c| c.id)
             .collect();
         for v in victims {
@@ -1492,19 +1498,19 @@ impl Cluster {
     }
 
     fn resched_cpu(&mut self, node: NodeId, now: Millis, out: &mut Out) {
-        if let Some((at, gen)) = self.nodes[node.0 as usize].cpu.next_completion(now) {
+        if let Some((at, gen)) = self.node_mut(node).cpu.next_completion(now) {
             out.at(at, ClusterEvent::CpuTick(node, gen));
         }
     }
 
     fn resched_io(&mut self, node: NodeId, now: Millis, out: &mut Out) {
-        if let Some((at, gen)) = self.nodes[node.0 as usize].io.next_completion(now) {
+        if let Some((at, gen)) = self.node_mut(node).io.next_completion(now) {
             out.at(at, ClusterEvent::IoTick(node, gen));
         }
     }
 
     fn resched_store(&mut self, node: NodeId, now: Millis, out: &mut Out) {
-        if let Some(store) = self.nodes[node.0 as usize].local_store.as_ref() {
+        if let Some(store) = self.node_mut(node).local_store.as_mut() {
             if let Some((at, gen)) = store.next_completion(now) {
                 out.at(at, ClusterEvent::StoreTick(node, gen));
             }

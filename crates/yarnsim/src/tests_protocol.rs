@@ -2,6 +2,8 @@
 //! lifecycles with a minimal event pump and assert on the *logs* it emits —
 //! the same evidence SDchecker consumes.
 
+use std::collections::BTreeMap;
+
 use logmodel::{ApplicationId, ContainerId, Epoch, LogSource, LogStore, NodeId};
 use simkit::{EventQueue, Millis};
 
@@ -956,4 +958,134 @@ fn live_container_accounting_balances_on_all_paths() {
             "accounting must balance after teardown (opportunistic={opportunistic})"
         );
     }
+}
+
+/// The RM state of each container of `app` the RM log names, from its
+/// last `Container Transitioned` line.
+fn rm_container_states(logs: &LogStore, app: ApplicationId) -> BTreeMap<ContainerId, String> {
+    let mut states = BTreeMap::new();
+    for r in logs.records(LogSource::ResourceManager) {
+        let Some((cid, hop)) = r.message.split_once(" Container Transitioned from ") else {
+            continue;
+        };
+        let cid: ContainerId = cid.parse().unwrap();
+        if cid.app() == app {
+            let (_, to) = hop.rsplit_once(" to ").unwrap();
+            states.insert(cid, to.to_string());
+        }
+    }
+    states
+}
+
+/// Ask for `count` executors for `app`, collect the grants, launch the
+/// first `start` of them and wait until those processes are up.
+fn grant_and_start(p: &mut Pump, app: ApplicationId, count: u32, start: usize) {
+    p.with_cluster(|c, now, _l, out| {
+        c.request_containers(now, app, count, ResourceReq::SPARK_EXECUTOR, out)
+    });
+    let mut granted: Vec<ContainerId> = Vec::new();
+    while granted.len() < count as usize {
+        let AppNotice::ContainersGranted { containers, .. } = p.run_until(
+            |n| matches!(n, AppNotice::ContainersGranted { app: x, .. } if *x == app),
+            400_000,
+        ) else {
+            unreachable!()
+        };
+        granted.extend(containers.iter().map(|(c, _)| *c));
+    }
+    for &cid in &granted[..start] {
+        p.with_cluster(|c, now, _l, out| c.launch_container(now, cid, executor_launch(), out));
+    }
+    for &cid in &granted[..start] {
+        p.run_until(
+            |n| matches!(n, AppNotice::ProcessStarted { container, .. } if *container == cid),
+            400_000,
+        );
+    }
+}
+
+#[test]
+fn teardown_reaches_every_attempt_of_its_app_and_no_other_app() {
+    // Applications 1, 2 and 3 side by side. App 2's first AM is scripted
+    // to fail at launch, and a 60 GB download keeps it localizing for a
+    // minute, long enough for the attempt's executors to be up when it
+    // fails. Tear-down looks containers up by key range: this pins the
+    // range to exactly one application, all of its attempts.
+    let cfg = ClusterConfig {
+        faults: FaultConfig {
+            scripted_am_failures: vec![(2, 1)],
+            ..FaultConfig::default()
+        },
+        ..ClusterConfig::default()
+    };
+    let mut p = Pump::new(cfg);
+    let mut slow = spark_submission();
+    slow.am_launch
+        .localization
+        .push(LocalResource::new("slow.jar", 60_000.0));
+    let a1 = p.submit(spark_submission());
+    let a2 = p.submit(slow);
+    let a3 = p.submit(spark_submission());
+    assert_eq!([a1.seq, a2.seq, a3.seq], [1, 2, 3]);
+    for app in [a1, a3] {
+        p.run_until(
+            |n| matches!(n, AppNotice::ProcessStarted { app: x, .. } if *x == app),
+            400_000,
+        );
+    }
+    for app in [a1, a2, a3] {
+        p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
+        grant_and_start(&mut p, app, 4, 4);
+    }
+    let neighbours = |p: &Pump| [a1, a3].map(|a| rm_container_states(&p.logs, a));
+    let before = neighbours(&p);
+    for states in &before {
+        assert_eq!(states.len(), 5, "{states:?}");
+        assert!(states.values().all(|s| s == "RUNNING"), "{states:?}");
+    }
+    let attempt1 = rm_container_states(&p.logs, a2);
+    assert_eq!(attempt1.len(), 5, "the AM and four executors: {attempt1:?}");
+    assert!(attempt1.values().all(|s| s != "KILLED"), "{attempt1:?}");
+
+    // The AM attempt fails: every container of attempt 1 dies with it.
+    p.run_until(
+        |n| matches!(n, AppNotice::AttemptRetry { app, .. } if *app == a2),
+        400_000,
+    );
+    let after_retry = rm_container_states(&p.logs, a2);
+    assert_eq!(after_retry.len(), 5);
+    assert!(
+        after_retry.values().all(|s| s == "KILLED"),
+        "{after_retry:?}"
+    );
+    assert_eq!(neighbours(&p), before, "an AM failure reached another app");
+
+    // Attempt 2 comes up with two running executors and two granted but
+    // never launched; finishing the app tears all of them down.
+    let am2 = a2.attempt(2).container(1);
+    p.run_until(
+        |n| matches!(n, AppNotice::ProcessStarted { container, .. } if *container == am2),
+        400_000,
+    );
+    p.with_cluster(|c, now, logs, out| c.am_register(now, a2, logs, out));
+    grant_and_start(&mut p, a2, 4, 2);
+    let live = rm_container_states(&p.logs, a2);
+    assert_eq!(live.len(), 10, "{live:?}");
+    assert_eq!(
+        live.values().filter(|s| *s == "RUNNING").count(),
+        3,
+        "{live:?}"
+    );
+    p.with_cluster(|c, now, logs, out| c.finish_application(now, a2, logs, out));
+    let torn_down = rm_container_states(&p.logs, a2);
+    assert_eq!(torn_down.len(), 10);
+    for (cid, state) in &torn_down {
+        let want = if cid.attempt.attempt == 1 {
+            "KILLED"
+        } else {
+            "COMPLETED"
+        };
+        assert_eq!(state, want, "{cid}");
+    }
+    assert_eq!(neighbours(&p), before, "finishing an app reached another");
 }
