@@ -159,19 +159,9 @@ impl<M: Model> Engine<M> {
         &self.model
     }
 
-    /// Mutable access to the model (for pre-run setup).
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// Consume the engine, returning the model.
     pub fn into_model(self) -> M {
         self.model
-    }
-
-    /// The run's root RNG (for pre-run setup such as workload sampling).
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
     }
 
     /// Schedule an event at an absolute time before/while running.

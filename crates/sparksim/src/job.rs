@@ -177,11 +177,6 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Total tasks across all stages.
-    pub fn total_tasks(&self) -> u32 {
-        self.stages.iter().map(|s| s.tasks).sum()
-    }
-
     /// Gate threshold: executors that must register before task
     /// scheduling starts.
     pub fn min_registered(&self) -> u32 {
@@ -218,16 +213,6 @@ mod tests {
         assert_eq!(s.requested_executors(), 4);
         s.overalloc_extra = 2;
         assert_eq!(s.requested_executors(), 6);
-    }
-
-    #[test]
-    fn total_tasks_sums_stages() {
-        let s = profiles::spark_sql_default(2048.0, 4);
-        assert_eq!(
-            s.total_tasks(),
-            s.stages.iter().map(|st| st.tasks).sum::<u32>()
-        );
-        assert!(s.total_tasks() > 0);
     }
 
     #[test]

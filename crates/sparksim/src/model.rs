@@ -12,6 +12,11 @@
 //! produce further notices at the same timestamp (e.g. a granted container
 //! is launched, which immediately hits a cached localization). The handler
 //! drains notices to a fixed point before returning to the kernel.
+//!
+//! Cluster and applications write their log lines into the same effect
+//! buffer as typed [`yarnsim::Line`]s. [`World`] renders them into its
+//! [`LogStore`] in one place, once per event after the cascade, in the
+//! order they were written.
 
 use std::collections::BTreeMap;
 
@@ -45,9 +50,9 @@ pub struct World {
     /// Completed jobs, in completion order.
     pub summaries: Vec<JobSummary>,
     /// Per-event buffers, drained by every `handle` and kept so an event
-    /// allocates none: the cluster's effects, the notices of the cascade
-    /// round being delivered, the run events to schedule, and the apps
-    /// whose runs were called back.
+    /// allocates none: the effects of cluster and applications, the
+    /// notices of the cascade round being delivered, the run events to
+    /// schedule, and the apps whose runs were called back.
     out: Out,
     notices: Vec<AppNotice>,
     later: Vec<(Millis, RunEvent)>,
@@ -81,10 +86,11 @@ impl World {
         arrivals: Vec<(Millis, JobSpec)>,
     ) -> Engine<World> {
         let mut world = World::new(cfg, seed);
-        let mut start_out = Out::new();
-        world.cluster.start(&mut start_out);
+        world.cluster.start(&mut world.out);
+        world.write_lines();
+        let start = std::mem::take(&mut world.out.events);
         let mut engine = Engine::new(world, seed ^ 0x5157_u64);
-        for (t, e) in start_out.events {
+        for (t, e) in start {
             engine.schedule_at(t, Ev::Cluster(e));
         }
         for (at, spec) in arrivals {
@@ -98,11 +104,6 @@ impl World {
         self.jobs_submitted
     }
 
-    /// Jobs still running.
-    pub fn jobs_live(&self) -> usize {
-        self.runs.len()
-    }
-
     fn do_submit(&mut self, now: Millis, spec: JobSpec) {
         self.jobs_submitted += 1;
         let mut rng = self.rng_sub.fork(self.jobs_submitted);
@@ -112,8 +113,16 @@ impl World {
         };
         let app = self
             .cluster
-            .submit_application(now, submission, &mut self.logs, &mut self.out);
+            .submit_application(now, submission, &mut self.out);
         self.runs.insert(app, Run::new(spec, app, now, rng));
+    }
+
+    /// Render the lines written so far into the logs, in write order: the
+    /// one place a simulated log line becomes text.
+    fn write_lines(&mut self) {
+        for line in self.out.lines.drain(..) {
+            self.logs.push(line.source, line.into_record());
+        }
     }
 
     fn notice_app(n: &AppNotice) -> ApplicationId {
@@ -134,7 +143,7 @@ impl Model for World {
     fn handle(&mut self, ev: Ev, ctx: &mut Ctx<Ev>) {
         let now = ctx.now();
         match ev {
-            Ev::Cluster(cev) => self.cluster.handle(now, cev, &mut self.logs, &mut self.out),
+            Ev::Cluster(cev) => self.cluster.handle(now, cev, &mut self.out),
             Ev::Submit(spec) => self.do_submit(now, *spec),
             Ev::Run(rev) => {
                 let RunEvent::ExecutorRegistered { app, .. } = rev;
@@ -143,7 +152,6 @@ impl Model for World {
                     let mut wx = Wx {
                         now,
                         cluster: &mut self.cluster,
-                        logs: &mut self.logs,
                         out: &mut self.out,
                         later: &mut self.later,
                     };
@@ -161,7 +169,6 @@ impl Model for World {
                     let mut wx = Wx {
                         now,
                         cluster: &mut self.cluster,
-                        logs: &mut self.logs,
                         out: &mut self.out,
                         later: &mut self.later,
                     };
@@ -171,6 +178,7 @@ impl Model for World {
                 // completions after teardown) are dropped.
             }
         }
+        self.write_lines();
         // Sweep finished runs into summaries, in app order. A run only
         // finishes inside one of its own callbacks, so the runs called
         // back this event are the only ones that can have finished.

@@ -14,11 +14,12 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use logmodel::{ApplicationId, ContainerId, LogSource, LogStore, NodeId, TsMs};
+use logmodel::{ApplicationId, ContainerId, LogSource, NodeId};
 use simkit::{Millis, Sample, SimRng};
 use yarnsim::{AppNotice, Cluster, InstanceKind, LaunchSpec, LocalResource, Out, Ticket};
 
 use crate::job::{Framework, JobSpec, StageSpec};
+use crate::schema;
 
 /// Events the application layer schedules for itself (via the `World`).
 #[derive(Debug, Clone)]
@@ -38,18 +39,10 @@ pub struct Wx<'a> {
     pub now: Millis,
     /// The cluster to call back into.
     pub cluster: &'a mut Cluster,
-    /// The shared log store.
-    pub logs: &'a mut LogStore,
-    /// Cluster effect buffer (events + notices cascade).
+    /// Cluster effect buffer (events, the notice cascade, log lines).
     pub out: &'a mut Out,
     /// Run events to schedule (absolute time).
     pub later: &'a mut Vec<(Millis, RunEvent)>,
-}
-
-impl Wx<'_> {
-    fn ts(&self) -> TsMs {
-        TsMs(self.now.0)
-    }
 }
 
 /// Completed-job record.
@@ -363,12 +356,11 @@ impl SparkRun {
         self.failed = true;
         self.finished_at = Some(wx.now);
         if self.driver.is_some() {
-            let t = &crate::schema::SPARK_APP_FAILED;
-            wx.logs.info(
+            wx.out.log(
+                wx.now,
                 LogSource::Driver(self.app),
-                wx.ts(),
-                t.class,
-                t.msg(&[&self.spec.label]),
+                &schema::SPARK_APP_FAILED,
+                &[&self.spec.label],
             );
         }
     }
@@ -390,12 +382,11 @@ impl SparkRun {
     fn on_driver_started(&mut self, cid: ContainerId, node: NodeId, wx: &mut Wx) {
         self.driver = Some((cid, node));
         // Log message 9: the driver's first log line.
-        let t = &crate::schema::SPARK_AM_START;
-        wx.logs.info(
+        wx.out.log(
+            wx.now,
             LogSource::Driver(self.app),
-            wx.ts(),
-            t.class,
-            t.msg(&[&self.spec.label]),
+            &schema::SPARK_AM_START,
+            &[&self.spec.label],
         );
         // SparkContext + RM client initialization (driver delay, §IV-D).
         let work = self.spec.driver_init_cpu_ms.sample(&mut self.rng);
@@ -412,22 +403,20 @@ impl SparkRun {
 
     fn on_driver_registered(&mut self, wx: &mut Wx) {
         // Log message 10.
-        let t = &crate::schema::SPARK_AM_REGISTERED;
-        wx.logs.info(
+        wx.out.log(
+            wx.now,
             LogSource::Driver(self.app),
-            wx.ts(),
-            t.class,
-            t.msg(&[&self.app.attempt(self.attempt)]),
+            &schema::SPARK_AM_REGISTERED,
+            &[&self.app.attempt(self.attempt)],
         );
-        wx.cluster.am_register(wx.now, self.app, wx.logs, wx.out);
+        wx.cluster.am_register(wx.now, self.app, wx.out);
         // Log message 11 (patched into YarnAllocator by the authors).
         let req = self.spec.requested_executors();
-        let t = &crate::schema::SPARK_START_ALLO;
-        wx.logs.info(
+        wx.out.log(
+            wx.now,
             LogSource::Driver(self.app),
-            wx.ts(),
-            t.class,
-            t.msg(&[&req]),
+            &schema::SPARK_START_ALLO,
+            &[&req],
         );
         wx.cluster
             .request_containers(wx.now, self.app, req, self.spec.executor_resource, wx.out);
@@ -517,12 +506,11 @@ impl SparkRun {
                 if self.launched == self.spec.num_executors && !self.end_allo_logged {
                     self.end_allo_logged = true;
                     // Log message 12.
-                    let t = &crate::schema::SPARK_END_ALLO;
-                    wx.logs.info(
+                    wx.out.log(
+                        wx.now,
                         LogSource::Driver(self.app),
-                        wx.ts(),
-                        t.class,
-                        t.msg(&[&self.spec.num_executors]),
+                        &schema::SPARK_END_ALLO,
+                        &[&self.spec.num_executors],
                     );
                 }
             } else {
@@ -531,7 +519,7 @@ impl SparkRun {
             }
         }
         if !extras.is_empty() {
-            wx.cluster.release_containers(wx.now, &extras, wx.logs);
+            wx.cluster.release_containers(wx.now, &extras, wx.out);
         }
     }
 
@@ -543,12 +531,11 @@ impl SparkRun {
         }
         debug_assert_eq!(self.executors[&cid].node, node);
         // Log message 13: executor's first log line (its own log file).
-        let t = &crate::schema::SPARK_EXECUTOR_STARTED;
-        wx.logs.info(
+        wx.out.log(
+            wx.now,
             LogSource::Executor(cid),
-            wx.ts(),
-            t.class,
-            t.msg(&[&self.app, &node]),
+            &schema::SPARK_EXECUTOR_STARTED,
+            &[&self.app, &node],
         );
         // Executor-side setup (RPC env, BlockManager, classloading) burns
         // IO then CPU on the executor's node before the registration RPC
@@ -643,12 +630,11 @@ impl SparkRun {
                 self.dispatch_cursor = (self.dispatch_cursor + off + 1) % cids.len();
                 // Log message 14 (first occurrence per executor is what
                 // SDchecker uses; Spark logs every assignment).
-                let t = &crate::schema::SPARK_TASK_ASSIGNED;
-                wx.logs.info(
+                wx.out.log(
+                    wx.now,
                     LogSource::Executor(cid),
-                    wx.ts(),
-                    t.class,
-                    t.msg(&[&tid, &self.stage_idx, &tid]),
+                    &schema::SPARK_TASK_ASSIGNED,
+                    &[&tid, &self.stage_idx, &tid],
                 );
                 let cpu_ms = cpu_dist.sample(&mut self.rng) * warm;
                 if io_mb > 0.0 {
@@ -742,15 +728,13 @@ impl SparkRun {
             return;
         }
         self.finished_at = Some(wx.now);
-        let t = &crate::schema::SPARK_APP_SUCCEEDED;
-        wx.logs.info(
+        wx.out.log(
+            wx.now,
             LogSource::Driver(self.app),
-            wx.ts(),
-            t.class,
-            t.msg(&[&self.spec.label]),
+            &schema::SPARK_APP_SUCCEEDED,
+            &[&self.spec.label],
         );
-        wx.cluster
-            .finish_application(wx.now, self.app, wx.logs, wx.out);
+        wx.cluster.finish_application(wx.now, self.app, wx.out);
     }
 }
 
@@ -891,24 +875,22 @@ impl MrRun {
         self.failed = true;
         self.finished_at = Some(wx.now);
         if self.master.is_some() {
-            let t = &crate::schema::MR_JOB_FAILED;
-            wx.logs.info(
+            wx.out.log(
+                wx.now,
                 LogSource::Driver(self.app),
-                wx.ts(),
-                t.class,
-                t.msg(&[&self.spec.label]),
+                &schema::MR_JOB_FAILED,
+                &[&self.spec.label],
             );
         }
     }
 
     fn on_master_started(&mut self, cid: ContainerId, node: NodeId, wx: &mut Wx) {
         self.master = Some((cid, node));
-        let t = &crate::schema::MR_AM_START;
-        wx.logs.info(
+        wx.out.log(
+            wx.now,
             LogSource::Driver(self.app),
-            wx.ts(),
-            t.class,
-            t.msg(&[&self.app]),
+            &schema::MR_AM_START,
+            &[&self.app],
         );
         let work = self.spec.driver_init_cpu_ms.sample(&mut self.rng);
         let t = wx.cluster.spawn_cpu(
@@ -968,12 +950,11 @@ impl MrRun {
     }
 
     fn on_task_started(&mut self, cid: ContainerId, node: NodeId, wx: &mut Wx) {
-        let t = &crate::schema::MR_TASK_STARTED;
-        wx.logs.info(
+        wx.out.log(
+            wx.now,
             LogSource::Executor(cid),
-            wx.ts(),
-            t.class,
-            t.msg(&[&self.app, &node]),
+            &schema::MR_TASK_STARTED,
+            &[&self.app, &node],
         );
         let stage = &self.spec.stages[self.stage_idx];
         let cpu_ms = stage.task_cpu_ms.sample(&mut self.rng);
@@ -1020,10 +1001,13 @@ impl MrRun {
         }
         match p {
             MrPurpose::MasterInit => {
-                let t = &crate::schema::MR_AM_REGISTERED;
-                wx.logs
-                    .info(LogSource::Driver(self.app), wx.ts(), t.class, t.msg(&[]));
-                wx.cluster.am_register(wx.now, self.app, wx.logs, wx.out);
+                wx.out.log(
+                    wx.now,
+                    LogSource::Driver(self.app),
+                    &schema::MR_AM_REGISTERED,
+                    &[],
+                );
+                wx.cluster.am_register(wx.now, self.app, wx.out);
                 self.request_stage(wx);
             }
             MrPurpose::TaskIo { cid, cpu_ms } => {
@@ -1051,7 +1035,7 @@ impl MrRun {
                 self.tickets.insert(t, MrPurpose::TaskCpu { cid });
             }
             MrPurpose::TaskCpu { cid } => {
-                wx.cluster.finish_container(wx.now, cid, wx.logs, wx.out);
+                wx.cluster.finish_container(wx.now, cid, wx.out);
                 self.stage_completed += 1;
                 let stage_tasks = self.spec.stages[self.stage_idx].tasks;
                 if self.stage_completed >= stage_tasks {
@@ -1069,14 +1053,12 @@ impl MrRun {
             return;
         }
         self.finished_at = Some(wx.now);
-        let t = &crate::schema::MR_JOB_SUCCEEDED;
-        wx.logs.info(
+        wx.out.log(
+            wx.now,
             LogSource::Driver(self.app),
-            wx.ts(),
-            t.class,
-            t.msg(&[&self.spec.label]),
+            &schema::MR_JOB_SUCCEEDED,
+            &[&self.spec.label],
         );
-        wx.cluster
-            .finish_application(wx.now, self.app, wx.logs, wx.out);
+        wx.cluster.finish_application(wx.now, self.app, wx.out);
     }
 }

@@ -1,5 +1,5 @@
 //! The cluster: ResourceManager + NodeManagers + schedulers, wired to the
-//! log store and the effect buffer.
+//! effect buffer.
 //!
 //! This is a faithful protocol-level model of two-level scheduling
 //! (paper §II-A):
@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use logmodel::{ApplicationId, ContainerId, LogSource, LogStore, NodeId, TsMs};
+use logmodel::{ApplicationId, ContainerId, LogSource, NodeId};
 use simkit::{Dist, Millis, Sample, SimRng};
 
 use crate::config::{
@@ -36,12 +36,8 @@ use crate::effects::{
 };
 use crate::faults::{FaultCounts, FaultPlan};
 use crate::node::Node;
+use crate::schema;
 use crate::state::{NmContainerState, RmAppState, RmContainerState, Tracked};
-
-/// Convert engine time to log offsets.
-fn ts(now: Millis) -> TsMs {
-    TsMs(now.0)
-}
 
 /// A queued (not yet allocated) container request under the Capacity
 /// Scheduler.
@@ -188,11 +184,6 @@ impl Cluster {
         self.nodes.len()
     }
 
-    /// The node a container was placed on.
-    pub fn node_of(&self, cid: ContainerId) -> Option<NodeId> {
-        self.containers.get(&cid).map(|c| c.node)
-    }
-
     /// Cluster-wide vcore utilization in `[0, 1]`.
     pub fn vcore_utilization(&self) -> f64 {
         let used: u32 = self.nodes.iter().map(|n| n.used_vcores()).sum();
@@ -242,19 +233,12 @@ impl Cluster {
         &mut self,
         now: Millis,
         submission: AppSubmission,
-        logs: &mut LogStore,
         out: &mut Out,
     ) -> ApplicationId {
         self.next_app_seq += 1;
         let id = ApplicationId::new(self.cluster_ts, self.next_app_seq);
         let mut state = Tracked::new(RmAppState::New);
-        state.transition(
-            RmAppState::NewSaving,
-            "START",
-            &id.to_string(),
-            ts(now),
-            logs,
-        );
+        state.transition(id, RmAppState::NewSaving, "START", now, out);
         let save = self.sample(&self.cfg.rm_state_store_ms.clone());
         self.apps.insert(
             id,
@@ -281,22 +265,11 @@ impl Cluster {
     /// AMRMClient heartbeat thread starts asynchronously, which is what
     /// gives acquisition delays their uniform-in-[0, interval] spread
     /// (paper Fig 7-(c): "very high variances").
-    pub fn am_register(
-        &mut self,
-        now: Millis,
-        app: ApplicationId,
-        logs: &mut LogStore,
-        out: &mut Out,
-    ) {
+    pub fn am_register(&mut self, now: Millis, app: ApplicationId, out: &mut Out) {
         let interval = {
             let a = self.apps.get_mut(&app).expect("unknown app");
-            a.state.transition(
-                RmAppState::Running,
-                "ATTEMPT_REGISTERED",
-                &app.to_string(),
-                ts(now),
-                logs,
-            );
+            a.state
+                .transition(app, RmAppState::Running, "ATTEMPT_REGISTERED", now, out);
             a.heartbeating = true;
             a.submission.am_heartbeat_ms
         };
@@ -369,7 +342,7 @@ impl Cluster {
 
     /// Release acquired-but-unlaunched containers (the SPARK-21562 path:
     /// Spark over-requested, got the grants, never used them).
-    pub fn release_containers(&mut self, now: Millis, cids: &[ContainerId], logs: &mut LogStore) {
+    pub fn release_containers(&mut self, now: Millis, cids: &[ContainerId], out: &mut Out) {
         for cid in cids {
             let Some(c) = self.containers.get_mut(cid) else {
                 continue;
@@ -378,7 +351,7 @@ impl Cluster {
                 continue; // already launching (or already dead)
             }
             c.rm_state
-                .transition(RmContainerState::Completed, &cid.to_string(), ts(now), logs);
+                .transition(*cid, RmContainerState::Completed, now, out);
             let app = c.app;
             if c.reserved {
                 let (node, req) = (c.node, c.req);
@@ -450,40 +423,22 @@ impl Cluster {
     }
 
     /// A container's process exited normally.
-    pub fn finish_container(
-        &mut self,
-        now: Millis,
-        cid: ContainerId,
-        logs: &mut LogStore,
-        out: &mut Out,
-    ) {
-        let node_req_reserved = {
+    pub fn finish_container(&mut self, now: Millis, cid: ContainerId, out: &mut Out) {
+        let (node, req, reserved, app) = {
             let c = self.containers.get_mut(&cid).expect("unknown container");
             if let Some(nm) = c.nm_state.as_mut() {
                 if nm.get() == NmContainerState::Running {
-                    nm.transition(
-                        NmContainerState::Done,
-                        &cid.to_string(),
-                        LogSource::NodeManager(c.node),
-                        ts(now),
-                        logs,
-                    );
+                    nm.transition(cid, c.node, NmContainerState::Done, now, out);
                 }
             }
             if c.rm_state.get() == RmContainerState::Running {
                 c.rm_state
-                    .transition(RmContainerState::Completed, &cid.to_string(), ts(now), logs);
+                    .transition(cid, RmContainerState::Completed, now, out);
             }
             let r = (c.node, c.req, c.reserved, c.app);
             c.reserved = false;
             r
         };
-        let (node, req, reserved, app) = (
-            node_req_reserved.0,
-            node_req_reserved.1,
-            node_req_reserved.2,
-            node_req_reserved.3,
-        );
         if reserved {
             self.node_mut(node).release(req);
         }
@@ -495,13 +450,7 @@ impl Cluster {
 
     /// The AM unregistered: finish the application. Live containers are
     /// torn down; pending requests cancelled.
-    pub fn finish_application(
-        &mut self,
-        now: Millis,
-        app: ApplicationId,
-        logs: &mut LogStore,
-        out: &mut Out,
-    ) {
+    pub fn finish_application(&mut self, now: Millis, app: ApplicationId, out: &mut Out) {
         self.cancel_pending(app, u32::MAX);
         // Tear down any containers still holding resources.
         let cids: Vec<ContainerId> = self
@@ -512,16 +461,12 @@ impl Cluster {
         for cid in cids {
             let state = self.containers[&cid].rm_state.get();
             match state {
-                RmContainerState::Running => self.finish_container(now, cid, logs, out),
+                RmContainerState::Running => self.finish_container(now, cid, out),
                 RmContainerState::Allocated | RmContainerState::Acquired => {
                     let (node, req, reserved) = {
                         let c = self.containers.get_mut(&cid).unwrap();
-                        c.rm_state.transition(
-                            RmContainerState::Completed,
-                            &cid.to_string(),
-                            ts(now),
-                            logs,
-                        );
+                        c.rm_state
+                            .transition(cid, RmContainerState::Completed, now, out);
                         let r = (c.node, c.req, c.reserved);
                         c.reserved = false;
                         r
@@ -542,11 +487,11 @@ impl Cluster {
         a.newly_allocated.clear();
         if a.state.get() == RmAppState::Running {
             a.state.transition(
+                app,
                 RmAppState::FinalSaving,
                 "ATTEMPT_UNREGISTERED",
-                &app.to_string(),
-                ts(now),
-                logs,
+                now,
+                out,
             );
             let d = self.sample(&self.cfg.rm_state_store_ms.clone());
             out.at(now + d, ClusterEvent::RmAppFinalSaved(app));
@@ -577,14 +522,7 @@ impl Cluster {
     /// RM-side KILLED, resource release, and routing — an AM container
     /// failure becomes an attempt failure, a worker failure a
     /// [`AppNotice::ProcessFailed`] the application layer can react to.
-    fn fail_container(
-        &mut self,
-        now: Millis,
-        cid: ContainerId,
-        kind: FailureKind,
-        logs: &mut LogStore,
-        out: &mut Out,
-    ) {
+    fn fail_container(&mut self, now: Millis, cid: ContainerId, kind: FailureKind, out: &mut Out) {
         match kind {
             FailureKind::Localization => self.fault_counts.localization_failures += 1,
             FailureKind::Launch => self.fault_counts.launch_failures += 1,
@@ -595,39 +533,26 @@ impl Cluster {
             let c = self.containers.get_mut(&cid).expect("unknown container");
             if kind != FailureKind::NodeLost {
                 if let Some(nm) = c.nm_state.as_mut() {
-                    let src = LogSource::NodeManager(c.node);
                     match nm.get() {
                         NmContainerState::Localizing => {
                             nm.transition(
+                                cid,
+                                c.node,
                                 NmContainerState::LocalizationFailed,
-                                &cid.to_string(),
-                                src,
-                                ts(now),
-                                logs,
+                                now,
+                                out,
                             );
-                            nm.transition(
-                                NmContainerState::Done,
-                                &cid.to_string(),
-                                src,
-                                ts(now),
-                                logs,
-                            );
+                            nm.transition(cid, c.node, NmContainerState::Done, now, out);
                         }
                         NmContainerState::Running => {
                             nm.transition(
+                                cid,
+                                c.node,
                                 NmContainerState::ExitedWithFailure,
-                                &cid.to_string(),
-                                src,
-                                ts(now),
-                                logs,
+                                now,
+                                out,
                             );
-                            nm.transition(
-                                NmContainerState::Done,
-                                &cid.to_string(),
-                                src,
-                                ts(now),
-                                logs,
-                            );
+                            nm.transition(cid, c.node, NmContainerState::Done, now, out);
                         }
                         _ => {}
                     }
@@ -635,7 +560,7 @@ impl Cluster {
             }
             if !c.rm_state.get().is_terminal() {
                 c.rm_state
-                    .transition(RmContainerState::Killed, &cid.to_string(), ts(now), logs);
+                    .transition(cid, RmContainerState::Killed, now, out);
             }
             let r = (c.app, c.node, c.req, c.reserved);
             c.reserved = false;
@@ -654,7 +579,7 @@ impl Cluster {
             .map(|a| a.am_container == Some(cid))
             .unwrap_or(false);
         if is_am {
-            self.fail_am_attempt(now, app, logs, out);
+            self.fail_am_attempt(now, app, out);
         } else {
             out.notify(AppNotice::ProcessFailed {
                 app,
@@ -668,13 +593,7 @@ impl Cluster {
     /// Kill a container as collateral of an attempt failure: terminal
     /// transitions and resource release, no notice (the application layer
     /// learns about the whole attempt via [`AppNotice::AttemptRetry`]).
-    fn kill_container(
-        &mut self,
-        now: Millis,
-        cid: ContainerId,
-        logs: &mut LogStore,
-        out: &mut Out,
-    ) {
+    fn kill_container(&mut self, now: Millis, cid: ContainerId, out: &mut Out) {
         let (node, req, reserved) = {
             let Some(c) = self.containers.get_mut(&cid) else {
                 return;
@@ -684,17 +603,11 @@ impl Cluster {
             }
             if let Some(nm) = c.nm_state.as_mut() {
                 if nm.get() == NmContainerState::Running && self.nodes[c.node.0 as usize].alive {
-                    nm.transition(
-                        NmContainerState::Done,
-                        &cid.to_string(),
-                        LogSource::NodeManager(c.node),
-                        ts(now),
-                        logs,
-                    );
+                    nm.transition(cid, c.node, NmContainerState::Done, now, out);
                 }
             }
             c.rm_state
-                .transition(RmContainerState::Killed, &cid.to_string(), ts(now), logs);
+                .transition(cid, RmContainerState::Killed, now, out);
             let r = (c.node, c.req, c.reserved);
             c.reserved = false;
             r
@@ -709,13 +622,7 @@ impl Cluster {
     /// then either start attempt N+1 (re-running the AM scheduling/launch
     /// protocol) or — attempts exhausted — drive the application to
     /// terminal FAILED.
-    fn fail_am_attempt(
-        &mut self,
-        now: Millis,
-        app: ApplicationId,
-        logs: &mut LogStore,
-        out: &mut Out,
-    ) {
+    fn fail_am_attempt(&mut self, now: Millis, app: ApplicationId, out: &mut Out) {
         self.cancel_pending(app, u32::MAX);
         let victims: Vec<ContainerId> = self
             .containers_of(app)
@@ -723,7 +630,7 @@ impl Cluster {
             .map(|c| c.id)
             .collect();
         for v in victims {
-            self.kill_container(now, v, logs, out);
+            self.kill_container(now, v, out);
         }
         let max = self.faults.max_am_attempts();
         let (attempt, am_req) = {
@@ -734,25 +641,19 @@ impl Cluster {
             a.pending_asks.clear();
             (a.attempt, a.submission.am_resource)
         };
-        let t = &crate::schema::RM_ATTEMPT_FAILED;
-        logs.info(
+        out.log(
+            now,
             LogSource::ResourceManager,
-            ts(now),
-            t.class,
-            t.msg(&[&app.attempt(attempt)]),
+            &schema::RM_ATTEMPT_FAILED,
+            &[&app.attempt(attempt)],
         );
         if attempt < max {
             let a = self.apps.get_mut(&app).expect("unknown app");
             if a.state.get() == RmAppState::Running {
                 // Registered AMs fall back to ACCEPTED while the next
                 // attempt launches; unregistered ones never left it.
-                a.state.transition(
-                    RmAppState::Accepted,
-                    "ATTEMPT_FAILED",
-                    &app.to_string(),
-                    ts(now),
-                    logs,
-                );
+                a.state
+                    .transition(app, RmAppState::Accepted, "ATTEMPT_FAILED", now, out);
             }
             a.attempt = attempt + 1;
             a.next_container_seq = 1;
@@ -772,13 +673,8 @@ impl Cluster {
             let a = self.apps.get_mut(&app).expect("unknown app");
             a.alive = false;
             a.failed = true;
-            a.state.transition(
-                RmAppState::FinalSaving,
-                "ATTEMPT_FAILED",
-                &app.to_string(),
-                ts(now),
-                logs,
-            );
+            a.state
+                .transition(app, RmAppState::FinalSaving, "ATTEMPT_FAILED", now, out);
             self.fault_counts.apps_failed += 1;
             obs::count_labeled("sim_faults_total", &[("kind", "app_failed")], 1);
             let d = self.sample(&self.cfg.rm_state_store_ms.clone());
@@ -792,19 +688,18 @@ impl Cluster {
 
     /// Scripted node loss: the NM stops heartbeating (its log truncates),
     /// the RM expires it and kills every container it hosted.
-    fn on_node_lost(&mut self, now: Millis, node: NodeId, logs: &mut LogStore, out: &mut Out) {
+    fn on_node_lost(&mut self, now: Millis, node: NodeId, out: &mut Out) {
         if !self.nodes[node.0 as usize].alive {
             return;
         }
         self.nodes[node.0 as usize].alive = false;
         self.fault_counts.nodes_lost += 1;
         obs::count_labeled("sim_faults_total", &[("kind", "node_lost")], 1);
-        let t = &crate::schema::RM_NODE_LOST;
-        logs.info(
+        out.log(
+            now,
             LogSource::ResourceManager,
-            ts(now),
-            t.class,
-            t.msg(&[&node]),
+            &schema::RM_NODE_LOST,
+            &[&node],
         );
         let victims: Vec<ContainerId> = self
             .containers
@@ -816,7 +711,7 @@ impl Cluster {
             if self.container_dead(cid) {
                 continue; // killed transitively by an earlier AM failure
             }
-            self.fail_container(now, cid, FailureKind::NodeLost, logs, out);
+            self.fail_container(now, cid, FailureKind::NodeLost, out);
         }
     }
 
@@ -829,17 +724,17 @@ impl Cluster {
     /// A resource tick whose generation is stale returns at once: the
     /// mutation that outdated it already armed the live tick, so it has
     /// nothing to collect and nothing to re-arm (`simkit::ps`).
-    pub fn handle(&mut self, now: Millis, ev: ClusterEvent, logs: &mut LogStore, out: &mut Out) {
+    pub fn handle(&mut self, now: Millis, ev: ClusterEvent, out: &mut Out) {
         match ev {
-            ClusterEvent::NmHeartbeat(node) => self.on_nm_heartbeat(now, node, logs, out),
-            ClusterEvent::AmHeartbeat(app) => self.on_am_heartbeat(now, app, logs, out),
+            ClusterEvent::NmHeartbeat(node) => self.on_nm_heartbeat(now, node, out),
+            ClusterEvent::AmHeartbeat(app) => self.on_am_heartbeat(now, app, out),
             ClusterEvent::CpuTick(node, gen) => {
                 let Some(done) = self.node_mut(node).cpu.on_tick(now, gen) else {
                     return;
                 };
                 for flow in done {
                     if let Some(p) = self.cpu_flows.remove(&(node.0, flow.0)) {
-                        self.on_flow_done(now, node, p, logs, out);
+                        self.on_flow_done(now, node, p, out);
                     }
                 }
                 self.resched_cpu(node, now, out);
@@ -850,7 +745,7 @@ impl Cluster {
                 };
                 for flow in done {
                     if let Some(p) = self.io_flows.remove(&(node.0, flow.0)) {
-                        self.on_flow_done(now, node, p, logs, out);
+                        self.on_flow_done(now, node, p, out);
                     }
                 }
                 self.resched_io(node, now, out);
@@ -862,33 +757,23 @@ impl Cluster {
                 };
                 for flow in done {
                     if let Some(p) = self.store_flows.remove(&(node.0, flow.0)) {
-                        self.on_flow_done(now, node, p, logs, out);
+                        self.on_flow_done(now, node, p, out);
                     }
                 }
                 self.resched_store(node, now, out);
             }
             ClusterEvent::RmAppSaved(app) => {
                 let a = self.apps.get_mut(&app).expect("unknown app");
-                a.state.transition(
-                    RmAppState::Submitted,
-                    "APP_NEW_SAVED",
-                    &app.to_string(),
-                    ts(now),
-                    logs,
-                );
+                a.state
+                    .transition(app, RmAppState::Submitted, "APP_NEW_SAVED", now, out);
                 let d = self.sample(&self.cfg.rm_accept_ms.clone());
                 out.at(now + d, ClusterEvent::RmAppAccepted(app));
             }
             ClusterEvent::RmAppAccepted(app) => {
                 let am_req = {
                     let a = self.apps.get_mut(&app).expect("unknown app");
-                    a.state.transition(
-                        RmAppState::Accepted,
-                        "APP_ACCEPTED",
-                        &app.to_string(),
-                        ts(now),
-                        logs,
-                    );
+                    a.state
+                        .transition(app, RmAppState::Accepted, "APP_ACCEPTED", now, out);
                     a.submission.am_resource
                 };
                 // The AM container always goes through the central
@@ -901,38 +786,23 @@ impl Cluster {
                 });
             }
             ClusterEvent::OppAllocate { app, count, req } => {
-                self.on_opp_allocate(now, app, count, req, logs, out)
+                self.on_opp_allocate(now, app, count, req, out)
             }
-            ClusterEvent::NmStartContainer(cid) => self.on_nm_start(now, cid, logs, out),
-            ClusterEvent::NmHandoff(cid) => self.on_nm_handoff(now, cid, logs, out),
+            ClusterEvent::NmStartContainer(cid) => self.on_nm_start(now, cid, out),
+            ClusterEvent::NmHandoff(cid) => self.on_nm_handoff(now, cid, out),
             ClusterEvent::RmAppFinalSaved(app) => {
                 let a = self.apps.get_mut(&app).expect("unknown app");
                 if a.failed {
-                    a.state.transition(
-                        RmAppState::Failed,
-                        "APP_UPDATE_SAVED",
-                        &app.to_string(),
-                        ts(now),
-                        logs,
-                    );
+                    a.state
+                        .transition(app, RmAppState::Failed, "APP_UPDATE_SAVED", now, out);
                 } else {
-                    a.state.transition(
-                        RmAppState::Finishing,
-                        "APP_UPDATE_SAVED",
-                        &app.to_string(),
-                        ts(now),
-                        logs,
-                    );
-                    a.state.transition(
-                        RmAppState::Finished,
-                        "ATTEMPT_FINISHED",
-                        &app.to_string(),
-                        ts(now),
-                        logs,
-                    );
+                    a.state
+                        .transition(app, RmAppState::Finishing, "APP_UPDATE_SAVED", now, out);
+                    a.state
+                        .transition(app, RmAppState::Finished, "ATTEMPT_FINISHED", now, out);
                 }
             }
-            ClusterEvent::NodeLost(node) => self.on_node_lost(now, node, logs, out),
+            ClusterEvent::NodeLost(node) => self.on_node_lost(now, node, out),
         }
     }
 
@@ -942,7 +812,7 @@ impl Cluster {
     /// spread rule (`ceil(remaining / spread_factor)` per heartbeat, so
     /// small requests scatter across nodes the way block locality scatters
     /// them on a real cluster).
-    fn on_nm_heartbeat(&mut self, now: Millis, node: NodeId, logs: &mut LogStore, out: &mut Out) {
+    fn on_nm_heartbeat(&mut self, now: Millis, node: NodeId, out: &mut Out) {
         if !self.nodes[node.0 as usize].alive {
             return; // lost node: heartbeats stop, nothing is assigned
         }
@@ -983,7 +853,7 @@ impl Cluster {
                 && assigned < self.cfg.assign_per_heartbeat
                 && self.nodes[node.0 as usize].fits(req)
             {
-                self.allocate_container(now, app, node, req, is_am, logs, out);
+                self.allocate_container(now, app, node, req, is_am, out);
                 granted += 1;
                 assigned += 1;
             }
@@ -1001,13 +871,7 @@ impl Cluster {
         );
     }
 
-    fn on_am_heartbeat(
-        &mut self,
-        now: Millis,
-        app: ApplicationId,
-        logs: &mut LogStore,
-        out: &mut Out,
-    ) {
+    fn on_am_heartbeat(&mut self, now: Millis, app: ApplicationId, out: &mut Out) {
         let Some(a) = self.apps.get_mut(&app) else {
             return;
         };
@@ -1028,7 +892,7 @@ impl Cluster {
         for (cid, _) in &pulled {
             let c = self.containers.get_mut(cid).expect("container");
             c.rm_state
-                .transition(RmContainerState::Acquired, &cid.to_string(), ts(now), logs);
+                .transition(*cid, RmContainerState::Acquired, now, out);
         }
         if !pulled.is_empty() {
             out.notify(AppNotice::ContainersGranted {
@@ -1048,14 +912,13 @@ impl Cluster {
         node: NodeId,
         req: ResourceReq,
         is_am: bool,
-        logs: &mut LogStore,
         out: &mut Out,
     ) -> ContainerId {
         let a = self.apps.get_mut(&app).expect("unknown app");
         let cid = app.attempt(a.attempt).container(a.next_container_seq);
         a.next_container_seq += 1;
         let mut rm_state = Tracked::new(RmContainerState::New);
-        rm_state.transition(RmContainerState::Allocated, &cid.to_string(), ts(now), logs);
+        rm_state.transition(cid, RmContainerState::Allocated, now, out);
         self.containers_allocated += 1;
         self.apps.get_mut(&app).expect("app").live_containers += 1;
         self.node_mut(node).reserve(req);
@@ -1074,7 +937,7 @@ impl Cluster {
         if is_am {
             // The RM acquires and launches the AM container itself.
             info.rm_state
-                .transition(RmContainerState::Acquired, &cid.to_string(), ts(now), logs);
+                .transition(cid, RmContainerState::Acquired, now, out);
             let spec = self.apps[&app].submission.am_launch.clone();
             info.spec = Some(spec);
             self.containers.insert(cid, info);
@@ -1098,7 +961,6 @@ impl Cluster {
         app: ApplicationId,
         count: u32,
         req: ResourceReq,
-        logs: &mut LogStore,
         out: &mut Out,
     ) {
         if !self.apps.get(&app).map(|a| a.alive).unwrap_or(false) {
@@ -1122,8 +984,8 @@ impl Cluster {
             let cid = app.attempt(a.attempt).container(a.next_container_seq);
             a.next_container_seq += 1;
             let mut rm_state = Tracked::new(RmContainerState::New);
-            rm_state.transition(RmContainerState::Allocated, &cid.to_string(), ts(now), logs);
-            rm_state.transition(RmContainerState::Acquired, &cid.to_string(), ts(now), logs);
+            rm_state.transition(cid, RmContainerState::Allocated, now, out);
+            rm_state.transition(cid, RmContainerState::Acquired, now, out);
             self.containers_allocated += 1;
             self.apps
                 .get_mut(&app)
@@ -1192,17 +1054,11 @@ impl Cluster {
     }
 
     /// startContainer arrived at the NM: begin localization.
-    fn on_nm_start(&mut self, now: Millis, cid: ContainerId, logs: &mut LogStore, out: &mut Out) {
+    fn on_nm_start(&mut self, now: Millis, cid: ContainerId, out: &mut Out) {
         let (node, app, resources) = {
             let c = self.containers.get_mut(&cid).expect("unknown container");
             let mut nm = Tracked::new(NmContainerState::New);
-            nm.transition(
-                NmContainerState::Localizing,
-                &cid.to_string(),
-                LogSource::NodeManager(c.node),
-                ts(now),
-                logs,
-            );
+            nm.transition(cid, c.node, NmContainerState::Localizing, now, out);
             c.nm_state = Some(nm);
             (
                 c.node,
@@ -1211,14 +1067,13 @@ impl Cluster {
             )
         };
         if self.faults.enabled() && self.faults.localization_fails(cid) {
-            let t = &crate::schema::NM_LOCALIZER_FAILED;
-            logs.info(
+            out.log(
+                now,
                 LogSource::NodeManager(node),
-                ts(now),
-                t.class,
-                t.msg(&[&cid]),
+                &schema::NM_LOCALIZER_FAILED,
+                &[&cid],
             );
-            self.fail_container(now, cid, FailureKind::Localization, logs, out);
+            self.fail_container(now, cid, FailureKind::Localization, out);
             return;
         }
         let mut pending = 0usize;
@@ -1245,30 +1100,24 @@ impl Cluster {
         }
         self.containers.get_mut(&cid).unwrap().pending_local = pending;
         if pending == 0 {
-            self.mark_scheduled(now, cid, logs, out);
+            self.mark_scheduled(now, cid, out);
         }
     }
 
     /// All localization done: LOCALIZING → SCHEDULED, then hand off to the
     /// launcher (queueing opportunistic containers when the node is full).
-    fn mark_scheduled(
-        &mut self,
-        now: Millis,
-        cid: ContainerId,
-        logs: &mut LogStore,
-        out: &mut Out,
-    ) {
+    fn mark_scheduled(&mut self, now: Millis, cid: ContainerId, out: &mut Out) {
         let (node, req, opportunistic) = {
             let c = self.containers.get_mut(&cid).expect("unknown container");
             if c.rm_state.get().is_terminal() {
                 return; // killed while localizing (node loss, AM retry)
             }
             c.nm_state.as_mut().expect("nm state").transition(
+                cid,
+                c.node,
                 NmContainerState::Scheduled,
-                &cid.to_string(),
-                LogSource::NodeManager(c.node),
-                ts(now),
-                logs,
+                now,
+                out,
             );
             (c.node, c.req, c.opportunistic)
         };
@@ -1289,30 +1138,29 @@ impl Cluster {
 
     /// Launcher picked the container up: SCHEDULED → RUNNING, then the
     /// runtime (optional Docker) and the JVM start burn node resources.
-    fn on_nm_handoff(&mut self, now: Millis, cid: ContainerId, logs: &mut LogStore, out: &mut Out) {
+    fn on_nm_handoff(&mut self, now: Millis, cid: ContainerId, out: &mut Out) {
         let (node, runtime) = {
             let c = self.containers.get_mut(&cid).expect("unknown container");
             if c.rm_state.get().is_terminal() {
                 return; // killed while queued (node loss, AM retry)
             }
             c.nm_state.as_mut().expect("nm state").transition(
+                cid,
+                c.node,
                 NmContainerState::Running,
-                &cid.to_string(),
-                LogSource::NodeManager(c.node),
-                ts(now),
-                logs,
+                now,
+                out,
             );
             (c.node, c.spec.as_ref().expect("spec").runtime)
         };
         if self.faults.enabled() && self.faults.launch_fails(cid) {
-            let t = &crate::schema::NM_LAUNCH_FAILED;
-            logs.info(
+            out.log(
+                now,
                 LogSource::NodeManager(node),
-                ts(now),
-                t.class,
-                t.msg(&[&cid]),
+                &schema::NM_LAUNCH_FAILED,
+                &[&cid],
             );
-            self.fail_container(now, cid, FailureKind::Launch, logs, out);
+            self.fail_container(now, cid, FailureKind::Launch, out);
             return;
         }
         match runtime {
@@ -1359,14 +1207,7 @@ impl Cluster {
         self.resched_cpu(node, now, out);
     }
 
-    fn on_flow_done(
-        &mut self,
-        now: Millis,
-        node: NodeId,
-        purpose: FlowPurpose,
-        logs: &mut LogStore,
-        out: &mut Out,
-    ) {
+    fn on_flow_done(&mut self, now: Millis, node: NodeId, purpose: FlowPurpose, out: &mut Out) {
         match purpose {
             FlowPurpose::AppWork { app, ticket } => {
                 if !self.nodes[node.0 as usize].alive {
@@ -1417,7 +1258,7 @@ impl Cluster {
                     debug_assert!(wc.pending_local > 0);
                     wc.pending_local -= 1;
                     if wc.pending_local == 0 {
-                        self.mark_scheduled(now, w, logs, out);
+                        self.mark_scheduled(now, w, out);
                     }
                 }
             }
@@ -1451,12 +1292,8 @@ impl Cluster {
                     return; // died while the JVM was starting
                 }
                 if c.rm_state.get() == RmContainerState::Acquired {
-                    c.rm_state.transition(
-                        RmContainerState::Running,
-                        &cid.to_string(),
-                        ts(now),
-                        logs,
-                    );
+                    c.rm_state
+                        .transition(cid, RmContainerState::Running, now, out);
                 }
                 let kind = c.spec.as_ref().expect("spec").kind;
                 out.notify(AppNotice::ProcessStarted {

@@ -1,16 +1,25 @@
 //! The cluster's interface to the surrounding simulation: events it
-//! schedules for itself, and notices it raises to the application layer.
+//! schedules for itself, notices it raises to the application layer, and
+//! the log lines it writes.
 //!
-//! The cluster never owns the event loop. Every method takes the current
-//! time and an [`Out`] buffer; the embedding model (see `sparksim`) drains
-//! the buffer, forwards events to the simulation kernel, and dispatches
-//! notices to per-application logic. This keeps `yarnsim` free of any
-//! knowledge about Spark, MapReduce, or the experiment harness.
+//! The cluster never owns the event loop or the log store. Every method
+//! takes the current time and an [`Out`] buffer; the embedding model (see
+//! `sparksim`) drains the buffer, forwards events to the simulation
+//! kernel, dispatches notices to per-application logic, and renders the
+//! [`Line`]s into its logs. A line stays typed until then: a state
+//! transition is its entity, states and instant, not text. This keeps
+//! `yarnsim` free of any knowledge about Spark, MapReduce, the experiment
+//! harness, or where its logs end up.
 
-use logmodel::{ApplicationId, ContainerId, NodeId};
+use std::fmt;
+
+use logmodel::schema::MsgTemplate;
+use logmodel::{ApplicationId, ContainerId, Level, LogRecord, LogSource, NodeId, TsMs};
 use simkit::{Millis, ResourceGen};
 
 use crate::config::{ContainerRuntime, ResourceReq};
+use crate::schema;
+use crate::state::{NmContainerState, RmAppState, RmContainerState};
 
 /// Opaque handle for application-submitted work (CPU or IO) running on a
 /// node's shared resources. Completion is reported via
@@ -230,14 +239,86 @@ pub enum AppNotice {
     },
 }
 
+/// What a log line says: one of the three logged state transitions, or
+/// any other message, rendered from its `template` when it was written.
+#[derive(Debug, Clone, PartialEq)]
+pub enum What {
+    /// `RMAppImpl` on YARN event `event` (Table I messages 1–3).
+    RmApp {
+        app: ApplicationId,
+        from: RmAppState,
+        to: RmAppState,
+        event: &'static str,
+    },
+    /// `RMContainerImpl` (messages 4–5).
+    RmContainer {
+        cid: ContainerId,
+        from: RmContainerState,
+        to: RmContainerState,
+    },
+    /// The NodeManager's `ContainerImpl` (messages 6–8).
+    NmContainer {
+        cid: ContainerId,
+        from: NmContainerState,
+        to: NmContainerState,
+    },
+    /// Every other shape.
+    Text {
+        template: &'static MsgTemplate,
+        msg: String,
+    },
+}
+
+/// One log line, written at simulated time `at` to `source`'s log.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Line {
+    /// When it was written.
+    pub at: Millis,
+    /// Which log it goes to.
+    pub source: LogSource,
+    /// What it says.
+    pub what: What,
+}
+
+impl Line {
+    /// The INFO record this line renders as, through the `schema`
+    /// templates.
+    pub fn into_record(self) -> LogRecord {
+        let (template, msg) = match self.what {
+            What::RmApp {
+                app,
+                from,
+                to,
+                event,
+            } => {
+                let t = &schema::RM_APP_STATE_CHANGE;
+                (t, t.msg(&[&app, &from, &to, &event]))
+            }
+            What::RmContainer { cid, from, to } => {
+                let t = &schema::RM_CONTAINER_TRANSITION;
+                (t, t.msg(&[&cid, &from, &to]))
+            }
+            What::NmContainer { cid, from, to } => {
+                let t = &schema::NM_CONTAINER_TRANSITION;
+                (t, t.msg(&[&cid, &from, &to]))
+            }
+            What::Text { template, msg } => (template, msg),
+        };
+        LogRecord::new(TsMs(self.at.0), Level::Info, template.class, msg)
+    }
+}
+
 /// Buffer of effects produced by cluster methods: events to merge into the
-/// simulation queue (absolute times) and notices for the application layer.
+/// simulation queue (absolute times), notices for the application layer,
+/// and log lines in the order they were written.
 #[derive(Debug, Default)]
 pub struct Out {
     /// `(absolute time, event)` pairs.
     pub events: Vec<(Millis, ClusterEvent)>,
     /// Notices in raise order.
     pub notices: Vec<AppNotice>,
+    /// Log lines in write order.
+    pub lines: Vec<Line>,
 }
 
 impl Out {
@@ -256,9 +337,26 @@ impl Out {
         self.notices.push(n);
     }
 
+    /// Write a line at `at` to `source`'s log: `template` rendered with
+    /// `args`, one per hole.
+    pub fn log(
+        &mut self,
+        at: Millis,
+        source: LogSource,
+        template: &'static MsgTemplate,
+        args: &[&dyn fmt::Display],
+    ) {
+        let msg = template.msg(args);
+        self.lines.push(Line {
+            at,
+            source,
+            what: What::Text { template, msg },
+        });
+    }
+
     /// True when nothing was produced.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.notices.is_empty()
+        self.events.is_empty() && self.notices.is_empty() && self.lines.is_empty()
     }
 }
 

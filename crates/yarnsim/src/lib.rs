@@ -8,9 +8,9 @@
 //! launcher handoff, Docker overhead, opportunistic queueing), and
 //! heartbeat-quantized allocation/acquisition.
 //!
-//! Every state transition is written to a [`logmodel::LogStore`] in the
-//! message shapes of Table I of the paper — the cluster side of the log
-//! corpus SDchecker mines.
+//! Every state transition is emitted as a typed [`Line`] into [`Out`],
+//! which renders in the message shapes of Table I of the paper — the
+//! cluster side of the log corpus SDchecker mines.
 //!
 //! The crate is application-agnostic: Spark/MapReduce behaviour lives in
 //! `sparksim`, which drives this cluster through [`Cluster`]'s methods and
@@ -32,8 +32,8 @@ pub use config::{
     ResourceReq, SchedulerKind,
 };
 pub use effects::{
-    AppNotice, AppSubmission, ClusterEvent, FailureKind, InstanceKind, LaunchSpec, LocalResource,
-    Out, Ticket,
+    AppNotice, AppSubmission, ClusterEvent, FailureKind, InstanceKind, LaunchSpec, Line,
+    LocalResource, Out, Ticket, What,
 };
 pub use faults::{FaultConfig, FaultPlan};
 pub use state::{NmContainerState, RmAppState, RmContainerState};

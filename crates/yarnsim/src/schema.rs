@@ -2,8 +2,9 @@
 //! shape `yarnsim` can emit, and its three state machines, as
 //! introspectable data.
 //!
-//! The emit sites in [`state`](crate::state) and
-//! [`cluster`](crate::cluster) render through these templates, so the
+//! Every line the cluster writes renders through these templates (the
+//! three transitions in [`Line::into_record`](crate::effects::Line::into_record),
+//! the rest at their emit sites in [`cluster`](crate::cluster)), so the
 //! table *is* the vocabulary — a template edited here changes the logs,
 //! and `sdlint` cross-checks the table against `sdchecker`'s pattern
 //! table so the analyzer can never silently fall out of sync.
@@ -20,7 +21,7 @@ pub const RM_APP_STATE_CHANGE: MsgTemplate = MsgTemplate {
     family: Family::ResourceManager,
     template: "{} State change from {} to {} on event = {}",
     disposition: Disposition::Event,
-    file: "crates/yarnsim/src/state.rs",
+    file: "crates/yarnsim/src/effects.rs",
 };
 
 /// `RMContainerImpl` transition (Table I messages 4–5). Captures:
@@ -31,7 +32,7 @@ pub const RM_CONTAINER_TRANSITION: MsgTemplate = MsgTemplate {
     family: Family::ResourceManager,
     template: "{} Container Transitioned from {} to {}",
     disposition: Disposition::Event,
-    file: "crates/yarnsim/src/state.rs",
+    file: "crates/yarnsim/src/effects.rs",
 };
 
 /// NM `ContainerImpl` transition (Table I messages 6–8). Captures:
@@ -42,7 +43,7 @@ pub const NM_CONTAINER_TRANSITION: MsgTemplate = MsgTemplate {
     family: Family::NodeManager,
     template: "Container {} transitioned from {} to {}",
     disposition: Disposition::Event,
-    file: "crates/yarnsim/src/state.rs",
+    file: "crates/yarnsim/src/effects.rs",
 };
 
 /// `RMAppAttemptImpl` attempt failure (AM retry vocabulary). Capture:

@@ -4,10 +4,14 @@
 //! transition (paper §III-A) — that is the very property SDchecker mines.
 //! This module reproduces the three machines SDchecker cares about
 //! (`RMAppImpl`, `RMContainerImpl`, `ContainerImpl`) with their legal
-//! transition sets and the exact log phrasings of the respective daemons.
+//! transition sets. Each transition is written as a typed [`Line`], which
+//! renders in the exact log phrasing of the respective daemon.
 
-use logmodel::{LogSource, LogStore, TsMs};
+use logmodel::{ApplicationId, ContainerId, LogSource, NodeId};
+use simkit::Millis;
 use std::fmt;
+
+use crate::effects::{Line, Out, What};
 
 /// `RMAppImpl` states (ResourceManager's view of an application).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,84 +262,88 @@ impl<S: Copy + PartialEq + fmt::Display + fmt::Debug> Tracked<S> {
 }
 
 impl Tracked<RmAppState> {
-    /// Transition with RM-style logging:
+    /// Move `app` to `to` on `event`, writing the RM's
     /// `<appId> State change from X to Y on event = EVENT`.
     pub fn transition(
         &mut self,
+        app: ApplicationId,
         to: RmAppState,
-        event: &str,
-        subject: &str,
-        ts: TsMs,
-        logs: &mut LogStore,
+        event: &'static str,
+        at: Millis,
+        out: &mut Out,
     ) {
         assert!(
             self.state.can_go(to),
             "illegal RMApp transition {} -> {to}",
             self.state
         );
-        let t = &crate::schema::RM_APP_STATE_CHANGE;
-        logs.info(
-            LogSource::ResourceManager,
-            ts,
-            t.class,
-            t.msg(&[&subject, &self.state, &to, &event]),
-        );
-        self.state = to;
+        let from = std::mem::replace(&mut self.state, to);
+        out.lines.push(Line {
+            at,
+            source: LogSource::ResourceManager,
+            what: What::RmApp {
+                app,
+                from,
+                to,
+                event,
+            },
+        });
     }
 }
 
 impl Tracked<RmContainerState> {
-    /// Transition with RM-style logging:
+    /// Move `cid` to `to`, writing the RM's
     /// `<containerId> Container Transitioned from X to Y`.
     pub fn transition(
         &mut self,
+        cid: ContainerId,
         to: RmContainerState,
-        subject: &str,
-        ts: TsMs,
-        logs: &mut LogStore,
+        at: Millis,
+        out: &mut Out,
     ) {
         assert!(
             self.state.can_go(to),
             "illegal RMContainer transition {} -> {to}",
             self.state
         );
-        let t = &crate::schema::RM_CONTAINER_TRANSITION;
-        logs.info(
-            LogSource::ResourceManager,
-            ts,
-            t.class,
-            t.msg(&[&subject, &self.state, &to]),
-        );
-        self.state = to;
+        let from = std::mem::replace(&mut self.state, to);
+        out.lines.push(Line {
+            at,
+            source: LogSource::ResourceManager,
+            what: What::RmContainer { cid, from, to },
+        });
     }
 }
 
 impl Tracked<NmContainerState> {
-    /// Transition with NM-style logging:
+    /// Move `cid` to `to`, writing `node`'s
     /// `Container <containerId> transitioned from X to Y`.
     pub fn transition(
         &mut self,
+        cid: ContainerId,
+        node: NodeId,
         to: NmContainerState,
-        subject: &str,
-        node_log: LogSource,
-        ts: TsMs,
-        logs: &mut LogStore,
+        at: Millis,
+        out: &mut Out,
     ) {
         assert!(
             self.state.can_go(to),
             "illegal NmContainer transition {} -> {to}",
             self.state
         );
-        let t = &crate::schema::NM_CONTAINER_TRANSITION;
-        logs.info(node_log, ts, t.class, t.msg(&[&subject, &self.state, &to]));
-        self.state = to;
+        let from = std::mem::replace(&mut self.state, to);
+        out.lines.push(Line {
+            at,
+            source: LogSource::NodeManager(node),
+            what: What::NmContainer { cid, from, to },
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logmodel::{Epoch, NodeId};
+    use logmodel::{Level, TsMs};
 
     #[test]
     fn rm_app_happy_path_is_legal() {
@@ -399,57 +407,92 @@ mod tests {
         assert!(!Localizing.can_go(Running));
     }
 
-    #[test]
-    fn tracked_rm_app_logs_expected_phrase() {
-        let mut logs = LogStore::new(Epoch::default_run());
-        let mut st = Tracked::new(RmAppState::Submitted);
-        st.transition(
-            RmAppState::Accepted,
-            "APP_ACCEPTED",
-            "application_1_0001",
-            TsMs(42),
-            &mut logs,
-        );
-        let recs = logs.records(LogSource::ResourceManager);
-        assert_eq!(recs.len(), 1);
+    /// Every legal `(from, to)` of a machine.
+    fn legal<S: Copy>(all: &[S], can_go: fn(S, S) -> bool) -> Vec<(S, S)> {
+        all.iter()
+            .flat_map(|&a| all.iter().map(move |&b| (a, b)))
+            .filter(|&(a, b)| can_go(a, b))
+            .collect()
+    }
+
+    /// The one line `out` holds, checked to be written to `source` at
+    /// 42 ms under `class`, rendered.
+    fn only_message(mut out: Out, source: LogSource, class: &str) -> String {
+        assert_eq!(out.lines.len(), 1);
+        let line = out.lines.pop().unwrap();
+        assert_eq!(line.source, source);
+        let rec = line.into_record();
         assert_eq!(
-            recs[0].message,
-            "application_1_0001 State change from SUBMITTED to ACCEPTED on event = APP_ACCEPTED"
+            (rec.ts, rec.level, rec.class.as_str()),
+            (TsMs(42), Level::Info, class)
         );
-        assert_eq!(st.get(), RmAppState::Accepted);
+        rec.message
+    }
+
+    // The reference each typed line is held to is the text the state
+    // machines wrote before their lines were typed: the template rendered
+    // with the entity's id as a string.
+
+    #[test]
+    fn rm_app_lines_render_todays_text() {
+        let app = ApplicationId::new(1_521_018_000_000, 7);
+        let t = &crate::schema::RM_APP_STATE_CHANGE;
+        for (from, to) in legal(&RmAppState::ALL, RmAppState::can_go) {
+            let mut st = Tracked::new(from);
+            let mut out = Out::new();
+            st.transition(app, to, "APP_ACCEPTED", Millis(42), &mut out);
+            assert_eq!(st.get(), to);
+            let subject: &str = &app.to_string();
+            assert_eq!(
+                only_message(out, LogSource::ResourceManager, "RMAppImpl"),
+                t.msg(&[&subject, &from, &to, &"APP_ACCEPTED"])
+            );
+        }
     }
 
     #[test]
-    fn tracked_nm_container_logs_to_node_log() {
-        let mut logs = LogStore::new(Epoch::default_run());
-        let mut st = Tracked::new(NmContainerState::New);
-        let src = LogSource::NodeManager(NodeId(2));
-        st.transition(
-            NmContainerState::Localizing,
-            "container_1_0001_01_000001",
-            src,
-            TsMs(1),
-            &mut logs,
-        );
-        st.transition(
-            NmContainerState::Scheduled,
-            "container_1_0001_01_000001",
-            src,
-            TsMs(9),
-            &mut logs,
-        );
-        let recs = logs.records(src);
-        assert_eq!(recs.len(), 2);
-        assert!(recs[1]
-            .message
-            .contains("transitioned from LOCALIZING to SCHEDULED"));
+    fn rm_container_lines_render_todays_text() {
+        let cid = ApplicationId::new(1_521_018_000_000, 7)
+            .attempt(2)
+            .container(3);
+        let t = &crate::schema::RM_CONTAINER_TRANSITION;
+        for (from, to) in legal(&RmContainerState::ALL, RmContainerState::can_go) {
+            let mut st = Tracked::new(from);
+            let mut out = Out::new();
+            st.transition(cid, to, Millis(42), &mut out);
+            assert_eq!(st.get(), to);
+            let subject: &str = &cid.to_string();
+            assert_eq!(
+                only_message(out, LogSource::ResourceManager, "RMContainerImpl"),
+                t.msg(&[&subject, &from, &to])
+            );
+        }
+    }
+
+    #[test]
+    fn nm_container_lines_render_todays_text() {
+        let cid = ApplicationId::new(1_521_018_000_000, 7)
+            .attempt(1)
+            .container(12);
+        let t = &crate::schema::NM_CONTAINER_TRANSITION;
+        for (from, to) in legal(&NmContainerState::ALL, NmContainerState::can_go) {
+            let mut st = Tracked::new(from);
+            let mut out = Out::new();
+            st.transition(cid, NodeId(2), to, Millis(42), &mut out);
+            assert_eq!(st.get(), to);
+            let subject: &str = &cid.to_string();
+            assert_eq!(
+                only_message(out, LogSource::NodeManager(NodeId(2)), "ContainerImpl"),
+                t.msg(&[&subject, &from, &to])
+            );
+        }
     }
 
     #[test]
     #[should_panic(expected = "illegal")]
     fn tracked_panics_on_illegal() {
-        let mut logs = LogStore::new(Epoch::default_run());
         let mut st = Tracked::new(RmAppState::New);
-        st.transition(RmAppState::Running, "X", "app", TsMs(0), &mut logs);
+        let app = ApplicationId::new(1, 1);
+        st.transition(app, RmAppState::Running, "X", Millis(0), &mut Out::new());
     }
 }

@@ -1,6 +1,6 @@
 //! End-to-end protocol tests: drive the cluster through full application
 //! lifecycles with a minimal event pump and assert on the *logs* it emits —
-//! the same evidence SDchecker consumes.
+//! the same evidence SDchecker consumes — or on the typed lines behind them.
 
 use std::collections::BTreeMap;
 
@@ -10,13 +10,17 @@ use simkit::{EventQueue, Millis};
 use crate::cluster::Cluster;
 use crate::config::{ClusterConfig, ContainerRuntime, ResourceReq};
 use crate::effects::{
-    AppNotice, AppSubmission, ClusterEvent, InstanceKind, LaunchSpec, LocalResource, Out,
+    AppNotice, AppSubmission, ClusterEvent, InstanceKind, LaunchSpec, Line, LocalResource, Out,
+    What,
 };
 use crate::faults::FaultConfig;
 
 /// Minimal deterministic event pump around a [`Cluster`].
 struct Pump {
     cluster: Cluster,
+    /// Every line the cluster wrote, in write order.
+    lines: Vec<Line>,
+    /// The same lines, rendered.
     logs: LogStore,
     queue: EventQueue<ClusterEvent>,
     notices: Vec<AppNotice>,
@@ -31,6 +35,7 @@ impl Pump {
         cluster.start(&mut out);
         let mut p = Pump {
             cluster,
+            lines: Vec::new(),
             logs: LogStore::new(epoch),
             queue: EventQueue::new(),
             notices: Vec::new(),
@@ -45,6 +50,10 @@ impl Pump {
             self.queue.push(t, ev);
         }
         self.notices.extend(out.notices);
+        for line in out.lines {
+            self.logs.push(line.source, line.clone().into_record());
+            self.lines.push(line);
+        }
     }
 
     fn step(&mut self) -> bool {
@@ -53,7 +62,7 @@ impl Pump {
         };
         self.now = t;
         let mut out = Out::new();
-        self.cluster.handle(t, ev, &mut self.logs, &mut out);
+        self.cluster.handle(t, ev, &mut out);
         self.absorb(out);
         true
     }
@@ -77,19 +86,14 @@ impl Pump {
 
     fn submit(&mut self, sub: AppSubmission) -> ApplicationId {
         let mut out = Out::new();
-        let id = self
-            .cluster
-            .submit_application(self.now, sub, &mut self.logs, &mut out);
+        let id = self.cluster.submit_application(self.now, sub, &mut out);
         self.absorb(out);
         id
     }
 
-    fn with_cluster<R>(
-        &mut self,
-        f: impl FnOnce(&mut Cluster, Millis, &mut LogStore, &mut Out) -> R,
-    ) -> R {
+    fn with_cluster<R>(&mut self, f: impl FnOnce(&mut Cluster, Millis, &mut Out) -> R) -> R {
         let mut out = Out::new();
-        let r = f(&mut self.cluster, self.now, &mut self.logs, &mut out);
+        let r = f(&mut self.cluster, self.now, &mut out);
         self.absorb(out);
         r
     }
@@ -193,13 +197,54 @@ fn am_container_full_lifecycle_logs() {
 }
 
 #[test]
+fn am_container_transitions_are_observable_without_the_logs() {
+    // The same lifecycle as above, read from the typed lines: no text is
+    // parsed, so this holds whatever the log phrasing.
+    let mut p = Pump::new(ClusterConfig::default());
+    let app = p.submit(spark_submission());
+    let AppNotice::ProcessStarted { container, .. } =
+        p.run_until(|n| matches!(n, AppNotice::ProcessStarted { .. }), 100_000)
+    else {
+        unreachable!()
+    };
+    assert_eq!(container, app.attempt(1).container(1));
+    let mut hops = Vec::new();
+    let mut at = Vec::new();
+    for line in &p.lines {
+        let hop = match line.what {
+            What::RmContainer { cid, from, to } if cid == container => {
+                ("rm", from.as_str(), to.as_str())
+            }
+            What::NmContainer { cid, from, to } if cid == container => {
+                ("nm", from.as_str(), to.as_str())
+            }
+            _ => continue,
+        };
+        hops.push(hop);
+        at.push(line.at);
+    }
+    assert_eq!(
+        hops,
+        [
+            ("rm", "NEW", "ALLOCATED"),
+            ("rm", "ALLOCATED", "ACQUIRED"),
+            ("nm", "NEW", "LOCALIZING"),
+            ("nm", "LOCALIZING", "SCHEDULED"),
+            ("nm", "SCHEDULED", "RUNNING"),
+            ("rm", "ACQUIRED", "RUNNING"),
+        ]
+    );
+    assert!(at.windows(2).all(|w| w[0] <= w[1]), "{at:?}");
+}
+
+#[test]
 fn executors_are_granted_after_registration() {
     let mut p = Pump::new(ClusterConfig::default());
     let app = p.submit(spark_submission());
     p.run_until(|n| matches!(n, AppNotice::ProcessStarted { .. }), 100_000);
 
-    p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
-    p.with_cluster(|c, now, _logs, out| {
+    p.with_cluster(|c, now, out| c.am_register(now, app, out));
+    p.with_cluster(|c, now, out| {
         c.request_containers(now, app, 4, ResourceReq::SPARK_EXECUTOR, out)
     });
 
@@ -216,7 +261,7 @@ fn executors_are_granted_after_registration() {
     let mut started = 0;
     for (cid, _) in &containers {
         let cid = *cid;
-        p.with_cluster(|c, now, _l, out| c.launch_container(now, cid, executor_launch(), out));
+        p.with_cluster(|c, now, out| c.launch_container(now, cid, executor_launch(), out));
     }
     for _ in 0..containers.len() {
         p.run_until(
@@ -250,8 +295,8 @@ fn acquisition_waits_for_am_heartbeat() {
     let mut p = Pump::new(ClusterConfig::default());
     let app = p.submit(sub);
     p.run_until(|n| matches!(n, AppNotice::ProcessStarted { .. }), 100_000);
-    p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
-    p.with_cluster(|c, now, _l, out| {
+    p.with_cluster(|c, now, out| c.am_register(now, app, out));
+    p.with_cluster(|c, now, out| {
         c.request_containers(now, app, 4, ResourceReq::SPARK_EXECUTOR, out)
     });
     p.run_until(
@@ -289,8 +334,8 @@ fn localization_cache_dedups_same_node_downloads() {
     let mut p = Pump::new(cfg);
     let app = p.submit(spark_submission());
     p.run_until(|n| matches!(n, AppNotice::ProcessStarted { .. }), 100_000);
-    p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
-    p.with_cluster(|c, now, _l, out| {
+    p.with_cluster(|c, now, out| c.am_register(now, app, out));
+    p.with_cluster(|c, now, out| {
         c.request_containers(now, app, 1, ResourceReq::SPARK_EXECUTOR, out)
     });
     let AppNotice::ContainersGranted { containers, .. } = p.run_until(
@@ -300,7 +345,7 @@ fn localization_cache_dedups_same_node_downloads() {
         unreachable!()
     };
     let (cid, node) = containers[0];
-    p.with_cluster(|c, now, _l, out| c.launch_container(now, cid, executor_launch(), out));
+    p.with_cluster(|c, now, out| c.launch_container(now, cid, executor_launch(), out));
     p.run_until(
         |n| {
             matches!(
@@ -363,9 +408,9 @@ fn opportunistic_allocates_in_milliseconds() {
     let mut p = Pump::new(cfg);
     let app = p.submit(spark_submission());
     p.run_until(|n| matches!(n, AppNotice::ProcessStarted { .. }), 100_000);
-    p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
+    p.with_cluster(|c, now, out| c.am_register(now, app, out));
     let t0 = p.now;
-    p.with_cluster(|c, now, _l, out| {
+    p.with_cluster(|c, now, out| {
         c.request_containers(now, app, 4, ResourceReq::SPARK_EXECUTOR, out)
     });
     let AppNotice::ContainersGranted { containers, .. } = p.run_until(
@@ -395,10 +440,10 @@ fn opportunistic_queues_when_node_full() {
     let mut p = Pump::new(cfg);
     let app = p.submit(spark_submission());
     p.run_until(|n| matches!(n, AppNotice::ProcessStarted { .. }), 100_000);
-    p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
+    p.with_cluster(|c, now, out| c.am_register(now, app, out));
     // Driver holds 1 vcore; 3 executors fit (24 vcores), the 4th would
     // exceed 32 after 1+24=25... still fits (25+8=33 > 32): so 3 fit.
-    p.with_cluster(|c, now, _l, out| {
+    p.with_cluster(|c, now, out| {
         c.request_containers(now, app, 4, ResourceReq::SPARK_EXECUTOR, out)
     });
     let AppNotice::ContainersGranted { containers, .. } = p.run_until(
@@ -409,7 +454,7 @@ fn opportunistic_queues_when_node_full() {
     };
     for (cid, _) in &containers {
         let cid = *cid;
-        p.with_cluster(|c, now, _l, out| c.launch_container(now, cid, executor_launch(), out));
+        p.with_cluster(|c, now, out| c.launch_container(now, cid, executor_launch(), out));
     }
     let mut started = Vec::new();
     for _ in 0..3 {
@@ -443,7 +488,7 @@ fn opportunistic_queues_when_node_full() {
         .all(|n| !matches!(n, AppNotice::ProcessStarted { .. })));
     // Finish one executor: the queued one starts.
     let done = started[0];
-    p.with_cluster(|c, now, logs, out| c.finish_container(now, done, logs, out));
+    p.with_cluster(|c, now, out| c.finish_container(now, done, out));
     let AppNotice::ProcessStarted { container, .. } =
         p.run_until(|n| matches!(n, AppNotice::ProcessStarted { .. }), 400_000)
     else {
@@ -457,9 +502,9 @@ fn finish_application_reaches_finished_and_frees_resources() {
     let mut p = Pump::new(ClusterConfig::default());
     let app = p.submit(spark_submission());
     p.run_until(|n| matches!(n, AppNotice::ProcessStarted { .. }), 100_000);
-    p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
+    p.with_cluster(|c, now, out| c.am_register(now, app, out));
     assert!(p.cluster.vcore_utilization() > 0.0);
-    p.with_cluster(|c, now, logs, out| c.finish_application(now, app, logs, out));
+    p.with_cluster(|c, now, out| c.finish_application(now, app, out));
     p.run_past(p.now + Millis(5_000));
     assert_eq!(p.cluster.vcore_utilization(), 0.0);
     let rm = messages_about(&p.logs, LogSource::ResourceManager, "to FINISHED");
@@ -474,8 +519,8 @@ fn released_containers_show_bug_signature() {
     let mut p = Pump::new(ClusterConfig::default());
     let app = p.submit(spark_submission());
     p.run_until(|n| matches!(n, AppNotice::ProcessStarted { .. }), 100_000);
-    p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
-    p.with_cluster(|c, now, _l, out| {
+    p.with_cluster(|c, now, out| c.am_register(now, app, out));
+    p.with_cluster(|c, now, out| {
         c.request_containers(now, app, 6, ResourceReq::SPARK_EXECUTOR, out)
     });
     let mut granted: Vec<(ContainerId, NodeId)> = Vec::new();
@@ -491,10 +536,10 @@ fn released_containers_show_bug_signature() {
     // Launch 4, release 2.
     for (cid, _) in granted.iter().take(4) {
         let cid = *cid;
-        p.with_cluster(|c, now, _l, out| c.launch_container(now, cid, executor_launch(), out));
+        p.with_cluster(|c, now, out| c.launch_container(now, cid, executor_launch(), out));
     }
     let extras: Vec<ContainerId> = granted.iter().skip(4).map(|(c, _)| *c).collect();
-    p.with_cluster(|c, now, logs, _out| c.release_containers(now, &extras, logs));
+    p.with_cluster(|c, now, out| c.release_containers(now, &extras, out));
     for cid in &extras {
         let rc = messages_about(&p.logs, LogSource::ResourceManager, &cid.to_string());
         assert!(
@@ -518,10 +563,10 @@ fn cancel_pending_trims_backlog() {
     let mut p = Pump::new(ClusterConfig::default());
     let app = p.submit(spark_submission());
     p.run_until(|n| matches!(n, AppNotice::ProcessStarted { .. }), 100_000);
-    p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
+    p.with_cluster(|c, now, out| c.am_register(now, app, out));
     // Request far more than the cluster can hold (800 × 4GB executors
     // fit by memory).
-    p.with_cluster(|c, now, _l, out| {
+    p.with_cluster(|c, now, out| {
         c.request_containers(now, app, 2000, ResourceReq::SPARK_EXECUTOR, out)
     });
     // The ask is still riding toward the next AM heartbeat: cancelling
@@ -550,9 +595,9 @@ fn capacity_allocation_quantized_by_am_heartbeat() {
     let mut p = Pump::new(ClusterConfig::default());
     let app = p.submit(spark_submission());
     p.run_until(|n| matches!(n, AppNotice::ProcessStarted { .. }), 100_000);
-    p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
+    p.with_cluster(|c, now, out| c.am_register(now, app, out));
     let t0 = p.now;
-    p.with_cluster(|c, now, _l, out| {
+    p.with_cluster(|c, now, out| {
         c.request_containers(now, app, 4, ResourceReq::SPARK_EXECUTOR, out)
     });
     let mut granted = 0;
@@ -588,7 +633,7 @@ fn dedicated_localization_store_isolates_from_io_interference() {
         };
         let mut p = Pump::new(cfg);
         // Background IO hogs on the single node (4 concurrent streams).
-        p.with_cluster(|c, now, _l, out| {
+        p.with_cluster(|c, now, out| {
             let app = ApplicationId::new(1, 999); // unrelated flow owner
             for _ in 0..4 {
                 let _ = c.spawn_io(now, NodeId(0), app, 400_000.0, out);
@@ -617,8 +662,8 @@ fn public_cache_survives_application_completion() {
     // First app localizes spark-libs.jar, then finishes.
     let a1 = p.submit(spark_submission());
     p.run_until(|n| matches!(n, AppNotice::ProcessStarted { .. }), 200_000);
-    p.with_cluster(|c, now, logs, out| c.am_register(now, a1, logs, out));
-    p.with_cluster(|c, now, logs, out| c.finish_application(now, a1, logs, out));
+    p.with_cluster(|c, now, out| c.am_register(now, a1, out));
+    p.with_cluster(|c, now, out| c.finish_application(now, a1, out));
     p.run_past(p.now + Millis(3_000));
     // Second app's driver reuses the public cache: its localization is
     // near-instant.
@@ -654,8 +699,8 @@ fn small_requests_spread_across_nodes() {
     let mut p = Pump::new(ClusterConfig::default());
     let app = p.submit(spark_submission());
     p.run_until(|n| matches!(n, AppNotice::ProcessStarted { .. }), 100_000);
-    p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
-    p.with_cluster(|c, now, _l, out| {
+    p.with_cluster(|c, now, out| c.am_register(now, app, out));
+    p.with_cluster(|c, now, out| {
         c.request_containers(now, app, 4, ResourceReq::SPARK_EXECUTOR, out)
     });
     let mut granted: Vec<NodeId> = Vec::new();
@@ -693,13 +738,13 @@ fn fair_policy_equalizes_grants_across_apps() {
                 |n| matches!(n, AppNotice::ProcessStarted { app: x, .. } if *x == app),
                 400_000,
             );
-            p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
+            p.with_cluster(|c, now, out| c.am_register(now, app, out));
         }
         // A floods; B asks for 4.
-        p.with_cluster(|c, now, _l, out| {
+        p.with_cluster(|c, now, out| {
             c.request_containers(now, a, 700, ResourceReq::SPARK_EXECUTOR, out)
         });
-        p.with_cluster(|c, now, _l, out| {
+        p.with_cluster(|c, now, out| {
             c.request_containers(now, b, 4, ResourceReq::SPARK_EXECUTOR, out)
         });
         let t0 = p.now;
@@ -754,8 +799,8 @@ fn am_attempt_failure_retries_and_second_attempt_succeeds() {
         assert!(container.is_am());
         let up = p.now.as_u64();
         // The app still completes normally from here.
-        p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
-        p.with_cluster(|c, now, logs, out| c.finish_application(now, app, logs, out));
+        p.with_cluster(|c, now, out| c.am_register(now, app, out));
+        p.with_cluster(|c, now, out| c.finish_application(now, app, out));
         p.run_past(p.now + Millis(5_000));
         let rm = messages_about(&p.logs, LogSource::ResourceManager, "to FINISHED");
         assert_eq!(rm.len(), 1, "retried app must still reach FINISHED");
@@ -865,7 +910,7 @@ fn node_loss_deactivates_node_and_kills_its_containers() {
     let mut p = Pump::new(cfg);
     let app = p.submit(spark_submission());
     p.run_until(|n| matches!(n, AppNotice::ProcessStarted { .. }), 400_000);
-    p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
+    p.with_cluster(|c, now, out| c.am_register(now, app, out));
     p.run_past(Millis(90_000));
     let counts = p.cluster.fault_counts();
     assert_eq!(counts.nodes_lost, 1);
@@ -892,8 +937,8 @@ fn disabled_faults_leave_logs_byte_identical() {
         let mut p = Pump::new(cfg);
         let app = p.submit(spark_submission());
         p.run_until(|n| matches!(n, AppNotice::ProcessStarted { .. }), 400_000);
-        p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
-        p.with_cluster(|c, now, _l, out| {
+        p.with_cluster(|c, now, out| c.am_register(now, app, out));
+        p.with_cluster(|c, now, out| {
             c.request_containers(now, app, 4, ResourceReq::SPARK_EXECUTOR, out)
         });
         p.run_past(p.now + Millis(10_000));
@@ -925,8 +970,8 @@ fn live_container_accounting_balances_on_all_paths() {
         let mut p = Pump::new(cfg);
         let app = p.submit(spark_submission());
         p.run_until(|n| matches!(n, AppNotice::ProcessStarted { .. }), 200_000);
-        p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
-        p.with_cluster(|c, now, _l, out| {
+        p.with_cluster(|c, now, out| c.am_register(now, app, out));
+        p.with_cluster(|c, now, out| {
             c.request_containers(now, app, 4, ResourceReq::SPARK_EXECUTOR, out)
         });
         let mut granted: Vec<ContainerId> = Vec::new();
@@ -942,15 +987,15 @@ fn live_container_accounting_balances_on_all_paths() {
         // Launch two, release two (the over-allocation path), then finish.
         for cid in granted.iter().take(2) {
             let cid = *cid;
-            p.with_cluster(|c, now, _l, out| c.launch_container(now, cid, executor_launch(), out));
+            p.with_cluster(|c, now, out| c.launch_container(now, cid, executor_launch(), out));
         }
         let extras: Vec<ContainerId> = granted.iter().skip(2).copied().collect();
-        p.with_cluster(|c, now, logs, _o| c.release_containers(now, &extras, logs));
+        p.with_cluster(|c, now, out| c.release_containers(now, &extras, out));
         assert!(
             p.cluster.live_containers(app) >= 3,
             "AM + 2 launched must still be live (opportunistic={opportunistic})"
         );
-        p.with_cluster(|c, now, logs, out| c.finish_application(now, app, logs, out));
+        p.with_cluster(|c, now, out| c.finish_application(now, app, out));
         p.run_past(p.now + Millis(5_000));
         assert_eq!(
             p.cluster.live_containers(app),
@@ -980,7 +1025,7 @@ fn rm_container_states(logs: &LogStore, app: ApplicationId) -> BTreeMap<Containe
 /// Ask for `count` executors for `app`, collect the grants, launch the
 /// first `start` of them and wait until those processes are up.
 fn grant_and_start(p: &mut Pump, app: ApplicationId, count: u32, start: usize) {
-    p.with_cluster(|c, now, _l, out| {
+    p.with_cluster(|c, now, out| {
         c.request_containers(now, app, count, ResourceReq::SPARK_EXECUTOR, out)
     });
     let mut granted: Vec<ContainerId> = Vec::new();
@@ -994,7 +1039,7 @@ fn grant_and_start(p: &mut Pump, app: ApplicationId, count: u32, start: usize) {
         granted.extend(containers.iter().map(|(c, _)| *c));
     }
     for &cid in &granted[..start] {
-        p.with_cluster(|c, now, _l, out| c.launch_container(now, cid, executor_launch(), out));
+        p.with_cluster(|c, now, out| c.launch_container(now, cid, executor_launch(), out));
     }
     for &cid in &granted[..start] {
         p.run_until(
@@ -1034,7 +1079,7 @@ fn teardown_reaches_every_attempt_of_its_app_and_no_other_app() {
         );
     }
     for app in [a1, a2, a3] {
-        p.with_cluster(|c, now, logs, out| c.am_register(now, app, logs, out));
+        p.with_cluster(|c, now, out| c.am_register(now, app, out));
         grant_and_start(&mut p, app, 4, 4);
     }
     let neighbours = |p: &Pump| [a1, a3].map(|a| rm_container_states(&p.logs, a));
@@ -1067,7 +1112,7 @@ fn teardown_reaches_every_attempt_of_its_app_and_no_other_app() {
         |n| matches!(n, AppNotice::ProcessStarted { container, .. } if *container == am2),
         400_000,
     );
-    p.with_cluster(|c, now, logs, out| c.am_register(now, a2, logs, out));
+    p.with_cluster(|c, now, out| c.am_register(now, a2, out));
     grant_and_start(&mut p, a2, 4, 2);
     let live = rm_container_states(&p.logs, a2);
     assert_eq!(live.len(), 10, "{live:?}");
@@ -1076,7 +1121,7 @@ fn teardown_reaches_every_attempt_of_its_app_and_no_other_app() {
         3,
         "{live:?}"
     );
-    p.with_cluster(|c, now, logs, out| c.finish_application(now, a2, logs, out));
+    p.with_cluster(|c, now, out| c.finish_application(now, a2, out));
     let torn_down = rm_container_states(&p.logs, a2);
     assert_eq!(torn_down.len(), 10);
     for (cid, state) in &torn_down {

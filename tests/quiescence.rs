@@ -6,7 +6,11 @@
 //! by hand (`run_capped` ignores quiescence) and check that not one log
 //! record or job summary appears. A counted bound on the events of a fixed
 //! stream catches a simulator that idles to its horizon again or re-arms
-//! stale resource ticks.
+//! stale resource ticks. Each scenario's bytes are pinned by a digest,
+//! recorded while every emit site still wrote its text straight into the
+//! log store, so the typed lines that replaced them are held to the same
+//! bytes and no later change to how the simulator writes its logs can
+//! alter them unnoticed.
 
 use simkit::{Engine, Millis, SimRng};
 use sparksim::{profiles, JobSpec, World};
@@ -47,12 +51,28 @@ fn snapshot(engine: &Engine<World>) -> (Vec<String>, Vec<String>) {
     (lines, jobs)
 }
 
-/// Run to the stop, then `OVERRUN` events further, and assert nothing
-/// was added. Returns when the run stopped, and the world.
+/// FNV-1a over a snapshot: every rendered line, then every job summary,
+/// each ended by a newline.
+fn digest((lines, jobs): &(Vec<String>, Vec<String>)) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in lines
+        .iter()
+        .chain(jobs)
+        .flat_map(|s| s.bytes().chain([b'\n']))
+    {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Run to the stop, check the run's bytes against `expected` (a
+/// [`digest`]), then run `OVERRUN` events further and assert nothing was
+/// added. Returns when the run stopped, and the world.
 fn stop_is_exact(
     cfg: ClusterConfig,
     seed: u64,
     arrivals: Vec<(Millis, JobSpec)>,
+    expected: u64,
 ) -> (Millis, World) {
     let jobs = arrivals.len();
     let mut engine = World::engine(cfg, seed, arrivals);
@@ -62,6 +82,8 @@ fn stop_is_exact(
     assert_eq!(engine.model().jobs_submitted(), jobs as u64);
     let before = snapshot(&engine);
     assert!(!before.0.is_empty());
+    let got = digest(&before);
+    assert_eq!(got, expected, "the simulated bytes changed: {got:#018x}");
 
     assert_eq!(engine.run_capped(OVERRUN), OVERRUN, "heartbeats go on");
     assert!(engine.now() > stopped_at);
@@ -83,6 +105,7 @@ fn tpch_stream_stops_exactly() {
             tpch(12, 3),
             vec![(Millis(1_000_000), profiles::mr_wordcount(1024.0))],
         ]),
+        0x2c02_d8ec_7a3c_8702,
     );
     assert_eq!(world.summaries.len(), 13);
 }
@@ -103,7 +126,7 @@ fn fault_injected_run_stops_exactly() {
         },
         ..ClusterConfig::default()
     };
-    let (stopped_at, world) = stop_is_exact(cfg, 5, tpch(12, 5));
+    let (stopped_at, world) = stop_is_exact(cfg, 5, tpch(12, 5), 0x2171_a26e_daea_4374);
     assert_eq!(stopped_at, Millis(2_000_000), "the late node loss ran");
     assert_eq!(world.summaries.len(), 12);
     let faults = world.cluster.fault_counts();
@@ -122,7 +145,7 @@ fn opportunistic_run_with_dfsio_writers_stops_exactly() {
         shifted(tpch(8, 9), Millis(20_000)),
     ]);
     let cfg = ClusterConfig::default().with_opportunistic();
-    let (_, world) = stop_is_exact(cfg, 9, arrivals);
+    let (_, world) = stop_is_exact(cfg, 9, arrivals, 0x393c_c81c_8079_b07a);
     assert_eq!(world.summaries.len(), 9);
 }
 
