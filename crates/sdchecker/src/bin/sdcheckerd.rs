@@ -498,9 +498,9 @@ struct Swept {
     ingest: Duration,
 }
 
-/// Where the tailer's records go: into the analyzer as each file is
-/// parsed, the anomalous ones also to the alert engine. Timed per file
-/// that grew, never per record.
+/// Where the tailer's records go: into the analyzer as each chunk of a
+/// grown file is parsed, the anomalous ones also to the alert engine.
+/// Timed per chunk handed over, never per record.
 struct Ingest<'a> {
     analyzer: &'a mut IncrementalAnalyzer,
     engine: &'a mut Option<AlertEngine>,
@@ -1156,8 +1156,8 @@ fn main() -> ExitCode {
             ops.read_errors - ops_prev.read_errors,
         );
         ops_prev = ops;
-        // Ingest ran inside the sweep, file by file; charge the phases as
-        // if all the tailing had come first.
+        // Ingest ran inside the sweep, chunk by chunk; charge the phases
+        // as if all the tailing had come first.
         let now = Instant::now();
         phase.mark_until("tail", now.checked_sub(swept.ingest).unwrap_or(now));
         phase.mark("ingest");

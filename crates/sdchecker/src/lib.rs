@@ -95,7 +95,9 @@ pub use report::{
     Table,
 };
 pub use stats::{percentile, Cdf, Summary};
-pub use tail::{DirTailer, SourceLag, TailLag, TailOps, TailSink, TailStats, COLD_ROTATION};
+pub use tail::{
+    DirTailer, SourceLag, TailLag, TailOps, TailSink, TailStats, COLD_ROTATION, READ_CHUNK,
+};
 pub use throughput::{allocation_throughput, Throughput};
 pub use timeline::{ascii_gantt, timeline, timeline_csv, TimelineEntry};
 pub use validate::{validate_all, validate_graph, Anomaly, AnomalyKind};

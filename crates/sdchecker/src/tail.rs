@@ -53,13 +53,17 @@
 //! The cost model, counted by [`TailOps`]: a poll performs one `stat`
 //! per file and per directory it looks at (cluster, live, unsettled,
 //! and the rest ÷ `COLD_ROTATION`), one listing per new/changed/young
-//! directory among them, and one open per file that grew; nothing else
-//! per file, and nothing at all per file it does not look at.
+//! directory among them, and one open per file that grew, read in
+//! ⌈growth ÷ [`READ_CHUNK`]⌉ reads; nothing else per file, and nothing
+//! at all per file it does not look at.
 //!
 //! Lines are parsed with the same [`logmodel::parse_line_ref`] and the
 //! same lossy UTF-8 decoding as batch ingest, in place: the records a
-//! poll hands its visitor borrow from the bytes it just read, one file
-//! at a time, and only an unterminated remainder is copied. A file that
+//! poll hands its visitor borrow from the bytes it just read, one chunk
+//! of at most [`READ_CHUNK`] bytes at a time through one reused buffer,
+//! and only an unterminated remainder is copied. So a backlog drain
+//! holds one chunk, not one file: the tailer's memory is that chunk,
+//! its records, and each file's unterminated last line. A file that
 //! shrinks (rotation, truncation) resets its offset and is re-read. The
 //! net guarantee, pinned by the incremental property test: replaying a
 //! tailed corpus in *any* append chunking yields exactly the records
@@ -122,8 +126,8 @@ pub struct TailOps {
     /// File opens: one per file that grew, plus the `epoch.txt` probe
     /// until the epoch resolves.
     pub opens: u64,
-    /// Opens or reads of a grown file that failed; the file was skipped
-    /// with its offset untouched.
+    /// Opens or reads of a grown file that failed; the rest of the file
+    /// was skipped, its offset after the last chunk read.
     pub read_errors: u64,
 }
 
@@ -278,6 +282,13 @@ impl DirState {
 /// has already retired.
 pub const COLD_ROTATION: u64 = 8;
 
+/// The most a grown file is read in one go: a backlog drain holds one
+/// chunk and its records at a time, not one file. Smaller chunks save
+/// little (DESIGN.md, "What a poll costs", has the sweep), and a chunk's
+/// record vector (2 049 × 48 B) stays below glibc's 128 KiB `mmap`
+/// threshold.
+pub const READ_CHUNK: usize = 256 * 1024;
+
 /// The application a directory under the watch root belongs to
 /// (`apps/<id>` and everything below it); `None` for the root, `apps/`
 /// itself and anything else.
@@ -307,8 +318,9 @@ pub trait TailSink {
     /// per poll, after the cluster logs' new records were fed.
     fn is_live(&self, app: ApplicationId) -> bool;
 
-    /// One file's new records, in file order, borrowed from the bytes
-    /// just read. Never empty.
+    /// A run of one file's new records, in file order, borrowed from the
+    /// chunk just read; a file that grew by more than [`READ_CHUNK`]
+    /// arrives in several runs. Never empty.
     fn records(&mut self, source: LogSource, recs: &[RecordRef<'_>]);
 }
 
@@ -357,6 +369,9 @@ pub struct DirTailer {
     stats: TailStats,
     ops: TailOps,
     watermark: Option<TsMs>,
+    /// The buffer every grown file is read through, [`READ_CHUNK`]
+    /// bytes once the first one was read.
+    chunk: Vec<u8>,
 }
 
 impl DirTailer {
@@ -383,6 +398,7 @@ impl DirTailer {
             stats: TailStats::default(),
             ops: TailOps::default(),
             watermark: None,
+            chunk: Vec::new(),
         };
         tailer.adopt_dir(dir.to_path_buf(), DirState::default());
         tailer
@@ -412,18 +428,20 @@ impl DirTailer {
     /// Look for new sources and read what was appended — to the cluster
     /// logs, to whatever is new or unsettled, to the files of every
     /// application `sink` calls live, and to this poll's share of the
-    /// rest (see the module docs for the order). Each file that grew by
-    /// at least one complete, parseable line is handed to `sink` once,
-    /// with records that borrow from the bytes just read: only one
-    /// file's fresh bytes are in memory at a time.
+    /// rest (see the module docs for the order). A grown file is read
+    /// [`READ_CHUNK`] bytes at a time, and each chunk holding the end of
+    /// at least one parseable line is handed to `sink`, with records that
+    /// borrow from that chunk: only one chunk's fresh bytes are in memory
+    /// at a time.
     ///
     /// Only a failure of the watch directory itself (or a malformed
     /// `epoch.txt`) is an error, and it is reported before any file is
-    /// read. A file that cannot be opened or read is skipped — its
-    /// offset stays put, so its bytes show up as lag and are retried
-    /// the next time it is looked at — and counted in
-    /// [`TailOps::read_errors`]; the sweep goes on, because records
-    /// already handed to `sink` cannot be taken back.
+    /// read. A file that cannot be opened or read is counted once in
+    /// [`TailOps::read_errors`] and left where its last chunk handed to
+    /// `sink` ended — at its old offset if none was — so the rest shows up
+    /// as lag and is retried the next time it is looked at; the sweep
+    /// goes on, because records already handed to `sink` cannot be taken
+    /// back.
     pub fn poll_with(&mut self, sink: &mut impl TailSink) -> io::Result<()> {
         self.stats.polls += 1;
         self.resolve_epoch()?;
@@ -452,8 +470,8 @@ impl DirTailer {
 
     /// [`DirTailer::poll_with`] with every application live: one look
     /// at every tracked file and known directory, each grown file's
-    /// records handed to `visit` — cluster logs first, then
-    /// applications in id order.
+    /// records handed to `visit` chunk by chunk — cluster logs first,
+    /// then applications in id order.
     pub fn poll_into(&mut self, visit: impl FnMut(LogSource, &[RecordRef<'_>])) -> io::Result<()> {
         self.poll_with(&mut Everything(visit))
     }
@@ -548,18 +566,14 @@ impl DirTailer {
                 return true;
             }
             self.ops.opens += 1;
-            match read_range(&tail.path, tail.offset, len) {
-                Ok(fresh) => {
-                    tail.offset += fresh.len() as u64;
-                    self.stats.read_bytes += fresh.len() as u64;
-                    let mut parsed = RecordSink {
-                        epoch,
-                        stats: &mut self.stats,
-                        watermark: &mut self.watermark,
-                    };
-                    tail.take_complete_lines(&fresh, &mut parsed, sink);
-                }
-                Err(_) => self.ops.read_errors += 1,
+            let mut parsed = RecordSink {
+                epoch,
+                stats: &mut self.stats,
+                watermark: &mut self.watermark,
+            };
+            let read = tail.read_to(len, &mut self.chunk, &mut parsed, sink);
+            if read.is_err() {
+                self.ops.read_errors += 1;
             }
             true
         });
@@ -785,21 +799,12 @@ impl Encode for DirTailer {
             stats,
             ops: _, // process-local by definition
             watermark,
+            chunk: _, // scratch
         } = self;
         let epoch_unix_ms = epoch.map(|Epoch { unix_ms }| unix_ms);
         (epoch_unix_ms, watermark, stats).encode(e);
         e.seq(self.files());
     }
-}
-
-/// Read bytes `offset..len` of the file at `path` (fewer if it shrank
-/// meanwhile).
-fn read_range(path: &Path, offset: u64, len: u64) -> io::Result<Vec<u8>> {
-    let mut f = fs::File::open(path)?;
-    f.seek(SeekFrom::Start(offset))?;
-    let mut fresh = Vec::with_capacity((len - offset) as usize);
-    f.take(len - offset).read_to_end(&mut fresh)?;
-    Ok(fresh)
 }
 
 /// A visitor that appends an owned copy of every record to `out`.
@@ -840,10 +845,40 @@ impl RecordSink<'_> {
 }
 
 impl FileTail {
+    /// Read the file from `offset` up to `len` — or to its end, if it
+    /// shrank since the `stat` that saw `len` — through `chunk`, at most
+    /// [`READ_CHUNK`] bytes at a time, handing each chunk's complete
+    /// lines to `sink` before the next is read. On an error `offset`
+    /// stays after the last chunk handed over.
+    fn read_to(
+        &mut self,
+        len: u64,
+        chunk: &mut Vec<u8>,
+        parsed: &mut RecordSink<'_>,
+        sink: &mut impl TailSink,
+    ) -> io::Result<()> {
+        let mut f = fs::File::open(&self.path)?;
+        f.seek(SeekFrom::Start(self.offset))?;
+        chunk.resize(READ_CHUNK, 0);
+        while self.offset < len {
+            let want = (len - self.offset).min(READ_CHUNK as u64) as usize;
+            let n = match f.read(&mut chunk[..want]) {
+                Ok(0) => break,
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            self.offset += n as u64;
+            parsed.stats.read_bytes += n as u64;
+            self.take_complete_lines(&chunk[..n], parsed, sink);
+        }
+        Ok(())
+    }
+
     /// Turn the complete lines of `partial` + `fresh` into records and
     /// hand them to `sink`; whatever follows the last newline stays
     /// buffered. The records borrow from `fresh` — all but the line the
-    /// previous polls left unterminated, which is completed in `partial`
+    /// previous chunks left unterminated, which is completed in `partial`
     /// and borrows from there — and are decoded as batch ingest decodes
     /// them: lossy UTF-8, valid bytes not copied. (A line boundary is
     /// never inside a multi-byte sequence, so decoding the run of lines
@@ -866,8 +901,8 @@ impl FileTail {
         }
         let head = decode_lossy(&self.partial);
         let body = decode_lossy(complete);
-        // Sized as batch ingest sizes a source's records: a backlog
-        // drain's cluster log is one read of ~10^5 lines.
+        // Sized as batch ingest sizes a source's records: at most a
+        // chunk's worth, some 2 000 lines.
         let mut recs = Vec::with_capacity(body.len() / BYTES_PER_RECORD_HINT + 1);
         for line in std::iter::once(&*head).chain(body.split('\n')) {
             // No pending line, or the trailing empty slice after the
@@ -1105,6 +1140,101 @@ mod tests {
         assert!(tail(&t, "resourcemanager.log").unwrap().partial.is_empty());
         fs::remove_dir_all(&dir).unwrap();
         fs::remove_dir_all(&whole_dir).unwrap();
+    }
+
+    /// Pad `text` with parseable lines until it is `upto` bytes long.
+    fn fill(text: &mut String, upto: usize) {
+        while upto - text.len() > 200 {
+            text.push_str(&line(100, &"p".repeat(100)));
+        }
+        let room = upto - text.len();
+        text.push_str(&line(100, &"q".repeat(room - 34)));
+        assert_eq!(text.len(), upto);
+    }
+
+    /// What batch ingest reads from `dir`, as owned records.
+    fn batch(dir: &Path) -> Vec<(LogSource, LogRecord)> {
+        let (_, sources) = logmodel::scan_dir(dir, logmodel::Parallelism::ONE, |src, recs| {
+            recs.iter()
+                .map(|r| (src, r.to_record()))
+                .collect::<Vec<_>>()
+        })
+        .unwrap();
+        sources.concat()
+    }
+
+    /// One file of six chunks whose boundaries fall right after a
+    /// newline, between a CR and its LF, inside a three-byte character,
+    /// twice inside one line longer than a chunk, and at the end of the
+    /// file, which stops mid-line: one poll opens it once, hands it over
+    /// in several runs, and reads exactly what batch ingest reads — and
+    /// so do a half line and its rest appended after it.
+    #[test]
+    fn a_file_read_in_chunks_gives_what_batch_reads() {
+        const C: usize = READ_CHUNK;
+        let dir = tmp("chunks");
+        let _ = fs::remove_dir_all(&dir);
+        write_epoch(&dir);
+        let rm = dir.join("resourcemanager.log");
+        fs::write(&rm, b"").unwrap();
+        let mut t = DirTailer::new(&dir).unwrap();
+        assert!(t.poll().unwrap().is_empty());
+
+        let mut text = String::new();
+        fill(&mut text, C);
+        let crlf = "2018-03-14 09:00:00,100 INFO  X: crlf\r\n";
+        fill(&mut text, 2 * C + 1 - crlf.len());
+        text.push_str(crlf);
+        let check = "2018-03-14 09:00:00,100 INFO  X: check ";
+        fill(&mut text, 3 * C - 1 - check.len());
+        text.push_str(check);
+        text.push_str("\u{2713} done\n");
+        fill(&mut text, 4 * C - 100);
+        text.push_str(&line(100, &"long ".repeat(C / 5 + 40)));
+        let tail_text = "2018-03-14 09:00:00,100 INFO  X: unterminated";
+        fill(&mut text, 6 * C - tail_text.len());
+        text.push_str(tail_text);
+        let bytes = text.as_bytes();
+        assert_eq!(bytes.len(), 6 * C);
+        assert_eq!(bytes[C - 1], b'\n');
+        assert_eq!(&bytes[2 * C - 1..2 * C + 1], b"\r\n");
+        assert!(!text.is_char_boundary(3 * C));
+        assert!(!bytes[4 * C..5 * C].contains(&b'\n'));
+        fs::write(&rm, bytes).unwrap();
+
+        let before = t.ops();
+        let mut got = Vec::new();
+        let mut runs = 0;
+        t.poll_into(|src, recs| {
+            runs += 1;
+            got.extend(recs.iter().map(|r| (src, r.to_record())));
+        })
+        .unwrap();
+        assert!(runs >= 3, "{runs} runs");
+        assert_eq!(t.ops().opens - before.opens, 1);
+        let tail_state = tail(&t, "resourcemanager.log").unwrap();
+        assert_eq!(tail_state.offset, bytes.len() as u64);
+        assert_eq!(tail_state.partial, tail_text.as_bytes());
+        got.extend(t.flush_partial());
+        assert_eq!(got, batch(&dir));
+
+        // A half line, then its rest: exact again.
+        let mut t = DirTailer::new(&dir).unwrap();
+        let mut got = t.poll().unwrap();
+        let next = line(200, "after the chunks");
+        let (head, rest) = next.split_at(20);
+        append(&rm, &format!("\n{head}"));
+        got.extend(t.poll().unwrap());
+        assert_eq!(
+            tail(&t, "resourcemanager.log").unwrap().partial,
+            head.as_bytes()
+        );
+        append(&rm, rest);
+        got.extend(t.poll().unwrap());
+        assert!(tail(&t, "resourcemanager.log").unwrap().partial.is_empty());
+        assert_eq!(got, batch(&dir));
+        assert_eq!(messages(&got).last(), Some(&"after the chunks"));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -18,7 +18,7 @@ use obs::json::Json;
 use sdchecker::{
     analyze_dir_with, analyze_store_with, report_json, wide_events_for_analysis, AlertEngine,
     AlertRule, DirTailer, IncrementalAnalyzer, IncrementalConfig, RuleKind, TailSink,
-    COLD_ROTATION,
+    COLD_ROTATION, READ_CHUNK,
 };
 use simkit::SimRng;
 
@@ -167,7 +167,24 @@ fn populate_app(s: &mut LogStore, num: u32, node: u32, base: u64, name: Option<&
 /// application name so random byte-level chunking is guaranteed to land
 /// inside encoded sequences.
 fn corpus() -> LogStore {
+    chatty_corpus(0)
+}
+
+/// [`corpus`] with its ResourceManager log opened by `lines` records no
+/// rule matches, stamped before the first application's.
+fn chatty_corpus(lines: u64) -> LogStore {
     let mut s = LogStore::new(Epoch::default_run());
+    for i in 0..lines {
+        s.info(
+            LogSource::ResourceManager,
+            TsMs(i * 100 / lines),
+            "ParentQueue",
+            format!(
+                "assignedContainer queue=root usedCapacity=0.{i:03} absoluteUsedCapacity=0.328 \
+                 used=<memory:2850111, vCores:630> cluster=<memory:8388608, vCores:2048>"
+            ),
+        );
+    }
     populate_app(&mut s, 1, 2, 0, None);
     populate_app(
         &mut s,
@@ -269,9 +286,16 @@ fn append(path: &Path, bytes: &[u8]) {
 /// with the analyzer as sink — files of applications no record has named
 /// yet wait for their turn — and end, as the daemon does, on one full
 /// poll.
+///
+/// The ResourceManager log opens with more than two read chunks of
+/// chatter, appended now and then more than a chunk at a time, so polls
+/// also meet growth the tailer hands over in several runs.
 #[test]
 fn tailed_ingest_matches_batch_for_any_append_chunking() {
-    let logs = corpus();
+    let logs = chatty_corpus(4_000);
+    let rm = LogSource::ResourceManager;
+    let chatter = logs.render_source(rm).len() - corpus().render_source(rm).len();
+    assert!(chatter > 2 * READ_CHUNK, "{chatter} bytes of chatter");
 
     // Batch gold: write the finished corpus, analyze it, pin the report.
     let batch_dir = tmp("batch");
@@ -314,16 +338,19 @@ fn tailed_ingest_matches_batch_for_any_append_chunking() {
         let mut rng = SimRng::new(0xD1CE + trial % 5);
         let live_set = trial >= 5;
 
-        // Full byte blob per source file; the RM log (sorted last) loses
-        // its final newline so `flush_partial` gets exercised.
-        let mut blobs: Vec<(PathBuf, Vec<u8>, usize)> = logs
+        // Full byte blob per source file, with how much of it is chatter;
+        // the RM log (sorted last) loses its final newline so
+        // `flush_partial` gets exercised.
+        let mut blobs: Vec<(PathBuf, Vec<u8>, usize, usize)> = logs
             .sources()
             .map(|src| {
                 let mut bytes = logs.render_source(src).into_bytes();
-                if src == LogSource::ResourceManager {
+                let mut head = 0;
+                if src == rm {
                     assert_eq!(bytes.pop(), Some(b'\n'));
+                    head = chatter;
                 }
-                (dir.join(src.rel_path()), bytes, 0)
+                (dir.join(src.rel_path()), bytes, 0, head)
             })
             .collect();
 
@@ -332,21 +359,27 @@ fn tailed_ingest_matches_batch_for_any_append_chunking() {
         // at finish(), once all evidence is in.
         let mut feed = Feed::new(u64::MAX, *logs.epoch());
 
-        // Append 1..=19-byte chunks to randomly chosen files, polling
-        // the tailer at random points in between.
+        // Append 1..=19-byte chunks to randomly chosen files — inside the
+        // chatter, one time in 16 more than a read chunk at once —
+        // polling the tailer at random points in between.
         loop {
             let pending: Vec<usize> = blobs
                 .iter()
                 .enumerate()
-                .filter(|(_, (_, bytes, pos))| pos < &bytes.len())
+                .filter(|(_, (_, bytes, pos, _))| pos < &bytes.len())
                 .map(|(i, _)| i)
                 .collect();
             if pending.is_empty() {
                 break;
             }
             let pick = pending[rng.below(pending.len() as u64) as usize];
-            let (path, bytes, pos) = &mut blobs[pick];
-            let n = (1 + rng.below(19) as usize).min(bytes.len() - *pos);
+            let (path, bytes, pos, head) = &mut blobs[pick];
+            let n = if *pos < *head && rng.below(16) == 0 {
+                READ_CHUNK + 1 + rng.below(READ_CHUNK as u64) as usize
+            } else {
+                1 + rng.below(19) as usize
+            };
+            let n = n.min(bytes.len() - *pos);
             append(path, &bytes[*pos..*pos + n]);
             *pos += n;
             if rng.below(4) == 0 {

@@ -6,7 +6,8 @@
 //! not per line. This binary installs a counting allocator (it is its
 //! own process, so nothing else is affected) and holds both to a number;
 //! the same allocator tracks live bytes and their high-water mark, which
-//! holds a directory analysis's peak heap to a figure per event. Counts
+//! holds a directory analysis's peak heap to a figure per event and a
+//! tailed drain's to one read chunk, whatever the size of the file. Counts
 //! are per thread, so the harness running tests side by side does not
 //! disturb them.
 
@@ -20,7 +21,8 @@ use std::path::{Path, PathBuf};
 use logmodel::{parse_line_ref, Epoch, LogSource, LogStore, NodeId, Parallelism};
 use sdchecker::{
     analyze_dir_with, analyze_store, critical_path, full_report, report_json,
-    wide_events_for_analysis, Analysis, EventKind, Extractor, Outcome, Report, StreamCursor,
+    wide_events_for_analysis, Analysis, DirTailer, EventKind, Extractor, IncrementalAnalyzer,
+    IncrementalConfig, Outcome, Report, StreamCursor, READ_CHUNK,
 };
 
 thread_local! {
@@ -355,4 +357,48 @@ fn directory_analysis_peak_live_heap_is_priced_per_event() {
          budget {PEAK_LIVE_BYTES_PER_EVENT}"
     );
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The most heap a tailed drain of the noisy fleet may hold at once
+/// beyond what the same drain holds at one noise line per line, when the
+/// dense ResourceManager log is at least four read chunks long: one
+/// chunk's record vector (2 049 × 48 B) and change. Measured: 96 178
+/// bytes, in both profiles. When a grown file was read in one buffer,
+/// with a record vector sized for all of it, the difference was
+/// 1 664 140 bytes — more than the dense log's 1 216 383.
+const TAILED_DRAIN_SLACK: u64 = 128 * 1024;
+
+/// The heap a daemon's catch-up holds at its peak, with the delays it
+/// retired and the size of the fleet's ResourceManager log.
+fn tailed_drain_peak(dir: &Path) -> (String, u64, u64) {
+    let rm_len = fs::metadata(dir.join("resourcemanager.log")).unwrap().len();
+    let mut inc = IncrementalAnalyzer::new(IncrementalConfig::default());
+    let (_, peak) = peak_live_bytes(|| {
+        let mut tailer = DirTailer::new(dir).unwrap();
+        tailer
+            .poll_into(|source, recs| inc.ingest_records(source, recs, |_, _| {}))
+            .unwrap();
+    });
+    let delays: Vec<_> = inc.finish().into_iter().map(|r| r.delays).collect();
+    (format!("{delays:?}"), peak, rm_len)
+}
+
+#[test]
+fn a_tailed_drain_holds_a_chunk_not_a_file() {
+    let (sparse_dir, _) = noisy_fleet("drain1", 1);
+    let (dense_dir, _) = noisy_fleet("drain400", 400);
+    let (sparse_delays, sparse, _) = tailed_drain_peak(&sparse_dir);
+    let (dense_delays, dense, rm_len) = tailed_drain_peak(&dense_dir);
+    assert_eq!(sparse_delays, dense_delays);
+    assert!(
+        rm_len >= 4 * READ_CHUNK as u64,
+        "the dense ResourceManager log is {rm_len} bytes"
+    );
+    assert!(
+        dense.saturating_sub(sparse) < TAILED_DRAIN_SLACK,
+        "{dense} bytes live at the peak over a {rm_len}-byte ResourceManager log, \
+         {sparse} at one noise line per line"
+    );
+    fs::remove_dir_all(&sparse_dir).unwrap();
+    fs::remove_dir_all(&dense_dir).unwrap();
 }
