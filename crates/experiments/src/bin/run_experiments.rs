@@ -24,6 +24,8 @@ use std::time::Instant;
 
 use experiments::harness::{default_horizon, run_scenario, scenario_rng};
 use experiments::{all_experiments, Figure, Scale};
+use obs::json::{document, Layout, Name};
+use obs::json_fields;
 use workloads::{tpch_stream, TraceParams};
 use yarnsim::ClusterConfig;
 
@@ -241,58 +243,32 @@ fn fleet_report_json(
     seed: u64,
     secs: f64,
 ) -> String {
-    use std::fmt::Write as _;
     let snap = obs::global().snapshot();
-    let mut out = String::from("{\n  \"schema\": \"run-experiments-report-v1\",\n");
-    let _ = writeln!(
-        out,
-        "  \"scale\": \"{}\",",
-        match scale {
-            Scale::Full => "full",
-            Scale::Quick => "quick",
+    let scale = match scale {
+        Scale::Full => "full",
+        Scale::Quick => "quick",
+    };
+    document(0, Layout::Block, |doc| {
+        json_fields!(doc, "schema" => "run-experiments-report-v1", "scale" => scale,
+            "seed" => seed, "wall_seconds" => secs);
+        let mut experiments = doc.arr("experiments", Layout::Block);
+        for (_, fig, dt) in results {
+            let mut obj = experiments.obj(Layout::Inline);
+            json_fields!(obj, "id" => fig.id, "seconds" => dt);
         }
-    );
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"wall_seconds\": {},", obs::json::fmt_f64(secs));
-    out.push_str("  \"experiments\": [");
-    for (i, (_, fig, dt)) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"id\": \"{}\", \"seconds\": {}}}",
-            obs::json::escape(fig.id),
-            obs::json::fmt_f64(*dt)
-        );
-    }
-    out.push_str("\n  ],\n  \"fleet\": {\n");
-    for (i, metric) in ["app_delay_ms", "container_delay_ms"].iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        let _ = write!(out, "    \"{metric}\": {{");
-        let mut first = true;
-        for (k, s) in snap.sketches.iter().filter(|(k, _)| k.name == *metric) {
-            let component = k
-                .labels
-                .iter()
-                .find(|(l, _)| *l == "component")
-                .map(|(_, v)| v.as_str())
-                .unwrap_or("unlabeled");
-            if !first {
-                out.push(',');
+        drop(experiments);
+        let mut fleet = doc.obj("fleet", Layout::Block);
+        for metric in ["app_delay_ms", "container_delay_ms"] {
+            let mut sketches = fleet.obj(metric, Layout::Block);
+            for (k, s) in snap.sketches.iter().filter(|(k, _)| k.name == metric) {
+                let component = k
+                    .labels
+                    .iter()
+                    .find(|(l, _)| *l == "component")
+                    .map(|(_, v)| v.as_str())
+                    .unwrap_or("unlabeled");
+                sketches.field(Name(component), s);
             }
-            first = false;
-            let _ = write!(
-                out,
-                "\n      \"{}\": {}",
-                obs::json::escape(component),
-                obs::export::sketch_json(s)
-            );
         }
-        out.push_str("\n    }");
-    }
-    out.push_str("\n  }\n}\n");
-    out
+    })
 }

@@ -16,6 +16,8 @@
 use std::fmt;
 use std::str::FromStr;
 
+use obs::json::{Quoted, Value};
+
 /// Error parsing an identifier from text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdParseError {
@@ -45,6 +47,18 @@ fn err(kind: &'static str, input: &str) -> IdParseError {
 fn write_dec(w: &mut impl fmt::Write, v: u64, width: usize) -> fmt::Result {
     w.write_str(obs::json::decimal(&mut [0; 20], v, width))
 }
+
+/// In a JSON document an id is its text, quoted; no id needs escaping.
+macro_rules! json_ids {
+    ($($t:ty),*) => {$(
+        impl Value for $t {
+            fn push_json(&self, out: &mut String) {
+                Quoted(|out: &mut String| self.write_to(out).unwrap_or_default()).push_json(out);
+            }
+        }
+    )*};
+}
+json_ids!(ApplicationId, ContainerId, NodeId);
 
 /// A YARN application id: `application_<clusterTs>_<seq>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -58,6 +58,13 @@ impl TsMs {
     }
 }
 
+/// In a JSON document an instant is its milliseconds.
+impl obs::json::Value for TsMs {
+    fn push_json(&self, out: &mut String) {
+        obs::json::push_u64(out, self.0);
+    }
+}
+
 impl std::fmt::Display for TsMs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}ms", self.0)

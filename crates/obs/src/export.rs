@@ -4,7 +4,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-use crate::json::{escape, fmt_f64};
+use crate::json::{document, fmt_f64, Arr, Layout, Name, Obj, Paused, Value};
+use crate::json_fields;
 use crate::metrics::{MetricKey, Snapshot};
 use crate::sketch::QuantileSketch;
 
@@ -102,7 +103,9 @@ fn write_family_header(
 #[derive(Debug)]
 pub struct TraceEvents {
     out: String,
-    any: bool,
+    /// The root object and its `traceEvents` array, open between calls.
+    root: Paused,
+    events: Paused,
 }
 
 impl Default for TraceEvents {
@@ -114,48 +117,35 @@ impl Default for TraceEvents {
 impl TraceEvents {
     /// An empty trace document.
     pub fn new() -> TraceEvents {
-        TraceEvents {
-            out: String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": ["),
-            any: false,
-        }
+        let mut out = String::new();
+        let mut root = Obj::new(&mut out, Layout::Inline);
+        root.field("displayTimeUnit", "ms");
+        let events = root.arr("traceEvents", Layout::Block).pause();
+        let root = root.pause();
+        TraceEvents { out, root, events }
     }
 
-    fn push(&mut self, ev: std::fmt::Arguments<'_>) {
-        if self.any {
-            self.out.push(',');
-        }
-        self.any = true;
-        self.out.push_str("\n  ");
-        let _ = self.out.write_fmt(ev);
-    }
-
-    fn fmt_args(args: &[(&str, String)]) -> String {
-        let mut s = String::new();
-        for (i, (k, v)) in args.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "\"{}\": \"{}\"", escape(k), escape(v));
-        }
-        s
+    /// Append one event: the inline object `write` fills.
+    fn event(&mut self, write: impl FnOnce(&mut Obj<'_>)) {
+        let mut events = Arr::resume(&mut self.out, self.events);
+        write(&mut events.obj(Layout::Inline));
+        self.events = events.pause();
     }
 
     /// Name a process lane (`ph:"M"` metadata).
     pub fn process_name(&mut self, pid: u64, name: &str) {
-        self.push(format_args!(
-            "{{\"ph\": \"M\", \"pid\": {pid}, \"name\": \"process_name\", \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            escape(name)
-        ));
+        self.event(|ev| {
+            json_fields!(ev, "ph" => "M", "pid" => pid, "name" => "process_name");
+            ev.obj("args", Layout::Inline).field("name", name);
+        });
     }
 
     /// Name a thread lane within a process (`ph:"M"` metadata).
     pub fn thread_name(&mut self, pid: u64, tid: u64, name: &str) {
-        self.push(format_args!(
-            "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"name\": \"thread_name\", \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            escape(name)
-        ));
+        self.event(|ev| {
+            json_fields!(ev, "ph" => "M", "pid" => pid, "tid" => tid, "name" => "thread_name");
+            ev.obj("args", Layout::Inline).field("name", name);
+        });
     }
 
     /// A complete slice (`ph:"X"`): `ts`/`dur` in microseconds on
@@ -169,37 +159,39 @@ impl TraceEvents {
         dur_us: u64,
         args: &[(&str, String)],
     ) {
-        self.push(format_args!(
-            "{{\"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \"name\": \"{}\", \
-             \"ts\": {ts_us}, \"dur\": {dur_us}, \"args\": {{{}}}}}",
-            escape(name),
-            Self::fmt_args(args)
-        ));
+        self.event(|ev| {
+            json_fields!(ev, "ph" => "X", "pid" => pid, "tid" => tid, "name" => name,
+                "ts" => ts_us, "dur" => dur_us);
+            let mut obj = ev.obj("args", Layout::Inline);
+            for (k, v) in args {
+                obj.field(Name(k), v);
+            }
+        });
     }
 
     /// Start of a flow arrow (`ph:"s"`). `id` pairs it with the matching
     /// [`TraceEvents::flow_end`]; the point must lie inside a slice on
     /// `(pid, tid)` for renderers to anchor the arrow.
     pub fn flow_start(&mut self, pid: u64, tid: u64, id: u64, name: &str, ts_us: u64) {
-        self.push(format_args!(
-            "{{\"ph\": \"s\", \"pid\": {pid}, \"tid\": {tid}, \"cat\": \"flow\", \
-             \"id\": {id}, \"name\": \"{}\", \"ts\": {ts_us}}}",
-            escape(name)
-        ));
+        self.event(|ev| {
+            json_fields!(ev, "ph" => "s", "pid" => pid, "tid" => tid, "cat" => "flow", "id" => id,
+                "name" => name, "ts" => ts_us)
+        });
     }
 
     /// End of a flow arrow (`ph:"f"`, binding to the enclosing slice).
     pub fn flow_end(&mut self, pid: u64, tid: u64, id: u64, name: &str, ts_us: u64) {
-        self.push(format_args!(
-            "{{\"ph\": \"f\", \"bp\": \"e\", \"pid\": {pid}, \"tid\": {tid}, \
-             \"cat\": \"flow\", \"id\": {id}, \"name\": \"{}\", \"ts\": {ts_us}}}",
-            escape(name)
-        ));
+        self.event(|ev| {
+            json_fields!(ev, "ph" => "f", "bp" => "e", "pid" => pid, "tid" => tid, "cat" => "flow",
+                "id" => id, "name" => name, "ts" => ts_us)
+        });
     }
 
     /// Close the document and return the JSON text.
     pub fn finish(mut self) -> String {
-        self.out.push_str("\n]}\n");
+        drop(Arr::resume(&mut self.out, self.events));
+        drop(Obj::resume(&mut self.out, self.root));
+        self.out.push('\n');
         self.out
     }
 }
@@ -219,45 +211,25 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
     t.finish()
 }
 
-/// Render one quantile sketch as a JSON object (count, sum, min, max,
-/// mean, and the standard percentile ladder). Deterministic bytes for
-/// equal sketches; `null` fields when the sketch is empty. Sketches
-/// holding exemplars grow an `exemplars` array (worst labeled samples
-/// first); exemplar-free sketches render exactly as before, so existing
-/// golden files are untouched.
-pub fn sketch_json(s: &QuantileSketch) -> String {
-    let opt_u = |v: Option<u64>| v.map(|x| x.to_string()).unwrap_or_else(|| "null".into());
-    let opt_f = |v: Option<f64>| v.map(fmt_f64).unwrap_or_else(|| "null".into());
-    let mut out = format!(
-        "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \
-         \"p50\": {}, \"p90\": {}, \"p95\": {}, \"p99\": {}",
-        s.count(),
-        s.sum(),
-        opt_u(s.min()),
-        opt_u(s.max()),
-        opt_f(s.mean()),
-        opt_f(s.quantile(0.5)),
-        opt_f(s.quantile(0.9)),
-        opt_f(s.quantile(0.95)),
-        opt_f(s.quantile(0.99)),
-    );
-    if !s.exemplars().is_empty() {
-        out.push_str(", \"exemplars\": [");
-        for (i, e) in s.exemplars().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+/// A sketch is its count, sum, min, max, mean and the standard
+/// percentile ladder — `null` where an empty sketch has none. Sketches
+/// holding exemplars add an `exemplars` array (worst labelled samples
+/// first); exemplar-free ones write exactly the fields above. Equal
+/// sketches write equal bytes.
+impl Value for QuantileSketch {
+    fn push_json(&self, out: &mut String) {
+        let mut obj = Obj::new(out, Layout::Inline);
+        json_fields!(obj, "count" => self.count(), "sum" => self.sum(), "min" => self.min(),
+            "max" => self.max(), "mean" => self.mean(), "p50" => self.quantile(0.5),
+            "p90" => self.quantile(0.9), "p95" => self.quantile(0.95), "p99" => self.quantile(0.99));
+        if !self.exemplars().is_empty() {
+            let mut exemplars = obj.arr("exemplars", Layout::Inline);
+            for e in self.exemplars() {
+                let mut ex = exemplars.obj(Layout::Inline);
+                json_fields!(ex, "value" => e.value, "label" => &e.label);
             }
-            let _ = write!(
-                out,
-                "{{\"value\": {}, \"label\": \"{}\"}}",
-                e.value,
-                escape(&e.label)
-            );
         }
-        out.push(']');
     }
-    out.push('}');
-    out
 }
 
 /// Render the snapshot's metrics (counters, gauges, histograms — no
@@ -265,46 +237,29 @@ pub fn sketch_json(s: &QuantileSketch) -> String {
 /// order, so two snapshots with equal metric values render to identical
 /// bytes — the property the golden-file tests pin down.
 pub fn metrics_json(snap: &Snapshot) -> String {
-    let mut out = String::from("{\n  \"counters\": {");
-    for (i, (k, v)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    document(0, Layout::Block, |doc| {
+        let mut counters = doc.obj("counters", Layout::Block);
+        for (k, v) in &snap.counters {
+            counters.field(Name(&k.render()), v);
         }
-        let _ = write!(out, "\n    \"{}\": {v}", escape(&k.render()));
-    }
-    out.push_str("\n  },\n  \"gauges\": {");
-    for (i, (k, v)) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        drop(counters);
+        let mut gauges = doc.obj("gauges", Layout::Block);
+        for (k, v) in &snap.gauges {
+            gauges.field(Name(&k.render()), v);
         }
-        let _ = write!(out, "\n    \"{}\": {}", escape(&k.render()), fmt_f64(*v));
-    }
-    out.push_str("\n  },\n  \"histograms\": {");
-    for (i, (k, h)) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        drop(gauges);
+        let mut histograms = doc.obj("histograms", Layout::Block);
+        for (k, h) in &snap.histograms {
+            let mut obj = histograms.obj(Name(&k.render()), Layout::Inline);
+            json_fields!(obj, "bounds" => h.bounds, "counts" => &h.counts[..], "sum" => h.sum,
+                "count" => h.count);
         }
-        let bounds: Vec<String> = h.bounds.iter().map(u64::to_string).collect();
-        let counts: Vec<String> = h.counts.iter().map(u64::to_string).collect();
-        let _ = write!(
-            out,
-            "\n    \"{}\": {{\"bounds\": [{}], \"counts\": [{}], \"sum\": {}, \"count\": {}}}",
-            escape(&k.render()),
-            bounds.join(", "),
-            counts.join(", "),
-            h.sum,
-            h.count
-        );
-    }
-    out.push_str("\n  },\n  \"sketches\": {");
-    for (i, (k, s)) in snap.sketches.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        drop(histograms);
+        let mut sketches = doc.obj("sketches", Layout::Block);
+        for (k, s) in &snap.sketches {
+            sketches.field(Name(&k.render()), s);
         }
-        let _ = write!(out, "\n    \"{}\": {}", escape(&k.render()), sketch_json(s));
-    }
-    out.push_str("\n  }\n}\n");
-    out
+    })
 }
 
 /// Render the snapshot's metrics in the Prometheus text exposition
@@ -568,6 +523,11 @@ mod tests {
         let mut s = QuantileSketch::new();
         s.observe_exemplar(1200, "application_1 \"résumé\"\\n");
         s.observe_exemplar(300, "application_2");
+        let sketch_json = |s: &QuantileSketch| {
+            let mut out = String::new();
+            s.push_json(&mut out);
+            out
+        };
         let j = sketch_json(&s);
         let doc = json::parse(&j).expect("sketch JSON with exemplars must parse");
         let ex = doc.get("exemplars").unwrap().as_arr().unwrap();

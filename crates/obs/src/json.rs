@@ -1,17 +1,30 @@
-//! Minimal JSON support: string escaping for the exporters and a small
-//! recursive-descent parser so tests (and downstream tools) can validate
-//! exporter output without external dependencies.
+//! JSON for the whole workspace: the one writer every emitted document
+//! is spelled with ([`Obj`], [`Arr`], [`Value`]), which alone knows the
+//! separators, quoting, escaping, `null` and the two [`Layout`]s; the
+//! push primitives under it; and a strict parser so tests (and
+//! downstream tools) can check output without external dependencies.
+
+/// Whether `b` must be escaped inside a JSON string.
+fn needs_escape(b: u8) -> bool {
+    matches!(b, b'"' | b'\\' | 0..=0x1f)
+}
 
 /// Append `s` escaped for embedding inside JSON double quotes. Runs of
 /// bytes that need no escaping are copied whole, so a clean string is
 /// one `push_str`.
 pub fn push_escaped(out: &mut String, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
+    // A fold without an early exit tells a clean string (most of them)
+    // a word at a time, not a branch per byte.
+    if !s.bytes().fold(false, |any, b| any | needs_escape(b)) {
+        out.push_str(s);
+        return;
+    }
     // Every escaped byte is ASCII, so `clean` and `i` always fall on
     // character boundaries and multi-byte text passes through in runs.
     let mut clean = 0;
     for (i, b) in s.bytes().enumerate() {
-        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+        if !needs_escape(b) {
             continue;
         }
         out.push_str(&s[clean..i]);
@@ -39,28 +52,55 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// The decimal digits of `v` in `buf`, zero-padded on the left to at
-/// least `min_digits` (at most the buffer's 20). The one digit loop
-/// under [`push_u64`] and the fixed-width fields of `logmodel`'s ids.
-pub fn decimal(buf: &mut [u8; 20], mut v: u64, min_digits: usize) -> &str {
+/// `"00"` to `"99"`, back to back.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 200 {
+        pairs[i] = b'0' + (i / 20) as u8;
+        pairs[i + 1] = b'0' + (i / 2 % 10) as u8;
+        i += 2;
+    }
+    pairs
+};
+
+/// The one digit loop: the decimal digits of `v` at the end of `buf`,
+/// zero-padded on the left to at least `min_digits` (at most the
+/// buffer's 20). Returns where they start. Two digits per division: the
+/// divisions are a chain, and halving it halves what a number costs.
+fn digits(buf: &mut [u8; 20], mut v: u64, min_digits: usize) -> usize {
     buf.fill(b'0');
     let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+    while v >= 10 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    let start = i.min(buf.len().saturating_sub(min_digits));
+    if v > 0 || i == buf.len() {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    i.min(buf.len().saturating_sub(min_digits))
+}
+
+/// The decimal digits of `v` in `buf`, zero-padded to at least
+/// `min_digits`: the fixed-width fields of `logmodel`'s ids.
+pub fn decimal(buf: &mut [u8; 20], v: u64, min_digits: usize) -> &str {
+    let start = digits(buf, v, min_digits);
     // ASCII digits only, so the conversion cannot fail.
     std::str::from_utf8(&buf[start..]).unwrap_or_default()
 }
 
-/// Append `v` in decimal.
+/// Append `v` in decimal, a digit at a time: ASCII needs none of the
+/// UTF-8 check a `&str` of the digits would cost.
+#[inline]
 pub fn push_u64(out: &mut String, v: u64) {
-    out.push_str(decimal(&mut [0; 20], v, 1));
+    let mut buf = [0; 20];
+    let start = digits(&mut buf, v, 1);
+    for &d in &buf[start..] {
+        out.push(char::from(d));
+    }
 }
 
 /// Append an `f64` deterministically: integers without a fraction render
@@ -83,6 +123,259 @@ pub fn fmt_f64(v: f64) -> String {
     let mut out = String::new();
     push_f64(&mut out, v);
     out
+}
+
+/// A value an object member or an array element can hold.
+pub trait Value {
+    /// Append the value's JSON text.
+    fn push_json(&self, out: &mut String);
+}
+
+/// `null`, for a member no `Option` gives a type to.
+pub struct Null;
+
+/// A string whose text the closure appends: an id or a fixed path,
+/// written without a `String` of its own.
+pub struct Quoted<F>(pub F);
+
+/// What each type is as JSON: `[generics] type => |value, out| write`.
+macro_rules! values {
+    ($([$($g:tt)*] $t:ty => |$v:ident, $out:ident| $write:expr;)*) => {$(
+        impl<$($g)*> Value for $t {
+            fn push_json(&self, $out: &mut String) {
+                let $v = self;
+                $write;
+            }
+        }
+    )*};
+}
+
+values! {
+    [] u32 => |v, out| push_u64(out, u64::from(*v));
+    [] u64 => |v, out| push_u64(out, *v);
+    [] usize => |v, out| push_u64(out, *v as u64);
+    [] f64 => |v, out| push_f64(out, *v);
+    [] bool => |v, out| out.push_str(if *v { "true" } else { "false" });
+    [] Null => |_v, out| out.push_str("null");
+    [] str => |v, out| Quoted(|out: &mut String| push_escaped(out, v)).push_json(out);
+    [] String => |v, out| v.as_str().push_json(out);
+    [T: Value + ?Sized] &T => |v, out| (**v).push_json(out);
+    [T: Value] Option<T> =>
+        |v, out| match v { Some(v) => v.push_json(out), None => Null.push_json(out) };
+    [T: Value] [T] => |v, out| v.iter().fold(Arr::new(out, Layout::Inline), |mut a, x| {
+        a.item(x);
+        a
+    });
+    [F: Fn(&mut String)] Quoted<F> => |v, out| { out.push('"'); (v.0)(out); out.push('"') };
+}
+
+/// An object member's name.
+pub trait Key {
+    /// Append the quoted name and the `: ` after it.
+    fn push_key(self, out: &mut String);
+}
+
+/// A name and a suffix fixed in the source (`("total", "_ms")`), copied
+/// verbatim: scanning every member's name for escapes would cost each
+/// document a pass over all of its keys.
+impl Key for (&'static str, &'static str) {
+    #[inline(always)]
+    fn push_key(self, out: &mut String) {
+        debug_assert!(
+            !self.0.bytes().chain(self.1.bytes()).any(needs_escape),
+            "static key {self:?} needs escaping; write it as a json::Name"
+        );
+        out.push('"');
+        out.push_str(self.0);
+        out.push_str(self.1);
+        out.push_str("\": ");
+    }
+}
+
+/// A name fixed in the source, copied verbatim.
+impl Key for &'static str {
+    #[inline(always)]
+    fn push_key(self, out: &mut String) {
+        (self, "").push_key(out);
+    }
+}
+
+/// A name known only at run time — a metric key, a rule name, a source
+/// path, an application id — escaped.
+pub struct Name<'a>(pub &'a str);
+
+impl Key for Name<'_> {
+    fn push_key(self, out: &mut String) {
+        self.0.push_json(out);
+        out.push_str(": ");
+    }
+}
+
+/// How a container lays out its members.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// On the container's line, separated by `", "`.
+    Inline,
+    /// One per line, two spaces deeper than the enclosing block, and the
+    /// closing bracket on a line of its own.
+    Block,
+}
+
+/// A block member's separator: a comma, a line break and more
+/// indentation than any document nests to.
+const BREAK: &str = ",\n                                ";
+
+/// Where an open container stands; all [`Obj::pause`] keeps of it. (A
+/// member is the first when the document still ends in its bracket.)
+#[derive(Debug, Clone, Copy)]
+pub struct Paused {
+    /// Block members' indentation; inline containers keep their block's.
+    indent: usize,
+    block: bool,
+    obj: bool,
+}
+
+/// An open object or array.
+struct Seq<'a> {
+    out: &'a mut String,
+    at: Paused,
+}
+
+impl<'a> Seq<'a> {
+    #[inline]
+    fn open(out: &'a mut String, obj: bool, layout: Layout, indent: usize) -> Seq<'a> {
+        out.push(if obj { '{' } else { '[' });
+        let block = layout == Layout::Block;
+        let indent = if block { indent + 2 } else { indent }.min(BREAK.len() - 2);
+        Seq {
+            out,
+            at: Paused { indent, block, obj },
+        }
+    }
+
+    /// Write the separator before the next member; lend the document.
+    #[inline(always)]
+    fn next(&mut self) -> &mut String {
+        let first = matches!(self.out.as_bytes().last(), Some(b'{' | b'['));
+        self.out.push_str(match (self.at.block, first) {
+            (true, _) => &BREAK[usize::from(first)..2 + self.at.indent],
+            (false, true) => "",
+            (false, false) => ", ",
+        });
+        self.out
+    }
+
+    fn pause(self) -> Paused {
+        let at = self.at;
+        std::mem::forget(self);
+        at
+    }
+}
+
+impl Drop for Seq<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        if self.at.block {
+            self.out.push_str(&BREAK[1..self.at.indent]);
+        }
+        self.out.push(if self.at.obj { '}' } else { ']' });
+    }
+}
+
+/// An object being written. It closes when dropped.
+pub struct Obj<'a>(Seq<'a>);
+
+impl<'a> Obj<'a> {
+    /// Open an object at the end of `out`, outside any block.
+    #[inline]
+    pub fn new(out: &'a mut String, layout: Layout) -> Obj<'a> {
+        Obj(Seq::open(out, true, layout, 0))
+    }
+
+    /// Add the member `key: v`.
+    #[inline(always)]
+    pub fn field(&mut self, key: impl Key, v: impl Value) -> &mut Obj<'a> {
+        let out = self.0.next();
+        key.push_key(out);
+        v.push_json(out);
+        self
+    }
+
+    /// Add a member holding an object, and write it.
+    pub fn obj(&mut self, key: impl Key, layout: Layout) -> Obj<'_> {
+        key.push_key(self.0.next());
+        Obj(Seq::open(self.0.out, true, layout, self.0.at.indent))
+    }
+
+    /// Add a member holding an array, and write it.
+    pub fn arr(&mut self, key: impl Key, layout: Layout) -> Arr<'_> {
+        key.push_key(self.0.next());
+        Arr(Seq::open(self.0.out, false, layout, self.0.at.indent))
+    }
+
+    /// Leave the object open, so a writer owning its document can go on
+    /// in a later call.
+    pub fn pause(self) -> Paused {
+        self.0.pause()
+    }
+
+    /// Go on writing a paused object.
+    pub fn resume(out: &'a mut String, at: Paused) -> Obj<'a> {
+        Obj(Seq { out, at })
+    }
+}
+
+/// A whole document: the object `write` fills, and a closing newline, in
+/// a `String` that starts with room for `capacity` bytes.
+pub fn document(capacity: usize, layout: Layout, write: impl FnOnce(&mut Obj<'_>)) -> String {
+    let mut out = String::with_capacity(capacity);
+    write(&mut Obj::new(&mut out, layout));
+    out.push('\n');
+    out
+}
+
+/// Add members to an object in order, written the way the document
+/// reads: `json_fields!(obj, "app" => app, "events" => n)`. A key is
+/// anything [`Key`] takes.
+#[macro_export]
+macro_rules! json_fields {
+    ($obj:ident, $($key:expr => $value:expr),+ $(,)?) => {{
+        $($obj.field($key, $value);)+
+    }};
+}
+
+/// An array being written. It closes when dropped.
+pub struct Arr<'a>(Seq<'a>);
+
+impl<'a> Arr<'a> {
+    /// Open an array at the end of `out`, outside any block.
+    #[inline]
+    pub fn new(out: &'a mut String, layout: Layout) -> Arr<'a> {
+        Arr(Seq::open(out, false, layout, 0))
+    }
+
+    /// Add the element `v`.
+    pub fn item(&mut self, v: impl Value) -> &mut Arr<'a> {
+        v.push_json(self.0.next());
+        self
+    }
+
+    /// Add an object element, and write it.
+    #[inline]
+    pub fn obj(&mut self, layout: Layout) -> Obj<'_> {
+        self.0.next();
+        Obj(Seq::open(self.0.out, true, layout, self.0.at.indent))
+    }
+
+    /// Leave the array open (see [`Obj::pause`]).
+    pub fn pause(self) -> Paused {
+        self.0.pause()
+    }
+
+    /// Go on writing a paused array.
+    pub fn resume(out: &'a mut String, at: Paused) -> Arr<'a> {
+        Arr(Seq { out, at })
+    }
 }
 
 /// A parsed JSON value.
@@ -136,9 +429,13 @@ impl Json {
     }
 }
 
-/// Parse a complete JSON document. Errors carry a byte offset.
+/// Parse a complete JSON document. Errors carry a byte offset. Strict
+/// where an emitter could go wrong: a raw control character inside a
+/// string (RFC 8259 §7) is an error, not text, so a "must parse" check
+/// catches a missed escape.
 pub fn parse(s: &str) -> Result<Json, String> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -152,7 +449,10 @@ pub fn parse(s: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
+    /// Always on a character boundary: the parser steps over ASCII bytes
+    /// and whole characters only.
     pos: usize,
 }
 
@@ -292,12 +592,14 @@ impl<'a> Parser<'a> {
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                 }
+                0..=0x1f => {
+                    return Err(format!("raw control character at byte {}", self.pos - 1));
+                }
                 _ => {
                     // Re-consume as UTF-8: back up and take the full char.
                     self.pos -= 1;
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("empty char")?;
+                    let rest = self.src.get(self.pos..).unwrap_or_default();
+                    let c = rest.chars().next().ok_or("empty char")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -379,18 +681,25 @@ mod tests {
         z ^ (z >> 31)
     }
 
+    /// The pieces hostile strings are made of.
+    const HOSTILE: [&str; 23] = [
+        "a", "Z", " ", "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1}", "\u{8}", "\u{c}", "\u{1f}",
+        "\u{7f}", "é", "ü", "→", "日本", "🦀", "/", "'", "{", "}",
+    ];
+
+    /// A string of up to `max_len - 1` hostile pieces.
+    fn hostile(state: &mut u64, max_len: u64) -> String {
+        let len = next(state) % max_len;
+        (0..len)
+            .map(|_| HOSTILE[(next(state) % HOSTILE.len() as u64) as usize])
+            .collect()
+    }
+
     #[test]
     fn push_escaped_matches_the_reference_on_hostile_strings() {
-        let alphabet = [
-            "a", "Z", " ", "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1}", "\u{8}", "\u{c}",
-            "\u{1f}", "\u{7f}", "é", "ü", "→", "日本", "🦀", "/", "'", "{", "}",
-        ];
         let mut state = 18;
         for case in 0..2_000 {
-            let len = next(&mut state) % 24;
-            let s: String = (0..len)
-                .map(|_| alphabet[(next(&mut state) % alphabet.len() as u64) as usize])
-                .collect();
+            let s = hostile(&mut state, 24);
             let want = escape_reference(&s);
             assert_eq!(escape(&s), want, "case {case}: {s:?}");
             // Appending leaves what was already there alone.
@@ -497,5 +806,227 @@ mod tests {
     fn parses_unicode_escape() {
         let v = parse("\"\\u0041\"").unwrap();
         assert_eq!(v.as_str(), Some("A"));
+    }
+
+    #[test]
+    fn parser_rejects_raw_control_characters_in_strings() {
+        for raw in [
+            "\"a\u{1}b\"",
+            "\"tab\there\"",
+            "\"line\nbreak\"",
+            "{\"k\u{1f}\": 1}",
+        ] {
+            assert!(parse(raw).is_err(), "{raw:?} must not parse");
+        }
+        // Escaped, the same text is fine; DEL is not a control character.
+        assert_eq!(
+            parse("\"a\\u0001b\\t\u{7f}\"").unwrap().as_str(),
+            Some("a\u{1}b\t\u{7f}")
+        );
+    }
+
+    /// Write `build`'s document into a fresh string.
+    fn written(build: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        build(&mut out);
+        out
+    }
+
+    #[test]
+    fn empty_containers_in_each_layout() {
+        let obj = |layout| written(|out| drop(Obj::new(out, layout)));
+        let arr = |layout| written(|out| drop(Arr::new(out, layout)));
+        assert_eq!(obj(Layout::Inline), "{}");
+        assert_eq!(arr(Layout::Inline), "[]");
+        assert_eq!(obj(Layout::Block), "{\n}");
+        assert_eq!(arr(Layout::Block), "[\n]");
+        let nested = written(|out| {
+            let mut doc = Obj::new(out, Layout::Block);
+            doc.obj("o", Layout::Block);
+            doc.arr("a", Layout::Block);
+            doc.obj("i", Layout::Inline);
+        });
+        assert_eq!(
+            nested,
+            "{\n  \"o\": {\n  },\n  \"a\": [\n  ],\n  \"i\": {}\n}"
+        );
+    }
+
+    #[test]
+    fn block_array_inside_an_inline_object() {
+        let doc = written(|out| {
+            let mut root = Obj::new(out, Layout::Block);
+            root.field("n", 1u64);
+            let mut path = root.obj("path", Layout::Inline);
+            path.field("total_ms", 5u64);
+            let mut segments = path.arr("segments", Layout::Block);
+            segments
+                .obj(Layout::Inline)
+                .field("c", "x")
+                .field("pct", 0.5);
+            segments.obj(Layout::Inline).field("c", "y");
+        });
+        assert_eq!(
+            doc,
+            "{\n  \"n\": 1,\n  \"path\": {\"total_ms\": 5, \"segments\": [\n    \
+             {\"c\": \"x\", \"pct\": 0.5},\n    {\"c\": \"y\"}\n  ]}\n}"
+        );
+    }
+
+    #[test]
+    fn inline_objects_inside_a_block_array() {
+        let doc = written(|out| {
+            let mut events = Arr::new(out, Layout::Block);
+            events
+                .obj(Layout::Inline)
+                .field("a", 1u64)
+                .field("b", None::<u64>);
+            events.item(Null).item([2u64, 3].as_slice());
+        });
+        assert_eq!(doc, "[\n  {\"a\": 1, \"b\": null},\n  null,\n  [2, 3]\n]");
+    }
+
+    #[test]
+    fn runtime_keys_are_escaped_and_static_keys_are_not() {
+        let doc = written(|out| {
+            Obj::new(out, Layout::Inline)
+                .field("k", true)
+                .field(Name("a\"b\\c\nd"), "v\u{1}")
+                .field(("p95", "_ms"), 1.5);
+        });
+        assert_eq!(
+            doc,
+            "{\"k\": true, \"a\\\"b\\\\c\\nd\": \"v\\u0001\", \"p95_ms\": 1.5}"
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "needs escaping")]
+    fn a_static_key_that_needs_escaping_trips_a_debug_assert() {
+        let mut out = String::new();
+        Obj::new(&mut out, Layout::Inline).field("say \"hi\"", 1u64);
+    }
+
+    #[test]
+    fn a_paused_container_resumes_where_it_stood() {
+        let mut out = String::new();
+        let mut root = Obj::new(&mut out, Layout::Inline);
+        root.field("unit", "ms");
+        let events = root.arr("events", Layout::Block).pause();
+        let root = root.pause();
+        let mut resumed = Arr::resume(&mut out, events);
+        resumed.item(1u64);
+        let events = resumed.pause();
+        Arr::resume(&mut out, events).item(2u64);
+        drop(Obj::resume(&mut out, root));
+        assert_eq!(out, "{\"unit\": \"ms\", \"events\": [\n  1,\n  2\n]}");
+    }
+
+    /// Keys the random trees draw from: static ones the writer copies
+    /// verbatim; any other key is a hostile runtime one.
+    const STATIC_KEYS: [&str; 4] = ["app", "total_ms", "segments", "p99"];
+
+    /// A random tree at most `depth` containers deep. The writer has no
+    /// array directly inside an array (no document needs one), so an
+    /// array's elements are scalars and objects.
+    fn tree(state: &mut u64, depth: u32, in_array: bool) -> Json {
+        let pick = next(state) % if depth == 0 { 5 } else { 7 };
+        match pick + u64::from(in_array && pick == 5) {
+            0 => Json::Null,
+            1 => Json::Bool(next(state).is_multiple_of(2)),
+            2 => Json::Num((next(state) >> (next(state) % 53 + 11)) as f64),
+            3 => Json::Num((next(state) % 100_000) as f64 / 10.0),
+            4 => Json::Str(hostile(state, 12)),
+            5 => Json::Arr(
+                (0..next(state) % 5)
+                    .map(|_| tree(state, depth - 1, true))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..next(state) % 5)
+                    .map(|_| {
+                        let key = match next(state) % 3 {
+                            0 => hostile(state, 8),
+                            i => STATIC_KEYS[(i as usize + depth as usize) % 4].to_string(),
+                        };
+                        (key, tree(state, depth - 1, false))
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    fn layout(state: &mut u64) -> Layout {
+        [Layout::Inline, Layout::Block][(next(state) % 2) as usize]
+    }
+
+    fn scalar(v: &Json) -> Option<Box<dyn Value + '_>> {
+        Some(match v {
+            Json::Null => Box::new(Null),
+            Json::Bool(b) => Box::new(*b),
+            Json::Num(n) => Box::new(*n),
+            Json::Str(s) => Box::new(s.as_str()),
+            Json::Arr(_) | Json::Obj(_) => return None,
+        })
+    }
+
+    impl Value for Box<dyn Value + '_> {
+        fn push_json(&self, out: &mut String) {
+            (**self).push_json(out);
+        }
+    }
+
+    fn write_item(arr: &mut Arr<'_>, v: &Json, state: &mut u64) {
+        match v {
+            Json::Obj(members) => write_members(&mut arr.obj(layout(state)), members, state),
+            _ => {
+                arr.item(scalar(v));
+            }
+        }
+    }
+
+    fn write_items(arr: &mut Arr<'_>, items: &[Json], state: &mut u64) {
+        for v in items {
+            write_item(arr, v, state);
+        }
+    }
+
+    fn write_members(obj: &mut Obj<'_>, members: &[(String, Json)], state: &mut u64) {
+        for (k, v) in members {
+            match STATIC_KEYS.iter().find(|s| *s == k) {
+                Some(key) => write_member(obj, *key, v, state),
+                None => write_member(obj, Name(k), v, state),
+            }
+        }
+    }
+
+    fn write_member(obj: &mut Obj<'_>, key: impl Key, v: &Json, state: &mut u64) {
+        match v {
+            Json::Arr(items) => write_items(&mut obj.arr(key, layout(state)), items, state),
+            Json::Obj(members) => write_members(&mut obj.obj(key, layout(state)), members, state),
+            _ => {
+                obj.field(key, scalar(v));
+            }
+        }
+    }
+
+    #[test]
+    fn random_trees_written_in_mixed_layouts_parse_back_to_themselves() {
+        let mut state = 32;
+        for case in 0..1_000 {
+            let root = Json::Obj(vec![("doc".to_string(), tree(&mut state, 4, false))]);
+            let Json::Obj(members) = &root else {
+                unreachable!()
+            };
+            let mut out = String::new();
+            write_members(
+                &mut Obj::new(&mut out, layout(&mut state)),
+                members,
+                &mut state,
+            );
+            let back = parse(&out).unwrap_or_else(|e| panic!("case {case}: {e}\n{out}"));
+            assert_eq!(back, root, "case {case}:\n{out}");
+        }
     }
 }

@@ -29,10 +29,10 @@
 //! count.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 use logmodel::TsMs;
-use obs::json::{escape, fmt_f64};
+use obs::json::{document, Layout, Name};
+use obs::json_fields;
 
 use crate::checkpoint::CkptError;
 use crate::decompose::{AppDelays, APP_COMPONENTS};
@@ -622,59 +622,26 @@ impl AlertEngine {
     /// The `/alerts` document: every rule's current state and value,
     /// plus the transition log. Schema [`ALERTS_SCHEMA`].
     pub fn alerts_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"");
-        out.push_str(ALERTS_SCHEMA);
-        let _ = write!(
-            out,
-            "\",\n  \"eval_interval_ms\": {},\n  \"evaluated_through_ms\": {},\n  \"rules\": {{",
-            self.eval_interval_ms,
-            self.last_tick.map_or_else(
-                || "null".to_string(),
-                |t| (t * self.eval_interval_ms).to_string()
-            ),
-        );
-        for (i, (r, rt)) in self.rules.iter().zip(self.runtime.iter()).enumerate() {
-            if i > 0 {
-                out.push(',');
+        let thousandths = |v: f64| (v * 1000.0).round() / 1000.0;
+        document(0, Layout::Block, |doc| {
+            let through = self.last_tick.map(|t| t * self.eval_interval_ms);
+            json_fields!(doc, "schema" => ALERTS_SCHEMA,
+                "eval_interval_ms" => self.eval_interval_ms, "evaluated_through_ms" => through);
+            let mut rules = doc.obj("rules", Layout::Block);
+            for (r, rt) in self.rules.iter().zip(self.runtime.iter()) {
+                let mut obj = rules.obj(Name(&r.name), Layout::Inline);
+                json_fields!(obj, "state" => rt.state.label(), "for_ms" => r.for_ms,
+                    "since_ms" => rt.pending_since, "value" => rt.last_value.map(thousandths));
             }
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"state\": \"{}\", \"for_ms\": {}, \"since_ms\": {}, \
-                 \"value\": {}}}",
-                escape(&r.name),
-                rt.state.label(),
-                r.for_ms,
-                rt.pending_since
-                    .map_or_else(|| "null".to_string(), |t| t.0.to_string()),
-                rt.last_value.map_or_else(
-                    || "null".to_string(),
-                    |v| fmt_f64((v * 1000.0).round() / 1000.0)
-                ),
-            );
-        }
-        let _ = write!(
-            out,
-            "\n  }},\n  \"transitions_total\": {},\n  \"transitions\": [",
-            self.transitions_total
-        );
-        for (i, tr) in self.transitions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+            drop(rules);
+            doc.field("transitions_total", self.transitions_total);
+            let mut log = doc.arr("transitions", Layout::Block);
+            for tr in &self.transitions {
+                let mut obj = log.obj(Layout::Inline);
+                json_fields!(obj, "at_ms" => tr.at, "rule" => &tr.rule, "from" => tr.from.label(),
+                    "to" => tr.to.label(), "verb" => tr.verb(), "value" => thousandths(tr.value));
             }
-            let _ = write!(
-                out,
-                "\n    {{\"at_ms\": {}, \"rule\": \"{}\", \"from\": \"{}\", \"to\": \"{}\", \
-                 \"verb\": \"{}\", \"value\": {}}}",
-                tr.at.0,
-                escape(&tr.rule),
-                tr.from.label(),
-                tr.to.label(),
-                tr.verb(),
-                fmt_f64((tr.value * 1000.0).round() / 1000.0),
-            );
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        })
     }
 }
 

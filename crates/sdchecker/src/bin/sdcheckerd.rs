@@ -70,6 +70,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use logmodel::{ApplicationId, LogSource, RecordRef, TsMs};
+use obs::json::{document, Layout};
+use obs::json_fields;
 use obs::{HttpServer, MetricKey, Request, Response, PROMETHEUS_CONTENT_TYPE};
 use sdchecker::checkpoint::{self, CfgFingerprint, CheckpointStore, SaveInputs};
 use sdchecker::{
@@ -358,48 +360,25 @@ fn metric_path(path: &str) -> &'static str {
 
 fn healthz_json(p: &Published, uptime_ms: u64) -> String {
     let h = &p.health;
-    let status = if h.ready { "ok" } else { "starting" };
-    let progress_age_ms = p.last_progress.elapsed().as_millis();
-    format!(
-        "{{\"status\": \"{status}\", \"ready\": {}, \"uptime_ms\": {uptime_ms}, \
-         \"polls\": {}, \"records\": {}, \"in_flight\": {}, \"retired\": {}, \
-         \"truncated\": {}, \"complete\": {}, \"late_events\": {}, \
-         \"events_buffered\": {}, \"sources\": {}, \"lag_bytes\": {}, \
-         \"lag_ms\": {}, \"watermark_ms\": {}, \"last_progress_ms\": {progress_age_ms}}}\n",
-        h.ready,
-        h.polls,
-        h.records,
-        h.in_flight,
-        h.retired,
-        h.truncated,
-        h.complete,
-        h.late_events,
-        h.events_buffered,
-        h.lag.sources,
-        h.lag.bytes,
-        h.lag.max_ms,
-        h.watermark_ms.map_or("null".to_string(), |w| w.to_string()),
-    )
+    document(0, Layout::Inline, |o| {
+        json_fields!(o, "status" => if h.ready { "ok" } else { "starting" }, "ready" => h.ready,
+            "uptime_ms" => uptime_ms, "polls" => h.polls, "records" => h.records,
+            "in_flight" => h.in_flight, "retired" => h.retired, "truncated" => h.truncated,
+            "complete" => h.complete, "late_events" => h.late_events,
+            "events_buffered" => h.events_buffered, "sources" => h.lag.sources,
+            "lag_bytes" => h.lag.bytes, "lag_ms" => h.lag.max_ms, "watermark_ms" => h.watermark_ms,
+            "last_progress_ms" => p.last_progress.elapsed().as_millis() as u64)
+    })
 }
 
 fn checkpointz_json(c: &CkptStatus) -> String {
-    let quoted = |s: &str| format!("\"{}\"", obs::json::escape(s));
-    format!(
-        "{{\"schema\": \"sdcheckerd-checkpoint-v1\", \"enabled\": {}, \
-         \"dir\": {}, \"interval_ms\": {}, \"resumed\": {}, \
-         \"generation\": {}, \"writes_total\": {}, \"recoveries_total\": {}, \
-         \"bytes\": {}, \"age_ms\": {}}}\n",
-        c.enabled,
-        quoted(&c.dir),
-        c.interval_ms,
-        c.generation.is_some(),
-        c.generation.map_or("null".to_string(), quoted),
-        c.writes_total,
-        c.recoveries_total,
-        c.bytes,
-        c.written
-            .map_or("null".to_string(), |t| t.elapsed().as_millis().to_string()),
-    )
+    document(0, Layout::Inline, |o| {
+        json_fields!(o, "schema" => "sdcheckerd-checkpoint-v1", "enabled" => c.enabled,
+            "dir" => &c.dir, "interval_ms" => c.interval_ms, "resumed" => c.generation.is_some(),
+            "generation" => c.generation, "writes_total" => c.writes_total,
+            "recoveries_total" => c.recoveries_total, "bytes" => c.bytes,
+            "age_ms" => c.written.map(|t| t.elapsed().as_millis() as u64))
+    })
 }
 
 /// Write the daemon's gauges into a metrics snapshot, all from one
@@ -461,16 +440,16 @@ fn handle(req: &Request, shared: &Shared) -> Response {
             let uptime_ms = shared.started.elapsed().as_millis() as u64;
             Response::json(healthz_json(&p, uptime_ms))
         }
-        "/readyz" if p.health.ready => Response::json("{\"ready\": true}\n"),
         "/readyz" => Response {
-            status: 503,
-            ..Response::json("{\"ready\": false}\n")
+            status: if p.health.ready { 200 } else { 503 },
+            ..Response::json(document(0, Layout::Inline, |o| {
+                o.field("ready", p.health.ready);
+            }))
         },
-        "/buildinfo" => Response::json(format!(
-            "{{\"name\": \"sdcheckerd\", \"version\": \"{}\", \
-             \"report_schema\": \"sdcheckerd-report-v1\"}}\n",
-            env!("CARGO_PKG_VERSION"),
-        )),
+        "/buildinfo" => Response::json(document(0, Layout::Inline, |o| {
+            json_fields!(o, "name" => "sdcheckerd", "version" => env!("CARGO_PKG_VERSION"),
+                "report_schema" => "sdcheckerd-report-v1")
+        })),
         _ => Response::not_found(),
     }
 }
@@ -1309,6 +1288,63 @@ mod tests {
         assert_eq!(doc.get("dir").unwrap().as_str(), Some(dir));
         assert_eq!(doc.get("generation").unwrap().as_str(), Some("current"));
         assert!(doc.get("age_ms").unwrap().as_f64().is_some());
+    }
+
+    /// The members of a parsed object, in order.
+    fn keys(doc: &obs::json::Json) -> Vec<&str> {
+        match doc {
+            obs::json::Json::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    #[test]
+    fn health_documents_parse_with_their_members_in_order() {
+        let (dir, lp, _) = polled_fleet("health");
+        let p = lp.publish(None, &lp.tailer.lag(), true);
+        let health = obs::json::parse(&healthz_json(&p, 5)).expect("valid JSON");
+        assert_eq!(
+            keys(&health),
+            [
+                "status",
+                "ready",
+                "uptime_ms",
+                "polls",
+                "records",
+                "in_flight",
+                "retired",
+                "truncated",
+                "complete",
+                "late_events",
+                "events_buffered",
+                "sources",
+                "lag_bytes",
+                "lag_ms",
+                "watermark_ms",
+                "last_progress_ms"
+            ]
+        );
+        assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
+        assert_eq!(health.get("uptime_ms").unwrap().as_f64(), Some(5.0));
+        let ckpt = obs::json::parse(&checkpointz_json(&p.ckpt)).expect("valid JSON");
+        assert_eq!(
+            keys(&ckpt),
+            [
+                "schema",
+                "enabled",
+                "dir",
+                "interval_ms",
+                "resumed",
+                "generation",
+                "writes_total",
+                "recoveries_total",
+                "bytes",
+                "age_ms"
+            ]
+        );
+        assert_eq!(ckpt.get("generation"), Some(&obs::json::Json::Null));
+        assert_eq!(ckpt.get("age_ms"), Some(&obs::json::Json::Null));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The faulty fleet written to `<tmp>/logs` and polled once by a

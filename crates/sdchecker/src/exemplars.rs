@@ -21,11 +21,11 @@
 //! same apps — the property the replay-equivalence tests pin down.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use logmodel::{ApplicationId, LogSource, TsMs};
 use obs::export::TraceEvents;
-use obs::json::escape;
+use obs::json::{document, Layout, Name, Null, Quoted};
+use obs::json_fields;
 
 use crate::analyze::analyze_app_events;
 use crate::apptrace::app_trace_into;
@@ -34,6 +34,7 @@ use crate::critical::{critical_path, CriticalPath};
 use crate::decompose::{AppDelays, APP_COMPONENTS};
 use crate::event::SchedEvent;
 use crate::graph::build_graphs;
+use crate::wide::{push_components, push_segments};
 use crate::wire::{corrupt, Dec, Decode, Enc, Encode};
 
 /// Schema tag of the `/exemplars` index document.
@@ -192,104 +193,59 @@ impl TailExemplars {
     /// detail (components, critical path, source extents) of every
     /// promoted app. Schema [`EXEMPLARS_SCHEMA`].
     pub fn index_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"");
-        out.push_str(EXEMPLARS_SCHEMA);
-        let _ = write!(out, "\",\n  \"slots\": {},", self.k);
-        out.push_str("\n  \"components\": {");
-        for (i, (name, _)) in APP_COMPONENTS.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{name}\": [");
-            for (j, (v, app)) in self.tops[i].iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
+        document(0, Layout::Block, |doc| {
+            json_fields!(doc, "schema" => EXEMPLARS_SCHEMA, "slots" => self.k);
+            let mut components = doc.obj("components", Layout::Block);
+            for ((name, _), top) in APP_COMPONENTS.iter().zip(&self.tops) {
+                let mut ranking = components.arr(*name, Layout::Inline);
+                for (v, app) in top {
+                    let mut obj = ranking.obj(Layout::Inline);
+                    json_fields!(obj, "app" => app, "value_ms" => v);
                 }
-                let _ = write!(out, "{{\"app\": \"{app}\", \"value_ms\": {v}}}");
             }
-            out.push(']');
-        }
-        out.push_str("\n  },\n  \"apps\": {");
-        for (i, (app, p)) in self.promoted.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    \"{app}\": {{\"name\": {}, \"outcome\": \"{}\", \"forced\": {}, \
-                 \"retire_ms\": {}, \"events\": {}, \"trace\": \"/exemplars/{app}/trace.json\"",
-                p.name
-                    .as_deref()
-                    .map_or_else(|| "null".to_string(), |n| format!("\"{}\"", escape(n))),
-                p.delays.outcome.label(),
-                p.forced,
-                p.retire_ms.0,
-                p.events.len(),
-            );
-            out.push_str(", \"components\": ");
-            crate::wide::push_components(&mut out, &p.delays, "");
-            // Per-source extents: where (and when) this app's evidence
-            // lives in the corpus, for whoever wants the raw lines. One
-            // path per distinct source, listed in path order.
-            let mut extents: BTreeMap<LogSource, (usize, TsMs, TsMs)> = BTreeMap::new();
-            for ev in &p.events {
-                let e = extents.entry(ev.source()).or_insert((0, ev.ts, ev.ts));
-                e.0 += 1;
-                e.1 = e.1.min(ev.ts);
-                e.2 = e.2.max(ev.ts);
-            }
-            let mut sources: Vec<(String, (usize, TsMs, TsMs))> = extents
-                .into_iter()
-                .map(|(source, extent)| (source.rel_path(), extent))
-                .collect();
-            sources.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            out.push_str(", \"sources\": {");
-            for (j, (path, (n, first, last))) in sources.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
+            drop(components);
+            let mut apps = doc.obj("apps", Layout::Block);
+            for (app, p) in &self.promoted {
+                let trace = Quoted(|out: &mut String| {
+                    out.push_str("/exemplars/");
+                    let _ = app.write_to(out);
+                    out.push_str("/trace.json");
+                });
+                let mut obj = apps.obj(Name(&app.to_string()), Layout::Inline);
+                json_fields!(obj, "name" => p.name.as_deref(),
+                    "outcome" => p.delays.outcome.label(), "forced" => p.forced,
+                    "retire_ms" => p.retire_ms, "events" => p.events.len(), "trace" => trace);
+                push_components(obj.obj("components", Layout::Inline), &p.delays, "");
+                // Per-source extents: where (and when) this app's evidence
+                // lives in the corpus, for whoever wants the raw lines. One
+                // path per distinct source, listed in path order.
+                let mut extents: BTreeMap<LogSource, (usize, TsMs, TsMs)> = BTreeMap::new();
+                for ev in &p.events {
+                    let e = extents.entry(ev.source()).or_insert((0, ev.ts, ev.ts));
+                    e.0 += 1;
+                    e.1 = e.1.min(ev.ts);
+                    e.2 = e.2.max(ev.ts);
                 }
-                let _ = write!(
-                    out,
-                    "\"{}\": {{\"events\": {n}, \"first_ms\": {}, \"last_ms\": {}}}",
-                    escape(path),
-                    first.0,
-                    last.0,
-                );
-            }
-            out.push_str("}, \"critical_path\": ");
-            match &p.critical {
-                Some(cp) => {
-                    let _ = write!(
-                        out,
-                        "{{\"total_ms\": {}, \"dominant\": {}, \"segments\": [",
-                        cp.total_ms,
-                        cp.dominant()
-                            .map_or_else(|| "null".to_string(), |s| format!("\"{}\"", s.component)),
-                    );
-                    for (j, seg) in cp.segments.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        let _ = write!(
-                            out,
-                            "{{\"component\": \"{}\", \"entity\": \"{}\", \"from_ms\": {}, \
-                             \"to_ms\": {}, \"dur_ms\": {}, \"pct\": {}}}",
-                            seg.component,
-                            escape(&seg.entity),
-                            seg.from.0,
-                            seg.to.0,
-                            seg.dur_ms(),
-                            obs::json::fmt_f64((cp.blame_pct(seg) * 10.0).round() / 10.0),
-                        );
-                    }
-                    out.push_str("]}");
+                let sources: BTreeMap<String, (usize, TsMs, TsMs)> = extents
+                    .into_iter()
+                    .map(|(source, extent)| (source.rel_path(), extent))
+                    .collect();
+                let mut by_path = obj.obj("sources", Layout::Inline);
+                for (path, (n, first, last)) in &sources {
+                    let mut extent = by_path.obj(Name(path), Layout::Inline);
+                    json_fields!(extent, "events" => n, "first_ms" => first, "last_ms" => last);
                 }
-                None => out.push_str("null"),
+                drop(by_path);
+                let Some(cp) = &p.critical else {
+                    obj.field("critical_path", Null);
+                    continue;
+                };
+                let mut path = obj.obj("critical_path", Layout::Inline);
+                json_fields!(path, "total_ms" => cp.total_ms,
+                    "dominant" => cp.dominant().map(|s| s.component));
+                push_segments(path.arr("segments", Layout::Inline), cp, "pct");
             }
-            out.push('}');
-        }
-        out.push_str("\n  }\n}\n");
-        out
+        })
     }
 
     /// Rebuild a reservoir from its checkpoint. `k` is the configured

@@ -17,10 +17,10 @@
 //! report's bytes by construction.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use logmodel::TsMs;
-use obs::export::sketch_json;
+use obs::json::{Layout, Obj};
+use obs::json_fields;
 use obs::QuantileSketch;
 
 use crate::checkpoint::CkptError;
@@ -28,7 +28,7 @@ use crate::critical::{critical_path, CriticalPath, SEGMENT_COMPONENTS};
 use crate::decompose::{AppDelays, AppOutcome, APP_COMPONENTS, CONTAINER_COMPONENTS};
 use crate::extract::ParseCoverage;
 use crate::graph::SchedulingGraph;
-use crate::wide::push_tenths;
+use crate::wide::tenths;
 use crate::wire::{corrupt, Dec, Decode, Enc, Encode};
 
 /// One application's facts, computed once for every document and
@@ -175,69 +175,45 @@ impl FleetAgg {
         self.outcomes.get(outcome.label()).copied().unwrap_or(0)
     }
 
-    /// Append the three `fleet` members `report-v1` and
+    /// Write the three `fleet` members `report-v1` and
     /// `sdcheckerd-report-v1` share — `app_components_ms`,
     /// `container_components_ms`, `critical_blame` — the last members of
     /// the object in both.
-    pub(crate) fn push_sections(&self, out: &mut String) {
-        let push_sketches = |out: &mut String, names: &[&str], sketches: &[QuantileSketch]| {
-            for (j, (name, s)) in names.iter().zip(sketches).enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\n      \"{name}\": ");
-                if s.count() == 0 {
-                    out.push_str("null");
-                } else {
-                    out.push_str(&sketch_json(s));
-                }
+    pub(crate) fn push_sections(&self, fleet: &mut Obj<'_>) {
+        let mut sketches = |key, names: &[&'static str], sketches: &[QuantileSketch]| {
+            let mut obj = fleet.obj(key, Layout::Block);
+            for (name, s) in names.iter().zip(sketches) {
+                obj.field(*name, (s.count() > 0).then_some(s));
             }
         };
-        out.push_str("\n    \"app_components_ms\": {");
-        push_sketches(out, &APP_COMPONENTS.map(|c| c.0), &self.app_sketches);
-        out.push_str("\n    },\n    \"container_components_ms\": {");
-        let names = CONTAINER_COMPONENTS.map(|c| c.0);
-        push_sketches(out, &names, &self.container_sketches);
-        out.push_str("\n    },\n    \"critical_blame\": {");
-        for (j, (component, (n, sum_ms, sum_pct))) in self.blame.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n      \"{component}\": {{\"count\": {n}, \"mean_ms\": "
-            );
-            push_tenths(out, *sum_ms as f64 / *n as f64);
-            out.push_str(", \"mean_pct\": ");
-            push_tenths(out, sum_pct / *n as f64);
-            out.push('}');
+        let (app, cont) = (
+            APP_COMPONENTS.map(|c| c.0),
+            CONTAINER_COMPONENTS.map(|c| c.0),
+        );
+        sketches("app_components_ms", &app, &self.app_sketches);
+        sketches("container_components_ms", &cont, &self.container_sketches);
+        let mut blame = fleet.obj("critical_blame", Layout::Block);
+        for (component, &(n, sum_ms, sum_pct)) in &self.blame {
+            let mut obj = blame.obj(*component, Layout::Inline);
+            json_fields!(obj, "count" => n, "mean_ms" => tenths(sum_ms as f64 / n as f64),
+                "mean_pct" => tenths(sum_pct / n as f64));
         }
-        out.push_str("\n    }");
     }
 }
 
-/// Append the top-level `coverage` member of both report schemas.
-pub(crate) fn push_coverage(out: &mut String, cov: &ParseCoverage) {
-    out.push_str("\n  \"coverage\": {");
-    for (j, (kind, c)) in cov.iter().enumerate() {
-        if j > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    \"{}\": {{\"matched\": {}, \"unmatched\": {}, ",
-            kind.name(),
-            c.matched,
-            c.unmatched,
-        );
+/// Write the top-level `coverage` member of both report schemas.
+pub(crate) fn push_coverage(doc: &mut Obj<'_>, cov: &ParseCoverage) {
+    let mut coverage = doc.obj("coverage", Layout::Block);
+    for (kind, c) in cov.iter() {
+        let mut obj = coverage.obj(kind.name(), Layout::Inline);
+        json_fields!(obj, "matched" => c.matched, "unmatched" => c.unmatched);
         // The anomalous count appears only when nonzero so undamaged
         // sources keep their historical key set.
         if c.anomalous > 0 {
-            let _ = write!(out, "\"anomalous\": {}, ", c.anomalous);
+            obj.field("anomalous", c.anomalous);
         }
-        let _ = write!(out, "\"ignored\": {}}}", c.ignored);
+        obj.field("ignored", c.ignored);
     }
-    out.push_str("\n  }");
 }
 
 /// Record one analyzed application on the global recorder: the

@@ -38,9 +38,10 @@
 //! exemplars only the live sketches keep.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 
 use logmodel::{ApplicationId, LogRecord, LogSource, RecordRef, TsMs};
+use obs::json::{document, Layout, Null};
+use obs::json_fields;
 
 use crate::analyze::analyze_app_events;
 use crate::checkpoint::CkptError;
@@ -470,65 +471,34 @@ impl IncrementalAnalyzer {
     /// tallies, and (when provided) tailing lag.
     pub fn live_report_json(&self, tail: Option<(&TailLag, &TailStats)>) -> String {
         let f = &self.fleet;
-        let mut out = String::from("{\n  \"schema\": \"sdcheckerd-report-v1\",\n  \"fleet\": {");
-        let _ = write!(
-            out,
-            "\n    \"applications\": {},\n    \"retired\": {},\n    \"in_flight\": {},\
-             \n    \"complete\": {},\n    \"forced_retirements\": {},\n    \"late_events\": {},",
-            f.retired + self.apps.len() as u64,
-            f.retired,
-            self.apps.len(),
-            f.complete,
-            f.forced,
-            self.late_events,
-        );
-        out.push_str("\n    \"outcomes\": {");
-        for (j, (label, n)) in f.outcomes.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
+        document(0, Layout::Block, |doc| {
+            doc.field("schema", "sdcheckerd-report-v1");
+            let mut fleet = doc.obj("fleet", Layout::Block);
+            json_fields!(fleet, "applications" => f.retired + self.apps.len() as u64,
+                "retired" => f.retired, "in_flight" => self.apps.len(), "complete" => f.complete,
+                "forced_retirements" => f.forced, "late_events" => self.late_events);
+            let mut outcomes = fleet.obj("outcomes", Layout::Inline);
+            for (label, n) in &f.outcomes {
+                outcomes.field(*label, n);
             }
-            let _ = write!(out, "\"{label}\": {n}");
-        }
-        out.push_str("},");
-        let _ = write!(
-            out,
-            "\n    \"retried_apps\": {},\n    \"wasted_ms_total\": {},\
-             \n    \"unused_containers\": {},\n    \"events_analyzed\": {},",
-            f.retried_apps, f.wasted_ms_total, f.unused_containers, f.events_total,
-        );
-        f.push_sections(&mut out);
-        out.push_str("\n  },");
-        push_coverage(&mut out, &self.cov);
-        out.push(',');
-        let _ = write!(
-            out,
-            "\n  \"watermark_ms\": {},",
-            self.watermark
-                .map(|w| w.0.to_string())
-                .unwrap_or_else(|| "null".into())
-        );
-        match tail {
-            Some((lag, stats)) => {
-                let _ = write!(
-                    out,
-                    "\n  \"tail\": {{\"sources\": {}, \"lag_bytes\": {}, \"lag_ms\": {}, \
-                     \"polls\": {}, \"read_bytes\": {}, \"parsed_lines\": {}, \
-                     \"skipped_lines\": {}, \"resets\": {}, \"removed_files\": {}}}",
-                    lag.sources,
-                    lag.bytes,
-                    lag.max_ms,
-                    stats.polls,
-                    stats.read_bytes,
-                    stats.parsed_lines,
-                    stats.skipped_lines,
-                    stats.resets,
-                    stats.removed_files,
-                );
-            }
-            None => out.push_str("\n  \"tail\": null"),
-        }
-        out.push_str("\n}\n");
-        out
+            drop(outcomes);
+            json_fields!(fleet, "retried_apps" => f.retried_apps,
+                "wasted_ms_total" => f.wasted_ms_total, "unused_containers" => f.unused_containers,
+                "events_analyzed" => f.events_total);
+            f.push_sections(&mut fleet);
+            drop(fleet);
+            push_coverage(doc, &self.cov);
+            doc.field("watermark_ms", self.watermark);
+            let Some((lag, stats)) = tail else {
+                doc.field("tail", Null);
+                return;
+            };
+            let mut obj = doc.obj("tail", Layout::Inline);
+            json_fields!(obj, "sources" => lag.sources, "lag_bytes" => lag.bytes,
+                "lag_ms" => lag.max_ms, "polls" => stats.polls, "read_bytes" => stats.read_bytes,
+                "parsed_lines" => stats.parsed_lines, "skipped_lines" => stats.skipped_lines,
+                "resets" => stats.resets, "removed_files" => stats.removed_files);
+        })
     }
 }
 

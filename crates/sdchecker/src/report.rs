@@ -6,14 +6,15 @@ use std::fmt::Write as _;
 use std::io::{self, Write as _};
 
 use logmodel::TsMs;
-use obs::json::{push_escaped, push_u64};
+use obs::json::{document, Layout, Null};
+use obs::json_fields;
 
 use crate::analyze::Analysis;
 use crate::critical::CriticalPath;
 use crate::decompose::{AppDelays, AppOutcome};
 use crate::fleet::{push_coverage, AppFacts, FleetAgg};
 use crate::stats::{Cdf, Summary};
-use crate::wide::{push_components, push_container, push_opt_str, push_tenths, push_wide_event};
+use crate::wide::{push_components, push_containers, push_segments, push_wide_event};
 
 /// Write and flush `text` to standard output, which a closed pipe ends
 /// quietly: after `sdchecker <dir> | head` has read enough, the rest of
@@ -191,6 +192,11 @@ pub fn cdf_table(samples: &[(&str, Vec<u64>)], quantiles: &[f64]) -> Table {
     }
     t
 }
+
+/// Room per application in `report-v1` and in the wide events (a TPC-H
+/// query takes 3.2 and 2.8 KiB): a document not copied through a chain of
+/// doublings keeps 4 MB off the 2 000-application corpus's peak RSS.
+const BYTES_PER_APP: usize = 4096;
 
 /// The per-application pass behind the text report, `report-v1` and the
 /// batch `wide-events-v1` file: a borrowed view over an [`Analysis`] that
@@ -460,99 +466,48 @@ impl<'a> Report<'a> {
     /// golden-file test can pin the exact bytes.
     pub fn json(&self) -> String {
         let f = &self.fleet;
-        let mut out =
-            String::from("{\n  \"schema\": \"sdchecker-report-v1\",\n  \"applications\": [");
-        for (i, a) in self.apps.iter().enumerate() {
-            let d = a.delays;
-            if i > 0 {
-                out.push(',');
+        document(self.apps.len() * BYTES_PER_APP, Layout::Block, |doc| {
+            doc.field("schema", "sdchecker-report-v1");
+            let mut apps = doc.arr("applications", Layout::Block);
+            for a in &self.apps {
+                let d = a.delays;
+                let mut app = apps.obj(Layout::Block);
+                json_fields!(app, "app" => d.app, "name" => a.name);
+                push_components(app.obj("delays", Layout::Inline), d, "_ms");
+                push_containers(app.arr("containers", Layout::Block), d);
+                let Some(p) = &a.critical else {
+                    app.field("critical_path", Null);
+                    continue;
+                };
+                let mut path = app.obj("critical_path", Layout::Inline);
+                path.field("total_ms", p.total_ms);
+                push_segments(path.arr("segments", Layout::Block), p, "blame_pct");
             }
-            out.push_str("\n    {\n      \"app\": \"");
-            let _ = d.app.write_to(&mut out);
-            out.push_str("\",\n      \"name\": ");
-            push_opt_str(&mut out, a.name);
-            out.push_str(",\n      \"delays\": ");
-            push_components(&mut out, d, "_ms");
-            out.push_str(",\n      \"containers\": [");
-            for (j, c) in d.containers.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+            drop(apps);
+            let mut fleet = doc.obj("fleet", Layout::Block);
+            json_fields!(fleet, "applications" => f.retired, "complete" => f.complete);
+            f.push_sections(&mut fleet);
+            drop(fleet);
+            // The failures section exists only when the corpus carries
+            // hard failure evidence (failed/killed apps, AM retries,
+            // wasted delay, or corrupt-id lines); a fault-free corpus keeps
+            // the exact pre-fault document bytes. Truncated apps alone do
+            // not create the section.
+            if self.has_failures() {
+                let mut failures = doc.obj("failures", Layout::Block);
+                json_fields!(failures, "failed" => f.outcome(AppOutcome::Failed),
+                    "killed" => f.outcome(AppOutcome::Killed), "retried_apps" => f.retried_apps,
+                    "wasted_ms_total" => f.wasted_ms_total,
+                    "anomalous_lines" => self.an.coverage.total().anomalous);
+                let mut apps = failures.arr("apps", Layout::Block);
+                for d in self.failing_apps() {
+                    let mut obj = apps.obj(Layout::Inline);
+                    json_fields!(obj, "app" => d.app, "outcome" => d.outcome.label(),
+                        "attempts" => d.attempts, "wasted_ms" => d.wasted_ms);
                 }
-                out.push_str("\n        ");
-                push_container(&mut out, c);
             }
-            out.push_str("\n      ],");
-            match &a.critical {
-                Some(p) => {
-                    out.push_str("\n      \"critical_path\": {\"total_ms\": ");
-                    push_u64(&mut out, p.total_ms);
-                    out.push_str(", \"segments\": [");
-                    for (j, seg) in p.segments.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str("\n        {\"component\": \"");
-                        out.push_str(seg.component);
-                        out.push_str("\", \"entity\": \"");
-                        push_escaped(&mut out, &seg.entity);
-                        out.push_str("\", \"from_ms\": ");
-                        push_u64(&mut out, seg.from.0);
-                        out.push_str(", \"to_ms\": ");
-                        push_u64(&mut out, seg.to.0);
-                        out.push_str(", \"dur_ms\": ");
-                        push_u64(&mut out, seg.dur_ms());
-                        out.push_str(", \"blame_pct\": ");
-                        push_tenths(&mut out, p.blame_pct(seg));
-                        out.push('}');
-                    }
-                    out.push_str("\n      ]}\n    }");
-                }
-                None => out.push_str("\n      \"critical_path\": null\n    }"),
-            }
-        }
-        out.push_str("\n  ],\n  \"fleet\": {");
-        let _ = write!(
-            out,
-            "\n    \"applications\": {},\n    \"complete\": {},",
-            f.retired, f.complete
-        );
-        f.push_sections(&mut out);
-        out.push_str("\n  },");
-        // The failures section exists only when the corpus carries hard
-        // failure evidence (failed/killed apps, AM retries, wasted delay, or
-        // corrupt-id lines); a fault-free corpus keeps the exact pre-fault
-        // document bytes. Truncated apps alone do not create the section.
-        if self.has_failures() {
-            let _ = write!(
-                out,
-                "\n  \"failures\": {{\n    \"failed\": {},\n    \"killed\": {},\
-                 \n    \"retried_apps\": {},\n    \"wasted_ms_total\": {},\
-                 \n    \"anomalous_lines\": {},\n    \"apps\": [",
-                f.outcome(AppOutcome::Failed),
-                f.outcome(AppOutcome::Killed),
-                f.retried_apps,
-                f.wasted_ms_total,
-                self.an.coverage.total().anomalous,
-            );
-            for (j, d) in self.failing_apps().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "\n      {{\"app\": \"{}\", \"outcome\": \"{}\", \"attempts\": {}, \
-                     \"wasted_ms\": {}}}",
-                    d.app,
-                    d.outcome.label(),
-                    d.attempts,
-                    d.wasted_ms,
-                );
-            }
-            out.push_str("\n    ]\n  },");
-        }
-        push_coverage(&mut out, &self.an.coverage);
-        out.push_str("\n}\n");
-        out
+            push_coverage(doc, &self.an.coverage);
+        })
     }
 
     /// The whole corpus as `wide-events-v1` lines (newline-terminated,
@@ -560,7 +515,7 @@ impl<'a> Report<'a> {
     /// at the corpus watermark.
     pub fn wide_events(&self) -> String {
         let retire_ms = self.an.watermark.unwrap_or(TsMs::ZERO);
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.apps.len() * BYTES_PER_APP);
         for a in &self.apps {
             push_wide_event(&mut out, a, false, retire_ms);
             out.push('\n');

@@ -35,90 +35,60 @@
 //! | `blame`             | object\|null  | critical path: dominant, segments, pct |
 
 use logmodel::TsMs;
-use obs::json::{push_escaped, push_f64, push_u64};
+use obs::json::{Arr, Layout, Null, Obj};
+use obs::json_fields;
 
 use crate::analyze::Analysis;
-use crate::decompose::{AppDelays, ContainerDelays, APP_COMPONENTS, CONTAINER_COMPONENTS};
+use crate::critical::CriticalPath;
+use crate::decompose::{AppDelays, APP_COMPONENTS, CONTAINER_COMPONENTS};
 use crate::fleet::AppFacts;
 
 /// Schema tag stamped on every wide-event line.
 pub const WIDE_EVENTS_SCHEMA: &str = "wide-events-v1";
 
-// The appending forms below are what `report-v1` and `wide-events-v1`
-// are written with: every value goes straight into the document through
-// the `obs::json` push primitives and the ids' `write_to`, never through
-// a `String` of its own.
+// The writers below are what `report-v1` and `wide-events-v1` are
+// written with: every value goes straight into the document through
+// `obs::json`'s writer and the ids' `write_to`, never through a `String`
+// of its own.
 
-/// Append `v`, or `null`.
-pub(crate) fn push_opt_u64(out: &mut String, v: Option<u64>) {
-    match v {
-        Some(n) => push_u64(out, n),
-        None => out.push_str("null"),
-    }
+/// `v` rounded to one decimal: how blame shares and mean durations are
+/// reported.
+pub(crate) fn tenths(v: f64) -> f64 {
+    (v * 10.0).round() / 10.0
 }
 
-/// Append `s` quoted and escaped, or `null`.
-pub(crate) fn push_opt_str(out: &mut String, s: Option<&str>) {
-    match s {
-        Some(s) => {
-            out.push('"');
-            push_escaped(out, s);
-            out.push('"');
+/// Fill an array with an object per container — the same bytes in both
+/// schemas.
+pub(crate) fn push_containers(mut arr: Arr<'_>, d: &AppDelays) {
+    for c in &d.containers {
+        let mut obj = arr.obj(Layout::Inline);
+        json_fields!(obj, "cid" => c.cid, "is_am" => c.is_am, "node" => c.node);
+        for (name, acc) in CONTAINER_COMPONENTS.iter() {
+            obj.field((*name, "_ms"), acc(c));
         }
-        None => out.push_str("null"),
     }
 }
 
-fn push_bool(out: &mut String, v: bool) {
-    out.push_str(if v { "true" } else { "false" });
-}
-
-/// Append `v` rounded to one decimal.
-pub(crate) fn push_tenths(out: &mut String, v: f64) {
-    push_f64(out, (v * 10.0).round() / 10.0);
-}
-
-/// Append one container's object — the same bytes in both schemas.
-pub(crate) fn push_container(out: &mut String, c: &ContainerDelays) {
-    out.push_str("{\"cid\": \"");
-    let _ = c.cid.write_to(out);
-    out.push_str("\", \"is_am\": ");
-    push_bool(out, c.is_am);
-    out.push_str(", \"node\": ");
-    match c.node {
-        Some(n) => {
-            out.push('"');
-            let _ = n.write_to(out);
-            out.push('"');
-        }
-        None => out.push_str("null"),
+/// Fill an array with a critical path's segments, intervals included,
+/// each one's share of the path under `pct_key`: `report-v1`'s
+/// (`blame_pct`) and an `/exemplars` entry's (`pct`).
+pub(crate) fn push_segments(mut arr: Arr<'_>, p: &CriticalPath, pct_key: &'static str) {
+    for seg in &p.segments {
+        let mut obj = arr.obj(Layout::Inline);
+        json_fields!(obj, "component" => seg.component, "entity" => &seg.entity,
+            "from_ms" => seg.from, "to_ms" => seg.to, "dur_ms" => seg.dur_ms(),
+            pct_key => tenths(p.blame_pct(seg)));
     }
-    for (name, acc) in CONTAINER_COMPONENTS.iter() {
-        out.push_str(", \"");
-        out.push_str(name);
-        out.push_str("_ms\": ");
-        push_opt_u64(out, acc(c));
-    }
-    out.push('}');
 }
 
-/// Append the object of all ten `APP_COMPONENTS`, ms or null, keyed by
+/// Fill the object of all ten `APP_COMPONENTS`, ms or null, keyed by
 /// component name plus `key_suffix`: a wide event's and an `/exemplars`
 /// entry's `components` (no suffix), a `report-v1` application's `delays`
 /// (`_ms`).
-pub(crate) fn push_components(out: &mut String, d: &AppDelays, key_suffix: &str) {
-    out.push('{');
-    for (j, (name, acc)) in APP_COMPONENTS.iter().enumerate() {
-        if j > 0 {
-            out.push_str(", ");
-        }
-        out.push('"');
-        out.push_str(name);
-        out.push_str(key_suffix);
-        out.push_str("\": ");
-        push_opt_u64(out, acc(d));
+pub(crate) fn push_components(mut obj: Obj<'_>, d: &AppDelays, key_suffix: &'static str) {
+    for (name, acc) in APP_COMPONENTS.iter() {
+        obj.field((*name, key_suffix), acc(d));
     }
-    out.push('}');
 }
 
 /// Append one canonical `wide-events-v1` line (no trailing newline) for
@@ -127,76 +97,31 @@ pub(crate) fn push_components(out: &mut String, d: &AppDelays, key_suffix: &str)
 pub(crate) fn push_wide_event(out: &mut String, w: &AppFacts<'_>, forced: bool, retire_ms: TsMs) {
     let d = w.delays;
     let start = out.len();
-    out.push_str("{\"schema\": \"");
-    out.push_str(WIDE_EVENTS_SCHEMA);
-    out.push_str("\", \"app\": \"");
-    let _ = d.app.write_to(out);
-    out.push_str("\", \"name\": ");
-    push_opt_str(out, w.name);
-    out.push_str(", \"outcome\": \"");
-    out.push_str(d.outcome.label());
-    out.push_str("\", \"forced\": ");
-    push_bool(out, forced);
-    out.push_str(", \"attempts\": ");
-    push_u64(out, u64::from(d.attempts));
-    out.push_str(", \"wasted_ms\": ");
-    push_u64(out, d.wasted_ms);
-    out.push_str(", \"unused_containers\": ");
-    push_u64(out, w.unused_containers as u64);
-    out.push_str(", \"events\": ");
-    push_u64(out, w.events as u64);
-    out.push_str(", \"submitted_ms\": ");
-    push_opt_u64(out, d.submitted.map(|t| t.0));
-    out.push_str(", \"first_task_ms\": ");
-    push_opt_u64(out, d.first_task.map(|t| t.0));
-    out.push_str(", \"retire_ms\": ");
-    push_u64(out, retire_ms.0);
-    out.push_str(", \"lag_ms\": ");
-    push_u64(out, w.last_event.map_or(0, |t| retire_ms.since(t)));
-    out.push_str(", \"components\": ");
-    push_components(out, d, "");
-    out.push_str(", \"containers\": [");
-    for (j, c) in d.containers.iter().enumerate() {
-        if j > 0 {
-            out.push_str(", ");
-        }
-        push_container(out, c);
-    }
-    out.push_str("], \"blame\": ");
+    let mut line = Obj::new(out, Layout::Inline);
+    json_fields!(line, "schema" => WIDE_EVENTS_SCHEMA, "app" => d.app, "name" => w.name,
+        "outcome" => d.outcome.label(), "forced" => forced, "attempts" => d.attempts,
+        "wasted_ms" => d.wasted_ms, "unused_containers" => w.unused_containers,
+        "events" => w.events, "submitted_ms" => d.submitted, "first_task_ms" => d.first_task,
+        "retire_ms" => retire_ms, "lag_ms" => w.last_event.map_or(0, |t| retire_ms.since(t)));
+    push_components(line.obj("components", Layout::Inline), d, "");
+    push_containers(line.arr("containers", Layout::Inline), d);
     match &w.critical {
         Some(p) => {
-            out.push_str("{\"dominant\": ");
-            match p.dominant() {
-                Some(s) => {
-                    out.push('"');
-                    out.push_str(s.component);
-                    out.push_str("\", \"dominant_pct\": ");
-                    push_tenths(out, p.blame_pct(s));
-                }
-                None => out.push_str("null, \"dominant_pct\": null"),
+            let mut blame = line.obj("blame", Layout::Inline);
+            let dominant = p.dominant();
+            json_fields!(blame, "dominant" => dominant.map(|s| s.component),
+                "dominant_pct" => dominant.map(|s| tenths(p.blame_pct(s))),
+                "total_ms" => p.total_ms);
+            let mut segments = blame.arr("segments", Layout::Inline);
+            for seg in &p.segments {
+                let mut obj = segments.obj(Layout::Inline);
+                json_fields!(obj, "component" => seg.component, "entity" => &seg.entity,
+                    "dur_ms" => seg.dur_ms(), "pct" => tenths(p.blame_pct(seg)));
             }
-            out.push_str(", \"total_ms\": ");
-            push_u64(out, p.total_ms);
-            out.push_str(", \"segments\": [");
-            for (j, seg) in p.segments.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str("{\"component\": \"");
-                out.push_str(seg.component);
-                out.push_str("\", \"entity\": \"");
-                push_escaped(out, &seg.entity);
-                out.push_str("\", \"dur_ms\": ");
-                push_u64(out, seg.dur_ms());
-                out.push_str(", \"pct\": ");
-                push_tenths(out, p.blame_pct(seg));
-                out.push('}');
-            }
-            out.push_str("]}");
         }
-        None => out.push_str("null"),
+        None => json_fields!(line, "blame" => Null),
     }
-    out.push('}');
+    drop(line);
     debug_assert!(
         !out[start..].contains('\n'),
         "wide event must be a single line"

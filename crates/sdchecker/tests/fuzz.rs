@@ -12,9 +12,10 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use logmodel::{corrupt_dir, CorruptConfig, Epoch, LogSource, LogStore, TsMs};
+use obs::json::Json;
 use sdchecker::{
-    analyze_dir, full_report, report_json, wide_events_for_analysis, Extractor,
-    IncrementalAnalyzer, IncrementalConfig, Report,
+    analyze_dir, default_rules, full_report, report_json, wide_events_for_analysis, AlertEngine,
+    Extractor, IncrementalAnalyzer, IncrementalConfig, Outcome, Report,
 };
 
 fn bin() -> Command {
@@ -208,13 +209,20 @@ fn every_event_derives_the_stream_it_was_extracted_from() {
     }
 }
 
+/// Parse a document that must be JSON.
+fn must_parse(what: &str, doc: &str) -> Json {
+    obs::json::parse(doc).unwrap_or_else(|e| panic!("{what} must be valid JSON: {e}\n{doc}"))
+}
+
 /// Driver banners are free text: application names with quotes,
 /// backslashes, control characters and multi-byte text must come back
-/// out of both batch JSON documents, and out of the daemon's, exactly as
-/// they went in.
+/// out of every document that names an application — `report-v1`, the
+/// wide events, `/exemplars` and each exemplar's trace — exactly as they
+/// went in, and the daemon's other documents must stay JSON around them.
 #[test]
 fn hostile_application_names_round_trip_through_both_documents() {
     let names = [
+        "all of it: \" \\ \u{1} \u{7f} múlti → 日本 🦀",
         "q \"7\" \\ end",
         "tab\there \u{1}\u{1f} bell",
         "\"}], \"injected\": [{\"",
@@ -266,33 +274,90 @@ fn hostile_application_names_round_trip_through_both_documents() {
         );
     }
 
-    // The daemon's side, over the same corpus. Its live report names no
-    // application (sketch exemplars are labelled by id), so parsing is
-    // the whole check; the exemplar index names every promoted one.
+    // The daemon's side, over the same corpus, with alerts on. Its live
+    // report and `/alerts` name no application (sketch exemplars are
+    // labelled by id), so parsing is the whole check for them; the
+    // exemplar index and traces name every promoted one.
     let mut inc = IncrementalAnalyzer::new(IncrementalConfig {
         exemplar_slots: names.len() + 3,
         ..IncrementalConfig::default()
     });
+    let mut alerts = AlertEngine::new(default_rules(1), 1_000);
     for (source, record) in s.records_by_time() {
-        inc.ingest(source, record);
+        if inc.ingest(source, record) == Outcome::Anomalous {
+            alerts.observe_anomalous(record.ts);
+        }
     }
-    inc.finish();
-    obs::json::parse(&inc.live_report_json(None)).expect("live report must be valid JSON");
-    let index =
-        obs::json::parse(&inc.exemplars().index_json()).expect("exemplar index must be valid JSON");
-    let promoted: Vec<&str> = inc
-        .exemplars()
-        .iter()
-        .filter_map(|p| {
-            let detail = index.get("apps")?.get(&p.app.to_string())?;
-            detail.get("name")?.as_str()
-        })
-        .collect();
+    for r in inc.finish() {
+        alerts.observe_retirement(r.retire_ms, &r.delays);
+    }
+    alerts.advance(TsMs(inc.watermark().unwrap().0 + 1_000));
+    assert!(alerts.transitions_total() > 0);
+    must_parse("the alerts", &alerts.alerts_json());
+    must_parse("the live report", &inc.live_report_json(None));
+    let index = must_parse("the exemplar index", &inc.exemplars().index_json());
+    let mut promoted = Vec::new();
+    for p in inc.exemplars().iter() {
+        let detail = index.get("apps").and_then(|a| a.get(&p.app.to_string()));
+        let name = detail.and_then(|d| d.get("name")?.as_str());
+        assert_eq!(name, p.name.as_deref(), "{}", p.app);
+        let trace = must_parse(
+            "an exemplar trace",
+            &inc.exemplars().trace_json(p.app).unwrap(),
+        );
+        let events = trace.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+        let process = events
+            .iter()
+            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("process_name"))
+            .and_then(|e| e.get("args")?.get("name")?.as_str())
+            .unwrap();
+        if let Some(name) = name {
+            assert_eq!(process, format!("{} ({name})", p.app));
+            promoted.push(name.to_string());
+        }
+    }
     for name in names {
         assert!(
-            promoted.contains(&name),
+            promoted.iter().any(|p| p == name),
             "{name:?} missing from {promoted:?}"
         );
     }
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The two exporters every binary writes with `--metrics-out` and
+/// `--trace-out` keep hostile label values and span arguments intact:
+/// the metrics file keys each series by its rendered name, escaped, and
+/// the trace carries each argument as it was given.
+#[test]
+fn metrics_and_trace_files_round_trip_hostile_labels_and_span_args() {
+    let hostile = "q \"1\" \\ \u{1}\u{7f} múlti → 日本 🦀\n";
+    let r = obs::Recorder::new();
+    r.enable();
+    r.count_labeled("apps_total", &[("name", hostile)], 3);
+    r.sketch_observe_labeled("delay_ms", &[("name", hostile)], 40);
+    r.gauge_set("ratio", 0.5);
+    {
+        let _span = r.span("analyze").arg("file", hostile).arg("n", 7);
+    }
+    let snap = r.snapshot();
+    let metrics = must_parse("the metrics file", &obs::metrics_json(&snap));
+    let key = |name| obs::MetricKey::labeled(name, &[("name", hostile)]).render();
+    let counter = metrics
+        .get("counters")
+        .and_then(|c| c.get(&key("apps_total")));
+    assert_eq!(counter.and_then(Json::as_f64), Some(3.0));
+    let sketch = metrics
+        .get("sketches")
+        .and_then(|c| c.get(&key("delay_ms")));
+    assert_eq!(sketch.and_then(|s| s.get("max")?.as_f64()), Some(40.0));
+    let trace = must_parse("the trace file", &obs::chrome_trace(&snap));
+    let events = trace.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+    let span = events
+        .iter()
+        .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("analyze"))
+        .and_then(|e| e.get("args"))
+        .unwrap();
+    assert_eq!(span.get("file").and_then(|f| f.as_str()), Some(hostile));
+    assert_eq!(span.get("n").and_then(|f| f.as_str()), Some("7"));
 }

@@ -38,6 +38,10 @@
 //! * [`interleave`] — exhaustive bounded model check of the three real
 //!   concurrent protocols (sharded registry snapshot, par merge
 //!   handoff, daemon shutdown-drain square) under every interleaving.
+//! * [`json_syntax`] — no non-test source but `obs::json`, the writer
+//!   every emitted document is spelled with, holds a string literal
+//!   spelling a JSON member name's closing quote and colon. No
+//!   allowlist.
 //!
 //! Run it as `cargo run -p sdlint` (CI gate), or via the test suite
 //! (`cargo test -p sdlint`), which additionally mutation-tests the
@@ -47,6 +51,7 @@ pub mod atomics;
 pub mod conformance;
 pub mod determinism;
 pub mod interleave;
+pub mod json_syntax;
 pub mod locks;
 pub mod machines;
 pub mod modelcheck;
@@ -58,7 +63,8 @@ pub mod scan;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Which checker produced it (`conformance`, `machines`,
-    /// `modelcheck`, `panics`).
+    /// `modelcheck`, `panics`, `locks`, `atomics`, `determinism`,
+    /// `json`, `interleave`).
     pub checker: &'static str,
     /// Human-readable diagnostic, naming the offending template/rule/
     /// file and — where applicable — the closest near-miss.
@@ -142,6 +148,7 @@ pub fn run_all_with_stats(repo_root: &std::path::Path) -> RunReport {
     timed("determinism", &mut report, &mut || {
         determinism::check(repo_root)
     });
+    timed("json", &mut report, &mut || json_syntax::check(repo_root));
     let start = std::time::Instant::now();
     let (findings, stats) = interleave::check_with_stats();
     report.timings.push(CheckerTiming {

@@ -6,7 +6,7 @@
 //! i.e. the diagnostic a developer would need to fix the drift.
 
 use logmodel::schema::MsgTemplate;
-use sdlint::{conformance, machines};
+use sdlint::{conformance, json_syntax, machines, scan};
 
 /// The real tables produce zero findings — the merge gate.
 #[test]
@@ -155,4 +155,27 @@ fn t_file(name: &str) -> &'static str {
         .find(|t| t.name == name)
         .map(|t| t.file)
         .unwrap_or("")
+}
+
+/// A member spelled by hand outside `obs::json` — here a wide-event key
+/// written as a literal again — is a finding naming the file and line;
+/// the writer itself may spell it.
+#[test]
+fn hand_written_json_member_is_caught() {
+    let member = format!("out.push_str(\"{{\\\"{}\\\": \");\n", "schema");
+    let seeded = |rel: &str| scan::SourceFile {
+        rel: rel.into(),
+        body: format!("fn f(out: &mut String) {{\n    {member}}}\n"),
+    };
+    let findings = json_syntax::check_sources(&[
+        seeded("crates/sdchecker/src/wide.rs"),
+        seeded(json_syntax::WRITER),
+    ]);
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    assert!(
+        findings[0]
+            .message
+            .contains("crates/sdchecker/src/wide.rs:2"),
+        "{findings:#?}"
+    );
 }
