@@ -26,6 +26,7 @@ use experiments::harness::{default_horizon, run_scenario, scenario_rng};
 use experiments::{all_experiments, Figure, Scale};
 use obs::json::{document, Layout, Name};
 use obs::json_fields;
+use sdchecker::cli::{self, Args, OrFail, Stop};
 use workloads::{tpch_stream, TraceParams};
 use yarnsim::ClusterConfig;
 
@@ -33,95 +34,45 @@ const USAGE: &str = "usage: run_experiments [--quick] [--only ids] [--out dir] [
 [--trace-out <trace.json>] [--app-trace-out <apptrace.json>] \
 [--report-json <report.json>] [--metrics-out <metrics.json|.prom>] [--quiet]";
 
-fn usage_err(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}");
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
+fn main() -> ExitCode {
+    cli::main(USAGE, run)
 }
 
-fn main() -> ExitCode {
+fn run(mut args: Args) -> Result<(), Stop> {
     let mut scale = Scale::Full;
     let mut out_dir = PathBuf::from("results");
     let mut seed: u64 = 2018;
-    let mut only: Option<Vec<String>> = None;
+    let mut only: Option<String> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut app_trace_out: Option<PathBuf> = None;
     let mut report_json_out: Option<PathBuf> = None;
     let mut metrics_out: Option<PathBuf> = None;
     let mut quiet = false;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        let _ = sdchecker::write_stdout(&format!("{USAGE}\n"));
-        return ExitCode::SUCCESS;
-    }
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                scale = Scale::Quick;
-                i += 1;
-            }
-            "--out" => {
-                let Some(p) = args.get(i + 1) else {
-                    return usage_err("--out needs a path");
-                };
-                out_dir = PathBuf::from(p);
-                i += 2;
-            }
-            "--seed" => {
-                let Some(s) = args.get(i + 1) else {
-                    return usage_err("--seed needs a number");
-                };
-                let Ok(n) = s.parse() else {
-                    return usage_err(&format!("invalid seed: {s}"));
-                };
-                seed = n;
-                i += 2;
-            }
-            "--only" => {
-                let Some(list) = args.get(i + 1) else {
-                    return usage_err("--only needs a comma-separated id list");
-                };
-                only = Some(list.split(',').map(str::to_string).collect());
-                i += 2;
-            }
-            "--trace-out" => {
-                let Some(p) = args.get(i + 1) else {
-                    return usage_err("--trace-out needs a path");
-                };
-                trace_out = Some(PathBuf::from(p));
-                i += 2;
-            }
-            "--app-trace-out" => {
-                let Some(p) = args.get(i + 1) else {
-                    return usage_err("--app-trace-out needs a path");
-                };
-                app_trace_out = Some(PathBuf::from(p));
-                i += 2;
-            }
-            "--report-json" => {
-                let Some(p) = args.get(i + 1) else {
-                    return usage_err("--report-json needs a path");
-                };
-                report_json_out = Some(PathBuf::from(p));
-                i += 2;
-            }
-            "--metrics-out" => {
-                let Some(p) = args.get(i + 1) else {
-                    return usage_err("--metrics-out needs a path");
-                };
-                metrics_out = Some(PathBuf::from(p));
-                i += 2;
-            }
-            "--quiet" => {
-                quiet = true;
-                i += 1;
-            }
-            other => {
-                return usage_err(&format!("unknown argument {other}"));
-            }
+    while let Some(flag) = args.flag() {
+        match flag.as_str() {
+            "--quick" => scale = Scale::Quick,
+            "--out" => out_dir = args.value(&flag)?,
+            "--seed" => seed = args.value(&flag)?,
+            "--only" => only = Some(args.value(&flag)?),
+            "--trace-out" => trace_out = Some(args.value(&flag)?),
+            "--app-trace-out" => app_trace_out = Some(args.value(&flag)?),
+            "--report-json" => report_json_out = Some(args.value(&flag)?),
+            "--metrics-out" => metrics_out = Some(args.value(&flag)?),
+            "--quiet" => quiet = true,
+            other => return Err(cli::unknown(other)),
         }
+    }
+    let mut todo = all_experiments();
+    if let Some(only) = &only {
+        let ids: Vec<&str> = only.split(',').collect();
+        let known: Vec<&str> = todo.iter().map(|(id, _)| *id).collect();
+        if let Some(bad) = ids.iter().find(|id| !known.contains(id)) {
+            let known = known.join(",");
+            return Err(Stop::Usage(format!(
+                "--only names unknown experiment {bad} (known: {known})"
+            )));
+        }
+        todo.retain(|(id, _)| ids.contains(id));
     }
 
     // --report-json needs the analysis pipeline's streamed delay sketches,
@@ -129,19 +80,8 @@ fn main() -> ExitCode {
     if trace_out.is_some() || metrics_out.is_some() || report_json_out.is_some() {
         obs::enable();
     }
-
-    let todo: Vec<_> = all_experiments()
-        .into_iter()
-        .filter(|(id, _)| only.as_ref().is_none_or(|o| o.iter().any(|x| x == id)))
-        .collect();
-    if todo.is_empty() {
-        eprintln!("nothing to run");
-        return ExitCode::from(2);
-    }
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("failed to create {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
+    std::fs::create_dir_all(&out_dir)
+        .or_fail(format_args!("failed to create {}", out_dir.display()))?;
 
     let started = Instant::now();
     let results: Mutex<Vec<(usize, Figure, f64)>> = Mutex::new(Vec::new());
@@ -172,18 +112,14 @@ fn main() -> ExitCode {
     for (_, fig, dt) in &results {
         let rendered = fig.render();
         let path = out_dir.join(format!("{}.txt", fig.id));
-        if let Err(e) = std::fs::write(&path, &rendered) {
-            eprintln!("failed to write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(&path, &rendered)
+            .or_fail(format_args!("failed to write {}", path.display()))?;
         all.push_str(&rendered);
         all.push_str(&format!("_(generated in {dt:.1}s)_\n\n"));
     }
     let all_path = out_dir.join("ALL.md");
-    if let Err(e) = std::fs::write(&all_path, &all) {
-        eprintln!("failed to write {}: {e}", all_path.display());
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&all_path, &all)
+        .or_fail(format_args!("failed to write {}", all_path.display()))?;
 
     if let Some(path) = &app_trace_out {
         // A small reference scenario in its own right: enough applications
@@ -191,35 +127,14 @@ fn main() -> ExitCode {
         let mut rng = scenario_rng(seed);
         let arrivals = tpch_stream(8, 2048.0, 4, &TraceParams::moderate(), &mut rng);
         let r = run_scenario(ClusterConfig::default(), seed, arrivals, default_horizon());
-        if let Err(e) = std::fs::write(path, sdchecker::corpus_app_trace(&r.analysis)) {
-            eprintln!("failed to write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        if !quiet {
-            eprintln!(
-                "wrote app-time scheduling trace to {} (load in ui.perfetto.dev)",
-                path.display()
-            );
-        }
+        let trace = sdchecker::corpus_app_trace(&r.analysis);
+        cli::write_output(path, trace, "app-time scheduling trace", quiet)?;
     }
-
     if let Some(path) = &report_json_out {
         let json = fleet_report_json(&results, scale, seed, started.elapsed().as_secs_f64());
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("failed to write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        if !quiet {
-            eprintln!("wrote fleet report to {}", path.display());
-        }
+        cli::write_output(path, json, "fleet report", quiet)?;
     }
-
-    if let Err(e) =
-        obs::export::write_files(obs::global(), trace_out.as_deref(), metrics_out.as_deref())
-    {
-        eprintln!("failed to write observability output: {e}");
-        return ExitCode::FAILURE;
-    }
+    cli::write_observability(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
 
     if !quiet {
         let mut stdout = std::io::stdout().lock();
@@ -231,7 +146,7 @@ fn main() -> ExitCode {
             started.elapsed().as_secs_f64()
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Fleet-wide machine-readable report: which experiments ran, plus the

@@ -36,6 +36,7 @@ use std::time::{Duration, Instant};
 
 use logmodel::{format_line, LogSource, LogStore};
 
+use sdchecker::cli::{self, Args, OrFail, Stop};
 use sdchecker::{analyze_store, ascii_gantt, write_stdout, Report};
 use simkit::Millis;
 use sparksim::{profiles, simulate};
@@ -50,212 +51,6 @@ const USAGE: &str = "usage: sdsim [--queries N] [--input-mb MB] [--executors N] 
 [--stream-to <log-dir>] [--rate R] [--stream-flush-every N] \
 [--trace-out <trace.json>] [--app-trace-out <apptrace.json>] \
 [--report-json <report.json>] [--metrics-out <metrics.json|.prom>] [--quiet]";
-
-struct Opts {
-    queries: usize,
-    input_mb: f64,
-    executors: u32,
-    seed: u64,
-    opportunistic: bool,
-    bursty: bool,
-    docker: bool,
-    extra_files_mb: f64,
-    dfsio_writers: u32,
-    kmeans_apps: u32,
-    faults: yarnsim::FaultConfig,
-    out: Option<PathBuf>,
-    timeline: bool,
-    stream_to: Option<PathBuf>,
-    rate: f64,
-    stream_flush_every: u64,
-    trace_out: Option<PathBuf>,
-    app_trace_out: Option<PathBuf>,
-    report_json_out: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-    quiet: bool,
-}
-
-fn parse_args() -> Result<Opts, String> {
-    let mut o = Opts {
-        queries: 50,
-        input_mb: 2048.0,
-        executors: 4,
-        seed: 2018,
-        opportunistic: false,
-        bursty: false,
-        docker: false,
-        extra_files_mb: 0.0,
-        dfsio_writers: 0,
-        kmeans_apps: 0,
-        faults: yarnsim::FaultConfig::default(),
-        out: None,
-        timeline: false,
-        stream_to: None,
-        rate: 0.0,
-        stream_flush_every: 64,
-        trace_out: None,
-        app_trace_out: None,
-        report_json_out: None,
-        metrics_out: None,
-        quiet: false,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
-        args.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--queries" => {
-                o.queries = value(&args, i, "--queries")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                i += 2;
-            }
-            "--input-mb" => {
-                o.input_mb = value(&args, i, "--input-mb")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                i += 2;
-            }
-            "--executors" => {
-                o.executors = value(&args, i, "--executors")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                i += 2;
-            }
-            "--seed" => {
-                o.seed = value(&args, i, "--seed")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                i += 2;
-            }
-            "--scheduler" => {
-                o.opportunistic = match value(&args, i, "--scheduler")?.as_str() {
-                    "capacity" => false,
-                    "opportunistic" => true,
-                    other => return Err(format!("unknown scheduler {other}")),
-                };
-                i += 2;
-            }
-            "--arrivals" => {
-                o.bursty = match value(&args, i, "--arrivals")?.as_str() {
-                    "moderate" => false,
-                    "bursty" => true,
-                    other => return Err(format!("unknown arrival process {other}")),
-                };
-                i += 2;
-            }
-            "--docker" => {
-                o.docker = true;
-                i += 1;
-            }
-            "--extra-files-mb" => {
-                o.extra_files_mb = value(&args, i, "--extra-files-mb")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                i += 2;
-            }
-            "--dfsio-writers" => {
-                o.dfsio_writers = value(&args, i, "--dfsio-writers")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                i += 2;
-            }
-            "--kmeans-apps" => {
-                o.kmeans_apps = value(&args, i, "--kmeans-apps")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                i += 2;
-            }
-            "--launch-failure-rate" => {
-                o.faults.launch_failure_rate = value(&args, i, "--launch-failure-rate")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                i += 2;
-            }
-            "--localization-failure-rate" => {
-                o.faults.localization_failure_rate =
-                    value(&args, i, "--localization-failure-rate")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?;
-                i += 2;
-            }
-            "--node-loss" => {
-                // MS:NODE — at time MS the NM on node index NODE is lost.
-                let v = value(&args, i, "--node-loss")?;
-                let (ms, node) = v
-                    .split_once(':')
-                    .ok_or_else(|| format!("--node-loss wants MS:NODE, got {v}"))?;
-                o.faults.node_loss.push((
-                    Millis(ms.parse().map_err(|e| format!("{e}"))?),
-                    node.parse().map_err(|e| format!("{e}"))?,
-                ));
-                i += 2;
-            }
-            "--fault-seed" => {
-                o.faults.fault_seed = value(&args, i, "--fault-seed")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                i += 2;
-            }
-            "--out" => {
-                o.out = Some(PathBuf::from(value(&args, i, "--out")?));
-                i += 2;
-            }
-            "--timeline" => {
-                o.timeline = true;
-                i += 1;
-            }
-            "--stream-to" => {
-                o.stream_to = Some(PathBuf::from(value(&args, i, "--stream-to")?));
-                i += 2;
-            }
-            "--rate" => {
-                o.rate = value(&args, i, "--rate")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                if o.rate < 0.0 || !o.rate.is_finite() {
-                    return Err("--rate must be a finite non-negative number".to_string());
-                }
-                i += 2;
-            }
-            "--stream-flush-every" => {
-                o.stream_flush_every = value(&args, i, "--stream-flush-every")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                if o.stream_flush_every == 0 {
-                    return Err("--stream-flush-every must be at least 1".to_string());
-                }
-                i += 2;
-            }
-            "--trace-out" => {
-                o.trace_out = Some(PathBuf::from(value(&args, i, "--trace-out")?));
-                i += 2;
-            }
-            "--app-trace-out" => {
-                o.app_trace_out = Some(PathBuf::from(value(&args, i, "--app-trace-out")?));
-                i += 2;
-            }
-            "--report-json" => {
-                o.report_json_out = Some(PathBuf::from(value(&args, i, "--report-json")?));
-                i += 2;
-            }
-            "--metrics-out" => {
-                o.metrics_out = Some(PathBuf::from(value(&args, i, "--metrics-out")?));
-                i += 2;
-            }
-            "--quiet" => {
-                o.quiet = true;
-                i += 1;
-            }
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    Ok(o)
-}
 
 /// Replay the simulated corpus into `dir` as a live log stream: lines
 /// appended in global simulated-time order (the order a collector on the
@@ -322,30 +117,103 @@ fn stream_logs(logs: &LogStore, dir: &Path, rate: f64, flush_every: u64) -> io::
 }
 
 fn main() -> ExitCode {
-    if std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
-        let _ = write_stdout(&format!("{USAGE}\n"));
-        return ExitCode::SUCCESS;
-    }
-    let o = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    cli::main(USAGE, run)
+}
 
-    if o.trace_out.is_some() || o.metrics_out.is_some() {
+fn run(mut args: Args) -> Result<(), Stop> {
+    let mut queries: usize = 50;
+    let mut input_mb: f64 = 2048.0;
+    let mut executors: u32 = 4;
+    let mut seed: u64 = 2018;
+    let mut opportunistic = false;
+    let mut bursty = false;
+    let mut docker = false;
+    let mut extra_files_mb: f64 = 0.0;
+    let mut dfsio_writers: u32 = 0;
+    let mut kmeans_apps: u32 = 0;
+    let mut faults = yarnsim::FaultConfig::default();
+    let mut out: Option<PathBuf> = None;
+    let mut timeline = false;
+    let mut stream_to: Option<PathBuf> = None;
+    let mut rate: f64 = 0.0;
+    let mut stream_flush_every: u64 = 64;
+    let mut trace_out: Option<PathBuf> = None;
+    let mut app_trace_out: Option<PathBuf> = None;
+    let mut report_json_out: Option<PathBuf> = None;
+    let mut metrics_out: Option<PathBuf> = None;
+    let mut quiet = false;
+    let non_negative = "a finite non-negative number";
+    let is_non_negative = |v: &f64| v.is_finite() && *v >= 0.0;
+    let probability = |p: &f64| (0.0..=1.0).contains(p);
+    while let Some(flag) = args.flag() {
+        match flag.as_str() {
+            "--queries" => queries = args.value(&flag)?,
+            "--input-mb" => input_mb = args.value_if(&flag, non_negative, is_non_negative)?,
+            "--executors" => executors = args.value(&flag)?,
+            "--seed" => seed = args.value(&flag)?,
+            "--scheduler" => {
+                let s: String =
+                    args.value_if(&flag, "capacity or opportunistic", |s: &String| {
+                        s == "capacity" || s == "opportunistic"
+                    })?;
+                opportunistic = s == "opportunistic";
+            }
+            "--arrivals" => {
+                let s: String = args.value_if(&flag, "moderate or bursty", |s: &String| {
+                    s == "moderate" || s == "bursty"
+                })?;
+                bursty = s == "bursty";
+            }
+            "--docker" => docker = true,
+            "--extra-files-mb" => {
+                extra_files_mb = args.value_if(&flag, non_negative, is_non_negative)?;
+            }
+            "--dfsio-writers" => dfsio_writers = args.value(&flag)?,
+            "--kmeans-apps" => kmeans_apps = args.value(&flag)?,
+            "--launch-failure-rate" => {
+                faults.launch_failure_rate = args.value_if(&flag, "in [0, 1]", probability)?;
+            }
+            "--localization-failure-rate" => {
+                faults.localization_failure_rate =
+                    args.value_if(&flag, "in [0, 1]", probability)?;
+            }
+            "--node-loss" => {
+                // MS:NODE — at time MS the NM on node index NODE is lost.
+                let v: String = args.value(&flag)?;
+                let loss = v
+                    .split_once(':')
+                    .and_then(|(ms, node)| Some((Millis(ms.parse().ok()?), node.parse().ok()?)))
+                    .ok_or_else(|| Stop::Usage(format!("{flag} wants MS:NODE, got {v}")))?;
+                faults.node_loss.push(loss);
+            }
+            "--fault-seed" => faults.fault_seed = args.value(&flag)?,
+            "--out" => out = Some(args.value(&flag)?),
+            "--timeline" => timeline = true,
+            "--stream-to" => stream_to = Some(args.value(&flag)?),
+            "--rate" => rate = args.value_if(&flag, non_negative, is_non_negative)?,
+            "--stream-flush-every" => {
+                stream_flush_every = args.value_if(&flag, "at least 1", |n| *n > 0)?;
+            }
+            "--trace-out" => trace_out = Some(args.value(&flag)?),
+            "--app-trace-out" => app_trace_out = Some(args.value(&flag)?),
+            "--report-json" => report_json_out = Some(args.value(&flag)?),
+            "--metrics-out" => metrics_out = Some(args.value(&flag)?),
+            "--quiet" => quiet = true,
+            other => return Err(cli::unknown(other)),
+        }
+    }
+
+    if trace_out.is_some() || metrics_out.is_some() {
         obs::enable();
     }
 
-    let mut rng = simkit::SimRng::new(o.seed);
-    let mut queries = map_jobs(
+    let mut rng = simkit::SimRng::new(seed);
+    let mut tpch = map_jobs(
         tpch_stream(
-            o.queries,
-            o.input_mb,
-            o.executors,
-            &if o.bursty {
+            queries,
+            input_mb,
+            executors,
+            &if bursty {
                 TraceParams::bursty()
             } else {
                 TraceParams::moderate()
@@ -353,65 +221,65 @@ fn main() -> ExitCode {
             &mut rng,
         ),
         |j| {
-            j.extra_files_mb = o.extra_files_mb;
-            if o.docker {
+            j.extra_files_mb = extra_files_mb;
+            if docker {
                 j.runtime = ContainerRuntime::Docker;
             }
         },
     );
-    if o.dfsio_writers > 0 || o.kmeans_apps > 0 {
-        queries = shifted(queries, Millis(40_000));
+    if dfsio_writers > 0 || kmeans_apps > 0 {
+        tpch = shifted(tpch, Millis(40_000));
     }
-    let last = queries.last().map(|(t, _)| *t).unwrap_or(Millis::ZERO);
-    let mut streams = vec![queries];
-    if o.dfsio_writers > 0 {
+    let last = tpch.last().map(|(t, _)| *t).unwrap_or(Millis::ZERO);
+    let mut streams = vec![tpch];
+    if dfsio_writers > 0 {
         let gb = (last.as_f64() * 0.09 / 1024.0).max(20.0);
-        streams.push(vec![(Millis::ZERO, profiles::dfsio(o.dfsio_writers, gb))]);
+        streams.push(vec![(Millis::ZERO, profiles::dfsio(dfsio_writers, gb))]);
     }
-    for k in 0..o.kmeans_apps {
+    for k in 0..kmeans_apps {
         let iters = (last.0 / 3_000 + 50) as u32;
         streams.push(vec![(Millis(400 * k as u64), profiles::kmeans(iters))]);
     }
     let arrivals = merge(streams);
 
-    let mut cfg = if o.opportunistic {
+    let mut cfg = if opportunistic {
         ClusterConfig::default().with_opportunistic()
     } else {
         ClusterConfig::default()
     };
-    cfg.faults = o.faults.clone();
+    cfg.faults = faults.clone();
 
-    if !o.quiet {
+    if !quiet {
         eprintln!(
             "simulating {} TPC-H queries ({} MB, {} executors, {}{}{}) ...",
-            o.queries,
-            o.input_mb,
-            o.executors,
-            if o.opportunistic {
+            queries,
+            input_mb,
+            executors,
+            if opportunistic {
                 "opportunistic"
             } else {
                 "capacity"
             },
-            if o.docker { ", docker" } else { "" },
-            if o.dfsio_writers > 0 || o.kmeans_apps > 0 {
+            if docker { ", docker" } else { "" },
+            if dfsio_writers > 0 || kmeans_apps > 0 {
                 ", with interference"
             } else {
                 ""
             },
         );
-        if o.faults.any_enabled() {
+        if faults.any_enabled() {
             eprintln!(
                 "fault injection on: launch {:.1}%, localization {:.1}%, {} scripted node losses (fault seed {})",
-                o.faults.launch_failure_rate * 100.0,
-                o.faults.localization_failure_rate * 100.0,
-                o.faults.node_loss.len(),
-                o.faults.fault_seed,
+                faults.launch_failure_rate * 100.0,
+                faults.localization_failure_rate * 100.0,
+                faults.node_loss.len(),
+                faults.fault_seed,
             );
         }
     }
     let t0 = std::time::Instant::now();
-    let (logs, summaries) = simulate(cfg, o.seed, arrivals, Millis::from_mins(24 * 60));
-    if !o.quiet {
+    let (logs, summaries) = simulate(cfg, seed, arrivals, Millis::from_mins(24 * 60));
+    if !quiet {
         eprintln!(
             "simulated {} jobs / {} log records in {:.2?}",
             summaries.len(),
@@ -420,45 +288,41 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(dir) = &o.out {
-        if let Err(e) = logs.write_dir(dir) {
-            eprintln!("failed to write logs to {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-        if !o.quiet {
+    if let Some(dir) = &out {
+        logs.write_dir(dir)
+            .or_fail(format_args!("failed to write logs to {}", dir.display()))?;
+        if !quiet {
             eprintln!("wrote log corpus to {}", dir.display());
         }
     }
 
-    if let Some(dir) = &o.stream_to {
-        if !o.quiet {
+    if let Some(dir) = &stream_to {
+        if !quiet {
             eprintln!(
                 "streaming {} records to {} at {} ...",
                 logs.total_records(),
                 dir.display(),
-                if o.rate > 0.0 {
-                    format!("{} records/s", o.rate)
+                if rate > 0.0 {
+                    format!("{} records/s", rate)
                 } else {
                     "full speed".to_string()
                 },
             );
         }
-        if let Err(e) = stream_logs(&logs, dir, o.rate, o.stream_flush_every) {
-            eprintln!("failed to stream logs to {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-        if !o.quiet {
+        stream_logs(&logs, dir, rate, stream_flush_every)
+            .or_fail(format_args!("failed to stream logs to {}", dir.display()))?;
+        if !quiet {
             eprintln!("stream complete: {}", dir.display());
         }
         // Streaming mode hands analysis off to the tailing consumer.
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     let analysis = analyze_store(&logs);
     // One pass over the applications feeds stdout and `--report-json`.
     let report = Report::new(&analysis);
     let mut text = report.text();
-    if o.timeline {
+    if timeline {
         // Show the median-total application's timeline (the Fig 10 view).
         let mut complete: Vec<_> = analysis
             .delays
@@ -473,51 +337,13 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Err(e) = write_stdout(&text) {
-        eprintln!("failed to write to stdout: {e}");
-        return ExitCode::FAILURE;
+    write_stdout(&text).or_fail("failed to write to stdout")?;
+    if let Some(p) = &app_trace_out {
+        let trace = sdchecker::corpus_app_trace(&analysis);
+        cli::write_output(p, trace, "app-time scheduling trace", quiet)?;
     }
-
-    if let Some(p) = &o.app_trace_out {
-        if let Err(e) = std::fs::write(p, sdchecker::corpus_app_trace(&analysis)) {
-            eprintln!("failed to write {}: {e}", p.display());
-            return ExitCode::FAILURE;
-        }
-        if !o.quiet {
-            eprintln!(
-                "wrote app-time scheduling trace to {} (load in ui.perfetto.dev)",
-                p.display()
-            );
-        }
+    if let Some(p) = &report_json_out {
+        cli::write_output(p, report.json(), "machine-readable report", quiet)?;
     }
-    if let Some(p) = &o.report_json_out {
-        if let Err(e) = std::fs::write(p, report.json()) {
-            eprintln!("failed to write {}: {e}", p.display());
-            return ExitCode::FAILURE;
-        }
-        if !o.quiet {
-            eprintln!("wrote machine-readable report to {}", p.display());
-        }
-    }
-
-    if let Err(e) = obs::export::write_files(
-        obs::global(),
-        o.trace_out.as_deref(),
-        o.metrics_out.as_deref(),
-    ) {
-        eprintln!("failed to write observability output: {e}");
-        return ExitCode::FAILURE;
-    }
-    if !o.quiet {
-        if let Some(p) = &o.trace_out {
-            eprintln!(
-                "wrote Chrome trace to {} (load in chrome://tracing or ui.perfetto.dev)",
-                p.display()
-            );
-        }
-        if let Some(p) = &o.metrics_out {
-            eprintln!("wrote metrics to {}", p.display());
-        }
-    }
-    ExitCode::SUCCESS
+    cli::write_observability(trace_out.as_deref(), metrics_out.as_deref(), quiet)
 }

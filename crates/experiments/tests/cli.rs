@@ -79,3 +79,102 @@ fn help_survives_a_closed_stdout() {
         assert_clean_exit(&run_unread(help()), bin);
     }
 }
+
+/// Run `bin` with `args`: a usage error exits 2, and the first line of
+/// stderr names what was wrong with the command line.
+fn assert_usage_error(bin: &str, args: &[&str], names: &str) -> String {
+    let out = Command::new(bin).args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(first.contains(names), "{args:?}: {first}");
+    stderr
+}
+
+#[test]
+fn rejects_bad_usage() {
+    let sdsim = env!("CARGO_BIN_EXE_sdsim");
+    for (args, names) in [
+        (&["--bogus"][..], "--bogus"),
+        (&["--queries"], "--queries"),
+        (&["--queries", "many"], "--queries"),
+        (&["--scheduler", "fifo"], "--scheduler"),
+        (&["--arrivals", "steady"], "--arrivals"),
+        (&["--rate", "-1"], "--rate"),
+        (&["--stream-flush-every", "0"], "--stream-flush-every"),
+    ] {
+        assert_usage_error(sdsim, args, names);
+    }
+    let run_experiments = env!("CARGO_BIN_EXE_run_experiments");
+    for (args, names) in [
+        (&["--bogus"][..], "--bogus"),
+        (&["--out"], "--out"),
+        (&["--seed", "x"], "--seed"),
+        (&["--only", "bogus"], "--only"),
+    ] {
+        assert_usage_error(run_experiments, args, names);
+    }
+}
+
+/// Numbers the simulator cannot mean are usage errors, not a panic deep
+/// in a distribution or a run of some other configuration.
+#[test]
+fn sdsim_rejects_out_of_range_numbers() {
+    for (flag, v) in [
+        ("--input-mb", "nan"),
+        ("--input-mb", "-5"),
+        ("--input-mb", "inf"),
+        ("--extra-files-mb", "-1"),
+        ("--launch-failure-rate", "nan"),
+        ("--launch-failure-rate", "1.5"),
+        ("--localization-failure-rate", "-0.1"),
+        ("--node-loss", "soon:3"),
+        ("--node-loss", "120000:third"),
+        ("--node-loss", "120000"),
+    ] {
+        let args = ["--queries", "1", "--quiet", flag, v];
+        assert_usage_error(env!("CARGO_BIN_EXE_sdsim"), &args, flag);
+    }
+}
+
+/// `--only` with an id no experiment has is a usage error naming it and
+/// the known ids; nothing runs, nothing is written.
+#[test]
+fn only_rejects_unknown_ids() {
+    let dir = tmp("only");
+    let _ = fs::remove_dir_all(&dir);
+    let args = ["--quick", "--quiet", "--only", "fig4,bogus", "--out"];
+    let stderr = assert_usage_error(
+        env!("CARGO_BIN_EXE_run_experiments"),
+        &[&args[..], &[dir.to_str().unwrap()]].concat(),
+        "bogus",
+    );
+    assert!(
+        stderr.contains("table2") && stderr.contains("opts"),
+        "{stderr}"
+    );
+    assert!(!dir.exists(), "nothing may be written");
+}
+
+/// Opened on a full device, stderr cannot take the reason a run stops
+/// for; the exit code is still the contract's, not a panic's 101.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_full_stderr_leaves_exit_codes_alone() {
+    for bin in [
+        env!("CARGO_BIN_EXE_sdsim"),
+        env!("CARGO_BIN_EXE_run_experiments"),
+    ] {
+        let full = fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .unwrap();
+        let status = Command::new(bin)
+            .arg("--bogus")
+            .stdout(Stdio::null())
+            .stderr(full)
+            .status()
+            .unwrap();
+        assert_eq!(status.code(), Some(2), "{bin}");
+    }
+}

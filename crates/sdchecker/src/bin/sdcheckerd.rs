@@ -74,6 +74,7 @@ use obs::json::{document, Layout};
 use obs::json_fields;
 use obs::{HttpServer, MetricKey, Request, Response, PROMETHEUS_CONTENT_TYPE};
 use sdchecker::checkpoint::{self, CfgFingerprint, CheckpointStore, SaveInputs};
+use sdchecker::cli::{self, Args, OrFail, Stop};
 use sdchecker::{
     default_rules, AlertEngine, DirTailer, IncrementalAnalyzer, IncrementalConfig, Outcome,
     RetiredApp, TailLag, TailSink, Transition,
@@ -806,21 +807,11 @@ fn fingerprint(cfg: &IncrementalConfig, alerts: bool, slo_ms: u64) -> CfgFingerp
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        let _ = sdchecker::write_stdout(&format!("{USAGE}\n"));
-        return ExitCode::SUCCESS;
-    }
-    let Some(dir) = args.first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    if dir.starts_with('-') {
-        eprintln!("expected <watch-dir> as the first argument, got {dir}");
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    }
-    let dir = PathBuf::from(dir);
+    cli::main(USAGE, run)
+}
+
+fn run(mut args: Args) -> Result<(), Stop> {
+    let dir = PathBuf::from(args.positional("<watch-dir>")?);
     let mut listen = "127.0.0.1:9464".to_string();
     let mut port_file: Option<PathBuf> = None;
     let mut poll_ms: u64 = 200;
@@ -836,124 +827,34 @@ fn main() -> ExitCode {
     let mut checkpoint_interval_ms: u64 = 2_000;
     let mut resume_flag: Option<bool> = None;
     let mut fsync_outputs = false;
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--quiet" => {
-                quiet = true;
-                i += 1;
-                continue;
+    let positive = |n: &u64| *n > 0;
+    while let Some(flag) = args.flag() {
+        match flag.as_str() {
+            "--quiet" => quiet = true,
+            "--no-alerts" => no_alerts = true,
+            "--resume" => resume_flag = Some(true),
+            "--no-resume" => resume_flag = Some(false),
+            "--fsync-outputs" => fsync_outputs = true,
+            "--listen" => listen = args.value(&flag)?,
+            "--port-file" => port_file = Some(args.value(&flag)?),
+            "--final-report" => final_report = Some(args.value(&flag)?),
+            "--poll-ms" => poll_ms = args.value_if(&flag, "at least 1", positive)?,
+            "--settle-ms" => cfg.settle_ms = args.value(&flag)?,
+            "--idle-timeout-ms" => cfg.idle_timeout_ms = args.value(&flag)?,
+            "--exemplar-slots" => cfg.exemplar_slots = args.value(&flag)?,
+            "--slo-ms" => slo_ms = args.value_if(&flag, "at least 1", positive)?,
+            "--alerts-out" => alerts_out = Some(args.value(&flag)?),
+            "--wide-events-out" => wide_events_out = Some(args.value(&flag)?),
+            "--checkpoint-dir" => checkpoint_dir = Some(args.value(&flag)?),
+            "--checkpoint-interval-ms" => {
+                checkpoint_interval_ms = args.value_if(&flag, "at least 1", positive)?;
             }
-            "--no-alerts" => {
-                no_alerts = true;
-                i += 1;
-                continue;
-            }
-            "--resume" => {
-                resume_flag = Some(true);
-                i += 1;
-                continue;
-            }
-            "--no-resume" => {
-                resume_flag = Some(false);
-                i += 1;
-                continue;
-            }
-            "--fsync-outputs" => {
-                fsync_outputs = true;
-                i += 1;
-                continue;
-            }
-            "--listen"
-            | "--port-file"
-            | "--poll-ms"
-            | "--settle-ms"
-            | "--idle-timeout-ms"
-            | "--exemplar-slots"
-            | "--slo-ms"
-            | "--alerts-out"
-            | "--wide-events-out"
-            | "--final-report"
-            | "--run-for-ms"
-            | "--checkpoint-dir"
-            | "--checkpoint-interval-ms" => {}
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("{USAGE}");
-                return ExitCode::from(2);
-            }
+            "--run-for-ms" => run_for_ms = Some(args.value(&flag)?),
+            other => return Err(cli::unknown(other)),
         }
-        let Some(value) = args.get(i + 1) else {
-            eprintln!("{flag} requires a value");
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        };
-        let parse_u64 = |v: &str| -> Option<u64> { v.parse().ok() };
-        match flag {
-            "--listen" => listen = value.clone(),
-            "--port-file" => port_file = Some(PathBuf::from(value)),
-            "--final-report" => final_report = Some(PathBuf::from(value)),
-            "--poll-ms" => match parse_u64(value) {
-                Some(n) if n > 0 => poll_ms = n,
-                _ => {
-                    eprintln!("invalid --poll-ms value: {value}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--settle-ms" => match parse_u64(value) {
-                Some(n) => cfg.settle_ms = n,
-                None => {
-                    eprintln!("invalid --settle-ms value: {value}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--idle-timeout-ms" => match parse_u64(value) {
-                Some(n) => cfg.idle_timeout_ms = n,
-                None => {
-                    eprintln!("invalid --idle-timeout-ms value: {value}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--exemplar-slots" => match value.parse::<usize>() {
-                Ok(n) => cfg.exemplar_slots = n,
-                Err(_) => {
-                    eprintln!("invalid --exemplar-slots value: {value}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--slo-ms" => match parse_u64(value) {
-                Some(n) if n > 0 => slo_ms = n,
-                _ => {
-                    eprintln!("invalid --slo-ms value: {value}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--alerts-out" => alerts_out = Some(PathBuf::from(value)),
-            "--wide-events-out" => wide_events_out = Some(PathBuf::from(value)),
-            "--checkpoint-dir" => checkpoint_dir = Some(PathBuf::from(value)),
-            "--checkpoint-interval-ms" => match parse_u64(value) {
-                Some(n) if n > 0 => checkpoint_interval_ms = n,
-                _ => {
-                    eprintln!("invalid --checkpoint-interval-ms value: {value}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--run-for-ms" => match parse_u64(value) {
-                Some(n) => run_for_ms = Some(n),
-                None => {
-                    eprintln!("invalid --run-for-ms value: {value}");
-                    return ExitCode::from(2);
-                }
-            },
-            _ => {}
-        }
-        i += 2;
     }
     if resume_flag == Some(true) && checkpoint_dir.is_none() {
-        eprintln!("--resume requires --checkpoint-dir");
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
+        return Err(Stop::Usage("--resume requires --checkpoint-dir".into()));
     }
 
     obs::enable();
@@ -961,21 +862,12 @@ fn main() -> ExitCode {
     describe_daemon_metrics();
     install_signal_handlers();
 
-    let tailer = match DirTailer::new(&dir) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot tail {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
+    let tailer = DirTailer::new(&dir).or_fail(format_args!("cannot tail {}", dir.display()))?;
     let ckpt_store = match &checkpoint_dir {
-        Some(p) => match CheckpointStore::open(p) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("cannot open checkpoint dir {}: {e}", p.display());
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(p) => Some(
+            CheckpointStore::open(p)
+                .or_fail(format_args!("cannot open checkpoint dir {}", p.display()))?,
+        ),
         None => None,
     };
     let mut lp = PollLoop {
@@ -1032,35 +924,20 @@ fn main() -> ExitCode {
     }
 
     let mut wide_file = match &wide_events_out {
-        Some(p) => match open_wide(p, wide_resume_bytes, fsync_outputs) {
-            Ok(w) => Some(w),
-            Err(e) => {
-                eprintln!("cannot open wide-events file {}: {e}", p.display());
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(p) => Some(
+            open_wide(p, wide_resume_bytes, fsync_outputs)
+                .or_fail(format_args!("cannot open wide-events file {}", p.display()))?,
+        ),
         None => None,
     };
 
-    let server = match HttpServer::bind(&listen) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot listen on {listen}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let addr = match server.local_addr() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("cannot resolve listen address: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let server = HttpServer::bind(&listen).or_fail(format_args!("cannot listen on {listen}"))?;
+    let addr = server
+        .local_addr()
+        .or_fail("cannot resolve listen address")?;
     if let Some(p) = &port_file {
-        if let Err(e) = std::fs::write(p, format!("{addr}\n")) {
-            eprintln!("cannot write port file {}: {e}", p.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(p, format!("{addr}\n"))
+            .or_fail(format_args!("cannot write port file {}", p.display()))?;
     }
     if !quiet {
         eprintln!(
@@ -1222,10 +1099,8 @@ fn main() -> ExitCode {
     shared.store(lp.publish(Some(&shared.load()), &lp.tailer.lag(), true));
     if let Some(p) = &alerts_out {
         if let Some(e) = &lp.engine {
-            if let Err(err) = write_atomic(p, e.alerts_json().as_bytes()) {
-                eprintln!("cannot write alerts file {}: {err}", p.display());
-                return ExitCode::FAILURE;
-            }
+            write_atomic(p, e.alerts_json().as_bytes())
+                .or_fail(format_args!("cannot write alerts file {}", p.display()))?;
             if !quiet {
                 eprintln!("wrote alerts to {}", p.display());
             }
@@ -1241,10 +1116,8 @@ fn main() -> ExitCode {
         lp.save_checkpoint(store, &shared, &fingerprint, wide_bytes);
     }
     if let Some(p) = &final_report {
-        if let Err(e) = write_atomic(p, shared.load().report.as_bytes()) {
-            eprintln!("cannot write final report {}: {e}", p.display());
-            return ExitCode::FAILURE;
-        }
+        write_atomic(p, shared.load().report.as_bytes())
+            .or_fail(format_args!("cannot write final report {}", p.display()))?;
         if !quiet {
             eprintln!("wrote final report to {}", p.display());
         }
@@ -1262,7 +1135,7 @@ fn main() -> ExitCode {
             lp.analyzer.in_flight(),
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 // The integration tests' corpus builder, shared with the unit tests below.

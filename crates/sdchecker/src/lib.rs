@@ -46,6 +46,7 @@ pub mod analyze;
 pub mod apptrace;
 pub mod bugs;
 pub mod checkpoint;
+pub mod cli;
 pub mod critical;
 pub mod decompose;
 pub mod event;

@@ -699,33 +699,62 @@ fn help_exits_zero() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage: sdchecker"));
 }
 
+/// Run `bin` with `args`: a usage error exits 2, and the first line of
+/// stderr names what was wrong with the command line.
+fn assert_usage_error(bin: &str, args: &[&str], names: &str) {
+    let out = Command::new(bin).args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(first.contains(names), "{args:?}: {first}");
+}
+
 #[test]
 fn rejects_bad_usage() {
-    let out = bin().output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let out = bin().args(["dir", "--bogus"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let out = bin()
-        .args(["dir", "--dot", "not-an-app-id", "x.dot"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let out = bin().args(["dir", "--threads", "0"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let out = bin().args(["dir", "--threads", "many"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    // A flag where the log directory should be.
-    let out = bin().args(["--quiet"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    // Observability flags with missing values.
-    let out = bin().args(["dir", "--trace-out"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let out = bin().args(["dir", "--metrics-out"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let out = bin().args(["dir", "--app-trace-out"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let out = bin().args(["dir", "--report-json"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
+    for (args, names) in [
+        (&[][..], "<log-dir>"),
+        (&["dir", "--bogus"], "--bogus"),
+        (&["dir", "--dot", "not-an-app-id", "x.dot"], "--dot"),
+        (&["dir", "--dot", "application_1521018000000_0001"], "--dot"),
+        (&["dir", "--timeline", "app_1"], "--timeline"),
+        (&["dir", "--threads", "0"], "--threads"),
+        (&["dir", "--threads", "many"], "--threads"),
+        // A flag where the log directory should be.
+        (&["--quiet"], "--quiet"),
+        (&["dir", "--csv"], "--csv"),
+        // Observability flags with missing values.
+        (&["dir", "--trace-out"], "--trace-out"),
+        (&["dir", "--metrics-out"], "--metrics-out"),
+        (&["dir", "--app-trace-out"], "--app-trace-out"),
+        (&["dir", "--report-json"], "--report-json"),
+    ] {
+        assert_usage_error(env!("CARGO_BIN_EXE_sdchecker"), args, names);
+    }
+}
+
+/// Opened on a full device, stderr cannot take the reason a run stops
+/// for; the exit code is still the contract's, not a panic's 101.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_full_stderr_leaves_exit_codes_alone() {
+    for (bin, args, code) in [
+        (env!("CARGO_BIN_EXE_sdchecker"), &["dir", "--bogus"][..], 2),
+        (env!("CARGO_BIN_EXE_sdcheckerd"), &["dir", "--bogus"], 2),
+        (env!("CARGO_BIN_EXE_sdchecker"), &["/nonexistent/logs"], 1),
+        (env!("CARGO_BIN_EXE_sdcheckerd"), &["/nonexistent/logs"], 1),
+    ] {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .unwrap();
+        let status = Command::new(bin)
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(full)
+            .status()
+            .unwrap();
+        assert_eq!(status.code(), Some(code), "{bin} {args:?}");
+    }
 }
 
 /// Golden-file test: on the fixed two-app corpus, `--report-json` must be

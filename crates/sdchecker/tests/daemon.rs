@@ -526,20 +526,25 @@ fn help_exits_zero() {
 
 #[test]
 fn rejects_bad_usage() {
-    let out = bin().output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let out = bin().args(["dir", "--bogus"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let out = bin().args(["--quiet"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2), "flag where watch-dir should be");
-    let out = bin().args(["dir", "--poll-ms"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2), "missing value");
-    let out = bin().args(["dir", "--poll-ms", "soon"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let out = bin().args(["dir", "--poll-ms", "0"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let out = bin().args(["dir", "--settle-ms", "-3"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
+    for (args, names) in [
+        (&[][..], "<watch-dir>"),
+        (&["dir", "--bogus"], "--bogus"),
+        // A flag where the watch directory should be.
+        (&["--quiet"], "--quiet"),
+        (&["dir", "--poll-ms"], "--poll-ms"),
+        (&["dir", "--poll-ms", "soon"], "--poll-ms"),
+        (&["dir", "--poll-ms", "0"], "--poll-ms"),
+        (&["dir", "--settle-ms", "-3"], "--settle-ms"),
+        (&["dir", "--slo-ms", "0"], "--slo-ms"),
+        (&["dir", "--exemplar-slots", "few"], "--exemplar-slots"),
+        (&["dir", "--resume"], "--resume"),
+    ] {
+        let out = bin().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.contains(names), "{args:?}: {first}");
+    }
 }
 
 #[test]

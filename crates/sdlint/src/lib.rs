@@ -42,12 +42,16 @@
 //!   every emitted document is spelled with, holds a string literal
 //!   spelling a JSON member name's closing quote and colon. No
 //!   allowlist.
+//! * [`command_line`] — no non-test source but `sdchecker::cli`, the
+//!   parser every binary reads its flags through, reads the process
+//!   arguments. No allowlist.
 //!
 //! Run it as `cargo run -p sdlint` (CI gate), or via the test suite
 //! (`cargo test -p sdlint`), which additionally mutation-tests the
 //! checkers themselves.
 
 pub mod atomics;
+pub mod command_line;
 pub mod conformance;
 pub mod determinism;
 pub mod interleave;
@@ -64,7 +68,7 @@ pub mod scan;
 pub struct Finding {
     /// Which checker produced it (`conformance`, `machines`,
     /// `modelcheck`, `panics`, `locks`, `atomics`, `determinism`,
-    /// `json`, `interleave`).
+    /// `json`, `cli`, `interleave`).
     pub checker: &'static str,
     /// Human-readable diagnostic, naming the offending template/rule/
     /// file and — where applicable — the closest near-miss.
@@ -149,6 +153,7 @@ pub fn run_all_with_stats(repo_root: &std::path::Path) -> RunReport {
         determinism::check(repo_root)
     });
     timed("json", &mut report, &mut || json_syntax::check(repo_root));
+    timed("cli", &mut report, &mut || command_line::check(repo_root));
     let start = std::time::Instant::now();
     let (findings, stats) = interleave::check_with_stats();
     report.timings.push(CheckerTiming {

@@ -35,7 +35,7 @@ fn main() {
     if report.findings.is_empty() {
         println!(
             "sdlint: all checks passed (conformance, machines, modelcheck, \
-             panics, locks, atomics, determinism, json, interleave)"
+             panics, locks, atomics, determinism, json, cli, interleave)"
         );
         return;
     }

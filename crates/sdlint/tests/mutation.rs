@@ -6,7 +6,7 @@
 //! i.e. the diagnostic a developer would need to fix the drift.
 
 use logmodel::schema::MsgTemplate;
-use sdlint::{conformance, json_syntax, machines, scan};
+use sdlint::{command_line, conformance, json_syntax, machines, scan};
 
 /// The real tables produce zero findings — the merge gate.
 #[test]
@@ -176,6 +176,46 @@ fn hand_written_json_member_is_caught() {
         findings[0]
             .message
             .contains("crates/sdchecker/src/wide.rs:2"),
+        "{findings:#?}"
+    );
+}
+
+/// A binary that reads its own arguments again — here the flag loop
+/// `sdchecker::cli` replaced — is a finding naming the file and line;
+/// the parser itself may read them.
+#[test]
+fn command_line_read_outside_cli_is_caught() {
+    let read = format!(
+        "let args: Vec<String> = std::{}::args().skip(1).collect();\n",
+        "env"
+    );
+    let seeded = |rel: &str| scan::SourceFile {
+        rel: rel.into(),
+        body: format!("fn main() {{\n    {read}}}\n"),
+    };
+    let bare = scan::SourceFile {
+        rel: "crates/experiments/src/bin/sdsim.rs".into(),
+        body: format!(
+            "use std::env;\nfn main() {{\n    let _ = {}::args();\n}}\n",
+            "env"
+        ),
+    };
+    let findings = command_line::check_sources(&[
+        seeded("crates/sdchecker/src/bin/sdchecker.rs"),
+        seeded(command_line::PARSER),
+        bare,
+    ]);
+    assert_eq!(findings.len(), 2, "{findings:#?}");
+    assert!(
+        findings[0]
+            .message
+            .contains("crates/sdchecker/src/bin/sdchecker.rs:2"),
+        "{findings:#?}"
+    );
+    assert!(
+        findings[1]
+            .message
+            .contains("crates/experiments/src/bin/sdsim.rs:3"),
         "{findings:#?}"
     );
 }
