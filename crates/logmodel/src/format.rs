@@ -199,6 +199,66 @@ pub fn decode_lossy(bytes: &[u8]) -> Cow<'_, str> {
     }
 }
 
+/// The most of a log file read in one go, by batch ingest and by the
+/// tailer alike: a reader holds one chunk and its records at a time, not
+/// one file. Smaller chunks save little (DESIGN.md, "What a poll costs",
+/// has the sweep), and a chunk's record vector (some 2 048 × 48 B) stays
+/// below glibc's 128 KiB `mmap` threshold.
+pub const READ_CHUNK: usize = 256 * 1024;
+
+/// The lines [`carry_lines`] hands over: the held line completed first,
+/// then the rest, each without its `\n` (a `\r` before it stays).
+pub type Lines<'a> =
+    std::iter::Chain<std::option::IntoIter<&'a str>, std::str::SplitTerminator<'a, char>>;
+
+/// Hand `visit` the lines that `fresh`, the next bytes of a file, ends:
+/// the line held in `carry` from earlier chunks, completed by `fresh`'s
+/// first line, then `fresh`'s own up to its last `\n` — or, `at_eof`,
+/// to its end, unterminated last line included. Whatever follows is
+/// kept in `carry` for the next call. `None`, without calling `visit`,
+/// when no line ended.
+///
+/// Each line is decoded as a whole file would be: lossy UTF-8, valid
+/// bytes borrowed, not copied. The held line is completed and decoded in
+/// `carry`; the line-aligned run after it is decoded at once, which is
+/// decoding each of its lines, because a `\n` is never inside a
+/// multi-byte sequence.
+pub fn carry_lines<R>(
+    carry: &mut Vec<u8>,
+    fresh: &[u8],
+    at_eof: bool,
+    visit: impl FnOnce(Lines<'_>) -> R,
+) -> Option<R> {
+    let end = if at_eof {
+        fresh.len()
+    } else if let Some(last_nl) = fresh.iter().rposition(|b| *b == b'\n') {
+        last_nl + 1
+    } else {
+        carry.extend_from_slice(fresh);
+        return None;
+    };
+    let (mut run, rest) = fresh.split_at(end);
+    if !carry.is_empty() {
+        let first_end = run.iter().position(|b| *b == b'\n').unwrap_or(run.len());
+        carry.extend_from_slice(&run[..first_end]);
+        run = run.get(first_end + 1..).unwrap_or_default();
+    } else if run.is_empty() {
+        return None;
+    }
+    let out = {
+        let held = (!carry.is_empty()).then(|| decode_lossy(carry));
+        let run = decode_lossy(run);
+        visit(
+            held.as_deref()
+                .into_iter()
+                .chain(run.split_terminator('\n')),
+        )
+    };
+    carry.clear();
+    carry.extend_from_slice(rest);
+    Some(out)
+}
+
 /// Parse a log line into a record borrowing its class and message from
 /// `line`. Returns `None` for lines that do not match the format
 /// (SDchecker skips them — real logs contain stack traces and banners

@@ -28,14 +28,15 @@ pub mod store;
 
 pub use corrupt::{corrupt_dir, CorruptConfig, CorruptReport, Rng64};
 pub use format::{
-    decode_lossy, format_line, format_timestamp, parse_line, parse_line_ref, parse_timestamp, Epoch,
+    carry_lines, decode_lossy, format_line, format_timestamp, parse_line, parse_line_ref,
+    parse_timestamp, Epoch, READ_CHUNK,
 };
 pub use ids::{
     scan_ids, AppAttemptId, ApplicationId, ContainerId, IdParseError, NodeId, ScannedId,
 };
 pub use par::Parallelism;
 pub use record::{Level, LogRecord, LogSource, RecordRef};
-pub use store::{scan_dir, LogStore, BYTES_PER_RECORD_HINT};
+pub use store::{scan_dir, LogStore, SourceScan, BYTES_PER_RECORD_HINT};
 
 /// Millisecond time offset from the run's epoch. Mirrors `simkit::Millis`
 /// but is redeclared here so sdchecker does not need to depend on the

@@ -7,10 +7,10 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use crate::format::{decode_lossy, format_line, parse_line_ref, Epoch};
+use crate::format::{carry_lines, decode_lossy, format_line, parse_line_ref, Epoch, READ_CHUNK};
 use crate::par::{self, Parallelism};
 use crate::record::{Level, LogRecord, LogSource, RecordRef};
 use crate::TsMs;
@@ -117,13 +117,10 @@ impl LogStore {
     }
 
     /// [`LogStore::read_dir`] over `par` worker threads: [`scan_dir`] with
-    /// a visitor that keeps an owned copy of every record. The result is
+    /// a scan that keeps an owned copy of every record. The result is
     /// identical for every thread count.
     pub fn read_dir_with(dir: &Path, par: Parallelism) -> io::Result<LogStore> {
-        let (epoch, sources) = scan_dir(dir, par, |src, recs| {
-            let owned: Vec<LogRecord> = recs.iter().map(RecordRef::to_record).collect();
-            (src, owned)
-        })?;
+        let (epoch, sources) = scan_dir(dir, par, |src| (src, Vec::new()))?;
         let mut store = LogStore::new(epoch);
         for (src, recs) in sources {
             store.total += recs.len();
@@ -153,30 +150,68 @@ impl LogStore {
 /// a line; a low guess costs one doubling.
 pub const BYTES_PER_RECORD_HINT: usize = 128;
 
-/// Read a corpus directory one source at a time, handing each source's
-/// records — borrowed from the bytes just read — to `visit`.
+/// What a [`scan_dir`] caller makes of one source. It is opened before
+/// the source's first file is read, handed the source's records a run at
+/// a time — in time order, each run borrowed from the chunk it was read
+/// from — and finished after the last run.
+pub trait SourceScan: Send {
+    /// What the source comes to.
+    type Output: Send;
+
+    /// Take the source's next records.
+    fn records(&mut self, recs: &[RecordRef<'_>]);
+
+    /// No record follows.
+    fn finish(self) -> Self::Output;
+}
+
+/// An owned copy of every record: what [`LogStore::read_dir_with`] keeps.
+impl SourceScan for (LogSource, Vec<LogRecord>) {
+    type Output = Self;
+
+    fn records(&mut self, recs: &[RecordRef<'_>]) {
+        self.1.extend(recs.iter().map(RecordRef::to_record));
+    }
+
+    fn finish(self) -> Self {
+        self
+    }
+}
+
+/// Read a corpus directory one source at a time, each a chunk at a time,
+/// handing each chunk's records — borrowed from the bytes just read — to
+/// the [`SourceScan`] `open` makes for its source.
 ///
 /// Every file under `dir` whose relative path names a [`LogSource`] is
 /// read (symlinked directories are followed, dangling links ignored;
 /// `epoch.txt` anchors the timestamps, [`Epoch::default_run`] without
 /// it). Rotated segments (`x.log.1`) belong to their base file's source.
 /// Per source, the segments are read in relative-path order, decoded
-/// lossily (valid UTF-8 is not copied), parsed with [`parse_line_ref`],
-/// and — only when the result is out of time order, as when segment
-/// order on disk disagrees with time — stable-sorted by timestamp, so
-/// first-record semantics (driver/executor FIRST_LOG) hold. Unparseable
-/// lines are skipped, as the real tool must tolerate stack traces and
-/// banners; a source left with no record is not visited.
+/// lossily (valid UTF-8 is not copied), split into lines — a file read in
+/// chunks of at most [`READ_CHUNK`] bytes by [`carry_lines`] — and parsed
+/// with [`parse_line_ref`]. Unparseable lines are skipped, as the
+/// real tool must tolerate stack traces and banners; a source left with
+/// no record is not returned.
+///
+/// A source's records are its segments' records concatenated, then
+/// stable-sorted by timestamp, so first-record semantics (driver/executor
+/// FIRST_LOG) hold. A source of one file goes to the scan a chunk at a
+/// time while its records stay in time order, as every file a log4j
+/// appender wrote by itself does. A chunk holding a record older than the
+/// one before it (a damaged file) is not handed over: the scan is dropped
+/// and the file read again whole, sorted, and handed to a new scan at
+/// once. A rotated source (`x.log`, `x.log.1`, …) is read that way from
+/// the start, since log4j keeps its newest records in `x.log`.
 ///
 /// Sources are dispatched over `par` in [`LogSource`] order — the
-/// ResourceManager log, usually the largest, first — and the visitor's
-/// results come back in that order, so the outcome is the same for every
-/// thread count. At most `par.threads()` sources' bytes are in memory at
-/// a time.
-pub fn scan_dir<R, F>(dir: &Path, par: Parallelism, visit: F) -> io::Result<(Epoch, Vec<R>)>
+/// ResourceManager log, usually the largest, first — and the scans come
+/// back in that order, so the outcome is the same for every thread count.
+/// At most `par.threads()` chunks and their records are in memory at a
+/// time, except while a rotated or out-of-order source is read whole.
+pub fn scan_dir<S, F>(dir: &Path, par: Parallelism, open: F) -> io::Result<(Epoch, Vec<S::Output>)>
 where
-    R: Send,
-    F: Fn(LogSource, &[RecordRef<'_>]) -> R + Sync,
+    S: SourceScan,
+    F: Fn(LogSource) -> S + Sync,
 {
     let _span = obs::span("ingest").arg("dir", dir.display());
     let epoch = match fs::read_to_string(dir.join("epoch.txt")) {
@@ -229,40 +264,124 @@ where
         sources.entry(src).or_default().push((rel, path));
     }
 
-    let visited = par::map(par, sources.into_iter().collect(), |(src, segments)| {
-        scan_source(&epoch, src, &segments, Vec::new(), true, &visit)
+    let scanned = par::map(par, sources.into_iter().collect(), |(src, segments)| {
+        scan_source(&epoch, src, &segments, &open)
     });
-    let mut out = Vec::with_capacity(visited.len());
-    for result in visited {
+    let mut out = Vec::with_capacity(scanned.len());
+    for result in scanned {
         out.extend(result?);
     }
     Ok((epoch, out))
 }
 
-/// Read the first of `segments`, parse it onto `recs`, and go on to the
-/// rest; past the last, put the records in time order (`in_order` says
-/// whether they already are) and visit them. A call per segment rather
-/// than a loop because each segment's records borrow from its buffer,
-/// and every buffer has to stay alive — here, on the stack — until the
-/// source has been visited.
-fn scan_source<'a, R>(
+/// Scan one source into the scan `open` makes; `None` if no line parsed.
+/// A single file goes a chunk at a time, and the first chunk out of time
+/// order drops that scan and sends the file through [`scan_whole`] into a
+/// new one. Rotated segments go through [`scan_whole`] straight away:
+/// log4j keeps the newest in `x.log`, which is read first, so a chunked
+/// pass would read all of it only to start again at `x.log.1`.
+fn scan_source<S: SourceScan>(
     epoch: &Epoch,
     src: LogSource,
     segments: &[(String, PathBuf)],
+    open: &impl Fn(LogSource) -> S,
+) -> io::Result<Option<S::Output>> {
+    let mut scan = open(src);
+    let [(rel, path)] = segments else {
+        let parsed = scan_whole(epoch, segments, Vec::new(), &mut scan)?;
+        return Ok(parsed.then(|| scan.finish()));
+    };
+    let mut newest = None;
+    if scan_file(epoch, rel, path, &mut newest, &mut scan)? {
+        return Ok(newest.map(|_| scan.finish()));
+    }
+    drop(scan);
+    let mut scan = open(src);
+    scan_whole(epoch, segments, Vec::new(), &mut scan)?;
+    Ok(Some(scan.finish()))
+}
+
+/// Read one file through a buffer of at most [`READ_CHUNK`] bytes, handing
+/// each chunk's records to `scan` before the next chunk is read; `newest`
+/// is the timestamp of the last record handed over. `false`, with the
+/// chunk kept back and the rest of the file unread, as soon as a chunk
+/// holds a record older than the one before it. A file that was empty
+/// when it was sized reads as empty.
+fn scan_file(
+    epoch: &Epoch,
+    rel: &str,
+    path: &Path,
+    newest: &mut Option<TsMs>,
+    scan: &mut impl SourceScan,
+) -> io::Result<bool> {
+    let span = obs::span("ingest_file").arg("file", rel);
+    let mut file = fs::File::open(path)?;
+    // Sized to the file up to a chunk — a small file costs what reading
+    // it whole costs: open, one size query, reads, close.
+    let len = file.metadata()?.len().min(READ_CHUNK as u64);
+    let mut buf = vec![0; len as usize];
+    let mut carry = Vec::new();
+    let (mut lines, mut parsed) = (0u64, 0u64);
+    loop {
+        let n = match file.read(&mut buf) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let in_order = carry_lines(&mut carry, &buf[..n], n == 0, |run| {
+            let mut recs = Vec::with_capacity(n / BYTES_PER_RECORD_HINT);
+            let mut last = *newest;
+            for line in run {
+                lines += 1;
+                if let Some(r) = parse_line_ref(epoch, line) {
+                    if last > Some(r.ts) {
+                        return false;
+                    }
+                    last = Some(r.ts);
+                    recs.push(r);
+                }
+            }
+            if !recs.is_empty() {
+                parsed += recs.len() as u64;
+                *newest = last;
+                scan.records(&recs);
+            }
+            true
+        });
+        if in_order == Some(false) {
+            return Ok(false);
+        }
+        if n == 0 {
+            break;
+        }
+    }
+    if span.is_active() {
+        count_lines(lines, parsed);
+    }
+    Ok(true)
+}
+
+/// Read the first of `segments` whole, parse it onto `recs`, and go on to
+/// the rest; past the last, stable-sort the records by timestamp and hand
+/// them to `scan` at once. `false` if there were none. A call per segment
+/// rather than a loop because each segment's records borrow from its
+/// buffer, and every buffer has to stay alive — here, on the stack —
+/// until the source has been handed over.
+fn scan_whole<'a>(
+    epoch: &Epoch,
+    segments: &[(String, PathBuf)],
     recs: Vec<RecordRef<'a>>,
-    mut in_order: bool,
-    visit: &impl Fn(LogSource, &[RecordRef<'_>]) -> R,
-) -> io::Result<Option<R>> {
+    scan: &mut impl SourceScan,
+) -> io::Result<bool> {
     // From here on the records only need to live as long as this frame.
     let mut recs: Vec<RecordRef<'_>> = recs;
     let Some(((rel, path), rest)) = segments.split_first() else {
         if recs.is_empty() {
-            return Ok(None);
+            return Ok(false);
         }
-        if !in_order {
-            recs.sort_by_key(|r| r.ts);
-        }
-        return Ok(Some(visit(src, &recs)));
+        recs.sort_by_key(|r| r.ts);
+        scan.records(&recs);
+        return Ok(true);
     };
     let span = obs::span("ingest_file").arg("file", rel);
     let bytes = fs::read(path)?;
@@ -278,22 +397,25 @@ fn scan_source<'a, R>(
     for line in text.lines() {
         lines += 1;
         if let Some(r) = parse_line_ref(epoch, line) {
-            in_order &= recs.last().is_none_or(|prev| prev.ts <= r.ts);
             recs.push(r);
         }
     }
     if span.is_active() {
-        let parsed = (recs.len() - before) as u64;
-        obs::count_labeled("ingest_lines_total", &[("status", "parsed")], parsed);
-        obs::count_labeled(
-            "ingest_lines_total",
-            &[("status", "skipped")],
-            lines - parsed,
-        );
-        obs::observe("ingest_file_lines", LINES_PER_FILE_BOUNDS, lines);
+        count_lines(lines, (recs.len() - before) as u64);
     }
     drop(span);
-    scan_source(epoch, src, rest, recs, in_order, visit)
+    scan_whole(epoch, rest, recs, scan)
+}
+
+/// One file's lines in the ingest metrics.
+fn count_lines(lines: u64, parsed: u64) {
+    obs::count_labeled("ingest_lines_total", &[("status", "parsed")], parsed);
+    obs::count_labeled(
+        "ingest_lines_total",
+        &[("status", "skipped")],
+        lines - parsed,
+    );
+    obs::observe("ingest_file_lines", LINES_PER_FILE_BOUNDS, lines);
 }
 
 #[cfg(test)]
@@ -392,13 +514,31 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A scan that keeps each run it is handed, as `[(ts, message)]`.
+    struct Runs(LogSource, Vec<Vec<(u64, String)>>);
+
+    impl SourceScan for Runs {
+        type Output = Self;
+
+        fn records(&mut self, recs: &[RecordRef<'_>]) {
+            let seen = recs.iter().map(|r| (r.ts.0, r.message.to_string()));
+            self.1.push(seen.collect());
+        }
+
+        fn finish(self) -> Self {
+            self
+        }
+    }
+
+    /// The runs `scan_dir` hands each source's scan.
+    fn scanned_runs(dir: &Path, par: Parallelism) -> Vec<Runs> {
+        scan_dir(dir, par, |src| Runs(src, Vec::new())).unwrap().1
+    }
+
     /// What `scan_dir` visits, as `(source, [(ts, message)])`.
     fn scanned(dir: &Path, par: Parallelism) -> Vec<(LogSource, Vec<(u64, String)>)> {
-        let visit = |src, recs: &[RecordRef<'_>]| {
-            let seen = recs.iter().map(|r| (r.ts.0, r.message.to_string()));
-            (src, seen.collect())
-        };
-        scan_dir(dir, par, visit).unwrap().1
+        let runs = scanned_runs(dir, par).into_iter();
+        runs.map(|Runs(src, runs)| (src, runs.concat())).collect()
     }
 
     #[test]
@@ -458,6 +598,160 @@ mod tests {
             let kept = store.records(src).iter();
             let kept: Vec<_> = kept.map(|r| (r.ts.0, r.message.clone())).collect();
             assert_eq!(kept, recs, "{src:?}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What a source reads as when each of its files is read whole, split
+    /// into lines, parsed, and the concatenation stable-sorted by time:
+    /// the reference the chunked scan must equal.
+    fn read_whole(dir: &Path) -> Vec<(LogSource, Vec<(u64, String)>)> {
+        let mut files: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        let mut sources: BTreeMap<LogSource, Vec<(u64, String)>> = BTreeMap::new();
+        let epoch = Epoch::default_run();
+        for rel in files {
+            let Some(src) = LogSource::from_rel_path(&rel) else {
+                continue;
+            };
+            let bytes = fs::read(dir.join(&rel)).unwrap();
+            let recs = sources.entry(src).or_default();
+            for line in String::from_utf8_lossy(&bytes).lines() {
+                if let Some(r) = parse_line_ref(&epoch, line) {
+                    recs.push((r.ts.0, r.message.to_string()));
+                }
+            }
+        }
+        sources.retain(|_, recs| !recs.is_empty());
+        for recs in sources.values_mut() {
+            recs.sort_by_key(|(ts, _)| *ts);
+        }
+        sources.into_iter().collect()
+    }
+
+    /// Appends log lines to a file being built byte by byte, so that
+    /// chunk boundaries can be put exactly where a test wants them.
+    struct LogBytes {
+        bytes: Vec<u8>,
+        ms: u64,
+    }
+
+    impl LogBytes {
+        fn new(ms: u64) -> LogBytes {
+            LogBytes {
+                bytes: Vec::new(),
+                ms,
+            }
+        }
+
+        /// The timestamp prefix of a line `ms` into the run.
+        fn stamp(ms: u64) -> String {
+            let (s, ms) = (ms / 1000, ms % 1000);
+            format!(
+                "2018-03-14 09:{:02}:{:02},{ms:03} INFO  X: ",
+                s / 60,
+                s % 60
+            )
+        }
+
+        /// A line stamped a millisecond after the one before it.
+        fn line(&mut self, msg: &[u8]) -> &mut Self {
+            self.ms += 1;
+            self.bytes.extend(Self::stamp(self.ms).bytes());
+            self.bytes.extend(msg);
+            self.bytes.push(b'\n');
+            self
+        }
+
+        /// Lines up to byte `at`, the last one left open, so that the
+        /// next bytes appended land exactly there.
+        fn upto(&mut self, at: usize) -> &mut Self {
+            let stamp = Self::stamp(0).len();
+            while self.bytes.len() + 2 * (stamp + 1_000) < at {
+                self.line(&[b'f'; 1_000]);
+            }
+            let fill = at - self.bytes.len() - stamp;
+            self.line(&vec![b'f'; fill]);
+            self.bytes.pop();
+            self
+        }
+
+        fn push(&mut self, bytes: &[u8]) -> &mut Self {
+            self.bytes.extend(bytes);
+            self
+        }
+    }
+
+    #[test]
+    fn chunked_scan_visits_what_a_whole_file_read_visits() {
+        const C: usize = READ_CHUNK;
+        let dir = std::env::temp_dir().join(format!("logstore_chunks_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+
+        // In time order, six chunks long. The first chunk ends right after
+        // a `\n`, the second between `\r` and `\n`, the third inside `é`,
+        // and the fourth and fifth inside one line longer than a chunk.
+        let mut rm = LogBytes::new(0);
+        rm.upto(C - 1).push(b"\n");
+        rm.upto(2 * C - 1).push(b"\r\n");
+        rm.upto(3 * C - 1).push("\u{e9}\n".as_bytes());
+        rm.upto(4 * C - 100).push(&[b'g'; C + 200]).push(b"\n");
+        rm.line(b"after the long line")
+            .push(b"\n\tat a stack frame\n");
+        rm.line(b"bad \xff byte").line(b"cut \xe2\x9c");
+        rm.upto(6 * C).push(b"\n").line(b"no newline at the end");
+        rm.bytes.pop();
+        assert_eq!(rm.bytes[C - 1], b'\n');
+        assert_eq!(&rm.bytes[2 * C - 1..2 * C + 1], b"\r\n");
+        assert_eq!(&rm.bytes[3 * C - 1..3 * C + 1], "\u{e9}".as_bytes());
+        assert!(!rm.bytes[4 * C - 100..5 * C + 100].contains(&b'\n'));
+        fs::write(dir.join("resourcemanager.log"), &rm.bytes).unwrap();
+
+        // In order for two chunks and more, then one line older than the
+        // one before it: the source is read again after chunks were handed
+        // over.
+        let mut nm = LogBytes::new(10_000);
+        nm.upto(2 * C + 5_000).push(b"\n");
+        nm.ms -= 5_000;
+        nm.line(b"from the past").line(b"back in order");
+        fs::write(dir.join("nodemanager-node01.log"), &nm.bytes).unwrap();
+
+        // Segments on disk in reverse time order: `.log` is read first.
+        for (rel, ms) in [("", 3_000), (".1", 2_000), (".10", 1_000)] {
+            let mut seg = LogBytes::new(ms);
+            seg.line(b"first").line(b"second");
+            let name = format!("nodemanager-node02.log{rel}");
+            fs::write(dir.join(name), &seg.bytes).unwrap();
+        }
+
+        let want = read_whole(&dir);
+        assert_eq!(want.len(), 3);
+        // Every line parses but the empty one and the stack frame.
+        let lines = rm.bytes.split(|b| *b == b'\n').count();
+        assert_eq!(want[0].1.len(), lines - 2);
+        for threads in [1, 2, 4] {
+            let opened = std::sync::Mutex::new(Vec::new());
+            let (_, runs) = scan_dir(&dir, Parallelism::new(threads), |src| {
+                opened.lock().unwrap().push(src);
+                Runs(src, Vec::new())
+            })
+            .unwrap();
+            let got: Vec<_> = runs.iter().map(|r| (r.0, r.1.concat())).collect();
+            assert_eq!(got, want, "{threads} threads");
+            // The file in time order arrives a chunk at a time; the damaged
+            // file and the rotated source arrive at once.
+            let counts: Vec<usize> = runs.iter().map(|r| r.1.len()).collect();
+            assert_eq!(counts, [7, 1, 1], "{threads} threads");
+            // Only the damaged file is scanned twice; the rotated source
+            // is read whole from the start, each segment once.
+            let mut opened = opened.into_inner().unwrap();
+            opened.sort();
+            let once_each = [want[0].0, want[1].0, want[1].0, want[2].0];
+            assert_eq!(opened, once_each, "{threads} threads");
         }
         fs::remove_dir_all(&dir).unwrap();
     }

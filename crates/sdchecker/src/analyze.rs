@@ -10,7 +10,9 @@ use logmodel::{scan_dir, ApplicationId, LogStore, Parallelism, TsMs};
 use crate::bugs::{find_unused_containers, UnusedContainer};
 use crate::decompose::{decompose, AppDelays};
 use crate::event::SchedEvent;
-use crate::extract::{extract_store, merge_scans, Extracted, Extractor, ParseCoverage};
+use crate::extract::{
+    extract_store, merge_scans, Extracted, Extractor, ParseCoverage, StreamScanner,
+};
 use crate::fleet::record_app_metrics;
 use crate::graph::{build_graphs, SchedulingGraph};
 use crate::throughput::{allocation_throughput, Throughput};
@@ -257,16 +259,17 @@ pub fn analyze_dir(dir: &Path) -> io::Result<Analysis> {
 }
 
 /// [`analyze_dir`] with `par` worker threads: each log stream is
-/// extracted from the bytes it was read from, as a [`scan_dir`] visitor —
-/// no record outlives its file's buffer, and at most `par.threads()`
-/// streams' bytes are in memory at a time — then one sequential pass
-/// analyzes the applications. Identical output for every thread count,
-/// and to [`analyze_store_with`] over [`LogStore::read_dir_with`].
+/// extracted from the bytes it was read from, a chunk at a time, by a
+/// [`scan_dir`] scan — no record outlives its chunk, and at most
+/// `par.threads()` chunks and their records are in memory at a time (a
+/// rotated stream, or one out of time order, is read whole; see
+/// [`scan_dir`]) —
+/// then one sequential pass analyzes the applications. Identical output
+/// for every thread count, and to [`analyze_store_with`] over
+/// [`LogStore::read_dir_with`].
 pub fn analyze_dir_with(dir: &Path, par: Parallelism) -> io::Result<Analysis> {
     let ex = Extractor::new();
-    let (_epoch, scans) = scan_dir(dir, par, |src, records| {
-        ex.scan_stream(src, records.iter().copied())
-    })?;
+    let (_epoch, scans) = scan_dir(dir, par, |src| StreamScanner::new(&ex, src))?;
     let _span = obs::span("analyze");
     Ok(analyze_extracted(merge_scans(scans)))
 }

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 
 use logmodel::{
     scan_ids, ApplicationId, ContainerId, LogRecord, LogSource, NodeId, Parallelism, RecordRef,
+    SourceScan,
 };
 
 use crate::checkpoint::CkptError;
@@ -386,59 +387,10 @@ impl Extractor {
         source: LogSource,
         records: &[LogRecord],
     ) -> (Vec<SchedEvent>, CoverageCounts, Option<String>) {
-        let scan = self.scan(source, records.iter().map(LogRecord::as_ref));
+        let mut scanner = StreamScanner::new(self, source);
+        scanner.feed(records.iter().map(LogRecord::as_ref));
+        let scan = scanner.scan;
         (scan.events, scan.cov, scan.example)
-    }
-
-    /// One pass over one stream's records, in order: everything the
-    /// analysis wants from them, so that nothing needs the records
-    /// afterwards.
-    fn scan<'a>(
-        &self,
-        source: LogSource,
-        records: impl Iterator<Item = RecordRef<'a>>,
-    ) -> StreamScan {
-        let mut scan = StreamScan {
-            source,
-            events: Vec::new(),
-            cov: CoverageCounts::default(),
-            example: None,
-            name: None,
-            max_ts: None,
-        };
-        let mut cursor = StreamCursor::new(source);
-        let is_driver = matches!(source, LogSource::Driver(_));
-        for r in records {
-            let outcome = self.extract_record(&mut cursor, &r, &mut scan.events);
-            if outcome == Outcome::Unmatched && scan.example.is_none() {
-                scan.example = Some(r.message.to_string());
-            }
-            scan.cov.tally(outcome);
-            if is_driver && scan.name.is_none() {
-                scan.name = self.app_name(r.message).map(str::to_string);
-            }
-            scan.max_ts = scan.max_ts.max(Some(r.ts));
-        }
-        scan
-    }
-
-    /// [`Extractor::scan`] as the batch pipelines run it: under an
-    /// `extract_stream` span, the stream's counters flushed when
-    /// recording is on. Events stay in record order; the merge sorts.
-    pub(crate) fn scan_stream<'a>(
-        &self,
-        source: LogSource,
-        records: impl Iterator<Item = RecordRef<'a>>,
-    ) -> StreamScan {
-        let span = obs::span("extract_stream").arg("source", source.rel_path());
-        let mut scan = self.scan(source, records);
-        // Every stream's events wait for the merge, which holds them and
-        // their merged copy at once: they wait without growth slack.
-        scan.events.shrink_to_fit();
-        if span.is_active() {
-            flush_stream_metrics(source, &scan.events, scan.cov);
-        }
-        scan
     }
 
     /// The application name a Spark driver banner line carries, if
@@ -632,7 +584,8 @@ pub fn extract_all_cov_with(
     (extracted.events, extracted.coverage)
 }
 
-/// What one pass over one stream's records yields.
+/// What one pass over one stream's records yields: everything the
+/// analysis wants from them, so that nothing needs the records afterwards.
 pub(crate) struct StreamScan {
     source: LogSource,
     /// The stream's events, in record order.
@@ -645,6 +598,81 @@ pub(crate) struct StreamScan {
     name: Option<String>,
     /// The newest record timestamp.
     max_ts: Option<logmodel::TsMs>,
+}
+
+/// A [`StreamScan`] in the making: fed one stream's records in order, a
+/// run at a time.
+pub(crate) struct StreamScanner<'e> {
+    ex: &'e Extractor,
+    cursor: StreamCursor,
+    scan: StreamScan,
+}
+
+impl<'e> StreamScanner<'e> {
+    /// A scanner at the start of `source`'s stream.
+    pub(crate) fn new(ex: &'e Extractor, source: LogSource) -> StreamScanner<'e> {
+        StreamScanner {
+            ex,
+            cursor: StreamCursor::new(source),
+            scan: StreamScan {
+                source,
+                events: Vec::new(),
+                cov: CoverageCounts::default(),
+                example: None,
+                name: None,
+                max_ts: None,
+            },
+        }
+    }
+
+    /// Take the stream's next records.
+    fn feed<'a>(&mut self, records: impl Iterator<Item = RecordRef<'a>>) {
+        let scan = &mut self.scan;
+        let is_driver = matches!(scan.source, LogSource::Driver(_));
+        for r in records {
+            let outcome = self
+                .ex
+                .extract_record(&mut self.cursor, &r, &mut scan.events);
+            if outcome == Outcome::Unmatched && scan.example.is_none() {
+                scan.example = Some(r.message.to_string());
+            }
+            scan.cov.tally(outcome);
+            if is_driver && scan.name.is_none() {
+                scan.name = self.ex.app_name(r.message).map(str::to_string);
+            }
+            scan.max_ts = scan.max_ts.max(Some(r.ts));
+        }
+    }
+}
+
+/// The scanner as the batch pipelines run it: each run under an
+/// `extract_stream` span, and at the end the stream's counters flushed
+/// when recording is on. Events stay in record order; the merge sorts.
+impl SourceScan for StreamScanner<'_> {
+    type Output = StreamScan;
+
+    fn records(&mut self, recs: &[RecordRef<'_>]) {
+        // Named only when traced: a path formatted per run for nothing
+        // costs a directory of small files some 5 % of its CPU.
+        let span = obs::span("extract_stream");
+        let _span = if span.is_active() {
+            span.arg("source", self.scan.source.rel_path())
+        } else {
+            span
+        };
+        self.feed(recs.iter().copied());
+    }
+
+    fn finish(self) -> StreamScan {
+        let mut scan = self.scan;
+        // Every stream's events wait for the merge, which holds them and
+        // their merged copy at once: they wait without growth slack.
+        scan.events.shrink_to_fit();
+        if obs::enabled() {
+            flush_stream_metrics(scan.source, &scan.events, scan.cov);
+        }
+        scan
+    }
 }
 
 /// Everything extraction hands the per-application analysis.
@@ -664,7 +692,10 @@ pub(crate) fn extract_store(store: &logmodel::LogStore, par: Parallelism) -> Ext
     let ex = Extractor::new();
     let sources: Vec<LogSource> = store.sources().collect();
     merge_scans(logmodel::par::map(par, sources, |src| {
-        ex.scan_stream(src, store.records(src).iter().map(LogRecord::as_ref))
+        let mut scanner = StreamScanner::new(&ex, src);
+        let _span = obs::span("extract_stream").arg("source", src.rel_path());
+        scanner.feed(store.records(src).iter().map(LogRecord::as_ref));
+        scanner.finish()
     }))
 }
 

@@ -88,7 +88,7 @@ pub use extract::{
 };
 pub use graph::{build_graphs, ContainerTrack, SchedulingGraph};
 pub use incremental::{IncrementalAnalyzer, IncrementalConfig, RetiredApp};
-pub use logmodel::Parallelism;
+pub use logmodel::{Parallelism, READ_CHUNK};
 pub use nodes::{per_node, slow_nodes, NodeStats};
 pub use pattern::Pat;
 pub use report::{
@@ -96,9 +96,7 @@ pub use report::{
     Table,
 };
 pub use stats::{percentile, Cdf, Summary};
-pub use tail::{
-    DirTailer, SourceLag, TailLag, TailOps, TailSink, TailStats, COLD_ROTATION, READ_CHUNK,
-};
+pub use tail::{DirTailer, SourceLag, TailLag, TailOps, TailSink, TailStats, COLD_ROTATION};
 pub use throughput::{allocation_throughput, Throughput};
 pub use timeline::{ascii_gantt, timeline, timeline_csv, TimelineEntry};
 pub use validate::{validate_all, validate_graph, Anomaly, AnomalyKind};

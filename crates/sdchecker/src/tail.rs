@@ -77,8 +77,8 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
 use logmodel::{
-    decode_lossy, parse_line_ref, ApplicationId, Epoch, LogRecord, LogSource, RecordRef, TsMs,
-    BYTES_PER_RECORD_HINT,
+    carry_lines, parse_line_ref, ApplicationId, Epoch, LogRecord, LogSource, RecordRef, TsMs,
+    BYTES_PER_RECORD_HINT, READ_CHUNK,
 };
 
 use crate::checkpoint::CkptError;
@@ -281,13 +281,6 @@ impl DirState {
 /// for a line of an application no cluster log has named yet, or that
 /// has already retired.
 pub const COLD_ROTATION: u64 = 8;
-
-/// The most a grown file is read in one go: a backlog drain holds one
-/// chunk and its records at a time, not one file. Smaller chunks save
-/// little (DESIGN.md, "What a poll costs", has the sweep), and a chunk's
-/// record vector (2 049 × 48 B) stays below glibc's 128 KiB `mmap`
-/// threshold.
-pub const READ_CHUNK: usize = 256 * 1024;
 
 /// The application a directory under the watch root belongs to
 /// (`apps/<id>` and everything below it); `None` for the root, `apps/`
@@ -595,16 +588,7 @@ impl DirTailer {
             watermark: &mut self.watermark,
         };
         for (_, tail) in self.groups.values_mut().flat_map(|g| &mut g.files) {
-            if tail.partial.is_empty() {
-                continue;
-            }
-            let bytes = std::mem::take(&mut tail.partial);
-            let line = decode_lossy(&bytes);
-            let mut recs = Vec::new();
-            sink.parse(&line, &mut tail.last_ts, &mut recs);
-            if !recs.is_empty() {
-                visit(tail.source, &recs);
-            }
+            tail.take_lines(&[], true, &mut sink, &mut visit);
         }
     }
 
@@ -870,54 +854,36 @@ impl FileTail {
             };
             self.offset += n as u64;
             parsed.stats.read_bytes += n as u64;
-            self.take_complete_lines(&chunk[..n], parsed, sink);
+            self.take_lines(&chunk[..n], false, parsed, &mut |source, recs| {
+                sink.records(source, recs)
+            });
         }
         Ok(())
     }
 
-    /// Turn the complete lines of `partial` + `fresh` into records and
-    /// hand them to `sink`; whatever follows the last newline stays
-    /// buffered. The records borrow from `fresh` — all but the line the
-    /// previous chunks left unterminated, which is completed in `partial`
-    /// and borrows from there — and are decoded as batch ingest decodes
-    /// them: lossy UTF-8, valid bytes not copied. (A line boundary is
-    /// never inside a multi-byte sequence, so decoding the run of lines
-    /// at once is decoding each of them.)
-    fn take_complete_lines(
+    /// Turn the lines `fresh` ends (see [`carry_lines`]) into records and
+    /// hand them to `visit`; whatever follows the last newline stays in
+    /// `partial`, unless `at_eof`. The records borrow from `fresh`, but
+    /// for the line `partial` held, which is completed there. Empty lines
+    /// are not counted.
+    fn take_lines(
         &mut self,
         fresh: &[u8],
+        at_eof: bool,
         parsed: &mut RecordSink<'_>,
-        sink: &mut impl TailSink,
+        visit: &mut impl FnMut(LogSource, &[RecordRef<'_>]),
     ) {
-        let Some(last_nl) = fresh.iter().rposition(|b| *b == b'\n') else {
-            self.partial.extend_from_slice(fresh);
-            return;
-        };
-        let (mut complete, rest) = fresh.split_at(last_nl + 1);
-        if !self.partial.is_empty() {
-            let first_nl = complete.iter().position(|b| *b == b'\n').unwrap_or(last_nl);
-            self.partial.extend_from_slice(&complete[..first_nl]);
-            complete = &complete[first_nl + 1..];
-        }
-        let head = decode_lossy(&self.partial);
-        let body = decode_lossy(complete);
-        // Sized as batch ingest sizes a source's records: at most a
-        // chunk's worth, some 2 000 lines.
-        let mut recs = Vec::with_capacity(body.len() / BYTES_PER_RECORD_HINT + 1);
-        for line in std::iter::once(&*head).chain(body.split('\n')) {
-            // No pending line, or the trailing empty slice after the
-            // final newline.
-            if !line.is_empty() {
+        carry_lines(&mut self.partial, fresh, at_eof, |lines| {
+            // Sized as batch ingest sizes a chunk's records: some 2 000
+            // lines for a full chunk.
+            let mut recs = Vec::with_capacity(fresh.len() / BYTES_PER_RECORD_HINT + 1);
+            for line in lines.filter(|line| !line.is_empty()) {
                 parsed.parse(line, &mut self.last_ts, &mut recs);
             }
-        }
-        if !recs.is_empty() {
-            sink.records(self.source, &recs);
-        }
-        drop(recs);
-        drop(head);
-        self.partial.clear();
-        self.partial.extend_from_slice(rest);
+            if !recs.is_empty() {
+                visit(self.source, &recs);
+            }
+        });
     }
 }
 
@@ -1154,13 +1120,12 @@ mod tests {
 
     /// What batch ingest reads from `dir`, as owned records.
     fn batch(dir: &Path) -> Vec<(LogSource, LogRecord)> {
-        let (_, sources) = logmodel::scan_dir(dir, logmodel::Parallelism::ONE, |src, recs| {
-            recs.iter()
-                .map(|r| (src, r.to_record()))
-                .collect::<Vec<_>>()
-        })
-        .unwrap();
-        sources.concat()
+        let (_, sources) =
+            logmodel::scan_dir(dir, logmodel::Parallelism::ONE, |src| (src, Vec::new())).unwrap();
+        let records = sources
+            .into_iter()
+            .map(|(src, recs)| recs.into_iter().map(move |r| (src, r)));
+        records.flatten().collect()
     }
 
     /// One file of six chunks whose boundaries fall right after a

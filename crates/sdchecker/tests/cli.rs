@@ -515,7 +515,7 @@ fn chrome_trace_is_structurally_valid() {
     }
     // Directory analysis extracts each stream from the bytes it was read
     // from, so there is no corpus-wide `extract` stage: `extract_stream`
-    // runs per source inside `ingest`, after that source's `ingest_file`s.
+    // runs per chunk inside `ingest`, within the `ingest_file` it was read by.
     for stage in [
         "ingest",
         "ingest_file",
