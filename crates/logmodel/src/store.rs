@@ -10,7 +10,7 @@ use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use crate::format::{carry_lines, decode_lossy, format_line, parse_line_ref, Epoch, READ_CHUNK};
+use crate::format::{carry_lines, format_line, parse_line_ref, Epoch, READ_CHUNK};
 use crate::par::{self, Parallelism};
 use crate::record::{Level, LogRecord, LogSource, RecordRef};
 use crate::TsMs;
@@ -117,8 +117,10 @@ impl LogStore {
     }
 
     /// [`LogStore::read_dir`] over `par` worker threads: [`scan_dir`] with
-    /// a scan that keeps an owned copy of every record. The result is
-    /// identical for every thread count.
+    /// a scan that keeps an owned copy of every record and stable-sorts
+    /// each source by timestamp at its end, so a source's records are its
+    /// segments' records in relative-path order, then put in time order.
+    /// The result is identical for every thread count.
     pub fn read_dir_with(dir: &Path, par: Parallelism) -> io::Result<LogStore> {
         let (epoch, sources) = scan_dir(dir, par, |src| (src, Vec::new()))?;
         let mut store = LogStore::new(epoch);
@@ -152,8 +154,11 @@ pub const BYTES_PER_RECORD_HINT: usize = 128;
 
 /// What a [`scan_dir`] caller makes of one source. It is opened before
 /// the source's first file is read, handed the source's records a run at
-/// a time — in time order, each run borrowed from the chunk it was read
-/// from — and finished after the last run.
+/// a time — in file order, each run borrowed from the chunk it was read
+/// from — and finished after the last run. File order is not time order
+/// (log4j keeps the newest rotated segment in `x.log`, which is read
+/// first; a damaged file swaps lines), so a scan whose result depends on
+/// order must settle it itself.
 pub trait SourceScan: Send {
     /// What the source comes to.
     type Output: Send;
@@ -165,7 +170,8 @@ pub trait SourceScan: Send {
     fn finish(self) -> Self::Output;
 }
 
-/// An owned copy of every record: what [`LogStore::read_dir_with`] keeps.
+/// An owned copy of every record, stable-sorted by timestamp when the
+/// source ends: what [`LogStore::read_dir_with`] keeps.
 impl SourceScan for (LogSource, Vec<LogRecord>) {
     type Output = Self;
 
@@ -173,7 +179,8 @@ impl SourceScan for (LogSource, Vec<LogRecord>) {
         self.1.extend(recs.iter().map(RecordRef::to_record));
     }
 
-    fn finish(self) -> Self {
+    fn finish(mut self) -> Self {
+        self.1.sort_by_key(|r| r.ts);
         self
     }
 }
@@ -186,28 +193,19 @@ impl SourceScan for (LogSource, Vec<LogRecord>) {
 /// read (symlinked directories are followed, dangling links ignored;
 /// `epoch.txt` anchors the timestamps, [`Epoch::default_run`] without
 /// it). Rotated segments (`x.log.1`) belong to their base file's source.
-/// Per source, the segments are read in relative-path order, decoded
-/// lossily (valid UTF-8 is not copied), split into lines — a file read in
-/// chunks of at most [`READ_CHUNK`] bytes by [`carry_lines`] — and parsed
-/// with [`parse_line_ref`]. Unparseable lines are skipped, as the
-/// real tool must tolerate stack traces and banners; a source left with
-/// no record is not returned.
-///
-/// A source's records are its segments' records concatenated, then
-/// stable-sorted by timestamp, so first-record semantics (driver/executor
-/// FIRST_LOG) hold. A source of one file goes to the scan a chunk at a
-/// time while its records stay in time order, as every file a log4j
-/// appender wrote by itself does. A chunk holding a record older than the
-/// one before it (a damaged file) is not handed over: the scan is dropped
-/// and the file read again whole, sorted, and handed to a new scan at
-/// once. A rotated source (`x.log`, `x.log.1`, …) is read that way from
-/// the start, since log4j keeps its newest records in `x.log`.
+/// Per source, the segments are read in relative-path order, each once,
+/// in chunks of at most [`READ_CHUNK`] bytes, decoded lossily (valid
+/// UTF-8 is not copied), split into lines by [`carry_lines`] and parsed
+/// with [`parse_line_ref`]. Unparseable lines are skipped, as the real
+/// tool must tolerate stack traces and banners; a source left with no
+/// record is not returned. The records reach the scan in that file order,
+/// whatever their timestamps.
 ///
 /// Sources are dispatched over `par` in [`LogSource`] order — the
 /// ResourceManager log, usually the largest, first — and the scans come
 /// back in that order, so the outcome is the same for every thread count.
 /// At most `par.threads()` chunks and their records are in memory at a
-/// time, except while a rotated or out-of-order source is read whole.
+/// time.
 pub fn scan_dir<S, F>(dir: &Path, par: Parallelism, open: F) -> io::Result<(Epoch, Vec<S::Output>)>
 where
     S: SourceScan,
@@ -274,12 +272,8 @@ where
     Ok((epoch, out))
 }
 
-/// Scan one source into the scan `open` makes; `None` if no line parsed.
-/// A single file goes a chunk at a time, and the first chunk out of time
-/// order drops that scan and sends the file through [`scan_whole`] into a
-/// new one. Rotated segments go through [`scan_whole`] straight away:
-/// log4j keeps the newest in `x.log`, which is read first, so a chunked
-/// pass would read all of it only to start again at `x.log.1`.
+/// Scan one source's segments, in order, into the scan `open` makes;
+/// `None` if no line parsed.
 fn scan_source<S: SourceScan>(
     epoch: &Epoch,
     src: LogSource,
@@ -287,31 +281,21 @@ fn scan_source<S: SourceScan>(
     open: &impl Fn(LogSource) -> S,
 ) -> io::Result<Option<S::Output>> {
     let mut scan = open(src);
-    let [(rel, path)] = segments else {
-        let parsed = scan_whole(epoch, segments, Vec::new(), &mut scan)?;
-        return Ok(parsed.then(|| scan.finish()));
-    };
-    let mut newest = None;
-    if scan_file(epoch, rel, path, &mut newest, &mut scan)? {
-        return Ok(newest.map(|_| scan.finish()));
+    let mut parsed = false;
+    for (rel, path) in segments {
+        parsed |= scan_file(epoch, rel, path, &mut scan)?;
     }
-    drop(scan);
-    let mut scan = open(src);
-    scan_whole(epoch, segments, Vec::new(), &mut scan)?;
-    Ok(Some(scan.finish()))
+    Ok(parsed.then(|| scan.finish()))
 }
 
 /// Read one file through a buffer of at most [`READ_CHUNK`] bytes, handing
-/// each chunk's records to `scan` before the next chunk is read; `newest`
-/// is the timestamp of the last record handed over. `false`, with the
-/// chunk kept back and the rest of the file unread, as soon as a chunk
-/// holds a record older than the one before it. A file that was empty
-/// when it was sized reads as empty.
+/// each chunk's records to `scan` before the next chunk is read; `true`
+/// if any line parsed. A file that was empty when it was sized reads as
+/// empty.
 fn scan_file(
     epoch: &Epoch,
     rel: &str,
     path: &Path,
-    newest: &mut Option<TsMs>,
     scan: &mut impl SourceScan,
 ) -> io::Result<bool> {
     let span = obs::span("ingest_file").arg("file", rel);
@@ -328,29 +312,21 @@ fn scan_file(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         };
-        let in_order = carry_lines(&mut carry, &buf[..n], n == 0, |run| {
+        // `carry_lines` decodes lossily: damaged collections carry garbage
+        // bytes, and a hard UTF-8 error would reject the whole corpus over
+        // one bad sector. A line with a replacement character does not
+        // parse and is skipped like any other malformed line.
+        carry_lines(&mut carry, &buf[..n], n == 0, |run| {
             let mut recs = Vec::with_capacity(n / BYTES_PER_RECORD_HINT);
-            let mut last = *newest;
             for line in run {
                 lines += 1;
-                if let Some(r) = parse_line_ref(epoch, line) {
-                    if last > Some(r.ts) {
-                        return false;
-                    }
-                    last = Some(r.ts);
-                    recs.push(r);
-                }
+                recs.extend(parse_line_ref(epoch, line));
             }
             if !recs.is_empty() {
                 parsed += recs.len() as u64;
-                *newest = last;
                 scan.records(&recs);
             }
-            true
         });
-        if in_order == Some(false) {
-            return Ok(false);
-        }
         if n == 0 {
             break;
         }
@@ -358,53 +334,7 @@ fn scan_file(
     if span.is_active() {
         count_lines(lines, parsed);
     }
-    Ok(true)
-}
-
-/// Read the first of `segments` whole, parse it onto `recs`, and go on to
-/// the rest; past the last, stable-sort the records by timestamp and hand
-/// them to `scan` at once. `false` if there were none. A call per segment
-/// rather than a loop because each segment's records borrow from its
-/// buffer, and every buffer has to stay alive — here, on the stack —
-/// until the source has been handed over.
-fn scan_whole<'a>(
-    epoch: &Epoch,
-    segments: &[(String, PathBuf)],
-    recs: Vec<RecordRef<'a>>,
-    scan: &mut impl SourceScan,
-) -> io::Result<bool> {
-    // From here on the records only need to live as long as this frame.
-    let mut recs: Vec<RecordRef<'_>> = recs;
-    let Some(((rel, path), rest)) = segments.split_first() else {
-        if recs.is_empty() {
-            return Ok(false);
-        }
-        recs.sort_by_key(|r| r.ts);
-        scan.records(&recs);
-        return Ok(true);
-    };
-    let span = obs::span("ingest_file").arg("file", rel);
-    let bytes = fs::read(path)?;
-    // Lossy decode: damaged collections carry garbage bytes (bit rot,
-    // partially-overwritten blocks), and a hard UTF-8 error here would
-    // reject the whole corpus over one bad sector. Replacement
-    // characters make the affected line unparseable, so it is skipped
-    // like any other malformed line.
-    let text = decode_lossy(&bytes);
-    recs.reserve(text.len() / BYTES_PER_RECORD_HINT);
-    let before = recs.len();
-    let mut lines = 0u64;
-    for line in text.lines() {
-        lines += 1;
-        if let Some(r) = parse_line_ref(epoch, line) {
-            recs.push(r);
-        }
-    }
-    if span.is_active() {
-        count_lines(lines, (recs.len() - before) as u64);
-    }
-    drop(span);
-    scan_whole(epoch, rest, recs, scan)
+    Ok(parsed > 0)
 }
 
 /// One file's lines in the ingest metrics.
@@ -541,8 +471,29 @@ mod tests {
         runs.map(|Runs(src, runs)| (src, runs.concat())).collect()
     }
 
+    /// `visits`, each source's records stable-sorted by timestamp: what
+    /// the store keeps of them.
+    fn time_sorted(
+        mut visits: Vec<(LogSource, Vec<(u64, String)>)>,
+    ) -> Vec<(LogSource, Vec<(u64, String)>)> {
+        for (_, recs) in &mut visits {
+            recs.sort_by_key(|(ts, _)| *ts);
+        }
+        visits
+    }
+
+    /// What `LogStore::read_dir` keeps, as `(source, [(ts, message)])`.
+    fn stored(dir: &Path) -> Vec<(LogSource, Vec<(u64, String)>)> {
+        let store = LogStore::read_dir(dir).unwrap();
+        let kept = |src| -> Vec<(u64, String)> {
+            let recs = store.records(src).iter();
+            recs.map(|r| (r.ts.0, r.message.clone())).collect()
+        };
+        store.sources().map(|src| (src, kept(src))).collect()
+    }
+
     #[test]
-    fn scan_visits_sources_in_order_each_in_time_order() {
+    fn scan_visits_sources_in_order_each_in_file_order() {
         let dir = std::env::temp_dir().join(format!("logstore_scan_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let app = "apps/application_1521018000000_0001";
@@ -568,19 +519,21 @@ mod tests {
         let msgs = |m: &[(u64, &str)]| -> Vec<(u64, String)> {
             m.iter().map(|(t, s)| (*t, s.to_string())).collect()
         };
+        // The scans see each file's records as the file has them, the
+        // segments in path order.
         let want = vec![
             (
                 LogSource::ResourceManager,
                 msgs(&[
+                    (400, "newest"),
+                    (300, "newer"),
                     (100, "oldest"),
                     (200, "older"),
-                    (300, "newer"),
-                    (400, "newest"),
                 ]),
             ),
             (
                 LogSource::NodeManager(NodeId(1)),
-                msgs(&[(10, "a"), (20, "b"), (30, "c"), (30, "d")]),
+                msgs(&[(30, "c"), (10, "a"), (30, "d"), (20, "b")]),
             ),
             (
                 LogSource::Driver(ApplicationId::new(1_521_018_000_000, 1)),
@@ -590,21 +543,15 @@ mod tests {
         for threads in [1, 2, 4] {
             assert_eq!(scanned(&dir, Parallelism::new(threads)), want, "{threads}");
         }
-        // The store is that visit, kept.
-        let store = LogStore::read_dir(&dir).unwrap();
-        assert_eq!(store.total_records(), 9);
-        assert_eq!(store.sources().count(), 3, "no source without a record");
-        for (src, recs) in want {
-            let kept = store.records(src).iter();
-            let kept: Vec<_> = kept.map(|r| (r.ts.0, r.message.clone())).collect();
-            assert_eq!(kept, recs, "{src:?}");
-        }
+        // The store is that visit, kept and put in time order; no source
+        // without a record.
+        assert_eq!(stored(&dir), time_sorted(want));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     /// What a source reads as when each of its files is read whole, split
-    /// into lines, parsed, and the concatenation stable-sorted by time:
-    /// the reference the chunked scan must equal.
+    /// into lines and parsed, the files concatenated in path order: the
+    /// reference the chunked scan must equal.
     fn read_whole(dir: &Path) -> Vec<(LogSource, Vec<(u64, String)>)> {
         let mut files: Vec<String> = fs::read_dir(dir)
             .unwrap()
@@ -626,9 +573,6 @@ mod tests {
             }
         }
         sources.retain(|_, recs| !recs.is_empty());
-        for recs in sources.values_mut() {
-            recs.sort_by_key(|(ts, _)| *ts);
-        }
         sources.into_iter().collect()
     }
 
@@ -712,8 +656,7 @@ mod tests {
         fs::write(dir.join("resourcemanager.log"), &rm.bytes).unwrap();
 
         // In order for two chunks and more, then one line older than the
-        // one before it: the source is read again after chunks were handed
-        // over.
+        // one before it.
         let mut nm = LogBytes::new(10_000);
         nm.upto(2 * C + 5_000).push(b"\n");
         nm.ms -= 5_000;
@@ -740,19 +683,22 @@ mod tests {
                 Runs(src, Vec::new())
             })
             .unwrap();
+            // Each file once, in file order: a record read twice, or
+            // handed over out of turn, would show here.
             let got: Vec<_> = runs.iter().map(|r| (r.0, r.1.concat())).collect();
             assert_eq!(got, want, "{threads} threads");
-            // The file in time order arrives a chunk at a time; the damaged
-            // file and the rotated source arrive at once.
+            // Every source arrives a chunk at a time — the file out of
+            // time order too — and a rotated source a run per segment.
             let counts: Vec<usize> = runs.iter().map(|r| r.1.len()).collect();
-            assert_eq!(counts, [7, 1, 1], "{threads} threads");
-            // Only the damaged file is scanned twice; the rotated source
-            // is read whole from the start, each segment once.
+            assert_eq!(counts, [7, 3, 3], "{threads} threads");
+            // One scan per source.
             let mut opened = opened.into_inner().unwrap();
             opened.sort();
-            let once_each = [want[0].0, want[1].0, want[1].0, want[2].0];
+            let once_each: Vec<LogSource> = want.iter().map(|(src, _)| *src).collect();
             assert_eq!(opened, once_each, "{threads} threads");
         }
+        // The store puts each source in time order.
+        assert_eq!(stored(&dir), time_sorted(want));
         fs::remove_dir_all(&dir).unwrap();
     }
 

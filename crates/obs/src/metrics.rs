@@ -172,15 +172,6 @@ impl Snapshot {
     ) -> Option<&QuantileSketch> {
         self.sketches.get(&MetricKey::labeled(name, labels))
     }
-
-    /// Sum of one counter name across all label combinations.
-    pub fn counter_sum(&self, name: &'static str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.name == name)
-            .map(|(_, v)| *v)
-            .sum()
-    }
 }
 
 #[cfg(test)]

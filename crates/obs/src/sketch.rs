@@ -440,14 +440,6 @@ impl QuantileSketch {
             exemplars,
         })
     }
-
-    /// Decode a serialized sketch and [`merge`](QuantileSketch::merge)
-    /// it in, without the caller materializing the intermediate value.
-    pub fn merge_from_bytes(&mut self, bytes: &[u8]) -> Result<(), SketchCodecError> {
-        let other = Self::from_bytes(bytes)?;
-        self.merge(&other);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -618,21 +610,6 @@ mod tests {
         // The lazily-unallocated bucket array is preserved, so equality
         // with a fresh sketch (not just value equality) holds.
         assert_eq!(back, QuantileSketch::new());
-    }
-
-    #[test]
-    fn merge_from_bytes_equals_plain_merge() {
-        let mut a = QuantileSketch::new();
-        let mut b = QuantileSketch::new();
-        for v in 0..200u64 {
-            a.observe(v * 13 % 999);
-            b.observe_exemplar(v * 7 % 777, &format!("app{v}"));
-        }
-        let mut via_bytes = a.clone();
-        via_bytes.merge_from_bytes(&b.to_bytes()).unwrap();
-        let mut direct = a.clone();
-        direct.merge(&b);
-        assert_eq!(via_bytes, direct);
     }
 
     #[test]

@@ -259,14 +259,14 @@ pub fn analyze_dir(dir: &Path) -> io::Result<Analysis> {
 }
 
 /// [`analyze_dir`] with `par` worker threads: each log stream is
-/// extracted from the bytes it was read from, a chunk at a time, by a
-/// [`scan_dir`] scan — no record outlives its chunk, and at most
-/// `par.threads()` chunks and their records are in memory at a time (a
-/// rotated stream, or one out of time order, is read whole; see
-/// [`scan_dir`]) —
-/// then one sequential pass analyzes the applications. Identical output
-/// for every thread count, and to [`analyze_store_with`] over
-/// [`LogStore::read_dir_with`].
+/// extracted from the bytes it was read from, a chunk at a time and in
+/// file order, by a [`scan_dir`] scan — no record outlives its chunk, and
+/// at most `par.threads()` chunks and their records are in memory at a
+/// time — then one sequential pass analyzes the applications. The scan
+/// settles each stream's first record by timestamp, so a rotated or
+/// out-of-order stream comes to what its time-sorted records would.
+/// Identical output for every thread count, and to [`analyze_store_with`]
+/// over [`LogStore::read_dir_with`].
 pub fn analyze_dir_with(dir: &Path, par: Parallelism) -> io::Result<Analysis> {
     let ex = Extractor::new();
     let (_epoch, scans) = scan_dir(dir, par, |src| StreamScanner::new(&ex, src))?;

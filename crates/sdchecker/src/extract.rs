@@ -11,8 +11,7 @@
 use std::collections::BTreeMap;
 
 use logmodel::{
-    scan_ids, ApplicationId, ContainerId, LogRecord, LogSource, NodeId, Parallelism, RecordRef,
-    SourceScan,
+    ApplicationId, ContainerId, LogRecord, LogSource, NodeId, Parallelism, RecordRef, SourceScan,
 };
 
 use crate::checkpoint::CkptError;
@@ -363,7 +362,8 @@ impl Extractor {
     }
 
     /// Extract the events of one log stream. `records` must be the full
-    /// stream in order (first-log detection needs index 0).
+    /// stream, in any order: first-log detection takes its earliest
+    /// record (see [`StreamScanner`]).
     pub fn extract_stream(&self, source: LogSource, records: &[LogRecord]) -> Vec<SchedEvent> {
         self.extract_stream_counted(source, records).0
     }
@@ -588,24 +588,37 @@ pub fn extract_all_cov_with(
 /// analysis wants from them, so that nothing needs the records afterwards.
 pub(crate) struct StreamScan {
     source: LogSource,
-    /// The stream's events, in record order.
+    /// The stream's events, in record order, except that a driver or
+    /// executor stream's FIRST_LOG, at index 0, carries its earliest
+    /// record's timestamp.
     events: Vec<SchedEvent>,
     cov: CoverageCounts,
-    /// The first unmatched message, if any.
+    /// The earliest unmatched message, if any.
     example: Option<String>,
-    /// The application name of the first Spark banner line (driver
+    /// The application name of the earliest Spark banner line (driver
     /// streams only).
     name: Option<String>,
     /// The newest record timestamp.
     max_ts: Option<logmodel::TsMs>,
 }
 
-/// A [`StreamScan`] in the making: fed one stream's records in order, a
-/// run at a time.
+/// A [`StreamScan`] in the making: fed one stream's records a run at a
+/// time, in any order. It comes to what the records stable-sorted by
+/// timestamp would: the positional facts — the first record (§III-B's
+/// FIRST_LOG and its coverage), the unmatched example, the banner name —
+/// go to the earliest record, the first to arrive among equal timestamps,
+/// and the merge's stable sort puts every other event where the sorted
+/// stream would have.
 pub(crate) struct StreamScanner<'e> {
     ex: &'e Extractor,
     cursor: StreamCursor,
     scan: StreamScan,
+    /// A driver or executor stream's earliest record so far, and whether
+    /// FIRST_LOG was all it produced.
+    first: Option<(logmodel::TsMs, bool)>,
+    /// The timestamps of `scan.example` and `scan.name`.
+    example_ts: logmodel::TsMs,
+    name_ts: logmodel::TsMs,
 }
 
 impl<'e> StreamScanner<'e> {
@@ -622,6 +635,9 @@ impl<'e> StreamScanner<'e> {
                 name: None,
                 max_ts: None,
             },
+            first: None,
+            example_ts: logmodel::TsMs(0),
+            name_ts: logmodel::TsMs(0),
         }
     }
 
@@ -629,16 +645,45 @@ impl<'e> StreamScanner<'e> {
     fn feed<'a>(&mut self, records: impl Iterator<Item = RecordRef<'a>>) {
         let scan = &mut self.scan;
         let is_driver = matches!(scan.source, LogSource::Driver(_));
+        let positional = is_driver || matches!(scan.source, LogSource::Executor(_));
         for r in records {
-            let outcome = self
+            let before = scan.events.len();
+            let mut outcome = self
                 .ex
                 .extract_record(&mut self.cursor, &r, &mut scan.events);
-            if outcome == Outcome::Unmatched && scan.example.is_none() {
+            if positional {
+                debug_assert!(matches!(outcome, Outcome::Matched | Outcome::Ignored));
+                match self.first {
+                    None => self.first = Some((r.ts, scan.events.len() == before + 1)),
+                    Some((ts, bare)) if r.ts < ts => {
+                        // An earlier record: FIRST_LOG moves to it, which
+                        // counts as matched, and the record that had it
+                        // goes back to ignored if FIRST_LOG was all it made.
+                        debug_assert!(matches!(
+                            scan.events[0].kind,
+                            EventKind::DriverFirstLog | EventKind::ExecutorFirstLog
+                        ));
+                        scan.events[0].ts = r.ts;
+                        if bare {
+                            scan.cov.matched -= 1;
+                            scan.cov.ignored += 1;
+                        }
+                        self.first = Some((r.ts, outcome == Outcome::Ignored));
+                        outcome = Outcome::Matched;
+                    }
+                    Some(_) => {}
+                }
+            }
+            if outcome == Outcome::Unmatched && (scan.example.is_none() || r.ts < self.example_ts) {
                 scan.example = Some(r.message.to_string());
+                self.example_ts = r.ts;
             }
             scan.cov.tally(outcome);
-            if is_driver && scan.name.is_none() {
-                scan.name = self.ex.app_name(r.message).map(str::to_string);
+            if is_driver && (scan.name.is_none() || r.ts < self.name_ts) {
+                if let Some(name) = self.ex.app_name(r.message) {
+                    scan.name = Some(name.to_string());
+                    self.name_ts = r.ts;
+                }
             }
             scan.max_ts = scan.max_ts.max(Some(r.ts));
         }
@@ -784,13 +829,6 @@ fn merge_sorted_streams(streams: Vec<Vec<SchedEvent>>) -> Vec<SchedEvent> {
     keys.extend(streams.iter().flatten().map(|ev| (ev.ts, ev)));
     keys.sort_by_key(|&(ts, _)| ts);
     keys.into_iter().map(|(_, ev)| *ev).collect()
-}
-
-/// Fallback grouping helper for messages whose shape is unknown: find any
-/// global ID in the text (the paper: "SDchecker binds each log event with
-/// its corresponding global ID").
-pub fn owning_app(message: &str) -> Option<ApplicationId> {
-    scan_ids(message).first().map(|id| id.app())
 }
 
 /// Best-effort application-name extraction from driver logs, enabling
@@ -1335,6 +1373,123 @@ mod tests {
         }
     }
 
+    /// A scan as the merge sees it: its events in merged order, and the
+    /// rest of it.
+    type Settled = (
+        Vec<SchedEvent>,
+        CoverageCounts,
+        Option<String>,
+        Option<String>,
+        Option<TsMs>,
+    );
+
+    fn settled(scan: StreamScan) -> Settled {
+        let events = merge_sorted_streams(vec![scan.events]);
+        (events, scan.cov, scan.example, scan.name, scan.max_ts)
+    }
+
+    /// The oracle: a stream already in time order, one record at a time
+    /// through the cursor, each positional fact taken from the first
+    /// record that has it.
+    fn settled_in_order(ex: &Extractor, src: LogSource, records: &[LogRecord]) -> Settled {
+        let mut cursor = StreamCursor::new(src);
+        let (mut events, mut cov) = (Vec::new(), CoverageCounts::default());
+        let (mut example, mut name, mut max_ts) = (None, None, None);
+        for r in records {
+            let outcome = ex.extract_record(&mut cursor, &r.as_ref(), &mut events);
+            cov.tally(outcome);
+            if outcome == Outcome::Unmatched && example.is_none() {
+                example = Some(r.message.clone());
+            }
+            if matches!(src, LogSource::Driver(_)) && name.is_none() {
+                name = ex.app_name(&r.message).map(str::to_string);
+            }
+            max_ts = max_ts.max(Some(r.ts));
+        }
+        (
+            merge_sorted_streams(vec![events]),
+            cov,
+            example,
+            name,
+            max_ts,
+        )
+    }
+
+    #[test]
+    fn a_shuffled_stream_scans_as_its_stable_sorted_order() {
+        let ex = Extractor::new();
+        let a = app();
+        let cid = a.attempt(1).container(2);
+        let mut rng = simkit::SimRng::new(35);
+        // Every shape a positional rule cares about, each message unique
+        // by `i` so that a record's place shows in what it made.
+        let message = |i: usize, shape: u64| -> (&'static str, String) {
+            match shape {
+                0 => ("X", format!("noise {i}")),
+                1 => (
+                    "ApplicationMaster",
+                    format!("Starting ApplicationMaster for q{i}"),
+                ),
+                2 => (
+                    "ApplicationMaster",
+                    format!("Registered with ResourceManager {i}"),
+                ),
+                3 => ("YarnAllocator", format!("START_ALLO {i}")),
+                4 => (
+                    "Executor",
+                    format!("Got assigned task {i} in stage 0.0 (TID {i})"),
+                ),
+                5 => (
+                    "RMAppImpl",
+                    format!("{a} State change from RUNNING to ODD_{i} on event = X"),
+                ),
+                6 => (
+                    "RMAppImpl",
+                    format!("{a} State change from NEW_SAVING to SUBMITTED on event = E{i}"),
+                ),
+                _ => (
+                    "ContainerImpl",
+                    format!("Container {cid} transitioned from NEW to ODD_{i}"),
+                ),
+            }
+        };
+        for case in 0..400 {
+            let src = match case % 4 {
+                0 => LogSource::Driver(a),
+                1 => LogSource::Executor(cid),
+                2 => LogSource::ResourceManager,
+                _ => LogSource::NodeManager(NodeId(1)),
+            };
+            // From one record to many; spans from "all ties" up.
+            let n = 1 + rng.index(20);
+            let span = 1 + rng.below(8);
+            let mut records: Vec<LogRecord> = (0..n)
+                .map(|i| {
+                    let (class, msg) = message(i, rng.below(8));
+                    rec(100 + rng.below(span), class, msg)
+                })
+                .collect();
+            rng.shuffle(&mut records);
+            let mut sorted = records.clone();
+            sorted.sort_by_key(|r| r.ts);
+
+            // The shuffle, handed over in runs as `scan_dir` would.
+            let mut got = StreamScanner::new(&ex, src);
+            let refs: Vec<RecordRef<'_>> = records.iter().map(LogRecord::as_ref).collect();
+            let mut rest = refs.as_slice();
+            while !rest.is_empty() {
+                let (run, tail) = rest.split_at(1 + rng.index(rest.len()));
+                got.records(run);
+                rest = tail;
+            }
+            assert_eq!(
+                settled(got.finish()),
+                settled_in_order(&ex, src, &sorted),
+                "case {case}: {records:?}"
+            );
+        }
+    }
+
     /// The k-way binary-heap merge `merge_sorted_streams` was before it
     /// sorted keys: the slow oracle. Needs every stream time-sorted.
     fn heap_merge_reference(streams: Vec<Vec<SchedEvent>>) -> Vec<SchedEvent> {
@@ -1449,12 +1604,5 @@ mod tests {
         }
         let concatenation: Vec<SchedEvent> = streams.iter().flatten().copied().collect();
         assert_eq!(merge_sorted_streams(streams), concatenation);
-    }
-
-    #[test]
-    fn owning_app_scans_ids() {
-        let a = app();
-        assert_eq!(owning_app(&format!("something about {a} here")), Some(a));
-        assert_eq!(owning_app("nothing"), None);
     }
 }

@@ -4,6 +4,7 @@
 //! and app names. Randomized as seeded loops over `simkit::SimRng`.
 
 use logmodel::{ApplicationId, Epoch, LogSource, LogStore, NodeId, TsMs};
+use sdchecker::extract::SourceKind;
 use sdchecker::{analyze_store, analyze_store_with, Analysis, Parallelism};
 use simkit::SimRng;
 
@@ -217,6 +218,29 @@ fn rendered(an: &Analysis) -> [String; 3] {
     ]
 }
 
+/// `text`'s lines, each with its newline, shuffled, about half of them
+/// restamped with another line's timestamp.
+fn shuffled_with_ties(rng: &mut SimRng, text: &str) -> Vec<String> {
+    let mut lines: Vec<String> = text.split_inclusive('\n').map(str::to_string).collect();
+    for i in 0..lines.len() {
+        if rng.chance(0.5) {
+            let stamp = lines[rng.index(lines.len())][..STAMP].to_string();
+            lines[i].replace_range(..STAMP, &stamp);
+        }
+    }
+    rng.shuffle(&mut lines);
+    lines
+}
+
+/// The length of a log line's timestamp, `2018-03-14 09:00:00,001`.
+const STAMP: usize = 23;
+
+/// The earliest and the latest timestamp in `text`, one per line.
+fn stamp_range(text: &str) -> (&str, &str) {
+    let stamps = text.lines().map(|l| &l[..STAMP]);
+    (stamps.clone().min().unwrap(), stamps.max().unwrap())
+}
+
 /// Directory analysis extracts each stream from the bytes it was read
 /// from and never builds a store; on layouts the happy path never sees
 /// it must still be exactly the store's analysis, for every thread count.
@@ -273,6 +297,53 @@ fn dir_analysis_equals_store_analysis_on_hostile_layouts() {
         fs::write(dir.join("nodemanager-node98.log"), b"").unwrap();
         fs::write(dir.join("nodemanager-node99.log"), b"no timestamp here\n").unwrap();
 
+        // Driver and executor logs whose first line need not be their
+        // first record by time: shuffled, with timestamps copied between
+        // lines so that many tie. The first such executor log is split
+        // into two segments as well, `.log` read before `.log.1`.
+        let mut rotated = false;
+        for src in store.sources().filter(|s| {
+            matches!(s, LogSource::Driver(_) | LogSource::Executor(_))
+                && store.records(*s).len() > 1
+        }) {
+            let path = dir.join(src.rel_path());
+            let lines = shuffled_with_ties(&mut rng, &fs::read_to_string(&path).unwrap());
+            fs::write(&path, lines.concat()).unwrap();
+            if matches!(src, LogSource::Executor(_)) && !rotated {
+                let half = lines.len() / 2;
+                let older = format!("{}.1", path.display());
+                fs::write(older, lines[..half].concat()).unwrap();
+                fs::write(&path, lines[half..].concat()).unwrap();
+                rotated = true;
+            }
+        }
+        // Two Spark banners and two out-of-alphabet RM transitions, each
+        // pair later line first.
+        let first_driver = store.sources().find(|s| matches!(s, LogSource::Driver(_)));
+        if let Some(drv) = first_driver {
+            let path = dir.join(drv.rel_path());
+            let text = fs::read_to_string(&path).unwrap();
+            let (early, late) = stamp_range(&text);
+            let banner = |stamp, name| {
+                format!("{stamp} INFO  ApplicationMaster: Starting ApplicationMaster for {name}\n")
+            };
+            let banners = banner(late, "late-banner") + &banner(early, "early-banner");
+            fs::write(&path, text + &banners).unwrap();
+        }
+        let (early, late) = stamp_range(&text);
+        let app = ApplicationId::new(store.epoch().unix_ms, 1);
+        let odd = |stamp, to| {
+            format!(
+                "{stamp} INFO  RMAppImpl: {app} State change from RUNNING to {to} on event = X\n"
+            )
+        };
+        let newest = fs::read_to_string(&rm).unwrap();
+        fs::write(
+            &rm,
+            newest + &odd(late, "LATE_ODD") + &odd(early, "EARLY_ODD"),
+        )
+        .unwrap();
+
         let mut gold: Option<[String; 3]> = None;
         for threads in [1, 2, 4] {
             let par = Parallelism::new(threads);
@@ -282,6 +353,10 @@ fn dir_analysis_equals_store_analysis_on_hostile_layouts() {
             let label = format!("case {case}, threads {threads}");
             assert_same(&from_store, &from_dir, &label);
             assert_eq!(from_store.coverage, from_dir.coverage, "{label}");
+            let example = from_dir
+                .coverage
+                .unmatched_example(SourceKind::ResourceManager);
+            assert!(example.unwrap().contains("EARLY_ODD"), "{label}");
             assert_eq!(rendered(&from_store), rendered(&from_dir), "{label}");
             let gold = gold.get_or_insert_with(|| rendered(&from_dir));
             assert_eq!(

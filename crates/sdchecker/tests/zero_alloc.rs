@@ -422,22 +422,44 @@ fn batch_scan_peak(dir: &Path) -> (String, u64, u64) {
     (format!("{delays:?}"), peak, rm_len)
 }
 
+/// Rotate `log` log4j-style into three segments of about a third of its
+/// lines each: the newest in `log` itself, then `log.1`, the oldest in
+/// `log.2`.
+fn rotate_in_three(log: &Path) {
+    let text = fs::read_to_string(log).unwrap();
+    let lines: Vec<&str> = text.split_inclusive('\n').collect();
+    let third = lines.len() / 3;
+    let segment = |n: usize| format!("{}.{n}", log.display());
+    fs::write(segment(2), lines[..third].concat()).unwrap();
+    fs::write(segment(1), lines[third..2 * third].concat()).unwrap();
+    fs::write(log, lines[2 * third..].concat()).unwrap();
+}
+
 #[test]
 fn a_batch_scan_holds_a_chunk_not_a_file() {
     let (sparse_dir, _) = noisy_fleet("scan1", 1);
     let (dense_dir, _) = noisy_fleet("scan400", 400);
     let (sparse_delays, sparse, _) = batch_scan_peak(&sparse_dir);
     let (dense_delays, dense, rm_len) = batch_scan_peak(&dense_dir);
-    assert_eq!(sparse_delays, dense_delays);
     assert!(
         rm_len >= 4 * READ_CHUNK as u64,
         "the dense ResourceManager log is {rm_len} bytes"
     );
-    assert!(
-        dense.saturating_sub(sparse) < BATCH_SCAN_SLACK,
-        "{dense} bytes live at the peak over a {rm_len}-byte ResourceManager log, \
-         {sparse} at one noise line per line"
-    );
+    // The same log rotated, the newest third read first: each segment
+    // is still more than a chunk long.
+    rotate_in_three(&dense_dir.join("resourcemanager.log"));
+    let (rotated_delays, rotated, _) = batch_scan_peak(&dense_dir);
+    for (layout, delays, peak) in [
+        ("one file", dense_delays, dense),
+        ("three segments", rotated_delays, rotated),
+    ] {
+        assert_eq!(sparse_delays, delays, "{layout}");
+        assert!(
+            peak.saturating_sub(sparse) < BATCH_SCAN_SLACK,
+            "{peak} bytes live at the peak over a {rm_len}-byte ResourceManager log \
+             in {layout}, {sparse} at one noise line per line"
+        );
+    }
     fs::remove_dir_all(&sparse_dir).unwrap();
     fs::remove_dir_all(&dense_dir).unwrap();
 }
