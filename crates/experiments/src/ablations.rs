@@ -22,10 +22,10 @@ use yarnsim::ClusterConfig;
 use crate::harness::{default_horizon, run_scenario, scenario_rng, Figure, Scale, ScenarioResult};
 
 /// Sweep of AM heartbeat intervals (ms).
-pub const HEARTBEATS_MS: [u64; 4] = [100, 500, 1000, 3000];
+pub(crate) const HEARTBEATS_MS: [u64; 4] = [100, 500, 1000, 3000];
 
 /// Acquisition delay under a given AM heartbeat interval.
-pub fn scenario_heartbeat(interval_ms: u64, scale: Scale, seed: u64) -> ScenarioResult {
+pub(crate) fn scenario_heartbeat(interval_ms: u64, scale: Scale, seed: u64) -> ScenarioResult {
     let n = scale.n(120);
     let mut rng = scenario_rng(seed ^ 0xAB1 ^ interval_ms);
     let arrivals = map_jobs(
@@ -39,7 +39,7 @@ pub fn scenario_heartbeat(interval_ms: u64, scale: Scale, seed: u64) -> Scenario
 /// heavy (4 GB) payload. Uses 16-executor jobs: container spreading
 /// scatters small requests across distinct nodes, so colocation — the
 /// precondition for cache hits — only arises for wider jobs.
-pub fn scenario_cache(enabled: bool, scale: Scale, seed: u64) -> ScenarioResult {
+pub(crate) fn scenario_cache(enabled: bool, scale: Scale, seed: u64) -> ScenarioResult {
     let n = scale.n(120);
     let mut rng = scenario_rng(seed ^ 0xAB2);
     let arrivals = map_jobs(
@@ -54,7 +54,12 @@ pub fn scenario_cache(enabled: bool, scale: Scale, seed: u64) -> ScenarioResult 
 }
 
 /// Executor delay for parallel user init across opened-file counts.
-pub fn scenario_init_width(files: u32, parallel: bool, scale: Scale, seed: u64) -> ScenarioResult {
+pub(crate) fn scenario_init_width(
+    files: u32,
+    parallel: bool,
+    scale: Scale,
+    seed: u64,
+) -> ScenarioResult {
     let n = scale.n(120);
     let mut rng = scenario_rng(seed ^ 0xAB3 ^ ((files as u64) << 1) ^ u64::from(parallel));
     let arrivals = map_jobs(
@@ -68,7 +73,7 @@ pub fn scenario_init_width(files: u32, parallel: bool, scale: Scale, seed: u64) 
 }
 
 /// Queueing delay with a bounded (Mercury-style) opportunistic NM queue.
-pub fn scenario_queue_cap(cap: usize, scale: Scale, seed: u64) -> ScenarioResult {
+pub(crate) fn scenario_queue_cap(cap: usize, scale: Scale, seed: u64) -> ScenarioResult {
     let cfg = ClusterConfig {
         opp_queue_cap: cap,
         ..ClusterConfig::default().with_opportunistic()
@@ -77,7 +82,7 @@ pub fn scenario_queue_cap(cap: usize, scale: Scale, seed: u64) -> ScenarioResult
 }
 
 /// Queueing delay under a given opportunistic placement policy.
-pub fn scenario_placement(
+pub(crate) fn scenario_placement(
     placement: yarnsim::OppPlacement,
     scale: Scale,
     seed: u64,
@@ -120,7 +125,7 @@ fn loaded_opportunistic(cfg: ClusterConfig, scale: Scale, seed: u64) -> Scenario
 }
 
 /// Run all four ablations.
-pub fn ablations(scale: Scale, seed: u64) -> Figure {
+pub(crate) fn ablations(scale: Scale, seed: u64) -> Figure {
     // 1. Heartbeat sweep.
     let mut hb: Vec<(String, Vec<u64>)> = Vec::new();
     for ms in HEARTBEATS_MS {

@@ -15,7 +15,7 @@ use crate::harness::{default_horizon, run_scenario, scenario_rng, Figure, Scale,
 
 /// Which app runs in panel (a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum App {
+pub(crate) enum App {
     /// Spark wordcount (1 opened file).
     Wordcount,
     /// Spark-SQL / TPC-H (8 opened files).
@@ -23,7 +23,7 @@ pub enum App {
 }
 
 /// Panel (a) scenario: a short trace of one application type.
-pub fn scenario_app(app: App, scale: Scale, seed: u64) -> ScenarioResult {
+pub(crate) fn scenario_app(app: App, scale: Scale, seed: u64) -> ScenarioResult {
     let n = scale.n(200);
     let mut rng = scenario_rng(seed ^ 0x11A ^ (app as u64));
     let arrivals = match app {
@@ -43,7 +43,7 @@ pub fn scenario_app(app: App, scale: Scale, seed: u64) -> ScenarioResult {
 /// Panel (b) scenario: Spark-SQL with the opened-file count scaled by
 /// `files_multiplier` (x1 = the 8 TPC-H tables) and optionally the
 /// parallel (`opt`) init.
-pub fn scenario_files(
+pub(crate) fn scenario_files(
     files_multiplier: u32,
     parallel: bool,
     scale: Scale,
@@ -62,7 +62,7 @@ pub fn scenario_files(
 }
 
 /// Reproduce Figure 11 (a) and (b).
-pub fn fig11(scale: Scale, seed: u64) -> Figure {
+pub(crate) fn fig11(scale: Scale, seed: u64) -> Figure {
     // (a) driver + executor delay per app.
     let wc = scenario_app(App::Wordcount, scale, seed);
     let sql = scenario_app(App::SparkSql, scale, seed);

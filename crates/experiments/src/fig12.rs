@@ -15,7 +15,7 @@ use yarnsim::ClusterConfig;
 use crate::harness::{default_horizon, run_scenario, scenario_rng, Figure, Scale, ScenarioResult};
 
 /// Interference levels (concurrent dfsIO writers).
-pub const WRITERS: [u32; 4] = [0, 25, 50, 100];
+pub(crate) const WRITERS: [u32; 4] = [0, 25, 50, 100];
 
 /// Run one interference level: a TPC-H short trace next to `writers`
 /// concurrent dfsIO map tasks whose (replicated) writes outlast the whole

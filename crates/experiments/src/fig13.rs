@@ -15,7 +15,7 @@ use yarnsim::ClusterConfig;
 use crate::harness::{default_horizon, run_scenario, scenario_rng, Figure, Scale, ScenarioResult};
 
 /// Interference levels (concurrent Kmeans applications).
-pub const KMEANS_APPS: [u32; 4] = [0, 4, 8, 16];
+pub(crate) const KMEANS_APPS: [u32; 4] = [0, 4, 8, 16];
 
 /// Run one interference level: `apps` concurrent Kmeans applications
 /// (the paper's 4/8/16), each iterating long enough to outlast the whole

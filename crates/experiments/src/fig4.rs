@@ -15,7 +15,7 @@ use yarnsim::ClusterConfig;
 use crate::harness::{default_horizon, run_scenario, scenario_rng, Figure, Scale, ScenarioResult};
 
 /// The quantile grid used for CDF tables.
-pub const CDF_QS: [f64; 9] = [0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1.0];
+pub(crate) const CDF_QS: [f64; 9] = [0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1.0];
 
 /// Run the Figure-4 scenario.
 pub fn scenario(scale: Scale, seed: u64) -> ScenarioResult {
@@ -130,7 +130,7 @@ pub fn fig4(scale: Scale, seed: u64) -> Figure {
 
 /// Reproduce Table III: each component's contribution to the total
 /// scheduling delay (medians over the Figure-4 population).
-pub fn table3(scale: Scale, seed: u64) -> Figure {
+pub(crate) fn table3(scale: Scale, seed: u64) -> Figure {
     let r = scenario(scale, seed);
     let total = Summary::from_ms(&r.ms(|d| d.total_ms));
     let mut t = Table::new(&["source", "median (s)", "share of total"]);

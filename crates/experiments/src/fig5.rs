@@ -13,7 +13,7 @@ use yarnsim::ClusterConfig;
 use crate::harness::{default_horizon, run_scenario, scenario_rng, Figure, Scale, ScenarioResult};
 
 /// The paper's input-size sweep (MB): 20 MB → 200 GB.
-pub const INPUT_SIZES_MB: [f64; 4] = [20.0, 2048.0, 20.0 * 1024.0, 200.0 * 1024.0];
+pub(crate) const INPUT_SIZES_MB: [f64; 4] = [20.0, 2048.0, 20.0 * 1024.0, 200.0 * 1024.0];
 
 fn label(mb: f64) -> String {
     if mb >= 1024.0 {
@@ -37,7 +37,7 @@ pub fn scenario(input_mb: f64, scale: Scale, seed: u64) -> ScenarioResult {
 
 /// Reproduce Figure 5 (a) total-delay CDFs and (b) normalized delays per
 /// input size.
-pub fn fig5(scale: Scale, seed: u64) -> Figure {
+pub(crate) fn fig5(scale: Scale, seed: u64) -> Figure {
     let mut totals: Vec<(String, Vec<u64>)> = Vec::new();
     let mut norms: Vec<(String, Vec<f64>)> = Vec::new();
     for mb in INPUT_SIZES_MB {

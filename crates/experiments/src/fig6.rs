@@ -13,7 +13,7 @@ use yarnsim::ClusterConfig;
 use crate::harness::{default_horizon, run_scenario, scenario_rng, Figure, Scale, ScenarioResult};
 
 /// The executor-count sweep.
-pub const EXECUTOR_COUNTS: [u32; 3] = [4, 8, 16];
+pub(crate) const EXECUTOR_COUNTS: [u32; 3] = [4, 8, 16];
 
 /// Run one sweep point.
 pub fn scenario(executors: u32, scale: Scale, seed: u64) -> ScenarioResult {
@@ -25,7 +25,7 @@ pub fn scenario(executors: u32, scale: Scale, seed: u64) -> ScenarioResult {
 
 /// Reproduce Figure 6 (a) total delay and (b) Cl−Cf spread per executor
 /// count.
-pub fn fig6(scale: Scale, seed: u64) -> Figure {
+pub(crate) fn fig6(scale: Scale, seed: u64) -> Figure {
     let mut totals: Vec<(String, Vec<u64>)> = Vec::new();
     let mut spreads: Vec<(String, Vec<u64>)> = Vec::new();
     for n_exec in EXECUTOR_COUNTS {

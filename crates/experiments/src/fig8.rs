@@ -13,7 +13,7 @@ use crate::harness::{default_horizon, run_scenario, scenario_rng, Figure, Scale,
 
 /// Total localized payload sizes (MB): 0.5, 1, 2, 4, 8 GB. The default
 /// package is 500 MB; the rest is the paper's `--files` padding.
-pub const LOCALIZED_MB: [f64; 5] = [512.0, 1024.0, 2048.0, 4096.0, 8192.0];
+pub(crate) const LOCALIZED_MB: [f64; 5] = [512.0, 1024.0, 2048.0, 4096.0, 8192.0];
 
 /// Run one sweep point with `total_mb` of localized payload per
 /// container.
@@ -30,7 +30,7 @@ pub fn scenario(total_mb: f64, scale: Scale, seed: u64) -> ScenarioResult {
 
 /// Reproduce Figure 8 (a) total delay and (b) localization delay per
 /// payload size.
-pub fn fig8(scale: Scale, seed: u64) -> Figure {
+pub(crate) fn fig8(scale: Scale, seed: u64) -> Figure {
     let mut totals: Vec<(String, Vec<u64>)> = Vec::new();
     let mut locals: Vec<(String, Vec<u64>)> = Vec::new();
     for mb in LOCALIZED_MB {

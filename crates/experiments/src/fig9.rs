@@ -18,7 +18,7 @@ use crate::harness::{default_horizon, run_scenario, scenario_rng, Figure, Scale,
 /// Mixed Spark + MapReduce scenario for the instance-type panel. Returns
 /// the result plus the map-task count per MR job (needed to split `mrsm`
 /// from `mrsr` by container sequence).
-pub fn scenario_mixed(scale: Scale, seed: u64) -> (ScenarioResult, u32) {
+pub(crate) fn scenario_mixed(scale: Scale, seed: u64) -> (ScenarioResult, u32) {
     let n = scale.n(120);
     let mut rng = scenario_rng(seed ^ 0x919);
     let spark = tpch_stream(n, 2048.0, 4, &TraceParams::moderate(), &mut rng);
@@ -43,7 +43,7 @@ pub fn scenario_mixed(scale: Scale, seed: u64) -> (ScenarioResult, u32) {
 /// Classify launching delays by instance type. `maps` is the per-MR-job
 /// map count (container sequences 2..=maps+1 are maps, later ones are
 /// reduces — MR allocates the map wave first).
-pub fn launch_by_kind(r: &ScenarioResult, maps: u32) -> Vec<(&'static str, Vec<u64>)> {
+pub(crate) fn launch_by_kind(r: &ScenarioResult, maps: u32) -> Vec<(&'static str, Vec<u64>)> {
     let mut spm = Vec::new();
     let mut spe = Vec::new();
     let mut mrm = Vec::new();
@@ -85,7 +85,11 @@ pub fn launch_by_kind(r: &ScenarioResult, maps: u32) -> Vec<(&'static str, Vec<u
 }
 
 /// Docker-vs-default scenario: the same query stream under each runtime.
-pub fn scenario_runtime(runtime: ContainerRuntime, scale: Scale, seed: u64) -> ScenarioResult {
+pub(crate) fn scenario_runtime(
+    runtime: ContainerRuntime,
+    scale: Scale,
+    seed: u64,
+) -> ScenarioResult {
     let n = scale.n(150);
     let mut rng = scenario_rng(seed ^ 0x0D0C);
     let arrivals = map_jobs(
@@ -104,7 +108,7 @@ fn launches(r: &ScenarioResult) -> Vec<u64> {
 }
 
 /// Reproduce Figure 9 (a) and (b).
-pub fn fig9(scale: Scale, seed: u64) -> Figure {
+pub(crate) fn fig9(scale: Scale, seed: u64) -> Figure {
     let (mixed, maps) = scenario_mixed(scale, seed);
     let by_kind = launch_by_kind(&mixed, maps);
 

@@ -42,7 +42,7 @@ pub struct ScenarioResult {
 impl ScenarioResult {
     /// The kind tag of an application, by submission order (application
     /// sequence numbers are assigned in submission order).
-    pub fn kind_of(&self, app: ApplicationId) -> Option<&'static str> {
+    pub(crate) fn kind_of(&self, app: ApplicationId) -> Option<&'static str> {
         self.kinds.get((app.seq as usize).checked_sub(1)?).copied()
     }
 

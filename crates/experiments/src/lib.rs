@@ -20,28 +20,26 @@
 //! | [`bug_finding`] | §V-A SPARK-21562 detection |
 //! | [`ablations`] | beyond-paper ablations (heartbeat, cache, init width, queue cap) |
 //! | [`optimizations`] | §V-B proposed optimizations, implemented & measured |
-//! | [`calibration`] | mine empirical distributions from a corpus, re-drive the simulator |
 
-pub mod ablations;
+mod ablations;
 pub mod bug_finding;
-pub mod calibration;
-pub mod fig11;
+mod fig11;
 pub mod fig12;
 pub mod fig13;
-pub mod fig4;
-pub mod fig5;
-pub mod fig6;
+mod fig4;
+mod fig5;
+mod fig6;
 pub mod fig7;
-pub mod fig8;
-pub mod fig9;
+mod fig8;
+mod fig9;
 pub mod harness;
-pub mod optimizations;
-pub mod table2;
+mod optimizations;
+mod table2;
 
 pub use harness::{run_scenario, Figure, Scale, ScenarioResult};
 
 /// A figure/table reproduction entry point.
-pub type Runner = fn(Scale, u64) -> Figure;
+pub(crate) type Runner = fn(Scale, u64) -> Figure;
 
 /// Every reproduction, in paper order. Each entry is `(id, runner)`.
 pub fn all_experiments() -> Vec<(&'static str, Runner)> {

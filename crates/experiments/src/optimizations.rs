@@ -21,7 +21,7 @@ use crate::harness::{default_horizon, run_scenario, scenario_rng, Figure, Scale,
 
 /// Localization optimization under 100-writer dfsIO interference:
 /// baseline vs dedicated store (+ public cache).
-pub fn scenario_localization(optimized: bool, scale: Scale, seed: u64) -> ScenarioResult {
+pub(crate) fn scenario_localization(optimized: bool, scale: Scale, seed: u64) -> ScenarioResult {
     let n = scale.n(120);
     let mut rng = scenario_rng(seed ^ 0x0071);
     let queries = shifted(
@@ -50,7 +50,7 @@ pub fn scenario_localization(optimized: bool, scale: Scale, seed: u64) -> Scenar
 }
 
 /// JVM-reuse optimization on the default (uninterfered) trace.
-pub fn scenario_jvm_reuse(optimized: bool, scale: Scale, seed: u64) -> ScenarioResult {
+pub(crate) fn scenario_jvm_reuse(optimized: bool, scale: Scale, seed: u64) -> ScenarioResult {
     let n = scale.n(200);
     let mut rng = scenario_rng(seed ^ 0x0072);
     let mut arrivals = tpch_stream(n, 2048.0, 4, &TraceParams::moderate(), &mut rng);
@@ -64,7 +64,7 @@ pub fn scenario_jvm_reuse(optimized: bool, scale: Scale, seed: u64) -> ScenarioR
 }
 
 /// Combined: both optimizations, under interference.
-pub fn scenario_combined(scale: Scale, seed: u64) -> ScenarioResult {
+pub(crate) fn scenario_combined(scale: Scale, seed: u64) -> ScenarioResult {
     let n = scale.n(120);
     let mut rng = scenario_rng(seed ^ 0x0073);
     let queries = shifted(
@@ -92,7 +92,7 @@ pub fn scenario_combined(scale: Scale, seed: u64) -> ScenarioResult {
 }
 
 /// Evaluate the §V-B optimizations.
-pub fn optimizations(scale: Scale, seed: u64) -> Figure {
+pub(crate) fn optimizations(scale: Scale, seed: u64) -> Figure {
     // (1) localization service under IO interference.
     let base_io = scenario_localization(false, scale, seed);
     let opt_io = scenario_localization(true, scale, seed);

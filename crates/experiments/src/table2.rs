@@ -17,10 +17,10 @@ use yarnsim::{ClusterConfig, ResourceCalculator};
 use crate::harness::{default_horizon, run_scenario, Figure, Scale, ScenarioResult};
 
 /// The load levels of Table II.
-pub const LOADS: [f64; 4] = [0.1, 0.4, 0.7, 1.0];
+pub(crate) const LOADS: [f64; 4] = [0.1, 0.4, 0.7, 1.0];
 
 /// Containers that fit by memory at 100 % load (25 × 128 GB / 1 GB).
-pub const MEM_CAPACITY_CONTAINERS: f64 = 3_200.0;
+pub(crate) const MEM_CAPACITY_CONTAINERS: f64 = 3_200.0;
 
 /// Run one load point: a MapReduce wordcount sized so its map wave
 /// occupies `load` of the cluster's memory.
@@ -40,7 +40,7 @@ pub fn scenario(load: f64, scale: Scale, seed: u64) -> ScenarioResult {
 }
 
 /// Measured throughput (peak 1-second window) at one load level.
-pub fn throughput_at(load: f64, scale: Scale, seed: u64) -> f64 {
+pub(crate) fn throughput_at(load: f64, scale: Scale, seed: u64) -> f64 {
     scenario(load, scale, seed)
         .analysis
         .allocation_throughput(1000)

@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 /// needs to be fast, seedable, and stable across platforms, so corruption
 /// runs replay bit-for-bit from a seed.
 #[derive(Debug, Clone)]
-pub struct Rng64 {
+pub(crate) struct Rng64 {
     state: u64,
 }
 

@@ -192,7 +192,7 @@ pub fn format_line(epoch: &Epoch, rec: &LogRecord) -> String {
 /// `String::from_utf8_lossy`'s, which is only asked once the bytes are
 /// known to be damaged: it validates a byte at a time, `str::from_utf8`
 /// a word of ASCII at a time.
-pub fn decode_lossy(bytes: &[u8]) -> Cow<'_, str> {
+pub(crate) fn decode_lossy(bytes: &[u8]) -> Cow<'_, str> {
     match std::str::from_utf8(bytes) {
         Ok(text) => Cow::Borrowed(text),
         Err(_) => String::from_utf8_lossy(bytes),

@@ -238,7 +238,7 @@ pub struct NodeId(pub u32);
 
 impl NodeId {
     /// The NM RPC port used in the printed form.
-    pub const PORT: u16 = 45454;
+    pub(crate) const PORT: u16 = 45454;
 
     /// The host part (`nodeNN.cluster.local`).
     pub fn host(self) -> String {
@@ -268,72 +268,6 @@ impl FromStr for NodeId {
         let num = rest.split('.').next().ok_or_else(|| err("NodeId", s))?;
         Ok(NodeId(num.parse().map_err(|_| err("NodeId", s))?))
     }
-}
-
-/// An identifier recognized inside free-form message text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScannedId {
-    /// `application_...`
-    App(ApplicationId),
-    /// `appattempt_...`
-    Attempt(AppAttemptId),
-    /// `container_...`
-    Container(ContainerId),
-}
-
-impl ScannedId {
-    /// The application this id (transitively) belongs to.
-    pub fn app(self) -> ApplicationId {
-        match self {
-            ScannedId::App(a) => a,
-            ScannedId::Attempt(a) => a.app,
-            ScannedId::Container(c) => c.app(),
-        }
-    }
-}
-
-/// Scan a message for embedded global IDs, in order of appearance.
-///
-/// This is the grouping key extraction at the core of SDchecker's log
-/// mining: every Table-I message carries at least one of these IDs.
-pub fn scan_ids(text: &str) -> Vec<ScannedId> {
-    let mut out = Vec::new();
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let rest = &text[i..];
-        let (kind, prefix_len) = if rest.starts_with("application_") {
-            ("app", "application_".len())
-        } else if rest.starts_with("appattempt_") {
-            ("attempt", "appattempt_".len())
-        } else if rest.starts_with("container_") {
-            ("container", "container_".len())
-        } else {
-            i += rest.chars().next().map_or(1, |c| c.len_utf8());
-            continue;
-        };
-        // The id token extends over digits and underscores.
-        let mut end = i + prefix_len;
-        while end < bytes.len() && (bytes[end].is_ascii_digit() || bytes[end] == b'_') {
-            end += 1;
-        }
-        // Trim trailing underscores that belong to surrounding prose.
-        let mut token_end = end;
-        while token_end > i && bytes[token_end - 1] == b'_' {
-            token_end -= 1;
-        }
-        let token = &text[i..token_end];
-        let parsed = match kind {
-            "app" => token.parse::<ApplicationId>().ok().map(ScannedId::App),
-            "attempt" => token.parse::<AppAttemptId>().ok().map(ScannedId::Attempt),
-            _ => token.parse::<ContainerId>().ok().map(ScannedId::Container),
-        };
-        if let Some(id) = parsed {
-            out.push(id);
-        }
-        i = end;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -442,39 +376,5 @@ mod tests {
         assert!("container_1_2_3".parse::<ContainerId>().is_err());
         assert!("container_1_2_3_4_5".parse::<ContainerId>().is_err());
         assert!("host:123".parse::<NodeId>().is_err());
-    }
-
-    #[test]
-    fn scan_finds_ids_in_prose() {
-        let app = ApplicationId::new(TS, 9);
-        let cont = app.attempt(1).container(2);
-        let msg = format!(
-            "Assigned container {cont} of capacity <memory:4096, vCores:8> on host node03, \
-             which has 3 containers; app {app} total 2"
-        );
-        let ids = scan_ids(&msg);
-        assert_eq!(ids, vec![ScannedId::Container(cont), ScannedId::App(app)]);
-        assert_eq!(ids[0].app(), app);
-    }
-
-    #[test]
-    fn scan_handles_adjacent_punctuation() {
-        let app = ApplicationId::new(TS, 1);
-        let msg = format!("{app}: State change; ({app})");
-        assert_eq!(scan_ids(&msg).len(), 2);
-    }
-
-    #[test]
-    fn scan_ignores_malformed() {
-        assert!(scan_ids("application_ container_xyz appattempt_1").is_empty());
-        assert!(scan_ids("no ids here").is_empty());
-    }
-
-    #[test]
-    fn scan_attempt_not_confused_with_app() {
-        // "appattempt_" must not be scanned as "application_"-like prefix.
-        let att = ApplicationId::new(TS, 2).attempt(1);
-        let ids = scan_ids(&format!("registered {att} ok"));
-        assert_eq!(ids, vec![ScannedId::Attempt(att)]);
     }
 }

@@ -18,22 +18,20 @@
 //! *text* through this crate's parsers, exactly as the paper's tool
 //! consumes collected log files.
 
-pub mod corrupt;
+mod corrupt;
 pub mod format;
-pub mod ids;
+mod ids;
 pub mod par;
-pub mod record;
+mod record;
 pub mod schema;
-pub mod store;
+mod store;
 
-pub use corrupt::{corrupt_dir, CorruptConfig, CorruptReport, Rng64};
+pub use corrupt::{corrupt_dir, CorruptConfig};
 pub use format::{
-    carry_lines, decode_lossy, format_line, format_timestamp, parse_line, parse_line_ref,
-    parse_timestamp, Epoch, READ_CHUNK,
+    carry_lines, format_line, format_timestamp, parse_line, parse_line_ref, parse_timestamp, Epoch,
+    READ_CHUNK,
 };
-pub use ids::{
-    scan_ids, AppAttemptId, ApplicationId, ContainerId, IdParseError, NodeId, ScannedId,
-};
+pub use ids::{AppAttemptId, ApplicationId, ContainerId, NodeId};
 pub use par::Parallelism;
 pub use record::{Level, LogRecord, LogSource, RecordRef};
 pub use store::{scan_dir, LogStore, SourceScan, BYTES_PER_RECORD_HINT};

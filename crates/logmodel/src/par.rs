@@ -59,7 +59,7 @@ impl Parallelism {
     }
 
     /// Whether this configuration runs the sequential code path.
-    pub fn is_sequential(self) -> bool {
+    pub(crate) fn is_sequential(self) -> bool {
         self.threads == 1
     }
 }

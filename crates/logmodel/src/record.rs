@@ -111,12 +111,6 @@ impl LogSource {
         }
         None
     }
-
-    /// True for cluster-scheduler (YARN daemon) logs, false for
-    /// application (Spark/MapReduce process) logs.
-    pub fn is_cluster_log(&self) -> bool {
-        matches!(self, LogSource::ResourceManager | LogSource::NodeManager(_))
-    }
 }
 
 /// One log line: timestamp offset, level, emitting class, message text.
@@ -254,13 +248,5 @@ mod tests {
             LogSource::from_rel_path("apps/application_1_1/unknown.log"),
             None
         );
-    }
-
-    #[test]
-    fn cluster_vs_app_logs() {
-        let app = ApplicationId::new(TS, 1);
-        assert!(LogSource::ResourceManager.is_cluster_log());
-        assert!(LogSource::NodeManager(NodeId(0)).is_cluster_log());
-        assert!(!LogSource::Driver(app).is_cluster_log());
     }
 }

@@ -189,27 +189,6 @@ impl MachineSpec {
     }
 }
 
-/// Levenshtein edit distance — used to name the *nearest* known shape
-/// in drift diagnostics.
-pub fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() {
-        return b.len();
-    }
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
 /// How strongly `message` resembles a `{}`-holed template: the fraction
 /// of the template's literal text found in the message, in order
 /// (1.0 = every literal segment present — the message differs only in
@@ -300,15 +279,6 @@ mod tests {
         assert!(!m.legal("A", "C"));
         assert!(!m.legal("A", "NOPE"));
         assert_eq!(m.reachable(), vec![true, true, true, false]);
-    }
-
-    #[test]
-    fn edit_distance_basics() {
-        assert_eq!(edit_distance("", ""), 0);
-        assert_eq!(edit_distance("abc", "abc"), 0);
-        assert_eq!(edit_distance("abc", "abd"), 1);
-        assert_eq!(edit_distance("transitioned", "Transitioned"), 1);
-        assert_eq!(edit_distance("", "xyz"), 3);
     }
 
     #[test]

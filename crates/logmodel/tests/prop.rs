@@ -11,8 +11,8 @@ use std::fmt::{self, Write as _};
 use logmodel::format::format_unix_ms;
 use logmodel::schema::{Disposition, Family, MsgTemplate};
 use logmodel::{
-    format_line, format_timestamp, parse_line, parse_timestamp, scan_ids, ApplicationId,
-    ContainerId, Epoch, Level, LogRecord, LogSource, NodeId, ScannedId, TsMs,
+    format_line, format_timestamp, parse_line, parse_timestamp, ApplicationId, ContainerId, Epoch,
+    Level, LogRecord, LogSource, NodeId, TsMs,
 };
 use simkit::SimRng;
 
@@ -109,39 +109,6 @@ fn log_line_roundtrip() {
             Some(rec),
             "case {case}: line {line:?}"
         );
-    }
-}
-
-/// `scan_ids` finds every id embedded in prose, in order.
-#[test]
-fn scan_finds_embedded_ids() {
-    const SEP: &[u8] = b"abcdefghijklmnopqrstuvwxyz ,.()";
-    for case in 0..CASES {
-        let mut rng = SimRng::new(0x15 + case);
-        let nids = rng.range(1, 6) as usize;
-        let seqs: Vec<u32> = (0..nids).map(|_| rng.range(1, 10_000) as u32).collect();
-        let sep = pick(&mut rng, SEP, 1, 13);
-        if sep.contains("application") || sep.contains("container") {
-            continue;
-        }
-        let cts = 1_521_018_000_000u64;
-        let mut text = String::from("prefix ");
-        let mut expected = Vec::new();
-        for (i, s) in seqs.iter().enumerate() {
-            if i % 2 == 0 {
-                let id = ApplicationId::new(cts, *s);
-                text.push_str(&id.to_string());
-                expected.push(ScannedId::App(id));
-            } else {
-                let id = ApplicationId::new(cts, *s)
-                    .attempt(1)
-                    .container(i as u64 + 1);
-                text.push_str(&id.to_string());
-                expected.push(ScannedId::Container(id));
-            }
-            text.push_str(&sep);
-        }
-        assert_eq!(scan_ids(&text), expected, "case {case}: text {text:?}");
     }
 }
 

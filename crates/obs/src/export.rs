@@ -24,7 +24,7 @@ pub fn describe(name: &'static str, help: &'static str) {
 
 /// Escape a label value for the Prometheus text exposition format:
 /// backslash, double quote, and newline must be backslash-escaped.
-pub fn prom_escape_label(v: &str) -> String {
+pub(crate) fn prom_escape_label(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
@@ -38,7 +38,7 @@ pub fn prom_escape_label(v: &str) -> String {
 }
 
 /// Escape `# HELP` text (backslash and newline only; quotes are legal).
-pub fn prom_escape_help(v: &str) -> String {
+pub(crate) fn prom_escape_help(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {

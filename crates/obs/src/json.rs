@@ -12,7 +12,7 @@ fn needs_escape(b: u8) -> bool {
 /// Append `s` escaped for embedding inside JSON double quotes. Runs of
 /// bytes that need no escaping are copied whole, so a clean string is
 /// one `push_str`.
-pub fn push_escaped(out: &mut String, s: &str) {
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     // A fold without an early exit tells a clean string (most of them)
     // a word at a time, not a branch per byte.
@@ -105,7 +105,7 @@ pub fn push_u64(out: &mut String, v: u64) {
 
 /// Append an `f64` deterministically: integers without a fraction render
 /// as integers, everything else uses Rust's shortest-roundtrip `{:?}`.
-pub fn push_f64(out: &mut String, v: f64) {
+pub(crate) fn push_f64(out: &mut String, v: f64) {
     use std::fmt::Write as _;
     if v.fract() == 0.0 && v.abs() < 9.0e15 {
         let int = v as i64;
@@ -119,7 +119,7 @@ pub fn push_f64(out: &mut String, v: f64) {
 }
 
 /// Render an `f64` deterministically (see [`push_f64`]).
-pub fn fmt_f64(v: f64) -> String {
+pub(crate) fn fmt_f64(v: f64) -> String {
     let mut out = String::new();
     push_f64(&mut out, v);
     out
@@ -315,7 +315,7 @@ impl<'a> Obj<'a> {
 
     /// Leave the object open, so a writer owning its document can go on
     /// in a later call.
-    pub fn pause(self) -> Paused {
+    pub(crate) fn pause(self) -> Paused {
         self.0.pause()
     }
 
@@ -368,7 +368,7 @@ impl<'a> Arr<'a> {
     }
 
     /// Leave the array open (see [`Obj::pause`]).
-    pub fn pause(self) -> Paused {
+    pub(crate) fn pause(self) -> Paused {
         self.0.pause()
     }
 

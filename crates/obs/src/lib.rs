@@ -47,17 +47,17 @@
 //! ```
 
 pub mod export;
-pub mod http;
+mod http;
 pub mod json;
-pub mod metrics;
-pub mod recorder;
-pub mod sketch;
+mod metrics;
+mod recorder;
+mod sketch;
 
 pub use export::{chrome_trace, describe, metrics_json, prometheus_text, TraceEvents};
 pub use http::{HttpServer, Request, Response, PROMETHEUS_CONTENT_TYPE};
-pub use metrics::{Histogram, MetricKey, Snapshot, SpanRecord};
+pub use metrics::{Histogram, MetricKey, Snapshot};
 pub use recorder::{Recorder, SpanGuard};
-pub use sketch::{Exemplar, QuantileSketch, SketchCodecError};
+pub use sketch::QuantileSketch;
 
 /// The process-wide recorder all library instrumentation targets.
 static GLOBAL: Recorder = Recorder::new();

@@ -163,15 +163,6 @@ impl Snapshot {
     pub fn sketch(&self, name: &'static str) -> Option<&QuantileSketch> {
         self.sketches.get(&MetricKey::plain(name))
     }
-
-    /// Quantile sketch for a labeled key, if present.
-    pub fn sketch_labeled(
-        &self,
-        name: &'static str,
-        labels: &[(&'static str, &str)],
-    ) -> Option<&QuantileSketch> {
-        self.sketches.get(&MetricKey::labeled(name, labels))
-    }
 }
 
 #[cfg(test)]

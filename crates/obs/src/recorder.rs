@@ -117,24 +117,11 @@ impl Recorder {
         self.enabled.store(true, Ordering::SeqCst);
     }
 
-    /// Turn recording off (data is kept until [`Recorder::reset`]).
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::SeqCst);
-    }
-
     /// Whether recording is on. This is the only cost instrumentation
     /// pays when observability is disabled.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Drop all recorded data and re-anchor the trace clock.
-    pub fn reset(&self) {
-        for shard in &self.shards {
-            *shard.state.lock().unwrap_or_else(|e| e.into_inner()) = ShardState::default();
-        }
-        *self.anchor.lock().unwrap_or_else(|e| e.into_inner()) = Some(Instant::now());
     }
 
     /// The logical thread id of the calling thread, registering it (and
@@ -522,7 +509,8 @@ mod tests {
                 r.sketch_observe_labeled("delay_ms", &[("component", "total")], (v * 13) % 5000);
             }
             r.snapshot()
-                .sketch_labeled("delay_ms", &[("component", "total")])
+                .sketches
+                .get(&MetricKey::labeled("delay_ms", &[("component", "total")]))
                 .cloned()
                 .unwrap()
         };
@@ -541,7 +529,8 @@ mod tests {
                 }
             });
             r.snapshot()
-                .sketch_labeled("delay_ms", &[("component", "total")])
+                .sketches
+                .get(&MetricKey::labeled("delay_ms", &[("component", "total")]))
                 .cloned()
                 .unwrap()
         };
@@ -569,21 +558,6 @@ mod tests {
         // Proper containment: inner starts no earlier and ends no later.
         assert!(inner.start_us >= outer.start_us);
         assert!(inner.start_us + inner.dur_us <= outer.start_us + outer.dur_us);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let r = Recorder::new();
-        r.enable();
-        r.count("c_total", 1);
-        let _ = r.span("s");
-        r.reset();
-        let snap = r.snapshot();
-        assert!(snap.counters.is_empty());
-        assert!(snap.spans.is_empty());
-        // Still enabled after reset.
-        r.count("c_total", 2);
-        assert_eq!(r.snapshot().counter("c_total"), 2);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 /// Relative accuracy target: quantile estimates are within this fraction
 /// of a true sample value at the queried rank.
-pub const SKETCH_ALPHA: f64 = 0.005;
+pub(crate) const SKETCH_ALPHA: f64 = 0.005;
 
 /// Version tag of the [`QuantileSketch::to_bytes`] wire format.
 const SKETCH_WIRE_VERSION: u8 = 1;
@@ -141,11 +141,11 @@ impl QuantileSketch {
     /// Fixed bucket-array size: one zero bucket plus enough log-spaced
     /// buckets to cover the whole `u64` range at [`SKETCH_ALPHA`]
     /// accuracy (`ln(2^64)/ln γ ≈ 4436`), rounded up.
-    pub const BUCKETS: usize = 4440;
+    pub(crate) const BUCKETS: usize = 4440;
 
     /// Number of exemplar slots a sketch retains: the top samples by
     /// `(value desc, label asc)`.
-    pub const EXEMPLAR_SLOTS: usize = 4;
+    pub(crate) const EXEMPLAR_SLOTS: usize = 4;
 
     /// An empty sketch.
     pub const fn new() -> QuantileSketch {

@@ -40,7 +40,7 @@ use crate::stats::percentile;
 use crate::wire::{corrupt, wire_struct, Dec, Decode, Enc, Encode};
 
 /// Schema tag of the `/alerts` document.
-pub const ALERTS_SCHEMA: &str = "sdcheckerd-alerts-v1";
+pub(crate) const ALERTS_SCHEMA: &str = "sdcheckerd-alerts-v1";
 
 /// Retirement samples kept for windowed evaluation (oldest dropped
 /// first). 300 s of long-window history at well over 25 retirements/s —
@@ -606,7 +606,8 @@ impl AlertEngine {
     }
 
     /// Rules currently firing.
-    pub fn firing_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn firing_count(&self) -> usize {
         self.runtime
             .iter()
             .filter(|rt| rt.state == AlertState::Firing)

@@ -72,7 +72,7 @@ impl Analysis {
 
     /// All per-container values of a component, in ms. `workers_only`
     /// excludes AM containers.
-    pub fn container_component_ms(
+    pub(crate) fn container_component_ms(
         &self,
         workers_only: bool,
         f: impl Fn(&crate::decompose::ContainerDelays) -> Option<u64>,
@@ -128,7 +128,7 @@ pub fn analyze_store(store: &LogStore) -> Analysis {
 /// Run the pipeline over an in-memory store with `par` worker threads.
 ///
 /// Extraction shards one `Extractor` pass per log stream (merged
-/// deterministically — see [`crate::extract::extract_all_with`]); graph
+/// deterministically — see [`crate::extract::extract_all_cov_with`]); graph
 /// construction, delay decomposition, and bug finding then run as one
 /// sequential pass over the applications. The result is identical for
 /// every thread count.
@@ -275,7 +275,7 @@ pub fn analyze_dir_with(dir: &Path, par: Parallelism) -> io::Result<Analysis> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+pub mod tests {
     use super::*;
     use logmodel::{Epoch, LogSource, NodeId, TsMs};
 

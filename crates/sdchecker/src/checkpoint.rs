@@ -105,7 +105,7 @@ impl From<io::Error> for CkptError {
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the same
 /// checksum gzip and PNG use, computed bitwise to stay table-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &b in bytes {
         crc ^= u32::from(b);
@@ -247,7 +247,7 @@ impl CheckpointStore {
     }
 
     /// Path of the previous (fallback) generation.
-    pub fn prev_path(&self) -> PathBuf {
+    pub(crate) fn prev_path(&self) -> PathBuf {
         self.dir.join(PREV_NAME)
     }
 

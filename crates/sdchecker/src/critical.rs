@@ -66,7 +66,7 @@ impl CriticalPath {
     }
 
     /// The segment with the largest share (ties: earliest wins).
-    pub fn dominant(&self) -> Option<&CriticalSegment> {
+    pub(crate) fn dominant(&self) -> Option<&CriticalSegment> {
         self.segments.iter().max_by(|a, b| {
             a.dur_ms().cmp(&b.dur_ms()).then(b.from.cmp(&a.from)) // earlier beats later on ties
         })

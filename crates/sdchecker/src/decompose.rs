@@ -152,10 +152,10 @@ impl AppDelays {
 }
 
 /// A named delay-component accessor over [`AppDelays`].
-pub type AppComponent = (&'static str, fn(&AppDelays) -> Option<u64>);
+pub(crate) type AppComponent = (&'static str, fn(&AppDelays) -> Option<u64>);
 
 /// A named delay-component accessor over [`ContainerDelays`].
-pub type ContainerComponent = (&'static str, fn(&ContainerDelays) -> Option<u64>);
+pub(crate) type ContainerComponent = (&'static str, fn(&ContainerDelays) -> Option<u64>);
 
 /// The named per-application components, with accessors — the one list
 /// every aggregator (report tables, JSON export, fleet sketches) walks,
@@ -174,7 +174,7 @@ pub const APP_COMPONENTS: [AppComponent; 10] = [
 ];
 
 /// The named per-container components, with accessors.
-pub const CONTAINER_COMPONENTS: [ContainerComponent; 4] = [
+pub(crate) const CONTAINER_COMPONENTS: [ContainerComponent; 4] = [
     ("acquisition", |c| c.acquisition_ms),
     ("localization", |c| c.localization_ms),
     ("launching", |c| c.launching_ms),

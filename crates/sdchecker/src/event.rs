@@ -197,7 +197,7 @@ impl EventKind {
 
     /// Whether the event comes from cluster-scheduler (YARN) logs, as
     /// opposed to application (Spark) logs.
-    pub fn is_cluster_side(self) -> bool {
+    pub(crate) fn is_cluster_side(self) -> bool {
         !matches!(self.writer(), Writer::Driver | Writer::Executor)
     }
 
@@ -266,7 +266,7 @@ const _: () = assert!(std::mem::size_of::<SchedEvent>() <= 48);
 impl SchedEvent {
     /// An event about the application itself: an `RMAppImpl` transition
     /// or a driver-log milestone.
-    pub fn app_scoped(ts: TsMs, kind: EventKind, app: ApplicationId) -> SchedEvent {
+    pub(crate) fn app_scoped(ts: TsMs, kind: EventKind, app: ApplicationId) -> SchedEvent {
         debug_assert!(
             matches!(kind.writer(), Writer::RmApp | Writer::Driver),
             "{kind:?}"
@@ -285,7 +285,7 @@ impl SchedEvent {
 
     /// An event about one container, logged by the ResourceManager or by
     /// the container's own executor log.
-    pub fn container_scoped(ts: TsMs, kind: EventKind, cid: ContainerId) -> SchedEvent {
+    pub(crate) fn container_scoped(ts: TsMs, kind: EventKind, cid: ContainerId) -> SchedEvent {
         debug_assert!(
             matches!(kind.writer(), Writer::RmContainer | Writer::Executor),
             "{kind:?}"
@@ -303,7 +303,12 @@ impl SchedEvent {
     }
 
     /// A `ContainerImpl` transition logged by NodeManager `node`.
-    pub fn node_manager(ts: TsMs, kind: EventKind, cid: ContainerId, node: NodeId) -> SchedEvent {
+    pub(crate) fn node_manager(
+        ts: TsMs,
+        kind: EventKind,
+        cid: ContainerId,
+        node: NodeId,
+    ) -> SchedEvent {
         debug_assert!(kind.writer() == Writer::NodeManager, "{kind:?}");
         SchedEvent {
             ts,
@@ -483,7 +488,7 @@ impl Decode for SchedEvent {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+pub mod tests {
     use super::*;
 
     /// Tests' shorthand for the three constructors: the one `kind` calls

@@ -38,7 +38,7 @@ use crate::wide::{push_components, push_segments};
 use crate::wire::{corrupt, Dec, Decode, Enc, Encode};
 
 /// Schema tag of the `/exemplars` index document.
-pub const EXEMPLARS_SCHEMA: &str = "sdcheckerd-exemplars-v1";
+pub(crate) const EXEMPLARS_SCHEMA: &str = "sdcheckerd-exemplars-v1";
 
 /// A retired application promoted into the reservoir: everything needed
 /// to rebuild its trace and explain its tail ranking, retained past
@@ -129,7 +129,7 @@ impl TailExemplars {
     /// Offer a retiring app. If it lands in any component's top-K its
     /// evidence is retained; apps it displaces out of every ranking are
     /// evicted (their events finally dropped).
-    pub fn offer(&mut self, candidate: PromotedApp) {
+    pub(crate) fn offer(&mut self, candidate: PromotedApp) {
         if self.k == 0 {
             return;
         }

@@ -22,7 +22,7 @@ use crate::wire::{corrupt, wire_struct, Dec, Decode, Enc, Encode};
 /// The full RMApp state alphabet (hadoop `RMAppState`). Transitions into
 /// any of these that carry no Table-I meaning (e.g. NEW → NEW_SAVING) are
 /// *recognized* — deliberately skipped, not parse failures.
-pub const RM_APP_STATES: &[&str] = &[
+pub(crate) const RM_APP_STATES: &[&str] = &[
     "NEW",
     "NEW_SAVING",
     "SUBMITTED",
@@ -36,7 +36,7 @@ pub const RM_APP_STATES: &[&str] = &[
 ];
 
 /// The full RMContainer state alphabet (hadoop `RMContainerState`).
-pub const RM_CONTAINER_STATES: &[&str] = &[
+pub(crate) const RM_CONTAINER_STATES: &[&str] = &[
     "NEW",
     "ALLOCATED",
     "ACQUIRED",
@@ -46,7 +46,7 @@ pub const RM_CONTAINER_STATES: &[&str] = &[
 ];
 
 /// The full NM-side container state alphabet (hadoop `ContainerState`).
-pub const NM_CONTAINER_STATES: &[&str] = &[
+pub(crate) const NM_CONTAINER_STATES: &[&str] = &[
     "NEW",
     "LOCALIZING",
     "SCHEDULED",
@@ -177,7 +177,7 @@ impl SourceKind {
     /// transition-shaped, i.e. whether `unmatched` is a meaningful
     /// schema-drift signal. Driver/executor matching is prefix-based with
     /// no such signal, so only RM/NM coverage gates delay trust.
-    pub fn is_scheduling_relevant(self) -> bool {
+    pub(crate) fn is_scheduling_relevant(self) -> bool {
         matches!(self, SourceKind::ResourceManager | SourceKind::NodeManager)
     }
 }
@@ -224,7 +224,7 @@ impl ParseCoverage {
 
     /// Keep `message` as the family's unmatched exemplar if it is the
     /// first one seen.
-    pub fn note_unmatched_example(&mut self, kind: SourceKind, message: String) {
+    pub(crate) fn note_unmatched_example(&mut self, kind: SourceKind, message: String) {
         self.unmatched_examples.entry(kind).or_insert(message);
     }
 
@@ -265,7 +265,7 @@ impl ParseCoverage {
     /// The one-line summary every `sdchecker` run prints. The `anomalous`
     /// column only appears when some line actually fell in that bucket, so
     /// clean corpora keep the historical three-column format.
-    pub fn summary_line(&self) -> String {
+    pub(crate) fn summary_line(&self) -> String {
         if self.per_source.is_empty() {
             return "Parse coverage: no log lines".to_string();
         }
@@ -359,38 +359,6 @@ impl Extractor {
             nm_container: Pat::new_static(crate::schema::NM_CONTAINER_TEMPLATE),
             spark_name: Pat::new_static(crate::schema::SPARK_APP_NAME_TEMPLATE),
         }
-    }
-
-    /// Extract the events of one log stream. `records` must be the full
-    /// stream, in any order: first-log detection takes its earliest
-    /// record (see [`StreamScanner`]).
-    pub fn extract_stream(&self, source: LogSource, records: &[LogRecord]) -> Vec<SchedEvent> {
-        self.extract_stream_counted(source, records).0
-    }
-
-    /// [`Extractor::extract_stream`] plus a per-line classification tally
-    /// (the parse-coverage signal).
-    pub fn extract_stream_counted(
-        &self,
-        source: LogSource,
-        records: &[LogRecord],
-    ) -> (Vec<SchedEvent>, CoverageCounts) {
-        let (evs, cov, _) = self.extract_stream_scan(source, records);
-        (evs, cov)
-    }
-
-    /// [`Extractor::extract_stream_counted`] plus the first *unmatched*
-    /// message of the stream — the exemplar the schema-drift warning
-    /// names a nearest known rule for.
-    pub fn extract_stream_scan(
-        &self,
-        source: LogSource,
-        records: &[LogRecord],
-    ) -> (Vec<SchedEvent>, CoverageCounts, Option<String>) {
-        let mut scanner = StreamScanner::new(self, source);
-        scanner.feed(records.iter().map(LogRecord::as_ref));
-        let scan = scanner.scan;
-        (scan.events, scan.cov, scan.example)
     }
 
     /// The application name a Spark driver banner line carries, if
@@ -554,19 +522,9 @@ impl Extractor {
 }
 
 /// Extract all events of a whole [`logmodel::LogStore`], sorted by
-/// timestamp (ties keep stream order).
-pub fn extract_all(store: &logmodel::LogStore) -> Vec<SchedEvent> {
-    extract_all_with(store, Parallelism::ONE)
-}
-
-/// [`extract_all`] sharded across `par` worker threads. See
-/// [`extract_all_cov_with`] for the determinism guarantee.
-pub fn extract_all_with(store: &logmodel::LogStore, par: Parallelism) -> Vec<SchedEvent> {
-    extract_all_cov_with(store, par).0
-}
-
-/// [`extract_all_with`] plus corpus-wide parse coverage: one `Extractor`
-/// pass per log stream, then one merge of the per-stream event vectors.
+/// timestamp (ties keep stream order), plus corpus-wide parse coverage:
+/// one `Extractor` pass per log stream, then one merge of the per-stream
+/// event vectors.
 ///
 /// Determinism guarantee: output is identical for every thread count. The
 /// merge orders events by timestamp, ties by stream index, then by
@@ -835,15 +793,9 @@ fn merge_sorted_streams(streams: Vec<Vec<SchedEvent>>) -> Vec<SchedEvent> {
 /// per-workload (e.g. per-TPC-H-query) breakdowns. Recognizes the banner
 /// shapes Spark's `ApplicationMaster` and MapReduce's `MRAppMaster`
 /// print; unknown banners yield no name (analysis proceeds unnamed).
-pub fn extract_app_names(
-    store: &logmodel::LogStore,
-) -> std::collections::BTreeMap<ApplicationId, String> {
-    extract_app_names_with(store, Parallelism::ONE)
-}
-
-/// [`extract_app_names`] with one scan task per driver stream spread over
-/// `par` worker threads. Identical output for every thread count (the map
-/// is keyed by application id).
+/// One scan task per driver stream spread over `par` worker threads.
+/// Identical output for every thread count (the map is keyed by
+/// application id).
 pub fn extract_app_names_with(
     store: &logmodel::LogStore,
     par: Parallelism,
@@ -869,6 +821,23 @@ pub fn extract_app_names_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One whole-stream scan: events, coverage and first unmatched
+    /// message.
+    fn scan_records(
+        ex: &Extractor,
+        source: LogSource,
+        records: &[LogRecord],
+    ) -> (Vec<SchedEvent>, CoverageCounts, Option<String>) {
+        let mut scanner = StreamScanner::new(ex, source);
+        scanner.feed(records.iter().map(LogRecord::as_ref));
+        let scan = scanner.scan;
+        (scan.events, scan.cov, scan.example)
+    }
+
+    fn extract_stream(ex: &Extractor, source: LogSource, records: &[LogRecord]) -> Vec<SchedEvent> {
+        scan_records(ex, source, records).0
+    }
     use logmodel::{Epoch, Level, LogStore, TsMs};
 
     const CTS: u64 = 1_521_018_000_000;
@@ -914,7 +883,7 @@ mod tests {
                 ),
             ),
         ];
-        let evs = ex.extract_stream(LogSource::ResourceManager, &records);
+        let evs = extract_stream(&ex, LogSource::ResourceManager, &records);
         let kinds: Vec<EventKind> = evs.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
@@ -945,7 +914,7 @@ mod tests {
                 format!("{cid} Container Transitioned from ALLOCATED to ACQUIRED"),
             ),
         ];
-        let evs = ex.extract_stream(LogSource::ResourceManager, &records);
+        let evs = extract_stream(&ex, LogSource::ResourceManager, &records);
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].kind, EventKind::ContainerAllocated);
         assert_eq!(evs[1].kind, EventKind::ContainerAcquired);
@@ -974,7 +943,7 @@ mod tests {
                 format!("Container {cid} transitioned from SCHEDULED to RUNNING"),
             ),
         ];
-        let evs = ex.extract_stream(LogSource::NodeManager(node), &records);
+        let evs = extract_stream(&ex, LogSource::NodeManager(node), &records);
         assert_eq!(evs.len(), 3);
         assert!(evs.iter().all(|e| e.node() == Some(node)));
         assert_eq!(evs[1].kind, EventKind::ContainerScheduled);
@@ -1002,7 +971,7 @@ mod tests {
                 "END_ALLO All 4 requested executor containers allocated".to_string(),
             ),
         ];
-        let evs = ex.extract_stream(LogSource::Driver(a), &records);
+        let evs = extract_stream(&ex, LogSource::Driver(a), &records);
         let kinds: Vec<EventKind> = evs.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
@@ -1041,7 +1010,7 @@ mod tests {
                 "Got assigned task 3 in stage 0.0 (TID 3)".to_string(),
             ),
         ];
-        let evs = ex.extract_stream(LogSource::Executor(cid), &records);
+        let evs = extract_stream(&ex, LogSource::Executor(cid), &records);
         assert_eq!(evs[0].kind, EventKind::ExecutorFirstLog);
         assert_eq!(
             evs.iter()
@@ -1067,9 +1036,7 @@ mod tests {
                 "Processing event of type KILL".to_string(),
             ),
         ];
-        assert!(ex
-            .extract_stream(LogSource::ResourceManager, &records)
-            .is_empty());
+        assert!(extract_stream(&ex, LogSource::ResourceManager, &records).is_empty());
     }
 
     #[test]
@@ -1083,7 +1050,7 @@ mod tests {
             "RMAppImpl",
             format!("{a} State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED"),
         );
-        let evs = extract_all(&store);
+        let evs = extract_all_cov_with(&store, Parallelism::ONE).0;
         assert_eq!(evs.len(), 2);
         assert!(evs[0].ts <= evs[1].ts);
         assert_eq!(evs[0].kind, EventKind::AppSubmitted);
@@ -1124,7 +1091,7 @@ mod tests {
             // ignored: unrelated class
             rec(3, "CapacityScheduler", "Re-sorting queues".to_string()),
         ];
-        let (evs, cov) = ex.extract_stream_counted(LogSource::ResourceManager, &records);
+        let (evs, cov, _) = scan_records(&ex, LogSource::ResourceManager, &records);
         assert_eq!(evs.len(), 1);
         assert_eq!(
             cov,
@@ -1168,7 +1135,7 @@ mod tests {
                 format!("{a} State change from FINAL_SAVING to KILLED on event = APP_UPDATE_SAVED"),
             ),
         ];
-        let (evs, cov) = ex.extract_stream_counted(LogSource::ResourceManager, &records);
+        let (evs, cov, _) = scan_records(&ex, LogSource::ResourceManager, &records);
         let kinds: Vec<EventKind> = evs.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
@@ -1190,7 +1157,7 @@ mod tests {
             "RMContainerImpl",
             format!("{cid} Container Transitioned from RUNNING to KILLED"),
         )];
-        let (evs, cov) = ex.extract_stream_counted(LogSource::ResourceManager, &rm_records);
+        let (evs, cov, _) = scan_records(&ex, LogSource::ResourceManager, &rm_records);
         assert!(evs.is_empty(), "KILLED is benign-matched, no event");
         assert_eq!((cov.matched, cov.unmatched), (1, 0));
 
@@ -1206,7 +1173,7 @@ mod tests {
                 format!("Container {cid} transitioned from RUNNING to EXITED_WITH_FAILURE"),
             ),
         ];
-        let (evs, cov) = ex.extract_stream_counted(LogSource::NodeManager(NodeId(1)), &nm_records);
+        let (evs, cov, _) = scan_records(&ex, LogSource::NodeManager(NodeId(1)), &nm_records);
         assert!(evs.is_empty());
         assert_eq!((cov.matched, cov.unmatched), (2, 0));
     }
@@ -1260,7 +1227,7 @@ mod tests {
                 format!("Container {cid} transitioned from LOCALIZING to PAUSED"),
             ),
         ];
-        let (_, cov) = ex.extract_stream_counted(LogSource::NodeManager(NodeId(1)), &records);
+        let (_, cov, _) = scan_records(&ex, LogSource::NodeManager(NodeId(1)), &records);
         assert_eq!((cov.matched, cov.unmatched), (1, 1));
     }
 
@@ -1272,7 +1239,7 @@ mod tests {
             rec(1, "ApplicationMaster", "banner".to_string()),
             rec(2, "ApplicationMaster", "other chatter".to_string()),
         ];
-        let (evs, cov) = ex.extract_stream_counted(LogSource::Driver(a), &records);
+        let (evs, cov, _) = scan_records(&ex, LogSource::Driver(a), &records);
         assert_eq!(evs.len(), 1); // DriverFirstLog
         assert_eq!((cov.matched, cov.unmatched, cov.ignored), (1, 0, 1));
         assert_eq!(cov.coverage(), 1.0);
@@ -1360,7 +1327,7 @@ mod tests {
                     "Got assigned task 0 in stage 0.0 (TID 0)".to_string(),
                 ),
             ];
-            let (batch_evs, batch_cov, _) = ex.extract_stream_scan(src, &records);
+            let (batch_evs, batch_cov, _) = scan_records(&ex, src, &records);
             let mut cursor = StreamCursor::new(src);
             assert_eq!(cursor.source(), src);
             let mut evs = Vec::new();

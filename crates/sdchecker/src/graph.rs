@@ -77,7 +77,7 @@ impl SchedulingGraph {
     /// containers (1 when no containers exist). Under AM retry, each
     /// attempt gets its own container id namespace, so the maximum
     /// attempt is the one that (if anything did) made progress.
-    pub fn last_attempt(&self) -> u32 {
+    pub(crate) fn last_attempt(&self) -> u32 {
         self.containers
             .keys()
             .map(|c| c.attempt.attempt)
@@ -98,7 +98,7 @@ impl SchedulingGraph {
 
     /// Container tracks of earlier (failed) attempts — the work a retried
     /// application wasted before its final attempt.
-    pub fn failed_attempt_containers(&self) -> impl Iterator<Item = &ContainerTrack> {
+    pub(crate) fn failed_attempt_containers(&self) -> impl Iterator<Item = &ContainerTrack> {
         let last = self.last_attempt();
         self.containers
             .values()
@@ -116,7 +116,7 @@ impl SchedulingGraph {
     }
 
     /// Worker (non-AM) container tracks of the final attempt, in id order.
-    pub fn worker_containers(&self) -> impl Iterator<Item = &ContainerTrack> {
+    pub(crate) fn worker_containers(&self) -> impl Iterator<Item = &ContainerTrack> {
         let last = self.last_attempt();
         self.containers
             .values()
@@ -124,12 +124,12 @@ impl SchedulingGraph {
     }
 
     /// Earliest `kind` across worker containers.
-    pub fn first_worker(&self, kind: EventKind) -> Option<TsMs> {
+    pub(crate) fn first_worker(&self, kind: EventKind) -> Option<TsMs> {
         self.worker_containers().filter_map(|c| c.first(kind)).min()
     }
 
     /// Latest `kind` across worker containers.
-    pub fn last_worker(&self, kind: EventKind) -> Option<TsMs> {
+    pub(crate) fn last_worker(&self, kind: EventKind) -> Option<TsMs> {
         self.worker_containers().filter_map(|c| c.first(kind)).max()
     }
 

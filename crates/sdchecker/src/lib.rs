@@ -41,31 +41,30 @@
 //! assert!(analysis.delays[0].total_ms.is_none()); // no first task yet
 //! ```
 
-pub mod alerts;
-pub mod analyze;
-pub mod apptrace;
-pub mod bugs;
+mod alerts;
+mod analyze;
+mod apptrace;
+mod bugs;
 pub mod checkpoint;
 pub mod cli;
-pub mod critical;
+mod critical;
 pub mod decompose;
-pub mod event;
-pub mod exemplars;
+mod event;
+mod exemplars;
 pub mod extract;
-pub(crate) mod fleet;
-pub mod graph;
-pub mod incremental;
-pub mod nodes;
+mod fleet;
+mod graph;
+mod incremental;
 pub mod pattern;
-pub mod report;
+mod report;
 pub mod schema;
-pub mod stats;
-pub mod tail;
-pub mod throughput;
-pub mod timeline;
-pub mod validate;
-pub mod wide;
-pub(crate) mod wire;
+mod stats;
+mod tail;
+mod throughput;
+mod timeline;
+mod validate;
+mod wide;
+mod wire;
 
 pub use alerts::{default_rules, AlertEngine, AlertRule, AlertState, RuleKind, Transition};
 pub use analyze::{
@@ -82,22 +81,18 @@ pub use critical::{critical_path, CriticalPath, CriticalSegment};
 pub use decompose::{decompose, AppDelays, AppOutcome, ContainerDelays};
 pub use event::{EventKind, SchedEvent};
 pub use exemplars::{PromotedApp, TailExemplars};
-pub use extract::{
-    extract_all, extract_all_with, extract_app_names, extract_app_names_with, Extractor, Outcome,
-    StreamCursor,
-};
+pub use extract::{extract_app_names_with, Extractor, Outcome, StreamCursor};
 pub use graph::{build_graphs, ContainerTrack, SchedulingGraph};
 pub use incremental::{IncrementalAnalyzer, IncrementalConfig, RetiredApp};
 pub use logmodel::{Parallelism, READ_CHUNK};
-pub use nodes::{per_node, slow_nodes, NodeStats};
 pub use pattern::Pat;
 pub use report::{
     cdf_table, full_report, ratio_summary_table, report_json, summary_table, write_stdout, Report,
     Table,
 };
 pub use stats::{percentile, Cdf, Summary};
-pub use tail::{DirTailer, SourceLag, TailLag, TailOps, TailSink, TailStats, COLD_ROTATION};
+pub use tail::{DirTailer, TailLag, TailOps, TailSink, TailStats, COLD_ROTATION};
 pub use throughput::{allocation_throughput, Throughput};
-pub use timeline::{ascii_gantt, timeline, timeline_csv, TimelineEntry};
+pub use timeline::{ascii_gantt, timeline, TimelineEntry};
 pub use validate::{validate_all, validate_graph, Anomaly, AnomalyKind};
 pub use wide::{wide_events_for_analysis, WIDE_EVENTS_SCHEMA};

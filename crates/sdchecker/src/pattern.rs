@@ -174,7 +174,7 @@ impl Pat {
     /// allocating: the captured substrings in order, or `None` on a
     /// mismatch (a pattern with another number of captures never
     /// matches).
-    pub fn match_array<'t, const N: usize>(&self, text: &'t str) -> Option<[&'t str; N]> {
+    pub(crate) fn match_array<'t, const N: usize>(&self, text: &'t str) -> Option<[&'t str; N]> {
         let mut caps = [""; N];
         self.match_into(text, &mut caps).then_some(caps)
     }
@@ -187,7 +187,7 @@ impl Pat {
     }
 
     /// Whether `text` matches (ignoring captures).
-    pub fn is_match(&self, text: &str) -> bool {
+    pub(crate) fn is_match(&self, text: &str) -> bool {
         self.match_str(text).is_some()
     }
 }

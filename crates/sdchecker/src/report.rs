@@ -126,7 +126,7 @@ pub fn secs(v: f64) -> String {
 }
 
 /// One summary row: `label  n  mean  std  p50  p90  p95  p99  max`.
-pub fn summary_row(label: &str, s: &Summary) -> Vec<String> {
+pub(crate) fn summary_row(label: &str, s: &Summary) -> Vec<String> {
     vec![
         label.to_string(),
         s.n.to_string(),
@@ -141,7 +141,7 @@ pub fn summary_row(label: &str, s: &Summary) -> Vec<String> {
 }
 
 /// The standard header matching [`summary_row`].
-pub const SUMMARY_HEADER: [&str; 9] = [
+pub(crate) const SUMMARY_HEADER: [&str; 9] = [
     "metric", "n", "mean", "std", "p50", "p90", "p95", "p99", "max",
 ];
 

@@ -21,15 +21,15 @@ pub const RM_CONTAINER_TEMPLATE: &str = "{} Container Transitioned from {} to {}
 /// Template of the `nm_container_transition` rule (messages 6-8).
 pub const NM_CONTAINER_TEMPLATE: &str = "Container {} transitioned from {} to {}";
 /// Template of the `spark_app_name` rule (workload-label banner).
-pub const SPARK_APP_NAME_TEMPLATE: &str = "Starting ApplicationMaster for {}";
+pub(crate) const SPARK_APP_NAME_TEMPLATE: &str = "Starting ApplicationMaster for {}";
 /// Prefix of the `driver_registered` rule (message 10).
-pub const DRIVER_REGISTERED_PREFIX: &str = "Registered with ResourceManager";
+pub(crate) const DRIVER_REGISTERED_PREFIX: &str = "Registered with ResourceManager";
 /// Prefix of the `start_allo` rule (message 11).
-pub const START_ALLO_PREFIX: &str = "START_ALLO";
+pub(crate) const START_ALLO_PREFIX: &str = "START_ALLO";
 /// Prefix of the `end_allo` rule (message 12).
-pub const END_ALLO_PREFIX: &str = "END_ALLO";
+pub(crate) const END_ALLO_PREFIX: &str = "END_ALLO";
 /// Prefix of the `task_assigned` rule (message 14).
-pub const TASK_ASSIGNED_PREFIX: &str = "Got assigned task";
+pub(crate) const TASK_ASSIGNED_PREFIX: &str = "Got assigned task";
 
 /// How a rule decides that a log line is scheduling-relevant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +64,7 @@ pub struct PatternSpec {
 
 /// The complete extraction-rule table, in the order the extractor
 /// consults them.
-pub const PATTERNS: [PatternSpec; 10] = [
+pub(crate) const PATTERNS: [PatternSpec; 10] = [
     PatternSpec {
         name: "rm_app_transition",
         class: Some("RMAppImpl"),
@@ -194,7 +194,7 @@ impl PatternSpec {
 /// with its affinity score in `[0, 1]` — the "did you mean" half of a
 /// schema-drift diagnostic. Prefix rules score by their prefix;
 /// positional rules never resemble anything.
-pub fn closest_pattern(message: &str) -> Option<(&'static PatternSpec, f64)> {
+pub(crate) fn closest_pattern(message: &str) -> Option<(&'static PatternSpec, f64)> {
     let mut best: Option<(&'static PatternSpec, f64)> = None;
     for p in &PATTERNS {
         let score = match p.kind {

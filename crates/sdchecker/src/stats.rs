@@ -59,7 +59,7 @@ impl Summary {
 
 /// Percentile by linear interpolation on a pre-sorted sample
 /// (`q` in `[0, 1]`).
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty() && (0.0..=1.0).contains(&q));
     if sorted.len() == 1 {
         return sorted[0];
@@ -133,30 +133,6 @@ impl Cdf {
             Some(percentile_sorted(&self.values, q))
         }
     }
-
-    /// `(value, cumulative fraction)` points for plotting — one per
-    /// sample, deduplicated to `max_points` evenly spaced quantiles when
-    /// the sample is large.
-    pub fn points(&self, max_points: usize) -> Vec<(f64, f64)> {
-        let n = self.values.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if n <= max_points {
-            return self
-                .values
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (*v, (i + 1) as f64 / n as f64))
-                .collect();
-        }
-        (1..=max_points)
-            .map(|i| {
-                let q = i as f64 / max_points as f64;
-                (percentile_sorted(&self.values, q), q)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -217,29 +193,10 @@ mod tests {
     }
 
     #[test]
-    fn cdf_points_small_and_large() {
-        let c = Cdf::from(&[1.0, 2.0, 3.0]);
-        let pts = c.points(100);
-        assert_eq!(pts.len(), 3);
-        assert_eq!(pts[2], (3.0, 1.0));
-
-        let big: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-        let c = Cdf::from(&big);
-        let pts = c.points(20);
-        assert_eq!(pts.len(), 20);
-        assert_eq!(pts.last().unwrap().1, 1.0);
-        // Monotone in both coordinates.
-        for w in pts.windows(2) {
-            assert!(w[0].0 <= w[1].0 && w[0].1 < w[1].1);
-        }
-    }
-
-    #[test]
     fn cdf_empty() {
         let c = Cdf::from(&[]);
         assert!(c.is_empty());
         assert_eq!(c.at(1.0), 0.0);
         assert_eq!(c.quantile(0.5), None);
-        assert!(c.points(10).is_empty());
     }
 }

@@ -149,8 +149,9 @@ pub struct TailLag {
 }
 
 /// One tracked source's lag, for per-source health reporting.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SourceLag {
+pub(crate) struct SourceLag {
     /// Relative path under the watch directory.
     pub rel: String,
     /// Bytes this file's last look saw on disk but did not turn into
@@ -626,7 +627,8 @@ impl DirTailer {
 
     /// Per-source lag as of each file's last look (see
     /// [`DirTailer::lag`]), in sorted relative-path order. No I/O.
-    pub fn source_lags(&self) -> Vec<SourceLag> {
+    #[cfg(test)]
+    pub(crate) fn source_lags(&self) -> Vec<SourceLag> {
         let watermark = self.watermark.map_or(0, |w| w.0);
         self.files()
             .into_iter()

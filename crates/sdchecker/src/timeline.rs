@@ -50,20 +50,6 @@ pub fn timeline(g: &SchedulingGraph) -> Vec<TimelineEntry> {
     rows
 }
 
-/// Render the timeline as CSV (`ts_ms,entity,event,table1_number`).
-pub fn timeline_csv(g: &SchedulingGraph) -> String {
-    let mut out = String::from("ts_ms,entity,event,table1_number\n");
-    for e in timeline(g) {
-        let num = e
-            .kind
-            .table1_number()
-            .map(|n| n.to_string())
-            .unwrap_or_default();
-        let _ = writeln!(out, "{},{},{:?},{}", e.ts.0, e.entity, e.kind, num);
-    }
-    out
-}
-
 /// Gantt lane phases for the ASCII rendering, named after the delay
 /// components of [`decompose`](crate::decompose) so the ASCII view and
 /// the Perfetto app trace agree on vocabulary.
@@ -238,17 +224,6 @@ mod tests {
         }
         assert_eq!(t[0].kind, EventKind::AppSubmitted);
         assert_eq!(t.last().unwrap().kind, EventKind::TaskAssigned);
-    }
-
-    #[test]
-    fn csv_has_header_and_numbers() {
-        let g = sample();
-        let csv = timeline_csv(&g);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "ts_ms,entity,event,table1_number");
-        assert_eq!(lines.len(), 10);
-        assert!(lines[1].starts_with("0,app,AppSubmitted,1"));
-        assert!(csv.contains("TaskAssigned,14"));
     }
 
     #[test]

@@ -208,7 +208,7 @@ pub fn validate_all<'a>(graphs: impl IntoIterator<Item = &'a SchedulingGraph>) -
 /// from). Below-100% coverage there means the extraction rules no longer
 /// understand the log format — new states, changed message shapes — and
 /// delays may be computed from an incomplete event set.
-pub fn coverage_warnings(cov: &ParseCoverage) -> Vec<String> {
+pub(crate) fn coverage_warnings(cov: &ParseCoverage) -> Vec<String> {
     let mut out = Vec::new();
     for kind in SourceKind::ALL {
         if !kind.is_scheduling_relevant() {
@@ -295,7 +295,7 @@ mod tests {
         let c = a.attempt(1).container(2);
         use EventKind::*;
         // NM clock is 400 ms behind: LOCALIZING logged "before" ACQUIRED.
-        // (Events arrive globally time-sorted, as extract_all produces
+        // (Events arrive globally time-sorted, as extract_all_cov_with produces
         // them; the skew shows up as a causal-order violation.)
         let g = graph(vec![
             ev(1000, ContainerAllocated, a, Some(c)),

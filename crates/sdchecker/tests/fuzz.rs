@@ -15,7 +15,7 @@ use logmodel::{corrupt_dir, CorruptConfig, Epoch, LogSource, LogStore, TsMs};
 use obs::json::Json;
 use sdchecker::{
     analyze_dir, default_rules, full_report, report_json, wide_events_for_analysis, AlertEngine,
-    Extractor, IncrementalAnalyzer, IncrementalConfig, Outcome, Report,
+    Extractor, IncrementalAnalyzer, IncrementalConfig, Outcome, Report, StreamCursor,
 };
 
 fn bin() -> Command {
@@ -179,7 +179,12 @@ fn every_event_derives_the_stream_it_was_extracted_from() {
                 LogSource::NodeManager(n) => Some(n),
                 _ => None,
             };
-            for ev in ex.extract_stream(source, store.records(source)) {
+            let mut cursor = StreamCursor::new(source);
+            let mut evs = Vec::new();
+            for r in store.records(source) {
+                ex.extract_record(&mut cursor, &r.as_ref(), &mut evs);
+            }
+            for ev in evs {
                 assert_eq!(ev.source(), source, "[{label}] {ev:?}");
                 assert_eq!(ev.node(), node, "[{label}] {ev:?}");
                 if let Some(cid) = ev.container() {

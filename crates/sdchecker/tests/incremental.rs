@@ -663,7 +663,10 @@ fn live_set_sweep_loses_nothing_when_no_cluster_log_names_an_application() {
     // applications, so their files are read on their turns until their
     // own first events put them in flight.
     let mut apps_only = LogStore::new(*full.epoch());
-    for src in full.sources().filter(|s| !s.is_cluster_log()) {
+    for src in full
+        .sources()
+        .filter(|s| !matches!(s, LogSource::ResourceManager | LogSource::NodeManager(_)))
+    {
         for rec in full.records(src) {
             apps_only.push(src, rec.clone());
         }
@@ -718,7 +721,7 @@ fn live_set_sweep_loses_nothing_when_no_cluster_log_names_an_application() {
     for src in full.sources().filter(|s| *s != rm) {
         let text = full.render_source(src);
         let path = dir.join(src.rel_path());
-        if src.is_cluster_log() {
+        if matches!(src, LogSource::ResourceManager | LogSource::NodeManager(_)) {
             append(&path, text.as_bytes());
         } else {
             let cut = text.trim_end().rfind('\n').unwrap() + 1;

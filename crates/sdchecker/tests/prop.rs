@@ -105,23 +105,3 @@ fn cdf_monotone_and_bounded() {
         assert!(q25 >= min && q75 <= max, "case {case}");
     }
 }
-
-/// CDF points are monotone in both coordinates and end at fraction 1.
-#[test]
-fn cdf_points_monotone() {
-    for case in 0..CASES {
-        let mut rng = SimRng::new(0x5D03 + case);
-        let n = rng.range(1, 400) as usize;
-        let values: Vec<f64> = (0..n).map(|_| rng.range_f64(0.0, 1e6)).collect();
-        let cap = rng.range(5, 50) as usize;
-        let cdf = Cdf::from(&values);
-        let pts = cdf.points(cap);
-        assert!(!pts.is_empty(), "case {case}");
-        assert!(pts.len() <= cap.max(values.len().min(cap)), "case {case}");
-        for w in pts.windows(2) {
-            assert!(w[0].0 <= w[1].0, "case {case}");
-            assert!(w[0].1 < w[1].1, "case {case}");
-        }
-        assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-12, "case {case}");
-    }
-}

@@ -44,10 +44,10 @@ pub const RELAXED_ALLOW: &[RelaxedSite] = &[
         file: "crates/obs/src/recorder.rs",
         pattern: "self.enabled.load(",
         sites: 1,
-        justification: "hot-path recording gate: enable()/disable() store with \
-                        SeqCst, and a reader that races the flip merely keeps or \
-                        drops one sample — no data is published through the flag, \
-                        so stale reads are harmless",
+        justification: "hot-path recording gate: enabling stores with SeqCst, \
+                        and a reader that races the flip merely keeps or drops one \
+                        sample — no data is published through the flag, so stale \
+                        reads are harmless",
     },
     RelaxedSite {
         file: "crates/obs/src/recorder.rs",

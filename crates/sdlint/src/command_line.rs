@@ -1,9 +1,9 @@
 //! Checker 9: one module reads the command line.
 //!
 //! Every binary reads its flags and stops through `sdchecker::cli`. Any
-//! other non-test source under `crates/*/src`, binaries included, that
-//! reads the process arguments is a hand-rolled parser again. There is
-//! no allowlist.
+//! other non-test program source — under `crates/*/src`, binaries
+//! included, the root `src/` or `examples/` — that reads the process
+//! arguments is a hand-rolled parser again. There is no allowlist.
 
 use std::path::Path;
 
@@ -46,9 +46,9 @@ pub fn check_sources(sources: &[scan::SourceFile]) -> Vec<Finding> {
     findings
 }
 
-/// Audit the workspace rooted at `repo_root`.
+/// Audit the repository rooted at `repo_root`.
 pub fn check(repo_root: &Path) -> Vec<Finding> {
-    match scan::workspace_sources(repo_root, true) {
+    match scan::program_sources(repo_root) {
         Ok(sources) => check_sources(&sources),
         Err(e) => vec![Finding::new(CHECKER, e)],
     }

@@ -146,7 +146,7 @@ pub fn explore(model: &dyn Model, max_states: u64) -> (Vec<Finding>, Stats) {
 /// are two mirrored words written one at a time so a reader that
 /// bypassed the lock could observe a torn pair. One snapshot thread
 /// walks the shards and publishes the total.
-pub struct RegistryModel {
+pub(crate) struct RegistryModel {
     writers: usize,
     incrs: u64,
     shards: usize,
@@ -170,7 +170,8 @@ impl RegistryModel {
     }
 
     /// Seeded bug: snapshot reads shard words without taking the lock.
-    pub fn torn_reader() -> RegistryModel {
+    #[cfg(test)]
+    pub(crate) fn torn_reader() -> RegistryModel {
         RegistryModel {
             reader_locks: false,
             ..RegistryModel::real()
@@ -366,7 +367,7 @@ impl Model for RegistryModel {
 /// shared cursor under a queue lock and retire each item into its
 /// per-index slot; the merge then reads the slots in index order, so
 /// exactly-once retirement is exactly determinism of the merged output.
-pub struct ParMergeModel {
+pub(crate) struct ParMergeModel {
     items: usize,
     workers: usize,
     /// Mutation: the pop is split read/advance without the lock.
@@ -383,7 +384,8 @@ impl ParMergeModel {
     }
 
     /// Seeded bug: two workers can read the same cursor value.
-    pub fn unlocked_pop() -> ParMergeModel {
+    #[cfg(test)]
+    pub(crate) fn unlocked_pop() -> ParMergeModel {
         ParMergeModel {
             locked_pop: false,
             ..ParMergeModel::real()
@@ -755,7 +757,7 @@ impl Model for DaemonModel {
 pub const MAX_STATES: u64 = 2_000_000;
 
 /// Run every real model exhaustively; findings plus per-model stats.
-pub fn check_with_stats() -> (Vec<Finding>, Vec<Stats>) {
+pub(crate) fn check_with_stats() -> (Vec<Finding>, Vec<Stats>) {
     let mut findings = Vec::new();
     let mut stats = Vec::new();
     let registry = RegistryModel::real();

@@ -42,9 +42,13 @@
 //!   every emitted document is spelled with, holds a string literal
 //!   spelling a JSON member name's closing quote and colon. No
 //!   allowlist.
-//! * [`command_line`] — no non-test source but `sdchecker::cli`, the
-//!   parser every binary reads its flags through, reads the process
-//!   arguments. No allowlist.
+//! * [`command_line`] — no non-test program source but `sdchecker::cli`,
+//!   the parser every binary and example reads its flags through, reads
+//!   the process arguments. No allowlist.
+//! * [`surface`] — every `pub` item in a library crate is named by some
+//!   non-test code other than its definition: a binary, another crate,
+//!   an example or `sdbench`. Literals, comments and `pub use` lines do
+//!   not count; a two-way allowlist keeps the few items only tests need.
 //!
 //! Run it as `cargo run -p sdlint` (CI gate), or via the test suite
 //! (`cargo test -p sdlint`), which additionally mutation-tests the
@@ -58,17 +62,17 @@ pub mod interleave;
 pub mod json_syntax;
 pub mod locks;
 pub mod machines;
-pub mod modelcheck;
-pub mod panics;
+mod modelcheck;
+mod panics;
 pub mod scan;
+pub mod surface;
 
 /// One verification failure. `sdlint` reports findings; it never panics
 /// (it has to pass its own audit).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Which checker produced it (`conformance`, `machines`,
-    /// `modelcheck`, `panics`, `locks`, `atomics`, `determinism`,
-    /// `json`, `cli`, `interleave`).
+    /// Which checker produced it: the name [`run_all_with_stats`]
+    /// times it under.
     pub checker: &'static str,
     /// Human-readable diagnostic, naming the offending template/rule/
     /// file and — where applicable — the closest near-miss.
@@ -110,24 +114,28 @@ pub struct CheckerTiming {
 }
 
 /// Everything one full lint run produced: findings, per-checker
-/// timings, and the interleaving explorer's state counts.
+/// timings, the interleaving explorer's state counts and the public
+/// surface's size.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     pub findings: Vec<Finding>,
     pub timings: Vec<CheckerTiming>,
     pub interleave: Vec<interleave::Stats>,
+    pub surface: surface::Stats,
 }
 
 /// Run every checker against the real tables and the repository rooted
 /// at `repo_root` (the source audits read from disk; the table and
-/// model checkers are pure), recording per-checker runtime and the
-/// interleaving state counts.
+/// model checkers are pure), recording per-checker runtime, the
+/// interleaving state counts and the public surface's size.
 pub fn run_all_with_stats(repo_root: &std::path::Path) -> RunReport {
     let mut report = RunReport {
         findings: Vec::new(),
         timings: Vec::new(),
         interleave: Vec::new(),
+        surface: surface::Stats::default(),
     };
+    let mut surface_stats = surface::Stats::default();
     let timed =
         |name: &'static str, report: &mut RunReport, f: &mut dyn FnMut() -> Vec<Finding>| {
             let start = std::time::Instant::now();
@@ -154,6 +162,11 @@ pub fn run_all_with_stats(repo_root: &std::path::Path) -> RunReport {
     });
     timed("json", &mut report, &mut || json_syntax::check(repo_root));
     timed("cli", &mut report, &mut || command_line::check(repo_root));
+    timed("surface", &mut report, &mut || {
+        let (findings, stats) = surface::check(repo_root);
+        surface_stats = stats;
+        findings
+    });
     let start = std::time::Instant::now();
     let (findings, stats) = interleave::check_with_stats();
     report.timings.push(CheckerTiming {
@@ -163,12 +176,8 @@ pub fn run_all_with_stats(repo_root: &std::path::Path) -> RunReport {
     });
     report.findings.extend(findings);
     report.interleave = stats;
+    report.surface = surface_stats;
     report
-}
-
-/// Findings-only wrapper around [`run_all_with_stats`].
-pub fn run_all(repo_root: &std::path::Path) -> Vec<Finding> {
-    run_all_with_stats(repo_root).findings
 }
 
 /// The repository root when running from a workspace checkout

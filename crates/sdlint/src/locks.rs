@@ -206,7 +206,7 @@ pub struct PoisonAllow {
 
 /// Files allowed to `.unwrap()` a lock result. Everything else must
 /// recover from poisoning.
-pub const POISON_ALLOW: &[PoisonAllow] = &[
+pub(crate) const POISON_ALLOW: &[PoisonAllow] = &[
     PoisonAllow {
         file: "crates/logmodel/src/par.rs",
         count: 2,

@@ -14,7 +14,7 @@ use crate::Finding;
 const CHECKER: &str = "machines";
 
 /// Verify one machine spec.
-pub fn check_machine(m: &MachineSpec) -> Vec<Finding> {
+pub(crate) fn check_machine(m: &MachineSpec) -> Vec<Finding> {
     let mut findings = Vec::new();
     let n = m.states.len();
 

@@ -1,7 +1,8 @@
 //! CLI entry point: run every checker, print per-checker runtime, the
-//! lock table's size and the interleaving explorer's state counts (so
-//! CI logs show where lint time goes and whether a model edit exploded
-//! the state space), and exit nonzero on any finding.
+//! lock table's and the public surface's sizes and the interleaving
+//! explorer's state counts (so CI logs show where lint time goes and
+//! whether a model edit exploded the state space), and exit nonzero on
+//! any finding.
 
 fn main() {
     let root = sdlint::default_repo_root();
@@ -16,6 +17,10 @@ fn main() {
         "sdlint: lock table {} lock(s), {} held edge(s)",
         sdlint::locks::LOCKS.len(),
         sdlint::locks::HELD_EDGES.len(),
+    );
+    println!(
+        "sdlint: surface {} pub items, {} allowlisted",
+        report.surface.items, report.surface.allowlisted,
     );
     for s in &report.interleave {
         println!(
@@ -33,10 +38,8 @@ fn main() {
         );
     }
     if report.findings.is_empty() {
-        println!(
-            "sdlint: all checks passed (conformance, machines, modelcheck, \
-             panics, locks, atomics, determinism, json, cli, interleave)"
-        );
+        let names: Vec<&str> = report.timings.iter().map(|t| t.name).collect();
+        println!("sdlint: all checks passed ({})", names.join(", "));
         return;
     }
     eprintln!("sdlint: {} finding(s)", report.findings.len());

@@ -6,12 +6,12 @@
 //! i.e. the diagnostic a developer would need to fix the drift.
 
 use logmodel::schema::MsgTemplate;
-use sdlint::{command_line, conformance, json_syntax, machines, scan};
+use sdlint::{command_line, conformance, json_syntax, machines, scan, surface};
 
 /// The real tables produce zero findings — the merge gate.
 #[test]
 fn repo_is_clean() {
-    let findings = sdlint::run_all(&sdlint::default_repo_root());
+    let findings = sdlint::run_all_with_stats(&sdlint::default_repo_root()).findings;
     assert!(findings.is_empty(), "{findings:#?}");
 }
 
@@ -217,5 +217,99 @@ fn command_line_read_outside_cli_is_caught() {
             .message
             .contains("crates/experiments/src/bin/sdsim.rs:3"),
         "{findings:#?}"
+    );
+}
+
+/// Sources as the surface audit reads them: test blocks stripped.
+fn surface_sources(files: &[(&str, &str)]) -> Vec<scan::SourceFile> {
+    files
+        .iter()
+        .map(|(rel, text)| scan::SourceFile {
+            rel: rel.to_string(),
+            body: scan::strip_test_blocks(text).0,
+        })
+        .collect()
+}
+
+fn surface_findings(files: &[(&str, &str)]) -> Vec<sdlint::Finding> {
+    surface::check_sources(&surface_sources(files), &[]).0
+}
+
+const LIB: &str = "crates/x/src/lib.rs";
+
+fn names_file_and_item(findings: &[sdlint::Finding], item: &str) {
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    let m = &findings[0].message;
+    assert!(m.contains(LIB) && m.contains(&format!("`{item}`")), "{m}");
+}
+
+/// A `pub fn` only a `#[cfg(test)]` module calls has no caller.
+#[test]
+fn pub_fn_named_only_by_its_unit_tests_is_caught() {
+    let lib = "pub fn only_tested() -> u8 {\n    1\n}\n\n#[cfg(test)]\nmod tests {\n    \
+               #[test]\n    fn t() {\n        assert_eq!(super::only_tested(), 1);\n    }\n}\n";
+    names_file_and_item(&surface_findings(&[(LIB, lib)]), "only_tested");
+}
+
+/// A span name or a justification that spells an item calls nothing.
+#[test]
+fn pub_fn_named_only_in_a_literal_or_comment_is_caught() {
+    let lib = "pub fn spelled() {}\n";
+    for caller in [
+        "fn f() {\n    let _s = obs::span(\"spelled\");\n}\n",
+        "fn f() {\n    let _s = r#\"spelled\"#;\n}\n",
+        "// spelled() is the old way\nfn f() {}\n",
+        "fn f() {\n    /* spelled */\n}\n",
+    ] {
+        let findings = surface_findings(&[(LIB, lib), ("crates/y/src/bin/y.rs", caller)]);
+        names_file_and_item(&findings, "spelled");
+    }
+}
+
+/// A re-export names an item without calling it.
+#[test]
+fn pub_fn_named_only_by_a_reexport_is_caught() {
+    let lib = "mod inner;\npub use inner::{\n    exported,\n    Other,\n};\nfn g(_: Other) {}\n";
+    let inner = (
+        "crates/x/src/inner.rs",
+        "pub fn exported() {}\npub struct Other;\n",
+    );
+    let findings = surface::check_sources(&surface_sources(&[(LIB, lib), inner]), &[]).0;
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    let m = &findings[0].message;
+    assert!(
+        m.contains("crates/x/src/inner.rs") && m.contains("`exported`"),
+        "{m}"
+    );
+}
+
+/// An example or the benchmark harness is a caller.
+#[test]
+fn pub_fn_called_from_examples_or_sdbench_is_clean() {
+    let lib = "pub fn used() {}\n";
+    for rel in ["examples/demo.rs", "sdbench/src/trace.rs"] {
+        let caller = "fn main() {\n    x::used();\n}\n";
+        assert!(
+            surface_findings(&[(LIB, lib), (rel, caller)]).is_empty(),
+            "{rel}"
+        );
+    }
+}
+
+/// An allowlist entry whose item has a caller again is stale.
+#[test]
+fn stale_surface_allowlist_entry_is_caught() {
+    let lib = "pub fn used() {}\nfn g() {\n    used();\n}\n";
+    let allow = [surface::SurfaceAllow {
+        file: LIB,
+        name: "used",
+        reason: "once only tests called it",
+    }];
+    let findings = surface::check_sources(&surface_sources(&[(LIB, lib)]), &allow).0;
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    let m = &findings[0].message;
+    assert!(
+        m.contains(LIB) && m.contains("`used`") && m.contains("stale"),
+        "{m}"
     );
 }

@@ -47,10 +47,6 @@ pub enum Dist {
     /// Draw from `a` with probability `p`, else from `b`. Used for
     /// bimodal effects such as "mostly fast, occasionally very slow".
     Mix { p: f64, a: Box<Dist>, b: Box<Dist> },
-    /// Resample uniformly from observed values (bootstrap). Lets measured
-    /// delay populations — e.g. real launch times mined by sdchecker —
-    /// drive the simulator directly.
-    Empirical(std::sync::Arc<Vec<f64>>),
 }
 
 impl Dist {
@@ -111,12 +107,6 @@ impl Dist {
         }
     }
 
-    /// Empirical (bootstrap) distribution over observed samples.
-    pub fn empirical(samples: Vec<f64>) -> Dist {
-        assert!(!samples.is_empty(), "empirical distribution needs samples");
-        Dist::Empirical(std::sync::Arc::new(samples))
-    }
-
     /// The distribution's median (exact for every variant except `Mix`,
     /// where it returns the p-weighted blend of medians as a calibration
     /// aid).
@@ -130,11 +120,6 @@ impl Dist {
             Dist::Clamped { base, lo, hi } => base.median().clamp(*lo, *hi),
             Dist::Shifted { base, offset } => base.median() + offset,
             Dist::Mix { p, a, b } => p * a.median() + (1.0 - p) * b.median(),
-            Dist::Empirical(v) => {
-                let mut sorted = v.as_ref().clone();
-                sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-                sorted[sorted.len() / 2]
-            }
         }
     }
 
@@ -172,9 +157,6 @@ impl Dist {
                 a: Box::new(a.scaled(k)),
                 b: Box::new(b.scaled(k)),
             },
-            Dist::Empirical(v) => {
-                Dist::Empirical(std::sync::Arc::new(v.iter().map(|x| x * k).collect()))
-            }
         }
     }
 }
@@ -202,7 +184,6 @@ impl Sample for Dist {
                     b.sample(rng)
                 }
             }
-            Dist::Empirical(v) => v[rng.index(v.len())],
         }
     }
 }
@@ -303,24 +284,5 @@ mod tests {
     #[test]
     fn uniform_median() {
         assert_eq!(Dist::uniform(0.0, 10.0).median(), 5.0);
-    }
-
-    #[test]
-    fn empirical_resamples_observed_values() {
-        let obs = vec![10.0, 20.0, 30.0];
-        let d = Dist::empirical(obs.clone());
-        let mut rng = SimRng::new(5);
-        for _ in 0..200 {
-            assert!(obs.contains(&d.sample(&mut rng)));
-        }
-        assert_eq!(d.median(), 20.0);
-        let scaled = d.scaled(2.0);
-        assert_eq!(scaled.median(), 40.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs samples")]
-    fn empirical_rejects_empty() {
-        Dist::empirical(vec![]);
     }
 }

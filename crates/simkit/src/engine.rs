@@ -69,11 +69,6 @@ impl<'a, E> Ctx<'a, E> {
         self.rng
     }
 
-    /// Schedule `ev` to fire `delay` from now.
-    pub fn schedule_in(&mut self, delay: Millis, ev: E) {
-        self.pending.push((self.now + delay, ev));
-    }
-
     /// Schedule `ev` at an absolute time (clamped to now if in the past —
     /// the simulation clock never moves backwards).
     pub fn schedule_at(&mut self, at: Millis, ev: E) {
@@ -140,7 +135,8 @@ impl<M: Model> Engine<M> {
     /// Redirect this engine's instrumentation to `recorder` instead of
     /// the process-wide default (tests inject a leaked local recorder to
     /// stay isolated from the global one).
-    pub fn set_recorder(&mut self, recorder: &'static obs::Recorder) {
+    #[cfg(test)]
+    pub(crate) fn set_recorder(&mut self, recorder: &'static obs::Recorder) {
         self.recorder = recorder;
     }
 
@@ -214,7 +210,7 @@ impl<M: Model> Engine<M> {
     /// mark, and the simulated-vs-wall-time gauges (`sim_time_ms`,
     /// `sim_wall_ms`, and their ratio `sim_speedup`). Called at the end
     /// of every `run_*`; idempotent, and a no-op while disabled.
-    pub fn flush_stats(&mut self) {
+    pub(crate) fn flush_stats(&mut self) {
         if !self.recorder.is_enabled() {
             return;
         }
@@ -234,13 +230,6 @@ impl<M: Model> Engine<M> {
             self.recorder
                 .gauge_set("sim_speedup", self.now.0 as f64 / wall_ms);
         }
-    }
-
-    /// Run until the queue empties.
-    pub fn run_to_completion(&mut self) {
-        let _span = self.recorder.span("sim_run");
-        while self.step() {}
-        self.flush_stats();
     }
 
     /// Run until the queue empties, the clock passes `horizon` (events
@@ -263,9 +252,9 @@ impl<M: Model> Engine<M> {
     }
 
     /// Run at most `limit` further events; returns how many were processed.
-    /// A guard against accidental non-terminating models in tests. It
-    /// ignores quiescence, so it can step a model past the point where
-    /// `run_until` stops.
+    /// It ignores quiescence, so it can step a model past the point where
+    /// `run_until` stops: the reference `tests/quiescence.rs` holds
+    /// `run_until` to.
     pub fn run_capped(&mut self, limit: u64) -> u64 {
         let mut n = 0;
         while n < limit && self.step() {
@@ -297,7 +286,7 @@ mod tests {
                 Ev::Chain(n) => {
                     self.seen.push((ctx.now(), n));
                     if n > 0 {
-                        ctx.schedule_in(Millis(5), Ev::Chain(n - 1));
+                        ctx.schedule_at(ctx.now() + Millis(5), Ev::Chain(n - 1));
                     }
                 }
             }
@@ -316,7 +305,7 @@ mod tests {
         e.schedule_at(Millis(30), Ev::Tag(3));
         e.schedule_at(Millis(10), Ev::Tag(1));
         e.schedule_at(Millis(20), Ev::Tag(2));
-        e.run_to_completion();
+        e.run_until(Millis::MAX);
         assert_eq!(
             e.model().seen,
             vec![(Millis(10), 1), (Millis(20), 2), (Millis(30), 3)]
@@ -328,7 +317,7 @@ mod tests {
     fn chained_scheduling_advances_clock() {
         let mut e = Engine::new(Echo { seen: vec![] }, 0);
         e.schedule_at(Millis(0), Ev::Chain(3));
-        e.run_to_completion();
+        e.run_until(Millis::MAX);
         assert_eq!(e.now(), Millis(15));
         assert_eq!(e.model().seen.len(), 4);
     }
@@ -341,7 +330,7 @@ mod tests {
         // Events at 0, 5, 10 processed; 15 not.
         assert_eq!(e.model().seen.len(), 3);
         assert_eq!(e.now(), Millis(10));
-        e.run_to_completion();
+        e.run_until(Millis::MAX);
         assert_eq!(e.model().seen.len(), 11);
     }
 
@@ -363,7 +352,7 @@ mod tests {
                 match ev {
                     BEv::Beat => {
                         self.beats += 1;
-                        ctx.schedule_in(Millis(10), BEv::Beat);
+                        ctx.schedule_at(ctx.now() + Millis(10), BEv::Beat);
                     }
                     BEv::Job => self.jobs_left -= 1,
                 }
@@ -428,7 +417,7 @@ mod tests {
         }
         let mut e = Engine::new(PastScheduler { fired_at: None }, 0);
         e.schedule_at(Millis(100), PEv::Trigger);
-        e.run_to_completion();
+        e.run_until(Millis::MAX);
         assert_eq!(e.model().fired_at, Some(Millis(100)));
     }
 
@@ -442,7 +431,7 @@ mod tests {
         e.set_recorder(rec);
         e.schedule_at(Millis(30), Ev::Tag(7));
         e.schedule_at(Millis(0), Ev::Chain(2));
-        e.run_to_completion();
+        e.run_until(Millis::MAX);
         let snap = rec.snapshot();
         assert_eq!(
             snap.counter_labeled("sim_events_total", &[("kind", "chain")]),
@@ -483,13 +472,13 @@ mod tests {
                     self.draws.push(ctx.rng().u64());
                     if n > 0 {
                         let d = ctx.rng().below(10) + 1;
-                        ctx.schedule_in(Millis(d), Ev::Draw(n - 1));
+                        ctx.schedule_at(ctx.now() + Millis(d), Ev::Draw(n - 1));
                     }
                 }
             }
             let mut e = Engine::new(R { draws: vec![] }, seed);
             e.schedule_at(Millis(0), Ev::Draw(20));
-            e.run_to_completion();
+            e.run_until(Millis::MAX);
             e.into_model().draws
         }
         assert_eq!(run(42), run(42));

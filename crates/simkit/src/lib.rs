@@ -16,7 +16,7 @@
 //!   scenario (seed, config) always produces byte-identical logs. Events at
 //!   the same timestamp are ordered by insertion sequence number.
 //! * **Processor sharing.** Contended resources (a node's CPU cores, a
-//!   node's disk/network channel) are modeled as [`ps::PsResource`]: a
+//!   node's disk/network channel) are modeled as [`PsResource`]: a
 //!   work-conserving processor-sharing queue with per-flow rate caps and
 //!   weights. This single primitive generates the fair-share slowdowns,
 //!   heavy tails, and interference effects the paper measures.
@@ -26,7 +26,7 @@
 //! RNG.
 //!
 //! ```
-//! use simkit::prelude::*;
+//! use simkit::{Ctx, Engine, Millis, Model};
 //!
 //! struct Counter { fired: u32 }
 //! #[derive(Debug)]
@@ -37,34 +37,24 @@
 //!     fn handle(&mut self, _ev: Ev, ctx: &mut Ctx<Ev>) {
 //!         self.fired += 1;
 //!         if self.fired < 3 {
-//!             ctx.schedule_in(Millis(10), Ev::Ping);
+//!             ctx.schedule_at(ctx.now() + Millis(10), Ev::Ping);
 //!         }
 //!     }
 //! }
 //!
 //! let mut engine = Engine::new(Counter { fired: 0 }, 42);
 //! engine.schedule_at(Millis(0), Ev::Ping);
-//! engine.run_to_completion();
+//! engine.run_until(Millis::MAX);
 //! assert_eq!(engine.model().fired, 3);
 //! assert_eq!(engine.now(), Millis(20));
 //! ```
 
-pub mod dist;
-pub mod engine;
-pub mod ps;
-pub mod queue;
-pub mod rng;
-pub mod time;
-
-/// One-stop import for simulation models.
-pub mod prelude {
-    pub use crate::dist::{Dist, Sample};
-    pub use crate::engine::{Ctx, Engine, Model};
-    pub use crate::ps::{FlowId, PsResource, ResourceGen};
-    pub use crate::queue::EventQueue;
-    pub use crate::rng::SimRng;
-    pub use crate::time::Millis;
-}
+mod dist;
+mod engine;
+mod ps;
+mod queue;
+mod rng;
+mod time;
 
 pub use dist::{Dist, Sample};
 pub use engine::{Ctx, Engine, Model};

@@ -22,7 +22,7 @@
 //! to the deliberate ceil-to-millisecond quantization).
 //!
 //! **The tick invariant.** The owner re-arms after every mutation
-//! (`add_flow`, `cancel`) and after every fresh tick. So while a resource
+//! (`add_flow`) and after every fresh tick. So while a resource
 //! has work, the queue holds a tick carrying its current generation. A
 //! stale tick (generation mismatch) makes `on_tick` return `None`, and the
 //! owner must then schedule *nothing*. Re-arming from a stale tick would
@@ -63,9 +63,8 @@ pub struct PsResource {
     /// Flows that reached zero remaining work during the last advance and
     /// await collection by `on_tick`.
     finished: Vec<FlowId>,
-    /// Lifetime accounting for utilization reporting.
+    /// Lifetime accounting.
     work_done: f64,
-    busy_ms: f64,
     /// What [`PsResource::compute_rates`] leaves behind, kept so a rate
     /// computation allocates nothing: each flow's rate by its position
     /// in `flows`, and every `(id, rate)` in the order water-filling
@@ -89,7 +88,6 @@ impl PsResource {
             last: 0.0,
             finished: Vec::new(),
             work_done: 0.0,
-            busy_ms: 0.0,
             rate_at: Vec::new(),
             settled: Vec::new(),
             unsettled: Vec::new(),
@@ -116,22 +114,6 @@ impl PsResource {
         self.work_done
     }
 
-    /// Milliseconds during which at least one flow was active.
-    pub fn busy_ms(&self) -> f64 {
-        self.busy_ms
-    }
-
-    /// Instantaneous utilization in `[0, 1]`: demanded rate over capacity.
-    pub fn utilization(&self) -> f64 {
-        let demand: f64 = self
-            .flows
-            .values()
-            .filter(|f| f.remaining > EPS)
-            .map(|f| f.cap)
-            .sum();
-        (demand / self.capacity).min(1.0)
-    }
-
     /// Add a flow with `work` units outstanding, fair-share `weight`, and a
     /// maximum absorption rate of `cap` units/ms. Returns its id. Bumps the
     /// generation: the caller must reschedule its tick.
@@ -153,17 +135,6 @@ impl PsResource {
         }
         self.gen += 1;
         FlowId(id)
-    }
-
-    /// Remove a flow before completion, returning its remaining work.
-    /// Returns `None` if the id is unknown (already completed/cancelled).
-    /// Bumps the generation.
-    pub fn cancel(&mut self, now: Millis, id: FlowId) -> Option<f64> {
-        self.advance_to(now.as_f64());
-        let f = self.flows.remove(&id.0)?;
-        self.finished.retain(|x| *x != id);
-        self.gen += 1;
-        Some(f.remaining)
     }
 
     /// Remaining work for a flow, if it is still in flight.
@@ -223,10 +194,6 @@ impl PsResource {
             return;
         }
         let dt = now_ms - self.last;
-        let active = self.flows.values().any(|f| f.remaining > EPS);
-        if active {
-            self.busy_ms += dt;
-        }
         self.compute_rates();
         for &(id, rate) in &self.settled {
             if let Some(f) = self.flows.get_mut(&id) {
@@ -407,16 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_returns_remaining() {
-        let mut res = PsResource::new(1.0);
-        let a = res.add_flow(Millis(0), 100.0, 1.0, 1.0);
-        let left = res.cancel(Millis(30), a).unwrap();
-        assert!((left - 70.0).abs() < 1e-6, "left {left}");
-        assert!(res.cancel(Millis(31), a).is_none());
-        assert!(res.next_completion(Millis(31)).is_none());
-    }
-
-    #[test]
     fn zero_work_flow_completes_immediately() {
         let mut res = PsResource::new(1.0);
         let a = res.add_flow(Millis(5), 0.0, 1.0, 1.0);
@@ -448,17 +405,6 @@ mod tests {
             "{}",
             res.work_done()
         );
-        assert!(res.busy_ms() >= 40.0 - 1e-6, "{}", res.busy_ms());
-    }
-
-    #[test]
-    fn utilization_reflects_demand() {
-        let mut res = PsResource::new(10.0);
-        assert_eq!(res.utilization(), 0.0);
-        res.add_flow(Millis(0), 100.0, 1.0, 5.0);
-        assert!((res.utilization() - 0.5).abs() < 1e-9);
-        res.add_flow(Millis(0), 100.0, 1.0, 20.0);
-        assert_eq!(res.utilization(), 1.0);
     }
 
     #[test]

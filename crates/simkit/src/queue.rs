@@ -74,7 +74,7 @@ impl<E> EventQueue<E> {
     }
 
     /// The timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Millis> {
+    pub(crate) fn peek_time(&self) -> Option<Millis> {
         self.heap.peek().map(|e| e.at)
     }
 
@@ -86,11 +86,6 @@ impl<E> EventQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled (the sequence counter).
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
     }
 }
 
@@ -142,6 +137,5 @@ mod tests {
         q.push(Millis(3), ());
         assert_eq!(q.peek_time(), Some(Millis(3)));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
     }
 }

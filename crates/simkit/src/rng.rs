@@ -151,7 +151,7 @@ impl SimRng {
 
     /// Standard normal variate via Box–Muller (one value per call; the
     /// second value is discarded to keep the draw count predictable).
-    pub fn std_normal(&mut self) -> f64 {
+    pub(crate) fn std_normal(&mut self) -> f64 {
         // Avoid ln(0).
         let u1 = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
         let u2 = self.f64();

@@ -49,7 +49,7 @@ impl Millis {
     /// millisecond. Completions computed in `f64` inside shared resources
     /// are re-quantized with this so a completion event never fires before
     /// the work is actually done.
-    pub fn from_f64_ceil(ms: f64) -> Millis {
+    pub(crate) fn from_f64_ceil(ms: f64) -> Millis {
         debug_assert!(ms >= 0.0, "negative time {ms}");
         if ms >= u64::MAX as f64 {
             Millis::MAX

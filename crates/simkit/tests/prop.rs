@@ -196,25 +196,3 @@ fn rng_forks_reproducible() {
         assert_eq!(xa1, xa2, "case {case}");
     }
 }
-
-/// Cancelling a flow returns remaining work consistent with elapsed
-/// progress (never more than submitted, never negative).
-#[test]
-fn ps_cancel_remaining_bounded() {
-    for case in 0..CASES {
-        let mut rng = SimRng::new(0x26 + case);
-        let work = rng.range_f64(100.0, 10_000.0);
-        let cancel_at = rng.range(1, 500);
-        let capacity = rng.range_f64(0.5, 8.0);
-        let mut res = PsResource::new(capacity);
-        let id = res.add_flow(Millis(0), work, 1.0, 1.0);
-        let left = res.cancel(Millis(cancel_at), id).unwrap();
-        assert!(left >= 0.0 && left <= work, "case {case}");
-        let progressed = work - left;
-        let max_possible = cancel_at as f64 * capacity.min(1.0);
-        assert!(
-            progressed <= max_possible + 1e-6,
-            "case {case}: progressed {progressed} > possible {max_possible}"
-        );
-    }
-}

@@ -179,13 +179,13 @@ pub struct JobSpec {
 impl JobSpec {
     /// Gate threshold: executors that must register before task
     /// scheduling starts.
-    pub fn min_registered(&self) -> u32 {
+    pub(crate) fn min_registered(&self) -> u32 {
         ((self.num_executors as f64 * self.min_registered_ratio).ceil() as u32)
             .clamp(1, self.num_executors.max(1))
     }
 
     /// Containers the driver asks YARN for (needed + bug extras).
-    pub fn requested_executors(&self) -> u32 {
+    pub(crate) fn requested_executors(&self) -> u32 {
         self.num_executors + self.overalloc_extra
     }
 }

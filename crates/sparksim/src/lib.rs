@@ -12,10 +12,10 @@
 //! `simkit` model; [`model::simulate`] is the one-call entry point used by
 //! the experiment harness.
 
-pub mod job;
-pub mod model;
+mod job;
+mod model;
 pub mod profiles;
-pub mod run;
+mod run;
 pub mod schema;
 
 pub use job::{Framework, JobKind, JobSpec, StageSpec, UserInit};

@@ -21,10 +21,10 @@ use yarnsim::{ContainerRuntime, ResourceReq};
 use crate::job::{Framework, JobKind, JobSpec, StageSpec, UserInit};
 
 /// HDFS block size (MB) — §IV-A.
-pub const HDFS_BLOCK_MB: f64 = 128.0;
+pub(crate) const HDFS_BLOCK_MB: f64 = 128.0;
 
 /// Number of TPC-H tables (opened files during Spark-SQL init).
-pub const TPCH_TABLES: u32 = 8;
+pub(crate) const TPCH_TABLES: u32 = 8;
 
 fn splits(input_mb: f64) -> u32 {
     ((input_mb / HDFS_BLOCK_MB).ceil() as u32).clamp(2, 800)
@@ -195,7 +195,7 @@ pub fn mr_wordcount(input_mb: f64) -> JobSpec {
 }
 
 /// HDFS replication factor (§IV-A: "replication factor of three").
-pub const HDFS_REPLICATION: u32 = 3;
+pub(crate) const HDFS_REPLICATION: u32 = 3;
 
 /// dfsIO interference: `writers` parallel map tasks, each writing
 /// `gb_per_task` GB to HDFS (paper: 20 GB each; §IV-E). Every HDFS write

@@ -34,7 +34,7 @@ pub enum RunEvent {
 }
 
 /// Mutable context threaded through run handlers.
-pub struct Wx<'a> {
+pub(crate) struct Wx<'a> {
     /// Current simulation time.
     pub now: Millis,
     /// The cluster to call back into.
@@ -125,7 +125,7 @@ impl Run {
     }
 
     /// Route a cluster notice.
-    pub fn on_notice(&mut self, n: AppNotice, wx: &mut Wx) {
+    pub(crate) fn on_notice(&mut self, n: AppNotice, wx: &mut Wx) {
         match self {
             Run::Spark(r) => r.on_notice(n, wx),
             Run::Mr(r) => r.on_notice(n, wx),
@@ -133,7 +133,7 @@ impl Run {
     }
 
     /// Route a run event.
-    pub fn on_run_event(&mut self, ev: RunEvent, wx: &mut Wx) {
+    pub(crate) fn on_run_event(&mut self, ev: RunEvent, wx: &mut Wx) {
         match self {
             Run::Spark(r) => r.on_run_event(ev, wx),
             Run::Mr(_) => {} // MR has no executor-registration protocol

@@ -10,7 +10,7 @@ use logmodel::schema::{Disposition, Family, MsgTemplate};
 
 /// Spark driver banner (§III-B message 9; also carries the workload
 /// label mined by `extract_app_names`). Capture: app label.
-pub const SPARK_AM_START: MsgTemplate = MsgTemplate {
+pub(crate) const SPARK_AM_START: MsgTemplate = MsgTemplate {
     name: "spark_am_start",
     class: "ApplicationMaster",
     family: Family::Driver,
@@ -20,7 +20,7 @@ pub const SPARK_AM_START: MsgTemplate = MsgTemplate {
 };
 
 /// Spark AM registration with the RM (message 10). Capture: attempt id.
-pub const SPARK_AM_REGISTERED: MsgTemplate = MsgTemplate {
+pub(crate) const SPARK_AM_REGISTERED: MsgTemplate = MsgTemplate {
     name: "spark_am_registered",
     class: "ApplicationMaster",
     family: Family::Driver,
@@ -31,7 +31,7 @@ pub const SPARK_AM_REGISTERED: MsgTemplate = MsgTemplate {
 
 /// Allocation-start marker patched into `YarnAllocator` by the paper's
 /// authors (message 11). Capture: executor count.
-pub const SPARK_START_ALLO: MsgTemplate = MsgTemplate {
+pub(crate) const SPARK_START_ALLO: MsgTemplate = MsgTemplate {
     name: "spark_start_allo",
     class: "YarnAllocator",
     family: Family::Driver,
@@ -41,7 +41,7 @@ pub const SPARK_START_ALLO: MsgTemplate = MsgTemplate {
 };
 
 /// Allocation-end marker (message 12). Capture: executor count.
-pub const SPARK_END_ALLO: MsgTemplate = MsgTemplate {
+pub(crate) const SPARK_END_ALLO: MsgTemplate = MsgTemplate {
     name: "spark_end_allo",
     class: "YarnAllocator",
     family: Family::Driver,
@@ -52,7 +52,7 @@ pub const SPARK_END_ALLO: MsgTemplate = MsgTemplate {
 
 /// Executor's first log line (message 13) — consumed positionally.
 /// Captures: app id, node id.
-pub const SPARK_EXECUTOR_STARTED: MsgTemplate = MsgTemplate {
+pub(crate) const SPARK_EXECUTOR_STARTED: MsgTemplate = MsgTemplate {
     name: "spark_executor_started",
     class: "CoarseGrainedExecutorBackend",
     family: Family::Executor,
@@ -63,7 +63,7 @@ pub const SPARK_EXECUTOR_STARTED: MsgTemplate = MsgTemplate {
 
 /// Task assignment (message 14). Captures: task id, stage index, TID
 /// (the task id again — Spark prints it twice).
-pub const SPARK_TASK_ASSIGNED: MsgTemplate = MsgTemplate {
+pub(crate) const SPARK_TASK_ASSIGNED: MsgTemplate = MsgTemplate {
     name: "spark_task_assigned",
     class: "Executor",
     family: Family::Executor,
@@ -73,7 +73,7 @@ pub const SPARK_TASK_ASSIGNED: MsgTemplate = MsgTemplate {
 };
 
 /// Clean Spark application end. Capture: app label.
-pub const SPARK_APP_SUCCEEDED: MsgTemplate = MsgTemplate {
+pub(crate) const SPARK_APP_SUCCEEDED: MsgTemplate = MsgTemplate {
     name: "spark_app_succeeded",
     class: "ApplicationMaster",
     family: Family::Driver,
@@ -83,7 +83,7 @@ pub const SPARK_APP_SUCCEEDED: MsgTemplate = MsgTemplate {
 };
 
 /// Failed Spark application end (AM retries exhausted). Capture: label.
-pub const SPARK_APP_FAILED: MsgTemplate = MsgTemplate {
+pub(crate) const SPARK_APP_FAILED: MsgTemplate = MsgTemplate {
     name: "spark_app_failed",
     class: "ApplicationMaster",
     family: Family::Driver,
@@ -93,7 +93,7 @@ pub const SPARK_APP_FAILED: MsgTemplate = MsgTemplate {
 };
 
 /// MapReduce driver banner — consumed positionally. Capture: app id.
-pub const MR_AM_START: MsgTemplate = MsgTemplate {
+pub(crate) const MR_AM_START: MsgTemplate = MsgTemplate {
     name: "mr_am_start",
     class: "MRAppMaster",
     family: Family::Driver,
@@ -104,7 +104,7 @@ pub const MR_AM_START: MsgTemplate = MsgTemplate {
 
 /// MapReduce AM registration (no attempt id — MR v2 logs the bare
 /// phrase). Zero captures.
-pub const MR_AM_REGISTERED: MsgTemplate = MsgTemplate {
+pub(crate) const MR_AM_REGISTERED: MsgTemplate = MsgTemplate {
     name: "mr_am_registered",
     class: "MRAppMaster",
     family: Family::Driver,
@@ -115,7 +115,7 @@ pub const MR_AM_REGISTERED: MsgTemplate = MsgTemplate {
 
 /// MR task container's first log line — consumed positionally.
 /// Captures: app id, node id.
-pub const MR_TASK_STARTED: MsgTemplate = MsgTemplate {
+pub(crate) const MR_TASK_STARTED: MsgTemplate = MsgTemplate {
     name: "mr_task_started",
     class: "YarnChild",
     family: Family::Executor,
@@ -125,7 +125,7 @@ pub const MR_TASK_STARTED: MsgTemplate = MsgTemplate {
 };
 
 /// Clean MapReduce job end. Capture: job label.
-pub const MR_JOB_SUCCEEDED: MsgTemplate = MsgTemplate {
+pub(crate) const MR_JOB_SUCCEEDED: MsgTemplate = MsgTemplate {
     name: "mr_job_succeeded",
     class: "MRAppMaster",
     family: Family::Driver,
@@ -135,7 +135,7 @@ pub const MR_JOB_SUCCEEDED: MsgTemplate = MsgTemplate {
 };
 
 /// Failed MapReduce job end. Capture: job label.
-pub const MR_JOB_FAILED: MsgTemplate = MsgTemplate {
+pub(crate) const MR_JOB_FAILED: MsgTemplate = MsgTemplate {
     name: "mr_job_failed",
     class: "MRAppMaster",
     family: Family::Driver,

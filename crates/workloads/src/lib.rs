@@ -10,10 +10,10 @@
 //! * [`scenario`] — combinators that assemble arrival lists for the
 //!   experiment harness (query streams, interference mixes, sweeps).
 
-pub mod scenario;
-pub mod tpch;
-pub mod trace;
+mod scenario;
+mod tpch;
+mod trace;
 
 pub use scenario::{map_jobs, merge, periodic, shifted, tpch_stream};
 pub use tpch::{tpch_query, QueryShape, QUERIES};
-pub use trace::{arrival_times, long_trace, short_trace, TraceParams};
+pub use trace::{arrival_times, TraceParams};

@@ -92,16 +92,6 @@ pub fn arrival_times(n: usize, params: &TraceParams, rng: &mut SimRng) -> Vec<Mi
     out
 }
 
-/// The paper's long trace: 2 000 query arrivals.
-pub fn long_trace(rng: &mut SimRng) -> Vec<Millis> {
-    arrival_times(2_000, &TraceParams::moderate(), rng)
-}
-
-/// The paper's short trace: 200 query arrivals.
-pub fn short_trace(rng: &mut SimRng) -> Vec<Millis> {
-    arrival_times(200, &TraceParams::moderate(), rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,7 +125,7 @@ mod tests {
         // Average arrival rate in a band that keeps a 25-node cluster
         // moderately loaded for ~40 s jobs: 0.1–1 jobs/s.
         let mut rng = SimRng::new(3);
-        let t = long_trace(&mut rng);
+        let t = arrival_times(2_000, &TraceParams::moderate(), &mut rng);
         let span_s = (t.last().unwrap().0 - t[0].0) as f64 / 1000.0;
         let rate = t.len() as f64 / span_s;
         assert!((0.1..1.0).contains(&rate), "rate {rate}/s");
@@ -154,6 +144,9 @@ mod tests {
     fn deterministic_per_seed() {
         let mut r1 = SimRng::new(9);
         let mut r2 = SimRng::new(9);
-        assert_eq!(short_trace(&mut r1), short_trace(&mut r2));
+        assert_eq!(
+            arrival_times(200, &TraceParams::moderate(), &mut r1),
+            arrival_times(200, &TraceParams::moderate(), &mut r2)
+        );
     }
 }

@@ -126,7 +126,6 @@ pub struct Cluster {
     next_ticket: u64,
     rng_sched: SimRng,
     rng_lat: SimRng,
-    containers_allocated: u64,
     faults: FaultPlan,
     fault_counts: FaultCounts,
 }
@@ -152,7 +151,6 @@ impl Cluster {
             next_ticket: 0,
             rng_sched: root.fork_named("scheduler"),
             rng_lat: root.fork_named("latency"),
-            containers_allocated: 0,
             faults,
             fault_counts: FaultCounts::default(),
         }
@@ -185,15 +183,11 @@ impl Cluster {
     }
 
     /// Cluster-wide vcore utilization in `[0, 1]`.
-    pub fn vcore_utilization(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn vcore_utilization(&self) -> f64 {
         let used: u32 = self.nodes.iter().map(|n| n.used_vcores()).sum();
         let total: u32 = self.nodes.iter().map(|n| n.total_vcores()).sum();
         used as f64 / total as f64
-    }
-
-    /// Total containers ever allocated (Table II's throughput numerator).
-    pub fn containers_allocated(&self) -> u64 {
-        self.containers_allocated
     }
 
     /// Pending (unallocated) container requests in the central backlog.
@@ -203,7 +197,8 @@ impl Cluster {
 
     /// Containers currently held by an application (allocated and not yet
     /// completed) — the fair-share ordering signal.
-    pub fn live_containers(&self, app: ApplicationId) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn live_containers(&self, app: ApplicationId) -> u32 {
         self.apps.get(&app).map(|a| a.live_containers).unwrap_or(0)
     }
 
@@ -308,7 +303,7 @@ impl Cluster {
 
     /// Cancel up to `count` not-yet-allocated requests of `app`. Returns
     /// how many were actually cancelled.
-    pub fn cancel_pending(&mut self, app: ApplicationId, mut count: u32) -> u32 {
+    pub(crate) fn cancel_pending(&mut self, app: ApplicationId, mut count: u32) -> u32 {
         let mut cancelled = 0;
         if let Some(a) = self.apps.get_mut(&app) {
             let mut asks = std::mem::take(&mut a.pending_asks);
@@ -919,7 +914,6 @@ impl Cluster {
         a.next_container_seq += 1;
         let mut rm_state = Tracked::new(RmContainerState::New);
         rm_state.transition(cid, RmContainerState::Allocated, now, out);
-        self.containers_allocated += 1;
         self.apps.get_mut(&app).expect("app").live_containers += 1;
         self.node_mut(node).reserve(req);
         let mut info = ContainerInfo {
@@ -986,7 +980,6 @@ impl Cluster {
             let mut rm_state = Tracked::new(RmContainerState::New);
             rm_state.transition(cid, RmContainerState::Allocated, now, out);
             rm_state.transition(cid, RmContainerState::Acquired, now, out);
-            self.containers_allocated += 1;
             self.apps
                 .get_mut(&app)
                 .expect("unknown app")

@@ -237,16 +237,6 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Total schedulable vcores across the cluster.
-    pub fn total_vcores(&self) -> u64 {
-        self.nodes as u64 * self.vcores_per_node as u64
-    }
-
-    /// Total schedulable memory across the cluster (MB).
-    pub fn total_mem_mb(&self) -> u64 {
-        self.nodes as u64 * self.mem_mb_per_node
-    }
-
     /// Convenience: switch to the distributed scheduler.
     pub fn with_opportunistic(mut self) -> Self {
         self.scheduler = SchedulerKind::Opportunistic;
@@ -294,8 +284,8 @@ mod tests {
     fn defaults_match_testbed() {
         let c = ClusterConfig::default();
         assert_eq!(c.nodes, 25);
-        assert_eq!(c.total_vcores(), 800);
-        assert_eq!(c.total_mem_mb(), 25 * 128 * 1024);
+        assert_eq!(c.nodes as u64 * c.vcores_per_node as u64, 800);
+        assert_eq!(c.nodes as u64 * c.mem_mb_per_node, 25 * 128 * 1024);
         assert_eq!(c.scheduler, SchedulerKind::Capacity);
     }
 

@@ -333,7 +333,7 @@ impl Out {
     }
 
     /// Raise a notice.
-    pub fn notify(&mut self, n: AppNotice) {
+    pub(crate) fn notify(&mut self, n: AppNotice) {
         self.notices.push(n);
     }
 

@@ -121,7 +121,7 @@ impl FaultPlan {
 
     /// Should this container's JVM launch fail? AM containers also fail
     /// when their `(app seq, attempt)` is scripted.
-    pub fn launch_fails(&mut self, cid: ContainerId) -> bool {
+    pub(crate) fn launch_fails(&mut self, cid: ContainerId) -> bool {
         if cid.is_am() && self.am_attempt_scripted(cid) {
             return true;
         }
@@ -129,7 +129,7 @@ impl FaultPlan {
     }
 
     /// Should this container's localization fail?
-    pub fn localization_fails(&mut self, _cid: ContainerId) -> bool {
+    pub(crate) fn localization_fails(&mut self, _cid: ContainerId) -> bool {
         self.cfg.localization_failure_rate > 0.0
             && self.rng.chance(self.cfg.localization_failure_rate)
     }
@@ -145,7 +145,7 @@ impl FaultPlan {
     }
 
     /// Maximum AM attempts per application.
-    pub fn max_am_attempts(&self) -> u32 {
+    pub(crate) fn max_am_attempts(&self) -> u32 {
         self.cfg.max_am_attempts.max(1)
     }
 

@@ -16,13 +16,13 @@
 //! `sparksim`, which drives this cluster through [`Cluster`]'s methods and
 //! reacts to [`effects::AppNotice`]s.
 
-pub mod cluster;
-pub mod config;
-pub mod effects;
-pub mod faults;
-pub mod node;
+mod cluster;
+mod config;
+mod effects;
+mod faults;
+mod node;
 pub mod schema;
-pub mod state;
+mod state;
 #[cfg(test)]
 mod tests_protocol;
 

@@ -64,7 +64,7 @@ impl Node {
 
     /// Whether `req` fits in the currently free resources, under the
     /// configured resource calculator.
-    pub fn fits(&self, req: ResourceReq) -> bool {
+    pub(crate) fn fits(&self, req: ResourceReq) -> bool {
         let mem_ok = self.used_mem_mb + req.mem_mb <= self.total_mem_mb;
         match self.calculator {
             ResourceCalculator::MemoryOnly => mem_ok,
@@ -91,18 +91,14 @@ impl Node {
     }
 
     /// Currently used vcores.
-    pub fn used_vcores(&self) -> u32 {
+    pub(crate) fn used_vcores(&self) -> u32 {
         self.used_vcores
     }
 
     /// Total vcores.
-    pub fn total_vcores(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn total_vcores(&self) -> u32 {
         self.total_vcores
-    }
-
-    /// Fraction of vcores in use.
-    pub fn vcore_utilization(&self) -> f64 {
-        self.used_vcores as f64 / self.total_vcores as f64
     }
 
     /// Cache key: with the public-cache optimization, entries are shared
@@ -117,25 +113,25 @@ impl Node {
     }
 
     /// Whether `(app, name)` is already localized here.
-    pub fn is_cached(&self, app: ApplicationId, name: &str) -> bool {
+    pub(crate) fn is_cached(&self, app: ApplicationId, name: &str) -> bool {
         self.cache
             .contains(&(self.cache_app(app), name.to_string()))
     }
 
     /// Record `(app, name)` as localized.
-    pub fn cache_insert(&mut self, app: ApplicationId, name: &str) {
+    pub(crate) fn cache_insert(&mut self, app: ApplicationId, name: &str) {
         let key = (self.cache_app(app), name.to_string());
         self.cache.insert(key);
     }
 
     /// Is a download of `(app, name)` already in flight?
-    pub fn inflight_contains(&self, app: ApplicationId, name: &str) -> bool {
+    pub(crate) fn inflight_contains(&self, app: ApplicationId, name: &str) -> bool {
         self.inflight
             .contains_key(&(self.cache_app(app), name.to_string()))
     }
 
     /// Start tracking an in-flight download owned by `owner`.
-    pub fn inflight_start(&mut self, app: ApplicationId, name: &str, owner: ContainerId) {
+    pub(crate) fn inflight_start(&mut self, app: ApplicationId, name: &str, owner: ContainerId) {
         let key = (self.cache_app(app), name.to_string());
         let prev = self.inflight.insert(key, vec![owner]);
         debug_assert!(prev.is_none(), "duplicate in-flight download");
@@ -144,7 +140,7 @@ impl Node {
     /// Add a waiter to an in-flight download. If the download is not in
     /// flight (e.g. it completed on the same tick) the waiter simply is
     /// not blocked, so this degrades to a no-op.
-    pub fn inflight_wait(&mut self, app: ApplicationId, name: &str, waiter: ContainerId) {
+    pub(crate) fn inflight_wait(&mut self, app: ApplicationId, name: &str, waiter: ContainerId) {
         let key = (self.cache_app(app), name.to_string());
         if let Some(waiters) = self.inflight.get_mut(&key) {
             waiters.push(waiter);
@@ -155,7 +151,7 @@ impl Node {
 
     /// Complete an in-flight download: caches the resource and returns all
     /// containers (owner + waiters) that were blocked on it.
-    pub fn inflight_finish(&mut self, app: ApplicationId, name: &str) -> Vec<ContainerId> {
+    pub(crate) fn inflight_finish(&mut self, app: ApplicationId, name: &str) -> Vec<ContainerId> {
         self.cache_insert(app, name);
         let key = (self.cache_app(app), name.to_string());
         self.inflight.remove(&key).unwrap_or_default()
@@ -163,7 +159,7 @@ impl Node {
 
     /// Drop cache/in-flight entries of a finished application. Public
     /// cache entries outlive applications by design.
-    pub fn forget_app(&mut self, app: ApplicationId) {
+    pub(crate) fn forget_app(&mut self, app: ApplicationId) {
         if self.public_cache {
             return;
         }
@@ -196,7 +192,6 @@ mod tests {
         assert_eq!(n.used_vcores(), 8);
         n.release(EXEC);
         assert_eq!(n.used_vcores(), 0);
-        assert_eq!(n.vcore_utilization(), 0.0);
     }
 
     #[test]
@@ -208,7 +203,7 @@ mod tests {
             n.reserve(EXEC);
         }
         assert!(!n.fits(EXEC));
-        assert!((n.vcore_utilization() - 1.0).abs() < 1e-9);
+        assert_eq!(n.used_vcores(), n.total_vcores());
         // Memory-bound request.
         let big = ResourceReq {
             mem_mb: 200 * 1024,

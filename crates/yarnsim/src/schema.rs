@@ -15,7 +15,7 @@ use crate::state::{NmContainerState, RmAppState, RmContainerState};
 
 /// `RMAppImpl` state change (Table I messages 1–3 and the terminal
 /// transitions). Captures: app id, from-state, to-state, event.
-pub const RM_APP_STATE_CHANGE: MsgTemplate = MsgTemplate {
+pub(crate) const RM_APP_STATE_CHANGE: MsgTemplate = MsgTemplate {
     name: "rm_app_state_change",
     class: "RMAppImpl",
     family: Family::ResourceManager,
@@ -26,7 +26,7 @@ pub const RM_APP_STATE_CHANGE: MsgTemplate = MsgTemplate {
 
 /// `RMContainerImpl` transition (Table I messages 4–5). Captures:
 /// container id, from-state, to-state.
-pub const RM_CONTAINER_TRANSITION: MsgTemplate = MsgTemplate {
+pub(crate) const RM_CONTAINER_TRANSITION: MsgTemplate = MsgTemplate {
     name: "rm_container_transition",
     class: "RMContainerImpl",
     family: Family::ResourceManager,
@@ -37,7 +37,7 @@ pub const RM_CONTAINER_TRANSITION: MsgTemplate = MsgTemplate {
 
 /// NM `ContainerImpl` transition (Table I messages 6–8). Captures:
 /// container id, from-state, to-state.
-pub const NM_CONTAINER_TRANSITION: MsgTemplate = MsgTemplate {
+pub(crate) const NM_CONTAINER_TRANSITION: MsgTemplate = MsgTemplate {
     name: "nm_container_transition",
     class: "ContainerImpl",
     family: Family::NodeManager,
@@ -49,7 +49,7 @@ pub const NM_CONTAINER_TRANSITION: MsgTemplate = MsgTemplate {
 /// `RMAppAttemptImpl` attempt failure (AM retry vocabulary). Capture:
 /// attempt id. Deliberately *not* parsed: sdchecker anchors retries on
 /// the `RMAppImpl` bounce back to ACCEPTED instead.
-pub const RM_ATTEMPT_FAILED: MsgTemplate = MsgTemplate {
+pub(crate) const RM_ATTEMPT_FAILED: MsgTemplate = MsgTemplate {
     name: "rm_attempt_failed",
     class: "RMAppAttemptImpl",
     family: Family::ResourceManager,
@@ -59,7 +59,7 @@ pub const RM_ATTEMPT_FAILED: MsgTemplate = MsgTemplate {
 };
 
 /// `RMNodeImpl` node-loss notice. Capture: node id.
-pub const RM_NODE_LOST: MsgTemplate = MsgTemplate {
+pub(crate) const RM_NODE_LOST: MsgTemplate = MsgTemplate {
     name: "rm_node_lost",
     class: "RMNodeImpl",
     family: Family::ResourceManager,
@@ -71,7 +71,7 @@ pub const RM_NODE_LOST: MsgTemplate = MsgTemplate {
 /// NM localization-failure notice (the `LOCALIZATION_FAILED` transition
 /// carries the parsed evidence; this line is context). Capture:
 /// container id.
-pub const NM_LOCALIZER_FAILED: MsgTemplate = MsgTemplate {
+pub(crate) const NM_LOCALIZER_FAILED: MsgTemplate = MsgTemplate {
     name: "nm_localizer_failed",
     class: "ResourceLocalizationService",
     family: Family::NodeManager,
@@ -82,7 +82,7 @@ pub const NM_LOCALIZER_FAILED: MsgTemplate = MsgTemplate {
 
 /// NM launch-failure notice (the `EXITED_WITH_FAILURE` transition
 /// carries the parsed evidence). Capture: container id.
-pub const NM_LAUNCH_FAILED: MsgTemplate = MsgTemplate {
+pub(crate) const NM_LAUNCH_FAILED: MsgTemplate = MsgTemplate {
     name: "nm_launch_failed",
     class: "ContainerLaunch",
     family: Family::NodeManager,

@@ -5,23 +5,38 @@
 //! table of the slowest jobs, showing how individual queries decompose.
 //!
 //! ```sh
-//! cargo run --release --example tpch_trace [n_queries] [seed]
+//! cargo run --release --example tpch_trace -- [--queries N] [--seed S]
 //! ```
 
+use std::process::ExitCode;
+
+use sdchecker::cli::{self, Args, Stop};
 use sdchecker::{analyze_store, cdf_table, summary_table, Table};
 use simkit::SimRng;
 use sparksim::simulate;
 use workloads::{tpch_stream, TraceParams};
 use yarnsim::ClusterConfig;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let n: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(200);
-    let seed: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2018);
+const USAGE: &str = "usage: tpch_trace [--queries N] [--seed S]";
+
+fn main() -> ExitCode {
+    cli::main(USAGE, run)
+}
+
+fn run(mut args: Args) -> Result<(), Stop> {
+    let mut n: usize = 200;
+    let mut seed: u64 = 2018;
+    while let Some(flag) = args.flag() {
+        match flag.as_str() {
+            "--queries" => n = args.value_if(&flag, "at least 1", |n| *n >= 1)?,
+            "--seed" => seed = args.value(&flag)?,
+            other => return Err(cli::unknown(other)),
+        }
+    }
 
     let mut rng = SimRng::new(seed);
     let arrivals = tpch_stream(n, 2048.0, 4, &TraceParams::moderate(), &mut rng);
-    let span = arrivals.last().unwrap().0;
+    let span = arrivals.last().map_or(simkit::Millis::ZERO, |a| a.0);
     println!("submitting {n} TPC-H queries over {span} of simulated time...");
 
     let t0 = std::time::Instant::now();
@@ -79,4 +94,5 @@ fn main() {
     }
     println!("\nSlowest-scheduled queries:");
     print!("{}", t.render());
+    Ok(())
 }
