@@ -129,18 +129,22 @@ pub fn format_timestamp(epoch: &Epoch, ts: TsMs) -> String {
     format_unix_ms(epoch.instant(ts))
 }
 
-/// The value of a run of ASCII digits; `None` if any byte is anything
-/// else (a sign, a space, a non-ASCII byte).
-fn digits(b: &[u8]) -> Option<u64> {
-    b.iter().try_fold(0u64, |v, c| {
-        c.is_ascii_digit().then(|| v * 10 + u64::from(c - b'0'))
-    })
+/// The value of an ASCII digit; `None` for any other byte (a sign, a
+/// space, a non-ASCII byte).
+fn digit(b: u8) -> Option<u64> {
+    let d = b.wrapping_sub(b'0');
+    (d < 10).then_some(u64::from(d))
 }
 
-/// Parse `YYYY-MM-DD HH:MM:SS,mmm` to a Unix-ms instant.
+/// The value of the two digits at `b[at..at + 2]`.
+fn two_digits(b: &[u8; TIMESTAMP_LEN], at: usize) -> Option<u64> {
+    Some(digit(b[at])? * 10 + digit(b[at + 1])?)
+}
+
+/// Parse `YYYY-MM-DD HH:MM:SS,mmm` to a Unix-ms instant, each field read
+/// as pairs of ASCII digits at its fixed position.
 pub fn parse_timestamp(s: &str) -> Option<u64> {
-    // Fixed-width format: positions are stable.
-    let b: &[u8; 23] = s.as_bytes().try_into().ok()?;
+    let b: &[u8; TIMESTAMP_LEN] = s.as_bytes().try_into().ok()?;
     if b[4] != b'-'
         || b[7] != b'-'
         || b[10] != b' '
@@ -150,13 +154,13 @@ pub fn parse_timestamp(s: &str) -> Option<u64> {
     {
         return None;
     }
-    let y = digits(&b[0..4])? as i64;
-    let mo = digits(&b[5..7])? as u32;
-    let d = digits(&b[8..10])? as u32;
-    let h = digits(&b[11..13])?;
-    let mi = digits(&b[14..16])?;
-    let sec = digits(&b[17..19])?;
-    let ms = digits(&b[20..23])?;
+    let y = (two_digits(b, 0)? * 100 + two_digits(b, 2)?) as i64;
+    let mo = two_digits(b, 5)? as u32;
+    let d = two_digits(b, 8)? as u32;
+    let h = two_digits(b, 11)?;
+    let mi = two_digits(b, 14)?;
+    let sec = two_digits(b, 17)?;
+    let ms = two_digits(b, 20)? * 10 + digit(b[22])?;
     if !(1..=12).contains(&mo) || !(1..=31).contains(&d) || h > 23 || mi > 59 || sec > 59 {
         return None;
     }
@@ -207,9 +211,63 @@ pub(crate) fn decode_lossy(bytes: &[u8]) -> Cow<'_, str> {
 pub const READ_CHUNK: usize = 256 * 1024;
 
 /// The lines [`carry_lines`] hands over: the held line completed first,
-/// then the rest, each without its `\n` (a `\r` before it stays).
-pub type Lines<'a> =
-    std::iter::Chain<std::option::IntoIter<&'a str>, std::str::SplitTerminator<'a, char>>;
+/// then the rest, each without its `\n` (a `\r` before it stays) — the
+/// lines `str::split_terminator('\n')` yields.
+pub struct Lines<'a> {
+    held: Option<&'a str>,
+    run: &'a str,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        if let Some(held) = self.held.take() {
+            return Some(held);
+        }
+        if self.run.is_empty() {
+            return None;
+        }
+        // A `\n` is one byte of its own in UTF-8, so both halves are text.
+        let (line, rest) = match find_byte(self.run.as_bytes(), b'\n') {
+            Some(at) => (&self.run[..at], &self.run[at + 1..]),
+            None => (self.run, ""),
+        };
+        self.run = rest;
+        Some(line)
+    }
+}
+
+/// The index of the first `byte` in `bytes`, looked for a `u64` word at
+/// a time, two words a step: a word XORed with eight copies of `byte`
+/// has a zero byte where `byte` was, and `(x - 0x01…01) & !x & 0x80…80`
+/// flags the lowest zero byte exactly (a borrow only flags bytes above
+/// it).
+fn find_byte(bytes: &[u8], byte: u8) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let copies = u64::from_le_bytes([byte; 8]);
+    let found = |word: [u8; 8]| {
+        let x = u64::from_le_bytes(word) ^ copies;
+        x.wrapping_sub(ONES) & !x & HIGHS
+    };
+    let (words, _) = bytes.as_chunks::<8>();
+    let (pairs, _) = words.as_chunks::<2>();
+    for (i, &[lo, hi]) in pairs.iter().enumerate() {
+        let (lo, hi) = (found(lo), found(hi));
+        if lo | hi != 0 {
+            let bit = if lo != 0 {
+                lo.trailing_zeros()
+            } else {
+                64 + hi.trailing_zeros()
+            };
+            return Some(i * 16 + bit as usize / 8);
+        }
+    }
+    let done = pairs.len() * 16;
+    let at = bytes[done..].iter().position(|&b| b == byte)?;
+    Some(done + at)
+}
 
 /// Hand `visit` the lines that `fresh`, the next bytes of a file, ends:
 /// the line held in `carry` from earlier chunks, completed by `fresh`'s
@@ -248,11 +306,10 @@ pub fn carry_lines<R>(
     let out = {
         let held = (!carry.is_empty()).then(|| decode_lossy(carry));
         let run = decode_lossy(run);
-        visit(
-            held.as_deref()
-                .into_iter()
-                .chain(run.split_terminator('\n')),
-        )
+        visit(Lines {
+            held: held.as_deref(),
+            run: &run,
+        })
     };
     carry.clear();
     carry.extend_from_slice(rest);
@@ -263,24 +320,75 @@ pub fn carry_lines<R>(
 /// `line`. Returns `None` for lines that do not match the format
 /// (SDchecker skips them — real logs contain stack traces and banners
 /// too).
+///
+/// The line is read as bytes at fixed places: the timestamp, one ASCII
+/// character after it, a level followed by a space, then — past any
+/// whitespace — the class up to the first `": "` and the message after
+/// it. `str::trim_end` and `str::trim_start` decode, so they run only
+/// where ASCII whitespace ends at a byte that could begin more.
 pub fn parse_line_ref<'a>(epoch: &Epoch, line: &'a str) -> Option<RecordRef<'a>> {
-    let line = line.trim_end();
-    if line.len() < 25 {
+    let line = trim_end(line);
+    let b = line.as_bytes();
+    if b.len() < 25 {
         return None;
     }
-    let ts_str = line.get(0..23)?;
-    let unix_ms = parse_timestamp(ts_str)?;
-    let ts = epoch.offset_of(unix_ms)?;
-    let rest = line.get(24..)?; // skip the space after the timestamp
-    let (level, after_level) = rest.split_once(' ')?;
-    let level = Level::parse(level)?;
-    let (class, message) = after_level.trim_start().split_once(": ")?;
+    let ts = epoch.offset_of(parse_timestamp(line.get(..TIMESTAMP_LEN)?)?)?;
+    // Byte 23 is skipped unread: the level's ASCII letter at 24 cannot
+    // continue a multi-byte character, so byte 23 is a character alone.
+    let (level, after_level) = match &b[24..] {
+        [b'I', b'N', b'F', b'O', b' ', ..] => (Level::Info, 29),
+        [b'W', b'A', b'R', b'N', b' ', ..] => (Level::Warn, 29),
+        [b'D', b'E', b'B', b'U', b'G', b' ', ..] => (Level::Debug, 30),
+        [b'E', b'R', b'R', b'O', b'R', b' ', ..] => (Level::Error, 30),
+        _ => return None,
+    };
+    let rest = trim_start(&line[after_level..]);
+    let colon = class_end(rest.as_bytes())?;
     Some(RecordRef {
         ts,
         level,
-        class,
-        message,
+        class: &rest[..colon],
+        message: &rest[colon + 2..],
     })
+}
+
+/// Whether `b`, the byte an ASCII trim stopped at, may still be part of
+/// Unicode whitespace: a non-ASCII byte, or the vertical tab, which
+/// `u8::is_ascii_whitespace` leaves out.
+fn may_be_whitespace(b: u8) -> bool {
+    !b.is_ascii() || b == 0x0b
+}
+
+/// `s.trim_end()`, decoding only when the ASCII trim stops at a byte
+/// that may be whitespace.
+fn trim_end(s: &str) -> &str {
+    let s = s.trim_ascii_end();
+    match s.as_bytes().last() {
+        Some(&b) if may_be_whitespace(b) => s.trim_end(),
+        _ => s,
+    }
+}
+
+/// `s.trim_start()`, decoding only when the ASCII trim stops at a byte
+/// that may be whitespace.
+fn trim_start(s: &str) -> &str {
+    let s = s.trim_ascii_start();
+    match s.as_bytes().first() {
+        Some(&b) if may_be_whitespace(b) => s.trim_start(),
+        _ => s,
+    }
+}
+
+/// Where the first `": "` in `b` starts.
+fn class_end(b: &[u8]) -> Option<usize> {
+    let mut from = 0;
+    loop {
+        let colon = from + find_byte(&b[from..], b':')?;
+        if b.get(colon + 1) == Some(&b' ') {
+            return Some(colon);
+        }
+        from = colon + 1;
+    }
 }
 
 /// [`parse_line_ref`], owned.
@@ -391,10 +499,92 @@ mod tests {
         Some(LogRecord::new(ts, level, class, message))
     }
 
+    /// `text` through [`carry_lines`] in chunks of seeded sizes, empty
+    /// ones included, the end of file told with the last bytes or after
+    /// them: every line, owned.
+    fn lines_in_chunks(text: &[u8], rng: &mut crate::corrupt::Rng64) -> Vec<String> {
+        let (mut carry, mut lines, mut rest) = (Vec::new(), Vec::new(), text);
+        loop {
+            let (chunk, after) = rest.split_at(rng.below(300).min(rest.len()));
+            rest = after;
+            let at_eof = rest.is_empty() && rng.chance(0.5);
+            carry_lines(&mut carry, chunk, at_eof, |run| {
+                lines.extend(run.map(str::to_string))
+            });
+            if at_eof {
+                return lines;
+            }
+        }
+    }
+
+    /// Lines at the edges of the byte parser: whitespace of every kind
+    /// where the trims stop, a multi-byte character on the bytes the
+    /// timestamp's end and its separator take, the shortest lengths,
+    /// near-miss levels and class separators, blank lines and `\r\n`.
+    fn edge_lines() -> String {
+        let ok = "2018-03-14 09:00:00,000 INFO  C: m";
+        let mut text = String::new();
+        let odd = [
+            '\u{85}', '\u{a0}', '\u{1680}', '\u{2000}', '\u{2028}', '\u{3000}',
+        ];
+        for c in (0u8..0x80)
+            .map(char::from)
+            .chain(odd)
+            .chain(['\u{feff}', '\u{e9}'])
+        {
+            for line in [
+                format!("{ok}{c}"),
+                format!("{ok} {c}"),
+                format!("2018-03-14 09:00:00,000 INFO {c}C: m"),
+                format!("2018-03-14 09:00:00,000 INFO  {c}: m"),
+                format!("2018-03-14 09:00:00,000{c}INFO  C: m"),
+                format!("{c}{ok}"),
+            ] {
+                text.push_str(&line);
+                text.push('\n');
+            }
+        }
+        for line in [
+            "2018-03-14 09:00:00,0\u{e9}INFO  C: m",
+            "2018-03-14 09:00:00,00\u{e9}INFO  C: m",
+            "2018-03-14 09:00:00,00\u{2713}INFO  C: m",
+            "2018-03-14 09:00:00,000\u{2713}INFO  C: m",
+            "2018-03-14 09:00:00,000 ",
+            "2018-03-14 09:00:00,000 I",
+            "2018-03-14 09:00:00,000 INFO",
+            "2018-03-14 09:00:00,000 INFO ",
+            "2018-03-14 09:00:00,000 INFO C",
+            "2018-03-14 09:00:00,000 INFO  C:m",
+            "2018-03-14 09:00:00,000 INFO  C::m",
+            "2018-03-14 09:00:00,000 INFO  C:: m",
+            "2018-03-14 09:00:00,000 INFO  a:b: m",
+            "2018-03-14 09:00:00,000 INFO  C:",
+            "2018-03-14 09:00:00,000 INFO  C: ",
+            "2018-03-14 09:00:00,000 INFO  : m",
+            "2018-03-14 09:00:00,000 INF0  C: m",
+            "2018-03-14 09:00:00,000 info  C: m",
+            "2018-03-14 09:00:00,000 INFOO C: m",
+            "2018-03-14 09:00:00,000 ERROR C: m\r",
+            "2018-03-14 09:00:00,000 DEBUG\tC: m",
+            "2018-03-14 09:00:00,000 WARN  C: m\r\n",
+            "",
+            "",
+            "2018-03-14 09:00:00,000 INFO  C: no final newline",
+        ] {
+            text.push_str(line);
+            text.push('\n');
+        }
+        text.pop();
+        text
+    }
+
     /// Seeded lines, their `corrupt` mutations (clipped, garbled,
-    /// duplicated, swapped, truncated — decoded lossily, as ingest does)
-    /// and digit-for-sign swaps: the borrowed parser and the oracle agree
-    /// on every one, except that a `+` inside the timestamp is no longer
+    /// duplicated, swapped, truncated — decoded lossily, as ingest does),
+    /// digit-for-sign swaps and [`edge_lines`], split by [`carry_lines`]
+    /// across seeded chunk boundaries, so a `\r` before a `\n` stays on
+    /// its line. The split is `split_terminator('\n')`'s over the whole
+    /// text decoded at once, and the byte parser and the oracle agree on
+    /// every line, except that a `+` inside the timestamp is no longer
     /// read as a digit.
     #[test]
     fn borrowed_parser_agrees_with_the_str_parse_oracle() {
@@ -434,40 +624,44 @@ mod tests {
         clean.push_str("2018-03-14 09:00:00,000 TRACE C: unknown level\n");
         clean.push_str("2018-03-14 09:00:00,000 INFO  no separator\n");
 
-        let mut lines: Vec<String> = clean.lines().map(str::to_string).collect();
+        let mut text = clean.clone().into_bytes();
         for _ in 0..19 {
             let (damaged, _) = corrupt_bytes(clean.as_bytes(), &mut rng, &CorruptConfig::severe());
-            lines.extend(decode_lossy(&damaged).lines().map(str::to_string));
+            text.extend(damaged);
         }
         // A sign where a digit was, in any timestamp field.
-        let signed: Vec<String> = lines
-            .iter()
+        let decoded = decode_lossy(&text).into_owned();
+        for line in decoded
+            .split_terminator('\n')
             .filter(|l| l.is_char_boundary(23) && l.len() > 23)
             .take(400)
-            .map(|l| {
-                let at = [0, 5, 8, 11, 14, 17, 20][rng.below(7)];
-                format!("{}+{}", &l[..at], &l[at + 1..])
-            })
-            .collect();
-        lines.extend(signed);
-
-        let (mut parsed, mut signs) = (0, 0);
-        for line in &lines {
-            let got = parse_line(&e, line);
-            let want = reference_parse_line(&e, line);
-            if got != want {
-                assert_eq!(got, None, "{line:?}");
-                assert!(line[..23].contains('+'), "{line:?}");
-                signs += 1;
-            }
-            parsed += usize::from(got.is_some());
+        {
+            let at = [0, 5, 8, 11, 14, 17, 20][rng.below(7)];
+            text.extend(format!("{}+{}\n", &line[..at], &line[at + 1..]).bytes());
         }
-        assert!(
-            parsed > 2_000,
-            "only {parsed} of {} lines parse",
-            lines.len()
-        );
-        assert!(signs > 100, "only {signs} signed timestamps were accepted");
+        text.extend(edge_lines().bytes());
+
+        let whole = decode_lossy(&text);
+        let oracle: Vec<&str> = whole.split_terminator('\n').collect();
+        let (mut parsed, mut signs, mut carriage) = (0, 0, 0);
+        for _ in 0..4 {
+            let lines = lines_in_chunks(&text, &mut rng);
+            assert_eq!(lines, oracle);
+            for line in &lines {
+                let got = parse_line(&e, line);
+                let want = reference_parse_line(&e, line);
+                if got != want {
+                    assert_eq!(got, None, "{line:?}");
+                    assert!(line[..23].contains('+'), "{line:?}");
+                    signs += 1;
+                }
+                parsed += usize::from(got.is_some());
+                carriage += usize::from(line.ends_with('\r') && got.is_some());
+            }
+        }
+        assert!(parsed > 8_000, "only {parsed} lines parse");
+        assert!(signs > 400, "only {signs} signed timestamps were accepted");
+        assert!(carriage > 200, "only {carriage} lines ending in \\r parse");
     }
 
     #[test]

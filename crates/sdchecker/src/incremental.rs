@@ -46,7 +46,7 @@ use obs::json_fields;
 use crate::analyze::analyze_app_events;
 use crate::checkpoint::CkptError;
 use crate::decompose::{AppDelays, AppOutcome};
-use crate::event::SchedEvent;
+use crate::event::{EventKind, SchedEvent};
 use crate::exemplars::{PromotedApp, TailExemplars};
 use crate::extract::{CoverageCounts, Extractor, Outcome, ParseCoverage, SourceKind, StreamCursor};
 use crate::fleet::{push_coverage, record_app_metrics, AppFacts, FleetAgg};
@@ -237,6 +237,7 @@ impl IncrementalAnalyzer {
         };
         let recording = obs::enabled();
         let mut cov = CoverageCounts::default();
+        let mut per_kind = [0u64; EventKind::ALL.len()];
         for r in records {
             let outcome = self.ex.extract_record(cursor, r, &mut self.scratch);
             cov.tally(outcome);
@@ -252,7 +253,7 @@ impl IncrementalAnalyzer {
             }
             for ev in self.scratch.drain(..) {
                 if recording {
-                    obs::count_labeled("extract_events_total", &[("kind", ev.kind.name())], 1);
+                    per_kind[ev.kind.index()] += 1;
                 }
                 if self.retired_ids.contains(&ev.app) {
                     // Evidence arrived after the app retired (settle window
@@ -267,6 +268,13 @@ impl IncrementalAnalyzer {
         }
         self.cov.record(kind, cov);
         if recording {
+            // Tallied per run, as `StreamScanner` tallies per stream:
+            // each `count_labeled` builds a key and takes a lock.
+            for (ev_kind, n) in EventKind::ALL.into_iter().zip(per_kind) {
+                if n > 0 {
+                    obs::count_labeled("extract_events_total", &[("kind", ev_kind.name())], n);
+                }
+            }
             for (status, n) in [
                 ("matched", cov.matched),
                 ("unmatched", cov.unmatched),

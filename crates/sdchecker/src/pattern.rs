@@ -8,6 +8,14 @@
 //! faster than a general regex engine on this workload, has no
 //! dependencies (the `regex` crate is not in the project's allowed set),
 //! and failure modes are easy to reason about.
+//!
+//! A literal is searched for by its first byte, then confirmed by
+//! comparing the rest of its bytes in place; the search goes on from
+//! the byte after a failed candidate, so the answer is the leftmost
+//! occurrence `str::find` gives, without the two-way searcher that
+//! `str::find` builds on every call. A match of valid UTF-8 in valid
+//! UTF-8 starts and ends on character boundaries, so the captures are
+//! slices of the text.
 
 /// A compiled pattern: literal segments with `{}` capture holes between
 /// them.
@@ -138,7 +146,7 @@ impl Pat {
 
         // First segment: anchored unless a leading capture exists.
         if self.leading_capture {
-            let Some(pos) = rest.find(first.as_str()) else {
+            let Some(pos) = find(rest, first) else {
                 return false;
             };
             caps[n] = &rest[..pos];
@@ -153,7 +161,7 @@ impl Pat {
 
         // Middle segments: each consumes one capture (non-greedy).
         for seg in middle {
-            let Some(pos) = rest.find(seg.as_str()) else {
+            let Some(pos) = find(rest, seg) else {
                 return false;
             };
             caps[n] = &rest[..pos];
@@ -190,6 +198,22 @@ impl Pat {
     pub(crate) fn is_match(&self, text: &str) -> bool {
         self.match_str(text).is_some()
     }
+}
+
+/// Where the leftmost `needle`, a non-empty segment, starts in `text`.
+fn find(text: &str, needle: &str) -> Option<usize> {
+    let (text, needle) = (text.as_bytes(), needle.as_bytes());
+    let (&first, rest) = needle.split_first()?;
+    let last_start = text.len().checked_sub(needle.len())?;
+    let mut from = 0;
+    while from <= last_start {
+        let at = from + text[from..=last_start].iter().position(|&b| b == first)?;
+        if text[at + 1..].starts_with(rest) {
+            return Some(at);
+        }
+        from = at + 1;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -358,6 +382,135 @@ mod tests {
         assert_eq!(whole.render(&["everything"]).unwrap(), "everything");
         let lit = Pat::new("no holes").unwrap();
         assert_eq!(lit.render(&[]).unwrap(), "no holes");
+    }
+
+    /// The matcher as it was before the byte search: `str::find` per
+    /// literal. Kept as the oracle.
+    fn reference_match<'t>(p: &Pat, text: &'t str) -> Option<Vec<&'t str>> {
+        let Some((first, middle)) = p.segments.split_first() else {
+            return if p.leading_capture || p.trailing_capture {
+                Some(vec![text])
+            } else {
+                text.is_empty().then(Vec::new)
+            };
+        };
+        let mut caps = Vec::new();
+        let mut rest = text;
+        if p.leading_capture {
+            let pos = rest.find(first.as_str())?;
+            caps.push(&rest[..pos]);
+            rest = &rest[pos + first.len()..];
+        } else {
+            rest = rest.strip_prefix(first.as_str())?;
+        }
+        for seg in middle {
+            let pos = rest.find(seg.as_str())?;
+            caps.push(&rest[..pos]);
+            rest = &rest[pos + seg.len()..];
+        }
+        if p.trailing_capture {
+            caps.push(rest);
+        } else if !rest.is_empty() {
+            return None;
+        }
+        Some(caps)
+    }
+
+    /// Seeded texts from the four templates' segments — missing,
+    /// duplicated and reordered, cut short, inside captures, next to
+    /// empty captures and to multi-byte characters, at the very end —
+    /// match as the `str::find` oracle matches them, through
+    /// `match_str` and `match_array` at every arity.
+    #[test]
+    fn byte_search_agrees_with_the_str_find_oracle() {
+        use crate::schema::{
+            NM_CONTAINER_TEMPLATE, RM_APP_TEMPLATE, RM_CONTAINER_TEMPLATE, SPARK_APP_NAME_TEMPLATE,
+        };
+        let templates = [
+            RM_APP_TEMPLATE,
+            RM_CONTAINER_TEMPLATE,
+            NM_CONTAINER_TEMPLATE,
+            SPARK_APP_NAME_TEMPLATE,
+        ];
+        let pats: Vec<Pat> = templates
+            .iter()
+            .chain(&["{}", "a {} b {}", "{} to {}", "exact", ""])
+            .map(|t| Pat::new(t).unwrap())
+            .collect();
+        let segments: Vec<&str> = templates
+            .iter()
+            .flat_map(|t| t.split("{}"))
+            .filter(|s| !s.is_empty())
+            .collect();
+        let fillers = [
+            "",
+            "x",
+            "NEW",
+            "RUNNING",
+            "application_1_0001",
+            "\u{e9}",
+            "\u{2713}",
+            "\u{1f600}",
+            " ",
+            "  ",
+            "to",
+            "from",
+            "T",
+            "C",
+            "\u{e9} ",
+        ];
+        let mut rng = simkit::SimRng::new(0xF1ED);
+        let piece = |rng: &mut simkit::SimRng| -> String {
+            match rng.below(4) {
+                0 => fillers[rng.index(fillers.len())].to_string(),
+                1 => {
+                    // A segment cut short, at a character boundary.
+                    let seg = segments[rng.index(segments.len())];
+                    let mut at = rng.index(seg.len() + 1);
+                    while !seg.is_char_boundary(at) {
+                        at -= 1;
+                    }
+                    seg[..at].to_string()
+                }
+                _ => segments[rng.index(segments.len())].to_string(),
+            }
+        };
+        let mut matched = vec![0; pats.len()];
+        for case in 0..20_000 {
+            let p = &pats[case % pats.len()];
+            let text = if rng.chance(0.5) {
+                // The template rendered with captures that may be empty
+                // or hold segments, then perhaps one piece more.
+                let caps: Vec<String> = (0..p.captures())
+                    .map(|_| (0..rng.below(3)).map(|_| piece(&mut rng)).collect())
+                    .collect();
+                let caps: Vec<&str> = caps.iter().map(String::as_str).collect();
+                let mut text = p.render(&caps).unwrap();
+                if rng.chance(0.3) {
+                    text.push_str(&piece(&mut rng));
+                }
+                text
+            } else {
+                (0..rng.below(9)).map(|_| piece(&mut rng)).collect()
+            };
+            let want = reference_match(p, &text);
+            assert_eq!(p.match_str(&text), want, "{:?} on {text:?}", p.segments);
+            let got = [
+                p.match_array::<0>(&text).map(|c| c.to_vec()),
+                p.match_array::<1>(&text).map(|c| c.to_vec()),
+                p.match_array::<2>(&text).map(|c| c.to_vec()),
+                p.match_array::<3>(&text).map(|c| c.to_vec()),
+                p.match_array::<4>(&text).map(|c| c.to_vec()),
+            ];
+            for (n, got) in got.into_iter().enumerate() {
+                let want = want.clone().filter(|_| n == p.captures());
+                assert_eq!(got, want, "{:?} on {text:?} into {n}", p.segments);
+            }
+            matched[case % pats.len()] += usize::from(want.is_some());
+        }
+        for (p, n) in pats.iter().zip(&matched) {
+            assert!(*n > 200, "{:?} matched only {n} texts", p.segments);
+        }
     }
 
     #[test]

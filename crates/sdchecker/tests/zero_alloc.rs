@@ -2,8 +2,9 @@
 //!
 //! The hot path's claim is that a log line which yields no event costs
 //! no allocation between the bytes it was read into and the verdict on
-//! it, and that a directory analysis allocates per file and per event,
-//! not per line. This binary installs a counting allocator (it is its
+//! it, that a directory analysis allocates per file and per event, not
+//! per line, and that metrics recording in the tailed pipeline costs
+//! allocations per counter series a run touches, not per event. This binary installs a counting allocator (it is its
 //! own process, so nothing else is affected) and holds both to a number;
 //! the same allocator tracks live bytes and their high-water mark, which
 //! holds a directory analysis's peak heap to a figure per event, and a
@@ -19,7 +20,7 @@ use std::cell::Cell;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use logmodel::{parse_line_ref, Epoch, LogSource, LogStore, NodeId, Parallelism};
+use logmodel::{carry_lines, parse_line_ref, Epoch, LogSource, LogStore, NodeId, Parallelism};
 use sdchecker::{
     analyze_dir_with, analyze_store, critical_path, full_report, report_json,
     wide_events_for_analysis, Analysis, DirTailer, EventKind, Extractor, IncrementalAnalyzer,
@@ -160,17 +161,115 @@ fn a_line_costs_no_allocation_from_bytes_to_verdict() {
         ),
     ];
     let mut out = Vec::with_capacity(cases.len());
+    let mut carry = Vec::new();
     for (source, line, verdict, event) in cases {
         let mut cursor = StreamCursor::new(source);
         let before = out.len();
+        let bytes = format!("{line}\n");
         let (got, allocs) = allocations(|| {
-            let record = parse_line_ref(&epoch, line)?;
-            Some(ex.extract_record(&mut cursor, &record, &mut out))
+            carry_lines(&mut carry, bytes.as_bytes(), false, |mut lines| {
+                let split = lines.next().expect("one line ends");
+                assert_eq!((split, lines.next()), (line, None));
+                let record = parse_line_ref(&epoch, split)?;
+                Some(ex.extract_record(&mut cursor, &record, &mut out))
+            })
+            .expect("a line ended")
         });
         assert_eq!(got, verdict, "{line:?}");
         assert_eq!(out[before..].first().map(|e| e.kind), event, "{line:?}");
         assert_eq!(allocs, 0, "{line:?}");
     }
+}
+
+/// Set in the child process that
+/// [`recording_costs_allocations_per_event_kind_not_per_event`] reruns
+/// itself in.
+const RECORDING_CHILD: &str = "SDCHECKER_ZERO_ALLOC_RECORDING_CHILD";
+
+/// With metrics recording on, ingesting a run of records costs one
+/// counter series' key per event kind the run yielded and per coverage
+/// status it had over what it costs with recording off — not one per
+/// event. A key is a label vector plus one string per label: two
+/// allocations for `extract_events_total{kind}`, three for
+/// `parse_lines_total{source,status}`. Recording is switched on for the
+/// whole process, so the test reruns itself alone in a child process,
+/// where no other test's counts can see it.
+#[test]
+fn recording_costs_allocations_per_event_kind_not_per_event() {
+    const NAME: &str = "recording_costs_allocations_per_event_kind_not_per_event";
+    if std::env::var_os(RECORDING_CHILD).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", NAME, "--test-threads=1"])
+            .env(RECORDING_CHILD, "1")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+    let mut store = LogStore::new(Epoch::default_run());
+    for k in 0..16 {
+        common::populate_faulty_fleet_at(&mut store, k);
+    }
+    // The cluster logs, where runs repeat a few kinds many times.
+    let runs: Vec<(LogSource, Vec<_>)> = store
+        .sources()
+        .filter(|src| matches!(src, LogSource::ResourceManager | LogSource::NodeManager(_)))
+        .flat_map(|src| {
+            let recs: Vec<_> = store.records(src).iter().map(|r| r.as_ref()).collect();
+            recs.chunks(256)
+                .map(|run| (src, run.to_vec()))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let ingest_all = || {
+        let mut an = IncrementalAnalyzer::new(IncrementalConfig::default());
+        let mut statuses = 0;
+        for (src, run) in &runs {
+            let mut seen = [false; 4];
+            an.ingest_records(*src, run, |_, outcome| seen[outcome as usize] = true);
+            statuses += seen.iter().filter(|s| **s).count() as u64;
+        }
+        statuses
+    };
+    let (statuses, off) = allocations(ingest_all);
+
+    // The kinds each run yields, by the extractor the analyzer runs.
+    let ex = Extractor::new();
+    let (mut kinds, mut events) = (0, 0);
+    let mut cursors = std::collections::BTreeMap::new();
+    for (src, run) in &runs {
+        let cursor = cursors
+            .entry(*src)
+            .or_insert_with(|| StreamCursor::new(*src));
+        let mut out = Vec::new();
+        for r in run {
+            ex.extract_record(cursor, r, &mut out);
+        }
+        let distinct: std::collections::BTreeSet<EventKind> = out.iter().map(|e| e.kind).collect();
+        kinds += distinct.len() as u64;
+        events += out.len() as u64;
+    }
+    assert!(
+        events > 4 * kinds,
+        "{events} events, {kinds} kinds summed over the runs"
+    );
+
+    obs::enable();
+    // Every series exists once this has run, so the measured pass adds
+    // no map node.
+    ingest_all();
+    let (_, on) = allocations(ingest_all);
+    assert!(
+        on - off <= 2 * kinds + 3 * statuses,
+        "{} allocations more with recording on, for {events} events, {kinds} distinct kinds \
+         and {statuses} distinct statuses summed over the runs",
+        on - off
+    );
 }
 
 /// The length [`noisy_fleet`] pads its directory's path to.
