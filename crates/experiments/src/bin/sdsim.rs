@@ -343,7 +343,8 @@ fn run(mut args: Args) -> Result<(), Stop> {
         cli::write_output(p, trace, "app-time scheduling trace", quiet)?;
     }
     if let Some(p) = &report_json_out {
-        cli::write_output(p, report.json(), "machine-readable report", quiet)?;
+        let what = "machine-readable report";
+        cli::stream_output(p, what, quiet, |file| report.write_json(file))?;
     }
     cli::write_observability(trace_out.as_deref(), metrics_out.as_deref(), quiet)
 }

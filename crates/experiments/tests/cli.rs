@@ -156,6 +156,23 @@ fn only_rejects_unknown_ids() {
     assert!(!dir.exists(), "nothing may be written");
 }
 
+/// A report the device will not take fails the run: exit 1 and the file
+/// named on stderr, not a panic.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_report_write_fails_sdsim() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sdsim"))
+        .args(["--queries", "3", "--seed", "7", "--quiet"])
+        .args(["--report-json", "/dev/full"])
+        .stdout(Stdio::null())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("failed to write /dev/full"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 /// Opened on a full device, stderr cannot take the reason a run stops
 /// for; the exit code is still the contract's, not a panic's 101.
 #[cfg(target_os = "linux")]

@@ -12,9 +12,17 @@
 //! with no pool at all, so the single-threaded path is byte-for-byte the
 //! pre-parallelism code path.
 //!
+//! Ownership rule: the pool's items are lent, never given. A worker
+//! gets `&T` and so can drop nothing the calling thread allocated; the
+//! caller frees its own work list after the pool has joined. glibc frees
+//! a chunk into the arena that allocated it, under that arena's lock, so
+//! workers dropping the caller's items all queue on the main arena: on a
+//! 10 026-file corpus that was 1 000–2 200 voluntary context switches a
+//! run at two threads, and under ten once the items were lent.
+//!
 //! Later PRs should reuse this instead of hand-rolling thread scopes.
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How many worker threads a pipeline stage may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,44 +81,51 @@ impl Default for Parallelism {
 /// Apply `f` to every item, returning results in input order.
 ///
 /// With `Parallelism::ONE` (or fewer than two items) this is exactly
-/// `items.into_iter().map(f).collect()` on the calling thread. Otherwise a
-/// scoped pool of `min(threads, items)` workers pulls items off a shared
-/// queue; the pool lives only for the duration of the call, so `f` may
-/// borrow from the caller's stack.
+/// `items.iter().map(f).collect()` on the calling thread. Otherwise a
+/// scoped pool of `min(threads, items)` workers claims items one index
+/// at a time off a shared counter; the pool lives only for the duration
+/// of the call, so `f` may borrow from the caller's stack.
 ///
-/// A panic in `f` propagates to the caller once all workers have stopped.
-pub fn map<T, R, F>(par: Parallelism, items: Vec<T>, f: F) -> Vec<R>
+/// A panic in `f` propagates to the caller, with its own payload, once
+/// all workers have stopped.
+pub fn map<T, R, F>(par: Parallelism, items: &[T], f: F) -> Vec<R>
 where
-    T: Send,
+    T: Sync,
     R: Send,
-    F: Fn(T) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
     if par.is_sequential() || items.len() < 2 {
-        return items.into_iter().map(f).collect();
+        return items.iter().map(f).collect();
     }
     let n = items.len();
-    let workers = par.threads().min(n);
-    let queue = Mutex::new(items.into_iter().enumerate());
-    let done: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let (queue, done, f) = (&queue, &done, &f);
-            s.spawn(move || {
-                let _span = obs::span("par_worker").arg("worker", w).arg("items", n);
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    // Take one item per lock so a slow item cannot starve
-                    // the other workers of the rest of the queue.
-                    let Some((idx, item)) = queue.lock().unwrap().next() else {
-                        break;
-                    };
-                    local.push((idx, f(item)));
-                }
-                done.lock().unwrap().append(&mut local);
-            });
-        }
+    let (next, f) = (&AtomicUsize::new(0), &f);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..par.threads().min(n))
+            .map(|w| {
+                s.spawn(move || {
+                    let _span = obs::span("par_worker").arg("worker", w).arg("items", n);
+                    let mut local = Vec::new();
+                    // One item per claim, so a slow item cannot starve
+                    // the other workers of the rest of the list.
+                    loop {
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(idx) else {
+                            break;
+                        };
+                        local.push((idx, f(item)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
-    let mut done = done.into_inner().unwrap();
     debug_assert_eq!(done.len(), n);
     done.sort_by_key(|(idx, _)| *idx);
     done.into_iter().map(|(_, r)| r).collect()
@@ -123,9 +138,9 @@ mod tests {
     #[test]
     fn sequential_and_parallel_agree() {
         let items: Vec<u64> = (0..100).collect();
-        let seq = map(Parallelism::ONE, items.clone(), |x| x * x);
+        let seq = map(Parallelism::ONE, &items, |x| x * x);
         for threads in [2, 3, 8, 64] {
-            let par = map(Parallelism::new(threads), items.clone(), |x| x * x);
+            let par = map(Parallelism::new(threads), &items, |x| x * x);
             assert_eq!(par, seq, "threads = {threads}");
         }
     }
@@ -133,7 +148,7 @@ mod tests {
     #[test]
     fn order_is_input_order_despite_uneven_work() {
         let items: Vec<usize> = (0..32).collect();
-        let out = map(Parallelism::new(4), items, |i| {
+        let out = map(Parallelism::new(4), &items, |&i| {
             if i % 7 == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
@@ -145,16 +160,24 @@ mod tests {
     #[test]
     fn borrows_from_caller_stack() {
         let base = [10u64, 20, 30];
-        let out = map(Parallelism::new(2), vec![0usize, 1, 2], |i| base[i] + 1);
+        let out = map(Parallelism::new(2), &[0usize, 1, 2], |&i| base[i] + 1);
         assert_eq!(out, vec![11, 21, 31]);
     }
 
     #[test]
     fn empty_and_single_item() {
-        let out: Vec<u32> = map(Parallelism::new(8), Vec::<u32>::new(), |x| x);
+        let out: Vec<u32> = map(Parallelism::new(8), &[] as &[u32], |&x| x);
         assert!(out.is_empty());
-        let out = map(Parallelism::new(8), vec![5u32], |x| x + 1);
+        let out = map(Parallelism::new(8), &[5u32], |x| x + 1);
         assert_eq!(out, vec![6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 3")]
+    fn a_worker_panic_reaches_the_caller() {
+        map(Parallelism::new(2), &[0u32, 1, 2, 3, 4], |&i| {
+            assert_ne!(i, 3, "item {i}");
+        });
     }
 
     #[test]

@@ -77,17 +77,19 @@ impl LogSource {
     }
 
     /// Reconstruct the source from a relative path (inverse of
-    /// [`LogSource::rel_path`]). Rotated segments (`….log.1`, `….log.2`)
-    /// map to the same source as their base file, as log4j's rolling
-    /// appender produces them.
+    /// [`LogSource::rel_path`]), `/` or `\\` separated. Rotated segments
+    /// (`….log.1`, `….log.2`: a suffix of one or more digits) map to the
+    /// same source as their base file, as log4j's rolling appender
+    /// produces them. Allocation-free: it runs once per file a corpus
+    /// holds.
     pub fn from_rel_path(path: &str) -> Option<LogSource> {
-        let path = path.replace('\\', "/");
-        // Strip a numeric rotation suffix.
         let path = match path.rsplit_once('.') {
             Some((base, suffix))
-                if base.ends_with(".log") && suffix.chars().all(|c| c.is_ascii_digit()) =>
+                if base.ends_with(".log")
+                    && !suffix.is_empty()
+                    && suffix.bytes().all(|b| b.is_ascii_digit()) =>
             {
-                base.to_string()
+                base
             }
             _ => path,
         };
@@ -98,8 +100,12 @@ impl LogSource {
             let host = rest.strip_suffix(".log")?;
             return host.parse().ok().map(LogSource::NodeManager);
         }
-        if let Some(rest) = path.strip_prefix("apps/") {
-            let (app_str, file) = rest.split_once('/')?;
+        let is_separator = |c: char| c == '/' || c == '\\';
+        if let Some(rest) = path
+            .strip_prefix("apps")
+            .and_then(|p| p.strip_prefix(is_separator))
+        {
+            let (app_str, file) = rest.split_once(is_separator)?;
             let app: ApplicationId = app_str.parse().ok()?;
             if file == "driver.log" {
                 return Some(LogSource::Driver(app));
@@ -238,6 +244,45 @@ mod tests {
             Some(LogSource::NodeManager(NodeId(4)))
         );
         assert_eq!(LogSource::from_rel_path("resourcemanager.log.x1"), None);
+        assert_eq!(
+            LogSource::from_rel_path("resourcemanager.log.01"),
+            Some(LogSource::ResourceManager)
+        );
+    }
+
+    #[test]
+    fn an_empty_rotation_suffix_is_not_a_segment() {
+        assert_eq!(LogSource::from_rel_path("resourcemanager.log."), None);
+        assert_eq!(LogSource::from_rel_path("nodemanager-node01.log."), None);
+        let app = ApplicationId::new(TS, 12);
+        let driver = format!("apps/{app}/driver.log.");
+        assert_eq!(LogSource::from_rel_path(&driver), None);
+    }
+
+    #[test]
+    fn backslash_paths_name_the_same_sources() {
+        let app = ApplicationId::new(TS, 12);
+        let cid = app.attempt(1).container(3);
+        for src in [LogSource::Driver(app), LogSource::Executor(cid)] {
+            let windows = src.rel_path().replace('/', "\\");
+            assert_eq!(LogSource::from_rel_path(&windows), Some(src), "{windows}");
+            let rotated = format!("{windows}.1");
+            assert_eq!(LogSource::from_rel_path(&rotated), Some(src), "{rotated}");
+        }
+        let mixed = format!("apps\\{app}/driver.log");
+        assert_eq!(
+            LogSource::from_rel_path(&mixed),
+            Some(LogSource::Driver(app))
+        );
+        // A separator anywhere else keeps the path from naming a source.
+        for path in [
+            format!("apps\\{app}\\sub\\driver.log"),
+            format!("apps/{app}/sub\\driver.log"),
+            "nodemanager-node\\01.log".to_string(),
+            "\\resourcemanager.log".to_string(),
+        ] {
+            assert_eq!(LogSource::from_rel_path(&path), None, "{path}");
+        }
     }
 
     #[test]

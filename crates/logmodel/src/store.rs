@@ -221,10 +221,11 @@ where
         Err(_) => Epoch::default_run(),
     };
     // Enumerate log files first (cheap), then read them in parallel (the
-    // expensive part). Sorting by relative path pins the order of a
-    // source's segments, so nothing depends on directory iteration order
-    // or worker scheduling.
-    let mut files: Vec<(String, LogSource, PathBuf)> = Vec::new();
+    // expensive part). One flat table, sorted by source and then by path
+    // bytes — every path starts with `dir`, so that is relative-path
+    // order — pins the order of a source's segments, so nothing depends
+    // on directory iteration order or worker scheduling.
+    let mut files: Vec<(LogSource, PathBuf)> = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
         for entry in fs::read_dir(&d)? {
@@ -246,24 +247,23 @@ where
             }
             let rel = path
                 .strip_prefix(dir)
-                .map_err(|e| io::Error::other(e.to_string()))?
-                .to_string_lossy()
-                .into_owned();
-            let Some(src) = LogSource::from_rel_path(&rel) else {
+                .map_err(|e| io::Error::other(e.to_string()))?;
+            let Some(src) = LogSource::from_rel_path(&rel.to_string_lossy()) else {
                 continue; // epoch.txt, stray files
             };
-            files.push((rel, src, path));
+            files.push((src, path));
         }
     }
-    files.sort_by(|a, b| a.0.cmp(&b.0));
+    files.sort_by(|(a, a_path), (b, b_path)| {
+        a.cmp(b)
+            .then_with(|| a_path.as_os_str().cmp(b_path.as_os_str()))
+    });
     obs::count("ingest_files_total", files.len() as u64);
-    let mut sources: BTreeMap<LogSource, Vec<(String, PathBuf)>> = BTreeMap::new();
-    for (rel, src, path) in files {
-        sources.entry(src).or_default().push((rel, path));
-    }
-
-    let scanned = par::map(par, sources.into_iter().collect(), |(src, segments)| {
-        scan_source(&epoch, src, &segments, &open)
+    // The pool borrows one run of the table per source and drops none
+    // of it (see `par`): the table is freed here, after the pool joins.
+    let sources: Vec<&[(LogSource, PathBuf)]> = files.chunk_by(|a, b| a.0 == b.0).collect();
+    let scanned = par::map(par, &sources, |segments| {
+        scan_source(&epoch, dir, segments, &open)
     });
     let mut out = Vec::with_capacity(scanned.len());
     for result in scanned {
@@ -276,14 +276,14 @@ where
 /// `None` if no line parsed.
 fn scan_source<S: SourceScan>(
     epoch: &Epoch,
-    src: LogSource,
-    segments: &[(String, PathBuf)],
+    dir: &Path,
+    segments: &[(LogSource, PathBuf)],
     open: &impl Fn(LogSource) -> S,
 ) -> io::Result<Option<S::Output>> {
-    let mut scan = open(src);
+    let mut scan = open(segments[0].0);
     let mut parsed = false;
-    for (rel, path) in segments {
-        parsed |= scan_file(epoch, rel, path, &mut scan)?;
+    for (_, path) in segments {
+        parsed |= scan_file(epoch, dir, path, &mut scan)?;
     }
     Ok(parsed.then(|| scan.finish()))
 }
@@ -294,11 +294,12 @@ fn scan_source<S: SourceScan>(
 /// empty.
 fn scan_file(
     epoch: &Epoch,
-    rel: &str,
+    dir: &Path,
     path: &Path,
     scan: &mut impl SourceScan,
 ) -> io::Result<bool> {
-    let span = obs::span("ingest_file").arg("file", rel);
+    let rel = path.strip_prefix(dir).unwrap_or(path);
+    let span = obs::span("ingest_file").arg("file", rel.display());
     let mut file = fs::File::open(path)?;
     // Sized to the file up to a chunk — a small file costs what reading
     // it whole costs: open, one size query, reads, close.

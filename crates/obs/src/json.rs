@@ -314,8 +314,11 @@ impl<'a> Obj<'a> {
     }
 
     /// Leave the object open, so a writer owning its document can go on
-    /// in a later call.
-    pub(crate) fn pause(self) -> Paused {
+    /// in a later call — or hand what it has written so far to a file
+    /// first: [`Obj::resume`] needs only the container's place, not the
+    /// text before it, once the container holds a member (an emptied
+    /// buffer reads as "a member came before").
+    pub fn pause(self) -> Paused {
         self.0.pause()
     }
 
@@ -368,7 +371,7 @@ impl<'a> Arr<'a> {
     }
 
     /// Leave the array open (see [`Obj::pause`]).
-    pub(crate) fn pause(self) -> Paused {
+    pub fn pause(self) -> Paused {
         self.0.pause()
     }
 

@@ -142,10 +142,11 @@ fn run(mut args: Args) -> Result<(), Stop> {
     }
     if let Some(path) = &wide_events_out {
         let what = format_args!("{} wide-events-v1 lines", analysis.delays.len());
-        cli::write_output(path, report.wide_events(), what, quiet)?;
+        cli::stream_output(path, what, quiet, |file| report.write_wide_events(file))?;
     }
     if let Some(path) = &report_json_out {
-        cli::write_output(path, report.json(), "machine-readable report", quiet)?;
+        let what = "machine-readable report";
+        cli::stream_output(path, what, quiet, |file| report.write_json(file))?;
     }
     cli::write_observability(trace_out.as_deref(), metrics_out.as_deref(), quiet)
 }

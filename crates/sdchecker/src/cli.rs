@@ -134,7 +134,22 @@ pub fn write_output(
     what: impl Display,
     quiet: bool,
 ) -> Result<(), Stop> {
-    std::fs::write(path, bytes).or_fail(format_args!("failed to write {}", path.display()))?;
+    stream_output(path, what, quiet, |mut file| file.write_all(bytes.as_ref()))
+}
+
+/// Create `path` and hand it to `write` — a document rendered straight
+/// into the file, never whole in memory — then note `wrote {what} to
+/// {path}` on stderr unless `quiet`. An error of `write`'s fails the run
+/// as one of `create`'s does.
+pub fn stream_output(
+    path: &Path,
+    what: impl Display,
+    quiet: bool,
+    write: impl FnOnce(std::fs::File) -> io::Result<()>,
+) -> Result<(), Stop> {
+    std::fs::File::create(path)
+        .and_then(write)
+        .or_fail(format_args!("failed to write {}", path.display()))?;
     if !quiet {
         note(format_args!("wrote {what} to {}", path.display()));
     }

@@ -694,7 +694,7 @@ pub(crate) fn extract_store(store: &logmodel::LogStore, par: Parallelism) -> Ext
     let _span = obs::span("extract");
     let ex = Extractor::new();
     let sources: Vec<LogSource> = store.sources().collect();
-    merge_scans(logmodel::par::map(par, sources, |src| {
+    merge_scans(logmodel::par::map(par, &sources, |&src| {
         let mut scanner = StreamScanner::new(&ex, src);
         let _span = obs::span("extract_stream").arg("source", src.rel_path());
         scanner.feed(store.records(src).iter().map(LogRecord::as_ref));
@@ -809,7 +809,7 @@ pub fn extract_app_names_with(
             _ => None,
         })
         .collect();
-    let named: Vec<Option<(ApplicationId, String)>> = logmodel::par::map(par, drivers, |app| {
+    let named: Vec<Option<(ApplicationId, String)>> = logmodel::par::map(par, &drivers, |&app| {
         store
             .records(LogSource::Driver(app))
             .iter()

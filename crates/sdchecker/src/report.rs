@@ -2,11 +2,12 @@
 //! tables, the full per-corpus report the CLI prints, and the standard
 //! output the binaries print it to.
 
+use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::io::{self, Write as _};
 
 use logmodel::TsMs;
-use obs::json::{document, Layout, Null};
+use obs::json::{Arr, Layout, Null, Obj};
 use obs::json_fields;
 
 use crate::analyze::Analysis;
@@ -193,10 +194,46 @@ pub fn cdf_table(samples: &[(&str, Vec<u64>)], quantiles: &[f64]) -> Table {
     t
 }
 
-/// Room per application in `report-v1` and in the wide events (a TPC-H
-/// query takes 3.2 and 2.8 KiB): a document not copied through a chain of
-/// doublings keeps 4 MB off the 2 000-application corpus's peak RSS.
-const BYTES_PER_APP: usize = 4096;
+/// The buffer a streamed document is rendered in. It goes to the writer
+/// at the end of the first application that leaves it more than half
+/// full, so a write moves tens of kilobytes and a document of any size
+/// holds one buffer — never the whole document.
+const STREAM_BUFFER: usize = 64 * 1024;
+
+/// Hand `buf` to `w` and empty it, once it holds at least `at` bytes.
+fn spill(w: &mut impl io::Write, buf: &mut String, at: usize) -> io::Result<()> {
+    if buf.len() >= at {
+        w.write_all(buf.as_bytes())?;
+        buf.clear();
+    }
+    Ok(())
+}
+
+/// What a renderer offers its buffer to after each application: a
+/// writer's [`spill`], or nothing when the whole document is wanted.
+type Spill<'a, E> = &'a mut dyn FnMut(&mut String) -> Result<(), E>;
+
+/// Render a document into `w` through one [`STREAM_BUFFER`]. The writer
+/// is flushed, so its error is returned rather than lost on drop.
+fn stream<W: io::Write>(
+    mut w: W,
+    render: impl FnOnce(&mut String, Spill<'_, io::Error>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut buf = String::with_capacity(STREAM_BUFFER);
+    render(&mut buf, &mut |buf| spill(&mut w, buf, STREAM_BUFFER / 2))?;
+    spill(&mut w, &mut buf, 0)?;
+    w.flush()
+}
+
+/// A rendering into a `String` that is never spilled: the whole
+/// document, by the same code that streams it.
+fn whole(
+    render: impl FnOnce(&mut String, Spill<'_, Infallible>) -> Result<(), Infallible>,
+) -> String {
+    let mut out = String::new();
+    let Ok(()) = render(&mut out, &mut |_| Ok(()));
+    out
+}
 
 /// The per-application pass behind the text report, `report-v1` and the
 /// batch `wide-events-v1` file: a borrowed view over an [`Analysis`] that
@@ -465,63 +502,97 @@ impl<'a> Report<'a> {
     /// follow fixed orders and floats render via `push_f64` — so the
     /// golden-file test can pin the exact bytes.
     pub fn json(&self) -> String {
+        whole(|out, spill| self.render_json(out, spill))
+    }
+
+    /// [`Report::json`] streamed into `w` (see [`STREAM_BUFFER`]).
+    pub fn write_json(&self, w: impl io::Write) -> io::Result<()> {
+        stream(w, |buf, spill| self.render_json(buf, spill))
+    }
+
+    /// `report-v1` into `out`, offered to `spill` after each application.
+    fn render_json<E>(&self, out: &mut String, spill: Spill<'_, E>) -> Result<(), E> {
         let f = &self.fleet;
-        document(self.apps.len() * BYTES_PER_APP, Layout::Block, |doc| {
-            doc.field("schema", "sdchecker-report-v1");
-            let mut apps = doc.arr("applications", Layout::Block);
-            for a in &self.apps {
-                let d = a.delays;
-                let mut app = apps.obj(Layout::Block);
-                json_fields!(app, "app" => d.app, "name" => a.name);
-                push_components(app.obj("delays", Layout::Inline), d, "_ms");
-                push_containers(app.arr("containers", Layout::Block), d);
-                let Some(p) = &a.critical else {
-                    app.field("critical_path", Null);
-                    continue;
-                };
-                let mut path = app.obj("critical_path", Layout::Inline);
-                path.field("total_ms", p.total_ms);
-                push_segments(path.arr("segments", Layout::Block), p, "blame_pct");
+        let mut doc = Obj::new(out, Layout::Block);
+        doc.field("schema", "sdchecker-report-v1");
+        // Both containers stay open across the spills: a spill leaves the
+        // buffer right after an application, where `resume` goes on.
+        let apps = doc.arr("applications", Layout::Block).pause();
+        let doc = doc.pause();
+        for a in &self.apps {
+            let mut arr = Arr::resume(out, apps);
+            push_application(arr.obj(Layout::Block), a);
+            arr.pause();
+            spill(out)?;
+        }
+        drop(Arr::resume(out, apps));
+        let mut doc = Obj::resume(out, doc);
+        let mut fleet = doc.obj("fleet", Layout::Block);
+        json_fields!(fleet, "applications" => f.retired, "complete" => f.complete);
+        f.push_sections(&mut fleet);
+        drop(fleet);
+        // The failures section exists only when the corpus carries
+        // hard failure evidence (failed/killed apps, AM retries,
+        // wasted delay, or corrupt-id lines); a fault-free corpus keeps
+        // the exact pre-fault document bytes. Truncated apps alone do
+        // not create the section.
+        if self.has_failures() {
+            let mut failures = doc.obj("failures", Layout::Block);
+            json_fields!(failures, "failed" => f.outcome(AppOutcome::Failed),
+                "killed" => f.outcome(AppOutcome::Killed), "retried_apps" => f.retried_apps,
+                "wasted_ms_total" => f.wasted_ms_total,
+                "anomalous_lines" => self.an.coverage.total().anomalous);
+            let mut apps = failures.arr("apps", Layout::Block);
+            for d in self.failing_apps() {
+                let mut obj = apps.obj(Layout::Inline);
+                json_fields!(obj, "app" => d.app, "outcome" => d.outcome.label(),
+                    "attempts" => d.attempts, "wasted_ms" => d.wasted_ms);
             }
-            drop(apps);
-            let mut fleet = doc.obj("fleet", Layout::Block);
-            json_fields!(fleet, "applications" => f.retired, "complete" => f.complete);
-            f.push_sections(&mut fleet);
-            drop(fleet);
-            // The failures section exists only when the corpus carries
-            // hard failure evidence (failed/killed apps, AM retries,
-            // wasted delay, or corrupt-id lines); a fault-free corpus keeps
-            // the exact pre-fault document bytes. Truncated apps alone do
-            // not create the section.
-            if self.has_failures() {
-                let mut failures = doc.obj("failures", Layout::Block);
-                json_fields!(failures, "failed" => f.outcome(AppOutcome::Failed),
-                    "killed" => f.outcome(AppOutcome::Killed), "retried_apps" => f.retried_apps,
-                    "wasted_ms_total" => f.wasted_ms_total,
-                    "anomalous_lines" => self.an.coverage.total().anomalous);
-                let mut apps = failures.arr("apps", Layout::Block);
-                for d in self.failing_apps() {
-                    let mut obj = apps.obj(Layout::Inline);
-                    json_fields!(obj, "app" => d.app, "outcome" => d.outcome.label(),
-                        "attempts" => d.attempts, "wasted_ms" => d.wasted_ms);
-                }
-            }
-            push_coverage(doc, &self.an.coverage);
-        })
+        }
+        push_coverage(&mut doc, &self.an.coverage);
+        drop(doc);
+        out.push('\n');
+        Ok(())
     }
 
     /// The whole corpus as `wide-events-v1` lines (newline-terminated,
     /// one per application, ascending application id), every app retired
     /// at the corpus watermark.
     pub fn wide_events(&self) -> String {
-        let retire_ms = self.an.watermark.unwrap_or(TsMs::ZERO);
-        let mut out = String::with_capacity(self.apps.len() * BYTES_PER_APP);
-        for a in &self.apps {
-            push_wide_event(&mut out, a, false, retire_ms);
-            out.push('\n');
-        }
-        out
+        whole(|out, spill| self.render_wide_events(out, spill))
     }
+
+    /// [`Report::wide_events`] streamed into `w` (see [`STREAM_BUFFER`]).
+    pub fn write_wide_events(&self, w: impl io::Write) -> io::Result<()> {
+        stream(w, |buf, spill| self.render_wide_events(buf, spill))
+    }
+
+    /// The wide events into `out`, offered to `spill` after each line.
+    fn render_wide_events<E>(&self, out: &mut String, spill: Spill<'_, E>) -> Result<(), E> {
+        let retire_ms = self.an.watermark.unwrap_or(TsMs::ZERO);
+        for a in &self.apps {
+            push_wide_event(out, a, false, retire_ms);
+            out.push('\n');
+            spill(out)?;
+        }
+        Ok(())
+    }
+}
+
+/// One application of `report-v1`: its delays, its containers and its
+/// critical path.
+fn push_application(mut app: Obj<'_>, a: &AppFacts<'_>) {
+    let d = a.delays;
+    json_fields!(app, "app" => d.app, "name" => a.name);
+    push_components(app.obj("delays", Layout::Inline), d, "_ms");
+    push_containers(app.arr("containers", Layout::Block), d);
+    let Some(p) = &a.critical else {
+        app.field("critical_path", Null);
+        return;
+    };
+    let mut path = app.obj("critical_path", Layout::Inline);
+    path.field("total_ms", p.total_ms);
+    push_segments(path.arr("segments", Layout::Block), p, "blame_pct");
 }
 
 /// The full text report the `sdchecker` CLI prints for a corpus.

@@ -757,6 +757,32 @@ fn a_full_stderr_leaves_exit_codes_alone() {
     }
 }
 
+/// A document the device will not take fails the run: exit 1 and the
+/// file named on stderr, not a panic and not a run that looks fine.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_document_write_fails_the_run() {
+    let dir = tmp("full_device");
+    let _ = std::fs::remove_dir_all(&dir);
+    write_two_app_corpus(&dir);
+    for flag in ["--report-json", "--wide-events-out"] {
+        let out = bin()
+            .arg(&dir)
+            .args(["--quiet", flag, "/dev/full"])
+            .stdout(Stdio::null())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(
+            stderr.contains("failed to write /dev/full"),
+            "{flag}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Golden-file test: on the fixed two-app corpus, `--report-json` must be
 /// byte-for-byte stable (it is consumed by scripts and diffed in CI).
 /// Refresh with `UPDATE_GOLDEN=1 cargo test -p sdchecker --test cli` after

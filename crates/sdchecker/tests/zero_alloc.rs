@@ -426,10 +426,109 @@ fn three_documents_cost_a_bounded_number_of_allocations_per_application() {
         shared <= extra_paths * 16 + extra_apps * 2,
         "{shared} allocations for {extra_apps} more applications"
     );
+    // Streamed to their files, the two documents cost no more.
+    let streamed = extra_allocations(&streamed_report);
+    assert!(
+        streamed <= extra_paths * 16 + extra_apps * 2,
+        "{streamed} allocations streaming for {extra_apps} more applications"
+    );
     // Each wrapper builds its own `Report`: two more critical-path
     // passes and nothing else.
     let separate = extra_allocations(&three_wrappers);
     assert_eq!(separate, shared + 2 * extra_paths * 16);
+}
+
+/// A writer that keeps nothing but the number of bytes it was given.
+#[derive(Default)]
+struct ByteCount(usize);
+
+impl std::io::Write for ByteCount {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0 += buf.len();
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The text report, then `report-v1` and the wide events streamed the
+/// way `sdchecker` writes its files: the bytes they came to.
+fn streamed_report(an: &Analysis) -> usize {
+    let report = Report::new(an);
+    let (mut json, mut wide) = (ByteCount::default(), ByteCount::default());
+    report.write_json(&mut json).unwrap();
+    report.write_wide_events(&mut wide).unwrap();
+    report.text().len() + json.0 + wide.0
+}
+
+/// The buffer a streamed document is rendered through (`report.rs`'s
+/// `STREAM_BUFFER`).
+const STREAM_BUFFER: u64 = 64 * 1024;
+
+/// Rendering `report-v1` and the wide events holds one buffer, not a
+/// document: five times the applications cost no more live heap than
+/// one buffer more. Measured: 65 536 bytes at the peak for both fleets
+/// (84 575 and 409 676 bytes of documents). Rendering them whole and then
+/// writing them fails here: 278 528 bytes at the peak against 69 632.
+#[test]
+fn streamed_documents_hold_a_buffer_not_a_document() {
+    let (small, large) = (fleet_analysis(10), fleet_analysis(50));
+    let (small, large) = (Report::new(&small), Report::new(&large));
+    let stream = |report: &Report| {
+        peak_live_bytes(|| {
+            let mut sink = ByteCount::default();
+            report.write_json(&mut sink).unwrap();
+            report.write_wide_events(&mut sink).unwrap();
+            sink.0 as u64
+        })
+    };
+    let ((small_bytes, small_peak), (large_bytes, large_peak)) = (stream(&small), stream(&large));
+    assert!(
+        large_bytes > 4 * STREAM_BUFFER && large_bytes > 4 * small_bytes,
+        "{small_bytes} and {large_bytes} bytes rendered"
+    );
+    assert!(
+        large_peak.saturating_sub(small_peak) <= STREAM_BUFFER,
+        "{large_peak} bytes live at the peak streaming {large_bytes} bytes, \
+         {small_peak} streaming {small_bytes}"
+    );
+}
+
+/// Naming a file's source costs nothing: discovery runs it once per file
+/// of the corpus, in both binaries.
+#[test]
+fn a_source_is_named_from_its_path_without_allocating() {
+    let mut store = LogStore::new(Epoch::default_run());
+    for k in 0..10 {
+        common::populate_faulty_fleet_at(&mut store, k);
+    }
+    let mut paths: Vec<(String, LogSource)> = Vec::new();
+    for src in store.sources() {
+        let rel = src.rel_path();
+        paths.push((format!("{rel}.1"), src));
+        paths.push((rel.replace('/', "\\"), src));
+        paths.push((rel, src));
+    }
+    paths.push(("epoch.txt".to_string(), LogSource::ResourceManager));
+    let (named, allocs) = allocations(|| {
+        paths
+            .iter()
+            .filter(|(rel, src)| LogSource::from_rel_path(rel) == Some(*src))
+            .count()
+    });
+    assert_eq!(
+        named,
+        paths.len() - 1,
+        "every path but epoch.txt names its source"
+    );
+    assert_eq!(
+        allocs,
+        0,
+        "{allocs} allocations naming {} paths",
+        paths.len()
+    );
 }
 
 /// The most heap a sequential directory analysis of the noisy fleet may

@@ -16,8 +16,8 @@
 //!   *linearizable* — bounded below by the work completed when the
 //!   snapshot began and above by the work completed when it published.
 //! * [`ParMergeModel`] — the `logmodel::par` worker-pool handoff:
-//!   workers pop indices from a shared cursor under a queue lock and
-//!   retire results into per-index slots. Checked: exactly-once
+//!   workers claim indices off a shared cursor with one atomic
+//!   `fetch_add` and retire results into per-index slots. Checked: exactly-once
 //!   retirement of every item under every schedule (the property that
 //!   makes the k-way merge's input-order restoration deterministic).
 //! * [`DaemonModel`] — the `sdcheckerd` square: poll loop publishing a
@@ -363,15 +363,15 @@ impl Model for RegistryModel {
 // Model 2: par pipeline k-way merge handoff.
 // ---------------------------------------------------------------------------
 
-/// `logmodel::par` abstraction: `workers` threads pop indices from a
-/// shared cursor under a queue lock and retire each item into its
-/// per-index slot; the merge then reads the slots in index order, so
+/// `logmodel::par` abstraction: `workers` threads claim indices off a
+/// shared cursor with one atomic `fetch_add` and retire each item into
+/// its per-index slot; the merge then reads the slots in index order, so
 /// exactly-once retirement is exactly determinism of the merged output.
 pub(crate) struct ParMergeModel {
     items: usize,
     workers: usize,
-    /// Mutation: the pop is split read/advance without the lock.
-    locked_pop: bool,
+    /// Mutation: the claim is split into a read and an advance.
+    atomic_claim: bool,
 }
 
 impl ParMergeModel {
@@ -379,7 +379,7 @@ impl ParMergeModel {
         ParMergeModel {
             items: 4,
             workers: 2,
-            locked_pop: true,
+            atomic_claim: true,
         }
     }
 
@@ -387,18 +387,18 @@ impl ParMergeModel {
     #[cfg(test)]
     pub(crate) fn unlocked_pop() -> ParMergeModel {
         ParMergeModel {
-            locked_pop: false,
+            atomic_claim: false,
             ..ParMergeModel::real()
         }
     }
 
-    // Layout: 0 qlock, 1 cursor, then per worker [pc, held, tmp], then
-    // per item a retire count.
+    // Layout: 0 cursor, then per worker [pc, held, tmp], then per item a
+    // retire count.
     fn w_base(&self, w: usize) -> usize {
-        2 + 3 * w
+        1 + 3 * w
     }
     fn count(&self, i: usize) -> usize {
-        2 + 3 * self.workers + i
+        1 + 3 * self.workers + i
     }
 }
 
@@ -412,72 +412,45 @@ impl Model for ParMergeModel {
     }
 
     fn initial(&self) -> Vec<u64> {
-        vec![0; 2 + 3 * self.workers + self.items]
+        vec![0; 1 + 3 * self.workers + self.items]
     }
 
     fn step(&self, st: &[u64], tid: usize) -> Vec<Vec<u64>> {
         let b = self.w_base(tid);
         let pc = st[b];
-        let mut out = Vec::new();
-        if self.locked_pop {
-            match pc {
-                0 if st[0] == 0 => {
-                    let mut n = st.to_vec();
-                    n[0] = (tid + 1) as u64;
-                    n[b] = 1;
-                    out.push(n);
-                }
-                1 => {
-                    let mut n = st.to_vec();
-                    if st[1] < self.items as u64 {
-                        n[b + 1] = st[1] + 1;
-                        n[1] += 1;
-                        n[b] = 2;
-                    } else {
-                        n[b] = 9; // drained: halt after release
-                    }
-                    n[0] = 0;
-                    out.push(n);
-                }
-                2 => {
-                    let mut n = st.to_vec();
-                    let item = (st[b + 1] - 1) as usize;
-                    n[self.count(item)] += 1;
-                    n[b + 1] = 0;
-                    n[b] = 0;
-                    out.push(n);
-                }
-                _ => {}
-            }
-        } else {
-            match pc {
-                // Unsynchronized read-then-advance: the classic lost
-                // handoff.
-                0 if st[1] < self.items as u64 => {
-                    let mut n = st.to_vec();
-                    n[b + 2] = st[1];
-                    n[b] = 1;
-                    out.push(n);
-                }
-                1 => {
-                    let mut n = st.to_vec();
-                    n[b + 1] = st[b + 2] + 1;
-                    n[1] = st[b + 2] + 1;
+        let mut n = st.to_vec();
+        match pc {
+            // `fetch_add`: read and advance the cursor in one step; a
+            // claim past the last item halts the worker.
+            0 if self.atomic_claim => {
+                n[0] += 1;
+                if st[0] < self.items as u64 {
+                    n[b + 1] = st[0] + 1;
                     n[b] = 2;
-                    out.push(n);
+                } else {
+                    n[b] = 9;
                 }
-                2 => {
-                    let mut n = st.to_vec();
-                    let item = (st[b + 1] - 1) as usize;
-                    n[self.count(item)] += 1;
-                    n[b + 1] = 0;
-                    n[b] = 0;
-                    out.push(n);
-                }
-                _ => {}
             }
+            // Unsynchronized read-then-advance: the classic lost
+            // handoff.
+            0 if st[0] < self.items as u64 => {
+                n[b + 2] = st[0];
+                n[b] = 1;
+            }
+            1 => {
+                n[b + 1] = st[b + 2] + 1;
+                n[0] = st[b + 2] + 1;
+                n[b] = 2;
+            }
+            2 => {
+                let item = (st[b + 1] - 1) as usize;
+                n[self.count(item)] += 1;
+                n[b + 1] = 0;
+                n[b] = 0;
+            }
+            _ => return Vec::new(),
         }
-        out
+        vec![n]
     }
 
     fn violation(&self, _st: &[u64]) -> Option<String> {

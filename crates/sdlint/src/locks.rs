@@ -146,26 +146,6 @@ pub const LOCKS: &[LockSpec] = &[
         poison: PoisonPolicy::Recover,
     },
     LockSpec {
-        name: "logmodel.par.queue",
-        file: "crates/logmodel/src/par.rs",
-        kind: LockKind::Mutex,
-        decl_pattern: "let queue = Mutex",
-        decl_sites: 1,
-        acquire_pattern: "queue.lock(",
-        guards: "the shared work-item iterator workers pull from",
-        poison: PoisonPolicy::Propagate,
-    },
-    LockSpec {
-        name: "logmodel.par.done",
-        file: "crates/logmodel/src/par.rs",
-        kind: LockKind::Mutex,
-        decl_pattern: "let done: Mutex",
-        decl_sites: 1,
-        acquire_pattern: "done.lock(",
-        guards: "the (index, result) accumulator merged after the scope joins",
-        poison: PoisonPolicy::Propagate,
-    },
-    LockSpec {
         name: "experiments.results",
         file: "crates/experiments/src/bin/run_experiments.rs",
         kind: LockKind::Mutex,
@@ -206,23 +186,13 @@ pub struct PoisonAllow {
 
 /// Files allowed to `.unwrap()` a lock result. Everything else must
 /// recover from poisoning.
-pub(crate) const POISON_ALLOW: &[PoisonAllow] = &[
-    PoisonAllow {
-        file: "crates/logmodel/src/par.rs",
-        count: 2,
-        justification: "scoped worker pool: a poisoned queue/done vec means a \
-                        sibling worker already panicked and thread::scope will \
-                        propagate that panic; unwrap only amplifies an \
-                        already-fatal condition",
-    },
-    PoisonAllow {
-        file: "crates/experiments/src/bin/run_experiments.rs",
-        count: 1,
-        justification: "batch experiment driver: a poisoned results vec means a \
+pub(crate) const POISON_ALLOW: &[PoisonAllow] = &[PoisonAllow {
+    file: "crates/experiments/src/bin/run_experiments.rs",
+    count: 1,
+    justification: "batch experiment driver: a poisoned results vec means a \
                         figure generator panicked; aborting the whole run (not \
                         serving partial figures) is the correct behavior",
-    },
-];
+}];
 
 /// Needles identifying a lock *declaration* line. Assembled at runtime
 /// so this file's own table does not count against the scan.
