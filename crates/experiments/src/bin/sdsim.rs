@@ -67,7 +67,7 @@ fn stream_logs(logs: &LogStore, dir: &Path, rate: f64, flush_every: u64) -> io::
     let mut writers: BTreeMap<LogSource, BufWriter<fs::File>> = BTreeMap::new();
     let start = Instant::now();
     let mut since_flush: u64 = 0;
-    for (i, (src, rec)) in records.iter().enumerate() {
+    for (i, (src, rec)) in records.into_iter().enumerate() {
         if rate > 0.0 {
             let due = start + Duration::from_secs_f64(i as f64 / rate);
             let mut flushed = false;
@@ -86,7 +86,7 @@ fn stream_logs(logs: &LogStore, dir: &Path, rate: f64, flush_every: u64) -> io::
                 std::thread::sleep((due - now).min(Duration::from_millis(50)));
             }
         }
-        let w = match writers.entry(*src) {
+        let w = match writers.entry(src) {
             std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::btree_map::Entry::Vacant(e) => {
                 let path = dir.join(src.rel_path());
@@ -180,10 +180,13 @@ fn run(mut args: Args) -> Result<(), Stop> {
             "--node-loss" => {
                 // MS:NODE — at time MS the NM on node index NODE is lost.
                 let v: String = args.value(&flag)?;
+                let nodes = ClusterConfig::default().nodes;
+                let bad = || Stop::Usage(format!("{flag} wants MS:NODE, NODE < {nodes}, got {v}"));
                 let loss = v
                     .split_once(':')
                     .and_then(|(ms, node)| Some((Millis(ms.parse().ok()?), node.parse().ok()?)))
-                    .ok_or_else(|| Stop::Usage(format!("{flag} wants MS:NODE, got {v}")))?;
+                    .filter(|&(_, node)| node < nodes)
+                    .ok_or_else(bad)?;
                 faults.node_loss.push(loss);
             }
             "--fault-seed" => faults.fault_seed = args.value(&flag)?,

@@ -131,10 +131,85 @@ fn sdsim_rejects_out_of_range_numbers() {
         ("--node-loss", "soon:3"),
         ("--node-loss", "120000:third"),
         ("--node-loss", "120000"),
+        ("--node-loss", "120000:25"),
     ] {
         let args = ["--queries", "1", "--quiet", flag, v];
         assert_usage_error(env!("CARGO_BIN_EXE_sdsim"), &args, flag);
     }
+}
+
+/// Every file under `dir`, by relative path, with its bytes.
+fn tree(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                let rel = path.strip_prefix(dir).unwrap().to_path_buf();
+                files.push((rel, fs::read(&path).unwrap()));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// One faulted scenario, three views of it that must agree byte for
+/// byte: `sdsim --report-json`, analysed from the simulator's store,
+/// equals what `sdchecker --report-json` writes over the run's `--out`
+/// tree (`analyze_dir_with`, then `Report::write_json`), and the unpaced
+/// `--stream-to` replay of the same run writes the `--out` tree file for
+/// file.
+#[test]
+fn sdsim_report_and_stream_match_the_written_corpus() {
+    let dir = tmp("identity");
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let sdsim = |args: &[&Path]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_sdsim"))
+            .args(["--queries", "20", "--launch-failure-rate", "0.1"])
+            .args(["--node-loss", "120000:3", "--fault-seed", "7", "--quiet"])
+            .args(args)
+            .output()
+            .unwrap();
+        assert_clean_exit(&out, "sdsim");
+    };
+    let (out, stream, report) = (dir.join("out"), dir.join("stream"), dir.join("report.json"));
+    sdsim(&[
+        Path::new("--out"),
+        &out,
+        Path::new("--report-json"),
+        &report,
+    ]);
+    sdsim(&[
+        Path::new("--stream-to"),
+        &stream,
+        Path::new("--rate"),
+        Path::new("0"),
+    ]);
+
+    let analysis = sdchecker::analyze_dir_with(&out, sdchecker::Parallelism::ONE).unwrap();
+    let mut from_dir = Vec::new();
+    sdchecker::Report::new(&analysis)
+        .write_json(&mut from_dir)
+        .unwrap();
+    assert!(
+        analysis.delays.len() >= 20,
+        "{} apps",
+        analysis.delays.len()
+    );
+    assert!(
+        fs::read(&report).unwrap() == from_dir,
+        "report-json differs"
+    );
+
+    let written = tree(&out);
+    assert!(written.len() > 20, "{} files", written.len());
+    assert!(tree(&stream) == written, "the replay differs from --out");
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// `--only` with an id no experiment has is a usage error naming it and

@@ -82,7 +82,7 @@ const TIMESTAMP_LEN: usize = 23;
 
 /// Append a Unix-ms instant as `YYYY-MM-DD HH:MM:SS,mmm`, digit by digit:
 /// the one writer under [`format_unix_ms`], [`format_timestamp`] and
-/// [`format_line`]. A year past 9999 does not fit four digits and keeps
+/// [`push_line`]. A year past 9999 does not fit four digits and keeps
 /// `format!`'s spelling.
 fn push_unix_ms(out: &mut String, unix_ms: u64) {
     let days = (unix_ms / 86_400_000) as i64;
@@ -171,23 +171,27 @@ pub fn parse_timestamp(s: &str) -> Option<u64> {
     Some(days as u64 * 86_400_000 + h * 3_600_000 + mi * 60_000 + sec * 1000 + ms)
 }
 
-/// Render a full log line, `<timestamp> <level padded to 5> <class>:
-/// <message>`, in one allocation of exactly its length.
-pub fn format_line(epoch: &Epoch, rec: &LogRecord) -> String {
+/// Append a full log line, `<timestamp> <level padded to 5> <class>:
+/// <message>`, without its `\n`: the one line writer, under
+/// [`format_line`] and the [`crate::LogStore`]'s text.
+pub(crate) fn push_line(out: &mut String, epoch: &Epoch, rec: RecordRef<'_>) {
     let level = rec.level.as_str();
-    let pad = 5usize.saturating_sub(level.len());
-    let len = TIMESTAMP_LEN + 1 + level.len() + pad + 1 + rec.class.len() + 2 + rec.message.len();
-    let mut out = String::with_capacity(len);
-    push_unix_ms(&mut out, epoch.instant(rec.ts));
+    push_unix_ms(out, epoch.instant(rec.ts));
     out.push(' ');
     out.push_str(level);
-    for _ in 0..pad {
-        out.push(' ');
-    }
-    out.push(' ');
-    out.push_str(&rec.class);
+    // Padded to five characters, then one space.
+    out.push_str(&"      "[level.len()..]);
+    out.push_str(rec.class);
     out.push_str(": ");
-    out.push_str(&rec.message);
+    out.push_str(rec.message);
+}
+
+/// Render a full log line ([`push_line`]) in one allocation of exactly
+/// its length.
+pub fn format_line(epoch: &Epoch, rec: RecordRef<'_>) -> String {
+    // The timestamp, a space, the level padded to five, a space, `: `.
+    let mut out = String::with_capacity(TIMESTAMP_LEN + 9 + rec.class.len() + rec.message.len());
+    push_line(&mut out, epoch, rec);
     out
 }
 
@@ -615,7 +619,7 @@ mod tests {
                 classes[rng.below(classes.len())],
                 messages[rng.below(messages.len())],
             );
-            clean.push_str(&format_line(&e, &rec));
+            clean.push_str(&format_line(&e, rec.as_ref()));
             clean.push_str(if rng.chance(0.2) { "\r\n" } else { "\n" });
         }
         clean.push_str("    at java.lang.Thread.run(Thread.java:748)\n");
@@ -690,7 +694,7 @@ mod tests {
             "RMAppImpl",
             "application_1521018000000_0001 State change from SUBMITTED to ACCEPTED on event = APP_ACCEPTED",
         );
-        let line = format_line(&e, &rec);
+        let line = format_line(&e, rec.as_ref());
         assert_eq!(
             line,
             "2018-03-14 09:00:05,123 INFO  RMAppImpl: application_1521018000000_0001 State change from SUBMITTED to ACCEPTED on event = APP_ACCEPTED"
@@ -702,7 +706,7 @@ mod tests {
     fn line_levels_align() {
         let e = Epoch::default_run();
         let rec = LogRecord::new(TsMs(0), Level::Error, "C", "m");
-        let line = format_line(&e, &rec);
+        let line = format_line(&e, rec.as_ref());
         assert!(line.contains(" ERROR C: m"), "{line}");
         assert_eq!(parse_line(&e, &line), Some(rec));
     }

@@ -9,10 +9,10 @@
 //! * the log4j line format (`timestamp LEVEL class: message`, ISO-8601
 //!   timestamps with millisecond precision, the precision SDchecker works
 //!   at per §III-A of the paper);
-//! * [`LogStore`], an in-memory collection of per-source log streams that
-//!   can be flushed to / re-read from a directory tree shaped like a real
-//!   cluster's log collection (`resourcemanager.log`, one NodeManager log
-//!   per node, per-application driver/executor logs).
+//! * [`LogStore`], each source's log text, flushed to / re-read from a
+//!   directory tree shaped like a real cluster's log collection
+//!   (`resourcemanager.log`, one NodeManager log per node, per-application
+//!   driver/executor logs) and read through that tree's loop in memory.
 //!
 //! SDchecker itself never links against the simulator: it consumes log
 //! *text* through this crate's parsers, exactly as the paper's tool
@@ -34,7 +34,7 @@ pub use format::{
 pub use ids::{AppAttemptId, ApplicationId, ContainerId, NodeId};
 pub use par::Parallelism;
 pub use record::{Level, LogRecord, LogSource, RecordRef};
-pub use store::{scan_dir, LogStore, SourceScan, BYTES_PER_RECORD_HINT};
+pub use store::{scan_dir, LogStore, Records, SourceScan, BYTES_PER_RECORD_HINT};
 
 /// Millisecond time offset from the run's epoch. Mirrors `simkit::Millis`
 /// but is redeclared here so sdchecker does not need to depend on the

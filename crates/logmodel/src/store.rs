@@ -1,16 +1,17 @@
-//! [`LogStore`]: per-source log streams with directory round-tripping.
+//! [`LogStore`]: per-source log text with directory round-tripping.
 //!
-//! The simulator appends records as the run progresses; afterwards the store
-//! can be flushed to a directory tree shaped like a real cluster log
-//! collection, and SDchecker can read that tree back (or consume the store
-//! in memory through [`LogStore::iter_lines`], which renders the same text).
+//! The simulator appends records as the run progresses, each rendered
+//! once into its source's text — the bytes the source's file would hold.
+//! The store can be flushed to a directory tree shaped like a real
+//! cluster log collection, and SDchecker reads the files ([`scan_dir`])
+//! or the text ([`LogStore::scan`]) through the same read loop.
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
-use crate::format::{carry_lines, format_line, parse_line_ref, Epoch, READ_CHUNK};
+use crate::format::{carry_lines, parse_line_ref, push_line, Epoch, READ_CHUNK};
 use crate::par::{self, Parallelism};
 use crate::record::{Level, LogRecord, LogSource, RecordRef};
 use crate::TsMs;
@@ -18,11 +19,11 @@ use crate::TsMs;
 /// Histogram bucket bounds for lines-per-log-file during ingest.
 const LINES_PER_FILE_BOUNDS: &[u64] = &[10, 100, 1_000, 10_000, 100_000, 1_000_000];
 
-/// An in-memory collection of log streams, one per [`LogSource`].
+/// An in-memory log collection: each [`LogSource`]'s text.
 #[derive(Debug)]
 pub struct LogStore {
     epoch: Epoch,
-    sources: BTreeMap<LogSource, Vec<LogRecord>>,
+    sources: BTreeMap<LogSource, String>,
     total: usize,
 }
 
@@ -41,15 +42,27 @@ impl LogStore {
         &self.epoch
     }
 
-    /// Append a record to `source`'s stream.
+    /// Append a record's line to `source`'s text.
     pub fn push(&mut self, source: LogSource, rec: LogRecord) {
-        self.total += 1;
-        self.sources.entry(source).or_default().push(rec);
+        self.append(source, rec.as_ref());
     }
 
     /// Convenience: append an INFO record.
-    pub fn info(&mut self, source: LogSource, ts: TsMs, class: &str, message: impl Into<String>) {
-        self.push(source, LogRecord::new(ts, Level::Info, class, message));
+    pub fn info(&mut self, source: LogSource, ts: TsMs, class: &str, message: impl AsRef<str>) {
+        let rec = RecordRef {
+            ts,
+            level: Level::Info,
+            class,
+            message: message.as_ref(),
+        };
+        self.append(source, rec);
+    }
+
+    fn append(&mut self, source: LogSource, rec: RecordRef<'_>) {
+        let text = self.sources.entry(source).or_default();
+        push_line(text, &self.epoch, rec);
+        text.push('\n');
+        self.total += 1;
     }
 
     /// All sources present, in deterministic order.
@@ -57,9 +70,14 @@ impl LogStore {
         self.sources.keys().copied()
     }
 
-    /// The records of one source (empty slice if absent).
-    pub fn records(&self, source: LogSource) -> &[LogRecord] {
-        self.sources.get(&source).map_or(&[], |v| v.as_slice())
+    /// One source's text, exactly as its file holds it (empty if absent).
+    pub fn text(&self, source: LogSource) -> &str {
+        self.sources.get(&source).map_or("", String::as_str)
+    }
+
+    /// The records of one source, parsed from its text.
+    pub fn records(&self, source: LogSource) -> Records<'_> {
+        Records(&self.epoch, self.text(source))
     }
 
     /// Total records across all sources.
@@ -67,24 +85,12 @@ impl LogStore {
         self.total
     }
 
-    /// Render every line of every source as `(source, line)` pairs, exactly
-    /// as they would appear on disk. Within a source, records keep append
-    /// order (which the simulator guarantees is time order).
-    pub fn iter_lines(&self) -> impl Iterator<Item = (LogSource, String)> + '_ {
-        self.sources.iter().flat_map(move |(src, recs)| {
-            recs.iter()
-                .map(move |r| (*src, format_line(&self.epoch, r)))
-        })
-    }
-
-    /// Render one source to its full text.
-    pub fn render_source(&self, source: LogSource) -> String {
-        let mut out = String::new();
-        for r in self.records(source) {
-            out.push_str(&format_line(&self.epoch, r));
-            out.push('\n');
-        }
-        out
+    /// Hand `source`'s records to `scan` the way [`scan_dir`] hands it a
+    /// file's, through the same read loop; `None` if no line parsed.
+    pub fn scan<S: SourceScan>(&self, source: LogSource, mut scan: S) -> Option<S::Output> {
+        let text = self.text(source).as_bytes();
+        let (_, parsed) = scan_read(&self.epoch, text, text.len() as u64, &mut scan).ok()?;
+        (parsed > 0).then(|| scan.finish())
     }
 
     /// Flush to a directory tree (`resourcemanager.log`,
@@ -93,40 +99,28 @@ impl LogStore {
     pub fn write_dir(&self, dir: &Path) -> io::Result<()> {
         fs::create_dir_all(dir)?;
         fs::write(dir.join("epoch.txt"), format!("{}\n", self.epoch.unix_ms))?;
-        for (src, _) in self.sources.iter() {
-            let rel = src.rel_path();
-            let path = dir.join(&rel);
+        for src in self.sources() {
+            let path = dir.join(src.rel_path());
             if let Some(parent) = path.parent() {
                 fs::create_dir_all(parent)?;
             }
-            let mut f = io::BufWriter::new(fs::File::create(&path)?);
-            for r in self.records(*src) {
-                writeln!(f, "{}", format_line(&self.epoch, r))?;
-            }
-            f.flush()?;
+            fs::write(&path, self.text(src))?;
         }
         Ok(())
     }
 
-    /// Read a directory tree previously written by [`LogStore::write_dir`]
-    /// (or hand-assembled in the same layout). Unparseable lines are
-    /// silently skipped, mirroring how the real tool must tolerate stack
-    /// traces and banners.
-    pub fn read_dir(dir: &Path) -> io::Result<LogStore> {
-        Self::read_dir_with(dir, Parallelism::ONE)
-    }
-
-    /// [`LogStore::read_dir`] over `par` worker threads: [`scan_dir`] with
-    /// a scan that keeps an owned copy of every record and stable-sorts
-    /// each source by timestamp at its end, so a source's records are its
-    /// segments' records in relative-path order, then put in time order.
-    /// The result is identical for every thread count.
+    /// Read a directory tree written by [`LogStore::write_dir`] (or
+    /// hand-assembled in the same layout) over `par` worker threads: each
+    /// source's records as [`scan_dir`] parses them, in its file order,
+    /// rendered back into its text. Unparseable lines are skipped, as the
+    /// real tool must tolerate stack traces and banners. The result is
+    /// identical for every thread count.
     pub fn read_dir_with(dir: &Path, par: Parallelism) -> io::Result<LogStore> {
-        let (epoch, sources) = scan_dir(dir, par, |src| (src, Vec::new()))?;
+        let (epoch, sources) = scan_dir(dir, par, |&epoch, src| (src, LogStore::new(epoch)))?;
         let mut store = LogStore::new(epoch);
-        for (src, recs) in sources {
-            store.total += recs.len();
-            store.sources.insert(src, recs);
+        for (_, one) in sources {
+            store.total += one.total;
+            store.sources.extend(one.sources);
         }
         Ok(store)
     }
@@ -135,15 +129,34 @@ impl LogStore {
     /// broken by source order, then append order). This is the order a
     /// live cluster would emit the lines in, so streamed log emission
     /// (`sdsim --stream-to`) replays it for a realistic tail workload.
-    pub fn records_by_time(&self) -> Vec<(LogSource, &LogRecord)> {
-        let mut all: Vec<(LogSource, &LogRecord)> = self
-            .sources
-            .iter()
-            .flat_map(|(src, recs)| recs.iter().map(move |r| (*src, r)))
+    pub fn records_by_time(&self) -> Vec<(LogSource, RecordRef<'_>)> {
+        let mut all: Vec<(LogSource, RecordRef<'_>)> = self
+            .sources()
+            .flat_map(|src| self.records(src).iter().map(move |r| (src, r)))
             .collect();
         // Stable sort: equal (ts, source) pairs keep append order.
         all.sort_by_key(|(src, r)| (r.ts, *src));
         all
+    }
+}
+
+/// One source's records, parsed from its text as they are walked (a
+/// line that does not parse is skipped): what [`LogStore::records`]
+/// returns.
+#[derive(Debug, Clone, Copy)]
+pub struct Records<'a>(&'a Epoch, &'a str);
+
+impl<'a> Records<'a> {
+    /// The records, first to last.
+    pub fn iter(self) -> impl DoubleEndedIterator<Item = RecordRef<'a>> {
+        let Records(epoch, text) = self;
+        text.lines()
+            .filter_map(move |line| parse_line_ref(epoch, line))
+    }
+
+    /// The last record, parsed from the end of the text.
+    pub fn last(self) -> Option<RecordRef<'a>> {
+        self.iter().next_back()
     }
 }
 
@@ -170,24 +183,26 @@ pub trait SourceScan: Send {
     fn finish(self) -> Self::Output;
 }
 
-/// An owned copy of every record, stable-sorted by timestamp when the
-/// source ends: what [`LogStore::read_dir_with`] keeps.
-impl SourceScan for (LogSource, Vec<LogRecord>) {
+/// A store of one source, each record the scan hands it rendered back
+/// into text: what [`LogStore::read_dir_with`] joins.
+impl SourceScan for (LogSource, LogStore) {
     type Output = Self;
 
     fn records(&mut self, recs: &[RecordRef<'_>]) {
-        self.1.extend(recs.iter().map(RecordRef::to_record));
+        for &r in recs {
+            self.1.append(self.0, r);
+        }
     }
 
-    fn finish(mut self) -> Self {
-        self.1.sort_by_key(|r| r.ts);
+    fn finish(self) -> Self {
         self
     }
 }
 
 /// Read a corpus directory one source at a time, each a chunk at a time,
 /// handing each chunk's records — borrowed from the bytes just read — to
-/// the [`SourceScan`] `open` makes for its source.
+/// the [`SourceScan`] `open` makes for its source under the corpus's
+/// epoch.
 ///
 /// Every file under `dir` whose relative path names a [`LogSource`] is
 /// read (symlinked directories are followed, dangling links ignored;
@@ -209,7 +224,7 @@ impl SourceScan for (LogSource, Vec<LogRecord>) {
 pub fn scan_dir<S, F>(dir: &Path, par: Parallelism, open: F) -> io::Result<(Epoch, Vec<S::Output>)>
 where
     S: SourceScan,
-    F: Fn(LogSource) -> S + Sync,
+    F: Fn(&Epoch, LogSource) -> S + Sync,
 {
     let _span = obs::span("ingest").arg("dir", dir.display());
     let epoch = match fs::read_to_string(dir.join("epoch.txt")) {
@@ -272,43 +287,54 @@ where
     Ok((epoch, out))
 }
 
-/// Scan one source's segments, in order, into the scan `open` makes;
-/// `None` if no line parsed.
+/// Scan one source's segments, in order, into the scan `open` makes,
+/// each file through [`scan_read`]; `None` if no line parsed.
 fn scan_source<S: SourceScan>(
     epoch: &Epoch,
     dir: &Path,
     segments: &[(LogSource, PathBuf)],
-    open: &impl Fn(LogSource) -> S,
+    open: &impl Fn(&Epoch, LogSource) -> S,
 ) -> io::Result<Option<S::Output>> {
-    let mut scan = open(segments[0].0);
-    let mut parsed = false;
+    let mut scan = open(epoch, segments[0].0);
+    let mut parsed = 0;
     for (_, path) in segments {
-        parsed |= scan_file(epoch, dir, path, &mut scan)?;
+        let rel = path.strip_prefix(dir).unwrap_or(path);
+        let span = obs::span("ingest_file").arg("file", rel.display());
+        let file = fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        let (lines, records) = scan_read(epoch, file, len, &mut scan)?;
+        if span.is_active() {
+            obs::count_labeled("ingest_lines_total", &[("status", "parsed")], records);
+            obs::count_labeled(
+                "ingest_lines_total",
+                &[("status", "skipped")],
+                lines - records,
+            );
+            obs::observe("ingest_file_lines", LINES_PER_FILE_BOUNDS, lines);
+        }
+        parsed += records;
     }
-    Ok(parsed.then(|| scan.finish()))
+    Ok((parsed > 0).then(|| scan.finish()))
 }
 
-/// Read one file through a buffer of at most [`READ_CHUNK`] bytes, handing
-/// each chunk's records to `scan` before the next chunk is read; `true`
-/// if any line parsed. A file that was empty when it was sized reads as
-/// empty.
-fn scan_file(
+/// Read `reader`, `len` bytes when it was sized, through a buffer of at
+/// most [`READ_CHUNK`] bytes, handing each chunk's records to `scan`
+/// before the next chunk is read: the read loop under [`scan_dir`] and
+/// [`LogStore::scan`]. Returns the lines read and the records parsed. A
+/// reader that was empty when it was sized reads as empty.
+fn scan_read(
     epoch: &Epoch,
-    dir: &Path,
-    path: &Path,
+    mut reader: impl Read,
+    len: u64,
     scan: &mut impl SourceScan,
-) -> io::Result<bool> {
-    let rel = path.strip_prefix(dir).unwrap_or(path);
-    let span = obs::span("ingest_file").arg("file", rel.display());
-    let mut file = fs::File::open(path)?;
-    // Sized to the file up to a chunk — a small file costs what reading
+) -> io::Result<(u64, u64)> {
+    // Sized to the reader up to a chunk — a small file costs what reading
     // it whole costs: open, one size query, reads, close.
-    let len = file.metadata()?.len().min(READ_CHUNK as u64);
-    let mut buf = vec![0; len as usize];
+    let mut buf = vec![0; len.min(READ_CHUNK as u64) as usize];
     let mut carry = Vec::new();
     let (mut lines, mut parsed) = (0u64, 0u64);
     loop {
-        let n = match file.read(&mut buf) {
+        let n = match reader.read(&mut buf) {
             Ok(n) => n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
@@ -329,24 +355,9 @@ fn scan_file(
             }
         });
         if n == 0 {
-            break;
+            return Ok((lines, parsed));
         }
     }
-    if span.is_active() {
-        count_lines(lines, parsed);
-    }
-    Ok(parsed > 0)
-}
-
-/// One file's lines in the ingest metrics.
-fn count_lines(lines: u64, parsed: u64) {
-    obs::count_labeled("ingest_lines_total", &[("status", "parsed")], parsed);
-    obs::count_labeled(
-        "ingest_lines_total",
-        &[("status", "skipped")],
-        lines - parsed,
-    );
-    obs::observe("ingest_file_lines", LINES_PER_FILE_BOUNDS, lines);
 }
 
 #[cfg(test)]
@@ -387,22 +398,27 @@ mod tests {
         let s = sample_store();
         assert_eq!(s.total_records(), 3);
         assert_eq!(s.sources().count(), 3);
-        assert_eq!(s.records(LogSource::ResourceManager).len(), 1);
+        assert_eq!(s.records(LogSource::ResourceManager).iter().count(), 1);
         let app = ApplicationId::new(s.epoch().unix_ms, 1);
-        assert_eq!(s.records(LogSource::Driver(app)).len(), 1);
+        let driver = s.records(LogSource::Driver(app));
+        assert_eq!(driver.iter().count(), 1);
         assert_eq!(
-            s.records(LogSource::Driver(ApplicationId::new(1, 9))).len(),
-            0
+            driver.last().unwrap().message,
+            "Registered with ResourceManager"
         );
+        let absent = s.records(LogSource::Driver(ApplicationId::new(1, 9)));
+        assert_eq!((absent.iter().count(), absent.last()), (0, None));
     }
 
     #[test]
     fn render_has_one_line_per_record() {
         let s = sample_store();
-        let txt = s.render_source(LogSource::ResourceManager);
+        let txt = s.text(LogSource::ResourceManager);
         assert_eq!(txt.lines().count(), 1);
         assert!(txt.contains("NEW_SAVING to SUBMITTED"));
-        assert_eq!(s.iter_lines().count(), 3);
+        assert!(txt.ends_with('\n'));
+        let lines: usize = s.sources().map(|src| s.text(src).lines().count()).sum();
+        assert_eq!(lines, 3);
     }
 
     #[test]
@@ -411,17 +427,22 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("logstore_test_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         s.write_dir(&dir).unwrap();
-        let back = LogStore::read_dir(&dir).unwrap();
+        let back = LogStore::read_dir_with(&dir, Parallelism::ONE).unwrap();
         assert_eq!(back.total_records(), s.total_records());
         assert_eq!(back.epoch(), s.epoch());
+        assert!(back.sources().eq(s.sources()));
         for src in s.sources() {
-            assert_eq!(back.records(src), s.records(src), "source {src:?}");
+            assert_eq!(back.text(src), s.text(src), "source {src:?}");
+            assert_eq!(
+                fs::read_to_string(dir.join(src.rel_path())).unwrap(),
+                s.text(src)
+            );
         }
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn rotated_segments_merge_in_time_order() {
+    fn rotated_segments_keep_file_order() {
         let dir = std::env::temp_dir().join(format!("logstore_rot_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
@@ -437,11 +458,13 @@ mod tests {
             "2018-03-14 09:00:01,000 INFO  X: older\n",
         )
         .unwrap();
-        let s = LogStore::read_dir(&dir).unwrap();
-        let recs = s.records(LogSource::ResourceManager);
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].message, "older");
-        assert_eq!(recs[1].message, "newer");
+        // The store keeps the segments in path order, `x.log` first; the
+        // analysis settles order by timestamp.
+        let s = LogStore::read_dir_with(&dir, Parallelism::ONE).unwrap();
+        let recs: Vec<_> = s.records(LogSource::ResourceManager).iter().collect();
+        let messages: Vec<&str> = recs.iter().map(|r| r.message).collect();
+        assert_eq!(messages, ["newer", "older"]);
+        assert_eq!(s.records_by_time()[0].1.message, "older");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -463,7 +486,9 @@ mod tests {
 
     /// The runs `scan_dir` hands each source's scan.
     fn scanned_runs(dir: &Path, par: Parallelism) -> Vec<Runs> {
-        scan_dir(dir, par, |src| Runs(src, Vec::new())).unwrap().1
+        scan_dir(dir, par, |_, src| Runs(src, Vec::new()))
+            .unwrap()
+            .1
     }
 
     /// What `scan_dir` visits, as `(source, [(ts, message)])`.
@@ -472,25 +497,30 @@ mod tests {
         runs.map(|Runs(src, runs)| (src, runs.concat())).collect()
     }
 
-    /// `visits`, each source's records stable-sorted by timestamp: what
-    /// the store keeps of them.
-    fn time_sorted(
-        mut visits: Vec<(LogSource, Vec<(u64, String)>)>,
-    ) -> Vec<(LogSource, Vec<(u64, String)>)> {
-        for (_, recs) in &mut visits {
-            recs.sort_by_key(|(ts, _)| *ts);
-        }
-        visits
-    }
-
-    /// What `LogStore::read_dir` keeps, as `(source, [(ts, message)])`.
+    /// What `LogStore::read_dir_with` keeps, as `(source, [(ts,
+    /// message)])`, read back through `LogStore::scan` at every thread
+    /// count.
     fn stored(dir: &Path) -> Vec<(LogSource, Vec<(u64, String)>)> {
-        let store = LogStore::read_dir(dir).unwrap();
+        let store = LogStore::read_dir_with(dir, Parallelism::ONE).unwrap();
         let kept = |src| -> Vec<(u64, String)> {
             let recs = store.records(src).iter();
-            recs.map(|r| (r.ts.0, r.message.clone())).collect()
+            recs.map(|r| (r.ts.0, r.message.to_string())).collect()
         };
-        store.sources().map(|src| (src, kept(src))).collect()
+        let stored: Vec<_> = store.sources().map(|src| (src, kept(src))).collect();
+        for threads in [2, 4] {
+            let again = LogStore::read_dir_with(dir, Parallelism::new(threads)).unwrap();
+            assert!(store
+                .sources()
+                .all(|src| again.text(src) == store.text(src)));
+        }
+        let scanned = store
+            .sources()
+            .filter_map(|src| store.scan(src, Runs(src, Vec::new())));
+        let scanned: Vec<_> = scanned
+            .map(|Runs(src, runs)| (src, runs.concat()))
+            .collect();
+        assert_eq!(scanned, stored);
+        stored
     }
 
     #[test]
@@ -544,9 +574,9 @@ mod tests {
         for threads in [1, 2, 4] {
             assert_eq!(scanned(&dir, Parallelism::new(threads)), want, "{threads}");
         }
-        // The store is that visit, kept and put in time order; no source
-        // without a record.
-        assert_eq!(stored(&dir), time_sorted(want));
+        // The store keeps that visit, in file order; no source without a
+        // record.
+        assert_eq!(stored(&dir), want);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -679,7 +709,7 @@ mod tests {
         assert_eq!(want[0].1.len(), lines - 2);
         for threads in [1, 2, 4] {
             let opened = std::sync::Mutex::new(Vec::new());
-            let (_, runs) = scan_dir(&dir, Parallelism::new(threads), |src| {
+            let (_, runs) = scan_dir(&dir, Parallelism::new(threads), |_, src| {
                 opened.lock().unwrap().push(src);
                 Runs(src, Vec::new())
             })
@@ -698,8 +728,8 @@ mod tests {
             let once_each: Vec<LogSource> = want.iter().map(|(src, _)| *src).collect();
             assert_eq!(opened, once_each, "{threads} threads");
         }
-        // The store puts each source in time order.
-        assert_eq!(stored(&dir), time_sorted(want));
+        // The store keeps what the scan visits, in file order.
+        assert_eq!(stored(&dir), want);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -771,9 +801,12 @@ mod tests {
         )
         .unwrap();
         fs::write(dir.join("README"), "not a log").unwrap();
-        let s = LogStore::read_dir(&dir).unwrap();
+        let s = LogStore::read_dir_with(&dir, Parallelism::ONE).unwrap();
         assert_eq!(s.total_records(), 1);
-        assert_eq!(s.records(LogSource::ResourceManager)[0].message, "ok");
+        assert_eq!(
+            s.text(LogSource::ResourceManager),
+            "2018-03-14 09:00:00,001 INFO  X: ok\n"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 }

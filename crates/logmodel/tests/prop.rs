@@ -103,7 +103,7 @@ fn log_line_roundtrip() {
         );
         let epoch = Epoch::default_run();
         let rec = LogRecord::new(TsMs(offset), Level::Info, &class, msg);
-        let line = logmodel::format::format_line(&epoch, &rec);
+        let line = logmodel::format::format_line(&epoch, rec.as_ref());
         assert_eq!(
             parse_line(&epoch, &line),
             Some(rec),
@@ -260,7 +260,7 @@ fn lines_match_the_format_reference() {
             messages[i % messages.len()],
         );
         assert_eq!(
-            format_line(&epoch, &rec),
+            format_line(&epoch, rec.as_ref()),
             reference_format_line(&epoch, &rec),
             "unix ms {t}"
         );
@@ -273,7 +273,7 @@ fn lines_match_the_format_reference() {
             for message in messages {
                 let rec = LogRecord::new(TsMs(17_123), level, class, message);
                 assert_eq!(
-                    format_line(&epoch, &rec),
+                    format_line(&epoch, rec.as_ref()),
                     reference_format_line(&epoch, &rec)
                 );
                 lines += 1;

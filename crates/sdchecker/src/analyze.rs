@@ -269,7 +269,7 @@ pub fn analyze_dir(dir: &Path) -> io::Result<Analysis> {
 /// over [`LogStore::read_dir_with`].
 pub fn analyze_dir_with(dir: &Path, par: Parallelism) -> io::Result<Analysis> {
     let ex = Extractor::new();
-    let (_epoch, scans) = scan_dir(dir, par, |src| StreamScanner::new(&ex, src))?;
+    let (_epoch, scans) = scan_dir(dir, par, |_, src| StreamScanner::new(&ex, src))?;
     let _span = obs::span("analyze");
     Ok(analyze_extracted(merge_scans(scans)))
 }

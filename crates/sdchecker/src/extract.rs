@@ -10,9 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use logmodel::{
-    ApplicationId, ContainerId, LogRecord, LogSource, NodeId, Parallelism, RecordRef, SourceScan,
-};
+use logmodel::{ApplicationId, ContainerId, LogSource, NodeId, Parallelism, RecordRef, SourceScan};
 
 use crate::checkpoint::CkptError;
 use crate::event::{EventKind, SchedEvent};
@@ -598,13 +596,27 @@ impl<'e> StreamScanner<'e> {
             name_ts: logmodel::TsMs(0),
         }
     }
+}
 
-    /// Take the stream's next records.
-    fn feed<'a>(&mut self, records: impl Iterator<Item = RecordRef<'a>>) {
+/// The scanner as the batch pipelines run it: each run under an
+/// `extract_stream` span, and at the end the stream's counters flushed
+/// when recording is on. Events stay in record order; the merge sorts.
+impl SourceScan for StreamScanner<'_> {
+    type Output = StreamScan;
+
+    fn records(&mut self, recs: &[RecordRef<'_>]) {
+        // Named only when traced: a path formatted per run for nothing
+        // costs a directory of small files some 5 % of its CPU.
+        let span = obs::span("extract_stream");
+        let _span = if span.is_active() {
+            span.arg("source", self.scan.source.rel_path())
+        } else {
+            span
+        };
         let scan = &mut self.scan;
         let is_driver = matches!(scan.source, LogSource::Driver(_));
         let positional = is_driver || matches!(scan.source, LogSource::Executor(_));
-        for r in records {
+        for &r in recs {
             let before = scan.events.len();
             let mut outcome = self
                 .ex
@@ -646,25 +658,6 @@ impl<'e> StreamScanner<'e> {
             scan.max_ts = scan.max_ts.max(Some(r.ts));
         }
     }
-}
-
-/// The scanner as the batch pipelines run it: each run under an
-/// `extract_stream` span, and at the end the stream's counters flushed
-/// when recording is on. Events stay in record order; the merge sorts.
-impl SourceScan for StreamScanner<'_> {
-    type Output = StreamScan;
-
-    fn records(&mut self, recs: &[RecordRef<'_>]) {
-        // Named only when traced: a path formatted per run for nothing
-        // costs a directory of small files some 5 % of its CPU.
-        let span = obs::span("extract_stream");
-        let _span = if span.is_active() {
-            span.arg("source", self.scan.source.rel_path())
-        } else {
-            span
-        };
-        self.feed(recs.iter().copied());
-    }
 
     fn finish(self) -> StreamScan {
         let mut scan = self.scan;
@@ -688,18 +681,17 @@ pub(crate) struct Extracted {
     pub(crate) watermark: Option<logmodel::TsMs>,
 }
 
-/// Scan every stream of `store` over `par` worker threads and merge the
-/// results, under the `extract` span.
+/// Scan every stream of `store` over `par` worker threads, each through
+/// [`logmodel::LogStore::scan`] — the read loop a directory's files go
+/// through — and merge the results, under the `extract` span.
 pub(crate) fn extract_store(store: &logmodel::LogStore, par: Parallelism) -> Extracted {
     let _span = obs::span("extract");
     let ex = Extractor::new();
     let sources: Vec<LogSource> = store.sources().collect();
-    merge_scans(logmodel::par::map(par, &sources, |&src| {
-        let mut scanner = StreamScanner::new(&ex, src);
-        let _span = obs::span("extract_stream").arg("source", src.rel_path());
-        scanner.feed(store.records(src).iter().map(LogRecord::as_ref));
-        scanner.finish()
-    }))
+    let scans = logmodel::par::map(par, &sources, |&src| {
+        store.scan(src, StreamScanner::new(&ex, src))
+    });
+    merge_scans(scans.into_iter().flatten().collect())
 }
 
 /// Fold per-stream scans, given in [`LogSource`] order, into one
@@ -813,7 +805,7 @@ pub fn extract_app_names_with(
         store
             .records(LogSource::Driver(app))
             .iter()
-            .find_map(|r| Some((app, ex.app_name(&r.message)?.to_string())))
+            .find_map(|r| Some((app, ex.app_name(r.message)?.to_string())))
     });
     named.into_iter().flatten().collect()
 }
@@ -830,7 +822,7 @@ mod tests {
         records: &[LogRecord],
     ) -> (Vec<SchedEvent>, CoverageCounts, Option<String>) {
         let mut scanner = StreamScanner::new(ex, source);
-        scanner.feed(records.iter().map(LogRecord::as_ref));
+        scanner.records(&records.iter().map(LogRecord::as_ref).collect::<Vec<_>>());
         let scan = scanner.scan;
         (scan.events, scan.cov, scan.example)
     }
@@ -838,7 +830,7 @@ mod tests {
     fn extract_stream(ex: &Extractor, source: LogSource, records: &[LogRecord]) -> Vec<SchedEvent> {
         scan_records(ex, source, records).0
     }
-    use logmodel::{Epoch, Level, LogStore, TsMs};
+    use logmodel::{Epoch, Level, LogRecord, LogStore, TsMs};
 
     const CTS: u64 = 1_521_018_000_000;
 

@@ -561,7 +561,7 @@ mod tests {
             exemplar_slots: 3,
         });
         for (src, r) in store.records_by_time() {
-            inc.ingest(src, r);
+            inc.ingest(src, &r.to_record());
         }
         let retired = inc.drain_ready();
         assert_eq!(retired.len(), 1);
@@ -619,17 +619,16 @@ mod tests {
         // round's RM records are late.
         for round in 0..2 {
             for &src in &sources {
-                let recs = store.records(src);
+                let recs: Vec<RecordRef<'_>> = store.records(src).iter().collect();
                 let half = recs.len() / 2;
-                let recs = if round == 0 {
+                let refs = if round == 0 {
                     &recs[..half]
                 } else {
                     &recs[half..]
                 };
-                for r in recs {
-                    single_outcomes.push((r.ts, single.ingest(src, r)));
+                for r in refs {
+                    single_outcomes.push((r.ts, single.ingest(src, &r.to_record())));
                 }
-                let refs: Vec<RecordRef<'_>> = recs.iter().map(LogRecord::as_ref).collect();
                 for chunk in refs.chunks(3) {
                     sliced.ingest_records(src, chunk, |ts, o| sliced_outcomes.push((ts, o)));
                 }
@@ -666,7 +665,7 @@ mod tests {
             exemplar_slots: 3,
         });
         for (src, r) in store.records_by_time() {
-            inc.ingest(src, r);
+            inc.ingest(src, &r.to_record());
         }
         // Terminal at 40_100, watermark at 40_100: settle not elapsed.
         assert!(inc.drain_ready().is_empty());
@@ -731,7 +730,7 @@ mod tests {
             exemplar_slots: 3,
         });
         for (src, r) in store.records_by_time() {
-            inc.ingest(src, r);
+            inc.ingest(src, &r.to_record());
         }
         assert_eq!(inc.drain_ready().len(), 1);
         let a = ApplicationId::new(Epoch::default_run().unix_ms, 1);
@@ -754,7 +753,7 @@ mod tests {
         let store = one_app_corpus(2, 0);
         let mut inc = IncrementalAnalyzer::default();
         for (src, r) in store.records_by_time() {
-            inc.ingest(src, r);
+            inc.ingest(src, &r.to_record());
         }
         // Default settle window has not elapsed past the terminal event.
         assert_eq!(inc.in_flight(), 1);
@@ -774,7 +773,7 @@ mod tests {
             exemplar_slots: 3,
         });
         for (src, r) in store.records_by_time() {
-            inc.ingest(src, r);
+            inc.ingest(src, &r.to_record());
         }
         inc.drain_ready();
         let doc = inc.live_report_json(None);

@@ -1122,12 +1122,12 @@ mod tests {
 
     /// What batch ingest reads from `dir`, as owned records.
     fn batch(dir: &Path) -> Vec<(LogSource, LogRecord)> {
-        let (_, sources) =
-            logmodel::scan_dir(dir, logmodel::Parallelism::ONE, |src| (src, Vec::new())).unwrap();
-        let records = sources
-            .into_iter()
-            .map(|(src, recs)| recs.into_iter().map(move |r| (src, r)));
-        records.flatten().collect()
+        let store = logmodel::LogStore::read_dir_with(dir, logmodel::Parallelism::ONE).unwrap();
+        let records = store.sources().flat_map(|src| {
+            let recs = store.records(src);
+            recs.iter().map(move |r| (src, r.to_record()))
+        });
+        records.collect()
     }
 
     /// One file of six chunks whose boundaries fall right after a

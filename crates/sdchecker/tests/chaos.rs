@@ -168,10 +168,10 @@ fn merged_lines(l: &Layout) -> Vec<(PathBuf, String)> {
             let lines: Vec<(u64, String)> = logs
                 .records(src)
                 .iter()
-                .zip(logs.render_source(src).lines())
+                .zip(logs.text(src).lines())
                 .map(|(rec, line)| (rec.ts.0, line.to_string()))
                 .collect();
-            assert_eq!(lines.len(), logs.records(src).len());
+            assert_eq!(lines.len(), logs.records(src).iter().count());
             Stream {
                 path,
                 lines,

@@ -107,7 +107,7 @@ fn stream_to_boundary(dir: &Path) -> Live {
     for upto in BOUNDARIES {
         for src in logs.sources() {
             let mut fresh = String::new();
-            for r in logs.records(src) {
+            for r in logs.records(src).iter() {
                 if r.ts.0 > written && r.ts.0 <= upto {
                     fresh.push_str(&format_line(logs.epoch(), r));
                     fresh.push('\n');

@@ -75,7 +75,7 @@ fn run(seed: u64, dir: &Path, interrupt: bool) -> Outputs {
     let mut blobs: Vec<(PathBuf, Vec<u8>, usize)> = logs
         .sources()
         .map(|src| {
-            let mut bytes = logs.render_source(src).into_bytes();
+            let mut bytes = logs.text(src).as_bytes().to_vec();
             if src == logmodel::LogSource::ResourceManager {
                 assert_eq!(bytes.pop(), Some(b'\n'));
             }

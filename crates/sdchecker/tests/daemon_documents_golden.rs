@@ -42,7 +42,7 @@ fn documents() -> [(&'static str, String); 4] {
         }
     };
     for (source, record) in logs.records_by_time() {
-        if analyzer.ingest(source, record) == Outcome::Anomalous {
+        if analyzer.ingest(source, &record.to_record()) == Outcome::Anomalous {
             engine.observe_anomalous(record.ts);
         }
         observe(&mut engine, analyzer.drain_ready());

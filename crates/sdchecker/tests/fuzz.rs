@@ -11,7 +11,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use logmodel::{corrupt_dir, CorruptConfig, Epoch, LogSource, LogStore, TsMs};
+use logmodel::{corrupt_dir, CorruptConfig, Epoch, LogSource, LogStore, Parallelism, TsMs};
 use obs::json::Json;
 use sdchecker::{
     analyze_dir, default_rules, full_report, report_json, wide_events_for_analysis, AlertEngine,
@@ -172,7 +172,7 @@ fn corrupted_corpora_never_panic_severe_profile() {
 fn every_event_derives_the_stream_it_was_extracted_from() {
     let ex = Extractor::new();
     let check = |dir: &Path, label: &str| {
-        let store = LogStore::read_dir(dir).unwrap();
+        let store = LogStore::read_dir_with(dir, Parallelism::ONE).unwrap();
         let mut events = 0;
         for source in store.sources() {
             let node = match source {
@@ -181,8 +181,8 @@ fn every_event_derives_the_stream_it_was_extracted_from() {
             };
             let mut cursor = StreamCursor::new(source);
             let mut evs = Vec::new();
-            for r in store.records(source) {
-                ex.extract_record(&mut cursor, &r.as_ref(), &mut evs);
+            for r in store.records(source).iter() {
+                ex.extract_record(&mut cursor, &r, &mut evs);
             }
             for ev in evs {
                 assert_eq!(ev.source(), source, "[{label}] {ev:?}");
@@ -289,7 +289,7 @@ fn hostile_application_names_round_trip_through_both_documents() {
     });
     let mut alerts = AlertEngine::new(default_rules(1), 1_000);
     for (source, record) in s.records_by_time() {
-        if inc.ingest(source, record) == Outcome::Anomalous {
+        if inc.ingest(source, &record.to_record()) == Outcome::Anomalous {
             alerts.observe_anomalous(record.ts);
         }
     }

@@ -294,7 +294,7 @@ fn append(path: &Path, bytes: &[u8]) {
 fn tailed_ingest_matches_batch_for_any_append_chunking() {
     let logs = chatty_corpus(4_000);
     let rm = LogSource::ResourceManager;
-    let chatter = logs.render_source(rm).len() - corpus().render_source(rm).len();
+    let chatter = logs.text(rm).len() - corpus().text(rm).len();
     assert!(chatter > 2 * READ_CHUNK, "{chatter} bytes of chatter");
 
     // Batch gold: write the finished corpus, analyze it, pin the report.
@@ -344,7 +344,7 @@ fn tailed_ingest_matches_batch_for_any_append_chunking() {
         let mut blobs: Vec<(PathBuf, Vec<u8>, usize, usize)> = logs
             .sources()
             .map(|src| {
-                let mut bytes = logs.render_source(src).into_bytes();
+                let mut bytes = logs.text(src).as_bytes().to_vec();
                 let mut head = 0;
                 if src == rm {
                     assert_eq!(bytes.pop(), Some(b'\n'));
@@ -540,7 +540,7 @@ fn copytruncate_and_mid_utf8_chunks_keep_exemplar_traces_batch_identical() {
     // genuine shrink, and the UTF-8-named app's driver log starts empty
     // and is drip-fed below.
     let rm_path = dir.join(LogSource::ResourceManager.rel_path());
-    let rm_bytes = logs.render_source(LogSource::ResourceManager).into_bytes();
+    let rm_bytes = logs.text(LogSource::ResourceManager).as_bytes().to_vec();
     let cut = rm_bytes[..rm_bytes.len() * 3 / 5]
         .iter()
         .rposition(|&b| b == b'\n')
@@ -551,7 +551,7 @@ fn copytruncate_and_mid_utf8_chunks_keep_exemplar_traces_batch_identical() {
         .find(|s| matches!(s, LogSource::Driver(a) if a.seq == 2))
         .unwrap();
     let drv_path = dir.join(utf8_driver.rel_path());
-    let drv_bytes = logs.render_source(utf8_driver).into_bytes();
+    let drv_bytes = logs.text(utf8_driver).as_bytes().to_vec();
     for src in logs.sources() {
         let path = dir.join(src.rel_path());
         fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -560,7 +560,7 @@ fn copytruncate_and_mid_utf8_chunks_keep_exemplar_traces_batch_identical() {
         } else if src == utf8_driver {
             fs::write(&path, b"").unwrap();
         } else {
-            fs::write(&path, logs.render_source(src)).unwrap();
+            fs::write(&path, logs.text(src)).unwrap();
         }
     }
 
@@ -667,15 +667,15 @@ fn live_set_sweep_loses_nothing_when_no_cluster_log_names_an_application() {
         .sources()
         .filter(|s| !matches!(s, LogSource::ResourceManager | LogSource::NodeManager(_)))
     {
-        for rec in full.records(src) {
-            apps_only.push(src, rec.clone());
+        for rec in full.records(src).iter() {
+            apps_only.push(src, rec.to_record());
         }
     }
     let (dir, mut tailer) = cold_layout("apps_only", &apps_only);
     let mut feed = Feed::new(u64::MAX, *full.epoch());
-    let texts: Vec<(PathBuf, String)> = apps_only
+    let texts: Vec<(PathBuf, &str)> = apps_only
         .sources()
-        .map(|src| (dir.join(src.rel_path()), apps_only.render_source(src)))
+        .map(|src| (dir.join(src.rel_path()), apps_only.text(src)))
         .collect();
     for (path, text) in &texts {
         let first = text.find('\n').unwrap() + 1;
@@ -719,7 +719,7 @@ fn live_set_sweep_loses_nothing_when_no_cluster_log_names_an_application() {
     let rm = LogSource::ResourceManager;
     let mut last_lines: Vec<(PathBuf, String)> = Vec::new();
     for src in full.sources().filter(|s| *s != rm) {
-        let text = full.render_source(src);
+        let text = full.text(src);
         let path = dir.join(src.rel_path());
         if matches!(src, LogSource::ResourceManager | LogSource::NodeManager(_)) {
             append(&path, text.as_bytes());
@@ -732,14 +732,14 @@ fn live_set_sweep_loses_nothing_when_no_cluster_log_names_an_application() {
     tailer.poll_with(&mut feed).unwrap();
     assert_eq!(
         tailer.stats().parsed_lines as usize,
-        full.total_records() - full.records(rm).len() - last_lines.len(),
+        full.total_records() - full.records(rm).iter().count() - last_lines.len(),
         "the NodeManager logs name both applications, so the poll that read them read their files"
     );
     assert!(feed.inc.drain_ready().is_empty(), "no terminal event yet");
     for (path, line) in &last_lines {
         append(path, line.as_bytes());
     }
-    append(&dir.join(rm.rel_path()), full.render_source(rm).as_bytes());
+    append(&dir.join(rm.rel_path()), full.text(rm).as_bytes());
     tailer.poll_with(&mut feed).unwrap();
     let mut retired = feed.inc.drain_ready();
     assert_eq!(retired.len(), 2);
@@ -800,7 +800,7 @@ fn line_written_before_the_newest_cluster_line_is_read_in_the_same_poll() {
     let mut pending = Vec::new();
     let mut nm_last = None;
     for src in logs.sources() {
-        let text = logs.render_source(src);
+        let text = logs.text(src);
         let path = dir.join(src.rel_path());
         let cut = match src {
             LogSource::Executor(_) | LogSource::NodeManager(_) => {

@@ -304,7 +304,7 @@ fn dir_analysis_equals_store_analysis_on_hostile_layouts() {
         let mut rotated = false;
         for src in store.sources().filter(|s| {
             matches!(s, LogSource::Driver(_) | LogSource::Executor(_))
-                && store.records(*s).len() > 1
+                && store.records(*s).iter().count() > 1
         }) {
             let path = dir.join(src.rel_path());
             let lines = shuffled_with_ties(&mut rng, &fs::read_to_string(&path).unwrap());

@@ -220,7 +220,7 @@ fn recording_costs_allocations_per_event_kind_not_per_event() {
         .sources()
         .filter(|src| matches!(src, LogSource::ResourceManager | LogSource::NodeManager(_)))
         .flat_map(|src| {
-            let recs: Vec<_> = store.records(src).iter().map(|r| r.as_ref()).collect();
+            let recs: Vec<_> = store.records(src).iter().collect();
             recs.chunks(256)
                 .map(|run| (src, run.to_vec()))
                 .collect::<Vec<_>>()
@@ -303,7 +303,7 @@ fn noisy_fleet(name: &str, noise: usize) -> (PathBuf, usize) {
             _ => OTHER_SHAPE_RM,
         };
         let mut text = String::new();
-        for line in store.render_source(source).lines() {
+        for line in store.text(source).lines() {
             text.push_str(line);
             text.push('\n');
             // Noise records carry the stamp of the line they follow, so

@@ -81,27 +81,27 @@ fn observed_transitions(store: &LogStore) -> BTreeMap<(String, String), Vec<Obs>
     let nm_container = Pat::new_static(sdchecker::schema::NM_CONTAINER_TEMPLATE);
     let mut out: BTreeMap<(String, String), Vec<Obs>> = BTreeMap::new();
     for src in store.sources() {
-        for r in store.records(src) {
-            let (entity, from, to) = match (src, r.class.as_str()) {
-                (LogSource::ResourceManager, "RMAppImpl") => match rm_app.match_str(&r.message) {
+        for r in store.records(src).iter() {
+            let (entity, from, to) = match (src, r.class) {
+                (LogSource::ResourceManager, "RMAppImpl") => match rm_app.match_str(r.message) {
                     Some(c) => (c[0], c[1], c[2]),
                     None => continue,
                 },
                 (LogSource::ResourceManager, "RMContainerImpl") => {
-                    match rm_container.match_str(&r.message) {
+                    match rm_container.match_str(r.message) {
                         Some(c) => (c[0], c[1], c[2]),
                         None => continue,
                     }
                 }
                 (LogSource::NodeManager(_), "ContainerImpl") => {
-                    match nm_container.match_str(&r.message) {
+                    match nm_container.match_str(r.message) {
                         Some(c) => (c[0], c[1], c[2]),
                         None => continue,
                     }
                 }
                 _ => continue,
             };
-            out.entry((r.class.clone(), entity.to_string()))
+            out.entry((r.class.to_string(), entity.to_string()))
                 .or_default()
                 .push(Obs {
                     ts: r.ts,
@@ -195,17 +195,17 @@ fn check_chain(
 /// writer's clock can never run backwards within one stream.
 fn check_stream_order(cfg_name: &str, store: &LogStore, findings: &mut Vec<Finding>) {
     for src in store.sources() {
-        let records = store.records(src);
-        for w in records.windows(2) {
-            if w[1].ts < w[0].ts {
+        let stamps: Vec<TsMs> = store.records(src).iter().map(|r| r.ts).collect();
+        for w in stamps.windows(2) {
+            if w[1] < w[0] {
                 findings.push(Finding::new(
                     CHECKER,
                     format!(
                         "[{cfg_name}] stream {}: record timestamps go backwards \
                          ({} after {})",
                         src.rel_path(),
-                        w[1].ts,
-                        w[0].ts
+                        w[1],
+                        w[0]
                     ),
                 ));
                 break;

@@ -69,18 +69,6 @@ pub(crate) const SURFACE_ALLOW: &[SurfaceAllow] = &[
                  snapshot",
     },
     SurfaceAllow {
-        file: "crates/logmodel/src/store.rs",
-        name: "iter_lines",
-        reason: "read accessor: tests/quiescence.rs digests and tests/end_to_end.rs \
-                 compares every rendered line of a simulated store",
-    },
-    SurfaceAllow {
-        file: "crates/logmodel/src/store.rs",
-        name: "render_source",
-        reason: "read accessor: sdchecker's incremental, chaos, checkpoint and \
-                 zero_alloc tests write a simulated store out one file at a time",
-    },
-    SurfaceAllow {
         file: "crates/simkit/src/ps.rs",
         name: "active_flows",
         reason: "read accessor: simkit's tests/prop.rs checks a resource holds no \

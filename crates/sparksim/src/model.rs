@@ -121,7 +121,9 @@ impl World {
     /// one place a simulated log line becomes text.
     fn write_lines(&mut self) {
         for line in self.out.lines.drain(..) {
-            self.logs.push(line.source, line.into_record());
+            let source = line.source;
+            let (ts, class, message) = line.into_parts();
+            self.logs.info(source, ts, class, message);
         }
     }
 
@@ -282,7 +284,7 @@ mod tests {
 
         let app = s.app;
         // Table-I evidence, message by message.
-        let rm_text = logs.render_source(LogSource::ResourceManager);
+        let rm_text = logs.text(LogSource::ResourceManager);
         for needle in [
             "from NEW_SAVING to SUBMITTED",  // 1
             "from SUBMITTED to ACCEPTED",    // 2
@@ -292,7 +294,7 @@ mod tests {
         ] {
             assert!(rm_text.contains(needle), "RM log missing {needle:?}");
         }
-        let driver_text = logs.render_source(LogSource::Driver(app));
+        let driver_text = logs.text(LogSource::Driver(app));
         for needle in [
             "Starting ApplicationMaster",      // 9
             "Registered with ResourceManager", // 10
@@ -312,7 +314,7 @@ mod tests {
             .collect();
         assert_eq!(execs.len(), 4);
         for e in execs {
-            let txt = logs.render_source(e);
+            let txt = logs.text(e);
             assert!(txt.contains("Started executor"), "missing 13 in {e:?}");
             assert!(txt.contains("Got assigned task"), "missing 14 in {e:?}");
         }
@@ -328,9 +330,13 @@ mod tests {
         let (b_logs, b_sum) = run_one(profiles::spark_sql_default(2048.0, 4));
         assert_eq!(a_sum.len(), b_sum.len());
         assert_eq!(a_sum[0].finished_at, b_sum[0].finished_at);
-        let a_lines: Vec<_> = a_logs.iter_lines().collect();
-        let b_lines: Vec<_> = b_logs.iter_lines().collect();
-        assert_eq!(a_lines, b_lines, "logs must be byte-identical");
+        let text = |logs: &LogStore| -> Vec<(LogSource, String)> {
+            let sources = logs.sources();
+            sources
+                .map(|src| (src, logs.text(src).to_string()))
+                .collect()
+        };
+        assert_eq!(text(&a_logs), text(&b_logs), "logs must be byte-identical");
     }
 
     #[test]
@@ -362,7 +368,7 @@ mod tests {
             let mut first_task = u64::MAX;
             for src in logs.sources() {
                 if let LogSource::Executor(_) = src {
-                    for r in logs.records(src) {
+                    for r in logs.records(src).iter() {
                         if r.message.starts_with("Started executor") {
                             first_exec_log = first_exec_log.min(r.ts.0);
                         }
@@ -407,7 +413,7 @@ mod tests {
             .filter(|s| matches!(s, LogSource::Executor(_)))
             .count();
         assert_eq!(exec_logs, 9);
-        let rm = logs.render_source(LogSource::ResourceManager);
+        let rm = logs.text(LogSource::ResourceManager);
         assert!(rm.contains("to FINISHED"));
     }
 
@@ -424,7 +430,7 @@ mod tests {
             .filter(|s| matches!(s, LogSource::Executor(_)))
             .count();
         assert_eq!(exec_logs, 4);
-        let rm = logs.render_source(LogSource::ResourceManager);
+        let rm = logs.text(LogSource::ResourceManager);
         let allocated = rm.matches("from NEW to ALLOCATED").count();
         assert_eq!(allocated, 7, "1 AM + 4 + 2 extras allocated");
     }
@@ -568,7 +574,7 @@ mod tests {
             s.finished_at,
             clean[0].finished_at
         );
-        let driver_text = logs.render_source(LogSource::Driver(s.app));
+        let driver_text = logs.text(LogSource::Driver(s.app));
         assert!(
             driver_text.contains(&format!(
                 "Registered with ResourceManager as {}",
@@ -576,7 +582,7 @@ mod tests {
             )),
             "driver must register under attempt 2"
         );
-        let rm_text = logs.render_source(LogSource::ResourceManager);
+        let rm_text = logs.text(LogSource::ResourceManager);
         assert!(rm_text.contains("from LAUNCHED to FAILED on event = CONTAINER_FINISHED"));
         assert!(rm_text.contains("from FINISHING to FINISHED"));
     }
@@ -600,7 +606,7 @@ mod tests {
         );
         assert_eq!(sums.len(), 1);
         assert!(sums[0].failed);
-        let rm_text = logs.render_source(LogSource::ResourceManager);
+        let rm_text = logs.text(LogSource::ResourceManager);
         assert!(rm_text.contains("from FINAL_SAVING to FAILED"));
     }
 }

@@ -14,7 +14,7 @@
 use std::fmt;
 
 use logmodel::schema::MsgTemplate;
-use logmodel::{ApplicationId, ContainerId, Level, LogRecord, LogSource, NodeId, TsMs};
+use logmodel::{ApplicationId, ContainerId, LogSource, NodeId, TsMs};
 use simkit::{Millis, ResourceGen};
 
 use crate::config::{ContainerRuntime, ResourceReq};
@@ -281,9 +281,9 @@ pub struct Line {
 }
 
 impl Line {
-    /// The INFO record this line renders as, through the `schema`
-    /// templates.
-    pub fn into_record(self) -> LogRecord {
+    /// The timestamp, class and message of the INFO line this renders
+    /// as, through the `schema` templates.
+    pub fn into_parts(self) -> (TsMs, &'static str, String) {
         let (template, msg) = match self.what {
             What::RmApp {
                 app,
@@ -304,7 +304,7 @@ impl Line {
             }
             What::Text { template, msg } => (template, msg),
         };
-        LogRecord::new(TsMs(self.at.0), Level::Info, template.class, msg)
+        (TsMs(self.at.0), template.class, msg)
     }
 }
 

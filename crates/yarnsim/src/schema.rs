@@ -3,7 +3,7 @@
 //! introspectable data.
 //!
 //! Every line the cluster writes renders through these templates (the
-//! three transitions in [`Line::into_record`](crate::effects::Line::into_record),
+//! three transitions in [`Line::into_parts`](crate::effects::Line::into_parts),
 //! the rest at their emit sites in [`cluster`](crate::cluster)), so the
 //! table *is* the vocabulary — a template edited here changes the logs,
 //! and `sdlint` cross-checks the table against `sdchecker`'s pattern

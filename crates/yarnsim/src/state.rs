@@ -343,7 +343,7 @@ impl Tracked<NmContainerState> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logmodel::{Level, TsMs};
+    use logmodel::TsMs;
 
     #[test]
     fn rm_app_happy_path_is_legal() {
@@ -421,12 +421,9 @@ mod tests {
         assert_eq!(out.lines.len(), 1);
         let line = out.lines.pop().unwrap();
         assert_eq!(line.source, source);
-        let rec = line.into_record();
-        assert_eq!(
-            (rec.ts, rec.level, rec.class.as_str()),
-            (TsMs(42), Level::Info, class)
-        );
-        rec.message
+        let (ts, logged_as, message) = line.into_parts();
+        assert_eq!((ts, logged_as), (TsMs(42), class));
+        message
     }
 
     // The reference each typed line is held to is the text the state

@@ -51,7 +51,8 @@ impl Pump {
         }
         self.notices.extend(out.notices);
         for line in out.lines {
-            self.logs.push(line.source, line.clone().into_record());
+            let (ts, class, message) = line.clone().into_parts();
+            self.logs.info(line.source, ts, class, message);
             self.lines.push(line);
         }
     }
@@ -133,7 +134,7 @@ fn messages_about<'a>(logs: &'a LogStore, src: LogSource, needle: &str) -> Vec<&
     logs.records(src)
         .iter()
         .filter(|r| r.message.contains(needle))
-        .map(|r| r.message.as_str())
+        .map(|r| r.message)
         .collect()
 }
 
@@ -305,7 +306,7 @@ fn acquisition_waits_for_am_heartbeat() {
     );
 
     // Mine the logs: per executor container, acquired - allocated ∈ (0, 1000].
-    let rm = p.logs.records(LogSource::ResourceManager);
+    let rm = p.logs.records(LogSource::ResourceManager).iter();
     let mut allocated = std::collections::HashMap::new();
     for r in rm {
         if r.message.contains("from NEW to ALLOCATED") {
@@ -360,7 +361,7 @@ fn localization_cache_dedups_same_node_downloads() {
     );
 
     // Localization delay per container = LOCALIZING→SCHEDULED.
-    let nm = p.logs.records(LogSource::NodeManager(node));
+    let nm = p.logs.records(LogSource::NodeManager(node)).iter();
     let mut start = std::collections::HashMap::new();
     let mut local_delays = std::collections::HashMap::new();
     for r in nm {
@@ -672,7 +673,7 @@ fn public_cache_survives_application_completion() {
         |n| matches!(n, AppNotice::ProcessStarted { app, .. } if *app == a2),
         200_000,
     );
-    let nm = p.logs.records(LogSource::NodeManager(NodeId(0)));
+    let nm = p.logs.records(LogSource::NodeManager(NodeId(0))).iter();
     let c2 = a2.attempt(1).container(1);
     let mut start = 0;
     let mut done = 0;
@@ -943,7 +944,7 @@ fn disabled_faults_leave_logs_byte_identical() {
         });
         p.run_past(p.now + Millis(10_000));
         let mut lines = Vec::new();
-        for r in p.logs.records(LogSource::ResourceManager) {
+        for r in p.logs.records(LogSource::ResourceManager).iter() {
             lines.push(format!("{} {}", r.ts, r.message));
         }
         lines
@@ -1009,7 +1010,7 @@ fn live_container_accounting_balances_on_all_paths() {
 /// last `Container Transitioned` line.
 fn rm_container_states(logs: &LogStore, app: ApplicationId) -> BTreeMap<ContainerId, String> {
     let mut states = BTreeMap::new();
-    for r in logs.records(LogSource::ResourceManager) {
+    for r in logs.records(LogSource::ResourceManager).iter() {
         let Some((cid, hop)) = r.message.split_once(" Container Transitioned from ") else {
             continue;
         };

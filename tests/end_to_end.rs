@@ -4,7 +4,7 @@
 //! applications complete, SDchecker is able to collect both Yarn's logs
 //! and applications' logs").
 
-use logmodel::LogSource;
+use logmodel::{LogSource, LogStore};
 use sdchecker::EventKind;
 use simkit::{Millis, SimRng};
 use sparksim::{profiles, simulate};
@@ -98,9 +98,12 @@ fn full_run_determinism_across_processes_shape() {
     // Byte-identical logs for identical (config, seed, arrivals).
     let (a, _) = small_trace(10, 707);
     let (b, _) = small_trace(10, 707);
-    let la: Vec<_> = a.iter_lines().collect();
-    let lb: Vec<_> = b.iter_lines().collect();
-    assert_eq!(la, lb);
+    let lines = |logs: &LogStore| -> Vec<(LogSource, String)> {
+        let sources = logs.sources();
+        let lines = sources.flat_map(|src| logs.text(src).lines().map(move |l| (src, l)));
+        lines.map(|(src, l)| (src, l.to_string())).collect()
+    };
+    assert_eq!(lines(&a), lines(&b));
 }
 
 #[test]
@@ -108,7 +111,7 @@ fn per_app_log_files_exist_per_container() {
     let (logs, summaries) = small_trace(5, 808);
     for s in &summaries {
         assert!(
-            logs.records(LogSource::Driver(s.app)).len() >= 4,
+            logs.records(LogSource::Driver(s.app)).iter().count() >= 4,
             "driver log must hold first-log, REGISTER, START/END_ALLO"
         );
         let exec_logs = logs

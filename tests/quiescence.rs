@@ -37,7 +37,9 @@ fn tpch(n: usize, seed: u64) -> Vec<(Millis, JobSpec)> {
 /// its app, label, kind, submit and finish times, and outcome.
 fn snapshot(engine: &Engine<World>) -> (Vec<String>, Vec<String>) {
     let world = engine.model();
-    let lines = world.logs.iter_lines().map(|(_, l)| l).collect();
+    let logs = &world.logs;
+    let lines = logs.sources().flat_map(|src| logs.text(src).lines());
+    let lines = lines.map(str::to_string).collect();
     let jobs = world
         .summaries
         .iter()

@@ -1,7 +1,7 @@
 //! The simulator's allocations are counted, not hoped for.
 //!
-//! A simulated event allocates for what it writes (a log record's class
-//! and message) and for what it hands on (a
+//! A simulated event allocates for what it writes (a log line's message,
+//! and its source's text as that grows) and for what it hands on (a
 //! grant's container list, a finished flow list), not for buffers the
 //! engine, the world or a processor-sharing resource can keep from one
 //! event to the next. A rendered log line is one allocation of exactly
@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use logmodel::{format_line, Level, LogRecord, TsMs};
+use logmodel::{format_line, Level, RecordRef, TsMs};
 use simkit::{Millis, SimRng};
 use sparksim::{simulate, World};
 use workloads::{tpch_stream, TraceParams};
@@ -83,15 +83,17 @@ fn tpch(n: usize, seed: u64) -> Vec<(Millis, sparksim::JobSpec)> {
 }
 
 /// Allocations per processed event of the 50-application TPC-H stream
-/// (seed 1, 21 419 events), counted when this bound was set: 18 780, or
-/// 0.88 per event, in the dev and the release profile alike. While each
-/// state transition rendered its entity's id into a string of its own,
-/// the same run made 25 827 (1.21 per event, bound 1.3); before the
-/// engine, the world and the processor-sharing resources kept their
-/// per-event buffers, 91 923 (4.29 per event). What remains is what the
-/// events write and hand on: each log record's class and message, each
+/// (seed 1, 21 419 events), counted when this bound was set: 15 685, or
+/// 0.73 per event, in the dev and the release profile alike. While the
+/// store kept each line as a record with a class and a message string of
+/// its own, the same run made 18 780 (0.88 per event, bound 0.95); while
+/// each state transition rendered its entity's id into a string of its
+/// own, 25 827 (1.21 per event, bound 1.3); before the engine, the world
+/// and the processor-sharing resources kept their per-event buffers,
+/// 91 923 (4.29 per event). What remains is what the events write and
+/// hand on: each log line's message and its source's growing text, each
 /// grant's container list, each tick's finished flows.
-const ALLOCS_PER_EVENT: f64 = 0.95;
+const ALLOCS_PER_EVENT: f64 = 0.79;
 
 #[test]
 fn fifty_app_stream_stays_within_its_allocations_per_event() {
@@ -113,31 +115,36 @@ fn a_rendered_line_is_one_allocation() {
     let (store, _) = simulate(ClusterConfig::default(), 3, tpch(12, 3), HORIZON);
     let epoch = *store.epoch();
     // Every level, and an empty class and message, beside the stream.
-    let extra: Vec<LogRecord> = [Level::Debug, Level::Info, Level::Warn, Level::Error]
+    let record = |ts, level, class, message| RecordRef {
+        ts: TsMs(ts),
+        level,
+        class,
+        message,
+    };
+    let extra = [Level::Debug, Level::Info, Level::Warn, Level::Error]
         .into_iter()
         .flat_map(|level| {
             [
-                LogRecord::new(TsMs(12_345), level, "RMAppImpl", "a message"),
-                LogRecord::new(TsMs(0), level, "", ""),
+                record(12_345, level, "RMAppImpl", "a message"),
+                record(0, level, "", ""),
             ]
-        })
-        .collect();
-    let records: Vec<&LogRecord> = store
+        });
+    let records: Vec<RecordRef<'_>> = store
         .sources()
-        .flat_map(|src| store.records(src))
-        .chain(&extra)
+        .flat_map(|src| store.records(src).iter())
+        .chain(extra)
         .collect();
     let (bytes, allocs) = allocations(|| {
         records
             .iter()
-            .map(|r| format_line(&epoch, r).len())
+            .map(|&r| format_line(&epoch, r).len())
             .sum::<usize>()
     });
     assert!(records.len() > 1_000, "{} records", records.len());
     assert!(bytes > 100 * records.len());
     assert_eq!(allocs, records.len() as u64, "one allocation per line");
     // And that one allocation is the line's exact length.
-    for r in &records {
+    for &r in &records {
         let line = format_line(&epoch, r);
         assert_eq!(line.capacity(), line.len(), "{line}");
     }
