@@ -53,7 +53,7 @@
 //! With `--checkpoint-dir` the daemon is **crash-only**: it periodically
 //! serializes its full state (tail offsets and partial lines, in-flight
 //! apps, fleet aggregates, exemplars, alert lifecycles, the wide-events
-//! emission cursor) into an atomically-replaced `checkpoint-v1` file
+//! emission cursor) into an atomically-replaced `checkpoint-v2` file
 //! (see `sdchecker::checkpoint`). On restart it restores the newest
 //! intact generation and replays only bytes past the checkpointed
 //! offsets, so a SIGKILLed run resumed this way produces the same
@@ -1297,7 +1297,7 @@ mod tests {
 
         // The scratch name is taken by a directory: the write fails the
         // way a full disk fails it, before either generation is touched.
-        let tmp = store.current_path().with_file_name("checkpoint-v1.tmp");
+        let tmp = store.current_path().with_file_name("checkpoint-v2.tmp");
         std::fs::create_dir(&tmp).unwrap();
         lp.save_checkpoint(&store, &shared, &fingerprint, 30);
         assert_eq!((lp.ckpt.writes_total, errors()), (2, 1));

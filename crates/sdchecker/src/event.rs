@@ -155,7 +155,8 @@ impl EventKind {
 
     /// The kind's number in a checkpoint: its position in [`Self::ALL`],
     /// spelled out so that a new variant does not compile until it is
-    /// given one (appended — the numbers below are `checkpoint-v1`).
+    /// given one (appended — the numbers below are those of every
+    /// checkpoint schema so far).
     fn wire_id(self) -> u8 {
         use EventKind::*;
         match self {
@@ -349,7 +350,7 @@ impl SchedEvent {
     }
 }
 
-// Checkpoint layouts (`checkpoint-v1`; see `crate::wire` for the
+// Checkpoint layouts (see `crate::wire` for the
 // rules). The logmodel id types are laid out here, beside the event that
 // carries all of them.
 

@@ -6,7 +6,9 @@
 //! special rule from §III-B — "we use the first log message to mark the
 //! successful launching of the Spark driver and Spark executor" — is
 //! implemented by emitting `DriverFirstLog`/`ExecutorFirstLog` for the
-//! first record of each driver/executor stream regardless of content.
+//! earliest record of each driver/executor stream regardless of content,
+//! one of the three positional rules [`StreamCursor`] holds for batch and
+//! daemon alike.
 
 use std::collections::BTreeMap;
 
@@ -208,10 +210,10 @@ impl Decode for SourceKind {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParseCoverage {
     per_source: BTreeMap<SourceKind, CoverageCounts>,
-    /// First unmatched message seen per family (streams are folded in
-    /// store order, so this is thread-count-independent). Feeds the
+    /// Per family, the unmatched example of the first source in
+    /// [`LogSource`] order that has one, with that source. Feeds the
     /// schema-drift warning's "resembles known rule X" diagnostic.
-    unmatched_examples: BTreeMap<SourceKind, String>,
+    unmatched_examples: BTreeMap<SourceKind, (LogSource, String)>,
 }
 
 impl ParseCoverage {
@@ -220,25 +222,24 @@ impl ParseCoverage {
         self.per_source.entry(kind).or_default().add(counts);
     }
 
-    /// Keep `message` as the family's unmatched exemplar if it is the
-    /// first one seen.
-    pub(crate) fn note_unmatched_example(&mut self, kind: SourceKind, message: String) {
-        self.unmatched_examples.entry(kind).or_insert(message);
+    /// Offer `message`, `source`'s unmatched example (see
+    /// [`StreamCursor`]), as its family's: an earlier source's example
+    /// stays, any other is replaced. Offers may come in any order of
+    /// sources; a source offers again only when its stream found an
+    /// earlier example.
+    pub(crate) fn offer_unmatched_example(&mut self, source: LogSource, message: &str) {
+        let held = self
+            .unmatched_examples
+            .entry(SourceKind::of(source))
+            .or_insert((source, String::new()));
+        if source <= held.0 {
+            *held = (source, message.to_string());
+        }
     }
 
-    /// The first unmatched message recorded for a family, if any.
+    /// The unmatched message recorded for a family, if any.
     pub fn unmatched_example(&self, kind: SourceKind) -> Option<&str> {
-        self.unmatched_examples.get(&kind).map(String::as_str)
-    }
-
-    /// Fold another corpus' coverage in.
-    pub fn merge(&mut self, other: &ParseCoverage) {
-        for (kind, counts) in &other.per_source {
-            self.record(*kind, *counts);
-        }
-        for (kind, msg) in &other.unmatched_examples {
-            self.note_unmatched_example(*kind, msg.clone());
-        }
+        self.unmatched_examples.get(&kind).map(|(_, m)| m.as_str())
     }
 
     /// The tallies of one family (zero if absent).
@@ -302,36 +303,122 @@ wire_struct!(ParseCoverage {
     unmatched_examples,
 });
 
-/// Incremental extraction position within one log stream.
+/// One log stream's extraction state, and the one home of the three
+/// positional rules: batch's [`StreamScanner`] and the daemon's
+/// [`crate::IncrementalAnalyzer`] both feed every record of a stream
+/// through its cursor's [`StreamCursor::step`], in whatever order the
+/// records arrive, and apply what it reports to their own event store.
+/// A cursor does not hold its stream's source: whoever holds the cursor
+/// has it already (the daemon keys its cursors by it).
 ///
-/// The only cross-record state extraction needs is *whether the stream
-/// has produced a record yet* (the §III-B first-log rule for driver and
-/// executor streams). A cursor captures that, so a tailing consumer can
-/// feed records one at a time — across any number of polls — and get
-/// exactly the events a whole-stream batch scan would emit.
-#[derive(Debug, Clone, Copy)]
+/// Each rule settles its fact on the earliest record, the first to
+/// arrive among equal timestamps, exactly as if the stream had been
+/// stable-sorted by timestamp first:
+/// - *the first record* (§III-B): a driver or executor stream's first
+///   record to arrive gets FIRST_LOG, which makes it matched; a strictly
+///   earlier record arriving later takes FIRST_LOG over, and the record
+///   that had it goes back to ignored if FIRST_LOG was all it made;
+/// - *the unmatched example*: the earliest unmatched record;
+/// - *the banner name*: the earliest Spark banner of a driver stream.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StreamCursor {
-    source: LogSource,
-    seen_first: bool,
+    /// A driver or executor stream's earliest record so far, and whether
+    /// FIRST_LOG was all it produced.
+    first: Option<(logmodel::TsMs, bool)>,
+    /// The timestamps of the stream's unmatched example and banner name.
+    example_ts: Option<logmodel::TsMs>,
+    name_ts: Option<logmodel::TsMs>,
+}
+
+/// What one record did to its stream, besides the events it appended.
+#[derive(Debug, Clone, Copy)]
+pub struct Step<'r> {
+    /// The record's classification, already tallied.
+    pub outcome: Outcome,
+    /// FIRST_LOG moved to this record from a later one: the stream's
+    /// FIRST_LOG event as it now reads, to replace the one the caller
+    /// holds.
+    pub first_moved: Option<SchedEvent>,
+    /// The record is the stream's unmatched example now.
+    pub example: bool,
+    /// The application name of the record's banner, when it is the
+    /// stream's earliest banner so far.
+    pub name: Option<&'r str>,
 }
 
 impl StreamCursor {
-    /// A cursor at the start of `source`'s stream.
-    pub fn new(source: LogSource) -> StreamCursor {
-        StreamCursor {
-            source,
-            seen_first: false,
+    /// Extract one record of `source`'s stream: append its events to
+    /// `out` (FIRST_LOG first, if the stream's first record), tally its
+    /// outcome into `cov` and say which positional facts it now holds.
+    /// A FIRST_LOG move is
+    /// tallied here too — the record counts as matched and the one that
+    /// had it, if FIRST_LOG was all it made, as ignored — in an order
+    /// that never takes a count below zero, so `cov` may be a run's own.
+    pub fn step<'r>(
+        &mut self,
+        ex: &Extractor,
+        source: LogSource,
+        r: &RecordRef<'r>,
+        out: &mut Vec<SchedEvent>,
+        cov: &mut CoverageCounts,
+    ) -> Step<'r> {
+        // FIRST_LOG, if this record takes it: a driver's or executor's
+        // first record, or one strictly earlier than the record that has
+        // it, whose place it takes.
+        let first_log = match source {
+            _ if self.first.is_some_and(|(ts, _)| r.ts >= ts) => None,
+            LogSource::Driver(app) => {
+                Some(SchedEvent::app_scoped(r.ts, EventKind::DriverFirstLog, app))
+            }
+            LogSource::Executor(cid) => Some(SchedEvent::container_scoped(
+                r.ts,
+                EventKind::ExecutorFirstLog,
+                cid,
+            )),
+            _ => None,
+        };
+        let held = self.first.filter(|_| first_log.is_some());
+        if let (Some(ev), None) = (first_log, held) {
+            out.push(ev);
         }
-    }
-
-    /// The stream this cursor tracks.
-    pub fn source(&self) -> LogSource {
-        self.source
+        let mut outcome = ex.extract(source, r, out);
+        if first_log.is_some() {
+            debug_assert!(matches!(outcome, Outcome::Matched | Outcome::Ignored));
+            self.first = Some((r.ts, outcome == Outcome::Ignored));
+            outcome = Outcome::Matched;
+        }
+        cov.tally(outcome);
+        if let Some((_, true)) = held {
+            cov.matched -= 1;
+            cov.ignored += 1;
+        }
+        let example = outcome == Outcome::Unmatched && self.example_ts.is_none_or(|ts| r.ts < ts);
+        if example {
+            self.example_ts = Some(r.ts);
+        }
+        let mut name = None;
+        if matches!(source, LogSource::Driver(_)) && self.name_ts.is_none_or(|ts| r.ts < ts) {
+            name = ex.app_name(r.message);
+            if name.is_some() {
+                self.name_ts = Some(r.ts);
+            }
+        }
+        Step {
+            outcome,
+            first_moved: first_log.filter(|_| held.is_some()),
+            example,
+            name,
+        }
     }
 }
 
-// The checkpoint persists `seen_first`, the only cross-record state.
-wire_struct!(StreamCursor { source, seen_first });
+// The checkpoint persists the rules' state: a resumed daemon settles
+// the three facts as one that never stopped.
+wire_struct!(StreamCursor {
+    first,
+    example_ts,
+    name_ts,
+});
 
 /// Compiled rule set for all Table-I messages.
 pub struct Extractor {
@@ -365,25 +452,15 @@ impl Extractor {
         self.spark_name.match_array::<1>(message).map(|[name]| name)
     }
 
-    /// Extract one record at the cursor's position, appending any events
-    /// to `out` and advancing the cursor. Feeding a stream's records
-    /// through this one at a time — in any poll chunking — yields
-    /// exactly the events and classifications of a whole-stream scan;
-    /// this is the primitive the incremental (tailing) pipeline is built
-    /// on.
-    pub fn extract_record(
-        &self,
-        cursor: &mut StreamCursor,
-        r: &RecordRef<'_>,
-        out: &mut Vec<SchedEvent>,
-    ) -> Outcome {
-        let is_first = !cursor.seen_first;
-        cursor.seen_first = true;
-        match cursor.source {
+    /// The events one record of `source`'s stream carries by its own
+    /// content, appended to `out`, and how it fared. FIRST_LOG is not
+    /// content: [`StreamCursor::step`] adds it.
+    fn extract(&self, source: LogSource, r: &RecordRef<'_>, out: &mut Vec<SchedEvent>) -> Outcome {
+        match source {
             LogSource::ResourceManager => self.extract_rm(r, out),
             LogSource::NodeManager(node) => self.extract_nm(node, r, out),
-            LogSource::Driver(app) => self.extract_driver(app, is_first, r, out),
-            LogSource::Executor(cid) => self.extract_executor(cid, is_first, r, out),
+            LogSource::Driver(app) => Self::extract_driver(app, r, out),
+            LogSource::Executor(cid) => Self::extract_executor(cid, r, out),
         }
     }
 
@@ -460,16 +537,7 @@ impl Extractor {
         Outcome::Matched
     }
 
-    fn extract_driver(
-        &self,
-        app: ApplicationId,
-        is_first: bool,
-        r: &RecordRef<'_>,
-        out: &mut Vec<SchedEvent>,
-    ) -> Outcome {
-        if is_first {
-            out.push(SchedEvent::app_scoped(r.ts, EventKind::DriverFirstLog, app));
-        }
+    fn extract_driver(app: ApplicationId, r: &RecordRef<'_>, out: &mut Vec<SchedEvent>) -> Outcome {
         let kind = if r
             .message
             .starts_with(crate::schema::DRIVER_REGISTERED_PREFIX)
@@ -480,42 +548,22 @@ impl Extractor {
         } else if r.message.starts_with(crate::schema::END_ALLO_PREFIX) {
             EventKind::EndAllo
         } else {
-            return if is_first {
-                Outcome::Matched
-            } else {
-                Outcome::Ignored
-            };
+            return Outcome::Ignored;
         };
         out.push(SchedEvent::app_scoped(r.ts, kind, app));
         Outcome::Matched
     }
 
-    fn extract_executor(
-        &self,
-        cid: ContainerId,
-        is_first: bool,
-        r: &RecordRef<'_>,
-        out: &mut Vec<SchedEvent>,
-    ) -> Outcome {
-        if is_first {
-            out.push(SchedEvent::container_scoped(
-                r.ts,
-                EventKind::ExecutorFirstLog,
-                cid,
-            ));
+    fn extract_executor(cid: ContainerId, r: &RecordRef<'_>, out: &mut Vec<SchedEvent>) -> Outcome {
+        if !r.message.starts_with(crate::schema::TASK_ASSIGNED_PREFIX) {
+            return Outcome::Ignored;
         }
-        if r.message.starts_with(crate::schema::TASK_ASSIGNED_PREFIX) {
-            out.push(SchedEvent::container_scoped(
-                r.ts,
-                EventKind::TaskAssigned,
-                cid,
-            ));
-            Outcome::Matched
-        } else if is_first {
-            Outcome::Matched
-        } else {
-            Outcome::Ignored
-        }
+        out.push(SchedEvent::container_scoped(
+            r.ts,
+            EventKind::TaskAssigned,
+            cid,
+        ));
+        Outcome::Matched
     }
 }
 
@@ -560,21 +608,13 @@ pub(crate) struct StreamScan {
 
 /// A [`StreamScan`] in the making: fed one stream's records a run at a
 /// time, in any order. It comes to what the records stable-sorted by
-/// timestamp would: the positional facts — the first record (§III-B's
-/// FIRST_LOG and its coverage), the unmatched example, the banner name —
-/// go to the earliest record, the first to arrive among equal timestamps,
-/// and the merge's stable sort puts every other event where the sorted
-/// stream would have.
+/// timestamp would: [`StreamCursor::step`] settles the positional facts,
+/// FIRST_LOG stays at index 0 of the stream's events, and the merge's
+/// stable sort puts every other event where the sorted stream would have.
 pub(crate) struct StreamScanner<'e> {
     ex: &'e Extractor,
     cursor: StreamCursor,
     scan: StreamScan,
-    /// A driver or executor stream's earliest record so far, and whether
-    /// FIRST_LOG was all it produced.
-    first: Option<(logmodel::TsMs, bool)>,
-    /// The timestamps of `scan.example` and `scan.name`.
-    example_ts: logmodel::TsMs,
-    name_ts: logmodel::TsMs,
 }
 
 impl<'e> StreamScanner<'e> {
@@ -582,7 +622,7 @@ impl<'e> StreamScanner<'e> {
     pub(crate) fn new(ex: &'e Extractor, source: LogSource) -> StreamScanner<'e> {
         StreamScanner {
             ex,
-            cursor: StreamCursor::new(source),
+            cursor: StreamCursor::default(),
             scan: StreamScan {
                 source,
                 events: Vec::new(),
@@ -591,9 +631,6 @@ impl<'e> StreamScanner<'e> {
                 name: None,
                 max_ts: None,
             },
-            first: None,
-            example_ts: logmodel::TsMs(0),
-            name_ts: logmodel::TsMs(0),
         }
     }
 }
@@ -614,46 +651,19 @@ impl SourceScan for StreamScanner<'_> {
             span
         };
         let scan = &mut self.scan;
-        let is_driver = matches!(scan.source, LogSource::Driver(_));
-        let positional = is_driver || matches!(scan.source, LogSource::Executor(_));
-        for &r in recs {
-            let before = scan.events.len();
-            let mut outcome = self
-                .ex
-                .extract_record(&mut self.cursor, &r, &mut scan.events);
-            if positional {
-                debug_assert!(matches!(outcome, Outcome::Matched | Outcome::Ignored));
-                match self.first {
-                    None => self.first = Some((r.ts, scan.events.len() == before + 1)),
-                    Some((ts, bare)) if r.ts < ts => {
-                        // An earlier record: FIRST_LOG moves to it, which
-                        // counts as matched, and the record that had it
-                        // goes back to ignored if FIRST_LOG was all it made.
-                        debug_assert!(matches!(
-                            scan.events[0].kind,
-                            EventKind::DriverFirstLog | EventKind::ExecutorFirstLog
-                        ));
-                        scan.events[0].ts = r.ts;
-                        if bare {
-                            scan.cov.matched -= 1;
-                            scan.cov.ignored += 1;
-                        }
-                        self.first = Some((r.ts, outcome == Outcome::Ignored));
-                        outcome = Outcome::Matched;
-                    }
-                    Some(_) => {}
-                }
+        for r in recs {
+            let step = self
+                .cursor
+                .step(self.ex, scan.source, r, &mut scan.events, &mut scan.cov);
+            if let Some(first) = step.first_moved {
+                debug_assert_eq!(scan.events[0].kind, first.kind);
+                scan.events[0] = first;
             }
-            if outcome == Outcome::Unmatched && (scan.example.is_none() || r.ts < self.example_ts) {
+            if step.example {
                 scan.example = Some(r.message.to_string());
-                self.example_ts = r.ts;
             }
-            scan.cov.tally(outcome);
-            if is_driver && (scan.name.is_none() || r.ts < self.name_ts) {
-                if let Some(name) = self.ex.app_name(r.message) {
-                    scan.name = Some(name.to_string());
-                    self.name_ts = r.ts;
-                }
+            if let Some(name) = step.name {
+                scan.name = Some(name.to_string());
             }
             scan.max_ts = scan.max_ts.max(Some(r.ts));
         }
@@ -705,8 +715,8 @@ pub(crate) fn merge_scans(scans: Vec<StreamScan>) -> Extracted {
     for scan in scans {
         let kind = SourceKind::of(scan.source);
         coverage.record(kind, scan.cov);
-        if let Some(msg) = scan.example {
-            coverage.note_unmatched_example(kind, msg);
+        if let Some(msg) = &scan.example {
+            coverage.offer_unmatched_example(scan.source, msg);
         }
         if let (LogSource::Driver(app), Some(name)) = (scan.source, scan.name) {
             app_names.insert(app, name);
@@ -782,32 +792,27 @@ fn merge_sorted_streams(streams: Vec<Vec<SchedEvent>>) -> Vec<SchedEvent> {
 }
 
 /// Best-effort application-name extraction from driver logs, enabling
-/// per-workload (e.g. per-TPC-H-query) breakdowns. Recognizes the banner
-/// shapes Spark's `ApplicationMaster` and MapReduce's `MRAppMaster`
-/// print; unknown banners yield no name (analysis proceeds unnamed).
-/// One scan task per driver stream spread over `par` worker threads.
-/// Identical output for every thread count (the map is keyed by
-/// application id).
+/// per-workload (e.g. per-TPC-H-query) breakdowns: each driver stream
+/// scanned as [`extract_store`] scans it, its name the one
+/// [`StreamCursor`]'s banner rule settles. Unknown banners yield no name
+/// (analysis proceeds unnamed). One scan task per driver stream spread
+/// over `par` worker threads; identical output for every thread count
+/// (the map is keyed by application id). With metrics recording on, the
+/// driver streams count in the extraction series once more.
 pub fn extract_app_names_with(
     store: &logmodel::LogStore,
     par: Parallelism,
 ) -> std::collections::BTreeMap<ApplicationId, String> {
     let _span = obs::span("extract_app_names");
     let ex = Extractor::new();
-    let drivers: Vec<ApplicationId> = store
+    let drivers: Vec<LogSource> = store
         .sources()
-        .filter_map(|src| match src {
-            LogSource::Driver(app) => Some(app),
-            _ => None,
-        })
+        .filter(|src| matches!(src, LogSource::Driver(_)))
         .collect();
-    let named: Vec<Option<(ApplicationId, String)>> = logmodel::par::map(par, &drivers, |&app| {
-        store
-            .records(LogSource::Driver(app))
-            .iter()
-            .find_map(|r| Some((app, ex.app_name(r.message)?.to_string())))
+    let scans = logmodel::par::map(par, &drivers, |&src| {
+        store.scan(src, StreamScanner::new(&ex, src))
     });
-    named.into_iter().flatten().collect()
+    merge_scans(scans.into_iter().flatten().collect()).app_names
 }
 
 #[cfg(test)]
@@ -1320,12 +1325,11 @@ mod tests {
                 ),
             ];
             let (batch_evs, batch_cov, _) = scan_records(&ex, src, &records);
-            let mut cursor = StreamCursor::new(src);
-            assert_eq!(cursor.source(), src);
+            let mut cursor = StreamCursor::default();
             let mut evs = Vec::new();
             let mut cov = CoverageCounts::default();
             for r in &records {
-                cov.tally(ex.extract_record(&mut cursor, &r.as_ref(), &mut evs));
+                cursor.step(&ex, src, &r.as_ref(), &mut evs, &mut cov);
             }
             assert_eq!(evs, batch_evs, "source {src:?}");
             assert_eq!(cov, batch_cov, "source {src:?}");
@@ -1348,14 +1352,30 @@ mod tests {
     }
 
     /// The oracle: a stream already in time order, one record at a time
-    /// through the cursor, each positional fact taken from the first
-    /// record that has it.
+    /// through the stateless rules, FIRST_LOG put on the first record and
+    /// each other positional fact taken from the first record that has
+    /// it.
     fn settled_in_order(ex: &Extractor, src: LogSource, records: &[LogRecord]) -> Settled {
-        let mut cursor = StreamCursor::new(src);
         let (mut events, mut cov) = (Vec::new(), CoverageCounts::default());
         let (mut example, mut name, mut max_ts) = (None, None, None);
-        for r in records {
-            let outcome = ex.extract_record(&mut cursor, &r.as_ref(), &mut events);
+        for (i, r) in records.iter().enumerate() {
+            let first_log = match src {
+                LogSource::Driver(app) => {
+                    Some(SchedEvent::app_scoped(r.ts, EventKind::DriverFirstLog, app))
+                }
+                LogSource::Executor(cid) => Some(SchedEvent::container_scoped(
+                    r.ts,
+                    EventKind::ExecutorFirstLog,
+                    cid,
+                )),
+                _ => None,
+            }
+            .filter(|_| i == 0);
+            events.extend(first_log);
+            let mut outcome = ex.extract(src, &r.as_ref(), &mut events);
+            if first_log.is_some() {
+                outcome = Outcome::Matched;
+            }
             cov.tally(outcome);
             if outcome == Outcome::Unmatched && example.is_none() {
                 example = Some(r.message.clone());

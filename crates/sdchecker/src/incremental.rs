@@ -7,11 +7,14 @@
 //! [`IncrementalAnalyzer`] restructures the same pipeline around
 //! per-application lifecycle:
 //!
-//! 1. **Ingest** — records are fed a stream's run at a time (in
-//!    per-stream order, which the tailing reader guarantees), each
-//!    through [`Extractor::extract_record`] with a [`StreamCursor`] per
-//!    stream, so extraction is exactly what a whole-stream batch scan
-//!    produces. Events are bucketed by owning application.
+//! 1. **Ingest** — records are fed a stream's run at a time, each
+//!    through [`StreamCursor::step`] with one cursor per stream: the
+//!    step batch's stream scan takes, so the first record, the unmatched
+//!    example and the banner name are settled by timestamp here too,
+//!    however a stream's lines were ordered. Events are bucketed by
+//!    owning application; a FIRST_LOG that moves to an earlier record is
+//!    replaced where it waits, or counted late once its application has
+//!    retired.
 //! 2. **Retire** — once an application shows terminal evidence
 //!    (unregistered / finished / failed / killed) and the record
 //!    watermark has advanced `settle_ms` past it — long enough for the
@@ -99,6 +102,18 @@ impl AppState {
         }
         self.last_event_ts = Some(self.last_event_ts.map_or(ev.ts, |t| t.max(ev.ts)));
         self.events.push(ev);
+    }
+
+    /// Put `first`, its stream's FIRST_LOG moved to an earlier record, in
+    /// place of the one buffered, and re-fold the idle anchor as a
+    /// restore from checkpoint would.
+    fn move_first_log(&mut self, first: SchedEvent) {
+        for ev in &mut self.events {
+            if ev.kind == first.kind && ev.source() == first.source() {
+                *ev = first;
+            }
+        }
+        self.last_event_ts = self.events.iter().map(|ev| ev.ts).max();
     }
 }
 
@@ -204,12 +219,12 @@ impl IncrementalAnalyzer {
         outcome
     }
 
-    /// Consume a run of one stream's records. Records must arrive in
-    /// order *within* each stream (any interleaving across streams is
-    /// fine) — the contract [`crate::tail::DirTailer::poll_into`]
-    /// provides. `each` is told every record's timestamp and parse
-    /// outcome, in order, so callers can react per record (the daemon
-    /// feeds `Anomalous` into its corrupt-line alert rule).
+    /// Consume a run of one stream's records, in the order the stream's
+    /// files hold them — the order [`crate::tail::DirTailer::poll_into`]
+    /// reads them in; any interleaving across streams is fine. `each` is
+    /// told every record's timestamp and parse outcome, in order, so
+    /// callers can react per record (the daemon feeds `Anomalous` into
+    /// its corrupt-line alert rule).
     pub fn ingest_records(
         &mut self,
         source: LogSource,
@@ -219,36 +234,28 @@ impl IncrementalAnalyzer {
         if records.is_empty() {
             return;
         }
-        let cursor = self
-            .cursors
-            .entry(source)
-            .or_insert_with(|| StreamCursor::new(source));
+        let cursor = self.cursors.entry(source).or_default();
         let kind = SourceKind::of(source);
-        // Retirement happens between calls, so whether this driver
-        // stream still owes its application a name can only change
-        // here.
-        let mut unnamed = match source {
-            LogSource::Driver(app)
-                if !self.names.contains_key(&app) && !self.retired_ids.contains(&app) =>
-            {
-                Some(app)
-            }
-            _ => None,
-        };
         let recording = obs::enabled();
         let mut cov = CoverageCounts::default();
         let mut per_kind = [0u64; EventKind::ALL.len()];
         for r in records {
-            let outcome = self.ex.extract_record(cursor, r, &mut self.scratch);
-            cov.tally(outcome);
-            if outcome == Outcome::Unmatched && self.cov.unmatched_example(kind).is_none() {
-                self.cov.note_unmatched_example(kind, r.message.to_string());
-            }
+            let step = cursor.step(&self.ex, source, r, &mut self.scratch, &mut cov);
             self.watermark = self.watermark.max(Some(r.ts));
-            if let Some(app) = unnamed {
-                if let Some(name) = self.ex.app_name(r.message) {
+            if let Some(first) = step.first_moved {
+                // Once its application has retired, the move is late
+                // evidence, like any other.
+                match self.apps.get_mut(&first.app) {
+                    Some(state) => state.move_first_log(first),
+                    None => self.late_events += 1,
+                }
+            }
+            if step.example {
+                self.cov.offer_unmatched_example(source, r.message);
+            }
+            if let (LogSource::Driver(app), Some(name)) = (source, step.name) {
+                if !self.retired_ids.contains(&app) {
                     self.names.insert(app, name.to_string());
-                    unnamed = None;
                 }
             }
             for ev in self.scratch.drain(..) {
@@ -264,7 +271,7 @@ impl IncrementalAnalyzer {
                 }
                 self.apps.entry(ev.app).or_default().push(ev);
             }
-            each(r.ts, outcome);
+            each(r.ts, step.outcome);
         }
         self.cov.record(kind, cov);
         if recording {
@@ -454,12 +461,12 @@ impl IncrementalAnalyzer {
         d: &mut Dec<'_>,
         cfg: IncrementalConfig,
     ) -> Result<IncrementalAnalyzer, CkptError> {
-        let cursors: Vec<StreamCursor> = d.get()?;
+        let cursors = d.get()?;
         let (cov, apps, names, retired_ids) = d.get()?;
         let (late_events, watermark, fleet) = d.get()?;
         let exemplars = TailExemplars::decode(d, cfg.exemplar_slots)?;
         Ok(IncrementalAnalyzer {
-            cursors: cursors.into_iter().map(|c| (c.source(), c)).collect(),
+            cursors,
             cov,
             apps,
             names,
@@ -526,8 +533,7 @@ impl Encode for IncrementalAnalyzer {
             exemplars,
             scratch: _, // empty between records
         } = self;
-        // Each cursor leads with the source it is keyed by.
-        e.seq(cursors.values());
+        cursors.encode(e);
         (cov, apps, names, retired_ids).encode(e);
         (late_events, watermark, fleet, exemplars).encode(e);
     }
@@ -539,7 +545,7 @@ mod tests {
     use crate::analyze::analyze_store;
     use crate::analyze::tests::one_app_corpus;
     use crate::decompose::APP_COMPONENTS;
-    use logmodel::Epoch;
+    use logmodel::{Epoch, LogStore};
 
     fn assert_delays_eq(a: &AppDelays, b: &AppDelays) {
         for (name, f) in APP_COMPONENTS.iter() {
@@ -746,6 +752,83 @@ mod tests {
         assert_eq!(inc.late_events(), 1);
         assert_eq!(inc.in_flight(), 0);
         assert_eq!(inc.retired(), 1);
+    }
+
+    /// A driver record earlier than the one FIRST_LOG sits on, read once
+    /// its application has retired, moves nothing that retired: it is
+    /// one late event, and only the coverage it is counted in changes.
+    #[test]
+    fn an_earlier_first_record_after_retirement_is_one_late_event() {
+        let store = one_app_corpus(1, 0);
+        let mut inc = IncrementalAnalyzer::new(IncrementalConfig {
+            settle_ms: 0,
+            idle_timeout_ms: 0,
+            exemplar_slots: 3,
+        });
+        for (src, r) in store.records_by_time() {
+            inc.ingest(src, &r.to_record());
+        }
+        assert_eq!(inc.drain_ready().len(), 1);
+        let fleet = |inc: &IncrementalAnalyzer| {
+            let doc = obs::json::parse(&inc.live_report_json(None)).unwrap();
+            let Some(obs::json::Json::Obj(members)) = doc.get("fleet").cloned() else {
+                panic!("fleet section");
+            };
+            members
+                .into_iter()
+                .filter(|(k, _)| k != "late_events")
+                .collect::<Vec<_>>()
+        };
+        let (before, exemplars) = (fleet(&inc), inc.exemplars().index_json());
+        let driver = inc.coverage().get(SourceKind::Driver);
+
+        // The driver's first record is at 1 400 ms; this one is earlier,
+        // and FIRST_LOG is all it would make.
+        let a = ApplicationId::new(store.epoch().unix_ms, 1);
+        let early = LogRecord::new(TsMs(1_000), logmodel::Level::Info, "X", "chatter");
+        assert_eq!(inc.ingest(LogSource::Driver(a), &early), Outcome::Matched);
+        assert_eq!(inc.late_events(), 1);
+        assert_eq!((inc.in_flight(), inc.retired()), (0, 1));
+        assert_eq!(fleet(&inc), before);
+        assert_eq!(inc.exemplars().index_json(), exemplars);
+        // This record is matched now, and the one that had FIRST_LOG,
+        // which made nothing else, is ignored.
+        let got = inc.coverage().get(SourceKind::Driver);
+        assert_eq!(
+            (got.matched, got.ignored),
+            (driver.matched, driver.ignored + 1)
+        );
+    }
+
+    /// Two NodeManager logs with unmatched lines, read node 2 first and
+    /// its line the earliest of all: the family's example is still node
+    /// 1's earliest unmatched line, as batch's fold in `LogSource` order
+    /// has it.
+    #[test]
+    fn the_unmatched_example_is_batch_s_whatever_the_read_order() {
+        let mut store = LogStore::new(Epoch::default_run());
+        let a = ApplicationId::new(store.epoch().unix_ms, 1);
+        let cid = a.attempt(1).container(1);
+        let odd = |to: &str| format!("Container {cid} transitioned from NEW to {to}");
+        let (n1, n2) = (
+            LogSource::NodeManager(logmodel::NodeId(1)),
+            LogSource::NodeManager(logmodel::NodeId(2)),
+        );
+        store.info(n1, TsMs(300), "ContainerImpl", odd("ZOMBIE"));
+        store.info(n1, TsMs(200), "ContainerImpl", odd("GHOST"));
+        store.info(n2, TsMs(100), "ContainerImpl", odd("WRAITH"));
+        let batch = analyze_store(&store);
+        assert_eq!(
+            batch.coverage.unmatched_example(SourceKind::NodeManager),
+            Some(odd("GHOST").as_str())
+        );
+
+        let mut inc = IncrementalAnalyzer::default();
+        for src in [n2, n1] {
+            let recs: Vec<RecordRef<'_>> = store.records(src).iter().collect();
+            inc.ingest_records(src, &recs, |_, _| {});
+        }
+        assert_eq!(inc.coverage(), &batch.coverage);
     }
 
     #[test]

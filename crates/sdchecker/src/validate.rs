@@ -453,9 +453,9 @@ mod tests {
                 ignored: 0,
             },
         );
-        cov.note_unmatched_example(
-            SourceKind::ResourceManager,
-            "app_1 State change from ACCEPTED to WAITING on event = APP_PAUSED".to_string(),
+        cov.offer_unmatched_example(
+            LogSource::ResourceManager,
+            "app_1 State change from ACCEPTED to WAITING on event = APP_PAUSED",
         );
         let warnings = coverage_warnings(&cov);
         assert_eq!(warnings.len(), 1, "{warnings:?}");
@@ -476,7 +476,7 @@ mod tests {
                 ignored: 0,
             },
         );
-        far.note_unmatched_example(SourceKind::NodeManager, "gibberish".to_string());
+        far.offer_unmatched_example(LogSource::NodeManager(logmodel::NodeId(1)), "gibberish");
         let warnings = coverage_warnings(&far);
         assert!(
             warnings[0].contains("resembles no known rule"),

@@ -1,4 +1,4 @@
-//! The byte-level rules of `checkpoint-v1` payloads, and the two traits
+//! The byte-level rules of checkpoint payloads, and the two traits
 //! every checkpointed type implements next to its own definition.
 //!
 //! A payload is a concatenation of fields, each written by one of five

@@ -229,7 +229,7 @@ fn kill_and_restart(
     daemon.0.kill().unwrap();
     daemon.0.wait().unwrap();
 
-    let current = l.ckpt.join("checkpoint-v1");
+    let current = l.ckpt.join("checkpoint-v2");
     match corruption {
         Corruption::None => {}
         Corruption::Torn => {

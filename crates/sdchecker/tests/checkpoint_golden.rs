@@ -1,13 +1,15 @@
-//! `checkpoint-v1` is a frozen byte format: a daemon upgraded in place
+//! `checkpoint-v2` is a frozen byte format: a daemon upgraded in place
 //! must resume from the file its predecessor wrote.
 //!
-//! `tests/golden/checkpoint-v1.bin` was written by the commit *before*
-//! the codec moved next to the types it serializes (PR 16), from the
-//! scenario below — the faulty fleet streamed to a fixed mid-stream
-//! boundary with alerts on, so every section is non-trivial: an app in
-//! flight, a held-back partial line, promoted exemplars, alert samples,
-//! anomalous-line timestamps and a transition. The test requires that
-//! today's code (a) encodes the same live state to the same bytes,
+//! `tests/golden/checkpoint-v2.bin` was written when the schema went to
+//! `checkpoint-v2` (each stream cursor carries the positional rules'
+//! state), from the scenario below — the faulty fleet streamed to a
+//! fixed mid-stream boundary with alerts on, so every section is
+//! non-trivial: an app in flight, a held-back partial line, promoted
+//! exemplars, alert samples, anomalous-line timestamps and a transition.
+//! Its `checkpoint-v1` predecessor, written before the codec moved next
+//! to the types it serializes, held the same scenario. The test requires
+//! that today's code (a) encodes the same live state to the same bytes,
 //! (b) loads the old file, and (c) re-saves what it loaded byte for
 //! byte.
 //!
@@ -163,7 +165,7 @@ fn parent_written_checkpoint_loads_and_resaves_byte_for_byte() {
     assert!(live.engine.transitions_total() > 0);
     assert!(live.wide_bytes > 0);
 
-    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/checkpoint-v1.bin");
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/checkpoint-v2.bin");
     let encoded = live.save(&CheckpointStore::open(&dir.join("live")).unwrap());
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         fs::write(&golden, &encoded).unwrap();
@@ -171,7 +173,7 @@ fn parent_written_checkpoint_loads_and_resaves_byte_for_byte() {
     let want = fs::read(&golden).expect("fixture missing; see the module docs");
     assert!(
         encoded == want,
-        "live state no longer encodes to the frozen checkpoint-v1 bytes"
+        "live state no longer encodes to the frozen checkpoint-v2 bytes"
     );
 
     // The frozen file, not the one just written, is what gets loaded.

@@ -13,7 +13,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use logmodel::{Epoch, LogStore};
+use logmodel::{Epoch, LogSource, LogStore};
 use sdchecker::checkpoint::{self, CfgFingerprint, CheckpointStore, SaveInputs};
 use sdchecker::{
     default_rules, AlertEngine, DirTailer, IncrementalAnalyzer, IncrementalConfig, Outcome,
@@ -62,8 +62,10 @@ struct Outputs {
 /// polling at random boundaries. With `interrupt`, every poll boundary
 /// ends in a checkpoint save followed by a full restore into *fresh*
 /// objects that replace the live ones — the code path a SIGKILL and
-/// restart would take.
-fn run(seed: u64, dir: &Path, interrupt: bool) -> Outputs {
+/// restart would take. With `swapped`, every driver and executor log of
+/// more than one line has its first two lines swapped, so its FIRST_LOG
+/// moves to the second line read — possibly across a checkpoint.
+fn run(seed: u64, dir: &Path, interrupt: bool, swapped: bool) -> Outputs {
     let _ = fs::remove_dir_all(dir);
     fs::create_dir_all(dir).unwrap();
     let mut logs = LogStore::new(Epoch::default_run());
@@ -75,8 +77,15 @@ fn run(seed: u64, dir: &Path, interrupt: bool) -> Outputs {
     let mut blobs: Vec<(PathBuf, Vec<u8>, usize)> = logs
         .sources()
         .map(|src| {
-            let mut bytes = logs.text(src).as_bytes().to_vec();
-            if src == logmodel::LogSource::ResourceManager {
+            let mut lines: Vec<&str> = logs.text(src).split_inclusive('\n').collect();
+            if swapped
+                && matches!(src, LogSource::Driver(_) | LogSource::Executor(_))
+                && lines.len() > 1
+            {
+                lines.swap(0, 1);
+            }
+            let mut bytes = lines.concat().into_bytes();
+            if src == LogSource::ResourceManager {
                 assert_eq!(bytes.pop(), Some(b'\n'));
             }
             (dir.join(src.rel_path()), bytes, 0)
@@ -208,18 +217,22 @@ fn run(seed: u64, dir: &Path, interrupt: bool) -> Outputs {
 
 #[test]
 fn checkpoint_round_trip_is_lossless_at_every_poll_boundary() {
-    for seed in 0u64..5 {
-        let base = tmp(&format!("rt_{seed}_base"));
-        let intr = tmp(&format!("rt_{seed}_intr"));
-        let baseline = run(seed, &base, false);
-        let resumed = run(seed, &intr, true);
+    // In-order logs at five seeds, swapped ones at three.
+    for (seed, swapped) in (0u64..5)
+        .map(|s| (s, false))
+        .chain((0..3).map(|s| (s, true)))
+    {
+        let base = tmp(&format!("rt_{seed}_{swapped}_base"));
+        let intr = tmp(&format!("rt_{seed}_{swapped}_intr"));
+        let baseline = run(seed, &base, false, swapped);
+        let resumed = run(seed, &intr, true, swapped);
         assert!(
             !baseline.retired.is_empty(),
-            "seed {seed}: scenario must retire apps mid-run"
+            "seed {seed}, swapped {swapped}: scenario must retire apps mid-run"
         );
         assert_eq!(
             baseline, resumed,
-            "seed {seed}: a checkpoint round-trip changed the outputs"
+            "seed {seed}, swapped {swapped}: a checkpoint round-trip changed the outputs"
         );
         let _ = fs::remove_dir_all(&base);
         let _ = fs::remove_dir_all(&intr);

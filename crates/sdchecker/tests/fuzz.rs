@@ -13,6 +13,7 @@ use std::process::Command;
 
 use logmodel::{corrupt_dir, CorruptConfig, Epoch, LogSource, LogStore, Parallelism, TsMs};
 use obs::json::Json;
+use sdchecker::extract::CoverageCounts;
 use sdchecker::{
     analyze_dir, default_rules, full_report, report_json, wide_events_for_analysis, AlertEngine,
     Extractor, IncrementalAnalyzer, IncrementalConfig, Outcome, Report, StreamCursor,
@@ -179,10 +180,10 @@ fn every_event_derives_the_stream_it_was_extracted_from() {
                 LogSource::NodeManager(n) => Some(n),
                 _ => None,
             };
-            let mut cursor = StreamCursor::new(source);
-            let mut evs = Vec::new();
+            let mut cursor = StreamCursor::default();
+            let (mut evs, mut cov) = (Vec::new(), CoverageCounts::default());
             for r in store.records(source).iter() {
-                ex.extract_record(&mut cursor, &r, &mut evs);
+                cursor.step(&ex, source, &r, &mut evs, &mut cov);
             }
             for ev in evs {
                 assert_eq!(ev.source(), source, "[{label}] {ev:?}");

@@ -7,12 +7,18 @@
 //! This is the contract that makes `sdcheckerd` trustworthy: no append
 //! pattern a log writer can produce may change the analysis.
 
+mod common;
+#[path = "common/layouts.rs"]
+mod layouts;
+
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use logmodel::{
-    ApplicationId, Epoch, LogRecord, LogSource, LogStore, NodeId, Parallelism, RecordRef, TsMs,
+    corrupt_dir, ApplicationId, CorruptConfig, Epoch, LogRecord, LogSource, LogStore, NodeId,
+    Parallelism, RecordRef, TsMs,
 };
 use obs::json::Json;
 use sdchecker::{
@@ -850,4 +856,181 @@ fn line_written_before_the_newest_cluster_line_is_read_in_the_same_poll() {
         logs.total_records() + 1
     );
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The analyzer as `sdcheckerd` drives it, collecting the wide-event
+/// lines it would write.
+struct Daemon {
+    inc: IncrementalAnalyzer,
+    wide: String,
+}
+
+impl Daemon {
+    fn retire(&mut self, retired: Vec<sdchecker::RetiredApp>) {
+        for r in retired {
+            self.wide.push_str(&r.wide_event);
+            self.wide.push('\n');
+        }
+    }
+}
+
+impl TailSink for Daemon {
+    fn is_live(&self, app: ApplicationId) -> bool {
+        self.inc.is_in_flight(app)
+    }
+
+    fn records(&mut self, source: LogSource, recs: &[RecordRef<'_>]) {
+        self.inc.ingest_records(source, recs, |_, _| {});
+    }
+}
+
+/// The daemon over the finished tree at `dir`, as `sdcheckerd
+/// --idle-timeout-ms 0` runs it: a real tailer's polls with retirement
+/// between them, then the shutdown drain — a full poll, the partial
+/// lines, `finish()`.
+fn daemon_over(dir: &Path) -> Daemon {
+    let mut tailer = DirTailer::new(dir).unwrap();
+    let mut daemon = Daemon {
+        inc: IncrementalAnalyzer::new(IncrementalConfig {
+            settle_ms: 2_000,
+            idle_timeout_ms: 0,
+            exemplar_slots: 3,
+        }),
+        wide: String::new(),
+    };
+    for _ in 0..2 {
+        tailer.poll_with(&mut daemon).unwrap();
+        let retired = daemon.inc.drain_ready();
+        daemon.retire(retired);
+    }
+    let inc = &mut daemon.inc;
+    tailer
+        .poll_into(|src, recs| inc.ingest_records(src, recs, |_, _| {}))
+        .unwrap();
+    tailer.flush_partial_into(|src, recs| inc.ingest_records(src, recs, |_, _| {}));
+    let retired = daemon.inc.finish();
+    daemon.retire(retired);
+    daemon
+}
+
+/// Each application's wide event, less `retire_ms` and `lag_ms`: when the
+/// daemon retired it, which batch stamps at the corpus' end.
+fn wide_by_app(lines: &str) -> BTreeMap<String, Json> {
+    lines
+        .lines()
+        .map(|line| {
+            let Json::Obj(members) = obs::json::parse(line).unwrap() else {
+                panic!("a wide event is an object: {line}");
+            };
+            let (_, app) = members.iter().find(|(k, _)| k == "app").unwrap();
+            let app = app.as_str().unwrap().to_string();
+            let kept = members
+                .into_iter()
+                .filter(|(k, _)| k != "retire_ms" && k != "lag_ms")
+                .collect();
+            (app, Json::Obj(kept))
+        })
+        .collect()
+}
+
+/// One answer whatever the logs look like: over a finished tree damaged
+/// by each `corrupt_dir` kind that loses no line, alone, at three seeds,
+/// and over `par_equiv`'s hostile layouts — the ResourceManager log
+/// rotated into segments out of time order, and every driver and
+/// executor log shuffled with tied timestamps — the daemon retires every
+/// application with batch's wide event, and reads batch's coverage,
+/// unmatched examples included. A swapped or shuffled stream's first
+/// line need not be its first record: FIRST_LOG, the banner name and the
+/// unmatched example are settled by timestamp in both.
+#[test]
+fn daemon_agrees_with_batch_per_app_on_damaged_and_reordered_logs() {
+    let mut logs = LogStore::new(Epoch::default_run());
+    common::populate_faulty_fleet(&mut logs);
+    for k in 1..8 {
+        common::populate_faulty_fleet_at(&mut logs, k);
+    }
+    let none = CorruptConfig {
+        truncate: 0.0,
+        clip_line: 0.0,
+        duplicate_line: 0.0,
+        swap_lines: 0.0,
+        garbage: 0.0,
+    };
+    let kinds = [
+        (
+            "swap",
+            CorruptConfig {
+                swap_lines: 0.2,
+                ..none.clone()
+            },
+        ),
+        (
+            "duplicate",
+            CorruptConfig {
+                duplicate_line: 0.2,
+                ..none.clone()
+            },
+        ),
+        (
+            "clip",
+            CorruptConfig {
+                clip_line: 0.2,
+                ..none.clone()
+            },
+        ),
+        (
+            "garbage",
+            CorruptConfig {
+                garbage: 0.2,
+                ..none.clone()
+            },
+        ),
+    ];
+    // (label, damage kind, seed)
+    let mut cases: Vec<(String, Option<CorruptConfig>, u64)> = Vec::new();
+    for (kind, cfg) in kinds {
+        for seed in [1, 5, 7] {
+            cases.push((format!("{kind} 0.2, seed {seed}"), Some(cfg.clone()), seed));
+        }
+    }
+    cases.push(("rotated resourcemanager.log".into(), None, 0));
+    for seed in [1, 5, 7] {
+        cases.push((format!("shuffled with ties, seed {seed}"), None, seed));
+    }
+
+    let mut failures = Vec::new();
+    for (label, cfg, seed) in &cases {
+        let dir = tmp("one_answer");
+        let _ = fs::remove_dir_all(&dir);
+        logs.write_dir(&dir).unwrap();
+        match cfg {
+            Some(cfg) => drop(corrupt_dir(&dir, *seed, cfg).unwrap()),
+            None if *seed == 0 => drop(layouts::rotate_rm_log(&dir)),
+            None => layouts::shuffle_app_logs(&mut SimRng::new(*seed), &logs, &dir),
+        }
+        let batch = analyze_dir_with(&dir, Parallelism::ONE).unwrap();
+        let gold = wide_by_app(&wide_events_for_analysis(&batch));
+        let daemon = daemon_over(&dir);
+        let got = wide_by_app(&daemon.wide);
+        let differing: Vec<&String> = gold
+            .keys()
+            .chain(got.keys().filter(|app| !gold.contains_key(*app)))
+            .filter(|app| gold.get(*app) != got.get(*app))
+            .collect();
+        if !differing.is_empty() || daemon.inc.coverage() != &batch.coverage {
+            failures.push(format!(
+                "{label}: {} of {} apps differ {differing:?}, {} late events, coverage {}",
+                differing.len(),
+                gold.len(),
+                daemon.inc.late_events(),
+                if daemon.inc.coverage() == &batch.coverage {
+                    "equal"
+                } else {
+                    "differs"
+                },
+            ));
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
 }

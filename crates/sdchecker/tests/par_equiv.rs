@@ -8,6 +8,9 @@ use sdchecker::extract::SourceKind;
 use sdchecker::{analyze_store, analyze_store_with, Analysis, Parallelism};
 use simkit::SimRng;
 
+#[path = "common/layouts.rs"]
+mod layouts;
+
 /// Generate a random but plausible corpus: `napps` applications spread
 /// over `nnodes` NodeManagers, each with a random container count, random
 /// (and frequently colliding) timestamps, banner lines, and noise records.
@@ -218,26 +221,9 @@ fn rendered(an: &Analysis) -> [String; 3] {
     ]
 }
 
-/// `text`'s lines, each with its newline, shuffled, about half of them
-/// restamped with another line's timestamp.
-fn shuffled_with_ties(rng: &mut SimRng, text: &str) -> Vec<String> {
-    let mut lines: Vec<String> = text.split_inclusive('\n').map(str::to_string).collect();
-    for i in 0..lines.len() {
-        if rng.chance(0.5) {
-            let stamp = lines[rng.index(lines.len())][..STAMP].to_string();
-            lines[i].replace_range(..STAMP, &stamp);
-        }
-    }
-    rng.shuffle(&mut lines);
-    lines
-}
-
-/// The length of a log line's timestamp, `2018-03-14 09:00:00,001`.
-const STAMP: usize = 23;
-
 /// The earliest and the latest timestamp in `text`, one per line.
 fn stamp_range(text: &str) -> (&str, &str) {
-    let stamps = text.lines().map(|l| &l[..STAMP]);
+    let stamps = text.lines().map(|l| &l[..layouts::STAMP]);
     (stamps.clone().min().unwrap(), stamps.max().unwrap())
 }
 
@@ -255,20 +241,9 @@ fn dir_analysis_equals_store_analysis_on_hostile_layouts() {
         let _ = fs::remove_dir_all(&dir);
         store.write_dir(&dir).unwrap();
 
-        // Rotated segments whose order on disk disagrees with time: the
-        // RM log's newest third stays in `.log`, the oldest goes to
-        // `.log.10` (sorted *before* `.log.2`), the middle to `.log.2`.
+        // The RM log in segments whose order on disk disagrees with time.
         let rm = dir.join("resourcemanager.log");
-        let text = fs::read_to_string(&rm).unwrap();
-        let lines: Vec<&str> = text.split_inclusive('\n').collect();
-        let third = lines.len() / 3;
-        fs::write(dir.join("resourcemanager.log.10"), lines[..third].concat()).unwrap();
-        fs::write(
-            dir.join("resourcemanager.log.2"),
-            lines[third..2 * third].concat(),
-        )
-        .unwrap();
-        fs::write(&rm, lines[2 * third..].concat()).unwrap();
+        let text = layouts::rotate_rm_log(&dir);
 
         let mut nodes = store.sources().filter_map(|s| match s {
             LogSource::NodeManager(_) => Some(dir.join(s.rel_path())),
@@ -297,26 +272,7 @@ fn dir_analysis_equals_store_analysis_on_hostile_layouts() {
         fs::write(dir.join("nodemanager-node98.log"), b"").unwrap();
         fs::write(dir.join("nodemanager-node99.log"), b"no timestamp here\n").unwrap();
 
-        // Driver and executor logs whose first line need not be their
-        // first record by time: shuffled, with timestamps copied between
-        // lines so that many tie. The first such executor log is split
-        // into two segments as well, `.log` read before `.log.1`.
-        let mut rotated = false;
-        for src in store.sources().filter(|s| {
-            matches!(s, LogSource::Driver(_) | LogSource::Executor(_))
-                && store.records(*s).iter().count() > 1
-        }) {
-            let path = dir.join(src.rel_path());
-            let lines = shuffled_with_ties(&mut rng, &fs::read_to_string(&path).unwrap());
-            fs::write(&path, lines.concat()).unwrap();
-            if matches!(src, LogSource::Executor(_)) && !rotated {
-                let half = lines.len() / 2;
-                let older = format!("{}.1", path.display());
-                fs::write(older, lines[..half].concat()).unwrap();
-                fs::write(&path, lines[half..].concat()).unwrap();
-                rotated = true;
-            }
-        }
+        layouts::shuffle_app_logs(&mut rng, &store, &dir);
         // Two Spark banners and two out-of-alphabet RM transitions, each
         // pair later line first.
         let first_driver = store.sources().find(|s| matches!(s, LogSource::Driver(_)));

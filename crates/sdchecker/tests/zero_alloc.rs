@@ -21,6 +21,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use logmodel::{carry_lines, parse_line_ref, Epoch, LogSource, LogStore, NodeId, Parallelism};
+use sdchecker::extract::CoverageCounts;
 use sdchecker::{
     analyze_dir_with, analyze_store, critical_path, full_report, report_json,
     wide_events_for_analysis, Analysis, DirTailer, EventKind, Extractor, IncrementalAnalyzer,
@@ -163,7 +164,8 @@ fn a_line_costs_no_allocation_from_bytes_to_verdict() {
     let mut out = Vec::with_capacity(cases.len());
     let mut carry = Vec::new();
     for (source, line, verdict, event) in cases {
-        let mut cursor = StreamCursor::new(source);
+        let mut cursor = StreamCursor::default();
+        let mut cov = CoverageCounts::default();
         let before = out.len();
         let bytes = format!("{line}\n");
         let (got, allocs) = allocations(|| {
@@ -171,7 +173,11 @@ fn a_line_costs_no_allocation_from_bytes_to_verdict() {
                 let split = lines.next().expect("one line ends");
                 assert_eq!((split, lines.next()), (line, None));
                 let record = parse_line_ref(&epoch, split)?;
-                Some(ex.extract_record(&mut cursor, &record, &mut out))
+                Some(
+                    cursor
+                        .step(&ex, source, &record, &mut out, &mut cov)
+                        .outcome,
+                )
             })
             .expect("a line ended")
         });
@@ -243,12 +249,10 @@ fn recording_costs_allocations_per_event_kind_not_per_event() {
     let (mut kinds, mut events) = (0, 0);
     let mut cursors = std::collections::BTreeMap::new();
     for (src, run) in &runs {
-        let cursor = cursors
-            .entry(*src)
-            .or_insert_with(|| StreamCursor::new(*src));
+        let cursor = cursors.entry(*src).or_insert_with(StreamCursor::default);
         let mut out = Vec::new();
         for r in run {
-            ex.extract_record(cursor, r, &mut out);
+            cursor.step(&ex, *src, r, &mut out, &mut CoverageCounts::default());
         }
         let distinct: std::collections::BTreeSet<EventKind> = out.iter().map(|e| e.kind).collect();
         kinds += distinct.len() as u64;
