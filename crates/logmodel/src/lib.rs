@@ -22,6 +22,7 @@ mod corrupt;
 pub mod format;
 mod ids;
 pub mod par;
+mod read;
 mod record;
 pub mod schema;
 mod store;
@@ -33,8 +34,9 @@ pub use format::{
 };
 pub use ids::{AppAttemptId, ApplicationId, ContainerId, NodeId};
 pub use par::Parallelism;
+pub use read::{list_dir, read_epoch, read_records, Entry, ReadCounts};
 pub use record::{Level, LogRecord, LogSource, RecordRef};
-pub use store::{scan_dir, LogStore, Records, SourceScan, BYTES_PER_RECORD_HINT};
+pub use store::{scan_dir, LogStore, Records, SourceScan};
 
 /// Millisecond time offset from the run's epoch. Mirrors `simkit::Millis`
 /// but is redeclared here so sdchecker does not need to depend on the

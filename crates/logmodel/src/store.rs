@@ -11,8 +11,9 @@ use std::fs;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
-use crate::format::{carry_lines, parse_line_ref, push_line, Epoch, READ_CHUNK};
+use crate::format::{parse_line_ref, push_line, Epoch, READ_CHUNK};
 use crate::par::{self, Parallelism};
+use crate::read::{log_files, read_epoch, read_records};
 use crate::record::{Level, LogRecord, LogSource, RecordRef};
 use crate::TsMs;
 
@@ -89,8 +90,12 @@ impl LogStore {
     /// file's, through the same read loop; `None` if no line parsed.
     pub fn scan<S: SourceScan>(&self, source: LogSource, mut scan: S) -> Option<S::Output> {
         let text = self.text(source).as_bytes();
-        let (_, parsed) = scan_read(&self.epoch, text, text.len() as u64, &mut scan).ok()?;
-        (parsed > 0).then(|| scan.finish())
+        let mut buf = vec![0; text.len().min(READ_CHUNK)];
+        let (counts, _) =
+            read_records(&self.epoch, text, &mut buf, &mut Vec::new(), true, |recs| {
+                scan.records(recs)
+            });
+        (counts.records > 0).then(|| scan.finish())
     }
 
     /// Flush to a directory tree (`resourcemanager.log`,
@@ -160,11 +165,6 @@ impl<'a> Records<'a> {
     }
 }
 
-/// Bytes per record assumed when a record vector is sized from the bytes
-/// about to be parsed into it. The corpora at hand average 110–135 bytes
-/// a line; a low guess costs one doubling.
-pub const BYTES_PER_RECORD_HINT: usize = 128;
-
 /// What a [`scan_dir`] caller makes of one source. It is opened before
 /// the source's first file is read, handed the source's records a run at
 /// a time — in file order, each run borrowed from the chunk it was read
@@ -204,17 +204,13 @@ impl SourceScan for (LogSource, LogStore) {
 /// the [`SourceScan`] `open` makes for its source under the corpus's
 /// epoch.
 ///
-/// Every file under `dir` whose relative path names a [`LogSource`] is
-/// read (symlinked directories are followed, dangling links ignored;
-/// `epoch.txt` anchors the timestamps, [`Epoch::default_run`] without
-/// it). Rotated segments (`x.log.1`) belong to their base file's source.
-/// Per source, the segments are read in relative-path order, each once,
-/// in chunks of at most [`READ_CHUNK`] bytes, decoded lossily (valid
-/// UTF-8 is not copied), split into lines by [`carry_lines`] and parsed
-/// with [`parse_line_ref`]. Unparseable lines are skipped, as the real
-/// tool must tolerate stack traces and banners; a source left with no
-/// record is not returned. The records reach the scan in that file order,
-/// whatever their timestamps.
+/// It reads with the tailer's reader: [`read_epoch`], [`crate::list_dir`] (a
+/// rotated `x.log.1` is `x.log`'s source) and [`read_records`], each file
+/// up to the size it had when opened, [`READ_CHUNK`] bytes at a time.
+/// Per source, the segments are read in relative-path order, each once.
+/// Unparseable lines are skipped, as the real tool must tolerate stack
+/// traces and banners; a source left with no record is not returned. The
+/// records reach the scan in that file order, whatever their timestamps.
 ///
 /// Sources are dispatched over `par` in [`LogSource`] order — the
 /// ResourceManager log, usually the largest, first — and the scans come
@@ -227,48 +223,13 @@ where
     F: Fn(&Epoch, LogSource) -> S + Sync,
 {
     let _span = obs::span("ingest").arg("dir", dir.display());
-    let epoch = match fs::read_to_string(dir.join("epoch.txt")) {
-        Ok(s) => Epoch {
-            unix_ms: s.trim().parse().map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("bad epoch.txt: {e}"))
-            })?,
-        },
-        Err(_) => Epoch::default_run(),
-    };
+    let epoch = read_epoch(dir)?.unwrap_or_else(Epoch::default_run);
     // Enumerate log files first (cheap), then read them in parallel (the
     // expensive part). One flat table, sorted by source and then by path
     // bytes — every path starts with `dir`, so that is relative-path
     // order — pins the order of a source's segments, so nothing depends
     // on directory iteration order or worker scheduling.
-    let mut files: Vec<(LogSource, PathBuf)> = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        for entry in fs::read_dir(&d)? {
-            let entry = entry?;
-            let path = entry.path();
-            // The entry's own type comes with the listing; only a
-            // symlink (an app directory living on another volume) needs
-            // a stat to learn what it points at.
-            let mut file_type = entry.file_type()?;
-            if file_type.is_symlink() {
-                match fs::metadata(&path) {
-                    Ok(meta) => file_type = meta.file_type(),
-                    Err(_) => continue, // dangling
-                }
-            }
-            if file_type.is_dir() {
-                stack.push(path);
-                continue;
-            }
-            let rel = path
-                .strip_prefix(dir)
-                .map_err(|e| io::Error::other(e.to_string()))?;
-            let Some(src) = LogSource::from_rel_path(&rel.to_string_lossy()) else {
-                continue; // epoch.txt, stray files
-            };
-            files.push((src, path));
-        }
-    }
+    let mut files = log_files(dir)?;
     files.sort_by(|(a, a_path), (b, b_path)| {
         a.cmp(b)
             .then_with(|| a_path.as_os_str().cmp(b_path.as_os_str()))
@@ -287,8 +248,8 @@ where
     Ok((epoch, out))
 }
 
-/// Scan one source's segments, in order, into the scan `open` makes,
-/// each file through [`scan_read`]; `None` if no line parsed.
+/// Scan one source's segments, in order, into the scan `open` makes; a
+/// read error fails the scan. `None` if no line parsed.
 fn scan_source<S: SourceScan>(
     epoch: &Epoch,
     dir: &Path,
@@ -296,68 +257,31 @@ fn scan_source<S: SourceScan>(
     open: &impl Fn(&Epoch, LogSource) -> S,
 ) -> io::Result<Option<S::Output>> {
     let mut scan = open(epoch, segments[0].0);
-    let mut parsed = 0;
+    let mut held = Vec::new();
+    let mut records = 0;
     for (_, path) in segments {
         let rel = path.strip_prefix(dir).unwrap_or(path);
         let span = obs::span("ingest_file").arg("file", rel.display());
         let file = fs::File::open(path)?;
         let len = file.metadata()?.len();
-        let (lines, records) = scan_read(epoch, file, len, &mut scan)?;
+        // Sized to the file up to a chunk — a small file costs what
+        // reading it whole costs: open, one size query, one read, close.
+        let mut buf = vec![0; len.min(READ_CHUNK as u64) as usize];
+        let (counts, read) =
+            read_records(epoch, file.take(len), &mut buf, &mut held, true, |recs| {
+                scan.records(recs)
+            });
+        read?;
         if span.is_active() {
-            obs::count_labeled("ingest_lines_total", &[("status", "parsed")], records);
-            obs::count_labeled(
-                "ingest_lines_total",
-                &[("status", "skipped")],
-                lines - records,
-            );
-            obs::observe("ingest_file_lines", LINES_PER_FILE_BOUNDS, lines);
+            // An empty line is a skipped one here, and none to the tailer.
+            let (parsed, skipped) = (counts.records, counts.lines - counts.records);
+            obs::count_labeled("ingest_lines_total", &[("status", "parsed")], parsed);
+            obs::count_labeled("ingest_lines_total", &[("status", "skipped")], skipped);
+            obs::observe("ingest_file_lines", LINES_PER_FILE_BOUNDS, counts.lines);
         }
-        parsed += records;
+        records += counts.records;
     }
-    Ok((parsed > 0).then(|| scan.finish()))
-}
-
-/// Read `reader`, `len` bytes when it was sized, through a buffer of at
-/// most [`READ_CHUNK`] bytes, handing each chunk's records to `scan`
-/// before the next chunk is read: the read loop under [`scan_dir`] and
-/// [`LogStore::scan`]. Returns the lines read and the records parsed. A
-/// reader that was empty when it was sized reads as empty.
-fn scan_read(
-    epoch: &Epoch,
-    mut reader: impl Read,
-    len: u64,
-    scan: &mut impl SourceScan,
-) -> io::Result<(u64, u64)> {
-    // Sized to the reader up to a chunk — a small file costs what reading
-    // it whole costs: open, one size query, reads, close.
-    let mut buf = vec![0; len.min(READ_CHUNK as u64) as usize];
-    let mut carry = Vec::new();
-    let (mut lines, mut parsed) = (0u64, 0u64);
-    loop {
-        let n = match reader.read(&mut buf) {
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        // `carry_lines` decodes lossily: damaged collections carry garbage
-        // bytes, and a hard UTF-8 error would reject the whole corpus over
-        // one bad sector. A line with a replacement character does not
-        // parse and is skipped like any other malformed line.
-        carry_lines(&mut carry, &buf[..n], n == 0, |run| {
-            let mut recs = Vec::with_capacity(n / BYTES_PER_RECORD_HINT);
-            for line in run {
-                lines += 1;
-                recs.extend(parse_line_ref(epoch, line));
-            }
-            if !recs.is_empty() {
-                parsed += recs.len() as u64;
-                scan.records(&recs);
-            }
-        });
-        if n == 0 {
-            return Ok((lines, parsed));
-        }
-    }
+    Ok((records > 0).then(|| scan.finish()))
 }
 
 #[cfg(test)]

@@ -220,6 +220,17 @@ impl EventKind {
     }
 }
 
+/// Add `per_kind`, events tallied by [`EventKind::index`], to
+/// `extract_events_total{kind}`: one increment per kind present, not per
+/// event, as each builds a key and takes a lock.
+pub(crate) fn count_event_kinds(per_kind: &[u64; EventKind::ALL.len()]) {
+    for (kind, &n) in EventKind::ALL.iter().zip(per_kind) {
+        if n > 0 {
+            obs::count_labeled("extract_events_total", &[("kind", kind.name())], n);
+        }
+    }
+}
+
 /// Where a kind is logged, and which ids besides the application its
 /// events carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use logmodel::{ApplicationId, ContainerId, LogSource, NodeId, Parallelism, RecordRef, SourceScan};
 
 use crate::checkpoint::CkptError;
-use crate::event::{EventKind, SchedEvent};
+use crate::event::{count_event_kinds, EventKind, SchedEvent};
 use crate::pattern::Pat;
 use crate::wire::{corrupt, wire_struct, Dec, Decode, Enc, Encode};
 
@@ -737,13 +737,11 @@ pub(crate) fn merge_scans(scans: Vec<StreamScan>) -> Extracted {
 /// functions of the corpus, so metric exports are byte-identical for
 /// every worker count.
 fn flush_stream_metrics(src: LogSource, evs: &[SchedEvent], cov: CoverageCounts) {
-    let mut per_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut per_kind = [0; EventKind::ALL.len()];
     for e in evs {
-        *per_kind.entry(e.kind.name()).or_insert(0) += 1;
+        per_kind[e.kind.index()] += 1;
     }
-    for (kind, n) in per_kind {
-        obs::count_labeled("extract_events_total", &[("kind", kind)], n);
-    }
+    count_event_kinds(&per_kind);
     let source = SourceKind::of(src).name();
     for (status, n) in [
         ("matched", cov.matched),

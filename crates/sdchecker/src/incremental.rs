@@ -49,7 +49,7 @@ use obs::json_fields;
 use crate::analyze::analyze_app_events;
 use crate::checkpoint::CkptError;
 use crate::decompose::{AppDelays, AppOutcome};
-use crate::event::{EventKind, SchedEvent};
+use crate::event::{count_event_kinds, EventKind, SchedEvent};
 use crate::exemplars::{PromotedApp, TailExemplars};
 use crate::extract::{CoverageCounts, Extractor, Outcome, ParseCoverage, SourceKind, StreamCursor};
 use crate::fleet::{push_coverage, record_app_metrics, AppFacts, FleetAgg};
@@ -275,13 +275,8 @@ impl IncrementalAnalyzer {
         }
         self.cov.record(kind, cov);
         if recording {
-            // Tallied per run, as `StreamScanner` tallies per stream:
-            // each `count_labeled` builds a key and takes a lock.
-            for (ev_kind, n) in EventKind::ALL.into_iter().zip(per_kind) {
-                if n > 0 {
-                    obs::count_labeled("extract_events_total", &[("kind", ev_kind.name())], n);
-                }
-            }
+            // Tallied per run, as `StreamScanner` tallies per stream.
+            count_event_kinds(&per_kind);
             for (status, n) in [
                 ("matched", cov.matched),
                 ("unmatched", cov.unmatched),

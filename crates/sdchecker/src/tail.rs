@@ -57,17 +57,18 @@
 //! ⌈growth ÷ [`READ_CHUNK`]⌉ reads; nothing else per file, and nothing
 //! at all per file it does not look at.
 //!
-//! Lines are parsed with the same [`logmodel::parse_line_ref`] and the
-//! same lossy UTF-8 decoding as batch ingest, in place: the records a
-//! poll hands its visitor borrow from the bytes it just read, one chunk
-//! of at most [`READ_CHUNK`] bytes at a time through one reused buffer,
-//! and only an unterminated remainder is copied. So a backlog drain
-//! holds one chunk, not one file: the tailer's memory is that chunk,
-//! its records, and each file's unterminated last line. A file that
-//! shrinks (rotation, truncation) resets its offset and is re-read. The
-//! net guarantee, pinned by the incremental property test: replaying a
-//! tailed corpus in *any* append chunking yields exactly the records
-//! batch ingest reads from the finished directory.
+//! Bytes become records through batch's own reader,
+//! [`logmodel::read_records`], which borrows them in place from one
+//! reused buffer of at most [`READ_CHUNK`] bytes, read up to the size the
+//! poll's `stat` saw; only an unterminated remainder is copied. So a
+//! backlog drain holds one chunk, its records and each file's
+//! unterminated last line, not one file. A read error is counted and
+//! retried at the next look; an empty line is no line to [`TailStats`]
+//! (batch counts it as skipped). A file that shrinks (rotation,
+//! truncation) resets its offset and is re-read. The net guarantee,
+//! pinned by the incremental property test: replaying a tailed corpus in
+//! *any* append chunking yields exactly the records batch ingest reads
+//! from the finished directory.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -77,8 +78,8 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
 use logmodel::{
-    carry_lines, parse_line_ref, ApplicationId, Epoch, LogRecord, LogSource, RecordRef, TsMs,
-    BYTES_PER_RECORD_HINT, READ_CHUNK,
+    list_dir, read_epoch, read_records, ApplicationId, Entry, Epoch, LogRecord, LogSource,
+    ReadCounts, RecordRef, TsMs, READ_CHUNK,
 };
 
 use crate::checkpoint::CkptError;
@@ -95,12 +96,23 @@ pub struct TailStats {
     pub read_bytes: u64,
     /// Lines parsed into records.
     pub parsed_lines: u64,
-    /// Complete lines that did not parse (banners, junk, stack traces).
+    /// Complete lines that did not parse (banners, junk, stack traces);
+    /// an empty line is not counted, where batch's
+    /// `ingest_lines_total{status="skipped"}` counts it.
     pub skipped_lines: u64,
     /// Files that shrank and were reset to offset 0.
     pub resets: u64,
     /// Tracked files that vanished from disk and were dropped.
     pub removed_files: u64,
+}
+
+impl TailStats {
+    /// Count one read: its bytes, and its lines but the empty ones.
+    fn add(&mut self, read: ReadCounts) {
+        self.read_bytes += read.bytes;
+        self.parsed_lines += read.records;
+        self.skipped_lines += read.lines - read.records - read.empty;
+    }
 }
 
 wire_struct!(TailStats {
@@ -379,12 +391,7 @@ impl DirTailer {
                 format!("watch directory {} does not exist", dir.display()),
             ));
         }
-        Ok(DirTailer::over(dir))
-    }
-
-    /// A tailer over `dir` tracking nothing and knowing no directory but
-    /// the root yet.
-    fn over(dir: &Path) -> DirTailer {
+        // Tracking nothing, and knowing no directory but the root yet.
         let mut tailer = DirTailer {
             dir: dir.to_path_buf(),
             epoch: None,
@@ -395,7 +402,7 @@ impl DirTailer {
             chunk: Vec::new(),
         };
         tailer.adopt_dir(dir.to_path_buf(), DirState::default());
-        tailer
+        Ok(tailer)
     }
 
     /// The corpus epoch: read from `epoch.txt` once available, the
@@ -438,7 +445,10 @@ impl DirTailer {
     /// back.
     pub fn poll_with(&mut self, sink: &mut impl TailSink) -> io::Result<()> {
         self.stats.polls += 1;
-        self.resolve_epoch()?;
+        if self.epoch.is_none() {
+            self.ops.opens += 1;
+            self.epoch = read_epoch(&self.dir)?;
+        }
         let now = SystemTime::now();
         let turn = self.stats.polls % COLD_ROTATION;
         // A cursor, not an iterator: a listing adopts what it finds into
@@ -560,12 +570,19 @@ impl DirTailer {
                 return true;
             }
             self.ops.opens += 1;
-            let mut parsed = RecordSink {
-                epoch,
-                stats: &mut self.stats,
-                watermark: &mut self.watermark,
+            self.chunk.resize(READ_CHUNK, 0);
+            let (counts, read) = match tail.open_to(len) {
+                Ok(file) => tail.read(
+                    &epoch,
+                    file,
+                    &mut self.chunk,
+                    false,
+                    &mut self.watermark,
+                    |source, recs| sink.records(source, recs),
+                ),
+                Err(e) => (ReadCounts::default(), Err(e)),
             };
-            let read = tail.read_to(len, &mut self.chunk, &mut parsed, sink);
+            self.stats.add(counts);
             if read.is_err() {
                 self.ops.read_errors += 1;
             }
@@ -583,13 +600,10 @@ impl DirTailer {
     /// ingest accepts), handing each one that parses to `visit`. Call
     /// once at shutdown, after the final poll.
     pub fn flush_partial_into(&mut self, mut visit: impl FnMut(LogSource, &[RecordRef<'_>])) {
-        let mut sink = RecordSink {
-            epoch: self.epoch(),
-            stats: &mut self.stats,
-            watermark: &mut self.watermark,
-        };
+        let (epoch, watermark) = (self.epoch(), &mut self.watermark);
         for (_, tail) in self.groups.values_mut().flat_map(|g| &mut g.files) {
-            tail.take_lines(&[], true, &mut sink, &mut visit);
+            let (counts, _) = tail.read(&epoch, io::empty(), &mut [], true, watermark, &mut visit);
+            self.stats.add(counts);
         }
     }
 
@@ -646,12 +660,7 @@ impl DirTailer {
     /// [`LogSource`] claims is `Corrupt`, so recovery falls back to an
     /// older generation or a cold start.
     pub(crate) fn decode(d: &mut Dec<'_>, dir: &Path) -> Result<DirTailer, CkptError> {
-        if !dir.is_dir() {
-            return Err(corrupt(format!(
-                "watch directory {} does not exist",
-                dir.display()
-            )));
-        }
+        let tailer = DirTailer::new(dir).map_err(|e| corrupt(e.to_string()))?;
         let epoch: Option<u64> = d.get()?;
         let watermark = d.get()?;
         let stats = d.get()?;
@@ -659,7 +668,7 @@ impl DirTailer {
             epoch: epoch.map(|unix_ms| Epoch { unix_ms }),
             stats,
             watermark,
-            ..DirTailer::over(dir)
+            ..tailer
         };
         for _ in 0..d.get::<usize>()? {
             let rel: String = d.get()?;
@@ -678,25 +687,6 @@ impl DirTailer {
             tailer.adopt_file(rel, tail);
         }
         Ok(tailer)
-    }
-
-    /// Load `epoch.txt` once it exists (the simulator writes it before
-    /// any log line, so a tail started early still anchors correctly).
-    fn resolve_epoch(&mut self) -> io::Result<()> {
-        if self.epoch.is_some() {
-            return Ok(());
-        }
-        self.ops.opens += 1;
-        match fs::read_to_string(self.dir.join("epoch.txt")) {
-            Ok(s) => {
-                let unix_ms = s.trim().parse().map_err(|e| {
-                    io::Error::new(io::ErrorKind::InvalidData, format!("bad epoch.txt: {e}"))
-                })?;
-                self.epoch = Some(Epoch { unix_ms });
-                Ok(())
-            }
-            Err(_) => Ok(()),
-        }
     }
 
     /// Start tracking `tail` under `rel`, unless that path is tracked
@@ -731,48 +721,31 @@ impl DirTailer {
     /// not in the table yet onto `to_list`.
     fn list(&mut self, d: &Path, now: SystemTime, to_list: &mut Vec<PathBuf>) -> io::Result<()> {
         self.ops.listings += 1;
-        for entry in fs::read_dir(d)? {
-            let entry = entry?;
-            let path = entry.path();
-            // The entry's own type comes with the listing; only a
-            // symlink (an app directory living on another volume) needs
-            // a stat to learn what it points at.
-            let mut file_type = entry.file_type()?;
-            if file_type.is_symlink() {
-                self.ops.stats += 1;
-                match fs::metadata(&path) {
-                    Ok(meta) => file_type = meta.file_type(),
-                    Err(_) => continue, // dangling
-                }
-            }
-            if file_type.is_dir() {
-                if self.knows_dir(&path) {
-                    continue;
+        let root = self.dir.clone();
+        let mut links = 0;
+        let listed = list_dir(&root, d, &mut links, |entry| match entry {
+            Entry::Dir(path) => {
+                if self.knows_dir(path) {
+                    return;
                 }
                 // The mtime to remember is the one from before the
                 // listing, so a create racing the listing moves it. (A
                 // fresh state always needs listing; the call records
                 // the mtime and whether this listing settles it.)
                 self.ops.stats += 1;
-                if let Ok(meta) = fs::metadata(&path) {
+                if let Ok(meta) = fs::metadata(path) {
                     let mut state = DirState::default();
                     state.needs_listing(meta.modified().ok(), now);
-                    self.adopt_dir(path.clone(), state);
-                    to_list.push(path);
+                    self.adopt_dir(path.to_path_buf(), state);
+                    to_list.push(path.to_path_buf());
                 }
-                continue;
             }
-            let rel = path
-                .strip_prefix(&self.dir)
-                .map_err(|e| io::Error::other(e.to_string()))?
-                .to_string_lossy()
-                .into_owned();
-            let Some(source) = LogSource::from_rel_path(&rel) else {
-                continue; // epoch.txt, stray files
-            };
-            self.adopt_file(rel, FileTail::new(source, path));
-        }
-        Ok(())
+            Entry::Log(source, rel, path) => {
+                self.adopt_file(rel.to_owned(), FileTail::new(source, path.to_path_buf()));
+            }
+        });
+        self.ops.stats += links;
+        listed
     }
 }
 
@@ -800,92 +773,36 @@ fn collect_into(
     |source, recs| out.extend(recs.iter().map(|r| (source, r.to_record())))
 }
 
-/// Where parsed lines are accounted: the tailer's line counters and
-/// watermark, under the corpus epoch.
-struct RecordSink<'t> {
-    epoch: Epoch,
-    stats: &'t mut TailStats,
-    watermark: &'t mut Option<TsMs>,
-}
-
-impl RecordSink<'_> {
-    /// Parse one complete line, mirroring batch ingest (`\r` tolerated,
-    /// unparseable lines counted and skipped): a record goes onto `recs`
-    /// and into the file's `last_ts`.
-    fn parse<'a>(
-        &mut self,
-        line: &'a str,
-        last_ts: &mut Option<TsMs>,
-        recs: &mut Vec<RecordRef<'a>>,
-    ) {
-        match parse_line_ref(&self.epoch, line) {
-            Some(rec) => {
-                self.stats.parsed_lines += 1;
-                *last_ts = Some(rec.ts);
-                *self.watermark = (*self.watermark).max(Some(rec.ts));
-                recs.push(rec);
-            }
-            None => self.stats.skipped_lines += 1,
-        }
-    }
-}
-
 impl FileTail {
-    /// Read the file from `offset` up to `len` — or to its end, if it
-    /// shrank since the `stat` that saw `len` — through `chunk`, at most
-    /// [`READ_CHUNK`] bytes at a time, handing each chunk's complete
-    /// lines to `sink` before the next is read. On an error `offset`
-    /// stays after the last chunk handed over.
-    fn read_to(
-        &mut self,
-        len: u64,
-        chunk: &mut Vec<u8>,
-        parsed: &mut RecordSink<'_>,
-        sink: &mut impl TailSink,
-    ) -> io::Result<()> {
-        let mut f = fs::File::open(&self.path)?;
-        f.seek(SeekFrom::Start(self.offset))?;
-        chunk.resize(READ_CHUNK, 0);
-        while self.offset < len {
-            let want = (len - self.offset).min(READ_CHUNK as u64) as usize;
-            let n = match f.read(&mut chunk[..want]) {
-                Ok(0) => break,
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            self.offset += n as u64;
-            parsed.stats.read_bytes += n as u64;
-            self.take_lines(&chunk[..n], false, parsed, &mut |source, recs| {
-                sink.records(source, recs)
-            });
-        }
-        Ok(())
+    /// The file from `offset` up to `len`, or to its end if it shrank
+    /// since the `stat` that saw `len`.
+    fn open_to(&self, len: u64) -> io::Result<io::Take<fs::File>> {
+        let mut file = fs::File::open(&self.path)?;
+        file.seek(SeekFrom::Start(self.offset))?;
+        Ok(file.take(len - self.offset))
     }
 
-    /// Turn the lines `fresh` ends (see [`carry_lines`]) into records and
-    /// hand them to `visit`; whatever follows the last newline stays in
-    /// `partial`, unless `at_eof`. The records borrow from `fresh`, but
-    /// for the line `partial` held, which is completed there. Empty lines
-    /// are not counted.
-    fn take_lines(
+    /// Read `reader` (the file from `offset` on; nothing at shutdown,
+    /// when `at_end` makes the held line final) through `chunk`, each run
+    /// of records to `visit`: `offset` and `partial` follow the bytes,
+    /// `last_ts` and `watermark` the records.
+    fn read(
         &mut self,
-        fresh: &[u8],
-        at_eof: bool,
-        parsed: &mut RecordSink<'_>,
-        visit: &mut impl FnMut(LogSource, &[RecordRef<'_>]),
-    ) {
-        carry_lines(&mut self.partial, fresh, at_eof, |lines| {
-            // Sized as batch ingest sizes a chunk's records: some 2 000
-            // lines for a full chunk.
-            let mut recs = Vec::with_capacity(fresh.len() / BYTES_PER_RECORD_HINT + 1);
-            for line in lines.filter(|line| !line.is_empty()) {
-                parsed.parse(line, &mut self.last_ts, &mut recs);
-            }
-            if !recs.is_empty() {
-                visit(self.source, &recs);
-            }
-        });
+        epoch: &Epoch,
+        reader: impl Read,
+        chunk: &mut [u8],
+        at_end: bool,
+        watermark: &mut Option<TsMs>,
+        mut visit: impl FnMut(LogSource, &[RecordRef<'_>]),
+    ) -> (ReadCounts, io::Result<()>) {
+        let (counts, read) =
+            read_records(epoch, reader, chunk, &mut self.partial, at_end, |recs| {
+                self.last_ts = recs.last().map(|r| r.ts);
+                *watermark = (*watermark).max(recs.iter().map(|r| r.ts).max());
+                visit(self.source, recs);
+            });
+        self.offset += counts.bytes;
+        (counts, read)
     }
 }
 
@@ -1133,12 +1050,17 @@ mod tests {
     /// One file of six chunks whose boundaries fall right after a
     /// newline, between a CR and its LF, inside a three-byte character,
     /// twice inside one line longer than a chunk, and at the end of the
-    /// file, which stops mid-line: one poll opens it once, hands it over
-    /// in several runs, and reads exactly what batch ingest reads — and
-    /// so do a half line and its rest appended after it.
+    /// file, which stops mid-line; between them, lines clipped to nothing
+    /// (as `corrupt_dir` clips one to `keep = 0`), a lone CR, garbage bytes
+    /// inside a record and in place of one, and CRLF endings. One poll
+    /// opens it once, hands it over in several runs, and reads exactly
+    /// what batch ingest reads — the records, and the parsed, skipped and
+    /// empty lines — and both agree with the file decoded and split whole.
+    /// So do a half line and its rest appended after it.
     #[test]
     fn a_file_read_in_chunks_gives_what_batch_reads() {
         const C: usize = READ_CHUNK;
+        const GARBAGE: &[u8] = b"\xff\xfe\xc3(\xe2\x82\xff";
         let dir = tmp("chunks");
         let _ = fs::remove_dir_all(&dir);
         write_epoch(&dir);
@@ -1158,16 +1080,55 @@ mod tests {
         text.push_str("\u{2713} done\n");
         fill(&mut text, 4 * C - 100);
         text.push_str(&line(100, &"long ".repeat(C / 5 + 40)));
+        // Placeholders as long as the garbage that replaces them below.
+        let marker = "#".repeat(GARBAGE.len());
+        text.push_str("\n\n\r\n");
+        text.push_str(&line(100, &format!("garbled {marker} inside")));
+        text.push_str(&format!("{marker} in place of a line\n"));
+        text.push_str("2018-03-14 09:00:00,100 INFO  X: crlf again\r\n\n");
         let tail_text = "2018-03-14 09:00:00,100 INFO  X: unterminated";
         fill(&mut text, 6 * C - tail_text.len());
         text.push_str(tail_text);
-        let bytes = text.as_bytes();
+        let mut bytes = text.clone().into_bytes();
+        for _ in 0..2 {
+            let at = text.find(&marker).unwrap();
+            text.replace_range(at..at + marker.len(), &"_".repeat(marker.len()));
+            bytes[at..at + GARBAGE.len()].copy_from_slice(GARBAGE);
+        }
         assert_eq!(bytes.len(), 6 * C);
         assert_eq!(bytes[C - 1], b'\n');
         assert_eq!(&bytes[2 * C - 1..2 * C + 1], b"\r\n");
         assert!(!text.is_char_boundary(3 * C));
         assert!(!bytes[4 * C..5 * C].contains(&b'\n'));
-        fs::write(&rm, bytes).unwrap();
+        fs::write(&rm, &bytes).unwrap();
+
+        // The file decoded and split whole: the records, and the lines
+        // that parse, that are empty, and the rest.
+        let epoch = Epoch::default_run();
+        let whole = String::from_utf8_lossy(&bytes);
+        let lines: Vec<&str> = whole.split_terminator('\n').collect();
+        let want: Vec<(LogSource, LogRecord)> = lines
+            .iter()
+            .filter_map(|l| logmodel::parse_line(&epoch, l))
+            .map(|r| (LogSource::ResourceManager, r))
+            .collect();
+        let empty = lines.iter().filter(|l| l.is_empty()).count() as u64;
+        let (parsed, skipped) = (want.len() as u64, lines.len() as u64 - want.len() as u64);
+        assert_eq!((empty, skipped), (3, 5), "three empty, the CR, the garbage");
+        assert!(messages(&want).iter().any(|m| m.contains('\u{fffd}')));
+
+        // Batch: the records `scan_dir` hands over, and the counts of one
+        // file read as it reads it.
+        assert_eq!(batch(&dir), want);
+        let file = fs::File::open(&rm).unwrap();
+        let mut buf = vec![0; C];
+        let (counts, read) = read_records(&epoch, file, &mut buf, &mut Vec::new(), true, |_| {});
+        read.unwrap();
+        assert_eq!(
+            (counts.records, counts.lines - counts.records, counts.empty),
+            (parsed, skipped, empty),
+            "batch counts an empty line as skipped"
+        );
 
         let before = t.ops();
         let mut got = Vec::new();
@@ -1183,7 +1144,13 @@ mod tests {
         assert_eq!(tail_state.offset, bytes.len() as u64);
         assert_eq!(tail_state.partial, tail_text.as_bytes());
         got.extend(t.flush_partial());
-        assert_eq!(got, batch(&dir));
+        assert_eq!(got, want);
+        let stats = t.stats();
+        assert_eq!(
+            (stats.parsed_lines, stats.skipped_lines),
+            (parsed, skipped - empty),
+            "the tailer does not count an empty line"
+        );
 
         // A half line, then its rest: exact again.
         let mut t = DirTailer::new(&dir).unwrap();
@@ -1201,6 +1168,7 @@ mod tests {
         assert!(tail(&t, "resourcemanager.log").unwrap().partial.is_empty());
         assert_eq!(got, batch(&dir));
         assert_eq!(messages(&got).last(), Some(&"after the chunks"));
+        assert_eq!(t.stats().parsed_lines, parsed + 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

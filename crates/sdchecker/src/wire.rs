@@ -47,11 +47,14 @@ pub(crate) trait Decode: Sized {
 /// Append-only byte encoder. Infallible: encoding in-memory state
 /// cannot fail, only the eventual write can.
 pub(crate) struct Enc {
-    buf: Vec<u8>,
+    /// The bytes written. The checkpoint container frames its sections
+    /// in the same buffer.
+    pub(crate) buf: Vec<u8>,
 }
 
 impl Enc {
     /// The payload `v` encodes to.
+    #[cfg(test)]
     pub(crate) fn payload<T: Encode + ?Sized>(v: &T) -> Vec<u8> {
         let mut e = Enc { buf: Vec::new() };
         v.encode(&mut e);
