@@ -7,8 +7,9 @@
 //! `TsMs` (milliseconds since the run epoch) converted to microseconds.
 //! One Perfetto *process* per application, one *thread* lane per entity
 //! (app, RM, driver, the critical path, and each container), one slice
-//! per named delay component of [`decompose`](crate::decompose), and
-//! flow arrows chaining the [`critical_path`](crate::critical) segments.
+//! per delay interval of [`decompose`](crate::decompose)'s table — so
+//! each lasts exactly what the report says — and flow arrows chaining
+//! the [`critical_path`](crate::critical) segments.
 //! Open the file in <https://ui.perfetto.dev> and the paper's Fig 10
 //! picture — executors idling while the driver initializes — is directly
 //! visible, per application, with exact component boundaries.
@@ -18,8 +19,11 @@ use obs::export::TraceEvents;
 use logmodel::TsMs;
 
 use crate::analyze::Analysis;
-use crate::critical::critical_path;
-use crate::event::EventKind;
+use crate::critical::{critical_path, CriticalSegment};
+use crate::decompose::{
+    Interval, ACQUISITION, ADMISSION, ALLOC, ALLOCATION, AM, DRIVER, EXECUTOR, EXECUTOR_IDLE,
+    LAUNCHING, LOCALIZATION, NM_QUEUE, TOTAL,
+};
 use crate::graph::{ContainerTrack, SchedulingGraph};
 
 /// Reserved lane ids inside each application's process group.
@@ -29,115 +33,68 @@ const TID_DRIVER: u64 = 2;
 const TID_CRITICAL: u64 = 3;
 const TID_CONTAINERS: u64 = 4;
 
+/// The rows the fixed lanes draw, with their slice names: the app lane
+/// holds the end-to-end delay and two sub-phases, the RM lane admission
+/// and the wait for the final AM's container, the driver lane its
+/// initialization and the executor allocation round-trip.
+const APP_LANES: [(u64, &str, Interval); 7] = [
+    (TID_APP, "total_scheduling_delay", TOTAL),
+    (TID_APP, "am_delay", AM),
+    (TID_APP, "executor_delay", EXECUTOR),
+    (TID_RM, "admission", ADMISSION),
+    (TID_RM, "am_scheduling", ALLOCATION),
+    (TID_DRIVER, "driver_delay", DRIVER),
+    (TID_DRIVER, "allocation", ALLOC),
+];
+
 fn us(t: TsMs) -> u64 {
     t.0 * 1000
 }
 
-/// Emit one component slice when both endpoints exist and are ordered;
-/// returns the slice's `(from, to)` when emitted.
-#[allow(clippy::too_many_arguments)]
+/// Emit one slice when both ends exist and are ordered.
 fn slice(
     t: &mut TraceEvents,
-    pid: u64,
-    tid: u64,
+    (pid, tid): (u64, u64),
     name: &str,
-    from: Option<TsMs>,
-    to: Option<TsMs>,
+    ends: Option<(TsMs, TsMs)>,
     args: &[(&str, String)],
-) -> Option<(TsMs, TsMs)> {
-    let (from, to) = (from?, to?);
-    if to < from {
-        return None;
-    }
+) {
+    let Some((from, to)) = ends.filter(|(from, to)| from <= to) else {
+        return;
+    };
     let mut all = vec![("dur_ms", to.since(from).to_string())];
     all.extend(args.iter().map(|(k, v)| (*k, v.clone())));
-    t.complete(
-        pid,
-        tid,
-        name,
-        us(from),
-        us(to).saturating_sub(us(from)),
-        &all,
-    );
-    Some((from, to))
+    t.complete(pid, tid, name, us(from), us(to) - us(from), &all);
 }
 
-/// One container's lane. `first_log` is the instance's first log line —
-/// the driver banner for the AM, the executor banner otherwise, matching
-/// `decompose_container`.
-fn container_lane(
-    t: &mut TraceEvents,
-    pid: u64,
-    tid: u64,
-    c: &ContainerTrack,
-    first_log: Option<TsMs>,
-) {
-    use EventKind::*;
+/// One container's lane: its acquisition, localization and launching
+/// rows, NM queueing nested inside launching, and a worker's idling
+/// before its first task.
+fn container_lane(t: &mut TraceEvents, lane: (u64, u64), g: &SchedulingGraph, c: &ContainerTrack) {
     let role = if c.is_am() { "am" } else { "exec" };
     let node = c
         .node
         .map(|n| n.to_string())
         .unwrap_or_else(|| "?".to_string());
-    t.thread_name(pid, tid, &format!("{role} {}", c.cid));
+    t.thread_name(lane.0, lane.1, &format!("{role} {}", c.cid));
     let args = vec![
         ("cid", c.cid.to_string()),
         ("node", node),
         ("is_am", c.is_am().to_string()),
     ];
-    slice(
-        t,
-        pid,
-        tid,
-        "acquisition",
-        c.first(ContainerAllocated),
-        c.first(ContainerAcquired),
-        &args,
-    );
-    slice(
-        t,
-        pid,
-        tid,
-        "localization",
-        c.first(ContainerLocalizing),
-        c.first(ContainerScheduled),
-        &args,
-    );
-    let launch = slice(
-        t,
-        pid,
-        tid,
-        "launching",
-        c.first(ContainerScheduled),
-        first_log,
-        &args,
-    );
-    // NM queueing nests inside launching; skip it when evidence is
-    // inconsistent (it would overlap instead of nest).
-    if let Some((_, launch_end)) = launch {
-        if let Some(running) = c.first(ContainerNmRunning) {
-            if running <= launch_end {
-                slice(
-                    t,
-                    pid,
-                    tid,
-                    "nm_queue",
-                    c.first(ContainerScheduled),
-                    Some(running),
-                    &args,
-                );
-            }
-        }
+    let mut draw = |row: Interval| slice(t, lane, row.name, row.ends(g, Some(c)), &args);
+    draw(ACQUISITION);
+    draw(LOCALIZATION);
+    draw(LAUNCHING);
+    // NM queueing nests inside launching; skip it when it would end after
+    // the container's first log line (it would overlap instead of nest).
+    let first_line = LAUNCHING.to.at(g, Some(c));
+    let queue = NM_QUEUE.ends(g, Some(c));
+    if queue.is_some_and(|(_, running)| first_line.is_none_or(|end| running <= end)) {
+        draw(NM_QUEUE);
     }
     if !c.is_am() {
-        slice(
-            t,
-            pid,
-            tid,
-            "executor_idle",
-            c.first(ExecutorFirstLog),
-            c.first(TaskAssigned),
-            &args,
-        );
+        draw(EXECUTOR_IDLE);
     }
 }
 
@@ -147,7 +104,6 @@ fn container_lane(
 /// application sequence number is the natural choice); `name` is the
 /// mined display name, when available.
 pub fn app_trace_into(t: &mut TraceEvents, g: &SchedulingGraph, pid: u64, name: Option<&str>) {
-    use EventKind::*;
     let title = match name {
         Some(n) => format!("{} ({n})", g.app),
         None => g.app.to_string(),
@@ -158,74 +114,17 @@ pub fn app_trace_into(t: &mut TraceEvents, g: &SchedulingGraph, pid: u64, name: 
     t.thread_name(pid, TID_DRIVER, "driver");
     t.thread_name(pid, TID_CRITICAL, "critical path");
 
-    let submitted = g.first(AppSubmitted);
-    let first_task = g
-        .worker_containers()
-        .filter_map(|c| c.first(TaskAssigned))
-        .min();
+    // Every app-lane slice nests inside `total_scheduling_delay`: one
+    // that ends after the first task (an AM registered late) is dropped.
+    let first_task = TOTAL.to.at(g, None);
+    let am = g.am_container();
     let app_args = vec![("app", g.app.to_string())];
-
-    // App lane: the end-to-end delay with its two big sub-phases. All
-    // three nest inside `total_scheduling_delay` by construction (the AM
-    // registers and executors log before the first task can exist), so
-    // the lane renders as a proper slice stack.
-    slice(
-        t,
-        pid,
-        TID_APP,
-        "total_scheduling_delay",
-        submitted,
-        first_task,
-        &app_args,
-    );
-    let registered = g
-        .first(AttemptRegistered)
-        .filter(|r| first_task.is_none_or(|ft| *r <= ft));
-    slice(
-        t, pid, TID_APP, "am_delay", submitted, registered, &app_args,
-    );
-    slice(
-        t,
-        pid,
-        TID_APP,
-        "executor_delay",
-        g.first_worker(ExecutorFirstLog),
-        first_task,
-        &app_args,
-    );
-
-    // RM lane: admission, then the RM-side wait for the AM container.
-    let accepted = g.first(AppAccepted);
-    slice(t, pid, TID_RM, "admission", submitted, accepted, &app_args);
-    slice(
-        t,
-        pid,
-        TID_RM,
-        "am_scheduling",
-        accepted,
-        g.am_container().and_then(|c| c.first(ContainerAllocated)),
-        &app_args,
-    );
-
-    // Driver lane: driver init, then the allocation round-trip.
-    slice(
-        t,
-        pid,
-        TID_DRIVER,
-        "driver_delay",
-        g.first(DriverFirstLog),
-        g.first(DriverRegistered),
-        &app_args,
-    );
-    slice(
-        t,
-        pid,
-        TID_DRIVER,
-        "allocation",
-        g.first(StartAllo),
-        g.first(EndAllo),
-        &app_args,
-    );
+    for (tid, name, row) in APP_LANES {
+        let ends = row
+            .ends(g, am)
+            .filter(|(_, to)| tid != TID_APP || first_task.is_none_or(|ft| *to <= ft));
+        slice(t, (pid, tid), name, ends, &app_args);
+    }
 
     // Critical-path lane: the tiling of submitted → first task, plus flow
     // arrows chaining consecutive segments. Arrow anchors sit at slice
@@ -234,18 +133,16 @@ pub fn app_trace_into(t: &mut TraceEvents, g: &SchedulingGraph, pid: u64, name: 
         for seg in &p.segments {
             slice(
                 t,
-                pid,
-                TID_CRITICAL,
+                (pid, TID_CRITICAL),
                 seg.component,
-                Some(seg.from),
-                Some(seg.to),
+                Some((seg.from, seg.to)),
                 &[
                     ("entity", seg.entity.clone()),
                     ("blame_pct", format!("{:.1}", p.blame_pct(seg))),
                 ],
             );
         }
-        let mid = |s: &crate::critical::CriticalSegment| us(s.from) + (us(s.to) - us(s.from)) / 2;
+        let mid = |s: &CriticalSegment| us(s.from) + (us(s.to) - us(s.from)) / 2;
         for (i, pair) in p.segments.windows(2).enumerate() {
             let id = pid * 10_000 + i as u64;
             t.flow_start(pid, TID_CRITICAL, id, "critical", mid(&pair[0]));
@@ -253,16 +150,8 @@ pub fn app_trace_into(t: &mut TraceEvents, g: &SchedulingGraph, pid: u64, name: 
         }
     }
 
-    // One lane per container. The AM's first log is the driver banner,
-    // which lives on the app event track.
     for (i, c) in g.containers.values().enumerate() {
-        let tid = TID_CONTAINERS + i as u64;
-        let first_log = if c.is_am() {
-            g.first(DriverFirstLog)
-        } else {
-            c.first(ExecutorFirstLog)
-        };
-        container_lane(t, pid, tid, c, first_log);
+        container_lane(t, (pid, TID_CONTAINERS + i as u64), g, c);
     }
 }
 
@@ -281,41 +170,9 @@ pub fn corpus_app_trace(an: &Analysis) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::tests::ev as mk;
-    use crate::graph::build_graphs;
-    use logmodel::ApplicationId;
+    use crate::decompose::tests::{admitted_graph, full_graph, retried_graph};
+    use logmodel::ContainerId;
     use obs::json;
-
-    const CTS: u64 = 1_521_018_000_000;
-
-    fn full_graph() -> SchedulingGraph {
-        use EventKind::*;
-        let a = ApplicationId::new(CTS, 1);
-        let am = a.attempt(1).container(1);
-        let e1 = a.attempt(1).container(2);
-        let evs = vec![
-            mk(1_000, AppSubmitted, a, None),
-            mk(1_020, AppAccepted, a, None),
-            mk(1_100, ContainerAllocated, a, Some(am)),
-            mk(1_101, ContainerAcquired, a, Some(am)),
-            mk(1_110, ContainerLocalizing, a, Some(am)),
-            mk(1_700, ContainerScheduled, a, Some(am)),
-            mk(1_705, ContainerNmRunning, a, Some(am)),
-            mk(2_400, DriverFirstLog, a, None),
-            mk(5_400, DriverRegistered, a, None),
-            mk(5_400, AttemptRegistered, a, None),
-            mk(5_401, StartAllo, a, None),
-            mk(5_600, ContainerAllocated, a, Some(e1)),
-            mk(6_400, ContainerAcquired, a, Some(e1)),
-            mk(6_400, EndAllo, a, None),
-            mk(6_420, ContainerLocalizing, a, Some(e1)),
-            mk(6_920, ContainerScheduled, a, Some(e1)),
-            mk(6_925, ContainerNmRunning, a, Some(e1)),
-            mk(7_620, ExecutorFirstLog, a, Some(e1)),
-            mk(13_000, TaskAssigned, a, Some(e1)),
-        ];
-        build_graphs(&evs).remove(&a).unwrap()
-    }
 
     fn trace_of(g: &SchedulingGraph) -> json::Json {
         let mut t = TraceEvents::new();
@@ -420,11 +277,7 @@ mod tests {
 
     #[test]
     fn sparse_graph_produces_a_valid_trace() {
-        use EventKind::*;
-        let a = ApplicationId::new(CTS, 7);
-        let evs = vec![mk(0, AppSubmitted, a, None), mk(10, AppAccepted, a, None)];
-        let g = build_graphs(&evs).remove(&a).unwrap();
-        let doc = trace_of(&g);
+        let doc = trace_of(&admitted_graph());
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         // Admission is the only measurable slice; no critical path exists.
         assert!(events
@@ -433,5 +286,29 @@ mod tests {
         assert!(!events
             .iter()
             .any(|e| e.get("ph").and_then(|p| p.as_str()) == Some("s")));
+    }
+
+    #[test]
+    fn a_dead_attempts_am_draws_no_launching() {
+        let (g, [dead, live, _]) = retried_graph();
+        let doc = trace_of(&g);
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let launching = |cid: ContainerId| {
+            let cid = cid.to_string();
+            events
+                .iter()
+                .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("launching"))
+                .filter(|e| {
+                    e.get("args")
+                        .and_then(|a| a.get("cid"))
+                        .and_then(|c| c.as_str())
+                        == Some(&cid)
+                })
+                .map(|e| e.get("dur").unwrap().as_f64().unwrap())
+                .collect::<Vec<_>>()
+        };
+        // The driver's first line is the final attempt's, as in the report.
+        assert_eq!(launching(dead), []);
+        assert_eq!(launching(live), [500_000.0]);
     }
 }

@@ -18,7 +18,7 @@
 
 use logmodel::{ApplicationId, TsMs};
 
-use crate::event::EventKind;
+use crate::decompose::{ladder, Interval, ADMISSION, DRIVER, EXECUTOR_IDLE, LADDER, TOTAL};
 use crate::graph::{ContainerTrack, SchedulingGraph};
 use crate::report::Table;
 
@@ -90,58 +90,60 @@ impl CriticalPath {
     }
 }
 
+/// The critical path's names for the rungs of the AM's ladder, and for
+/// the driver's initialization between the two ladders.
+const AM_RUNGS: [&str; ladder(true).len()] = [
+    "am_allocation",
+    "am_acquisition",
+    "am_dispatch",
+    "am_localization",
+    "am_launching",
+];
+const DRIVER_INIT: &str = "driver_init";
+
 /// Every component name a [`CriticalSegment`] can carry: the milestone
 /// chain of [`milestones`] plus the explicit `unattributed` gap filler.
 /// Checkpoint restore interns decoded blame keys against this table, so
 /// the `&'static str` identity of segment components survives a
 /// serialize/deserialize round trip (and unknown names are rejected as
 /// corruption instead of minted).
-pub(crate) const SEGMENT_COMPONENTS: [&str; 14] = [
-    "admission",
-    "am_allocation",
-    "am_acquisition",
-    "am_dispatch",
-    "am_localization",
-    "am_launching",
-    "driver_init",
-    "allocation",
-    "acquisition",
-    "dispatch",
-    "localization",
-    "launching",
-    "executor_idle",
-    "unattributed",
-];
+pub(crate) const SEGMENT_COMPONENTS: [&str; 3 + AM_RUNGS.len() + LADDER.len()] = {
+    let mut names = ["unattributed"; 3 + AM_RUNGS.len() + LADDER.len()];
+    names[0] = ADMISSION.name;
+    names[1 + AM_RUNGS.len()] = DRIVER_INIT;
+    let mut i = 0;
+    while i < LADDER.len() {
+        if i < AM_RUNGS.len() {
+            names[1 + i] = AM_RUNGS[i];
+        }
+        names[2 + AM_RUNGS.len() + i] = LADDER[i].name;
+        i += 1;
+    }
+    names
+};
 
 /// The milestone chain from submission to the first user task, in causal
 /// order, as `(component, entity, timestamp)` triples; a `None`
-/// timestamp means the milestone left no log evidence. `am` is the final
-/// attempt's AM container, `crit` the critical executor — the worker
-/// whose first `TaskAssigned` is the application's first task — each
-/// with the entity name its milestones are blamed on.
-fn milestones<'n>(
-    g: &SchedulingGraph,
-    (am, am_name): (Option<&ContainerTrack>, &'n str),
-    (crit, crit_name): (&ContainerTrack, &'n str),
-) -> [(&'static str, &'n str, Option<TsMs>); 13] {
-    use EventKind::*;
-    let am_first = |kind| am.and_then(|c| c.first(kind));
-    let crit_first = |kind| crit.first(kind);
-    [
-        ("admission", "app", g.first(AppAccepted)),
-        ("am_allocation", am_name, am_first(ContainerAllocated)),
-        ("am_acquisition", am_name, am_first(ContainerAcquired)),
-        ("am_dispatch", am_name, am_first(ContainerLocalizing)),
-        ("am_localization", am_name, am_first(ContainerScheduled)),
-        ("am_launching", am_name, g.first(DriverFirstLog)),
-        ("driver_init", "app", g.first(DriverRegistered)),
-        ("allocation", crit_name, crit_first(ContainerAllocated)),
-        ("acquisition", crit_name, crit_first(ContainerAcquired)),
-        ("dispatch", crit_name, crit_first(ContainerLocalizing)),
-        ("localization", crit_name, crit_first(ContainerScheduled)),
-        ("launching", crit_name, crit_first(ExecutorFirstLog)),
-        ("executor_idle", crit_name, crit_first(TaskAssigned)),
-    ]
+/// timestamp means the milestone left no log evidence. Admission, the
+/// final AM's ladder, the driver's registration, then the critical
+/// executor's ladder — the worker whose first `TaskAssigned` is the
+/// application's first task — each container with the entity name its
+/// milestones are blamed on.
+fn milestones<'a>(
+    g: &'a SchedulingGraph,
+    (am, am_name): (Option<&'a ContainerTrack>, &'a str),
+    (crit, crit_name): (&'a ContainerTrack, &'a str),
+) -> impl Iterator<Item = (&'static str, &'a str, Option<TsMs>)> {
+    let at = |row: &Interval, c| row.to.at(g, c);
+    let am_rungs = AM_RUNGS.into_iter().zip(ladder(true));
+    std::iter::once((ADMISSION.name, "app", at(&ADMISSION, None)))
+        .chain(am_rungs.map(move |(name, row)| (name, am_name, at(row, am))))
+        .chain(std::iter::once((DRIVER_INIT, "app", at(&DRIVER, None))))
+        .chain(
+            LADDER
+                .iter()
+                .map(move |row| (row.name, crit_name, at(row, Some(crit)))),
+        )
 }
 
 /// The entity name of a container's milestones: its id, or `app` when
@@ -168,12 +170,12 @@ fn entity_name(track: Option<&ContainerTrack>) -> String {
 /// * durations sum to `AppDelays::total_ms` exactly;
 /// * every segment endpoint is a timestamp of a real graph event.
 pub fn critical_path(g: &SchedulingGraph) -> Option<CriticalPath> {
-    let submitted = g.first(EventKind::AppSubmitted)?;
-    // The critical executor (ties broken by container id, matching the
-    // `min` in decompose).
+    let submitted = TOTAL.from.at(g, None)?;
+    // The critical executor: its first task is the app's (ties broken by
+    // container id).
     let (first_task, crit) = g
         .worker_containers()
-        .filter_map(|c| c.first(EventKind::TaskAssigned).map(|t| (t, c)))
+        .filter_map(|c| EXECUTOR_IDLE.to.at(g, Some(c)).map(|t| (t, c)))
         .min_by_key(|(t, c)| (*t, c.cid))?;
     // Corrupt or clock-skewed evidence can place the first task before
     // submission; no causal chain exists through such a graph.
@@ -183,7 +185,7 @@ pub fn critical_path(g: &SchedulingGraph) -> Option<CriticalPath> {
     let am = g.am_container();
     let (am_name, crit_name) = (entity_name(am), entity_name(Some(crit)));
     let chain = milestones(g, (am, &am_name), (crit, &crit_name));
-    let mut segments = Vec::with_capacity(chain.len());
+    let mut segments = Vec::with_capacity(SEGMENT_COMPONENTS.len() - 1);
     let mut last = submitted;
     for (component, entity, at) in chain {
         let Some(at) = at else { continue };
@@ -223,41 +225,13 @@ pub fn critical_path(g: &SchedulingGraph) -> Option<CriticalPath> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decompose::tests::full_graph;
     use crate::event::tests::ev as mk;
+    use crate::event::EventKind;
     use crate::graph::build_graphs;
     use logmodel::ApplicationId;
 
     const CTS: u64 = 1_521_018_000_000;
-
-    /// The same full timeline as `decompose`'s tests: every milestone
-    /// observed, delays known exactly.
-    fn full_graph() -> SchedulingGraph {
-        use EventKind::*;
-        let a = ApplicationId::new(CTS, 1);
-        let am = a.attempt(1).container(1);
-        let e1 = a.attempt(1).container(2);
-        let e2 = a.attempt(1).container(3);
-        let evs = vec![
-            mk(1_000, AppSubmitted, a, None),
-            mk(1_020, AppAccepted, a, None),
-            mk(1_100, ContainerAllocated, a, Some(am)),
-            mk(1_101, ContainerAcquired, a, Some(am)),
-            mk(1_110, ContainerLocalizing, a, Some(am)),
-            mk(1_700, ContainerScheduled, a, Some(am)),
-            mk(2_400, DriverFirstLog, a, None),
-            mk(5_400, DriverRegistered, a, None),
-            mk(5_400, AttemptRegistered, a, None),
-            mk(5_600, ContainerAllocated, a, Some(e1)),
-            mk(5_650, ContainerAllocated, a, Some(e2)),
-            mk(6_400, ContainerAcquired, a, Some(e1)),
-            mk(6_420, ContainerLocalizing, a, Some(e1)),
-            mk(6_920, ContainerScheduled, a, Some(e1)),
-            mk(7_620, ExecutorFirstLog, a, Some(e1)),
-            mk(7_930, ExecutorFirstLog, a, Some(e2)),
-            mk(13_000, TaskAssigned, a, Some(e1)),
-        ];
-        build_graphs(&evs).remove(&a).unwrap()
-    }
 
     #[test]
     fn full_chain_tiles_the_total_delay() {
@@ -376,6 +350,27 @@ mod tests {
         let p = critical_path(&g).unwrap();
         let d = crate::decompose::decompose(&g);
         assert_eq!(Some(p.total_ms), d.total_ms);
+    }
+
+    #[test]
+    fn segment_components_are_the_chain_and_the_gap() {
+        let chain = [
+            "admission",
+            "am_allocation",
+            "am_acquisition",
+            "am_dispatch",
+            "am_localization",
+            "am_launching",
+            "driver_init",
+            "allocation",
+            "acquisition",
+            "dispatch",
+            "localization",
+            "launching",
+            "executor_idle",
+            "unattributed",
+        ];
+        assert_eq!(SEGMENT_COMPONENTS, chain);
     }
 
     #[test]

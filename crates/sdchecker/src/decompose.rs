@@ -8,8 +8,9 @@
 
 use logmodel::{ApplicationId, ContainerId, NodeId, TsMs};
 
-use crate::event::EventKind;
+use crate::event::EventKind::{self, *};
 use crate::graph::{ContainerTrack, SchedulingGraph};
+use Milestone::{App, Container, FirstLog, FirstWorker, LastWorker};
 
 /// Per-container delay components.
 #[derive(Debug, Clone)]
@@ -159,68 +160,163 @@ pub(crate) type ContainerComponent = (&'static str, fn(&ContainerDelays) -> Opti
 
 /// The named per-application components, with accessors — the one list
 /// every aggregator (report tables, JSON export, fleet sketches) walks,
-/// so component naming stays consistent across outputs.
+/// so component naming stays consistent across outputs. Each is named
+/// after its row of the interval table; `in_app` and `out_app` are sums.
 pub const APP_COMPONENTS: [AppComponent; 10] = [
-    ("total", |d| d.total_ms),
-    ("am", |d| d.am_ms),
-    ("cf", |d| d.cf_ms),
-    ("cl", |d| d.cl_ms),
+    (TOTAL.name, |d| d.total_ms),
+    (AM.name, |d| d.am_ms),
+    (CF.name, |d| d.cf_ms),
+    (CL.name, |d| d.cl_ms),
     ("in_app", |d| d.in_app_ms),
     ("out_app", |d| d.out_app_ms),
-    ("driver", |d| d.driver_ms),
-    ("executor", |d| d.executor_ms),
-    ("alloc", |d| d.alloc_ms),
-    ("job_runtime", |d| d.job_runtime_ms),
+    (DRIVER.name, |d| d.driver_ms),
+    (EXECUTOR.name, |d| d.executor_ms),
+    (ALLOC.name, |d| d.alloc_ms),
+    (JOB_RUNTIME.name, |d| d.job_runtime_ms),
 ];
 
 /// The named per-container components, with accessors.
 pub(crate) const CONTAINER_COMPONENTS: [ContainerComponent; 4] = [
-    ("acquisition", |c| c.acquisition_ms),
-    ("localization", |c| c.localization_ms),
-    ("launching", |c| c.launching_ms),
-    ("nm_queue", |c| c.nm_queue_ms),
+    (ACQUISITION.name, |c| c.acquisition_ms),
+    (LOCALIZATION.name, |c| c.localization_ms),
+    (LAUNCHING.name, |c| c.launching_ms),
+    (NM_QUEUE.name, |c| c.nm_queue_ms),
 ];
 
-fn diff(later: Option<TsMs>, earlier: Option<TsMs>) -> Option<u64> {
-    match (later, earlier) {
-        (Some(l), Some(e)) => Some(l.since(e)),
-        _ => None,
+/// One end of a delay interval: where a Table I log message is read.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Milestone {
+    /// The first `kind` on the application's own track.
+    App(EventKind),
+    /// The first `kind` on the container's track.
+    Container(EventKind),
+    /// The earliest first `kind` over the final attempt's workers.
+    FirstWorker(EventKind),
+    /// The latest first `kind` over the final attempt's workers.
+    LastWorker(EventKind),
+    /// The container's first log line, as [`first_log`] decides it.
+    FirstLog,
+}
+
+impl Milestone {
+    /// When the milestone happened in `g`, read for container `c` where
+    /// it names one. `None` stands for the final attempt's AM when it
+    /// left no track: only its first log line, the driver's, is known.
+    pub(crate) fn at(self, g: &SchedulingGraph, c: Option<&ContainerTrack>) -> Option<TsMs> {
+        match self {
+            Milestone::App(kind) => g.first(kind),
+            Milestone::Container(kind) => c?.first(kind),
+            Milestone::FirstWorker(kind) => g.first_worker(kind),
+            Milestone::LastWorker(kind) => g.last_worker(kind),
+            Milestone::FirstLog => first_log(g, c),
+        }
     }
 }
 
-fn decompose_container(track: &ContainerTrack, first_log: Option<TsMs>) -> ContainerDelays {
-    let scheduled = track.first(EventKind::ContainerScheduled);
-    ContainerDelays {
-        cid: track.cid,
-        is_am: track.is_am(),
-        node: track.node,
-        acquisition_ms: diff(
-            track.first(EventKind::ContainerAcquired),
-            track.first(EventKind::ContainerAllocated),
-        ),
-        localization_ms: diff(scheduled, track.first(EventKind::ContainerLocalizing)),
-        launching_ms: diff(first_log, scheduled),
-        nm_queue_ms: diff(track.first(EventKind::ContainerNmRunning), scheduled),
-        first_log,
+/// A container's first log line: the driver's first line for the final
+/// attempt's AM (`None`: one that left no track), the executor's first
+/// line for every other container. The per-app driver log belongs to the
+/// final attempt; an earlier attempt's AM must not claim its first line.
+pub(crate) fn first_log(g: &SchedulingGraph, c: Option<&ContainerTrack>) -> Option<TsMs> {
+    match c {
+        Some(c) if !c.is_am() || c.cid.attempt.attempt < g.last_attempt() => {
+            c.first(EventKind::ExecutorFirstLog)
+        }
+        _ => g.first(EventKind::DriverFirstLog),
     }
 }
+
+/// A named delay interval of §III-C: log message `to` − message `from`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Interval {
+    /// The component's name.
+    pub(crate) name: &'static str,
+    /// Where the interval starts.
+    pub(crate) from: Milestone,
+    /// Where it ends.
+    pub(crate) to: Milestone,
+}
+
+impl Interval {
+    /// Both ends, read for container `c` (see [`Milestone::at`]), when
+    /// both were logged; `to` may precede `from` in damaged logs.
+    pub(crate) fn ends(
+        &self,
+        g: &SchedulingGraph,
+        c: Option<&ContainerTrack>,
+    ) -> Option<(TsMs, TsMs)> {
+        Some((self.from.at(g, c)?, self.to.at(g, c)?))
+    }
+
+    /// The interval's length, saturating at 0 when it runs backwards.
+    pub(crate) fn ms(&self, g: &SchedulingGraph, c: Option<&ContainerTrack>) -> Option<u64> {
+        self.ends(g, c).map(|(from, to)| to.since(from))
+    }
+}
+
+/// Defines each row of the table as a constant named after it, and (for
+/// tests) the whole table in order.
+macro_rules! table {
+    ($($row:ident: $name:literal, $from:expr => $to:expr;)*) => {
+        $(pub(crate) const $row: Interval = Interval { name: $name, from: $from, to: $to };)*
+        #[cfg(test)]
+        pub(crate) const ROWS: &[Interval] = &[$($row),*];
+    };
+}
+
+// The table: every delay interval that a report prints, the critical
+// path tiles, the app trace draws or the Gantt shades is one row here.
+// DESIGN.md § "Delay definitions" states the rows with their Table I
+// numbers (a unit test keeps the two in step).
+table! {
+    TOTAL: "total", App(AppSubmitted) => FirstWorker(TaskAssigned);
+    AM: "am", App(AppSubmitted) => App(AttemptRegistered);
+    CF: "cf", App(AppSubmitted) => FirstWorker(ExecutorFirstLog);
+    CL: "cl", App(AppSubmitted) => LastWorker(ExecutorFirstLog);
+    DRIVER: "driver", App(DriverFirstLog) => App(DriverRegistered);
+    EXECUTOR: "executor", FirstWorker(ExecutorFirstLog) => FirstWorker(TaskAssigned);
+    ALLOC: "alloc", App(StartAllo) => App(EndAllo);
+    JOB_RUNTIME: "job_runtime", App(AppSubmitted) => App(AppUnregistered);
+    ADMISSION: "admission", App(AppSubmitted) => App(AppAccepted);
+    ALLOCATION: "allocation", App(AppAccepted) => Container(ContainerAllocated);
+    ACQUISITION: "acquisition", Container(ContainerAllocated) => Container(ContainerAcquired);
+    DISPATCH: "dispatch", Container(ContainerAcquired) => Container(ContainerLocalizing);
+    LOCALIZATION: "localization", Container(ContainerLocalizing) => Container(ContainerScheduled);
+    LAUNCHING: "launching", Container(ContainerScheduled) => FirstLog;
+    EXECUTOR_IDLE: "executor_idle", FirstLog => Container(TaskAssigned);
+    NM_QUEUE: "nm_queue", Container(ContainerScheduled) => Container(ContainerNmRunning);
+}
+
+/// The container ladder: allocation to first task, each rung starting
+/// where the one before it ends. The critical path climbs it once for
+/// the final AM and once for the critical executor; the Gantt shades a
+/// lane per container with it.
+pub(crate) const LADDER: [Interval; 6] = [
+    ALLOCATION,
+    ACQUISITION,
+    DISPATCH,
+    LOCALIZATION,
+    LAUNCHING,
+    EXECUTOR_IDLE,
+];
+
+/// The rungs a container climbs: an AM stops at its first log line, as
+/// the driver runs no tasks.
+pub(crate) const fn ladder(am: bool) -> &'static [Interval] {
+    if am {
+        LADDER.split_at(LADDER.len() - 1).0
+    } else {
+        &LADDER
+    }
+}
+
+/// The rows of [`CONTAINER_COMPONENTS`], in its order.
+pub(crate) const CONTAINER_ROWS: [Interval; 4] = [ACQUISITION, LOCALIZATION, LAUNCHING, NM_QUEUE];
 
 /// Decompose one application's scheduling graph.
 pub fn decompose(g: &SchedulingGraph) -> AppDelays {
-    let submitted = g.first(EventKind::AppSubmitted);
-    let registered = g.first(EventKind::AttemptRegistered);
-    let driver_first = g.first(EventKind::DriverFirstLog);
-    let driver_registered = g.first(EventKind::DriverRegistered);
-    let first_exec_log = g.first_worker(EventKind::ExecutorFirstLog);
-    let last_exec_log = g.last_worker(EventKind::ExecutorFirstLog);
-    let first_task = g
-        .worker_containers()
-        .filter_map(|c| c.first(EventKind::TaskAssigned))
-        .min();
-
-    let total_ms = diff(first_task, submitted);
-    let driver_ms = diff(driver_registered, driver_first);
-    let executor_ms = diff(first_task, first_exec_log);
+    let ms = |row: Interval| row.ms(g, None);
+    let (total_ms, driver_ms, executor_ms) = (ms(TOTAL), ms(DRIVER), ms(EXECUTOR));
     let in_app_ms = match (driver_ms, executor_ms) {
         (Some(d), Some(e)) => Some(d + e),
         _ => None,
@@ -229,20 +325,23 @@ pub fn decompose(g: &SchedulingGraph) -> AppDelays {
         (Some(t), Some(i)) => Some(t.saturating_sub(i)),
         _ => None,
     };
-
-    let last_attempt = g.last_attempt();
     let containers = g
         .containers
         .values()
         .map(|track| {
-            // The per-app driver log belongs to the final attempt's AM;
-            // an earlier attempt's AM must not claim its first line.
-            let first_log = if track.is_am() && track.cid.attempt.attempt == last_attempt {
-                driver_first
-            } else {
-                track.first(EventKind::ExecutorFirstLog)
-            };
-            decompose_container(track, first_log)
+            let c = Some(track);
+            let [acquisition_ms, localization_ms, launching_ms, nm_queue_ms] =
+                CONTAINER_ROWS.map(|row| row.ms(g, c));
+            ContainerDelays {
+                cid: track.cid,
+                is_am: track.is_am(),
+                node: track.node,
+                acquisition_ms,
+                localization_ms,
+                launching_ms,
+                nm_queue_ms,
+                first_log: first_log(g, c),
+            }
         })
         .collect();
     let wasted_ms = g
@@ -256,36 +355,37 @@ pub fn decompose(g: &SchedulingGraph) -> AppDelays {
 
     AppDelays {
         app: g.app,
-        submitted,
+        submitted: TOTAL.from.at(g, None),
         total_ms,
-        am_ms: diff(registered, submitted),
-        cf_ms: diff(first_exec_log, submitted),
-        cl_ms: diff(last_exec_log, submitted),
+        am_ms: ms(AM),
+        cf_ms: ms(CF),
+        cl_ms: ms(CL),
         in_app_ms,
         out_app_ms,
         driver_ms,
         executor_ms,
-        alloc_ms: diff(g.first(EventKind::EndAllo), g.first(EventKind::StartAllo)),
-        job_runtime_ms: diff(g.first(EventKind::AppUnregistered), submitted),
-        first_task,
+        alloc_ms: ms(ALLOC),
+        job_runtime_ms: ms(JOB_RUNTIME),
+        first_task: TOTAL.to.at(g, None),
         containers,
         outcome: AppOutcome::classify(g),
-        attempts: last_attempt,
+        attempts: g.last_attempt(),
         wasted_ms,
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::event::tests::ev;
     use crate::graph::build_graphs;
 
     const CTS: u64 = 1_521_018_000_000;
 
-    /// Build a full synthetic timeline with known delays and check every
-    /// component comes out exactly.
-    fn timeline() -> SchedulingGraph {
+    /// A full synthetic timeline with known delays: every Table I
+    /// milestone of one attempt, an AM and two executors. The other
+    /// modules' tests draw and tile it too.
+    pub(crate) fn full_graph() -> SchedulingGraph {
         let a = ApplicationId::new(CTS, 1);
         let am = a.attempt(1).container(1);
         let e1 = a.attempt(1).container(2);
@@ -325,7 +425,7 @@ mod tests {
 
     #[test]
     fn every_component_exact() {
-        let d = decompose(&timeline());
+        let d = decompose(&full_graph());
         assert_eq!(d.submitted, Some(TsMs(1_000)));
         assert_eq!(d.total_ms, Some(12_000));
         assert_eq!(d.am_ms, Some(4_400));
@@ -343,7 +443,7 @@ mod tests {
 
     #[test]
     fn per_container_components() {
-        let d = decompose(&timeline());
+        let d = decompose(&full_graph());
         assert_eq!(d.containers.len(), 3);
         let am = &d.containers[0];
         assert!(am.is_am);
@@ -382,7 +482,7 @@ mod tests {
 
     #[test]
     fn outcomes_classify_from_terminal_evidence() {
-        let d = decompose(&timeline());
+        let d = decompose(&full_graph());
         assert_eq!(d.outcome, AppOutcome::Completed);
         assert_eq!(d.attempts, 1);
         assert_eq!(d.wasted_ms, 0);
@@ -403,8 +503,10 @@ mod tests {
         assert_eq!(decompose(&truncated).outcome, AppOutcome::Truncated);
     }
 
-    #[test]
-    fn retried_app_reports_wasted_delay_and_partial_components() {
+    /// An application whose first AM attempt died before its driver
+    /// logged, and whose second ran through to a task; its containers are
+    /// `(am1, am2, e2)`.
+    pub(crate) fn retried_graph() -> (SchedulingGraph, [ContainerId; 3]) {
         let a = ApplicationId::new(CTS, 4);
         let am1 = a.attempt(1).container(1);
         let am2 = a.attempt(2).container(1);
@@ -429,7 +531,20 @@ mod tests {
             mk(6_000, TaskAssigned, Some(e2)),
             mk(9_000, AppUnregistered, None),
         ];
-        let g = build_graphs(&evs).remove(&a).unwrap();
+        (build_graphs(&evs).remove(&a).unwrap(), [am1, am2, e2])
+    }
+
+    /// An application that was submitted at 0 and admitted at 10 ms,
+    /// and logged nothing else.
+    pub(crate) fn admitted_graph() -> SchedulingGraph {
+        let a = ApplicationId::new(CTS, 7);
+        let evs = [ev(0, AppSubmitted, a, None), ev(10, AppAccepted, a, None)];
+        build_graphs(&evs).remove(&a).unwrap()
+    }
+
+    #[test]
+    fn retried_app_reports_wasted_delay_and_partial_components() {
+        let (g, [am1, am2, _]) = retried_graph();
         let d = decompose(&g);
         assert_eq!(d.outcome, AppOutcome::Completed);
         assert_eq!(d.attempts, 2);
@@ -447,6 +562,74 @@ mod tests {
     }
 
     #[test]
+    fn the_rows_are_the_reported_components() {
+        let sums = ["in_app", "out_app"];
+        let (full, (retried, _)) = (full_graph(), retried_graph());
+        let mut rows = ROWS.iter();
+        for (name, get) in APP_COMPONENTS.iter().filter(|(n, _)| !sums.contains(n)) {
+            let row = rows.next().unwrap();
+            assert_eq!(row.name, *name);
+            for g in [&full, &retried] {
+                assert_eq!(get(&decompose(g)), row.ms(g, None), "{name}");
+            }
+        }
+        let names = |rows: &[Interval]| rows.iter().map(|r| r.name).collect::<Vec<_>>();
+        assert_eq!(names(&CONTAINER_ROWS), CONTAINER_COMPONENTS.map(|c| c.0));
+    }
+
+    #[test]
+    fn first_log_is_the_drivers_for_the_final_am_only() {
+        let (g, [dead, live, exec]) = retried_graph();
+        let track = |cid| g.containers.get(&cid);
+        assert_eq!(first_log(&g, track(dead)), None);
+        assert_eq!(first_log(&g, track(live)), Some(TsMs(3_000)));
+        assert_eq!(first_log(&g, track(exec)), Some(TsMs(5_000)));
+        // The final AM without a track of its own still has the driver's.
+        assert_eq!(first_log(&g, None), Some(TsMs(3_000)));
+    }
+
+    /// How DESIGN.md § "Delay definitions" states a row's end.
+    fn describe(m: Milestone) -> String {
+        let n = |k: EventKind| match k.table1_number() {
+            Some(n) => format!("msg {n}"),
+            None => "not in Table I".to_string(),
+        };
+        match m {
+            App(k) => format!("`{}` ({})", k.name(), n(k)),
+            Container(k) => format!("the container's `{}` ({})", k.name(), n(k)),
+            FirstWorker(k) => format!("the earliest worker `{}` ({})", k.name(), n(k)),
+            LastWorker(k) => format!("the latest worker `{}` ({})", k.name(), n(k)),
+            FirstLog => format!(
+                "the container's first log line ({} for the final attempt's AM, {} otherwise)",
+                n(DriverFirstLog),
+                n(ExecutorFirstLog)
+            ),
+        }
+    }
+
+    #[test]
+    fn design_md_states_every_row() {
+        let design = include_str!("../../../DESIGN.md");
+        let missing: Vec<String> = ROWS
+            .iter()
+            .map(|r| {
+                format!(
+                    "- **{}**: {} → {}",
+                    r.name,
+                    describe(r.from),
+                    describe(r.to)
+                )
+            })
+            .filter(|bullet| !design.lines().any(|l| l == bullet))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "DESIGN.md lacks:\n{}",
+            missing.join("\n")
+        );
+    }
+
+    #[test]
     fn outcome_labels_are_stable() {
         assert_eq!(AppOutcome::Completed.label(), "completed");
         assert_eq!(AppOutcome::Failed.label(), "failed");
@@ -456,7 +639,7 @@ mod tests {
 
     #[test]
     fn normalization_helpers() {
-        let d = decompose(&timeline());
+        let d = decompose(&full_graph());
         let am_norm = d.normalized(d.am_ms).unwrap();
         assert!((am_norm - 4_400.0 / 12_000.0).abs() < 1e-12);
         assert_eq!(d.normalized(None), None);
@@ -464,7 +647,7 @@ mod tests {
 
     #[test]
     fn in_plus_out_equals_total() {
-        let d = decompose(&timeline());
+        let d = decompose(&full_graph());
         assert_eq!(
             d.in_app_ms.unwrap() + d.out_app_ms.unwrap(),
             d.total_ms.unwrap()

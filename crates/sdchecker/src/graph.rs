@@ -76,13 +76,13 @@ impl SchedulingGraph {
     /// The highest AM attempt number observed among this app's
     /// containers (1 when no containers exist). Under AM retry, each
     /// attempt gets its own container id namespace, so the maximum
-    /// attempt is the one that (if anything did) made progress.
+    /// attempt is the one that (if anything did) made progress. Ids sort
+    /// by attempt, so it is the last key's.
     pub(crate) fn last_attempt(&self) -> u32 {
         self.containers
             .keys()
-            .map(|c| c.attempt.attempt)
-            .max()
-            .unwrap_or(1)
+            .next_back()
+            .map_or(1, |c| c.attempt.attempt)
     }
 
     /// Distinct AM attempt numbers observed, ascending.

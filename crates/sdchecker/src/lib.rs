@@ -93,6 +93,6 @@ pub use report::{
 pub use stats::{percentile, Cdf, Summary};
 pub use tail::{DirTailer, TailLag, TailOps, TailSink, TailStats, COLD_ROTATION};
 pub use throughput::{allocation_throughput, Throughput};
-pub use timeline::{ascii_gantt, timeline, TimelineEntry};
+pub use timeline::ascii_gantt;
 pub use validate::{validate_all, validate_graph, Anomaly, AnomalyKind};
 pub use wide::{wide_events_for_analysis, WIDE_EVENTS_SCHEMA};

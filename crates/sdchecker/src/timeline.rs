@@ -2,106 +2,43 @@
 //!
 //! Fig 10 of the paper is a hand-drawn workflow showing *executor
 //! idleness*: executors come up, then sit idle while the driver runs user
-//! initialization, until the first task arrives. This module derives that
-//! picture from the scheduling graph — a chronological event table plus an
-//! ASCII Gantt rendering with one lane per entity — so any analyzed
-//! application can be inspected the way the paper's figure explains the
-//! mechanism.
+//! initialization, until the first task arrives. This module draws that
+//! picture from the scheduling graph as an ASCII Gantt chart with one lane
+//! per container, shaded rung by rung with the container ladder of
+//! [`decompose`](crate::decompose) — the intervals the report measures and
+//! the critical path tiles.
 
 use std::fmt::Write as _;
 
 use logmodel::TsMs;
 
-use crate::event::EventKind;
-use crate::graph::SchedulingGraph;
+use crate::decompose::{ladder, LADDER, TOTAL};
+use crate::graph::{ContainerTrack, SchedulingGraph};
 
-/// One timeline row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimelineEntry {
-    /// Timestamp.
-    pub ts: TsMs,
-    /// Entity label (`app`, `container_…`).
-    pub entity: String,
-    /// The event.
-    pub kind: EventKind,
-}
+/// The glyph of each rung of [`LADDER`]: `.` allocation (pending),
+/// `a` acquisition and dispatch, `l` localization, `=` launching and
+/// `-` executor idle — the paper's *idleness*.
+const GLYPHS: [char; LADDER.len()] = ['.', 'a', 'a', 'l', '=', '-'];
 
-/// Flatten a scheduling graph into a chronological event table.
-pub fn timeline(g: &SchedulingGraph) -> Vec<TimelineEntry> {
-    let mut rows: Vec<TimelineEntry> = g
-        .app_events
-        .iter()
-        .map(|(k, t)| TimelineEntry {
-            ts: *t,
-            entity: "app".to_string(),
-            kind: *k,
-        })
-        .collect();
-    for c in g.containers.values() {
-        for (k, t) in &c.events {
-            rows.push(TimelineEntry {
-                ts: *t,
-                entity: c.cid.to_string(),
-                kind: *k,
-            });
-        }
-    }
-    rows.sort_by(|a, b| a.ts.cmp(&b.ts).then_with(|| a.entity.cmp(&b.entity)));
-    rows
-}
-
-/// Gantt lane phases for the ASCII rendering, named after the delay
-/// components of [`decompose`](crate::decompose) so the ASCII view and
-/// the Perfetto app trace agree on vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Waiting for the RM to allocate ( `.` ).
-    Pending,
-    /// ALLOCATED → LOCALIZING: the acquisition delay ( `a` ).
-    Acquisition,
-    /// LOCALIZING → SCHEDULED: the localization delay ( `l` ).
-    Localization,
-    /// SCHEDULED → first instance log: the launching delay ( `=` ).
-    Launching,
-    /// Process up but no task yet — the paper's *idleness* ( `-` ).
-    Idle,
-    /// Running tasks / doing work ( `#` ).
-    Busy,
-}
-
-impl Phase {
-    fn glyph(self) -> char {
-        match self {
-            Phase::Pending => '.',
-            Phase::Acquisition => 'a',
-            Phase::Localization => 'l',
-            Phase::Launching => '=',
-            Phase::Idle => '-',
-            Phase::Busy => '#',
-        }
-    }
-}
+/// Past the last rung: running tasks / doing work.
+const BUSY: char = '#';
 
 /// Render an ASCII Gantt chart (Fig 10's shape): one lane per container
 /// plus a driver lane, `width` columns spanning submission → first task
 /// (or the last event when no task exists).
 pub fn ascii_gantt(g: &SchedulingGraph, width: usize) -> String {
     let width = width.clamp(20, 500);
-    let start = g.first(EventKind::AppSubmitted).unwrap_or(TsMs(0));
-    let mut end = g
-        .worker_containers()
-        .filter_map(|c| c.first(EventKind::TaskAssigned))
-        .min();
-    if end.is_none() {
-        end = timeline(g).last().map(|e| e.ts);
-    }
-    let Some(end) = end else {
+    let start = TOTAL.from.at(g, None).unwrap_or(TsMs(0));
+    let last_event = || {
+        let tracks = g.containers.values().map(|c| &c.events);
+        let events = std::iter::once(&g.app_events).chain(tracks).flatten();
+        events.map(|(_, t)| *t).max()
+    };
+    let Some(end) = TOTAL.to.at(g, None).or_else(last_event) else {
         return String::from("(empty graph)\n");
     };
     let span = end.since(start).max(1);
-    let col = |t: Option<TsMs>| -> Option<usize> {
-        t.map(|t| ((t.since(start) as f64 / span as f64) * (width - 1) as f64) as usize)
-    };
+    let col = |t: TsMs| ((t.since(start) as f64 / span as f64) * (width - 1) as f64) as usize;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -110,76 +47,52 @@ pub fn ascii_gantt(g: &SchedulingGraph, width: usize) -> String {
          ( . pending  a acquisition  l localization  = launching  - idle  # busy )",
         g.app, span
     );
-    let mut lane = |label: &str, marks: &[(Option<usize>, Phase)]| {
+    // Each rung's glyph starts where the rung before it ends (the first at
+    // submission), and busy where the container's last rung ends. A
+    // milestone missing from the logs extends the glyph before it.
+    let mut lane = |label: &str, c: &ContainerTrack| {
+        let rungs = ladder(c.is_am());
+        let mut marks = vec![(Some(start), GLYPHS[0])];
+        for (i, rung) in rungs.iter().enumerate() {
+            let glyph = if i + 1 < rungs.len() {
+                GLYPHS[i + 1]
+            } else {
+                BUSY
+            };
+            if glyph != GLYPHS[i] {
+                marks.push((rung.to.at(g, Some(c)), glyph));
+            }
+        }
         let mut cells = vec![' '; width];
-        let mut current: Option<Phase> = None;
+        let mut current: Option<char> = None;
         let mut from = 0usize;
-        for (pos, phase) in marks {
-            if let Some(p) = pos {
+        for (at, glyph) in marks {
+            if let Some(p) = at.map(col) {
                 if let Some(ph) = current {
-                    for cell in cells.iter_mut().take((*p).min(width)).skip(from) {
-                        *cell = ph.glyph();
+                    for cell in cells.iter_mut().take(p.min(width)).skip(from) {
+                        *cell = ph;
                     }
                 }
-                from = *p;
-                current = Some(*phase);
+                from = p;
+                current = Some(glyph);
             }
         }
         if let Some(ph) = current {
             for cell in cells.iter_mut().skip(from) {
-                *cell = ph.glyph();
+                *cell = ph;
             }
         }
         let _ = writeln!(out, "{label:<14} |{}|", cells.iter().collect::<String>());
     };
 
-    // Driver lane: pending → acquisition → localization → launching →
-    // busy (driver init; continues after registration with user init).
+    // The driver's lane ends busy at its first line (driver init goes on
+    // after registration with user init); an executor's idles from its
+    // first line to its first task (the Fig 10 gap).
     if let Some(am) = g.am_container() {
-        lane(
-            "driver",
-            &[
-                (col(Some(start)), Phase::Pending),
-                (
-                    col(am.first(EventKind::ContainerAllocated)),
-                    Phase::Acquisition,
-                ),
-                (
-                    col(am.first(EventKind::ContainerLocalizing)),
-                    Phase::Localization,
-                ),
-                (
-                    col(am.first(EventKind::ContainerScheduled)),
-                    Phase::Launching,
-                ),
-                (col(g.first(EventKind::DriverFirstLog)), Phase::Busy),
-            ],
-        );
+        lane("driver", am);
     }
-    // Executor lanes: pending → acquisition → localization → launching →
-    // idle (the Fig 10 gap) → busy at first task.
     for c in g.worker_containers() {
-        let label = format!("exec {:06}", c.cid.seq);
-        lane(
-            &label,
-            &[
-                (col(Some(start)), Phase::Pending),
-                (
-                    col(c.first(EventKind::ContainerAllocated)),
-                    Phase::Acquisition,
-                ),
-                (
-                    col(c.first(EventKind::ContainerLocalizing)),
-                    Phase::Localization,
-                ),
-                (
-                    col(c.first(EventKind::ContainerScheduled)),
-                    Phase::Launching,
-                ),
-                (col(c.first(EventKind::ExecutorFirstLog)), Phase::Idle),
-                (col(c.first(EventKind::TaskAssigned)), Phase::Busy),
-            ],
-        );
+        lane(&format!("exec {:06}", c.cid.seq), c);
     }
     out
 }
@@ -187,49 +100,11 @@ pub fn ascii_gantt(g: &SchedulingGraph, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::tests::ev;
-    use crate::graph::build_graphs;
-    use logmodel::{ApplicationId, ContainerId};
-
-    const CTS: u64 = 1_521_018_000_000;
-
-    fn sample() -> SchedulingGraph {
-        let a = ApplicationId::new(CTS, 1);
-        let am = a.attempt(1).container(1);
-        let e1 = a.attempt(1).container(2);
-        let mk = |ts: u64, kind, c: Option<ContainerId>| ev(ts, kind, a, c);
-        use EventKind::*;
-        build_graphs(&[
-            mk(0, AppSubmitted, None),
-            mk(100, ContainerAllocated, Some(am)),
-            mk(200, ContainerLocalizing, Some(am)),
-            mk(1_000, DriverFirstLog, None),
-            mk(4_000, DriverRegistered, None),
-            mk(4_100, ContainerAllocated, Some(e1)),
-            mk(4_500, ContainerLocalizing, Some(e1)),
-            mk(6_000, ExecutorFirstLog, Some(e1)),
-            mk(10_000, TaskAssigned, Some(e1)),
-        ])
-        .remove(&a)
-        .unwrap()
-    }
-
-    #[test]
-    fn timeline_is_chronological_and_complete() {
-        let g = sample();
-        let t = timeline(&g);
-        assert_eq!(t.len(), 9);
-        for w in t.windows(2) {
-            assert!(w[0].ts <= w[1].ts);
-        }
-        assert_eq!(t[0].kind, EventKind::AppSubmitted);
-        assert_eq!(t.last().unwrap().kind, EventKind::TaskAssigned);
-    }
+    use crate::decompose::tests::{admitted_graph, full_graph, retried_graph};
 
     #[test]
     fn gantt_shows_executor_idleness() {
-        let g = sample();
-        let art = ascii_gantt(&g, 80);
+        let art = ascii_gantt(&full_graph(), 80);
         assert!(art.contains("driver"));
         assert!(art.contains("exec 000002"));
         // The executor lane must contain an idle stretch followed by busy.
@@ -249,8 +124,7 @@ mod tests {
 
     #[test]
     fn gantt_labels_delay_components() {
-        let g = sample();
-        let art = ascii_gantt(&g, 80);
+        let art = ascii_gantt(&full_graph(), 80);
         assert!(art.contains("a acquisition"), "legend names components");
         assert!(art.contains("l localization"));
         let exec_line = art.lines().find(|l| l.starts_with("exec")).unwrap();
@@ -263,12 +137,47 @@ mod tests {
     }
 
     #[test]
+    fn gantt_lanes_are_the_ladder_rungs() {
+        // Submission at 1 000 ms, first task at 13 000: an instant t falls
+        // in column (t − 1 000) × 99 / 12 000. Executor 2: allocated 5 600, acquired 6 400 (dispatch
+        // keeps the acquisition glyph), localizing 6 420, scheduled
+        // 6 920, first line 7 620, first task 13 000. The AM's allocation
+        // and acquisition fall in column 0; its driver is busy from its
+        // first line at 2 400.
+        let art = ascii_gantt(&full_graph(), 100);
+        let lane = |label: &str| {
+            let line = art.lines().find(|l| l.starts_with(label)).unwrap();
+            line.split('|').nth(1).unwrap().to_string()
+        };
+        let runs = |cells: String| {
+            let mut runs: Vec<(char, usize)> = Vec::new();
+            for ch in cells.chars() {
+                match runs.last_mut() {
+                    Some((c, n)) if *c == ch => *n += 1,
+                    _ => runs.push((ch, 1)),
+                }
+            }
+            runs
+        };
+        let exec = [('.', 37), ('a', 7), ('l', 4), ('=', 6), ('-', 45), ('#', 1)];
+        assert_eq!(runs(lane("exec 000002")), exec);
+        let driver = [('l', 5), ('=', 6), ('#', 89)];
+        assert_eq!(runs(lane("driver")), driver);
+    }
+
+    #[test]
+    fn a_retried_app_draws_its_final_attempt() {
+        let art = ascii_gantt(&retried_graph().0, 60);
+        // The final AM and its one executor; the dead AM has no lane.
+        assert_eq!(art.lines().filter(|l| l.contains('|')).count(), 2);
+        assert!(art.contains("exec 000002"));
+    }
+
+    #[test]
     fn gantt_handles_empty_and_taskless_graphs() {
-        let a = ApplicationId::new(CTS, 2);
-        let g = build_graphs(&[ev(5, EventKind::AppSubmitted, a, None)])
-            .remove(&a)
-            .unwrap();
-        let art = ascii_gantt(&g, 40);
-        assert!(art.contains("5 ms") || art.contains("1 ms"), "{art}");
+        let art = ascii_gantt(&admitted_graph(), 40);
+        assert!(art.contains("10 ms from SUBMITTED"), "{art}");
+        let empty = SchedulingGraph::empty(admitted_graph().app);
+        assert_eq!(ascii_gantt(&empty, 40), "(empty graph)\n");
     }
 }

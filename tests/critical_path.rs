@@ -2,12 +2,15 @@
 //! sketches over *real* simulated corpora — seeded loops like
 //! `decomposition_invariants`, each case a full simulation.
 
+use std::collections::BTreeMap;
+
+use obs::json::{self, Json};
 use obs::QuantileSketch;
-use sdchecker::{critical_path, Summary};
+use sdchecker::{corpus_app_trace, critical_path, Summary};
 use simkit::{Millis, SimRng};
 use sparksim::simulate;
 use workloads::{tpch_stream, TraceParams};
-use yarnsim::ClusterConfig;
+use yarnsim::{ClusterConfig, FaultConfig};
 
 /// For every completed application in a simulated corpus: the critical
 /// path is a monotone, contiguous tiling of submitted → first task whose
@@ -87,6 +90,131 @@ fn critical_path_tiles_the_delay_across_corpora() {
             }
         }
     }
+}
+
+/// The app trace draws what the report says. Over seeded fault-injected
+/// corpora — the first is `sdsim --queries 40 --seed 7
+/// --launch-failure-rate 0.1 --localization-failure-rate 0.05
+/// --node-loss 120000:3`, whose six retried apps each have a dead
+/// first-attempt AM — every delay slice of every application lasts
+/// exactly what `decompose` reports for it, and every reported delay has
+/// its slice unless a guard drops it. The guards, and where they fire:
+/// * no slice runs backwards: an interval whose end was logged before its
+///   start (a clock-skewed source, or a retried app's driver log whose
+///   first line the first attempt's driver wrote before the final AM was
+///   SCHEDULED) is reported as 0 and not drawn;
+/// * the app lane nests inside `total_scheduling_delay`: `am_delay` is
+///   dropped when the AM registered after the first task;
+/// * `nm_queue` nests inside `launching`: it is dropped when the NM
+///   reported RUNNING after the container's first log line.
+#[test]
+fn app_trace_draws_the_decomposed_delays() {
+    // (queries, seed, launch failure rate, localization failure rate,
+    // node loss at (ms, node)).
+    let scenarios = [
+        (40, 7, 0.1, 0.05, Some((120_000, 3))),
+        (12, 11, 0.25, 0.0, None),
+        (12, 3, 0.0, 0.15, Some((60_000, 5))),
+        (8, 5, 0.0, 0.0, None),
+    ];
+    let (mut retried, mut failed_launches) = (0, 0);
+    let mut bad = Vec::new();
+    for (queries, seed, launch, localization, loss) in scenarios {
+        let mut rng = SimRng::new(seed);
+        let arrivals = tpch_stream(queries, 2048.0, 4, &TraceParams::moderate(), &mut rng);
+        let faults = FaultConfig {
+            launch_failure_rate: launch,
+            localization_failure_rate: localization,
+            node_loss: loss
+                .map(|(ms, node)| (Millis(ms), node))
+                .into_iter()
+                .collect(),
+            ..FaultConfig::default()
+        };
+        let cfg = ClusterConfig {
+            faults,
+            ..ClusterConfig::default()
+        };
+        let (logs, _) = simulate(cfg, seed, arrivals, Millis::from_mins(24 * 60));
+        let an = sdchecker::analyze_store(&logs);
+        let trace = json::parse(&corpus_app_trace(&an)).expect("the app trace is JSON");
+
+        // Every slice's length, by (pid, cid or "", name). The critical
+        // path's slices, which carry an `entity`, tile rather than measure.
+        let mut slices: BTreeMap<(u64, String, String), u64> = BTreeMap::new();
+        let events = trace.get("traceEvents").and_then(Json::as_arr).unwrap();
+        for e in events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+        {
+            let field = |k: &str| e.get(k).unwrap();
+            let arg = |k: &str| field("args").get(k).and_then(Json::as_str);
+            if arg("entity").is_some() {
+                continue;
+            }
+            let cid = arg("cid").unwrap_or_default().to_string();
+            let name = field("name").as_str().unwrap().to_string();
+            let key = (field("pid").as_f64().unwrap() as u64, cid, name);
+            let dur = arg("dur_ms").unwrap().parse().unwrap();
+            assert!(
+                slices.insert(key, dur).is_none(),
+                "one slice per row and lane"
+            );
+        }
+
+        for d in &an.delays {
+            let pid = u64::from(d.app.seq);
+            retried += usize::from(d.attempts > 1);
+            let app_rows = [
+                ("total_scheduling_delay", d.total_ms, false),
+                (
+                    "am_delay",
+                    d.am_ms,
+                    d.am_ms > d.total_ms && d.total_ms.is_some(),
+                ),
+                ("driver_delay", d.driver_ms, false),
+                ("executor_delay", d.executor_ms, false),
+                ("allocation", d.alloc_ms, false),
+            ];
+            let mut rows: Vec<_> = app_rows.map(|(n, v, g)| (String::new(), n, v, g)).into();
+            for c in &d.containers {
+                failed_launches += usize::from(!c.is_am && c.launching_ms.is_none());
+                let nested = c.launching_ms.is_some_and(|l| c.nm_queue_ms > Some(l));
+                for (name, value, guarded) in [
+                    ("acquisition", c.acquisition_ms, false),
+                    ("localization", c.localization_ms, false),
+                    ("launching", c.launching_ms, false),
+                    ("nm_queue", c.nm_queue_ms, nested),
+                ] {
+                    rows.push((c.cid.to_string(), name, value, guarded));
+                }
+            }
+            for (cid, name, value, guarded) in rows {
+                let drawn = slices.get(&(pid, cid.clone(), name.to_string()));
+                let ok = match (drawn, value) {
+                    (Some(dur), Some(v)) => *dur == v,
+                    (None, Some(v)) => v == 0 || guarded,
+                    (drawn, None) => drawn.is_none(),
+                };
+                if !ok {
+                    bad.push(format!(
+                        "seed {seed}: {} {cid} {name}: slice {drawn:?}, report {value:?}",
+                        d.app
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        retried >= 6 && failed_launches > 0,
+        "{retried} retried apps, {failed_launches} failed launches"
+    );
+    assert!(
+        bad.is_empty(),
+        "{} disagreements:\n{}",
+        bad.len(),
+        bad.join("\n")
+    );
 }
 
 /// Fleet-sketch acceptance: on a 1 000-app population, the streaming

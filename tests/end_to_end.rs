@@ -168,3 +168,60 @@ fn full_report_covers_corpus() {
     assert!(report.contains("no allocated-but-never-used containers"));
     let _ = summaries;
 }
+
+/// Hadoop's stock log4j layout prints the logger's full name
+/// (`org.apache.hadoop.yarn.server.resourcemanager.rmapp.RMAppImpl`), the
+/// simulator its simple name. The class gates compare the simple name, so
+/// a tree rewritten to full names reads exactly as the original: the same
+/// wide events, byte for byte, and the same per-family tallies.
+#[test]
+fn fully_qualified_logger_names_read_like_simple_ones() {
+    let (logs, _) = small_trace(40, 5);
+    let root = std::env::temp_dir().join(format!("sdchecker_fqcn_{}", std::process::id()));
+    let (simple, full) = (root.join("simple"), root.join("full"));
+    let _ = std::fs::remove_dir_all(&root);
+    logs.write_dir(&simple).unwrap();
+    logs.write_dir(&full).unwrap();
+    let packages = [
+        (
+            "RMAppImpl",
+            "org.apache.hadoop.yarn.server.resourcemanager.rmapp",
+        ),
+        (
+            "RMContainerImpl",
+            "org.apache.hadoop.yarn.server.resourcemanager.rmcontainer",
+        ),
+        (
+            "ContainerImpl",
+            "org.apache.hadoop.yarn.server.nodemanager.containermanager.container",
+        ),
+    ];
+    let mut rewritten = 0;
+    for entry in std::fs::read_dir(&full).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "log") {
+            let mut text = std::fs::read_to_string(&path).unwrap();
+            for (class, package) in packages {
+                let before = text.len();
+                text = text.replace(&format!(" {class}: "), &format!(" {package}.{class}: "));
+                rewritten += usize::from(text.len() != before);
+            }
+            std::fs::write(&path, text).unwrap();
+        }
+    }
+    assert!(rewritten >= 3, "every gated class was rewritten somewhere");
+
+    let (a, b) = (
+        sdchecker::analyze_dir(&simple).unwrap(),
+        sdchecker::analyze_dir(&full).unwrap(),
+    );
+    assert_eq!(a.delays.len(), 40);
+    assert!(a.delays.iter().all(|d| d.total_ms.is_some()));
+    assert_eq!(
+        sdchecker::wide_events_for_analysis(&a),
+        sdchecker::wide_events_for_analysis(&b)
+    );
+    let tallies = |an: &sdchecker::Analysis| an.coverage.iter().collect::<Vec<_>>();
+    assert_eq!(tallies(&a), tallies(&b));
+    std::fs::remove_dir_all(&root).unwrap();
+}
