@@ -98,6 +98,14 @@ pub struct ReadCounts {
     pub records: u64,
 }
 
+impl ReadCounts {
+    /// Lines with bytes that did not parse (banners, junk, stack
+    /// traces): an empty line is no line here, a lone `\r` is one.
+    pub fn skipped(&self) -> u64 {
+        self.lines - self.records - self.empty
+    }
+}
+
 /// Read `reader` until a `read` returns 0, at most `buf.len()` bytes at
 /// a time, and hand `visit` each chunk's records — split by
 /// [`carry_lines`], parsed by [`parse_line_ref`], borrowed from the chunk

@@ -273,8 +273,7 @@ fn scan_source<S: SourceScan>(
             });
         read?;
         if span.is_active() {
-            // An empty line is a skipped one here, and none to the tailer.
-            let (parsed, skipped) = (counts.records, counts.lines - counts.records);
+            let (parsed, skipped) = (counts.records, counts.skipped());
             obs::count_labeled("ingest_lines_total", &[("status", "parsed")], parsed);
             obs::count_labeled("ingest_lines_total", &[("status", "skipped")], skipped);
             obs::observe("ingest_file_lines", LINES_PER_FILE_BOUNDS, counts.lines);

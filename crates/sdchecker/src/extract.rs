@@ -12,50 +12,13 @@
 
 use std::collections::BTreeMap;
 
-use logmodel::{ApplicationId, ContainerId, LogSource, NodeId, Parallelism, RecordRef, SourceScan};
+use logmodel::schema::Family;
+use logmodel::{ApplicationId, ContainerId, LogSource, Parallelism, RecordRef, SourceScan, TsMs};
 
 use crate::checkpoint::CkptError;
 use crate::event::{count_event_kinds, EventKind, SchedEvent};
-use crate::pattern::Pat;
-use crate::schema::is_logger;
+use crate::schema::{MatchKind, PatternSpec, Subject, PATTERNS};
 use crate::wire::{corrupt, wire_struct, Dec, Decode, Enc, Encode};
-
-/// The full RMApp state alphabet (hadoop `RMAppState`). Transitions into
-/// any of these that carry no Table-I meaning (e.g. NEW → NEW_SAVING) are
-/// *recognized* — deliberately skipped, not parse failures.
-pub(crate) const RM_APP_STATES: &[&str] = &[
-    "NEW",
-    "NEW_SAVING",
-    "SUBMITTED",
-    "ACCEPTED",
-    "RUNNING",
-    "FINAL_SAVING",
-    "FINISHING",
-    "FINISHED",
-    "FAILED",
-    "KILLED",
-];
-
-/// The full RMContainer state alphabet (hadoop `RMContainerState`).
-pub(crate) const RM_CONTAINER_STATES: &[&str] = &[
-    "NEW",
-    "ALLOCATED",
-    "ACQUIRED",
-    "RUNNING",
-    "COMPLETED",
-    "KILLED",
-];
-
-/// The full NM-side container state alphabet (hadoop `ContainerState`).
-pub(crate) const NM_CONTAINER_STATES: &[&str] = &[
-    "NEW",
-    "LOCALIZING",
-    "SCHEDULED",
-    "RUNNING",
-    "DONE",
-    "LOCALIZATION_FAILED",
-    "EXITED_WITH_FAILURE",
-];
 
 /// Histogram bucket bounds for events-per-stream.
 const EVENTS_PER_STREAM_BOUNDS: &[u64] = &[1, 4, 16, 64, 256, 1024, 4096];
@@ -163,15 +126,20 @@ impl SourceKind {
         }
     }
 
+    /// The emitter tables' name for the family.
+    fn family(self) -> Family {
+        match self {
+            SourceKind::ResourceManager => Family::ResourceManager,
+            SourceKind::NodeManager => Family::NodeManager,
+            SourceKind::Driver => Family::Driver,
+            SourceKind::Executor => Family::Executor,
+        }
+    }
+
     /// Stable display/metric name (the `source` label of
     /// `parse_lines_total`).
     pub fn name(self) -> &'static str {
-        match self {
-            SourceKind::ResourceManager => "resourcemanager",
-            SourceKind::NodeManager => "nodemanager",
-            SourceKind::Driver => "driver",
-            SourceKind::Executor => "executor",
-        }
+        self.family().name()
     }
 
     /// Whether this family's scheduling-relevant messages are
@@ -366,18 +334,9 @@ impl StreamCursor {
         // FIRST_LOG, if this record takes it: a driver's or executor's
         // first record, or one strictly earlier than the record that has
         // it, whose place it takes.
-        let first_log = match source {
-            _ if self.first.is_some_and(|(ts, _)| r.ts >= ts) => None,
-            LogSource::Driver(app) => {
-                Some(SchedEvent::app_scoped(r.ts, EventKind::DriverFirstLog, app))
-            }
-            LogSource::Executor(cid) => Some(SchedEvent::container_scoped(
-                r.ts,
-                EventKind::ExecutorFirstLog,
-                cid,
-            )),
-            _ => None,
-        };
+        let first_log = ex.first_log[SourceKind::of(source) as usize]
+            .filter(|_| self.first.is_none_or(|(ts, _)| r.ts < ts))
+            .and_then(|kind| event(r.ts, kind, source, None));
         let held = self.first.filter(|_| first_log.is_some());
         if let (Some(ev), None) = (first_log, held) {
             out.push(ev);
@@ -399,7 +358,7 @@ impl StreamCursor {
         }
         let mut name = None;
         if matches!(source, LogSource::Driver(_)) && self.name_ts.is_none_or(|ts| r.ts < ts) {
-            name = ex.app_name(r.message);
+            name = ex.app_name(r);
             if name.is_some() {
                 self.name_ts = Some(r.ts);
             }
@@ -421,12 +380,15 @@ wire_struct!(StreamCursor {
     name_ts,
 });
 
-/// Compiled rule set for all Table-I messages.
+/// The rows of [`crate::schema::PATTERNS`], grouped by family in
+/// [`SourceKind::ALL`] order, their templates compiled.
 pub struct Extractor {
-    rm_app: Pat,
-    rm_container: Pat,
-    nm_container: Pat,
-    spark_name: Pat,
+    /// Per family, its rows in table order.
+    rules: [Vec<&'static PatternSpec>; 4],
+    /// Per family, its positional row's FIRST_LOG kind.
+    first_log: [Option<EventKind>; 4],
+    /// The name rule.
+    name: Option<&'static PatternSpec>,
 }
 
 impl Default for Extractor {
@@ -435,134 +397,101 @@ impl Default for Extractor {
     }
 }
 
+/// The global ids an event is bound to.
+enum Ids {
+    App(ApplicationId),
+    Container(ContainerId),
+}
+
+/// The event of `kind` a record of `source` logged at `ts` makes, bound
+/// to `named`, the ids its line names, or else to its stream's.
+fn event(ts: TsMs, kind: EventKind, source: LogSource, named: Option<Ids>) -> Option<SchedEvent> {
+    Some(match (source, named) {
+        (LogSource::NodeManager(node), Some(Ids::Container(cid))) => {
+            SchedEvent::node_manager(ts, kind, cid, node)
+        }
+        (LogSource::Driver(app), None) | (_, Some(Ids::App(app))) => {
+            SchedEvent::app_scoped(ts, kind, app)
+        }
+        (LogSource::Executor(cid), None) | (_, Some(Ids::Container(cid))) => {
+            SchedEvent::container_scoped(ts, kind, cid)
+        }
+        (LogSource::ResourceManager | LogSource::NodeManager(_), None) => return None,
+    })
+}
+
 impl Extractor {
-    /// Compile the rule set from the declarative table in
-    /// [`crate::schema`].
+    /// Group the rows by family and compile their templates.
     pub fn new() -> Extractor {
+        let family = |kind: SourceKind| PATTERNS.iter().filter(move |p| p.family == kind.family());
+        // Compiled here, so that no line pays for it.
+        for p in &PATTERNS {
+            p.pat();
+        }
         Extractor {
-            rm_app: Pat::new_static(crate::schema::RM_APP_TEMPLATE),
-            rm_container: Pat::new_static(crate::schema::RM_CONTAINER_TEMPLATE),
-            nm_container: Pat::new_static(crate::schema::NM_CONTAINER_TEMPLATE),
-            spark_name: Pat::new_static(crate::schema::SPARK_APP_NAME_TEMPLATE),
+            rules: SourceKind::ALL.map(|kind| family(kind).collect()),
+            first_log: SourceKind::ALL.map(|kind| {
+                family(kind).find_map(|p| match p.kind {
+                    MatchKind::Positional(first) => Some(first),
+                    _ => None,
+                })
+            }),
+            name: PATTERNS
+                .iter()
+                .find(|p| matches!(p.kind, MatchKind::Name(_))),
         }
     }
 
-    /// The application name a Spark driver banner line carries, if
-    /// `message` is one.
-    pub(crate) fn app_name<'t>(&self, message: &'t str) -> Option<&'t str> {
-        self.spark_name.match_array::<1>(message).map(|[name]| name)
+    /// The rows of `source`'s family, in the order
+    /// [`StreamCursor::step`] tries them on a line's content.
+    pub fn rules(&self, source: LogSource) -> &[&'static PatternSpec] {
+        &self.rules[SourceKind::of(source) as usize]
+    }
+
+    /// The application name `r` carries, if it is a Spark driver banner.
+    pub(crate) fn app_name<'t>(&self, r: &RecordRef<'t>) -> Option<&'t str> {
+        self.name?.read(r.class, r.message).map(|[name, ..]| name)
     }
 
     /// The events one record of `source`'s stream carries by its own
-    /// content, appended to `out`, and how it fared. FIRST_LOG is not
-    /// content: [`StreamCursor::step`] adds it.
+    /// content, appended to `out`, and how it fared: the first of the
+    /// family's rows whose gate and shape accept the line decides it.
+    /// FIRST_LOG is not content: [`StreamCursor::step`] adds it.
     fn extract(&self, source: LogSource, r: &RecordRef<'_>, out: &mut Vec<SchedEvent>) -> Outcome {
-        match source {
-            LogSource::ResourceManager => self.extract_rm(r, out),
-            LogSource::NodeManager(node) => self.extract_nm(node, r, out),
-            LogSource::Driver(app) => Self::extract_driver(app, r, out),
-            LogSource::Executor(cid) => Self::extract_executor(cid, r, out),
+        for rule in self.rules(source) {
+            let Some([id, _from, entered, on]) = rule.read(r.class, r.message) else {
+                continue;
+            };
+            let (kind, named) = match rule.kind {
+                MatchKind::Transition {
+                    subject,
+                    states,
+                    to,
+                    ..
+                } => {
+                    let ids = match subject {
+                        Subject::App => id.parse().map(Ids::App),
+                        Subject::Container => id.parse().map(Ids::Container),
+                    };
+                    let Ok(ids) = ids else {
+                        return Outcome::Anomalous;
+                    };
+                    let fits = to.iter().find(|(state, event, _)| {
+                        *state == entered && event.is_none_or(|e| e == on)
+                    });
+                    match fits {
+                        Some(&(_, _, kind)) => (kind, Some(ids)),
+                        None if states.contains(&entered) => return Outcome::Matched,
+                        None => return Outcome::Unmatched,
+                    }
+                }
+                MatchKind::Prefix(_, kind) => (kind, None),
+                MatchKind::Name(_) | MatchKind::Positional(_) => continue,
+            };
+            out.extend(event(r.ts, kind, source, named));
+            return Outcome::Matched;
         }
-    }
-
-    fn extract_rm(&self, r: &RecordRef<'_>, out: &mut Vec<SchedEvent>) -> Outcome {
-        if is_logger(r.class, "RMAppImpl") {
-            let Some([id, _from, to, event]) = self.rm_app.match_array(r.message) else {
-                return Outcome::Ignored;
-            };
-            let Ok(app) = id.parse::<ApplicationId>() else {
-                return Outcome::Anomalous;
-            };
-            let kind = match to {
-                "SUBMITTED" => EventKind::AppSubmitted,
-                "ACCEPTED" => EventKind::AppAccepted,
-                "RUNNING" if event == "ATTEMPT_REGISTERED" => EventKind::AttemptRegistered,
-                // FINAL_SAVING marks completion only on a clean AM
-                // unregister; the same state is entered on
-                // ATTEMPT_FAILED/KILL, which must not look like a
-                // finished job.
-                "FINAL_SAVING" if event == "ATTEMPT_UNREGISTERED" => EventKind::AppUnregistered,
-                "FINISHED" => EventKind::AppFinished,
-                "FAILED" => EventKind::AppFailed,
-                "KILLED" => EventKind::AppKilled,
-                // In-alphabet transitions with no Table-I meaning
-                // (NEW_SAVING, FINISHING, RUNNING on other events).
-                s if RM_APP_STATES.contains(&s) => return Outcome::Matched,
-                _ => return Outcome::Unmatched,
-            };
-            out.push(SchedEvent::app_scoped(r.ts, kind, app));
-            Outcome::Matched
-        } else if is_logger(r.class, "RMContainerImpl") {
-            let Some([id, _from, to]) = self.rm_container.match_array(r.message) else {
-                return Outcome::Ignored;
-            };
-            let Ok(cid) = id.parse::<ContainerId>() else {
-                return Outcome::Anomalous;
-            };
-            let kind = match to {
-                "ALLOCATED" => EventKind::ContainerAllocated,
-                "ACQUIRED" => EventKind::ContainerAcquired,
-                "RUNNING" => EventKind::ContainerRmRunning,
-                "COMPLETED" => EventKind::ContainerCompleted,
-                s if RM_CONTAINER_STATES.contains(&s) => return Outcome::Matched,
-                _ => return Outcome::Unmatched,
-            };
-            out.push(SchedEvent::container_scoped(r.ts, kind, cid));
-            Outcome::Matched
-        } else {
-            Outcome::Ignored
-        }
-    }
-
-    fn extract_nm(&self, node: NodeId, r: &RecordRef<'_>, out: &mut Vec<SchedEvent>) -> Outcome {
-        if !is_logger(r.class, "ContainerImpl") {
-            return Outcome::Ignored;
-        }
-        let Some([id, _from, to]) = self.nm_container.match_array(r.message) else {
-            return Outcome::Ignored;
-        };
-        let Ok(cid) = id.parse::<ContainerId>() else {
-            return Outcome::Anomalous;
-        };
-        let kind = match to {
-            "LOCALIZING" => EventKind::ContainerLocalizing,
-            "SCHEDULED" => EventKind::ContainerScheduled,
-            "RUNNING" => EventKind::ContainerNmRunning,
-            "DONE" => EventKind::ContainerDone,
-            s if NM_CONTAINER_STATES.contains(&s) => return Outcome::Matched,
-            _ => return Outcome::Unmatched,
-        };
-        out.push(SchedEvent::node_manager(r.ts, kind, cid, node));
-        Outcome::Matched
-    }
-
-    fn extract_driver(app: ApplicationId, r: &RecordRef<'_>, out: &mut Vec<SchedEvent>) -> Outcome {
-        let kind = if r
-            .message
-            .starts_with(crate::schema::DRIVER_REGISTERED_PREFIX)
-        {
-            EventKind::DriverRegistered
-        } else if r.message.starts_with(crate::schema::START_ALLO_PREFIX) {
-            EventKind::StartAllo
-        } else if r.message.starts_with(crate::schema::END_ALLO_PREFIX) {
-            EventKind::EndAllo
-        } else {
-            return Outcome::Ignored;
-        };
-        out.push(SchedEvent::app_scoped(r.ts, kind, app));
-        Outcome::Matched
-    }
-
-    fn extract_executor(cid: ContainerId, r: &RecordRef<'_>, out: &mut Vec<SchedEvent>) -> Outcome {
-        if !r.message.starts_with(crate::schema::TASK_ASSIGNED_PREFIX) {
-            return Outcome::Ignored;
-        }
-        out.push(SchedEvent::container_scoped(
-            r.ts,
-            EventKind::TaskAssigned,
-            cid,
-        ));
-        Outcome::Matched
+        Outcome::Ignored
     }
 }
 
@@ -832,7 +761,7 @@ mod tests {
     fn extract_stream(ex: &Extractor, source: LogSource, records: &[LogRecord]) -> Vec<SchedEvent> {
         scan_records(ex, source, records).0
     }
-    use logmodel::{Epoch, Level, LogRecord, LogStore, TsMs};
+    use logmodel::{Epoch, Level, LogRecord, LogStore, NodeId};
 
     const CTS: u64 = 1_521_018_000_000;
 
@@ -1378,7 +1307,7 @@ mod tests {
                 example = Some(r.message.clone());
             }
             if matches!(src, LogSource::Driver(_)) && name.is_none() {
-                name = ex.app_name(&r.message).map(str::to_string);
+                name = ex.app_name(&r.as_ref()).map(str::to_string);
             }
             max_ts = max_ts.max(Some(r.ts));
         }

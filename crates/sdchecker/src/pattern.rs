@@ -178,25 +178,31 @@ impl Pat {
         }
     }
 
-    /// Match `text` against a pattern of exactly `N` captures, without
-    /// allocating: the captured substrings in order, or `None` on a
-    /// mismatch (a pattern with another number of captures never
-    /// matches).
-    pub(crate) fn match_array<'t, const N: usize>(&self, text: &'t str) -> Option<[&'t str; N]> {
+    /// Match `text` without allocating: the captured substrings in
+    /// order, then empty strings up to `N`; `None` on a mismatch, and for
+    /// a pattern of more than `N` captures. Matching is anchored at both
+    /// ends.
+    pub fn match_padded<'t, const N: usize>(&self, text: &'t str) -> Option<[&'t str; N]> {
+        let mut caps = [""; N];
+        let holes = caps.get_mut(..self.captures())?;
+        self.match_into(text, holes).then_some(caps)
+    }
+
+    /// Match `text` against a pattern of exactly `N` captures: the
+    /// captured substrings in order, or `None` on a mismatch (a pattern
+    /// with another number of captures never matches).
+    #[cfg(test)]
+    fn match_array<'t, const N: usize>(&self, text: &'t str) -> Option<[&'t str; N]> {
         let mut caps = [""; N];
         self.match_into(text, &mut caps).then_some(caps)
     }
 
-    /// Match `text` against the pattern. Returns the captured substrings
-    /// (in order) or `None`. Matching is anchored at both ends.
-    pub fn match_str<'t>(&self, text: &'t str) -> Option<Vec<&'t str>> {
+    /// Match `text` against the pattern: the captured substrings in
+    /// order, or `None`.
+    #[cfg(test)]
+    fn match_str<'t>(&self, text: &'t str) -> Option<Vec<&'t str>> {
         let mut caps = vec![""; self.captures()];
         self.match_into(text, &mut caps).then_some(caps)
-    }
-
-    /// Whether `text` matches (ignoring captures).
-    pub(crate) fn is_match(&self, text: &str) -> bool {
-        self.match_str(text).is_some()
     }
 }
 
@@ -338,8 +344,12 @@ mod tests {
     #[test]
     fn anchored_at_start() {
         let p = Pat::new("START_ALLO Requesting {} executor containers").unwrap();
-        assert!(p.is_match("START_ALLO Requesting 4 executor containers"));
-        assert!(!p.is_match("xx START_ALLO Requesting 4 executor containers"));
+        assert!(p
+            .match_str("START_ALLO Requesting 4 executor containers")
+            .is_some());
+        assert!(p
+            .match_str("xx START_ALLO Requesting 4 executor containers")
+            .is_none());
     }
 
     #[test]
@@ -423,15 +433,11 @@ mod tests {
     /// `match_str` and `match_array` at every arity.
     #[test]
     fn byte_search_agrees_with_the_str_find_oracle() {
-        use crate::schema::{
-            NM_CONTAINER_TEMPLATE, RM_APP_TEMPLATE, RM_CONTAINER_TEMPLATE, SPARK_APP_NAME_TEMPLATE,
-        };
-        let templates = [
-            RM_APP_TEMPLATE,
-            RM_CONTAINER_TEMPLATE,
-            NM_CONTAINER_TEMPLATE,
-            SPARK_APP_NAME_TEMPLATE,
-        ];
+        let templates: Vec<&str> = crate::schema::patterns()
+            .iter()
+            .filter_map(crate::schema::PatternSpec::template)
+            .collect();
+        assert_eq!(templates.len(), 4);
         let pats: Vec<Pat> = templates
             .iter()
             .chain(&["{}", "a {} b {}", "{} to {}", "exact", ""])

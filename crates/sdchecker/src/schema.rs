@@ -1,140 +1,213 @@
-//! The parser side of the emitter↔parser contract: every extraction
-//! rule of [`crate::extract`], reified as an introspectable table.
+//! The parser side of the emitter↔parser contract: every extraction rule
+//! of [`crate::extract`] is one row of [`PATTERNS`], and nothing else
+//! knows which line is which Table I message.
 //!
-//! The [`Extractor`](crate::extract::Extractor) compiles its `Pat`s and
-//! takes its prefixes from this table; its class gates and its dispatch
-//! by log family are code of its own. `sdlint` cross-checks the table
-//! against the emitter tables (`yarnsim::schema`, `sparksim::schema`) to
-//! prove every emitted shape lands on exactly one rule, and one of its
-//! tests pushes every emitted template through the running pipeline and
-//! requires it to fire exactly where [`PatternSpec::matches`] says — so
-//! the table `sdlint` checks is the rule set that runs, gates included.
+//! A row names its family, class gate and shape, and what its rule emits:
+//! a transition row its machine's alphabet and which entered state (on
+//! which event) is which [`EventKind`], a prefix row its one kind, a
+//! positional row its FIRST_LOG kind; the banner row is the name rule.
+//! The [`Extractor`](crate::extract::Extractor), [`state_alphabet`] and
+//! `sdlint` (its emitter cross-check and its model check) all read the
+//! rows, through [`PatternSpec::read`] where they test a line.
+
+use std::sync::OnceLock;
 
 use logmodel::schema::{template_affinity, Family};
 
-use crate::extract::{NM_CONTAINER_STATES, RM_APP_STATES, RM_CONTAINER_STATES};
+use crate::event::EventKind::{self, *};
+use crate::pattern::Pat;
 
-/// Template of the `rm_app_transition` rule (Table I messages 1-3).
-pub const RM_APP_TEMPLATE: &str = "{} State change from {} to {} on event = {}";
-/// Template of the `rm_container_transition` rule (messages 4-5).
-pub const RM_CONTAINER_TEMPLATE: &str = "{} Container Transitioned from {} to {}";
-/// Template of the `nm_container_transition` rule (messages 6-8).
-pub const NM_CONTAINER_TEMPLATE: &str = "Container {} transitioned from {} to {}";
-/// Template of the `spark_app_name` rule (workload-label banner).
-pub(crate) const SPARK_APP_NAME_TEMPLATE: &str = "Starting ApplicationMaster for {}";
-/// Prefix of the `driver_registered` rule (message 10).
-pub(crate) const DRIVER_REGISTERED_PREFIX: &str = "Registered with ResourceManager";
-/// Prefix of the `start_allo` rule (message 11).
-pub(crate) const START_ALLO_PREFIX: &str = "START_ALLO";
-/// Prefix of the `end_allo` rule (message 12).
-pub(crate) const END_ALLO_PREFIX: &str = "END_ALLO";
-/// Prefix of the `task_assigned` rule (message 14).
-pub(crate) const TASK_ASSIGNED_PREFIX: &str = "Got assigned task";
-
-/// How a rule decides that a log line is scheduling-relevant.
+/// How a rule decides that a log line is scheduling-relevant, and what
+/// the line means when it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchKind {
-    /// Shape match: literal text with `{}` capture holes
-    /// (compiled to a [`crate::pattern::Pat`], anchored both ends).
-    Template(&'static str),
-    /// The message starts with a literal prefix.
-    Prefix(&'static str),
+    /// A state machine's transition line: a template (compiled to a
+    /// [`Pat`], anchored both ends) whose holes are the `subject`'s id,
+    /// the state left, the state entered and, where the machine logs it,
+    /// the event. An entered state maps to the kind of the first entry
+    /// of `to` it fits (the event too, when the entry names one); a
+    /// state of the alphabet `states` that none fits is recognized and
+    /// skipped, and one outside it is schema drift.
+    Transition {
+        template: &'static str,
+        subject: Subject,
+        states: &'static [&'static str],
+        to: &'static [(&'static str, Option<&'static str>, EventKind)],
+    },
+    /// The name rule: literal text whose one hole is the Spark
+    /// application's name, a label rather than an event.
+    Name(&'static str),
+    /// The message starts with a literal prefix; the line is the event.
+    Prefix(&'static str, EventKind),
     /// The first record of a stream, regardless of content (§III-B:
-    /// "we use the first log message to mark the successful launching").
-    Positional,
+    /// "we use the first log message to mark the successful launching"),
+    /// is the event.
+    Positional(EventKind),
 }
 
-/// One extraction rule: where it applies and how it matches.
+/// What a transition line's id names: what its events are bound to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Subject {
+    /// An application.
+    App,
+    /// A container.
+    Container,
+}
+
+/// One extraction rule: where it applies, how it matches, what it emits.
+#[derive(Debug)]
 pub struct PatternSpec {
     /// Stable identifier used in diagnostics.
     pub name: &'static str,
     /// log4j class gate (`None` = the rule ignores the class column,
-    /// as the driver/executor prefix rules do).
+    /// as the driver/executor rules do).
     pub class: Option<&'static str>,
     /// The log family the rule reads.
     pub family: Family,
-    /// The matching discipline.
+    /// The matching discipline and what it emits.
     pub kind: MatchKind,
     /// `true` for rules kept for real-world corpora that no simulator
     /// emit site produces. Every other rule must have an emitter —
     /// `sdlint` flags dead rules that lack this annotation.
     pub external_only: bool,
+    /// The template, compiled on the row's first use.
+    pat: OnceLock<Pat>,
 }
 
-/// The complete extraction-rule table, in the order the extractor
-/// consults them.
-pub(crate) const PATTERNS: [PatternSpec; 10] = [
-    PatternSpec {
-        name: "rm_app_transition",
-        class: Some("RMAppImpl"),
-        family: Family::ResourceManager,
-        kind: MatchKind::Template(RM_APP_TEMPLATE),
-        external_only: false,
-    },
-    PatternSpec {
-        name: "rm_container_transition",
-        class: Some("RMContainerImpl"),
-        family: Family::ResourceManager,
-        kind: MatchKind::Template(RM_CONTAINER_TEMPLATE),
-        external_only: false,
-    },
-    PatternSpec {
-        name: "nm_container_transition",
-        class: Some("ContainerImpl"),
-        family: Family::NodeManager,
-        kind: MatchKind::Template(NM_CONTAINER_TEMPLATE),
-        external_only: false,
-    },
-    PatternSpec {
-        name: "driver_first_log",
-        class: None,
-        family: Family::Driver,
-        kind: MatchKind::Positional,
-        external_only: false,
-    },
-    PatternSpec {
-        name: "driver_registered",
-        class: None,
-        family: Family::Driver,
-        kind: MatchKind::Prefix(DRIVER_REGISTERED_PREFIX),
-        external_only: false,
-    },
-    PatternSpec {
-        name: "start_allo",
-        class: None,
-        family: Family::Driver,
-        kind: MatchKind::Prefix(START_ALLO_PREFIX),
-        external_only: false,
-    },
-    PatternSpec {
-        name: "end_allo",
-        class: None,
-        family: Family::Driver,
-        kind: MatchKind::Prefix(END_ALLO_PREFIX),
-        external_only: false,
-    },
-    PatternSpec {
-        name: "spark_app_name",
-        class: None,
-        family: Family::Driver,
-        kind: MatchKind::Template(SPARK_APP_NAME_TEMPLATE),
-        external_only: false,
-    },
-    PatternSpec {
-        name: "executor_first_log",
-        class: None,
-        family: Family::Executor,
-        kind: MatchKind::Positional,
-        external_only: false,
-    },
-    PatternSpec {
-        name: "task_assigned",
-        class: None,
-        family: Family::Executor,
-        kind: MatchKind::Prefix(TASK_ASSIGNED_PREFIX),
-        external_only: false,
-    },
+/// The complete extraction-rule table, grouped by family; within a
+/// family the extractor tries the rows in this order.
+pub(crate) static PATTERNS: [PatternSpec; 10] = [
+    PatternSpec::rule(
+        "rm_app_transition",
+        Some("RMAppImpl"),
+        Family::ResourceManager,
+        MatchKind::Transition {
+            template: "{} State change from {} to {} on event = {}",
+            subject: Subject::App,
+            // Hadoop's `RMAppState`: KILLED appears in real RM logs the
+            // simulator never writes.
+            states: &[
+                "NEW",
+                "NEW_SAVING",
+                "SUBMITTED",
+                "ACCEPTED",
+                "RUNNING",
+                "FINAL_SAVING",
+                "FINISHING",
+                "FINISHED",
+                "FAILED",
+                "KILLED",
+            ],
+            to: &[
+                ("SUBMITTED", None, AppSubmitted),
+                ("ACCEPTED", None, AppAccepted),
+                ("RUNNING", Some("ATTEMPT_REGISTERED"), AttemptRegistered),
+                // FINAL_SAVING marks completion only on a clean AM
+                // unregister; the same state is entered on
+                // ATTEMPT_FAILED/KILL, which must not look like a
+                // finished job.
+                (
+                    "FINAL_SAVING",
+                    Some("ATTEMPT_UNREGISTERED"),
+                    AppUnregistered,
+                ),
+                ("FINISHED", None, AppFinished),
+                ("FAILED", None, AppFailed),
+                ("KILLED", None, AppKilled),
+            ],
+        },
+    ),
+    PatternSpec::rule(
+        "rm_container_transition",
+        Some("RMContainerImpl"),
+        Family::ResourceManager,
+        MatchKind::Transition {
+            template: "{} Container Transitioned from {} to {}",
+            subject: Subject::Container,
+            // Hadoop's `RMContainerState`.
+            states: &[
+                "NEW",
+                "ALLOCATED",
+                "ACQUIRED",
+                "RUNNING",
+                "COMPLETED",
+                "KILLED",
+            ],
+            to: &[
+                ("ALLOCATED", None, ContainerAllocated),
+                ("ACQUIRED", None, ContainerAcquired),
+                ("RUNNING", None, ContainerRmRunning),
+                ("COMPLETED", None, ContainerCompleted),
+            ],
+        },
+    ),
+    PatternSpec::rule(
+        "nm_container_transition",
+        Some("ContainerImpl"),
+        Family::NodeManager,
+        MatchKind::Transition {
+            template: "Container {} transitioned from {} to {}",
+            subject: Subject::Container,
+            // Hadoop's NodeManager-side `ContainerState`.
+            states: &[
+                "NEW",
+                "LOCALIZING",
+                "SCHEDULED",
+                "RUNNING",
+                "DONE",
+                "LOCALIZATION_FAILED",
+                "EXITED_WITH_FAILURE",
+            ],
+            to: &[
+                ("LOCALIZING", None, ContainerLocalizing),
+                ("SCHEDULED", None, ContainerScheduled),
+                ("RUNNING", None, ContainerNmRunning),
+                ("DONE", None, ContainerDone),
+            ],
+        },
+    ),
+    PatternSpec::rule(
+        "driver_first_log",
+        None,
+        Family::Driver,
+        MatchKind::Positional(DriverFirstLog),
+    ),
+    PatternSpec::rule(
+        "driver_registered",
+        None,
+        Family::Driver,
+        MatchKind::Prefix("Registered with ResourceManager", DriverRegistered),
+    ),
+    PatternSpec::rule(
+        "start_allo",
+        None,
+        Family::Driver,
+        MatchKind::Prefix("START_ALLO", StartAllo),
+    ),
+    PatternSpec::rule(
+        "end_allo",
+        None,
+        Family::Driver,
+        MatchKind::Prefix("END_ALLO", EndAllo),
+    ),
+    PatternSpec::rule(
+        "spark_app_name",
+        None,
+        Family::Driver,
+        MatchKind::Name("Starting ApplicationMaster for {}"),
+    ),
+    PatternSpec::rule(
+        "executor_first_log",
+        None,
+        Family::Executor,
+        MatchKind::Positional(ExecutorFirstLog),
+    ),
+    PatternSpec::rule(
+        "task_assigned",
+        None,
+        Family::Executor,
+        MatchKind::Prefix("Got assigned task", TaskAssigned),
+    ),
 ];
 
 /// The extraction-rule table.
@@ -155,72 +228,97 @@ pub(crate) fn is_logger(class: &str, simple: &str) -> bool {
         .is_some_and(|package| package.is_empty() || package.ends_with('.'))
 }
 
-/// The state alphabets the transition rules recognize, keyed by the
-/// rule's class gate. Supersets of the simulator's enums by design
-/// (e.g. `KILLED` appears in real RM logs the simulator never writes).
+/// The state alphabet of the transition row whose class gate `class`
+/// passes. A superset of the simulator's enum by design (e.g. `KILLED`
+/// appears in real RM logs the simulator never writes).
 pub fn state_alphabet(class: &str) -> Option<&'static [&'static str]> {
-    [
-        ("RMAppImpl", RM_APP_STATES),
-        ("RMContainerImpl", RM_CONTAINER_STATES),
-        ("ContainerImpl", NM_CONTAINER_STATES),
-    ]
-    .into_iter()
-    .find(|(gate, _)| is_logger(class, gate))
-    .map(|(_, states)| states)
+    PATTERNS.iter().find_map(|p| match p.kind {
+        MatchKind::Transition { states, .. } if p.class.is_some_and(|g| is_logger(class, g)) => {
+            Some(states)
+        }
+        _ => None,
+    })
 }
 
 impl PatternSpec {
-    /// Whether this rule matches on message shape (as opposed to
-    /// position in the stream).
-    pub fn is_shape_based(&self) -> bool {
-        !matches!(self.kind, MatchKind::Positional)
+    /// A row that a simulator emit site feeds (not `external_only`).
+    const fn rule(
+        name: &'static str,
+        class: Option<&'static str>,
+        family: Family,
+        kind: MatchKind,
+    ) -> PatternSpec {
+        PatternSpec {
+            name,
+            class,
+            family,
+            kind,
+            external_only: false,
+            pat: OnceLock::new(),
+        }
+    }
+
+    /// The rule's template, if it has one.
+    pub fn template(&self) -> Option<&'static str> {
+        match self.kind {
+            MatchKind::Transition { template, .. } | MatchKind::Name(template) => Some(template),
+            MatchKind::Prefix(..) | MatchKind::Positional(_) => None,
+        }
+    }
+
+    /// The template compiled, once per process.
+    pub(crate) fn pat(&self) -> Option<&Pat> {
+        let template = self.template()?;
+        Some(self.pat.get_or_init(|| Pat::new_static(template)))
+    }
+
+    /// The one gate-and-shape test of a line, which the extractor and
+    /// [`PatternSpec::matches`] share: the template's captures, then
+    /// empty strings (a prefix captures nothing), or `None`; always
+    /// `None` for a positional rule. Allocates nothing once the template
+    /// is compiled.
+    pub fn read<'t>(&self, class: &str, message: &'t str) -> Option<[&'t str; 4]> {
+        if self.class.is_some_and(|gate| !is_logger(class, gate)) {
+            return None;
+        }
+        match self.kind {
+            MatchKind::Prefix(prefix, _) => message.starts_with(prefix).then_some([""; 4]),
+            MatchKind::Positional(_) => None,
+            MatchKind::Transition { .. } | MatchKind::Name(_) => self.pat()?.match_padded(message),
+        }
     }
 
     /// Whether this rule would fire on `message` logged under `class`
-    /// in `family` (positional rules never fire here — they look at
-    /// stream position, not content).
+    /// in `family`.
     pub fn matches(&self, family: Family, class: &str, message: &str) -> bool {
-        if self.family != family {
-            return false;
-        }
-        if self.class.is_some_and(|gate| !is_logger(class, gate)) {
-            return false;
-        }
-        match self.kind {
-            MatchKind::Template(t) => crate::pattern::Pat::new_static(t).is_match(message),
-            MatchKind::Prefix(p) => message.starts_with(p),
-            MatchKind::Positional => false,
-        }
+        self.family == family && self.read(class, message).is_some()
     }
 
     /// A human-readable rendering of the matching discipline.
     pub fn kind_text(&self) -> String {
-        match self.kind {
-            MatchKind::Template(t) => format!("template {t:?}"),
-            MatchKind::Prefix(p) => format!("prefix {p:?}"),
-            MatchKind::Positional => "positional (first record of stream)".to_string(),
+        match (self.template(), self.kind) {
+            (Some(t), _) => format!("template {t:?}"),
+            (None, MatchKind::Prefix(p, _)) => format!("prefix {p:?}"),
+            (None, _) => "positional (first record of stream)".to_string(),
         }
     }
 }
 
-/// The shape-based rule whose literal text most resembles `message`,
-/// with its affinity score in `[0, 1]` — the "did you mean" half of a
-/// schema-drift diagnostic. Prefix rules score by their prefix;
-/// positional rules never resemble anything.
-pub(crate) fn closest_pattern(message: &str) -> Option<(&'static PatternSpec, f64)> {
-    let mut best: Option<(&'static PatternSpec, f64)> = None;
-    for p in &PATTERNS {
-        let score = match p.kind {
-            MatchKind::Template(t) => template_affinity(t, message),
-            MatchKind::Prefix(pre) => {
-                if message.starts_with(pre) {
-                    1.0
-                } else {
-                    template_affinity(pre, message)
-                }
-            }
-            MatchKind::Positional => continue,
+/// The first rule of `rules` whose literal text most resembles
+/// `message`, with its affinity score in `[0, 1]` — the "did you mean"
+/// half of a schema-drift diagnostic. A prefix scores as a template
+/// without holes; positional rules never resemble anything.
+pub fn closest_pattern<'r>(
+    rules: &'r [PatternSpec],
+    message: &str,
+) -> Option<(&'r PatternSpec, f64)> {
+    let mut best: Option<(&PatternSpec, f64)> = None;
+    for p in rules {
+        let literal = match (p.template(), p.kind) {
+            (Some(text), _) | (None, MatchKind::Prefix(text, _)) => text,
+            (None, _) => continue,
         };
+        let score = template_affinity(literal, message);
         if best.is_none_or(|(_, s)| score > s) {
             best = Some((p, score));
         }
@@ -239,18 +337,76 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), PATTERNS.len(), "duplicate rule names");
         for p in patterns() {
-            if let MatchKind::Template(t) = p.kind {
-                // Every template compiles (exercises the one panic site).
-                let pat = crate::pattern::Pat::new_static(t);
-                assert!(pat.captures() >= 1, "{}", p.name);
+            if let Some(pat) = p.pat() {
+                // Every template compiles (exercises the one panic site)
+                // and fits the four slots `read` fills.
+                assert!((1..=4).contains(&pat.captures()), "{}", p.name);
+            }
+        }
+    }
+
+    /// Every kind an event can have, with the rule that emits it.
+    fn emitted() -> Vec<(&'static str, EventKind)> {
+        PATTERNS
+            .iter()
+            .flat_map(|p| {
+                let kinds: Vec<EventKind> = match p.kind {
+                    MatchKind::Transition { to, .. } => to.iter().map(|&(_, _, k)| k).collect(),
+                    MatchKind::Prefix(_, k) | MatchKind::Positional(k) => vec![k],
+                    MatchKind::Name(_) => vec![],
+                };
+                kinds.into_iter().map(|k| (p.name, k))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_event_kind_is_emitted_by_exactly_one_entry() {
+        let emitted = emitted();
+        for kind in EventKind::ALL {
+            let rules: Vec<&str> = emitted
+                .iter()
+                .filter(|&&(_, k)| k == kind)
+                .map(|&(rule, _)| rule)
+                .collect();
+            assert_eq!(rules.len(), 1, "{kind:?} is emitted by {rules:?}");
+        }
+        assert_eq!(emitted.len(), EventKind::ALL.len());
+    }
+
+    #[test]
+    fn mapped_states_lie_in_their_alphabets() {
+        for p in patterns() {
+            if let MatchKind::Transition { states, to, .. } = p.kind {
+                for (state, _, kind) in to {
+                    assert!(states.contains(state), "{}: {kind:?} at {state}", p.name);
+                }
             }
         }
     }
 
     #[test]
+    fn the_first_log_kinds_belong_to_the_positional_rows() {
+        let positional: Vec<(Family, EventKind)> = PATTERNS
+            .iter()
+            .filter_map(|p| match p.kind {
+                MatchKind::Positional(k) => Some((p.family, k)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            positional,
+            [
+                (Family::Driver, EventKind::DriverFirstLog),
+                (Family::Executor, EventKind::ExecutorFirstLog),
+            ]
+        );
+    }
+
+    #[test]
     fn alphabets_cover_rule_classes() {
         for p in patterns() {
-            if let (Some(class), MatchKind::Template(_)) = (p.class, p.kind) {
+            if let (Some(class), MatchKind::Transition { .. }) = (p.class, p.kind) {
                 assert!(state_alphabet(class).is_some(), "{class} has no alphabet");
             }
         }
@@ -270,16 +426,65 @@ mod tests {
         assert!(rm_app.matches(Family::ResourceManager, full, msg));
         assert!(!rm_app.matches(Family::ResourceManager, "org.example.RMAppImplX", msg));
         assert_eq!(state_alphabet(full), state_alphabet("RMAppImpl"));
-        assert_eq!(state_alphabet("RMContainerImpl"), Some(RM_CONTAINER_STATES));
+        let rm_container = state_alphabet("RMContainerImpl").unwrap();
+        assert!(rm_container.contains(&"ACQUIRED") && !rm_container.contains(&"LOCALIZING"));
         assert!(!is_logger("RMContainerImpl", "ContainerImpl"));
     }
 
     #[test]
     fn closest_pattern_names_near_misses() {
-        let (p, score) = closest_pattern("c_1 Container Transitioned from NEW to PAUSED").unwrap();
+        let (p, score) =
+            closest_pattern(&PATTERNS, "c_1 Container Transitioned from NEW to PAUSED").unwrap();
         assert_eq!(p.name, "rm_container_transition");
         assert!(score > 0.9, "{score}");
-        let (_, low) = closest_pattern("completely unrelated chatter").unwrap();
+        let (_, low) = closest_pattern(&PATTERNS, "completely unrelated chatter").unwrap();
         assert!(low < 0.5, "{low}");
+        let (p, score) = closest_pattern(&PATTERNS, "START_ALLO Requesting 4").unwrap();
+        assert_eq!((p.name, score), ("start_allo", 1.0));
+    }
+
+    /// How DESIGN.md § "Extraction rules" states a row.
+    fn describe(p: &PatternSpec) -> String {
+        let n = |k: EventKind| match k.table1_number() {
+            Some(n) => format!("msg {n}"),
+            None => "not in Table I".to_string(),
+        };
+        let event = |k: EventKind| format!("`{}` ({})", k.name(), n(k));
+        let emits = match p.kind {
+            MatchKind::Transition { to, .. } => to
+                .iter()
+                .map(|&(state, on, k)| match on {
+                    Some(on) => format!("{} at {state} on {on}", event(k)),
+                    None => format!("{} at {state}", event(k)),
+                })
+                .collect::<Vec<_>>()
+                .join(", "),
+            MatchKind::Prefix(_, k) | MatchKind::Positional(k) => event(k),
+            MatchKind::Name(_) => "the application's name, no event".to_string(),
+        };
+        let class = p
+            .class
+            .map_or("any class".to_string(), |c| format!("`{c}`"));
+        format!(
+            "- **{}** ({}, {class}), {}: {emits}",
+            p.name,
+            p.family.name(),
+            p.kind_text()
+        )
+    }
+
+    #[test]
+    fn design_md_states_every_rule() {
+        let design = include_str!("../../../DESIGN.md");
+        let missing: Vec<String> = PATTERNS
+            .iter()
+            .map(describe)
+            .filter(|bullet| !design.lines().any(|l| l == bullet))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "DESIGN.md lacks:\n{}",
+            missing.join("\n")
+        );
     }
 }

@@ -63,8 +63,8 @@
 //! poll's `stat` saw; only an unterminated remainder is copied. So a
 //! backlog drain holds one chunk, its records and each file's
 //! unterminated last line, not one file. A read error is counted and
-//! retried at the next look; an empty line is no line to [`TailStats`]
-//! (batch counts it as skipped). A file that shrinks (rotation,
+//! retried at the next look; an empty line is no line to [`TailStats`],
+//! nor to batch's ingest counters. A file that shrinks (rotation,
 //! truncation) resets its offset and is re-read. The net guarantee,
 //! pinned by the incremental property test: replaying a tailed corpus in
 //! *any* append chunking yields exactly the records batch ingest reads
@@ -96,9 +96,8 @@ pub struct TailStats {
     pub read_bytes: u64,
     /// Lines parsed into records.
     pub parsed_lines: u64,
-    /// Complete lines that did not parse (banners, junk, stack traces);
-    /// an empty line is not counted, where batch's
-    /// `ingest_lines_total{status="skipped"}` counts it.
+    /// Complete lines that did not parse ([`ReadCounts::skipped`], as
+    /// batch's `ingest_lines_total{status="skipped"}` counts them).
     pub skipped_lines: u64,
     /// Files that shrank and were reset to offset 0.
     pub resets: u64,
@@ -107,11 +106,11 @@ pub struct TailStats {
 }
 
 impl TailStats {
-    /// Count one read: its bytes, and its lines but the empty ones.
+    /// Count one read: its bytes, and its parsed and skipped lines.
     fn add(&mut self, read: ReadCounts) {
         self.read_bytes += read.bytes;
         self.parsed_lines += read.records;
-        self.skipped_lines += read.lines - read.records - read.empty;
+        self.skipped_lines += read.skipped();
     }
 }
 
@@ -1113,8 +1112,9 @@ mod tests {
             .map(|r| (LogSource::ResourceManager, r))
             .collect();
         let empty = lines.iter().filter(|l| l.is_empty()).count() as u64;
-        let (parsed, skipped) = (want.len() as u64, lines.len() as u64 - want.len() as u64);
-        assert_eq!((empty, skipped), (3, 5), "three empty, the CR, the garbage");
+        let parsed = want.len() as u64;
+        let skipped = lines.len() as u64 - parsed - empty;
+        assert_eq!((empty, skipped), (3, 2), "three empty; the CR, the garbage");
         assert!(messages(&want).iter().any(|m| m.contains('\u{fffd}')));
 
         // Batch: the records `scan_dir` hands over, and the counts of one
@@ -1125,9 +1125,8 @@ mod tests {
         let (counts, read) = read_records(&epoch, file, &mut buf, &mut Vec::new(), true, |_| {});
         read.unwrap();
         assert_eq!(
-            (counts.records, counts.lines - counts.records, counts.empty),
-            (parsed, skipped, empty),
-            "batch counts an empty line as skipped"
+            (counts.records, counts.skipped(), counts.empty),
+            (parsed, skipped, empty)
         );
 
         let before = t.ops();
@@ -1148,8 +1147,8 @@ mod tests {
         let stats = t.stats();
         assert_eq!(
             (stats.parsed_lines, stats.skipped_lines),
-            (parsed, skipped - empty),
-            "the tailer does not count an empty line"
+            (parsed, skipped),
+            "batch and the tailer skip the same lines"
         );
 
         // A half line, then its rest: exact again.

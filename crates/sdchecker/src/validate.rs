@@ -228,7 +228,7 @@ pub(crate) fn coverage_warnings(cov: &ParseCoverage) -> Vec<String> {
             // report says *which* message shape changed, not just that
             // something did.
             if let Some(example) = cov.unmatched_example(kind) {
-                match crate::schema::closest_pattern(example) {
+                match crate::schema::closest_pattern(crate::schema::patterns(), example) {
                     Some((rule, score)) if score >= 0.5 => {
                         warning.push_str(&format!(
                             "; e.g. {example:?} resembles rule `{}` ({})",

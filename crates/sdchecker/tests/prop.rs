@@ -48,10 +48,13 @@ fn pattern_recovers_captures() {
             }
         }
         let pat = Pat::new(&pattern).unwrap();
-        let got = pat.match_str(&text);
+        let mut want = [""; 3];
+        for (slot, cap) in want.iter_mut().zip(&caps) {
+            *slot = cap;
+        }
         assert_eq!(
-            got,
-            Some(caps.iter().map(String::as_str).collect::<Vec<_>>()),
+            pat.match_padded::<3>(&text),
+            Some(want),
             "case {case}: pattern {pattern:?} text {text:?}"
         );
     }

@@ -17,18 +17,7 @@ const CHECKER: &str = "conformance";
 /// The rule whose shape most resembles `message`, rendered for a
 /// diagnostic ("closest near-miss").
 fn nearest_rule_text(rules: &[PatternSpec], message: &str) -> String {
-    let mut best: Option<(&PatternSpec, f64)> = None;
-    for r in rules {
-        let score = match r.kind {
-            MatchKind::Template(t) => logmodel::schema::template_affinity(t, message),
-            MatchKind::Prefix(p) => logmodel::schema::template_affinity(p, message),
-            MatchKind::Positional => continue,
-        };
-        if best.is_none_or(|(_, s)| score > s) {
-            best = Some((r, score));
-        }
-    }
-    match best {
+    match sdchecker::schema::closest_pattern(rules, message) {
         Some((r, score)) if score > 0.0 => format!(
             "closest rule: `{}` ({}), affinity {score:.2}",
             r.name,
@@ -44,7 +33,7 @@ fn firing_rules<'r>(t: &MsgTemplate, rules: &'r [PatternSpec]) -> Vec<&'r Patter
     let sample = t.sample();
     rules
         .iter()
-        .filter(|r| r.is_shape_based() && r.matches(t.family, t.class, &sample))
+        .filter(|r| r.matches(t.family, t.class, &sample))
         .collect()
 }
 
@@ -94,7 +83,7 @@ pub fn check(templates: &[MsgTemplate], rules: &[PatternSpec]) -> Vec<Finding> {
                 }
                 let has_positional = rules
                     .iter()
-                    .any(|r| r.family == t.family && matches!(r.kind, MatchKind::Positional));
+                    .any(|r| r.family == t.family && matches!(r.kind, MatchKind::Positional(_)));
                 if !has_positional {
                     findings.push(Finding::new(
                         CHECKER,
@@ -131,7 +120,7 @@ pub fn check(templates: &[MsgTemplate], rules: &[PatternSpec]) -> Vec<Finding> {
             continue;
         }
         let fed = match r.kind {
-            MatchKind::Positional => templates
+            MatchKind::Positional(_) => templates
                 .iter()
                 .any(|t| t.family == r.family && t.disposition == Disposition::Positional),
             _ => templates.iter().any(|t| {
@@ -167,16 +156,15 @@ mod tests {
         assert!(findings.is_empty(), "{findings:#?}");
     }
 
-    /// The table this checker verifies is the rule set that runs. The
-    /// extractor compiles its shapes from `PATTERNS`, but its class gates
-    /// and family dispatch are code of their own, tied to the table only
-    /// through the emitters — which a rule without an emitter
-    /// (`external_only`) does not have. So hold the two together
-    /// directly: every emitted template, logged under its own class as
-    /// the *second* record of a stream of its own family (positional
-    /// rules stay out of it), is classified by the running pipeline — or,
-    /// for the banner that name mining consumes, yields a name — exactly
-    /// when a shape-based rule of the table matches it.
+    /// The table this checker verifies is the rule set that runs: the
+    /// extractor reads nothing but `PATTERNS`, whose rows are its family
+    /// slices, class gates, shapes and emitted kinds, and tests a line
+    /// with `PatternSpec::read`, as `matches` does. This holds that end
+    /// to end, through the running pipeline: every emitted template,
+    /// logged under its own class as the *second* record of a stream of
+    /// its own family (positional rules stay out of it), is classified —
+    /// or, for the banner that name mining consumes, yields a name —
+    /// exactly when a rule of the table matches it.
     #[test]
     fn the_running_extractor_fires_exactly_where_the_table_does() {
         use logmodel::schema::Family;
@@ -203,7 +191,7 @@ mod tests {
             let named = pipeline.finish().iter().any(|r| r.name.is_some());
             let by_table = sdchecker::schema::patterns()
                 .iter()
-                .any(|p| p.is_shape_based() && p.matches(t.family, t.class, &sample));
+                .any(|p| p.matches(t.family, t.class, &sample));
             assert_eq!(
                 outcome != Outcome::Ignored || named,
                 by_table,

@@ -11,8 +11,9 @@
 use std::collections::BTreeMap;
 
 use logmodel::schema::MachineSpec;
-use logmodel::{LogSource, LogStore, TsMs};
-use sdchecker::pattern::Pat;
+use logmodel::{LogStore, TsMs};
+use sdchecker::schema::MatchKind;
+use sdchecker::Extractor;
 use simkit::Millis;
 use sparksim::profiles;
 use yarnsim::{ClusterConfig, FaultConfig};
@@ -73,35 +74,21 @@ struct Obs {
     to: String,
 }
 
-/// Parse every machine transition out of `store`, keyed by
-/// `(machine class, entity id)`, in log order.
-fn observed_transitions(store: &LogStore) -> BTreeMap<(String, String), Vec<Obs>> {
-    let rm_app = Pat::new_static(sdchecker::schema::RM_APP_TEMPLATE);
-    let rm_container = Pat::new_static(sdchecker::schema::RM_CONTAINER_TEMPLATE);
-    let nm_container = Pat::new_static(sdchecker::schema::NM_CONTAINER_TEMPLATE);
-    let mut out: BTreeMap<(String, String), Vec<Obs>> = BTreeMap::new();
+/// Read every machine transition out of `store` through the extractor's
+/// transition rows, keyed by `(machine class, entity id)`, in log order.
+fn observed_transitions(store: &LogStore) -> BTreeMap<(&'static str, String), Vec<Obs>> {
+    let ex = Extractor::new();
+    let mut out: BTreeMap<(&'static str, String), Vec<Obs>> = BTreeMap::new();
     for src in store.sources() {
         for r in store.records(src).iter() {
-            let (entity, from, to) = match (src, r.class) {
-                (LogSource::ResourceManager, "RMAppImpl") => match rm_app.match_str(r.message) {
-                    Some(c) => (c[0], c[1], c[2]),
-                    None => continue,
-                },
-                (LogSource::ResourceManager, "RMContainerImpl") => {
-                    match rm_container.match_str(r.message) {
-                        Some(c) => (c[0], c[1], c[2]),
-                        None => continue,
-                    }
-                }
-                (LogSource::NodeManager(_), "ContainerImpl") => {
-                    match nm_container.match_str(r.message) {
-                        Some(c) => (c[0], c[1], c[2]),
-                        None => continue,
-                    }
-                }
-                _ => continue,
+            let read = ex.rules(src).iter().find_map(|row| match row.kind {
+                MatchKind::Transition { .. } => Some((row.class?, row.read(r.class, r.message)?)),
+                _ => None,
+            });
+            let Some((class, [entity, from, to, _])) = read else {
+                continue;
             };
-            out.entry((r.class.to_string(), entity.to_string()))
+            out.entry((class, entity.to_string()))
                 .or_default()
                 .push(Obs {
                     ts: r.ts,
@@ -317,7 +304,7 @@ pub fn check() -> Vec<Finding> {
             ));
         }
         for ((class, entity), obs) in &transitions {
-            let Some(machine) = machines.get(class.as_str()) else {
+            let Some(machine) = machines.get(class) else {
                 findings.push(Finding::new(
                     CHECKER,
                     format!("[{}] no machine spec for logged class {class}", cfg.name),
