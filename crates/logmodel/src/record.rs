@@ -1,6 +1,7 @@
 //! Log records and log sources.
 
 use crate::ids::{ApplicationId, ContainerId, NodeId};
+use crate::schema::Family;
 use crate::TsMs;
 use std::fmt;
 
@@ -64,6 +65,16 @@ pub enum LogSource {
 }
 
 impl LogSource {
+    /// The family of logs the source belongs to.
+    pub fn family(&self) -> Family {
+        match self {
+            LogSource::ResourceManager => Family::ResourceManager,
+            LogSource::NodeManager(_) => Family::NodeManager,
+            LogSource::Driver(_) => Family::Driver,
+            LogSource::Executor(_) => Family::Executor,
+        }
+    }
+
     /// Relative file path used when flushing a [`crate::LogStore`] to disk.
     pub fn rel_path(&self) -> String {
         match self {

@@ -29,6 +29,14 @@ pub enum Family {
 }
 
 impl Family {
+    /// Every family, in declaration (and corpus-layout) order.
+    pub const ALL: [Family; 4] = [
+        Family::ResourceManager,
+        Family::NodeManager,
+        Family::Driver,
+        Family::Executor,
+    ];
+
     /// Stable display name (matches `sdchecker`'s coverage labels).
     pub fn name(self) -> &'static str {
         match self {

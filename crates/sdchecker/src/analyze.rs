@@ -494,11 +494,11 @@ pub mod tests {
 
     #[test]
     fn coverage_rides_along_and_is_thread_count_independent() {
-        use crate::extract::SourceKind;
+        use logmodel::schema::Family;
         let store = mini_corpus();
         let an = analyze_store(&store);
-        assert!(an.coverage.get(SourceKind::ResourceManager).matched > 0);
-        assert!(an.coverage.get(SourceKind::NodeManager).matched > 0);
+        assert!(an.coverage.get(Family::ResourceManager).matched > 0);
+        assert!(an.coverage.get(Family::NodeManager).matched > 0);
         assert_eq!(an.coverage.total().unmatched, 0);
         let par = analyze_store_with(&store, Parallelism::new(4));
         assert_eq!(par.coverage, an.coverage);

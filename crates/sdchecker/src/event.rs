@@ -2,22 +2,26 @@
 //! lines, corresponding to Table I of the paper (plus the terminal states
 //! needed for job-runtime and bug analysis).
 //!
-//! A [`SchedEvent`] stores each fact once. Every kind is written by
-//! exactly one log family — `RMAppImpl`/`RMContainerImpl` lines by the
-//! ResourceManager, `ContainerImpl` lines by a NodeManager, milestones
-//! by the driver or executor log they are read from — so the log an
-//! event came from is a function of its kind and its ids, and
-//! [`SchedEvent::source`] derives it instead of storing a 40-byte copy.
-//! Likewise a container always belongs to the event's application, so
-//! only its attempt and sequence are kept beside `app`. The event is
-//! 48 bytes instead of 120, and the batch merge, the daemon's
-//! per-application buffers and the exemplar reservoir hold that many
-//! per event. Construction goes through three constructors (one per
-//! scope), and the checkpoint decoder accepts exactly what they produce.
+//! A [`SchedEvent`] is made in one place, [`SchedEvent::new`], from the
+//! stream its line was read from and the ids the line names, and it
+//! stores each fact once: `ts`, `kind` and `app` as they are, a container
+//! as its attempt and sequence within `app`, a node as its number, and
+//! one byte for the binding `new` chose — the family of the stream and
+//! whether a container is named. [`SchedEvent::source`] is that stream,
+//! rebuilt from the byte and the ids (a stream's own id is always among
+//! them) instead of a 40-byte copy, so the event is 48 bytes instead of
+//! 120; the batch merge, the daemon's per-application buffers and the
+//! exemplar reservoir hold that many per event.
+//!
+//! Which family writes a kind, and what its id names, only the rows of
+//! [`crate::schema::PATTERNS`] say. The checkpoint decoder rebuilds each
+//! event through `new` from the row that emits its kind, so it accepts
+//! exactly the events the extractor makes.
 
 use logmodel::{AppAttemptId, ApplicationId, ContainerId, LogSource, NodeId, TsMs};
 
 use crate::checkpoint::CkptError;
+use crate::schema::{emitter, MatchKind, Subject};
 use crate::wire::{corrupt, wire_struct, Dec, Decode, Enc, Encode};
 
 /// The identified scheduling-event kinds. Numbers in the doc comments are
@@ -195,29 +199,6 @@ impl EventKind {
         use EventKind::*;
         matches!(self, AppUnregistered | AppFinished | AppFailed | AppKilled)
     }
-
-    /// Whether the event comes from cluster-scheduler (YARN) logs, as
-    /// opposed to application (Spark) logs.
-    pub(crate) fn is_cluster_side(self) -> bool {
-        !matches!(self.writer(), Writer::Driver | Writer::Executor)
-    }
-
-    /// The one log family that writes this kind, and what it names.
-    fn writer(self) -> Writer {
-        use EventKind::*;
-        match self {
-            AppSubmitted | AppAccepted | AttemptRegistered | AppUnregistered | AppFinished
-            | AppFailed | AppKilled => Writer::RmApp,
-            ContainerAllocated | ContainerAcquired | ContainerRmRunning | ContainerCompleted => {
-                Writer::RmContainer
-            }
-            ContainerLocalizing | ContainerScheduled | ContainerNmRunning | ContainerDone => {
-                Writer::NodeManager
-            }
-            DriverFirstLog | DriverRegistered | StartAllo | EndAllo => Writer::Driver,
-            ExecutorFirstLog | TaskAssigned => Writer::Executor,
-        }
-    }
 }
 
 /// Add `per_kind`, events tallied by [`EventKind::index`], to
@@ -231,29 +212,35 @@ pub(crate) fn count_event_kinds(per_kind: &[u64; EventKind::ALL.len()]) {
     }
 }
 
-/// Where a kind is logged, and which ids besides the application its
-/// events carry.
+/// The global ids a log line names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Writer {
-    /// `RMAppImpl` in the ResourceManager log: the application only.
+pub(crate) enum Ids {
+    App(ApplicationId),
+    Container(ContainerId),
+}
+
+/// What [`SchedEvent::new`] bound an event to: the family of the stream
+/// it was read from, and whether it names a container.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Binding {
+    /// The ResourceManager log; the application its line names.
     RmApp,
-    /// `RMContainerImpl` in the ResourceManager log: a container.
+    /// The ResourceManager log; the container its line names.
     RmContainer,
-    /// `ContainerImpl` in a NodeManager log: a container and the node.
-    NodeManager,
-    /// The application's driver log: the application only.
+    /// A NodeManager log, `node`; the container its line names.
+    NmContainer,
+    /// The application's driver log.
     Driver,
-    /// A container's executor log: that container.
+    /// The container's executor log.
     Executor,
 }
 
 /// One extracted scheduling event, bound to its global IDs.
 ///
 /// `ts`, `kind` and `app` are stored as they are; the container is kept
-/// as its attempt and sequence within `app`, the node as its number,
-/// each behind a presence flag, and the log it came from is derived
-/// ([`SchedEvent::source`]). Build one with [`SchedEvent::app_scoped`],
-/// [`SchedEvent::container_scoped`] or [`SchedEvent::node_manager`].
+/// as its attempt and sequence within `app`, the node as its number, and
+/// `binding` says which of them are set and which family the stream the
+/// event was read from ([`SchedEvent::source`]) belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedEvent {
     /// When it was logged.
@@ -263,96 +250,74 @@ pub struct SchedEvent {
     /// The owning application (always derivable — every Table-I message
     /// carries an application or container id).
     pub app: ApplicationId,
-    has_container: bool,
-    has_node: bool,
-    /// The container's attempt and sequence within `app`; zero when
-    /// `has_container` is not set.
+    binding: Binding,
+    /// The container's attempt and sequence within `app`; zero when the
+    /// binding names none.
     attempt: u32,
     seq: u64,
-    /// The logging NodeManager's number; zero when `has_node` is not set.
+    /// The logging NodeManager's number; zero for other streams.
     node: u32,
 }
 
 const _: () = assert!(std::mem::size_of::<SchedEvent>() <= 48);
 
 impl SchedEvent {
-    /// An event about the application itself: an `RMAppImpl` transition
-    /// or a driver-log milestone.
-    pub(crate) fn app_scoped(ts: TsMs, kind: EventKind, app: ApplicationId) -> SchedEvent {
-        debug_assert!(
-            matches!(kind.writer(), Writer::RmApp | Writer::Driver),
-            "{kind:?}"
-        );
-        SchedEvent {
+    /// The event of `kind` a line of `source` logged at `ts` makes: bound
+    /// to `named`, the ids the line names, in a cluster log (a container,
+    /// in a NodeManager's), and to the stream's own ids in an
+    /// application's log. `None` for any other combination, which no row
+    /// of [`crate::schema::PATTERNS`] makes.
+    pub(crate) fn new(
+        ts: TsMs,
+        kind: EventKind,
+        source: LogSource,
+        named: Option<Ids>,
+    ) -> Option<SchedEvent> {
+        let (binding, app, cid, node) = match (source, named) {
+            (LogSource::ResourceManager, Some(Ids::App(app))) => (Binding::RmApp, app, None, 0),
+            (LogSource::ResourceManager, Some(Ids::Container(cid))) => {
+                (Binding::RmContainer, cid.app(), Some(cid), 0)
+            }
+            (LogSource::NodeManager(node), Some(Ids::Container(cid))) => {
+                (Binding::NmContainer, cid.app(), Some(cid), node.0)
+            }
+            (LogSource::Driver(app), None) => (Binding::Driver, app, None, 0),
+            (LogSource::Executor(cid), None) => (Binding::Executor, cid.app(), Some(cid), 0),
+            _ => return None,
+        };
+        Some(SchedEvent {
             ts,
             kind,
             app,
-            has_container: false,
-            has_node: false,
-            attempt: 0,
-            seq: 0,
-            node: 0,
-        }
-    }
-
-    /// An event about one container, logged by the ResourceManager or by
-    /// the container's own executor log.
-    pub(crate) fn container_scoped(ts: TsMs, kind: EventKind, cid: ContainerId) -> SchedEvent {
-        debug_assert!(
-            matches!(kind.writer(), Writer::RmContainer | Writer::Executor),
-            "{kind:?}"
-        );
-        SchedEvent {
-            ts,
-            kind,
-            app: cid.app(),
-            has_container: true,
-            has_node: false,
-            attempt: cid.attempt.attempt,
-            seq: cid.seq,
-            node: 0,
-        }
-    }
-
-    /// A `ContainerImpl` transition logged by NodeManager `node`.
-    pub(crate) fn node_manager(
-        ts: TsMs,
-        kind: EventKind,
-        cid: ContainerId,
-        node: NodeId,
-    ) -> SchedEvent {
-        debug_assert!(kind.writer() == Writer::NodeManager, "{kind:?}");
-        SchedEvent {
-            ts,
-            kind,
-            app: cid.app(),
-            has_container: true,
-            has_node: true,
-            attempt: cid.attempt.attempt,
-            seq: cid.seq,
-            node: node.0,
-        }
+            binding,
+            attempt: cid.map_or(0, |c| c.attempt.attempt),
+            seq: cid.map_or(0, |c| c.seq),
+            node,
+        })
     }
 
     /// The container, for container-scoped events.
     pub fn container(&self) -> Option<ContainerId> {
-        self.has_container.then(|| self.container_id())
+        matches!(
+            self.binding,
+            Binding::RmContainer | Binding::NmContainer | Binding::Executor
+        )
+        .then(|| self.container_id())
     }
 
-    /// The NodeManager that logged it, for NodeManager events.
+    /// The NodeManager that logged it, for events read from a NodeManager
+    /// log.
     pub fn node(&self) -> Option<NodeId> {
-        self.has_node.then_some(NodeId(self.node))
+        (self.binding == Binding::NmContainer).then_some(NodeId(self.node))
     }
 
-    /// Which log the event came from: the ResourceManager's for RM kinds,
-    /// the node's for NodeManager kinds, the application's driver log or
-    /// the container's executor log for the milestones read from them.
+    /// The log the event was read from.
     pub fn source(&self) -> LogSource {
-        match self.kind.writer() {
-            Writer::RmApp | Writer::RmContainer => LogSource::ResourceManager,
-            Writer::NodeManager => LogSource::NodeManager(NodeId(self.node)),
-            Writer::Driver => LogSource::Driver(self.app),
-            Writer::Executor => LogSource::Executor(self.container_id()),
+        match self.binding {
+            Binding::RmApp | Binding::RmContainer => LogSource::ResourceManager,
+            Binding::NmContainer => LogSource::NodeManager(NodeId(self.node)),
+            Binding::Driver => LogSource::Driver(self.app),
+            Binding::Executor => LogSource::Executor(self.container_id()),
         }
     }
 
@@ -453,10 +418,9 @@ impl Encode for SchedEvent {
             ts,
             kind,
             app,
-            has_container: _, // with `attempt` and `seq`: `container()`
+            binding: _, // with the ids: `container()`, `node()`, `source()`
             attempt: _,
             seq: _,
-            has_node: _, // with `node`: `node()`
             node: _,
         } = self;
         (ts, kind, app).encode(e);
@@ -464,104 +428,136 @@ impl Encode for SchedEvent {
     }
 }
 
-/// Only what one of the three constructors produces decodes: the ids a
-/// kind's writer names, a container of the event's own application, and
-/// the source derived from them. Anything else is `Corrupt` — a
-/// checkpoint cannot restore an event the extractor could not have made.
+/// Only what [`SchedEvent::new`] makes from a line of the kind's row
+/// decodes: the event is rebuilt from `source`, which must be of the
+/// row's family, and the ids the row names (a transition row's `subject`,
+/// else the stream's), and must give back all six members. Anything else
+/// is `Corrupt` — a checkpoint cannot restore an event the extractor
+/// could not have made.
 impl Decode for SchedEvent {
     fn decode(d: &mut Dec<'_>) -> Result<SchedEvent, CkptError> {
         let (ts, kind, app): (TsMs, EventKind, ApplicationId) = d.get()?;
         let (container, node, source): (Option<ContainerId>, Option<NodeId>, LogSource) =
             d.get()?;
-        let ev = match (kind.writer(), container, node) {
-            (Writer::RmApp | Writer::Driver, None, None) => SchedEvent::app_scoped(ts, kind, app),
-            (Writer::RmContainer | Writer::Executor, Some(cid), None) if cid.app() == app => {
-                SchedEvent::container_scoped(ts, kind, cid)
-            }
-            (Writer::NodeManager, Some(cid), Some(node)) if cid.app() == app => {
-                SchedEvent::node_manager(ts, kind, cid, node)
-            }
-            _ => {
-                return Err(corrupt(format!(
-                    "{} event of {app} with container {container:?} and node {node:?}",
-                    kind.name()
-                )))
-            }
-        };
-        if ev.source() != source {
-            return Err(corrupt(format!(
-                "{} event of {app} from {}",
+        let rebuilt = emitter(kind)
+            .filter(|row| row.family == source.family())
+            .and_then(|row| {
+                let named = match row.kind {
+                    MatchKind::Transition { subject, .. } => Some(match subject {
+                        Subject::App => Ids::App(app),
+                        Subject::Container => Ids::Container(container?),
+                    }),
+                    MatchKind::Prefix(..) | MatchKind::Positional(_) | MatchKind::Name(_) => None,
+                };
+                SchedEvent::new(ts, kind, source, named)
+            });
+        match rebuilt {
+            Some(ev) if ev.app == app && ev.container() == container && ev.node() == node => Ok(ev),
+            _ => Err(corrupt(format!(
+                "{} event of {app} with container {container:?} and node {node:?} from {}",
                 kind.name(),
                 source.rel_path()
-            )));
+            ))),
         }
-        Ok(ev)
     }
 }
 
 #[cfg(test)]
 pub mod tests {
     use super::*;
+    use crate::extract::{CoverageCounts, Extractor, StreamCursor};
+    use logmodel::schema::Family;
+    use logmodel::{Level, LogRecord};
 
-    /// Tests' shorthand for the three constructors: the one `kind` calls
-    /// for, given a container exactly when the kind is container-scoped
-    /// (of `app`); NodeManager kinds are logged by node 0.
+    /// The event of `kind` about `app`, or about `container` when given,
+    /// read from a stream of the family of `kind`'s row (NodeManager
+    /// kinds from node 0), if the row makes one.
+    fn try_ev(
+        ts: u64,
+        kind: EventKind,
+        app: ApplicationId,
+        container: Option<ContainerId>,
+    ) -> Option<SchedEvent> {
+        let row = emitter(kind)?;
+        let source = match row.family {
+            Family::ResourceManager => LogSource::ResourceManager,
+            Family::NodeManager => LogSource::NodeManager(NodeId(0)),
+            Family::Driver => LogSource::Driver(app),
+            Family::Executor => LogSource::Executor(container?),
+        };
+        let named = match row.kind {
+            MatchKind::Transition { subject, .. } => Some(match subject {
+                Subject::App => Ids::App(app),
+                Subject::Container => Ids::Container(container?),
+            }),
+            _ => None,
+        };
+        SchedEvent::new(TsMs(ts), kind, source, named)
+            .filter(|ev| ev.app == app && ev.container() == container)
+    }
+
+    /// Tests' shorthand for [`SchedEvent::new`]: given a container exactly
+    /// when `kind`'s row binds its events to one (of `app`).
     pub(crate) fn ev(
         ts: u64,
         kind: EventKind,
         app: ApplicationId,
         container: Option<ContainerId>,
     ) -> SchedEvent {
-        let ts = TsMs(ts);
-        match (kind.writer(), container) {
-            (Writer::RmApp | Writer::Driver, None) => SchedEvent::app_scoped(ts, kind, app),
-            (Writer::RmContainer | Writer::Executor, Some(cid)) if cid.app() == app => {
-                SchedEvent::container_scoped(ts, kind, cid)
-            }
-            (Writer::NodeManager, Some(cid)) if cid.app() == app => {
-                SchedEvent::node_manager(ts, kind, cid, NodeId(0))
-            }
-            _ => panic!("no constructor makes a {kind:?} event of {app} with {container:?}"),
-        }
+        try_ev(ts, kind, app, container)
+            .unwrap_or_else(|| panic!("no {kind:?} event of {app} with {container:?}"))
     }
 
     const CTS: u64 = 1_521_018_000_000;
 
-    /// Each family gets back exactly the ids it was built from, and the
-    /// source the extractor used to store next to them.
+    /// Each binding gives back exactly the ids the event was built from,
+    /// and the stream it was read from.
     #[test]
     fn accessors_return_what_each_constructor_was_given() {
         let app = ApplicationId::new(CTS, 3);
         let cid = app.attempt(2).container(1_000_001);
         let node = NodeId(17);
+        let rm = LogSource::ResourceManager;
+        let nm = LogSource::NodeManager(node);
+        let new = |ts, kind, source, named| SchedEvent::new(TsMs(ts), kind, source, named).unwrap();
         let cases = [
             // (event, container, node, source)
             (
-                SchedEvent::app_scoped(TsMs(1), EventKind::AppAccepted, app),
+                new(1, EventKind::AppAccepted, rm, Some(Ids::App(app))),
                 None,
                 None,
-                LogSource::ResourceManager,
+                rm,
             ),
             (
-                SchedEvent::container_scoped(TsMs(2), EventKind::ContainerAcquired, cid),
+                new(
+                    2,
+                    EventKind::ContainerAcquired,
+                    rm,
+                    Some(Ids::Container(cid)),
+                ),
                 Some(cid),
                 None,
-                LogSource::ResourceManager,
+                rm,
             ),
             (
-                SchedEvent::node_manager(TsMs(3), EventKind::ContainerScheduled, cid, node),
+                new(
+                    3,
+                    EventKind::ContainerScheduled,
+                    nm,
+                    Some(Ids::Container(cid)),
+                ),
                 Some(cid),
                 Some(node),
-                LogSource::NodeManager(node),
+                nm,
             ),
             (
-                SchedEvent::app_scoped(TsMs(4), EventKind::StartAllo, app),
+                new(5, EventKind::StartAllo, LogSource::Driver(app), None),
                 None,
                 None,
                 LogSource::Driver(app),
             ),
             (
-                SchedEvent::container_scoped(TsMs(5), EventKind::TaskAssigned, cid),
+                new(6, EventKind::TaskAssigned, LogSource::Executor(cid), None),
                 Some(cid),
                 None,
                 LogSource::Executor(cid),
@@ -573,14 +569,28 @@ pub mod tests {
             assert_eq!(ev.node(), node, "{ev:?}");
             assert_eq!(ev.source(), source, "{ev:?}");
         }
+        // No ids in a cluster log, an application in a NodeManager's, or
+        // ids in an application's log: no such row, and no event.
+        for (source, named) in [
+            (rm, None),
+            (nm, None),
+            (nm, Some(Ids::App(app))),
+            (LogSource::Driver(app), Some(Ids::App(app))),
+            (LogSource::Executor(cid), Some(Ids::Container(cid))),
+        ] {
+            let made = SchedEvent::new(TsMs(7), EventKind::StartAllo, source, named);
+            assert_eq!(made, None, "{source:?} naming {named:?}");
+        }
     }
 
     #[test]
     fn every_kind_round_trips_through_the_six_member_layout() {
         let cid = ApplicationId::new(CTS, 42).attempt(2).container(7);
         for kind in EventKind::ALL {
-            let scoped = !matches!(kind.writer(), Writer::RmApp | Writer::Driver);
-            let event = ev(9, kind, cid.app(), scoped.then_some(cid));
+            let event = [None, Some(cid)]
+                .into_iter()
+                .find_map(|c| try_ev(9, kind, cid.app(), c))
+                .unwrap();
             let bytes = Enc::payload(&event);
             let six = Enc::payload(&(
                 (event.ts, event.kind, event.app),
@@ -593,8 +603,53 @@ pub mod tests {
         }
     }
 
-    /// Hand-encoded payloads no constructor could have produced: each is
-    /// `Corrupt`, never an event.
+    /// The event of `kind` the extractor makes of a line of its row that
+    /// names `app`, or its container `own`, read from `source`.
+    fn extracted(
+        ex: &Extractor,
+        kind: EventKind,
+        source: LogSource,
+        app: ApplicationId,
+        own: ContainerId,
+    ) -> Option<SchedEvent> {
+        let row = emitter(kind).unwrap();
+        let message = match row.kind {
+            MatchKind::Transition {
+                template,
+                subject,
+                to,
+                ..
+            } => {
+                let id = match subject {
+                    Subject::App => app.to_string(),
+                    Subject::Container => own.to_string(),
+                };
+                let &(state, on, _) = to.iter().find(|&&(_, _, k)| k == kind).unwrap();
+                [id.as_str(), "NEW", state, on.unwrap_or("E")]
+                    .into_iter()
+                    .fold(template.to_string(), |m, hole| m.replacen("{}", hole, 1))
+            }
+            MatchKind::Prefix(prefix, _) => format!("{prefix} 0"),
+            MatchKind::Positional(_) | MatchKind::Name(_) => "a first line".to_string(),
+        };
+        let record = LogRecord::new(TsMs(1), Level::Info, row.class.unwrap_or("X"), message);
+        let mut out = Vec::new();
+        StreamCursor::default().step(
+            ex,
+            source,
+            &record.as_ref(),
+            &mut out,
+            &mut CoverageCounts::default(),
+        );
+        out.into_iter().find(|ev| ev.kind == kind)
+    }
+
+    /// Hand-encoded payloads no line could have made: each is `Corrupt`,
+    /// never an event. Then every kind, read from each family's stream
+    /// (its own entity's or another's), with the container absent, own or
+    /// foreign and the node absent, the stream's or another: a payload
+    /// decodes exactly when its kind's row reads that family and binds
+    /// those ids, and to the event the extractor makes of such a line.
     #[test]
     fn decode_rejects_what_no_constructor_makes() {
         let app = ApplicationId::new(CTS, 5);
@@ -684,8 +739,65 @@ pub mod tests {
         let ok = payload(ContainerScheduled, Some(own), Some(node), nm);
         assert_eq!(
             Dec::new(&ok).get::<SchedEvent>().unwrap(),
-            SchedEvent::node_manager(TsMs(1), ContainerScheduled, own, node)
+            SchedEvent::new(TsMs(1), ContainerScheduled, nm, Some(Ids::Container(own))).unwrap()
         );
+
+        let ex = Extractor::new();
+        let other = NodeId(5);
+        let sources = [
+            rm,
+            nm,
+            LogSource::NodeManager(other),
+            LogSource::Driver(app),
+            LogSource::Driver(foreign.app()),
+            LogSource::Executor(own),
+            LogSource::Executor(foreign),
+        ];
+        let mut accepted = 0;
+        for kind in EventKind::ALL {
+            let row = emitter(kind).unwrap();
+            // Whether the row binds an event of `app` to its container:
+            // by the transition's subject, or by the executor stream's name.
+            let bound = match row.kind {
+                MatchKind::Transition { subject, .. } => subject == Subject::Container,
+                _ => row.family == Family::Executor,
+            };
+            for source in sources {
+                let own_stream = match source {
+                    LogSource::ResourceManager | LogSource::NodeManager(_) => true,
+                    LogSource::Driver(a) => a == app,
+                    LogSource::Executor(c) => c == own,
+                };
+                let stream_node = match source {
+                    LogSource::NodeManager(n) => Some(n),
+                    _ => None,
+                };
+                let made = extracted(&ex, kind, source, app, own);
+                for c in [None, Some(own), Some(foreign)] {
+                    for n in [None, Some(node), Some(other)] {
+                        let verdict = row.family == source.family()
+                            && own_stream
+                            && c == bound.then_some(own)
+                            && n == stream_node;
+                        let decoded = Dec::new(&payload(kind, c, n, source)).get::<SchedEvent>();
+                        let what = format!("{kind:?} from {source:?}, {c:?}, {n:?}");
+                        if verdict {
+                            assert_eq!(decoded.ok(), made, "{what}");
+                            accepted += 1;
+                        } else {
+                            assert!(matches!(decoded, Err(CkptError::Corrupt(_))), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+        // Each kind decodes from one stream and id set, a NodeManager kind
+        // from either node's log.
+        let nm_kinds = EventKind::ALL
+            .into_iter()
+            .filter(|&k| emitter(k).unwrap().family == Family::NodeManager)
+            .count();
+        assert_eq!(accepted, EventKind::ALL.len() + nm_kinds);
     }
 
     /// The discriminant is exhaustive by construction (`wire_id` is a
@@ -738,13 +850,5 @@ pub mod tests {
         for k in EventKind::ALL {
             assert_eq!(format!("{k:?}"), k.name());
         }
-    }
-
-    #[test]
-    fn cluster_vs_app_side() {
-        assert!(EventKind::AppSubmitted.is_cluster_side());
-        assert!(EventKind::ContainerScheduled.is_cluster_side());
-        assert!(!EventKind::DriverRegistered.is_cluster_side());
-        assert!(!EventKind::TaskAssigned.is_cluster_side());
     }
 }

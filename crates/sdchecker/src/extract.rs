@@ -13,10 +13,10 @@
 use std::collections::BTreeMap;
 
 use logmodel::schema::Family;
-use logmodel::{ApplicationId, ContainerId, LogSource, Parallelism, RecordRef, SourceScan, TsMs};
+use logmodel::{ApplicationId, LogSource, Parallelism, RecordRef, SourceScan};
 
 use crate::checkpoint::CkptError;
-use crate::event::{count_event_kinds, EventKind, SchedEvent};
+use crate::event::{count_event_kinds, EventKind, Ids, SchedEvent};
 use crate::schema::{MatchKind, PatternSpec, Subject, PATTERNS};
 use crate::wire::{corrupt, wire_struct, Dec, Decode, Enc, Encode};
 
@@ -94,101 +94,44 @@ wire_struct!(CoverageCounts {
     ignored,
 });
 
-/// Coverage granularity: the four log families of the corpus layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SourceKind {
-    /// `resourcemanager.log` (RMApp + RMContainer state machines).
-    ResourceManager,
-    /// `nodemanager-node*.log` (NM container state machine).
-    NodeManager,
-    /// `apps/<appId>/driver.log`.
-    Driver,
-    /// `apps/<appId>/executor-*.log`.
-    Executor,
-}
-
-impl SourceKind {
-    /// All kinds, in summary-line order.
-    pub const ALL: [SourceKind; 4] = [
-        SourceKind::ResourceManager,
-        SourceKind::NodeManager,
-        SourceKind::Driver,
-        SourceKind::Executor,
-    ];
-
-    /// The family a concrete stream belongs to.
-    pub fn of(source: LogSource) -> SourceKind {
-        match source {
-            LogSource::ResourceManager => SourceKind::ResourceManager,
-            LogSource::NodeManager(_) => SourceKind::NodeManager,
-            LogSource::Driver(_) => SourceKind::Driver,
-            LogSource::Executor(_) => SourceKind::Executor,
-        }
-    }
-
-    /// The emitter tables' name for the family.
-    fn family(self) -> Family {
-        match self {
-            SourceKind::ResourceManager => Family::ResourceManager,
-            SourceKind::NodeManager => Family::NodeManager,
-            SourceKind::Driver => Family::Driver,
-            SourceKind::Executor => Family::Executor,
-        }
-    }
-
-    /// Stable display/metric name (the `source` label of
-    /// `parse_lines_total`).
-    pub fn name(self) -> &'static str {
-        self.family().name()
-    }
-
-    /// Whether this family's scheduling-relevant messages are
-    /// transition-shaped, i.e. whether `unmatched` is a meaningful
-    /// schema-drift signal. Driver/executor matching is prefix-based with
-    /// no such signal, so only RM/NM coverage gates delay trust.
-    pub(crate) fn is_scheduling_relevant(self) -> bool {
-        matches!(self, SourceKind::ResourceManager | SourceKind::NodeManager)
-    }
-}
-
-/// The family's number in a checkpoint is its position in
-/// [`SourceKind::ALL`], spelled out so that a new variant does not
-/// compile until it is given one.
-impl Encode for SourceKind {
+/// A family's number in a checkpoint is its position in [`Family::ALL`],
+/// spelled out so that a new variant does not compile until it is given
+/// one.
+impl Encode for Family {
     fn encode(&self, e: &mut Enc) {
         e.u8(match self {
-            SourceKind::ResourceManager => 0,
-            SourceKind::NodeManager => 1,
-            SourceKind::Driver => 2,
-            SourceKind::Executor => 3,
+            Family::ResourceManager => 0,
+            Family::NodeManager => 1,
+            Family::Driver => 2,
+            Family::Executor => 3,
         });
     }
 }
 
-impl Decode for SourceKind {
-    fn decode(d: &mut Dec<'_>) -> Result<SourceKind, CkptError> {
+impl Decode for Family {
+    fn decode(d: &mut Dec<'_>) -> Result<Family, CkptError> {
         let id = d.u8()?;
-        SourceKind::ALL
+        Family::ALL
             .get(usize::from(id))
             .copied()
-            .ok_or_else(|| corrupt(format!("invalid source-kind discriminant {id}")))
+            .ok_or_else(|| corrupt(format!("invalid log-family discriminant {id}")))
     }
 }
 
 /// Parse-coverage tallies for a whole corpus, per log family.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParseCoverage {
-    per_source: BTreeMap<SourceKind, CoverageCounts>,
+    per_source: BTreeMap<Family, CoverageCounts>,
     /// Per family, the unmatched example of the first source in
     /// [`LogSource`] order that has one, with that source. Feeds the
     /// schema-drift warning's "resembles known rule X" diagnostic.
-    unmatched_examples: BTreeMap<SourceKind, (LogSource, String)>,
+    unmatched_examples: BTreeMap<Family, (LogSource, String)>,
 }
 
 impl ParseCoverage {
     /// Fold one stream's tallies into its family.
-    pub fn record(&mut self, kind: SourceKind, counts: CoverageCounts) {
-        self.per_source.entry(kind).or_default().add(counts);
+    pub fn record(&mut self, family: Family, counts: CoverageCounts) {
+        self.per_source.entry(family).or_default().add(counts);
     }
 
     /// Offer `message`, `source`'s unmatched example (see
@@ -199,7 +142,7 @@ impl ParseCoverage {
     pub(crate) fn offer_unmatched_example(&mut self, source: LogSource, message: &str) {
         let held = self
             .unmatched_examples
-            .entry(SourceKind::of(source))
+            .entry(source.family())
             .or_insert((source, String::new()));
         if source <= held.0 {
             *held = (source, message.to_string());
@@ -207,17 +150,19 @@ impl ParseCoverage {
     }
 
     /// The unmatched message recorded for a family, if any.
-    pub fn unmatched_example(&self, kind: SourceKind) -> Option<&str> {
-        self.unmatched_examples.get(&kind).map(|(_, m)| m.as_str())
+    pub fn unmatched_example(&self, family: Family) -> Option<&str> {
+        self.unmatched_examples
+            .get(&family)
+            .map(|(_, m)| m.as_str())
     }
 
     /// The tallies of one family (zero if absent).
-    pub fn get(&self, kind: SourceKind) -> CoverageCounts {
-        self.per_source.get(&kind).copied().unwrap_or_default()
+    pub fn get(&self, family: Family) -> CoverageCounts {
+        self.per_source.get(&family).copied().unwrap_or_default()
     }
 
-    /// All present families and their tallies, in [`SourceKind`] order.
-    pub fn iter(&self) -> impl Iterator<Item = (SourceKind, CoverageCounts)> + '_ {
+    /// All present families and their tallies, in [`Family`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (Family, CoverageCounts)> + '_ {
         self.per_source.iter().map(|(k, c)| (*k, *c))
     }
 
@@ -334,9 +279,9 @@ impl StreamCursor {
         // FIRST_LOG, if this record takes it: a driver's or executor's
         // first record, or one strictly earlier than the record that has
         // it, whose place it takes.
-        let first_log = ex.first_log[SourceKind::of(source) as usize]
+        let first_log = ex.first_log[source.family() as usize]
             .filter(|_| self.first.is_none_or(|(ts, _)| r.ts < ts))
-            .and_then(|kind| event(r.ts, kind, source, None));
+            .and_then(|kind| SchedEvent::new(r.ts, kind, source, None));
         let held = self.first.filter(|_| first_log.is_some());
         if let (Some(ev), None) = (first_log, held) {
             out.push(ev);
@@ -357,7 +302,7 @@ impl StreamCursor {
             self.example_ts = Some(r.ts);
         }
         let mut name = None;
-        if matches!(source, LogSource::Driver(_)) && self.name_ts.is_none_or(|ts| r.ts < ts) {
+        if ex.reads_names(source) && self.name_ts.is_none_or(|ts| r.ts < ts) {
             name = ex.app_name(r);
             if name.is_some() {
                 self.name_ts = Some(r.ts);
@@ -381,7 +326,7 @@ wire_struct!(StreamCursor {
 });
 
 /// The rows of [`crate::schema::PATTERNS`], grouped by family in
-/// [`SourceKind::ALL`] order, their templates compiled.
+/// [`Family::ALL`] order, their templates compiled.
 pub struct Extractor {
     /// Per family, its rows in table order.
     rules: [Vec<&'static PatternSpec>; 4],
@@ -397,41 +342,18 @@ impl Default for Extractor {
     }
 }
 
-/// The global ids an event is bound to.
-enum Ids {
-    App(ApplicationId),
-    Container(ContainerId),
-}
-
-/// The event of `kind` a record of `source` logged at `ts` makes, bound
-/// to `named`, the ids its line names, or else to its stream's.
-fn event(ts: TsMs, kind: EventKind, source: LogSource, named: Option<Ids>) -> Option<SchedEvent> {
-    Some(match (source, named) {
-        (LogSource::NodeManager(node), Some(Ids::Container(cid))) => {
-            SchedEvent::node_manager(ts, kind, cid, node)
-        }
-        (LogSource::Driver(app), None) | (_, Some(Ids::App(app))) => {
-            SchedEvent::app_scoped(ts, kind, app)
-        }
-        (LogSource::Executor(cid), None) | (_, Some(Ids::Container(cid))) => {
-            SchedEvent::container_scoped(ts, kind, cid)
-        }
-        (LogSource::ResourceManager | LogSource::NodeManager(_), None) => return None,
-    })
-}
-
 impl Extractor {
     /// Group the rows by family and compile their templates.
     pub fn new() -> Extractor {
-        let family = |kind: SourceKind| PATTERNS.iter().filter(move |p| p.family == kind.family());
+        let rows = |f: Family| PATTERNS.iter().filter(move |p| p.family == f);
         // Compiled here, so that no line pays for it.
         for p in &PATTERNS {
             p.pat();
         }
         Extractor {
-            rules: SourceKind::ALL.map(|kind| family(kind).collect()),
-            first_log: SourceKind::ALL.map(|kind| {
-                family(kind).find_map(|p| match p.kind {
+            rules: Family::ALL.map(|f| rows(f).collect()),
+            first_log: Family::ALL.map(|f| {
+                rows(f).find_map(|p| match p.kind {
                     MatchKind::Positional(first) => Some(first),
                     _ => None,
                 })
@@ -445,7 +367,12 @@ impl Extractor {
     /// The rows of `source`'s family, in the order
     /// [`StreamCursor::step`] tries them on a line's content.
     pub fn rules(&self, source: LogSource) -> &[&'static PatternSpec] {
-        &self.rules[SourceKind::of(source) as usize]
+        &self.rules[source.family() as usize]
+    }
+
+    /// Whether `source`'s family is the one the name rule reads.
+    fn reads_names(&self, source: LogSource) -> bool {
+        self.name.is_some_and(|p| p.family == source.family())
     }
 
     /// The application name `r` carries, if it is a Spark driver banner.
@@ -469,18 +396,18 @@ impl Extractor {
                     to,
                     ..
                 } => {
-                    let ids = match subject {
+                    let named = match subject {
                         Subject::App => id.parse().map(Ids::App),
                         Subject::Container => id.parse().map(Ids::Container),
                     };
-                    let Ok(ids) = ids else {
+                    let Ok(named) = named else {
                         return Outcome::Anomalous;
                     };
                     let fits = to.iter().find(|(state, event, _)| {
                         *state == entered && event.is_none_or(|e| e == on)
                     });
                     match fits {
-                        Some(&(_, _, kind)) => (kind, Some(ids)),
+                        Some(&(_, _, kind)) => (kind, Some(named)),
                         None if states.contains(&entered) => return Outcome::Matched,
                         None => return Outcome::Unmatched,
                     }
@@ -488,7 +415,7 @@ impl Extractor {
                 MatchKind::Prefix(_, kind) => (kind, None),
                 MatchKind::Name(_) | MatchKind::Positional(_) => continue,
             };
-            out.extend(event(r.ts, kind, source, named));
+            out.extend(SchedEvent::new(r.ts, kind, source, named));
             return Outcome::Matched;
         }
         Outcome::Ignored
@@ -641,8 +568,7 @@ pub(crate) fn merge_scans(scans: Vec<StreamScan>) -> Extracted {
     let mut watermark = None;
     let mut streams = Vec::with_capacity(scans.len());
     for scan in scans {
-        let kind = SourceKind::of(scan.source);
-        coverage.record(kind, scan.cov);
+        coverage.record(scan.source.family(), scan.cov);
         if let Some(msg) = &scan.example {
             coverage.offer_unmatched_example(scan.source, msg);
         }
@@ -670,7 +596,7 @@ fn flush_stream_metrics(src: LogSource, evs: &[SchedEvent], cov: CoverageCounts)
         per_kind[e.kind.index()] += 1;
     }
     count_event_kinds(&per_kind);
-    let source = SourceKind::of(src).name();
+    let source = src.family().name();
     for (status, n) in [
         ("matched", cov.matched),
         ("unmatched", cov.unmatched),
@@ -731,11 +657,8 @@ pub fn extract_app_names_with(
 ) -> std::collections::BTreeMap<ApplicationId, String> {
     let _span = obs::span("extract_app_names");
     let ex = Extractor::new();
-    let drivers: Vec<LogSource> = store
-        .sources()
-        .filter(|src| matches!(src, LogSource::Driver(_)))
-        .collect();
-    let scans = logmodel::par::map(par, &drivers, |&src| {
+    let streams: Vec<LogSource> = store.sources().filter(|&src| ex.reads_names(src)).collect();
+    let scans = logmodel::par::map(par, &streams, |&src| {
         store.scan(src, StreamScanner::new(&ex, src))
     });
     merge_scans(scans.into_iter().flatten().collect()).app_names
@@ -744,6 +667,8 @@ pub fn extract_app_names_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::tests::ev;
+    use crate::schema::has_transitions;
 
     /// One whole-stream scan: events, coverage and first unmatched
     /// message.
@@ -761,7 +686,7 @@ mod tests {
     fn extract_stream(ex: &Extractor, source: LogSource, records: &[LogRecord]) -> Vec<SchedEvent> {
         scan_records(ex, source, records).0
     }
-    use logmodel::{Epoch, Level, LogRecord, LogStore, NodeId};
+    use logmodel::{Epoch, Level, LogRecord, LogStore, NodeId, TsMs};
 
     const CTS: u64 = 1_521_018_000_000;
 
@@ -1105,7 +1030,7 @@ mod tests {
     fn anomalous_column_appears_only_when_nonzero() {
         let mut clean = ParseCoverage::default();
         clean.record(
-            SourceKind::ResourceManager,
+            Family::ResourceManager,
             CoverageCounts {
                 matched: 3,
                 unmatched: 1,
@@ -1119,7 +1044,7 @@ mod tests {
         );
         let mut damaged = clean.clone();
         damaged.record(
-            SourceKind::NodeManager,
+            Family::NodeManager,
             CoverageCounts {
                 matched: 5,
                 unmatched: 0,
@@ -1181,8 +1106,8 @@ mod tests {
         );
         let (evs, cov) = extract_all_cov_with(&store, Parallelism::ONE);
         assert_eq!(evs.len(), 2);
-        assert_eq!(cov.get(SourceKind::ResourceManager).matched, 1);
-        assert_eq!(cov.get(SourceKind::Driver).matched, 1);
+        assert_eq!(cov.get(Family::ResourceManager).matched, 1);
+        assert_eq!(cov.get(Family::Driver).matched, 1);
         assert_eq!(cov.total().matched, 2);
         let line = cov.summary_line();
         assert!(line.contains("resourcemanager 1/0/0"), "{line}");
@@ -1195,26 +1120,26 @@ mod tests {
     }
 
     #[test]
-    fn source_kind_wire_discriminants_are_the_all_positions_and_round_trip() {
-        for (i, k) in SourceKind::ALL.into_iter().enumerate() {
-            let bytes = Enc::payload(&k);
-            assert_eq!(bytes, [i as u8], "{k:?}");
-            assert_eq!(Dec::new(&bytes).get::<SourceKind>().unwrap(), k);
+    fn family_wire_discriminants_are_the_all_positions_and_round_trip() {
+        for (i, f) in Family::ALL.into_iter().enumerate() {
+            let bytes = Enc::payload(&f);
+            assert_eq!(bytes, [i as u8], "{f:?}");
+            assert_eq!(Dec::new(&bytes).get::<Family>().unwrap(), f);
         }
-        let past = [SourceKind::ALL.len() as u8];
-        assert!(Dec::new(&past).get::<SourceKind>().is_err());
+        let past = [Family::ALL.len() as u8];
+        assert!(Dec::new(&past).get::<Family>().is_err());
     }
 
     #[test]
-    fn source_kind_names_and_relevance() {
+    fn family_names_and_drift_relevance() {
         assert_eq!(
-            SourceKind::of(LogSource::ResourceManager).name(),
+            LogSource::ResourceManager.family().name(),
             "resourcemanager"
         );
-        assert!(SourceKind::ResourceManager.is_scheduling_relevant());
-        assert!(SourceKind::NodeManager.is_scheduling_relevant());
-        assert!(!SourceKind::Driver.is_scheduling_relevant());
-        assert!(!SourceKind::Executor.is_scheduling_relevant());
+        assert!(has_transitions(Family::ResourceManager));
+        assert!(has_transitions(Family::NodeManager));
+        assert!(!has_transitions(Family::Driver));
+        assert!(!has_transitions(Family::Executor));
         assert_eq!(
             ParseCoverage::default().summary_line(),
             "Parse coverage: no log lines"
@@ -1286,17 +1211,12 @@ mod tests {
         let (mut example, mut name, mut max_ts) = (None, None, None);
         for (i, r) in records.iter().enumerate() {
             let first_log = match src {
-                LogSource::Driver(app) => {
-                    Some(SchedEvent::app_scoped(r.ts, EventKind::DriverFirstLog, app))
-                }
-                LogSource::Executor(cid) => Some(SchedEvent::container_scoped(
-                    r.ts,
-                    EventKind::ExecutorFirstLog,
-                    cid,
-                )),
+                LogSource::Driver(_) => Some(EventKind::DriverFirstLog),
+                LogSource::Executor(_) => Some(EventKind::ExecutorFirstLog),
                 _ => None,
             }
-            .filter(|_| i == 0);
+            .filter(|_| i == 0)
+            .and_then(|kind| SchedEvent::new(r.ts, kind, src, None));
             events.extend(first_log);
             let mut outcome = ex.extract(src, &r.as_ref(), &mut events);
             if first_log.is_some() {
@@ -1445,10 +1365,11 @@ mod tests {
                 ts.into_iter()
                     .enumerate()
                     .map(|(p, t)| {
-                        SchedEvent::app_scoped(
-                            TsMs(t),
+                        ev(
+                            t,
                             EventKind::AppSubmitted,
                             ApplicationId::new(s as u64, p as u32),
+                            None,
                         )
                     })
                     .collect()

@@ -51,7 +51,7 @@ use crate::checkpoint::CkptError;
 use crate::decompose::{AppDelays, AppOutcome};
 use crate::event::{count_event_kinds, EventKind, SchedEvent};
 use crate::exemplars::{PromotedApp, TailExemplars};
-use crate::extract::{CoverageCounts, Extractor, Outcome, ParseCoverage, SourceKind, StreamCursor};
+use crate::extract::{CoverageCounts, Extractor, Outcome, ParseCoverage, StreamCursor};
 use crate::fleet::{push_coverage, record_app_metrics, AppFacts, FleetAgg};
 use crate::tail::{TailLag, TailStats};
 use crate::wide::push_wide_event;
@@ -235,7 +235,7 @@ impl IncrementalAnalyzer {
             return;
         }
         let cursor = self.cursors.entry(source).or_default();
-        let kind = SourceKind::of(source);
+        let family = source.family();
         let recording = obs::enabled();
         let mut cov = CoverageCounts::default();
         let mut per_kind = [0u64; EventKind::ALL.len()];
@@ -273,7 +273,7 @@ impl IncrementalAnalyzer {
             }
             each(r.ts, step.outcome);
         }
-        self.cov.record(kind, cov);
+        self.cov.record(family, cov);
         if recording {
             // Tallied per run, as `StreamScanner` tallies per stream.
             count_event_kinds(&per_kind);
@@ -287,7 +287,7 @@ impl IncrementalAnalyzer {
                 if n > 0 {
                     obs::count_labeled(
                         "parse_lines_total",
-                        &[("source", kind.name()), ("status", status)],
+                        &[("source", family.name()), ("status", status)],
                         n,
                     );
                 }
@@ -540,6 +540,7 @@ mod tests {
     use crate::analyze::analyze_store;
     use crate::analyze::tests::one_app_corpus;
     use crate::decompose::APP_COMPONENTS;
+    use logmodel::schema::Family;
     use logmodel::{Epoch, LogStore};
 
     fn assert_delays_eq(a: &AppDelays, b: &AppDelays) {
@@ -647,9 +648,7 @@ mod tests {
         }
         assert!(single.late_events() > 0);
         assert_eq!(
-            sliced
-                .coverage()
-                .unmatched_example(SourceKind::ResourceManager),
+            sliced.coverage().unmatched_example(Family::ResourceManager),
             Some(format!("{a} State change from RUNNING to ZOMBIE on event = X").as_str())
         );
         assert!(single_outcomes
@@ -775,7 +774,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let (before, exemplars) = (fleet(&inc), inc.exemplars().index_json());
-        let driver = inc.coverage().get(SourceKind::Driver);
+        let driver = inc.coverage().get(Family::Driver);
 
         // The driver's first record is at 1 400 ms; this one is earlier,
         // and FIRST_LOG is all it would make.
@@ -788,7 +787,7 @@ mod tests {
         assert_eq!(inc.exemplars().index_json(), exemplars);
         // This record is matched now, and the one that had FIRST_LOG,
         // which made nothing else, is ignored.
-        let got = inc.coverage().get(SourceKind::Driver);
+        let got = inc.coverage().get(Family::Driver);
         assert_eq!(
             (got.matched, got.ignored),
             (driver.matched, driver.ignored + 1)
@@ -814,7 +813,7 @@ mod tests {
         store.info(n2, TsMs(100), "ContainerImpl", odd("WRAITH"));
         let batch = analyze_store(&store);
         assert_eq!(
-            batch.coverage.unmatched_example(SourceKind::NodeManager),
+            batch.coverage.unmatched_example(Family::NodeManager),
             Some(odd("GHOST").as_str())
         );
 

@@ -1,14 +1,19 @@
 //! The parser side of the emitter↔parser contract: every extraction rule
 //! of [`crate::extract`] is one row of [`PATTERNS`], and nothing else
-//! knows which line is which Table I message.
+//! knows which line is which Table I message, or which log family writes
+//! a kind.
 //!
 //! A row names its family, class gate and shape, and what its rule emits:
-//! a transition row its machine's alphabet and which entered state (on
-//! which event) is which [`EventKind`], a prefix row its one kind, a
-//! positional row its FIRST_LOG kind; the banner row is the name rule.
-//! The [`Extractor`](crate::extract::Extractor), [`state_alphabet`] and
-//! `sdlint` (its emitter cross-check and its model check) all read the
-//! rows, through [`PatternSpec::read`] where they test a line.
+//! a transition row its machine's alphabet, what its id names, and which
+//! entered state (on which event) is which [`EventKind`]; a prefix row its
+//! one kind; a positional row its FIRST_LOG kind; the banner row is the
+//! name rule. The [`Extractor`](crate::extract::Extractor),
+//! [`state_alphabet`] and `sdlint` (its emitter cross-check and its model
+//! check) read the rows, through [`PatternSpec::read`] where they test a
+//! line. [`emitter`] finds the row of a kind: the checkpoint decoder
+//! rebuilds an event from it, corpus validation and the DOT rendering
+//! read its family, and coverage warnings read which families have
+//! transition rows.
 
 use std::sync::OnceLock;
 
@@ -215,6 +220,26 @@ pub fn patterns() -> &'static [PatternSpec] {
     &PATTERNS
 }
 
+/// The row whose rule emits `kind`: which family's lines it reads and,
+/// for a transition row, what its id names. A unit test holds every kind
+/// to exactly one row.
+pub(crate) fn emitter(kind: EventKind) -> Option<&'static PatternSpec> {
+    PATTERNS.iter().find(|p| match p.kind {
+        MatchKind::Transition { to, .. } => to.iter().any(|&(_, _, k)| k == kind),
+        MatchKind::Prefix(_, k) | MatchKind::Positional(k) => k == kind,
+        MatchKind::Name(_) => false,
+    })
+}
+
+/// Whether `family` has a transition row: whether its `unmatched` lines
+/// are schema drift. Prefix and positional rows have no alphabet a line
+/// could fall outside.
+pub(crate) fn has_transitions(family: Family) -> bool {
+    PATTERNS
+        .iter()
+        .any(|p| p.family == family && matches!(p.kind, MatchKind::Transition { .. }))
+}
+
 /// Whether `class` is the logger `simple`: whether its last dotted
 /// segment is `simple`, which is what every class gate compares. Hadoop's
 /// stock layout prints the full name
@@ -370,6 +395,7 @@ mod tests {
                 .map(|&(rule, _)| rule)
                 .collect();
             assert_eq!(rules.len(), 1, "{kind:?} is emitted by {rules:?}");
+            assert_eq!(emitter(kind).map(|p| p.name), Some(rules[0]), "{kind:?}");
         }
         assert_eq!(emitted.len(), EventKind::ALL.len());
     }

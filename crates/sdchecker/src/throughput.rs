@@ -60,11 +60,12 @@ pub fn allocation_throughput(events: &[SchedEvent], window_ms: u64) -> Throughpu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::tests::ev;
     use logmodel::ApplicationId;
 
     fn alloc_at(ts: u64) -> SchedEvent {
         let cid = ApplicationId::new(1, 1).attempt(1).container(ts);
-        SchedEvent::container_scoped(TsMs(ts), EventKind::ContainerAllocated, cid)
+        ev(ts, EventKind::ContainerAllocated, cid.app(), Some(cid))
     }
 
     #[test]
@@ -98,11 +99,7 @@ mod tests {
     fn other_events_ignored() {
         let app = ApplicationId::new(1, 1);
         let mut evs = vec![alloc_at(0), alloc_at(10)];
-        evs.push(SchedEvent::app_scoped(
-            TsMs(5),
-            EventKind::AppSubmitted,
-            app,
-        ));
+        evs.push(ev(5, EventKind::AppSubmitted, app, None));
         let t = allocation_throughput(&evs, 1000);
         assert_eq!(t.total, 2);
     }

@@ -19,11 +19,13 @@
 //! as the timestamps, so the right reaction to a skewed corpus is to fix
 //! the collection, not to analyze around it.
 
+use logmodel::schema::Family;
 use logmodel::{ApplicationId, ContainerId};
 
 use crate::event::EventKind;
-use crate::extract::{ParseCoverage, SourceKind};
+use crate::extract::ParseCoverage;
 use crate::graph::{ContainerTrack, SchedulingGraph};
+use crate::schema::{emitter, has_transitions};
 
 /// What went wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,11 +109,11 @@ fn may_repeat_on_retry(kind: EventKind) -> bool {
     )
 }
 
-fn check_chain(
+fn check_chain<'c>(
     app: ApplicationId,
     container: Option<ContainerId>,
     firsts: impl Fn(EventKind) -> Option<logmodel::TsMs>,
-    chain: &[(EventKind, EventKind)],
+    chain: impl IntoIterator<Item = &'c (EventKind, EventKind)>,
     out: &mut Vec<Anomaly>,
 ) {
     for (earlier, later) in chain {
@@ -180,12 +182,14 @@ pub fn validate_graph(g: &SchedulingGraph) -> Vec<Anomaly> {
     check_chain(g.app, None, |k| g.first(k), &APP_CHAIN, &mut out);
     check_duplicates(g.app, None, &g.app_events, retried, &mut out);
     for track in g.containers.values() {
-        // The AM container has no executor log; skip the executor links.
-        let chain: &[(EventKind, EventKind)] = if track.is_am() {
-            &CONTAINER_CHAIN[..4]
-        } else {
-            &CONTAINER_CHAIN
-        };
+        // The AM container has no executor log: skip the links to the
+        // kinds that log writes.
+        let am = track.is_am();
+        let chain = CONTAINER_CHAIN.iter().filter(|&&(earlier, later)| {
+            !am || ![earlier, later]
+                .into_iter()
+                .any(|k| emitter(k).is_some_and(|row| row.family == Family::Executor))
+        });
         check_chain(
             g.app,
             Some(track.cid),
@@ -203,23 +207,20 @@ pub fn validate_all<'a>(graphs: impl IntoIterator<Item = &'a SchedulingGraph>) -
     graphs.into_iter().flat_map(validate_graph).collect()
 }
 
-/// Warnings for incomplete parse coverage of scheduling-relevant message
-/// classes (the RM/NM state transitions every delay component is computed
+/// Warnings for incomplete parse coverage of the families with transition
+/// rows (the RM/NM state transitions every delay component is computed
 /// from). Below-100% coverage there means the extraction rules no longer
 /// understand the log format — new states, changed message shapes — and
 /// delays may be computed from an incomplete event set.
 pub(crate) fn coverage_warnings(cov: &ParseCoverage) -> Vec<String> {
     let mut out = Vec::new();
-    for kind in SourceKind::ALL {
-        if !kind.is_scheduling_relevant() {
-            continue;
-        }
-        let c = cov.get(kind);
+    for family in Family::ALL.into_iter().filter(|&f| has_transitions(f)) {
+        let c = cov.get(family);
         if c.unmatched > 0 {
             let mut warning = format!(
                 "coverage warning: {} understood {:.1}% of scheduling-relevant lines \
                  ({} unmatched of {}) — extraction rules may be out of date",
-                kind.name(),
+                family.name(),
                 100.0 * c.coverage(),
                 c.unmatched,
                 c.matched + c.unmatched + c.anomalous,
@@ -227,7 +228,7 @@ pub(crate) fn coverage_warnings(cov: &ParseCoverage) -> Vec<String> {
             // Name the known rule the drifted lines most resemble, so the
             // report says *which* message shape changed, not just that
             // something did.
-            if let Some(example) = cov.unmatched_example(kind) {
+            if let Some(example) = cov.unmatched_example(family) {
                 match crate::schema::closest_pattern(crate::schema::patterns(), example) {
                     Some((rule, score)) if score >= 0.5 => {
                         warning.push_str(&format!(
@@ -245,7 +246,7 @@ pub(crate) fn coverage_warnings(cov: &ParseCoverage) -> Vec<String> {
             out.push(format!(
                 "coverage warning: {} has {} transition-shaped lines with corrupt ids \
                  — log damage suspected; affected events are missing from the analysis",
-                kind.name(),
+                family.name(),
                 c.anomalous,
             ));
         }
@@ -404,7 +405,7 @@ mod tests {
         use crate::extract::CoverageCounts;
         let mut cov = ParseCoverage::default();
         cov.record(
-            SourceKind::ResourceManager,
+            Family::ResourceManager,
             CoverageCounts {
                 matched: 3,
                 unmatched: 1,
@@ -413,7 +414,7 @@ mod tests {
             },
         );
         cov.record(
-            SourceKind::Driver,
+            Family::Driver,
             CoverageCounts {
                 matched: 1,
                 unmatched: 5, // not scheduling-relevant: no warning
@@ -428,7 +429,7 @@ mod tests {
         // Full coverage: silence.
         let mut clean = ParseCoverage::default();
         clean.record(
-            SourceKind::NodeManager,
+            Family::NodeManager,
             CoverageCounts {
                 matched: 7,
                 unmatched: 0,
@@ -445,7 +446,7 @@ mod tests {
         use crate::extract::CoverageCounts;
         let mut cov = ParseCoverage::default();
         cov.record(
-            SourceKind::ResourceManager,
+            Family::ResourceManager,
             CoverageCounts {
                 matched: 9,
                 unmatched: 1,
@@ -468,7 +469,7 @@ mod tests {
         // An example resembling nothing says so instead of guessing.
         let mut far = ParseCoverage::default();
         far.record(
-            SourceKind::NodeManager,
+            Family::NodeManager,
             CoverageCounts {
                 matched: 1,
                 unmatched: 1,
@@ -489,7 +490,7 @@ mod tests {
         use crate::extract::CoverageCounts;
         let mut cov = ParseCoverage::default();
         cov.record(
-            SourceKind::NodeManager,
+            Family::NodeManager,
             CoverageCounts {
                 matched: 10,
                 unmatched: 0,

@@ -3,8 +3,8 @@
 //! `threads = 1` result — events order, graphs, delays, unused containers,
 //! and app names. Randomized as seeded loops over `simkit::SimRng`.
 
+use logmodel::schema::Family;
 use logmodel::{ApplicationId, Epoch, LogSource, LogStore, NodeId, TsMs};
-use sdchecker::extract::SourceKind;
 use sdchecker::{analyze_store, analyze_store_with, Analysis, Parallelism};
 use simkit::SimRng;
 
@@ -309,9 +309,7 @@ fn dir_analysis_equals_store_analysis_on_hostile_layouts() {
             let label = format!("case {case}, threads {threads}");
             assert_same(&from_store, &from_dir, &label);
             assert_eq!(from_store.coverage, from_dir.coverage, "{label}");
-            let example = from_dir
-                .coverage
-                .unmatched_example(SourceKind::ResourceManager);
+            let example = from_dir.coverage.unmatched_example(Family::ResourceManager);
             assert!(example.unwrap().contains("EARLY_ODD"), "{label}");
             assert_eq!(rendered(&from_store), rendered(&from_dir), "{label}");
             let gold = gold.get_or_insert_with(|| rendered(&from_dir));

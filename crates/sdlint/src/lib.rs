@@ -49,6 +49,9 @@
 //!   non-test code other than its definition: a binary, another crate,
 //!   an example or `sdbench`. Literals, comments and `pub use` lines do
 //!   not count; a two-way allowlist keeps the few items only tests need.
+//! * [`doc_paths`] — every backticked `crate::module` or
+//!   `crate::module::Item` path in `DESIGN.md` and `README.md` leads to a
+//!   module file and, for an item, to its declaration there.
 //!
 //! Run it as `cargo run -p sdlint` (CI gate), or via the test suite
 //! (`cargo test -p sdlint`), which additionally mutation-tests the
@@ -58,6 +61,7 @@ pub mod atomics;
 pub mod command_line;
 pub mod conformance;
 pub mod determinism;
+pub mod doc_paths;
 pub mod interleave;
 pub mod json_syntax;
 pub mod locks;
@@ -162,6 +166,7 @@ pub fn run_all_with_stats(repo_root: &std::path::Path) -> RunReport {
     });
     timed("json", &mut report, &mut || json_syntax::check(repo_root));
     timed("cli", &mut report, &mut || command_line::check(repo_root));
+    timed("docs", &mut report, &mut || doc_paths::check(repo_root));
     timed("surface", &mut report, &mut || {
         let (findings, stats) = surface::check(repo_root);
         surface_stats = stats;

@@ -6,7 +6,7 @@
 //! i.e. the diagnostic a developer would need to fix the drift.
 
 use logmodel::schema::MsgTemplate;
-use sdlint::{command_line, conformance, json_syntax, machines, scan, surface};
+use sdlint::{command_line, conformance, doc_paths, json_syntax, machines, scan, surface};
 
 /// The real tables produce zero findings — the merge gate.
 #[test]
@@ -311,5 +311,29 @@ fn stale_surface_allowlist_entry_is_caught() {
     assert!(
         m.contains(LIB) && m.contains("`used`") && m.contains("stale"),
         "{m}"
+    );
+}
+
+/// A document naming a type that is gone, or a module that never was, is
+/// flagged at its line; live modules and items, and spans that are not
+/// workspace paths, are not.
+#[test]
+fn a_doc_naming_a_deleted_item_is_flagged() {
+    let root = sdlint::default_repo_root();
+    let doc = "Coverage is keyed by `logmodel::schema::Family` (`Family::ALL`),\n\
+               ```\n`sdchecker::fenced::Away`\n```\n\
+               not by `sdchecker::extract::SourceKind`; `sdchecker::extract`,\n\
+               `sdchecker::schema::PATTERNS`, `logmodel::LogStore`, `std::mem::take`\n\
+               and `sdchecker::nowhere` too.\n";
+    let findings = doc_paths::check_doc(&root, "DESIGN.md", doc);
+    let messages: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
+    assert_eq!(messages.len(), 2, "{messages:#?}");
+    assert!(
+        messages[0].starts_with("DESIGN.md:5: `sdchecker::extract::SourceKind` names `SourceKind`"),
+        "{messages:#?}"
+    );
+    assert!(
+        messages[1].starts_with("DESIGN.md:7: `sdchecker::nowhere`"),
+        "{messages:#?}"
     );
 }
