@@ -12,14 +12,13 @@
 //! written to `<out>/<id>.txt`; a combined `ALL.md` concatenates them.
 //!
 //! `--report-json` streams every analyzed application's delay components
-//! through mergeable quantile sketches while the experiments run, then
+//! through quantile sketches while the experiments run, then
 //! writes fleet-wide percentiles; `--app-trace-out` simulates a small
 //! reference scenario and exports its app-time scheduling trace.
 
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Mutex;
 use std::time::Instant;
 
 use experiments::harness::{default_horizon, run_scenario, scenario_rng};
@@ -84,32 +83,37 @@ fn run(mut args: Args) -> Result<(), Stop> {
         .or_fail(format_args!("failed to create {}", out_dir.display()))?;
 
     let started = Instant::now();
-    let results: Mutex<Vec<(usize, Figure, f64)>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for (idx, (id, run)) in todo.iter().enumerate() {
-            let results = &results;
-            s.spawn(move || {
-                let _span = obs::span("experiment").arg("id", id);
-                let t0 = Instant::now();
-                let fig = run(scale, seed);
-                let dt = t0.elapsed().as_secs_f64();
-                if !quiet {
-                    eprintln!(
-                        "[{:>6.1}s] {id} done ({dt:.1}s)",
-                        started.elapsed().as_secs_f64()
-                    );
-                }
-                results.lock().unwrap().push((idx, fig, dt));
-            });
-        }
+    let results: Vec<(Figure, f64)> = std::thread::scope(|s| {
+        let handles: Vec<_> = todo
+            .iter()
+            .map(|(id, run)| {
+                s.spawn(move || {
+                    let _span = obs::span("experiment").arg("id", id);
+                    let t0 = Instant::now();
+                    let fig = run(scale, seed);
+                    let dt = t0.elapsed().as_secs_f64();
+                    if !quiet {
+                        eprintln!(
+                            "[{:>6.1}s] {id} done ({dt:.1}s)",
+                            started.elapsed().as_secs_f64()
+                        );
+                    }
+                    (fig, dt)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
-
-    let mut results = results.into_inner().expect("experiment thread panicked");
-    results.sort_by_key(|(idx, _, _)| *idx);
 
     let mut all = String::new();
     all.push_str("# SDchecker reproduction — all tables and figures\n\n");
-    for (_, fig, dt) in &results {
+    for (fig, dt) in &results {
         let rendered = fig.render();
         let path = out_dir.join(format!("{}.txt", fig.id));
         std::fs::write(&path, &rendered)
@@ -151,13 +155,8 @@ fn run(mut args: Args) -> Result<(), Stop> {
 
 /// Fleet-wide machine-readable report: which experiments ran, plus the
 /// per-component delay percentiles streamed through the global recorder's
-/// mergeable sketches while every scenario's corpus was analyzed.
-fn fleet_report_json(
-    results: &[(usize, Figure, f64)],
-    scale: Scale,
-    seed: u64,
-    secs: f64,
-) -> String {
+/// sketches while every scenario's corpus was analyzed.
+fn fleet_report_json(results: &[(Figure, f64)], scale: Scale, seed: u64, secs: f64) -> String {
     let snap = obs::global().snapshot();
     let scale = match scale {
         Scale::Full => "full",
@@ -167,7 +166,7 @@ fn fleet_report_json(
         json_fields!(doc, "schema" => "run-experiments-report-v1", "scale" => scale,
             "seed" => seed, "wall_seconds" => secs);
         let mut experiments = doc.arr("experiments", Layout::Block);
-        for (_, fig, dt) in results {
+        for (fig, dt) in results {
             let mut obj = experiments.obj(Layout::Inline);
             json_fields!(obj, "id" => fig.id, "seconds" => dt);
         }

@@ -9,8 +9,8 @@
 //!   timers with thread attribution; nested guards produce the span
 //!   tree Perfetto renders as a flame chart;
 //! * **typed metrics** — monotonic counters, set/max gauges, and
-//!   fixed-bucket histograms behind a sharded registry that worker
-//!   pools (`logmodel::par`) write to without contending;
+//!   fixed-bucket histograms and quantile sketches behind one registry
+//!   lock, taken per file, stream, poll or retirement, never per line;
 //! * **exporters** — Chrome trace-event JSON ([`chrome_trace`],
 //!   loadable in `chrome://tracing` or <https://ui.perfetto.dev>), a
 //!   flat metrics JSON dump ([`metrics_json`]), and the Prometheus text
@@ -28,7 +28,7 @@
 //! ## Determinism
 //!
 //! Aggregation is order-independent: counters and histogram buckets sum,
-//! max-gauges max, set-gauges resolve by a global write stamp. Metric
+//! max-gauges max; a set-gauge keeps the last write. Metric
 //! values in a [`Snapshot`] are therefore identical for every worker
 //! count on the same input — only span timings and thread ids vary —
 //! and [`metrics_json`] renders equal values to identical bytes, so

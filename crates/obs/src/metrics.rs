@@ -3,9 +3,9 @@
 //! A metric is identified by a static name plus an ordered list of
 //! `(label, value)` pairs — the Prometheus data model, kept deliberately
 //! tiny. All aggregation is order-independent (counters sum, max-gauges
-//! max, set-gauges resolve by a global write stamp, histogram buckets
-//! sum), which is what makes totals deterministic for any worker-thread
-//! count even though which shard recorded what is not.
+//! max, histogram buckets sum), which is what makes totals deterministic
+//! for any worker-thread count even though which thread recorded what is
+//! not; a set-gauge keeps its last write.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -94,15 +94,6 @@ impl Histogram {
         self.sum += v;
         self.count += 1;
     }
-
-    pub(crate) fn merge(&mut self, other: &Histogram) {
-        debug_assert_eq!(self.bounds, other.bounds, "histogram bounds must match");
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
-        }
-        self.sum += other.sum;
-        self.count += other.count;
-    }
 }
 
 /// One completed span, ready for trace export.
@@ -123,7 +114,7 @@ pub struct SpanRecord {
 /// An aggregated, immutable view of everything a recorder captured.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    /// Monotonic counters (summed across shards).
+    /// Monotonic counters (summed over every recording thread).
     pub counters: BTreeMap<MetricKey, u64>,
     /// Gauges: max-gauges keep the maximum, set-gauges the latest write.
     pub gauges: BTreeMap<MetricKey, f64>,
@@ -177,7 +168,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_merge() {
+    fn histogram_buckets() {
         const B: &[u64] = &[10, 100];
         let mut h = Histogram::new(B);
         for v in [1, 10, 11, 1000] {
@@ -185,10 +176,5 @@ mod tests {
         }
         assert_eq!(h.counts, vec![2, 1, 1]);
         assert_eq!((h.sum, h.count), (1022, 4));
-        let mut h2 = Histogram::new(B);
-        h2.observe(5);
-        h2.merge(&h);
-        assert_eq!(h2.counts, vec![3, 1, 1]);
-        assert_eq!(h2.count, 5);
     }
 }

@@ -1,75 +1,53 @@
-//! The sharded recorder: spans, counters, gauges, histograms.
+//! The recorder: spans, counters, gauges, histograms.
 //!
 //! Everything funnels through a [`Recorder`]. Disabled (the default) every
 //! operation is a single relaxed atomic load and an early return — no
 //! timestamps are taken, no strings formatted, no locks touched — so
 //! instrumented hot paths cost nothing measurable when observability is
-//! off. Enabled, each thread writes to one of a small fixed set of shards
-//! (picked by its logical thread id), so worker pools like `logmodel::par`
-//! never contend on a single registry lock.
+//! off. Enabled, every operation is one map update or push under the one
+//! registry lock. No writer records per line: the pipeline flushes per
+//! file, per stream, per poll or per retirement, so the lock is taken a
+//! handful of times per file (DESIGN.md § Observability has the counts).
 //!
-//! Aggregation happens only at [`Recorder::snapshot`] time and is
-//! order-independent: counter and histogram totals are identical for any
-//! thread count, which is what lets tests assert exact metric values.
+//! [`Recorder::snapshot`] copies the registry under the same lock, so a
+//! snapshot is a consistent cut, and counter and histogram totals are
+//! identical for any thread count, which is what lets tests assert exact
+//! metric values.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::metrics::{Histogram, MetricKey, Snapshot, SpanRecord};
 use crate::sketch::QuantileSketch;
 
-/// Shard count. A small power of two: enough that a worker pool on a
-/// typical machine rarely collides, cheap to merge at snapshot time.
-const SHARDS: usize = 16;
-
-#[derive(Default)]
-struct ShardState {
-    counters: std::collections::BTreeMap<MetricKey, u64>,
-    gauges_max: std::collections::BTreeMap<MetricKey, f64>,
-    gauges_set: std::collections::BTreeMap<MetricKey, (u64, f64)>,
-    histograms: std::collections::BTreeMap<MetricKey, Histogram>,
-    sketches: std::collections::BTreeMap<MetricKey, QuantileSketch>,
+/// Everything a recorder holds, under its one lock.
+struct State {
+    counters: BTreeMap<MetricKey, u64>,
+    gauges_max: BTreeMap<MetricKey, f64>,
+    gauges_set: BTreeMap<MetricKey, f64>,
+    histograms: BTreeMap<MetricKey, Histogram>,
+    sketches: BTreeMap<MetricKey, QuantileSketch>,
     spans: Vec<SpanRecord>,
+    /// `(tid, name)` of every thread that started a span, in tid order.
     threads: Vec<(u64, String)>,
-}
-
-struct Shard {
-    state: Mutex<ShardState>,
-}
-
-impl Shard {
-    const fn new() -> Shard {
-        Shard {
-            state: Mutex::new(ShardState {
-                counters: std::collections::BTreeMap::new(),
-                gauges_max: std::collections::BTreeMap::new(),
-                gauges_set: std::collections::BTreeMap::new(),
-                histograms: std::collections::BTreeMap::new(),
-                sketches: std::collections::BTreeMap::new(),
-                spans: Vec::new(),
-                threads: Vec::new(),
-            }),
-        }
-    }
+    /// The trace clock's zero, set by the first [`Recorder::enable`].
+    anchor: Option<Instant>,
 }
 
 thread_local! {
     /// `(recorder identity, logical tid)` for the recorder this thread
-    /// last talked to. Worker threads are short-lived (`thread::scope`),
-    /// so registration happens on first use per thread.
+    /// last started a span on. Worker threads are short-lived
+    /// (`thread::scope`), so registration happens on first use per thread.
     static THREAD_TID: Cell<Option<(usize, u64)>> = const { Cell::new(None) };
 }
 
 /// A span/metric recorder. See the module docs for the design.
 pub struct Recorder {
     enabled: AtomicBool,
-    next_tid: AtomicU64,
-    /// Global write stamp ordering `gauge_set` calls across shards.
-    stamp: AtomicU64,
-    anchor: Mutex<Option<Instant>>,
-    shards: [Shard; SHARDS],
+    state: Mutex<State>,
 }
 
 impl Default for Recorder {
@@ -83,37 +61,30 @@ impl Recorder {
     pub const fn new() -> Recorder {
         Recorder {
             enabled: AtomicBool::new(false),
-            next_tid: AtomicU64::new(0),
-            stamp: AtomicU64::new(0),
-            anchor: Mutex::new(None),
-            shards: [
-                Shard::new(),
-                Shard::new(),
-                Shard::new(),
-                Shard::new(),
-                Shard::new(),
-                Shard::new(),
-                Shard::new(),
-                Shard::new(),
-                Shard::new(),
-                Shard::new(),
-                Shard::new(),
-                Shard::new(),
-                Shard::new(),
-                Shard::new(),
-                Shard::new(),
-                Shard::new(),
-            ],
+            state: Mutex::new(State {
+                counters: BTreeMap::new(),
+                gauges_max: BTreeMap::new(),
+                gauges_set: BTreeMap::new(),
+                histograms: BTreeMap::new(),
+                sketches: BTreeMap::new(),
+                spans: Vec::new(),
+                threads: Vec::new(),
+                anchor: None,
+            }),
         }
+    }
+
+    /// The registry. Every update under the lock is one insert, add or
+    /// push, so a writer that panicked there left it consistent: poisoning
+    /// is recovered from.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Turn recording on. The first enable anchors the trace clock; span
     /// timestamps are offsets from this instant.
     pub fn enable(&self) {
-        let mut anchor = self.anchor.lock().unwrap_or_else(|e| e.into_inner());
-        if anchor.is_none() {
-            *anchor = Some(Instant::now());
-        }
+        self.state().anchor.get_or_insert_with(Instant::now);
         self.enabled.store(true, Ordering::SeqCst);
     }
 
@@ -125,7 +96,7 @@ impl Recorder {
     }
 
     /// The logical thread id of the calling thread, registering it (and
-    /// its display name) on first use.
+    /// its display name) on its first span.
     fn tid(&self) -> u64 {
         let me = self as *const Recorder as usize;
         if let Some((owner, tid)) = THREAD_TID.with(|c| c.get()) {
@@ -133,32 +104,15 @@ impl Recorder {
                 return tid;
             }
         }
-        let tid = self.next_tid.fetch_add(1, Ordering::Relaxed);
+        let mut st = self.state();
+        let tid = st.threads.len() as u64;
         let name = std::thread::current()
             .name()
             .map(str::to_string)
             .unwrap_or_else(|| format!("worker-{tid}"));
-        self.shard(tid)
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .threads
-            .push((tid, name));
+        st.threads.push((tid, name));
         THREAD_TID.with(|c| c.set(Some((me, tid))));
         tid
-    }
-
-    fn shard(&self, tid: u64) -> &Shard {
-        &self.shards[(tid as usize) % SHARDS]
-    }
-
-    /// Microseconds since the enable-time anchor.
-    fn offset_us(&self, at: Instant) -> u64 {
-        let anchor = self.anchor.lock().unwrap_or_else(|e| e.into_inner());
-        match *anchor {
-            Some(a) => at.saturating_duration_since(a).as_micros() as u64,
-            None => 0,
-        }
     }
 
     /// Start a wall-clock span. The returned guard records a trace event
@@ -198,13 +152,7 @@ impl Recorder {
     }
 
     fn count_key(&self, key: MetricKey, n: u64) {
-        let tid = self.tid();
-        let mut st = self
-            .shard(tid)
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        *st.counters.entry(key).or_insert(0) += n;
+        *self.state().counters.entry(key).or_insert(0) += n;
     }
 
     /// Raise a high-water-mark gauge to at least `v`.
@@ -212,35 +160,20 @@ impl Recorder {
         if !self.is_enabled() {
             return;
         }
-        let tid = self.tid();
-        let mut st = self
-            .shard(tid)
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut st = self.state();
         let slot = st.gauges_max.entry(MetricKey::plain(name)).or_insert(v);
         if v > *slot {
             *slot = v;
         }
     }
 
-    /// Set a gauge. Concurrent setters resolve by write order (a global
-    /// stamp), so the latest write wins regardless of shard.
+    /// Set a gauge. Concurrent setters resolve by lock order: the last
+    /// writer to take the registry lock wins.
     pub fn gauge_set(&self, name: &'static str, v: f64) {
         if !self.is_enabled() {
             return;
         }
-        // AcqRel: the stamp decides which concurrent set "wins" at merge
-        // time, so stamp order must be consistent with happens-before —
-        // a set that observably follows another must get a larger stamp.
-        let stamp = self.stamp.fetch_add(1, Ordering::AcqRel);
-        let tid = self.tid();
-        let mut st = self
-            .shard(tid)
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        st.gauges_set.insert(MetricKey::plain(name), (stamp, v));
+        self.state().gauges_set.insert(MetricKey::plain(name), v);
     }
 
     /// Observe `v` into a fixed-bucket histogram. All observation sites
@@ -268,13 +201,8 @@ impl Recorder {
     }
 
     fn observe_key(&self, key: MetricKey, bounds: &'static [u64], v: u64) {
-        let tid = self.tid();
-        let mut st = self
-            .shard(tid)
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        st.histograms
+        self.state()
+            .histograms
             .entry(key)
             .or_insert_with(|| Histogram::new(bounds))
             .observe(v);
@@ -304,62 +232,32 @@ impl Recorder {
     }
 
     fn sketch_key(&self, key: MetricKey, v: u64) {
-        let tid = self.tid();
-        let mut st = self
-            .shard(tid)
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        st.sketches.entry(key).or_default().observe(v);
+        self.state().sketches.entry(key).or_default().observe(v);
     }
 
-    /// Aggregate every shard into one immutable snapshot. Counter,
-    /// histogram, and gauge values are independent of which thread
-    /// recorded what; only span timings and thread ids vary run to run.
+    /// Copy the registry into one immutable snapshot. Counter, histogram,
+    /// and gauge values are independent of which thread recorded what;
+    /// only span timings and thread ids vary run to run.
     pub fn snapshot(&self) -> Snapshot {
-        let mut snap = Snapshot::default();
-        let mut gauges_set: std::collections::BTreeMap<MetricKey, (u64, f64)> =
-            std::collections::BTreeMap::new();
-        for shard in &self.shards {
-            let st = shard.state.lock().unwrap_or_else(|e| e.into_inner());
-            for (k, v) in &st.counters {
-                *snap.counters.entry(k.clone()).or_insert(0) += v;
-            }
-            for (k, v) in &st.gauges_max {
-                let slot = snap.gauges.entry(k.clone()).or_insert(*v);
-                if *v > *slot {
-                    *slot = *v;
-                }
-            }
-            for (k, (stamp, v)) in &st.gauges_set {
-                let slot = gauges_set.entry(k.clone()).or_insert((*stamp, *v));
-                if *stamp >= slot.0 {
-                    *slot = (*stamp, *v);
-                }
-            }
-            for (k, h) in &st.histograms {
-                snap.histograms
-                    .entry(k.clone())
-                    .and_modify(|acc| acc.merge(h))
-                    .or_insert_with(|| h.clone());
-            }
-            for (k, s) in &st.sketches {
-                snap.sketches
-                    .entry(k.clone())
-                    .and_modify(|acc| acc.merge(s))
-                    .or_insert_with(|| s.clone());
-            }
-            snap.spans.extend(st.spans.iter().cloned());
-            snap.threads.extend(st.threads.iter().cloned());
-        }
-        for (k, (_, v)) in gauges_set {
+        let st = self.state();
+        let mut gauges = st.gauges_max.clone();
+        for (k, v) in &st.gauges_set {
             debug_assert!(
-                !snap.gauges.contains_key(&k),
+                !gauges.contains_key(k),
                 "gauge {} used both as set and max",
                 k.render()
             );
-            snap.gauges.insert(k, v);
+            gauges.insert(k.clone(), *v);
         }
+        let mut snap = Snapshot {
+            counters: st.counters.clone(),
+            gauges,
+            histograms: st.histograms.clone(),
+            sketches: st.sketches.clone(),
+            spans: st.spans.clone(),
+            threads: st.threads.clone(),
+        };
+        drop(st);
         snap.spans
             .sort_by(|a, b| (a.start_us, a.tid, a.name).cmp(&(b.start_us, b.tid, b.name)));
         snap.threads.sort();
@@ -403,22 +301,18 @@ impl Drop for SpanGuard<'_> {
             return;
         };
         let end = Instant::now();
-        let start_us = inner.rec.offset_us(inner.start);
         let dur_us = end.saturating_duration_since(inner.start).as_micros() as u64;
-        let rec = SpanRecord {
+        let mut st = inner.rec.state();
+        let start_us = st.anchor.map_or(0, |a| {
+            inner.start.saturating_duration_since(a).as_micros() as u64
+        });
+        st.spans.push(SpanRecord {
             name: inner.name,
             tid: inner.tid,
             start_us,
             dur_us,
             args: inner.args,
-        };
-        let mut st = inner
-            .rec
-            .shard(inner.tid)
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        st.spans.push(rec);
+        });
     }
 }
 
@@ -514,7 +408,7 @@ mod tests {
                 .cloned()
                 .unwrap()
         };
-        let sharded = {
+        let threaded = {
             let r = Recorder::new();
             r.enable();
             let rr = &r;
@@ -534,7 +428,10 @@ mod tests {
                 .cloned()
                 .unwrap()
         };
-        assert_eq!(single, sharded, "sketch must not depend on sharding");
+        assert_eq!(
+            single, threaded,
+            "sketch must not depend on the thread count"
+        );
         assert_eq!(single.count(), 800);
     }
 
@@ -565,7 +462,18 @@ mod tests {
         let r = Recorder::new();
         r.enable();
         r.count("c_total", 1);
+        assert!(r.snapshot().threads.is_empty(), "a counter needs no tid");
+        std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .name("lane".into())
+                .spawn_scoped(s, || drop(r.span("s")))
+                .unwrap();
+        });
+        drop(r.span("s"));
         let snap = r.snapshot();
-        assert_eq!(snap.threads.len(), 1);
+        assert_eq!(snap.threads.len(), 2);
+        assert_eq!(snap.threads[0], (0, "lane".to_string()));
+        let tids: Vec<u64> = snap.spans.iter().map(|s| s.tid).collect();
+        assert!(tids.contains(&0) && tids.contains(&1), "{tids:?}");
     }
 }

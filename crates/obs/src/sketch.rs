@@ -1,5 +1,4 @@
-//! A mergeable fixed-size quantile sketch for fleet-scale delay
-//! populations.
+//! A fixed-size quantile sketch for fleet-scale delay populations.
 //!
 //! [`QuantileSketch`] is a DDSketch-style log-bucketed histogram over
 //! `u64` samples (milliseconds, in this workspace): bucket `k` covers the
@@ -15,14 +14,11 @@
 //!   [`QuantileSketch::BUCKETS`] entries no matter how many samples
 //!   stream in, so a fleet of millions of applications aggregates in a
 //!   few tens of kilobytes without retaining raw samples;
-//! * **deterministic, order-independent merge** — [`merge`] is a
-//!   bucket-wise sum plus min/max/count/sum folds, exactly like the
-//!   sharded counter registry: any merge tree over any shard partition of
-//!   the same sample multiset produces the same sketch, which is what
-//!   lets worker pools stream observations and still export identical
-//!   bytes for every thread count.
-//!
-//! [`merge`]: QuantileSketch::merge
+//! * **order-independent observation** — a sample adds to one bucket
+//!   and folds into min/max/count/sum, so any arrival order of the same
+//!   sample multiset produces the same sketch, which is what lets worker
+//!   pools stream observations and still export identical bytes for
+//!   every thread count.
 
 /// Relative accuracy target: quantile estimates are within this fraction
 /// of a true sample value at the queried rank.
@@ -94,19 +90,14 @@ pub struct Exemplar {
     pub label: String,
 }
 
-/// A mergeable, fixed-size quantile sketch over `u64` samples.
+/// A fixed-size quantile sketch over `u64` samples.
 ///
 /// ```
 /// use obs::QuantileSketch;
 /// let mut a = QuantileSketch::new();
-/// let mut b = QuantileSketch::new();
-/// for v in 1..=500u64 {
+/// for v in (1..=1000u64).rev() {
 ///     a.observe(v);
 /// }
-/// for v in 501..=1000u64 {
-///     b.observe(v);
-/// }
-/// a.merge(&b);
 /// let p50 = a.quantile(0.5).unwrap();
 /// assert!((p50 - 500.5).abs() / 500.5 < 0.01);
 /// ```
@@ -126,8 +117,8 @@ pub struct QuantileSketch {
     max: u64,
     /// Largest labeled samples seen, sorted by `(value desc, label asc)`
     /// and truncated to [`QuantileSketch::EXEMPLAR_SLOTS`]. Kept as a
-    /// pure function of the offered multiset, so observation and merge
-    /// order never change which exemplars survive.
+    /// pure function of the offered multiset, so observation order never
+    /// changes which exemplars survive.
     exemplars: Vec<Exemplar>,
 }
 
@@ -212,8 +203,8 @@ impl QuantileSketch {
     /// Slot an exemplar candidate in: keep the top
     /// [`EXEMPLAR_SLOTS`](QuantileSketch::EXEMPLAR_SLOTS) of the offered
     /// multiset under `(value desc, label asc)`. Greedy top-K over a
-    /// total order is order-independent, which keeps merged exports
-    /// byte-identical for every shard partition.
+    /// total order is order-independent, which keeps exports
+    /// byte-identical for every thread count.
     fn offer_exemplar(&mut self, e: Exemplar) {
         let pos = self
             .exemplars
@@ -228,27 +219,6 @@ impl QuantileSketch {
     /// The retained exemplars, best (largest value) first.
     pub fn exemplars(&self) -> &[Exemplar] {
         &self.exemplars
-    }
-
-    /// Fold another sketch in. Order-independent: any merge order over
-    /// the same sample multiset yields an identical sketch.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        if other.count == 0 {
-            return;
-        }
-        if self.counts.is_empty() {
-            self.counts = vec![0; Self::BUCKETS];
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for e in &other.exemplars {
-            self.offer_exemplar(e.clone());
-        }
     }
 
     /// Number of samples.
@@ -501,42 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_order_independent_and_exactly_equal() {
-        let vals: Vec<u64> = (0..500u64).map(|i| (i * 37 + 11) % 10_000).collect();
-        let mut whole = QuantileSketch::new();
-        for v in &vals {
-            whole.observe(*v);
-        }
-        // Partition into 7 shards, merge in two different orders.
-        let mut shards: Vec<QuantileSketch> = (0..7).map(|_| QuantileSketch::new()).collect();
-        for (i, v) in vals.iter().enumerate() {
-            shards[i % 7].observe(*v);
-        }
-        let mut fwd = QuantileSketch::new();
-        for s in &shards {
-            fwd.merge(s);
-        }
-        let mut rev = QuantileSketch::new();
-        for s in shards.iter().rev() {
-            rev.merge(s);
-        }
-        assert_eq!(fwd, rev, "merge order must not matter");
-        assert_eq!(fwd, whole, "sharded merge must equal single-stream");
-    }
-
-    #[test]
-    fn merging_empty_is_identity() {
-        let mut s = QuantileSketch::new();
-        s.observe(42);
-        let before = s.clone();
-        s.merge(&QuantileSketch::new());
-        assert_eq!(s, before);
-        let mut e = QuantileSketch::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
     fn exemplars_keep_the_top_slots_in_any_order() {
         let offers: Vec<(u64, String)> = (0..40u64)
             .map(|i| ((i * 31) % 100, format!("app_{i:02}")))
@@ -561,25 +495,6 @@ mod tests {
         for w in fwd.exemplars().windows(2) {
             assert!(w[0].value >= w[1].value);
         }
-    }
-
-    #[test]
-    fn exemplars_merge_like_observations() {
-        let offers: Vec<(u64, String)> =
-            (0..30u64).map(|i| (i * 7 % 50, format!("a{i}"))).collect();
-        let mut whole = QuantileSketch::new();
-        for (v, l) in &offers {
-            whole.observe_exemplar(*v, l);
-        }
-        let mut shards: Vec<QuantileSketch> = (0..3).map(|_| QuantileSketch::new()).collect();
-        for (i, (v, l)) in offers.iter().enumerate() {
-            shards[i % 3].observe_exemplar(*v, l);
-        }
-        let mut merged = QuantileSketch::new();
-        for s in shards.iter().rev() {
-            merged.merge(s);
-        }
-        assert_eq!(merged, whole, "sharded exemplars must equal single-stream");
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Thread-stress property test for the sharded recorder.
+//! Thread-stress property test for the one-lock recorder.
 //!
-//! Eight threads hammer record/snapshot/merge concurrently; the final
-//! merged snapshot must equal the sequential sum exactly — the property
+//! Eight threads record while a ninth takes snapshots; the final
+//! snapshot must equal the sequential sum exactly — the property
 //! the `sdlint::interleave` registry-snapshot model checks exhaustively
 //! at small scale, exercised here at real scale on real threads.
 
@@ -27,7 +27,7 @@ fn merged_snapshot_equals_sequential_sum_under_contention() {
                 }
             });
         }
-        // A concurrent snapshotter: mid-run merges must never observe
+        // A concurrent snapshotter: mid-run snapshots must never observe
         // more than the final total, never go backwards, and never tear.
         s.spawn(move || {
             let mut last = 0u64;
@@ -51,7 +51,7 @@ fn merged_snapshot_equals_sequential_sum_under_contention() {
     );
 
     // Histogram totals are exact: every observation lands in exactly one
-    // bucket, independent of sharding and schedule.
+    // bucket, independent of the schedule.
     let h = snap
         .histograms
         .get(&obs::MetricKey::plain("stress_hist"))
@@ -87,7 +87,7 @@ fn gauge_set_latest_write_wins_across_threads() {
             });
         }
     });
-    // Whichever thread stamped last wins; the value must be one that was
+    // Whichever thread took the lock last wins; the value must be one that was
     // actually written, not a blend.
     let v = r.snapshot().gauge("stress_gauge").expect("gauge present");
     let t = (v as u64) / 1000;

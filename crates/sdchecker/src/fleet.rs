@@ -222,9 +222,9 @@ pub(crate) fn push_coverage(doc: &mut Obj<'_>, cov: &ParseCoverage) {
 /// — the `/metrics` and `run_experiments` export, which aggregates fleet
 /// percentiles over any number of applications without keeping raw
 /// samples. Batch analysis calls this per application of the corpus,
-/// the daemon per retirement; counters are sums and the sketch merge is
-/// order-independent, so a live scrape over a finished corpus equals
-/// the batch export. A no-op when recording is disabled.
+/// the daemon per retirement; counters are sums and a sketch's
+/// observations are order-independent, so a live scrape over a finished
+/// corpus equals the batch export. A no-op when recording is disabled.
 ///
 /// The failure-side series appear only with their first nonzero sample,
 /// so a fault-free corpus exports byte-identical metrics to builds that

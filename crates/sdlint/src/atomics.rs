@@ -1,4 +1,4 @@
-//! Checker 6: atomics ordering audit.
+//! Checker 5: atomics ordering audit.
 //!
 //! `Ordering::Relaxed` gives atomicity without any inter-thread
 //! ordering: a Relaxed read may observe arbitrarily stale values, and a
@@ -48,14 +48,6 @@ pub const RELAXED_ALLOW: &[RelaxedSite] = &[
                         and a reader that races the flip merely keeps or drops one \
                         sample — no data is published through the flag, so stale \
                         reads are harmless",
-    },
-    RelaxedSite {
-        file: "crates/obs/src/recorder.rs",
-        pattern: "self.next_tid.fetch_add(1,",
-        sites: 1,
-        justification: "thread-id allocation: the RMW is atomic regardless of \
-                        ordering, which is all uniqueness needs; the id guards no \
-                        other memory",
     },
     RelaxedSite {
         file: "crates/logmodel/src/par.rs",

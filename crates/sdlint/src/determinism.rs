@@ -1,4 +1,4 @@
-//! Checker 7: determinism lint.
+//! Checker 6: determinism lint.
 //!
 //! Every golden test in this repo asserts `identical_output: true` —
 //! byte-identical reports, wide events, Prometheus export, checkpoint

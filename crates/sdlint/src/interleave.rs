@@ -1,4 +1,4 @@
-//! Checker 8: exhaustive interleaving model check.
+//! Checker 7: exhaustive interleaving model check.
 //!
 //! The textual audits ([`crate::locks`], [`crate::atomics`]) police
 //! *structure* — what is locked, what orderings are used. This module
@@ -9,10 +9,10 @@
 //! modelcheck.rs idiom scaled up from single-threaded configurations to
 //! true thread interleavings:
 //!
-//! * [`RegistryModel`] — the sharded metrics registry
-//!   (`obs::recorder`): writer threads increment per-shard counters
-//!   under per-shard locks while a snapshot thread walks the shards.
-//!   Checked: no torn shard read, and the published snapshot total is
+//! * [`RegistryModel`] — the metrics registry (`obs::recorder`):
+//!   writer threads increment a counter under the one registry lock
+//!   while a snapshot thread copies it under the same lock.
+//!   Checked: no torn read, and the published snapshot total is
 //!   *linearizable* — bounded below by the work completed when the
 //!   snapshot began and above by the work completed when it published.
 //! * [`ParMergeModel`] — the `logmodel::par` worker-pool handoff:
@@ -138,19 +138,18 @@ pub fn explore(model: &dyn Model, max_states: u64) -> (Vec<Finding>, Stats) {
 }
 
 // ---------------------------------------------------------------------------
-// Model 1: sharded metrics registry record/merge/snapshot.
+// Model 1: one-lock metrics registry record/snapshot.
 // ---------------------------------------------------------------------------
 
 /// `obs::recorder` abstraction: `writers` threads each perform `incrs`
-/// locked increments on their shard (`writer % shards`); shard values
-/// are two mirrored words written one at a time so a reader that
-/// bypassed the lock could observe a torn pair. One snapshot thread
-/// walks the shards and publishes the total.
+/// locked increments on the one registry; its value is two mirrored
+/// words written one at a time, so a reader that bypassed the lock could
+/// observe a torn pair. One snapshot thread takes the lock, copies both
+/// words and publishes the copy.
 pub(crate) struct RegistryModel {
     writers: usize,
     incrs: u64,
-    shards: usize,
-    /// Mutation: the snapshot thread skips the per-shard lock.
+    /// Mutation: the snapshot thread skips the registry lock.
     reader_locks: bool,
 }
 
@@ -159,17 +158,23 @@ const V_TORN: u64 = 1;
 const V_LINEARIZABILITY: u64 = 2;
 const V_MONOTONIC: u64 = 3;
 
+// State layout: the lock word (0 free, else holder + 1), the two mirror
+// words, then per writer [pc, done], then the snapshot thread's five
+// words, then the violation word.
+const R_LOCK: usize = 0;
+const R_A: usize = 1;
+const R_B: usize = 2;
+
 impl RegistryModel {
     pub fn real() -> RegistryModel {
         RegistryModel {
             writers: 2,
             incrs: 2,
-            shards: 2,
             reader_locks: true,
         }
     }
 
-    /// Seeded bug: snapshot reads shard words without taking the lock.
+    /// Seeded bug: snapshot reads the registry words without the lock.
     #[cfg(test)]
     pub(crate) fn torn_reader() -> RegistryModel {
         RegistryModel {
@@ -178,31 +183,17 @@ impl RegistryModel {
         }
     }
 
-    // State layout indices.
-    fn lock(&self, s: usize) -> usize {
-        s
-    }
-    fn word_a(&self, s: usize) -> usize {
-        self.shards + 2 * s
-    }
-    fn word_b(&self, s: usize) -> usize {
-        self.shards + 2 * s + 1
-    }
     fn w_pc(&self, w: usize) -> usize {
-        3 * self.shards + 2 * w
+        3 + 2 * w
     }
     fn w_done(&self, w: usize) -> usize {
-        3 * self.shards + 2 * w + 1
+        3 + 2 * w + 1
     }
     fn rb(&self) -> usize {
-        3 * self.shards + 2 * self.writers
+        3 + 2 * self.writers
     }
     fn viol(&self) -> usize {
-        self.rb() + 6
-    }
-
-    fn committed_sum(&self, st: &[u64]) -> u64 {
-        (0..self.shards).map(|s| st[self.word_b(s)]).sum()
+        self.rb() + 5
     }
 }
 
@@ -220,113 +211,60 @@ impl Model for RegistryModel {
     }
 
     fn step(&self, st: &[u64], tid: usize) -> Vec<Vec<u64>> {
-        let mut out = Vec::new();
+        let mut n = st.to_vec();
         if tid < self.writers {
             let w = tid;
-            let s = w % self.shards;
-            let pc = st[self.w_pc(w)];
-            match pc {
-                0 if st[self.w_done(w)] < self.incrs && st[self.lock(s)] == 0 => {
-                    let mut n = st.to_vec();
-                    n[self.lock(s)] = (w + 1) as u64;
-                    n[self.w_pc(w)] = 1;
-                    out.push(n);
+            match st[self.w_pc(w)] {
+                0 if st[self.w_done(w)] < self.incrs && st[R_LOCK] == 0 => {
+                    n[R_LOCK] = (w + 1) as u64;
                 }
-                1 => {
-                    let mut n = st.to_vec();
-                    n[self.word_a(s)] += 1;
-                    n[self.w_pc(w)] = 2;
-                    out.push(n);
-                }
-                2 => {
-                    let mut n = st.to_vec();
-                    n[self.word_b(s)] += 1;
-                    n[self.w_pc(w)] = 3;
-                    out.push(n);
-                }
+                1 => n[R_A] += 1,
+                2 => n[R_B] += 1,
                 3 => {
-                    let mut n = st.to_vec();
-                    n[self.lock(s)] = 0;
+                    n[R_LOCK] = 0;
                     n[self.w_done(w)] += 1;
-                    n[self.w_pc(w)] = 0;
-                    out.push(n);
                 }
-                _ => {}
+                _ => return Vec::new(),
             }
-            return out;
+            n[self.w_pc(w)] = (st[self.w_pc(w)] + 1) % 4;
+            return vec![n];
         }
-        // Snapshot thread: rb+0 pc, +1 shard cursor, +2 read-a temp,
-        // +3 partial sum, +4 low bound, +5 published (+1 encoded).
+        // Snapshot thread: rb+0 pc, +1 read-a temp, +2 low bound, +3 copy,
+        // +4 published (+1 encoded).
         let rb = self.rb();
-        let pc = st[rb];
-        match pc {
-            0 => {
-                let mut n = st.to_vec();
-                n[rb + 4] = self.committed_sum(st);
-                n[rb] = 1;
-                out.push(n);
-            }
-            1 => {
-                let cur = st[rb + 1] as usize;
-                if cur < self.shards {
-                    if self.reader_locks {
-                        if st[self.lock(cur)] == 0 {
-                            let mut n = st.to_vec();
-                            n[self.lock(cur)] = (self.writers + 1) as u64;
-                            n[rb] = 2;
-                            out.push(n);
-                        }
-                    } else {
-                        let mut n = st.to_vec();
-                        n[rb] = 2;
-                        out.push(n);
-                    }
-                } else {
-                    let mut n = st.to_vec();
-                    let partial = n[rb + 3];
-                    let low = n[rb + 4];
-                    let high = self.committed_sum(st);
-                    if !(low <= partial && partial <= high) {
-                        n[self.viol()] = V_LINEARIZABILITY;
-                    }
-                    n[rb + 5] = partial + 1;
-                    n[rb] = 4;
-                    out.push(n);
-                }
-            }
-            2 => {
-                let cur = st[rb + 1] as usize;
-                let mut n = st.to_vec();
-                n[rb + 2] = st[self.word_a(cur)];
-                n[rb] = 3;
-                out.push(n);
-            }
+        match st[rb] {
+            0 => n[rb + 2] = st[R_B],
+            1 if !self.reader_locks => {}
+            1 if st[R_LOCK] == 0 => n[R_LOCK] = (self.writers + 1) as u64,
+            2 => n[rb + 1] = st[R_A],
             3 => {
-                let cur = st[rb + 1] as usize;
-                let mut n = st.to_vec();
-                let b = st[self.word_b(cur)];
-                if n[rb + 2] != b {
+                if st[rb + 1] != st[R_B] {
                     n[self.viol()] = V_TORN;
                 }
-                n[rb + 3] += b;
+                n[rb + 3] = st[R_B];
                 if self.reader_locks {
-                    n[self.lock(cur)] = 0;
+                    n[R_LOCK] = 0;
                 }
-                n[rb + 1] += 1;
-                n[rb] = 1;
-                out.push(n);
             }
-            _ => {}
+            4 => {
+                let copy = st[rb + 3];
+                if !(st[rb + 2] <= copy && copy <= st[R_B]) {
+                    n[self.viol()] = V_LINEARIZABILITY;
+                }
+                n[rb + 4] = copy + 1;
+            }
+            _ => return Vec::new(),
         }
-        out
+        n[rb] += 1;
+        vec![n]
     }
 
     fn violation(&self, st: &[u64]) -> Option<String> {
         match st[self.viol()] {
             V_TORN => Some(
-                "torn snapshot: the reader observed a half-written shard \
-                 (mirror words disagree) — shard reads must hold the shard \
-                 lock"
+                "torn snapshot: the reader observed a half-written registry \
+                 (mirror words disagree) — registry reads must hold the \
+                 registry lock"
                     .into(),
             ),
             V_LINEARIZABILITY => Some(
@@ -339,21 +277,18 @@ impl Model for RegistryModel {
     }
 
     fn terminal_ok(&self, st: &[u64]) -> Result<(), String> {
-        let rb = self.rb();
-        if st[rb + 5] == 0 {
+        if st[self.rb() + 4] == 0 {
             return Err("snapshot thread never published".into());
         }
         let want = self.writers as u64 * self.incrs;
-        if self.committed_sum(st) != want {
+        if st[R_B] != want {
             return Err(format!(
                 "writers retired {} increments, expected {want}",
-                self.committed_sum(st),
+                st[R_B],
             ));
         }
-        for s in 0..self.shards {
-            if st[self.word_a(s)] != st[self.word_b(s)] {
-                return Err(format!("shard {s} left torn at termination"));
-            }
+        if st[R_A] != st[R_B] {
+            return Err("registry left torn at termination".into());
         }
         Ok(())
     }

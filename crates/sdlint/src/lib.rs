@@ -36,7 +36,7 @@
 //! * [`determinism`] — denies `HashMap`/`HashSet` on output-feeding
 //!   dataflow paths (byte-identical goldens by analysis, not luck).
 //! * [`interleave`] — exhaustive bounded model check of the three real
-//!   concurrent protocols (sharded registry snapshot, par merge
+//!   concurrent protocols (one-lock registry snapshot, par merge
 //!   handoff, daemon shutdown-drain square) under every interleaving.
 //! * [`json_syntax`] — no non-test source but `obs::json`, the writer
 //!   every emitted document is spelled with, holds a string literal

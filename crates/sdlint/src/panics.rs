@@ -175,6 +175,27 @@ mod tests {
         assert_eq!(count_sites(&body, &needles()), 0);
     }
 
+    /// A `'}'` in a test does not end its module: a later test's
+    /// `.unwrap()` is no panic site, and its call is no caller.
+    #[test]
+    fn a_brace_literal_does_not_end_a_test_module() {
+        let src = format!(
+            "pub fn tested() -> Option<u8> {{\n    Some(1)\n}}\n\n#[cfg(test)]\nmod tests {{\n    \
+             #[test]\n    fn brace() {{\n        assert!(\"{{}}\".ends_with('}}'));\n    }}\n\n    \
+             #[test]\n    fn later() {{\n        assert_eq!(super::tested().{}(), 1);\n    }}\n}}\n",
+            "unwrap"
+        );
+        let (body, _) = scan::strip_test_blocks(&src);
+        assert_eq!(count_sites(&body, &needles()), 0, "{body}");
+        let lib = scan::SourceFile {
+            rel: "crates/x/src/lib.rs".into(),
+            body,
+        };
+        let (findings, _) = crate::surface::check_sources(&[lib], &[]);
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert!(findings[0].message.contains("`tested`"), "{findings:#?}");
+    }
+
     #[test]
     fn test_mod_file_refs_are_collected() {
         let src = "mod real;\n#[cfg(test)]\nmod tests_protocol;\n";

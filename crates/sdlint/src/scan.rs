@@ -11,9 +11,10 @@
 //!
 //! These scanners are deliberately textual, not parsed: string literals
 //! containing a needle count against the file, which keeps the failure
-//! mode noisy rather than silent. The one scan for which a literal
-//! would hide a finding instead — an identifier counted as a caller —
-//! blanks literals and comments first ([`blank_literals`]).
+//! mode noisy rather than silent. Where a literal would hide a finding
+//! instead — a brace that ends a test module or a guard's block early,
+//! an identifier counted as a caller — literals and comments are
+//! blanked first ([`blank_literals`]).
 
 use std::path::Path;
 
@@ -31,35 +32,39 @@ pub struct SourceFile {
 pub(crate) struct LogicalLine {
     pub lineno: usize,
     pub text: String,
+    /// Net brace depth change of the line's code, literals and comments
+    /// not counted.
+    pub braces: i64,
 }
 
 /// Strip `#[cfg(test)] mod ... { ... }` blocks from `source` by brace
 /// matching, and collect the names of `#[cfg(test)] mod name;` file
-/// references so the caller can skip those files.
+/// references so the caller can skip those files. Attributes and braces
+/// are read with literals and comments blanked ([`blank_literals`]), so
+/// a `'}'` in a test does not end its module.
 pub fn strip_test_blocks(source: &str) -> (String, Vec<String>) {
+    let code = blank_literals(source);
     let mut out = String::with_capacity(source.len());
     let mut test_mod_files = Vec::new();
-    let mut lines = source.lines().peekable();
-    while let Some(line) = lines.next() {
-        if line.trim_start().starts_with("#[cfg(test)]") {
+    let mut lines = source.lines().zip(code.lines()).peekable();
+    while let Some((line, code_line)) = lines.next() {
+        if code_line.trim_start().starts_with("#[cfg(test)]") {
             // The attribute may gate a `mod x;` (external file), a
             // `mod x { ... }` block, or a single item; consume
             // accordingly, with any further attributes on it.
             while lines
                 .peek()
-                .is_some_and(|l| l.trim_start().starts_with("#["))
+                .is_some_and(|(_, l)| l.trim_start().starts_with("#["))
             {
                 lines.next();
             }
-            let Some(next) = lines.peek() else { break };
-            let trimmed = next.trim_start();
-            if trimmed.starts_with("mod ") && trimmed.trim_end().ends_with(';') {
-                let name = trimmed
-                    .trim_end()
-                    .trim_end_matches(';')
-                    .trim_start_matches("mod ")
-                    .trim();
-                test_mod_files.push(format!("{name}.rs"));
+            let Some((_, next)) = lines.peek() else { break };
+            let trimmed = next.trim();
+            if let Some(name) = trimmed
+                .strip_prefix("mod ")
+                .and_then(|m| m.strip_suffix(';'))
+            {
+                test_mod_files.push(format!("{}.rs", name.trim()));
                 lines.next();
                 continue;
             }
@@ -68,21 +73,10 @@ pub fn strip_test_blocks(source: &str) -> (String, Vec<String>) {
             // one-line gated item without braces is consumed as-is.
             let mut depth: i64 = 0;
             let mut opened = false;
-            for body in lines.by_ref() {
-                for ch in body.chars() {
-                    match ch {
-                        '{' => {
-                            depth += 1;
-                            opened = true;
-                        }
-                        '}' => depth -= 1,
-                        _ => {}
-                    }
-                }
-                if opened && depth <= 0 {
-                    break;
-                }
-                if !opened {
+            for (_, body) in lines.by_ref() {
+                depth += brace_delta(body);
+                opened |= body.contains('{');
+                if !opened || depth <= 0 {
                     break;
                 }
             }
@@ -336,29 +330,33 @@ fn raw_string_end(chars: &[char], start: usize) -> Option<usize> {
 /// method chains match single-line substring needles. Comment-only
 /// lines are dropped.
 pub(crate) fn logical_lines(body: &str) -> Vec<LogicalLine> {
+    let code = blank_literals(body);
     let mut out: Vec<LogicalLine> = Vec::new();
-    for (i, raw) in body.lines().enumerate() {
+    for (i, (raw, code_line)) in body.lines().zip(code.lines()).enumerate() {
         let trimmed = raw.trim();
         if trimmed.starts_with("//") {
             continue;
         }
-        let continues = trimmed.starts_with('.');
-        if continues {
+        let braces = brace_delta(code_line);
+        if trimmed.starts_with('.') {
             if let Some(last) = out.last_mut() {
                 last.text.push_str(trimmed);
+                last.braces += braces;
                 continue;
             }
         }
         out.push(LogicalLine {
             lineno: i + 1,
             text: trimmed.to_string(),
+            braces,
         });
     }
     out
 }
 
-/// Net brace depth change contributed by one line (string-literal
-/// blind, like the rest of the scanner — noisy over silent).
+/// Net brace depth change contributed by one line of code; callers pass
+/// [`blank_literals`] text, so braces in literals and comments do not
+/// count.
 pub(crate) fn brace_delta(line: &str) -> i64 {
     let mut d = 0i64;
     for ch in line.chars() {
@@ -383,6 +381,13 @@ mod tests {
         assert_eq!(lines[0].text, "let x = shared.health.lock().unwrap();");
         assert_eq!(lines[0].lineno, 1);
         assert_eq!(lines[1].lineno, 5);
+    }
+
+    #[test]
+    fn logical_line_braces_skip_literals_and_comments() {
+        let body = "let g = m.lock();\nlet s = format!(\"{{\")\n    .len(); // }\nif x == '}' {\n";
+        let braces: Vec<i64> = logical_lines(body).iter().map(|l| l.braces).collect();
+        assert_eq!(braces, [0, 0, 1]);
     }
 
     #[test]

