@@ -34,7 +34,7 @@ pub use format::{
 };
 pub use ids::{AppAttemptId, ApplicationId, ContainerId, NodeId};
 pub use par::Parallelism;
-pub use read::{list_dir, read_epoch, read_records, Entry, ReadCounts};
+pub use read::{list_dir, read_epoch, read_records, Entry, ReadCounts, MAX_HELD_LINE};
 pub use record::{Level, LogRecord, LogSource, RecordRef};
 pub use store::{scan_dir, LogStore, Records, SourceScan};
 

@@ -91,11 +91,14 @@ impl LogStore {
     pub fn scan<S: SourceScan>(&self, source: LogSource, mut scan: S) -> Option<S::Output> {
         let text = self.text(source).as_bytes();
         let mut buf = vec![0; text.len().min(READ_CHUNK)];
+        let mut rec = obs::Batch::default();
         let (counts, _) =
             read_records(&self.epoch, text, &mut buf, &mut Vec::new(), true, |recs| {
-                scan.records(recs)
+                scan.records(recs, &mut rec)
             });
-        (counts.records > 0).then(|| scan.finish())
+        let out = (counts.records > 0).then(|| scan.finish(&mut rec));
+        obs::flush(rec);
+        out
     }
 
     /// Flush to a directory tree (`resourcemanager.log`,
@@ -171,16 +174,18 @@ impl<'a> Records<'a> {
 /// from — and finished after the last run. File order is not time order
 /// (log4j keeps the newest rotated segment in `x.log`, which is read
 /// first; a damaged file swaps lines), so a scan whose result depends on
-/// order must settle it itself.
+/// order must settle it itself. What a scan records for the registry it
+/// gathers into `rec`, which the reader hands over with its own in one
+/// acquisition per file ([`obs::Batch`]).
 pub trait SourceScan: Send {
     /// What the source comes to.
     type Output: Send;
 
     /// Take the source's next records.
-    fn records(&mut self, recs: &[RecordRef<'_>]);
+    fn records(&mut self, recs: &[RecordRef<'_>], rec: &mut obs::Batch);
 
     /// No record follows.
-    fn finish(self) -> Self::Output;
+    fn finish(self, rec: &mut obs::Batch) -> Self::Output;
 }
 
 /// A store of one source, each record the scan hands it rendered back
@@ -188,13 +193,13 @@ pub trait SourceScan: Send {
 impl SourceScan for (LogSource, LogStore) {
     type Output = Self;
 
-    fn records(&mut self, recs: &[RecordRef<'_>]) {
+    fn records(&mut self, recs: &[RecordRef<'_>], _: &mut obs::Batch) {
         for &r in recs {
             self.1.append(self.0, r);
         }
     }
 
-    fn finish(self) -> Self {
+    fn finish(self, _: &mut obs::Batch) -> Self {
         self
     }
 }
@@ -259,7 +264,13 @@ fn scan_source<S: SourceScan>(
     let mut scan = open(epoch, segments[0].0);
     let mut held = Vec::new();
     let mut records = 0;
-    for (_, path) in segments {
+    // A file's spans and counts, and after the last file the stream's,
+    // reach the registry in one acquisition.
+    let mut rec = obs::Batch::default();
+    for (i, (_, path)) in segments.iter().enumerate() {
+        if i > 0 {
+            obs::flush(std::mem::take(&mut rec));
+        }
         let rel = path.strip_prefix(dir).unwrap_or(path);
         let span = obs::span("ingest_file").arg("file", rel.display());
         let file = fs::File::open(path)?;
@@ -269,18 +280,21 @@ fn scan_source<S: SourceScan>(
         let mut buf = vec![0; len.min(READ_CHUNK as u64) as usize];
         let (counts, read) =
             read_records(epoch, file.take(len), &mut buf, &mut held, true, |recs| {
-                scan.records(recs)
+                scan.records(recs, &mut rec)
             });
         read?;
         if span.is_active() {
             let (parsed, skipped) = (counts.records, counts.skipped());
-            obs::count_labeled("ingest_lines_total", &[("status", "parsed")], parsed);
-            obs::count_labeled("ingest_lines_total", &[("status", "skipped")], skipped);
-            obs::observe("ingest_file_lines", LINES_PER_FILE_BOUNDS, counts.lines);
+            rec.count_labeled("ingest_lines_total", &[("status", "parsed")], parsed);
+            rec.count_labeled("ingest_lines_total", &[("status", "skipped")], skipped);
+            rec.observe("ingest_file_lines", LINES_PER_FILE_BOUNDS, counts.lines);
         }
+        span.end_into(&mut rec);
         records += counts.records;
     }
-    Ok((records > 0).then(|| scan.finish()))
+    let out = (records > 0).then(|| scan.finish(&mut rec));
+    obs::flush(rec);
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -397,12 +411,12 @@ mod tests {
     impl SourceScan for Runs {
         type Output = Self;
 
-        fn records(&mut self, recs: &[RecordRef<'_>]) {
+        fn records(&mut self, recs: &[RecordRef<'_>], _: &mut obs::Batch) {
             let seen = recs.iter().map(|r| (r.ts.0, r.message.to_string()));
             self.1.push(seen.collect());
         }
 
-        fn finish(self) -> Self {
+        fn finish(self, _: &mut obs::Batch) -> Self {
             self
         }
     }

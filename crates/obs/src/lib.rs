@@ -56,7 +56,7 @@ mod sketch;
 pub use export::{chrome_trace, describe, metrics_json, prometheus_text, TraceEvents};
 pub use http::{HttpServer, Request, Response, PROMETHEUS_CONTENT_TYPE};
 pub use metrics::{Histogram, MetricKey, Snapshot};
-pub use recorder::{Recorder, SpanGuard};
+pub use recorder::{Batch, Recorder, SpanGuard};
 pub use sketch::QuantileSketch;
 
 /// The process-wide recorder all library instrumentation targets.
@@ -82,6 +82,12 @@ pub fn enabled() -> bool {
 /// Start a span on the global recorder (no-op guard when disabled).
 pub fn span(name: &'static str) -> SpanGuard<'static> {
     GLOBAL.span(name)
+}
+
+/// Apply what `batch` gathered to the global recorder under one
+/// acquisition of its lock.
+pub fn flush(batch: Batch) {
+    global().flush(batch)
 }
 
 /// Add to an unlabeled counter on the global recorder.

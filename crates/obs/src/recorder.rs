@@ -235,6 +235,33 @@ impl Recorder {
         self.state().sketches.entry(key).or_default().observe(v);
     }
 
+    /// Apply everything `batch` gathered, under one acquisition of the
+    /// registry lock: the counts added, the observations made, the spans
+    /// pushed, in the order they were gathered. An empty batch takes no
+    /// lock.
+    pub fn flush(&self, batch: Batch) {
+        if batch.ops.is_empty() {
+            return;
+        }
+        let mut st = self.state();
+        let anchor = st.anchor;
+        for op in batch.ops {
+            match op {
+                Op::Count(key, n) => *st.counters.entry(key).or_insert(0) += n,
+                Op::Observe(key, bounds, v) => st
+                    .histograms
+                    .entry(key)
+                    .or_insert_with(|| Histogram::new(bounds))
+                    .observe(v),
+                Op::Sketch(key, v) => st.sketches.entry(key).or_default().observe(v),
+                Op::Span(inner, end) => {
+                    let record = inner.record(anchor, end);
+                    st.spans.push(record);
+                }
+            }
+        }
+    }
+
     /// Copy the registry into one immutable snapshot. Counter, histogram,
     /// and gauge values are independent of which thread recorded what;
     /// only span timings and thread ids vary run to run.
@@ -295,24 +322,116 @@ impl SpanGuard<'_> {
     }
 }
 
+impl SpanGuard<'_> {
+    /// End the span now, its record gathered into `batch` rather than
+    /// pushed under the lock.
+    pub fn end_into(mut self, batch: &mut Batch) {
+        if let Some(inner) = self.inner.take() {
+            batch.ops.push(Op::Span(inner.detach(), Instant::now()));
+        }
+    }
+}
+
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let Some(inner) = self.inner.take() else {
             return;
         };
         let end = Instant::now();
-        let dur_us = end.saturating_duration_since(inner.start).as_micros() as u64;
         let mut st = inner.rec.state();
-        let start_us = st.anchor.map_or(0, |a| {
-            inner.start.saturating_duration_since(a).as_micros() as u64
-        });
-        st.spans.push(SpanRecord {
-            name: inner.name,
-            tid: inner.tid,
-            start_us,
-            dur_us,
-            args: inner.args,
-        });
+        let record = inner.detach().record(st.anchor, end);
+        st.spans.push(record);
+    }
+}
+
+/// A span's record short of its place on the trace clock.
+struct Ended {
+    name: &'static str,
+    tid: u64,
+    start: Instant,
+    args: Vec<(&'static str, String)>,
+}
+
+impl SpanInner<'_> {
+    fn detach(self) -> Ended {
+        Ended {
+            name: self.name,
+            tid: self.tid,
+            start: self.start,
+            args: self.args,
+        }
+    }
+}
+
+impl Ended {
+    /// The record of a span that ended at `end`, timed from `anchor`.
+    fn record(self, anchor: Option<Instant>, end: Instant) -> SpanRecord {
+        SpanRecord {
+            name: self.name,
+            tid: self.tid,
+            start_us: anchor.map_or(0, |a| {
+                self.start.saturating_duration_since(a).as_micros() as u64
+            }),
+            dur_us: end.saturating_duration_since(self.start).as_micros() as u64,
+            args: self.args,
+        }
+    }
+}
+
+/// One registry update a [`Batch`] holds.
+enum Op {
+    Count(MetricKey, u64),
+    Observe(MetricKey, &'static [u64], u64),
+    Sketch(MetricKey, u64),
+    Span(Ended, Instant),
+}
+
+/// Registry updates gathered by a unit of work — a file read, a stream
+/// scanned — and handed to the registry in one acquisition by
+/// [`Recorder::flush`]. Gathers nothing while recording is off.
+#[derive(Default)]
+pub struct Batch {
+    ops: Vec<Op>,
+}
+
+impl Batch {
+    /// Add `n` to an unlabeled counter, when the batch is flushed.
+    pub fn count(&mut self, name: &'static str, n: u64) {
+        if crate::enabled() {
+            self.ops.push(Op::Count(MetricKey::plain(name), n));
+        }
+    }
+
+    /// Add `n` to a labeled counter, when the batch is flushed.
+    pub fn count_labeled(&mut self, name: &'static str, labels: &[(&'static str, &str)], n: u64) {
+        if crate::enabled() {
+            self.ops
+                .push(Op::Count(MetricKey::labeled(name, labels), n));
+        }
+    }
+
+    /// Observe `v` into a fixed-bucket histogram, when the batch is
+    /// flushed. All observation sites of one metric must pass the same
+    /// `bounds`.
+    pub fn observe(&mut self, name: &'static str, bounds: &'static [u64], v: u64) {
+        if crate::enabled() {
+            self.ops
+                .push(Op::Observe(MetricKey::plain(name), bounds, v));
+        }
+    }
+
+    /// Observe `v` into a labeled quantile sketch, when the batch is
+    /// flushed.
+    pub fn sketch_observe_labeled(
+        &mut self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        v: u64,
+    ) {
+        if crate::enabled() {
+            self.ops
+                .push(Op::Sketch(MetricKey::labeled(name, labels), v));
+        }
     }
 }
 

@@ -16,7 +16,7 @@ use logmodel::schema::Family;
 use logmodel::{ApplicationId, LogSource, Parallelism, RecordRef, SourceScan};
 
 use crate::checkpoint::CkptError;
-use crate::event::{count_event_kinds, EventKind, Ids, SchedEvent};
+use crate::event::{EventKind, Ids, SchedEvent};
 use crate::schema::{MatchKind, PatternSpec, Subject, PATTERNS};
 use crate::wire::{corrupt, wire_struct, Dec, Decode, Enc, Encode};
 
@@ -446,19 +446,19 @@ pub fn extract_all_cov_with(
 /// What one pass over one stream's records yields: everything the
 /// analysis wants from them, so that nothing needs the records afterwards.
 pub(crate) struct StreamScan {
-    source: LogSource,
+    pub(crate) source: LogSource,
     /// The stream's events, in record order, except that a driver or
     /// executor stream's FIRST_LOG, at index 0, carries its earliest
     /// record's timestamp.
-    events: Vec<SchedEvent>,
-    cov: CoverageCounts,
+    pub(crate) events: Vec<SchedEvent>,
+    pub(crate) cov: CoverageCounts,
     /// The earliest unmatched message, if any.
-    example: Option<String>,
+    pub(crate) example: Option<String>,
     /// The application name of the earliest Spark banner line (driver
     /// streams only).
-    name: Option<String>,
+    pub(crate) name: Option<String>,
     /// The newest record timestamp.
-    max_ts: Option<logmodel::TsMs>,
+    pub(crate) max_ts: Option<logmodel::TsMs>,
 }
 
 /// A [`StreamScan`] in the making: fed one stream's records a run at a
@@ -466,18 +466,41 @@ pub(crate) struct StreamScan {
 /// timestamp would: [`StreamCursor::step`] settles the positional facts,
 /// FIRST_LOG stays at index 0 of the stream's events, and the merge's
 /// stable sort puts every other event where the sorted stream would have.
+///
+/// A scanner [resumed](StreamScanner::resume) from a tailed stream's
+/// cursor scans the records one look at the stream read, for the daemon:
+/// its FIRST_LOG may sit in an event an earlier look handed over, so a
+/// move is listed rather than made, and it records nothing, whichever
+/// thread it runs on. [`StreamScanner::end`] hands it over as a
+/// [`TailScan`].
 pub(crate) struct StreamScanner<'e> {
     ex: &'e Extractor,
     cursor: StreamCursor,
     scan: StreamScan,
+    /// Resumed from a tailed stream's cursor.
+    resumed: bool,
+    /// A resumed scan's FIRST_LOG moves, in record order.
+    moves: Vec<SchedEvent>,
+    /// A resumed scan's anomalous records' timestamps, in record order.
+    anomalous: Vec<logmodel::TsMs>,
 }
 
 impl<'e> StreamScanner<'e> {
     /// A scanner at the start of `source`'s stream.
     pub(crate) fn new(ex: &'e Extractor, source: LogSource) -> StreamScanner<'e> {
+        StreamScanner::resume(ex, source, StreamCursor::default()).batch()
+    }
+
+    /// A scanner of `source`'s next records, which `cursor` has the
+    /// stream's positional facts up to.
+    pub(crate) fn resume(
+        ex: &'e Extractor,
+        source: LogSource,
+        cursor: StreamCursor,
+    ) -> StreamScanner<'e> {
         StreamScanner {
             ex,
-            cursor: StreamCursor::default(),
+            cursor,
             scan: StreamScan {
                 source,
                 events: Vec::new(),
@@ -486,33 +509,36 @@ impl<'e> StreamScanner<'e> {
                 name: None,
                 max_ts: None,
             },
+            resumed: true,
+            moves: Vec::new(),
+            anomalous: Vec::new(),
         }
     }
-}
 
-/// The scanner as the batch pipelines run it: each run under an
-/// `extract_stream` span, and at the end the stream's counters flushed
-/// when recording is on. Events stay in record order; the merge sorts.
-impl SourceScan for StreamScanner<'_> {
-    type Output = StreamScan;
+    fn batch(self) -> StreamScanner<'e> {
+        StreamScanner {
+            resumed: false,
+            ..self
+        }
+    }
 
-    fn records(&mut self, recs: &[RecordRef<'_>]) {
-        // Named only when traced: a path formatted per run for nothing
-        // costs a directory of small files some 5 % of its CPU.
-        let span = obs::span("extract_stream");
-        let _span = if span.is_active() {
-            span.arg("source", self.scan.source.rel_path())
-        } else {
-            span
-        };
+    /// Step every record of `recs`, in order.
+    pub(crate) fn step_all(&mut self, recs: &[RecordRef<'_>]) {
         let scan = &mut self.scan;
         for r in recs {
             let step = self
                 .cursor
                 .step(self.ex, scan.source, r, &mut scan.events, &mut scan.cov);
             if let Some(first) = step.first_moved {
-                debug_assert_eq!(scan.events[0].kind, first.kind);
-                scan.events[0] = first;
+                if self.resumed {
+                    self.moves.push(first);
+                } else {
+                    debug_assert_eq!(scan.events[0].kind, first.kind);
+                    scan.events[0] = first;
+                }
+            }
+            if self.resumed && step.outcome == Outcome::Anomalous {
+                self.anomalous.push(r.ts);
             }
             if step.example {
                 scan.example = Some(r.message.to_string());
@@ -524,13 +550,70 @@ impl SourceScan for StreamScanner<'_> {
         }
     }
 
-    fn finish(self) -> StreamScan {
+    /// A resumed scanner's result; [`StreamScanner::step_all`] fed it.
+    pub(crate) fn end(self) -> TailScan {
+        debug_assert!(self.resumed);
+        TailScan {
+            scan: self.scan,
+            cursor: self.cursor,
+            moves: self.moves,
+            anomalous: self.anomalous,
+        }
+    }
+}
+
+/// What one look at a tailed stream read came to: the stream scan of its
+/// records, the cursor the stream's next look resumes from, the FIRST_LOG
+/// moves to make where the events wait, and the anomalous records'
+/// timestamps for the corrupt-line alert rule. Made on a pool worker,
+/// folded in by [`crate::IncrementalAnalyzer`] on the poll thread.
+pub struct TailScan {
+    pub(crate) scan: StreamScan,
+    pub(crate) cursor: StreamCursor,
+    pub(crate) moves: Vec<SchedEvent>,
+    anomalous: Vec<logmodel::TsMs>,
+}
+
+impl TailScan {
+    /// Records scanned: each is tallied once in the coverage counts.
+    pub fn records(&self) -> u64 {
+        let c = self.scan.cov;
+        c.matched + c.unmatched + c.anomalous + c.ignored
+    }
+
+    /// The timestamps of the records that classified
+    /// [`Outcome::Anomalous`], in record order.
+    pub fn anomalous(&self) -> &[logmodel::TsMs] {
+        &self.anomalous
+    }
+}
+
+/// The scanner as the batch pipelines run it: each run under an
+/// `extract_stream` span, and at the end the stream's counters flushed
+/// when recording is on. Events stay in record order; the merge sorts.
+impl SourceScan for StreamScanner<'_> {
+    type Output = StreamScan;
+
+    fn records(&mut self, recs: &[RecordRef<'_>], rec: &mut obs::Batch) {
+        // Named only when traced: a path formatted per run for nothing
+        // costs a directory of small files some 5 % of its CPU.
+        let span = obs::span("extract_stream");
+        let span = if span.is_active() {
+            span.arg("source", self.scan.source.rel_path())
+        } else {
+            span
+        };
+        self.step_all(recs);
+        span.end_into(rec);
+    }
+
+    fn finish(self, rec: &mut obs::Batch) -> StreamScan {
         let mut scan = self.scan;
         // Every stream's events wait for the merge, which holds them and
         // their merged copy at once: they wait without growth slack.
         scan.events.shrink_to_fit();
         if obs::enabled() {
-            flush_stream_metrics(scan.source, &scan.events, scan.cov);
+            record_stream_metrics(rec, scan.source, &scan.events, scan.cov);
         }
         scan
     }
@@ -586,23 +669,31 @@ pub(crate) fn merge_scans(scans: Vec<StreamScan>) -> Extracted {
     }
 }
 
-/// Flush one stream's extraction counters into the global recorder
-/// (called only when recording is enabled). Counter totals are pure
-/// functions of the corpus, so metric exports are byte-identical for
-/// every worker count.
-fn flush_stream_metrics(src: LogSource, evs: &[SchedEvent], cov: CoverageCounts) {
+/// Gather one stream's extraction counters into `rec` (called only when
+/// recording is enabled). Counter totals are pure functions of the
+/// corpus, so metric exports are byte-identical for every worker count.
+fn record_stream_metrics(
+    rec: &mut obs::Batch,
+    src: LogSource,
+    evs: &[SchedEvent],
+    cov: CoverageCounts,
+) {
     let mut per_kind = [0; EventKind::ALL.len()];
     for e in evs {
         per_kind[e.kind.index()] += 1;
     }
-    count_event_kinds(&per_kind);
+    for (kind, &n) in EventKind::ALL.iter().zip(&per_kind) {
+        if n > 0 {
+            rec.count_labeled("extract_events_total", &[("kind", kind.name())], n);
+        }
+    }
     let source = src.family().name();
     for (status, n) in [
         ("matched", cov.matched),
         ("unmatched", cov.unmatched),
         ("ignored", cov.ignored),
     ] {
-        obs::count_labeled(
+        rec.count_labeled(
             "parse_lines_total",
             &[("source", source), ("status", status)],
             n,
@@ -611,13 +702,13 @@ fn flush_stream_metrics(src: LogSource, evs: &[SchedEvent], cov: CoverageCounts)
     // The anomalous series only exists on damaged corpora, keeping clean
     // metric exports byte-identical to what they were before the bucket.
     if cov.anomalous > 0 {
-        obs::count_labeled(
+        rec.count_labeled(
             "parse_lines_total",
             &[("source", source), ("status", "anomalous")],
             cov.anomalous,
         );
     }
-    obs::observe(
+    rec.observe(
         "extract_stream_events",
         EVENTS_PER_STREAM_BOUNDS,
         evs.len() as u64,
@@ -678,7 +769,7 @@ mod tests {
         records: &[LogRecord],
     ) -> (Vec<SchedEvent>, CoverageCounts, Option<String>) {
         let mut scanner = StreamScanner::new(ex, source);
-        scanner.records(&records.iter().map(LogRecord::as_ref).collect::<Vec<_>>());
+        scanner.step_all(&records.iter().map(LogRecord::as_ref).collect::<Vec<_>>());
         let scan = scanner.scan;
         (scan.events, scan.cov, scan.example)
     }
@@ -1304,11 +1395,11 @@ mod tests {
             let mut rest = refs.as_slice();
             while !rest.is_empty() {
                 let (run, tail) = rest.split_at(1 + rng.index(rest.len()));
-                got.records(run);
+                got.records(run, &mut obs::Batch::default());
                 rest = tail;
             }
             assert_eq!(
-                settled(got.finish()),
+                settled(got.finish(&mut obs::Batch::default())),
                 settled_in_order(&ex, src, &sorted),
                 "case {case}: {records:?}"
             );

@@ -235,30 +235,33 @@ pub(crate) fn record_app_metrics(d: &AppDelays, unused: usize) {
     if !obs::enabled() {
         return;
     }
-    obs::count("analyze_apps_total", 1);
-    obs::count("unused_containers_total", unused as u64);
+    // One acquisition of the registry per application.
+    let mut rec = obs::Batch::default();
+    rec.count("analyze_apps_total", 1);
+    rec.count("unused_containers_total", unused as u64);
     if matches!(d.outcome, AppOutcome::Failed | AppOutcome::Killed) {
         let outcome = [("outcome", d.outcome.label())];
-        obs::count_labeled("analyze_app_outcomes_total", &outcome, 1);
+        rec.count_labeled("analyze_app_outcomes_total", &outcome, 1);
     }
     if d.attempts > 1 {
-        obs::count("analyze_retried_apps_total", 1);
+        rec.count("analyze_retried_apps_total", 1);
     }
     if d.wasted_ms > 0 {
-        obs::count("analyze_wasted_delay_ms_total", d.wasted_ms);
+        rec.count("analyze_wasted_delay_ms_total", d.wasted_ms);
     }
     for (name, f) in APP_COMPONENTS.iter() {
         if let Some(v) = f(d) {
-            obs::sketch_observe_labeled("app_delay_ms", &[("component", name)], v);
+            rec.sketch_observe_labeled("app_delay_ms", &[("component", name)], v);
         }
     }
     for c in &d.containers {
         for (name, f) in CONTAINER_COMPONENTS.iter() {
             if let Some(v) = f(c) {
-                obs::sketch_observe_labeled("container_delay_ms", &[("component", name)], v);
+                rec.sketch_observe_labeled("container_delay_ms", &[("component", name)], v);
             }
         }
     }
+    obs::flush(rec);
 }
 
 /// A map keyed by `&'static str` travels with plain-string keys.

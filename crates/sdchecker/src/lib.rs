@@ -81,7 +81,7 @@ pub use critical::{critical_path, CriticalPath, CriticalSegment};
 pub use decompose::{decompose, AppDelays, AppOutcome, ContainerDelays};
 pub use event::{EventKind, SchedEvent};
 pub use exemplars::{PromotedApp, TailExemplars};
-pub use extract::{extract_app_names_with, Extractor, Outcome, StreamCursor};
+pub use extract::{extract_app_names_with, Extractor, Outcome, StreamCursor, TailScan};
 pub use graph::{build_graphs, ContainerTrack, SchedulingGraph};
 pub use incremental::{IncrementalAnalyzer, IncrementalConfig, RetiredApp};
 pub use logmodel::{Parallelism, READ_CHUNK};
