@@ -374,6 +374,7 @@ fn serves_alerts_exemplars_and_wide_events() {
         "sd_alert_firing",
         "sd_tail_fs_ops_total",
         "sd_tail_read_errors_total",
+        "sd_tail_oversize_lines_total",
     ] {
         assert!(text.contains(&format!("# HELP {family} ")), "{family}");
     }
@@ -401,6 +402,7 @@ fn serves_alerts_exemplars_and_wide_events() {
         );
     }
     assert!(text.contains("sd_tail_read_errors_total 0"), "{text}");
+    assert!(text.contains("sd_tail_oversize_lines_total 0"), "{text}");
     assert!(
         text.contains("sd_alert_firing{rule=\"total_p99_slo\"}"),
         "{text}"
