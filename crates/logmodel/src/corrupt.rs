@@ -112,7 +112,10 @@ pub struct CorruptReport {
 /// models a different failure (no corpus at all) that callers test
 /// separately. Returns what was damaged.
 pub fn corrupt_dir(dir: &Path, seed: u64, cfg: &CorruptConfig) -> io::Result<CorruptReport> {
-    let mut files: Vec<PathBuf> = log_files(dir)?.into_iter().map(|(_, p)| p).collect();
+    let mut files: Vec<PathBuf> = log_files(dir, crate::Parallelism::ONE)?
+        .into_iter()
+        .map(|(_, p)| p)
+        .collect();
     files.sort();
     let mut rng = Rng64::new(seed);
     let mut report = CorruptReport::default();

@@ -9,6 +9,7 @@ use std::num::ParseIntError;
 use std::path::{Path, PathBuf};
 
 use crate::format::{carry_lines, parse_line_ref, Epoch, READ_CHUNK};
+use crate::par::{self, Parallelism};
 use crate::record::{LogSource, RecordRef};
 
 /// Bytes per record assumed when a run's record vector is sized from the
@@ -85,15 +86,37 @@ pub fn list_dir(
     Ok(())
 }
 
+/// Directories one pool item of [`log_files`] lists. A corpus has one
+/// directory per application, each a listing of a few entries, so a
+/// directory alone is too little work to hand a worker.
+const LIST_RUN: usize = 64;
+
 /// Every log file under the corpus directory `dir` that [`list_dir`]
 /// names, descending into every directory it names; in no given order.
-pub(crate) fn log_files(dir: &Path) -> io::Result<Vec<(LogSource, PathBuf)>> {
-    let (mut files, mut stack) = (Vec::new(), vec![dir.to_path_buf()]);
-    while let Some(d) = stack.pop() {
-        list_dir(dir, &d, &mut 0, |entry| match entry {
-            Entry::Dir(path) => stack.push(path.to_path_buf()),
-            Entry::Log(source, _, path) => files.push((source, path.to_path_buf())),
-        })?;
+/// The walk goes a level at a time, each level's directories listed over
+/// `par` in runs of [`LIST_RUN`]: the root, then `apps/`, then the
+/// application directories, which are nearly all of a corpus's listings.
+pub(crate) fn log_files(dir: &Path, par: Parallelism) -> io::Result<Vec<(LogSource, PathBuf)>> {
+    let (mut files, mut level) = (Vec::new(), vec![dir.to_path_buf()]);
+    while !level.is_empty() {
+        let runs: Vec<&[PathBuf]> = level.chunks(LIST_RUN).collect();
+        let listed = par::map(par, &runs, |run| {
+            let (mut files, mut dirs) = (Vec::new(), Vec::new());
+            for d in *run {
+                list_dir(dir, d, &mut 0, |entry| match entry {
+                    Entry::Dir(path) => dirs.push(path.to_path_buf()),
+                    Entry::Log(source, _, path) => files.push((source, path.to_path_buf())),
+                })?;
+            }
+            io::Result::Ok((files, dirs))
+        });
+        let mut next = Vec::new();
+        for run in listed {
+            let (run_files, run_dirs) = run?;
+            files.extend(run_files);
+            next.extend(run_dirs);
+        }
+        level = next;
     }
     Ok(files)
 }

@@ -229,23 +229,32 @@ where
 {
     let _span = obs::span("ingest").arg("dir", dir.display());
     let epoch = read_epoch(dir)?.unwrap_or_else(Epoch::default_run);
-    // Enumerate log files first (cheap), then read them in parallel (the
-    // expensive part). One flat table, sorted by source and then by path
-    // bytes — every path starts with `dir`, so that is relative-path
-    // order — pins the order of a source's segments, so nothing depends
-    // on directory iteration order or worker scheduling.
-    let mut files = log_files(dir)?;
-    files.sort_by(|(a, a_path), (b, b_path)| {
+    // Enumerate the log files over the pool, then read them over it. The
+    // walk is not cheap — a listing per application directory, a tenth
+    // of a 2 000-application run on one thread — but a source's segments
+    // may sit in two directories (a source is named by its path), so
+    // its read waits for the whole table. One flat table, sorted by
+    // source and then by path bytes — every path starts with `dir`, so
+    // that is relative-path order — pins the order of a source's
+    // segments, so nothing depends on directory iteration order or
+    // worker scheduling (no two entries are equal: a path is listed
+    // once).
+    let walk = obs::span("walk");
+    let mut files = log_files(dir, par)?;
+    files.sort_unstable_by(|(a, a_path), (b, b_path)| {
         a.cmp(b)
             .then_with(|| a_path.as_os_str().cmp(b_path.as_os_str()))
     });
+    drop(walk);
     obs::count("ingest_files_total", files.len() as u64);
     // The pool borrows one run of the table per source and drops none
     // of it (see `par`): the table is freed here, after the pool joins.
     let sources: Vec<&[(LogSource, PathBuf)]> = files.chunk_by(|a, b| a.0 == b.0).collect();
+    let read = obs::span("read");
     let scanned = par::map(par, &sources, |segments| {
         scan_source(&epoch, dir, segments, &open)
     });
+    drop(read);
     let mut out = Vec::with_capacity(scanned.len());
     for result in scanned {
         out.extend(result?);

@@ -147,9 +147,19 @@ pub fn stream_output(
     quiet: bool,
     write: impl FnOnce(std::fs::File) -> io::Result<()>,
 ) -> Result<(), Stop> {
-    std::fs::File::create(path)
-        .and_then(write)
-        .or_fail(format_args!("failed to write {}", path.display()))?;
+    let result = std::fs::File::create(path).and_then(write);
+    written(path, result, what, quiet)
+}
+
+/// What writing `path` came to: an error fails the run; otherwise note
+/// `wrote {what} to {path}` on stderr unless `quiet`.
+pub fn written(
+    path: &Path,
+    result: io::Result<()>,
+    what: impl Display,
+    quiet: bool,
+) -> Result<(), Stop> {
+    result.or_fail(format_args!("failed to write {}", path.display()))?;
     if !quiet {
         note(format_args!("wrote {what} to {}", path.display()));
     }

@@ -19,12 +19,11 @@
 //!    (unregistered / finished / failed / killed) and the record
 //!    watermark has advanced `settle_ms` past it — long enough for the
 //!    cross-stream stragglers of that app (executor task lines, NM DONE
-//!    transitions) to land — its events are stable-sorted by
-//!    `(ts, source)` and pushed through [`analyze_app_events`], the
-//!    same three steps the batch pass runs per application. That sort
-//!    reproduces the batch merge order within one application, so
-//!    a retired app's delays are **identical** to what a batch run over
-//!    the finished corpus computes. An idle timeout (measured in *log
+//!    transitions) to land — its events are put in order by
+//!    `order_app_events` (timestamp, then stream) and pushed through
+//!    [`analyze_app_events`]: what the batch pass does per application,
+//!    so a retired app's delays are **identical** to what a batch run
+//!    over the finished corpus computes. An idle timeout (measured in *log
 //!    time* against the watermark, so it is deterministic under replay)
 //!    force-retires stragglers whose streams simply stop, classifying
 //!    them `Truncated` exactly as batch does for a cut-off corpus.
@@ -46,7 +45,7 @@ use logmodel::{ApplicationId, LogRecord, LogSource, RecordRef, TsMs};
 use obs::json::{document, Layout, Null};
 use obs::json_fields;
 
-use crate::analyze::analyze_app_events;
+use crate::analyze::{analyze_app_events, order_app_events};
 use crate::checkpoint::CkptError;
 use crate::decompose::{AppDelays, AppOutcome};
 use crate::event::{count_event_kinds, EventKind, SchedEvent};
@@ -408,11 +407,9 @@ impl IncrementalAnalyzer {
     fn retire(&mut self, app: ApplicationId, forced: bool, retire_ms: TsMs) -> RetiredApp {
         let mut state = self.apps.remove(&app).unwrap_or_default();
         self.retired_ids.insert(app);
-        // Stable sort by (ts, source) reproduces the batch merge order
-        // within one application: the merge emits by timestamp with ties
-        // broken by stream index, streams are enumerated in `LogSource`
-        // order, and the per-stream event order survives the stable sort.
-        state.events.sort_by_key(|e| (e.ts, e.source()));
+        // Each stream's events arrived in record order, as batch gathers
+        // them; the one order function settles the rest for both.
+        order_app_events(&mut state.events);
         let (graph, delays, unused) = analyze_app_events(app, &state.events);
         let name = self.names.remove(&app);
         let facts = AppFacts::new(&graph, &delays, name.as_deref(), unused.len());
