@@ -1,8 +1,10 @@
 //! The parallel pipeline's central property: for arbitrary generated log
 //! corpora, analysis with `threads ∈ {2, 4, 8}` produces exactly the
 //! `threads = 1` result — events order, graphs, delays, unused containers,
-//! and app names — and the daemon's polls on 2 and 4 workers leave what
-//! they leave on one. Randomized as seeded loops over `simkit::SimRng`.
+//! and app names — every document `sdchecker` writes is the same bytes at
+//! 1, 2 and 4 threads, and the daemon's polls on 2 and 4 workers leave
+//! what they leave on one. Randomized as seeded loops over
+//! `simkit::SimRng`.
 
 use logmodel::schema::Family;
 use logmodel::{
@@ -12,6 +14,7 @@ use sdchecker::checkpoint::{self, CfgFingerprint, CheckpointStore, SaveInputs};
 use sdchecker::{analyze_store, analyze_store_with, Analysis, Parallelism};
 use simkit::SimRng;
 
+mod common;
 #[path = "common/layouts.rs"]
 mod layouts;
 
@@ -322,6 +325,129 @@ fn dir_analysis_equals_store_analysis_on_hostile_layouts() {
                 &rendered(&from_dir),
                 "{label}: differs from one thread"
             );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Every document `sdchecker <dir> --threads <threads>` writes, by name:
+/// standard output, `--report-json`, `--wide-events-out`,
+/// `--app-trace-out`, `--csv`, and `--metrics-out` less the two gauges
+/// that name the thread count. (The binary clamps `--threads` to the
+/// hardware threads.)
+fn cli_documents(dir: &std::path::Path, threads: usize) -> Vec<(&'static str, Vec<u8>)> {
+    use std::fs;
+    let out = dir.with_extension(format!("out{threads}"));
+    let _ = fs::remove_dir_all(&out);
+    fs::create_dir_all(&out).unwrap();
+    let files = [
+        ("report-v1", "--report-json"),
+        ("wide events", "--wide-events-out"),
+        ("app trace", "--app-trace-out"),
+        ("csv", "--csv"),
+        ("metrics", "--metrics-out"),
+    ];
+    let path = |name: &str| out.join(name.replace(' ', "_") + ".json");
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_sdchecker"));
+    cmd.arg(dir)
+        .args(["--threads", &threads.to_string(), "--quiet"]);
+    for (name, flag) in files {
+        cmd.arg(flag).arg(path(name));
+    }
+    let run = cmd.output().unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(run.status.success(), "--threads {threads}: {stderr}");
+    let mut docs = vec![("stdout", run.stdout)];
+    for (name, _) in files {
+        let mut bytes = fs::read(path(name)).unwrap();
+        if name == "metrics" {
+            let text = String::from_utf8(bytes).unwrap();
+            let gauges = ["analyze_threads_requested", "analyze_threads_effective"];
+            let kept = text
+                .lines()
+                .filter(|l| !gauges.iter().any(|g| l.contains(g)));
+            bytes = kept.collect::<Vec<_>>().join("\n").into_bytes();
+            assert!(
+                bytes.len() < text.len(),
+                "the export names the thread count"
+            );
+        }
+        docs.push((name, bytes));
+    }
+    fs::remove_dir_all(&out).unwrap();
+    docs
+}
+
+/// The text report, `report-v1` and the wide events of one directory
+/// analysis on `threads` workers (not clamped), rendered as `sdchecker`
+/// renders them: the facts and the documents on the same pool.
+fn pooled_documents(dir: &std::path::Path, threads: usize) -> [Vec<u8>; 3] {
+    let par = Parallelism::new(threads);
+    let an = sdchecker::analyze_dir_with(dir, par).unwrap();
+    let report = sdchecker::Report::pooled(&an, par);
+    let (mut text, mut json, mut wide) = (Vec::new(), Vec::new(), Vec::new());
+    let written = report.write_documents(par, Some(&mut text), Some(&mut json), Some(&mut wide));
+    for result in written {
+        result.unwrap();
+    }
+    [text, json, wide]
+}
+
+/// Every batch document is the same bytes at every width, over trees a
+/// generated corpus never is: the faulty fleet (a failed application
+/// with a retried AM, a truncated one, corrupt ids, schema drift) in
+/// more applications than a run of the pool holds, that tree damaged by
+/// `corrupt_dir` at its default and severe settings, with its
+/// ResourceManager log rotated out of time order, and with every
+/// application log shuffled with tied timestamps. `sdchecker` runs at 1,
+/// 2 and 4 threads; the documents pass runs in-process on 1, 2 and 4
+/// workers too, which the binary's clamp to the hardware would not.
+#[test]
+fn every_document_is_the_same_at_every_width() {
+    use std::fs;
+    let mut store = LogStore::new(Epoch::default_run());
+    common::populate_faulty_fleet(&mut store);
+    for k in 1..40 {
+        common::populate_faulty_fleet_at(&mut store, k);
+    }
+    let trees = [
+        "faults",
+        "corrupt default",
+        "corrupt severe",
+        "rotated",
+        "shuffled with ties",
+    ];
+    for (case, label) in (0u64..).zip(trees) {
+        let dir =
+            std::env::temp_dir().join(format!("sdchecker_documents_{case}_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        store.write_dir(&dir).unwrap();
+        match label {
+            "corrupt default" => drop(corrupt_dir(&dir, case, &CorruptConfig::default()).unwrap()),
+            "corrupt severe" => drop(corrupt_dir(&dir, case, &CorruptConfig::severe()).unwrap()),
+            "rotated" => drop(layouts::rotate_rm_log(&dir)),
+            "shuffled with ties" => {
+                layouts::shuffle_app_logs(&mut SimRng::new(case), &store, &dir);
+            }
+            _ => {}
+        }
+        let gold = cli_documents(&dir, 1);
+        assert!(gold[0].1.starts_with(b"SDchecker analysis"), "{label}");
+        for threads in [2, 4] {
+            for ((name, want), (_, got)) in gold.iter().zip(cli_documents(&dir, threads)) {
+                assert!(
+                    *want == got,
+                    "{label}: {name} differs at --threads {threads}"
+                );
+            }
+        }
+        for threads in [1, 2, 4] {
+            let names = ["stdout", "report-v1", "wide events"];
+            for ((name, got), (_, want)) in
+                names.iter().zip(pooled_documents(&dir, threads)).zip(&gold)
+            {
+                assert!(*want == got, "{label}: {name} differs on {threads} workers");
+            }
         }
         fs::remove_dir_all(&dir).unwrap();
     }
