@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use logmodel::{format_line, LogSource, LogStore};
 
 use sdchecker::cli::{self, Args, OrFail, Stop};
-use sdchecker::{analyze_store, ascii_gantt, write_stdout, Report};
+use sdchecker::{analyze_store, ascii_gantt, write_stdout, Parallelism, Report};
 use simkit::Millis;
 use sparksim::{profiles, simulate};
 use workloads::{map_jobs, merge, shifted, tpch_stream, TraceParams};
@@ -347,7 +347,11 @@ fn run(mut args: Args) -> Result<(), Stop> {
     }
     if let Some(p) = &report_json_out {
         let what = "machine-readable report";
-        cli::stream_output(p, what, quiet, |file| report.write_json(file))?;
+        cli::stream_output(p, what, quiet, |mut file| {
+            let [_, json, _] =
+                report.write_documents(Parallelism::ONE, None, Some(&mut file), None);
+            json
+        })?;
     }
     cli::write_observability(trace_out.as_deref(), metrics_out.as_deref(), quiet)
 }

@@ -160,7 +160,7 @@ fn tree(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
 /// One faulted scenario, three views of it that must agree byte for
 /// byte: `sdsim --report-json`, analysed from the simulator's store,
 /// equals what `sdchecker --report-json` writes over the run's `--out`
-/// tree (`analyze_dir_with`, then `Report::write_json`), and the unpaced
+/// tree (`analyze_dir_with`, then `Report::write_documents`), and the unpaced
 /// `--stream-to` replay of the same run writes the `--out` tree file for
 /// file.
 #[test]
@@ -193,9 +193,10 @@ fn sdsim_report_and_stream_match_the_written_corpus() {
 
     let analysis = sdchecker::analyze_dir_with(&out, sdchecker::Parallelism::ONE).unwrap();
     let mut from_dir = Vec::new();
-    sdchecker::Report::new(&analysis)
-        .write_json(&mut from_dir)
-        .unwrap();
+    let one = sdchecker::Parallelism::ONE;
+    let [_, json, _] =
+        sdchecker::Report::new(&analysis).write_documents(one, None, Some(&mut from_dir), None);
+    json.unwrap();
     assert!(
         analysis.delays.len() >= 20,
         "{} apps",

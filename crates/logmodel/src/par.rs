@@ -2,10 +2,9 @@
 //!
 //! SDchecker's front half is embarrassingly parallel per log stream —
 //! reading, parsing and extracting one source needs nothing from another
-//! — so all we need is a deterministic ordered `map` over a work list.
-//! (The per-application fan-out that once ran on it too is gone: the
-//! whole per-application stage costs less than partitioning its input.)
-//! This module provides exactly that on
+//! — and its back half per application, once each application's events
+//! are gathered from the streams: so all we need is a deterministic
+//! ordered `map` over a work list. This module provides exactly that on
 //! `std::thread::scope` (no external dependencies): results come back in
 //! input order regardless of which worker ran which item, and
 //! `Parallelism::ONE` runs the plain sequential loop on the calling thread
