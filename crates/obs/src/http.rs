@@ -12,6 +12,14 @@
 //! `Connection: close`, and each connection is handled inline on the
 //! serving thread. A Prometheus scraper or a `curl` loop is the intended
 //! client, not a browser fleet.
+//!
+//! Between accept attempts the serving thread parks for at most
+//! `ACCEPT_POLL`. Unparking it (`JoinHandle::thread().unpark()`) makes
+//! it accept at once and answer every connection already queued: a
+//! daemon unparks it each time it publishes fresh data, so a request
+//! that was waiting is answered from that data without waiting out the
+//! tick. The tick still bounds how often a client looping on one
+//! endpoint is answered: once per tick, plus once per wake.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -35,7 +43,8 @@ const READ_TIMEOUT: Duration = Duration::from_secs(2);
 /// abandoned (a client that never drains its receive buffer).
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// How often the accept loop wakes to check the shutdown flag.
+/// The longest the accept loop parks before it checks the shutdown
+/// flag and the listener again; an unpark ends the wait sooner.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 /// A parsed request: method and path, nothing more.
@@ -125,7 +134,14 @@ impl HttpServer {
     /// Serve requests until `stop` turns true. Each accepted connection
     /// is parsed, handed to `handler`, answered, and closed; connection-
     /// level errors (malformed requests, client hangups) are answered
-    /// with `400` where possible and never abort the loop.
+    /// with `400` where possible and never abort the loop. With nothing
+    /// queued the thread parks for at most [`ACCEPT_POLL`]; unpark it to
+    /// have it accept at once (and after raising `stop`, to end it now).
+    ///
+    /// An accept error that belongs to one incoming connection, or to
+    /// descriptors or memory running out, is counted in
+    /// `http_accept_errors_total` and retried after one park. Only an
+    /// error that leaves the listener itself unusable ends serving.
     pub fn serve<F>(&self, stop: &AtomicBool, handler: F) -> io::Result<()>
     where
         F: Fn(&Request) -> Response,
@@ -138,14 +154,37 @@ impl HttpServer {
                     let _ = handle_connection(stream, &handler);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
+                    std::thread::park_timeout(ACCEPT_POLL);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                Err(e) if listener_unusable(&e) => return Err(e),
+                Err(_) => {
+                    crate::count("http_accept_errors_total", 1);
+                    std::thread::park_timeout(ACCEPT_POLL);
+                }
             }
         }
         Ok(())
     }
+}
+
+/// Whether an accept(2) error says the listening socket itself is
+/// unusable, so that no retry can succeed: `EBADF`, `EFAULT`, `EINVAL`
+/// (not listening) or `ENOTSOCK`. Every other error is worth a retry.
+/// Linux hands a new connection's pending network errors (`ENETDOWN`,
+/// `EPROTO`, `ENOPROTOOPT`, `EHOSTDOWN`, `ENONET`, `EHOSTUNREACH`,
+/// `EOPNOTSUPP`, `ENETUNREACH`) to the caller to retry; `ECONNABORTED`
+/// ends one connection; and exhausted descriptors or memory (`EMFILE`,
+/// `ENFILE`, `ENOBUFS`, `ENOMEM`) may be gone by the next attempt.
+fn listener_unusable(e: &io::Error) -> bool {
+    const EBADF: i32 = 9;
+    const EFAULT: i32 = 14;
+    const EINVAL: i32 = 22;
+    #[cfg(target_os = "linux")]
+    const ENOTSOCK: i32 = 88;
+    #[cfg(not(target_os = "linux"))]
+    const ENOTSOCK: i32 = 38;
+    matches!(e.raw_os_error(), Some(EBADF | EFAULT | EINVAL | ENOTSOCK))
 }
 
 /// Read the request head, dispatch to the handler, write the response.
@@ -410,6 +449,80 @@ mod tests {
 
         stop.store(true, Ordering::SeqCst);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_parked_server_answers_at_once_when_woken() {
+        let server = HttpServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let handle = std::thread::spawn(move || {
+            server.serve(&stop2, |_| Response::json("{}")).unwrap();
+        });
+        let serving = handle.thread().clone();
+
+        // Each request reaches a server parked on an empty queue; left
+        // alone it would answer on its next tick, 20 trips ≈ 20 ticks.
+        let trips = 20;
+        let started = std::time::Instant::now();
+        for _ in 0..trips {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+            serving.unpark();
+            let mut out = String::new();
+            s.read_to_string(&mut out).unwrap();
+            assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
+        }
+        let took = started.elapsed();
+        assert!(
+            took < ACCEPT_POLL * trips / 2,
+            "{trips} woken round trips took {took:?}"
+        );
+
+        stop.store(true, Ordering::SeqCst);
+        serving.unpark();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn only_an_unusable_listener_ends_serving() {
+        // The numbers are Linux's; the kinds std gives some of them
+        // confirm they are the right ones.
+        let err = io::Error::from_raw_os_error;
+        assert_eq!(err(103).kind(), io::ErrorKind::ConnectionAborted);
+        assert_eq!(err(100).kind(), io::ErrorKind::NetworkDown);
+        assert_eq!(err(101).kind(), io::ErrorKind::NetworkUnreachable);
+        assert_eq!(err(113).kind(), io::ErrorKind::HostUnreachable);
+        assert_eq!(err(12).kind(), io::ErrorKind::OutOfMemory);
+        assert_eq!(err(22).kind(), io::ErrorKind::InvalidInput);
+        for (name, code) in [
+            ("ENETDOWN", 100),
+            ("EPROTO", 71),
+            ("ENOPROTOOPT", 92),
+            ("EHOSTDOWN", 112),
+            ("ENONET", 64),
+            ("EHOSTUNREACH", 113),
+            ("EOPNOTSUPP", 95),
+            ("ENETUNREACH", 101),
+            ("ECONNABORTED", 103),
+            ("EPERM", 1),
+            ("EMFILE", 24),
+            ("ENFILE", 23),
+            ("ENOBUFS", 105),
+            ("ENOMEM", 12),
+        ] {
+            assert!(!listener_unusable(&err(code)), "{name} is retried");
+        }
+        for (name, code) in [
+            ("EBADF", 9),
+            ("EFAULT", 14),
+            ("EINVAL", 22),
+            ("ENOTSOCK", 88),
+        ] {
+            assert!(listener_unusable(&err(code)), "{name} ends serving");
+        }
     }
 
     #[test]

@@ -66,7 +66,8 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use logmodel::{ApplicationId, LogSource, Parallelism, TsMs};
@@ -215,10 +216,22 @@ struct Shared {
     /// The current snapshot. The lock is held only to clone or replace
     /// the `Arc`, never while anything is rendered or served.
     published: Mutex<Arc<Published>>,
+    /// The HTTP serving thread, set once it is spawned. Every
+    /// [`Shared::store`] unparks it, so a request already waiting is
+    /// answered from the new snapshot at once.
+    server: OnceLock<Thread>,
     started: Instant,
 }
 
 impl Shared {
+    fn new(first: Published) -> Shared {
+        Shared {
+            published: Mutex::new(Arc::new(first)),
+            server: OnceLock::new(),
+            started: Instant::now(),
+        }
+    }
+
     fn load(&self) -> Arc<Published> {
         Arc::clone(&self.published.lock().unwrap_or_else(|e| e.into_inner()))
     }
@@ -229,6 +242,13 @@ impl Shared {
             &mut *self.published.lock().unwrap_or_else(|e| e.into_inner()),
             Arc::new(next),
         );
+        self.wake_server();
+    }
+
+    fn wake_server(&self) {
+        if let Some(server) = self.server.get() {
+            server.unpark();
+        }
     }
 }
 
@@ -293,6 +313,11 @@ fn describe_daemon_metrics() {
     obs::describe(
         "sdcheckerd_http_requests_total",
         "HTTP requests served, by (bucketed) path",
+    );
+    obs::describe(
+        "http_accept_errors_total",
+        "Failed accepts the HTTP server retried (one incoming connection's error, \
+         or descriptors or memory exhausted)",
     );
     obs::describe(
         "sdcheckerd_exemplar_apps",
@@ -964,14 +989,16 @@ fn run(mut args: Args) -> Result<(), Stop> {
     // The first snapshot is the restored (or empty) pipeline itself, not
     // yet ready: a resumed daemon serves what it knew when it was killed
     // while its first poll works through the backlog.
-    let shared = Arc::new(Shared {
-        published: Mutex::new(Arc::new(lp.publish(None, &lp.tailer.lag(), false))),
-        started: Instant::now(),
-    });
+    let shared = Arc::new(Shared::new(lp.publish(None, &lp.tailer.lag(), false)));
     let http_thread = {
         let shared = Arc::clone(&shared);
-        std::thread::spawn(move || server.serve(&SHUTDOWN, |req| handle(req, &shared)))
+        std::thread::spawn(move || {
+            if let Err(e) = server.serve(&SHUTDOWN, |req| handle(req, &shared)) {
+                eprintln!("sdcheckerd: HTTP server stopped, endpoints are down: {e}");
+            }
+        })
     };
+    let _ = shared.server.set(http_thread.thread().clone());
 
     let deadline = run_for_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
     // Deltas are measured against the (possibly restored) stats so a
@@ -1149,6 +1176,7 @@ fn run(mut args: Args) -> Result<(), Stop> {
         }
     }
     SHUTDOWN.store(true, Ordering::SeqCst);
+    shared.wake_server();
     let _ = http_thread.join();
     if !quiet {
         eprintln!(
@@ -1276,10 +1304,7 @@ mod tests {
         let (dir, mut killed, fingerprint) = polled_fleet("unit");
         assert_eq!(killed.analyzer.finish().len(), 3);
         let store = CheckpointStore::open(&dir.join("ckpt")).unwrap();
-        let shared = Shared {
-            published: Mutex::new(Arc::new(killed.publish(None, &killed.tailer.lag(), true))),
-            started: Instant::now(),
-        };
+        let shared = Shared::new(killed.publish(None, &killed.tailer.lag(), true));
         killed.save_checkpoint(&store, &shared, &fingerprint, 0);
         assert_eq!(shared.load().ckpt.writes_total, 1);
 
@@ -1306,10 +1331,7 @@ mod tests {
     fn failed_save_is_counted_and_costs_no_generation() {
         let (dir, mut lp, fingerprint) = polled_fleet("enospc");
         let store = CheckpointStore::open(&dir.join("ckpt")).unwrap();
-        let shared = Shared {
-            published: Mutex::new(Arc::new(lp.publish(None, &lp.tailer.lag(), true))),
-            started: Instant::now(),
-        };
+        let shared = Shared::new(lp.publish(None, &lp.tailer.lag(), true));
         let load = |store| checkpoint::load(store, &dir.join("logs"), &fingerprint, None);
         let errors = || {
             obs::global()

@@ -488,6 +488,52 @@ fn serves_alerts_exemplars_and_wide_events() {
     std::fs::remove_dir_all(&ckpt_dir).unwrap();
 }
 
+/// A publish wakes the HTTP thread, but the 25 ms accept tick still
+/// bounds how often it answers: a client asking for `/healthz` in a
+/// tight loop for a second is answered about once per tick plus once
+/// per poll (40 + 20 at `--poll-ms 50`), not as fast as it asks, as a
+/// blocking accept would answer it.
+#[test]
+fn a_tight_loop_client_is_answered_at_the_tick_not_at_its_own_pace() {
+    let dir = tmp("ratebound");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut logs = LogStore::new(Epoch::default_run());
+    common::populate_faulty_fleet(&mut logs);
+    logs.write_dir(&dir).unwrap();
+    let (_daemon, addr) = spawn_daemon(&dir, &["--settle-ms", "0", "--no-alerts"]);
+    wait_for("readyz", || {
+        let (status, _, _) = http_get(&addr, "/readyz");
+        (status == 200).then_some(())
+    });
+
+    let started = Instant::now();
+    let mut answers = 0u64;
+    let mut records = 0.0;
+    while started.elapsed() < Duration::from_secs(1) {
+        let (status, _, body) = http_get(&addr, "/healthz");
+        assert_eq!(status, 200);
+        let doc = obs::json::parse(&String::from_utf8_lossy(&body)).unwrap();
+        let now = doc.get("records").unwrap().as_f64().unwrap();
+        assert!(now >= records, "records went back from {records} to {now}");
+        records = now;
+        answers += 1;
+    }
+    let (_, _, body) = http_get(&addr, "/metrics");
+    let text = String::from_utf8(body).unwrap();
+    let served: u64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("sdcheckerd_http_requests_total{path=\"/healthz\"} "))
+        .expect("a /healthz request counter")
+        .parse()
+        .unwrap();
+    assert_eq!(served, answers);
+    assert!(
+        (5..200).contains(&served),
+        "a tight loop was answered {served} times in a second"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn run_for_ms_bounds_the_daemon_lifetime() {
     let dir = tmp("runfor");
