@@ -11,7 +11,7 @@ use crate::bugs::{find_unused_containers, UnusedContainer};
 use crate::decompose::{decompose, AppDelays};
 use crate::event::SchedEvent;
 use crate::extract::{
-    extract_store, gather_scans, Extracted, Extractor, ParseCoverage, StreamScanner,
+    extract_store, gather_scans, Extracted, Extractor, ParseCoverage, StreamCursor, StreamScanner,
 };
 use crate::fleet::record_app_metrics;
 use crate::graph::{build_graphs, SchedulingGraph};
@@ -322,7 +322,9 @@ pub fn analyze_dir(dir: &Path) -> io::Result<Analysis> {
 /// over [`LogStore::read_dir_with`].
 pub fn analyze_dir_with(dir: &Path, par: Parallelism) -> io::Result<Analysis> {
     let ex = Extractor::new();
-    let (_epoch, scans) = scan_dir(dir, par, |_, src| StreamScanner::by_app(&ex, src))?;
+    let (_epoch, scans) = scan_dir(dir, par, |_, src| {
+        StreamScanner::resume(&ex, src, StreamCursor::default())
+    })?;
     let _span = obs::span("analyze");
     let extracted = {
         let _s = obs::span("gather");

@@ -48,7 +48,10 @@
 //! partial lines, retires everything in flight, resolves open alerts,
 //! writes `--final-report` / `--alerts-out` (if given), and exits 0 — the
 //! final report matches what batch `sdchecker` computes over the finished
-//! directory.
+//! directory. A `--wide-events-out` file the daemon could not write (a
+//! full disk) is said once on stderr when it happens, its lost lines are
+//! counted in `sdcheckerd_wide_events_lost_total`, and the exit is 1, as
+//! batch `sdchecker` fails on the same error.
 //!
 //! With `--checkpoint-dir` the daemon is **crash-only**: it periodically
 //! serializes its full state (tail offsets and partial lines, in-flight
@@ -350,6 +353,11 @@ fn describe_daemon_metrics() {
     obs::describe(
         "sd_tail_fs_ops_total",
         "Filesystem calls made by the tailer, by op (stat, listing, open)",
+    );
+    obs::describe(
+        "sdcheckerd_wide_events_lost_total",
+        "Wide-events lines not written: every line from the first failed write, \
+         flush or fsync of --wide-events-out on (the daemon then exits non-zero)",
     );
     obs::describe(
         "sd_checkpoint_writes_total",
@@ -709,25 +717,74 @@ fn note_retirements(retired: &[RetiredApp], quiet: bool) {
 /// truncates the file back to that cursor so replayed retirements
 /// append exactly the lines the killed run still owed — no duplicates,
 /// no torn tails.
+///
+/// A write, flush or fsync that fails (a full disk) is said once on
+/// stderr; from then on this run writes the file no more, counts every
+/// line it does not write in `sdcheckerd_wide_events_lost_total`, and
+/// exits non-zero at shutdown. The cursor stays at the bytes flushed
+/// before the failure.
 struct WideOut {
-    w: std::io::BufWriter<std::fs::File>,
-    /// Bytes emitted (and flushed by the next checkpoint) so far.
+    /// `None` once a write failed.
+    w: Option<std::io::BufWriter<std::fs::File>>,
+    path: PathBuf,
+    /// Bytes flushed so far, and bytes and lines appended since.
     bytes: u64,
+    pending: (u64, u64),
     fsync: bool,
+    /// Lines lost since a write failed.
+    lost: u64,
 }
 
 impl WideOut {
     fn append(&mut self, line: &str) {
-        let _ = self.w.write_all(line.as_bytes());
-        let _ = self.w.write_all(b"\n");
-        self.bytes += line.len() as u64 + 1;
+        let written = (self.w.as_mut()).map(|w| {
+            w.write_all(line.as_bytes())
+                .and_then(|()| w.write_all(b"\n"))
+        });
+        match written {
+            Some(Ok(())) => {
+                self.pending = (self.pending.0 + line.len() as u64 + 1, self.pending.1 + 1)
+            }
+            Some(Err(e)) => self.fail(e, 1),
+            None => self.lose(1),
+        }
     }
 
     fn flush(&mut self) {
-        let _ = self.w.flush();
-        if self.fsync {
-            let _ = self.w.get_ref().sync_all();
+        let fsync = self.fsync;
+        let flushed = (self.w.as_mut()).map(|w| {
+            w.flush().and_then(|()| {
+                if fsync {
+                    w.get_ref().sync_all()
+                } else {
+                    Ok(())
+                }
+            })
+        });
+        match flushed {
+            Some(Ok(())) => self.bytes += std::mem::take(&mut self.pending).0,
+            Some(Err(e)) => self.fail(e, 0),
+            None => {}
         }
+    }
+
+    /// Stop writing: the lines appended since the last flush, and
+    /// `more`, are lost.
+    fn fail(&mut self, e: std::io::Error, more: u64) {
+        // Let go of the buffer without the flush a `BufWriter` makes on drop.
+        drop(self.w.take().map(std::io::BufWriter::into_parts));
+        eprintln!(
+            "sdcheckerd: cannot write wide-events file {}: {e}; it is not written again \
+             this run, and its lost lines count in sdcheckerd_wide_events_lost_total",
+            self.path.display()
+        );
+        let pending = std::mem::take(&mut self.pending).1;
+        self.lose(pending + more);
+    }
+
+    fn lose(&mut self, lines: u64) {
+        self.lost += lines;
+        obs::count("sdcheckerd_wide_events_lost_total", lines);
     }
 }
 
@@ -741,34 +798,36 @@ fn open_wide(
     fsync: bool,
 ) -> std::io::Result<WideOut> {
     use std::io::Seek as _;
-    let Some(cursor) = resume_cursor else {
-        return Ok(WideOut {
-            w: std::io::BufWriter::new(std::fs::File::create(path)?),
-            bytes: 0,
-            fsync,
-        });
+    let (f, bytes) = match resume_cursor {
+        None => (std::fs::File::create(path)?, 0),
+        Some(cursor) => {
+            let mut f = std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(path)?;
+            let len = f.metadata()?.len();
+            if len < cursor {
+                eprintln!(
+                    "sdcheckerd: wide-events file {} holds {len} bytes but the checkpoint \
+                     recorded {cursor}; earlier lines are lost and will not be re-emitted",
+                    path.display(),
+                );
+            }
+            let cut = cursor.min(len);
+            f.set_len(cut)?;
+            f.seek(std::io::SeekFrom::End(0))?;
+            (f, cut)
+        }
     };
-    let mut f = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(path)?;
-    let len = f.metadata()?.len();
-    if len < cursor {
-        eprintln!(
-            "sdcheckerd: wide-events file {} holds {len} bytes but the checkpoint \
-             recorded {cursor}; earlier lines are lost and will not be re-emitted",
-            path.display(),
-        );
-    }
-    let cut = cursor.min(len);
-    f.set_len(cut)?;
-    f.seek(std::io::SeekFrom::End(0))?;
     Ok(WideOut {
-        w: std::io::BufWriter::new(f),
-        bytes: cut,
+        w: Some(std::io::BufWriter::new(f)),
+        path: path.to_path_buf(),
+        bytes,
+        pending: (0, 0),
         fsync,
+        lost: 0,
     })
 }
 
@@ -1188,6 +1247,13 @@ fn run(mut args: Args) -> Result<(), Stop> {
             lp.analyzer.truncated(),
             lp.analyzer.in_flight(),
         );
+    }
+    if let Some(w) = wide_file.as_ref().filter(|w| w.w.is_none()) {
+        return Err(Stop::Fail(format!(
+            "failed to write {}: {} wide-events lines lost",
+            w.path.display(),
+            w.lost
+        )));
     }
     Ok(())
 }

@@ -16,6 +16,7 @@ use std::ops::Range;
 use logmodel::schema::Family;
 use logmodel::{ApplicationId, LogSource, Parallelism, RecordRef, SourceScan};
 
+use crate::analyze::order_app_events;
 use crate::checkpoint::CkptError;
 use crate::event::{EventKind, Ids, SchedEvent};
 use crate::schema::{MatchKind, PatternSpec, Subject, PATTERNS};
@@ -423,41 +424,38 @@ impl Extractor {
     }
 }
 
-/// Extract all events of a whole [`logmodel::LogStore`], sorted by
-/// timestamp (ties keep stream order), plus corpus-wide parse coverage:
-/// one `Extractor` pass per log stream, then one merge of the per-stream
-/// event vectors. The analysis does without this merge: it gathers each
-/// application's events on its own ([`gather_scans`]).
-///
-/// Determinism guarantee: output is identical for every thread count. The
-/// merge orders events by timestamp, ties by stream index, then by
-/// position within the stream — exactly the order concatenating streams
-/// in store order and stable-sorting by timestamp would produce — and
-/// stream index and position do not depend on which thread scanned the
-/// stream. With `Parallelism::ONE` the per-stream passes run sequentially
-/// on the calling thread. Coverage tallies are sums, so they are
-/// thread-count-independent too.
+/// Extract all events of a whole [`logmodel::LogStore`] as the
+/// analysis gathers them, plus corpus-wide parse coverage: one
+/// application after another in id order, each application's in
+/// [`order_app_events`] order — by timestamp, ties by stream, then by
+/// place in the stream, which is what merging every stream by timestamp
+/// and keeping that application's events hands it. Identical for every
+/// thread count: each stream is scanned on its own, over `par` worker
+/// threads, and gathered in [`LogSource`] order.
 pub fn extract_all_cov_with(
     store: &logmodel::LogStore,
     par: Parallelism,
 ) -> (Vec<SchedEvent>, ParseCoverage) {
-    let _span = obs::span("extract");
-    let mut totals = Totals::default();
-    let mut streams = Vec::new();
-    for mut scan in scan_store(store, par, false) {
-        totals.add(&mut scan);
-        streams.push(scan.events);
+    let Extracted {
+        mut events,
+        apps,
+        coverage,
+        ..
+    } = extract_store(store, par);
+    for (_, at) in apps {
+        order_app_events(&mut events[at]);
     }
-    (merge_sorted_streams(streams), totals.coverage)
+    (events, coverage)
 }
 
 /// What one pass over one stream's records yields: everything the
 /// analysis wants from them, so that nothing needs the records afterwards.
 pub(crate) struct StreamScan {
     pub(crate) source: LogSource,
-    /// The stream's events, in record order, except that a driver or
-    /// executor stream's FIRST_LOG, at index 0, carries its earliest
-    /// record's timestamp.
+    /// The stream's events, in record order; once batch's scan
+    /// finishes, grouped by application, each one's still in record
+    /// order. A batch scan's FIRST_LOG, at index 0, carries the stream's
+    /// earliest record's timestamp; a daemon's scan lists its moves.
     pub(crate) events: Vec<SchedEvent>,
     pub(crate) cov: CoverageCounts,
     /// The earliest unmatched message, if any.
@@ -470,47 +468,30 @@ pub(crate) struct StreamScan {
 }
 
 /// A [`StreamScan`] in the making: fed one stream's records a run at a
-/// time, in any order. It comes to what the records stable-sorted by
-/// timestamp would: [`StreamCursor::step`] settles the positional facts,
-/// FIRST_LOG stays at index 0 of the stream's events, and the merge's
-/// stable sort puts every other event where the sorted stream would have.
+/// time, in any order, from a [`StreamCursor`] that has the stream's
+/// positional facts up to them — the default cursor at the stream's
+/// start. [`StreamCursor::step`] settles the positional facts; a
+/// FIRST_LOG that moves to an earlier record is listed, with the
+/// anomalous records' timestamps, whoever runs the scanner. Nothing is
+/// recorded here, whichever thread it runs on.
 ///
-/// A scanner [resumed](StreamScanner::resume) from a tailed stream's
-/// cursor scans the records one look at the stream read, for the daemon:
-/// its FIRST_LOG may sit in an event an earlier look handed over, so a
-/// move is listed rather than made, and it records nothing, whichever
-/// thread it runs on. [`StreamScanner::end`] hands it over as a
-/// [`TailScan`].
+/// Batch runs it as a [`SourceScan`], which makes each run's last move
+/// where the stream's FIRST_LOG is, at index 0 of its events, and hands
+/// the events over grouped by application. The daemon's FIRST_LOG may
+/// sit in an event an earlier look handed over, so
+/// [`StreamScanner::end`] hands the moves over as a [`TailScan`] for the
+/// analyzer to make where the events wait.
 pub(crate) struct StreamScanner<'e> {
     ex: &'e Extractor,
     cursor: StreamCursor,
     scan: StreamScan,
-    /// Resumed from a tailed stream's cursor.
-    resumed: bool,
-    /// A resumed scan's FIRST_LOG moves, in record order.
+    /// The FIRST_LOG moves not yet made, in record order.
     moves: Vec<SchedEvent>,
-    /// A resumed scan's anomalous records' timestamps, in record order.
+    /// The anomalous records' timestamps, in record order.
     anomalous: Vec<logmodel::TsMs>,
-    /// Hand the events over grouped by application ([`group_by_app`]).
-    by_app: bool,
 }
 
 impl<'e> StreamScanner<'e> {
-    /// A scanner at the start of `source`'s stream.
-    pub(crate) fn new(ex: &'e Extractor, source: LogSource) -> StreamScanner<'e> {
-        StreamScanner::resume(ex, source, StreamCursor::default()).batch()
-    }
-
-    /// A scanner at the start of `source`'s stream whose events come out
-    /// grouped by application, for [`gather_scans`]: the grouping is done
-    /// by the worker that scanned the stream.
-    pub(crate) fn by_app(ex: &'e Extractor, source: LogSource) -> StreamScanner<'e> {
-        StreamScanner {
-            by_app: true,
-            ..StreamScanner::new(ex, source)
-        }
-    }
-
     /// A scanner of `source`'s next records, which `cursor` has the
     /// stream's positional facts up to.
     pub(crate) fn resume(
@@ -529,17 +510,8 @@ impl<'e> StreamScanner<'e> {
                 name: None,
                 max_ts: None,
             },
-            resumed: true,
             moves: Vec::new(),
             anomalous: Vec::new(),
-            by_app: false,
-        }
-    }
-
-    fn batch(self) -> StreamScanner<'e> {
-        StreamScanner {
-            resumed: false,
-            ..self
         }
     }
 
@@ -550,15 +522,8 @@ impl<'e> StreamScanner<'e> {
             let step = self
                 .cursor
                 .step(self.ex, scan.source, r, &mut scan.events, &mut scan.cov);
-            if let Some(first) = step.first_moved {
-                if self.resumed {
-                    self.moves.push(first);
-                } else {
-                    debug_assert_eq!(scan.events[0].kind, first.kind);
-                    scan.events[0] = first;
-                }
-            }
-            if self.resumed && step.outcome == Outcome::Anomalous {
+            self.moves.extend(step.first_moved);
+            if step.outcome == Outcome::Anomalous {
                 self.anomalous.push(r.ts);
             }
             if step.example {
@@ -571,9 +536,9 @@ impl<'e> StreamScanner<'e> {
         }
     }
 
-    /// A resumed scanner's result; [`StreamScanner::step_all`] fed it.
+    /// The scan so far, for the daemon; [`StreamScanner::step_all`] fed
+    /// it.
     pub(crate) fn end(self) -> TailScan {
-        debug_assert!(self.resumed);
         TailScan {
             scan: self.scan,
             cursor: self.cursor,
@@ -607,11 +572,30 @@ impl TailScan {
     pub fn anomalous(&self) -> &[logmodel::TsMs] {
         &self.anomalous
     }
+
+    /// The outcome of a scan's one record. A record that takes FIRST_LOG
+    /// over is matched even where the counts read ignored: the record
+    /// that had it, if FIRST_LOG was all it made, went back to ignored.
+    pub(crate) fn outcome(&self) -> Outcome {
+        let c = self.scan.cov;
+        if c.matched > 0 || !self.moves.is_empty() {
+            Outcome::Matched
+        } else if c.anomalous > 0 {
+            Outcome::Anomalous
+        } else if c.unmatched > 0 {
+            Outcome::Unmatched
+        } else {
+            Outcome::Ignored
+        }
+    }
 }
 
 /// The scanner as the batch pipelines run it: each run under an
-/// `extract_stream` span, and at the end the stream's counters flushed
-/// when recording is on. Events stay in record order; the merge sorts.
+/// `extract_stream` span, its last FIRST_LOG move made at index 0 —
+/// where a scan from the stream's start has its FIRST_LOG — and its
+/// list of anomalous records, which batch does not read, let go; at the
+/// end the events grouped by application and the stream's counters
+/// flushed when recording is on.
 impl SourceScan for StreamScanner<'_> {
     type Output = StreamScan;
 
@@ -625,14 +609,21 @@ impl SourceScan for StreamScanner<'_> {
             span
         };
         self.step_all(recs);
+        // Each move replaces the one before it, so the last is the one
+        // that stands; made a run at a time, the lists hold one run's.
+        if let Some(first) = self.moves.pop() {
+            let events = &mut self.scan.events;
+            debug_assert_eq!(events[0].kind, first.kind);
+            events[0] = first;
+        }
+        self.moves.clear();
+        self.anomalous.clear();
         span.end_into(rec);
     }
 
     fn finish(self, rec: &mut obs::Batch) -> StreamScan {
         let mut scan = self.scan;
-        if self.by_app {
-            scan.events = group_by_app(scan.events);
-        }
+        scan.events = group_by_app(scan.events);
         // Every stream's events wait for the gather, which holds them and
         // their gathered copy at once: they wait without growth slack.
         scan.events.shrink_to_fit();
@@ -744,17 +735,19 @@ pub(crate) struct Extracted {
 /// through — and gather the results, under the `extract` span.
 pub(crate) fn extract_store(store: &logmodel::LogStore, par: Parallelism) -> Extracted {
     let _span = obs::span("extract");
-    gather_scans(scan_store(store, par, true))
+    gather_scans(scan_store(store, par))
 }
 
 /// Every stream of `store` scanned over `par` worker threads, in
-/// [`LogSource`] order, grouped [`by_app`](StreamScanner::by_app) or not.
-fn scan_store(store: &logmodel::LogStore, par: Parallelism, by_app: bool) -> Vec<StreamScan> {
+/// [`LogSource`] order.
+fn scan_store(store: &logmodel::LogStore, par: Parallelism) -> Vec<StreamScan> {
     let ex = Extractor::new();
     let sources: Vec<LogSource> = store.sources().collect();
     let scans = logmodel::par::map(par, &sources, |&src| {
-        let scanner = StreamScanner::new(&ex, src);
-        store.scan(src, StreamScanner { by_app, ..scanner })
+        store.scan(
+            src,
+            StreamScanner::resume(&ex, src, StreamCursor::default()),
+        )
     });
     scans.into_iter().flatten().collect()
 }
@@ -765,8 +758,9 @@ fn scan_store(store: &logmodel::LogStore, par: Parallelism, by_app: bool) -> Vec
 /// timestamp and keeping one application's events would hand that
 /// application, but for the time order ([`crate::analyze::order_app_events`]
 /// settles it per application); the rest summed or keyed. A stream
-/// [grouped by application](StreamScanner::by_app) hands over one slice
-/// per application; any other stream gives the same result in more.
+/// grouped by application, as batch's scan hands it over, gives one
+/// slice per application; any other stream gives the same result in
+/// more.
 pub(crate) fn gather_scans(scans: Vec<StreamScan>) -> Extracted {
     let mut totals = Totals::default();
     // Each stream's runs of one application's events, in stream order,
@@ -861,25 +855,6 @@ fn record_stream_metrics(
     );
 }
 
-/// Merge per-stream event vectors into one time-sorted list, timestamp
-/// ties broken by stream index, then by position within the stream:
-/// exactly the streams concatenated in index order and stable-sorted by
-/// timestamp.
-///
-/// What is sorted is one 16-byte `(timestamp, &event)` key per event,
-/// pushed in concatenation order, so a key's place in the vector *is* its
-/// `(stream index, position)` and the stable sort keeps it among equal
-/// timestamps; each 48-byte event is then copied once, straight to its
-/// final slot. Streams need not be time-sorted themselves, and input
-/// already in order costs one linear pass.
-fn merge_sorted_streams(streams: Vec<Vec<SchedEvent>>) -> Vec<SchedEvent> {
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut keys: Vec<(logmodel::TsMs, &SchedEvent)> = Vec::with_capacity(total);
-    keys.extend(streams.iter().flatten().map(|ev| (ev.ts, ev)));
-    keys.sort_by_key(|&(ts, _)| ts);
-    keys.into_iter().map(|(_, ev)| *ev).collect()
-}
-
 /// Best-effort application-name extraction from driver logs, enabling
 /// per-workload (e.g. per-TPC-H-query) breakdowns: each driver stream
 /// scanned as [`extract_store`] scans it, its name the one
@@ -896,7 +871,10 @@ pub fn extract_app_names_with(
     let ex = Extractor::new();
     let streams: Vec<LogSource> = store.sources().filter(|&src| ex.reads_names(src)).collect();
     let scans = logmodel::par::map(par, &streams, |&src| {
-        store.scan(src, StreamScanner::new(&ex, src))
+        store.scan(
+            src,
+            StreamScanner::resume(&ex, src, StreamCursor::default()),
+        )
     });
     let mut totals = Totals::default();
     for mut scan in scans.into_iter().flatten() {
@@ -908,7 +886,6 @@ pub fn extract_app_names_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::tests::ev;
     use crate::schema::has_transitions;
 
     /// One whole-stream scan: events, coverage and first unmatched
@@ -918,8 +895,9 @@ mod tests {
         source: LogSource,
         records: &[LogRecord],
     ) -> (Vec<SchedEvent>, CoverageCounts, Option<String>) {
-        let mut scanner = StreamScanner::new(ex, source);
-        scanner.step_all(&records.iter().map(LogRecord::as_ref).collect::<Vec<_>>());
+        let mut scanner = StreamScanner::resume(ex, source, StreamCursor::default());
+        let refs: Vec<RecordRef<'_>> = records.iter().map(LogRecord::as_ref).collect();
+        scanner.records(&refs, &mut obs::Batch::default());
         let scan = scanner.scan;
         (scan.events, scan.cov, scan.example)
     }
@@ -1128,22 +1106,39 @@ mod tests {
         assert!(extract_stream(&ex, LogSource::ResourceManager, &records).is_empty());
     }
 
+    /// Each application's events together, applications in id order,
+    /// each one's by timestamp: a later application's earlier event
+    /// comes after every event of an earlier application.
     #[test]
-    fn extract_all_sorts_by_time() {
+    fn extract_all_groups_by_application_in_time_order() {
         let mut store = LogStore::new(Epoch::default_run());
-        let a = app();
+        let (a, b) = (app(), ApplicationId::new(CTS, 2));
+        let submitted = |app: ApplicationId| {
+            format!("{app} State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED")
+        };
         store.info(LogSource::Driver(a), TsMs(500), "X", "hello");
+        store.info(
+            LogSource::ResourceManager,
+            TsMs(9),
+            "RMAppImpl",
+            submitted(a),
+        );
         store.info(
             LogSource::ResourceManager,
             TsMs(5),
             "RMAppImpl",
-            format!("{a} State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED"),
+            submitted(b),
         );
         let evs = extract_all_cov_with(&store, Parallelism::ONE).0;
-        assert_eq!(evs.len(), 2);
-        assert!(evs[0].ts <= evs[1].ts);
-        assert_eq!(evs[0].kind, EventKind::AppSubmitted);
-        assert_eq!(evs[1].kind, EventKind::DriverFirstLog);
+        let got: Vec<_> = evs.iter().map(|e| (e.app, e.kind, e.ts)).collect();
+        assert_eq!(
+            got,
+            [
+                (a, EventKind::AppSubmitted, TsMs(9)),
+                (a, EventKind::DriverFirstLog, TsMs(500)),
+                (b, EventKind::AppSubmitted, TsMs(5)),
+            ]
+        );
     }
 
     #[test]
@@ -1438,6 +1433,15 @@ mod tests {
         Option<TsMs>,
     );
 
+    /// The streams concatenated in index order and stable-sorted by
+    /// timestamp: what merging them by time hands on, ties by stream,
+    /// then by place in the stream.
+    fn merge_sorted_streams(streams: Vec<Vec<SchedEvent>>) -> Vec<SchedEvent> {
+        let mut merged: Vec<SchedEvent> = streams.into_iter().flatten().collect();
+        merged.sort_by_key(|e| e.ts);
+        merged
+    }
+
     fn settled(scan: StreamScan) -> Settled {
         let events = merge_sorted_streams(vec![scan.events]);
         (events, scan.cov, scan.example, scan.name, scan.max_ts)
@@ -1540,7 +1544,7 @@ mod tests {
             sorted.sort_by_key(|r| r.ts);
 
             // The shuffle, handed over in runs as `scan_dir` would.
-            let mut got = StreamScanner::new(&ex, src);
+            let mut got = StreamScanner::resume(&ex, src, StreamCursor::default());
             let refs: Vec<RecordRef<'_>> = records.iter().map(LogRecord::as_ref).collect();
             let mut rest = refs.as_slice();
             while !rest.is_empty() {
@@ -1554,123 +1558,6 @@ mod tests {
                 "case {case}: {records:?}"
             );
         }
-    }
-
-    /// The k-way binary-heap merge `merge_sorted_streams` was before it
-    /// sorted keys: the slow oracle. Needs every stream time-sorted.
-    fn heap_merge_reference(streams: Vec<Vec<SchedEvent>>) -> Vec<SchedEvent> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        let total: usize = streams.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(total);
-        let mut iters: Vec<std::vec::IntoIter<SchedEvent>> =
-            streams.into_iter().map(Vec::into_iter).collect();
-        // At most one entry per stream is in the heap, so the `(ts, stream)`
-        // key is unique and pop order is fully determined.
-        let mut heap: BinaryHeap<Reverse<(TsMs, usize)>> = BinaryHeap::new();
-        let mut heads: Vec<Option<SchedEvent>> = Vec::with_capacity(iters.len());
-        for (i, it) in iters.iter_mut().enumerate() {
-            let head = it.next();
-            if let Some(ev) = &head {
-                heap.push(Reverse((ev.ts, i)));
-            }
-            heads.push(head);
-        }
-        while let Some(Reverse((_, i))) = heap.pop() {
-            out.push(heads[i].take().expect("heap entry has a head"));
-            heads[i] = iters[i].next();
-            if let Some(next) = &heads[i] {
-                heap.push(Reverse((next.ts, i)));
-            }
-        }
-        out
-    }
-
-    /// Seeded stream sets; every event is tagged with its stream and
-    /// position (as the application id), so any reordering among equal
-    /// timestamps shows.
-    fn seeded_streams(
-        rng: &mut simkit::SimRng,
-        lens: &[usize],
-        ts_span: u64,
-        sorted: bool,
-    ) -> Vec<Vec<SchedEvent>> {
-        lens.iter()
-            .enumerate()
-            .map(|(s, &len)| {
-                let mut ts: Vec<u64> = (0..len).map(|_| rng.below(ts_span)).collect();
-                if sorted {
-                    ts.sort_unstable();
-                }
-                ts.into_iter()
-                    .enumerate()
-                    .map(|(p, t)| {
-                        ev(
-                            t,
-                            EventKind::AppSubmitted,
-                            ApplicationId::new(s as u64, p as u32),
-                            None,
-                        )
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn key_merge_matches_the_heap_merge() {
-        let mut rng = simkit::SimRng::new(18);
-        let mut shapes: Vec<(Vec<usize>, u64)> = vec![
-            (vec![], 10),                   // no streams
-            (vec![0, 0, 0], 10),            // only empty streams
-            (vec![40], 10),                 // a single stream
-            (vec![0, 25, 0, 0, 25, 0], 1),  // every timestamp ties
-            (vec![3, 500, 2, 0, 4, 1], 50), // one stream holds most events
-            (vec![1; 300], 7),              // many one-event streams
-        ];
-        for _ in 0..40 {
-            let n = rng.index(12);
-            let lens = (0..n).map(|_| rng.index(30)).collect();
-            // Spans from "all ties" to "almost none".
-            shapes.push((lens, 1 + rng.below(200)));
-        }
-        for (lens, span) in shapes {
-            let sorted = seeded_streams(&mut rng, &lens, span, true);
-            assert_eq!(
-                merge_sorted_streams(sorted.clone()),
-                heap_merge_reference(sorted),
-                "sorted streams {lens:?}, span {span}"
-            );
-            // Streams out of time order: the heap needed each one
-            // stable-sorted first (what `scan_stream` used to do); the
-            // key merge takes them as they are.
-            let raw = seeded_streams(&mut rng, &lens, span, false);
-            let mut presorted = raw.clone();
-            for stream in &mut presorted {
-                stream.sort_by_key(|e| e.ts);
-            }
-            assert_eq!(
-                merge_sorted_streams(raw),
-                heap_merge_reference(presorted),
-                "unsorted streams {lens:?}, span {span}"
-            );
-        }
-    }
-
-    #[test]
-    fn already_ordered_streams_merge_to_their_concatenation() {
-        let mut rng = simkit::SimRng::new(18);
-        let mut streams = seeded_streams(&mut rng, &[5, 0, 9, 1], 1_000, true);
-        let mut base = 0;
-        for stream in &mut streams {
-            for ev in stream.iter_mut() {
-                ev.ts = TsMs(ev.ts.0 + base);
-            }
-            base += 1_000;
-        }
-        let concatenation: Vec<SchedEvent> = streams.iter().flatten().copied().collect();
-        assert_eq!(merge_sorted_streams(streams), concatenation);
     }
 
     /// A scan of `source` that found `events` and nothing else.
@@ -1742,7 +1629,6 @@ mod tests {
     /// come grouped by application or as they were scanned.
     #[test]
     fn an_applications_gathered_events_are_the_merge_restricted_to_it() {
-        use crate::analyze::order_app_events;
         let mut rng = simkit::SimRng::new(47);
         for case in 0..300 {
             let scans = seeded_scans(&mut rng);

@@ -2,19 +2,22 @@
 //! applications as their evidence completes.
 //!
 //! The batch pipeline reads a finished corpus a source at a time, keeps
-//! every extracted event until the merge, and analyzes at end-of-run. An
-//! always-on service cannot do that — its input never ends.
-//! [`IncrementalAnalyzer`] restructures the same pipeline around
-//! per-application lifecycle:
+//! every extracted event until every stream is scanned, gathers each
+//! application's and analyzes at end-of-run. An always-on service cannot
+//! do that — its input never ends. [`IncrementalAnalyzer`] restructures
+//! the same pipeline around per-application lifecycle:
 //!
-//! 1. **Ingest** — records are fed a stream's run at a time, each
-//!    through [`StreamCursor::step`] with one cursor per stream: the
-//!    step batch's stream scan takes, so the first record, the unmatched
-//!    example and the banner name are settled by timestamp here too,
-//!    however a stream's lines were ordered. Events are bucketed by
-//!    owning application; a FIRST_LOG that moves to an earlier record is
-//!    replaced where it waits, or counted late once its application has
-//!    retired.
+//! 1. **Ingest** — a stream's records are scanned a run at a time by the
+//!    scanner batch reads a stream with, resumed from the stream's
+//!    [`StreamCursor`], so the first record, the unmatched example and
+//!    the banner name are settled by timestamp here too, however a
+//!    stream's lines were ordered. A poll's workers make the scans
+//!    ([`crate::tail::DirTailer::poll_with`]);
+//!    [`IncrementalAnalyzer::ingest`] makes one of a single record. Each
+//!    scan is folded in on the calling thread: its events are bucketed
+//!    by owning application, and a FIRST_LOG that moved to an earlier
+//!    record is replaced where it waits, or counted late once its
+//!    application has retired.
 //! 2. **Retire** — once an application shows terminal evidence
 //!    (unregistered / finished / failed / killed) and the record
 //!    watermark has advanced `settle_ms` past it — long enough for the
@@ -41,7 +44,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use logmodel::{ApplicationId, LogRecord, LogSource, RecordRef, TsMs};
+use logmodel::{ApplicationId, LogRecord, LogSource, TsMs};
 use obs::json::{document, Layout, Null};
 use obs::json_fields;
 
@@ -50,7 +53,9 @@ use crate::checkpoint::CkptError;
 use crate::decompose::{AppDelays, AppOutcome};
 use crate::event::{count_event_kinds, EventKind, SchedEvent};
 use crate::exemplars::{PromotedApp, TailExemplars};
-use crate::extract::{CoverageCounts, Extractor, Outcome, ParseCoverage, StreamCursor, TailScan};
+use crate::extract::{
+    CoverageCounts, Extractor, Outcome, ParseCoverage, StreamCursor, StreamScanner, TailScan,
+};
 use crate::fleet::{push_coverage, record_app_metrics, AppFacts, FleetAgg};
 use crate::tail::{TailLag, TailSink, TailStats};
 use crate::wide::push_wide_event;
@@ -181,8 +186,6 @@ pub struct IncrementalAnalyzer {
     watermark: Option<TsMs>,
     fleet: FleetAgg,
     exemplars: TailExemplars,
-    /// The events of the record being ingested; empty between records.
-    scratch: Vec<SchedEvent>,
     /// What the scans applied since the last sweep ended yielded, for
     /// the registry: recorded once a sweep, not once a scan.
     tally: Tally,
@@ -217,84 +220,25 @@ impl IncrementalAnalyzer {
             watermark: None,
             fleet: FleetAgg::new(true),
             exemplars: TailExemplars::new(cfg.exemplar_slots),
-            scratch: Vec::new(),
             tally: Tally::default(),
         }
     }
 
-    /// Consume one record: [`IncrementalAnalyzer::ingest_records`] over a
-    /// slice of one, returning its parse outcome.
+    /// Consume one record as a poll consumes a stream's: scanned on from
+    /// the stream's cursor, the scan folded in and recorded as a sweep's
+    /// scans are. Returns the record's parse outcome, read off the scan.
     pub fn ingest(&mut self, source: LogSource, r: &LogRecord) -> Outcome {
-        let mut outcome = Outcome::Ignored;
-        self.ingest_records(source, &[r.as_ref()], |_, o| outcome = o);
+        let cursor = self.cursors.get(&source).copied().unwrap_or_default();
+        let mut scanner = StreamScanner::resume(&self.ex, source, cursor);
+        scanner.step_all(&[r.as_ref()]);
+        let scan = scanner.end();
+        let outcome = scan.outcome();
+        self.apply_scan(scan);
+        self.swept();
         outcome
     }
 
-    /// Consume a run of one stream's records, in the order the stream's
-    /// files hold them — the order [`crate::tail::DirTailer::poll`]
-    /// returns them in; any interleaving across streams is fine. `each`
-    /// is told every record's timestamp and parse outcome, in order, so
-    /// callers can react per record (an `Anomalous` one is what the
-    /// daemon's corrupt-line alert rule counts, from a scan's
-    /// [`TailScan::anomalous`]).
-    pub fn ingest_records(
-        &mut self,
-        source: LogSource,
-        records: &[RecordRef<'_>],
-        mut each: impl FnMut(TsMs, Outcome),
-    ) {
-        if records.is_empty() {
-            return;
-        }
-        let cursor = self.cursors.entry(source).or_default();
-        let family = source.family();
-        let recording = obs::enabled();
-        let mut cov = CoverageCounts::default();
-        let mut per_kind = [0u64; EventKind::ALL.len()];
-        for r in records {
-            let step = cursor.step(&self.ex, source, r, &mut self.scratch, &mut cov);
-            self.watermark = self.watermark.max(Some(r.ts));
-            if let Some(first) = step.first_moved {
-                // Once its application has retired, the move is late
-                // evidence, like any other.
-                match self.apps.get_mut(&first.app) {
-                    Some(state) => state.move_first_log(first),
-                    None => self.late_events += 1,
-                }
-            }
-            if step.example {
-                self.cov.offer_unmatched_example(source, r.message);
-            }
-            if let (LogSource::Driver(app), Some(name)) = (source, step.name) {
-                if !self.retired_ids.contains(&app) {
-                    self.names.insert(app, name.to_string());
-                }
-            }
-            for ev in self.scratch.drain(..) {
-                if recording {
-                    per_kind[ev.kind.index()] += 1;
-                }
-                if self.retired_ids.contains(&ev.app) {
-                    // Evidence arrived after the app retired (settle window
-                    // too short, or a very late stream). Counted, not
-                    // re-analyzed: retirement is final.
-                    self.late_events += 1;
-                    continue;
-                }
-                self.apps.entry(ev.app).or_default().push(ev);
-            }
-            each(r.ts, step.outcome);
-        }
-        self.cov.record(family, cov);
-        if recording {
-            // Tallied per run, as `StreamScanner` tallies per stream.
-            count_event_kinds(&per_kind);
-            record_lines(family, cov);
-        }
-    }
-
-    /// Fold in a tailed stream's scan, as [`IncrementalAnalyzer::ingest_records`]
-    /// would have its records: the stream's cursor moves on, its events
+    /// Fold in a stream's scan: the stream's cursor moves on, its events
     /// are bucketed (or counted late), its FIRST_LOG moves made where
     /// the event waits, and its example, name and coverage kept.
     fn apply_scan(&mut self, scan: TailScan) {
@@ -556,9 +500,8 @@ impl IncrementalAnalyzer {
     }
 }
 
-/// Record one family's lines per coverage status, as `StreamScanner`
-/// tallies a stream. A series appears with its first line, as it always
-/// has.
+/// Record one family's lines per coverage status. A series appears
+/// with its first line, as it always has.
 fn record_lines(family: logmodel::schema::Family, cov: CoverageCounts) {
     for (status, n) in [
         ("matched", cov.matched),
@@ -642,8 +585,7 @@ impl Encode for IncrementalAnalyzer {
             watermark,
             fleet,
             exemplars,
-            scratch: _, // empty between records
-            tally: _,   // empty between sweeps
+            tally: _, // empty between sweeps
         } = self;
         cursors.encode(e);
         (cov, apps, names, retired_ids).encode(e);
@@ -693,84 +635,6 @@ mod tests {
         assert_eq!(inc.coverage(), &batch.coverage);
         assert_eq!(inc.complete(), 1);
         assert_eq!(inc.truncated(), 0);
-    }
-
-    /// Feeding a stream in slices is feeding it record by record: same
-    /// outcomes in the same order, and the same state to the last
-    /// checkpoint byte — late-event counts, names and the first unmatched
-    /// example included.
-    #[test]
-    fn slices_ingest_exactly_as_single_records() {
-        let mut store = one_app_corpus(1, 0);
-        let a = ApplicationId::new(store.epoch().unix_ms, 1);
-        let rm = LogSource::ResourceManager;
-        for (ts, msg) in [
-            (
-                40_200,
-                format!("{a} State change from RUNNING to ZOMBIE on event = X"),
-            ),
-            (
-                40_300,
-                format!("{a} State change from RUNNING to GHOST on event = X"),
-            ),
-            (
-                40_400,
-                "bad_id State change from NEW to SUBMITTED on event = START".into(),
-            ),
-            (
-                90_000,
-                format!("{a} State change from SUBMITTED to ACCEPTED on event = LATE"),
-            ),
-        ] {
-            store.info(rm, TsMs(ts), "RMAppImpl", msg);
-        }
-        let cfg = IncrementalConfig {
-            settle_ms: 0,
-            idle_timeout_ms: 0,
-            exemplar_slots: 3,
-        };
-        let (mut single, mut sliced) =
-            (IncrementalAnalyzer::new(cfg), IncrementalAnalyzer::new(cfg));
-        let mut single_outcomes = Vec::new();
-        let mut sliced_outcomes = Vec::new();
-        let sources: Vec<LogSource> = store.sources().collect();
-        // Two rounds with a retirement between them, so the second
-        // round's RM records are late.
-        for round in 0..2 {
-            for &src in &sources {
-                let recs: Vec<RecordRef<'_>> = store.records(src).iter().collect();
-                let half = recs.len() / 2;
-                let refs = if round == 0 {
-                    &recs[..half]
-                } else {
-                    &recs[half..]
-                };
-                for r in refs {
-                    single_outcomes.push((r.ts, single.ingest(src, &r.to_record())));
-                }
-                for chunk in refs.chunks(3) {
-                    sliced.ingest_records(src, chunk, |ts, o| sliced_outcomes.push((ts, o)));
-                }
-                sliced.ingest_records(src, &[], |_, _| panic!("nothing to report"));
-            }
-            assert_eq!(single_outcomes, sliced_outcomes);
-            assert!(
-                Enc::payload(&single) == Enc::payload(&sliced),
-                "round {round}"
-            );
-            if round == 0 {
-                // Everything seen so far retires, whatever it is missing.
-                assert_eq!(single.finish().len(), sliced.finish().len());
-            }
-        }
-        assert!(single.late_events() > 0);
-        assert_eq!(
-            sliced.coverage().unmatched_example(Family::ResourceManager),
-            Some(format!("{a} State change from RUNNING to ZOMBIE on event = X").as_str())
-        );
-        assert!(single_outcomes
-            .iter()
-            .any(|(_, o)| *o == Outcome::Anomalous));
     }
 
     #[test]
@@ -936,8 +800,9 @@ mod tests {
 
         let mut inc = IncrementalAnalyzer::default();
         for src in [n2, n1] {
-            let recs: Vec<RecordRef<'_>> = store.records(src).iter().collect();
-            inc.ingest_records(src, &recs, |_, _| {});
+            for r in store.records(src).iter() {
+                inc.ingest(src, &r.to_record());
+            }
         }
         assert_eq!(inc.coverage(), &batch.coverage);
     }

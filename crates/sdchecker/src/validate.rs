@@ -296,8 +296,9 @@ mod tests {
         let c = a.attempt(1).container(2);
         use EventKind::*;
         // NM clock is 400 ms behind: LOCALIZING logged "before" ACQUIRED.
-        // (Events arrive globally time-sorted, as extract_all_cov_with produces
-        // them; the skew shows up as a causal-order violation.)
+        // (An application's events arrive in time order, as
+        // `order_app_events` leaves them; the skew shows up as a
+        // causal-order violation.)
         let g = graph(vec![
             ev(1000, ContainerAllocated, a, Some(c)),
             ev(1100, ContainerLocalizing, a, Some(c)),

@@ -565,6 +565,92 @@ fn run_for_ms_bounds_the_daemon_lifetime() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A wide-events file the disk cannot hold — `/dev/full`, where every
+/// write fails with ENOSPC — is said once on stderr, its lost lines are
+/// counted on `/metrics`, the checkpoint's wide-events cursor counts no
+/// byte that was not written, and shutdown exits non-zero with the
+/// final report written as ever.
+#[cfg(unix)]
+#[test]
+fn a_full_disk_under_wide_events_is_said_counted_and_fails_the_run() {
+    use sdchecker::checkpoint::{self, CfgFingerprint, CheckpointStore};
+    let full = std::path::Path::new("/dev/full");
+    if !full.exists() {
+        return;
+    }
+    let dir = tmp("fulldisk");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut logs = LogStore::new(Epoch::default_run());
+    common::populate_faulty_fleet(&mut logs);
+    logs.write_dir(&dir).unwrap();
+    let (ckpt, final_report) = (dir.join("ckpt"), dir.join("final.json"));
+    let (mut daemon, addr) = spawn_daemon(
+        &dir,
+        &[
+            "--settle-ms",
+            "0",
+            "--no-alerts",
+            "--wide-events-out",
+            full.to_str().unwrap(),
+            "--checkpoint-dir",
+            ckpt.to_str().unwrap(),
+            "--final-report",
+            final_report.to_str().unwrap(),
+        ],
+    );
+    // The first poll retires the two finished applications; their
+    // lines are the first the disk refuses.
+    let metrics = wait_for("lost lines on /metrics", || {
+        let (status, _, body) = http_get(&addr, "/metrics");
+        let text = String::from_utf8_lossy(&body).into_owned();
+        (status == 200 && has_series(&text, "sdcheckerd_wide_events_lost_total")).then_some(text)
+    });
+    assert!(metrics.contains("# HELP sdcheckerd_wide_events_lost_total Wide-events lines"));
+
+    let pid = daemon.0.id().to_string();
+    assert!(Command::new("kill")
+        .args(["-TERM", &pid])
+        .status()
+        .unwrap()
+        .success());
+    let status = daemon.0.wait().unwrap();
+    let mut stderr = String::new();
+    daemon
+        .0
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert_eq!(status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr
+            .matches("cannot write wide-events file /dev/full")
+            .count(),
+        1,
+        "{stderr}"
+    );
+    assert!(stderr.contains(": 3 wide-events lines lost"), "{stderr}");
+    let doc = obs::json::parse(&std::fs::read_to_string(&final_report).unwrap()).unwrap();
+    assert_eq!(
+        doc.get("fleet").unwrap().get("retired").unwrap().as_f64(),
+        Some(3.0)
+    );
+    let fingerprint = CfgFingerprint {
+        settle_ms: 0,
+        idle_timeout_ms: 60_000,
+        exemplar_slots: 3,
+        alerts: false,
+        slo_ms: 60_000,
+        eval_interval_ms: 1_000,
+    };
+    let store = CheckpointStore::open(&ckpt).unwrap();
+    let (restored, warnings) = checkpoint::load(&store, &dir, &fingerprint, None);
+    assert!(warnings.is_empty(), "{warnings:?}");
+    assert_eq!(restored.expect("a checkpoint").wide_bytes, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn help_exits_zero() {
     let out = bin().arg("--help").output().unwrap();

@@ -207,6 +207,32 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("sdchecker_inctest_{name}_{}", std::process::id()))
 }
 
+/// The environment variable that marks the child process
+/// [`ingest_classifies_each_record_as_its_stream_cursor_does`] reruns
+/// itself in.
+const RECORDING_CHILD: &str = "SDCHECKER_INCREMENTAL_RECORDING_CHILD";
+
+/// Whether this is the child process the test `name` reruns itself in,
+/// alone, with [`RECORDING_CHILD`] set. If not, rerun it there, assert
+/// that it passed, and say no.
+fn run_alone(name: &str) -> bool {
+    if std::env::var_os(RECORDING_CHILD).is_some() {
+        return true;
+    }
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", name, "--test-threads=1"])
+        .env(RECORDING_CHILD, "1")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    false
+}
+
 /// What `report-v1` and `sdcheckerd-report-v1` both say about a fleet:
 /// the component sketches — less their `exemplars`, which only the live
 /// document keeps — the blame, the coverage and the two counts.
@@ -1215,4 +1241,72 @@ fn daemon_agrees_with_batch_per_app_on_damaged_and_reordered_logs() {
         fs::remove_dir_all(&dir).unwrap();
     }
     assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// `ingest` gives every record the outcome its stream's cursor steps it
+/// to: over the faulty fleet, with its unmatched and corrupt-id lines,
+/// and a driver record read last but stamped before its stream's first,
+/// which takes FIRST_LOG over from a record FIRST_LOG was all it made
+/// (the one-record scan's counts then read ignored). With recording on,
+/// ingesting the fleet record by record records the lines and events a
+/// tailed sweep of the same directory does. Recording is switched on for
+/// the whole process, so the test reruns itself alone in a child
+/// process.
+#[test]
+fn ingest_classifies_each_record_as_its_stream_cursor_does() {
+    use sdchecker::{Extractor, Outcome};
+    if !run_alone("ingest_classifies_each_record_as_its_stream_cursor_does") {
+        return;
+    }
+    let mut store = LogStore::new(Epoch::default_run());
+    let (clean, ..) = common::populate_faulty_fleet(&mut store);
+    let driver = LogSource::Driver(clean);
+    store.info(driver, TsMs(1_000), "X", "an earlier first record");
+    let recorded = || {
+        let snap = obs::global().snapshot();
+        let series = snap.counters.into_iter();
+        series
+            .filter(|(key, _)| matches!(key.name, "extract_events_total" | "parse_lines_total"))
+            .collect::<BTreeMap<_, _>>()
+    };
+    obs::enable();
+
+    let ex = Extractor::new();
+    let mut inc = IncrementalAnalyzer::new(IncrementalConfig::default());
+    let mut seen = BTreeMap::new();
+    for src in store.sources() {
+        let mut cursor = StreamCursor::default();
+        for r in store.records(src).iter() {
+            let step = cursor.step(&ex, src, &r, &mut Vec::new(), &mut Default::default());
+            let got = inc.ingest(src, &r.to_record());
+            assert_eq!(got, step.outcome, "{src:?} at {:?}: {}", r.ts, r.message);
+            *seen.entry(format!("{got:?}")).or_insert(0) += 1;
+            if step.first_moved.is_some() {
+                assert_eq!((src, got), (driver, Outcome::Matched));
+                seen.insert("moved".into(), 1);
+            }
+        }
+    }
+    assert_eq!(
+        seen.keys().map(String::as_str).collect::<Vec<_>>(),
+        ["Anomalous", "Ignored", "Matched", "Unmatched", "moved"]
+    );
+    let ingested = recorded();
+
+    let dir = tmp("recorded");
+    let _ = fs::remove_dir_all(&dir);
+    store.write_dir(&dir).unwrap();
+    let mut swept = IncrementalAnalyzer::new(IncrementalConfig::default());
+    DirTailer::new(&dir).unwrap().poll_with(&mut swept).unwrap();
+    fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(swept.coverage(), inc.coverage());
+    let twice = recorded();
+    assert!(!ingested.is_empty());
+    for (key, n) in &twice {
+        assert_eq!(
+            n - ingested.get(key).unwrap_or(&0),
+            *ingested.get(key).unwrap_or(&0),
+            "{key:?}"
+        );
+    }
 }

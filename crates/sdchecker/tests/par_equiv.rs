@@ -11,7 +11,8 @@ use logmodel::{
     corrupt_dir, ApplicationId, CorruptConfig, Epoch, LogSource, LogStore, NodeId, TsMs,
 };
 use sdchecker::checkpoint::{self, CfgFingerprint, CheckpointStore, SaveInputs};
-use sdchecker::{analyze_store, analyze_store_with, Analysis, Parallelism};
+use sdchecker::extract::extract_all_cov_with;
+use sdchecker::{analyze_store, analyze_store_with, build_graphs, Analysis, Parallelism};
 use simkit::SimRng;
 
 mod common;
@@ -217,6 +218,37 @@ fn parallel_dir_analysis_equals_sequential() {
         assert_same(&seq, &par, &format!("dir, threads {threads}"));
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `extract_all_cov_with` hands on what the analysis gathers: on the
+/// faulty fleet, and on the fleet with its application logs shuffled
+/// and their timestamps made to tie, at every width, its events and
+/// coverage are the analysis's, and the graphs built from those events
+/// are the analysis's graphs.
+#[test]
+fn extract_all_returns_the_analysis_s_events() {
+    let mut fleet = LogStore::new(Epoch::default_run());
+    common::populate_faulty_fleet(&mut fleet);
+    let dir = std::env::temp_dir().join(format!("sdchecker_extract_all_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    fleet.write_dir(&dir).unwrap();
+    layouts::shuffle_app_logs(&mut SimRng::new(53), &fleet, &dir);
+    let shuffled = LogStore::read_dir_with(&dir, Parallelism::ONE).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    for (label, store) in [("fleet", &fleet), ("shuffled", &shuffled)] {
+        for threads in [1, 2, 4] {
+            let par = Parallelism::new(threads);
+            let (events, coverage) = extract_all_cov_with(store, par);
+            let analysis = analyze_store_with(store, par);
+            assert_eq!(events, analysis.events, "{label}, threads {threads}");
+            assert_eq!(coverage, analysis.coverage, "{label}, threads {threads}");
+            assert_eq!(
+                format!("{:?}", build_graphs(&events)),
+                format!("{:?}", analysis.graphs),
+                "{label}, threads {threads}"
+            );
+        }
+    }
 }
 
 /// The three documents the CLI writes.

@@ -4,7 +4,7 @@
 //! no allocation between the bytes it was read into and the verdict on
 //! it, that a directory analysis allocates per file and per event, not
 //! per line, and that metrics recording in the tailed pipeline costs
-//! allocations per counter series a run touches, not per event. This binary installs a counting allocator (it is its
+//! allocations per counter series a sweep touches, not per event. This binary installs a counting allocator (it is its
 //! own process, so nothing else is affected) and holds both to a number;
 //! the same allocator tracks live bytes and their high-water mark, which
 //! holds a directory analysis's peak heap to a figure per event, and a
@@ -242,11 +242,12 @@ fn run_alone(name: &str, env: &str) -> bool {
     false
 }
 
-/// With metrics recording on, ingesting a run of records costs one
-/// counter series' key per event kind the run yielded and per coverage
-/// status it had over what it costs with recording off — not one per
-/// event. A key is a label vector plus one string per label: two
-/// allocations for `extract_events_total{kind}`, three for
+/// With metrics recording on, a tailed sweep — `DirTailer::poll_with`
+/// into an `IncrementalAnalyzer`, the daemon's path — costs one counter
+/// series' key per event kind it yielded and per coverage status it had
+/// over what it costs with recording off — not one per event. A key is
+/// a label vector plus one string per label: two allocations for
+/// `extract_events_total{kind}`, three for
 /// `parse_lines_total{source,status}`. Recording is switched on for the
 /// whole process, so the test reruns itself alone in a child process,
 /// where no other test's counts can see it.
@@ -260,59 +261,63 @@ fn recording_costs_allocations_per_event_kind_not_per_event() {
     for k in 0..16 {
         common::populate_faulty_fleet_at(&mut store, k);
     }
-    // The cluster logs, where runs repeat a few kinds many times.
-    let runs: Vec<(LogSource, Vec<_>)> = store
-        .sources()
-        .filter(|src| matches!(src, LogSource::ResourceManager | LogSource::NodeManager(_)))
-        .flat_map(|src| {
-            let recs: Vec<_> = store.records(src).iter().collect();
-            recs.chunks(256)
-                .map(|run| (src, run.to_vec()))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let ingest_all = || {
+    let dir = std::env::temp_dir().join(format!(
+        "sdchecker_zeroalloc_recording_{}",
+        std::process::id()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    store.write_dir(&dir).unwrap();
+    // A fresh daemon's first poll: every file read, scanned and folded in.
+    let sweep = || {
         let mut an = IncrementalAnalyzer::new(IncrementalConfig::default());
-        let mut statuses = 0;
-        for (src, run) in &runs {
-            let mut seen = [false; 4];
-            an.ingest_records(*src, run, |_, outcome| seen[outcome as usize] = true);
-            statuses += seen.iter().filter(|s| **s).count() as u64;
-        }
-        statuses
+        DirTailer::new(&dir).unwrap().poll_with(&mut an).unwrap();
+        an.coverage().total()
     };
-    let (statuses, off) = allocations(ingest_all);
+    let (total, off) = allocations(sweep);
 
-    // The kinds each run yields, by the extractor the analyzer runs.
+    // The kinds and statuses the sweep yields, by the extractor the
+    // analyzer runs.
     let ex = Extractor::new();
-    let (mut kinds, mut events) = (0, 0);
-    let mut cursors = std::collections::BTreeMap::new();
-    for (src, run) in &runs {
-        let cursor = cursors.entry(*src).or_insert_with(StreamCursor::default);
-        let mut out = Vec::new();
-        for r in run {
-            cursor.step(&ex, *src, r, &mut out, &mut CoverageCounts::default());
+    let (mut out, mut cov) = (Vec::new(), std::collections::BTreeMap::new());
+    for src in store.sources() {
+        let (mut cursor, counts) = (StreamCursor::default(), cov.entry(src.family()));
+        let counts: &mut CoverageCounts = counts.or_default();
+        for r in store.records(src).iter() {
+            cursor.step(&ex, src, &r, &mut out, counts);
         }
-        let distinct: std::collections::BTreeSet<EventKind> = out.iter().map(|e| e.kind).collect();
-        kinds += distinct.len() as u64;
-        events += out.len() as u64;
     }
+    let kinds = out
+        .iter()
+        .map(|e| e.kind)
+        .collect::<std::collections::BTreeSet<EventKind>>()
+        .len() as u64;
+    let statuses: u64 = cov
+        .values()
+        .map(|c| [c.matched, c.unmatched, c.anomalous, c.ignored])
+        .map(|n| n.iter().filter(|&&n| n > 0).count() as u64)
+        .sum();
+    let events = out.len() as u64;
+    assert_eq!(
+        total.matched + total.unmatched + total.anomalous + total.ignored,
+        store.total_records() as u64
+    );
     assert!(
         events > 4 * kinds,
-        "{events} events, {kinds} kinds summed over the runs"
+        "{events} events, {kinds} kinds over the sweep"
     );
 
     obs::enable();
     // Every series exists once this has run, so the measured pass adds
     // no map node.
-    ingest_all();
-    let (_, on) = allocations(ingest_all);
+    sweep();
+    let (_, on) = allocations(sweep);
     assert!(
         on - off <= 2 * kinds + 3 * statuses,
         "{} allocations more with recording on, for {events} events, {kinds} distinct kinds \
-         and {statuses} distinct statuses summed over the runs",
+         and {statuses} distinct statuses over the sweep",
         on - off
     );
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The length [`noisy_fleet`] pads its directory's path to.
@@ -612,7 +617,7 @@ fn directory_analysis_peak_live_heap_is_priced_per_event() {
 /// dense ResourceManager log is at least four read chunks long: one
 /// chunk's record vector (2 049 × 48 B) and change. Measured: 92 754
 /// bytes, in both profiles (96 178 while the drain went through
-/// `ingest_records` rather than a scan per chunk). When a grown file was
+/// the analyzer's record loop rather than a scan per chunk). When a grown file was
 /// read in one buffer,
 /// with a record vector sized for all of it, the difference was
 /// 1 664 140 bytes — more than the dense log's 1 216 383.
