@@ -737,7 +737,7 @@ struct WideOut {
 
 impl WideOut {
     fn append(&mut self, line: &str) {
-        let written = (self.w.as_mut()).map(|w| {
+        let written = self.w.as_mut().map(|w| {
             w.write_all(line.as_bytes())
                 .and_then(|()| w.write_all(b"\n"))
         });
@@ -752,14 +752,12 @@ impl WideOut {
 
     fn flush(&mut self) {
         let fsync = self.fsync;
-        let flushed = (self.w.as_mut()).map(|w| {
-            w.flush().and_then(|()| {
-                if fsync {
-                    w.get_ref().sync_all()
-                } else {
-                    Ok(())
-                }
-            })
+        let flushed = self.w.as_mut().map(|w| -> std::io::Result<()> {
+            w.flush()?;
+            if fsync {
+                w.get_ref().sync_all()?;
+            }
+            Ok(())
         });
         match flushed {
             Some(Ok(())) => self.bytes += std::mem::take(&mut self.pending).0,
@@ -773,7 +771,10 @@ impl WideOut {
     fn fail(&mut self, e: std::io::Error, more: u64) {
         // Let go of the buffer without the flush a `BufWriter` makes on drop.
         drop(self.w.take().map(std::io::BufWriter::into_parts));
-        eprintln!(
+        // Said without `eprintln!`, whose panic on a full stderr — likely
+        // on the disk that just filled — would end the run unsaved.
+        let _ = writeln!(
+            std::io::stderr(),
             "sdcheckerd: cannot write wide-events file {}: {e}; it is not written again \
              this run, and its lost lines count in sdcheckerd_wide_events_lost_total",
             self.path.display()

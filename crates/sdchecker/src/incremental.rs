@@ -257,6 +257,9 @@ impl IncrementalAnalyzer {
                 self.tally.per_kind[ev.kind.index()] += 1;
             }
             if self.retired_ids.contains(&ev.app) {
+                // Evidence arrived after the app retired (settle window
+                // too short, or a very late stream). Counted, not
+                // re-analyzed: retirement is final.
                 self.late_events += 1;
                 continue;
             }

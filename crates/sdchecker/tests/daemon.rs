@@ -648,6 +648,18 @@ fn a_full_disk_under_wide_events_is_said_counted_and_fails_the_run() {
     let (restored, warnings) = checkpoint::load(&store, &dir, &fingerprint, None);
     assert!(warnings.is_empty(), "{warnings:?}");
     assert_eq!(restored.expect("a checkpoint").wide_bytes, 0);
+
+    // With stderr on the full disk too, the run still ends as a failure,
+    // not a panic.
+    let status = bin()
+        .arg(&dir)
+        .args(["--listen", "127.0.0.1:0", "--run-for-ms", "300", "--quiet"])
+        .args(["--settle-ms", "0", "--no-alerts", "--wide-events-out"])
+        .arg(full)
+        .stderr(std::fs::File::create(full).unwrap())
+        .status()
+        .unwrap();
+    assert_eq!(status.code(), Some(1));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
