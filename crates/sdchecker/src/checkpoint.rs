@@ -42,6 +42,12 @@
 //! * after the final rename — the new current is complete (it was
 //!   fsynced before becoming visible).
 //!
+//! Only a current generation known to be intact — this store wrote it,
+//! or [`load`] restored from it — is demoted to `.prev`. Any other
+//! (one recovery skipped as damaged, or one a cold start ignored) is
+//! replaced in place by the final rename, so the `.prev` a recovery fell
+//! back to stays the fallback until a new generation is complete.
+//!
 //! ## Recovery
 //!
 //! [`load`] tries `checkpoint-v2` then `checkpoint-v2.prev`. A missing
@@ -223,6 +229,9 @@ pub struct CheckpointStore {
     /// The size of the last file saved, which the next one is reserved
     /// at.
     last_len: Cell<usize>,
+    /// Whether the file at the current name is known intact: this store
+    /// wrote it, or [`load`] restored from it.
+    current_intact: Cell<bool>,
 }
 
 impl CheckpointStore {
@@ -232,6 +241,7 @@ impl CheckpointStore {
         Ok(CheckpointStore {
             dir: dir.to_path_buf(),
             last_len: Cell::new(0),
+            current_intact: Cell::new(false),
         })
     }
 
@@ -250,7 +260,8 @@ impl CheckpointStore {
     }
 
     /// Atomically replace the current generation with `bytes`,
-    /// demoting the old current to `.prev`. Returns the file size.
+    /// demoting the old current to `.prev` if it is known intact.
+    /// Returns the file size.
     fn write_atomic(&self, bytes: &[u8]) -> Result<u64, CkptError> {
         let tmp = self.tmp_path();
         {
@@ -259,10 +270,11 @@ impl CheckpointStore {
             f.sync_all()?;
         }
         let current = self.current_path();
-        if current.exists() {
+        if self.current_intact.get() && current.exists() {
             fs::rename(&current, self.prev_path())?;
         }
         fs::rename(&tmp, &current)?;
+        self.current_intact.set(true);
         // Persist the renames themselves; without this a crash could
         // roll the directory back to a state where neither name exists.
         if let Ok(d) = fs::File::open(&self.dir) {
@@ -431,6 +443,7 @@ pub fn load(
     mut engine: Option<&mut AlertEngine>,
 ) -> (Option<Restored>, Vec<String>) {
     let mut warnings = Vec::new();
+    store.current_intact.set(false);
     let candidates = [
         ("current", store.current_path()),
         ("previous", store.prev_path()),
@@ -455,7 +468,10 @@ pub fn load(
             fingerprint,
             engine.as_deref_mut(),
         ) {
-            Ok(restored) => return (Some(restored), warnings),
+            Ok(restored) => {
+                store.current_intact.set(generation == "current");
+                return (Some(restored), warnings);
+            }
             Err(e) => warnings.push(format!(
                 "checkpoint: {} generation {} unusable: {e}",
                 generation,
@@ -663,6 +679,57 @@ mod tests {
         let (restored, warnings) = load(&store, &logs, &fp, None);
         assert!(restored.is_none());
         assert_eq!(warnings.len(), 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_after_falling_back_keeps_the_restored_generation_as_previous() {
+        let dir = tmp("fallback_save");
+        let logs = dir.join("logs");
+        fs::create_dir_all(&logs).unwrap();
+        corpus(&logs);
+        let (tailer, analyzer) = build_state(&logs);
+        let store = CheckpointStore::open(&dir.join("ckpt")).unwrap();
+        let fp = fingerprint();
+        let inputs = |wide: u64, writes: u64| SaveInputs {
+            tailer: &tailer,
+            analyzer: &analyzer,
+            engine: None,
+            fingerprint: &fp,
+            wide_bytes: wide,
+            writes_total: writes,
+            recoveries: 0,
+        };
+        save(&store, &inputs(10, 1)).unwrap();
+        save(&store, &inputs(20, 2)).unwrap();
+        let good = fs::read(store.prev_path()).unwrap();
+
+        // A restart finds the current generation damaged and falls back.
+        fs::write(store.current_path(), b"not a checkpoint at all").unwrap();
+        let restarted = CheckpointStore::open(&dir.join("ckpt")).unwrap();
+        let (restored, _) = load(&restarted, &logs, &fp, None);
+        assert_eq!(restored.unwrap().generation, "previous");
+
+        // Its first save must not demote the damaged file over the one
+        // good generation: a crash between the two renames would leave
+        // nothing to resume from.
+        save(&restarted, &inputs(30, 3)).unwrap();
+        assert!(
+            fs::read(restarted.prev_path()).unwrap() == good,
+            "the damaged current was demoted over the good generation"
+        );
+        let (r, warnings) = load(&restarted, &logs, &fp, None);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(r.unwrap().wide_bytes, 30);
+        fs::remove_file(restarted.current_path()).unwrap();
+        assert_eq!(load(&restarted, &logs, &fp, None).0.unwrap().wide_bytes, 10);
+
+        // A current this store wrote is demoted as usual.
+        save(&restarted, &inputs(40, 4)).unwrap();
+        save(&restarted, &inputs(50, 5)).unwrap();
+        assert_eq!(load(&restarted, &logs, &fp, None).0.unwrap().wide_bytes, 50);
+        fs::remove_file(restarted.current_path()).unwrap();
+        assert_eq!(load(&restarted, &logs, &fp, None).0.unwrap().wide_bytes, 40);
         let _ = fs::remove_dir_all(&dir);
     }
 
